@@ -36,6 +36,7 @@ path.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
 from repro.core.naming import SummaryNamer
@@ -43,7 +44,7 @@ from repro.core.summary import Summary
 from repro.errors import UnknownSummaryKindError
 from repro.model.graph import GraphStatistics, RDFGraph
 from repro.model.namespaces import RDF_TYPE
-from repro.model.terms import Term, URI
+from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.store.base import TripleStore
 
@@ -463,7 +464,7 @@ class EncodedSummaryEngine:
         source_statistics: Optional[GraphStatistics],
         source_name: str,
     ) -> Summary:
-        """Quotient the encoded rows through *block_of* and decode the result."""
+        """Quotient the encoded rows through *block_of* and decode the summary graph."""
         data_edges: Set[Tuple[int, int, int]] = set()
         for subjects, predicates, objects in self._data_columns():
             for subject, prop, obj in zip(subjects, predicates, objects):
@@ -485,13 +486,15 @@ class EncodedSummaryEngine:
         for block_subject, class_id in type_edges:
             summary_graph.add(Triple(block_uris[block_subject], RDF_TYPE, decode(class_id)))
 
-        representative_of: Dict[Term, Term] = {
-            decode(node): block_uris[block] for node, block in block_of.items()
-        }
-        return Summary(
-            kind=kind,
-            graph=summary_graph,
-            representative_of=representative_of,
+        # the provenance stays encoded: node ids and block indexes as they
+        # are, decoded by the summary only if someone asks for the Term maps
+        return Summary.from_ids(
+            kind,
+            summary_graph,
+            array("i", block_of),
+            array("i", block_of.values()),
+            block_uris,
+            self.store.dictionary.decode_table,
             source_statistics=source_statistics,
             source_name=source_name,
         )

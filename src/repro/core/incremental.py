@@ -36,14 +36,15 @@ re-scanning the store.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from array import array
+from typing import Dict, Iterable, List, Optional, Set, Tuple
 
 from repro.core.naming import SUMMARY_NS, SummaryNamer
 from repro.core.summary import Summary
 from repro.model.dictionary import EncodedTriple
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import RDF_TYPE
-from repro.model.terms import Term, URI
+from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.store.base import TripleStore
 
@@ -285,17 +286,20 @@ class IncrementalWeakSummarizer:
         ready for further :meth:`ingest_data` / :meth:`ingest_type` calls.
         """
         namer = SummaryNamer()
-        node_uri: Dict[int, URI] = {}
+        summary_nodes: List[URI] = []
+        position_of: Dict[int, int] = {}  # summarizer node -> index in summary_nodes
+
+        def position(node: int) -> int:
+            existing = position_of.get(node)
+            if existing is None:
+                properties = self.src_dps.get(node, set()) | self.targ_dps.get(node, set())
+                label = "Ntau" if not properties else "N"
+                existing = position_of[node] = len(summary_nodes)
+                summary_nodes.append(namer.for_key(("incremental", node), hint=label))
+            return existing
 
         def uri_of(node: int) -> URI:
-            existing = node_uri.get(node)
-            if existing is not None:
-                return existing
-            properties = self.src_dps.get(node, set()) | self.targ_dps.get(node, set())
-            label = "Ntau" if not properties else "N"
-            minted = namer.for_key(("incremental", node), hint=label)
-            node_uri[node] = minted
-            return minted
+            return summary_nodes[position(node)]
 
         summary_graph = RDFGraph(name="incremental_weak")
         for row in self.store.scan_schema():
@@ -309,24 +313,30 @@ class IncrementalWeakSummarizer:
                 class_term = self.store.decode_term(class_id)
                 summary_graph.add(Triple(uri_of(node), RDF_TYPE, class_term))
 
-        representative_of: Dict[Term, Term] = {}
-        for resource, node in self.rd.items():
-            representative_of[self.store.decode_term(resource)] = uri_of(node)
+        # the rd map leaves as it is held — resource ids and the position of
+        # each one's summary node — with no resource decoded
+        node_ids = array("i", self.rd)
+        block_indexes = array("i", map(position, self.rd.values()))
 
         if self._typed_only:
+            ntau_position = len(summary_nodes)
             ntau_uri = namer.for_key(("incremental", "typed-only"), hint="Ntau")
+            summary_nodes.append(ntau_uri)
             class_ids: Set[int] = set()
-            for resource, classes in self._typed_only.items():
-                representative_of[self.store.decode_term(resource)] = ntau_uri
+            for classes in self._typed_only.values():
                 class_ids |= classes
+            node_ids.extend(self._typed_only)
+            block_indexes.extend([ntau_position] * len(self._typed_only))
             for class_id in class_ids:
                 summary_graph.add(Triple(ntau_uri, RDF_TYPE, self.store.decode_term(class_id)))
 
-        return Summary(
-            kind="weak",
-            graph=summary_graph,
-            representative_of=representative_of,
-            source_statistics=None,
+        return Summary.from_ids(
+            "weak",
+            summary_graph,
+            node_ids,
+            block_indexes,
+            summary_nodes,
+            self.store.dictionary.decode_table,
             source_name="store",
         )
 

@@ -8,14 +8,20 @@ property checks and exploration use-cases, the object also carries the
   ``G`` to the summary node standing for it (the paper's ``rd`` map);
 * ``extents`` — the inverse multi-map, from each summary node to the set of
   input nodes it represents (the paper's ``dr`` map).
+
+The integer engines hand the provenance over as dictionary ids
+(:meth:`Summary.from_ids`); both maps are then decoded lazily, once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set
+from array import array
+from typing import Dict, Optional, Sequence, Set, Tuple
 
+from repro.model.dictionary import Dictionary
 from repro.model.graph import GraphStatistics, RDFGraph
-from repro.model.terms import Literal, Term, URI
+from repro.model.terms import Literal, Term
+from repro.utils.concurrency import named_lock
 
 __all__ = ["Summary", "SummaryStatistics"]
 
@@ -68,6 +74,14 @@ class SummaryStatistics:
 class Summary:
     """The result of summarizing an RDF graph.
 
+    The provenance is held **id-native** when the summary comes from the
+    integer engines (:meth:`from_ids`): two parallel ``array('i')`` — input
+    node id, index of its summary node — over the store's own dictionary,
+    plus the short list of minted summary nodes.  ``representative_of`` and
+    ``extents`` are then views materialised once, on first access; the
+    serving path (guard, HTTP summary route, cluster) only reads ``graph``
+    and never pays for them.
+
     Parameters
     ----------
     kind:
@@ -91,12 +105,44 @@ class Summary:
     ):
         self.kind = kind
         self.graph = graph
-        self.representative_of: Dict[Term, Term] = dict(representative_of)
         self.source_statistics = source_statistics
         self.source_name = source_name
-        self.extents: Dict[Term, Set[Term]] = {}
-        for input_node, summary_node in self.representative_of.items():
-            self.extents.setdefault(summary_node, set()).add(input_node)
+        self._views_lock = named_lock("summary.views_lock")
+        #: guarded by self._views_lock
+        self._representative_of: Optional[Dict[Term, Term]] = dict(representative_of)
+        #: guarded by self._views_lock
+        self._extents: Optional[Dict[Term, Set[Term]]] = None
+        #: ``(node_ids, block_indexes, summary_nodes, decode_table)`` of an
+        #: id-native summary (see :meth:`from_ids`); immutable once set
+        self._encoded: Optional[Tuple[array, array, Sequence[Term], Sequence[Term]]] = None
+
+    @classmethod
+    def from_ids(
+        cls,
+        kind: str,
+        graph: RDFGraph,
+        node_ids: array,
+        block_indexes: array,
+        summary_nodes: Sequence[Term],
+        decode_table: Sequence[Term],
+        source_statistics: Optional[GraphStatistics] = None,
+        source_name: str = "",
+    ) -> "Summary":
+        """A summary whose provenance stays integer-encoded.
+
+        Input node ``decode_table[node_ids[i]]`` is represented by
+        ``summary_nodes[block_indexes[i]]``.  *decode_table* is the
+        dictionary's id-indexed term list (append-only, so later interning
+        never invalidates the ids held here).
+        """
+        if len(node_ids) != len(block_indexes):
+            raise ValueError(
+                f"{len(node_ids)} node ids but {len(block_indexes)} block indexes"
+            )
+        summary = cls(kind, graph, {}, source_statistics, source_name)
+        summary._representative_of = None
+        summary._encoded = (node_ids, block_indexes, summary_nodes, decode_table)
+        return summary
 
     def __repr__(self):
         return (
@@ -107,6 +153,58 @@ class Summary:
     # ------------------------------------------------------------------
     # provenance
     # ------------------------------------------------------------------
+    def _views(self) -> Tuple[Dict[Term, Term], Dict[Term, Set[Term]]]:
+        """``(representative_of, extents)``, decoded on the first call only."""
+        with self._views_lock:
+            if self._extents is None:
+                if self._representative_of is None:
+                    node_ids, block_indexes, summary_nodes, decode_table = self._encoded
+                    self._representative_of = dict(
+                        zip(
+                            map(decode_table.__getitem__, node_ids),
+                            map(summary_nodes.__getitem__, block_indexes),
+                        )
+                    )
+                extents: Dict[Term, Set[Term]] = {}
+                for input_node, summary_node in self._representative_of.items():
+                    extents.setdefault(summary_node, set()).add(input_node)
+                self._extents = extents
+            return self._representative_of, self._extents
+
+    @property
+    def representative_of(self) -> Dict[Term, Term]:
+        """Input data node → its summary node (the paper's ``rd`` map)."""
+        return self._views()[0]
+
+    @property
+    def extents(self) -> Dict[Term, Set[Term]]:
+        """Summary node → the input nodes it represents (the ``dr`` map)."""
+        return self._views()[1]
+
+    @property
+    def views_materialised(self) -> bool:
+        """``True`` once ``representative_of`` / ``extents`` were decoded."""
+        with self._views_lock:
+            return self._extents is not None
+
+    def encoded_representatives(
+        self, dictionary: Dictionary
+    ) -> Tuple[array, array, Sequence[Term]]:
+        """``(node_ids, block_indexes, summary_nodes)`` over *dictionary*.
+
+        The held arrays when the summary is id-native over that very
+        dictionary (no decoding); otherwise the ``Term`` map is encoded
+        through :meth:`Dictionary.encode_existing`.
+        """
+        if self._encoded is not None and self._encoded[3] is dictionary.decode_table:
+            return self._encoded[:3]
+        index_of: Dict[Term, int] = {}
+        node_ids, block_indexes = array("i"), array("i")
+        for input_node, summary_node in self.representative_of.items():
+            node_ids.append(dictionary.encode_existing(input_node))
+            block_indexes.append(index_of.setdefault(summary_node, len(index_of)))
+        return node_ids, block_indexes, list(index_of)
+
     def representative(self, input_node: Term) -> Optional[Term]:
         """The summary node representing *input_node* (``None`` when unknown)."""
         return self.representative_of.get(input_node)

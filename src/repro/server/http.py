@@ -437,6 +437,9 @@ class _Handler(BaseHTTPRequestHandler):
     app: ServerApp  # injected by make_server
     protocol_version = "HTTP/1.1"
     server_version = "repro-serve"
+    #: TCP_NODELAY on every accepted connection: responses are complete
+    #: messages, never worth holding back for coalescing
+    disable_nagle_algorithm = True
 
     # ------------------------------------------------------------------
     def log_message(self, format, *args):  # noqa: A002 - stdlib signature
@@ -496,13 +499,21 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             data = json.dumps(payload, sort_keys=True).encode("utf-8")
             content_type = "application/json"
-        self.send_response(status)
-        self.send_header("Content-Type", content_type)
-        self.send_header("Content-Length", str(len(data)))
+        # One write per response.  ``end_headers()`` then ``wfile.write()``
+        # put headers and body in two segments, and on a keep-alive
+        # connection the second waits for the client's delayed ACK of the
+        # first (40 ms on Linux) — twenty times the work of a guarded query.
+        head = [
+            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
+            f"Server: {self.version_string()}",
+            f"Date: {self.date_time_string()}",
+            f"Content-Type: {content_type}",
+            f"Content-Length: {len(data)}",
+        ]
         if self.close_connection:
-            self.send_header("Connection", "close")
-        self.end_headers()
-        self.wfile.write(data)
+            head.append("Connection: close")
+        self.log_request(status)
+        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data)
 
     def _handle(self, method: str) -> None:
         self.app.begin_request()
@@ -558,6 +569,13 @@ class _Handler(BaseHTTPRequestHandler):
         self._handle("DELETE")
 
 
+class _Server(ThreadingHTTPServer):
+    daemon_threads = True
+    #: listen backlog; the stdlib's 5 drops SYNs (a 1 s client retransmit)
+    #: as soon as a few dozen clients connect at once
+    request_queue_size = 128
+
+
 def make_server(app: ServerApp, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
     """A :class:`ThreadingHTTPServer` serving *app* (``port=0`` → ephemeral).
 
@@ -566,9 +584,7 @@ def make_server(app: ServerApp, host: str = "127.0.0.1", port: int = 0) -> Threa
     """
 
     handler = type("BoundHandler", (_Handler,), {"app": app})
-    server = ThreadingHTTPServer((host, port), handler)
-    server.daemon_threads = True
-    return server
+    return _Server((host, port), handler)
 
 
 def serve(

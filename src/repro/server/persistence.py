@@ -20,19 +20,24 @@ graph:
 * its **artifacts** in ``artifacts`` — version-tagged binary payloads for
   the weak-summary maintainer maps, the cardinality statistics and every
   summary cached at checkpoint time.  Maintainer and statistics payloads
-  are pickles of pure-integer structures; summary payloads are pickles of
-  *packed* plain tuples (kind tags + strings), unpacked back through the
-  term constructors.
+  are pickles of pure-integer structures.  A summary payload holds its
+  node -> representative map as two packed ``array('i')`` over the graph's
+  own dictionary ids (8 bytes per represented node) and only the summary
+  graph and the minted summary nodes as term columns; it is loaded back
+  without constructing one input-node term.  Summary artifacts are
+  *expendable*: one that does not decode is skipped and rebuilt on first
+  use, never an error.
 
 Durability discipline
 ---------------------
-``save_graph`` rewrites one graph completely; ``append_update`` is the
-write-through hook of :meth:`CatalogEntry.add_triples` and appends only
-the freshly inserted rows and dictionary ids, then refreshes the
-artifacts.  Either way the whole graph update is **one SQLite
-transaction**: a reader (or a crash) sees the previous checkpoint or the
-new one, never a torn mix.  The schema carries a version
-(``schema_version`` in ``catalog_meta``); opening a file written by a
+``save_graph`` rewrites one graph completely; ``refresh_artifacts``
+replaces only the artifacts of a graph whose rows are already durable;
+``append_update`` is the write-through hook of
+:meth:`CatalogEntry.add_triples` and appends only the freshly inserted rows
+and dictionary ids, then refreshes the artifacts.  In every case the whole
+graph update is **one SQLite transaction**: a reader (or a crash) sees the
+previous checkpoint or the new one, never a torn mix.  The schema carries a
+version (``schema_version`` in ``catalog_meta``); opening a file written by a
 different schema raises :class:`~repro.errors.PersistenceError` instead of
 misreading it.
 
@@ -177,28 +182,27 @@ def _term_from_columns(
     raise PersistenceError(f"unknown persisted term kind {kind!r}")
 
 
-def _pack_term(term: Term) -> Tuple:
-    return _term_columns(term)
+def _pack_summary(summary: Summary, dictionary: Dictionary) -> Dict[str, object]:
+    """A summary as plain tuples, strings and two packed int arrays.
 
-
-def _unpack_term(packed: Tuple) -> Term:
-    return _term_from_columns(*packed)
-
-
-def _pack_summary(summary: Summary) -> Dict[str, object]:
-    """A summary as plain tuples/strings (reconstructible in any process)."""
+    The node -> representative map is stored over *dictionary*'s ids: input
+    node ``node_ids[i]`` is represented by ``summary_nodes[block_indexes[i]]``
+    (8 bytes per represented node; no input node's text is repeated here).
+    Only the summary graph and the minted summary nodes — dozens for
+    weak/strong — travel as term columns.
+    """
+    node_ids, block_indexes, summary_nodes = summary.encoded_representatives(dictionary)
     return {
         "kind": summary.kind,
         "source_name": summary.source_name,
         "graph_name": summary.graph.name,
         "triples": [
-            (_pack_term(t.subject), _pack_term(t.predicate), _pack_term(t.object))
+            (_term_columns(t.subject), _term_columns(t.predicate), _term_columns(t.object))
             for t in summary.graph
         ],
-        "representative_of": [
-            (_pack_term(node), _pack_term(representative))
-            for node, representative in summary.representative_of.items()
-        ],
+        "node_ids": node_ids,
+        "block_indexes": block_indexes,
+        "summary_nodes": [_term_columns(node) for node in summary_nodes],
         "source_statistics": (
             summary.source_statistics.as_dict()
             if summary.source_statistics is not None
@@ -207,24 +211,52 @@ def _pack_summary(summary: Summary) -> Dict[str, object]:
     }
 
 
-def _unpack_summary(payload: Dict[str, object]) -> Summary:
+def _unpack_summary(payload: Dict[str, object], dictionary: Dictionary) -> Summary:
+    """Rebuild a summary over *dictionary* without decoding one input node.
+
+    Raises (``KeyError`` / ``TypeError`` / ``ValueError``) on any payload
+    that is not a well-formed :func:`_pack_summary` result — the caller
+    treats summary artifacts as expendable.
+    """
     graph = RDFGraph(name=payload.get("graph_name", ""))
     for subject, predicate, obj in payload["triples"]:
-        graph.add(Triple(_unpack_term(subject), _unpack_term(predicate), _unpack_term(obj)))
-    representative_of = {
-        _unpack_term(node): _unpack_term(representative)
-        for node, representative in payload["representative_of"]
-    }
+        graph.add(
+            Triple(
+                _term_from_columns(*subject),
+                _term_from_columns(*predicate),
+                _term_from_columns(*obj),
+            )
+        )
+    node_ids, block_indexes = payload["node_ids"], payload["block_indexes"]
+    summary_nodes = [_term_from_columns(*columns) for columns in payload["summary_nodes"]]
+    for packed in (node_ids, block_indexes):
+        if not isinstance(packed, array) or packed.typecode != "i":
+            raise TypeError(f"representative map is not a packed int array: {type(packed)}")
+    if node_ids and not (
+        0 <= min(node_ids)
+        and max(node_ids) < len(dictionary)
+        and 0 <= min(block_indexes)
+        and max(block_indexes) < len(summary_nodes)
+    ):
+        raise ValueError("representative map points outside the dictionary or node table")
     source_statistics = payload.get("source_statistics")
-    return Summary(
-        kind=payload["kind"],
-        graph=graph,
-        representative_of=representative_of,
+    return Summary.from_ids(
+        payload["kind"],
+        graph,
+        node_ids,
+        block_indexes,
+        summary_nodes,
+        dictionary.decode_table,
         source_statistics=(
             GraphStatistics(**source_statistics) if source_statistics is not None else None
         ),
         source_name=payload.get("source_name", ""),
     )
+
+
+def _derived_count(saturation_state: Optional[Dict[str, object]]) -> int:
+    """Length of the ``G∞`` derived-row log in a saturator state (0: none)."""
+    return len(saturation_state["_derived"]) if saturation_state is not None else 0
 
 
 class GraphSnapshot(NamedTuple):
@@ -257,12 +289,19 @@ class PersistentCatalog:
         self._checkpoints = telemetry.counter("persistence.checkpoints")
         self._appends = telemetry.counter("persistence.appends")
         self._write_seconds = telemetry.histogram("persistence.write.seconds")
+        self._artifacts_skipped = telemetry.counter("persistence.artifacts.skipped")
         #: ``graph -> rows currently persisted in saturation_rows``, so the
         #: per-ingest append path never re-counts the (potentially
         #: ``O(|G∞|)``-sized) durable derived log.  Maintained under the
         #: lock, populated lazily with one COUNT per graph, and dropped on
         #: any failed write (the next append re-counts).
         self._saturation_counts: Dict[str, int] = {}
+        #: ``graph -> rows appended to graph_triples since this process last
+        #: rewrote the graph in full`` (absent: unknown — a graph this
+        #: process only opened).  Zero is what lets :meth:`refresh_artifacts`
+        #: skip rewriting rows that are already durable.  Maintained under
+        #: the lock, dropped on any failed write.
+        self._tail_rows: Dict[str, int] = {}
         try:
             self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
                 self.path, check_same_thread=False
@@ -409,7 +448,9 @@ class PersistentCatalog:
             yield (
                 f"summary:{kind}",
                 entry.version,
-                pickle.dumps(_pack_summary(summary), protocol=_PICKLE_PROTOCOL),
+                pickle.dumps(
+                    _pack_summary(summary, entry.store.dictionary), protocol=_PICKLE_PROTOCOL
+                ),
             )
 
     def _write_dictionary_rows(
@@ -506,12 +547,53 @@ class PersistentCatalog:
                     self._replace_artifacts(connection, entry, saturation_state)
             except sqlite3.Error as error:
                 self._saturation_counts.pop(entry.name, None)
+                self._tail_rows.pop(entry.name, None)
                 raise PersistenceError(f"checkpoint of graph {entry.name!r} failed: {error}")
-            self._saturation_counts[entry.name] = (
-                len(saturation_state["_derived"]) if saturation_state is not None else 0
-            )
+            self._saturation_counts[entry.name] = _derived_count(saturation_state)
+            self._tail_rows[entry.name] = 0
         self._checkpoints.inc()
         self._write_seconds.observe(perf_counter() - write_start)
+
+    def refresh_artifacts(self, entry) -> bool:
+        """Replace *entry*'s artifacts and version; leave its rows alone.
+
+        The checkpoint of an entry whose durable rows are already current:
+        this process wrote the graph in full and has appended nothing since
+        (a cold build's ``register()`` then ``checkpoint()``), so only the
+        summaries cached in between are missing from the file.  Returns
+        ``False`` without writing when that cannot be shown — tail rows
+        exist or their count is unknown (a graph this process only opened),
+        the dictionary grew, or the durable ``G∞`` log is not the live one
+        — and the caller falls back to :meth:`save_graph`.  Same locking
+        contract as :meth:`save_graph`; a ``_persist_dirty`` entry must not
+        come here.
+        """
+        write_start = perf_counter()
+        with self._lock:
+            connection = self._conn()
+            saturation_state = entry.saturation_state()
+            if self._tail_rows.get(entry.name) != 0 or self._saturation_counts.get(
+                entry.name
+            ) != _derived_count(saturation_state):
+                return False
+            try:
+                with connection:
+                    persisted_terms = connection.execute(
+                        "SELECT COUNT(*) FROM dictionary_terms WHERE graph = ?",
+                        (entry.name,),
+                    ).fetchone()[0]
+                    if persisted_terms != len(entry.store.dictionary):
+                        return False
+                    connection.execute(
+                        "UPDATE graphs SET version = ? WHERE name = ?",
+                        (entry.version, entry.name),
+                    )
+                    self._replace_artifacts(connection, entry, saturation_state)
+            except sqlite3.Error as error:
+                raise PersistenceError(f"checkpoint of graph {entry.name!r} failed: {error}")
+        self._checkpoints.inc()
+        self._write_seconds.observe(perf_counter() - write_start)
+        return True
 
     def _insert_saturation_rows(
         self, connection: sqlite3.Connection, name: str, derived: Iterable[Tuple[str, int, int, int]]
@@ -597,10 +679,11 @@ class PersistentCatalog:
                     )
             except sqlite3.Error as error:
                 self._saturation_counts.pop(entry.name, None)
+                self._tail_rows.pop(entry.name, None)
                 raise PersistenceError(f"incremental checkpoint of {entry.name!r} failed: {error}")
-            self._saturation_counts[entry.name] = (
-                len(saturation_state["_derived"]) if saturation_state is not None else 0
-            )
+            self._saturation_counts[entry.name] = _derived_count(saturation_state)
+            if entry.name in self._tail_rows:
+                self._tail_rows[entry.name] += len(rows)
         self._appends.inc()
         self._write_seconds.observe(perf_counter() - write_start)
 
@@ -608,6 +691,7 @@ class PersistentCatalog:
         """Forget *name* durably (no-op when it was never persisted)."""
         with self._lock:
             self._saturation_counts.pop(name, None)
+            self._tail_rows.pop(name, None)
             connection = self._conn()
             try:
                 with connection:
@@ -705,6 +789,18 @@ class PersistentCatalog:
         for artifact_name, artifact_version, payload in artifact_rows:
             if artifact_version != version:
                 continue  # stale artifact from an interrupted lineage
+            if artifact_name.startswith("summary:"):
+                # expendable: a payload that does not decode (a layout older
+                # than the packed id arrays, a torn blob) is skipped — the
+                # entry rebuilds that summary on first use and the next
+                # checkpoint rewrites the artifact
+                try:
+                    summaries[artifact_name.split(":", 1)[1]] = _unpack_summary(
+                        pickle.loads(payload), dictionary
+                    )
+                except Exception:  # noqa: BLE001 - any undecodable payload
+                    self._artifacts_skipped.inc()
+                continue
             try:
                 value = pickle.loads(payload)
             except Exception as error:  # noqa: BLE001 - surface as PersistenceError
@@ -719,9 +815,7 @@ class PersistentCatalog:
                 saturation_payload = value
             elif artifact_name == "saturation_statistics":
                 saturation_statistics = value
-            elif artifact_name.startswith("summary:"):
-                summaries[artifact_name.split(":", 1)[1]] = _unpack_summary(value)
-        if maintainer_state is None:
+        if not isinstance(maintainer_state, dict):
             raise PersistenceError(
                 f"graph {name!r} has no weak-summary maintainer state at version {version} "
                 f"— the catalog file is corrupt"

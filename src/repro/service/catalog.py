@@ -54,7 +54,7 @@ from repro.core.builders import normalize_kind
 from repro.core.encoded import encoded_summarize
 from repro.core.incremental import IncrementalWeakSummarizer
 from repro.core.summary import Summary
-from repro.errors import DuplicateGraphError, UnknownGraphError
+from repro.errors import DuplicateGraphError, PersistenceError, UnknownGraphError
 from repro.model.graph import RDFGraph
 from repro.model.triple import Triple, TripleKind
 from repro.model.dictionary import EncodedTriple
@@ -802,7 +802,7 @@ class GraphCatalog:
         re-summarization (``entry.build_counters`` stay at zero).
         Registrations and ``add_triples`` batches on the returned catalog
         are checkpointed atomically as they happen; :meth:`checkpoint`
-        forces a full rewrite (picking up summaries cached since).
+        additionally picks up summaries cached since.
         """
         from repro.server.persistence import PersistentCatalog
 
@@ -812,16 +812,21 @@ class GraphCatalog:
         with catalog._lock:
             for name in persistence.graph_names():
                 snapshot = persistence.load_graph(name, store_factory)
-                entry = CatalogEntry.restore(
-                    name=snapshot.name,
-                    store=snapshot.store,
-                    version=snapshot.version,
-                    maintainer_state=snapshot.maintainer_state,
-                    statistics=snapshot.statistics,
-                    summaries=snapshot.summaries,
-                    saturation_state=snapshot.saturation_state,
-                    saturation_statistics=snapshot.saturation_statistics,
-                )
+                try:
+                    entry = CatalogEntry.restore(
+                        name=snapshot.name,
+                        store=snapshot.store,
+                        version=snapshot.version,
+                        maintainer_state=snapshot.maintainer_state,
+                        statistics=snapshot.statistics,
+                        summaries=snapshot.summaries,
+                        saturation_state=snapshot.saturation_state,
+                        saturation_statistics=snapshot.saturation_statistics,
+                    )
+                except ValueError as error:  # an incomplete maintainer state
+                    raise PersistenceError(
+                        f"graph {name!r} in catalog file {path!r} cannot be restored: {error}"
+                    )
                 entry._on_update = catalog._persist_update
                 catalog._entries[name] = entry
         return catalog
@@ -832,12 +837,14 @@ class GraphCatalog:
         return self._persistence is not None
 
     def checkpoint(self) -> None:
-        """Force a full durable rewrite of every entry (no-op in memory).
+        """Make every entry's current state durable (no-op in memory).
 
         Write-through already keeps rows, dictionary, weak-summary maps and
-        statistics durable on every update; a full checkpoint additionally
+        statistics durable on every update; a checkpoint additionally
         captures summaries built (and cached) since the last write, so the
-        next warm start serves them too.
+        next warm start serves them too, and folds rows appended since the
+        last full write into the column snapshot.  An entry whose durable
+        rows are already current only has its artifacts replaced.
         """
         persistence = self._persistence  # one read: close() may detach it
         if persistence is None:
@@ -853,8 +860,9 @@ class GraphCatalog:
                 # so the warm-started process rebuilds neither
                 entry.summary("weak")
                 entry.statistics_index()
-                persistence.save_graph(entry)
-                entry._persist_dirty = False  # full rewrite heals any divergence
+                if entry._persist_dirty or not persistence.refresh_artifacts(entry):
+                    persistence.save_graph(entry)
+                    entry._persist_dirty = False  # full rewrite heals any divergence
 
     def _persist_update(self, entry: CatalogEntry, rows: List) -> None:
         """Write-through hook run by :meth:`CatalogEntry.add_triples`.

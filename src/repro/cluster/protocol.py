@@ -9,9 +9,12 @@ objects are ever pickled across the boundary:
   plane (:meth:`MemoryStore.column_bytes` format — ``array('q')`` in
   native byte order), extracted per shard by
   :meth:`TripleStore.partition_column_bytes`;
-* **terms** travel as the same structural ``(kind, value, datatype,
-  language)`` columns the persistent catalog stores durably — a worker
-  reconstructs its dictionary id-for-id;
+* **terms** travel through the one term codec of
+  :mod:`repro.model.dictionary` (re-exported here) — the structural
+  ``(kind, value, datatype, language)`` tuples the persistent catalog's
+  term chunks also hold; a worker reconstructs its dictionary id-for-id,
+  and a term landing on an unexpected id is a
+  :class:`~repro.errors.DictionaryError`, never a silent mis-key;
 * **queries** travel as SPARQL text (:meth:`BGPQuery.to_sparql` round-trips
   through :func:`~repro.queries.parser.parse_query`);
 * **answers** travel as integer-id tuples, decoded against the
@@ -33,11 +36,16 @@ from __future__ import annotations
 
 import sys
 from array import array
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ClusterError
-from repro.model.dictionary import Dictionary
-from repro.model.terms import BlankNode, Literal, Term, URI
+from repro.model.dictionary import (
+    TERM_CHUNK,
+    pack_term_chunks,
+    pack_terms,
+    unpack_term_chunks,
+    unpack_terms,
+)
 from repro.model.triple import TripleKind
 from repro.store.base import shard_of
 
@@ -87,103 +95,6 @@ TABLES_SHM = "shm"
 #: The byte order blobs are packed in; shipped alongside so a worker on a
 #: different-endian host (exotic, but cheap to guard) byteswaps on load.
 BYTEORDER = sys.byteorder
-
-#: Terms per packed chunk on the load path: a multi-million-entry
-#: dictionary ships as a sequence of bounded slices instead of one giant
-#: list materialized in a single pickle.
-TERM_CHUNK = 65_536
-
-
-def pack_terms(
-    dictionary: Dictionary, start: int = 0, stop: Optional[int] = None
-) -> List[Tuple[str, str, Optional[str], Optional[str]]]:
-    """The dictionary's id range ``[start, stop)`` as structural columns.
-
-    One ``(kind, value, datatype, language)`` tuple per term, in id order —
-    the receiving side re-encodes them in sequence and gets identical ids.
-    The format is the one the persistent catalog's term table uses, so the
-    pipe and the WAL'd file agree on what a term is made of.
-    """
-    table = dictionary.decode_table
-    if stop is None:
-        stop = len(table)
-    packed: List[Tuple[str, str, Optional[str], Optional[str]]] = []
-    for term in table[start:stop]:
-        if isinstance(term, URI):
-            packed.append(("u", term.value, None, None))
-        elif isinstance(term, BlankNode):
-            packed.append(("b", term.label, None, None))
-        elif isinstance(term, Literal):
-            datatype = term.datatype.value if term.datatype is not None else None
-            packed.append(("l", term.lexical, datatype, term.language))
-        else:
-            raise ClusterError(f"not a shippable RDF term: {term!r}")
-    return packed
-
-
-def pack_term_chunks(
-    dictionary: Dictionary,
-    start: int = 0,
-    stop: Optional[int] = None,
-    chunk: int = TERM_CHUNK,
-) -> List[List[Tuple[str, str, Optional[str], Optional[str]]]]:
-    """The id range ``[start, stop)`` as a list of :func:`pack_terms` slices.
-
-    Identical id assignment to one flat :func:`pack_terms` call —
-    unpacking the chunks in order reproduces the dictionary exactly — but
-    no single list ever exceeds *chunk* terms, which bounds peak pickle
-    buffers when a graph with millions of terms registers.
-    """
-    if chunk <= 0:
-        raise ClusterError("term chunk size must be positive")
-    if stop is None:
-        stop = len(dictionary.decode_table)
-    return [
-        pack_terms(dictionary, lo, min(lo + chunk, stop))
-        for lo in range(start, stop, chunk)
-    ]
-
-
-def unpack_terms(
-    packed: Iterable[Tuple[str, str, Optional[str], Optional[str]]],
-    dictionary: Dictionary,
-) -> int:
-    """Append *packed* terms to *dictionary* in order; return the new size.
-
-    Ids are assigned densely in append order, so feeding a worker the
-    coordinator's packed term list (or its tail, for a delta) reproduces
-    the coordinator's id assignment exactly.  A term that would land on an
-    unexpected id (the streams diverged) raises :class:`ClusterError`
-    rather than silently mis-keying every later row.
-    """
-    for kind, value, datatype, language in packed:
-        if kind == "u":
-            term: Term = URI(value)
-        elif kind == "b":
-            term = BlankNode(value)
-        elif kind == "l":
-            term = Literal(
-                value, datatype=URI(datatype) if datatype else None, language=language
-            )
-        else:
-            raise ClusterError(f"unknown packed term kind {kind!r}")
-        expected = len(dictionary)
-        if dictionary.encode(term) != expected:
-            raise ClusterError(
-                f"dictionary divergence: term {term!r} already had an id "
-                f"below {expected}"
-            )
-    return len(dictionary)
-
-
-def unpack_term_chunks(
-    chunks: Iterable[Iterable[Tuple[str, str, Optional[str], Optional[str]]]],
-    dictionary: Dictionary,
-) -> int:
-    """Append every chunk of :func:`pack_term_chunks` output, in order."""
-    for chunk in chunks:
-        unpack_terms(chunk, dictionary)
-    return len(dictionary)
 
 
 def table_column_bytes(store, kind: TripleKind) -> Tuple[int, bytes, bytes, bytes]:

@@ -9,19 +9,46 @@ the equivalent component: a bidirectional mapping between
 Encoded graphs are represented by :class:`EncodedTriple` tuples, and
 :class:`EncodedGraphView` offers the split of encoded triples into data /
 type / schema tables used by the algorithms of Section 6.2.
+
+The **term codec** lives here too (:func:`pack_term` / :func:`unpack_term`
+and their id-range forms :func:`pack_terms` / :func:`unpack_terms`): the one
+structural ``(kind, value, datatype, language)`` rendering of a term that
+leaves the process — in the persistent catalog's term chunks and summary
+artifacts, in the cluster's shm/pipe ship and in its delta broadcast.  Term
+objects themselves never do: their memoized hashes are salted per process.
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
-from repro.errors import UnknownTermError
+from repro.errors import DictionaryError, UnknownTermError
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import RDF_TYPE, SCHEMA_PROPERTIES
-from repro.model.terms import Term
+from repro.model.terms import BlankNode, Literal, Term, URI
 from repro.model.triple import Triple
 
-__all__ = ["Dictionary", "EncodedTriple", "EncodedGraphView"]
+__all__ = [
+    "Dictionary",
+    "EncodedTriple",
+    "EncodedGraphView",
+    "PackedTerm",
+    "TERM_CHUNK",
+    "pack_term",
+    "pack_terms",
+    "pack_term_chunks",
+    "unpack_term",
+    "unpack_terms",
+    "unpack_term_chunks",
+]
+
+#: One term as plain values: ``(kind, value, datatype, language)`` with kind
+#: ``'u'`` (URI) | ``'b'`` (blank node) | ``'l'`` (literal).
+PackedTerm = Tuple[str, str, Optional[str], Optional[str]]
+
+#: Terms per packed chunk: a multi-million-entry dictionary leaves as a
+#: sequence of bounded slices instead of one giant list in a single pickle.
+TERM_CHUNK = 65_536
 
 
 class EncodedTriple(NamedTuple):
@@ -58,6 +85,27 @@ class Dictionary:
         self._term_to_id[term] = new_id
         self._id_to_term.append(term)
         return new_id
+
+    def extend(self, terms: Iterable[Term]) -> int:
+        """Append *terms* as the next dense ids, in order; return the new size.
+
+        The bulk path of every receiver of packed terms (a catalog file's
+        chunks, a cluster ship, a delta).  A term already present would
+        land on an id other than the next one — the sender's and the
+        receiver's id streams diverged — and raises
+        :class:`DictionaryError` rather than silently mis-keying every
+        later row.
+        """
+        term_to_id = self._term_to_id
+        id_to_term = self._id_to_term
+        for term in terms:
+            expected = len(id_to_term)
+            if term_to_id.setdefault(term, expected) != expected:
+                raise DictionaryError(
+                    f"dictionary divergence: term {term!r} already had an id below {expected}"
+                )
+            id_to_term.append(term)
+        return len(id_to_term)
 
     def encode_existing(self, term: Term) -> int:
         """Return the id of *term*; raise :class:`UnknownTermError` if unseen."""
@@ -145,6 +193,78 @@ class Dictionary:
         """Iterate over ``(term, id)`` pairs in id order."""
         for identifier, term in enumerate(self._id_to_term):
             yield term, identifier
+
+
+def pack_term(term: Term) -> PackedTerm:
+    """*term* as its structural ``(kind, value, datatype, language)`` tuple."""
+    if isinstance(term, URI):
+        return ("u", term.value, None, None)
+    if isinstance(term, BlankNode):
+        return ("b", term.label, None, None)
+    if isinstance(term, Literal):
+        datatype = term.datatype.value if term.datatype is not None else None
+        return ("l", term.lexical, datatype, term.language)
+    raise DictionaryError(f"not a packable RDF term: {term!r}")
+
+
+def unpack_term(packed: PackedTerm) -> Term:
+    """Re-mint the term a :func:`pack_term` tuple describes."""
+    kind, value, datatype, language = packed
+    if kind == "u":
+        return URI(value)
+    if kind == "b":
+        return BlankNode(value)
+    if kind == "l":
+        return Literal(value, datatype=URI(datatype) if datatype else None, language=language)
+    raise DictionaryError(f"unknown packed term kind {kind!r}")
+
+
+def pack_terms(
+    dictionary: Dictionary, start: int = 0, stop: Optional[int] = None
+) -> List[PackedTerm]:
+    """The dictionary's id range ``[start, stop)``, one tuple per term in id
+    order — the receiving side re-encodes them in sequence and gets
+    identical ids."""
+    return [pack_term(term) for term in dictionary.decode_table[start:stop]]
+
+
+def pack_term_chunks(
+    dictionary: Dictionary,
+    start: int = 0,
+    stop: Optional[int] = None,
+    chunk: int = TERM_CHUNK,
+) -> List[List[PackedTerm]]:
+    """The id range ``[start, stop)`` as a list of :func:`pack_terms` slices.
+
+    Identical id assignment to one flat :func:`pack_terms` call —
+    unpacking the chunks in order reproduces the dictionary exactly — but
+    no single list ever exceeds *chunk* terms.
+    """
+    if chunk <= 0:
+        raise DictionaryError("term chunk size must be positive")
+    if stop is None:
+        stop = len(dictionary)
+    return [
+        pack_terms(dictionary, lo, min(lo + chunk, stop)) for lo in range(start, stop, chunk)
+    ]
+
+
+def unpack_terms(packed: Iterable[PackedTerm], dictionary: Dictionary) -> int:
+    """Append *packed* terms to *dictionary* in order; return the new size.
+
+    Ids are assigned densely in append order (:meth:`Dictionary.extend`),
+    so feeding a receiver the sender's packed term list (or its tail, for a
+    delta) reproduces the sender's id assignment exactly; a term that would
+    land on an unexpected id raises :class:`DictionaryError`.
+    """
+    return dictionary.extend(map(unpack_term, packed))
+
+
+def unpack_term_chunks(chunks: Iterable[Iterable[PackedTerm]], dictionary: Dictionary) -> int:
+    """Append every chunk of :func:`pack_term_chunks` output, in order."""
+    for chunk in chunks:
+        unpack_terms(chunk, dictionary)
+    return len(dictionary)
 
 
 class EncodedGraphView:

@@ -502,12 +502,3 @@ class IncrementalSaturator:
     def derived_count(self) -> int:
         """Rows of the target beyond the base rows (the derived log's length)."""
         return len(self._derived)
-
-    def derived_since(self, mark: int) -> List[Tuple[str, int, int, int]]:
-        """Derived-log rows appended after *mark* (a prior :meth:`derived_count`).
-
-        This is the delta the persistent catalog appends to its durable
-        derived-row table after each ingest batch — keeping incremental
-        checkpoints proportional to the delta, not to ``|G∞|``.
-        """
-        return self._derived[mark:]

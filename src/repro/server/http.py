@@ -263,6 +263,9 @@ class ServerApp:
                     "store": entry.store.statistics().as_dict(),
                     "cardinality": entry.statistics_index().as_dict(),
                     "build_counters": dict(entry.build_counters),
+                    # rows logged since the last checkpoint: what a reopen
+                    # would replay (null for an in-memory catalog)
+                    "log_tail_rows": self.catalog.log_tail_rows(name),
                     # G∞ maintenance costs (null until a saturated query or
                     # a warm start brought the saturated store into being)
                     "saturation": entry.saturation_metrics(),

@@ -2,49 +2,61 @@
 
 The paper's premise is a summary built once and exploited by a long-lived
 service; this module makes the service's state *survive the process*.  A
-:class:`PersistentCatalog` is one SQLite file holding, per registered
-graph:
+:class:`PersistentCatalog` is one SQLite file holding, per registered graph,
+a **checkpoint** and a **row log**.
 
-* its **metadata** (name, entry version) in ``graphs``;
-* its **dictionary** in ``dictionary_terms`` — terms stored structurally
-  (kind + lexical fields), one row per dense id, and re-minted through the
-  term constructors on load.  Term objects are never pickled: their
-  memoized hashes are salted per process, and a hash smuggled across
+The checkpoint (:meth:`~PersistentCatalog.save_graph`, or
+:meth:`~PersistentCatalog.refresh_artifacts` when only the artifacts moved)
+stores every fact once, packed, each blob through :mod:`zlib`:
+
+* the **dictionary** in ``dictionary_chunks`` — id-ordered chunks of the
+  term codec's ``(kind, value, datatype, language)`` tuples
+  (:func:`repro.model.dictionary.pack_terms`), one row per chunk, re-minted
+  through the term constructors on load.  Term objects are never pickled:
+  their memoized hashes are salted per process, and a hash smuggled across
   processes would corrupt every dict they key;
-* its **encoded triples** — columnar stores checkpoint as ``graph_columns``
-  (one packed ``array('q')`` blob per column per table, written and read
-  back with zero per-row SQL; ``graph_triples`` then holds only the rows
-  appended after the snapshot), while row stores keep using
-  ``graph_triples`` (table kind + the three integer columns, insertion
-  order preserved);
-* its **artifacts** in ``artifacts`` — version-tagged binary payloads for
-  the weak-summary maintainer maps, the cardinality statistics and every
-  summary cached at checkpoint time.  Maintainer and statistics payloads
-  are pickles of pure-integer structures.  A summary payload holds its
-  node -> representative map as two packed ``array('i')`` over the graph's
-  own dictionary ids (8 bytes per represented node) and only the summary
-  graph and the minted summary nodes as term columns; it is loaded back
-  without constructing one input-node term.  Summary artifacts are
-  *expendable*: one that does not decode is skipped and rebuilt on first
-  use, never an error.
+* the **encoded triples** in ``graph_columns`` — one row per table holding
+  its three id columns as the narrowest native int array that fits (the
+  ``width`` column records it), whatever backend serves the graph;
+* the **artifacts** in ``artifacts`` — the weak-summary maintainer maps, the
+  cardinality statistics, the ``G∞`` saturator state with its derived-row
+  log and profile, and every summary cached at checkpoint time, all tagged
+  with the checkpoint's entry version.  Maintainer, statistics and saturator
+  payloads are pickles of pure-integer structures.  A summary payload holds
+  its node -> representative map as two packed ``array('i')`` over the
+  graph's own dictionary ids and only the summary graph and the minted
+  summary nodes as term tuples.  Summary artifacts are *expendable*: one
+  that does not decode is skipped, counted and rebuilt on first use.
+
+The log is what :meth:`~PersistentCatalog.append_update` — the write-through
+hook of :meth:`CatalogEntry.add_triples` — writes, and it is delta-sized:
+one small term chunk for the batch's new dictionary ids, the inserted rows
+in ``graph_triples``, the entry version in ``graphs``.  No artifact is
+touched there.  :meth:`~PersistentCatalog.load_graph` hands back the
+checkpointed state *and* the logged rows (:attr:`GraphSnapshot.tail_rows`);
+:meth:`GraphCatalog.open` feeds them through the same incremental
+maintenance an ingest runs, so the warm state is the checkpoint refined by
+the log and an unclean shutdown costs a replay proportional to the tail.
 
 Durability discipline
 ---------------------
-``save_graph`` rewrites one graph completely; ``refresh_artifacts``
-replaces only the artifacts of a graph whose rows are already durable;
-``append_update`` is the write-through hook of
-:meth:`CatalogEntry.add_triples` and appends only the freshly inserted rows
-and dictionary ids, then refreshes the artifacts.  In every case the whole
-graph update is **one SQLite transaction**: a reader (or a crash) sees the
-previous checkpoint or the new one, never a torn mix.  The schema carries a
-version (``schema_version`` in ``catalog_meta``); opening a file written by a
-different schema raises :class:`~repro.errors.PersistenceError` instead of
-misreading it.
+Every graph-level write is **one SQLite transaction**: a reader (or a crash)
+sees the previous state or the new one, never a torn mix, and an
+acknowledged ingest batch is durable the moment its append commits.  The
+schema carries a version (``schema_version`` in ``catalog_meta``); a file
+from a newer build raises :class:`~repro.errors.PersistenceError` untouched.
+Files of schema 1 and 2 (per-term ``dictionary_terms`` rows, raw 8-byte
+column blobs, rows in ``graph_triples``) open through a reader of their rows
+alone — no artifact of theirs is decoded, every one is rebuilt — and each
+graph is rewritten in this layout by its first durable write.  A blob that
+does not inflate or decode is a :class:`~repro.errors.PersistenceError`
+(dictionary, columns, maintainer, statistics, saturation) or a skipped
+summary, never a bare ``zlib`` / ``pickle`` traceback.
 
-The artifact payloads use :mod:`pickle` (stdlib, compact, fast) over
-structures that contain no code and no Term objects.  Treat the catalog
-file like a database file: open catalogs you wrote — unpickling an
-untrusted file can execute arbitrary code.
+The payloads use :mod:`pickle` (stdlib, compact, fast) over structures that
+contain no code and no Term objects.  Treat the catalog file like a database
+file: open catalogs you wrote — unpickling an untrusted file can execute
+arbitrary code.
 """
 
 from __future__ import annotations
@@ -53,32 +65,46 @@ import pickle
 import sqlite3
 import sys
 import threading
+import zlib
 from array import array
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
 from repro.core.summary import Summary
 from repro.errors import PersistenceError
-from repro.model.dictionary import Dictionary, EncodedTriple
+from repro.model.dictionary import (
+    Dictionary,
+    EncodedTriple,
+    pack_term,
+    pack_term_chunks,
+    unpack_term,
+    unpack_terms,
+)
 from repro.model.graph import GraphStatistics, RDFGraph
-from repro.model.terms import BlankNode, Literal, Term, URI
 from repro.model.triple import Triple, TripleKind
 from repro.service.statistics import CardinalityStatistics
 from repro.store.base import TripleStore
 
 __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
 
-#: Bump on any incompatible change to the tables or artifact payloads.
-#: Version 2 added the ``graph_columns`` packed-blob table; version-1 files
-#: (pure row checkpoints) are still readable, so opening upgrades them in
-#: place instead of refusing them.
-SCHEMA_VERSION = 2
+#: Bump on any incompatible change to the tables or payloads.  Version 3 is
+#: the packed checkpoint + row log; files of versions 1 and 2 are read by
+#: their rows alone and rewritten graph by graph (see the module docstring).
+SCHEMA_VERSION = 3
 
 #: The oldest schema this build still reads (older files are refused).
 MIN_SUPPORTED_SCHEMA_VERSION = 1
 
 _PICKLE_PROTOCOL = 4
+
+#: The packed layout's constants, all of them: every blob goes through zlib
+#: at this (fast) level, and a table's id columns are stored as the first of
+#: these array typecodes that holds its largest id.  Dictionary chunking is
+#: :data:`repro.model.dictionary.TERM_CHUNK`.
+_ZLIB_LEVEL = 1
+_COLUMN_TYPECODES = ("i", "q")
+_TYPECODE_BY_WIDTH = {array(code).itemsize: code for code in _COLUMN_TYPECODES}
 
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS catalog_meta (
@@ -87,99 +113,102 @@ CREATE TABLE IF NOT EXISTS catalog_meta (
 );
 CREATE TABLE IF NOT EXISTS graphs (
     name    TEXT PRIMARY KEY,
-    version INTEGER NOT NULL
+    version INTEGER NOT NULL            -- the entry version of the last durable write
 );
-CREATE TABLE IF NOT EXISTS dictionary_terms (
-    graph    TEXT NOT NULL,
-    id       INTEGER NOT NULL,
-    kind     TEXT NOT NULL,             -- 'u' (URI) | 'b' (blank) | 'l' (literal)
-    value    TEXT NOT NULL,             -- uri / label / lexical form
-    datatype TEXT,                      -- literals only
-    language TEXT,                      -- literals only
-    PRIMARY KEY (graph, id)
+CREATE TABLE IF NOT EXISTS dictionary_chunks (
+    graph TEXT NOT NULL,                -- the checkpoint's chunks, then one
+    start INTEGER NOT NULL,             --   small chunk per logged batch;
+    count INTEGER NOT NULL,             --   ids [start, start + count)
+    terms BLOB NOT NULL,                -- zlib(pickle([(kind, value, datatype, language)]))
+    PRIMARY KEY (graph, start)
 );
 CREATE TABLE IF NOT EXISTS graph_triples (
-    graph TEXT NOT NULL,
-    kind  TEXT NOT NULL,                -- TripleKind.value: data | type | schema
-    s INTEGER NOT NULL,
+    graph TEXT NOT NULL,                -- the row log: rows inserted since the
+    kind  TEXT NOT NULL,                --   checkpoint, in insertion order
+    s INTEGER NOT NULL,                 --   (kind is TripleKind.value)
     p INTEGER NOT NULL,
     o INTEGER NOT NULL
 );
 CREATE INDEX IF NOT EXISTS idx_graph_triples_graph ON graph_triples(graph);
 CREATE TABLE IF NOT EXISTS graph_columns (
-    graph     TEXT NOT NULL,            -- packed column snapshot (one blob per
-    kind      TEXT NOT NULL,            --   column); graph_triples then holds
-    rows      INTEGER NOT NULL,         --   only the post-snapshot tail rows
+    graph     TEXT NOT NULL,            -- the checkpoint's rows: one zlib'd
+    kind      TEXT NOT NULL,            --   packed int array per column
+    rows      INTEGER NOT NULL,
     byteorder TEXT NOT NULL,            -- 'little' | 'big' (the writer's native)
     s BLOB NOT NULL,
     p BLOB NOT NULL,
     o BLOB NOT NULL,
+    width INTEGER NOT NULL DEFAULT 8,   -- bytes per id in s / p / o
     PRIMARY KEY (graph, kind)
 );
 CREATE TABLE IF NOT EXISTS artifacts (
     graph   TEXT NOT NULL,
     name    TEXT NOT NULL,              -- maintainer | statistics | summary:<kind>
                                         --   | saturation | saturation_statistics
-    version INTEGER NOT NULL,
-    payload BLOB NOT NULL,
+    version INTEGER NOT NULL,           -- the entry version checkpointed
+    payload BLOB NOT NULL,              -- zlib(pickle(...))
     PRIMARY KEY (graph, name)
 );
-CREATE TABLE IF NOT EXISTS saturation_rows (
-    graph TEXT NOT NULL,                -- the G∞ derived-row log, in derivation order
-    kind  TEXT NOT NULL,
-    s INTEGER NOT NULL,
-    p INTEGER NOT NULL,
-    o INTEGER NOT NULL
-);
-CREATE INDEX IF NOT EXISTS idx_saturation_rows_graph ON saturation_rows(graph);
 """
 
 #: Per-graph tables cleared wholesale on rewrite / delete.
-_GRAPH_TABLES = (
-    "dictionary_terms",
-    "graph_triples",
-    "graph_columns",
-    "artifacts",
-    "saturation_rows",
-)
+_GRAPH_TABLES = ("dictionary_chunks", "graph_triples", "graph_columns", "artifacts")
+#: Tables only files born before schema 3 carry; cleared alongside.
+_LEGACY_TABLES = ("dictionary_terms", "saturation_rows")
 
 _KIND_BY_VALUE = {kind.value: kind for kind in TripleKind}
 
 
-def _unpack_column(blob: bytes, byteorder: str) -> "array":
-    """One persisted column blob back as a native-order ``array('q')``."""
-    column = array("q")
-    column.frombytes(blob)
+# ----------------------------------------------------------------------
+# blob codecs (structural — no Term object ever serialized)
+# ----------------------------------------------------------------------
+def _pack(value: object) -> bytes:
+    return zlib.compress(pickle.dumps(value, protocol=_PICKLE_PROTOCOL), _ZLIB_LEVEL)
+
+
+def _unpack(blob: bytes) -> object:
+    return pickle.loads(zlib.decompress(blob))
+
+
+def _table_columns(store: TripleStore, kind: TripleKind) -> Tuple["array", "array", "array"]:
+    """The *kind* table of any backend as three parallel ``array('q')``."""
+    columns = (array("q"), array("q"), array("q"))
+    for batch in store.scan_columns(kind):
+        for column, part in zip(columns, batch):
+            column.extend(part)
+    return columns
+
+
+def _low_lanes(wide: "array", width: int) -> memoryview:
+    """The low *width* bytes of every id of an ``array('q')``, as a strided
+    view over its memory: narrowing reads it and widening writes it with one
+    C-level copy, never an ``int`` object per id."""
+    lanes = memoryview(wide).cast("B").cast(_TYPECODE_BY_WIDTH[width])
+    step = 8 // width
+    return lanes[(0 if sys.byteorder == "little" else step - 1) :: step]
+
+
+def _pack_columns(columns: Sequence["array"]) -> Tuple[int, List[bytes]]:
+    """``(width, [s, p, o] blobs)``: the narrowest typecode that fits, zlib'd."""
+    top = max((max(column) for column in columns if column), default=0)
+    width = next(width for width in _TYPECODE_BY_WIDTH if top >> (8 * width - 1) == 0)
+    blobs = [
+        zlib.compress(_low_lanes(column, width).tobytes(), _ZLIB_LEVEL) for column in columns
+    ]
+    return width, blobs
+
+
+def _unpack_column(data: bytes, width: int, byteorder: str) -> "array":
+    """One column's packed (non-negative) ids back as a native-order ``array('q')``."""
+    column = array(_TYPECODE_BY_WIDTH[width])
+    column.frombytes(data)
     if byteorder != sys.byteorder:
         column.byteswap()
-    return column
-
-
-# ----------------------------------------------------------------------
-# term / summary codecs (structural — no Term object ever serialized)
-# ----------------------------------------------------------------------
-def _term_columns(term: Term) -> Tuple[str, str, Optional[str], Optional[str]]:
-    """``(kind, value, datatype, language)`` columns for one term."""
-    if isinstance(term, URI):
-        return ("u", term.value, None, None)
-    if isinstance(term, BlankNode):
-        return ("b", term.label, None, None)
-    if isinstance(term, Literal):
-        datatype = term.datatype.value if term.datatype is not None else None
-        return ("l", term.lexical, datatype, term.language)
-    raise PersistenceError(f"not a persistable RDF term: {term!r}")
-
-
-def _term_from_columns(
-    kind: str, value: str, datatype: Optional[str], language: Optional[str]
-) -> Term:
-    if kind == "u":
-        return URI(value)
-    if kind == "b":
-        return BlankNode(value)
-    if kind == "l":
-        return Literal(value, datatype=URI(datatype) if datatype else None, language=language)
-    raise PersistenceError(f"unknown persisted term kind {kind!r}")
+    if width == 8:
+        return column
+    wide = array("q", bytes(8 * len(column)))
+    _low_lanes(wide, width)[:] = memoryview(column)
+    return wide
 
 
 def _pack_summary(summary: Summary, dictionary: Dictionary) -> Dict[str, object]:
@@ -189,7 +218,7 @@ def _pack_summary(summary: Summary, dictionary: Dictionary) -> Dict[str, object]
     node ``node_ids[i]`` is represented by ``summary_nodes[block_indexes[i]]``
     (8 bytes per represented node; no input node's text is repeated here).
     Only the summary graph and the minted summary nodes — dozens for
-    weak/strong — travel as term columns.
+    weak/strong — travel as packed term tuples.
     """
     node_ids, block_indexes, summary_nodes = summary.encoded_representatives(dictionary)
     return {
@@ -197,12 +226,12 @@ def _pack_summary(summary: Summary, dictionary: Dictionary) -> Dict[str, object]
         "source_name": summary.source_name,
         "graph_name": summary.graph.name,
         "triples": [
-            (_term_columns(t.subject), _term_columns(t.predicate), _term_columns(t.object))
+            (pack_term(t.subject), pack_term(t.predicate), pack_term(t.object))
             for t in summary.graph
         ],
         "node_ids": node_ids,
         "block_indexes": block_indexes,
-        "summary_nodes": [_term_columns(node) for node in summary_nodes],
+        "summary_nodes": [pack_term(node) for node in summary_nodes],
         "source_statistics": (
             summary.source_statistics.as_dict()
             if summary.source_statistics is not None
@@ -220,15 +249,9 @@ def _unpack_summary(payload: Dict[str, object], dictionary: Dictionary) -> Summa
     """
     graph = RDFGraph(name=payload.get("graph_name", ""))
     for subject, predicate, obj in payload["triples"]:
-        graph.add(
-            Triple(
-                _term_from_columns(*subject),
-                _term_from_columns(*predicate),
-                _term_from_columns(*obj),
-            )
-        )
+        graph.add(Triple(unpack_term(subject), unpack_term(predicate), unpack_term(obj)))
     node_ids, block_indexes = payload["node_ids"], payload["block_indexes"]
-    summary_nodes = [_term_from_columns(*columns) for columns in payload["summary_nodes"]]
+    summary_nodes = [unpack_term(columns) for columns in payload["summary_nodes"]]
     for packed in (node_ids, block_indexes):
         if not isinstance(packed, array) or packed.typecode != "i":
             raise TypeError(f"representative map is not a packed int array: {type(packed)}")
@@ -254,25 +277,28 @@ def _unpack_summary(payload: Dict[str, object], dictionary: Dictionary) -> Summa
     )
 
 
-def _derived_count(saturation_state: Optional[Dict[str, object]]) -> int:
-    """Length of the ``G∞`` derived-row log in a saturator state (0: none)."""
-    return len(saturation_state["_derived"]) if saturation_state is not None else 0
-
-
 class GraphSnapshot(NamedTuple):
     """Everything needed to warm-start one catalog entry."""
 
     name: str
+    #: The entry version of the last durable write (checkpoint or append).
     version: int
+    #: Holds the checkpoint's rows; :attr:`tail_rows` are not inserted yet.
     store: TripleStore
-    maintainer_state: Dict[str, object]
-    statistics: Optional[CardinalityStatistics]
-    summaries: Dict[str, Summary]
+    #: ``None`` for a graph read from a pre-3 layout: the caller rebuilds
+    #: every artifact from the store (which then holds *all* the rows).
+    maintainer_state: Optional[Dict[str, object]]
+    statistics: Optional[CardinalityStatistics] = None
+    summaries: Optional[Dict[str, Summary]] = None
     #: The incremental saturator's state (schema maps + derived-row log),
     #: when the graph's ``G∞`` cache was checkpointed — lets the restarted
     #: entry rehydrate the saturated store without applying a single rule.
     saturation_state: Optional[Dict[str, object]] = None
     saturation_statistics: Optional[CardinalityStatistics] = None
+    #: The version everything above was checkpointed at, and the rows logged
+    #: since, in insertion order — the caller replays them.
+    checkpoint_version: int = 0
+    tail_rows: Sequence[Tuple[TripleKind, EncodedTriple]] = ()
 
 
 class PersistentCatalog:
@@ -290,18 +316,11 @@ class PersistentCatalog:
         self._appends = telemetry.counter("persistence.appends")
         self._write_seconds = telemetry.histogram("persistence.write.seconds")
         self._artifacts_skipped = telemetry.counter("persistence.artifacts.skipped")
-        #: ``graph -> rows currently persisted in saturation_rows``, so the
-        #: per-ingest append path never re-counts the (potentially
-        #: ``O(|G∞|)``-sized) durable derived log.  Maintained under the
-        #: lock, populated lazily with one COUNT per graph, and dropped on
-        #: any failed write (the next append re-counts).
-        self._saturation_counts: Dict[str, int] = {}
-        #: ``graph -> rows appended to graph_triples since this process last
-        #: rewrote the graph in full`` (absent: unknown — a graph this
-        #: process only opened).  Zero is what lets :meth:`refresh_artifacts`
-        #: skip rewriting rows that are already durable.  Maintained under
-        #: the lock, dropped on any failed write.
-        self._tail_rows: Dict[str, int] = {}
+        #: ``graph -> (dictionary ids persisted, rows logged since the
+        #: checkpoint)`` for every graph this process loaded or wrote, so an
+        #: append never counts either in the file.  Maintained under the
+        #: lock, dropped on any failed write (and then re-read once).
+        self._durable: Dict[str, Tuple[int, int]] = {}
         try:
             self._connection: Optional[sqlite3.Connection] = sqlite3.connect(
                 self.path, check_same_thread=False
@@ -342,19 +361,22 @@ class PersistentCatalog:
                         f"this build reads versions "
                         f"{MIN_SUPPORTED_SCHEMA_VERSION}..{SCHEMA_VERSION}"
                     )
+            # the DDL is purely additive, so an older file is stamped here
+            # and its graphs stay readable (by the legacy reader) until each
+            # one's first durable write repacks it
             connection.executescript(_SCHEMA_SQL)
-            if stored is None:
+            table_info = connection.execute("PRAGMA table_info(graph_columns)")
+            if "width" not in {row[1] for row in table_info}:  # a schema-2 table
                 connection.execute(
-                    "INSERT INTO catalog_meta (key, value) VALUES ('schema_version', ?)",
-                    (str(SCHEMA_VERSION),),
+                    "ALTER TABLE graph_columns ADD COLUMN width INTEGER NOT NULL DEFAULT 8"
                 )
-            elif int(stored[0]) != SCHEMA_VERSION:
-                # the DDL above is purely additive, so an old readable file
-                # is upgraded in place (its row checkpoints stay valid)
-                connection.execute(
-                    "UPDATE catalog_meta SET value = ? WHERE key = 'schema_version'",
-                    (str(SCHEMA_VERSION),),
-                )
+            self._legacy_tables = tuple(
+                table for table in _LEGACY_TABLES if table in existing_tables
+            )
+            connection.execute(
+                "INSERT OR REPLACE INTO catalog_meta (key, value) VALUES ('schema_version', ?)",
+                (str(SCHEMA_VERSION),),
+            )
             connection.commit()
         except PersistenceError:
             connection.close()
@@ -384,111 +406,75 @@ class PersistentCatalog:
         self.close()
         return False
 
-    # ------------------------------------------------------------------
-    # writing
-    # ------------------------------------------------------------------
     def graph_names(self) -> List[str]:
         with self._lock:
             rows = self._conn().execute("SELECT name FROM graphs ORDER BY name").fetchall()
         return [row[0] for row in rows]
 
-    def _artifact_rows(
-        self,
-        entry,
-        saturation_state: Optional[Dict[str, object]],
-        include_saturation_statistics: bool = True,
-    ) -> Iterator[Tuple[str, int, bytes]]:
-        """The artifact payloads of *entry* at its current version.
+    def tail_rows(self, name: str) -> Optional[int]:
+        """Rows of *name* logged since its last checkpoint — what a reopen
+        right now would replay (``None``: not a graph this process knows).
+        One dict read, deliberately outside the lock: a statistics request
+        must not queue behind a checkpoint that holds it for a whole write."""
+        durable = self._durable.get(name)
+        return durable[1] if durable is not None else None
 
-        *saturation_state* is the caller's one-per-transaction snapshot of
-        ``entry.saturation_state()`` — re-reading it here could observe a
-        ``G∞`` build that completed mid-transaction and persist an
-        artifact whose ``derived_count`` disagrees with the
-        ``saturation_rows`` the caller wrote.
+    def _remember(self, name: str, terms: int, tail: int) -> None:
+        self._durable[name] = (terms, tail)
+        telemetry.gauge(f"persistence.tail.rows.{name}").set(tail)
 
-        The saturated store's cardinality profile (distinct-id sets sized
-        like ``G∞``) only rides along when *include_saturation_statistics*
-        — full checkpoints; the per-ingest append path skips it to stay
-        delta-sized, at the cost of one profile scan on the first
-        saturated evaluation after a write-through-only restart.
-        """
-        yield (
-            "maintainer",
-            entry.version,
-            pickle.dumps(entry.maintainer_state(), protocol=_PICKLE_PROTOCOL),
-        )
+    # ------------------------------------------------------------------
+    # writing
+    # ------------------------------------------------------------------
+    def _artifact_rows(self, entry) -> Iterator[Tuple[str, bytes]]:
+        """The artifact payloads of *entry* at its current version."""
+        yield "maintainer", _pack(entry.maintainer_state())
         statistics = entry.cached_statistics()
         if statistics is not None:
-            yield (
-                "statistics",
-                entry.version,
-                pickle.dumps(statistics, protocol=_PICKLE_PROTOCOL),
-            )
+            yield "statistics", _pack(statistics)
+        saturation_state = entry.saturation_state()
         if saturation_state is not None:
-            # the derived-row log lives in its own appendable table; the
-            # artifact carries the (small) schema maps plus the log length,
-            # which load_graph uses as a torn-state check
-            payload = {key: value for key, value in saturation_state.items() if key != "_derived"}
-            payload["derived_count"] = len(saturation_state["_derived"])
-            yield (
-                "saturation",
-                entry.version,
-                pickle.dumps(payload, protocol=_PICKLE_PROTOCOL),
-            )
-            saturation_statistics = (
-                entry.saturation_cached_statistics() if include_saturation_statistics else None
-            )
+            yield "saturation", _pack(saturation_state)
+            saturation_statistics = entry.saturation_cached_statistics()
             if saturation_statistics is not None:
-                yield (
-                    "saturation_statistics",
-                    entry.version,
-                    pickle.dumps(saturation_statistics, protocol=_PICKLE_PROTOCOL),
-                )
+                yield "saturation_statistics", _pack(saturation_statistics)
         for kind, summary in entry.cached_summaries().items():
-            yield (
-                f"summary:{kind}",
-                entry.version,
-                pickle.dumps(
-                    _pack_summary(summary, entry.store.dictionary), protocol=_PICKLE_PROTOCOL
-                ),
-            )
+            yield f"summary:{kind}", _pack(_pack_summary(summary, entry.store.dictionary))
 
-    def _write_dictionary_rows(
-        self, connection: sqlite3.Connection, name: str, dictionary: Dictionary, start_id: int
-    ) -> None:
-        rows = []
-        for term, identifier in dictionary.items():
-            if identifier < start_id:
-                continue
-            kind, value, datatype, language = _term_columns(term)
-            rows.append((name, identifier, kind, value, datatype, language))
-        if rows:
-            connection.executemany(
-                "INSERT INTO dictionary_terms (graph, id, kind, value, datatype, language) "
-                "VALUES (?, ?, ?, ?, ?, ?)",
-                rows,
-            )
-
-    def _replace_artifacts(
-        self,
-        connection: sqlite3.Connection,
-        entry,
-        saturation_state: Optional[Dict[str, object]],
-        include_saturation_statistics: bool = True,
-    ) -> None:
+    def _replace_artifacts(self, connection: sqlite3.Connection, entry) -> None:
         connection.execute("DELETE FROM artifacts WHERE graph = ?", (entry.name,))
         connection.executemany(
             "INSERT INTO artifacts (graph, name, version, payload) VALUES (?, ?, ?, ?)",
             [
-                (entry.name, name, version, payload)
-                for name, version, payload in self._artifact_rows(
-                    entry, saturation_state, include_saturation_statistics
-                )
+                (entry.name, name, entry.version, payload)
+                for name, payload in self._artifact_rows(entry)
             ],
         )
 
+    def _write_term_chunks(
+        self, connection: sqlite3.Connection, name: str, dictionary: Dictionary, start: int
+    ) -> None:
+        """Persist dictionary ids ``[start, len)`` as packed chunk rows."""
+        if start > len(dictionary):
+            raise PersistenceError(
+                f"catalog file holds {start} dictionary ids of graph {name!r}, "
+                f"the live dictionary only {len(dictionary)}"
+            )
+        rows = []
+        for chunk in pack_term_chunks(dictionary, start):
+            rows.append((name, start, len(chunk), _pack(chunk)))
+            start += len(chunk)
+        connection.executemany(
+            "INSERT INTO dictionary_chunks (graph, start, count, terms) VALUES (?, ?, ?, ?)", rows
+        )
+
+    def _delete_rows(self, connection: sqlite3.Connection, name: str) -> None:
+        connection.execute("DELETE FROM graphs WHERE name = ?", (name,))
+        for table in _GRAPH_TABLES + self._legacy_tables:
+            connection.execute(f"DELETE FROM {table} WHERE graph = ?", (name,))
+
     def save_graph(self, entry) -> None:
-        """Durably (re)write *entry* completely, in one transaction.
+        """Checkpoint *entry* completely, in one transaction (empties its log).
 
         Callers must hold the entry's lock (either side for a quiescent
         entry, the read side is enough — nothing here mutates the entry).
@@ -496,208 +482,113 @@ class PersistentCatalog:
         write_start = perf_counter()
         with self._lock:
             connection = self._conn()
-            # one snapshot per transaction: a concurrent (read-locked)
-            # saturated query may publish the G∞ state mid-checkpoint, and
-            # the rows table and the artifact must agree on one view
-            saturation_state = entry.saturation_state()
+            dictionary = entry.store.dictionary
             try:
                 with connection:  # one transaction, rolled back on error
-                    connection.execute("DELETE FROM graphs WHERE name = ?", (entry.name,))
-                    for table in _GRAPH_TABLES:
-                        connection.execute(f"DELETE FROM {table} WHERE graph = ?", (entry.name,))
+                    self._delete_rows(connection, entry.name)
                     connection.execute(
                         "INSERT INTO graphs (name, version) VALUES (?, ?)",
                         (entry.name, entry.version),
                     )
-                    self._write_dictionary_rows(connection, entry.name, entry.store.dictionary, 0)
-                    if getattr(entry.store, "supports_column_snapshot", False):
-                        # columnar store: one packed blob per column, no
-                        # per-row SQL at all — the warm-start fast path
-                        for kind in TripleKind:
-                            count, s_bytes, p_bytes, o_bytes = entry.store.column_bytes(kind)
-                            connection.execute(
-                                "INSERT INTO graph_columns "
-                                "(graph, kind, rows, byteorder, s, p, o) "
-                                "VALUES (?, ?, ?, ?, ?, ?, ?)",
-                                (
-                                    entry.name,
-                                    kind.value,
-                                    count,
-                                    sys.byteorder,
-                                    s_bytes,
-                                    p_bytes,
-                                    o_bytes,
-                                ),
-                            )
-                    else:
-                        for kind in TripleKind:
-                            for batch in entry.store.scan_batches(kind):
-                                connection.executemany(
-                                    "INSERT INTO graph_triples (graph, kind, s, p, o) "
-                                    "VALUES (?, ?, ?, ?, ?)",
-                                    [
-                                        (entry.name, kind.value, row[0], row[1], row[2])
-                                        for row in batch
-                                    ],
-                                )
-                    if saturation_state is not None:
-                        self._insert_saturation_rows(
-                            connection, entry.name, saturation_state["_derived"]
+                    self._write_term_chunks(connection, entry.name, dictionary, 0)
+                    for kind in TripleKind:
+                        columns = _table_columns(entry.store, kind)
+                        width, blobs = _pack_columns(columns)
+                        connection.execute(
+                            "INSERT INTO graph_columns "
+                            "(graph, kind, rows, byteorder, width, s, p, o) "
+                            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
+                            (entry.name, kind.value, len(columns[0]), sys.byteorder, width, *blobs),
                         )
-                    self._replace_artifacts(connection, entry, saturation_state)
+                    self._replace_artifacts(connection, entry)
             except sqlite3.Error as error:
-                self._saturation_counts.pop(entry.name, None)
-                self._tail_rows.pop(entry.name, None)
+                self._durable.pop(entry.name, None)
                 raise PersistenceError(f"checkpoint of graph {entry.name!r} failed: {error}")
-            self._saturation_counts[entry.name] = _derived_count(saturation_state)
-            self._tail_rows[entry.name] = 0
+            self._remember(entry.name, len(dictionary), 0)
         self._checkpoints.inc()
         self._write_seconds.observe(perf_counter() - write_start)
 
     def refresh_artifacts(self, entry) -> bool:
         """Replace *entry*'s artifacts and version; leave its rows alone.
 
-        The checkpoint of an entry whose durable rows are already current:
-        this process wrote the graph in full and has appended nothing since
-        (a cold build's ``register()`` then ``checkpoint()``), so only the
-        summaries cached in between are missing from the file.  Returns
-        ``False`` without writing when that cannot be shown — tail rows
-        exist or their count is unknown (a graph this process only opened),
-        the dictionary grew, or the durable ``G∞`` log is not the live one
-        — and the caller falls back to :meth:`save_graph`.  Same locking
-        contract as :meth:`save_graph`; a ``_persist_dirty`` entry must not
-        come here.
+        The checkpoint of an entry whose checkpointed rows are already
+        current: nothing was logged and the dictionary did not grow since
+        this process loaded or wrote the graph in full (a cold build's
+        ``register()`` then ``checkpoint()``), so only what was cached in
+        between is missing from the file.  Returns ``False`` without writing
+        when that cannot be shown, and the caller falls back to
+        :meth:`save_graph`.  Same locking contract as :meth:`save_graph`; a
+        ``_persist_dirty`` entry must not come here.
         """
         write_start = perf_counter()
         with self._lock:
             connection = self._conn()
-            saturation_state = entry.saturation_state()
-            if self._tail_rows.get(entry.name) != 0 or self._saturation_counts.get(
-                entry.name
-            ) != _derived_count(saturation_state):
+            if self._durable.get(entry.name) != (len(entry.store.dictionary), 0):
                 return False
             try:
                 with connection:
-                    persisted_terms = connection.execute(
-                        "SELECT COUNT(*) FROM dictionary_terms WHERE graph = ?",
-                        (entry.name,),
-                    ).fetchone()[0]
-                    if persisted_terms != len(entry.store.dictionary):
-                        return False
                     connection.execute(
                         "UPDATE graphs SET version = ? WHERE name = ?",
                         (entry.version, entry.name),
                     )
-                    self._replace_artifacts(connection, entry, saturation_state)
+                    self._replace_artifacts(connection, entry)
             except sqlite3.Error as error:
                 raise PersistenceError(f"checkpoint of graph {entry.name!r} failed: {error}")
         self._checkpoints.inc()
         self._write_seconds.observe(perf_counter() - write_start)
         return True
 
-    def _insert_saturation_rows(
-        self, connection: sqlite3.Connection, name: str, derived: Iterable[Tuple[str, int, int, int]]
-    ) -> None:
-        connection.executemany(
-            "INSERT INTO saturation_rows (graph, kind, s, p, o) VALUES (?, ?, ?, ?, ?)",
-            [(name, kind_value, s, p, o) for kind_value, s, p, o in derived],
-        )
-
     def append_update(self, entry, rows: List[Tuple[TripleKind, EncodedTriple]]) -> None:
-        """Atomically append one ``add_triples`` batch and refresh artifacts.
+        """Atomically log one ``add_triples`` batch.
 
         Runs inside the entry's exclusive write lock (it is the
-        write-through hook of :meth:`CatalogEntry.add_triples`), so the
-        entry state it serializes cannot move underneath it.  Only the new
-        dictionary ids, the inserted rows and the ``G∞`` derived rows the
-        batch entailed are appended — the incremental checkpoint stays
-        proportional to the delta; the artifacts (maintainer maps,
-        statistics, the freshly snapshotted weak summary, the saturator's
-        schema maps) are replaced wholesale — they are the price of a warm
-        start that rebuilds nothing.
+        write-through hook of :meth:`CatalogEntry.add_triples`).  Only the
+        delta is written — a term chunk for the new dictionary ids, the
+        inserted rows, the version; every artifact stays as checkpointed,
+        and a reopen reproduces the live state by replaying the logged rows
+        onto it.
         """
-        # snapshot the weak summary first so it rides along in the same
-        # checkpoint: the incremental maintainer makes this summary-sized
-        # work, and a warm-started process then guards its first query
-        # without even a snapshot pass (lazy-init mutation is legal here —
-        # the entry's init lock serializes it, and we are the only writer)
-        entry.summary("weak")
         write_start = perf_counter()
         with self._lock:
             connection = self._conn()
-            saturation_state = entry.saturation_state()
+            name, dictionary = entry.name, entry.store.dictionary
             try:
                 with connection:
-                    persisted = connection.execute(
-                        "SELECT COUNT(*) FROM dictionary_terms WHERE graph = ?",
-                        (entry.name,),
-                    ).fetchone()[0]
-                    self._write_dictionary_rows(
-                        connection, entry.name, entry.store.dictionary, persisted
+                    terms, tail = self._durable.get(name) or (
+                        connection.execute(
+                            "SELECT COALESCE(SUM(count), 0) FROM dictionary_chunks "
+                            "WHERE graph = ?",
+                            (name,),
+                        ).fetchone()[0],
+                        connection.execute(
+                            "SELECT COUNT(*) FROM graph_triples WHERE graph = ?", (name,)
+                        ).fetchone()[0],
                     )
+                    self._write_term_chunks(connection, name, dictionary, terms)
                     connection.executemany(
                         "INSERT INTO graph_triples (graph, kind, s, p, o) VALUES (?, ?, ?, ?, ?)",
-                        [(entry.name, kind.value, row[0], row[1], row[2]) for kind, row in rows],
+                        [(name, kind.value, row[0], row[1], row[2]) for kind, row in rows],
                     )
-                    if saturation_state is not None:
-                        derived = saturation_state["_derived"]
-                        appended = entry.saturation_appended_rows()
-                        persisted_derived = self._saturation_counts.get(entry.name)
-                        if persisted_derived is None:
-                            # one COUNT per graph per process lifetime; every
-                            # later append stays delta-sized
-                            persisted_derived = connection.execute(
-                                "SELECT COUNT(*) FROM saturation_rows WHERE graph = ?",
-                                (entry.name,),
-                            ).fetchone()[0]
-                        if persisted_derived + len(appended) == len(derived):
-                            self._insert_saturation_rows(connection, entry.name, appended)
-                        else:
-                            # the durable log lags the live one (the G∞ cache
-                            # was seeded between checkpoints): rewrite it whole
-                            connection.execute(
-                                "DELETE FROM saturation_rows WHERE graph = ?", (entry.name,)
-                            )
-                            self._insert_saturation_rows(connection, entry.name, derived)
-                    elif self._saturation_counts.get(entry.name) != 0:
-                        # a stale log may linger (e.g. the artifact failed to
-                        # load); skip the DELETE once the log is known empty
-                        connection.execute(
-                            "DELETE FROM saturation_rows WHERE graph = ?", (entry.name,)
-                        )
-                    updated = connection.execute(
-                        "UPDATE graphs SET version = ? WHERE name = ?",
-                        (entry.version, entry.name),
-                    )
-                    if updated.rowcount == 0:
-                        connection.execute(
-                            "INSERT INTO graphs (name, version) VALUES (?, ?)",
-                            (entry.name, entry.version),
-                        )
-                    self._replace_artifacts(
-                        connection, entry, saturation_state, include_saturation_statistics=False
+                    connection.execute(
+                        "INSERT OR REPLACE INTO graphs (name, version) VALUES (?, ?)",
+                        (name, entry.version),
                     )
             except sqlite3.Error as error:
-                self._saturation_counts.pop(entry.name, None)
-                self._tail_rows.pop(entry.name, None)
-                raise PersistenceError(f"incremental checkpoint of {entry.name!r} failed: {error}")
-            self._saturation_counts[entry.name] = _derived_count(saturation_state)
-            if entry.name in self._tail_rows:
-                self._tail_rows[entry.name] += len(rows)
+                self._durable.pop(name, None)
+                raise PersistenceError(f"append to the log of {name!r} failed: {error}")
+            self._remember(name, len(dictionary), tail + len(rows))
         self._appends.inc()
         self._write_seconds.observe(perf_counter() - write_start)
 
     def delete_graph(self, name: str) -> None:
         """Forget *name* durably (no-op when it was never persisted)."""
         with self._lock:
-            self._saturation_counts.pop(name, None)
-            self._tail_rows.pop(name, None)
+            self._durable.pop(name, None)
+            telemetry.REGISTRY.unregister(f"persistence.tail.rows.{name}")
             connection = self._conn()
             try:
                 with connection:
-                    connection.execute("DELETE FROM graphs WHERE name = ?", (name,))
-                    for table in _GRAPH_TABLES:
-                        connection.execute(f"DELETE FROM {table} WHERE graph = ?", (name,))
+                    self._delete_rows(connection, name)
             except sqlite3.Error as error:
                 raise PersistenceError(f"dropping graph {name!r} failed: {error}")
 
@@ -707,7 +598,7 @@ class PersistentCatalog:
     def load_graph(
         self, name: str, store_factory: Callable[[], TripleStore]
     ) -> GraphSnapshot:
-        """Rebuild one graph's warm-start snapshot from the file."""
+        """One graph's checkpointed state plus the rows logged since."""
         with self._lock:
             connection = self._conn()
             graph_row = connection.execute(
@@ -716,130 +607,119 @@ class PersistentCatalog:
             if graph_row is None:
                 raise PersistenceError(f"graph {name!r} is not in catalog file {self.path!r}")
             version = int(graph_row[0])
-            term_rows = connection.execute(
-                "SELECT id, kind, value, datatype, language FROM dictionary_terms "
-                "WHERE graph = ? ORDER BY id",
-                (name,),
-            ).fetchall()
-            triple_rows = connection.execute(
-                "SELECT kind, s, p, o FROM graph_triples WHERE graph = ? ORDER BY rowid",
+            chunk_rows = connection.execute(
+                "SELECT start, count, terms FROM dictionary_chunks WHERE graph = ? ORDER BY start",
                 (name,),
             ).fetchall()
             column_rows = connection.execute(
-                "SELECT kind, rows, byteorder, s, p, o FROM graph_columns WHERE graph = ?",
+                "SELECT kind, rows, byteorder, width, s, p, o FROM graph_columns WHERE graph = ?",
                 (name,),
             ).fetchall()
-            artifact_rows = connection.execute(
-                "SELECT name, version, payload FROM artifacts WHERE graph = ?",
+            log_rows = connection.execute(
+                "SELECT kind, s, p, o FROM graph_triples WHERE graph = ? ORDER BY rowid",
                 (name,),
             ).fetchall()
-            saturation_row_data = connection.execute(
-                "SELECT kind, s, p, o FROM saturation_rows WHERE graph = ? ORDER BY rowid",
-                (name,),
-            ).fetchall()
+            # a graph without a chunk row in a file born before schema 3 is
+            # still in that file's layout: read its rows, nothing else
+            legacy = not chunk_rows and "dictionary_terms" in self._legacy_tables
+            term_rows, artifact_rows = [], []
+            if legacy:
+                term_rows = connection.execute(
+                    "SELECT kind, value, datatype, language FROM dictionary_terms "
+                    "WHERE graph = ? ORDER BY id",
+                    (name,),
+                ).fetchall()
+            else:
+                artifact_rows = connection.execute(
+                    "SELECT name, version, payload FROM artifacts WHERE graph = ?", (name,)
+                ).fetchall()
+                self._remember(name, sum(row[1] for row in chunk_rows), len(log_rows))
 
         dictionary = Dictionary()
-        for position, (identifier, kind, value, datatype, language) in enumerate(term_rows):
-            if identifier != position:
-                raise PersistenceError(
-                    f"dictionary of graph {name!r} is not dense at id {identifier} "
-                    f"(expected {position}) — the catalog file is corrupt"
-                )
-            dictionary.encode(_term_from_columns(kind, value, datatype, language))
-
         store = store_factory()
         store.dictionary = dictionary
-        if column_rows and getattr(store, "supports_column_snapshot", False):
-            # blob fast path: three frombytes calls per table, no per-row
-            # work and no index / dedup-set build (both stay deferred)
-            for kind_value, count, byteorder, s_bytes, p_bytes, o_bytes in column_rows:
-                loaded = store.load_column_bytes(
-                    _KIND_BY_VALUE[kind_value], s_bytes, p_bytes, o_bytes, byteorder=byteorder
-                )
+        tail_rows = [
+            (_KIND_BY_VALUE[kind], EncodedTriple(s, p, o)) for kind, s, p, o in log_rows
+        ]
+        # one checkpoint replaces every artifact of the graph in one
+        # transaction, so they all carry the maintainer's version
+        artifacts: Dict[str, object] = {}
+        summaries: Dict[str, Summary] = {}
+        checkpoint_version = version
+        try:
+            unpack_terms(term_rows, dictionary)
+            for start, count, blob in chunk_rows:
+                dense = start == len(dictionary)
+                if not dense or unpack_terms(_unpack(blob), dictionary) != start + count:
+                    raise PersistenceError(
+                        f"dictionary of graph {name!r} is not dense at id {start} "
+                        f"— the catalog file is corrupt"
+                    )
+            adopts_blobs = getattr(store, "supports_column_snapshot", False)
+            for kind_value, count, byteorder, width, *blobs in column_rows:
+                kind = _KIND_BY_VALUE[kind_value]
+                columns = [
+                    _unpack_column(blob if legacy else zlib.decompress(blob), width, byteorder)
+                    for blob in blobs
+                ]
+                if adopts_blobs:
+                    # three frombytes calls per table, no per-row work and
+                    # no index / dedup-set build (both stay deferred)
+                    loaded = store.load_column_bytes(kind, *(c.tobytes() for c in columns))
+                else:
+                    loaded = len(columns[0])
+                    store._insert_rows([(kind, EncodedTriple(*row)) for row in zip(*columns)])
                 if loaded != count:
                     raise PersistenceError(
                         f"column snapshot of graph {name!r} ({kind_value}) holds {loaded} "
                         f"rows, expected {count} — the catalog file is corrupt"
                     )
-        elif column_rows:
-            # a column snapshot loaded into a store without blob adoption
-            # (e.g. the sqlite backend): unpack the blobs into plain rows
-            triple_rows = [
-                (kind_value, s, p, o)
-                for kind_value, _count, byteorder, s_bytes, p_bytes, o_bytes in column_rows
-                for s, p, o in zip(
-                    _unpack_column(s_bytes, byteorder),
-                    _unpack_column(p_bytes, byteorder),
-                    _unpack_column(o_bytes, byteorder),
+            if legacy and tail_rows:
+                # no checkpointed state to replay onto: the rows are just rows
+                store._insert_rows(tail_rows)
+                tail_rows = []
+            for artifact_name, artifact_version, payload in artifact_rows:
+                if artifact_name.startswith("summary:"):
+                    # expendable: a payload that does not decode (a torn
+                    # blob) is skipped — the entry rebuilds that summary on
+                    # first use and the next checkpoint rewrites the artifact
+                    try:
+                        summaries[artifact_name.split(":", 1)[1]] = _unpack_summary(
+                            _unpack(payload), dictionary
+                        )
+                    except Exception:  # noqa: BLE001 - any undecodable payload
+                        self._artifacts_skipped.inc()
+                    continue
+                artifacts[artifact_name] = _unpack(payload)
+                if artifact_name == "maintainer":
+                    checkpoint_version = artifact_version
+            if not legacy and not isinstance(artifacts.get("maintainer"), dict):
+                raise PersistenceError(
+                    f"graph {name!r} has no weak-summary maintainer state "
+                    f"— the catalog file is corrupt"
                 )
-            ] + triple_rows
-        if triple_rows:
-            store._insert_rows(
-                [(_KIND_BY_VALUE[kind], EncodedTriple(s, p, o)) for kind, s, p, o in triple_rows]
+        except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / array errors
+            store.close()
+            if isinstance(error, PersistenceError):
+                raise
+            raise PersistenceError(
+                f"graph {name!r} in catalog file {self.path!r} is unreadable "
+                f"(dictionary, columns or artifacts): {error}"
             )
         ensure_indexes = getattr(store, "ensure_summarization_indexes", None)
         if callable(ensure_indexes):
             ensure_indexes()
-
-        maintainer_state: Optional[Dict[str, object]] = None
-        statistics: Optional[CardinalityStatistics] = None
-        summaries: Dict[str, Summary] = {}
-        saturation_payload: Optional[Dict[str, object]] = None
-        saturation_statistics: Optional[CardinalityStatistics] = None
-        for artifact_name, artifact_version, payload in artifact_rows:
-            if artifact_version != version:
-                continue  # stale artifact from an interrupted lineage
-            if artifact_name.startswith("summary:"):
-                # expendable: a payload that does not decode (a layout older
-                # than the packed id arrays, a torn blob) is skipped — the
-                # entry rebuilds that summary on first use and the next
-                # checkpoint rewrites the artifact
-                try:
-                    summaries[artifact_name.split(":", 1)[1]] = _unpack_summary(
-                        pickle.loads(payload), dictionary
-                    )
-                except Exception:  # noqa: BLE001 - any undecodable payload
-                    self._artifacts_skipped.inc()
-                continue
-            try:
-                value = pickle.loads(payload)
-            except Exception as error:  # noqa: BLE001 - surface as PersistenceError
-                raise PersistenceError(
-                    f"artifact {artifact_name!r} of graph {name!r} is unreadable: {error}"
-                )
-            if artifact_name == "maintainer":
-                maintainer_state = value
-            elif artifact_name == "statistics":
-                statistics = value
-            elif artifact_name == "saturation":
-                saturation_payload = value
-            elif artifact_name == "saturation_statistics":
-                saturation_statistics = value
-        if not isinstance(maintainer_state, dict):
-            raise PersistenceError(
-                f"graph {name!r} has no weak-summary maintainer state at version {version} "
-                f"— the catalog file is corrupt"
-            )
-        saturation_state: Optional[Dict[str, object]] = None
-        if saturation_payload is not None:
-            derived = [
-                (kind_value, s, p, o) for kind_value, s, p, o in saturation_row_data
-            ]
-            if len(derived) == saturation_payload.pop("derived_count", -1):
-                saturation_state = dict(saturation_payload)
-                saturation_state["_derived"] = derived
-            else:
-                # the derived log and the schema maps disagree (an older
-                # lineage's rows survived a partial rewrite): the G∞ cache
-                # is expendable — drop it and let the entry rebuild lazily
-                saturation_statistics = None
+        if legacy:
+            return GraphSnapshot(name, version, store, None, checkpoint_version=version)
         return GraphSnapshot(
             name=name,
             version=version,
             store=store,
-            maintainer_state=maintainer_state,
-            statistics=statistics,
+            maintainer_state=artifacts["maintainer"],
+            statistics=artifacts.get("statistics"),
             summaries=summaries,
-            saturation_state=saturation_state,
-            saturation_statistics=saturation_statistics,
+            saturation_state=artifacts.get("saturation"),
+            saturation_statistics=artifacts.get("saturation_statistics"),
+            checkpoint_version=checkpoint_version,
+            tail_rows=tail_rows,
         )

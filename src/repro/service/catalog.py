@@ -34,12 +34,16 @@ Entries are safe to share across threads.  Each entry carries two locks:
 Durability
 ----------
 A catalog opened through :meth:`GraphCatalog.open` is backed by a
-:class:`repro.server.persistence.PersistentCatalog`: registrations and
-every ``add_triples`` batch are written through atomically, and a restarted
-process warm-starts each entry — store rows, dictionary, weak-summary maps,
-cardinality statistics and cached summaries — with **zero** re-scan or
-re-summarization (the ``build_counters`` of a warm entry stay at zero until
-something genuinely new is requested).
+:class:`repro.server.persistence.PersistentCatalog` — a checkpoint plus a
+row log.  Registrations and :meth:`GraphCatalog.checkpoint` write the
+checkpoint (rows, dictionary, weak-summary maps, statistics, ``G∞`` state,
+cached summaries); every ``add_triples`` batch is logged atomically, delta
+only.  A restarted process installs the checkpointed state and feeds the
+logged rows through the same incremental maintenance an ingest runs
+(:meth:`CatalogEntry.replay`), so it warm-starts with **zero** re-scan or
+re-summarization — after a clean shutdown the ``build_counters`` of a warm
+entry stay at zero until something genuinely new is requested; after an
+unclean one the first guarded query pays one summary-sized weak snapshot.
 """
 
 from __future__ import annotations
@@ -127,7 +131,7 @@ class _SaturatedState:
     and HTTP statistics endpoint expose.
     """
 
-    __slots__ = ("saturator", "statistics", "planner", "evaluators", "metrics", "appended")
+    __slots__ = ("saturator", "statistics", "planner", "evaluators", "metrics")
 
     def __init__(self, saturator: IncrementalSaturator):
         self.saturator = saturator
@@ -142,10 +146,6 @@ class _SaturatedState:
             "last_delta_seconds": 0.0,
             "total_delta_seconds": 0.0,
         }
-        #: Derived-log rows appended by the most recent ``add_triples``
-        #: batch (``(kind_value, s, p, o)`` tuples) — what the persistent
-        #: catalog's incremental checkpoint appends durably.
-        self.appended: List[Tuple[str, int, int, int]] = []
 
     @property
     def store(self) -> TripleStore:
@@ -370,18 +370,36 @@ class CatalogEntry:
                 if self._saturation_pending is not None:
                     self._materialize_saturated()
 
+    def replay(self, rows: List[Tuple[TripleKind, EncodedTriple]], version: int) -> None:
+        """Apply the rows a persistent catalog logged after its checkpoint.
+
+        The warm-start half of an ingest, run on a freshly restored entry
+        nobody else can reach yet: the rows (known fresh — they were
+        deduplicated when first ingested) enter the store and pass through
+        the very maintenance :meth:`add_triples` runs — weak-summary delta,
+        in-place statistics, and the ``G∞`` delta rules on a checkpointed
+        saturator state, materialized first as before any ingest — leaving
+        the entry at the logged *version*.  Nothing is written through and
+        nothing is rebuilt; summaries cached at the checkpoint go stale.
+        """
+        self._rehydrate_pending_locked()
+        self._absorb_rows_locked(
+            self.store.insert_encoded_rows(rows, skip_existing=False), version=version
+        )
+
     def _absorb_rows_locked(
-        self, rows: List[Tuple[TripleKind, EncodedTriple]]
+        self, rows: List[Tuple[TripleKind, EncodedTriple]], version: Optional[int] = None
     ) -> int:
         """Post-insert maintenance shared by the Term and encoded ingest
-        paths (write lock held): summary/statistics/saturation deltas,
-        version bump, durable write-through, then the delta listeners."""
+        paths and the warm-start replay (write lock held):
+        summary/statistics/saturation deltas, version bump (to *version*
+        when replaying), durable write-through, then the delta listeners."""
         if not rows:
             return 0
         with self._init_lock:
             self._ensure_primed()
             self._maintainer.ingest_rows(rows)
-            self.version += 1
+            self.version = self.version + 1 if version is None else version
             if self._statistics is not None:
                 statistics = self._statistics[1]
                 statistics.ingest_rows(rows)
@@ -409,12 +427,10 @@ class CatalogEntry:
             return
         state = self._saturated
         delta_start = perf_counter()
-        log_mark = state.saturator.derived_count()
         delta = state.saturator.ingest_rows(rows)
         if state.statistics is not None:
             state.statistics.ingest_rows(delta)
         seconds = perf_counter() - delta_start
-        state.appended = state.saturator.derived_since(log_mark)
         metrics = state.metrics
         metrics["deltas"] += 1
         metrics["last_delta_rows"] = len(rows)
@@ -694,11 +710,6 @@ class CatalogEntry:
                 return self._saturated.statistics
             return self._saturation_statistics_pending
 
-    def saturation_appended_rows(self) -> List[Tuple[str, int, int, int]]:
-        """Derived-log rows appended by the most recent ingest batch."""
-        state = self._saturated
-        return state.appended if state is not None else []
-
     def saturation_metrics(self) -> Optional[Dict[str, object]]:
         """Maintenance metrics of the ``G∞`` cache (``None`` when unused).
 
@@ -795,38 +806,55 @@ class GraphCatalog:
     ) -> "GraphCatalog":
         """Open (creating if absent) a persistent catalog at *path*.
 
-        Every graph persisted in the file is warm-started: its store rows
-        and dictionary are bulk-restored into a fresh *store_factory*
-        backend, and the weak-summary maps, cardinality statistics and
-        cached summaries are installed directly — zero re-scans, zero
-        re-summarization (``entry.build_counters`` stay at zero).
-        Registrations and ``add_triples`` batches on the returned catalog
-        are checkpointed atomically as they happen; :meth:`checkpoint`
-        additionally picks up summaries cached since.
+        Every graph persisted in the file is warm-started: its checkpointed
+        rows and dictionary are bulk-restored into a fresh *store_factory*
+        backend, the weak-summary maps, cardinality statistics, ``G∞`` state
+        and cached summaries are installed directly, and the rows logged
+        since the checkpoint are replayed (:meth:`CatalogEntry.replay`) —
+        zero re-scans, zero re-summarization; with an empty log
+        ``entry.build_counters`` stay at zero.  Registrations checkpoint,
+        ``add_triples`` batches are logged atomically as they happen, and
+        :meth:`checkpoint` folds the log back into a checkpoint.
+
+        A graph still in a pre-3 file layout comes back by its rows alone:
+        its artifacts are rebuilt (one priming scan, then lazily) and its
+        first durable write rewrites it.
         """
         from repro.server.persistence import PersistentCatalog
 
         catalog = cls(store_factory=store_factory)
         persistence = PersistentCatalog(path)
         catalog._persistence = persistence
+        replay_rows = telemetry.counter("persistence.replay.rows")
+        replay_seconds = telemetry.histogram("persistence.replay.seconds")
         with catalog._lock:
             for name in persistence.graph_names():
                 snapshot = persistence.load_graph(name, store_factory)
-                try:
-                    entry = CatalogEntry.restore(
-                        name=snapshot.name,
-                        store=snapshot.store,
-                        version=snapshot.version,
-                        maintainer_state=snapshot.maintainer_state,
-                        statistics=snapshot.statistics,
-                        summaries=snapshot.summaries,
-                        saturation_state=snapshot.saturation_state,
-                        saturation_statistics=snapshot.saturation_statistics,
-                    )
-                except ValueError as error:  # an incomplete maintainer state
-                    raise PersistenceError(
-                        f"graph {name!r} in catalog file {path!r} cannot be restored: {error}"
-                    )
+                if snapshot.maintainer_state is None:
+                    entry = CatalogEntry(name, snapshot.store)
+                    entry.version = snapshot.version
+                    entry._persist_dirty = True
+                else:
+                    try:
+                        entry = CatalogEntry.restore(
+                            name=snapshot.name,
+                            store=snapshot.store,
+                            version=snapshot.checkpoint_version,
+                            maintainer_state=snapshot.maintainer_state,
+                            statistics=snapshot.statistics,
+                            summaries=snapshot.summaries,
+                            saturation_state=snapshot.saturation_state,
+                            saturation_statistics=snapshot.saturation_statistics,
+                        )
+                    except ValueError as error:  # an incomplete maintainer state
+                        raise PersistenceError(
+                            f"graph {name!r} in catalog file {path!r} cannot be restored: {error}"
+                        )
+                    if snapshot.tail_rows:
+                        replay_start = perf_counter()
+                        entry.replay(snapshot.tail_rows, snapshot.version)
+                        replay_rows.inc(len(snapshot.tail_rows))
+                        replay_seconds.observe(perf_counter() - replay_start)
                 entry._on_update = catalog._persist_update
                 catalog._entries[name] = entry
         return catalog
@@ -836,15 +864,22 @@ class GraphCatalog:
         """``True`` when the catalog writes through to a file."""
         return self._persistence is not None
 
-    def checkpoint(self) -> None:
-        """Make every entry's current state durable (no-op in memory).
+    def log_tail_rows(self, name: str) -> Optional[int]:
+        """Rows of *name* logged since its last checkpoint — what a reopen
+        would replay (``None`` in memory, or before the graph's first write)."""
+        persistence = self._persistence  # one read: close() may detach it
+        return persistence.tail_rows(name) if persistence is not None else None
 
-        Write-through already keeps rows, dictionary, weak-summary maps and
-        statistics durable on every update; a checkpoint additionally
-        captures summaries built (and cached) since the last write, so the
-        next warm start serves them too, and folds rows appended since the
-        last full write into the column snapshot.  An entry whose durable
-        rows are already current only has its artifacts replaced.
+    def checkpoint(self) -> None:
+        """Checkpoint every entry's current state (no-op in memory).
+
+        Write-through already keeps every acknowledged row and dictionary
+        id durable in the log; a checkpoint folds the log into the packed
+        column snapshot and captures the maintained state as it stands —
+        weak-summary maps, statistics, ``G∞``, the summaries cached since —
+        so the next warm start replays nothing and rebuilds nothing.  An
+        entry whose checkpointed rows are already current only has its
+        artifacts replaced.
         """
         persistence = self._persistence  # one read: close() may detach it
         if persistence is None:
@@ -870,10 +905,9 @@ class GraphCatalog:
         A failed write-through (disk full, transient SQLite error) leaves
         the in-memory entry ahead of the file; the error propagates to the
         ingesting caller, and the entry is marked dirty so the next durable
-        write is a **full rewrite** from the store — an incremental append
-        after a lost batch would checkpoint maintainer/statistics state
-        referencing rows the file never received, silently corrupting every
-        later warm start.
+        write is a **full rewrite** from the store — a later append would
+        log rows and dictionary ids behind a gap, and every warm start
+        after it would replay onto a state missing the lost batch.
         """
         persistence = self._persistence  # one read: close() may detach it
         if persistence is None:

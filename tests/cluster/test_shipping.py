@@ -5,7 +5,7 @@ from array import array
 import pytest
 
 from repro.cluster import protocol
-from repro.errors import ClusterError
+from repro.errors import DictionaryError
 from repro.model.dictionary import Dictionary
 from repro.model.terms import BlankNode, Literal, URI
 from repro.model.triple import TripleKind
@@ -80,6 +80,8 @@ def test_partition_rejects_bad_shard_count():
     store.close()
 
 
+# the term codec lives next to Dictionary (repro.model.dictionary) and is
+# shared with the persistent catalog; the cluster reaches it through protocol
 def test_pack_unpack_terms_round_trip():
     source = Dictionary()
     terms = [
@@ -118,12 +120,12 @@ def test_unpack_terms_detects_divergence():
     packed = [("u", "http://example.org/a", None, None)]
     target = Dictionary()
     target.encode(URI("http://example.org/a"))  # already present: id 0 != 1
-    with pytest.raises(ClusterError):
+    with pytest.raises(DictionaryError):
         protocol.unpack_terms(packed, target)
 
 
 def test_unpack_terms_rejects_unknown_kind():
-    with pytest.raises(ClusterError):
+    with pytest.raises(DictionaryError):
         protocol.unpack_terms([("z", "x", None, None)], Dictionary())
 
 
@@ -233,5 +235,5 @@ def test_pack_term_chunks_tail_only():
 
 def test_pack_term_chunks_empty_and_bad_size():
     assert protocol.pack_term_chunks(Dictionary()) == []
-    with pytest.raises(ClusterError):
+    with pytest.raises(DictionaryError):
         protocol.pack_term_chunks(Dictionary(), chunk=0)

@@ -157,7 +157,10 @@ class TestKillAndReopen:
             assert fresh in set(entry.to_graph())
             warm = QueryService(reopened).answer("fig2", ingest_query).answers
             assert warm == live
-            assert _zero_counters(entry) == {}
+            # the logged row was replayed through the maintainer: no scan,
+            # one summary-sized snapshot of the maps it left
+            assert _zero_counters(entry) == {"weak_snapshots": 1}
+            assert reopened.log_tail_rows("fig2") == 1
 
     def test_incremental_maintainer_state_continues(self, fig2, tmp_path):
         """Post-restart ingest keeps the weak summary identical to a from-
@@ -511,12 +514,12 @@ class TestSaturationWarmStart:
             maintained = set(entry.saturated_evaluator().store.to_graph())
             assert maintained == set(saturate(entry.to_graph()))
 
-    def test_write_through_persists_saturation_without_checkpoint(
+    def test_saturation_seeded_after_the_checkpoint_is_rebuilt_once(
         self, book_graph, tmp_path
     ):
-        # the saturated state is seeded *between* checkpoints, then an
-        # ingest write-through must persist the full derived log (the
-        # durable log lags the live one and is rewritten wholesale)
+        # a G∞ seeded *between* checkpoints is a cache: the write-through
+        # logs rows only, so the reopened entry rebuilds it exactly once,
+        # on first saturated access, and it equals saturate(G)
         from repro.model.namespaces import EX
         from repro.model.triple import Triple
         from repro.schema.saturation import saturate
@@ -528,13 +531,40 @@ class TestSaturationWarmStart:
             QueryService(catalog).answer("g", query, saturated=True)
             catalog.add_triples(
                 "g", [Triple(EX.doiX, EX.writtenBy, EX.someoneelse)]
-            )  # write-through appends rows + replaces artifacts
+            )  # write-through logs the row; no artifact is touched
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("g")
-            QueryService(reopened).answer("g", query, saturated=True)
             assert entry.build_counters["saturation_builds"] == 0
+            QueryService(reopened).answer("g", query, saturated=True)
+            QueryService(reopened).answer("g", query, saturated=True)
+            assert entry.build_counters["saturation_builds"] == 1
             maintained = set(entry.saturated_evaluator().store.to_graph())
             assert maintained == set(saturate(entry.to_graph()))
+
+    def test_checkpointed_saturation_plus_a_log_tail_applies_delta_rules_only(
+        self, book_graph, tmp_path
+    ):
+        from repro.model.namespaces import EX
+        from repro.model.triple import Triple
+        from repro.schema.saturation import saturate
+
+        path = _catalog_path(tmp_path)
+        query = self._saturated_query()
+        with GraphCatalog.open(path) as catalog:
+            catalog.register("g", graph=book_graph)
+            QueryService(catalog).answer("g", query, saturated=True)
+            catalog.checkpoint()
+            catalog.add_triples("g", [Triple(EX.doiX, EX.writtenBy, EX.someoneelse)])
+            live = QueryService(catalog).answer("g", query, saturated=True).answers
+        with GraphCatalog.open(path) as reopened:
+            entry = reopened.entry("g")
+            warm = QueryService(reopened).answer("g", query, saturated=True).answers
+            assert warm == live
+            assert entry.build_counters["saturation_builds"] == 0
+            assert entry.build_counters["saturated_statistics_scans"] == 0
+            maintained = entry.saturated_evaluator().store
+            assert set(maintained.to_graph()) == set(saturate(entry.to_graph()))
+            assert entry._saturated_statistics() == CardinalityStatistics.from_store(maintained)
 
     def test_ingest_after_warm_start_keeps_maintaining(self, book_graph, tmp_path):
         from repro.model.namespaces import EX, RDF_TYPE
@@ -578,14 +608,10 @@ class TestSaturationWarmStart:
         artifact_names = {
             row[0] for row in connection.execute("SELECT name FROM artifacts")
         }
-        saturation_rows = connection.execute(
-            "SELECT COUNT(*) FROM saturation_rows"
-        ).fetchone()[0]
         connection.close()
-        assert "saturation" not in artifact_names
-        assert saturation_rows == 0
+        assert not {name for name in artifact_names if name.startswith("saturation")}
 
-    def test_drop_forgets_saturation_rows(self, book_graph, tmp_path):
+    def test_drop_forgets_the_saturation_artifacts(self, book_graph, tmp_path):
         import sqlite3
 
         path = _catalog_path(tmp_path)
@@ -593,8 +619,12 @@ class TestSaturationWarmStart:
             catalog.register("g", graph=book_graph)
             catalog.entry("g").saturated_evaluator()
             catalog.checkpoint()
+            connection = sqlite3.connect(path)
+            names = {row[0] for row in connection.execute("SELECT name FROM artifacts")}
+            connection.close()
+            assert "saturation" in names
             catalog.drop("g")
         connection = sqlite3.connect(path)
-        remaining = connection.execute("SELECT COUNT(*) FROM saturation_rows").fetchone()[0]
+        remaining = connection.execute("SELECT COUNT(*) FROM artifacts").fetchone()[0]
         connection.close()
         assert remaining == 0

@@ -3,14 +3,15 @@
 A summary's node -> representative map travels from the summarizers to the
 catalog file as dictionary ids; the ``Term`` maps are views decoded once, on
 demand.  These tests pin that the views mean what the eager maps meant, that
-the artifact carries no input node's text, that files written in the older
-term-tuple layout still open, and that serving never decodes the map.
+the artifact carries no input node's text, that a payload in the older
+term-tuple layout is skipped and rebuilt, and that serving never decodes the map.
 """
 
 import pickle
 import sqlite3
 import sys
 import threading
+import zlib
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -24,7 +25,8 @@ from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
 from repro.model.terms import Literal
 from repro.model.triple import Triple
-from repro.server.persistence import _pack_summary, _term_columns, _unpack_summary
+from repro.model.dictionary import pack_term
+from repro.server.persistence import _pack, _pack_summary, _unpack, _unpack_summary
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
@@ -178,11 +180,12 @@ def test_summary_artifacts_fit_the_byte_budget_and_hold_no_node_text(bsbm_medium
     _cold_build(path, bsbm_medium)
     payloads = _artifact_payloads(path)
     node_texts = {
-        _term_columns(node)[1].encode("utf-8") for node in bsbm_medium.data_nodes()
+        pack_term(node)[1].encode("utf-8") for node in bsbm_medium.data_nodes()
     }
     assert len(node_texts) > 1000
     for kind in GUARD_KINDS:
-        payload = payloads[f"summary:{kind}"]
+        assert len(payloads[f"summary:{kind}"]) <= 12 * len(bsbm_medium.data_nodes()) + 16 * 1024
+        payload = zlib.decompress(payloads[f"summary:{kind}"])  # what the blob says, inflated
         assert len(payload) <= 12 * len(bsbm_medium.data_nodes()) + 16 * 1024
         # long lexical forms only: a two-character literal can occur in any
         # byte string by accident
@@ -219,11 +222,11 @@ def _old_layout_payload(summary):
         "source_name": summary.source_name,
         "graph_name": summary.graph.name,
         "triples": [
-            (_term_columns(t.subject), _term_columns(t.predicate), _term_columns(t.object))
+            (pack_term(t.subject), pack_term(t.predicate), pack_term(t.object))
             for t in summary.graph
         ],
         "representative_of": [
-            (_term_columns(node), _term_columns(representative))
+            (pack_term(node), pack_term(representative))
             for node, representative in summary.representative_of.items()
         ],
         "source_statistics": None,
@@ -256,7 +259,7 @@ def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
     with GraphCatalog() as scratch:
         entry = scratch.register("g", graph=bsbm_small)
         old = {
-            kind: pickle.dumps(_old_layout_payload(entry.summary(kind)), protocol=4)
+            kind: _pack(_old_layout_payload(entry.summary(kind)))
             for kind in GUARD_KINDS
         }
         workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
@@ -284,7 +287,7 @@ def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
 
     payloads = _artifact_payloads(path)
     for kind in GUARD_KINDS:
-        written = pickle.loads(payloads[f"summary:{kind}"])
+        written = _unpack(payloads[f"summary:{kind}"])
         assert "representative_of" not in written
         assert written["node_ids"].typecode == "i"
     with GraphCatalog.open(path) as catalog:
@@ -296,14 +299,16 @@ def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
 @pytest.mark.parametrize(
     "damage",
     [
-        lambda payload: payload[: len(payload) // 2],  # truncated pickle
-        lambda payload: pickle.dumps(["not", "a", "mapping"], protocol=4),  # wrong shape
-        lambda payload: pickle.dumps(
-            dict(pickle.loads(payload), block_indexes=pickle.loads(payload)["block_indexes"][:-1]),
-            protocol=4,
+        lambda payload: payload[: len(payload) // 2],  # truncated zlib stream
+        lambda payload: payload[:-8] + bytes(8),  # garbled tail: the checksum fails
+        lambda payload: zlib.compress(zlib.decompress(payload)[:40]),  # truncated pickle
+        lambda payload: pickle.dumps(_unpack(payload), protocol=4),  # not compressed at all
+        lambda payload: _pack(["not", "a", "mapping"]),  # wrong shape
+        lambda payload: _pack(
+            dict(_unpack(payload), block_indexes=_unpack(payload)["block_indexes"][:-1])
         ),  # arrays of different lengths
-        lambda payload: pickle.dumps(
-            dict(pickle.loads(payload), summary_nodes=[]), protocol=4
+        lambda payload: _pack(
+            dict(_unpack(payload), summary_nodes=[])
         ),  # block indexes past the node table
     ],
 )
@@ -326,10 +331,14 @@ def test_undecodable_summary_artifacts_are_skipped_and_counted(fig2, tmp_path, d
 def test_a_damaged_maintainer_artifact_stays_fatal_and_typed(fig2, tmp_path):
     path = str(tmp_path / "catalog.db")
     _cold_build(path, fig2)
+    intact = _artifact_payloads(path)["maintainer"]
     for payload in (
-        pickle.dumps(["not", "a", "mapping"], protocol=4),
-        pickle.dumps({"rd": {}}, protocol=4),  # a mapping, but not a full state
-        b"\x80\x04garbage",
+        _pack(["not", "a", "mapping"]),
+        _pack({"rd": {}}),  # a mapping, but not a full state
+        zlib.compress(b"\x80\x04garbage"),
+        b"\x80\x04garbage",  # not a zlib stream
+        intact[: len(intact) // 2],  # truncated
+        intact[:-8] + bytes(8),  # garbled
     ):
         connection = sqlite3.connect(path)
         with connection:
@@ -383,8 +392,15 @@ def test_cold_build_checkpoint_does_not_rewrite_the_rows(bsbm_small, tmp_path, m
         catalog.checkpoint()
         assert full_writes == ["g", "g"]
     with GraphCatalog.open(path) as catalog:
-        # a file this process only opened: row state unknown, full rewrite
+        # a file this process only opened: the load counted its (empty) log
         catalog.checkpoint()
-        assert full_writes == ["g", "g", "g"]
+        assert full_writes == ["g", "g"]
         entry = catalog.entry("g")
         assert entry.version == 1 and not any(entry.build_counters.values())
+        catalog.add_triples("g", [Triple(EX.term("s2"), EX.term("p1"), EX.term("o"))])
+    with GraphCatalog.open(path) as catalog:
+        # ... and a log with rows in it: the checkpoint folds them in
+        assert catalog.log_tail_rows("g") == 1
+        catalog.checkpoint()
+        assert full_writes == ["g", "g", "g"]
+        assert catalog.log_tail_rows("g") == 0

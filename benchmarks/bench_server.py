@@ -408,7 +408,7 @@ def run_saturation_benchmark(args) -> Dict[str, object]:
         report["warm_saturation_rebuilds"] = {
             name: hits
             for name, hits in entry.build_counters.items()
-            if hits and name in ("saturation_builds", "saturated_statistics_scans")
+            if hits and name == "saturation_builds"
         }
         catalog.close()
         print(

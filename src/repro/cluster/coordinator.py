@@ -59,7 +59,6 @@ import multiprocessing
 import queue
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from contextlib import nullcontext
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -81,16 +80,10 @@ from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.service import QueryAnswer, ServiceStatistics
 from repro.store.base import shard_of
 from repro.utils.concurrency import named_lock
-from repro.telemetry import BYTE_BUCKETS, Counter, QueryTrace, Span
+from repro.telemetry import BYTE_BUCKETS, Counter, QueryTrace, Span, maybe_span
 
 __all__ = ["ClusterCoordinator"]
 
-
-def _maybe_span(query_trace: Optional[QueryTrace], name: str, **attributes):
-    """A trace span when tracing, an inert context otherwise."""
-    if query_trace is None:
-        return nullcontext()
-    return query_trace.span(name, **attributes)
 
 #: Queries and loads get generous timeouts (a load ships whole graphs);
 #: heartbeat pings stay short — a busy single-threaded worker not
@@ -969,7 +962,7 @@ class ClusterCoordinator:
             query_trace = trace if isinstance(trace, QueryTrace) else QueryTrace()
         total_start = perf_counter()
         entry = self.catalog.entry(graph_name)
-        with _maybe_span(query_trace, "route") as route_span:
+        with maybe_span(query_trace, "route") as route_span:
             min_version = entry.version
             subject = None if saturated else self._common_subject(query)
             if subject is not None:
@@ -994,7 +987,7 @@ class ClusterCoordinator:
             explain,
             query_trace.trace_id if query_trace is not None else None,
         )
-        with _maybe_span(query_trace, "scatter") as scatter_span:
+        with maybe_span(query_trace, "scatter") as scatter_span:
             results, retries = self._fan_out(handles, payload)
         if query_trace is not None:
             # graft each worker's finished span tree under the scatter span,
@@ -1011,7 +1004,7 @@ class ClusterCoordinator:
                         ),
                         under=scatter_span,
                     )
-        with _maybe_span(query_trace, "gather") as gather_span:
+        with maybe_span(query_trace, "gather") as gather_span:
             answer = self._gather(
                 query, graph_name, target, handles, results, limit, retries,
                 single_shard, entry, explain,

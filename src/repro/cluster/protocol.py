@@ -79,7 +79,7 @@ __all__ = [
 #: the load is acknowledged, so a re-attach after a crash needs no repack.
 OP_LOAD = "load"  # (name, version, tables, deltas)
 OP_DELTA = "delta"  # (name, version, (dict_start, packed_terms), rows)
-OP_QUERY = "query"  # (name, min_version, sparql, target, limit, saturated, explain)
+OP_QUERY = "query"  # (name, min_version, sparql, target, limit, saturated, explain, trace_id)
 OP_DROP = "drop"  # (name,)
 OP_PING = "ping"  # ()
 OP_SHUTDOWN = "shutdown"  # ()

@@ -372,10 +372,7 @@ class _Worker:
         return {"name": name}
 
     def handle_query(self, payload: tuple) -> dict:
-        # older coordinators send 7-tuples; the 8th element is the
-        # propagated trace id of a traced scatter-gather query
-        name, _min_version, text, target, limit, saturated, explain = payload[:7]
-        trace_id = payload[7] if len(payload) > 7 else None
+        name, _min_version, text, target, limit, saturated, explain, trace_id = payload
         self._hydrate_terms(name)  # query terms encode through the dictionary
         service = self.shard_service if target == TARGET_SHARD else self.full_service
         query = parse_query(text, name="cluster")

@@ -4,7 +4,12 @@ The paper's prototype builds the weak summary in a single pass over the
 encoded data-triples table followed by a pass over the type-triples table,
 maintaining the maps described in Section 6.1:
 
-* ``rd`` / ``dr`` — input node → summary node, and its inverse;
+* ``rd`` / ``dr`` — input node → summary node, and its inverse.  Here
+  ``rd`` is an ``array('i')`` indexed by the dense dictionary id, and ``dr``
+  is not materialised: a union-find forest over summary nodes (``parent``)
+  records which node a merged one went into, so a merge costs its
+  summary-sized edges, never a relabelling of the members — and no process
+  holds a per-resource dict entry or set for the weak summary;
 * ``dpSrc`` / ``dpTarg`` — data property → its (unique, Prop. 4) summary
   source / target node;
 * ``srcDps`` / ``targDps`` — summary node → the data properties it is the
@@ -37,9 +42,10 @@ re-scanning the store.
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from itertools import compress
+from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
-from repro.core.naming import SUMMARY_NS, SummaryNamer
+from repro.core.naming import SummaryNamer
 from repro.core.summary import Summary
 from repro.model.dictionary import EncodedTriple
 from repro.model.graph import RDFGraph
@@ -50,42 +56,87 @@ from repro.store.base import TripleStore
 
 __all__ = ["IncrementalWeakSummarizer", "incremental_weak_summary"]
 
+#: ``rd`` code of a resource no triple has mentioned yet.
+_UNSEEN = -1
+#: ``rd`` codes from here down mark a resource known from type triples only:
+#: ``_TYPED_ONLY - k`` carries the interned class set ``k``.
+_TYPED_ONLY = -2
+_NO_CLASSES: FrozenSet[int] = frozenset()
+
 
 class IncrementalWeakSummarizer:
     """Builds the weak summary of the graph loaded in a :class:`TripleStore`."""
 
     def __init__(self, store: TripleStore):
         self.store = store
-        # paper's maps (integer-encoded summary nodes, negative of nothing —
-        # summary node ids are plain consecutive ints minted locally)
-        self._next_node = 0
-        self.rd: Dict[int, int] = {}
-        self.dr: Dict[int, Set[int]] = {}
+        #: Input node -> summary node, as a dense array indexed by dictionary
+        #: id: the summary node the resource was last seen on (resolve it
+        #: through :meth:`_find`), :data:`_UNSEEN`, or a typed-only code.
+        self.rd = array("i")
+        #: The union-find forest over summary nodes (the paper's ``dr``,
+        #: inverted): ``parent[node] == node`` for a live node, otherwise the
+        #: node it was merged into.  Node ids are consecutive, so
+        #: ``len(parent)`` is the next one to mint.
+        self.parent = array("i")
         self.dp_src: Dict[int, int] = {}
         self.dp_targ: Dict[int, int] = {}
         self.src_dps: Dict[int, Set[int]] = {}
         self.targ_dps: Dict[int, Set[int]] = {}
         self.dcls: Dict[int, Set[int]] = {}
         self.dtp: Dict[int, Tuple[int, int, int]] = {}
-        # resources seen only as subjects of type triples so far, with their
-        # class ids.  They are *not* pooled into the shared ``Nτ`` node
-        # eagerly: a data triple may still arrive for them (in which case the
-        # classes move to the proper data node), and pooling them early would
-        # wrongly glue unrelated resources together.  The pooling of the
-        # batch algorithm (Algorithm 3's trailing step) happens at
-        # :meth:`snapshot` time instead, on the decoded output only.
-        self._typed_only: Dict[int, Set[int]] = {}
+        # resources seen only as subjects of type triples so far are *not*
+        # pooled into the shared ``Nτ`` node eagerly: a data triple may
+        # still arrive for them (in which case the classes move to the
+        # proper data node), and pooling them early would wrongly glue
+        # unrelated resources together.  Their class sets are interned here
+        # (``rd`` holds the index, ``class_set_users`` how many resources
+        # carry each), and the pooling of the batch algorithm (Algorithm 3's
+        # trailing step) happens at :meth:`snapshot` time instead, on the
+        # decoded output only.
+        self.class_sets: List[FrozenSet[int]] = []
+        self.class_set_users = array("i")
+        self._class_set_ids: Dict[FrozenSet[int], int] = {}
 
     # ------------------------------------------------------------------
     # node management
     # ------------------------------------------------------------------
+    def _assign(self, resource: int, code: int) -> None:
+        rd = self.rd
+        if resource >= len(rd):
+            # exactly as far as needed: the state then depends on the rows
+            # ingested alone, not on what else the dictionary holds
+            rd.extend(array("i", (_UNSEEN,)) * (resource + 1 - len(rd)))
+        rd[resource] = code
+
+    def _find(self, node: int) -> int:
+        """The live node *node* was merged into (path-compressing)."""
+        parent = self.parent
+        root = parent[node]
+        if root == node:
+            return node
+        while parent[root] != root:
+            root = parent[root]
+        while parent[node] != root:
+            parent[node], node = root, parent[node]
+        return root
+
+    def _node_of(self, resource: int) -> Optional[int]:
+        """The summary node representing *resource* (``None``: none yet)."""
+        rd = self.rd
+        if resource >= len(rd):
+            return None
+        node = rd[resource]
+        if node < 0:
+            return None
+        if self.parent[node] != node:
+            node = rd[resource] = self._find(node)
+        return node
+
     def _create_data_node(self, resource: Optional[int] = None) -> int:
-        node = self._next_node
-        self._next_node += 1
-        self.dr[node] = set()
+        node = len(self.parent)
+        self.parent.append(node)
         if resource is not None:
-            self.rd[resource] = node
-            self.dr[node].add(resource)
+            self._assign(resource, node)
         return node
 
     def _edge_count(self, node: int) -> int:
@@ -104,7 +155,8 @@ class IncrementalWeakSummarizer:
 
         Ties are broken toward the node minted first (smaller id), so the
         summary structure is reproducible regardless of dict iteration or
-        triple insertion order.
+        triple insertion order.  The dropped node's resources follow through
+        the union-find link; only its (summary-sized) edges are rewritten.
         """
         if first == second:
             return first
@@ -114,9 +166,7 @@ class IncrementalWeakSummarizer:
             keep, drop = (first, second) if first_edges > second_edges else (second, first)
         else:
             keep, drop = (first, second) if first < second else (second, first)
-        for resource in self.dr.pop(drop, set()):
-            self.rd[resource] = keep
-            self.dr.setdefault(keep, set()).add(resource)
+        self.parent[drop] = keep
         for prop in self.src_dps.pop(drop, set()):
             self.dp_src[prop] = keep
             self.src_dps.setdefault(keep, set()).add(prop)
@@ -134,35 +184,18 @@ class IncrementalWeakSummarizer:
     # ------------------------------------------------------------------
     # Algorithm 2: representing subjects and objects of data triples
     # ------------------------------------------------------------------
-    def _get_source(self, subject: int, prop: int) -> int:
-        source_of_property = self.dp_src.get(prop)
-        source_of_subject = self.rd.get(subject)
-        if source_of_property is None and source_of_subject is None:
-            return self._create_data_node(subject)
-        if source_of_property is not None and source_of_subject is None:
-            self.rd[subject] = source_of_property
-            self.dr.setdefault(source_of_property, set()).add(subject)
-            return source_of_property
-        if source_of_property is None:
-            return source_of_subject
-        if source_of_property == source_of_subject:
-            return source_of_subject
-        return self._merge_data_nodes(source_of_subject, source_of_property)
-
-    def _get_target(self, obj: int, prop: int) -> int:
-        target_of_property = self.dp_targ.get(prop)
-        target_of_object = self.rd.get(obj)
-        if target_of_property is None and target_of_object is None:
-            return self._create_data_node(obj)
-        if target_of_property is not None and target_of_object is None:
-            self.rd[obj] = target_of_property
-            self.dr.setdefault(target_of_property, set()).add(obj)
-            return target_of_property
-        if target_of_property is None:
-            return target_of_object
-        if target_of_property == target_of_object:
-            return target_of_object
-        return self._merge_data_nodes(target_of_object, target_of_property)
+    def _endpoint(self, resource: int, node_of_property: Optional[int]) -> int:
+        """GETSOURCE / GETTARGET: the node standing for *resource* at one end
+        of a property whose node at that end (if any) is *node_of_property*."""
+        node_of_resource = self._node_of(resource)
+        if node_of_resource is None:
+            if node_of_property is None:
+                return self._create_data_node(resource)
+            self._assign(resource, node_of_property)
+            return node_of_property
+        if node_of_property is None or node_of_property == node_of_resource:
+            return node_of_resource
+        return self._merge_data_nodes(node_of_resource, node_of_property)
 
     # ------------------------------------------------------------------
     # Algorithm 1: summarizing data triples
@@ -174,14 +207,20 @@ class IncrementalWeakSummarizer:
         type triples is promoted to a proper data node here, carrying its
         pending classes along.
         """
-        pending_subject = self._typed_only.pop(subject, None)
-        pending_object = self._typed_only.pop(obj, None)
-        self._get_source(subject, prop)
-        self._get_target(obj, prop)
-        # GETTARGET may have merged the node GETSOURCE returned (and
-        # vice-versa), so both are re-resolved before creating the edge.
-        source = self._get_source(subject, prop)
-        target = self._get_target(obj, prop)
+        rd = self.rd
+        pending_subject = pending_object = _NO_CLASSES
+        # (the common row finds both ends already on the property's own
+        # nodes — which are live, and rule out a typed-only code)
+        source = self.dp_src.get(prop)
+        if source is None or subject >= len(rd) or rd[subject] != source:
+            pending_subject = self._take_pending_classes(subject)
+            source = self._endpoint(subject, source)
+        target = self.dp_targ.get(prop)
+        if target is None or obj >= len(rd) or rd[obj] != target:
+            pending_object = self._take_pending_classes(obj)
+            target = self._endpoint(obj, target)
+            # GETTARGET may have merged the node GETSOURCE returned into another
+            source = self._find(source)
         if prop not in self.dtp:
             self.dtp[prop] = (source, prop, target)
             self.dp_src[prop] = source
@@ -189,18 +228,37 @@ class IncrementalWeakSummarizer:
             self.dp_targ[prop] = target
             self.targ_dps.setdefault(target, set()).add(prop)
         if pending_subject:
-            self.dcls.setdefault(self.rd[subject], set()).update(pending_subject)
+            self.dcls.setdefault(self._node_of(subject), set()).update(pending_subject)
         if pending_object:
-            self.dcls.setdefault(self.rd[obj], set()).update(pending_object)
+            self.dcls.setdefault(self._node_of(obj), set()).update(pending_object)
 
     # ------------------------------------------------------------------
     # Algorithm 3: summarizing type triples
     # ------------------------------------------------------------------
+    def _take_pending_classes(self, resource: int) -> FrozenSet[int]:
+        """Un-park a typed-only *resource*; the classes it was parked with."""
+        rd = self.rd
+        if resource >= len(rd) or rd[resource] > _TYPED_ONLY:
+            return _NO_CLASSES
+        index = _TYPED_ONLY - rd[resource]
+        self.class_set_users[index] -= 1
+        rd[resource] = _UNSEEN
+        return self.class_sets[index]
+
+    def _park_typed_only(self, resource: int, classes: FrozenSet[int]) -> None:
+        index = self._class_set_ids.get(classes)
+        if index is None:
+            index = self._class_set_ids[classes] = len(self.class_sets)
+            self.class_sets.append(classes)
+            self.class_set_users.append(0)
+        self.class_set_users[index] += 1
+        self._assign(resource, _TYPED_ONLY - index)
+
     def ingest_type(self, subject: int, class_id: int) -> None:
         """Apply one encoded type triple (Algorithm 3, order-independent)."""
-        node = self.rd.get(subject)
+        node = self._node_of(subject)
         if node is None:
-            self._typed_only.setdefault(subject, set()).add(class_id)
+            self._park_typed_only(subject, self._take_pending_classes(subject) | {class_id})
         else:
             self.dcls.setdefault(node, set()).add(class_id)
 
@@ -226,21 +284,22 @@ class IncrementalWeakSummarizer:
     # durable state (the persistent-catalog warm-start path)
     # ------------------------------------------------------------------
     #: The attributes that fully determine the summarizer's state.  Every
-    #: one is a pure-integer structure (dicts / sets / tuples of term ids),
-    #: so a state dict serializes safely across processes — unlike
-    #: :class:`~repro.model.terms.Term` objects, whose memoized hashes are
-    #: salted per process and must never be persisted.
+    #: one is a pure-integer structure — two ``array('i')`` sized by the
+    #: dictionary and the node count, and summary-sized dicts / sets / tuples
+    #: of term ids — so a state dict serializes safely across processes,
+    #: unlike :class:`~repro.model.terms.Term` objects, whose memoized hashes
+    #: are salted per process and must never be persisted.
     _STATE_KEYS = (
         "rd",
-        "dr",
+        "parent",
         "dp_src",
         "dp_targ",
         "src_dps",
         "targ_dps",
         "dcls",
         "dtp",
-        "_typed_only",
-        "_next_node",
+        "class_sets",
+        "class_set_users",
     )
 
     def state_dict(self) -> Dict[str, object]:
@@ -248,9 +307,9 @@ class IncrementalWeakSummarizer:
 
         The returned dict *references* the live maps (no copy): serialize or
         deep-copy it before the summarizer ingests anything further.  This is
-        what the persistent catalog checkpoints, so a restarted process can
-        :meth:`load_state` and keep maintaining the weak summary without
-        re-scanning the store.
+        what the persistent catalog checkpoints and the cluster coordinator
+        packs into a segment, so another process can :meth:`load_state` and
+        keep maintaining the weak summary without re-scanning the store.
         """
         return {key: getattr(self, key) for key in self._STATE_KEYS}
 
@@ -259,13 +318,18 @@ class IncrementalWeakSummarizer:
 
         The summarizer behaves exactly as if it had ingested the rows the
         state was built from — :meth:`snapshot` decodes the same summary, and
-        further ``ingest_*`` calls continue from there.
+        further ``ingest_*`` calls continue from there.  A state in the
+        dict-and-sets shape older builds checkpointed (``rd`` a dict, a
+        ``dr`` of member sets) is converted on the way in.
         """
+        if "dr" in state:
+            state = _arrays_from_maps(state)
         missing = [key for key in self._STATE_KEYS if key not in state]
         if missing:
             raise ValueError(f"incomplete summarizer state: missing {missing}")
         for key in self._STATE_KEYS:
             setattr(self, key, state[key])
+        self._class_set_ids = {classes: index for index, classes in enumerate(self.class_sets)}
 
     # ------------------------------------------------------------------
     def build(self) -> Summary:
@@ -314,19 +378,31 @@ class IncrementalWeakSummarizer:
                 summary_graph.add(Triple(uri_of(node), RDF_TYPE, class_term))
 
         # the rd map leaves as it is held — resource ids and the position of
-        # each one's summary node — with no resource decoded
-        node_ids = array("i", self.rd)
-        block_indexes = array("i", map(position, self.rd.values()))
+        # each one's summary node — with no resource decoded.  Every node is
+        # resolved to its live root once, on a copy: the forest stays as is.
+        root_of = array("i", self.parent)
+        for node in range(len(root_of)):
+            root = node
+            while root_of[root] != root:
+                root = root_of[root]
+            while root_of[node] != root:
+                root_of[node], node = root, root_of[node]
+        node_position = list(map(position, root_of))
+        rd = self.rd
+        on_data_node = list(map((0).__le__, rd))
+        node_ids = array("i", compress(range(len(rd)), on_data_node))
+        block_indexes = array("i", map(node_position.__getitem__, compress(rd, on_data_node)))
 
-        if self._typed_only:
+        typed_only = array("i", compress(range(len(rd)), map(_TYPED_ONLY.__ge__, rd)))
+        if typed_only:
             ntau_position = len(summary_nodes)
             ntau_uri = namer.for_key(("incremental", "typed-only"), hint="Ntau")
             summary_nodes.append(ntau_uri)
             class_ids: Set[int] = set()
-            for classes in self._typed_only.values():
+            for classes in compress(self.class_sets, self.class_set_users):
                 class_ids |= classes
-            node_ids.extend(self._typed_only)
-            block_indexes.extend([ntau_position] * len(self._typed_only))
+            node_ids.extend(typed_only)
+            block_indexes.extend([ntau_position] * len(typed_only))
             for class_id in class_ids:
                 summary_graph.add(Triple(ntau_uri, RDF_TYPE, self.store.decode_term(class_id)))
 
@@ -339,6 +415,41 @@ class IncrementalWeakSummarizer:
             self.store.dictionary.decode_table,
             source_name="store",
         )
+
+
+#: The summary-sized maps a pre-array state shares with today's.
+_CARRIED_KEYS = ("dp_src", "dp_targ", "src_dps", "targ_dps", "dcls", "dtp")
+
+
+def _arrays_from_maps(state: Dict[str, object]) -> Dict[str, object]:
+    """A pre-array state — ``rd`` a dict, ``dr`` its inverse as member sets,
+    ``_typed_only`` a dict of class sets, ``_next_node`` — in today's shape."""
+    missing = [key for key in ("rd", "_typed_only", "_next_node", *_CARRIED_KEYS) if key not in state]
+    if missing:
+        raise ValueError(f"incomplete summarizer state: missing {missing}")
+    nodes: Dict[int, int] = state["rd"]
+    typed_only: Dict[int, Set[int]] = state["_typed_only"]
+    rd = array("i", (_UNSEEN,)) * (max((*nodes, *typed_only), default=-1) + 1)
+    for resource, node in nodes.items():
+        rd[resource] = node
+    index_of: Dict[FrozenSet[int], int] = {}
+    class_set_users = array("i")
+    for resource, classes in typed_only.items():
+        index = index_of.setdefault(frozenset(classes), len(index_of))
+        if index == len(class_set_users):
+            class_set_users.append(0)
+        class_set_users[index] += 1
+        rd[resource] = _TYPED_ONLY - index
+    upgraded = {key: state[key] for key in _CARRIED_KEYS}
+    # every merge used to relabel the dropped node's members: each node the
+    # old ``rd`` names is live, so the forest starts out flat
+    upgraded.update(
+        rd=rd,
+        parent=array("i", range(state["_next_node"])),
+        class_sets=list(index_of),
+        class_set_users=class_set_users,
+    )
+    return upgraded
 
 
 def incremental_weak_summary(store: TripleStore) -> Summary:

@@ -276,7 +276,8 @@ class ServerApp:
                     ),
                 }
 
-        # statistics_index() can cost a full scan on first use: pool-bounded
+        # statistics_index() can cost the deferred index build on first use,
+        # and the class counts are one pass over the type table: pool-bounded
         return 200, self.executor.run(build)
 
     def graph_summary(self, name: str, kind: str, query_string: Dict) -> Tuple[int, Dict]:

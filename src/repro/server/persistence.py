@@ -18,11 +18,14 @@ stores every fact once, packed, each blob through :mod:`zlib`:
 * the **encoded triples** in ``graph_columns`` — one row per table holding
   its three id columns as the narrowest native int array that fits (the
   ``width`` column records it), whatever backend serves the graph;
-* the **artifacts** in ``artifacts`` — the weak-summary maintainer maps, the
-  cardinality statistics, the ``G∞`` saturator state with its derived-row
-  log and profile, and every summary cached at checkpoint time, all tagged
-  with the checkpoint's entry version.  Maintainer, statistics and saturator
-  payloads are pickles of pure-integer structures.  A summary payload holds
+* the **artifacts** in ``artifacts`` — the weak-summary maintainer state
+  (dense ``array('i')`` maps), the ``G∞`` saturator state with its
+  derived-row log, and every summary cached at checkpoint time, all tagged
+  with the checkpoint's entry version.  Maintainer and saturator payloads
+  are pickles of pure-integer structures.  Cardinality statistics are not
+  an artifact: every process reads them off the indexes of the rows it
+  loads (``statistics`` / ``saturation_statistics`` rows left by an older
+  build are ignored and disappear with the next checkpoint).  A summary payload holds
   its node -> representative map as two packed ``array('i')`` over the
   graph's own dictionary ids and only the summary graph and the minted
   summary nodes as term tuples.  Summary artifacts are *expendable*: one
@@ -50,7 +53,7 @@ column blobs, rows in ``graph_triples``) open through a reader of their rows
 alone — no artifact of theirs is decoded, every one is rebuilt — and each
 graph is rewritten in this layout by its first durable write.  A blob that
 does not inflate or decode is a :class:`~repro.errors.PersistenceError`
-(dictionary, columns, maintainer, statistics, saturation) or a skipped
+(dictionary, columns, maintainer, saturation) or a skipped
 summary, never a bare ``zlib`` / ``pickle`` traceback.
 
 The payloads use :mod:`pickle` (stdlib, compact, fast) over structures that
@@ -83,7 +86,6 @@ from repro.model.dictionary import (
 )
 from repro.model.graph import GraphStatistics, RDFGraph
 from repro.model.triple import Triple, TripleKind
-from repro.service.statistics import CardinalityStatistics
 from repro.store.base import TripleStore
 
 __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
@@ -143,8 +145,7 @@ CREATE TABLE IF NOT EXISTS graph_columns (
 );
 CREATE TABLE IF NOT EXISTS artifacts (
     graph   TEXT NOT NULL,
-    name    TEXT NOT NULL,              -- maintainer | statistics | summary:<kind>
-                                        --   | saturation | saturation_statistics
+    name    TEXT NOT NULL,              -- maintainer | summary:<kind> | saturation
     version INTEGER NOT NULL,           -- the entry version checkpointed
     payload BLOB NOT NULL,              -- zlib(pickle(...))
     PRIMARY KEY (graph, name)
@@ -288,13 +289,11 @@ class GraphSnapshot(NamedTuple):
     #: ``None`` for a graph read from a pre-3 layout: the caller rebuilds
     #: every artifact from the store (which then holds *all* the rows).
     maintainer_state: Optional[Dict[str, object]]
-    statistics: Optional[CardinalityStatistics] = None
     summaries: Optional[Dict[str, Summary]] = None
     #: The incremental saturator's state (schema maps + derived-row log),
     #: when the graph's ``G∞`` cache was checkpointed — lets the restarted
     #: entry rehydrate the saturated store without applying a single rule.
     saturation_state: Optional[Dict[str, object]] = None
-    saturation_statistics: Optional[CardinalityStatistics] = None
     #: The version everything above was checkpointed at, and the rows logged
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
@@ -429,15 +428,9 @@ class PersistentCatalog:
     def _artifact_rows(self, entry) -> Iterator[Tuple[str, bytes]]:
         """The artifact payloads of *entry* at its current version."""
         yield "maintainer", _pack(entry.maintainer_state())
-        statistics = entry.cached_statistics()
-        if statistics is not None:
-            yield "statistics", _pack(statistics)
         saturation_state = entry.saturation_state()
         if saturation_state is not None:
             yield "saturation", _pack(saturation_state)
-            saturation_statistics = entry.saturation_cached_statistics()
-            if saturation_statistics is not None:
-                yield "saturation_statistics", _pack(saturation_statistics)
         for kind, summary in entry.cached_summaries().items():
             yield f"summary:{kind}", _pack(_pack_summary(summary, entry.store.dictionary))
 
@@ -690,7 +683,10 @@ class PersistentCatalog:
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
                     continue
-                artifacts[artifact_name] = _unpack(payload)
+                if artifact_name in ("maintainer", "saturation"):
+                    # anything else is a row an older build left (its
+                    # pickled statistics profiles): never decoded
+                    artifacts[artifact_name] = _unpack(payload)
                 if artifact_name == "maintainer":
                     checkpoint_version = artifact_version
             if not legacy and not isinstance(artifacts.get("maintainer"), dict):
@@ -716,10 +712,8 @@ class PersistentCatalog:
             version=version,
             store=store,
             maintainer_state=artifacts["maintainer"],
-            statistics=artifacts.get("statistics"),
             summaries=summaries,
             saturation_state=artifacts.get("saturation"),
-            saturation_statistics=artifacts.get("saturation_statistics"),
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
         )

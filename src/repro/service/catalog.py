@@ -36,9 +36,8 @@ Durability
 A catalog opened through :meth:`GraphCatalog.open` is backed by a
 :class:`repro.server.persistence.PersistentCatalog` — a checkpoint plus a
 row log.  Registrations and :meth:`GraphCatalog.checkpoint` write the
-checkpoint (rows, dictionary, weak-summary maps, statistics, ``G∞`` state,
-cached summaries); every ``add_triples`` batch is logged atomically, delta
-only.  A restarted process installs the checkpointed state and feeds the
+checkpoint (rows, dictionary, weak-summary maps, ``G∞`` state, cached
+summaries); every ``add_triples`` batch is logged atomically, delta only.  A restarted process installs the checkpointed state and feeds the
 logged rows through the same incremental maintenance an ingest runs
 (:meth:`CatalogEntry.replay`), so it warm-starts with **zero** re-scan or
 re-summarization — after a clean shutdown the ``build_counters`` of a warm
@@ -177,14 +176,7 @@ class CatalogEntry:
         #: catalog keeps all of them at zero through its first queries —
         #: the durability tests assert exactly that.
         self.build_counters: BuildCounters = BuildCounters(
-            (
-                "prime_scans",
-                "statistics_scans",
-                "summary_builds",
-                "weak_snapshots",
-                "saturation_builds",
-                "saturated_statistics_scans",
-            )
+            ("prime_scans", "summary_builds", "weak_snapshots", "saturation_builds")
         )
         # shared registry instruments (one histogram for all entries)
         self._write_wait_seconds = telemetry.histogram("lock.write_wait.seconds")
@@ -218,8 +210,9 @@ class CatalogEntry:
         #: materialized into a live target store; consumed by the first
         #: saturated access *or* the first ingest, whichever comes first.
         self._saturation_pending: Optional[Dict[str, object]] = None
-        self._saturation_statistics_pending: Optional[CardinalityStatistics] = None
-        self._statistics: Optional[Tuple[int, CardinalityStatistics]] = None
+        #: The store's cardinality profile: read off the store's indexes on
+        #: first use, then kept current in place by every ingest.
+        self._statistics: Optional[CardinalityStatistics] = None
         self._planner: Optional[Tuple[int, QueryPlanner]] = None
         self._evaluators: Dict[str, EncodedEvaluator] = {}
         self.evaluator = self.evaluator_for("hash")
@@ -242,31 +235,27 @@ class CatalogEntry:
         store: TripleStore,
         version: int,
         maintainer_state: Dict[str, object],
-        statistics: Optional[CardinalityStatistics] = None,
         summaries: Optional[Dict[str, Summary]] = None,
         saturation_state: Optional[Dict[str, object]] = None,
-        saturation_statistics: Optional[CardinalityStatistics] = None,
     ) -> "CatalogEntry":
         """Warm-start an entry from persisted state (no priming scan).
 
-        The store arrives already loaded; the weak-summary maps, the
-        cardinality profile and any cached summaries are installed as-is at
-        *version*, so the first query costs exactly what a long-running
-        process would have paid — no re-scan, no re-summarization.  A
-        persisted saturation state is kept *pending*: the first saturated
-        access (or the first ingest) rehydrates the ``G∞`` store from the
-        base rows plus the derived log, applying zero rules —
+        The store arrives already loaded; the weak-summary maps and any
+        cached summaries are installed as-is at *version*, so the first
+        query costs exactly what a long-running process would have paid —
+        no re-scan, no re-summarization (the cardinality profile is never
+        persisted: it is read off the store's indexes).  A persisted
+        saturation state is kept *pending*: the first saturated access (or
+        the first ingest) rehydrates the ``G∞`` store from the base rows
+        plus the derived log, applying zero rules —
         ``build_counters["saturation_builds"]`` stays at zero.
         """
         entry = cls(name, store, prime=False)
         entry.version = version
         entry._maintainer.load_state(maintainer_state)
-        if statistics is not None:
-            entry._statistics = (version, statistics)
         for kind, summary in (summaries or {}).items():
             entry._summaries[normalize_kind(kind)] = (version, summary)
         entry._saturation_pending = saturation_state
-        entry._saturation_statistics_pending = saturation_statistics
         return entry
 
     def _ensure_primed(self) -> None:
@@ -302,9 +291,9 @@ class CatalogEntry:
         filters against its rows), so re-adding data neither duplicates
         SQLite rows nor invalidates caches.  The cardinality statistics are
         refreshed in the same breath as the summary caches: the freshly
-        inserted rows are folded into the live profile (exact — the profile
-        keeps distinct-id sets) and re-tagged with the new version, so the
-        planner's estimates never lag an incremental ingest.  A live
+        inserted rows are folded into the live profile (exact — the store's
+        indexes tell a new key from a known one), so the planner's
+        estimates never lag an incremental ingest.  A live
         saturated store is likewise maintained **in place** — the batch is
         pushed through the delta rules (see :meth:`_maintain_saturated`),
         never rebuilt.  Every other cached artifact (non-weak summaries,
@@ -401,9 +390,7 @@ class CatalogEntry:
             self._maintainer.ingest_rows(rows)
             self.version = self.version + 1 if version is None else version
             if self._statistics is not None:
-                statistics = self._statistics[1]
-                statistics.ingest_rows(rows)
-                self._statistics = (self.version, statistics)
+                self._statistics.ingest_rows(rows)
             self._maintain_saturated(rows)
         if self._on_update is not None:
             self._on_update(self, rows)
@@ -444,22 +431,19 @@ class CatalogEntry:
     # statistics, planning and evaluators
     # ------------------------------------------------------------------
     def statistics_index(self) -> CardinalityStatistics:
-        """The store's cardinality profile, version-fresh.
+        """The store's cardinality profile, always current.
 
-        Built in one scan pass on first use; kept fresh *incrementally* by
-        :meth:`add_triples` afterwards (never re-scanned).
+        Read off the store's indexes on first use (integers only, no scan
+        on the memory backend); kept fresh *in place* by :meth:`add_triples`
+        afterwards.
         """
-        cached = self._statistics
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        with self._init_lock:
-            cached = self._statistics
-            if cached is not None and cached[0] == self.version:
-                return cached[1]
-            self.build_counters["statistics_scans"] += 1
-            statistics = CardinalityStatistics.from_store(self.store)
-            self._statistics = (self.version, statistics)
-            return statistics
+        statistics = self._statistics
+        if statistics is None:
+            with self._init_lock:
+                statistics = self._statistics
+                if statistics is None:
+                    statistics = self._statistics = CardinalityStatistics.from_store(self.store)
+        return statistics
 
     def planner(self) -> QueryPlanner:
         """The entry's query planner, rebuilt (with an empty plan cache)
@@ -537,14 +521,6 @@ class CatalogEntry:
         mutated again (the persistence layer runs under the entry's lock)."""
         self._ensure_primed()
         return self._maintainer.state_dict()
-
-    def cached_statistics(self) -> Optional[CardinalityStatistics]:
-        """The cardinality profile **iff** fresh at the current version
-        (``None`` otherwise — never triggers the one-pass build)."""
-        cached = self._statistics
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        return None
 
     def cached_summaries(self) -> Dict[str, Summary]:
         """The summaries cached *at the current version* (no builds)."""
@@ -642,18 +618,16 @@ class CatalogEntry:
         saturator.rehydrate()
         state = _SaturatedState(saturator)
         state.metrics["build_seconds"] = perf_counter() - build_start
-        state.statistics = self._saturation_statistics_pending
         self._saturation_pending = None
-        self._saturation_statistics_pending = None
         self._saturated = state
         return state
 
     def _saturated_statistics(self) -> CardinalityStatistics:
         """The saturated store's cardinality profile (lazy; then in-place).
 
-        Built by one scan of the (memory-backed) saturated store on first
-        planned saturated evaluation — unless a warm start restored it —
-        and from then on extended row-by-row with each delta's derivations.
+        Read off the (memory-backed) saturated store's indexes on first
+        planned saturated evaluation, and from then on kept current with
+        each delta's derivations.
         """
         state = self._saturated
         if state is not None and state.statistics is not None:
@@ -661,7 +635,6 @@ class CatalogEntry:
         with self._init_lock:
             state = self._ensure_saturated()
             if state.statistics is None:
-                self.build_counters["saturated_statistics_scans"] += 1
                 state.statistics = CardinalityStatistics.from_store(state.store)
             return state.statistics
 
@@ -702,13 +675,6 @@ class CatalogEntry:
             if self._saturated is not None:
                 return self._saturated.saturator.state_dict()
             return self._saturation_pending
-
-    def saturation_cached_statistics(self) -> Optional[CardinalityStatistics]:
-        """The saturated store's profile, when one exists (never builds)."""
-        with self._init_lock:
-            if self._saturated is not None:
-                return self._saturated.statistics
-            return self._saturation_statistics_pending
 
     def saturation_metrics(self) -> Optional[Dict[str, object]]:
         """Maintenance metrics of the ``G∞`` cache (``None`` when unused).
@@ -808,8 +774,8 @@ class GraphCatalog:
 
         Every graph persisted in the file is warm-started: its checkpointed
         rows and dictionary are bulk-restored into a fresh *store_factory*
-        backend, the weak-summary maps, cardinality statistics, ``G∞`` state
-        and cached summaries are installed directly, and the rows logged
+        backend, the weak-summary maps, ``G∞`` state and cached summaries
+        are installed directly, and the rows logged
         since the checkpoint are replayed (:meth:`CatalogEntry.replay`) —
         zero re-scans, zero re-summarization; with an empty log
         ``entry.build_counters`` stay at zero.  Registrations checkpoint,
@@ -841,10 +807,8 @@ class GraphCatalog:
                             store=snapshot.store,
                             version=snapshot.checkpoint_version,
                             maintainer_state=snapshot.maintainer_state,
-                            statistics=snapshot.statistics,
                             summaries=snapshot.summaries,
                             saturation_state=snapshot.saturation_state,
-                            saturation_statistics=snapshot.saturation_statistics,
                         )
                     except ValueError as error:  # an incomplete maintainer state
                         raise PersistenceError(
@@ -876,8 +840,8 @@ class GraphCatalog:
         Write-through already keeps every acknowledged row and dictionary
         id durable in the log; a checkpoint folds the log into the packed
         column snapshot and captures the maintained state as it stands —
-        weak-summary maps, statistics, ``G∞``, the summaries cached since —
-        so the next warm start replays nothing and rebuilds nothing.  An
+        weak-summary maps, ``G∞``, the summaries cached since — so the next
+        warm start replays nothing and rebuilds nothing.  An
         entry whose checkpointed rows are already current only has its
         artifacts replaced.
         """
@@ -891,10 +855,9 @@ class GraphCatalog:
                 if entry.closed:
                     continue  # raced a drop(); must not resurrect it durably
                 # make sure the weak summary (cheap: decoded from the live
-                # incremental maps) and the cardinality profile ride along,
-                # so the warm-started process rebuilds neither
+                # incremental maps) rides along, so the warm-started
+                # process does not rebuild it
                 entry.summary("weak")
-                entry.statistics_index()
                 if entry._persist_dirty or not persistence.refresh_artifacts(entry):
                     persistence.save_graph(entry)
                     entry._persist_dirty = False  # full rewrite heals any divergence
@@ -971,10 +934,9 @@ class GraphCatalog:
             entry = CatalogEntry(name, store, loaded_rows=loaded_rows, prime=prime)
             if self._persistence is not None:
                 entry._on_update = self._persist_update
-                # build what a warm start must not: the weak snapshot and
-                # the statistics profile are checkpointed alongside the rows
+                # build what a warm start must not: the weak snapshot is
+                # checkpointed alongside the rows
                 entry.summary("weak")
-                entry.statistics_index()
                 self._persistence.save_graph(entry)
             with self._lock:
                 self._entries[name] = entry

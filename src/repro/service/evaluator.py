@@ -800,23 +800,15 @@ class EncodedEvaluator:
                     # fan-out the caller never reads — run the pipelined
                     # nested loop instead, which stops at the limit (the
                     # classic LIMIT-pushes-toward-index-nested-loop rule)
-                    for binding in self._iter_nested(compiled, None):
-                        answers.add(tuple(decode(binding[slot]) for slot in head))
-                        if len(answers) >= limit:
-                            break
-                    return answers
+                    return self._first_distinct(self._iter_nested(compiled, None), head, limit)
                 # stream the final stage so a limit (or an ASK) never pays
                 # for join fan-out beyond what it reads
                 lazy_rows, slot_positions = self._hash_bindings(
                     compiled, trace, stream_final=True, plan=plan
                 )
-                head_positions = [slot_positions[slot] for slot in head]
-                add = answers.add
-                for binding in lazy_rows:
-                    add(tuple(decode(binding[position]) for position in head_positions))
-                    if len(answers) >= limit:
-                        break
-                return answers
+                return self._first_distinct(
+                    lazy_rows, [slot_positions[slot] for slot in head], limit
+                )
             binding_rows, slot_positions = self._hash_bindings(compiled, trace)
             if not binding_rows:
                 return answers
@@ -848,6 +840,22 @@ class EncodedEvaluator:
             if limit is not None and len(answers) >= limit:
                 break
         return answers
+
+    def _first_distinct(
+        self, bindings: Iterable[Sequence[int]], head_positions: Sequence[int], limit: int
+    ) -> Set[Tuple[Term, ...]]:
+        """The first *limit* distinct head projections of *bindings*, decoded.
+
+        Deduplicated on id tuples (ids and terms are one-to-one), so only
+        the rows kept are decoded — in the order they were first produced.
+        """
+        kept: Dict[Tuple[int, ...], None] = {}
+        for binding in bindings:
+            kept[tuple(binding[position] for position in head_positions)] = None
+            if len(kept) >= limit:
+                break
+        terms = self.store.dictionary.decode_table
+        return {tuple(terms[value] for value in row) for row in kept}
 
     def has_answers(self, query) -> bool:
         """``True`` when the query has at least one embedding on the store.

@@ -26,7 +26,6 @@ straight to step 3 and is answered exactly, just without the shortcut.
 from __future__ import annotations
 
 import threading
-from contextlib import nullcontext
 from time import perf_counter
 from typing import Dict, Optional, Sequence, Set, Tuple, Union
 
@@ -41,7 +40,7 @@ from repro.queries.evaluation import has_answers
 from repro.service.catalog import GraphCatalog
 from repro.service.evaluator import STRATEGIES
 from repro.service.planner import ExecutionTrace
-from repro.telemetry import Counter, QueryTrace
+from repro.telemetry import Counter, QueryTrace, maybe_span
 
 __all__ = ["QueryAnswer", "QueryService", "ServiceStatistics"]
 
@@ -304,12 +303,6 @@ def _guard_applies(query: BGPQuery) -> bool:
     return all(not is_schema_property(pattern.predicate) for pattern in query.patterns)
 
 
-def _maybe_span(query_trace: Optional[QueryTrace], name: str, **attributes):
-    """A trace span when tracing, an inert context otherwise."""
-    if query_trace is None:
-        return nullcontext()
-    return query_trace.span(name, **attributes)
-
 
 class QueryService:
     """Answers BGP queries over catalog graphs, summary guard first.
@@ -450,7 +443,7 @@ class QueryService:
             pruned = False
             pruned_by: Optional[str] = None
             guard_order: Tuple[str, ...] = ()
-            with _maybe_span(query_trace, "guard") as guard_span:
+            with maybe_span(query_trace, "guard") as guard_span:
                 if prunable:
                     guard_order = self._guard_cascade(entry)
                     for guard_kind in guard_order:
@@ -477,7 +470,7 @@ class QueryService:
                 else:
                     evaluator = entry.evaluator_for(self.strategy)
                 evaluation_start = perf_counter()
-                with _maybe_span(
+                with maybe_span(
                     query_trace, "evaluate", strategy=self.strategy
                 ) as evaluate_span:
                     answers = evaluator.evaluate(query, limit=limit, trace=execution_trace)

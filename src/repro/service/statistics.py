@@ -5,27 +5,34 @@ any cost-based decision about a query over those tables — join order, guard
 cascade order — needs the table shapes: how many rows each table holds, how
 many of them carry each property, and how many *distinct* subjects/objects
 each property touches (the classic selectivity denominators).  This module
-maintains exactly that, one integer-keyed profile per store:
+holds exactly that, one profile per store:
 
-* per-table row counts;
-* per-property row counts and distinct subject / object sets, per table;
-* class-membership counts (rows of the type table per class id);
-* table-level distinct subject / object / property counts.
+* per-table row counts and distinct subject / object counts;
+* per-property row counts and distinct subject / object counts, per table;
+* class-membership counts (rows of the type table per class id).
 
-A profile is *computable in one pass* over an existing store
-(:meth:`CardinalityStatistics.from_store` — one ``scan_columns`` sweep per
-table, no SQL round-trips per property) and *maintainable incrementally*
-(:meth:`CardinalityStatistics.ingest_rows` — the same ``(kind, row)`` batches
-:meth:`TripleStore.insert_triples` returns), so the serving layer never
-re-scans a store to keep its estimates fresh.  Distinct counts are exact:
-the per-property subject/object id sets are kept, which at the scales this
-prototype serves (hundreds of thousands of rows) is a few megabytes — the
-price of estimates that never drift.
+A profile is **integers only** — O(properties) of them, whatever the row
+count — and gets its exactness from the store's own indexes, never from a
+private copy of the ids.  :meth:`CardinalityStatistics.from_store` reads
+:meth:`TripleStore.cardinalities <repro.store.base.TripleStore.cardinalities>`
+(for the memory store an O(1) read per property off the posting runs, no
+scan); :meth:`CardinalityStatistics.ingest_rows` — fed the ``(kind, row)``
+batches :meth:`TripleStore.insert_triples` returns, after the insert — either
+re-reads those counts, when the store keeps them live
+(``counts_distinct_keys``), or decides "was this ``(p, s)`` / ``(p, o)`` /
+``s`` / ``o`` new" with one :meth:`TripleStore.count_rows
+<repro.store.base.TripleStore.count_rows>` probe per key of the batch.  Either
+way the profile stays equal to a fresh :meth:`from_store` in O(batch · log n),
+so there is nothing worth persisting or shipping: every process derives it
+from the rows it already holds.  Class-membership counts are not stored at
+all — :meth:`class_count` is a ``count_rows`` probe of the type table's
+object index.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Optional, Set, Tuple
+from collections import Counter
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from repro.model.dictionary import EncodedTriple
 from repro.model.triple import TripleKind
@@ -39,20 +46,12 @@ _ALL_KINDS = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 class PredicateStatistics:
     """Shape of one property within one triple table."""
 
-    __slots__ = ("rows", "subjects", "objects")
+    __slots__ = ("rows", "distinct_subjects", "distinct_objects")
 
-    def __init__(self):
-        self.rows = 0
-        self.subjects: Set[int] = set()
-        self.objects: Set[int] = set()
-
-    @property
-    def distinct_subjects(self) -> int:
-        return len(self.subjects)
-
-    @property
-    def distinct_objects(self) -> int:
-        return len(self.objects)
+    def __init__(self, rows: int = 0, distinct_subjects: int = 0, distinct_objects: int = 0):
+        self.rows = rows
+        self.distinct_subjects = distinct_subjects
+        self.distinct_objects = distinct_objects
 
     def as_dict(self) -> Dict[str, int]:
         return {
@@ -60,6 +59,11 @@ class PredicateStatistics:
             "distinct_subjects": self.distinct_subjects,
             "distinct_objects": self.distinct_objects,
         }
+
+    def __eq__(self, other):
+        if not isinstance(other, PredicateStatistics):
+            return NotImplemented
+        return self.as_dict() == other.as_dict()
 
     def __repr__(self):
         return (
@@ -71,91 +75,88 @@ class PredicateStatistics:
 class CardinalityStatistics:
     """Cardinality profile of one :class:`TripleStore`'s three tables.
 
-    Build with :meth:`from_store` (one scan pass) and keep fresh with
-    :meth:`ingest_rows` on every insert batch; a profile built one way and a
-    profile built the other over the same rows are identical, which is what
-    lets :class:`~repro.service.catalog.CatalogEntry` update in place instead
-    of re-scanning after incremental ingest.
+    Build with :meth:`from_store` and keep fresh with :meth:`ingest_rows`
+    after every insert batch; a profile kept fresh that way and a profile
+    built anew over the same rows are identical, which is what lets
+    :class:`~repro.service.catalog.CatalogEntry` update in place after
+    incremental ingest.  The profile stays bound to its store: that is where
+    :meth:`ingest_rows` and :meth:`class_count` look things up.
     """
 
-    __slots__ = ("_predicates", "_rows", "_class_rows", "_kind_subjects", "_kind_objects")
+    __slots__ = ("_store", "_rows", "_subjects", "_objects", "_predicates")
 
-    def __init__(self):
+    def __init__(self, store: TripleStore):
+        self._store = store
+        self._rows: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
+        self._subjects: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
+        self._objects: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
         self._predicates: Dict[TripleKind, Dict[int, PredicateStatistics]] = {
             kind: {} for kind in _ALL_KINDS
         }
-        self._rows: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
-        self._class_rows: Dict[int, int] = {}
-        self._kind_subjects: Dict[TripleKind, Set[int]] = {kind: set() for kind in _ALL_KINDS}
-        self._kind_objects: Dict[TripleKind, Set[int]] = {kind: set() for kind in _ALL_KINDS}
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
     @classmethod
     def from_store(cls, store: TripleStore) -> "CardinalityStatistics":
-        """Profile *store* in one batched column scan per table."""
-        statistics = cls()
+        """Profile *store* from its own account of its tables' shapes."""
+        statistics = cls(store)
         for kind in _ALL_KINDS:
-            for subjects, predicates, objects in store.scan_columns(kind):
-                statistics._ingest_kind_columns(kind, subjects, predicates, objects)
+            statistics._read_table(kind)
         return statistics
 
+    def _read_table(self, kind: TripleKind) -> None:
+        subjects, objects, by_property = self._store.cardinalities(kind)
+        self._subjects[kind] = subjects
+        self._objects[kind] = objects
+        self._predicates[kind] = {
+            predicate: PredicateStatistics(*counts) for predicate, counts in by_property.items()
+        }
+        self._rows[kind] = sum(counts[0] for counts in by_property.values())
+
     def ingest_rows(self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]) -> None:
-        """Fold freshly inserted ``(kind, row)`` pairs into the profile.
+        """Fold ``(kind, row)`` pairs the store has just inserted into the profile.
 
-        Callers must hand in only rows actually inserted (the
-        ``skip_existing=True`` contract of :meth:`TripleStore.insert_triples`)
-        — duplicate rows would inflate the row counts.
+        Callers must hand in exactly the rows actually inserted (the
+        ``skip_existing=True`` contract of :meth:`TripleStore.insert_triples`),
+        after the insert — the store's indexes are what tells a new key from
+        a known one.
         """
+        by_kind: Dict[TripleKind, List[EncodedTriple]] = {}
         for kind, row in rows:
-            self._ingest_one(kind, row[0], row[1], row[2])
+            by_kind.setdefault(kind, []).append(row)
+        for kind, batch in by_kind.items():
+            if self._store.counts_distinct_keys:
+                self._read_table(kind)
+            else:
+                self._probe_batch(kind, batch)
 
-    def _ingest_kind_batch(self, kind: TripleKind, batch: Iterable[EncodedTriple]) -> None:
+    def _probe_batch(self, kind: TripleKind, batch: List[EncodedTriple]) -> None:
+        """Count *batch* (already inserted) into the *kind* table's profile.
+
+        A key is new exactly when the store holds no more rows with it than
+        the batch brought: one indexed count per distinct key of the batch.
+        """
+        count_rows = self._store.count_rows
         predicates = self._predicates[kind]
-        kind_subjects = self._kind_subjects[kind]
-        kind_objects = self._kind_objects[kind]
-        class_rows = self._class_rows
-        count = 0
-        is_type = kind is TripleKind.TYPE
-        for subject, predicate, obj in batch:
-            count += 1
+        self._rows[kind] += len(batch)
+        for predicate, rows in Counter(row[1] for row in batch).items():
             entry = predicates.get(predicate)
             if entry is None:
                 entry = predicates[predicate] = PredicateStatistics()
-            entry.rows += 1
-            entry.subjects.add(subject)
-            entry.objects.add(obj)
-            kind_subjects.add(subject)
-            kind_objects.add(obj)
-            if is_type:
-                class_rows[obj] = class_rows.get(obj, 0) + 1
-        self._rows[kind] += count
-
-    def _ingest_kind_columns(self, kind, subjects, predicates, objects) -> None:
-        """Fold three parallel column slices into the profile.
-
-        The table-level distinct sets take whole column slices in one C-level
-        ``set.update`` each; only the per-property profiles walk rows.
-        """
-        by_predicate = self._predicates[kind]
-        self._kind_subjects[kind].update(subjects)
-        self._kind_objects[kind].update(objects)
-        class_rows = self._class_rows
-        is_type = kind is TripleKind.TYPE
-        for subject, predicate, obj in zip(subjects, predicates, objects):
-            entry = by_predicate.get(predicate)
-            if entry is None:
-                entry = by_predicate[predicate] = PredicateStatistics()
-            entry.rows += 1
-            entry.subjects.add(subject)
-            entry.objects.add(obj)
-            if is_type:
-                class_rows[obj] = class_rows.get(obj, 0) + 1
-        self._rows[kind] += len(subjects)
-
-    def _ingest_one(self, kind: TripleKind, subject: int, predicate: int, obj: int) -> None:
-        self._ingest_kind_batch(kind, ((subject, predicate, obj),))
+            entry.rows += rows
+        for (predicate, subject), rows in Counter((row[1], row[0]) for row in batch).items():
+            if count_rows(kind, subject=subject, predicate=predicate) == rows:
+                predicates[predicate].distinct_subjects += 1
+        for (predicate, obj), rows in Counter((row[1], row[2]) for row in batch).items():
+            if count_rows(kind, predicate=predicate, obj=obj) == rows:
+                predicates[predicate].distinct_objects += 1
+        for subject, rows in Counter(row[0] for row in batch).items():
+            if count_rows(kind, subject=subject) == rows:
+                self._subjects[kind] += 1
+        for obj, rows in Counter(row[2] for row in batch).items():
+            if count_rows(kind, obj=obj) == rows:
+                self._objects[kind] += 1
 
     # ------------------------------------------------------------------
     # lookups (the planner's vocabulary)
@@ -182,24 +183,27 @@ class CardinalityStatistics:
     def distinct_subjects(self, kind: TripleKind, predicate: Optional[int] = None) -> int:
         """Distinct subject ids, per property or per table."""
         if predicate is None:
-            return len(self._kind_subjects[kind])
+            return self._subjects[kind]
         entry = self._predicates[kind].get(predicate)
         return entry.distinct_subjects if entry is not None else 0
 
     def distinct_objects(self, kind: TripleKind, predicate: Optional[int] = None) -> int:
         """Distinct object ids, per property or per table."""
         if predicate is None:
-            return len(self._kind_objects[kind])
+            return self._objects[kind]
         entry = self._predicates[kind].get(predicate)
         return entry.distinct_objects if entry is not None else 0
 
     def class_count(self, class_id: int) -> int:
         """Type-table rows whose object is *class_id* (class membership)."""
-        return self._class_rows.get(class_id, 0)
+        return self._store.count_rows(TripleKind.TYPE, obj=class_id)
 
     def class_counts(self) -> Dict[int, int]:
-        """All class-membership counts (copy)."""
-        return dict(self._class_rows)
+        """All class-membership counts (one pass over the type table)."""
+        counts: Counter = Counter()
+        for _subjects, _predicates, objects in self._store.scan_columns(TripleKind.TYPE):
+            counts.update(objects)
+        return dict(counts)
 
     # ------------------------------------------------------------------
     def as_dict(self) -> Dict[str, object]:
@@ -208,8 +212,8 @@ class CardinalityStatistics:
         for kind in _ALL_KINDS:
             tables[kind.name.lower()] = {
                 "rows": self._rows[kind],
-                "distinct_subjects": len(self._kind_subjects[kind]),
-                "distinct_objects": len(self._kind_objects[kind]),
+                "distinct_subjects": self._subjects[kind],
+                "distinct_objects": self._objects[kind],
                 "predicates": {
                     str(predicate): entry.as_dict()
                     for predicate, entry in sorted(self._predicates[kind].items())
@@ -217,28 +221,22 @@ class CardinalityStatistics:
             }
         return {
             "tables": tables,
-            "class_rows": {str(class_id): count for class_id, count in sorted(self._class_rows.items())},
+            "class_rows": {
+                str(class_id): count for class_id, count in sorted(self.class_counts().items())
+            },
             "total_rows": self.total_rows,
         }
 
     def __eq__(self, other):
         if not isinstance(other, CardinalityStatistics):
             return NotImplemented
-        if self._rows != other._rows or self._class_rows != other._class_rows:
-            return False
-        for kind in _ALL_KINDS:
-            mine, theirs = self._predicates[kind], other._predicates[kind]
-            if mine.keys() != theirs.keys():
-                return False
-            for predicate, entry in mine.items():
-                against = theirs[predicate]
-                if (
-                    entry.rows != against.rows
-                    or entry.subjects != against.subjects
-                    or entry.objects != against.objects
-                ):
-                    return False
-        return True
+        return (
+            self._rows == other._rows
+            and self._subjects == other._subjects
+            and self._objects == other._objects
+            and self._predicates == other._predicates
+            and self.class_counts() == other.class_counts()
+        )
 
     def __repr__(self):
         per_kind = ", ".join(

@@ -98,6 +98,15 @@ class ColumnView:
         yield from self.base
         yield from self.tail
 
+    def cells(self) -> Sequence[int]:
+        """The column as an integer-indexable read at C speed.
+
+        While nothing was appended that is the borrowed ``memoryview``
+        itself, so a fetch loop indexing it pays no Python call per cell; a
+        view with a private tail has to splice and reads through itself.
+        """
+        return self if self.tail else self.base
+
     def append(self, value: int) -> None:
         self.tail.append(value)
 
@@ -260,6 +269,12 @@ class StoreStatistics:
 
 class TripleStore(abc.ABC):
     """Abstract encoded triple store with data / type / schema tables."""
+
+    #: ``True`` when :meth:`cardinalities` is a live O(properties) read that
+    #: already reflects every insert (the backend counts distinct keys as it
+    #: indexes); otherwise a statistics profile keeps its own counters exact
+    #: with :meth:`count_rows` probes.
+    counts_distinct_keys = False
 
     def __init__(self):
         self.dictionary = Dictionary()
@@ -550,6 +565,56 @@ class TripleStore(abc.ABC):
     @abc.abstractmethod
     def count(self, kind: TripleKind) -> int:
         """Number of rows in the *kind* table."""
+
+    def count_rows(
+        self,
+        kind: TripleKind,
+        subject: Optional[int] = None,
+        predicate: Optional[int] = None,
+        obj: Optional[int] = None,
+    ) -> int:
+        """How many rows of the *kind* table match the id pattern.
+
+        The counting twin of :meth:`select`, answered from the same indexes:
+        it is the probe :class:`~repro.service.statistics.CardinalityStatistics`
+        keeps its distinct counts exact with ("is this ``(p, s)`` new?") and
+        reads class-membership counts through.  This default walks
+        :meth:`select`; backends override it with a posting-range length or
+        a ``COUNT(*)``.
+        """
+        return sum(1 for _row in self.select(kind, subject, predicate, obj))
+
+    def cardinalities(
+        self, kind: TripleKind
+    ) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
+        """The shape of the *kind* table: ``(distinct subjects, distinct
+        objects, {property: (rows, distinct subjects, distinct objects)})``.
+
+        This default counts in one :meth:`scan_columns` pass over transient
+        id sets; the memory store reads the numbers off its posting runs and
+        the SQLite store asks its engine.
+        """
+        subjects: set = set()
+        objects: set = set()
+        by_property: Dict[int, list] = {}
+        for s_batch, p_batch, o_batch in self.scan_columns(kind):
+            subjects.update(s_batch)
+            objects.update(o_batch)
+            for subject, predicate, obj in zip(s_batch, p_batch, o_batch):
+                entry = by_property.get(predicate)
+                if entry is None:
+                    entry = by_property[predicate] = [0, set(), set()]
+                entry[0] += 1
+                entry[1].add(subject)
+                entry[2].add(obj)
+        return (
+            len(subjects),
+            len(objects),
+            {
+                predicate: (rows, len(property_subjects), len(property_objects))
+                for predicate, (rows, property_subjects, property_objects) in by_property.items()
+            },
+        )
 
     @abc.abstractmethod
     def distinct_properties(self, kind: TripleKind) -> List[int]:

@@ -13,6 +13,13 @@ runs, ``scan_columns`` yields the column arrays in slices, and bulk loads
 defer all index building to the first indexed read — a warm start from a
 column-blob snapshot is three ``frombytes`` per table and nothing else.
 
+A run also *is* the distinct set of its key column, so each one carries a
+``distinct`` key count — set when the run is grouped, bumped by an append of
+a key it has not seen — and the table shapes the query planner needs
+(:meth:`MemoryStore.cardinalities`) are O(1) reads per property of the very
+index queries are answered from: nobody keeps a second copy of the ids to
+count them.
+
 Because row positions grow monotonically and every pending position is
 larger than every merged one, a run sorted by ``(key, position)`` yields
 positions in ascending — i.e. insertion — order for any single key, which
@@ -25,8 +32,8 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import groupby
-from operator import itemgetter
+from itertools import groupby, islice
+from operator import itemgetter, ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import StoreClosedError
@@ -57,21 +64,43 @@ class _Run:
     All tail positions exceed all merged positions (positions only grow),
     so a merge is a stable two-run timsort and per-key position order stays
     ascending.
+
+    ``distinct`` is the number of different keys in the run, tail included.
     """
 
-    __slots__ = ("keys", "positions", "tail_keys", "tail_positions", "value_cache")
+    __slots__ = (
+        "keys",
+        "positions",
+        "tail_keys",
+        "tail_positions",
+        "value_cache",
+        "distinct",
+        "tail_fresh",
+    )
 
-    def __init__(self):
-        self.keys = array("q")
-        self.positions = array("q")
+    def __init__(self, pairs: Iterable[Tuple[int, int]] = ()):
+        """A run over ``(key, position)`` *pairs* already in run order."""
+        pairs = pairs if isinstance(pairs, list) else list(pairs)
+        self.keys = keys = array("q", map(itemgetter(0), pairs))
+        self.positions = array("q", map(itemgetter(1), pairs))
         self.tail_keys = array("q")
         self.tail_positions = array("q")
         #: Run-derived structures memoized by :class:`SortedRun` (run-order
         #: column values, key group directory); dropped whenever the run's
         #: (keys, positions) change.
         self.value_cache: Dict[int, object] = {}
+        # sorted keys: one more than the places where neighbours differ
+        self.distinct = sum(map(ne, keys, islice(keys, 1, None))) + 1 if keys else 0
+        #: The keys only the tail holds — what lets an append tell a new key
+        #: in O(1) however long the tail has grown; emptied by a merge.
+        self.tail_fresh: Set[int] = set()
 
     def append(self, key: int, position: int) -> None:
+        keys = self.keys
+        index = bisect_left(keys, key)
+        if (index == len(keys) or keys[index] != key) and key not in self.tail_fresh:
+            self.tail_fresh.add(key)
+            self.distinct += 1
         self.tail_keys.append(key)
         self.tail_positions.append(position)
         if self.value_cache:
@@ -93,6 +122,7 @@ class _Run:
         self.positions = array("q", map(itemgetter(1), combined))
         del self.tail_keys[:]
         del self.tail_positions[:]
+        self.tail_fresh.clear()
         # a fresh dict, not .clear(): SortedRun views of the pre-merge
         # arrays keep their own (still aligned) cached values
         if self.value_cache:
@@ -232,11 +262,7 @@ class _Table:
             self.s_run.merge()
             return self.s_run
         if len(self.s_run) != len(self.s_col):
-            pairs = sorted(zip(self.s_col, range(len(self.s_col))))
-            run = _Run()
-            run.keys = array("q", map(itemgetter(0), pairs))
-            run.positions = array("q", map(itemgetter(1), pairs))
-            self.s_run = run
+            self.s_run = _Run(sorted(zip(self.s_col, range(len(self.s_col)))))
         return self.s_run
 
     def _ensure_indexed(self) -> None:
@@ -246,36 +272,20 @@ class _Table:
         s_col, p_col, o_col = self.s_col, self.p_col, self.o_col
         positions = range(n)
 
-        if len(self.s_run) == n:
-            s_run = self.s_run  # prebuilt by subject_run()
-        else:
-            pairs = sorted(zip(s_col, positions))
-            self.s_run = s_run = _Run()
-            s_run.keys = array("q", map(itemgetter(0), pairs))
-            s_run.positions = array("q", map(itemgetter(1), pairs))
-
-        pairs = sorted(zip(o_col, positions))
-        self.o_run = o_run = _Run()
-        o_run.keys = array("q", map(itemgetter(0), pairs))
-        o_run.positions = array("q", map(itemgetter(1), pairs))
+        if len(self.s_run) != n:  # else prebuilt by subject_run()
+            self.s_run = _Run(sorted(zip(s_col, positions)))
+        self.o_run = _Run(sorted(zip(o_col, positions)))
 
         first = itemgetter(0)
+        rest = itemgetter(1, 2)
         ps_runs: Dict[int, _Run] = {}
         by_predicate: Dict[int, array] = {}
         for predicate, group in groupby(sorted(zip(p_col, s_col, positions)), key=first):
-            members = list(group)
-            run = _Run()
-            run.keys = array("q", map(itemgetter(1), members))
-            run.positions = array("q", map(itemgetter(2), members))
-            ps_runs[predicate] = run
+            ps_runs[predicate] = run = _Run(map(rest, group))
             by_predicate[predicate] = array("q", sorted(run.positions))
         po_runs: Dict[int, _Run] = {}
         for predicate, group in groupby(sorted(zip(p_col, o_col, positions)), key=first):
-            members = list(group)
-            run = _Run()
-            run.keys = array("q", map(itemgetter(1), members))
-            run.positions = array("q", map(itemgetter(2), members))
-            po_runs[predicate] = run
+            po_runs[predicate] = _Run(map(rest, group))
         self.ps_runs = ps_runs
         self.po_runs = po_runs
         self.by_predicate = by_predicate
@@ -289,6 +299,14 @@ class _Table:
     def rows(self) -> List[Tuple[int, int, int]]:
         """The table rows as ``(s, p, o)`` tuples (materialized; test aid)."""
         return list(zip(self.s_col, self.p_col, self.o_col))
+
+    def _cells(self) -> Tuple[Sequence[int], Sequence[int], Sequence[int]]:
+        """The three columns as what a fetch loop should index by position:
+        the arrays themselves, or an adopted view's C-speed read."""
+        s_col, p_col, o_col = self.s_col, self.p_col, self.o_col
+        if type(s_col) is ColumnView:
+            return s_col.cells(), p_col.cells(), o_col.cells()
+        return s_col, p_col, o_col
 
     def _candidate_positions(
         self,
@@ -332,7 +350,7 @@ class _Table:
         obj: Optional[int],
     ) -> Iterator[EncodedTriple]:
         candidate_positions = self._candidate_positions(subject, predicate, obj)
-        s_col, p_col, o_col = self.s_col, self.p_col, self.o_col
+        s_col, p_col, o_col = self._cells()
         if candidate_positions is None:
             candidate_positions = range(len(s_col))
         for position in candidate_positions:
@@ -359,7 +377,7 @@ class _Table:
         order preserved) so multiset key lists cannot yield duplicate rows.
         """
         self._ensure_indexed()
-        s_col, p_col, o_col = self.s_col, self.p_col, self.o_col
+        s_col, p_col, o_col = self._cells()
         out: List[Tuple[int, int, int]] = []
         if subjects is not None:
             object_set = None if objects is None else set(objects)
@@ -413,8 +431,30 @@ class _Table:
         if run is None:
             return None
         run.merge()
-        return SortedRun(
-            run.keys, run.positions, (self.s_col, self.p_col, self.o_col), run.value_cache
+        return SortedRun(run.keys, run.positions, self._cells(), run.value_cache)
+
+    def count_rows(self, subject: Optional[int], predicate: Optional[int], obj: Optional[int]) -> int:
+        """Rows matching the shape: a posting-range length wherever one run
+        covers it, i.e. unless subject *and* object are both bound."""
+        positions = self._candidate_positions(subject, predicate, obj)
+        if positions is None:
+            return len(self)
+        if subject is None or obj is None:
+            return len(positions)
+        return sum(1 for _row in self.select(subject, predicate, obj))
+
+    def cardinalities(self) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
+        """``(distinct subjects, distinct objects, {property: (rows, distinct
+        subjects, distinct objects)})``, read off the runs' ``distinct``."""
+        self._ensure_indexed()
+        ps_runs, po_runs = self.ps_runs, self.po_runs
+        return (
+            self.s_run.distinct,
+            self.o_run.distinct,
+            {
+                predicate: (len(positions), ps_runs[predicate].distinct, po_runs[predicate].distinct)
+                for predicate, positions in self.by_predicate.items()
+            },
         )
 
     def distinct_properties(self) -> List[int]:
@@ -582,6 +622,27 @@ class MemoryStore(TripleStore):
     def count(self, kind: TripleKind) -> int:
         self._check_open()
         return len(self._tables[kind])
+
+    def count_rows(
+        self,
+        kind: TripleKind,
+        subject: Optional[int] = None,
+        predicate: Optional[int] = None,
+        obj: Optional[int] = None,
+    ) -> int:
+        self._check_open()
+        return self._tables[kind].count_rows(subject, predicate, obj)
+
+    #: :meth:`cardinalities` is a live O(properties) read of the posting runs
+    #: — the runs count their own distinct keys as rows are appended — so a
+    #: statistics profile re-reads it after an ingest instead of probing.
+    counts_distinct_keys = True
+
+    def cardinalities(
+        self, kind: TripleKind
+    ) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
+        self._check_open()
+        return self._tables[kind].cardinalities()
 
     def distinct_properties(self, kind: TripleKind) -> List[int]:
         self._check_open()

@@ -82,6 +82,17 @@ _IN_CHUNK = 500
 _BUSY_TIMEOUT_MS = 10_000
 
 
+def _where(
+    subject: Optional[int], predicate: Optional[int], obj: Optional[int]
+) -> Tuple[str, List[int]]:
+    """The ``WHERE`` clause (or ``""``) and parameters of an id pattern."""
+    bound = [(column, value) for column, value in (("s", subject), ("p", predicate), ("o", obj)) if value is not None]
+    if not bound:
+        return "", []
+    clause = " AND ".join(f"{column} = ?" for column, _value in bound)
+    return f" WHERE {clause}", [value for _column, value in bound]
+
+
 def _discard_reader(readers: List, lock: threading.Lock, connection) -> None:
     """Finalizer for a per-thread read connection: close it when its owning
     thread is collected (module-level so the finalizer does not keep the
@@ -284,13 +295,7 @@ class SQLiteStore(TripleStore):
         predicate: Optional[int] = None,
         obj: Optional[int] = None,
     ) -> Iterator[EncodedTriple]:
-        clauses: List[str] = []
-        parameters: List[int] = []
-        for column, value in (("s", subject), ("p", predicate), ("o", obj)):
-            if value is not None:
-                clauses.append(f"{column} = ?")
-                parameters.append(value)
-        where = f" WHERE {' AND '.join(clauses)}" if clauses else ""
+        where, parameters = _where(subject, predicate, obj)
         rows = self._execute_read(
             f"SELECT s, p, o FROM {_TABLE_FOR_KIND[kind]}{where}", parameters
         )
@@ -383,6 +388,27 @@ class SQLiteStore(TripleStore):
     def count(self, kind: TripleKind) -> int:
         rows = self._execute_read(f"SELECT COUNT(*) FROM {_TABLE_FOR_KIND[kind]}")
         return int(rows[0][0])
+
+    def count_rows(
+        self,
+        kind: TripleKind,
+        subject: Optional[int] = None,
+        predicate: Optional[int] = None,
+        obj: Optional[int] = None,
+    ) -> int:
+        where, parameters = _where(subject, predicate, obj)
+        rows = self._execute_read(f"SELECT COUNT(*) FROM {_TABLE_FOR_KIND[kind]}{where}", parameters)
+        return int(rows[0][0])
+
+    def cardinalities(self, kind: TripleKind):
+        table = _TABLE_FOR_KIND[kind]
+        ((subjects, objects),) = self._execute_read(
+            f"SELECT COUNT(DISTINCT s), COUNT(DISTINCT o) FROM {table}"
+        )
+        grouped = self._execute_read(
+            f"SELECT p, COUNT(*), COUNT(DISTINCT s), COUNT(DISTINCT o) FROM {table} GROUP BY p"
+        )
+        return subjects, objects, {row[0]: tuple(row[1:]) for row in grouped}
 
     def distinct_properties(self, kind: TripleKind) -> List[int]:
         rows = self._execute_read(

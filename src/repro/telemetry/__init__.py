@@ -39,7 +39,7 @@ from repro.telemetry.slowlog import (
     DEFAULT_THRESHOLD_SECONDS,
     SlowQueryLog,
 )
-from repro.telemetry.tracing import QueryTrace, Span, new_trace_id
+from repro.telemetry.tracing import QueryTrace, Span, maybe_span, new_trace_id
 
 #: The process-wide slow-query log the service layer records into.
 SLOW_LOG = SlowQueryLog()
@@ -65,6 +65,7 @@ __all__ = [
     "enabled",
     "gauge",
     "histogram",
+    "maybe_span",
     "new_trace_id",
     "set_enabled",
 ]

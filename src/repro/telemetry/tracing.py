@@ -33,11 +33,11 @@ from __future__ import annotations
 
 import threading
 import uuid
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
 
-__all__ = ["Span", "QueryTrace", "new_trace_id"]
+__all__ = ["Span", "QueryTrace", "maybe_span", "new_trace_id"]
 
 
 def new_trace_id() -> str:
@@ -187,3 +187,10 @@ class QueryTrace:
 
     def __repr__(self):
         return f"QueryTrace({self.trace_id!r}, spans={sum(1 for _ in self.root.walk())})"
+
+
+def maybe_span(query_trace: Optional[QueryTrace], name: str, **attributes: Any):
+    """A span of *query_trace* when tracing, an inert context otherwise."""
+    if query_trace is None:
+        return nullcontext()
+    return query_trace.span(name, **attributes)

@@ -63,6 +63,7 @@ def _query_payload(min_version):
         None,
         False,
         False,
+        None,
     )
 
 

@@ -323,7 +323,7 @@ def test_worker_attach_byteswaps_foreign_segments():
         ) + store.count(TripleKind.SCHEMA)
         answer = worker.handle_query(
             ("g", 0, "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", TARGET_FULL,
-             None, False, False)
+             None, False, False, None)
         )
         native = MemoryStore()
         native.insert_triples(

@@ -66,3 +66,39 @@ def bibliography_small():
 def random_graph():
     """A deterministic random heterogeneous graph."""
     return generate_random_graph(RandomGraphConfig(), seed=11)
+
+
+def recount_profile(store):
+    """What ``CardinalityStatistics(...).as_dict()`` must read for *store*,
+    recounted from its rows alone with plain sets — the oracle of every
+    "statistics are exact" assertion."""
+    from repro.model.triple import TripleKind
+
+    tables, class_rows, total = {}, {}, 0
+    for kind in (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA):
+        rows = [tuple(row) for batch in store.scan_batches(kind) for row in batch]
+        total += len(rows)
+        by_property = {}
+        for subject, predicate, obj in rows:
+            by_property.setdefault(predicate, []).append((subject, obj))
+            if kind is TripleKind.TYPE:
+                class_rows[str(obj)] = class_rows.get(str(obj), 0) + 1
+        tables[kind.name.lower()] = {
+            "rows": len(rows),
+            "distinct_subjects": len({row[0] for row in rows}),
+            "distinct_objects": len({row[2] for row in rows}),
+            "predicates": {
+                str(predicate): {
+                    "rows": len(pairs),
+                    "distinct_subjects": len({pair[0] for pair in pairs}),
+                    "distinct_objects": len({pair[1] for pair in pairs}),
+                }
+                for predicate, pairs in by_property.items()
+            },
+        }
+    return {"tables": tables, "class_rows": class_rows, "total_rows": total}
+
+
+@pytest.fixture
+def recount():
+    return recount_profile

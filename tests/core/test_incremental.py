@@ -82,7 +82,8 @@ class TestAlgorithmInvariants:
         summarizer.dp_targ[11] = small
         kept = summarizer._merge_data_nodes(big, small)
         assert kept == big
-        assert summarizer.rd[2] == big
+        # no member is relabelled: resource 2 follows the union-find link
+        assert summarizer._node_of(2) == big
 
     def test_idempotent_on_empty_store(self):
         with MemoryStore() as store:

@@ -11,17 +11,19 @@ and the incremental merge tie-break must be deterministic.
 from __future__ import annotations
 
 import random
+from array import array
 
 import pytest
 
 from repro.core.builders import summarize, weak_summary
 from repro.core.encoded import encoded_summarize
-from repro.core.incremental import incremental_weak_summary
+from repro.core.incremental import IncrementalWeakSummarizer, incremental_weak_summary
 from repro.core.isomorphism import canonical_signature, graphs_isomorphic
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.terms import Literal
-from repro.model.triple import Triple
+from repro.core.naming import SummaryNamer
+from repro.model.triple import Triple, TripleKind
 from repro.store.memory import MemoryStore
 
 #: A graph engineered to trigger MERGEDATANODES both ways: property chains
@@ -80,6 +82,116 @@ class TestIncrementalOrderRobustness:
                 incremental = incremental_weak_summary(store)
             signatures.add(canonical_signature(incremental.graph))
         assert len(signatures) == 1
+
+
+def _dict_and_sets_representatives(rows):
+    """The maintainer's pre-array bookkeeping, kept as the naming oracle:
+    ``rd`` a dict, ``dr`` member sets, and a merge that relabels every member
+    of the dropped node.  Returns ``{resource: summary node id}``."""
+    rd, dr, dp_src, dp_targ, src_dps, targ_dps = {}, {}, {}, {}, {}, {}
+
+    def merge(first, second):
+        first_edges = len(src_dps.get(first, ())) + len(targ_dps.get(first, ()))
+        second_edges = len(src_dps.get(second, ())) + len(targ_dps.get(second, ()))
+        if first_edges != second_edges:
+            keep, drop = (first, second) if first_edges > second_edges else (second, first)
+        else:
+            keep, drop = (first, second) if first < second else (second, first)
+        for resource in dr.pop(drop):
+            rd[resource] = keep
+            dr[keep].add(resource)
+        for prop in src_dps.pop(drop, ()):
+            dp_src[prop] = keep
+            src_dps.setdefault(keep, set()).add(prop)
+        for prop in targ_dps.pop(drop, ()):
+            dp_targ[prop] = keep
+            targ_dps.setdefault(keep, set()).add(prop)
+        return keep
+
+    def endpoint(resource, of_property):
+        node = rd.get(resource)
+        if node is None:
+            if of_property is None:
+                node = len(rd_minted)
+                rd_minted.append(node)
+                dr[node] = set()
+            else:
+                node = of_property
+            rd[resource] = node
+            dr[node].add(resource)
+            return node
+        if of_property is None or of_property == node:
+            return node
+        return merge(node, of_property)
+
+    rd_minted = []
+    for kind, (subject, prop, obj) in rows:
+        if kind is not TripleKind.DATA:
+            continue
+        endpoint(subject, dp_src.get(prop))
+        endpoint(obj, dp_targ.get(prop))
+        source = endpoint(subject, dp_src.get(prop))
+        target = endpoint(obj, dp_targ.get(prop))
+        if prop not in dp_src:
+            dp_src[prop], dp_targ[prop] = source, target
+            src_dps.setdefault(source, set()).add(prop)
+            targ_dps.setdefault(target, set()).add(prop)
+    return rd
+
+
+class TestArrayMaintainerKeepsTheOldNames:
+    """The array / union-find maintainer picks the same surviving node in
+    every merge as the dict-and-sets maps did, so summary node names (minted
+    from node ids) and the summary graph are unchanged."""
+
+    @staticmethod
+    def _both(triples):
+        store = MemoryStore()
+        rows = store.insert_triples(list(triples))
+        summarizer = IncrementalWeakSummarizer(store)
+        summarizer.ingest_rows(rows)
+        return store, rows, summarizer
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 99])
+    def test_adversarial_graph_any_order(self, seed):
+        for shuffled in _shuffles(_ADVERSARIAL_TRIPLES, count=6, seed=seed):
+            store, rows, summarizer = self._both(shuffled)
+            expected = _dict_and_sets_representatives(rows)
+            assert {r: summarizer._node_of(r) for r in expected} == expected
+            namer = SummaryNamer()
+            summary = summarizer.snapshot()
+            for resource, node in expected.items():
+                assert summary.representative(store.decode_term(resource)) == namer.for_key(
+                    ("incremental", node), hint="N"
+                )
+            assert graphs_isomorphic(
+                summary.graph, weak_summary(RDFGraph(_ADVERSARIAL_TRIPLES), engine="term").graph
+            )
+            store.close()
+
+    def test_bsbm_shuffled(self, bsbm_small):
+        reference = weak_summary(bsbm_small, engine="term")
+        for shuffled in _shuffles(list(bsbm_small), count=3):
+            store, rows, summarizer = self._both(shuffled)
+            expected = _dict_and_sets_representatives(rows)
+            assert {r: summarizer._node_of(r) for r in expected} == expected
+            assert graphs_isomorphic(summarizer.snapshot().graph, reference.graph)
+            store.close()
+
+    def test_state_is_arrays_and_summary_sized_maps(self, bsbm_small):
+        store, _rows, summarizer = self._both(bsbm_small)
+        state = summarizer.state_dict()
+        assert "dr" not in state
+        assert isinstance(state["rd"], array) and isinstance(state["parent"], array)
+        assert len(state["rd"]) <= len(store.dictionary)
+        # every dict is keyed by property or by summary node, never by resource
+        properties = set(store.distinct_properties(TripleKind.DATA))
+        nodes = set(range(len(state["parent"])))
+        for name in ("dp_src", "dp_targ", "dtp"):
+            assert set(state[name]) <= properties
+        for name in ("src_dps", "targ_dps", "dcls"):
+            assert set(state[name]) <= nodes
+        store.close()
 
 
 class TestEncodedOrderRobustness:

@@ -236,7 +236,7 @@ class TestIncrementalEquivalence:
     def test_ingest_returns_exactly_the_target_delta(self, book_graph):
         store = MemoryStore()
         saturator = IncrementalSaturator(store)
-        statistics = CardinalityStatistics()
+        statistics = CardinalityStatistics.from_store(saturator.target)
         for triple in sorted(book_graph):
             rows = store.insert_triples([triple], skip_existing=True)
             statistics.ingest_rows(saturator.ingest_rows(rows))

@@ -43,11 +43,10 @@ from repro.server.persistence import (
 )
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
-from repro.service.statistics import CardinalityStatistics
 from repro.service.workload import generate_mixed_workload
 from repro.store.memory import MemoryStore
 
-_BUILD_KEYS = ("prime_scans", "statistics_scans", "summary_builds", "saturation_builds")
+_BUILD_KEYS = ("prime_scans", "summary_builds", "saturation_builds")
 
 
 def _sql(path, statement, parameters=()):
@@ -131,7 +130,7 @@ def _table_rows(store):
     checkpoint_after=st.integers(-1, 4),
 )
 def test_a_crashed_catalog_reopens_as_if_never_restarted(
-    tmp_path_factory, base, batches, checkpoint_after
+    tmp_path_factory, recount, base, batches, checkpoint_after
 ):
     """*batches* are ``(triples, saturated query before, after)``; the durable
     catalog checkpoints after batch *checkpoint_after* (never, if out of range)
@@ -165,7 +164,7 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             assert restored == live[: len(restored)]
             assert live[len(restored) :] in ([], [("u", RDF_TYPE.value, None, None)])
             assert entry.maintainer_state() == reference.maintainer_state()
-            assert entry.statistics_index() == CardinalityStatistics.from_store(entry.store)
+            assert entry.statistics_index().as_dict() == recount(entry.store)
             assert entry.statistics_index() == reference.statistics_index()
             service = QueryService(reopened, kind="weak+strong")
             oracle = QueryService(never, kind="weak+strong")
@@ -178,15 +177,14 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             maintained = entry.saturated_evaluator().store
             live_saturated = reference.saturated_evaluator().store
             assert set(maintained.to_graph()) == set(live_saturated.to_graph())
-            assert entry._saturated_statistics() == CardinalityStatistics.from_store(maintained)
+            assert entry._saturated_statistics().as_dict() == recount(maintained)
             assert pack_terms(entry.store.dictionary) == pack_terms(reference.store.dictionary)
 
             counters = dict(entry.build_counters)
-            assert counters["prime_scans"] == counters["statistics_scans"] == 0
+            assert counters["prime_scans"] == 0
             assert counters["weak_snapshots"] <= 1  # summary-sized, on the first guarded query
             if saturated_at_checkpoint:
                 assert counters["saturation_builds"] == 0
-                assert counters["saturated_statistics_scans"] == 0
             else:
                 assert counters["saturation_builds"] == 1
 
@@ -328,7 +326,6 @@ def test_columns_are_stored_at_the_narrowest_width_that_fits(fig2, tmp_path):
         ("graph_columns", "s", "kind = 'data'"),
         ("graph_columns", "o", "kind = 'type'"),
         ("artifacts", "payload", "name = 'maintainer'"),
-        ("artifacts", "payload", "name = 'statistics'"),
     ],
 )
 def test_damaged_blobs_are_typed_errors(bsbm_small, tmp_path, table, column, where, damage):
@@ -447,7 +444,6 @@ def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, 
         # every artifact rebuilt from the rows, each once
         assert {key: entry.build_counters[key] for key in _BUILD_KEYS} == {
             "prime_scans": 1,
-            "statistics_scans": 1,
             "summary_builds": 1,
             "saturation_builds": 0,
         }
@@ -533,3 +529,87 @@ def test_the_tail_and_its_replay_are_visible_from_outside(fig2, tmp_path):
     with GraphCatalog() as memory:
         memory.register("fig2", graph=fig2)
         assert memory.log_tail_rows("fig2") is None
+
+
+def _as_a_pre_array_build_wrote_it(state):
+    """A maintainer state in the shape builds before the array maps pickled:
+    ``rd`` a dict, ``dr`` its inverse as member sets, ``_typed_only`` a dict."""
+    parent = state["parent"]
+
+    def live(node):
+        while parent[node] != node:
+            node = parent[node]
+        return node
+
+    rd = {r: live(node) for r, node in enumerate(state["rd"]) if node >= 0}
+    dr = {}
+    for resource, node in rd.items():
+        dr.setdefault(node, set()).add(resource)
+    old = {key: state[key] for key in ("dp_src", "dp_targ", "src_dps", "targ_dps", "dcls", "dtp")}
+    old.update(
+        rd=rd,
+        dr=dr,
+        _typed_only={
+            r: set(state["class_sets"][-2 - code]) for r, code in enumerate(state["rd"]) if code <= -2
+        },
+        _next_node=len(parent),
+    )
+    return old
+
+
+def test_a_file_with_statistics_rows_and_a_dict_maintainer_opens_and_sheds_them(
+    bsbm_small, tmp_path
+):
+    """A schema-3 file from before statistics became derived state: its
+    ``statistics`` / ``saturation_statistics`` rows are never decoded, its
+    dict-shaped ``maintainer`` is converted once, and the next checkpoint
+    leaves neither behind."""
+    path = str(tmp_path / "catalog.db")
+    typed_only = Triple(EX.term("typed-only"), RDF_TYPE, EX.term("Lonely"))
+    graph = RDFGraph(list(bsbm_small) + [typed_only])
+    workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
+    saturated = parse_query(f"SELECT ?x WHERE {{ ?x <{RDF_TYPE.value}> <{EX.term('Lonely').value}> . }}")
+    with GraphCatalog.open(path) as catalog:
+        catalog.register("g", graph=graph)
+        service = QueryService(catalog, kind="weak+strong", strategy="hash")
+        expected = [service.answer("g", item.query) for item in workload]
+        assert any(answer.pruned for answer in expected)
+        service.answer("g", saturated, saturated=True)
+        catalog.checkpoint()
+        representatives = dict(catalog.entry("g").summary("weak").representative_of)
+
+    ((payload,),) = _sql(path, "SELECT payload FROM artifacts WHERE name = 'maintainer'")
+    old_state = _as_a_pre_array_build_wrote_it(pickle.loads(zlib.decompress(payload)))
+    assert old_state["_typed_only"]
+    _sql(
+        path,
+        "UPDATE artifacts SET payload = ? WHERE name = 'maintainer'",
+        (zlib.compress(pickle.dumps(old_state, protocol=4)),),
+    )
+    for name in ("statistics", "saturation_statistics"):
+        _sql(path, "INSERT INTO artifacts VALUES ('g', ?, 1, ?)", (name, b"of another build"))
+
+    with GraphCatalog.open(path) as catalog:
+        entry = catalog.entry("g")
+        service = QueryService(catalog, kind="weak+strong", strategy="hash")
+        answers = [service.answer("g", item.query) for item in workload]
+        assert [set(answer.answers) for answer in answers] == [
+            set(answer.answers) for answer in expected
+        ]
+        assert [answer.pruned for answer in answers] == [answer.pruned for answer in expected]
+        assert set(service.answer("g", saturated, saturated=True).answers) == {
+            (EX.term("typed-only"),)
+        }
+        assert not any(entry.build_counters.values())
+        assert isinstance(entry.maintainer_state()["rd"], array)
+        # still maintained from there: same nodes, same names
+        promoted = EX.term("typed-only")
+        catalog.add_triples("g", [Triple(promoted, EX.term("p-new"), Literal("v"))])
+        after = entry.summary("weak").representative_of
+        assert all(after[node] == name for node, name in representatives.items() if node != promoted)
+        assert after[promoted] != representatives[promoted]  # off the shared Nτ node
+        catalog.checkpoint()
+
+    assert _sql(path, "SELECT name FROM artifacts WHERE name LIKE '%statistics'") == []
+    ((payload,),) = _sql(path, "SELECT payload FROM artifacts WHERE name = 'maintainer'")
+    assert "dr" not in pickle.loads(zlib.decompress(payload))

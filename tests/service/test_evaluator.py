@@ -199,6 +199,21 @@ class TestLimitsAndBooleans:
         assert len(limited) == 3
         assert limited <= full
 
+    def test_limit_decodes_only_the_rows_it_keeps(self, bibliography_small, monkeypatch):
+        """Both limit paths deduplicate on id tuples: no binding is decoded
+        to Terms just to be dropped as a duplicate or cut by the limit."""
+        evaluator = _evaluator_for(bibliography_small, MemoryStore)
+        query = parse_query("SELECT ?y WHERE { ?x <http://bib.example.org/writtenBy> ?y }")
+        full = evaluator.evaluate(query)
+        decoded = []
+        dictionary = evaluator.store.dictionary
+        monkeypatch.setattr(
+            dictionary, "decode", lambda identifier: decoded.append(identifier) or None
+        )
+        limited = evaluator.evaluate(query, limit=3)
+        assert len(limited) == 3 and limited <= full
+        assert decoded == []  # kept rows index the decode table directly
+
     def test_count_answers(self, fig2, backend):
         evaluator = _evaluator_for(fig2, backend)
         query = parse_query(

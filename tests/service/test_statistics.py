@@ -1,11 +1,15 @@
 """Tests for the store-level cardinality statistics (`repro.service.statistics`)."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro.model.dictionary import EncodedTriple
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind
 from repro.service.statistics import CardinalityStatistics
+from repro.store import memory
 from repro.store.memory import MemoryStore
+from repro.store.reference import DictReferenceStore
 from repro.store.sqlite import SQLiteStore
 
 
@@ -71,27 +75,105 @@ class TestOnePassCollection:
         store.close()
 
 
+def _loaded(backend, rows):
+    store = backend()
+    store.insert_encoded_rows(rows)
+    return store
+
+
+def _adopted(backend, rows):
+    """A store whose base columns are borrowed buffers (a worker's view of a
+    shared segment): everything inserted later lands in private tails."""
+    source = _loaded(MemoryStore, rows)
+    store = MemoryStore()
+    for kind in TripleKind:
+        _count, *blobs = source.column_bytes(kind)
+        store.adopt_column_buffers(kind, *blobs)
+    source.close()
+    return store
+
+
+_ID = st.integers(0, 9)
+_ROW = st.tuples(
+    st.sampled_from(list(TripleKind)), st.builds(EncodedTriple, _ID, st.integers(20, 23), _ID)
+)
+_BATCHES = st.lists(st.lists(_ROW, max_size=10), min_size=1, max_size=6)
+
+
 class TestIncrementalEquivalence:
-    def test_ingest_rows_matches_one_pass(self, backend, bibliography_small):
-        """Profile built row-by-row == profile built by scanning the store."""
-        store = backend()
-        rows = store.insert_triples(list(bibliography_small))
-        incremental = CardinalityStatistics()
-        incremental.ingest_rows(rows)
-        assert incremental == CardinalityStatistics.from_store(store)
+    """A profile kept by ``ingest_rows`` reads exactly like a brute-force
+    recount of the rows — whatever the backend's indexes went through."""
+
+    @pytest.mark.parametrize(
+        "backend, load, tail_merge_limit, bulk_rebuild_threshold",
+        [
+            (MemoryStore, _loaded, None, None),
+            (SQLiteStore, _loaded, None, None),
+            (DictReferenceStore, _loaded, None, None),
+            (MemoryStore, _loaded, 2, None),  # tails fold back into the runs mid-sequence
+            (MemoryStore, _loaded, None, 3),  # batches drop the indexes; rebuilt lazily
+            (MemoryStore, _adopted, 2, None),  # borrowed base columns + private tails
+        ],
+        ids=["memory", "sqlite", "reference", "tail-merges", "bulk-rebuilds", "adopted"],
+    )
+    @settings(
+        max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+    )
+    @given(base=st.lists(_ROW, max_size=12), batches=_BATCHES)
+    def test_ingest_rows_matches_a_recount(
+        self, monkeypatch, recount, backend, load, tail_merge_limit, bulk_rebuild_threshold, base, batches
+    ):
+        if tail_merge_limit is not None:
+            monkeypatch.setattr(memory, "TAIL_MERGE_LIMIT", tail_merge_limit)
+        if bulk_rebuild_threshold is not None:
+            monkeypatch.setattr(memory, "BULK_REBUILD_THRESHOLD", bulk_rebuild_threshold)
+        store = load(backend, base)
+        statistics = CardinalityStatistics.from_store(store)
+        assert statistics.as_dict() == recount(store)
+        for batch in batches:
+            # (duplicates of what is there, and within the batch, are part of the input)
+            statistics.ingest_rows(store.insert_encoded_rows(batch))
+            expected = recount(store)
+            assert statistics.as_dict() == expected
+            assert CardinalityStatistics.from_store(store).as_dict() == expected
+            for kind, row in batch:  # reads are what folds a tail into its run
+                assert store.count_rows(kind, subject=row[0], predicate=row[1]) >= 1
         store.close()
 
-    def test_ingest_is_order_independent(self, bsbm_small):
-        import random
+    def test_row_by_row_matches_one_pass(self, backend, bibliography_small, recount):
+        store = backend()
+        statistics = CardinalityStatistics.from_store(store)
+        for triple in sorted(bibliography_small):
+            statistics.ingest_rows(store.insert_triples([triple], skip_existing=True))
+        assert statistics.as_dict() == recount(store)
+        assert statistics == CardinalityStatistics.from_store(store)
+        store.close()
+
+    def test_state_is_a_few_integers_whatever_the_row_count(self):
+        """No second copy of the ids: nothing in a profile grows with the rows."""
+        import pickle
+
+        from repro.datasets.bsbm import generate_bsbm
 
         store = MemoryStore()
-        rows = store.insert_triples(list(bsbm_small))
-        shuffled = list(rows)
-        random.Random(3).shuffle(shuffled)
-        forward, backward = CardinalityStatistics(), CardinalityStatistics()
-        forward.ingest_rows(rows)
-        backward.ingest_rows(shuffled)
-        assert forward == backward
+        store.load_graph(generate_bsbm(scale=100, seed=1))
+        statistics = CardinalityStatistics.from_store(store)
+        state = {
+            slot: getattr(statistics, slot)
+            for slot in CardinalityStatistics.__slots__
+            if slot != "_store"
+        }
+        assert len(pickle.dumps(state)) < 4096
+
+        def holds_a_set(value) -> bool:
+            if isinstance(value, (set, frozenset)):
+                return True
+            if isinstance(value, dict):
+                return any(holds_a_set(item) for item in value.values())
+            slots = getattr(type(value), "__slots__", ())
+            return any(holds_a_set(getattr(value, slot)) for slot in slots)
+
+        assert not holds_a_set(state)
         store.close()
 
     def test_as_dict_is_json_friendly(self, backend):

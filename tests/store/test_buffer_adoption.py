@@ -98,6 +98,30 @@ class TestAdoption:
         assert before[0] == rows[0][0] and after[0] == 999
         store.close()
 
+    def test_fetches_read_the_borrowed_buffer_not_the_view(self, monkeypatch):
+        """select / select_many index ``ColumnView.cells()``: no Python call
+        per cell while the view has no private tail — and the same rows
+        through the view itself once it has one."""
+        rows = _rows(60)
+        store = _adopted(rows)
+        expected = sorted(row for row in set(rows) if row[1] == 1 and row[0] == 3)
+
+        def per_cell(self, index):
+            raise AssertionError("a fetch read an adopted column one Python call per cell")
+
+        with monkeypatch.context() as patched:
+            patched.setattr(ColumnView, "__getitem__", per_cell)
+            assert sorted(store.select_many(TripleKind.DATA, subjects=[3], predicate=1)) == expected
+            assert sorted(map(tuple, store.select(TripleKind.DATA, 3, 1, None))) == expected
+            assert len(store.select_many(TripleKind.DATA, predicate=1)) == len(
+                [row for row in rows if row[1] == 1]
+            )
+        store.insert_encoded_rows([(TripleKind.DATA, (3, 1, 7777))])
+        assert sorted(store.select_many(TripleKind.DATA, subjects=[3], predicate=1)) == sorted(
+            expected + [(3, 1, 7777)]
+        )
+        store.close()
+
     def test_private_tail_takes_deltas(self):
         rows = _rows(50)
         store = _adopted(rows)

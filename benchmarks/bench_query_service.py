@@ -14,33 +14,31 @@ results are compared, and every verdict is checked against the workload's
 generation-time ground truth — the run fails on any pruning error, i.e. a
 satisfiable query declared empty, the unsoundness Proposition 1 rules out.
 
-With ``--compare-strategies`` the benchmark instead A/B-tests the join
-strategies of the encoded evaluator — the legacy per-binding
-index-nested-loop (``strategy="nested"``), the statistics-planned
-vectorized hash join (``strategy="hash"``), and the sorted-posting-run
-merge join (``strategy="merge"``) — on a family-labelled join workload
-(satisfiable chains/forks/long chains plus the structurally unsatisfiable
-shapes), reporting per-family wall time and verifying the answer sets are
-identical query by query across all three strategies.
+With ``--compare-strategies`` the benchmark instead A/B-tests the two
+Python-side join strategies of the encoded evaluator — the
+statistics-planned vectorized hash join (``strategy="hash"``) and the
+sorted-posting-run merge join (``strategy="merge"``) — on a
+family-labelled join workload (satisfiable chains/forks/long chains plus
+the structurally unsatisfiable shapes), reporting per-family wall time and
+verifying the answer sets are identical query by query.
 
 Usage
 -----
 ::
 
-    PYTHONPATH=src python benchmarks/bench_query_service.py           # full run, 5x gate
+    PYTHONPATH=src python benchmarks/bench_query_service.py           # full run, 1x gate
     PYTHONPATH=src python benchmarks/bench_query_service.py --quick   # CI smoke run
     PYTHONPATH=src python benchmarks/bench_query_service.py --json out.json
     PYTHONPATH=src python benchmarks/bench_query_service.py --compare-strategies
     PYTHONPATH=src python benchmarks/bench_query_service.py --compare-strategies --quick
 
 The full guarded run exits non-zero when the guarded service is not at
-least ``--min-speedup`` (default 5.0) times faster end-to-end, or when any
-verdict disagrees with full evaluation on the base graph.  The full
-strategy comparison exits non-zero when the hash join is not at least
-``--min-join-speedup`` (default 3.0) times faster than the nested loop on
-the satisfiable join families, when the merge join is slower than the hash
-join on those same families (``--min-merge-ratio``, default 1.0), or on
-any answer-set difference.
+least ``--min-speedup`` (default 1.0 — a vectorized direct side is itself
+fast on unsatisfiable joins) times faster end-to-end, or when any verdict
+disagrees with full evaluation on the base graph.  The full strategy
+comparison exits non-zero when the merge join is slower than the hash join
+on the satisfiable join families (``--min-merge-ratio``, default 1.0), or
+on any answer-set difference.
 """
 
 from __future__ import annotations
@@ -52,6 +50,7 @@ from typing import Dict, List
 
 from repro.analysis.harness import format_query_service_report, run_query_service_workload
 from repro.datasets.bsbm import generate_bsbm
+from repro.service.evaluator import STRATEGIES
 from repro.service.workload import run_strategy_comparison
 
 
@@ -61,24 +60,24 @@ def format_strategy_report(report: Dict[str, object]) -> str:
         f"graph {report['graph']}: {report['triples']} triples, "
         f"{report['queries']} queries on the {report['backend']} backend "
         f"(statistics built in {report['statistics_seconds']:.3f}s)",
-        f"  {'family':<18}{'queries':>8}{'nested':>10}{'hash':>10}{'merge':>10}"
-        f"{'speedup':>9}{'mrg/hash':>9}{'diffs':>7}",
+        f"  {'family':<18}{'queries':>8}{'hash':>10}{'merge':>10}"
+        f"{'mrg/hash':>9}{'diffs':>7}",
     ]
     families: Dict[str, Dict[str, object]] = report["families"]  # type: ignore[assignment]
     for family in sorted(families):
         row = families[family]
         lines.append(
-            f"  {family:<18}{row['queries']:>8}{row['nested_seconds']:>10.4f}"
+            f"  {family:<18}{row['queries']:>8}"
             f"{row['hash_seconds']:>10.4f}{row['merge_seconds']:>10.4f}"
-            f"{row['speedup']:>8.2f}x{row['merge_vs_hash']:>8.2f}x"
+            f"{row['merge_vs_hash']:>8.2f}x"
             f"{row['answer_differences']:>7}"
         )
     for label, key in (("satisfiable joins", "satisfiable_join"), ("overall", "overall")):
         aggregate = report[key]
         lines.append(
-            f"  {label:<18}{aggregate['queries']:>8}{aggregate['nested_seconds']:>10.4f}"
+            f"  {label:<18}{aggregate['queries']:>8}"
             f"{aggregate['hash_seconds']:>10.4f}{aggregate['merge_seconds']:>10.4f}"
-            f"{aggregate['speedup']:>8.2f}x{aggregate['merge_vs_hash']:>8.2f}x"
+            f"{aggregate['merge_vs_hash']:>8.2f}x"
         )
     lines.append(
         f"  soundness        : {report['answer_differences']} answer-set differences "
@@ -117,13 +116,7 @@ def run_compare_strategies(args) -> int:
             "workload degenerated: no satisfiable join queries were generated — "
             "the comparison (and its gate) would be vacuous"
         )
-    join_speedup = report["satisfiable_join"]["speedup"]
     merge_ratio = report["satisfiable_join"]["merge_vs_hash"]
-    if not args.quick and join_speedup < args.min_join_speedup:
-        failures.append(
-            f"hash-join speedup {join_speedup:.2f}x on the satisfiable join families "
-            f"is below the {args.min_join_speedup:.1f}x gate"
-        )
     if not args.quick and args.backend == "memory" and merge_ratio < args.min_merge_ratio:
         failures.append(
             f"merge-join is {merge_ratio:.2f}x the hash join on the satisfiable join "
@@ -135,13 +128,12 @@ def run_compare_strategies(args) -> int:
             print(f"FAIL: {failure}", file=sys.stderr)
         return 1
     if args.quick:
-        print("\nPASS: nested-loop, hash-join and merge-join answers identical on every query")
+        print("\nPASS: hash-join and merge-join answers identical on every query")
     else:
         print(
-            f"\nPASS: hash join {join_speedup:.2f}x faster than the nested loop and "
-            f"merge join {merge_ratio:.2f}x the hash join on the satisfiable join "
-            f"families at {report['triples']} triples with zero answer-set "
-            f"differences (gates: {args.min_join_speedup:.1f}x, {args.min_merge_ratio:.2f}x)"
+            f"\nPASS: merge join {merge_ratio:.2f}x the hash join on the satisfiable "
+            f"join families at {report['triples']} triples with zero answer-set "
+            f"differences (gate: {args.min_merge_ratio:.2f}x)"
         )
     return 0
 
@@ -156,7 +148,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--compare-strategies",
         action="store_true",
-        help="A/B the nested-loop vs hash-join strategies per query family "
+        help="A/B the hash-join vs merge-join strategies per query family "
         "instead of the guarded-vs-direct comparison",
     )
     parser.add_argument(
@@ -176,13 +168,6 @@ def main(argv=None) -> int:
         type=int,
         default=50_000,
         help="largest satisfiable join (embeddings) sampled per family",
-    )
-    parser.add_argument(
-        "--min-join-speedup",
-        type=float,
-        default=3.0,
-        help="required hash/nested speedup on the satisfiable join families "
-        "(full --compare-strategies run only)",
     )
     parser.add_argument(
         "--min-merge-ratio",
@@ -210,12 +195,9 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--strategy",
-        default="nested",
-        choices=["nested", "hash"],
-        help="join strategy for the guarded-vs-direct comparison; the "
-        "historical 5x gate assumes nested — with hash, direct evaluation "
-        "is itself fast on unsatisfiable joins and the guard's margin is "
-        "structurally smaller",
+        default="hash",
+        choices=list(STRATEGIES),
+        help="join strategy for the guarded-vs-direct comparison",
     )
     parser.add_argument(
         "--limit", type=int, default=100, help="distinct answers served per query"
@@ -223,19 +205,16 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--min-speedup",
         type=float,
-        default=None,
-        help="required guarded/direct speedup (full run only; default 5.0 "
-        "for the nested strategy, 1.0 for hash — a vectorized direct side "
-        "leaves the guard a structurally smaller margin)",
+        default=1.0,
+        help="required guarded/direct speedup (full run only; a vectorized "
+        "direct side is itself fast on unsatisfiable joins, which leaves "
+        "the guard a structurally small margin)",
     )
     parser.add_argument("--json", dest="json_output", help="write the report as JSON")
     args = parser.parse_args(argv)
 
     if args.compare_strategies:
         return run_compare_strategies(args)
-
-    if args.min_speedup is None:
-        args.min_speedup = 5.0 if args.strategy == "nested" else 1.0
 
     if args.unsat_fraction < 0.5:
         print("FAIL: the acceptance workload needs >= 50% unsatisfiable queries", file=sys.stderr)

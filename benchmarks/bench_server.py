@@ -87,6 +87,7 @@ from repro.schema.saturation import saturate
 from repro.server.executor import QueryExecutor
 from repro.server.http import ServerApp, start_background
 from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import STRATEGIES
 from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
 from repro.store.memory import MemoryStore
@@ -744,8 +745,9 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
         )
 
         # ------------------------------------------------------------------
-        # shipping plane: shared-memory attach vs pipe-blob ship, and the
-        # per-worker memory footprint of each mode
+        # shipping plane: the graph image attached from a shared-memory
+        # segment vs sent over the pipe, and the per-worker memory
+        # footprint of each source
         # ------------------------------------------------------------------
         ship_workers = max(worker_counts)
         shipping: Dict[str, object] = {
@@ -1144,7 +1146,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--strategy",
         default="sql",
-        choices=["hash", "nested", "sql"],
+        choices=list(STRATEGIES),
         help="serving join strategy; sql (whole-join pushdown, the default) "
         "is what the thread pool scales on — its answers are cross-checked "
         "against the hash reference either way",

@@ -66,7 +66,6 @@ def run_scale_sweep(
     generator: Optional[Callable[[int], RDFGraph]] = None,
     kinds: Iterable[str] = PAPER_KINDS,
     seed: int = 0,
-    engine: Optional[str] = None,
 ) -> ScaleSweepResult:
     """Generate one graph per scale, summarize it with every kind, collect metrics.
 
@@ -81,9 +80,6 @@ def run_scale_sweep(
         generator with the given *seed*.
     kinds:
         Summary kinds to build at each point.
-    engine:
-        Summarization engine (``"encoded"`` by default, ``"term"`` for the
-        legacy object pipeline) — see :func:`repro.core.builders.summarize`.
     """
     if generator is None:
         def generator(scale: int) -> RDFGraph:  # noqa: ANN001 - scale is an int
@@ -92,9 +88,7 @@ def run_scale_sweep(
     rows: List[SummaryMetricsRow] = []
     for scale in scales:
         graph = generator(scale)
-        rows.extend(
-            summary_size_table(graph, kinds=kinds, dataset_name=graph.name, engine=engine)
-        )
+        rows.extend(summary_size_table(graph, kinds=kinds, dataset_name=graph.name))
     return ScaleSweepResult(rows, scales)
 
 

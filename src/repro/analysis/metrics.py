@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional
 
-from repro.core.builders import SUMMARY_KINDS, normalize_engine, summarize
+from repro.core.builders import SUMMARY_KINDS
 from repro.core.encoded import encoded_summarize
 from repro.core.summary import Summary
 from repro.model.graph import RDFGraph
@@ -59,40 +59,30 @@ def summary_size_table(
     graph: RDFGraph,
     kinds: Iterable[str] = PAPER_KINDS,
     dataset_name: Optional[str] = None,
-    engine: Optional[str] = None,
 ) -> List[SummaryMetricsRow]:
     """Summarize *graph* with every requested kind and collect size metrics.
 
-    *engine* selects the summarization engine (``"encoded"`` by default;
-    ``"term"`` for the legacy object pipeline) — see
-    :func:`repro.core.builders.summarize`.  With the encoded engine the
-    graph is dictionary-encoded into one shared store and every kind runs
-    store-resident (the paper's deployment shape), so per-kind timings
+    The graph is dictionary-encoded into one shared store and every kind
+    runs store-resident (the paper's deployment shape), so per-kind timings
     measure summarization only, and the one-time encode is not repeated
     per kind.
     """
     dataset = dataset_name or graph.name or "graph"
     input_statistics = graph.statistics()
     rows: List[SummaryMetricsRow] = []
-    engine_name = normalize_engine(engine)
-    store: Optional[MemoryStore] = None
-    if engine_name == "encoded":
-        store = MemoryStore()
-        store.load_graph(graph)
+    store = MemoryStore()
+    store.load_graph(graph)
     try:
         for kind in kinds:
             if kind not in SUMMARY_KINDS:
                 raise KeyError(f"unknown summary kind: {kind!r}")
             with Stopwatch() as watch:
-                if store is not None:
-                    summary = encoded_summarize(
-                        store,
-                        kind,
-                        source_statistics=input_statistics,
-                        source_name=graph.name,
-                    )
-                else:
-                    summary = summarize(graph, kind, engine=engine_name)
+                summary = encoded_summarize(
+                    store,
+                    kind,
+                    source_statistics=input_statistics,
+                    source_name=graph.name,
+                )
             statistics = summary.statistics()
             rows.append(
                 SummaryMetricsRow(
@@ -110,8 +100,7 @@ def summary_size_table(
                 )
             )
     finally:
-        if store is not None:
-            store.close()
+        store.close()
     return rows
 
 

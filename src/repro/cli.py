@@ -36,7 +36,7 @@ from repro.analysis.harness import (
     run_scale_sweep,
 )
 from repro.analysis.metrics import format_table, summary_size_table
-from repro.core.builders import ENGINE_CHOICES, SUMMARY_KINDS, summarize
+from repro.core.builders import SUMMARY_KINDS, summarize
 from repro.datasets.bibliography import generate_bibliography
 from repro.datasets.bsbm import generate_bsbm
 from repro.datasets.lubm import generate_lubm
@@ -48,6 +48,7 @@ from repro.model.terms import term_sort_key
 from repro.queries.parser import parse_query
 from repro.schema.saturation import saturate
 from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import STRATEGIES
 from repro.service.service import QueryService
 
 __all__ = ["main", "build_parser"]
@@ -72,13 +73,6 @@ def build_parser() -> argparse.ArgumentParser:
     summarize_parser.add_argument(
         "--kind", default="weak", choices=sorted(SUMMARY_KINDS), help="summary kind"
     )
-    summarize_parser.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINE_CHOICES),
-        help="summarization engine: the integer-encoded pipeline (default) "
-        "or the legacy Term-object pipeline",
-    )
     summarize_parser.add_argument("--output", "-o", help="output file (N-Triples, or DOT with --dot)")
     summarize_parser.add_argument("--dot", action="store_true", help="write GraphViz DOT instead of N-Triples")
 
@@ -102,12 +96,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--scales", type=int, nargs="+", default=[50, 100, 200], help="BSBM scales (products)"
     )
     sweep_parser.add_argument("--seed", type=int, default=0, help="random seed")
-    sweep_parser.add_argument(
-        "--engine",
-        default=None,
-        choices=list(ENGINE_CHOICES),
-        help="summarization engine used for every sweep point",
-    )
 
     query_parser = subparsers.add_parser(
         "query", help="answer BGP queries through the summary-guarded service"
@@ -131,9 +119,9 @@ def build_parser() -> argparse.ArgumentParser:
     query_parser.add_argument(
         "--strategy",
         default="hash",
-        choices=["hash", "nested", "sql", "merge"],
+        choices=list(STRATEGIES),
         help="join strategy of base evaluation: the statistics-planned "
-        "vectorized hash join (default), the legacy index-nested-loop, "
+        "vectorized hash join (default), "
         "whole-join SQL pushdown (SQLite-backed stores; falls back to hash), "
         "or sorted-run merge joins (columnar memory store; per-stage "
         "fallback to hash)",
@@ -202,7 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--strategy",
         default=None,
-        choices=["hash", "nested", "sql", "merge"],
+        choices=list(STRATEGIES),
         help="join strategy of base evaluation (default: sql for the sqlite "
         "backend — whole-join pushdown, the strategy that scales across "
         "threads — and hash for the memory backend; merge runs sorted-run "
@@ -228,9 +216,9 @@ def build_parser() -> argparse.ArgumentParser:
     serve_parser.add_argument(
         "--no-shm",
         action="store_true",
-        help="ship cluster shards as inline pipe blobs instead of attaching "
-        "workers to a shared-memory segment (the default when --workers > 0 "
-        "and the platform supports named shared memory)",
+        help="send each cluster worker its graph image as bytes over the pipe "
+        "instead of attaching workers to a shared-memory segment (the default "
+        "when --workers > 0 and the platform supports named shared memory)",
     )
     serve_parser.add_argument(
         "--max-body-mb",
@@ -282,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _command_summarize(args: argparse.Namespace) -> int:
     graph = _load_graph(args.input)
-    summary = summarize(graph, args.kind, engine=args.engine)
+    summary = summarize(graph, args.kind)
     statistics = summary.statistics()
     ratio = statistics.compression_ratio
     rendered_ratio = "n/a (empty input)" if math.isnan(ratio) else f"{ratio:.5f}"
@@ -331,7 +319,7 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
-    result = run_scale_sweep(scales=args.scales, seed=args.seed, engine=args.engine)
+    result = run_scale_sweep(scales=args.scales, seed=args.seed)
     print(format_figure_series(result, "data_nodes", "Figure 11 (top): data nodes"))
     print(format_figure_series(result, "all_nodes", "Figure 11 (bottom): all nodes"))
     print(format_figure_series(result, "data_edges", "Figure 12 (top): data edges"))

@@ -5,7 +5,8 @@
 registered graph's encoded rows by subject id into K shards, packs shards
 and full replicas as raw int64 column blobs into one named shared-memory
 segment per graph (zero Terms pickled) that every worker process attaches
-zero-copy — inline pipe blobs remain as the ``--no-shm`` fallback — and
+zero-copy — under ``--no-shm`` the same image reaches each worker as bytes
+over its pipe and loads through the same routine — and
 answers BGP queries by scatter-gather, every shard guarded by its own
 weak/strong summaries, so refuted shards never run a join.  Answers stay
 bit-identical to the in-process :class:`~repro.service.service.QueryService`

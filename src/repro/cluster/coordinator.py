@@ -4,9 +4,10 @@ One :class:`ClusterCoordinator` owns the authoritative
 :class:`~repro.service.catalog.GraphCatalog` (the single writer of the
 tier) and a pool of K spawned worker processes.  Each registered graph is
 hash-partitioned by subject id (:func:`~repro.store.base.shard_of`) and
-shipped to the workers as raw int64 column blobs plus structurally packed
-dictionary terms — see :mod:`repro.cluster.protocol` for the wire format
-and :mod:`repro.cluster.worker` for the receiving side.
+shipped to the workers as one image of raw int64 column blobs plus
+structurally packed dictionary terms — see :mod:`repro.cluster.shm` for
+the image layout, :mod:`repro.cluster.protocol` for the wire format and
+:mod:`repro.cluster.worker` for the receiving side.
 
 Query routing
 -------------
@@ -206,12 +207,13 @@ class ClusterCoordinator:
     max_retries:
         Crash-retry budget per request (respawn + retry).
     use_shm:
-        ``None`` (default) auto-enables the shared-memory column plane
-        when the platform supports it; ``False`` forces the inline
-        pipe-blob path (the ``serve --no-shm`` escape hatch).  With shm on,
-        each graph generation is packed once into one named segment that
-        every worker attaches zero-copy, and respawn recovery re-sends the
-        descriptor plus the logged deltas instead of repacking.
+        Where a worker's graph image comes from.  ``None`` (default) uses
+        the shared-memory plane when the platform supports it: each graph
+        generation is packed once into one named segment that every worker
+        attaches, and respawn recovery re-sends the descriptor plus the
+        logged deltas instead of repacking.  ``False`` (``serve
+        --no-shm``) sends each worker its image as bytes over the pipe —
+        same layout, same worker-side load, K private copies.
     shm_fold_rows:
         Logged delta rows beyond which a graph's log folds into a fresh
         segment generation (bounds both the log and re-attach replay work).
@@ -686,14 +688,16 @@ class ClusterCoordinator:
         handles: Sequence[_WorkerHandle],
         update_marks: bool = True,
     ) -> Optional[tuple]:
-        """One shippable snapshot of *entry*, taken under its read lock;
-        ``None`` if the entry was already dropped.
+        """One shippable snapshot of *entry*, taken under its read lock:
+        ``(version, tables_for, deltas)``, or ``None`` if the entry was
+        already dropped.  ``tables_for(shard_index)`` is the ``OP_LOAD``
+        *tables* field for that worker.
 
-        Inline mode packs terms, every shard's tables and the full tables
-        into the returned tuple.  Shared-memory mode packs them into a
-        named segment **once** — a later snapshot of the same graph (a
-        respawn re-ship) reuses the live segment descriptor plus the
-        accumulated delta log with zero repacking.
+        Shared-memory mode packs the graph image into a named segment
+        **once** — a later snapshot of the same graph (a respawn re-ship)
+        reuses the live segment descriptor plus the accumulated delta log
+        with zero repacking.  Without shared memory the same image pieces
+        are laid out per worker (``full`` + its shard) and travel as bytes.
         """
         with entry.rwlock.read_locked():
             # End the delta-drop window while the read lock is held: no
@@ -718,49 +722,48 @@ class ClusterCoordinator:
                             self._dict_marks[entry.name] = len(
                                 entry.store.dictionary
                             )
-                    return (
-                        protocol.TABLES_SHM,
-                        state.version,
-                        state.segment_name,
-                        state.directory,
-                        list(state.deltas),
-                    )
-            term_chunks = protocol.pack_term_chunks(entry.store.dictionary)
-            shard_tables = protocol.pack_all_shard_tables(entry.store, self.worker_count)
-            full_tables = protocol.pack_full_tables(entry.store)
+                    descriptor = (protocol.TABLES_SHM, state.segment_name, state.directory)
+                    return state.version, lambda _index: descriptor, list(state.deltas)
+            pieces = self._image_pieces(entry)
             if update_marks:
                 self._dict_marks[entry.name] = len(entry.store.dictionary)
-        self._ship_bytes.observe(
-            float(
-                sum(
-                    len(blob)
-                    for tables in [full_tables, *shard_tables]
-                    for _count, s_bytes, p_bytes, o_bytes in tables.values()
-                    for blob in (s_bytes, p_bytes, o_bytes)
-                )
+        full_tables = pieces.pop("full_tables")
+        shard_tables = pieces.pop("shard_tables")
+
+        def pipe_image(index: int) -> tuple:
+            blobs, directory = shm.layout_image(
+                entry.name,
+                version,
+                targets=[("full", full_tables), (index, shard_tables[index])],
+                **pieces,
             )
-        )
-        return (protocol.TABLES_INLINE, version, term_chunks, shard_tables, full_tables)
+            image = b"".join(blobs)
+            self._ship_bytes.observe(float(len(image)))
+            return protocol.TABLES_INLINE, image, directory
+
+        return version, pipe_image, []
+
+    def _image_pieces(self, entry: CatalogEntry) -> Dict[str, object]:
+        """What a graph image is laid out from, whichever source carries it
+        (caller holds the entry lock).  The full replica's weak-summary
+        maintainer state rides along so workers restore it instead of
+        re-scanning every row on load."""
+        store = entry.store
+        return {
+            "term_chunks": protocol.pack_term_chunks(store.dictionary),
+            "shard_tables": protocol.pack_all_shard_tables(store, self.worker_count),
+            "full_tables": protocol.pack_full_tables(store),
+            "byteorder": protocol.BYTEORDER,
+            "weak_state": entry.maintainer_state(),
+        }
 
     def _pack_segment(self, entry: CatalogEntry, version: int) -> Tuple[str, dict]:
         """Pack *entry* into a fresh segment generation.
 
         Caller holds the entry lock (read or write) and the segment lock.
-        The full replica's weak-summary maintainer state rides along so
-        workers restore it instead of re-scanning every row on attach.
         """
-        store = entry.store
-        term_chunks = protocol.pack_term_chunks(store.dictionary)
-        shard_tables = protocol.pack_all_shard_tables(store, self.worker_count)
-        full_tables = protocol.pack_full_tables(store)
         segment_name, directory = self._registry.pack(
-            entry.name,
-            version,
-            term_chunks,
-            shard_tables,
-            full_tables,
-            protocol.BYTEORDER,
-            weak_state=entry.maintainer_state(),
+            entry.name, version, **self._image_pieces(entry)
         )
         for info in self._registry.info():
             if info["segment"] == segment_name:
@@ -770,31 +773,12 @@ class ClusterCoordinator:
 
     def _send_snapshot(self, handle: _WorkerHandle, name: str, snapshot: tuple) -> None:
         """Load *handle*'s slice of a packed snapshot into its worker."""
-        mode = snapshot[0]
-        if mode == protocol.TABLES_SHM:
-            _mode, version, segment_name, directory, deltas = snapshot
-            payload = (
-                name,
-                version,
-                (protocol.TABLES_SHM, segment_name, directory),
-                deltas,
-            )
-        else:
-            _mode, version, term_chunks, shard_tables, full_tables = snapshot
-            payload = (
-                name,
-                version,
-                (
-                    protocol.TABLES_INLINE,
-                    term_chunks,
-                    shard_tables[handle.index],
-                    full_tables,
-                    protocol.BYTEORDER,
-                ),
-                [],
-            )
+        version, tables_for, deltas = snapshot
         handle.last_load = self._request(
-            handle, protocol.OP_LOAD, payload, _REQUEST_TIMEOUT
+            handle,
+            protocol.OP_LOAD,
+            (name, version, tables_for(handle.index), deltas),
+            _REQUEST_TIMEOUT,
         )
 
     def _ship_graph(

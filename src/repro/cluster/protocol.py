@@ -8,7 +8,9 @@ objects are ever pickled across the boundary:
 * **rows** travel as the packed int64 column blobs of the columnar data
   plane (:meth:`MemoryStore.column_bytes` format — ``array('q')`` in
   native byte order), extracted per shard by
-  :meth:`TripleStore.partition_column_bytes`;
+  :meth:`TripleStore.partition_column_bytes` and laid out into one graph
+  *image* (:func:`repro.cluster.shm.layout_image`) that reaches a worker
+  through a shared-memory segment or as ``bytes`` on the pipe;
 * **terms** travel through the one term codec of
   :mod:`repro.model.dictionary` (re-exported here) — the structural
   ``(kind, value, datatype, language)`` tuples the persistent catalog's
@@ -72,8 +74,8 @@ __all__ = [
 
 #: Request opcodes (coordinator → worker).
 #:
-#: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* is one
-#: of the two shipping modes below, and *deltas* is the (possibly empty)
+#: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* names
+#: one of the two image sources below, and *deltas* is the (possibly empty)
 #: replay log of ``(version, (dict_start, packed_terms), rows)`` ingest
 #: batches that post-date the shipped snapshot — applied in order before
 #: the load is acknowledged, so a re-attach after a crash needs no repack.
@@ -84,11 +86,13 @@ OP_DROP = "drop"  # (name,)
 OP_PING = "ping"  # ()
 OP_SHUTDOWN = "shutdown"  # ()
 
-#: ``OP_LOAD`` *tables* modes: inline column blobs over the pipe —
-#: ``("inline", term_chunks, shard_tables, full_tables, byteorder)`` — or
-#: a shared-memory segment descriptor — ``("shm", segment_name,
-#: directory)`` (terms and tables live in the segment; see
-#: :mod:`repro.cluster.shm` for the directory layout).
+#: ``OP_LOAD`` *tables* is ``(source, image, directory)``: the graph image
+#: itself as ``bytes`` on the pipe — ``("inline", image, directory)``, the
+#: targets ``"full"`` and this worker's shard — or the name of the
+#: shared-memory segment holding it — ``("shm", segment_name, directory)``,
+#: every target.  Same directory format either way (see
+#: :func:`repro.cluster.shm.layout_image`); the worker loads both through
+#: one routine.
 TABLES_INLINE = "inline"
 TABLES_SHM = "shm"
 

@@ -1,13 +1,22 @@
-"""The shared-memory column plane of the cluster tier.
+"""The graph image a worker loads, and the shared-memory plane that holds it.
 
-One registered graph generation becomes **one** named POSIX shared-memory
-segment holding, back to back: the pickled dictionary term chunks, the
-pickled weak-summary maintainer state of the full replica, and the raw
-int64 column blobs of every shard partition plus the full-replica tables.
-The coordinator packs the segment once; every worker *attaches* instead of
-receiving blobs over its pipe, and adopts the column regions zero-copy
-(:meth:`MemoryStore.adopt_column_buffers`) — K workers, one physical copy
-of the graph per host.
+A graph ships to workers as one *image*: back to back, the pickled
+dictionary term chunks, the pickled weak-summary maintainer state of the
+full replica, and the raw int64 column blobs of each ship target (the
+full-replica tables and shard partitions).  :func:`layout_image` is the
+pure layout step — blobs plus the *directory* of byte windows a worker
+needs to adopt them (:meth:`MemoryStore.adopt_column_buffers`, zero-copy).
+The image has two buffer *sources*, and the worker loads both through one
+routine:
+
+* **shared memory** (the default): one registered graph generation becomes
+  **one** named POSIX segment holding every target.  The coordinator packs
+  it once (:meth:`SegmentRegistry.pack`); every worker *attaches* instead
+  of receiving bytes over its pipe — K workers, one physical copy of the
+  graph per host;
+* **the pipe** (``--no-shm``, or no ``/dev/shm``): the coordinator joins
+  the blobs of ``full`` + one worker's shard into a ``bytes`` image per
+  worker and sends it with its directory.
 
 Lifecycle and hygiene
 ---------------------
@@ -38,7 +47,7 @@ from __future__ import annotations
 import os
 import pickle
 import secrets
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import ClusterError
 
@@ -51,6 +60,7 @@ __all__ = [
     "SEGMENT_PREFIX",
     "SegmentRegistry",
     "attach",
+    "layout_image",
     "shm_available",
     "list_segments",
 ]
@@ -114,6 +124,63 @@ def attach(name: str):
     return segment
 
 
+#: One ship target's tables: ``kind value -> (rows, s, p, o column bytes)``.
+Tables = Dict[str, Tuple[int, bytes, bytes, bytes]]
+
+
+def layout_image(
+    graph_name: str,
+    version: int,
+    term_chunks: List[list],
+    targets: Sequence[Tuple[object, Tables]],
+    byteorder: str,
+    weak_state: Optional[dict] = None,
+) -> Tuple[List[bytes], dict]:
+    """Lay one graph image out: ``(blobs, directory)``, nothing copied.
+
+    The image is the concatenation of *blobs*.  The *directory* maps named
+    regions to ``(offset, length)`` byte windows (``terms``, and ``weak``
+    — the maintainer state, ``None`` when there is none) and each ship
+    target (a shard index, or ``"full"``) to per-table ``(row_count,
+    s_offset, p_offset, o_offset)`` entries.  A table's three columns lie
+    back to back, so ``p_offset - s_offset == o_offset - p_offset ==
+    8 * row_count`` — the worker checks that before adopting.  The
+    directory travels on the pipe, never inside the image, so a load
+    needs no parsing pass.
+    """
+    # term_chunks is protocol.pack_term_chunks output — plain value
+    # tuples, no Term objects (their hashes are process-salted).
+    terms_blob = pickle.dumps(  # repro-lint: disable=no-pickled-terms
+        term_chunks, protocol=pickle.HIGHEST_PROTOCOL
+    )
+    blobs: List[bytes] = [terms_blob]
+    offset = len(terms_blob)
+    directory: dict = {
+        "graph": graph_name,
+        "version": version,
+        "byteorder": byteorder,
+        "terms": (0, offset),
+        "weak": None,
+        "targets": {},
+    }
+    if weak_state is not None:
+        weak_blob = pickle.dumps(weak_state, protocol=pickle.HIGHEST_PROTOCOL)
+        directory["weak"] = (offset, len(weak_blob))
+        blobs.append(weak_blob)
+        offset += len(weak_blob)
+    for target, tables in targets:
+        table_directory = {}
+        for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
+            entry = [count]
+            for blob in (s_bytes, p_bytes, o_bytes):
+                entry.append(offset)
+                blobs.append(blob)
+                offset += len(blob)
+            table_directory[kind_value] = tuple(entry)
+        directory["targets"][target] = table_directory
+    return blobs, directory
+
+
 class _Segment:
     """One packed generation: the handle, its directory, and its stats."""
 
@@ -129,13 +196,10 @@ class _Segment:
 class SegmentRegistry:
     """Coordinator-side owner of every live graph segment.
 
-    ``pack()`` lays a graph generation out into one fresh segment and
+    ``pack()`` lays a graph generation out (:func:`layout_image`, every
+    shard plus the full replica) and copies it into one fresh segment; it
     returns ``(segment_name, directory)`` — the descriptor a worker needs
-    to attach and adopt.  The *directory* maps named regions to
-    ``(offset, length)`` byte windows (terms, weak-summary state) and each
-    ship target (shard index or ``"full"``) to per-table
-    ``(row_count, s_offset, p_offset, o_offset)`` entries; it travels on
-    the pipe, never inside the segment, so attach needs no parsing pass.
+    to attach and adopt.
 
     Not thread-safe by itself — the coordinator serializes access with its
     segment lock.
@@ -153,8 +217,8 @@ class SegmentRegistry:
         graph_name: str,
         version: int,
         term_chunks: List[list],
-        shard_tables: List[Dict[str, Tuple[int, bytes, bytes, bytes]]],
-        full_tables: Dict[str, Tuple[int, bytes, bytes, bytes]],
+        shard_tables: List[Tables],
+        full_tables: Tables,
         byteorder: str,
         weak_state: Optional[dict] = None,
     ) -> Tuple[str, dict]:
@@ -168,52 +232,21 @@ class SegmentRegistry:
         if shared_memory is None:
             raise ClusterError("shared memory is unavailable on this platform")
         generation = self._generations.get(graph_name, 0) + 1
-        # term_chunks is protocol.pack_term_chunks output — plain value
-        # tuples, no Term objects (their hashes are process-salted).
-        terms_blob = pickle.dumps(  # repro-lint: disable=no-pickled-terms
-            term_chunks, protocol=pickle.HIGHEST_PROTOCOL
-        )
-        weak_blob = (
-            b""
-            if weak_state is None
-            else pickle.dumps(weak_state, protocol=pickle.HIGHEST_PROTOCOL)
-        )
-        blobs: List[bytes] = [terms_blob, weak_blob]
-        directory: dict = {
-            "graph": graph_name,
-            "generation": generation,
-            "version": version,
-            "byteorder": byteorder,
-            "terms": (0, len(terms_blob)),
-            "weak": None,
-            "targets": {},
-        }
-        offset = len(terms_blob)
-        if weak_blob:
-            directory["weak"] = (offset, len(weak_blob))
-        offset += len(weak_blob)
         targets = [("full", full_tables)]
         targets.extend(enumerate(shard_tables))
-        for target, tables in targets:
-            table_directory = {}
-            for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
-                entry = [count]
-                for blob in (s_bytes, p_bytes, o_bytes):
-                    entry.append(offset)
-                    blobs.append(blob)
-                    offset += len(blob)
-                table_directory[kind_value] = tuple(entry)
-            directory["targets"][target] = table_directory
-        name = _segment_name()
-        segment = shared_memory.SharedMemory(
-            create=True, size=max(offset, 1), name=name
+        blobs, directory = layout_image(
+            graph_name, version, term_chunks, targets, byteorder, weak_state
         )
+        directory["generation"] = generation
+        nbytes = sum(len(blob) for blob in blobs)
+        name = _segment_name()
+        segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 1), name=name)
         cursor = 0
         for blob in blobs:
             segment.buf[cursor : cursor + len(blob)] = blob
             cursor += len(blob)
         self.unlink(graph_name)
-        self._segments[graph_name] = _Segment(segment, directory, generation, offset)
+        self._segments[graph_name] = _Segment(segment, directory, generation, nbytes)
         self._generations[graph_name] = generation
         self.packs += 1
         return name, directory

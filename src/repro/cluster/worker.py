@@ -5,19 +5,6 @@ A worker is a single-threaded message loop over a
 keeps **two** worker-local stores sharing **one** dictionary (rebuilt
 id-for-id from the coordinator's packed term columns):
 
-Loads arrive in one of two shipping modes (see
-:mod:`repro.cluster.protocol`): *inline* column blobs copied off the pipe
-into private arrays (the portable fallback), or a *shared-memory segment
-descriptor* — the worker attaches the named segment and adopts the column
-regions zero-copy (:meth:`MemoryStore.adopt_column_buffers`), unpickles
-the dictionary chunks and the full replica's weak-summary maintainer
-state straight out of the mapping, and replays the load's delta log.
-Either way the resulting stores answer queries identically; the shm path
-just skips K-1 copies of every blob and the full replica's O(rows)
-priming scan.  The worker never unlinks a segment (the coordinator owns
-that); it closes its mapping when the graph is dropped or replaced —
-after closing the stores, which release their adopted views.
-
 * the *shard* store — its :func:`~repro.store.base.shard_of` slice of the
   DATA/TYPE tables plus the broadcast SCHEMA table.  Queries whose
   patterns all share one subject term are exact on this partition, and the
@@ -34,6 +21,21 @@ objects in two worker-local catalogs fronted by
 summaries, cardinality statistics, planners and guard cascades are exactly
 the serving machinery of the single-process tier, pointed at smaller
 tables.
+
+A load carries one graph *image* plus its directory (see
+:func:`repro.cluster.shm.layout_image`), from one of two buffer sources
+(:mod:`repro.cluster.protocol`): a *shared-memory segment* the worker
+attaches by name, or a ``bytes`` image sent over the pipe.  Both go through
+the same routine (:meth:`_Worker._load_image`): the column regions are
+adopted zero-copy (:meth:`MemoryStore.adopt_column_buffers`), the shard
+store defers its weak-summary priming scan to its first guarded query, the
+full replica restores its maintainer from the packed state instead of
+scanning, the dictionary is hydrated lazily from the packed term chunks,
+and the load's delta log is replayed.  The only difference is who else
+holds the bytes: a segment is one physical copy per host, a pipe image is
+private to this worker.  The worker never unlinks a segment (the
+coordinator owns that); it closes its mapping when the graph is dropped or
+replaced — after closing the stores, which release their adopted views.
 
 Ordering and fencing
 --------------------
@@ -111,10 +113,8 @@ class _Worker:
         self.segments: Dict[str, object] = {}
         #: Graphs whose dictionary still awaits hydration from the packed
         #: term blob: ``name -> (dictionary, pickled term chunks)``.  A
-        #: segment attach acknowledges in O(1) and pays the O(terms)
-        #: unpack here — right after the ack goes out (overlapping the
-        #: coordinator's other sends), or on first delta/query, whichever
-        #: comes first.
+        #: load acknowledges in O(1) and the first delta or query of the
+        #: graph pays the O(terms) unpack.
         self._pending_terms: Dict[str, Tuple[Dictionary, bytes]] = {}
         self.draining = False
         #: Deferred version-fenced queries: ``(request_id, payload)``.
@@ -123,20 +123,6 @@ class _Worker:
     # ------------------------------------------------------------------
     # message handlers
     # ------------------------------------------------------------------
-    def _load_tables(self, store: MemoryStore, tables: Dict[str, tuple], byteorder: str) -> int:
-        rows = 0
-        for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
-            loaded = store.load_column_bytes(
-                TripleKind(kind_value), s_bytes, p_bytes, o_bytes, byteorder=byteorder
-            )
-            if loaded != count:
-                raise ReproError(
-                    f"shard blob row count mismatch for {kind_value}: "
-                    f"expected {count}, loaded {loaded}"
-                )
-            rows += loaded
-        return rows
-
     def handle_load(self, payload: tuple) -> dict:
         name, version, tables, deltas = payload
         started = perf_counter()
@@ -144,13 +130,17 @@ class _Worker:
             # a respawn re-ship or a replace: drop the stale copy first,
             # keeping deferred queries — the fresh copy answers them below
             self._drop_local(name)
-        mode = tables[0]
+        mode, source, directory = tables
         if mode == protocol.TABLES_SHM:
-            shard_rows, full_rows = self._load_from_segment(name, version, tables)
+            segment = shm.attach(source)
+            buffer = segment.buf
         elif mode == protocol.TABLES_INLINE:
-            shard_rows, full_rows = self._load_inline(name, version, tables)
+            # the adopted column views keep the bytes object alive
+            segment = None
+            buffer = memoryview(source)
         else:
             raise ReproError(f"unknown table shipping mode {mode!r}")
+        shard_rows, full_rows = self._load_image(name, version, buffer, directory, segment)
         graph = self.graphs[name]
         # replay the deltas that post-date the shipped snapshot (a re-attach
         # after a crash: the segment is an older generation plus this log)
@@ -166,31 +156,20 @@ class _Worker:
             "attach_seconds": perf_counter() - started,
         }
 
-    def _load_inline(self, name: str, version: int, tables: tuple) -> Tuple[int, int]:
-        """The pipe-blob fallback: private column copies, priming scans."""
-        _mode, term_chunks, shard_tables, full_tables, byteorder = tables
-        dictionary = Dictionary()
-        protocol.unpack_term_chunks(term_chunks, dictionary)
-        shard_store = MemoryStore()
-        shard_store.dictionary = dictionary
-        shard_rows = self._load_tables(shard_store, shard_tables, byteorder)
-        full_store = MemoryStore()
-        full_store.dictionary = dictionary
-        full_rows = self._load_tables(full_store, full_tables, byteorder)
-        # register() primes each entry's weak-summary maintainer from its
-        # store — the per-shard summary build the scatter guard runs on
-        self.shard_catalog.register(name, store=shard_store)
-        self.full_catalog.register(name, store=full_store)
-        self.graphs[name] = _WorkerGraph(version)
-        return shard_rows, full_rows
+    def _load_image(
+        self, name: str, version: int, buffer, directory: dict, segment
+    ) -> Tuple[int, int]:
+        """Adopt one graph image's column regions zero-copy.
 
-    def _load_from_segment(self, name: str, version: int, tables: tuple) -> Tuple[int, int]:
-        """Attach a packed segment and adopt its column regions zero-copy."""
-        _mode, segment_name, directory = tables
-        segment = shm.attach(segment_name)
+        *buffer* is the image's bytes — a segment's mapping or a
+        ``memoryview`` of a pipe-shipped ``bytes`` — and *segment* the
+        handle that keeps a mapping alive (``None`` for a pipe image: the
+        adopted views reference the bytes object themselves).  Either the
+        graph is fully loaded when this returns, or nothing of it is left
+        behind.
+        """
         stores: List[MemoryStore] = []
         try:
-            buffer = segment.buf
             byteorder = directory["byteorder"]
             offset, length = directory["terms"]
             # a plain memcpy of the pickled blob; the O(terms) dictionary
@@ -213,7 +192,7 @@ class _Worker:
             # the shard store defers its (1/K-sized) weak-summary priming
             # scan to its first guarded query; the full replica skips its
             # O(rows) scan outright — the coordinator packed its
-            # maintainer state into the segment
+            # maintainer state into the image
             self.shard_catalog.register(name, store=shard_store, lazy_prime=True)
             weak = directory.get("weak")
             if weak is not None:
@@ -235,12 +214,14 @@ class _Worker:
             for store in stores:
                 store.close()
             self._drop_local(name)
-            try:
-                segment.close()
-            except BufferError:  # pragma: no cover - a stray live view
-                pass
+            if segment is not None:
+                try:
+                    segment.close()
+                except BufferError:  # pragma: no cover - a stray live view
+                    pass
             raise
-        self.segments[name] = segment
+        if segment is not None:
+            self.segments[name] = segment
         self._pending_terms[name] = (dictionary, terms_blob)
         self.graphs[name] = _WorkerGraph(version)
         return shard_rows, full_rows
@@ -258,32 +239,31 @@ class _Worker:
         chunks = pickle.loads(terms_blob)  # repro-lint: disable=no-pickled-terms
         protocol.unpack_term_chunks(chunks, dictionary)
 
-    def _hydrate_pending(self) -> None:
-        """Hydrate every deferred dictionary — called right after a load
-        ack leaves, so the unpack overlaps the coordinator's other work
-        instead of its ship wait."""
-        for name in list(self._pending_terms):
-            self._hydrate_terms(name)
-
     def _adopt_tables(
         self, store: MemoryStore, buffer, tables: Dict[str, tuple], byteorder: str
     ) -> int:
         rows = 0
         for kind_value, (count, s_offset, p_offset, o_offset) in tables.items():
             nbytes = count * 8
-            adopted = store.adopt_column_buffers(
+            # layout_image lays a table's columns back to back: a row count
+            # that disagrees with the column windows, or a window off the
+            # end of the image, is a corrupt directory — never adopt it
+            if not (
+                0 <= s_offset
+                and p_offset - s_offset == nbytes == o_offset - p_offset
+                and o_offset + nbytes <= len(buffer)
+            ):
+                raise ReproError(
+                    f"image row count mismatch for {kind_value}: {count} rows "
+                    f"do not fit the column windows at {s_offset}/{p_offset}/{o_offset}"
+                )
+            rows += store.adopt_column_buffers(
                 TripleKind(kind_value),
                 buffer[s_offset : s_offset + nbytes],
                 buffer[p_offset : p_offset + nbytes],
                 buffer[o_offset : o_offset + nbytes],
                 byteorder=byteorder,
             )
-            if adopted != count:
-                raise ReproError(
-                    f"segment row count mismatch for {kind_value}: "
-                    f"expected {count}, adopted {adopted}"
-                )
-            rows += adopted
         return rows
 
     def handle_delta(self, payload: tuple) -> dict:
@@ -409,7 +389,12 @@ class _Worker:
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     def _column_memory(self) -> Dict[str, int]:
-        """Private vs adopted column bytes across every store of this worker."""
+        """Private vs shared column bytes across every store of this worker.
+
+        Only views over an attached segment count as ``adopted_bytes``
+        (shared — one physical copy per host).  A pipe-shipped image is
+        adopted the same way, but its bytes are this worker's own.
+        """
         totals = {"private_bytes": 0, "adopted_bytes": 0}
         for catalog in (self.shard_catalog, self.full_catalog):
             for name in catalog.names():
@@ -420,8 +405,10 @@ class _Worker:
                 column_memory = getattr(store, "column_memory", None)
                 if column_memory is None:
                     continue
-                for key, value in column_memory().items():
-                    totals[key] += value
+                memory = column_memory()
+                totals["private_bytes"] += memory["private_bytes"]
+                shared = "adopted_bytes" if name in self.segments else "private_bytes"
+                totals[shared] += memory["adopted_bytes"]
         return totals
 
     def _encode_answer(self, answer: QueryAnswer) -> dict:

@@ -27,14 +27,7 @@ from repro.core.cliques import (
     property_distance,
     saturated_clique,
 )
-from repro.core.equivalence import (
-    NodePartition,
-    strong_partition,
-    type_partition,
-    untyped_strong_partition,
-    untyped_weak_partition,
-    weak_partition,
-)
+from repro.core.equivalence import NodePartition
 from repro.core.incremental import IncrementalWeakSummarizer, incremental_weak_summary
 from repro.core.isomorphism import canonical_signature, graphs_isomorphic, summaries_equivalent
 from repro.core.naming import SUMMARY_NS, SummaryNamer
@@ -76,11 +69,6 @@ __all__ = [
     "property_distance",
     "saturated_clique",
     "NodePartition",
-    "strong_partition",
-    "type_partition",
-    "untyped_strong_partition",
-    "untyped_weak_partition",
-    "weak_partition",
     "IncrementalWeakSummarizer",
     "incremental_weak_summary",
     "canonical_signature",

@@ -10,35 +10,18 @@ All constructions run in time linear in the number of edges of the input
 graph (plus near-constant union-find overhead), matching the complexity
 claims of Sections 3–6.
 
-Two execution engines are available, selected by the ``engine`` parameter:
-
-* ``"encoded"`` (default) — dictionary-encode the graph and run the
-  integer-only pipeline of :mod:`repro.core.encoded`, mirroring the paper's
-  relational prototype: no ``Term`` is hashed on the hot path and the
-  summary is decoded only at the end;
-* ``"term"`` (alias ``"legacy"``) — the original object pipeline over
-  :mod:`repro.core.cliques` / :mod:`repro.core.equivalence` /
-  :mod:`repro.core.quotient`, kept as the executable specification.
-
-Both engines produce isomorphic summaries with complete (isomorphic, not
-byte-identical — minted node URIs may differ) provenance maps; the test
-suite asserts this for every kind.
+Every construction dictionary-encodes the graph and runs the integer-only
+pipeline of :mod:`repro.core.encoded`, mirroring the paper's relational
+prototype (Section 6): no ``Term`` is hashed on the hot path and the summary
+is decoded only at the end.  The ``Term``-level definition the test suite
+checks it against lives in ``tests/oracles/term_partitions.py``.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional
+from typing import Callable, Dict
 
 from repro.core.encoded import summarize_graph_encoded
-from repro.core.equivalence import (
-    NodePartition,
-    strong_partition,
-    type_partition,
-    untyped_strong_partition,
-    untyped_weak_partition,
-    weak_partition,
-)
-from repro.core.quotient import build_quotient_summary
 from repro.core.summary import Summary
 from repro.errors import UnknownSummaryKindError
 from repro.model.graph import RDFGraph
@@ -51,57 +34,33 @@ __all__ = [
     "typed_strong_summary",
     "summarize",
     "SUMMARY_KINDS",
-    "SUMMARY_ENGINES",
-    "ENGINE_CHOICES",
-    "DEFAULT_ENGINE",
-    "normalize_engine",
     "normalize_kind",
 ]
 
-#: Partition function behind each summary kind (the legacy ``Term`` path).
-_PARTITIONS: Dict[str, Callable[[RDFGraph], NodePartition]] = {
-    "weak": weak_partition,
-    "strong": strong_partition,
-    "type": type_partition,
-    "typed_weak": untyped_weak_partition,
-    "typed_strong": untyped_strong_partition,
-}
 
-#: Supported execution engines (``"legacy"`` is accepted as an alias of ``"term"``).
-SUMMARY_ENGINES = ("encoded", "term")
-
-#: Engine used when callers do not pick one explicitly.
-DEFAULT_ENGINE = "encoded"
-
-
-def _term_summary(graph: RDFGraph, kind: str) -> Summary:
-    """The legacy object pipeline: partition ``Term`` nodes, then quotient."""
-    return build_quotient_summary(graph, _PARTITIONS[kind](graph), kind=kind)
-
-
-def weak_summary(graph: RDFGraph, engine: Optional[str] = None) -> Summary:
+def weak_summary(graph: RDFGraph) -> Summary:
     """Build the weak summary ``W_G`` (quotient by ``≡W``)."""
-    return summarize(graph, "weak", engine=engine)
+    return summarize(graph, "weak")
 
 
-def strong_summary(graph: RDFGraph, engine: Optional[str] = None) -> Summary:
+def strong_summary(graph: RDFGraph) -> Summary:
     """Build the strong summary ``S_G`` (quotient by ``≡S``)."""
-    return summarize(graph, "strong", engine=engine)
+    return summarize(graph, "strong")
 
 
-def type_summary(graph: RDFGraph, engine: Optional[str] = None) -> Summary:
+def type_summary(graph: RDFGraph) -> Summary:
     """Build the type-based summary ``T_G`` (quotient by ``≡T``)."""
-    return summarize(graph, "type", engine=engine)
+    return summarize(graph, "type")
 
 
-def typed_weak_summary(graph: RDFGraph, engine: Optional[str] = None) -> Summary:
+def typed_weak_summary(graph: RDFGraph) -> Summary:
     """Build the typed weak summary ``TW_G = UW(T_G)``."""
-    return summarize(graph, "typed_weak", engine=engine)
+    return summarize(graph, "typed_weak")
 
 
-def typed_strong_summary(graph: RDFGraph, engine: Optional[str] = None) -> Summary:
+def typed_strong_summary(graph: RDFGraph) -> Summary:
     """Build the typed strong summary ``TS_G = US(T_G)``."""
-    return summarize(graph, "typed_strong", engine=engine)
+    return summarize(graph, "typed_strong")
 
 
 #: Mapping from kind name to builder, used by :func:`summarize` and the CLI.
@@ -124,12 +83,6 @@ _ALIASES = {
     "typed-strong": "typed_strong",
 }
 
-_ENGINE_ALIASES = {"legacy": "term"}
-
-#: Every engine name a user may pass (canonical names plus aliases) — the
-#: single source for CLI ``choices`` lists.
-ENGINE_CHOICES = tuple(SUMMARY_ENGINES) + tuple(sorted(_ENGINE_ALIASES))
-
 
 def normalize_kind(kind: str) -> str:
     """Resolve a summary-kind name (or alias) to its canonical form.
@@ -139,27 +92,13 @@ def normalize_kind(kind: str) -> str:
     """
     normalized = kind.strip().lower()
     normalized = _ALIASES.get(normalized, normalized)
-    if normalized not in _PARTITIONS:
-        supported = ", ".join(sorted(_PARTITIONS))
+    if normalized not in SUMMARY_KINDS:
+        supported = ", ".join(sorted(SUMMARY_KINDS))
         raise UnknownSummaryKindError(f"unknown summary kind {kind!r}; supported: {supported}")
     return normalized
 
 
-def normalize_engine(engine: Optional[str]) -> str:
-    """Resolve an engine name (or ``None``) to ``"encoded"`` or ``"term"``."""
-    if engine is None:
-        return DEFAULT_ENGINE
-    normalized = engine.strip().lower()
-    normalized = _ENGINE_ALIASES.get(normalized, normalized)
-    if normalized not in SUMMARY_ENGINES:
-        supported = ", ".join(SUMMARY_ENGINES)
-        raise UnknownSummaryKindError(
-            f"unknown summary engine {engine!r}; supported: {supported}"
-        )
-    return normalized
-
-
-def summarize(graph: RDFGraph, kind: str = "weak", engine: Optional[str] = None) -> Summary:
+def summarize(graph: RDFGraph, kind: str = "weak") -> Summary:
     """Summarize *graph* with the requested summary *kind*.
 
     Parameters
@@ -170,18 +109,10 @@ def summarize(graph: RDFGraph, kind: str = "weak", engine: Optional[str] = None)
         One of ``"weak"``, ``"strong"``, ``"type"``, ``"typed_weak"``,
         ``"typed_strong"`` (or the aliases ``w`` / ``s`` / ``t`` / ``tw`` /
         ``ts``).
-    engine:
-        ``"encoded"`` (default) to run the integer-encoded pipeline, or
-        ``"term"`` / ``"legacy"`` for the original ``Term``-object pipeline.
-        Both produce isomorphic summaries.
 
     Raises
     ------
     UnknownSummaryKindError
-        When *kind* does not name a supported summary (or *engine* a
-        supported engine).
+        When *kind* does not name a supported summary.
     """
-    normalized = normalize_kind(kind)
-    if normalize_engine(engine) == "encoded":
-        return summarize_graph_encoded(graph, normalized)
-    return _term_summary(graph, normalized)
+    return summarize_graph_encoded(graph, normalize_kind(kind))

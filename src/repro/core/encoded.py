@@ -10,12 +10,12 @@ rows of a :class:`~repro.store.base.TripleStore` (memory or SQLite backend),
 using an array-backed union-find over dense term ids and dict-of-int block
 maps instead of ``Term``-keyed structures.
 
-The engine is the default execution path of
-:func:`repro.core.builders.summarize`; the original ``Term``-object pipeline
-is kept as the ``engine="term"`` legacy path and the two are guaranteed to
-produce isomorphic summaries (same structure, same minted-name scheme, same
-``representative_of`` provenance) — the test suite asserts this for every
-kind on every backend.
+The engine is the one execution path of
+:func:`repro.core.builders.summarize`.  The ``Term``-object definition of the
+five partitions is a test-tree oracle (``tests/oracles/term_partitions.py``);
+the test suite asserts that the two produce isomorphic summaries (same
+structure, same minted-name scheme, same ``representative_of`` provenance)
+for every kind on every backend.
 
 Algorithms, per kind
 --------------------
@@ -112,26 +112,11 @@ class EncodedSummaryEngine:
         The loaded triple store; its dictionary is used for final decoding.
     batch_size:
         Rows per scan batch (forwarded to :meth:`TripleStore.scan_batches`).
-    prepare_store:
-        When ``True``, ask the backend to build its summarization indexes
-        first (a no-op on backends without ``ensure_summarization_indexes``).
-        Off by default: the engine itself only issues full scans, so the
-        index pass helps ``select()``-driven consumers sharing the store,
-        not these passes.
     """
 
-    def __init__(
-        self,
-        store: TripleStore,
-        batch_size: int = 50_000,
-        prepare_store: bool = False,
-    ):
+    def __init__(self, store: TripleStore, batch_size: int = 50_000):
         self.store = store
         self.batch_size = batch_size
-        if prepare_store:
-            prepare = getattr(store, "ensure_summarization_indexes", None)
-            if prepare is not None:
-                prepare()
 
     # ------------------------------------------------------------------
     # scan passes

@@ -70,10 +70,6 @@ class UnknownSummaryKindError(SummarizationError):
     """Raised when an unsupported summary kind name is requested."""
 
 
-class SaturationError(ReproError):
-    """Raised when RDFS saturation fails (e.g. ill-formed schema triples)."""
-
-
 class ServiceError(ReproError):
     """Raised for failures inside the query service layer."""
 

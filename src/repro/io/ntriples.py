@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import io
 import re
-from typing import Iterable, Iterator, List, Optional, TextIO, Union
+from typing import Iterable, List, Optional, TextIO, Union
 
 from repro.errors import ParseError
 from repro.model.graph import RDFGraph
@@ -217,8 +217,3 @@ def dump_ntriples(graph_or_triples: Iterable[Triple], path) -> int:
         handle.write(text)
     return text.count("\n")
 
-
-def iter_ntriples_lines(graph_or_triples: Iterable[Triple]) -> Iterator[str]:
-    """Yield one N-Triples line per triple (unsorted, streaming)."""
-    for triple in graph_or_triples:
-        yield triple.n3()

@@ -261,8 +261,8 @@ class CatalogEntry:
     def _ensure_primed(self) -> None:
         """Pay a deferred priming scan before the maintainer is first used.
 
-        A ``prime="lazy"`` entry (a cluster worker attaching a shared
-        segment) acknowledges its load in O(1) and runs the O(rows) scan
+        A ``prime="lazy"`` entry (a cluster worker's shard store)
+        acknowledges its load in O(1) and runs the O(rows) scan
         here, under the init lock, on the first summary snapshot, state
         export, or ingest."""
         if self._prime_pending:
@@ -575,7 +575,7 @@ class CatalogEntry:
         every :meth:`add_triples` delta.  Evaluators, the saturated
         statistics profile and the planner's plan cache therefore survive
         updates instead of being version-invalidated — a
-        ``strategy="nested"`` service really runs nested on the saturated
+        ``strategy="merge"`` service really runs merge on the saturated
         path too.  Everything runs off the primary store's dictionary; the
         primary tables are never touched.
         """
@@ -906,7 +906,7 @@ class GraphCatalog:
         ``lazy_prime=True`` (``store=`` registrations on a non-persistent
         catalog only) defers the entry's O(rows) weak-summary priming scan
         to its first summary access or ingest — how a cluster worker
-        acknowledges a shared-memory attach in O(1).
+        acknowledges a graph-image load in O(1).
         """
         if (graph is None) == (store is None):
             raise ValueError("register() needs exactly one of graph= or store=")

@@ -12,16 +12,21 @@ strategies over the same compiled form:
   the memory store, chunked SQL ``IN (...)`` on SQLite), then hash-joined
   against the integer binding table.  The executor issues O(patterns)
   store lookups per query — never one probe per intermediate binding.
-* ``strategy="nested"`` — the PR 2 index-nested-loop join (greedy
-  most-bound-first ordering, one :meth:`TripleStore.select` per binding),
-  kept verbatim for A/B benchmarking; both strategies produce identical
-  answer sets.
 * ``strategy="sql"`` — whole-join pushdown: the compiled BGP becomes one
   ``SELECT DISTINCT`` over aliased table occurrences and the backend's C
   engine runs the entire join (SQLite releases the GIL for its duration —
   the strategy the concurrent server scales on).  Stores without a SQL
   engine, and variable-property patterns, silently fall back to ``hash``;
   answer sets are identical either way.
+* ``strategy="merge"`` — the ``hash`` pipeline, with eligible stages
+  answered by galloping search over the columnar store's sorted posting
+  runs instead of a fetch + hash build.
+
+A ``limit``-bounded evaluation whose plan predicts intermediate binding
+tables far beyond what the limit can consume is run by a private
+*pipelined* executor instead (:meth:`EncodedEvaluator._iter_pipelined`, an
+index-nested-loop that stops at the limit) — a plan choice made from the
+statistics, not a strategy a caller can select.
 
 Compilation (:func:`compile_query`) lowers a :class:`BGPQuery` to term ids
 through the store dictionary once, up front.  A constant that fails to
@@ -78,8 +83,8 @@ __all__ = [
 
 _ALL_TABLES = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 
-#: The join strategies the evaluator can run.  ``hash`` and ``nested`` are
-#: the Python-side executors; ``sql`` compiles the whole BGP into one
+#: The join strategies the evaluator can run.  ``hash`` is the Python-side
+#: executor; ``sql`` compiles the whole BGP into one
 #: relational join statement and lets the backend's C engine run it (only
 #: stores advertising ``supports_sql_join`` — the SQLite backend — can;
 #: everything else silently falls back to ``hash``).  The ``sql`` strategy
@@ -90,8 +95,8 @@ _ALL_TABLES = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 #: ``(p, o)`` posting runs (columnar memory store only) instead of
 #: fetching + hashing the relation; statistics pick merge or hash per
 #: stage, and ineligible stages fall back to the hash fetch, so answer
-#: sets are identical across all four strategies.
-STRATEGIES = ("hash", "nested", "sql", "merge")
+#: sets are identical across all three strategies.
+STRATEGIES = ("hash", "sql", "merge")
 
 
 class CompiledPattern:
@@ -216,11 +221,13 @@ def compile_query(query: BGPQuery, dictionary: Dictionary) -> CompiledQuery:
     return CompiledQuery(query, patterns, head_slots, len(slot_of), slot_names=slot_names)
 
 
-def _order_patterns(patterns: Sequence[CompiledPattern]) -> List[CompiledPattern]:
+def _pipelined_order(patterns: Sequence[CompiledPattern]) -> List[CompiledPattern]:
     """Greedy join ordering: repeatedly pick the most-bound remaining pattern.
 
-    This is the statistics-free ordering of the ``nested`` strategy; the
-    ``hash`` strategy orders through the :class:`QueryPlanner` instead.
+    The statistics-free ordering of the pipelined executor
+    (:meth:`EncodedEvaluator._iter_pipelined`): every probe after the first
+    is an index lookup on at least one bound position.  Blocking
+    evaluation orders through the :class:`QueryPlanner` instead.
     """
     remaining = list(patterns)
     ordered: List[CompiledPattern] = []
@@ -247,11 +254,10 @@ class EncodedEvaluator:
     store:
         The encoded triple store to evaluate against.
     strategy:
-        ``"hash"`` (planned, vectorized — the default), ``"nested"``
-        (the legacy per-binding index-nested-loop), ``"sql"`` (whole-join
-        pushdown where the backend supports it) or ``"merge"`` (sorted-run
-        merge joins where the store exposes them).  Answer sets are
-        identical; only the access pattern differs.
+        ``"hash"`` (planned, vectorized — the default), ``"sql"``
+        (whole-join pushdown where the backend supports it) or ``"merge"``
+        (sorted-run merge joins where the store exposes them).  Answer
+        sets are identical; only the access pattern differs.
     statistics:
         Cardinality profile driving the planner: a
         :class:`CardinalityStatistics`, a zero-arg callable returning one
@@ -322,24 +328,22 @@ class EncodedEvaluator:
             trace.strategy = self.strategy
         if compiled.trivially_empty:
             return
-        if self.strategy == "nested":
-            yield from self._iter_nested(compiled, trace)
-        else:
-            # the sql strategy projects head tuples only; full embeddings
-            # always come from the hash executor
-            yield from self._iter_hash(compiled, trace)
+        # the sql strategy projects head tuples only; full embeddings
+        # always come from the planned executor
+        yield from self._iter_hash(compiled, trace)
 
     # ------------------------------------------------------------------
-    # nested-loop strategy (PR 2, kept for A/B comparison)
+    # pipelined executor (private: chosen by _prefer_pipelined, never by
+    # a caller; goes when limit pushdown reaches the hash stages)
     # ------------------------------------------------------------------
-    def _iter_nested(
-        self, compiled: CompiledQuery, trace: Optional[ExecutionTrace]
-    ) -> Iterator[Tuple[int, ...]]:
-        """Index-nested-loop join: one ``select`` probe per binding level."""
-        ordered = _order_patterns(compiled.patterns)
-        if trace is not None:
-            for pattern in ordered:
-                trace.add_stage(_describe_pattern(pattern, compiled, self.store.dictionary))
+    def _iter_pipelined(self, compiled: CompiledQuery) -> Iterator[Tuple[int, ...]]:
+        """Index-nested-loop join: one ``select`` probe per binding level.
+
+        Produces embeddings one at a time without materializing any
+        intermediate binding table, so a ``limit``-bounded consumer pays
+        only for what it reads.
+        """
+        ordered = _pipelined_order(compiled.patterns)
         select = self.store.select
         bindings: List[Optional[int]] = [None] * compiled.variable_count
         depth = len(ordered)
@@ -749,7 +753,6 @@ class EncodedEvaluator:
         sql, parameters = statement
         rows = self.store.execute_join(sql, parameters)
         if trace is not None:
-            trace.strategy = self.strategy
             trace.add_stage(sql, produced=len(rows), probes=1)
         if not compiled.head_slots:
             return {()} if rows else set()
@@ -777,68 +780,62 @@ class EncodedEvaluator:
         a boolean query answers ``{()}`` or ``set()``.
         """
         compiled = self._compiled(query)
-        decode = self.store.dictionary.decode
-        head = compiled.head_slots
-        answers: Set[Tuple[Term, ...]] = set()
-        if self.strategy == "sql" and not compiled.trivially_empty:
+        if trace is not None:
+            trace.strategy = self.strategy
+        if compiled.trivially_empty:
+            return set()
+        if self.strategy == "sql":
             pushed_down = self._evaluate_sql(compiled, limit, trace)
             if pushed_down is not None:
                 return pushed_down
             # no SQL engine (or a multi-table pattern): hash path below
-        if self.strategy in ("hash", "sql", "merge") and not compiled.trivially_empty:
-            # project straight off the binding table: deduplicate on integer
-            # head tuples first (C-level set comprehensions for the common
-            # head widths), then decode each distinct tuple exactly once
-            if trace is not None:
-                trace.strategy = self.strategy
-            if limit is not None and trace is None:
-                plan = self.planner().plan(compiled)
-                if _prefer_pipelined(plan, limit):
-                    # limit-aware plan choice: when the statistics predict
-                    # intermediate binding tables far beyond what the limit
-                    # can consume, a blocking hash join would materialize
-                    # fan-out the caller never reads — run the pipelined
-                    # nested loop instead, which stops at the limit (the
-                    # classic LIMIT-pushes-toward-index-nested-loop rule)
-                    return self._first_distinct(self._iter_nested(compiled, None), head, limit)
-                # stream the final stage so a limit (or an ASK) never pays
-                # for join fan-out beyond what it reads
-                lazy_rows, slot_positions = self._hash_bindings(
-                    compiled, trace, stream_final=True, plan=plan
-                )
-                return self._first_distinct(
-                    lazy_rows, [slot_positions[slot] for slot in head], limit
-                )
-            binding_rows, slot_positions = self._hash_bindings(compiled, trace)
-            if not binding_rows:
-                return answers
-            head_positions = [slot_positions[slot] for slot in head]
-            if not head_positions:
-                return {()}
-            # binding ids came out of the store, so index the decode table
-            # directly: no per-id bounds check or method dispatch
-            terms = self.store.dictionary.decode_table
-            if len(head_positions) == 1:
-                (first,) = head_positions
-                distinct: Set = {binding[first] for binding in binding_rows}
-                answers = {(terms[value],) for value in distinct}
-            elif len(head_positions) == 2:
-                first, second = head_positions
-                distinct = {(binding[first], binding[second]) for binding in binding_rows}
-                answers = {(terms[left], terms[right]) for left, right in distinct}
-            else:
-                distinct = {
-                    tuple(binding[position] for position in head_positions)
-                    for binding in binding_rows
-                }
-                answers = {tuple(terms[value] for value in row) for row in distinct}
-            if limit is not None and len(answers) > limit:
-                answers = set(islice(answers, limit))
-            return answers
-        for binding in self.iter_embeddings(compiled, trace=trace):
-            answers.add(tuple(decode(binding[slot]) for slot in head))
-            if limit is not None and len(answers) >= limit:
-                break
+        head = compiled.head_slots
+        if limit is not None and trace is None:
+            plan = self.planner().plan(compiled)
+            if _prefer_pipelined(plan, limit):
+                # limit-aware plan choice: when the statistics predict
+                # intermediate binding tables far beyond what the limit
+                # can consume, a blocking hash join would materialize
+                # fan-out the caller never reads — run the pipelined
+                # nested loop instead, which stops at the limit (the
+                # classic LIMIT-pushes-toward-index-nested-loop rule)
+                return self._first_distinct(self._iter_pipelined(compiled), head, limit)
+            # stream the final stage so a limit (or an ASK) never pays
+            # for join fan-out beyond what it reads
+            lazy_rows, slot_positions = self._hash_bindings(
+                compiled, trace, stream_final=True, plan=plan
+            )
+            return self._first_distinct(
+                lazy_rows, [slot_positions[slot] for slot in head], limit
+            )
+        # project straight off the binding table: deduplicate on integer
+        # head tuples first (C-level set comprehensions for the common
+        # head widths), then decode each distinct tuple exactly once
+        binding_rows, slot_positions = self._hash_bindings(compiled, trace)
+        if not binding_rows:
+            return set()
+        head_positions = [slot_positions[slot] for slot in head]
+        if not head_positions:
+            return {()}
+        # binding ids came out of the store, so index the decode table
+        # directly: no per-id bounds check or method dispatch
+        terms = self.store.dictionary.decode_table
+        if len(head_positions) == 1:
+            (first,) = head_positions
+            distinct: Set = {binding[first] for binding in binding_rows}
+            answers = {(terms[value],) for value in distinct}
+        elif len(head_positions) == 2:
+            first, second = head_positions
+            distinct = {(binding[first], binding[second]) for binding in binding_rows}
+            answers = {(terms[left], terms[right]) for left, right in distinct}
+        else:
+            distinct = {
+                tuple(binding[position] for position in head_positions)
+                for binding in binding_rows
+            }
+            answers = {tuple(terms[value] for value in row) for row in distinct}
+        if limit is not None and len(answers) > limit:
+            answers = set(islice(answers, limit))
         return answers
 
     def _first_distinct(

@@ -1,8 +1,8 @@
 """Statistics-driven join planning for the encoded BGP evaluator.
 
-The nested-loop evaluator of PR 2 ordered patterns greedily by *bound
-position count* — a purely syntactic criterion that knows nothing about the
-data.  This module replaces it with textbook cost-based ordering over the
+Ordering patterns greedily by *bound position count* is a purely syntactic
+criterion that knows nothing about the data.  This module orders them with
+textbook cost-based ordering over the
 :class:`~repro.service.statistics.CardinalityStatistics` profile of the
 store:
 
@@ -289,8 +289,8 @@ class StageTrace:
         self.description = description
         self.estimate = estimate
         self.cumulative_estimate = cumulative_estimate
-        #: Rows fetched from the store for this stage (None for the
-        #: nested-loop strategy, which has no per-stage fetch).
+        #: Rows fetched from the store for this stage (None for a
+        #: pushed-down SQL join, which has no per-stage fetch).
         self.fetched = fetched
         #: Binding-table rows after this stage joined.
         self.produced = produced

@@ -95,7 +95,7 @@ class QueryAnswer:
         self.prunable = prunable
         self.guard_seconds = guard_seconds
         self.evaluation_seconds = evaluation_seconds
-        #: Join strategy of the base evaluation (``hash`` or ``nested``).
+        #: Join strategy of the base evaluation (``hash``, ``sql`` or ``merge``).
         self.strategy = strategy
         #: The guard kinds in the order actually checked (cheapest summary
         #: first); empty when the query was not prunable.
@@ -325,8 +325,8 @@ class QueryService:
         of compilation, not of the guard).
     strategy:
         Join strategy of base evaluation: ``"hash"`` (statistics-planned,
-        vectorized — the default) or ``"nested"`` (the legacy per-binding
-        index-nested-loop, kept for A/B comparison).
+        vectorized — the default), ``"sql"`` or ``"merge"`` — see
+        :data:`~repro.service.evaluator.STRATEGIES`.
     order_guards:
         With ``True`` (default) the guard cascade is re-ordered per query,
         cheapest first: cached summaries by ascending size, the

@@ -335,8 +335,8 @@ def generate_join_workload(
     Exact embedding counts are computed at generation time from per-property
     endpoint multisets (no join is ever evaluated), candidates are kept when
     ``1 <= embeddings <= max_join_size``, and within each family the largest
-    joins — the heaviest per-binding probe traffic for a nested-loop
-    evaluator — come first.  The ``unsat_*`` families of
+    joins — the largest binding tables a join stage has to build — come
+    first.  The ``unsat_*`` families of
     :func:`_unsatisfiable_candidates` and a few dictionary misses ride along
     so a comparison also covers the traffic the guard usually absorbs.
     """
@@ -471,25 +471,25 @@ def run_strategy_comparison(
     answer_limit: Optional[int] = None,
     repeat: int = 3,
 ) -> Dict[str, object]:
-    """Time the nested-loop, hash-join and merge-join strategies against each other.
+    """Time the hash-join and merge-join strategies against each other.
 
     One store (``backend`` is ``"memory"`` or ``"sqlite"``) is loaded with
     *graph*; every query of :func:`generate_join_workload` is evaluated by
-    an ``strategy="nested"``, an ``strategy="hash"`` and an
-    ``strategy="merge"`` :class:`EncodedEvaluator` over that same store
-    (on backends without sorted posting runs the merge side degrades to
-    the hash fetch per stage), and the answer sets are compared exactly.  Each query is timed ``repeat`` times per
-    strategy and the best round counts, with the cyclic garbage collector
-    paused across the measured region — both join strategies allocate large
-    transient binding structures, and attributing a collection pause to
-    whichever query happens to trigger it would swamp the per-family
-    numbers.  The returned JSON-friendly report aggregates wall time and
-    answer differences per family, plus a ``satisfiable_join`` aggregate
-    over the ``sat_*`` families — the traffic where join strategy, not
-    pruning, is the whole story.  The hash side's one-off statistics build
-    is timed separately (``statistics_seconds``) and excluded from
-    per-query time, matching a serving layer that profiles a store once at
-    registration.
+    a ``strategy="hash"`` and a ``strategy="merge"``
+    :class:`EncodedEvaluator` over that same store (on backends without
+    sorted posting runs the merge side degrades to the hash fetch per
+    stage), and the answer sets are compared exactly.  Each query is timed
+    ``repeat`` times per strategy and the best round counts, with the
+    cyclic garbage collector paused across the measured region — both join
+    strategies allocate large transient binding structures, and
+    attributing a collection pause to whichever query happens to trigger
+    it would swamp the per-family numbers.  The returned JSON-friendly
+    report aggregates wall time and answer differences per family, plus a
+    ``satisfiable_join`` aggregate over the ``sat_*`` families — the
+    traffic where join strategy, not pruning, is the whole story.  The
+    one-off statistics build is timed separately (``statistics_seconds``)
+    and excluded from per-query time, matching a serving layer that
+    profiles a store once at registration.
     """
     if repeat <= 0:
         raise ValueError("repeat must be positive")
@@ -504,7 +504,6 @@ def run_strategy_comparison(
         graph, per_family=per_family, seed=seed, max_join_size=max_join_size
     )
 
-    nested = EncodedEvaluator(store, strategy="nested")
     hashed = EncodedEvaluator(store, strategy="hash")
     statistics_start = perf_counter()
     statistics = hashed.statistics()
@@ -522,18 +521,14 @@ def run_strategy_comparison(
                     item.family,
                     {
                         "queries": 0,
-                        "nested_seconds": 0.0,
                         "hash_seconds": 0.0,
                         "merge_seconds": 0.0,
                         "answer_differences": 0,
                     },
                 )
-                nested_seconds = hash_seconds = merge_seconds = float("inf")
-                nested_answers = hash_answers = merge_answers = None
+                hash_seconds = merge_seconds = float("inf")
+                hash_answers = merge_answers = None
                 for _round in range(repeat):
-                    start = perf_counter()
-                    nested_answers = nested.evaluate(item.query, limit=answer_limit)
-                    nested_seconds = min(nested_seconds, perf_counter() - start)
                     start = perf_counter()
                     hash_answers = hashed.evaluate(item.query, limit=answer_limit)
                     hash_seconds = min(hash_seconds, perf_counter() - start)
@@ -541,48 +536,35 @@ def run_strategy_comparison(
                     merge_answers = merged.evaluate(item.query, limit=answer_limit)
                     merge_seconds = min(merge_seconds, perf_counter() - start)
                 bucket["queries"] += 1
-                bucket["nested_seconds"] += nested_seconds
                 bucket["hash_seconds"] += hash_seconds
                 bucket["merge_seconds"] += merge_seconds
-                if answer_limit is None and not (
-                    nested_answers == hash_answers == merge_answers
-                ):
+                if answer_limit is None:
+                    agree = hash_answers == merge_answers
+                else:
+                    # under a limit both sides may legally truncate
+                    # differently; emptiness must still agree exactly
+                    agree = bool(hash_answers) == bool(merge_answers)
+                if not agree:
                     bucket["answer_differences"] += 1
                     differences += 1
-                elif answer_limit is not None:
-                    # under a limit all sides may legally truncate
-                    # differently; emptiness must still agree exactly
-                    if not (bool(nested_answers) == bool(hash_answers) == bool(merge_answers)):
-                        bucket["answer_differences"] += 1
-                        differences += 1
     finally:
         store.close()
 
+    def merge_vs_hash(row: Dict[str, object]) -> float:
+        return row["hash_seconds"] / row["merge_seconds"] if row["merge_seconds"] > 0 else float("inf")
+
     def aggregate(names: Sequence[str]) -> Dict[str, object]:
         rows = [families[name] for name in names if name in families]
-        nested_seconds = sum(row["nested_seconds"] for row in rows)
-        hash_seconds = sum(row["hash_seconds"] for row in rows)
-        merge_seconds = sum(row["merge_seconds"] for row in rows)
-        return {
+        totals = {
             "queries": sum(row["queries"] for row in rows),
-            "nested_seconds": nested_seconds,
-            "hash_seconds": hash_seconds,
-            "merge_seconds": merge_seconds,
-            "speedup": (nested_seconds / hash_seconds) if hash_seconds > 0 else float("inf"),
-            "merge_vs_hash": (hash_seconds / merge_seconds) if merge_seconds > 0 else float("inf"),
+            "hash_seconds": sum(row["hash_seconds"] for row in rows),
+            "merge_seconds": sum(row["merge_seconds"] for row in rows),
         }
+        totals["merge_vs_hash"] = merge_vs_hash(totals)
+        return totals
 
     for bucket in families.values():
-        bucket["speedup"] = (
-            bucket["nested_seconds"] / bucket["hash_seconds"]
-            if bucket["hash_seconds"] > 0
-            else float("inf")
-        )
-        bucket["merge_vs_hash"] = (
-            bucket["hash_seconds"] / bucket["merge_seconds"]
-            if bucket["merge_seconds"] > 0
-            else float("inf")
-        )
+        bucket["merge_vs_hash"] = merge_vs_hash(bucket)
     satisfiable_families = sorted(name for name in families if name.startswith("sat"))
     return {
         "graph": graph.name or "graph",

@@ -137,10 +137,6 @@ class LockOrderTracker:
             self._local.state = state
         return state
 
-    def held_names(self) -> List[str]:
-        """Names of locks the calling thread currently holds (oldest first)."""
-        return [h.name for h in self._state().held]
-
     # -- graph queries ------------------------------------------------
     def _path(self, src: str, dst: str) -> Optional[List[str]]:
         """A path ``src -> ... -> dst`` in the order graph, if one exists."""

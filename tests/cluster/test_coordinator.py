@@ -11,15 +11,18 @@ from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 
 
-@pytest.fixture(scope="module")
-def cluster_pair(bsbm_small):
-    """A 3-worker cluster and a serial reference service over the same data."""
+@pytest.fixture(scope="module", params=[True, False], ids=["shm", "pipe"])
+def cluster_pair(request, bsbm_small):
+    """A 3-worker cluster and a serial reference service over the same data,
+    once per image source (shared-memory segment, bytes over the pipe)."""
     catalog = GraphCatalog()
     catalog.register("bsbm", graph=bsbm_small)
     serial_catalog = GraphCatalog()
     serial_catalog.register("bsbm", graph=bsbm_small)
     service = QueryService(serial_catalog)
-    coordinator = ClusterCoordinator(catalog, workers=3, heartbeat_seconds=0)
+    coordinator = ClusterCoordinator(
+        catalog, workers=3, heartbeat_seconds=0, use_shm=request.param
+    )
     yield coordinator, service, serial_catalog
     coordinator.close()
     catalog.close()
@@ -176,6 +179,17 @@ def test_status_reports_workers(cluster_pair):
         assert worker["alive"]
     assert "bsbm" in status["graphs"]
     assert status["service"]["queries"] > 0
+
+
+def test_load_ack_is_the_same_for_both_image_sources(cluster_pair):
+    coordinator, _, _ = cluster_pair
+    for worker in coordinator.status()["workers"]:
+        ack = worker["last_load"]
+        assert ack["mode"] == ("shm" if coordinator.use_shm else "inline")
+        assert set(ack) == {
+            "name", "version", "mode", "shard_rows", "full_rows", "attach_seconds"
+        }
+        assert ack["full_rows"] >= ack["shard_rows"] and ack["full_rows"] > 0
 
 
 def test_statistics_record_cluster_answers(cluster_pair):

@@ -1,7 +1,9 @@
 """Regressions for the coordinator/worker failure-path review fixes:
 deferred queries must be answered (never abandoned) across drops and
-re-ships, registration snapshots once, and sustained ingest during a
-respawn re-ship must never wedge the write path."""
+re-ships, registration snapshots once, sustained ingest during a
+respawn re-ship must never wedge the write path, and a graph image loads
+through one routine — same ack, same lazy state, same failure cleanup —
+whether its bytes come from a shared-memory segment or over the pipe."""
 
 import os
 import signal
@@ -10,10 +12,11 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterCoordinator, protocol
-from repro.cluster.worker import TARGET_FULL, _Worker
+from repro.cluster import ClusterCoordinator, protocol, shm
+from repro.cluster.worker import TARGET_FULL, TARGET_SHARD, _Worker
+from repro.errors import ReproError
 from repro.model.terms import URI
-from repro.model.triple import Triple
+from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
 from repro.store.memory import MemoryStore
@@ -39,27 +42,51 @@ def _triples(count, prefix="http://x"):
     ]
 
 
-def _load_payload(store, name="g", version=0, shards=1):
-    return (
+def _load_payload(store, name="g", version=0, shards=1, weak_state=None, registry=None):
+    """An ``OP_LOAD`` for shard 0 the way the coordinator builds one: the
+    image as bytes on the pipe, or — given a *registry* — packed into a
+    shared-memory segment."""
+    term_chunks = protocol.pack_term_chunks(store.dictionary)
+    shard_tables = protocol.pack_all_shard_tables(store, shards)
+    full_tables = protocol.pack_full_tables(store)
+    if registry is not None:
+        segment_name, directory = registry.pack(
+            name, version, term_chunks, shard_tables, full_tables, protocol.BYTEORDER, weak_state
+        )
+        return name, version, (protocol.TABLES_SHM, segment_name, directory), []
+    blobs, directory = shm.layout_image(
         name,
         version,
-        (
-            protocol.TABLES_INLINE,
-            protocol.pack_term_chunks(store.dictionary),
-            protocol.pack_all_shard_tables(store, shards)[0],
-            protocol.pack_full_tables(store),
-            protocol.BYTEORDER,
-        ),
-        [],
+        term_chunks,
+        [("full", full_tables), (0, shard_tables[0])],
+        protocol.BYTEORDER,
+        weak_state,
     )
+    return name, version, (protocol.TABLES_INLINE, b"".join(blobs), directory), []
 
 
-def _query_payload(min_version):
+@pytest.fixture(params=["pipe", "shm"])
+def image_registry(request):
+    """``None`` for a pipe-shipped image, a segment registry for shm."""
+    if request.param == "pipe":
+        yield None
+        return
+    if not shm.shm_available():
+        pytest.skip("named shared memory unavailable")
+    registry = shm.SegmentRegistry()
+    yield registry
+    registry.close()
+    assert shm.list_segments() == []
+
+
+def _query_payload(
+    min_version, target=TARGET_FULL, text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"
+):
     return (
         "g",
         min_version,
-        "SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }",
-        TARGET_FULL,
+        text,
+        target,
         None,
         False,
         False,
@@ -106,6 +133,89 @@ def test_reship_load_answers_deferred_queries():
     assert status == "ok"
     assert len(payload["answers"]) == 3
     store.close()
+
+
+def test_load_is_source_independent(image_registry):
+    """Both image sources get the same ack and the same deferred work: the
+    columns are adopted (not copied), the shard primes on its first guarded
+    query, the full replica restores its maintainer without a scan, and the
+    dictionary waits for the first query."""
+    catalog = GraphCatalog()
+    entry = catalog.register("g", graph=_triples(6))
+    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    try:
+        reply = worker.handle_load(
+            _load_payload(
+                entry.store, weak_state=entry.maintainer_state(), registry=image_registry
+            )
+        )
+        assert set(reply) == {
+            "name", "version", "mode", "shard_rows", "full_rows", "attach_seconds"
+        }
+        assert reply["mode"] == ("inline" if image_registry is None else "shm")
+        assert reply["shard_rows"] == reply["full_rows"] == 6
+        assert len(worker.segments) == (0 if image_registry is None else 1)
+        shard_entry = worker.shard_catalog.entry("g")
+        full_entry = worker.full_catalog.entry("g")
+        assert "g" in worker._pending_terms and len(full_entry.store.dictionary) == 0
+        assert shard_entry.build_counters["prime_scans"] == 0
+        # adopted either way, but only segment pages are shared between
+        # workers — a pipe image's bytes are this worker's own
+        memory = worker.handle_ping(())["column_memory"]
+        column_bytes = 2 * 6 * 3 * 8
+        if image_registry is None:
+            assert memory == {"private_bytes": column_bytes, "adopted_bytes": 0}
+        else:
+            assert memory == {"private_bytes": 0, "adopted_bytes": column_bytes}
+        guarded = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # an RBGP: the guard runs
+        for target in (TARGET_SHARD, TARGET_FULL):
+            answer = worker.handle_query(_query_payload(0, target, guarded))
+            assert answer["prunable"] and len(answer["answers"]) == 6
+        assert shard_entry.build_counters["prime_scans"] == 1
+        assert full_entry.build_counters["prime_scans"] == 0
+    finally:
+        worker.close()
+        catalog.close()
+
+
+@pytest.mark.parametrize("fault", ["full-row-count", "full-restore"])
+def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
+    """A load that raises — before or after the shard entry was registered
+    — leaves no catalog entry, mapping or pending state, so a correct
+    re-ship of the same name succeeds (the old pipe loader left the shard
+    entry registered and every re-ship died on DuplicateGraphError)."""
+    catalog = GraphCatalog()
+    entry = catalog.register("g", graph=_triples(4))
+    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    good = _load_payload(
+        entry.store, weak_state=entry.maintainer_state(), registry=image_registry
+    )
+    try:
+        if fault == "full-row-count":
+            name, version, (mode, source, directory), deltas = good
+            data = TripleKind.DATA.value
+            count, *offsets = directory["targets"]["full"][data]
+            full = {**directory["targets"]["full"], data: (count + 1, *offsets)}
+            corrupt = {**directory, "targets": {**directory["targets"], "full": full}}
+            bad = (name, version, (mode, source, corrupt), deltas)
+        else:
+            bad = good
+
+            def refuse(**_kwargs):
+                raise ReproError("maintainer state refused")
+
+            monkeypatch.setattr("repro.cluster.worker.CatalogEntry.restore", refuse)
+        with pytest.raises(ReproError, match="row count mismatch|refused"):
+            worker.handle_load(bad)
+        monkeypatch.undo()
+        assert worker.graphs == {} and worker.segments == {}
+        assert worker._pending_terms == {}
+        assert worker.shard_catalog.names() == [] and worker.full_catalog.names() == []
+        worker.handle_load(good)
+        assert len(worker.handle_query(_query_payload(0))["answers"]) == 4
+    finally:
+        worker.close()
+        catalog.close()
 
 
 def test_register_snapshots_once(bsbm_small, monkeypatch):

@@ -11,7 +11,7 @@ from repro.model.terms import BlankNode, Literal, URI
 from repro.model.triple import TripleKind
 from repro.store.base import shard_of
 from repro.store.memory import MemoryStore
-from repro.store.reference import DictReferenceStore
+from oracles.reference_store import DictReferenceStore
 
 
 def _unpack(blob):

@@ -17,14 +17,16 @@ from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 
 
-@pytest.fixture
-def crash_cluster(bsbm_small):
+@pytest.fixture(params=[True, False], ids=["shm", "pipe"])
+def crash_cluster(request, bsbm_small):
     catalog = GraphCatalog()
     catalog.register("g", graph=bsbm_small)
     serial_catalog = GraphCatalog()
     serial_catalog.register("g", graph=bsbm_small)
     service = QueryService(serial_catalog)
-    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0.2)
+    coordinator = ClusterCoordinator(
+        catalog, workers=2, heartbeat_seconds=0.2, use_shm=request.param
+    )
     yield coordinator, service, serial_catalog
     coordinator.close()
     catalog.close()

@@ -1,8 +1,8 @@
 """Tests for the integer-encoded summarization engine (`repro.core.encoded`).
 
-The engine must be observationally equivalent to the legacy ``Term``
-pipeline: for every summary kind and every store backend the two paths
-produce isomorphic summary graphs, the same size statistics and a complete
+The engine must be observationally equivalent to the ``Term``-level
+oracle (``tests/oracles/term_partitions.py``): for every summary kind and
+every store backend the two produce isomorphic summary graphs, the same size statistics and a complete
 ``representative_of`` / ``extents`` provenance.
 """
 
@@ -22,6 +22,8 @@ from repro.model.triple import Triple, TripleKind
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
 
+from oracles.term_partitions import term_summary
+
 ALL_KINDS = sorted(SUMMARY_KINDS)
 
 
@@ -37,21 +39,21 @@ def _loaded(graph, backend):
 
 
 # ----------------------------------------------------------------------
-# encoded vs legacy isomorphism, all kinds, both backends
+# encoded vs Term-oracle isomorphism, all kinds, both backends
 # ----------------------------------------------------------------------
 class TestEncodedMatchesLegacy:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_fig2(self, fig2, backend, kind):
         with _loaded(fig2, backend) as store:
             encoded = encoded_summarize(store, kind)
-        legacy = summarize(fig2, kind, engine="term")
+        legacy = term_summary(fig2, kind)
         assert graphs_isomorphic(encoded.graph, legacy.graph)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_bsbm(self, bsbm_small, backend, kind):
         with _loaded(bsbm_small, backend) as store:
             encoded = encoded_summarize(store, kind)
-        legacy = summarize(bsbm_small, kind, engine="term")
+        legacy = term_summary(bsbm_small, kind)
         assert len(encoded.graph) == len(legacy.graph)
         assert graphs_isomorphic(encoded.graph, legacy.graph)
 
@@ -59,13 +61,13 @@ class TestEncodedMatchesLegacy:
     def test_bibliography(self, bibliography_small, kind):
         with _loaded(bibliography_small, MemoryStore) as store:
             encoded = encoded_summarize(store, kind)
-        legacy = summarize(bibliography_small, kind, engine="term")
+        legacy = term_summary(bibliography_small, kind)
         assert graphs_isomorphic(encoded.graph, legacy.graph)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_random_graph(self, random_graph, kind):
-        legacy = summarize(random_graph, kind, engine="term")
-        encoded = summarize(random_graph, kind, engine="encoded")
+        legacy = term_summary(random_graph, kind)
+        encoded = summarize(random_graph, kind)
         assert graphs_isomorphic(encoded.graph, legacy.graph)
 
     def test_schema_triples_copied_verbatim(self, book_graph, backend):
@@ -80,45 +82,42 @@ class TestEncodedMatchesLegacy:
 class TestProvenance:
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_summary_is_homomorphic_image(self, fig2, kind):
-        encoded = summarize(fig2, kind, engine="encoded")
+        encoded = summarize(fig2, kind)
         assert summary_homomorphism_holds(fig2, encoded)
 
     @pytest.mark.parametrize("kind", ALL_KINDS)
     def test_every_data_node_represented(self, bsbm_small, kind):
-        encoded = summarize(bsbm_small, kind, engine="encoded")
+        encoded = summarize(bsbm_small, kind)
         for node in bsbm_small.data_nodes():
             assert encoded.representative(node) is not None
 
     def test_extents_invert_representatives(self, fig2):
-        encoded = summarize(fig2, "weak", engine="encoded")
+        encoded = summarize(fig2, "weak")
         for node, summary_node in encoded.representative_of.items():
             assert node in encoded.extent(summary_node)
 
     def test_statistics_match_legacy(self, bsbm_small):
         for kind in ALL_KINDS:
-            encoded = summarize(bsbm_small, kind, engine="encoded").statistics()
-            legacy = summarize(bsbm_small, kind, engine="term").statistics()
+            encoded = summarize(bsbm_small, kind).statistics()
+            legacy = term_summary(bsbm_small, kind).statistics()
             assert encoded.as_dict() == legacy.as_dict()
 
     def test_weak_unique_data_properties(self, bsbm_small):
-        assert has_unique_data_properties(summarize(bsbm_small, "weak", engine="encoded"))
+        assert has_unique_data_properties(summarize(bsbm_small, "weak"))
 
 
 # ----------------------------------------------------------------------
 # the engine facade
 # ----------------------------------------------------------------------
 class TestEngineSelection:
-    def test_legacy_alias(self, fig2):
-        summary = summarize(fig2, "weak", engine="legacy")
-        assert graphs_isomorphic(summary.graph, summarize(fig2, "weak", engine="term").graph)
-
-    def test_default_engine_is_encoded_and_isomorphic(self, fig2):
+    def test_summarize_is_encoded_and_isomorphic(self, fig2):
         default = summarize(fig2, "weak")
-        assert graphs_isomorphic(default.graph, summarize(fig2, "weak", engine="term").graph)
+        assert graphs_isomorphic(default.graph, term_summary(fig2, "weak").graph)
 
-    def test_unknown_engine_raises(self, fig2):
-        with pytest.raises(UnknownSummaryKindError):
-            summarize(fig2, "weak", engine="vectorized")
+    def test_engine_parameter_is_gone(self, fig2):
+        """There is one engine: naming one — any one — is a TypeError."""
+        with pytest.raises(TypeError):
+            summarize(fig2, "weak", engine="term")
 
     def test_unknown_kind_raises_on_engine(self):
         with MemoryStore() as store:
@@ -126,7 +125,7 @@ class TestEngineSelection:
                 EncodedSummaryEngine(store).summarize("bogus")
 
     def test_empty_graph(self):
-        summary = summarize(RDFGraph(), "weak", engine="encoded")
+        summary = summarize(RDFGraph(), "weak")
         assert len(summary.graph) == 0
         assert summary.summary_data_nodes() == set()
 
@@ -163,7 +162,7 @@ class TestEdgeCases:
         )
         with _loaded(graph, backend) as store:
             encoded = encoded_summarize(store, "weak")
-        legacy = summarize(graph, "weak", engine="term")
+        legacy = term_summary(graph, "weak")
         assert graphs_isomorphic(encoded.graph, legacy.graph)
         assert len(encoded.graph.data_triples) == 1
 
@@ -180,7 +179,7 @@ class TestEdgeCases:
         )
         with _loaded(graph, backend) as store:
             encoded = encoded_summarize(store, kind)
-        legacy = summarize(graph, kind, engine="term")
+        legacy = term_summary(graph, kind)
         assert graphs_isomorphic(encoded.graph, legacy.graph)
 
 
@@ -222,4 +221,4 @@ class TestStoreSupport:
             }
             assert {"idx_data_spo", "idx_data_ps"} <= names
             summary = encoded_summarize(store, "weak")
-        assert graphs_isomorphic(summary.graph, summarize(fig2, "weak", engine="term").graph)
+        assert graphs_isomorphic(summary.graph, term_summary(fig2, "weak").graph)

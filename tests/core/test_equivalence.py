@@ -1,16 +1,18 @@
-"""Tests for the node equivalence relations (Definitions 7, 8, 13, 16)."""
+"""Tests for the node equivalence relations (Definitions 7, 8, 13, 16) —
+the ``Term``-level oracle the encoded engine is checked against."""
 
-from repro.core.equivalence import (
+from repro.datasets.sample import FIG2
+from repro.model.graph import RDFGraph
+from repro.model.namespaces import EX, RDF_TYPE
+from repro.model.triple import Triple
+
+from oracles.term_partitions import (
     strong_partition,
     type_partition,
     untyped_strong_partition,
     untyped_weak_partition,
     weak_partition,
 )
-from repro.datasets.sample import FIG2
-from repro.model.graph import RDFGraph
-from repro.model.namespaces import EX, RDF_TYPE
-from repro.model.triple import Triple
 
 
 class TestWeakPartition:

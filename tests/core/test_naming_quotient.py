@@ -1,12 +1,14 @@
 """Tests for the representation functions (naming) and the quotient builder."""
 
-from repro.core.equivalence import NodePartition, weak_partition
+from repro.core.equivalence import NodePartition
 from repro.core.naming import SUMMARY_NS, SummaryNamer
 from repro.core.quotient import build_quotient_summary, default_block_namer
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.terms import URI
 from repro.model.triple import Triple
+
+from oracles.term_partitions import weak_partition
 
 
 class TestSummaryNamer:

@@ -4,7 +4,7 @@ Summaries are quotients, so they must not depend on the order triples are
 fed in.  The incremental weak summarizer merges nodes greedily as rows
 arrive (its internal node ids *do* depend on the order), and the encoded
 engine scans store rows in insertion order — both must still land on graphs
-isomorphic to the declarative ``builders.weak_summary`` for every shuffle,
+isomorphic to the declarative ``Term``-level oracle for every shuffle,
 and the incremental merge tie-break must be deterministic.
 """
 
@@ -15,7 +15,6 @@ from array import array
 
 import pytest
 
-from repro.core.builders import summarize, weak_summary
 from repro.core.encoded import encoded_summarize
 from repro.core.incremental import IncrementalWeakSummarizer, incremental_weak_summary
 from repro.core.isomorphism import canonical_signature, graphs_isomorphic
@@ -25,6 +24,8 @@ from repro.model.terms import Literal
 from repro.core.naming import SummaryNamer
 from repro.model.triple import Triple, TripleKind
 from repro.store.memory import MemoryStore
+
+from oracles.term_partitions import term_summary
 
 #: A graph engineered to trigger MERGEDATANODES both ways: property chains
 #: discovered before and after their connecting resources, plus ties where
@@ -61,14 +62,14 @@ def _shuffles(triples, count, seed=13):
 class TestIncrementalOrderRobustness:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4])
     def test_adversarial_graph_any_order(self, seed):
-        reference = weak_summary(RDFGraph(_ADVERSARIAL_TRIPLES), engine="term")
+        reference = term_summary(RDFGraph(_ADVERSARIAL_TRIPLES), "weak")
         for shuffled in _shuffles(_ADVERSARIAL_TRIPLES, count=6, seed=seed):
             with _store_in_order(shuffled) as store:
                 incremental = incremental_weak_summary(store)
             assert graphs_isomorphic(incremental.graph, reference.graph)
 
     def test_bsbm_shuffled(self, bsbm_small):
-        reference = weak_summary(bsbm_small, engine="term")
+        reference = term_summary(bsbm_small, "weak")
         for shuffled in _shuffles(list(bsbm_small), count=3):
             with _store_in_order(shuffled) as store:
                 incremental = incremental_weak_summary(store)
@@ -165,12 +166,12 @@ class TestArrayMaintainerKeepsTheOldNames:
                     ("incremental", node), hint="N"
                 )
             assert graphs_isomorphic(
-                summary.graph, weak_summary(RDFGraph(_ADVERSARIAL_TRIPLES), engine="term").graph
+                summary.graph, term_summary(RDFGraph(_ADVERSARIAL_TRIPLES), "weak").graph
             )
             store.close()
 
     def test_bsbm_shuffled(self, bsbm_small):
-        reference = weak_summary(bsbm_small, engine="term")
+        reference = term_summary(bsbm_small, "weak")
         for shuffled in _shuffles(list(bsbm_small), count=3):
             store, rows, summarizer = self._both(shuffled)
             expected = _dict_and_sets_representatives(rows)
@@ -197,7 +198,7 @@ class TestArrayMaintainerKeepsTheOldNames:
 class TestEncodedOrderRobustness:
     @pytest.mark.parametrize("kind", ["weak", "strong", "type", "typed_weak", "typed_strong"])
     def test_adversarial_graph_any_order(self, kind):
-        reference = summarize(RDFGraph(_ADVERSARIAL_TRIPLES), kind, engine="term")
+        reference = term_summary(RDFGraph(_ADVERSARIAL_TRIPLES), kind)
         for shuffled in _shuffles(_ADVERSARIAL_TRIPLES, count=5, seed=7):
             with _store_in_order(shuffled) as store:
                 encoded = encoded_summarize(store, kind)

@@ -4,10 +4,8 @@ This module preserves the PR 1–5 :class:`MemoryStore` implementation —
 three Python lists of :class:`EncodedTriple` rows with dict posting lists
 per column and per ``(p, s)`` / ``(p, o)`` composite key — exactly as it
 behaved before the columnar refactor.  It exists **only** so the test
-suite (and the ``--store-microbench`` mode of
-``benchmarks/bench_encoded_pipeline.py``) can check the columnar
-:class:`repro.store.memory.MemoryStore` for observational equivalence and
-measure the layout change: do not use it in production paths.
+suite can check the columnar :class:`repro.store.memory.MemoryStore` (and
+everything derived from a store's rows) for observational equivalence.
 """
 
 from __future__ import annotations

@@ -16,7 +16,6 @@ import zlib
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.core.builders import summarize
 from repro.core.encoded import ENCODED_KINDS, encoded_summarize
 from repro.core.incremental import IncrementalWeakSummarizer
 from repro.datasets.bsbm import generate_bsbm
@@ -31,6 +30,8 @@ from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
 from repro.store.memory import MemoryStore
+
+from oracles.term_partitions import term_summary
 
 _RESOURCES = [EX.term(f"r{i}") for i in range(10)]
 _PROPERTIES = [EX.term(f"p{i}") for i in range(4)]
@@ -77,7 +78,7 @@ def _eager_maps(summary, dictionary):
 
 def _summaries_of(graph, store, kind):
     yield "encoded", encoded_summarize(store, kind, source_statistics=graph.statistics())
-    yield "term", summarize(graph, kind, engine="term")
+    yield "term", term_summary(graph, kind)
     if kind == "weak":
         yield "incremental", IncrementalWeakSummarizer(store).build()
 
@@ -356,15 +357,15 @@ def test_term_engine_summary_persists_through_the_dictionary(fig2, tmp_path):
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
         entry = catalog.register("g", graph=fig2)
-        term_summary = summarize(fig2, "typed_weak", engine="term")
+        oracle_summary = term_summary(fig2, "typed_weak")
         with entry._init_lock:
-            entry._summaries["typed_weak"] = (entry.version, term_summary)
+            entry._summaries["typed_weak"] = (entry.version, oracle_summary)
         catalog.checkpoint()
     with GraphCatalog.open(path) as catalog:
         restored = catalog.entry("g").cached_summaries()["typed_weak"]
         assert not restored.views_materialised
-        assert restored.representative_of == term_summary.representative_of
-        assert restored.extents == term_summary.extents
+        assert restored.representative_of == oracle_summary.representative_of
+        assert restored.extents == oracle_summary.extents
 
 
 def test_cold_build_checkpoint_does_not_rewrite_the_rows(bsbm_small, tmp_path, monkeypatch):

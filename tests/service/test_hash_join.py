@@ -1,9 +1,11 @@
 """Equivalence and probe-complexity tests for the vectorized hash join.
 
-The property the whole PR hangs on: for every query, on every backend, in
-every pattern order, ``strategy="hash"`` answers == ``strategy="nested"``
-answers == the reference ``Term``-object evaluator's answers — while the
-hash executor touches the store O(patterns) times, never once per binding.
+The property the planned executor hangs on: for every query, on every
+backend, in every pattern order, ``strategy="hash"`` answers == the
+reference ``Term``-object evaluator's answers — while the hash executor
+touches the store O(patterns) times, never once per binding.  The private
+pipelined executor a limit-bounded run may pick instead is held to the same
+oracle.
 """
 
 import random
@@ -16,6 +18,7 @@ from repro.model.triple import Triple
 from repro.queries.bgp import BGPQuery, TriplePattern, Variable
 from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload
+from repro.service import evaluator as evaluator_module
 from repro.service.evaluator import EncodedEvaluator
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
@@ -26,13 +29,10 @@ def backend(request):
     return request.param
 
 
-def _evaluators(graph, backend):
+def _hashed(graph, backend):
     store = backend()
     store.load_graph(graph)
-    return (
-        EncodedEvaluator(store, strategy="hash"),
-        EncodedEvaluator(store, strategy="nested"),
-    )
+    return EncodedEvaluator(store, strategy="hash")
 
 
 def _shuffles(query: BGPQuery, seed: int, count: int = 3):
@@ -45,23 +45,37 @@ def _shuffles(query: BGPQuery, seed: int, count: int = 3):
         yield BGPQuery(patterns, head=query.head, name=query.name)
 
 
-class TestThreeWayEquivalence:
+def _repeated_variable_case():
+    """A graph with self-loops, and queries repeating a variable in one pattern."""
+    graph = RDFGraph(
+        [
+            Triple(EX.a, EX.p, EX.a),
+            Triple(EX.a, EX.p, EX.b),
+            Triple(EX.b, EX.p, EX.b),
+            Triple(EX.b, EX.q, EX.a),
+        ]
+    )
+    x, y = Variable("x"), Variable("y")
+    loop = BGPQuery([TriplePattern(x, EX.p, x)], head=(x,))
+    chained = BGPQuery([TriplePattern(x, EX.p, x), TriplePattern(x, EX.q, y)], head=(x, y))
+    return graph, (loop, chained)
+
+
+class TestOracleEquivalence:
     def test_generated_workloads_shuffled(self, fig2, bibliography_small, backend):
         for graph, seed in ((fig2, 3), (bibliography_small, 5)):
-            hashed, nested = _evaluators(graph, backend)
+            hashed = _hashed(graph, backend)
             for query in generate_rbgp_workload(graph, count=8, size=2, seed=seed):
                 expected = evaluate(graph, query)
                 for variant in _shuffles(query, seed):
                     assert hashed.evaluate(variant) == expected
-                    assert nested.evaluate(variant) == expected
 
     def test_three_pattern_joins(self, bsbm_small, backend):
-        hashed, nested = _evaluators(bsbm_small, backend)
+        hashed = _hashed(bsbm_small, backend)
         for query in generate_rbgp_workload(bsbm_small, count=6, size=3, seed=11):
             expected = evaluate(bsbm_small, query)
             for variant in _shuffles(query, 11):
                 assert hashed.evaluate(variant) == expected
-                assert nested.evaluate(variant) == expected
 
     def test_variable_predicate_join(self, book_graph, backend):
         x, p, y, z = Variable("x"), Variable("p"), Variable("y"), Variable("z")
@@ -69,30 +83,16 @@ class TestThreeWayEquivalence:
             [TriplePattern(x, p, y), TriplePattern(y, p, z)],
             head=(x, z),
         )
-        hashed, nested = _evaluators(book_graph, backend)
+        hashed = _hashed(book_graph, backend)
         expected = evaluate(book_graph, query)
         assert hashed.evaluate(query) == expected
-        assert nested.evaluate(query) == expected
 
     def test_repeated_variable_in_pattern(self, backend):
-        graph = RDFGraph(
-            [
-                Triple(EX.a, EX.p, EX.a),
-                Triple(EX.a, EX.p, EX.b),
-                Triple(EX.b, EX.p, EX.b),
-                Triple(EX.b, EX.q, EX.a),
-            ]
-        )
-        x, y = Variable("x"), Variable("y")
-        loop = BGPQuery([TriplePattern(x, EX.p, x)], head=(x,))
-        chained = BGPQuery(
-            [TriplePattern(x, EX.p, x), TriplePattern(x, EX.q, y)], head=(x, y)
-        )
-        hashed, nested = _evaluators(graph, backend)
-        for query in (loop, chained):
+        graph, queries = _repeated_variable_case()
+        hashed = _hashed(graph, backend)
+        for query in queries:
             expected = evaluate(graph, query)
             assert hashed.evaluate(query) == expected
-            assert nested.evaluate(query) == expected
 
     def test_cartesian_product_patterns(self, backend):
         graph = RDFGraph(
@@ -102,16 +102,17 @@ class TestThreeWayEquivalence:
         query = BGPQuery(
             [TriplePattern(x, EX.p, y), TriplePattern(w, EX.q, z)], head=(x, w)
         )
-        hashed, nested = _evaluators(graph, backend)
-        assert hashed.evaluate(query) == nested.evaluate(query) == evaluate(graph, query)
+        hashed = _hashed(graph, backend)
+        assert hashed.evaluate(query) == evaluate(graph, query)
 
     def test_boolean_and_limit_semantics(self, bibliography_small, backend):
-        hashed, nested = _evaluators(bibliography_small, backend)
+        hashed = _hashed(bibliography_small, backend)
         for query in generate_rbgp_workload(bibliography_small, count=4, size=2, seed=9):
             ask = BGPQuery(query.patterns, head=(), name="ask")
-            assert hashed.evaluate(ask) == nested.evaluate(ask)
-            assert hashed.has_answers(query) == nested.has_answers(query)
             full = hashed.evaluate(query)
+            assert full == evaluate(bibliography_small, query)
+            assert hashed.evaluate(ask) == evaluate(bibliography_small, ask)
+            assert hashed.has_answers(query) == bool(full)
             limited = hashed.evaluate(query, limit=2)
             assert limited <= full
             assert len(limited) == min(2, len(full))
@@ -120,7 +121,7 @@ class TestThreeWayEquivalence:
         """Zero-variable (ground) queries must answer, not crash (regression:
         `max()` over an empty slot-position list)."""
         graph = RDFGraph([Triple(EX.a, EX.p, EX.b), Triple(EX.b, EX.q, EX.c)])
-        hashed, nested = _evaluators(graph, backend)
+        hashed = _hashed(graph, backend)
         present = BGPQuery([TriplePattern(EX.a, EX.p, EX.b)])
         ground_join = BGPQuery(
             [TriplePattern(EX.a, EX.p, EX.b), TriplePattern(EX.b, EX.q, EX.c)]
@@ -128,7 +129,6 @@ class TestThreeWayEquivalence:
         absent = BGPQuery([TriplePattern(EX.a, EX.q, EX.b)])
         for query, expected in ((present, {()}), (ground_join, {()}), (absent, set())):
             assert hashed.evaluate(query) == expected
-            assert nested.evaluate(query) == expected
             assert hashed.evaluate(query, limit=1) == expected
             assert hashed.has_answers(query) == bool(expected)
 
@@ -140,9 +140,8 @@ class TestThreeWayEquivalence:
         query = BGPQuery(
             [TriplePattern(x, EX.p, y), TriplePattern(y, EX.q, z)], head=(x,)
         )
-        hashed, nested = _evaluators(graph, backend)
+        hashed = _hashed(graph, backend)
         assert hashed.evaluate(query) == set()
-        assert nested.evaluate(query) == set()
 
 
 class _ProbeCountingStore(MemoryStore):
@@ -196,14 +195,6 @@ class TestProbeComplexity:
         # one batched lookup per (pattern, routed table): 2 data patterns
         assert store.probes == len(query.patterns)
 
-    def test_nested_probes_scale_with_bindings(self):
-        store, query = self._chain_fixture()
-        evaluator = EncodedEvaluator(store, strategy="nested")
-        store.reset()
-        evaluator.evaluate(query)
-        # one driver select plus one probe per intermediate binding
-        assert store.probes > 40
-
     def test_hash_probe_count_immune_to_join_width(self):
         """Three patterns, three probes — per-binding probing is gone."""
         triples = []
@@ -242,6 +233,53 @@ class TestProbeComplexity:
         assert again.plan_cached is True
 
 
+class TestPipelinedExecutor:
+    """The index-nested-loop behind ``_prefer_pipelined``: never a strategy
+    a caller names, only what a limit-bounded run does when the plan's
+    intermediates dwarf the limit."""
+
+    def test_limit_rule_picks_it_and_it_stops_at_the_limit(self):
+        # 5,100 first-stage bindings: past the fixed 5,000-row allowance
+        store, query = TestProbeComplexity()._chain_fixture(fan_out=5_100)
+        evaluator = EncodedEvaluator(store, strategy="hash")
+        full = evaluator.evaluate(query)
+        evaluator.statistics()
+        store.reset()
+        limited = evaluator.evaluate(query, limit=3)
+        assert len(limited) == 3 and limited <= full
+        # per-binding index probes, no batched fetch, and nowhere near one
+        # probe per first-stage binding: the loop stopped at the limit
+        assert store.select_many_calls == 0
+        assert 3 < store.select_calls < 20
+
+    def test_matches_the_oracle_on_every_shape(
+        self, fig2, bibliography_small, book_graph, backend, monkeypatch
+    ):
+        """Forced on for every limit-bounded run, with a limit no answer
+        set reaches, it must still produce exactly the oracle's answers —
+        shuffled joins, variable predicates, repeated variables, ground
+        and unsatisfiable queries alike."""
+        monkeypatch.setattr(evaluator_module, "_prefer_pipelined", lambda plan, limit: True)
+        x, p, y, z = Variable("x"), Variable("p"), Variable("y"), Variable("z")
+        variable_predicate = BGPQuery(
+            [TriplePattern(x, p, y), TriplePattern(y, p, z)], head=(x, z)
+        )
+        loops, loop_queries = _repeated_variable_case()
+        cases = [(book_graph, [variable_predicate]), (loops, loop_queries)]
+        for graph, seed in ((fig2, 3), (bibliography_small, 5)):
+            workload = generate_rbgp_workload(graph, count=8, size=2, seed=seed)
+            cases.append(
+                (graph, [variant for query in workload for variant in _shuffles(query, seed)])
+            )
+        for graph, queries in cases:
+            evaluator = _hashed(graph, backend)
+            for query in queries:
+                expected = evaluate(graph, query)
+                assert evaluator.evaluate(query, limit=10**9) == expected
+                ask = BGPQuery(query.patterns, head=())
+                assert evaluator.evaluate(ask, limit=1) == ({()} if expected else set())
+
+
 class TestServiceIntegration:
     def test_service_strategies_agree(self, bsbm_small):
         from repro.service.catalog import GraphCatalog
@@ -250,12 +288,12 @@ class TestServiceIntegration:
         with GraphCatalog() as catalog:
             catalog.register("g", graph=bsbm_small)
             hashed = QueryService(catalog, kind="weak", strategy="hash")
-            nested = QueryService(catalog, kind="weak", strategy="nested")
+            merged = QueryService(catalog, kind="weak", strategy="merge")
             for query in generate_rbgp_workload(bsbm_small, count=8, size=2, seed=2):
                 a = hashed.answer("g", query)
-                b = nested.answer("g", query)
-                assert a.answers == b.answers
-                assert a.strategy == "hash" and b.strategy == "nested"
+                b = merged.answer("g", query)
+                assert a.answers == b.answers == evaluate(bsbm_small, query)
+                assert a.strategy == "hash" and b.strategy == "merge"
 
     def test_guard_order_and_attribution_exposed(self, bsbm_small):
         from repro.service.catalog import GraphCatalog
@@ -284,10 +322,12 @@ class TestServiceIntegration:
 
         with GraphCatalog() as catalog:
             entry = catalog.register("b", graph=book_graph)
-            nested_ev = entry.saturated_evaluator("nested")
-            assert nested_ev.strategy == "nested"
-            assert entry.saturated_evaluator("nested") is nested_ev
+            merge_ev = entry.saturated_evaluator("merge")
+            assert merge_ev.strategy == "merge"
+            assert entry.saturated_evaluator("merge") is merge_ev
             assert entry.saturated_evaluator("hash").strategy == "hash"
+            with pytest.raises(ValueError):
+                entry.saturated_evaluator("nested")
             x = Variable("x")
             from repro.model.namespaces import RDF_TYPE
             from repro.model.terms import URI
@@ -296,14 +336,14 @@ class TestServiceIntegration:
                 [TriplePattern(x, RDF_TYPE, URI("http://example.org/Publication"))],
                 head=(x,),
             )
-            a = QueryService(catalog, kind="weak", strategy="nested").answer(
+            a = QueryService(catalog, kind="weak", strategy="merge").answer(
                 "b", query, saturated=True
             )
             b = QueryService(catalog, kind="weak", strategy="hash").answer(
                 "b", query, saturated=True
             )
             assert a.answers == b.answers and a.answers
-            assert a.strategy == "nested" and b.strategy == "hash"
+            assert a.strategy == "merge" and b.strategy == "hash"
 
     def test_guard_ordering_never_builds_uncached_summaries(self, bsbm_small):
         """Re-ordering the cascade must keep PR 2's lazy escalation: a

@@ -1,7 +1,7 @@
 """Merge-join strategy tests: answer equality, fallback, trace algorithms.
 
-``strategy="merge"`` must answer exactly like the hash and nested
-strategies on every backend: over sorted posting runs on the memory
+``strategy="merge"`` must answer exactly like the reference ``Term``-object
+evaluator (as ``hash`` does — ``test_hash_join.py``) on every backend: over sorted posting runs on the memory
 backend, and by silently degrading to the hash fetch wherever a run is
 unavailable (the SQLite backend, variable predicates, ineligible join
 shapes, or a statistics gate that prefers hashing).
@@ -27,13 +27,10 @@ def backend(request):
     return request.param
 
 
-def _evaluators(graph, backend):
+def _merged(graph, backend):
     store = backend()
     store.load_graph(graph)
-    return (
-        EncodedEvaluator(store, strategy="merge"),
-        EncodedEvaluator(store, strategy="nested"),
-    )
+    return EncodedEvaluator(store, strategy="merge")
 
 
 def _shuffles(query: BGPQuery, seed: int, count: int = 3):
@@ -61,29 +58,33 @@ class TestMergeStrategyRegistered:
     def test_merge_is_a_known_strategy(self):
         assert "merge" in STRATEGIES
 
-    def test_unknown_strategy_still_rejected(self):
+    @pytest.mark.parametrize("name", ["zigzag", "nested"])
+    def test_unknown_strategy_still_rejected(self, name):
+        """``nested`` was a strategy once; it is the planned engine's
+        private pipelined executor now and no longer has a name."""
         with MemoryStore() as store:
             with pytest.raises(ValueError):
-                EncodedEvaluator(store, strategy="zigzag")
+                EncodedEvaluator(store, strategy=name)
+
+    def test_strategies_are_the_three_planned_ones(self):
+        assert STRATEGIES == ("hash", "sql", "merge")
 
 
 class TestAnswerEquality:
     def test_generated_workloads_shuffled(self, fig2, bibliography_small, backend):
         for graph, seed in ((fig2, 3), (bibliography_small, 5)):
-            merged, nested = _evaluators(graph, backend)
+            merged = _merged(graph, backend)
             for query in generate_rbgp_workload(graph, count=8, size=2, seed=seed):
                 expected = evaluate(graph, query)
                 for variant in _shuffles(query, seed):
                     assert merged.evaluate(variant) == expected
-                    assert nested.evaluate(variant) == expected
 
     def test_three_pattern_joins(self, bsbm_small, backend):
-        merged, nested = _evaluators(bsbm_small, backend)
+        merged = _merged(bsbm_small, backend)
         for query in generate_rbgp_workload(bsbm_small, count=6, size=3, seed=11):
             expected = evaluate(bsbm_small, query)
             for variant in _shuffles(query, 11):
                 assert merged.evaluate(variant) == expected
-                assert nested.evaluate(variant) == expected
 
     def test_chain_fork_and_constant_shapes(self, backend):
         graph = _chain_graph()
@@ -110,11 +111,10 @@ class TestAnswerEquality:
                 head=(x, y),
             ),
         ]
-        merged, nested = _evaluators(graph, backend)
+        merged = _merged(graph, backend)
         for query in queries:
             expected = evaluate(graph, query)
             assert merged.evaluate(query) == expected
-            assert nested.evaluate(query) == expected
 
     def test_self_loop_pattern_not_merged_but_correct(self, backend):
         graph = RDFGraph(
@@ -124,8 +124,8 @@ class TestAnswerEquality:
         query = BGPQuery(
             [TriplePattern(x, EX.q, y), TriplePattern(y, EX.p, y)], head=(x, y)
         )
-        merged, nested = _evaluators(graph, backend)
-        assert merged.evaluate(query) == nested.evaluate(query) == evaluate(graph, query)
+        merged = _merged(graph, backend)
+        assert merged.evaluate(query) == evaluate(graph, query)
 
     def test_limits_respected(self, backend):
         graph = _chain_graph()
@@ -134,7 +134,7 @@ class TestAnswerEquality:
             [TriplePattern(x, EX.author, y), TriplePattern(y, EX.affiliation, z)],
             head=(x, z),
         )
-        merged, _nested = _evaluators(graph, backend)
+        merged = _merged(graph, backend)
         full = merged.evaluate(query)
         limited = merged.evaluate(query, limit=2)
         assert len(limited) == 2
@@ -167,12 +167,12 @@ class TestTraceAlgorithm:
             trace = merged.explain(self._chain_query())
             assert [stage.algorithm for stage in trace.stages] == ["hash", "hash"]
 
-    def test_nested_stages_carry_no_algorithm(self):
-        with MemoryStore() as store:
+    def test_pushed_down_sql_stage_carries_no_algorithm(self):
+        with SQLiteStore() as store:
             store.load_graph(_chain_graph())
-            nested = EncodedEvaluator(store, strategy="nested")
-            trace = nested.explain(self._chain_query())
-            assert all(stage.algorithm is None for stage in trace.stages)
+            pushed = EncodedEvaluator(store, strategy="sql")
+            trace = pushed.explain(self._chain_query())
+            assert trace.stages and all(stage.algorithm is None for stage in trace.stages)
 
     def test_statistics_gate_prefers_hash_for_tiny_runs(self):
         # EX.solo has one row while the binding table carries 30 rows:

@@ -9,7 +9,7 @@ from repro.model.triple import Triple, TripleKind
 from repro.service.statistics import CardinalityStatistics
 from repro.store import memory
 from repro.store.memory import MemoryStore
-from repro.store.reference import DictReferenceStore
+from oracles.reference_store import DictReferenceStore
 from repro.store.sqlite import SQLiteStore
 
 

@@ -126,7 +126,7 @@ class TestJoinWorkloadAndStrategyComparison:
         for row in report["families"].values():
             assert row["answer_differences"] == 0
 
-    def test_run_strategy_comparison_times_all_three_strategies(self, bsbm_small):
+    def test_run_strategy_comparison_times_both_strategies(self, bsbm_small):
         from repro.service.workload import run_strategy_comparison
 
         report = run_strategy_comparison(bsbm_small, per_family=2, seed=1, repeat=1)
@@ -138,6 +138,7 @@ class TestJoinWorkloadAndStrategyComparison:
             assert bucket["merge_seconds"] > 0
             assert bucket["merge_vs_hash"] > 0
             assert bucket["hash_seconds"] > 0
+            assert "nested_seconds" not in bucket and "speedup" not in bucket
 
     def test_run_strategy_comparison_sqlite_backend(self, bsbm_small):
         from repro.service.workload import run_strategy_comparison

@@ -7,7 +7,7 @@ from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind
 from repro.store.base import SortedRun
 from repro.store.memory import MemoryStore
-from repro.store.reference import DictReferenceStore
+from oracles.reference_store import DictReferenceStore
 from repro.store.sqlite import SQLiteStore
 
 

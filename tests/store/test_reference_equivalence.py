@@ -1,8 +1,8 @@
 """Property-based equivalence: columnar MemoryStore vs the dict oracle.
 
 The pre-refactor dict-of-tuples store is kept verbatim in
-:mod:`repro.store.reference` as :class:`DictReferenceStore`.  These tests
-drive both stores through the same randomized interleaving of encoded
+``tests/oracles/reference_store.py`` as :class:`DictReferenceStore`.  These
+tests drive both stores through the same randomized interleaving of encoded
 inserts and probes and require observational equivalence at every step —
 row order included, since deterministic insertion-order iteration is part
 of the store contract the summarizers rely on.
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from repro.model.triple import TripleKind
 from repro.store.memory import MemoryStore
-from repro.store.reference import DictReferenceStore
+from oracles.reference_store import DictReferenceStore
 
 KINDS = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 

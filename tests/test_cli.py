@@ -176,21 +176,30 @@ class TestQueryStrategyAndExplain:
                 ["query", str(fig2_file), "--query", "q", "--strategy", "bogus"]
             )
 
-    def test_nested_strategy_answers(self, fig2_file, capsys):
-        assert (
-            main(
-                [
-                    "query",
-                    str(fig2_file),
-                    "--strategy",
-                    "nested",
-                    "--query",
-                    "PREFIX f: <http://example.org/fig2/> SELECT ?x WHERE { ?x f:author ?a }",
-                ]
-            )
-            == 0
-        )
-        assert "answer(s)" in capsys.readouterr().out
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["query", "g.nt", "--query", "ASK { ?x ?p ?y }", "--strategy", "nested"],
+            ["serve", "--strategy", "nested"],
+            ["summarize", "g.nt", "--engine", "term"],
+            ["sweep", "--engine", "term"],
+        ],
+        ids=["query-nested", "serve-nested", "summarize-engine", "sweep-engine"],
+    )
+    def test_removed_options_are_argparse_errors(self, argv):
+        """One join engine, one summarization engine: the options that
+        chose between two are gone, so argparse exits 2 on them."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
+    def test_every_evaluator_strategy_is_a_cli_choice(self):
+        from repro.service.evaluator import STRATEGIES
+
+        for strategy in STRATEGIES:
+            for argv in (["query", "g.nt", "--query", "q"], ["serve"]):
+                args = build_parser().parse_args(argv + ["--strategy", strategy])
+                assert args.strategy == strategy
 
     def test_merge_strategy_answers(self, fig2_file, capsys):
         assert (
@@ -275,7 +284,7 @@ class TestQueryStrategyAndExplain:
     def test_workload_mode_accepts_strategy(self, fig2_file, capsys):
         assert (
             main(
-                ["query", str(fig2_file), "--workload", "6", "--strategy", "nested"]
+                ["query", str(fig2_file), "--workload", "6", "--strategy", "merge"]
             )
             == 0
         )

@@ -13,7 +13,6 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.builders import strong_summary, summarize, weak_summary
 from repro.core.cliques import compute_cliques
-from repro.core.equivalence import strong_partition, weak_partition
 from repro.core.properties import (
     check_fixpoint,
     has_unique_data_properties,
@@ -34,6 +33,8 @@ from repro.model.terms import Literal, URI
 from repro.model.triple import Triple
 from repro.schema.saturation import saturate
 from repro.utils.unionfind import UnionFind
+
+from oracles.term_partitions import strong_partition, weak_partition
 
 # ----------------------------------------------------------------------
 # strategies

@@ -1,14 +1,21 @@
 #!/usr/bin/env python3
 """Where ``peak_rss_mb`` of ``serve --workers K`` sits, process by process.
 
-    python3 benchmarks/rss_split.py [--workers 2] [--seed 0]
+    python3 benchmarks/rss_split.py [--workers 2] [--seed 0] [--imports]
 
 The repo benchmark (``bench/run.py``) reports one number — Σ ``VmHWM`` over
 the server's process tree.  This script builds the same catalog, starts the
 same server through the benchmark's own ``ServerProcess``, sends every query
 of the ``mixed_cluster_k2`` workload once, and prints that sum split by
-process (front end, resource tracker, each worker) as one JSON object, so a
-memory regression names the process it lives in.  Nothing is gated here.
+process — role (read off each command line), ``VmHWM`` and its anonymous /
+file-backed / shared-memory parts — so a memory regression names the process
+it lives in.  ``--imports`` adds what an interpreter costs before it does
+anything: MB, ms and module count of a bare ``python3``, ``import repro``,
+the worker's import closure and the front end's, each in a fresh interpreter.
+
+Output is a table for people followed by one JSON object on the last line.
+The tree of ``serve --workers K`` is one front end and K workers; a process
+of any other kind is reported by its command line and makes the exit status 1.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import subprocess
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -34,26 +42,91 @@ from serverproc import (  # noqa: E402
 )
 
 
-def _role(pid: int, server_pid: int) -> str:
-    if pid == server_pid:
-        return "front end"
+FRONT_END, WORKER = "front end", "worker"
+
+#: ``--imports``: what is measured, and the statement that loads it.
+IMPORT_CLOSURES = [
+    ("bare python3", "pass"),
+    ("import repro", "import repro"),
+    ("worker closure", "import repro.cluster.worker"),
+    (
+        "serve closure",
+        "import repro.cli, repro.server.http, repro.cluster.coordinator",
+    ),
+]
+
+# imports nothing itself but ``time`` (built in), so the bare row is bare
+_IMPORT_PROBE = """
+import sys, time
+started = time.perf_counter()
+{statement}
+elapsed = time.perf_counter() - started
+with open("/proc/self/status") as status:
+    peak_kb = next(int(line.split()[1]) for line in status if line.startswith("VmHWM:"))
+print(peak_kb, elapsed, len(sys.modules))
+"""
+
+
+def _role(pid: int) -> str:
+    """``front end``, ``worker``, or — for anything else — the command line."""
     with open(f"/proc/{pid}/cmdline", "rb") as handle:
-        command = handle.read().replace(b"\0", b" ").decode("utf-8", "replace")
-    return "resource tracker" if "resource_tracker" in command else "worker"
+        argv = handle.read().decode("utf-8", "replace").split("\0")
+    if "repro.cluster.worker" in argv:
+        return WORKER
+    if "-m" in argv and argv[argv.index("-m") + 1 :][:2] == ["repro", "serve"]:
+        return FRONT_END
+    return " ".join(argv).strip()
 
 
-def _vm_hwm_mb(pid: int) -> float:
+def _memory_mb(pid: int) -> dict:
+    """Peak RSS of *pid* and the three parts of its current RSS, in MB."""
+    fields = {"VmHWM": "vm_hwm_mb", "RssAnon": "rss_anon_mb", "RssFile": "rss_file_mb",
+              "RssShmem": "rss_shmem_mb"}  # fmt: skip
+    found = {}
     with open(f"/proc/{pid}/status") as handle:
         for line in handle:
-            if line.startswith("VmHWM:"):
-                return int(line.split()[1]) / 1024.0
-    raise RuntimeError(f"/proc/{pid}/status has no VmHWM line")
+            key = fields.get(line.split(":")[0])
+            if key is not None:
+                found[key] = round(int(line.split()[1]) / 1024.0, 2)
+    if "vm_hwm_mb" not in found:
+        raise RuntimeError(f"/proc/{pid}/status has no VmHWM line")
+    return found
+
+
+def measure_imports() -> list:
+    """MB / ms / module count of each :data:`IMPORT_CLOSURES` entry."""
+    env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
+    rows = []
+    for label, statement in IMPORT_CLOSURES:
+        output = subprocess.run(
+            [sys.executable, "-c", _IMPORT_PROBE.format(statement=statement)],
+            env=env, capture_output=True, text=True, check=True,
+        ).stdout  # fmt: skip
+        peak_kb, seconds, modules = output.split()
+        rows.append(
+            {
+                "what": label,
+                "mb": round(int(peak_kb) / 1024, 2),
+                "ms": round(float(seconds) * 1000, 1),
+                "modules": int(modules),
+            }
+        )
+    return rows
+
+
+def _table(header: list, rows: list) -> str:
+    """A GitHub-flavoured markdown table (also readable as plain text)."""
+    lines = [header, ["---"] * len(header)] + [[str(cell) for cell in row] for row in rows]
+    return "\n".join("| " + " | ".join(line) + " |" for line in lines)
 
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--workers", type=int, default=2)
     parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument(
+        "--imports", action="store_true", help="also measure the import closures"
+    )
     args = parser.parse_args(argv)
     adopt_orphans()
     inputs = build_inputs("mixed_cluster_k2", args.seed)
@@ -72,25 +145,38 @@ def main(argv=None) -> int:
             finally:
                 connection.close()
             processes = [
-                {"pid": pid, "role": _role(pid, server.pid), "vm_hwm_mb": round(_vm_hwm_mb(pid), 2)}
+                {"pid": pid, "role": _role(pid), **_memory_mb(pid)}
                 for pid in [server.pid] + _descendants(server.pid)
             ]
         finally:
             forced = server.reap()
     finally:
         remove_workdir(workdir)
-    print(
-        json.dumps(
-            {
-                "workers": args.workers,
-                "queries": len(inputs.queries),
-                "failed": failed,
-                "leaked_segments": forced["segments"],
-                "peak_rss_mb": round(sum(p["vm_hwm_mb"] for p in processes), 2),
-                "processes": processes,
-            }
-        )
-    )
+    report = {
+        "workers": args.workers,
+        "queries": len(inputs.queries),
+        "failed": failed,
+        "leaked_segments": forced["segments"],
+        "peak_rss_mb": round(sum(p["vm_hwm_mb"] for p in processes), 2),
+        "processes": processes,
+    }
+    columns = ["vm_hwm_mb", "rss_anon_mb", "rss_file_mb", "rss_shmem_mb"]
+    print(f"serve --workers {args.workers}: peak_rss_mb {report['peak_rss_mb']} "
+          f"(failed {failed}, leaked segments {forced['segments']})\n")  # fmt: skip
+    print(_table(["role", "pid"] + columns,
+                 [[p["role"], p["pid"]] + [p.get(c, "-") for c in columns] for p in processes]))  # fmt: skip
+    if args.imports:
+        report["imports"] = measure_imports()
+        print()
+        print(_table(["fresh interpreter", "MB", "ms", "modules"],
+                     [[r["what"], r["mb"], r["ms"], r["modules"]] for r in report["imports"]]))  # fmt: skip
+    print()
+    print(json.dumps(report))
+    roles = [p["role"] for p in processes]
+    expected = [FRONT_END] + [WORKER] * args.workers
+    if sorted(roles) != sorted(expected):
+        print(f"unexpected process tree: {roles}, expected {expected}", file=sys.stderr)
+        return 1
     return 0
 
 

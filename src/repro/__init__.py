@@ -17,22 +17,7 @@ Quickstart
 True
 """
 
-from repro.core.builders import (
-    strong_summary,
-    summarize,
-    type_summary,
-    typed_strong_summary,
-    typed_weak_summary,
-    weak_summary,
-)
-from repro.core.encoded import EncodedSummaryEngine, encoded_summarize
-from repro.core.summary import Summary
-from repro.model.graph import RDFGraph
-from repro.model.terms import URI, BlankNode, Literal
-from repro.model.triple import Triple
-from repro.schema.saturation import saturate
-from repro.service.catalog import GraphCatalog
-from repro.service.service import QueryService
+from repro._lazy import lazy_exports
 
 __version__ = "1.1.0"
 
@@ -56,3 +41,18 @@ __all__ = [
     "saturate",
     "__version__",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "core.builders": (
+        "strong_summary", "summarize", "type_summary", "typed_strong_summary",
+        "typed_weak_summary", "weak_summary",
+    ),
+    "core.encoded": ("EncodedSummaryEngine", "encoded_summarize"),
+    "core.summary": ("Summary",),
+    "model.graph": ("RDFGraph",),
+    "model.terms": ("URI", "BlankNode", "Literal"),
+    "model.triple": ("Triple",),
+    "schema.saturation": ("saturate",),
+    "service.catalog": ("GraphCatalog",),
+    "service.service": ("QueryService",),
+})

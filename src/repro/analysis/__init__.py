@@ -1,12 +1,6 @@
 """Experiment analysis: summary metrics and the scale-sweep harness."""
 
-from repro.analysis.harness import ScaleSweepResult, format_figure_series, run_scale_sweep
-from repro.analysis.metrics import (
-    PAPER_KINDS,
-    SummaryMetricsRow,
-    format_table,
-    summary_size_table,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ScaleSweepResult",
@@ -17,3 +11,10 @@ __all__ = [
     "format_table",
     "summary_size_table",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "harness": ("ScaleSweepResult", "format_figure_series", "run_scale_sweep"),
+    "metrics": (
+        "PAPER_KINDS", "SummaryMetricsRow", "format_table", "summary_size_table",
+    ),
+})

@@ -27,41 +27,32 @@ import argparse
 import json
 import math
 import sys
-from typing import List, Optional
+from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis.harness import (
-    format_figure_series,
-    format_query_service_report,
-    run_query_service_workload,
-    run_scale_sweep,
-)
-from repro.analysis.metrics import format_table, summary_size_table
-from repro.core.builders import SUMMARY_KINDS, summarize
-from repro.datasets.bibliography import generate_bibliography
-from repro.datasets.bsbm import generate_bsbm
-from repro.datasets.lubm import generate_lubm
-from repro.io.dot import summary_to_dot, write_dot
-from repro.io.ntriples import dump_ntriples, load_ntriples
-from repro.io.turtle_lite import load_turtle
-from repro.model.graph import RDFGraph
-from repro.model.terms import term_sort_key
-from repro.queries.parser import parse_query
-from repro.schema.saturation import saturate
-from repro.service.catalog import GraphCatalog
-from repro.service.evaluator import STRATEGIES
-from repro.service.service import QueryService
+# Every ``repro.*`` import lives in the sub-command that uses it: ``repro
+# serve`` is a long-lived process and should not hold the dataset
+# generators, the sweep harness or the DOT writer for its whole life.
+if TYPE_CHECKING:
+    from repro.model.graph import RDFGraph
 
 __all__ = ["main", "build_parser"]
 
 
 def _load_graph(path: str) -> RDFGraph:
     if path.endswith(".ttl") or path.endswith(".turtle"):
+        from repro.io.turtle_lite import load_turtle
+
         return load_turtle(path)
+    from repro.io.ntriples import load_ntriples
+
     return load_ntriples(path)
 
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
+    from repro.core.builders import SUMMARY_KINDS
+    from repro.service.evaluator import STRATEGIES
+
     parser = argparse.ArgumentParser(
         prog="rdfsummary",
         description="Query-oriented summarization of RDF graphs (weak / strong / typed summaries).",
@@ -269,6 +260,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_summarize(args: argparse.Namespace) -> int:
+    from repro.core.builders import summarize
+    from repro.io.dot import summary_to_dot, write_dot
+    from repro.io.ntriples import dump_ntriples
+
     graph = _load_graph(args.input)
     summary = summarize(graph, args.kind)
     statistics = summary.statistics()
@@ -289,6 +284,8 @@ def _command_summarize(args: argparse.Namespace) -> int:
 
 
 def _command_stats(args: argparse.Namespace) -> int:
+    from repro.analysis.metrics import format_table, summary_size_table
+
     graph = _load_graph(args.input)
     statistics = graph.statistics()
     for key, value in statistics.as_dict().items():
@@ -299,6 +296,9 @@ def _command_stats(args: argparse.Namespace) -> int:
 
 
 def _command_saturate(args: argparse.Namespace) -> int:
+    from repro.io.ntriples import dump_ntriples
+    from repro.schema.saturation import saturate
+
     graph = _load_graph(args.input)
     saturated = saturate(graph)
     dump_ntriples(saturated, args.output)
@@ -307,6 +307,9 @@ def _command_saturate(args: argparse.Namespace) -> int:
 
 
 def _command_generate(args: argparse.Namespace) -> int:
+    from repro.datasets import generate_bibliography, generate_bsbm, generate_lubm
+    from repro.io.ntriples import dump_ntriples
+
     if args.dataset == "bsbm":
         graph = generate_bsbm(scale=args.scale, seed=args.seed)
     elif args.dataset == "lubm":
@@ -319,6 +322,8 @@ def _command_generate(args: argparse.Namespace) -> int:
 
 
 def _command_sweep(args: argparse.Namespace) -> int:
+    from repro.analysis.harness import format_figure_series, run_scale_sweep
+
     result = run_scale_sweep(scales=args.scales, seed=args.seed)
     print(format_figure_series(result, "data_nodes", "Figure 11 (top): data nodes"))
     print(format_figure_series(result, "all_nodes", "Figure 11 (bottom): all nodes"))
@@ -329,6 +334,11 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_query(args: argparse.Namespace) -> int:
+    from repro.model.terms import term_sort_key
+    from repro.queries.parser import parse_query
+    from repro.service.catalog import GraphCatalog
+    from repro.service.service import QueryService
+
     graph = _load_graph(args.input)
     if not graph.name:
         graph.name = args.input
@@ -341,6 +351,8 @@ def _command_query(args: argparse.Namespace) -> int:
                 file=sys.stderr,
             )
             return 2
+        from repro.analysis.harness import format_query_service_report, run_query_service_workload
+
         report = run_query_service_workload(
             graph,
             count=args.workload,
@@ -501,6 +513,7 @@ def _sqlite_store_factory(directory: str):
 def _command_serve(args: argparse.Namespace) -> int:
     from repro import telemetry
     from repro.server.http import ServerApp, make_server
+    from repro.service.catalog import GraphCatalog
 
     # telemetry enablement must precede every construction below: services
     # capture their instruments (or the no-op singletons) when built

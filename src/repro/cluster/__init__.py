@@ -13,19 +13,7 @@ bit-identical to the in-process :class:`~repro.service.service.QueryService`
 (see ``docs/cluster.md`` for the architecture and the failure model).
 """
 
-from repro.cluster.coordinator import ClusterCoordinator
-from repro.cluster.protocol import (
-    OP_DELTA,
-    OP_DROP,
-    OP_LOAD,
-    OP_PING,
-    OP_QUERY,
-    OP_SHUTDOWN,
-    TABLES_INLINE,
-    TABLES_SHM,
-)
-from repro.cluster.shm import SegmentRegistry, shm_available
-from repro.cluster.worker import TARGET_FULL, TARGET_SHARD, worker_main
+from repro._lazy import lazy_exports
 
 __all__ = [
     "ClusterCoordinator",
@@ -43,3 +31,13 @@ __all__ = [
     "OP_PING",
     "OP_SHUTDOWN",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "coordinator": ("ClusterCoordinator",),
+    "protocol": (
+        "OP_DELTA", "OP_DROP", "OP_LOAD", "OP_PING", "OP_QUERY", "OP_SHUTDOWN",
+        "TABLES_INLINE", "TABLES_SHM",
+    ),
+    "shm": ("SegmentRegistry", "shm_available"),
+    "worker": ("TARGET_FULL", "TARGET_SHARD", "worker_main"),
+})

@@ -2,9 +2,11 @@
 
 One :class:`ClusterCoordinator` owns the authoritative
 :class:`~repro.service.catalog.GraphCatalog` (the single writer of the
-tier) and a pool of K spawned worker processes.  Each registered graph is
-hash-partitioned by subject id (:func:`~repro.store.base.shard_of`) and
-shipped to the workers as one image of raw int64 column blobs plus
+tier) and a pool of K worker processes — each a plain ``python -m
+repro.cluster.worker`` child on one end of a socket pair, so the process
+tree is the front end and its K workers, nothing else.  Each registered
+graph is hash-partitioned by subject id (:func:`~repro.store.base.shard_of`)
+and shipped to the workers as one image of raw int64 column blobs plus
 structurally packed dictionary terms — see :mod:`repro.cluster.shm` for
 the image layout, :mod:`repro.cluster.protocol` for the wire format and
 :mod:`repro.cluster.worker` for the receiving side.
@@ -50,22 +52,29 @@ crash mid-query costs latency, never an error and never a wrong answer
 (deltas dropped while dead are subsumed by the re-shipped snapshot;
 re-delivered deltas deduplicate idempotently).  ``close()`` drains the
 delta queues, asks each worker to finish its message in hand
-(``SIGTERM``-equivalent shutdown message), then joins the processes.
+(``SIGTERM``-equivalent shutdown message), then waits for the processes.
+If the coordinator itself is killed, its workers see EOF, unlink the
+segments it can no longer unlink (see :mod:`repro.cluster.shm`) and exit.
 """
 
 from __future__ import annotations
 
 import itertools
-import multiprocessing
+import json
+import os
 import queue
+import socket
+import subprocess
+import sys
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from multiprocessing.connection import Connection
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.cluster import protocol, shm
-from repro.cluster.worker import TARGET_FULL, TARGET_SHARD, worker_main
+from repro.cluster.worker import TARGET_FULL, TARGET_SHARD
 from repro.errors import (
     ClusterError,
     QueryError,
@@ -92,6 +101,10 @@ __all__ = ["ClusterCoordinator"]
 _REQUEST_TIMEOUT = 120.0
 _PING_TIMEOUT = 1.0
 _SHUTDOWN_TIMEOUT = 10.0
+
+#: The directory holding this ``repro`` package: first on a worker's
+#: ``PYTHONPATH``, however the package reached the coordinator's ``sys.path``.
+_PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
 #: Logged delta rows per graph beyond which the coordinator folds the
 #: delta log into a fresh segment generation (shared-memory mode).
@@ -146,8 +159,9 @@ class _WorkerHandle:
         self.index = index
         self.generation = 0
         self.respawns = 0
-        self.process: Optional[multiprocessing.process.BaseProcess] = None
-        self.connection = None
+        self.process: Optional[subprocess.Popen] = None
+        #: This generation's pipe; the receiver thread is its only closer.
+        self.connection: Optional[Connection] = None
         self.alive = False
         #: Serializes conn.send() calls (receiver thread handles recv).
         self.send_lock = named_lock(f"cluster.worker{index}.send_lock")
@@ -182,6 +196,30 @@ class _WorkerHandle:
             pending, self.pending = self.pending, {}
         for slot in pending.values():
             slot.fail(message)
+
+    def retire(self, timeout: float) -> None:
+        """End this generation: reap its process, let its receiver close.
+
+        A process still running gets *timeout* seconds to exit on its own,
+        as long again after ``SIGTERM``, then ``SIGKILL`` — and is always
+        waited for, so no zombie and no unreaped ``Popen`` stays behind.
+        Its death is the receiver's EOF; closing ``connection`` from here
+        would pull the handle out from under a ``recv()`` in progress.
+        """
+        process = self.process
+        if process is not None:
+            try:
+                process.wait(timeout)
+            except subprocess.TimeoutExpired:
+                process.terminate()
+                try:
+                    process.wait(timeout)
+                except subprocess.TimeoutExpired:
+                    process.kill()
+                    process.wait()
+        self.alive = False
+        if self.receiver is not None:
+            self.receiver.join(timeout=timeout)
 
 
 class ClusterCoordinator:
@@ -242,11 +280,6 @@ class ClusterCoordinator:
         self.heartbeat_seconds = heartbeat_seconds
         self.statistics = ServiceStatistics()
         self.started_at = monotonic()
-        # spawn, not fork: the coordinator is multi-threaded by design
-        # (receiver/broadcaster/heartbeat threads, caller pools) and a
-        # forked child inheriting locked locks or sibling pipe fds would
-        # break both liveness and EOF-based crash detection
-        self._mp = multiprocessing.get_context("spawn")
         self._workers = [_WorkerHandle(i, delta_queue_depth) for i in range(workers)]
         self._request_ids = itertools.count(1)
         self._round_robin = itertools.count()
@@ -317,7 +350,6 @@ class ClusterCoordinator:
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start (or restart) the process behind *handle* (ship_lock held
         by the caller for respawns; at start() nothing races)."""
-        parent_conn, child_conn = self._mp.Pipe(duplex=True)
         config = {
             "shard_index": handle.index,
             "shard_count": self.worker_count,
@@ -325,21 +357,33 @@ class ClusterCoordinator:
             "strategy": self.strategy,
             "telemetry": telemetry.enabled(),
         }
-        process = self._mp.Process(
-            target=worker_main,
-            args=(child_conn, config),
-            name=f"repro-worker-{handle.index}",
-            daemon=True,
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
         )
-        process.start()
-        child_conn.close()
+        # A fresh interpreter, never a fork: the coordinator is
+        # multi-threaded by design and a forked child would inherit locked
+        # locks.  close_fds (the default) keeps every descriptor but the
+        # child's own pipe end out of it: a sibling's pipe end or a
+        # segment's owner lock held open there would defeat EOF-based crash
+        # detection and the orphan test.
+        sock, child_sock = socket.socketpair()
+        with sock, child_sock:
+            process = subprocess.Popen(
+                [sys.executable, *subprocess._args_from_interpreter_flags()]
+                + ["-m", "repro.cluster.worker", str(child_sock.fileno()), json.dumps(config)],
+                pass_fds=[child_sock.fileno()],
+                stdin=subprocess.DEVNULL,
+                env=env,
+            )
+            connection = Connection(sock.detach())
         handle.process = process
-        handle.connection = parent_conn
+        handle.connection = connection
         handle.alive = True
         generation = handle.generation
         receiver = threading.Thread(
             target=self._receive_loop,
-            args=(handle, parent_conn, generation),
+            args=(handle, connection, generation),
             name=f"repro-recv-{handle.index}",
             daemon=True,
         )
@@ -347,17 +391,24 @@ class ClusterCoordinator:
         receiver.start()
 
     def _receive_loop(self, handle: _WorkerHandle, connection, generation: int) -> None:
-        """Route worker replies to their waiting requesters; EOF = crash."""
-        while True:
-            try:
-                message = connection.recv()
-            except (EOFError, OSError):
-                break
-            request_id, status, payload = message
-            with handle.pending_lock:
-                slot = handle.pending.pop(request_id, None)
-            if slot is not None:
-                slot.resolve(status, payload)
+        """Route worker replies to their waiting requesters; EOF = crash.
+
+        This thread is the only closer of *connection*, under the send lock
+        so that no sender is mid-write on the descriptor it gives back."""
+        try:
+            while True:
+                try:
+                    message = connection.recv()
+                except (EOFError, OSError):
+                    break
+                request_id, status, payload = message
+                with handle.pending_lock:
+                    slot = handle.pending.pop(request_id, None)
+                if slot is not None:
+                    slot.resolve(status, payload)
+        finally:
+            with handle.send_lock:
+                connection.close()
         if handle.generation == generation:
             handle.alive = False
             handle.fail_pending(f"worker {handle.index} pipe closed")
@@ -404,7 +455,8 @@ class ClusterCoordinator:
         Safe to call twice.  The order is the graceful SIGTERM path:
         pending ingest deltas flush first (workers end consistent), each
         worker finishes the message in hand and acks the shutdown, then
-        processes are joined (terminated only if they overstay).
+        processes are waited for (terminated, then killed, only if they
+        overstay) and their receivers close the pipes.
         """
         if self._closed:
             return
@@ -424,18 +476,7 @@ class ClusterCoordinator:
                     self._request(handle, protocol.OP_SHUTDOWN, (), timeout)
                 except ClusterError:
                     pass
-            process = handle.process
-            if process is not None:
-                process.join(timeout=timeout)
-                if process.is_alive():
-                    process.terminate()
-                    process.join(timeout=timeout)
-            handle.alive = False
-            if handle.connection is not None:
-                try:
-                    handle.connection.close()
-                except OSError:
-                    pass
+            handle.retire(timeout)
         self._pool.shutdown(wait=True)
         # workers are gone (their mappings closed); now unlink every named
         # segment — after this, /dev/shm holds nothing of this coordinator
@@ -552,7 +593,7 @@ class ClusterCoordinator:
             if handle.generation != seen_generation:
                 return  # a concurrent caller respawned; just retry
             process = handle.process
-            if handle.alive and process is not None and process.is_alive():
+            if handle.alive and process is not None and process.poll() is None:
                 return
             # From here until each graph's snapshot is taken, ingest drops
             # that graph's deltas for this worker instead of blocking on
@@ -561,15 +602,9 @@ class ClusterCoordinator:
             # deadlocking against a writer stuck on the bounded queue
             # whose broadcaster is parked on our ship_lock.
             handle.reship_pending = set(self.catalog.names())
-            if process is not None:
-                if process.is_alive():
-                    process.terminate()
-                process.join(timeout=5.0)
-            if handle.connection is not None:
-                try:
-                    handle.connection.close()
-                except OSError:
-                    pass
+            if process is not None and process.poll() is None:
+                process.terminate()
+            handle.retire(timeout=5.0)
             handle.fail_pending(f"worker {handle.index} respawning")
             handle.generation += 1
             handle.respawns += 1
@@ -598,7 +633,7 @@ class ClusterCoordinator:
                 if self._closed:
                     return
                 process = handle.process
-                if not handle.alive or process is None or not process.is_alive():
+                if not handle.alive or process is None or process.poll() is not None:
                     try:
                         self._ensure_alive(handle, handle.generation)
                     except Exception:  # noqa: BLE001 - keep sweeping
@@ -1126,7 +1161,7 @@ class ClusterCoordinator:
                     "index": handle.index,
                     "pid": process.pid if process is not None else None,
                     "alive": bool(
-                        handle.alive and process is not None and process.is_alive()
+                        handle.alive and process is not None and process.poll() is None
                     ),
                     "generation": handle.generation,
                     "respawns": handle.respawns,

@@ -26,102 +26,164 @@ unlinks them on fold, drop and shutdown.  Unlinking only removes the name —
 live worker mappings stay valid (plain POSIX semantics), which is what
 makes a fold invisible to running workers.
 
-Resource-tracker hygiene: ``multiprocessing`` children share the
-coordinator's resource-tracker *process* (the pipe fd is inherited at
-spawn), and the tracker only sweeps leaked names when that whole tree has
-exited — a SIGKILLed worker can never trigger a sweep on its own.  CPython
-< 3.13 registers even *attached* segments, but against the same shared
-tracker the registration dedups into the creator's entry, so
-:func:`attach` leaves it alone; unregistering there would strip the
-creator's entry — losing the coordinator-SIGKILL backstop *and* making the
-coordinator's own ``unlink()`` a noisy double-unregister.  On 3.13+,
-``track=False`` skips attach-side registration outright.  The creator-side
-registration is deliberately kept: if the *coordinator* process is
-SIGKILLed, the surviving tracker unlinks the segments once the tree dies —
-the backstop behind the "no leaked ``/dev/shm`` segments even after crash
-injection" guarantee.
+Ownership is a lock, not a table in some other process: for as long as it
+owns a name the coordinator holds ``flock(LOCK_EX)`` on the file behind it.
+The kernel drops that lock however the owner dies (and a recycled pid or a
+pid namespace cannot fake it), so *a segment whose lock can be taken is an
+orphan* (:func:`is_orphan`), and an orphan is unlinked by whoever notices
+(:func:`unlink_orphans`): a worker whose pipe reached EOF checks the names
+it attached, and every new :class:`SegmentRegistry` sweeps what a tree
+that died whole left behind.  No helper process waits around to do it.
+
+A segment is a file in ``/dev/shm`` (where POSIX shared memory lives on
+Linux), created, mapped and unlinked with ``open`` / ``mmap`` / ``unlink``;
+on a platform without that directory :func:`shm_available` is false and
+the pipe carries the image.
 """
 
 from __future__ import annotations
 
+import mmap
 import os
 import pickle
-import secrets
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.errors import ClusterError
 
-try:  # pragma: no cover - import guard for exotic platforms
-    from multiprocessing import shared_memory
+try:  # POSIX-only; without it there is no owner lock and no shm plane
+    import fcntl
 except ImportError:  # pragma: no cover
-    shared_memory = None
+    fcntl = None
 
 __all__ = [
     "SEGMENT_PREFIX",
     "SegmentRegistry",
     "attach",
+    "is_orphan",
     "layout_image",
-    "shm_available",
     "list_segments",
+    "shm_available",
+    "unlink_orphans",
 ]
 
 #: Every segment name starts with this, so tests and CI can assert that a
 #: run left nothing behind with one ``/dev/shm`` listing.
 SEGMENT_PREFIX = "repro-shm"
 
+_SHM_ROOT = "/dev/shm"
+
 _availability: Optional[bool] = None
+
+
+def _path(name: str) -> str:
+    return os.path.join(_SHM_ROOT, name)
 
 
 def shm_available() -> bool:
     """Whether named shared memory actually works here (probed once)."""
     global _availability
     if _availability is None:
-        if shared_memory is None:
-            _availability = False
-        else:
+        _availability = False
+        if fcntl is not None:
+            name = _segment_name()
             try:
-                probe = shared_memory.SharedMemory(
-                    create=True, size=8, name=_segment_name()
-                )
-                probe.close()
-                probe.unlink()
+                _create_owned(name, [b"probe"]).close()
+                os.unlink(_path(name))
                 _availability = True
-            except Exception:  # noqa: BLE001 - any failure means "no shm here"
-                _availability = False
+            except OSError:  # no /dev/shm, not writable, no flock: no shm here
+                pass
     return _availability
 
 
 def list_segments() -> List[str]:
     """Named segments of this plane currently visible in ``/dev/shm``."""
-    root = "/dev/shm"
-    if not os.path.isdir(root):
+    if not os.path.isdir(_SHM_ROOT):
         return []
-    return sorted(name for name in os.listdir(root) if name.startswith(SEGMENT_PREFIX))
+    return sorted(name for name in os.listdir(_SHM_ROOT) if name.startswith(SEGMENT_PREFIX))
 
 
 def _segment_name() -> str:
     # pid + random suffix: unique across coordinators on one host, short
     # enough for every platform's shm name limit
-    return f"{SEGMENT_PREFIX}-{os.getpid()}-{secrets.token_hex(4)}"
+    return f"{SEGMENT_PREFIX}-{os.getpid()}-{os.urandom(4).hex()}"
 
 
-def attach(name: str):
-    """Attach to an existing segment without adopting its lifecycle.
+def _create_owned(name: str, blobs: Iterable[bytes]) -> BinaryIO:
+    """Create segment *name* holding *blobs*; returns the open file whose
+    ``flock`` marks the name as owned until it is closed.
 
-    Returns the :class:`SharedMemory` handle.  Only the coordinator may
-    unlink.  On CPython >= 3.13 ``track=False`` keeps the attachment out
-    of the resource tracker; earlier versions register it, but workers
-    share the coordinator's tracker process, so the registration dedups
-    into the creator's entry and must *not* be unregistered here (see the
-    module docstring).
+    The file is created under a dot-name :func:`list_segments` does not
+    see, locked, and only then renamed — a visible name is therefore either
+    owned or an orphan, never merely young, and a concurrent sweep cannot
+    take a segment away between its creation and its lock.
     """
-    if shared_memory is None:
-        raise ClusterError("shared memory is unavailable on this platform")
+    path = _path("." + name)
+    owner = open(path, "xb", opener=lambda file, flags: os.open(file, flags, 0o600))
     try:
-        segment = shared_memory.SharedMemory(name=name, track=False)
-    except TypeError:  # Python < 3.13: no track= parameter
-        segment = shared_memory.SharedMemory(name=name)
-    return segment
+        fcntl.flock(owner, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        os.rename(path, _path(name))
+        path = _path(name)
+        owner.writelines(blobs)
+        owner.flush()
+    except BaseException:
+        os.unlink(path)
+        owner.close()
+        raise
+    return owner
+
+
+def is_orphan(name: str) -> bool:
+    """Whether segment *name* exists and its owner is gone.
+
+    True exactly when the owner lock can be taken (it is released again at
+    once); false for a name that is owned — by any process, this one
+    included — or that no longer exists.
+    """
+    try:
+        with open(_path(name), "rb") as probe:
+            fcntl.flock(probe, fcntl.LOCK_EX | fcntl.LOCK_NB)
+    except OSError:  # BlockingIOError: owned; FileNotFoundError: gone
+        return False
+    return True
+
+
+def unlink_orphans(names: Optional[Iterable[str]] = None) -> None:
+    """Unlink each of *names* (default: every listed segment) whose owner
+    is gone."""
+    for name in list_segments() if names is None else names:
+        if is_orphan(name):
+            try:
+                os.unlink(_path(name))
+            except FileNotFoundError:  # someone else noticed first
+                pass
+
+
+class _Attached:
+    """A segment mapped read-only into this process — what :func:`attach`
+    returns: ``name``, ``buf`` (a ``memoryview`` of the whole image) and
+    ``close()``, which raises :class:`BufferError` while slices of ``buf``
+    are still alive."""
+
+    __slots__ = ("name", "buf", "_mmap")
+
+    def __init__(self, name: str):
+        with open(_path(name), "rb") as file:
+            self._mmap = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+        self.name = name
+        self.buf = memoryview(self._mmap)
+
+    def close(self) -> None:
+        self.buf.release()
+        self._mmap.close()
+
+
+def attach(name: str) -> _Attached:
+    """Map the existing segment *name* without adopting its lifecycle.
+
+    The mapping outlives the name (an unlink by the owner leaves it valid)
+    and holds no lock: attaching never makes a segment look owned.
+    """
+    return _Attached(name)
 
 
 #: One ship target's tables: ``kind value -> (rows, s, p, o column bytes)``.
@@ -182,12 +244,14 @@ def layout_image(
 
 
 class _Segment:
-    """One packed generation: the handle, its directory, and its stats."""
+    """One packed generation: its name, the open file whose lock owns the
+    name, its directory, and its stats."""
 
-    __slots__ = ("handle", "directory", "generation", "nbytes")
+    __slots__ = ("name", "owner", "directory", "generation", "nbytes")
 
-    def __init__(self, handle, directory: dict, generation: int, nbytes: int):
-        self.handle = handle
+    def __init__(self, name: str, owner: BinaryIO, directory: dict, generation: int, nbytes: int):
+        self.name = name
+        self.owner = owner
         self.directory = directory
         self.generation = generation
         self.nbytes = nbytes
@@ -197,15 +261,24 @@ class SegmentRegistry:
     """Coordinator-side owner of every live graph segment.
 
     ``pack()`` lays a graph generation out (:func:`layout_image`, every
-    shard plus the full replica) and copies it into one fresh segment; it
+    shard plus the full replica) and writes it into one fresh segment; it
     returns ``(segment_name, directory)`` — the descriptor a worker needs
-    to attach and adopt.
+    to attach and adopt.  The registry never maps a segment itself: the
+    image's pages belong to the workers that read them.
+
+    Constructing a registry first unlinks every orphan in ``/dev/shm``
+    (:func:`unlink_orphans`) — what a coordinator that was killed together
+    with its workers left behind; a live registry's segments are locked and
+    stay.
 
     Not thread-safe by itself — the coordinator serializes access with its
     segment lock.
     """
 
     def __init__(self):
+        if not shm_available():
+            raise ClusterError("shared memory is unavailable on this platform")
+        unlink_orphans()
         self._segments: Dict[str, _Segment] = {}
         self._generations: Dict[str, int] = {}
         #: Total ``pack()`` calls — the "zero repack of unchanged
@@ -229,8 +302,6 @@ class SegmentRegistry:
         segments alive until the last close), so at any instant each graph
         owns at most one named segment.
         """
-        if shared_memory is None:
-            raise ClusterError("shared memory is unavailable on this platform")
         generation = self._generations.get(graph_name, 0) + 1
         targets = [("full", full_tables)]
         targets.extend(enumerate(shard_tables))
@@ -238,15 +309,12 @@ class SegmentRegistry:
             graph_name, version, term_chunks, targets, byteorder, weak_state
         )
         directory["generation"] = generation
-        nbytes = sum(len(blob) for blob in blobs)
         name = _segment_name()
-        segment = shared_memory.SharedMemory(create=True, size=max(nbytes, 1), name=name)
-        cursor = 0
-        for blob in blobs:
-            segment.buf[cursor : cursor + len(blob)] = blob
-            cursor += len(blob)
+        owner = _create_owned(name, blobs)
         self.unlink(graph_name)
-        self._segments[graph_name] = _Segment(segment, directory, generation, nbytes)
+        self._segments[graph_name] = _Segment(
+            name, owner, directory, generation, sum(len(blob) for blob in blobs)
+        )
         self._generations[graph_name] = generation
         self.packs += 1
         return name, directory
@@ -256,21 +324,20 @@ class SegmentRegistry:
         segment = self._segments.get(graph_name)
         if segment is None:
             return None
-        return segment.handle.name, segment.directory
+        return segment.name, segment.directory
 
     def unlink(self, graph_name: str) -> None:
         """Unlink and forget *graph_name*'s segment (idempotent)."""
         segment = self._segments.pop(graph_name, None)
         if segment is None:
             return
+        # the name goes first, the lock second: released the other way
+        # round, the segment would be an orphan for anyone to unlink
         try:
-            segment.handle.close()
-        except BufferError:  # pragma: no cover - coordinator keeps no views
-            pass
-        try:
-            segment.handle.unlink()
+            os.unlink(_path(segment.name))
         except FileNotFoundError:  # pragma: no cover - already gone
             pass
+        segment.owner.close()
 
     def close(self) -> None:
         """Unlink every live segment (coordinator shutdown)."""
@@ -282,7 +349,7 @@ class SegmentRegistry:
         return [
             {
                 "graph": graph_name,
-                "segment": segment.handle.name,
+                "segment": segment.name,
                 "generation": segment.generation,
                 "bytes": segment.nbytes,
             }

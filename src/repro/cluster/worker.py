@@ -1,9 +1,12 @@
 """The cluster worker process: one shard, one full replica, one pipe.
 
-A worker is a single-threaded message loop over a
-:class:`multiprocessing.connection.Connection`.  Per registered graph it
-keeps **two** worker-local stores sharing **one** dictionary (rebuilt
-id-for-id from the coordinator's packed term columns):
+A worker is ``python -m repro.cluster.worker <fd> <config>``: a
+single-threaded message loop over a
+:class:`multiprocessing.connection.Connection` on the socket-pair end its
+coordinator passed it as *fd*, importing what answering a query needs —
+store, evaluator, guard — and nothing else of the package.  Per registered
+graph it keeps **two** worker-local stores sharing **one** dictionary
+(rebuilt id-for-id from the coordinator's packed term columns):
 
 * the *shard* store — its :func:`~repro.store.base.shard_of` slice of the
   DATA/TYPE tables plus the broadcast SCHEMA table.  Queries whose
@@ -33,9 +36,10 @@ full replica restores its maintainer from the packed state instead of
 scanning, the dictionary is hydrated lazily from the packed term chunks,
 and the load's delta log is replayed.  The only difference is who else
 holds the bytes: a segment is one physical copy per host, a pipe image is
-private to this worker.  The worker never unlinks a segment (the
-coordinator owns that); it closes its mapping when the graph is dropped or
-replaced — after closing the stores, which release their adopted views.
+private to this worker.  The worker closes its mapping when the graph is
+dropped or replaced — after closing the stores, which release their adopted
+views — and unlinks only *orphans*: the coordinator owns every segment for
+as long as it lives (see *Shutdown*).
 
 Ordering and fencing
 --------------------
@@ -52,6 +56,12 @@ Shutdown
 in hand, then exits without reading further — the coordinator sees EOF and
 respawns or, during its own shutdown, moves on.  ``SIGINT`` is ignored
 (a Ctrl-C in the foreground serve session belongs to the coordinator).
+
+EOF on the pipe means the coordinator gave this generation up — or died.
+A dead coordinator cannot unlink its segments, so before exiting the worker
+unlinks every segment it attached whose owner lock has been released
+(:func:`repro.cluster.shm.unlink_orphans`).  It never touches the segment
+of a living coordinator: the replacement worker re-attaches that very name.
 """
 
 from __future__ import annotations
@@ -59,7 +69,7 @@ from __future__ import annotations
 import pickle
 import signal
 import sys
-from time import perf_counter
+from time import monotonic, perf_counter, sleep
 from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
@@ -79,6 +89,11 @@ except ImportError:  # pragma: no cover
     resource = None
 
 __all__ = ["worker_main", "TARGET_SHARD", "TARGET_FULL"]
+
+#: How long a worker whose pipe reached EOF keeps testing its segments for
+#: a released owner lock: a dying coordinator's pipe ends and lock fds close
+#: in one pass of the kernel's exit path, but the pipe may go first.
+_ORPHAN_GRACE_SECONDS = 1.0
 
 #: Query routing targets (the ``target`` field of a query message).
 TARGET_SHARD = "shard"
@@ -108,8 +123,8 @@ class _Worker:
         self.shard_service = QueryService(self.shard_catalog, kind=kind, strategy=strategy)
         self.full_service = QueryService(self.full_catalog, kind=kind, strategy=strategy)
         self.graphs: Dict[str, _WorkerGraph] = {}
-        #: Attached shared-memory segments by graph name (closed — never
-        #: unlinked — when the graph is dropped or replaced).
+        #: Attached shared-memory segments by graph name (closed, not
+        #: unlinked, when the graph is dropped or replaced).
         self.segments: Dict[str, object] = {}
         #: Graphs whose dictionary still awaits hydration from the packed
         #: term blob: ``name -> (dictionary, pickled term chunks)``.  A
@@ -470,6 +485,15 @@ class _Worker:
             self.connection.send((request_id, "ok", result))
 
     def run(self) -> None:
+        try:
+            self._serve()
+        except (EOFError, OSError):
+            # the pipe went away, under a read or under a reply: this
+            # generation is over, or the coordinator is gone
+            self._unlink_orphans()
+        self.close()
+
+    def _serve(self) -> None:
         handlers = {
             protocol.OP_LOAD: self.handle_load,
             protocol.OP_DELTA: self.handle_delta,
@@ -485,11 +509,7 @@ class _Worker:
             # blocked recv straight through the handler)
             if not connection.poll(0.2):
                 continue
-            try:
-                message = connection.recv()
-            except (EOFError, OSError):
-                break  # coordinator is gone
-            request_id, op, payload = message
+            request_id, op, payload = connection.recv()
             if op == protocol.OP_SHUTDOWN:
                 self._reply(request_id, lambda _payload: {"draining": True}, payload)
                 break
@@ -510,11 +530,23 @@ class _Worker:
                 )
                 continue
             self._reply(request_id, handler, payload)
-        self.close()
+
+    def _unlink_orphans(self) -> None:
+        """Unlink the attached segments a dead coordinator left behind:
+        poll until every attached name is gone (unlinked here, or by a
+        sibling that looked first) or the grace period is over — which is
+        how it ends under a living coordinator, whose locks hold."""
+        names = {segment.name for segment in self.segments.values()}
+        deadline = monotonic() + _ORPHAN_GRACE_SECONDS
+        while monotonic() < deadline:
+            shm.unlink_orphans(names)
+            if names.isdisjoint(shm.list_segments()):
+                break
+            sleep(0.05)
 
     def close(self) -> None:
         # catalogs first (stores release their adopted views), then the
-        # segment mappings, never an unlink — the coordinator owns those
+        # segment mappings; unlinking is not part of an orderly close
         self.shard_catalog.close()
         self.full_catalog.close()
         for segment in self.segments.values():
@@ -530,12 +562,12 @@ class _Worker:
 
 
 def worker_main(connection, config: Dict[str, object]) -> None:
-    """Entry point of a spawned worker process."""
+    """Entry point of a worker process."""
     # the coordinator owns interactive signals; SIGTERM means "drain after
     # the message in hand" (the graceful half of the failure model)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
     # inherit the coordinator's telemetry mode before any service (and its
-    # instrument handles) is built — spawn starts from a fresh interpreter
+    # instrument handles) is built — a worker is a fresh interpreter
     telemetry.set_enabled(bool(config.get("telemetry", True)))
     worker = _Worker(connection, config)
 
@@ -543,10 +575,11 @@ def worker_main(connection, config: Dict[str, object]) -> None:
         worker.draining = True
 
     signal.signal(signal.SIGTERM, _drain)
-    try:
-        worker.run()
-    except Exception:  # pragma: no cover - last resort: die visibly
-        import traceback
+    worker.run()
 
-        traceback.print_exc(file=sys.stderr)
-        raise
+
+if __name__ == "__main__":
+    import json
+    from multiprocessing.connection import Connection
+
+    worker_main(Connection(int(sys.argv[1])), json.loads(sys.argv[2]))

@@ -1,52 +1,6 @@
 """Core contribution: property cliques, node equivalences and RDF summaries."""
 
-from repro.core.bisimulation import (
-    backward_bisimulation_partition,
-    bisimulation_summary,
-    forward_bisimulation_partition,
-    full_bisimulation_partition,
-)
-from repro.core.builders import (
-    SUMMARY_KINDS,
-    strong_summary,
-    summarize,
-    type_summary,
-    typed_strong_summary,
-    typed_weak_summary,
-    weak_summary,
-)
-from repro.core.encoded import (
-    ENCODED_KINDS,
-    EncodedSummaryEngine,
-    encoded_summarize,
-    summarize_graph_encoded,
-)
-from repro.core.cliques import (
-    PropertyCliques,
-    compute_cliques,
-    property_distance,
-    saturated_clique,
-)
-from repro.core.equivalence import NodePartition
-from repro.core.incremental import IncrementalWeakSummarizer, incremental_weak_summary
-from repro.core.isomorphism import canonical_signature, graphs_isomorphic, summaries_equivalent
-from repro.core.naming import SUMMARY_NS, SummaryNamer
-from repro.core.properties import (
-    RepresentativenessReport,
-    check_accuracy_witness,
-    check_fixpoint,
-    check_representativeness,
-    has_unique_data_properties,
-    summary_homomorphism_holds,
-)
-from repro.core.quotient import build_quotient_summary
-from repro.core.shortcuts import (
-    ShortcutComparison,
-    completeness_holds,
-    direct_summary_of_saturation,
-    shortcut_summary,
-)
-from repro.core.summary import Summary, SummaryStatistics
+from repro._lazy import lazy_exports
 
 __all__ = [
     "backward_bisimulation_partition",
@@ -90,3 +44,36 @@ __all__ = [
     "Summary",
     "SummaryStatistics",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bisimulation": (
+        "backward_bisimulation_partition", "bisimulation_summary",
+        "forward_bisimulation_partition", "full_bisimulation_partition",
+    ),
+    "builders": (
+        "SUMMARY_KINDS", "strong_summary", "summarize", "type_summary",
+        "typed_strong_summary", "typed_weak_summary", "weak_summary",
+    ),
+    "encoded": (
+        "ENCODED_KINDS", "EncodedSummaryEngine", "encoded_summarize",
+        "summarize_graph_encoded",
+    ),
+    "cliques": (
+        "PropertyCliques", "compute_cliques", "property_distance", "saturated_clique",
+    ),
+    "equivalence": ("NodePartition",),
+    "incremental": ("IncrementalWeakSummarizer", "incremental_weak_summary"),
+    "isomorphism": ("canonical_signature", "graphs_isomorphic", "summaries_equivalent"),
+    "naming": ("SUMMARY_NS", "SummaryNamer"),
+    "properties": (
+        "RepresentativenessReport", "check_accuracy_witness", "check_fixpoint",
+        "check_representativeness", "has_unique_data_properties",
+        "summary_homomorphism_holds",
+    ),
+    "quotient": ("build_quotient_summary",),
+    "shortcuts": (
+        "ShortcutComparison", "completeness_holds", "direct_summary_of_saturation",
+        "shortcut_summary",
+    ),
+    "summary": ("Summary", "SummaryStatistics"),
+})

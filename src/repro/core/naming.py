@@ -17,11 +17,17 @@ collide.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Callable, Dict, FrozenSet, Hashable, Iterable, Optional, Tuple
 
 from repro.model.namespaces import Namespace
 from repro.model.terms import Term, URI
+
+# The built-in SHA-1, as the stdlib's ``random`` takes its SHA-512: ``hashlib``
+# would map OpenSSL's libcrypto (3.6 MB) into every process that names a node.
+try:
+    from _sha1 import sha1
+except ImportError:  # a build without the built-in
+    from hashlib import sha1
 
 __all__ = ["SUMMARY_NS", "SummaryNamer"]
 
@@ -44,7 +50,7 @@ def _short_label(uris: Iterable[URI]) -> str:
 
 def _stable_digest(key: Hashable) -> str:
     """A short stable digest of an arbitrary hashable key."""
-    return hashlib.sha1(repr(key).encode("utf-8")).hexdigest()[:8]
+    return sha1(repr(key).encode("utf-8")).hexdigest()[:8]
 
 
 class SummaryNamer:

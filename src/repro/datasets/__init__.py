@@ -1,17 +1,6 @@
 """Dataset generators: the paper's figures, BSBM, LUBM, bibliography, random."""
 
-from repro.datasets.bibliography import BIB, BibliographyGenerator, generate_bibliography
-from repro.datasets.bsbm import BSBM, BSBMGenerator, generate_bsbm, graph_for_target_triples
-from repro.datasets.lubm import LUBM, LUBMGenerator, generate_lubm
-from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
-from repro.datasets.sample import (
-    FIG2,
-    book_example_graph,
-    figure2_graph,
-    strong_completeness_graph,
-    typed_weak_counterexample_graph,
-    weak_completeness_graph,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BIB",
@@ -33,3 +22,14 @@ __all__ = [
     "typed_weak_counterexample_graph",
     "weak_completeness_graph",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bibliography": ("BIB", "BibliographyGenerator", "generate_bibliography"),
+    "bsbm": ("BSBM", "BSBMGenerator", "generate_bsbm", "graph_for_target_triples"),
+    "lubm": ("LUBM", "LUBMGenerator", "generate_lubm"),
+    "random_graph": ("RandomGraphConfig", "generate_random_graph"),
+    "sample": (
+        "FIG2", "book_example_graph", "figure2_graph", "strong_completeness_graph",
+        "typed_weak_counterexample_graph", "weak_completeness_graph",
+    ),
+})

@@ -220,8 +220,9 @@ class GuardedByRule(Rule):
 class NoBlockingUnderLockRule(Rule):
     name = "no-blocking-under-lock"
     description = (
-        "no pipe send/recv, untimed Queue.put, untimed join(), or worker "
-        "spawn inside a 'with <ship_lock>' body (the PR 7 deadlock class)"
+        "no pipe send/recv, untimed Queue.put, untimed join() / wait() / "
+        "communicate(), or worker spawn inside a 'with <ship_lock>' body "
+        "(the PR 7 deadlock class)"
     )
 
     _LOCK_MARKER = "ship_lock"
@@ -279,8 +280,12 @@ class NoBlockingUnderLockRule(Rule):
                 return f"pipe '{attr}()'"
             if attr == "put" and "timeout" not in keyword_names:
                 return "untimed 'Queue.put()'"
-            if attr == "join" and not call.args and "timeout" not in keyword_names:
-                return "untimed 'join()'"
+            if attr in {"join", "wait", "communicate"}:
+                # Popen.wait / communicate park on a child as Thread.join
+                # parks on a thread; communicate's first positional is input
+                timeout_position = 1 if attr == "communicate" else 0
+                if "timeout" not in keyword_names and len(call.args) <= timeout_position:
+                    return f"untimed '{attr}()'"
             if "spawn" in attr:
                 return f"worker spawn '{attr}()'"
             return None

@@ -1,34 +1,6 @@
 """Data model: RDF terms, triples, graphs and dictionary encoding."""
 
-from repro.model.dictionary import Dictionary, EncodedGraphView, EncodedTriple
-from repro.model.graph import GraphStatistics, RDFGraph
-from repro.model.namespaces import (
-    EX,
-    OWL,
-    RDF,
-    RDF_TYPE,
-    RDFS,
-    RDFS_DOMAIN,
-    RDFS_RANGE,
-    RDFS_SUBCLASSOF,
-    RDFS_SUBPROPERTYOF,
-    SCHEMA_PROPERTIES,
-    XSD,
-    Namespace,
-    is_schema_property,
-    is_type_property,
-)
-from repro.model.terms import (
-    URI,
-    BlankNode,
-    Literal,
-    Term,
-    is_blank,
-    is_literal,
-    is_uri,
-    term_sort_key,
-)
-from repro.model.triple import Triple, TripleKind, classify_triple
+from repro._lazy import lazy_exports
 
 __all__ = [
     "Dictionary",
@@ -62,3 +34,18 @@ __all__ = [
     "TripleKind",
     "classify_triple",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "dictionary": ("Dictionary", "EncodedGraphView", "EncodedTriple"),
+    "graph": ("GraphStatistics", "RDFGraph"),
+    "namespaces": (
+        "EX", "OWL", "RDF", "RDF_TYPE", "RDFS", "RDFS_DOMAIN", "RDFS_RANGE",
+        "RDFS_SUBCLASSOF", "RDFS_SUBPROPERTYOF", "SCHEMA_PROPERTIES", "XSD",
+        "Namespace", "is_schema_property", "is_type_property",
+    ),
+    "terms": (
+        "URI", "BlankNode", "Literal", "Term", "is_blank", "is_literal", "is_uri",
+        "term_sort_key",
+    ),
+    "triple": ("Triple", "TripleKind", "classify_triple"),
+})

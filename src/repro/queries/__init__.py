@@ -1,15 +1,6 @@
 """BGP / RBGP queries: model, parser, evaluation and workload generation."""
 
-from repro.queries.bgp import BGPQuery, TriplePattern, Variable
-from repro.queries.evaluation import (
-    count_answers,
-    evaluate,
-    evaluate_saturated,
-    has_answers,
-    iter_embeddings,
-)
-from repro.queries.generator import RBGPQueryGenerator, generate_rbgp_workload
-from repro.queries.parser import parse_query
+from repro._lazy import lazy_exports
 
 __all__ = [
     "BGPQuery",
@@ -24,3 +15,13 @@ __all__ = [
     "generate_rbgp_workload",
     "parse_query",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "bgp": ("BGPQuery", "TriplePattern", "Variable"),
+    "evaluation": (
+        "count_answers", "evaluate", "evaluate_saturated", "has_answers",
+        "iter_embeddings",
+    ),
+    "generator": ("RBGPQueryGenerator", "generate_rbgp_workload"),
+    "parser": ("parse_query",),
+})

@@ -17,9 +17,7 @@ restartable, concurrent daemon:
   endpoints.
 """
 
-from repro.server.executor import QueryExecutor
-from repro.server.http import ServerApp, make_server, serve, start_background
-from repro.server.persistence import GraphSnapshot, PersistentCatalog
+from repro._lazy import lazy_exports
 
 __all__ = [
     "GraphSnapshot",
@@ -30,3 +28,9 @@ __all__ = [
     "serve",
     "start_background",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "executor": ("QueryExecutor",),
+    "http": ("ServerApp", "make_server", "serve", "start_background"),
+    "persistence": ("GraphSnapshot", "PersistentCatalog"),
+})

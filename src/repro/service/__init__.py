@@ -5,24 +5,7 @@ concurrent executor and the HTTP front end — lives in :mod:`repro.server`;
 :meth:`GraphCatalog.open` is the bridge between the two.
 """
 
-from repro.service.catalog import CatalogEntry, GraphCatalog
-from repro.service.evaluator import (
-    STRATEGIES,
-    CompiledQuery,
-    EncodedEvaluator,
-    compile_query,
-)
-from repro.service.planner import ExecutionTrace, QueryPlan, QueryPlanner
-from repro.service.service import QueryAnswer, QueryService, ServiceStatistics
-from repro.service.statistics import CardinalityStatistics, PredicateStatistics
-from repro.service.workload import (
-    ComparisonReport,
-    WorkloadQuery,
-    WorkloadReport,
-    compare_guarded_vs_direct,
-    generate_mixed_workload,
-    run_workload,
-)
+from repro._lazy import lazy_exports
 
 __all__ = [
     "CatalogEntry",
@@ -46,3 +29,15 @@ __all__ = [
     "generate_mixed_workload",
     "run_workload",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "catalog": ("CatalogEntry", "GraphCatalog"),
+    "evaluator": ("STRATEGIES", "CompiledQuery", "EncodedEvaluator", "compile_query"),
+    "planner": ("ExecutionTrace", "QueryPlan", "QueryPlanner"),
+    "service": ("QueryAnswer", "QueryService", "ServiceStatistics"),
+    "statistics": ("CardinalityStatistics", "PredicateStatistics"),
+    "workload": (
+        "ComparisonReport", "WorkloadQuery", "WorkloadReport",
+        "compare_guarded_vs_direct", "generate_mixed_workload", "run_workload",
+    ),
+})

@@ -1,7 +1,11 @@
 """Encoded triple stores: the relational substrate of the summarizer."""
 
-from repro.store.base import StoreStatistics, TripleStore
-from repro.store.memory import MemoryStore
-from repro.store.sqlite import SQLiteStore
+from repro._lazy import lazy_exports
 
 __all__ = ["StoreStatistics", "TripleStore", "MemoryStore", "SQLiteStore"]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "base": ("StoreStatistics", "TripleStore"),
+    "memory": ("MemoryStore",),
+    "sqlite": ("SQLiteStore",),
+})

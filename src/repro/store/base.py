@@ -44,7 +44,7 @@ class ColumnView:
 
     The zero-copy half of the shared-memory data plane: ``base`` is a
     ``memoryview`` cast to ``'q'`` over an *externally owned* buffer (a
-    :mod:`multiprocessing.shared_memory` segment slice) and is never
+    slice of a mapped :mod:`repro.cluster.shm` segment) and is never
     copied, while ``tail`` is an ordinary ``array('q')`` absorbing every
     append — exactly the sorted-run/pending-tail split the columnar store
     already uses, lifted to the storage level.  The view quacks like the

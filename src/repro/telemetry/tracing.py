@@ -21,7 +21,7 @@ under its own root — so one scatter-gather query yields **one** tree:
        └─ gather            (decode + union)
 
 Spans serialize to plain dicts (:meth:`Span.as_dict` /
-:meth:`Span.from_dict`) so they cross the multiprocessing pipe with the
+:meth:`Span.from_dict`) so they cross the coordinator/worker pipe with the
 rest of the pickled reply — no new protocol opcode.
 
 Tracing is strictly opt-in per query (``answer(trace=True)``, CLI
@@ -31,8 +31,8 @@ this module.
 
 from __future__ import annotations
 
+import os
 import threading
-import uuid
 from contextlib import contextmanager, nullcontext
 from time import perf_counter
 from typing import Any, Dict, Iterator, List, Optional
@@ -42,7 +42,7 @@ __all__ = ["Span", "QueryTrace", "maybe_span", "new_trace_id"]
 
 def new_trace_id() -> str:
     """A fresh 16-hex-digit trace id."""
-    return uuid.uuid4().hex[:16]
+    return os.urandom(8).hex()
 
 
 class Span:

@@ -1,9 +1,6 @@
 """Shared utilities: disjoint sets, timing helpers, and lock discipline."""
 
-from repro.utils.concurrency import ReadWriteLock, named_lock
-from repro.utils.lockcheck import PotentialDeadlockError
-from repro.utils.timing import Stopwatch, TimingLog, time_call
-from repro.utils.unionfind import UnionFind
+from repro._lazy import lazy_exports
 
 __all__ = [
     "PotentialDeadlockError",
@@ -14,3 +11,10 @@ __all__ = [
     "time_call",
     "UnionFind",
 ]
+
+__getattr__, __dir__ = lazy_exports(globals(), {
+    "concurrency": ("ReadWriteLock", "named_lock"),
+    "lockcheck": ("PotentialDeadlockError",),
+    "timing": ("Stopwatch", "TimingLog", "time_call"),
+    "unionfind": ("UnionFind",),
+})

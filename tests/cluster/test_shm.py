@@ -1,7 +1,9 @@
 """The shared-memory segment plane: registry pack/attach round trips,
 generation folds, unlink hygiene, crash injection (worker SIGKILL must not
-repack or leak), and the no-leaked-``/dev/shm``-segments guarantee."""
+repack or leak), and the no-leaked-``/dev/shm``-segments guarantee — kept,
+after a SIGKILL of the owner, by whoever notices the released owner lock."""
 
+import json
 import multiprocessing
 import os
 import signal
@@ -137,9 +139,9 @@ class TestRegistry:
 
 
 def test_sigkilled_attacher_leaves_segment_intact():
-    """A worker dying mid-attach must never tear the segment down: the
-    resource tracker is shared across the spawn tree, so only coordinator
-    unlink (or whole-tree death) removes the name."""
+    """A worker dying mid-attach must never tear the segment down: an
+    attachment holds no lock and registers nowhere, so only the owner's
+    unlink (or the owner's death) removes the name."""
     store = _store(32)
     registry = shm.SegmentRegistry()
     try:
@@ -215,15 +217,93 @@ def test_drop_unlinks_segment(bsbm_small):
         catalog.close()
 
 
-def test_coordinator_sigkill_tracker_backstop(tmp_path):
-    """If the whole coordinator process dies by SIGKILL, the surviving
-    resource tracker sweeps the named segments once the tree exits — the
-    backstop behind the zero-leak guarantee."""
+def _src_env():
+    """This environment with the repository's ``src/`` importable."""
+    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
+    return dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+
+
+def _run_until_first_line(tmp_path, source):
+    """Start *source* as a script; ``(process, its first stdout line read
+    as JSON)``."""
     script = tmp_path / "crash.py"
-    script.write_text(
-        textwrap.dedent(
+    script.write_text(textwrap.dedent(source))
+    process = subprocess.Popen(
+        [sys.executable, str(script)], stdout=subprocess.PIPE, env=_src_env(), text=True
+    )
+    return process, json.loads(process.stdout.readline())
+
+
+def _ended(pid):
+    """Whether *pid* has exited (an orphan nobody reaps stays a zombie)."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] == "Z"
+    except OSError:
+        return True
+
+
+def _eventually(condition, timeout=10.0):
+    deadline = time.monotonic() + timeout
+    while not condition() and time.monotonic() < deadline:
+        time.sleep(0.02)
+    return condition()
+
+
+@pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "pipe"])
+def test_sigkilled_coordinator_is_cleaned_up_by_its_workers(tmp_path, use_shm):
+    """Nothing outlives a coordinator that dies by SIGKILL: its workers see
+    EOF, unlink the segments nobody owns any more, and exit."""
+    process, started = _run_until_first_line(
+        tmp_path,
+        f"""
+        import json, time
+        from repro.cluster import ClusterCoordinator
+        from repro.datasets.sample import figure2_graph
+        from repro.service.catalog import GraphCatalog
+
+        catalog = GraphCatalog()
+        catalog.register("g", graph=figure2_graph())
+        coordinator = ClusterCoordinator(
+            catalog, workers=2, heartbeat_seconds=0, use_shm={use_shm}
+        )
+        status = coordinator.status()
+        print(json.dumps({{
+            "workers": [worker["pid"] for worker in status["workers"]],
+            "segments": [s["segment"] for s in status["shm"].get("segments", [])],
+        }}), flush=True)
+        time.sleep(120)
+        """,
+    )
+    try:
+        prefix = f"{shm.SEGMENT_PREFIX}-{process.pid}-"
+        assert len(started["workers"]) == 2
+        assert not any(_ended(pid) for pid in started["workers"])
+        assert len(started["segments"]) == (1 if use_shm else 0)
+        assert all(name.startswith(prefix) for name in started["segments"])
+        assert set(started["segments"]) <= set(shm.list_segments())
+    finally:
+        process.kill()
+        process.wait(timeout=30)
+        process.stdout.close()
+    assert _eventually(lambda: all(_ended(pid) for pid in started["workers"]))
+    assert _eventually(
+        lambda: not [name for name in shm.list_segments() if name.startswith(prefix)]
+    )
+
+
+def test_sigkilled_registry_leaves_an_orphan_the_next_registry_sweeps(tmp_path):
+    """A registry that dies alone has nobody to notice: the name stays,
+    :func:`shm.is_orphan` tells it from a live registry's segment, and the
+    next ``SegmentRegistry()`` — in any process — removes exactly it."""
+    store = _store(32)
+    live = shm.SegmentRegistry()
+    try:
+        live_name, _ = _pack(live, store)
+        process, orphan_name = _run_until_first_line(
+            tmp_path,
             """
-            import os, signal, sys
+            import json, os, signal
             from repro.cluster import protocol, shm
             from repro.store.memory import MemoryStore
             from repro.model.terms import URI
@@ -242,31 +322,66 @@ def test_coordinator_sigkill_tracker_backstop(tmp_path):
                 protocol.pack_full_tables(store),
                 protocol.BYTEORDER,
             )
-            print(name, flush=True)
+            print(json.dumps(name), flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
-            """
+            """,
         )
-    )
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(os.path.dirname(os.path.dirname(__file__))), "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    process = subprocess.Popen(
-        [sys.executable, str(script)],
-        stdout=subprocess.PIPE,
-        stderr=subprocess.DEVNULL,
-        env=env,
-        text=True,
-    )
-    segment_name = process.stdout.readline().strip()
-    process.wait(timeout=30)
-    assert segment_name.startswith(shm.SEGMENT_PREFIX)
-    assert process.returncode == -signal.SIGKILL
-    deadline = time.monotonic() + 20
-    while time.monotonic() < deadline:
-        if segment_name not in shm.list_segments():
-            return  # the tracker swept the leak
-        time.sleep(0.1)
-    raise AssertionError(f"{segment_name} leaked past coordinator SIGKILL")
+        process.wait(timeout=30)
+        process.stdout.close()
+        assert process.returncode == -signal.SIGKILL
+        assert orphan_name.startswith(f"{shm.SEGMENT_PREFIX}-{process.pid}-")
+        assert {orphan_name, live_name} <= set(shm.list_segments())
+        assert shm.is_orphan(orphan_name)
+        assert not shm.is_orphan(live_name)  # owned — even asked from the owner
+        assert not shm.is_orphan(f"{shm.SEGMENT_PREFIX}-0-never")  # gone is not orphaned
+        subprocess.run(
+            [sys.executable, "-c", "from repro.cluster import shm; shm.SegmentRegistry()"],
+            env=_src_env(),
+            check=True,
+            timeout=30,
+        )
+        assert orphan_name not in shm.list_segments()
+        assert live_name in shm.list_segments()
+        shm.attach(live_name).close()  # and still whole
+    finally:
+        live.close()
+        store.close()
+    assert shm.list_segments() == []
+
+
+def test_closed_pipe_under_a_live_coordinator_unlinks_nothing(bsbm_small):
+    """EOF alone does not make a worker unlink: while its coordinator lives
+    the segment stays the coordinator's, and the replacement worker
+    re-attaches the very same name with zero new packs."""
+    import socket
+
+    catalog = GraphCatalog()
+    catalog.register("g", graph=bsbm_small)
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
+    try:
+        before = coordinator.status()
+        (segment,) = [s["segment"] for s in before["shm"]["segments"]]
+        handle = coordinator._workers[0]
+        retired = handle.process.pid
+        # what a receiver that gave up on a garbled reply leaves behind: the
+        # pipe shut, the worker running, the coordinator very much alive
+        pipe = socket.socket(fileno=os.dup(handle.connection.fileno()))
+        pipe.shutdown(socket.SHUT_RDWR)
+        pipe.close()
+        # the worker spends its whole grace period finding the lock held
+        assert _eventually(lambda: handle.process.poll() is not None)
+        assert segment in shm.list_segments()
+        query = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
+        assert coordinator.answer("g", query).answers  # respawns worker 0
+        after = coordinator.status()
+        assert after["workers"][0]["pid"] != retired
+        assert after["workers"][0]["last_load"]["mode"] == "shm"
+        assert [s["segment"] for s in after["shm"]["segments"]] == [segment]
+        assert after["shm"]["packs"] == before["shm"]["packs"] == 1
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert shm.list_segments() == []
 
 
 class _PipeStub:
@@ -278,6 +393,48 @@ class _PipeStub:
 
     def close(self):
         pass
+
+
+def test_worker_losing_its_pipe_under_a_reply_still_looks_for_orphans(monkeypatch):
+    """A coordinator killed while a worker computes is noticed at the reply,
+    not at a read: that exit, too, goes through the orphan check."""
+    from repro.cluster import worker as worker_module
+
+    class _PipeThatBreaks(_PipeStub):
+        def poll(self, _timeout):
+            return True
+
+        def recv(self):
+            return (2, protocol.OP_PING, ())
+
+        def send(self, message):
+            if message[0] == 2:
+                raise BrokenPipeError
+            super().send(message)
+
+    store = _store(16)
+    registry = shm.SegmentRegistry()
+    worker = worker_module._Worker(_PipeThatBreaks(), {"shard_index": 0, "shard_count": 1})
+    try:
+        segment_name, directory = _pack(registry, store, shards=1)
+        worker._reply(
+            1, worker.handle_load, ("g", 0, (protocol.TABLES_SHM, segment_name, directory), [])
+        )
+        assert worker.connection.sent[0][1] == "ok"
+        looked_at = []
+        unlink_orphans = shm.unlink_orphans
+        monkeypatch.setattr(worker_module, "_ORPHAN_GRACE_SECONDS", 0.2)
+        monkeypatch.setattr(
+            shm, "unlink_orphans", lambda names: looked_at.append(set(names)) or unlink_orphans(names)
+        )
+        worker.run()
+        assert looked_at and looked_at[0] == {segment_name}
+        assert segment_name in shm.list_segments()  # its owner lives: left alone
+    finally:
+        worker.close()
+        registry.close()
+        store.close()
+    assert shm.list_segments() == []
 
 
 def test_worker_attach_byteswaps_foreign_segments():

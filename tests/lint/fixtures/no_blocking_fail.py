@@ -7,4 +7,6 @@ class Coordinator:
             handle.connection.send(item)  # finding: pipe send under lock
             handle.delta_queue.put(item)  # finding: untimed bounded put
             handle.process.join()  # finding: untimed join
+            handle.process.wait()  # finding: untimed Popen.wait
+            handle.process.communicate(b"")  # finding: untimed communicate
             self._spawn(handle)  # finding: worker spawn under lock

@@ -10,7 +10,7 @@ FIXTURES = Path(__file__).parent / "fixtures"
 
 CASES = [
     ("guarded-by", "guarded_by_fail.py", 2, "guarded_by_ok.py"),
-    ("no-blocking-under-lock", "no_blocking_fail.py", 4, "no_blocking_ok.py"),
+    ("no-blocking-under-lock", "no_blocking_fail.py", 6, "no_blocking_ok.py"),
     ("no-nested-rwlock", "nested_rwlock_fail.py", 2, "nested_rwlock_ok.py"),
     ("no-pickled-terms", "cluster_pickle_fail.py", 2, "cluster_pickle_ok.py"),
     ("wall-clock-duration", "wall_clock_fail.py", 3, "wall_clock_ok.py"),

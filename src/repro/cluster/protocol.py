@@ -66,7 +66,6 @@ __all__ = [
     "unpack_terms",
     "unpack_term_chunks",
     "pack_full_tables",
-    "pack_shard_tables",
     "pack_all_shard_tables",
     "shard_rows",
     "table_column_bytes",
@@ -128,10 +127,10 @@ def pack_full_tables(store) -> Dict[str, Tuple[int, bytes, bytes, bytes]]:
     }
 
 
-def pack_shard_tables(
-    store, shard_index: int, shard_count: int
-) -> Dict[str, Tuple[int, bytes, bytes, bytes]]:
-    """Shard *shard_index*'s slice of *store* as packed blobs.
+def pack_all_shard_tables(
+    store, shard_count: int
+) -> List[Dict[str, Tuple[int, bytes, bytes, bytes]]]:
+    """Every shard's tables as packed blobs, one extraction pass per kind.
 
     The sharding rule of the tier: DATA and TYPE rows are partitioned by
     :func:`~repro.store.base.shard_of` on the subject id — disjoint across
@@ -140,21 +139,6 @@ def pack_shard_tables(
     (class/property hierarchies joined from any pattern), tiny by the
     paper's own measurements, and replicating them is what keeps
     shard-local evaluation of subject-keyed queries exact.
-    """
-    if not 0 <= shard_index < shard_count:
-        raise ClusterError(
-            f"shard index {shard_index} out of range for {shard_count} shards"
-        )
-    return pack_all_shard_tables(store, shard_count)[shard_index]
-
-
-def pack_all_shard_tables(
-    store, shard_count: int
-) -> List[Dict[str, Tuple[int, bytes, bytes, bytes]]]:
-    """Every shard's tables in one extraction pass per kind.
-
-    What the coordinator ships at registration/respawn: calling the
-    single-shard form per worker would re-partition the table K times.
     """
     if shard_count <= 0:
         raise ClusterError("shard_count must be positive")
@@ -176,7 +160,7 @@ def shard_rows(
 ) -> List[Tuple[str, int, int, int]]:
     """The subset of delta *rows* shard *shard_index* must apply.
 
-    Mirrors :func:`pack_shard_tables` at the row level: DATA/TYPE rows by
+    Mirrors :func:`pack_all_shard_tables` at the row level: DATA/TYPE rows by
     subject hash, SCHEMA rows always.  ``rows`` are
     ``(kind_value, s, p, o)`` tuples — the delta wire format.
     """

@@ -204,11 +204,11 @@ class _Worker:
             full_rows = self._adopt_tables(
                 full_store, buffer, directory["targets"]["full"], byteorder
             )
-            # the shard store defers its (1/K-sized) weak-summary priming
-            # scan to its first guarded query; the full replica skips its
-            # O(rows) scan outright — the coordinator packed its
+            # an adopted store pays its (1/K-sized) weak-summary priming
+            # scan on its first guarded query, not here; the full replica
+            # skips its O(rows) scan outright — the coordinator packed its
             # maintainer state into the image
-            self.shard_catalog.register(name, store=shard_store, lazy_prime=True)
+            self.shard_catalog.register(name, store=shard_store)
             weak = directory.get("weak")
             if weak is not None:
                 offset, length = weak

@@ -4,8 +4,11 @@ The serving layer keeps each registered graph where the paper's prototype
 keeps it — dictionary-encoded in a :class:`~repro.store.base.TripleStore` —
 and maintains, per graph:
 
-* an :class:`~repro.service.evaluator.EncodedEvaluator` joined directly on
-  the store's integer rows;
+* a *served store* for ``G`` and, once asked for, one for ``G∞`` — the
+  store's cardinality profile, its planner and one
+  :class:`~repro.service.evaluator.EncodedEvaluator` per join strategy,
+  joined directly on the store's integer rows; created on first use, kept
+  current in place by every ingest, alive exactly as long as the store;
 * a live :class:`~repro.core.incremental.IncrementalWeakSummarizer` fed one
   encoded row per added triple, so the weak summary every query is guarded
   by stays fresh under updates at the cost of the paper's Algorithms 1-3,
@@ -16,7 +19,9 @@ and maintains, per graph:
 
 Freshness is tracked by a per-entry version counter bumped on every
 :meth:`CatalogEntry.add_triples` batch: a cached artifact tagged with an
-older version is silently rebuilt on next access.
+older version is silently rebuilt on next access.  Statistics, planners
+and plan caches are not versioned: they follow the rows (see
+:mod:`repro.service.planner` for when a cached plan is re-costed).
 
 Concurrency
 -----------
@@ -28,8 +33,8 @@ Entries are safe to share across threads.  Each entry carries two locks:
   :meth:`CatalogEntry.add_triples`, so queries never observe a half-applied
   ingest and ingest never races a running join;
 * an internal re-entrant init lock serializing the lazy, double-checked
-  construction of summaries, statistics, planners and evaluators — several
-  concurrent readers may race to build the same artifact, exactly one wins.
+  construction of summaries and served stores — several concurrent readers
+  may race to build the same artifact, exactly one wins.
 
 Durability
 ----------
@@ -38,7 +43,7 @@ A catalog opened through :meth:`GraphCatalog.open` is backed by a
 row log.  Registrations and :meth:`GraphCatalog.checkpoint` write the
 checkpoint (rows, dictionary, weak-summary maps, ``G∞`` state, cached
 summaries); every ``add_triples`` batch is logged atomically, delta only.  A restarted process installs the checkpointed state and feeds the
-logged rows through the same incremental maintenance an ingest runs
+logged rows through the very routine an ingest runs
 (:meth:`CatalogEntry.replay`), so it warm-starts with **zero** re-scan or
 re-summarization — after a clean shutdown the ``build_counters`` of a warm
 entry stay at zero until something genuinely new is requested; after an
@@ -50,7 +55,7 @@ from __future__ import annotations
 import threading
 from collections.abc import MutableMapping
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple, Union
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from repro import telemetry
 from repro.core.builders import normalize_kind
@@ -63,7 +68,7 @@ from repro.model.triple import Triple, TripleKind
 from repro.model.dictionary import EncodedTriple
 from repro.schema.encoded_saturation import IncrementalSaturator
 from repro.schema.saturation import saturate_cached
-from repro.service.evaluator import STRATEGIES, EncodedEvaluator
+from repro.service.evaluator import EncodedEvaluator
 from repro.service.planner import QueryPlanner
 from repro.service.statistics import CardinalityStatistics
 from repro.store.base import TripleStore
@@ -119,24 +124,44 @@ class BuildCounters(MutableMapping):
         return f"BuildCounters({self._values})"
 
 
-class _SaturatedState:
-    """The maintained ``G∞`` serving cache of one catalog entry.
+class _ServedStore:
+    """A store plus what answering queries on it takes: its cardinality
+    profile, its planner and one evaluator per join strategy.
 
-    Owns the :class:`IncrementalSaturator` (whose target is the saturated
-    :class:`MemoryStore`), the saturated side's cardinality profile and
-    planner — both updated *in place* by :meth:`CatalogEntry.add_triples`
-    deltas, never version-invalidated — and one evaluator per join
-    strategy.  ``metrics`` accumulates the maintenance costs the service
-    and HTTP statistics endpoint expose.
+    ``G`` and ``G∞`` are each served through one of these, created on first
+    use; :meth:`CatalogEntry._ingest` folds every batch into ``statistics``
+    in place, so the planner, its plan cache and the evaluators live
+    exactly as long as the store.
     """
 
-    __slots__ = ("saturator", "statistics", "planner", "evaluators", "metrics")
+    __slots__ = ("store", "statistics", "planner", "evaluators")
+
+    def __init__(self, store: TripleStore):
+        self.store = store
+        self.statistics = CardinalityStatistics.from_store(store)
+        self.planner = QueryPlanner(self.statistics)
+        self.evaluators: Dict[str, EncodedEvaluator] = {}
+
+    def evaluator(self, strategy: str) -> EncodedEvaluator:
+        evaluator = self.evaluators.get(strategy)
+        if evaluator is None:
+            # racing readers may each build one; setdefault keeps the first
+            evaluator = self.evaluators.setdefault(
+                strategy, EncodedEvaluator(self.store, strategy, self.planner)
+            )
+        return evaluator
+
+
+class _SaturatedState:
+    """The maintained ``G∞`` of one catalog entry: the
+    :class:`IncrementalSaturator` (whose target is the saturated
+    :class:`MemoryStore`) and ``metrics``, the maintenance costs the
+    service and HTTP statistics endpoint expose."""
+
+    __slots__ = ("saturator", "metrics")
 
     def __init__(self, saturator: IncrementalSaturator):
         self.saturator = saturator
-        self.statistics: Optional[CardinalityStatistics] = None
-        self.planner: Optional[QueryPlanner] = None
-        self.evaluators: Dict[str, EncodedEvaluator] = {}
         self.metrics: Dict[str, object] = {
             "build_seconds": 0.0,
             "deltas": 0,
@@ -154,13 +179,7 @@ class _SaturatedState:
 class CatalogEntry:
     """One registered graph: its store, evaluators, statistics and caches."""
 
-    def __init__(
-        self,
-        name: str,
-        store: TripleStore,
-        loaded_rows: Optional[List[Tuple[TripleKind, EncodedTriple]]] = None,
-        prime: Union[bool, str] = True,
-    ):
+    def __init__(self, name: str, store: TripleStore):
         self.name = name
         self.store = store
         self.version = 0
@@ -198,35 +217,24 @@ class CatalogEntry:
         #: statistics state that references the lost rows.
         self._persist_dirty = False
         self._maintainer = IncrementalWeakSummarizer(store)
+        #: Whether the maintainer has seen the store's rows: fed the rows in
+        #: hand by a cold ``register(graph=)``, installed by :meth:`restore`,
+        #: otherwise one scan on first need (:meth:`_ensure_primed`).
+        self._primed = False
         #: Per-kind summary cache (kind → (version, summary));
         #: guarded by self._init_lock — stale reads must re-check inside.
         self._summaries: Dict[str, Tuple[int, Summary]] = {}
-        #: The maintained ``G∞`` serving cache — built on first saturated
-        #: access (or materialized from a warm-start snapshot) and then
-        #: kept fresh *in place* by :meth:`add_triples`; never
-        #: version-invalidated.
+        #: The served stores of ``G`` (key ``False``) and ``G∞`` (``True``),
+        #: each created on first use (:meth:`_served_store`).
+        self._served: Dict[bool, _ServedStore] = {}
+        #: The maintained ``G∞`` — built on first saturated access (or
+        #: materialized from a warm-start snapshot) and then kept fresh *in
+        #: place* by every ingest; never version-invalidated.
         self._saturated: Optional[_SaturatedState] = None
         #: Warm-start saturation state (a saturator ``state_dict``) not yet
         #: materialized into a live target store; consumed by the first
         #: saturated access *or* the first ingest, whichever comes first.
         self._saturation_pending: Optional[Dict[str, object]] = None
-        #: The store's cardinality profile: read off the store's indexes on
-        #: first use, then kept current in place by every ingest.
-        self._statistics: Optional[CardinalityStatistics] = None
-        self._planner: Optional[Tuple[int, QueryPlanner]] = None
-        self._evaluators: Dict[str, EncodedEvaluator] = {}
-        self.evaluator = self.evaluator_for("hash")
-        #: ``True`` while a lazily-primed entry still owes its priming
-        #: scan — the first summary/ingest access pays it (see
-        #: :meth:`_ensure_primed`).
-        self._prime_pending = prime == "lazy"
-        if loaded_rows is not None:
-            # the registering caller just inserted these rows and already
-            # holds them encoded — skip the store re-scan
-            self._prime_pending = False
-            self._maintainer.ingest_rows(loaded_rows)
-        elif prime is True:
-            self._prime_from_store()
 
     @classmethod
     def restore(
@@ -250,36 +258,33 @@ class CatalogEntry:
         plus the derived log, applying zero rules —
         ``build_counters["saturation_builds"]`` stays at zero.
         """
-        entry = cls(name, store, prime=False)
+        entry = cls(name, store)
         entry.version = version
         entry._maintainer.load_state(maintainer_state)
+        entry._primed = True
         for kind, summary in (summaries or {}).items():
             entry._summaries[normalize_kind(kind)] = (version, summary)
         entry._saturation_pending = saturation_state
         return entry
 
     def _ensure_primed(self) -> None:
-        """Pay a deferred priming scan before the maintainer is first used.
-
-        A ``prime="lazy"`` entry (a cluster worker's shard store)
-        acknowledges its load in O(1) and runs the O(rows) scan
-        here, under the init lock, on the first summary snapshot, state
-        export, or ingest."""
-        if self._prime_pending:
-            with self._init_lock:
-                if self._prime_pending:
-                    self._prime_pending = False
-                    self._prime_from_store()
-
-    def _prime_from_store(self) -> None:
-        """Feed the weak-summary maintainer every row already in the store."""
-        self.build_counters["prime_scans"] += 1
-        for batch in self.store.scan_batches(TripleKind.DATA):
-            for subject, prop, obj in batch:
-                self._maintainer.ingest_data(subject, prop, obj)
-        for batch in self.store.scan_batches(TripleKind.TYPE):
-            for subject, _prop, class_id in batch:
-                self._maintainer.ingest_type(subject, class_id)
+        """Feed the weak-summary maintainer every row already in the store,
+        once, before it is first used (summary snapshot, state export or
+        ingest) — so adopting a loaded store is O(1) and a cluster worker
+        acknowledges its shard without a scan."""
+        if self._primed:
+            return
+        with self._init_lock:
+            if self._primed:
+                return
+            self.build_counters["prime_scans"] += 1
+            for batch in self.store.scan_batches(TripleKind.DATA):
+                for subject, prop, obj in batch:
+                    self._maintainer.ingest_data(subject, prop, obj)
+            for batch in self.store.scan_batches(TripleKind.TYPE):
+                for subject, _prop, class_id in batch:
+                    self._maintainer.ingest_type(subject, class_id)
+            self._primed = True
 
     # ------------------------------------------------------------------
     # updates
@@ -289,22 +294,49 @@ class CatalogEntry:
 
         Triples already present are skipped (on every backend — the store
         filters against its rows), so re-adding data neither duplicates
-        SQLite rows nor invalidates caches.  The cardinality statistics are
-        refreshed in the same breath as the summary caches: the freshly
-        inserted rows are folded into the live profile (exact — the store's
-        indexes tell a new key from a known one), so the planner's
-        estimates never lag an incremental ingest.  A live
-        saturated store is likewise maintained **in place** — the batch is
-        pushed through the delta rules (see :meth:`_maintain_saturated`),
-        never rebuilt.  Every other cached artifact (non-weak summaries,
-        pruning graphs, base-side plan caches) is invalidated by the
-        version bump and rebuilt only when next requested.  Returns the
-        number of rows actually inserted.
+        SQLite rows nor invalidates caches.  Returns the number of rows
+        actually inserted; see :meth:`_ingest` for what a batch maintains.
+        """
+        return self._ingest(self.store.insert_triples, triples, skip_existing=True)
+
+    def add_encoded_rows(
+        self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]
+    ) -> int:
+        """:meth:`add_triples` for already-encoded ``(kind, row)`` pairs (ids
+        must come from this store's dictionary) — how a cluster worker
+        applies a broadcast ingest delta: the coordinator already paid for
+        encoding once and ships pure integers."""
+        return self._ingest(self.store.insert_encoded_rows, rows, skip_existing=True)
+
+    def replay(self, rows: List[Tuple[TripleKind, EncodedTriple]], version: int) -> None:
+        """Apply the rows a persistent catalog logged after its checkpoint.
+
+        The warm-start half of an ingest, run on a freshly restored entry
+        before its write-through hook is installed: the rows (known fresh —
+        they were deduplicated when first ingested) pass through the very
+        routine :meth:`add_triples` runs, leaving the entry at the logged
+        *version*.  Nothing is written through and nothing is rebuilt;
+        summaries cached at the checkpoint go stale.
+        """
+        self._ingest(self.store.insert_encoded_rows, rows, skip_existing=False, version=version)
+
+    def _ingest(self, insert, rows, skip_existing: bool, version: Optional[int] = None) -> int:
+        """The one ingest routine: ``insert(rows, skip_existing=…)``, then
+        everything derived from the rows it reports as inserted.
+
+        The weak summary takes the batch as a delta; both cardinality
+        profiles fold it in place (exact — the store's indexes tell a new
+        key from a known one), so planner estimates never lag an ingest and
+        planners, plan caches and evaluators survive it; a live ``G∞`` is
+        pushed through the delta rules (:meth:`_maintain_saturated`), never
+        rebuilt.  Every other cached artifact (non-weak summaries, pruning
+        graphs) is invalidated by the version bump — to *version* when
+        replaying — and rebuilt only when next requested.
 
         The whole batch runs under the entry's exclusive write lock —
         concurrent queries wait, then observe either none or all of it —
-        and, on a persistence-backed catalog, is checkpointed atomically
-        before the lock is released.
+        and, on a persistence-backed catalog, is logged atomically before
+        the lock is released; the delta listeners run after that.
         """
         # the acquisition is timed separately from the batch: it measures
         # queueing behind running queries, not ingest work
@@ -315,108 +347,50 @@ class CatalogEntry:
             if self.closed:
                 # we raced a drop(): same report as the query-side race
                 raise UnknownGraphError(f"graph {self.name!r} was dropped")
-            self._rehydrate_pending_locked()
-            rows = self.store.insert_triples(triples, skip_existing=True)
-            return self._absorb_rows_locked(rows)
-        finally:
-            self.rwlock.release_write()
-
-    def add_encoded_rows(
-        self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]
-    ) -> int:
-        """The encoded twin of :meth:`add_triples` — no Terms, no encoding.
-
-        Inserts already-encoded ``(kind, row)`` pairs (ids must come from
-        this store's dictionary) and runs the identical maintenance train:
-        weak-summary delta, version bump, in-place statistics and ``G∞``
-        maintenance, write-through, delta listeners.  Duplicates are
-        filtered by the store exactly as on the Term path.  This is how a
-        cluster worker applies a broadcast ingest delta: the coordinator
-        already paid for encoding once and ships pure integers.
-        """
-        wait_start = perf_counter()
-        self.rwlock.acquire_write()
-        self._write_wait_seconds.observe(perf_counter() - wait_start)
-        try:
-            if self.closed:
-                raise UnknownGraphError(f"graph {self.name!r} was dropped")
-            self._rehydrate_pending_locked()
-            fresh = self.store.insert_encoded_rows(rows, skip_existing=True)
-            return self._absorb_rows_locked(fresh)
-        finally:
-            self.rwlock.release_write()
-
-    def _rehydrate_pending_locked(self) -> None:
-        """Materialize a warm-start ``G∞`` snapshot before the store grows.
-
-        Runs under the write lock at the top of every ingest: rehydration
-        sweeps the base store, and rows inserted first would enter the
-        saturated store as plain rows, silently skipping their delta
-        derivations.
-        """
-        if self._saturation_pending is not None:
             with self._init_lock:
+                # both read the store as it stands *before* the batch:
+                # rehydrating a warm-start G∞ snapshot sweeps the base rows
+                # (rows inserted first would enter the saturated store as
+                # plain rows, silently skipping their delta derivations),
+                # and a priming scan would feed the batch a second time
                 if self._saturation_pending is not None:
                     self._materialize_saturated()
-
-    def replay(self, rows: List[Tuple[TripleKind, EncodedTriple]], version: int) -> None:
-        """Apply the rows a persistent catalog logged after its checkpoint.
-
-        The warm-start half of an ingest, run on a freshly restored entry
-        nobody else can reach yet: the rows (known fresh — they were
-        deduplicated when first ingested) enter the store and pass through
-        the very maintenance :meth:`add_triples` runs — weak-summary delta,
-        in-place statistics, and the ``G∞`` delta rules on a checkpointed
-        saturator state, materialized first as before any ingest — leaving
-        the entry at the logged *version*.  Nothing is written through and
-        nothing is rebuilt; summaries cached at the checkpoint go stale.
-        """
-        self._rehydrate_pending_locked()
-        self._absorb_rows_locked(
-            self.store.insert_encoded_rows(rows, skip_existing=False), version=version
-        )
-
-    def _absorb_rows_locked(
-        self, rows: List[Tuple[TripleKind, EncodedTriple]], version: Optional[int] = None
-    ) -> int:
-        """Post-insert maintenance shared by the Term and encoded ingest
-        paths and the warm-start replay (write lock held):
-        summary/statistics/saturation deltas, version bump (to *version*
-        when replaying), durable write-through, then the delta listeners."""
-        if not rows:
-            return 0
-        with self._init_lock:
-            self._ensure_primed()
-            self._maintainer.ingest_rows(rows)
-            self.version = self.version + 1 if version is None else version
-            if self._statistics is not None:
-                self._statistics.ingest_rows(rows)
-            self._maintain_saturated(rows)
-        if self._on_update is not None:
-            self._on_update(self, rows)
-        for listener in self._delta_listeners:
-            listener(self, rows)
-        return len(rows)
+                self._ensure_primed()
+                fresh = insert(rows, skip_existing=skip_existing)
+                if not fresh:
+                    return 0
+                self._maintainer.ingest_rows(fresh)
+                self.version = self.version + 1 if version is None else version
+                served = self._served.get(False)
+                if served is not None:
+                    served.statistics.ingest_rows(fresh)
+                self._maintain_saturated(fresh)
+            if self._on_update is not None:
+                self._on_update(self, fresh)
+            for listener in self._delta_listeners:
+                listener(self, fresh)
+            return len(fresh)
+        finally:
+            self.rwlock.release_write()
 
     def _maintain_saturated(self, rows: List[Tuple[TripleKind, EncodedTriple]]) -> None:
         """Fold an ingest batch into the maintained ``G∞`` (delta rules only).
 
-        Runs under the write lock + init lock of :meth:`add_triples`
-        (which materialized any pending warm-start state *before* the base
+        Runs under the write lock + init lock of :meth:`_ingest` (which
+        materialized any pending warm-start state *before* the base
         insert, so the saturated side never lags the base store).  The
-        delta is applied semi-naively and the saturated statistics profile
-        — feeding the saturated planner's join-size estimates — is
-        extended in place, so saturated evaluators, profiles and plan
-        caches all survive the update.  No-op while ``G∞`` has never been
-        requested.
+        delta is applied semi-naively and what it derived is folded into
+        the ``G∞`` served store's profile.  No-op while ``G∞`` has never
+        been requested.
         """
         if self._saturated is None:
             return
         state = self._saturated
         delta_start = perf_counter()
         delta = state.saturator.ingest_rows(rows)
-        if state.statistics is not None:
-            state.statistics.ingest_rows(delta)
+        served = self._served.get(True)
+        if served is not None:
+            served.statistics.ingest_rows(delta)
         seconds = perf_counter() - delta_start
         metrics = state.metrics
         metrics["deltas"] += 1
@@ -430,58 +404,35 @@ class CatalogEntry:
     # ------------------------------------------------------------------
     # statistics, planning and evaluators
     # ------------------------------------------------------------------
-    def statistics_index(self) -> CardinalityStatistics:
-        """The store's cardinality profile, always current.
-
-        Read off the store's indexes on first use (integers only, no scan
-        on the memory backend); kept fresh *in place* by :meth:`add_triples`
-        afterwards.
-        """
-        statistics = self._statistics
-        if statistics is None:
+    def _served_store(self, saturated: bool = False) -> _ServedStore:
+        """The served store of ``G`` (or, *saturated*, of the maintained
+        ``G∞``, seeding it if need be), created on first use: the profile
+        is read off the store's indexes (integers only, no scan on the
+        memory backend) and kept fresh in place from then on."""
+        served = self._served.get(saturated)
+        if served is None:
             with self._init_lock:
-                statistics = self._statistics
-                if statistics is None:
-                    statistics = self._statistics = CardinalityStatistics.from_store(self.store)
-        return statistics
+                served = self._served.get(saturated)
+                if served is None:
+                    store = self._ensure_saturated().store if saturated else self.store
+                    served = self._served[saturated] = _ServedStore(store)
+        return served
 
-    def planner(self) -> QueryPlanner:
-        """The entry's query planner, rebuilt (with an empty plan cache)
-        whenever the statistics version moves — cached plans can never
-        carry stale estimates."""
-        cached = self._planner
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
-        with self._init_lock:
-            cached = self._planner
-            if cached is not None and cached[0] == self.version:
-                return cached[1]
-            planner = QueryPlanner(self.statistics_index())
-            self._planner = (self.version, planner)
-            return planner
+    def statistics_index(self) -> CardinalityStatistics:
+        """The store's cardinality profile, always current."""
+        return self._served_store().statistics
 
-    def evaluator_for(self, strategy: str) -> EncodedEvaluator:
-        """The entry's evaluator for *strategy* (one cached per strategy).
+    def evaluator_for(self, strategy: str = "hash", saturated: bool = False) -> EncodedEvaluator:
+        """The entry's evaluator for *strategy* over ``G`` — or, with
+        ``saturated=True``, over the maintained ``G∞`` store.
 
-        Both strategies share the store; the hash evaluator additionally
-        draws its plans from the entry's version-fresh planner.
+        One per strategy and store, all drawing their plans from the
+        store's one planner; they survive updates, so a held evaluator
+        stays valid (and current) across :meth:`add_triples`.  Everything
+        on the ``G∞`` side runs off the primary store's dictionary; the
+        primary tables are never touched.
         """
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-        evaluator = self._evaluators.get(strategy)
-        if evaluator is not None:
-            return evaluator
-        with self._init_lock:
-            evaluator = self._evaluators.get(strategy)
-            if evaluator is None:
-                evaluator = EncodedEvaluator(
-                    self.store,
-                    strategy=strategy,
-                    statistics=self.statistics_index,
-                    planner=self.planner,
-                )
-                self._evaluators[strategy] = evaluator
-            return evaluator
+        return self._served_store(saturated).evaluator(strategy)
 
     # ------------------------------------------------------------------
     # summaries and pruning graphs
@@ -562,40 +513,14 @@ class CatalogEntry:
         return saturate_cached(graph) if saturated else graph
 
     # ------------------------------------------------------------------
-    # saturated evaluation support
+    # the maintained G∞
     # ------------------------------------------------------------------
-    def saturated_evaluator(self, strategy: str = "hash") -> EncodedEvaluator:
-        """An evaluator over the *maintained* ``G∞`` store.
-
-        The saturated side is a serving cache kept alive for the entry's
-        lifetime: seeded once by :class:`IncrementalSaturator.build` (rule
-        application over the whole encoded store — counted in
-        ``build_counters["saturation_builds"]``, or rehydrated rule-free
-        from a warm-start snapshot) and then maintained **in place** by
-        every :meth:`add_triples` delta.  Evaluators, the saturated
-        statistics profile and the planner's plan cache therefore survive
-        updates instead of being version-invalidated — a
-        ``strategy="merge"`` service really runs merge on the saturated
-        path too.  Everything runs off the primary store's dictionary; the
-        primary tables are never touched.
-        """
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
-        with self._init_lock:
-            state = self._ensure_saturated()
-            evaluator = state.evaluators.get(strategy)
-            if evaluator is None:
-                evaluator = EncodedEvaluator(
-                    state.store,
-                    strategy=strategy,
-                    statistics=self._saturated_statistics,
-                    planner=self._saturated_planner,
-                )
-                state.evaluators[strategy] = evaluator
-            return evaluator
-
     def _ensure_saturated(self) -> _SaturatedState:
-        """The live saturated state (build or rehydrate; init lock held)."""
+        """The live saturated state (init lock held): seeded once by
+        :meth:`IncrementalSaturator.build` (rule application over the whole
+        encoded store — counted in ``build_counters["saturation_builds"]``)
+        or rehydrated rule-free from a warm-start snapshot, then maintained
+        **in place** by every ingest delta."""
         state = self._saturated
         if state is not None:
             return state
@@ -621,39 +546,6 @@ class CatalogEntry:
         self._saturation_pending = None
         self._saturated = state
         return state
-
-    def _saturated_statistics(self) -> CardinalityStatistics:
-        """The saturated store's cardinality profile (lazy; then in-place).
-
-        Read off the (memory-backed) saturated store's indexes on first
-        planned saturated evaluation, and from then on kept current with
-        each delta's derivations.
-        """
-        state = self._saturated
-        if state is not None and state.statistics is not None:
-            return state.statistics
-        with self._init_lock:
-            state = self._ensure_saturated()
-            if state.statistics is None:
-                state.statistics = CardinalityStatistics.from_store(state.store)
-            return state.statistics
-
-    def _saturated_planner(self) -> QueryPlanner:
-        """The saturated side's planner — one for the entry's lifetime.
-
-        Its plan cache is deliberately *not* flushed on ingest: the
-        statistics object underneath is updated in place, so new plans see
-        fresh estimates, while cached pattern orders stay valid (order
-        affects cost, never answers).
-        """
-        state = self._saturated
-        if state is not None and state.planner is not None:
-            return state.planner
-        with self._init_lock:
-            state = self._ensure_saturated()
-            if state.planner is None:
-                state.planner = QueryPlanner(self._saturated_statistics())
-            return state.planner
 
     # ------------------------------------------------------------------
     # saturation state exposure (persistence + metrics)
@@ -892,7 +784,6 @@ class GraphCatalog:
         name: str,
         graph: Optional[RDFGraph] = None,
         store: Optional[TripleStore] = None,
-        lazy_prime: bool = False,
     ) -> CatalogEntry:
         """Register a graph under *name* and return its entry.
 
@@ -901,12 +792,9 @@ class GraphCatalog:
         Registering a name already in use raises
         :class:`~repro.errors.DuplicateGraphError` (a
         :class:`~repro.errors.CatalogError`) and leaves the existing entry
-        untouched — nothing is loaded, closed or replaced.
-
-        ``lazy_prime=True`` (``store=`` registrations on a non-persistent
-        catalog only) defers the entry's O(rows) weak-summary priming scan
-        to its first summary access or ingest — how a cluster worker
-        acknowledges a graph-image load in O(1).
+        untouched — nothing is loaded, closed or replaced.  An adopted
+        store is not scanned here: its weak summary is primed on first need
+        (at once on a persistent catalog, which checkpoints it).
         """
         if (graph is None) == (store is None):
             raise ValueError("register() needs exactly one of graph= or store=")
@@ -924,14 +812,14 @@ class GraphCatalog:
         created_store = store is None
         entry: Optional[CatalogEntry] = None
         try:
-            loaded_rows = None
             if store is None:
                 store = self._store_factory()
-                loaded_rows = store.insert_triples(graph)
-            # a persistent catalog snapshots the summary right below, which
-            # would pay the deferred scan immediately — keep it eager there
-            prime = "lazy" if lazy_prime and self._persistence is None else True
-            entry = CatalogEntry(name, store, loaded_rows=loaded_rows, prime=prime)
+            entry = CatalogEntry(name, store)
+            if graph is not None:
+                # the rows just inserted are in hand, encoded — feed them
+                # instead of re-scanning the store on first need
+                entry._maintainer.ingest_rows(store.insert_triples(graph))
+                entry._primed = True
             if self._persistence is not None:
                 entry._on_update = self._persist_update
                 # build what a warm start must not: the weak snapshot is

@@ -19,8 +19,9 @@ strategies over the same compiled form:
   engine, and variable-property patterns, silently fall back to ``hash``;
   answer sets are identical either way.
 * ``strategy="merge"`` — the ``hash`` pipeline, with eligible stages
-  answered by galloping search over the columnar store's sorted posting
-  runs instead of a fetch + hash build.
+  answered straight out of the columnar store's sorted posting runs (one
+  probe of the run's key directory per binding) instead of a fetch + hash
+  build.
 
 A ``limit``-bounded evaluation whose plan predicts intermediate binding
 tables far beyond what the limit can consume is run by a private
@@ -44,21 +45,8 @@ general BGP, excluded from RBGP) chain all three tables.
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
-from itertools import groupby, islice
-from operator import itemgetter
-from typing import (
-    Callable,
-    Dict,
-    Iterable,
-    Iterator,
-    List,
-    Optional,
-    Sequence,
-    Set,
-    Tuple,
-    Union,
-)
+from itertools import islice
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from time import perf_counter
 
@@ -91,8 +79,8 @@ _ALL_TABLES = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 #: is what makes a multi-threaded server scale: the join holds no Python
 #: bytecode, so the GIL is released for its whole duration.  ``merge``
 #: runs the same planned pipeline as ``hash`` but answers eligible stages
-#: by galloping binary search over the store's sorted ``(p, s)`` /
-#: ``(p, o)`` posting runs (columnar memory store only) instead of
+#: out of the store's sorted ``(p, s)`` / ``(p, o)`` posting runs
+#: (columnar memory store only) instead of
 #: fetching + hashing the relation; statistics pick merge or hash per
 #: stage, and ineligible stages fall back to the hash fetch, so answer
 #: sets are identical across all three strategies.
@@ -240,12 +228,6 @@ def _pipelined_order(patterns: Sequence[CompiledPattern]) -> List[CompiledPatter
     return ordered
 
 
-#: A statistics source: a ready profile, a zero-arg provider, or ``None``
-#: (profile the store lazily on first use).
-StatisticsSource = Union[CardinalityStatistics, Callable[[], CardinalityStatistics], None]
-PlannerSource = Union[QueryPlanner, Callable[[], QueryPlanner], None]
-
-
 class EncodedEvaluator:
     """BGP evaluation over the encoded rows of one :class:`TripleStore`.
 
@@ -258,29 +240,25 @@ class EncodedEvaluator:
         (whole-join pushdown where the backend supports it) or ``"merge"``
         (sorted-run merge joins where the store exposes them).  Answer
         sets are identical; only the access pattern differs.
-    statistics:
-        Cardinality profile driving the planner: a
-        :class:`CardinalityStatistics`, a zero-arg callable returning one
-        (the serving layer passes the catalog's version-fresh provider), or
-        ``None`` to profile the store once on first planned evaluation.
     planner:
-        A :class:`QueryPlanner` or provider thereof; by default one is
-        built over ``statistics`` and kept for the evaluator's lifetime
-        (its plan cache makes repeated query shapes plan-free).
+        The :class:`QueryPlanner` to draw plans (and, through it, the
+        cardinality profile) from — the serving layer hands every evaluator
+        of a store the same one.  By default one is built over a fresh
+        profile of the store on first planned evaluation and kept for the
+        evaluator's lifetime (its plan cache makes repeated query shapes
+        plan-free).
     """
 
     def __init__(
         self,
         store: TripleStore,
         strategy: str = "hash",
-        statistics: StatisticsSource = None,
-        planner: PlannerSource = None,
+        planner: Optional[QueryPlanner] = None,
     ):
         if strategy not in STRATEGIES:
             raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
         self.store = store
         self.strategy = strategy
-        self._statistics = statistics
         self._planner = planner
         # join-stage telemetry, captured once: when the plane is disabled
         # the flag skips even the per-stage clock reads
@@ -291,19 +269,13 @@ class EncodedEvaluator:
 
     # ------------------------------------------------------------------
     def statistics(self) -> CardinalityStatistics:
-        """The cardinality profile the planner runs on (built lazily)."""
-        if callable(self._statistics):
-            return self._statistics()
-        if self._statistics is None:
-            self._statistics = CardinalityStatistics.from_store(self.store)
-        return self._statistics
+        """The cardinality profile the planner runs on."""
+        return self.planner().statistics
 
     def planner(self) -> QueryPlanner:
         """The query planner (and its plan cache) for this evaluator."""
-        if callable(self._planner):
-            return self._planner()
         if self._planner is None:
-            self._planner = QueryPlanner(self.statistics())
+            self._planner = QueryPlanner(CardinalityStatistics.from_store(self.store))
         return self._planner
 
     def compile(self, query: BGPQuery) -> CompiledQuery:
@@ -312,25 +284,6 @@ class EncodedEvaluator:
 
     def _compiled(self, query) -> CompiledQuery:
         return query if isinstance(query, CompiledQuery) else self.compile(query)
-
-    # ------------------------------------------------------------------
-    def iter_embeddings(
-        self, query, trace: Optional[ExecutionTrace] = None
-    ) -> Iterator[Tuple[int, ...]]:
-        """Yield every embedding as a tuple of term ids, one per var slot.
-
-        Accepts a :class:`BGPQuery` or a pre-compiled query.  Pass an
-        :class:`ExecutionTrace` to capture the executed plan (pattern
-        order, estimated vs. actual cardinalities, store probes).
-        """
-        compiled = self._compiled(query)
-        if trace is not None:
-            trace.strategy = self.strategy
-        if compiled.trivially_empty:
-            return
-        # the sql strategy projects head tuples only; full embeddings
-        # always come from the planned executor
-        yield from self._iter_hash(compiled, trace)
 
     # ------------------------------------------------------------------
     # pipelined executor (private: chosen by _prefer_pipelined, never by
@@ -383,16 +336,6 @@ class EncodedEvaluator:
     # ------------------------------------------------------------------
     # hash strategy (planned, vectorized)
     # ------------------------------------------------------------------
-    def _iter_hash(
-        self, compiled: CompiledQuery, trace: Optional[ExecutionTrace]
-    ) -> Iterator[Tuple[int, ...]]:
-        binding_rows, slot_positions = self._hash_bindings(
-            compiled, trace, stream_final=trace is None
-        )
-        order = [slot_positions[slot] for slot in range(compiled.variable_count)]
-        for binding in binding_rows:
-            yield tuple(binding[position] for position in order)
-
     def _hash_bindings(
         self,
         compiled: CompiledQuery,
@@ -421,10 +364,7 @@ class EncodedEvaluator:
         without giving up batched access for the earlier stages.
         """
         if plan is None:
-            planner = self.planner()
-            plan = planner.plan(compiled)
-            if trace is not None:
-                trace.plan_cached = planner.last_was_hit
+            plan = self.planner().plan(compiled, trace)
 
         patterns = compiled.patterns
         width = compiled.variable_count
@@ -529,13 +469,10 @@ class EncodedEvaluator:
         object column for which the store exposes a sorted ``(p, s)`` /
         ``(p, o)`` run.  The relation is never fetched or hashed per
         query: matching rows are read straight out of the run slice and
-        its run-order companion column.  On stores that cache run-derived
-        structures the probe is one dict lookup into the run's key group
-        directory (:meth:`SortedRun.group_bounds`, built once per run and
-        amortized across queries); otherwise the bound keys are visited in
-        sorted order and each located by binary search bounded below by
-        the previous key's upper bound — a galloping merge of the two
-        sorted sequences.  Returns ``(joined rows, rows read, probes)``;
+        its run-order companion column, located by one dict lookup into
+        the run's key group directory (:meth:`SortedRun.group_bounds`,
+        built once per run and amortized across queries).  Returns
+        ``(joined rows, rows read, probes)``;
         ``None`` means the stage is ineligible (or statistics prefer
         hash) and the caller runs the hash fetch instead.
         """
@@ -555,55 +492,28 @@ class EncodedEvaluator:
         other_column = 0 if by_object else 2
         other_spec = (pattern.subject, pattern.predicate, pattern.object)[other_column]
         run_values = run.column_values(other_column)
-        keys = run.keys
-        run_length = len(keys)
         constant = other_spec if other_spec >= 0 else None
 
         out: List[Tuple[int, ...]] = []
         extend = out.extend
         fetched = 0
 
-        if run.value_cache is not None:
-            # amortized probe: the run's key group directory is built once
-            # and shared by every query, so each binding costs one dict get
-            bounds_of = run.group_bounds().get
-            for binding in binding_rows:
-                bounds = bounds_of(binding[join_position])
-                if bounds is None:
-                    continue
-                lo, hi = bounds
-                fetched += hi - lo
-                if constant is not None:
-                    # semi-join shape: the other column is pinned by a constant
-                    multiplicity = run_values[lo:hi].count(constant)
-                    if multiplicity:
-                        extend((binding,) * multiplicity)
-                else:
-                    extend([binding + (value,) for value in run_values[lo:hi]])
-            return out, fetched, 1
-
-        # no store cache: gallop — visit the bound keys in sorted order,
-        # binary-searching each from the previous key's upper bound
-        key_of = itemgetter(join_position)
-        ordered = sorted(binding_rows, key=key_of)
-        cursor = 0
-        for key, group in groupby(ordered, key=key_of):
-            lo = bisect_left(keys, key, cursor)
-            cursor = lo
-            if lo == run_length or keys[lo] != key:
+        # amortized probe: the run's key group directory is built once and
+        # shared by every query, so each binding costs one dict get
+        bounds_of = run.group_bounds().get
+        for binding in binding_rows:
+            bounds = bounds_of(binding[join_position])
+            if bounds is None:
                 continue
-            hi = bisect_right(keys, key, lo)
-            cursor = hi
+            lo, hi = bounds
             fetched += hi - lo
             if constant is not None:
+                # semi-join shape: the other column is pinned by a constant
                 multiplicity = run_values[lo:hi].count(constant)
                 if multiplicity:
-                    for binding in group:
-                        extend((binding,) * multiplicity)
+                    extend((binding,) * multiplicity)
             else:
-                values = run_values[lo:hi]
-                for binding in group:
-                    extend([binding + (value,) for value in values])
+                extend([binding + (value,) for value in run_values[lo:hi]])
         return out, fetched, 1
 
     def _fetch_pattern(

@@ -18,9 +18,11 @@ store:
   small as the statistics can make them;
 * plans are cached per *query shape* — the tuple of compiled integer
   patterns — so a repeated workload query costs one dictionary lookup, not
-  a planning pass.  The cache belongs to the planner, and the serving layer
-  drops the planner whenever the statistics change, which keeps cached
-  plans and estimates consistent by construction.
+  a planning pass.  The planner lives as long as the store it plans for:
+  the statistics underneath are updated in place by every ingest, so a
+  fresh plan always reads live numbers, and a cached one is re-costed once
+  the store has doubled since it was costed (``_REPLAN_GROWTH``) — a join
+  order is only as good as the cardinalities it was chosen on.
 
 Pessimistic (upper-bound) join-size reasoning in the spirit of the
 Sidorenko-style bounds (see PAPERS.md) is approximated here by clamping
@@ -53,6 +55,11 @@ __all__ = [
 #: long-lived server facing adversarially diverse query shapes must not
 #: grow an unbounded dict; 512 covers every realistic repeated workload.
 DEFAULT_PLAN_CACHE_CAP = 512
+
+#: A cached plan is re-costed (an ordinary miss) once the store holds this
+#: many times the rows it held when the plan was costed.  Order affects
+#: cost, never answers, so anything short of that keeps the cached order.
+_REPLAN_GROWTH = 2
 
 
 class PatternEstimate:
@@ -113,9 +120,11 @@ class QueryPlanner:
     answering adversarially diverse query shapes re-plans cold shapes
     instead of leaking one cached plan per shape ever seen.  A re-planned
     evicted shape counts as an ordinary miss (and the eviction itself is
-    tallied in ``cache_evictions``), so the hit/miss counters stay exact
-    arrival statistics whatever the cap.  The cache is guarded by a lock —
-    one planner is shared by every executor thread of a catalog entry.
+    tallied in ``cache_evictions``), as does a shape re-costed because the
+    store outgrew its plan (``_REPLAN_GROWTH``), so the hit/miss
+    counters stay exact arrival statistics whatever the cap.  The cache is
+    guarded by a lock — one planner is shared by every executor thread of
+    a catalog entry.
     """
 
     def __init__(
@@ -127,8 +136,9 @@ class QueryPlanner:
             raise ValueError("plan_cache_cap must be positive")
         self.statistics = statistics
         self.plan_cache_cap = plan_cache_cap
-        #: LRU plan cache (shape → plan); guarded by self._cache_lock
-        self._plans: "OrderedDict[Tuple, QueryPlan]" = OrderedDict()
+        #: LRU plan cache (shape → (store rows when costed, plan));
+        #: guarded by self._cache_lock
+        self._plans: "OrderedDict[Tuple, Tuple[int, QueryPlan]]" = OrderedDict()
         self._cache_lock = named_lock("planner.cache_lock")
         # per-planner children of the process-wide ``planner.cache.*``
         # registry family: the instance counts stay exact (tests and
@@ -141,8 +151,6 @@ class QueryPlanner:
         self._cache_evictions = Counter(
             "evictions", parent=telemetry.counter("planner.cache.evictions")
         )
-        #: Whether the most recent :meth:`plan` call was served from cache.
-        self.last_was_hit = False
 
     @property
     def cache_hits(self) -> int:
@@ -212,21 +220,33 @@ class QueryPlanner:
     # ------------------------------------------------------------------
     # planning
     # ------------------------------------------------------------------
-    def plan(self, compiled) -> QueryPlan:
-        """The execution plan for *compiled*, cached per query shape (LRU)."""
+    def plan(self, compiled, trace: Optional["ExecutionTrace"] = None) -> QueryPlan:
+        """The execution plan for *compiled*, cached per query shape (LRU).
+
+        A *trace* is told whether its plan came from the cache
+        (``plan_cached``) — per call, so concurrent queries sharing the
+        planner never read each other's outcome.
+        """
         shape = plan_shape(compiled)
+        store_rows = self.statistics.total_rows
         with self._cache_lock:
-            cached = self._plans.get(shape)
-            if cached is not None:
+            # a shape never planned reads as costed on 0 rows: never a hit
+            costed_rows, plan = self._plans.get(shape, (0, None))
+            hit = store_rows < _REPLAN_GROWTH * costed_rows
+            if hit:
                 self._plans.move_to_end(shape)
                 self._cache_hits.inc()
-                self.last_was_hit = True
-                return cached
-            self._cache_misses.inc()
-            self.last_was_hit = False
+            else:
+                self._cache_misses.inc()
+        if trace is not None:
+            trace.plan_cached = hit
+        if hit:
+            return plan
         plan = self._build_plan(compiled, shape)
         with self._cache_lock:
-            self._plans[shape] = plan
+            # (at least one row: a plan costed on an empty store is kept
+            # until there is something to re-cost it on)
+            self._plans[shape] = (max(store_rows, 1), plan)
             self._plans.move_to_end(shape)
             while len(self._plans) > self.plan_cache_cap:
                 self._plans.popitem(last=False)

@@ -38,7 +38,6 @@ from repro.model.terms import Term
 from repro.queries.bgp import BGPQuery
 from repro.queries.evaluation import has_answers
 from repro.service.catalog import GraphCatalog
-from repro.service.evaluator import STRATEGIES
 from repro.service.planner import ExecutionTrace
 from repro.telemetry import Counter, QueryTrace, maybe_span
 
@@ -326,14 +325,8 @@ class QueryService:
     strategy:
         Join strategy of base evaluation: ``"hash"`` (statistics-planned,
         vectorized — the default), ``"sql"`` or ``"merge"`` — see
-        :data:`~repro.service.evaluator.STRATEGIES`.
-    order_guards:
-        With ``True`` (default) the guard cascade is re-ordered per query,
-        cheapest first: cached summaries by ascending size, the
-        incrementally-maintained weak summary counted as cheap, and
-        not-yet-built summaries last in declared order (built only when
-        every cheaper guard failed to prune).  ``False`` keeps the
-        declared order.
+        :data:`~repro.service.evaluator.STRATEGIES` (checked where the
+        evaluator is built, on the first query that reaches one).
     """
 
     def __init__(
@@ -342,7 +335,6 @@ class QueryService:
         kind: Union[str, Sequence[str]] = "weak",
         prune: bool = True,
         strategy: str = "hash",
-        order_guards: bool = True,
     ):
         self.catalog = catalog
         if isinstance(kind, str):
@@ -352,12 +344,9 @@ class QueryService:
         self.kinds: Tuple[str, ...] = tuple(normalize_kind(part) for part in parts)
         if not self.kinds:
             raise ValueError("the guard needs at least one summary kind")
-        if strategy not in STRATEGIES:
-            raise ValueError(f"unknown strategy {strategy!r} (choose from {STRATEGIES})")
         self.kind = "+".join(self.kinds)
         self.prune = prune
         self.strategy = strategy
-        self.order_guards = order_guards
         self.statistics = ServiceStatistics()
         self._read_wait_seconds = telemetry.histogram("lock.read_wait.seconds")
 
@@ -378,7 +367,7 @@ class QueryService:
         saturated guards the plain summary sizes serve as the cost proxy
         (a saturation grows each summary by roughly the same factor).
         """
-        if not self.order_guards or len(self.kinds) == 1:
+        if len(self.kinds) == 1:
             return self.kinds
 
         def cost_key(indexed: Tuple[int, str]) -> Tuple[int, int, int]:
@@ -465,10 +454,7 @@ class QueryService:
             evaluation_seconds = 0.0
             execution_trace: Optional[ExecutionTrace] = ExecutionTrace() if explain else None
             if not pruned:
-                if saturated:
-                    evaluator = entry.saturated_evaluator(self.strategy)
-                else:
-                    evaluator = entry.evaluator_for(self.strategy)
+                evaluator = entry.evaluator_for(self.strategy, saturated=saturated)
                 evaluation_start = perf_counter()
                 with maybe_span(
                     query_trace, "evaluate", strategy=self.strategy

@@ -506,11 +506,11 @@ def run_strategy_comparison(
 
     hashed = EncodedEvaluator(store, strategy="hash")
     statistics_start = perf_counter()
-    statistics = hashed.statistics()
+    hashed.statistics()
     statistics_seconds = perf_counter() - statistics_start
     # the merge side shares the hash side's profile and plan cache — the
     # comparison is about the per-stage join algorithm, nothing else
-    merged = EncodedEvaluator(store, strategy="merge", statistics=statistics, planner=hashed.planner())
+    merged = EncodedEvaluator(store, strategy="merge", planner=hashed.planner())
 
     families: Dict[str, Dict[str, object]] = {}
     differences = 0

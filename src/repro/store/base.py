@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import abc
 from array import array
-from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.dictionary import Dictionary, EncodedTriple
@@ -147,16 +146,15 @@ class SortedRun:
     ``positions`` the corresponding row positions.  ``columns`` is the
     owning table's ``(s, p, o)`` column triple, so a consumer can resolve
     a matched position to the row's other endpoints without materializing
-    row tuples.  :meth:`range` binary-searches the contiguous slice of one
-    key — the probe primitive of the merge-join executor.
+    row tuples.
 
-    ``value_cache``, when the owning store provides one, holds derived
-    run-order structures — column values permuted into run order (keyed by
-    column index) and the key group directory of :meth:`group_bounds` — so
-    they are paid for once per run, not once per query.  The cache dict
-    belongs to the store, which invalidates it (by replacement, keeping
-    old :class:`SortedRun` snapshots self-consistent) whenever the run
-    changes.
+    ``value_cache`` holds derived run-order structures — column values
+    permuted into run order (keyed by column index) and the key group
+    directory of :meth:`group_bounds`, the probe primitive of the
+    merge-join executor — so they are paid for once per run, not once per
+    query.  The cache dict belongs to the store, which invalidates it (by
+    replacement, keeping old :class:`SortedRun` snapshots self-consistent)
+    whenever the run changes.
     """
 
     __slots__ = ("keys", "positions", "columns", "value_cache")
@@ -170,7 +168,7 @@ class SortedRun:
         keys: Sequence[int],
         positions: Sequence[int],
         columns: Tuple[Sequence[int], Sequence[int], Sequence[int]],
-        value_cache: Optional[Dict[int, object]] = None,
+        value_cache: Dict[int, object],
     ):
         self.keys = keys
         self.positions = positions
@@ -184,36 +182,30 @@ class SortedRun:
         """The *column* values aligned with ``keys`` (run order).
 
         Materialized through ``positions`` on first use and cached in the
-        store-owned ``value_cache`` when one is attached, so repeated
-        merge joins over the same run slice values without per-row
-        indirection.
+        store-owned ``value_cache``, so repeated merge joins over the same
+        run slice values without per-row indirection.
         """
-        cache = self.value_cache
-        if cache is not None:
-            values = cache.get(column)
-            if values is not None:
-                return values
-        source = self.columns[column]
-        values = array("q", (source[position] for position in self.positions))
-        if cache is not None:
-            cache[column] = values
+        values = self.value_cache.get(column)
+        if values is None:
+            source = self.columns[column]
+            values = self.value_cache[column] = array(
+                "q", (source[position] for position in self.positions)
+            )
         return values
 
     def group_bounds(self) -> Dict[int, Tuple[int, int]]:
         """Key ``->`` half-open ``(start, stop)`` slice of the run.
 
-        The directory of the run's key groups: one dict probe replaces the
-        two binary searches of :meth:`range`, which is what makes the
-        merge-join executor's probe loop competitive when the binding
-        table carries thousands of distinct keys.  Built in one pass over
-        the sorted keys and cached in the store-owned ``value_cache``, so
-        every later query over the run joins against it for free.
+        The directory of the run's key groups: one dict probe replaces two
+        binary searches of ``keys``, which is what makes the merge-join
+        executor's probe loop competitive when the binding table carries
+        thousands of distinct keys.  Built in one pass over the sorted
+        keys and cached in the store-owned ``value_cache``, so every later
+        query over the run joins against it for free.
         """
-        cache = self.value_cache
-        if cache is not None:
-            bounds = cache.get(self._BOUNDS_KEY)
-            if bounds is not None:
-                return bounds
+        bounds = self.value_cache.get(self._BOUNDS_KEY)
+        if bounds is not None:
+            return bounds
         bounds = {}
         previous = None
         start = 0
@@ -225,15 +217,8 @@ class SortedRun:
                 start = index
         if previous is not None:
             bounds[previous] = (start, len(self.keys))
-        if cache is not None:
-            cache[self._BOUNDS_KEY] = bounds
+        self.value_cache[self._BOUNDS_KEY] = bounds  # published complete
         return bounds
-
-    def range(self, key: int, lo: int = 0) -> Tuple[int, int]:
-        """The half-open ``[start, stop)`` slice of *key*, searching from *lo*."""
-        start = bisect_left(self.keys, key, lo)
-        stop = bisect_right(self.keys, key, start)
-        return start, stop
 
 
 class StoreStatistics:
@@ -356,18 +341,11 @@ class TripleStore(abc.ABC):
     def _existing_rows(
         self, kind: TripleKind, rows: List[EncodedTriple]
     ) -> "set[Tuple[int, int, int]]":
-        """Which of *rows* the *kind* table already holds.
-
-        The default probes the per-row ``select`` path; backends with a real
-        query engine override this with one batched statement (the SQLite
-        store does), so :meth:`insert_triples` deduplication stays O(1)
-        round-trips per batch instead of per triple.
-        """
-        present = set()
-        for row in rows:
-            if next(iter(self.select(kind, row[0], row[1], row[2])), None) is not None:
-                present.add((row[0], row[1], row[2]))
-        return present
+        """Which of *rows* the *kind* table already holds — one batched
+        probe, so :meth:`insert_encoded_rows` deduplication stays O(1)
+        round-trips per batch.  Abstract for every backend that does not
+        replace :meth:`insert_encoded_rows` outright."""
+        raise NotImplementedError
 
     @abc.abstractmethod
     def _insert_rows(self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]) -> None:
@@ -389,6 +367,7 @@ class TripleStore(abc.ABC):
     def scan_schema(self) -> Iterator[EncodedTriple]:
         """Scan the schema-triples table."""
 
+    @abc.abstractmethod
     def scan_batches(
         self, kind: TripleKind, batch_size: int = 50_000
     ) -> Iterator[List[EncodedTriple]]:
@@ -397,25 +376,9 @@ class TripleStore(abc.ABC):
         The encoded summarization engine iterates these batches instead of
         single rows so per-row iterator overhead stays off the hot path
         (the ``fetchmany`` discipline of the paper's JDBC experiments).
-        Backends override this with a genuinely batched implementation; the
-        default chunks the row-wise scan.  Rows are ``(s, p, o)`` integer
-        tuples (:class:`EncodedTriple` or any 3-tuple).
+        Rows are ``(s, p, o)`` integer tuples (:class:`EncodedTriple` or
+        any 3-tuple); a non-positive *batch_size* is a ``ValueError``.
         """
-        if batch_size <= 0:
-            raise ValueError("batch_size must be positive")
-        scans = {
-            TripleKind.DATA: self.scan_data,
-            TripleKind.TYPE: self.scan_types,
-            TripleKind.SCHEMA: self.scan_schema,
-        }
-        batch: List[EncodedTriple] = []
-        for row in scans[kind]():
-            batch.append(row)
-            if len(batch) >= batch_size:
-                yield batch
-                batch = []
-        if batch:
-            yield batch
 
     def scan_columns(
         self, kind: TripleKind, batch_size: int = 65_536
@@ -508,6 +471,7 @@ class TripleStore(abc.ABC):
     ) -> Iterator[EncodedTriple]:
         """Select rows of the *kind* table matching the given id pattern."""
 
+    @abc.abstractmethod
     def select_many(
         self,
         kind: TripleKind,
@@ -521,46 +485,11 @@ class TripleStore(abc.ABC):
 
         This is the vectorized probe of the hash-join executor: one call per
         (pattern, table) replaces one :meth:`select` per intermediate
-        binding.  Backends override it with genuinely batched access
-        (posting lists in the memory store, chunked ``IN (...)`` statements
-        in SQLite); the default composes per-value :meth:`select` calls and
-        exists so third-party backends keep working unmodified.  Rows are
-        ``(s, p, o)`` integer triples; callers must not rely on their order.
+        binding — posting lists in the memory store, chunked ``IN (...)``
+        statements in SQLite.  A stored row comes back once however often
+        its id repeats in *subjects* / *objects*.  Rows are ``(s, p, o)``
+        integer triples; callers must not rely on their order.
         """
-        if subjects is None and objects is None:
-            return self.select(kind, None, predicate, None)
-        return self._select_many_fallback(kind, subjects, predicate, objects)
-
-    def _select_many_fallback(
-        self,
-        kind: TripleKind,
-        subjects: Optional[Iterable[int]],
-        predicate: Optional[int],
-        objects: Optional[Iterable[int]],
-    ) -> Iterator[EncodedTriple]:
-        # ids are deduplicated up front (``dict.fromkeys`` keeps first-seen
-        # order): a caller passing a multiset key list must not receive the
-        # same stored row once per repetition
-        if subjects is not None and objects is not None:
-            subject_list = list(dict.fromkeys(subjects))
-            object_set = set(objects)
-            if len(subject_list) <= len(object_set):
-                for subject in subject_list:
-                    for row in self.select(kind, subject, predicate, None):
-                        if row[2] in object_set:
-                            yield row
-            else:
-                subject_set = set(subject_list)
-                for obj in object_set:
-                    for row in self.select(kind, None, predicate, obj):
-                        if row[0] in subject_set:
-                            yield row
-        elif subjects is not None:
-            for subject in dict.fromkeys(subjects):
-                yield from self.select(kind, subject, predicate, None)
-        else:
-            for obj in dict.fromkeys(objects):  # type: ignore[arg-type]
-                yield from self.select(kind, None, predicate, obj)
 
     @abc.abstractmethod
     def count(self, kind: TripleKind) -> int:

@@ -360,13 +360,10 @@ class SQLiteStore(TripleStore):
 
         Chunks stay under SQLite's default 999-parameter limit (3 parameters
         per triple), so a 10k-triple dedup costs ~31 statements instead of
-        10k single-row probes.  Row-value syntax needs SQLite >= 3.15; older
-        linked libraries fall back to the base per-row probes.  Runs on the
+        10k single-row probes (row-value syntax: SQLite >= 3.15).  Runs on the
         write connection under the lock — it is part of the insert path and
         must see the store exactly as the insert will leave it.
         """
-        if sqlite3.sqlite_version_info < (3, 15, 0):
-            return super()._existing_rows(kind, rows)
         table = _TABLE_FOR_KIND[kind]
         present = set()
         chunk_size = 300

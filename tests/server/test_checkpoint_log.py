@@ -174,10 +174,10 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             for kind in ("weak", "strong"):
                 assert graphs_isomorphic(entry.summary(kind).graph, reference.summary(kind).graph)
             assert _saturated_answers(reopened) == _saturated_answers(never)
-            maintained = entry.saturated_evaluator().store
-            live_saturated = reference.saturated_evaluator().store
+            maintained = entry.evaluator_for(saturated=True).store
+            live_saturated = reference.evaluator_for(saturated=True).store
             assert set(maintained.to_graph()) == set(live_saturated.to_graph())
-            assert entry._saturated_statistics().as_dict() == recount(maintained)
+            assert entry.evaluator_for(saturated=True).statistics().as_dict() == recount(maintained)
             assert pack_terms(entry.store.dictionary) == pack_terms(reference.store.dictionary)
 
             counters = dict(entry.build_counters)

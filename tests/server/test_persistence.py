@@ -517,7 +517,7 @@ class TestSaturationWarmStart:
             warm = QueryService(reopened).answer("g", query, saturated=True)
             assert warm.answers == cold.answers
             assert entry.build_counters["saturation_builds"] == 0
-            maintained = set(entry.saturated_evaluator().store.to_graph())
+            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
             assert maintained == set(saturate(entry.to_graph()))
 
     def test_saturation_seeded_after_the_checkpoint_is_rebuilt_once(
@@ -544,7 +544,7 @@ class TestSaturationWarmStart:
             QueryService(reopened).answer("g", query, saturated=True)
             QueryService(reopened).answer("g", query, saturated=True)
             assert entry.build_counters["saturation_builds"] == 1
-            maintained = set(entry.saturated_evaluator().store.to_graph())
+            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
             assert maintained == set(saturate(entry.to_graph()))
 
     def test_checkpointed_saturation_plus_a_log_tail_applies_delta_rules_only(
@@ -567,9 +567,9 @@ class TestSaturationWarmStart:
             warm = QueryService(reopened).answer("g", query, saturated=True).answers
             assert warm == live
             assert entry.build_counters["saturation_builds"] == 0
-            maintained = entry.saturated_evaluator().store
+            maintained = entry.evaluator_for(saturated=True).store
             assert set(maintained.to_graph()) == set(saturate(entry.to_graph()))
-            assert entry._saturated_statistics().as_dict() == recount(maintained)
+            assert entry.evaluator_for(saturated=True).statistics().as_dict() == recount(maintained)
 
     def test_ingest_after_warm_start_keeps_maintaining(self, book_graph, tmp_path):
         from repro.model.namespaces import EX, RDF_TYPE
@@ -593,12 +593,12 @@ class TestSaturationWarmStart:
             assert (EX.doiY,) in answer.answers or Triple(
                 EX.doiY, RDF_TYPE, EX.Publication
             ) in saturate(entry.to_graph())
-            maintained = set(entry.saturated_evaluator().store.to_graph())
+            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
             assert maintained == set(saturate(entry.to_graph()))
         # and it survived durably: one more cycle, still zero rebuilds
         with GraphCatalog.open(path) as again:
             entry = again.entry("g")
-            maintained = set(entry.saturated_evaluator().store.to_graph())
+            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
             assert entry.build_counters["saturation_builds"] == 0
             assert maintained == set(saturate(entry.to_graph()))
 
@@ -622,7 +622,7 @@ class TestSaturationWarmStart:
         path = _catalog_path(tmp_path)
         with GraphCatalog.open(path) as catalog:
             catalog.register("g", graph=book_graph)
-            catalog.entry("g").saturated_evaluator()
+            catalog.entry("g").evaluator_for(saturated=True)
             catalog.checkpoint()
             connection = sqlite3.connect(path)
             names = {row[0] for row in connection.execute("SELECT name FROM artifacts")}

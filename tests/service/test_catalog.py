@@ -176,11 +176,11 @@ class TestIncrementalUpdates:
         triples = sorted(book_graph)
         with GraphCatalog() as catalog:
             entry = catalog.register("g", graph=RDFGraph(triples[:-1], name="g"))
-            held = entry.saturated_evaluator()
+            held = entry.evaluator_for(saturated=True)
             query = generate_rbgp_workload(RDFGraph(triples[:-1]), count=1, seed=1)[0]
             before = held.evaluate(query)
             entry.add_triples(triples[-1:])
-            fresh = entry.saturated_evaluator()
+            fresh = entry.evaluator_for(saturated=True)
             # the saturated store is maintained *in place* now: the held
             # evaluator keeps working, is the same object a new request
             # gets, and serves the post-update G∞
@@ -197,7 +197,7 @@ class TestIncrementalUpdates:
         triples = sorted(book_graph)
         with GraphCatalog() as catalog:
             entry = catalog.register("g", graph=RDFGraph(triples[:-6], name="g"))
-            entry.saturated_evaluator()
+            entry.evaluator_for(saturated=True)
             assert entry.build_counters["saturation_builds"] == 1
             for index in range(6, 0, -2):
                 stop = None if index == 2 else -(index - 2)
@@ -205,7 +205,7 @@ class TestIncrementalUpdates:
             # every delta applied in place: still exactly one full build,
             # and the maintained store equals a from-scratch saturation
             assert entry.build_counters["saturation_builds"] == 1
-            maintained = set(entry.saturated_evaluator().store.to_graph())
+            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
             assert maintained == set(saturate(entry.to_graph()))
 
     def test_saturated_statistics_updated_in_place(self, book_graph):
@@ -214,12 +214,86 @@ class TestIncrementalUpdates:
         triples = sorted(book_graph)
         with GraphCatalog() as catalog:
             entry = catalog.register("g", graph=RDFGraph(triples[:-3], name="g"))
-            evaluator = entry.saturated_evaluator("hash")
+            evaluator = entry.evaluator_for("hash", saturated=True)
             before = evaluator.statistics()  # force the saturated profile into being
             entry.add_triples(triples[-3:])
-            profile = entry.saturated_evaluator("hash").statistics()
+            profile = entry.evaluator_for("hash", saturated=True).statistics()
             assert profile is before
             assert profile == CardinalityStatistics.from_store(evaluator.store)
+
+    def test_term_ingest_encoded_ingest_and_replay_are_one_routine(self, book_graph):
+        """The three ways rows reach an entry differ only in the insert
+        call: the same rows must leave the same version, weak summary,
+        cardinality profiles and ``G∞``."""
+        triples = sorted(book_graph)
+        base, tail = triples[:-6], triples[-6:]
+
+        def ingest(how):
+            catalog = GraphCatalog()
+            entry = catalog.register("g", graph=RDFGraph(base, name="g"))
+            entry.statistics_index()  # both served stores live before the batch
+            entry.evaluator_for(saturated=True)
+            if how == "terms":
+                assert entry.add_triples(tail) == len(tail)
+            else:
+                encoded = entry.store.dictionary.encode_triples(tail)
+                rows = [(triple.kind, row) for triple, row in zip(tail, encoded)]
+                if how == "encoded":
+                    assert entry.add_encoded_rows(rows) == len(tail)
+                else:
+                    entry.replay(rows, version=entry.version + 1)
+            saturated = entry.evaluator_for(saturated=True)
+            state = (
+                entry.version,
+                set(entry.summary("weak").graph),
+                entry.statistics_index().as_dict(),
+                saturated.statistics().as_dict(),
+                set(saturated.store.to_graph()),
+            )
+            catalog.close()
+            return state
+
+        by_terms = ingest("terms")
+        assert by_terms[0] == 1 and len(by_terms[4]) > len(triples)
+        assert ingest("encoded") == by_terms
+        assert ingest("replay") == by_terms
+
+    @pytest.mark.parametrize("saturated", [False, True], ids=["G", "G-inf"])
+    def test_racing_first_users_share_one_served_store(self, book_graph, saturated):
+        """Statistics, planner and evaluators are created on first use, by
+        whichever reader gets there first — exactly once per store."""
+        import sys
+        import threading
+
+        with GraphCatalog() as catalog:
+            entry = catalog.register("g", graph=book_graph)
+            start = threading.Barrier(8)
+            seen = []
+
+            def first_use(strategy):
+                start.wait(timeout=10)
+                evaluator = entry.evaluator_for(strategy, saturated=saturated)
+                seen.append((strategy, evaluator, evaluator.planner(), evaluator.statistics()))
+
+            interval = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                threads = [
+                    threading.Thread(target=first_use, args=(("hash", "merge")[index % 2],))
+                    for index in range(8)
+                ]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=30)
+                    assert not thread.is_alive()
+            finally:
+                sys.setswitchinterval(interval)
+            assert len(seen) == 8
+            assert len({id(planner) for _s, _e, planner, _p in seen}) == 1
+            assert len({id(profile) for _s, _e, _pl, profile in seen}) == 1
+            assert len({(strategy, id(evaluator)) for strategy, evaluator, _pl, _p in seen}) == 2
+            assert entry.build_counters["saturation_builds"] == int(saturated)
 
     def test_saturation_metrics_track_deltas(self, book_graph):
         triples = sorted(book_graph)
@@ -228,7 +302,7 @@ class TestIncrementalUpdates:
             assert entry.saturation_metrics() is None  # G∞ never requested
             entry.add_triples(triples[-2:-1])  # still no saturated state: no cost
             assert entry.saturation_metrics() is None
-            entry.saturated_evaluator()
+            entry.evaluator_for(saturated=True)
             metrics = entry.saturation_metrics()
             assert metrics["live"] and metrics["builds"] == 1 and metrics["deltas"] == 0
             entry.add_triples(triples[-1:])

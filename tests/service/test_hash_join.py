@@ -20,6 +20,7 @@ from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload
 from repro.service import evaluator as evaluator_module
 from repro.service.evaluator import EncodedEvaluator
+from repro.service.planner import ExecutionTrace
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
 
@@ -232,6 +233,18 @@ class TestProbeComplexity:
         again = evaluator.explain(query)
         assert again.plan_cached is True
 
+    def test_a_traced_run_still_honours_the_limit(self):
+        """A trace needs exact per-stage actuals, so the traced path joins
+        in full — and must cut the answer set down to the limit itself."""
+        store, query = self._chain_fixture()
+        evaluator = EncodedEvaluator(store, strategy="hash")
+        full = evaluator.evaluate(query)
+        assert len(full) == 40
+        trace = ExecutionTrace()
+        limited = evaluator.evaluate(query, limit=7, trace=trace)
+        assert len(limited) == 7 and limited <= full
+        assert [stage.produced for stage in trace.stages] == [40, 40]
+
 
 class TestPipelinedExecutor:
     """The index-nested-loop behind ``_prefer_pipelined``: never a strategy
@@ -322,12 +335,12 @@ class TestServiceIntegration:
 
         with GraphCatalog() as catalog:
             entry = catalog.register("b", graph=book_graph)
-            merge_ev = entry.saturated_evaluator("merge")
+            merge_ev = entry.evaluator_for("merge", saturated=True)
             assert merge_ev.strategy == "merge"
-            assert entry.saturated_evaluator("merge") is merge_ev
-            assert entry.saturated_evaluator("hash").strategy == "hash"
+            assert entry.evaluator_for("merge", saturated=True) is merge_ev
+            assert entry.evaluator_for("hash", saturated=True).strategy == "hash"
             with pytest.raises(ValueError):
-                entry.saturated_evaluator("nested")
+                entry.evaluator_for("nested", saturated=True)
             x = Variable("x")
             from repro.model.namespaces import RDF_TYPE
             from repro.model.terms import URI

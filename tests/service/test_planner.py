@@ -7,7 +7,7 @@ from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind
 from repro.queries.bgp import BGPQuery, TriplePattern, Variable
 from repro.service.evaluator import compile_query
-from repro.service.planner import QueryPlanner, plan_shape
+from repro.service.planner import ExecutionTrace, QueryPlanner, plan_shape
 from repro.service.statistics import CardinalityStatistics
 from repro.store.memory import MemoryStore
 
@@ -119,7 +119,51 @@ class TestPlanCache:
         second = planner.plan(compile_query(query, store.dictionary))
         assert second is first
         assert planner.cache_hits == 1
-        assert planner.last_was_hit
+
+    def test_each_trace_keeps_its_own_outcome(self, planner_and_store):
+        """The hit/miss of a ``plan`` call is recorded on the trace handed
+        to that call — the planner is shared by every executor thread, so
+        an attribute on it would report whichever query planned last."""
+        planner, store = planner_and_store
+        x, y = Variable("x"), Variable("y")
+        compiled = compile_query(BGPQuery([TriplePattern(x, EX.p, y)], head=(x,)), store.dictionary)
+        other = compile_query(BGPQuery([TriplePattern(x, EX.q, y)], head=(x,)), store.dictionary)
+        missed, hit, missed_after = ExecutionTrace(), ExecutionTrace(), ExecutionTrace()
+        planner.plan(compiled, missed)
+        planner.plan(compiled, hit)
+        planner.plan(other, missed_after)  # a later miss must not rewrite the hit
+        assert (missed.plan_cached, hit.plan_cached, missed_after.plan_cached) == (
+            False,
+            True,
+            False,
+        )
+        assert not hasattr(planner, "last_was_hit")
+
+    def test_a_shape_is_recosted_once_the_store_has_doubled(self, planner_and_store):
+        """Plans outlive ingests (the estimates read the live profile) until
+        the store holds twice the rows the plan was costed on."""
+        planner, store = planner_and_store
+        x, y = Variable("x"), Variable("y")
+        compiled = compile_query(BGPQuery([TriplePattern(x, EX.p, y)], head=(x,)), store.dictionary)
+        first = planner.plan(compiled)
+        rows = len(store)
+
+        def grow(count, tag):
+            fresh = store.insert_triples(
+                [Triple(EX.term(f"{tag}{i}"), EX.p, EX.term(f"{tag}o{i}")) for i in range(count)],
+                skip_existing=True,
+            )
+            planner.statistics.ingest_rows(fresh)
+
+        grow(rows - 1, "a")  # one row short of double
+        assert planner.plan(compiled) is first
+        assert (planner.cache_hits, planner.cache_misses) == (1, 1)
+        grow(1, "b")  # doubled
+        recosted = planner.plan(compiled)
+        assert recosted is not first
+        assert recosted.stages[0].estimate == pytest.approx(9.0 + rows)
+        assert (planner.cache_hits, planner.cache_misses) == (1, 2)
+        assert planner.plan(compiled) is recosted  # and cached again, at the new size
 
     def test_different_constants_are_different_shapes(self, planner_and_store):
         planner, store = planner_and_store
@@ -187,7 +231,6 @@ class TestPlanCacheBound:
         planner.plan(first)
         assert planner.cache_misses == 4
         assert planner.cache_hits == 0
-        assert not planner.last_was_hit
 
     def test_recent_use_protects_against_eviction(self, planner_and_store):
         _planner, store = planner_and_store

@@ -223,13 +223,41 @@ class TestCatalogRefresh:
             assert entry.statistics_index().predicate_rows(TripleKind.DATA, p) == 3
             assert entry.statistics_index() is before
 
-    def test_planner_rebuilt_after_ingest(self):
+    @pytest.mark.parametrize("saturated", [False, True], ids=["G", "G-inf"])
+    def test_one_plan_cache_policy_on_both_sides(self, saturated):
+        """``G`` and ``G∞`` are served through the same chain: the planner
+        and its cached plans outlive an ingest (the estimates read the live
+        profile), and a shape is re-costed once its store has doubled."""
+        from repro import telemetry
         from repro.model.graph import RDFGraph
+        from repro.queries.bgp import BGPQuery, TriplePattern, Variable
         from repro.service.catalog import GraphCatalog
+        from repro.service.service import QueryService
 
+        x, y = Variable("x"), Variable("y")
+        query = BGPQuery([TriplePattern(x, EX.p, y)], head=(x, y))
+        registry_hits = telemetry.counter("planner.cache.hits")
         with GraphCatalog() as catalog:
             entry = catalog.register("g", graph=RDFGraph(_small_triples()))
-            first = entry.planner()
-            assert entry.planner() is first  # cached while the version holds
-            entry.add_triples([Triple(EX.c, EX.q, EX.a)])
-            assert entry.planner() is not first  # stale plan cache dropped
+            service = QueryService(catalog, prune=False)
+            evaluator = entry.evaluator_for("hash", saturated=saturated)
+            planner = evaluator.planner()
+            compiled = evaluator.compile(query)
+            assert len(service.answer("g", query, saturated=saturated).answers) == 3
+            plan = planner.plan(compiled)
+            hits, misses = planner.cache_hits, planner.cache_misses
+            assert misses == 1
+
+            entry.add_triples([Triple(EX.c, EX.p, EX.a)])  # 7 rows -> 8: a version bump
+            assert entry.evaluator_for("merge", saturated=saturated).planner() is planner
+            assert planner.statistics == CardinalityStatistics.from_store(evaluator.store)
+            registry_before = registry_hits.value
+            assert len(service.answer("g", query, saturated=saturated).answers) == 4
+            assert planner.cache_hits == hits + 1 and planner.cache_misses == misses
+            assert registry_hits.value == registry_before + 1
+            assert planner.plan(compiled) is plan
+
+            entry.add_triples([Triple(EX.term(f"n{i}"), EX.p, EX.a) for i in range(6)])  # 14 rows
+            assert planner.plan(compiled) is not plan
+            assert planner.cache_misses == misses + 1
+            assert planner.plan(compiled).stages[0].estimate == pytest.approx(10.0)

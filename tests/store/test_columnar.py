@@ -92,25 +92,19 @@ class TestSortedRun:
             author = store.dictionary.encode_existing(EX.author)
             assert store.sorted_run(TripleKind.DATA, author) is None
 
-    def test_range_brackets_one_key(self):
+    def test_group_bounds_covers_every_key(self):
         with MemoryStore() as store:
             store.load_graph(_sample_graph())
             author = store.dictionary.encode_existing(EX.author)
             r1 = store.dictionary.encode_existing(EX.r1)
             run = store.sorted_run(TripleKind.DATA, author)
-            start, stop = run.range(r1)
-            assert stop - start == 2
-            assert all(run.keys[i] == r1 for i in range(start, stop))
-
-    def test_group_bounds_covers_every_key(self):
-        with MemoryStore() as store:
-            store.load_graph(_sample_graph())
-            author = store.dictionary.encode_existing(EX.author)
-            run = store.sorted_run(TripleKind.DATA, author)
             bounds = run.group_bounds()
             assert set(bounds) == set(run.keys)
+            keys = list(run.keys)
             for key, (start, stop) in bounds.items():
-                assert run.range(key) == (start, stop)
+                assert (start, stop) == (keys.index(key), len(keys) - keys[::-1].index(key))
+            start, stop = bounds[r1]
+            assert stop - start == 2
 
     def test_caches_survive_repeat_lookups(self):
         with MemoryStore() as store:
@@ -253,19 +247,6 @@ class TestSelectManyDedup:
             repeated = store.select_many(TripleKind.DATA, objects=[a1, a1], predicate=author)
             assert sorted(map(tuple, repeated)) == sorted(map(tuple, once))
             assert len(list(once)) == 2
-
-    def test_base_fallback_path_deduplicates(self):
-        """The TripleStore._select_many_fallback used by minimal backends."""
-        with SQLiteStore() as store:
-            store.load_graph(_sample_graph())
-            author = store.dictionary.encode_existing(EX.author)
-            r1 = store.dictionary.encode_existing(EX.r1)
-            rows = list(
-                store._select_many_fallback(
-                    TripleKind.DATA, [r1, r1, r1], author, None
-                )
-            )
-            assert len(rows) == 2
 
 
 class TestColumnBlobs:

@@ -48,6 +48,13 @@ def _load_graph(path: str) -> RDFGraph:
     return load_ntriples(path)
 
 
+def _answer_limit(text: str) -> int:
+    """``--limit``'s type: the HTTP API's rule, enforced at the parser."""
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError("'limit' must be a positive integer")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     """Build the top-level argument parser."""
     from repro.core.builders import SUMMARY_KINDS
@@ -138,7 +145,7 @@ def build_parser() -> argparse.ArgumentParser:
         help="answer over the saturation G∞ (certain answers)",
     )
     query_parser.add_argument(
-        "--limit", type=int, default=None, help="maximum distinct answers per query"
+        "--limit", type=_answer_limit, default=None, help="maximum distinct answers per query"
     )
     query_parser.add_argument(
         "--unsat-fraction",
@@ -195,7 +202,7 @@ def build_parser() -> argparse.ArgumentParser:
         "next to the catalog for parallel reads; memory is fastest serially)",
     )
     serve_parser.add_argument(
-        "--limit", type=int, default=1000, help="default answer limit per query"
+        "--limit", type=_answer_limit, default=1000, help="default answer limit per query"
     )
     serve_parser.add_argument(
         "--workers",

@@ -108,7 +108,9 @@ class Literal:
         self.lexical = lexical
         self.datatype = datatype
         self.language = language
-        self._hash = hash(("literal", lexical, datatype, language))
+        # "" stands in for None: before CPython 3.12 hash(None) is the
+        # object's address, which no PYTHONHASHSEED fixes across processes
+        self._hash = hash(("literal", lexical, datatype or "", language or ""))
 
     def __eq__(self, other):
         return (

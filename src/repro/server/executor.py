@@ -25,10 +25,9 @@ the file-backed backend, which is why the throughput benchmark serves from
 from __future__ import annotations
 
 from concurrent.futures import Future, ThreadPoolExecutor
-from typing import Iterable, List, Optional, Sequence, Union
+from typing import List, Optional, Sequence, Union
 
 from repro import telemetry
-from repro.model.triple import Triple
 from repro.queries.bgp import BGPQuery
 from repro.service.service import QueryAnswer, QueryService
 from repro.telemetry import QueryTrace
@@ -117,17 +116,6 @@ class QueryExecutor:
             for query in queries
         ]
         return [future.result() for future in futures]
-
-    # ------------------------------------------------------------------
-    # ingest (the entry's exclusive lock is taken inside add_triples)
-    # ------------------------------------------------------------------
-    def submit_ingest(self, graph_name: str, triples: Iterable[Triple]) -> "Future[int]":
-        """Schedule an ingest batch; returns a future of the inserted count."""
-        return self._pool.submit(self.catalog.add_triples, graph_name, triples)
-
-    def ingest(self, graph_name: str, triples: Iterable[Triple]) -> int:
-        """Ingest on a pool worker and wait for the inserted count."""
-        return self.submit_ingest(graph_name, triples).result()
 
     # ------------------------------------------------------------------
     def run(self, function, *args, **kwargs):

@@ -329,6 +329,10 @@ class PersistentCatalog:
         connection = self._connection
         try:
             connection.execute("PRAGMA busy_timeout = 10000")
+            # a new file gets 1 KiB pages (an existing one keeps its own):
+            # every packed blob rounds up to whole pages, and at SQLite's
+            # 4 KiB that rounding alone moved a 300 KB checkpoint by ±1.5 %
+            connection.execute("PRAGMA page_size = 1024")
             # refuse to adopt a foreign SQLite database: silently creating
             # catalog tables inside e.g. a per-graph store file would both
             # mutate that file and mask the misconfiguration as an empty

@@ -3,15 +3,17 @@
 The paper's prototype answers queries where the data lives: dictionary-
 encoded integer triples in relational tables (Section 6).  This module
 brings BGP evaluation to that substrate with three interchangeable join
-strategies over the same compiled form:
+strategies over the same compiled form — two of them (``hash``, ``merge``)
+stage algorithms of one executor, :meth:`EncodedEvaluator._pipeline`:
 
 * ``strategy="hash"`` (default) — a *vectorized hash join*: the
   :class:`~repro.service.planner.QueryPlanner` orders the patterns by
   estimated cardinality, and each pattern's candidate rows are fetched
   **once** with a batched :meth:`TripleStore.select_many` (posting lists in
   the memory store, chunked SQL ``IN (...)`` on SQLite), then hash-joined
-  against the integer binding table.  The executor issues O(patterns)
-  store lookups per query — never one probe per intermediate binding.
+  against the integer binding table.  Without a limit the executor issues
+  O(patterns) store lookups per query — never one probe per intermediate
+  binding.
 * ``strategy="sql"`` — whole-join pushdown: the compiled BGP becomes one
   ``SELECT DISTINCT`` over aliased table occurrences and the backend's C
   engine runs the entire join (SQLite releases the GIL for its duration —
@@ -23,11 +25,12 @@ strategies over the same compiled form:
   probe of the run's key directory per binding) instead of a fetch + hash
   build.
 
-A ``limit``-bounded evaluation whose plan predicts intermediate binding
-tables far beyond what the limit can consume is run by a private
-*pipelined* executor instead (:meth:`EncodedEvaluator._iter_pipelined`, an
-index-nested-loop that stops at the limit) — a plan choice made from the
-statistics, not a strategy a caller can select.
+A ``limit`` is a property of that one pipeline, as ``LIMIT`` is of the
+prototype's relational engine: the binding table is walked depth-first in
+geometrically growing chunks, every chunk through the same stage routine,
+and the walk stops once ``limit`` distinct answers exist.  With no limit
+the chunk is the whole table — the blocking join.  A trace records the
+chunk-stages that ran, whichever they were; it never changes them.
 
 Compilation (:func:`compile_query`) lowers a :class:`BGPQuery` to term ids
 through the store dictionary once, up front.  A constant that fails to
@@ -45,10 +48,11 @@ general BGP, excluded from RBGP) chain all three tables.
 
 from __future__ import annotations
 
-from itertools import islice
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
-
+from contextlib import closing
+from itertools import chain, islice
+from operator import itemgetter
 from time import perf_counter
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.errors import UnknownTermError
@@ -57,7 +61,7 @@ from repro.model.namespaces import is_schema_property, is_type_property
 from repro.model.terms import Term
 from repro.model.triple import TripleKind
 from repro.queries.bgp import BGPQuery, Variable
-from repro.service.planner import ExecutionTrace, QueryPlan, QueryPlanner
+from repro.service.planner import ExecutionTrace, PatternEstimate, QueryPlan, QueryPlanner
 from repro.service.statistics import CardinalityStatistics
 from repro.store.base import TripleStore
 
@@ -209,27 +213,49 @@ def compile_query(query: BGPQuery, dictionary: Dictionary) -> CompiledQuery:
     return CompiledQuery(query, patterns, head_slots, len(slot_of), slot_names=slot_names)
 
 
-def _pipelined_order(patterns: Sequence[CompiledPattern]) -> List[CompiledPattern]:
+#: Under a limit the binding table is walked in chunks: a stage's first
+#: chunk holds ``_FIRST_CHUNK`` rows, and every chunk a stage takes is
+#: ``_CHUNK_GROWTH`` times its previous one — small enough that the first
+#: answers cost a few probes, growing fast enough that a limit the data
+#: cannot fill degrades to the blocking join in O(log rows) chunks a stage.
+_FIRST_CHUNK = 16
+_CHUNK_GROWTH = 2
+
+
+def _pipelined_order(
+    patterns: Sequence[CompiledPattern], planner: QueryPlanner
+) -> List[PatternEstimate]:
     """Greedy join ordering: repeatedly pick the most-bound remaining pattern.
 
-    The statistics-free ordering of the pipelined executor
-    (:meth:`EncodedEvaluator._iter_pipelined`): every probe after the first
-    is an index lookup on at least one bound position.  Blocking
-    evaluation orders through the :class:`QueryPlanner` instead.
+    The syntactic ordering a limit-bounded run uses when
+    :func:`_prefer_pipelined` distrusts the planner's: every stage after
+    the first probes on at least one bound position.  It reads no
+    statistics to order; the stages are costed through the planner all the
+    same, so a trace still carries estimates.
     """
-    remaining = list(patterns)
-    ordered: List[CompiledPattern] = []
+    remaining = list(range(len(patterns)))
+    stages: List[PatternEstimate] = []
     bound: Set[int] = set()
+    cumulative = 1.0
     while remaining:
-        best = max(remaining, key=lambda p: (p.bound_count(bound), -len(p.slots())))
-        ordered.append(best)
+        best = max(
+            remaining,
+            key=lambda i: (patterns[i].bound_count(bound), -len(patterns[i].slots())),
+        )
+        estimate = planner.estimate_pattern(patterns[best], bound)
+        cumulative *= max(estimate, 1.0)
+        stages.append(PatternEstimate(best, estimate, cumulative))
         remaining.remove(best)
-        bound |= best.slots()
-    return ordered
+        bound |= patterns[best].slots()
+    return stages
 
 
 class EncodedEvaluator:
     """BGP evaluation over the encoded rows of one :class:`TripleStore`.
+
+    ``hash`` and ``merge`` evaluations run through one executor
+    (:meth:`_pipeline`); a ``limit`` bounds its walk and a trace records
+    it — neither selects a path.
 
     Parameters
     ----------
@@ -264,8 +290,10 @@ class EncodedEvaluator:
         # the flag skips even the per-stage clock reads
         self._instrument_joins = telemetry.enabled()
         self._join_seconds = telemetry.histogram("join.stage.seconds")
-        self._join_stages_hash = telemetry.counter("join.stage.hash")
-        self._join_stages_merge = telemetry.counter("join.stage.merge")
+        self._join_stages = {
+            algorithm: telemetry.counter(f"join.stage.{algorithm}")
+            for algorithm in ("hash", "merge")
+        }
 
     # ------------------------------------------------------------------
     def statistics(self) -> CardinalityStatistics:
@@ -286,175 +314,121 @@ class EncodedEvaluator:
         return query if isinstance(query, CompiledQuery) else self.compile(query)
 
     # ------------------------------------------------------------------
-    # pipelined executor (private: chosen by _prefer_pipelined, never by
-    # a caller; goes when limit pushdown reaches the hash stages)
+    # the one executor (planned, vectorized, chunked under a limit)
     # ------------------------------------------------------------------
-    def _iter_pipelined(self, compiled: CompiledQuery) -> Iterator[Tuple[int, ...]]:
-        """Index-nested-loop join: one ``select`` probe per binding level.
-
-        Produces embeddings one at a time without materializing any
-        intermediate binding table, so a ``limit``-bounded consumer pays
-        only for what it reads.
-        """
-        ordered = _pipelined_order(compiled.patterns)
-        select = self.store.select
-        bindings: List[Optional[int]] = [None] * compiled.variable_count
-        depth = len(ordered)
-
-        def recurse(index: int) -> Iterator[Tuple[int, ...]]:
-            if index == depth:
-                yield tuple(bindings)  # type: ignore[arg-type]
-                return
-            pattern = ordered[index]
-            s_spec, p_spec, o_spec = pattern.subject, pattern.predicate, pattern.object
-            subject = s_spec if s_spec >= 0 else bindings[-s_spec - 1]
-            predicate = p_spec if p_spec >= 0 else bindings[-p_spec - 1]
-            obj = o_spec if o_spec >= 0 else bindings[-o_spec - 1]
-            for kind in pattern.tables:
-                for row in select(kind, subject, predicate, obj):
-                    touched: List[int] = []
-                    consistent = True
-                    for spec, value in ((s_spec, row[0]), (p_spec, row[1]), (o_spec, row[2])):
-                        if spec < 0:
-                            slot = -spec - 1
-                            bound = bindings[slot]
-                            if bound is None:
-                                bindings[slot] = value
-                                touched.append(slot)
-                            elif bound != value:
-                                # same variable twice in one pattern with two
-                                # different row values
-                                consistent = False
-                                break
-                    if consistent:
-                        yield from recurse(index + 1)
-                    for slot in touched:
-                        bindings[slot] = None
-
-        yield from recurse(0)
-
-    # ------------------------------------------------------------------
-    # hash strategy (planned, vectorized)
-    # ------------------------------------------------------------------
-    def _hash_bindings(
+    def _pipeline(
         self,
         compiled: CompiledQuery,
+        stages: Sequence[PatternEstimate],
+        chunked: bool,
         trace: Optional[ExecutionTrace],
-        stream_final: bool = False,
-        plan: Optional["QueryPlan"] = None,
-    ) -> Tuple[Iterable[Tuple[int, ...]], List[int]]:
-        """Planned hash join: batched fetch per pattern, integer hash tables.
+    ) -> Tuple[Iterator[List[Tuple[int, ...]]], List[int]]:
+        """The join of *stages*, in order, as a lazy walk of the binding table.
 
         The binding table is a list of plain integer tuples that grow one
-        newly bound slot at a time (``slot_positions`` maps a slot to its
-        tuple index, ``-1`` while unbound); every stage fetches its
-        pattern's candidate rows in one batched lookup per routed table —
-        pushing the distinct values of one already-bound column into the
-        store — and hash-joins them in, keyed on all bound positions.  The
-        join inner loops are specialized for the dominant shapes (one join
-        column, one or two fresh columns) so per-output-row work is a
-        single small-tuple concatenation.
+        newly bound slot at a time (the returned ``slot_positions`` maps a
+        slot to its tuple index); a stage fetches its pattern's candidate
+        rows in one batched lookup per routed table — pushing the distinct
+        values of one already-bound column into the store — and hash-joins
+        them in, keyed on all bound positions (under ``merge``, an eligible
+        stage reads a sorted posting run instead).
 
-        With ``stream_final=True`` (only honoured when no trace is being
-        captured — a trace needs exact per-stage actuals) the *last* stage
-        is returned as a lazy iterator instead of a materialized list:
-        consumers that stop early — ``limit``-bounded evaluation,
-        ``has_answers`` — never pay for the part of the final fan-out they
-        do not read, restoring the nested loop's early-termination property
-        without giving up batched access for the earlier stages.
+        The returned generator walks the table depth-first.  When
+        *chunked* (the caller has a limit), a stage takes its input a chunk
+        at a time (``_FIRST_CHUNK`` rows, then ``_CHUNK_GROWTH`` times
+        more per chunk taken), sends each chunk's output down the remaining
+        stages before it takes the next, and yields what leaves the last
+        stage — so a consumer that has its ``limit`` closes the walk and
+        the fan-out it did not read was never joined.  Otherwise a stage
+        takes its whole input at once: the blocking join, one batched
+        fetch per pattern.  Each chunk through a stage is observed once by
+        the join-stage telemetry and added to the stage's line of *trace*.
         """
-        if plan is None:
-            plan = self.planner().plan(compiled, trace)
-
         patterns = compiled.patterns
-        width = compiled.variable_count
-        slot_positions: List[int] = [-1] * width
-        binding_rows: List[Tuple[int, ...]] = [()]
-        stream_final = stream_final and trace is None
-        last_stage_index = len(plan.stages) - 1
+        slot_positions: List[int] = [-1] * compiled.variable_count
         next_position = 0  # positions are assigned densely, in stage order
-
-        instrument = self._instrument_joins
-        for stage_index, stage in enumerate(plan.stages):
-            stage_start = perf_counter() if instrument else 0.0
+        layout = []  # per stage, fixed by the order alone
+        for stage in stages:
             pattern = patterns[stage.pattern_index]
-
             join_on: List[Tuple[int, int]] = []  # (row column, binding position)
-            fresh: List[Tuple[int, int]] = []  # (row column, slot) — first occurrence
-            fresh_seen: Dict[int, int] = {}
+            fresh: Dict[int, int] = {}  # slot → row column of its first occurrence
             same_row_checks: List[Tuple[int, int]] = []  # (column, column) equal-value
             for column, spec in enumerate((pattern.subject, pattern.predicate, pattern.object)):
                 if spec >= 0:
                     continue
                 slot = -spec - 1
-                position = slot_positions[slot]
-                if position >= 0:
-                    join_on.append((column, position))
-                elif slot in fresh_seen:
+                if slot_positions[slot] >= 0:
+                    join_on.append((column, slot_positions[slot]))
+                elif slot in fresh:
                     # repeated fresh variable in one pattern (e.g. ?x p ?x)
-                    same_row_checks.append((fresh_seen[slot], column))
+                    same_row_checks.append((fresh[slot], column))
                 else:
-                    fresh_seen[slot] = column
-                    fresh.append((column, slot))
-
-            merged = None
-            if (
-                self.strategy == "merge"
-                and not same_row_checks
-                and len(join_on) == 1
-                and not (stream_final and stage_index == last_stage_index)
-            ):
-                merged = self._merge_stage(pattern, binding_rows, join_on[0])
-            if merged is not None:
-                algorithm = "merge"
-                binding_rows, fetched_count, probes = merged
-            else:
-                algorithm = "hash"
-                fetched, probes = self._fetch_pattern(pattern, binding_rows, slot_positions)
-                if same_row_checks:
-                    fetched = [
-                        row
-                        for row in fetched
-                        if all(row[left] == row[right] for left, right in same_row_checks)
-                    ]
-                fetched_count = len(fetched)
-                fresh_columns = [column for column, _slot in fresh]
-                if stream_final and stage_index == last_stage_index:
-                    lazy = _join_stage_iter(binding_rows, fetched, join_on, fresh_columns)
-                    for _column, slot in fresh:
-                        slot_positions[slot] = next_position
-                        next_position += 1
-                    # the lazy final stage is consumed by the caller — what
-                    # is on the clock here is only its setup
-                    if instrument:
-                        self._join_seconds.observe(perf_counter() - stage_start)
-                        self._join_stages_hash.inc()
-                    return lazy, slot_positions
-                binding_rows = _join_stage(binding_rows, fetched, join_on, fresh_columns)
-
-            if instrument:
-                self._join_seconds.observe(perf_counter() - stage_start)
-                if algorithm == "merge":
-                    self._join_stages_merge.inc()
-                else:
-                    self._join_stages_hash.inc()
-            if trace is not None:
-                trace.add_stage(
-                    _describe_pattern(pattern, compiled, self.store.dictionary),
-                    estimate=stage.estimate,
-                    cumulative_estimate=stage.cumulative,
-                    fetched=fetched_count,
-                    produced=len(binding_rows),
-                    probes=probes,
-                    algorithm=algorithm if self.strategy in ("hash", "merge") else None,
-                )
-            if not binding_rows:
-                return [], slot_positions
-            for _column, slot in fresh:
+                    fresh[slot] = column
+            layout.append((stage, pattern, join_on, list(fresh.values()), same_row_checks))
+            for slot in fresh:
                 slot_positions[slot] = next_position
                 next_position += 1
 
-        return binding_rows, slot_positions
+        sizes = [_FIRST_CHUNK] * len(layout)  # the next chunk of each stage
+        instrument = self._instrument_joins
+        traced = len(trace.stages) if trace is not None else 0
+
+        def walk() -> Iterator[List[Tuple[int, ...]]]:
+            # depth-first: (stage, its input table, rows of it already taken),
+            # the deepest unfinished table on top — and no table outlives
+            # its last chunk, so the blocking join holds one at a time
+            pending: List[Tuple[int, List[Tuple[int, ...]], int]] = [(0, [()], 0)]
+            while pending:
+                index, rows, start = pending.pop()
+                if index == len(layout):
+                    yield rows
+                    continue
+                stage, pattern, join_on, fresh_columns, same_row_checks = layout[index]
+                part = rows
+                if chunked:
+                    part = rows[start : start + sizes[index]]
+                    sizes[index] *= _CHUNK_GROWTH
+                if start + len(part) < len(rows):
+                    pending.append((index, rows, start + len(part)))
+                stage_start = perf_counter() if instrument else 0.0
+                merged = None
+                if self.strategy == "merge" and not same_row_checks and len(join_on) == 1:
+                    merged = self._merge_stage(pattern, part, join_on[0])
+                if merged is not None:
+                    algorithm = "merge"
+                    joined, fetched_count, probes = merged
+                else:
+                    algorithm = "hash"
+                    fetched, probes = self._fetch_pattern(pattern, part, join_on)
+                    if same_row_checks:
+                        fetched = [
+                            row
+                            for row in fetched
+                            if all(row[left] == row[right] for left, right in same_row_checks)
+                        ]
+                    fetched_count = len(fetched)
+                    joined = _join_stage(part, fetched, join_on, fresh_columns)
+                if instrument:
+                    self._join_seconds.observe(perf_counter() - stage_start)
+                    self._join_stages[algorithm].inc()
+                if trace is not None:
+                    if len(trace.stages) == traced + index:  # the stage's first chunk
+                        trace.add_stage(
+                            _describe_pattern(pattern, compiled, self.store.dictionary),
+                            estimate=stage.estimate,
+                            cumulative_estimate=stage.cumulative,
+                            fetched=0,
+                            produced=0,
+                            algorithm=algorithm if self.strategy in ("hash", "merge") else None,
+                        )
+                    observed = trace.stages[traced + index]
+                    observed.fetched += fetched_count
+                    observed.produced += len(joined)
+                    observed.probes += probes
+                if joined:
+                    pending.append((index + 1, joined, 0))
+
+        return walk(), slot_positions
 
     def _merge_stage(
         self,
@@ -520,11 +494,12 @@ class EncodedEvaluator:
         self,
         pattern: CompiledPattern,
         binding_rows: List[Tuple[int, ...]],
-        slot_positions: List[int],
+        join_on: List[Tuple[int, int]],
     ) -> Tuple[List, int]:
         """Fetch a pattern's candidate rows in one batched lookup per table.
 
-        The distinct values of the bound subject/object columns are pushed
+        The distinct values of the bound subject/object columns (*join_on*:
+        row column, binding position) are pushed
         into :meth:`TripleStore.select_many` (sorted, for deterministic
         backend iteration); a bound *predicate* variable is not pushed down
         — the fetch spans the pattern's tables unconstrained on ``p`` and
@@ -535,19 +510,14 @@ class EncodedEvaluator:
         predicate = p_spec if p_spec >= 0 else None
 
         subject_values: Optional[Set[int]] = None
-        subjects_const: Optional[Sequence[int]] = None
-        if s_spec < 0 and slot_positions[-s_spec - 1] >= 0:
-            position = slot_positions[-s_spec - 1]
-            subject_values = {binding[position] for binding in binding_rows}
-        elif s_spec >= 0:
-            subjects_const = (s_spec,)
         object_values: Optional[Set[int]] = None
-        objects_const: Optional[Sequence[int]] = None
-        if o_spec < 0 and slot_positions[-o_spec - 1] >= 0:
-            position = slot_positions[-o_spec - 1]
-            object_values = {binding[position] for binding in binding_rows}
-        elif o_spec >= 0:
-            objects_const = (o_spec,)
+        for column, position in join_on:
+            if column == 0:
+                subject_values = {binding[position] for binding in binding_rows}
+            elif column == 2:
+                object_values = {binding[position] for binding in binding_rows}
+        subjects_const: Optional[Sequence[int]] = (s_spec,) if s_spec >= 0 else None
+        objects_const: Optional[Sequence[int]] = (o_spec,) if o_spec >= 0 else None
 
         statistics = self.statistics()
         subjects_sorted: Optional[List[int]] = None
@@ -664,12 +634,7 @@ class EncodedEvaluator:
         rows = self.store.execute_join(sql, parameters)
         if trace is not None:
             trace.add_stage(sql, produced=len(rows), probes=1)
-        if not compiled.head_slots:
-            return {()} if rows else set()
-        decode = self.store.dictionary.decode
-        if len(compiled.head_slots) == 1:
-            return {(decode(row[0]),) for row in rows}
-        return {tuple(decode(value) for value in row) for row in rows}
+        return self._decoded(rows, len(compiled.head_slots))
 
     # ------------------------------------------------------------------
     def explain(self, query, limit: Optional[int] = None) -> ExecutionTrace:
@@ -687,90 +652,57 @@ class EncodedEvaluator:
         """Distinct decoded answer tuples (head projections of embeddings).
 
         Matches the semantics of :func:`repro.queries.evaluation.evaluate`:
-        a boolean query answers ``{()}`` or ``set()``.
+        a boolean query answers ``{()}`` or ``set()``.  With a *limit*, at
+        most that many of them — the first the run produces.  A *trace*
+        records the run; it never changes it.
         """
         compiled = self._compiled(query)
         if trace is not None:
             trace.strategy = self.strategy
-        if compiled.trivially_empty:
-            return set()
+        if compiled.trivially_empty or (limit is not None and limit < 1):
+            return set()  # (at most *limit* rows: none)
         if self.strategy == "sql":
             pushed_down = self._evaluate_sql(compiled, limit, trace)
             if pushed_down is not None:
                 return pushed_down
-            # no SQL engine (or a multi-table pattern): hash path below
-        head = compiled.head_slots
-        if limit is not None and trace is None:
-            plan = self.planner().plan(compiled)
-            if _prefer_pipelined(plan, limit):
-                # limit-aware plan choice: when the statistics predict
-                # intermediate binding tables far beyond what the limit
-                # can consume, a blocking hash join would materialize
-                # fan-out the caller never reads — run the pipelined
-                # nested loop instead, which stops at the limit (the
-                # classic LIMIT-pushes-toward-index-nested-loop rule)
-                return self._first_distinct(self._iter_pipelined(compiled), head, limit)
-            # stream the final stage so a limit (or an ASK) never pays
-            # for join fan-out beyond what it reads
-            lazy_rows, slot_positions = self._hash_bindings(
-                compiled, trace, stream_final=True, plan=plan
-            )
-            return self._first_distinct(
-                lazy_rows, [slot_positions[slot] for slot in head], limit
-            )
-        # project straight off the binding table: deduplicate on integer
-        # head tuples first (C-level set comprehensions for the common
-        # head widths), then decode each distinct tuple exactly once
-        binding_rows, slot_positions = self._hash_bindings(compiled, trace)
-        if not binding_rows:
-            return set()
-        head_positions = [slot_positions[slot] for slot in head]
-        if not head_positions:
-            return {()}
-        # binding ids came out of the store, so index the decode table
-        # directly: no per-id bounds check or method dispatch
-        terms = self.store.dictionary.decode_table
-        if len(head_positions) == 1:
-            (first,) = head_positions
-            distinct: Set = {binding[first] for binding in binding_rows}
-            answers = {(terms[value],) for value in distinct}
-        elif len(head_positions) == 2:
-            first, second = head_positions
-            distinct = {(binding[first], binding[second]) for binding in binding_rows}
-            answers = {(terms[left], terms[right]) for left, right in distinct}
-        else:
-            distinct = {
-                tuple(binding[position] for position in head_positions)
-                for binding in binding_rows
-            }
-            answers = {tuple(terms[value] for value in row) for row in distinct}
-        if limit is not None and len(answers) > limit:
-            answers = set(islice(answers, limit))
-        return answers
-
-    def _first_distinct(
-        self, bindings: Iterable[Sequence[int]], head_positions: Sequence[int], limit: int
-    ) -> Set[Tuple[Term, ...]]:
-        """The first *limit* distinct head projections of *bindings*, decoded.
-
-        Deduplicated on id tuples (ids and terms are one-to-one), so only
-        the rows kept are decoded — in the order they were first produced.
-        """
+            # no SQL engine (or a multi-table pattern): the pipeline below
+        plan = self.planner().plan(compiled, trace)
+        stages = plan.stages
+        if limit is not None and _prefer_pipelined(plan, limit):
+            # limit-aware order choice: when the statistics predict
+            # intermediate binding tables far beyond what the limit can
+            # consume, the planner's smallest-relation-first start is not
+            # trusted to reach the first answers cheaply — walk the
+            # most-bound-first order instead
+            stages = _pipelined_order(compiled.patterns, self.planner())
+        walk, slot_positions = self._pipeline(compiled, stages, limit is not None, trace)
+        # fold each chunk's distinct integer head tuples into the running
+        # answer, in first-produced order, and stop the walk at the limit:
+        # only the rows kept are ever decoded, each exactly once
+        head = [slot_positions[slot] for slot in compiled.head_slots]
+        project = _projection(head)
         kept: Dict[Tuple[int, ...], None] = {}
-        for binding in bindings:
-            kept[tuple(binding[position] for position in head_positions)] = None
-            if len(kept) >= limit:
-                break
-        terms = self.store.dictionary.decode_table
-        return {tuple(terms[value] for value in row) for row in kept}
+        with closing(walk):
+            for rows in walk:
+                kept.update(dict.fromkeys(map(project, rows)))
+                if limit is not None and len(kept) >= limit:
+                    break
+        return self._decoded(list(islice(kept, limit)), len(head))
+
+    def _decoded(self, rows: List[Sequence[int]], width: int) -> Set[Tuple[Term, ...]]:
+        """The distinct id tuples *rows* as ``Term`` tuples of *width* columns."""
+        if not width:  # a boolean query: the empty tuple, when anything matched
+            return {()} if rows else set()
+        # decoded flat and regrouped, at C speed; the ids came out of the
+        # store, so they index the decode table directly: no per-id bounds
+        # check or method dispatch
+        terms = map(self.store.dictionary.decode_table.__getitem__, chain.from_iterable(rows))
+        return set(zip(*[terms] * width))
 
     def has_answers(self, query) -> bool:
         """``True`` when the query has at least one embedding on the store.
 
-        Routed through ``limit=1`` evaluation so the limit-aware plan
-        choice applies: a satisfiable high-fan-out query answers from the
-        pipelined path's first embedding, an unsatisfiable one from the
-        batched hash join's empty result.
+        A ``limit=1`` evaluation: the walk stops at its first embedding.
         """
         return bool(self.evaluate(query, limit=1))
 
@@ -780,17 +712,27 @@ class EncodedEvaluator:
 
 
 def _prefer_pipelined(plan: "QueryPlan", limit: int) -> bool:
-    """Whether a *limit*-bounded run should pipeline instead of block.
+    """Whether a *limit*-bounded run should walk :func:`_pipelined_order`.
 
     ``True`` when the plan's largest estimated *intermediate* binding
     table exceeds what the limit can plausibly consume (a fixed
-    per-answer fan-out allowance): materializing it would be pure waste
-    for a caller that reads at most *limit* distinct answers.
+    per-answer fan-out allowance).  It picks between two *orders* of the
+    one pipeline, never between executors — and goes, with the second
+    order, once the planner's estimates can arbitrate (ROADMAP item 4).
     """
     if len(plan.stages) <= 1:
         return False
     intermediate = max(stage.cumulative for stage in plan.stages[:-1])
     return intermediate > max(5_000.0, float(limit) * 200.0)
+
+
+def _projection(columns: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, ...]]:
+    """``row -> tuple(row[column] for column in columns)``, at C speed."""
+    if len(columns) > 1:
+        return itemgetter(*columns)
+    # as a slice, so that no column and one column come out as tuples too
+    first = columns[0] if columns else 0
+    return itemgetter(slice(first, first + len(columns)))
 
 
 def _join_stage(
@@ -804,32 +746,31 @@ def _join_stage(
     *join_on* pairs a fetched-row column with the binding-tuple position it
     must equal; *fresh_columns* are the row columns appended (in slot
     order) to each surviving binding.  The common shapes — one join column,
-    zero to two fresh columns — run as straight-line loops; every other
-    shape delegates to :func:`_join_stage_iter`, the single source of
-    truth for the general join semantics.
+    zero to two fresh columns — run as straight-line loops, so per-output-
+    row work is a single small-tuple concatenation; every other shape
+    takes the general loop at the end.
     """
+    if binding_rows == [()]:
+        # nothing bound yet (the first stage): the rows' fresh columns
+        return list(map(_projection(fresh_columns), fetched))
     out: List[Tuple[int, ...]] = []
     append = out.append
-    if not join_on:
-        if len(fresh_columns) == 2:
-            # no shared variable: cartesian extension (the planner keeps
-            # such stages first or tiny)
-            left, right = fresh_columns
-            if binding_rows == [()]:
-                return [(row[left], row[right]) for row in fetched]
-            for binding in binding_rows:
-                for row in fetched:
-                    append(binding + (row[left], row[right]))
-            return out
-        return list(_join_stage_iter(binding_rows, fetched, join_on, fresh_columns))
+    if not join_on and len(fresh_columns) == 2:
+        # no shared variable: cartesian extension (the planner keeps
+        # such stages first or tiny)
+        left, right = fresh_columns
+        for binding in binding_rows:
+            for row in fetched:
+                append(binding + (row[left], row[right]))
+        return out
 
-    if len(join_on) == 1 and len(fresh_columns) <= 2:
-        buckets: Dict = {}
-        setdefault = buckets.setdefault
+    buckets: Dict = {}
+    setdefault = buckets.setdefault
+    get = buckets.get
+    if len(join_on) == 1:
         join_column, join_position = join_on[0]
         for row in fetched:
             setdefault(row[join_column], []).append(row)
-        get = buckets.get
         if len(fresh_columns) == 1:
             (fresh_column,) = fresh_columns
             for binding in binding_rows:
@@ -852,47 +793,15 @@ def _join_stage(
                         append(binding)
         return out
 
-    return list(_join_stage_iter(binding_rows, fetched, join_on, fresh_columns))
-
-
-def _join_stage_iter(
-    binding_rows: List[Tuple[int, ...]],
-    fetched: List,
-    join_on: List[Tuple[int, int]],
-    fresh_columns: List[int],
-) -> Iterator[Tuple[int, ...]]:
-    """Lazy variant of :func:`_join_stage` for the plan's final stage.
-
-    The hash table over the fetched rows is still built eagerly (it is
-    bounded by the batched fetch), but extended bindings are yielded one at
-    a time, so early-terminating consumers stop the fan-out mid-way.
-    """
-    if not join_on:
-        for binding in binding_rows:
-            for row in fetched:
-                yield binding + tuple(row[column] for column in fresh_columns)
-        return
-    buckets: Dict = {}
-    setdefault = buckets.setdefault
-    if len(join_on) == 1:
-        join_column, join_position = join_on[0]
-        for row in fetched:
-            setdefault(row[join_column], []).append(row)
-        get = buckets.get
-        for binding in binding_rows:
-            bucket = get(binding[join_position])
-            if bucket is not None:
-                for row in bucket:
-                    yield binding + tuple(row[column] for column in fresh_columns)
-        return
+    # any number of join columns (none: every row matches every binding)
     for row in fetched:
         setdefault(tuple(row[column] for column, _position in join_on), []).append(row)
-    get = buckets.get
     for binding in binding_rows:
         bucket = get(tuple(binding[position] for _column, position in join_on))
         if bucket is not None:
             for row in bucket:
-                yield binding + tuple(row[column] for column in fresh_columns)
+                append(binding + tuple(row[column] for column in fresh_columns))
+    return out
 
 
 def _describe_pattern(

@@ -284,7 +284,14 @@ class QueryPlanner:
 
 
 class StageTrace:
-    """Observed execution of one plan stage (``--explain`` output)."""
+    """Observed execution of one plan stage (``--explain`` output).
+
+    A limit-bounded run sends the binding table through a stage one chunk
+    at a time and stops when it has its answers: ``fetched``, ``produced``
+    and ``probes`` accumulate over the chunks that reached the stage, so
+    they describe the work that was done — which the estimates, made for
+    the whole join, then overshoot.
+    """
 
     __slots__ = (
         "description",
@@ -312,11 +319,11 @@ class StageTrace:
         #: Rows fetched from the store for this stage (None for a
         #: pushed-down SQL join, which has no per-stage fetch).
         self.fetched = fetched
-        #: Binding-table rows after this stage joined.
+        #: Binding-table rows that left this stage.
         self.produced = produced
         self.probes = probes
-        #: The join algorithm this stage actually ran ("hash" or "merge";
-        #: None for strategies without per-stage algorithm choice).
+        #: The join algorithm this stage ran, on its first chunk ("hash" or
+        #: "merge"; None for strategies without per-stage algorithm choice).
         self.algorithm = algorithm
 
     def as_dict(self) -> Dict[str, object]:

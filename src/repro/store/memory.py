@@ -584,12 +584,6 @@ class MemoryStore(TripleStore):
             end = start + batch_size
             yield s_col[start:end], p_col[start:end], o_col[start:end]
 
-    def columns(self, kind: TripleKind) -> Tuple[array, array, array]:
-        """The live ``(s, p, o)`` arrays of the *kind* table (read-only)."""
-        self._check_open()
-        table = self._tables[kind]
-        return table.s_col, table.p_col, table.o_col
-
     # ------------------------------------------------------------------
     # selection
     # ------------------------------------------------------------------

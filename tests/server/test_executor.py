@@ -192,7 +192,7 @@ class TestExecutorLifecycle:
     def test_ingest_through_the_executor(self, catalog):
         service = QueryService(catalog, kind="weak")
         with QueryExecutor(service, max_workers=2) as executor:
-            inserted = executor.ingest("g", [_triple(1), _triple(2)])
+            inserted = executor.run(catalog.add_triples, "g", [_triple(1), _triple(2)])
             assert inserted == 2
             answer = executor.answer("g", _query())
             assert len(answer.answers) == 2

@@ -388,6 +388,35 @@ class TestCatalogMaintenance:
         connection.close()
         assert tables == {"data_triples"}  # the file was left untouched
 
+    def test_a_new_file_has_1k_pages_and_an_older_file_keeps_its_own(self, fig2, tmp_path):
+        """Blobs round up to whole pages, so a file created here has small
+        ones; a file that already has 4 KiB pages is served as it is."""
+
+        def page_size(path):
+            connection = sqlite3.connect(path)
+            try:
+                return connection.execute("PRAGMA page_size").fetchone()[0]
+            finally:
+                connection.close()
+
+        new = _catalog_path(tmp_path)
+        with GraphCatalog.open(new) as catalog:
+            catalog.register("fig2", graph=fig2)
+        assert page_size(new) == 1024
+
+        older = str(tmp_path / "older.db")
+        connection = sqlite3.connect(older)
+        connection.execute("PRAGMA page_size = 4096")
+        connection.execute("CREATE TABLE catalog_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
+        connection.commit()
+        connection.close()
+        with GraphCatalog.open(older) as catalog:
+            catalog.register("fig2", graph=fig2)
+            catalog.checkpoint()
+        assert page_size(older) == 4096
+        with GraphCatalog.open(older) as reopened:
+            assert set(reopened.entry("fig2").to_graph()) == set(fig2)
+
     def test_concurrent_register_of_the_same_name_conflicts(self, fig2, tmp_path):
         """The name is reserved before the heavy build runs outside the
         catalog lock — a racing duplicate must still be rejected."""

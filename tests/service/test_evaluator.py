@@ -200,7 +200,7 @@ class TestLimitsAndBooleans:
         assert limited <= full
 
     def test_limit_decodes_only_the_rows_it_keeps(self, bibliography_small, monkeypatch):
-        """Both limit paths deduplicate on id tuples: no binding is decoded
+        """Answers are deduplicated on id tuples: no binding is decoded
         to Terms just to be dropped as a duplicate or cut by the limit."""
         evaluator = _evaluator_for(bibliography_small, MemoryStore)
         query = parse_query("SELECT ?y WHERE { ?x <http://bib.example.org/writtenBy> ?y }")

@@ -3,15 +3,17 @@
 The property the planned executor hangs on: for every query, on every
 backend, in every pattern order, ``strategy="hash"`` answers == the
 reference ``Term``-object evaluator's answers — while the hash executor
-touches the store O(patterns) times, never once per binding.  The private
-pipelined executor a limit-bounded run may pick instead is held to the same
-oracle.
+touches the store O(patterns) times, never once per binding.  A limit is a
+property of the same pipeline: whatever the order, the chunking or the
+trace, a limit-bounded run answers a subset of the oracle's, of exactly the
+size the limit allows.
 """
 
 import random
 
 import pytest
 
+from repro.datasets.sample import book_example_graph, figure2_graph
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple
@@ -234,36 +236,111 @@ class TestProbeComplexity:
         assert again.plan_cached is True
 
     def test_a_traced_run_still_honours_the_limit(self):
-        """A trace needs exact per-stage actuals, so the traced path joins
-        in full — and must cut the answer set down to the limit itself."""
+        """The trace records what ran — the limit-bounded run, which stops
+        part-way through the last stage — not a full join run for its sake."""
         store, query = self._chain_fixture()
         evaluator = EncodedEvaluator(store, strategy="hash")
         full = evaluator.evaluate(query)
         assert len(full) == 40
+        store.reset()
         trace = ExecutionTrace()
         limited = evaluator.evaluate(query, limit=7, trace=trace)
         assert len(limited) == 7 and limited <= full
-        assert [stage.produced for stage in trace.stages] == [40, 40]
+        first, last = trace.stages
+        assert (first.fetched, first.produced) == (40, 40)
+        assert 7 <= last.produced < 40
+        assert trace.total_probes == store.probes
+
+
+class TestLimitBoundedRuns:
+    """A limit never selects an executor: it bounds the walk of the one
+    pipeline, in the planner's order or — where ``_prefer_pipelined``
+    distrusts it — the most-bound-first one."""
+
+    def test_a_trace_changes_nothing_and_the_walk_stops_at_the_limit(self):
+        # 5,100 first-stage bindings: past _prefer_pipelined's 5,000 rows
+        store, query = TestProbeComplexity()._chain_fixture(fan_out=5_100)
+        evaluator = EncodedEvaluator(store, strategy="hash")
+        unlimited = ExecutionTrace()
+        full = evaluator.evaluate(query, trace=unlimited)
+        assert unlimited.stages[-1].produced == 5_100
+
+        calls = []
+        for trace in (None, ExecutionTrace()):
+            store.reset()
+            limited = evaluator.evaluate(query, limit=3, trace=trace)
+            assert len(limited) == 3 and limited <= full
+            calls.append((store.select_calls, store.select_many_calls))
+        untraced, traced = calls
+        assert untraced == traced
+        # one batched fetch per chunk-stage, nowhere near one per binding
+        assert sum(traced) == trace.total_probes < 10
+        assert trace.stages[-1].produced * 100 < unlimited.stages[-1].produced
+
+    @pytest.fixture(scope="class")
+    def oracle_cases(self, bibliography_small, bsbm_small):
+        """``(graph, [(query, the oracle's full answers)])``: generated joins
+        in two pattern orders, a variable-predicate join, repeated variables."""
+        x, p, y, z = Variable("x"), Variable("p"), Variable("y"), Variable("z")
+        variable_predicate = BGPQuery(
+            [TriplePattern(x, p, y), TriplePattern(y, p, z)], head=(x, z)
+        )
+        loops, loop_queries = _repeated_variable_case()
+        cases = [(book_example_graph(), [variable_predicate]), (loops, list(loop_queries))]
+        for graph, size, seed in (
+            (figure2_graph(), 2, 3),
+            (bibliography_small, 2, 5),
+            (bsbm_small, 3, 11),
+        ):
+            workload = generate_rbgp_workload(graph, count=4, size=size, seed=seed)
+            cases.append(
+                (graph, [variant for query in workload for variant in _shuffles(query, seed, 1)])
+            )
+        return [
+            (graph, [(query, evaluate(graph, query)) for query in queries])
+            for graph, queries in cases
+        ]
+
+    @pytest.mark.parametrize("strategy", ["hash", "merge"])
+    @pytest.mark.parametrize("most_bound_first", [False, True], ids=["planned", "most-bound"])
+    @pytest.mark.parametrize("first_chunk", [1, evaluator_module._FIRST_CHUNK])
+    def test_exactly_the_limit_whatever_the_order_chunking_or_trace(
+        self, oracle_cases, backend, strategy, most_bound_first, first_chunk, monkeypatch
+    ):
+        monkeypatch.setattr(
+            evaluator_module, "_prefer_pipelined", lambda plan, limit: most_bound_first
+        )
+        # (from 1, the small fixtures cross chunk boundaries too)
+        monkeypatch.setattr(evaluator_module, "_FIRST_CHUNK", first_chunk)
+        for graph, queries in oracle_cases:
+            store = backend()
+            store.load_graph(graph)
+            evaluator = EncodedEvaluator(store, strategy=strategy)
+            for query, full in queries:
+                for limit in sorted({1, 3, max(len(full), 1), len(full) + 1}):
+                    for trace in (None, ExecutionTrace()):
+                        limited = evaluator.evaluate(query, limit=limit, trace=trace)
+                        assert limited <= full
+                        assert len(limited) == min(limit, len(full))
+
+    def test_no_rows_under_a_limit_of_zero(self, bibliography_small, backend):
+        """At most *limit* rows — so none, traced or not, joined or pushed
+        down (regression: the untraced limit path answered one row)."""
+        query = generate_rbgp_workload(bibliography_small, count=1, size=2, seed=9)[0]
+        store = backend()
+        store.load_graph(bibliography_small)
+        for strategy in ("hash", "merge", "sql"):
+            evaluator = EncodedEvaluator(store, strategy=strategy)
+            assert evaluator.evaluate(query)
+            for trace in (None, ExecutionTrace()):
+                assert evaluator.evaluate(query, limit=0, trace=trace) == set()
+                ask = BGPQuery(query.patterns, head=())
+                assert evaluator.evaluate(ask, limit=0, trace=trace) == set()
 
 
 class TestPipelinedExecutor:
-    """The index-nested-loop behind ``_prefer_pipelined``: never a strategy
-    a caller names, only what a limit-bounded run does when the plan's
-    intermediates dwarf the limit."""
-
-    def test_limit_rule_picks_it_and_it_stops_at_the_limit(self):
-        # 5,100 first-stage bindings: past the fixed 5,000-row allowance
-        store, query = TestProbeComplexity()._chain_fixture(fan_out=5_100)
-        evaluator = EncodedEvaluator(store, strategy="hash")
-        full = evaluator.evaluate(query)
-        evaluator.statistics()
-        store.reset()
-        limited = evaluator.evaluate(query, limit=3)
-        assert len(limited) == 3 and limited <= full
-        # per-binding index probes, no batched fetch, and nowhere near one
-        # probe per first-stage binding: the loop stopped at the limit
-        assert store.select_many_calls == 0
-        assert 3 < store.select_calls < 20
+    """What is left of the pipelined executor: ``_pipelined_order``, the
+    most-bound-first order ``_prefer_pipelined`` may send the pipeline down."""
 
     def test_matches_the_oracle_on_every_shape(
         self, fig2, bibliography_small, book_graph, backend, monkeypatch

@@ -60,8 +60,8 @@ class TestMergeStrategyRegistered:
 
     @pytest.mark.parametrize("name", ["zigzag", "nested"])
     def test_unknown_strategy_still_rejected(self, name):
-        """``nested`` was a strategy once; it is the planned engine's
-        private pipelined executor now and no longer has a name."""
+        """``nested`` was a strategy once; what is left of it is an order
+        the one pipeline may walk under a limit, and it has no name."""
         with MemoryStore() as store:
             with pytest.raises(ValueError):
                 EncodedEvaluator(store, strategy=name)

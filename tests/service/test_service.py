@@ -66,6 +66,10 @@ class TestAnswerPipeline:
             )
             answer = service.answer("bib", query, limit=2)
             assert len(answer.answers) == 2
+            # at most `limit` rows: none, explained or not (regression: the
+            # unexplained path answered one row to limit=0)
+            for explain in (False, True):
+                assert service.answer("bib", query, limit=0, explain=explain).empty
 
     def test_statistics_accumulate(self, bibliography_small):
         with GraphCatalog() as catalog:

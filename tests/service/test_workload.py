@@ -1,5 +1,10 @@
 """Tests for mixed workload generation and the guarded-vs-direct driver."""
 
+import os
+import subprocess
+import sys
+
+import repro
 from repro.queries.evaluation import has_answers
 from repro.service.catalog import GraphCatalog
 from repro.service.workload import (
@@ -8,6 +13,8 @@ from repro.service.workload import (
     run_workload,
 )
 from repro.service.service import QueryService
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 class TestMixedWorkloadGeneration:
@@ -34,6 +41,32 @@ class TestMixedWorkloadGeneration:
         assert [(str(a.query), a.satisfiable) for a in first] == [
             (str(b.query), b.satisfiable) for b in second
         ]
+
+    def test_one_seed_is_one_workload_in_every_process(self):
+        """Hash-seeded set order reaches the generator through literals: a
+        plain literal hashed ``None`` — its address before CPython 3.12 —
+        so two processes drew different queries from one seed."""
+        code = (
+            "from repro.datasets.bsbm import generate_bsbm\n"
+            "from repro.model.terms import Literal\n"
+            "from repro.service.workload import generate_mixed_workload\n"
+            "print(hash(Literal('a')))\n"
+            "for item in generate_mixed_workload(generate_bsbm(scale=50, seed=0), count=20, seed=0):\n"
+            "    print(item.satisfiable, item.query.to_sparql())\n"
+        )
+        outputs = [
+            subprocess.run(
+                [sys.executable, "-c", code],
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED="0"),
+                capture_output=True,
+                text=True,
+                check=True,
+                timeout=120,
+            ).stdout
+            for _ in range(2)
+        ]
+        assert outputs[0] == outputs[1]
+        assert outputs[0].count("\n") == 21
 
     def test_different_seeds_differ(self, bibliography_small):
         first = generate_mixed_workload(bibliography_small, count=14, seed=1)

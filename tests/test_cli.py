@@ -193,6 +193,16 @@ class TestQueryStrategyAndExplain:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
+    @pytest.mark.parametrize("command", [["query", "g.nt", "--query", "q"], ["serve"]])
+    @pytest.mark.parametrize("limit", ["0", "-3", "many"])
+    def test_limit_below_one_is_an_argparse_error(self, command, limit, capsys):
+        """The HTTP API answers 400 to such a limit; the parser says the same."""
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(command + ["--limit", limit])
+        assert exit_info.value.code == 2
+        assert "--limit" in capsys.readouterr().err
+        assert build_parser().parse_args(command + ["--limit", "1"]).limit == 1
+
     def test_every_evaluator_strategy_is_a_cli_choice(self):
         from repro.service.evaluator import STRATEGIES
 

@@ -2,6 +2,7 @@
 """Where ``peak_rss_mb`` of ``serve --workers K`` sits, process by process.
 
     python3 benchmarks/rss_split.py [--workers 2] [--seed 0] [--imports]
+    python3 benchmarks/rss_split.py --ingest 20 [--seed 0]
 
 The repo benchmark (``bench/run.py``) reports one number — Σ ``VmHWM`` over
 the server's process tree.  This script builds the same catalog, starts the
@@ -12,6 +13,12 @@ file-backed / shared-memory parts — so a memory regression names the process
 it lives in.  ``--imports`` adds what an interpreter costs before it does
 anything: MB, ms and module count of a bare ``python3``, ``import repro``,
 the worker's import closure and the front end's, each in a fresh interpreter.
+
+``--ingest N`` follows one server of the ``ingest_with_readers`` workload
+instead (``--workers 0`` unless given): current and peak RSS of every process
+after start, after the warm-up pass, after the first POST and after every
+fifth of N POSTs (each POST is one of the workload's 100-triple batches, with
+one query in between), so a claimed megabyte names the step it left.
 
 Output is a table for people followed by one JSON object on the last line.
 The tree of ``serve --workers K`` is one front end and K workers; a process
@@ -80,8 +87,8 @@ def _role(pid: int) -> str:
 
 def _memory_mb(pid: int) -> dict:
     """Peak RSS of *pid* and the three parts of its current RSS, in MB."""
-    fields = {"VmHWM": "vm_hwm_mb", "RssAnon": "rss_anon_mb", "RssFile": "rss_file_mb",
-              "RssShmem": "rss_shmem_mb"}  # fmt: skip
+    fields = {"VmHWM": "vm_hwm_mb", "VmRSS": "vm_rss_mb", "RssAnon": "rss_anon_mb",
+              "RssFile": "rss_file_mb", "RssShmem": "rss_shmem_mb"}  # fmt: skip
     found = {}
     with open(f"/proc/{pid}/status") as handle:
         for line in handle:
@@ -120,14 +127,69 @@ def _table(header: list, rows: list) -> str:
     return "\n".join("| " + " | ".join(line) + " |" for line in lines)
 
 
+STEP_COLUMNS = ["vm_rss_mb", "vm_hwm_mb", "rss_anon_mb", "rss_file_mb", "rss_shmem_mb"]
+
+
+def ingest_steps(posts: int, seed: int, workers: int) -> int:
+    """``--ingest``: one server's memory, step by step through *posts* POSTs."""
+    adopt_orphans()
+    inputs = build_inputs("ingest_with_readers", seed)
+    posts = min(posts, len(inputs.ingests))
+    workdir = make_workdir()
+    steps, failed = [], 0
+    try:
+        path = os.path.join(workdir, "catalog.db")
+        cold_build(path, inputs.base)
+        server = ServerProcess(workdir, path, workers)
+        try:
+            server.start()
+
+            def record(step: str) -> None:
+                for pid in [server.pid] + _descendants(server.pid):
+                    steps.append({"step": step, "role": _role(pid), "pid": pid, **_memory_mb(pid)})
+
+            record("after start")
+            connection = Connection(server.port)
+            try:
+                failed += sum(connection.request(op.request)[0] != 200 for op in inputs.queries)
+                record("after warm-up")
+                for number, post in enumerate(inputs.ingests[:posts], start=1):
+                    query = inputs.queries[number % len(inputs.queries)]
+                    for request in (post.request, query.request):
+                        failed += connection.request(request)[0] != 200
+                    if number == 1 or number % 5 == 0 or number == posts:
+                        record(f"after POST {number}")
+            finally:
+                connection.close()
+        finally:
+            forced = server.reap()
+    finally:
+        remove_workdir(workdir)
+    print(f"serve --workers {workers}, {posts} POSTs of ingest_with_readers "
+          f"(failed {failed}, leaked segments {forced['segments']})\n")  # fmt: skip
+    print(_table(["step", "role"] + STEP_COLUMNS,
+                 [[s["step"], s["role"]] + [s.get(c, "-") for c in STEP_COLUMNS] for s in steps]))  # fmt: skip
+    print()
+    print(json.dumps({"workers": workers, "posts": posts, "failed": failed,
+                      "leaked_segments": forced["segments"], "steps": steps}))  # fmt: skip
+    return 1 if failed else 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--workers", type=int, default=2)
+    parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
         "--imports", action="store_true", help="also measure the import closures"
     )
+    parser.add_argument(
+        "--ingest", type=int, metavar="N", help="memory step by step through N POSTs instead"
+    )
     args = parser.parse_args(argv)
+    if args.ingest is not None:
+        return ingest_steps(args.ingest, args.seed, args.workers or 0)
+    if args.workers is None:
+        args.workers = 2
     adopt_orphans()
     inputs = build_inputs("mixed_cluster_k2", args.seed)
     workdir = make_workdir()

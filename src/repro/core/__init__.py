@@ -23,6 +23,7 @@ __all__ = [
     "property_distance",
     "saturated_clique",
     "NodePartition",
+    "CliqueSummarizer",
     "IncrementalWeakSummarizer",
     "incremental_weak_summary",
     "canonical_signature",
@@ -62,7 +63,9 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "PropertyCliques", "compute_cliques", "property_distance", "saturated_clique",
     ),
     "equivalence": ("NodePartition",),
-    "incremental": ("IncrementalWeakSummarizer", "incremental_weak_summary"),
+    "incremental": (
+        "CliqueSummarizer", "IncrementalWeakSummarizer", "incremental_weak_summary",
+    ),
     "isomorphism": ("canonical_signature", "graphs_isomorphic", "summaries_equivalent"),
     "naming": ("SUMMARY_NS", "SummaryNamer"),
     "properties": (

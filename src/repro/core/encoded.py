@@ -20,18 +20,21 @@ for every kind on every backend.
 Algorithms, per kind
 --------------------
 * one batched pass over the data table builds the source/target property
-  cliques (two union-finds over property ids, Definitions 5-6);
+  cliques and every node's first properties — the clique state of
+  :class:`~repro.core.incremental.CliqueSummarizer`, the one implementation
+  of that pass (Definitions 5-6);
 * one pass over the type table collects the class sets (Definition 8);
 * the partition of Definitions 7/13/16 is derived purely from integer clique
-  roots (``weak`` unions clique *tokens*, ``strong`` pairs the two roots,
+  roots (``weak`` chains clique *tokens*, ``strong`` pairs the two roots,
   the typed variants exclude typed resources from the clique pass; only the
   ``type`` summary needs an extra endpoint-collection scan);
-* a final batched pass quotients the data and type rows into integer summary
-  edges, which are decoded into a :class:`~repro.core.summary.Summary`.
+* ``weak`` and ``strong`` are that state primed by one scan and read off at
+  summary-sized cost — the same object a serving entry keeps alive and feeds
+  its ingest batches; for the other kinds a final batched pass quotients the
+  data and type rows into integer summary edges.
 
 Every pass is linear in the number of rows, and the constant factor is a few
-int-keyed dict operations per row — no ``Term`` hashing anywhere on the hot
-path.
+int-keyed operations per row — no ``Term`` hashing anywhere on the hot path.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from __future__ import annotations
 from array import array
 from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
 
+from repro.core.incremental import CliqueSummarizer
 from repro.core.naming import SummaryNamer
 from repro.core.summary import Summary
 from repro.errors import UnknownSummaryKindError
@@ -57,51 +61,6 @@ __all__ = [
 
 #: The five summary kinds the engine supports (canonical names).
 ENCODED_KINDS = ("weak", "strong", "type", "typed_weak", "typed_strong")
-
-#: Sentinel clique root for "no clique" (node has no outgoing/incoming data property).
-_NO_CLIQUE = -1
-
-
-class _IntUnionFind:
-    """Union-find over integer ids, storing only the ids actually touched.
-
-    The canonical representative of a set is its *smallest* element, which
-    makes clique and block roots deterministic regardless of the order the
-    rows were scanned in — a property the reproducibility tests rely on.
-    Path compression keeps the amortized cost near-constant.  A dict parent
-    map (not a dense array) bounds memory by the number of *distinct*
-    elements seen — term ids are global across URIs and literals, so a
-    late-interned property can carry an id in the millions while the graph
-    only has a handful of properties.
-    """
-
-    __slots__ = ("_parent",)
-
-    def __init__(self) -> None:
-        self._parent: Dict[int, int] = {}
-
-    def find(self, element: int) -> int:
-        parent = self._parent
-        root = parent.get(element)
-        if root is None:
-            parent[element] = element
-            return element
-        while parent[root] != root:
-            root = parent[root]
-        while parent[element] != root:
-            parent[element], element = root, parent[element]
-        return root
-
-    def union(self, first: int, second: int) -> int:
-        root_a = self.find(first)
-        root_b = self.find(second)
-        if root_a == root_b:
-            return root_a
-        if root_b < root_a:
-            root_a, root_b = root_b, root_a
-        self._parent[root_b] = root_a
-        return root_a
-
 
 class EncodedSummaryEngine:
     """Summarizes the encoded graph held in a :class:`TripleStore`.
@@ -126,50 +85,6 @@ class EncodedSummaryEngine:
 
     def _type_columns(self):
         return self.store.scan_columns(TripleKind.TYPE, self.batch_size)
-
-    def _typed_subject_ids(self) -> Set[int]:
-        """Every type-triple subject id — one bulk set update per batch."""
-        typed: Set[int] = set()
-        for subjects, _predicates, _objects in self._type_columns():
-            typed.update(subjects)
-        return typed
-
-    def _compute_cliques(
-        self, exclude: Optional[Set[int]] = None
-    ) -> Tuple[_IntUnionFind, _IntUnionFind, Dict[int, int], Dict[int, int], Set[int]]:
-        """One pass over the data table: source/target property cliques.
-
-        Returns the two union-finds over property ids, the per-node *first*
-        outgoing/incoming property (whose root is the node's clique), and the
-        set of distinct data-property ids.  Endpoints in *exclude* do not
-        contribute to clique relatedness — the typed summaries exclude the
-        typed resources, restricting both sides to untyped nodes
-        (Section 6.1) without needing the untyped set materialized first.
-        """
-        source_union = _IntUnionFind()
-        target_union = _IntUnionFind()
-        first_out: Dict[int, int] = {}
-        first_in: Dict[int, int] = {}
-        properties: Set[int] = set()
-
-        for subjects, predicates, objects in self._data_columns():
-            # the distinct-property set is a bulk C-level update per column
-            # slice; only the union-find maintenance still walks rows
-            properties.update(predicates)
-            for subject, prop, obj in zip(subjects, predicates, objects):
-                if exclude is None or subject not in exclude:
-                    known = first_out.get(subject)
-                    if known is None:
-                        first_out[subject] = prop
-                    elif known != prop:
-                        source_union.union(known, prop)
-                if exclude is None or obj not in exclude:
-                    known = first_in.get(obj)
-                    if known is None:
-                        first_in[obj] = prop
-                    elif known != prop:
-                        target_union.union(known, prop)
-        return source_union, target_union, first_out, first_in, properties
 
     def _scan_type_info(self) -> Tuple[Set[int], Dict[int, Set[int]]]:
         """One pass over the type table.
@@ -201,135 +116,9 @@ class EncodedSummaryEngine:
         decode = self.store.dictionary.decode
         return frozenset(decode(identifier) for identifier in property_ids)
 
-    @staticmethod
-    def _clique_members(
-        union: _IntUnionFind, properties: Iterable[int]
-    ) -> Dict[int, List[int]]:
-        """Group property ids by clique root."""
-        members: Dict[int, List[int]] = {}
-        for prop in properties:
-            members.setdefault(union.find(prop), []).append(prop)
-        return members
-
     # ------------------------------------------------------------------
     # block assignment, one method per equivalence relation
     # ------------------------------------------------------------------
-    def _weak_blocks(
-        self,
-        namer: SummaryNamer,
-        exclude: Optional[Set[int]] = None,
-        extra_nodes: Iterable[int] = (),
-    ) -> Tuple[Dict[int, int], List[URI]]:
-        """Blocks of weak equivalence ``≡W`` (or ``≡UW`` when restricted).
-
-        Nodes transitively sharing a non-empty source or target clique land
-        in one block; clique-less nodes (including the *extra_nodes*, used
-        for typed-only resources) share the single ``Nτ`` block.
-        """
-        source_union, target_union, first_out, first_in, properties = self._compute_cliques(
-            exclude
-        )
-
-        # Union the clique *tokens* through every node carrying both a source
-        # and a target clique: token 2r = source clique rooted at r, token
-        # 2r+1 = target clique rooted at r.
-        token_union = _IntUnionFind()
-        for node, prop in first_out.items():
-            incoming = first_in.get(node)
-            if incoming is not None:
-                token_union.union(
-                    2 * source_union.find(prop), 2 * target_union.find(incoming) + 1
-                )
-
-        # Attach each clique's properties to the weak block its token is in.
-        block_source_props: Dict[int, List[int]] = {}
-        block_target_props: Dict[int, List[int]] = {}
-        source_roots_with_members = {source_union.find(p) for p in first_out.values()}
-        target_roots_with_members = {target_union.find(p) for p in first_in.values()}
-        for root, props in self._clique_members(source_union, properties).items():
-            if root in source_roots_with_members:
-                block_source_props.setdefault(token_union.find(2 * root), []).extend(props)
-        for root, props in self._clique_members(target_union, properties).items():
-            if root in target_roots_with_members:
-                block_target_props.setdefault(token_union.find(2 * root + 1), []).extend(props)
-
-        block_of: Dict[int, int] = {}
-        block_uris: List[URI] = []
-        block_of_token: Dict[int, int] = {}
-        ntau_block = -1
-
-        def block_for_token(token_root: int) -> int:
-            existing = block_of_token.get(token_root)
-            if existing is not None:
-                return existing
-            uri = namer.representation(
-                self._decoded_property_set(block_target_props.get(token_root, ())),
-                self._decoded_property_set(block_source_props.get(token_root, ())),
-            )
-            block = len(block_uris)
-            block_uris.append(uri)
-            block_of_token[token_root] = block
-            return block
-
-        for node, prop in first_out.items():
-            block_of[node] = block_for_token(token_union.find(2 * source_union.find(prop)))
-        for node, prop in first_in.items():
-            if node not in block_of:
-                block_of[node] = block_for_token(
-                    token_union.find(2 * target_union.find(prop) + 1)
-                )
-        for node in extra_nodes:
-            if node not in block_of:
-                if ntau_block < 0:
-                    ntau_block = len(block_uris)
-                    block_uris.append(namer.representation(frozenset(), frozenset()))
-                block_of[node] = ntau_block
-        return block_of, block_uris
-
-    def _strong_blocks(
-        self,
-        namer: SummaryNamer,
-        exclude: Optional[Set[int]] = None,
-        extra_nodes: Iterable[int] = (),
-    ) -> Tuple[Dict[int, int], List[URI]]:
-        """Blocks of strong equivalence ``≡S`` (or ``≡US`` when restricted).
-
-        The block key is the node's ``(TC(r), SC(r))`` pair of clique roots.
-        """
-        source_union, target_union, first_out, first_in, properties = self._compute_cliques(
-            exclude
-        )
-        source_members = self._clique_members(source_union, properties)
-        target_members = self._clique_members(target_union, properties)
-
-        block_of: Dict[int, int] = {}
-        block_uris: List[URI] = []
-        block_of_pair: Dict[Tuple[int, int], int] = {}
-
-        def block_for_pair(target_root: int, source_root: int) -> int:
-            pair = (target_root, source_root)
-            existing = block_of_pair.get(pair)
-            if existing is not None:
-                return existing
-            target_props = target_members.get(target_root, ()) if target_root >= 0 else ()
-            source_props = source_members.get(source_root, ()) if source_root >= 0 else ()
-            uri = namer.representation(
-                self._decoded_property_set(target_props),
-                self._decoded_property_set(source_props),
-            )
-            block = len(block_uris)
-            block_uris.append(uri)
-            block_of_pair[pair] = block
-            return block
-
-        for node in set(first_out) | set(first_in) | set(extra_nodes):
-            out_prop = first_out.get(node)
-            in_prop = first_in.get(node)
-            source_root = source_union.find(out_prop) if out_prop is not None else _NO_CLIQUE
-            target_root = target_union.find(in_prop) if in_prop is not None else _NO_CLIQUE
-            block_of[node] = block_for_pair(target_root, source_root)
-        return block_of, block_uris
-
     def _type_blocks(self, namer: SummaryNamer) -> Tuple[Dict[int, int], List[URI]]:
         """Blocks of type equivalence ``≡T`` (Definition 8).
 
@@ -383,10 +172,11 @@ class EncodedSummaryEngine:
         # Excluding the typed resources from the clique pass restricts it to
         # untyped endpoints without a dedicated scan to materialize the
         # untyped-node set (untyped = data endpoints minus typed subjects).
-        if strong:
-            block_of, block_uris = self._strong_blocks(namer, exclude=typed_subjects)
-        else:
-            block_of, block_uris = self._weak_blocks(namer, exclude=typed_subjects)
+        cliques = CliqueSummarizer(self.store, exclude=typed_subjects)
+        for subjects, predicates, objects in self._data_columns():
+            cliques.sign_data(subjects, predicates, objects)
+        block_of_code, block_uris = cliques.blocks(namer, weak=not strong)
+        block_of = {node: block_of_code[code] for node, code in enumerate(cliques.sig_of) if code}
 
         block_of_classes: Dict[FrozenSet[int], int] = {}
         for node in typed_subjects:
@@ -400,15 +190,12 @@ class EncodedSummaryEngine:
             block_of[node] = block
         return block_of, block_uris
 
-    def _data_node_ids(self, typed_subjects: Optional[Set[int]] = None) -> Set[int]:
+    def _data_node_ids(self, typed_subjects: Set[int]) -> Set[int]:
         """Every data-node id: data-triple endpoints plus type-triple subjects."""
-        nodes: Set[int] = set()
+        nodes = set(typed_subjects)
         for subjects, _predicates, objects in self._data_columns():
             nodes.update(subjects)
             nodes.update(objects)
-        if typed_subjects is None:
-            typed_subjects = self._typed_subject_ids()
-        nodes |= typed_subjects
         return nodes
 
     # ------------------------------------------------------------------
@@ -422,12 +209,13 @@ class EncodedSummaryEngine:
     ) -> Summary:
         """Build the *kind* summary of the store's graph, decoding at the end."""
         namer = SummaryNamer()
-        if kind == "weak":
-            typed_subjects = self._typed_subject_ids()
-            block_of, block_uris = self._weak_blocks(namer, extra_nodes=typed_subjects)
-        elif kind == "strong":
-            typed_subjects = self._typed_subject_ids()
-            block_of, block_uris = self._strong_blocks(namer, extra_nodes=typed_subjects)
+        if kind in ("weak", "strong"):
+            # the batch build is the maintainer fed one scan of the store
+            maintainer = CliqueSummarizer(self.store)
+            maintainer.prime(self.batch_size)
+            summary = maintainer.snapshot(source_name, kind)
+            summary.source_statistics = source_statistics
+            return summary
         elif kind == "type":
             block_of, block_uris = self._type_blocks(namer)
         elif kind == "typed_weak":

@@ -30,20 +30,22 @@ The resulting summary is isomorphic to the quotient-based
 :func:`repro.core.builders.weak_summary`; the test suite asserts this.
 
 Beyond the one-shot :meth:`IncrementalWeakSummarizer.build` pass, the maps
-are maintainable *online*: :meth:`ingest_data` / :meth:`ingest_type` /
-:meth:`ingest_row` apply one encoded triple each, in any arrival order, and
+are maintainable *online*: :meth:`ingest_data` / :meth:`ingest_type` apply
+one encoded triple each (:meth:`ingest_rows` a batch), in any arrival order, and
 :meth:`snapshot` decodes the current state into a :class:`Summary` without
 mutating it — so a long-lived summarizer (the weak-summary maintenance of
 :class:`repro.service.catalog.GraphCatalog`) can serve a fresh summary after
 every batch of additions at cost proportional to the *summary*, never
-re-scanning the store.
+re-scanning the store.  :class:`CliqueSummarizer` does the same for the
+strong summary, from the property-clique state both summaries are defined on.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress
-from typing import Dict, FrozenSet, Iterable, List, Optional, Set, Tuple
+from collections import Counter
+from itertools import compress, repeat
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.core.naming import SummaryNamer
 from repro.core.summary import Summary
@@ -53,8 +55,13 @@ from repro.model.namespaces import RDF_TYPE
 from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.store.base import TripleStore
+from repro.utils.unionfind import IntUnionFind
 
-__all__ = ["IncrementalWeakSummarizer", "incremental_weak_summary"]
+__all__ = [
+    "CliqueSummarizer",
+    "IncrementalWeakSummarizer",
+    "incremental_weak_summary",
+]
 
 #: ``rd`` code of a resource no triple has mentioned yet.
 _UNSEEN = -1
@@ -262,23 +269,19 @@ class IncrementalWeakSummarizer:
         else:
             self.dcls.setdefault(node, set()).add(class_id)
 
-    def ingest_row(self, kind: TripleKind, row: EncodedTriple) -> None:
-        """Apply one encoded store row of any kind.
+    def ingest_rows(self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]) -> None:
+        """Apply a batch of ``(kind, row)`` pairs (insert-order preserved).
 
         Schema rows carry no summarization state — they are copied from the
         store at decode time — so they are accepted and ignored here, which
         lets callers feed the raw output of
         :meth:`repro.store.base.TripleStore.insert_triples` straight through.
         """
-        if kind is TripleKind.DATA:
-            self.ingest_data(row[0], row[1], row[2])
-        elif kind is TripleKind.TYPE:
-            self.ingest_type(row[0], row[2])
-
-    def ingest_rows(self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]) -> None:
-        """Apply a batch of ``(kind, row)`` pairs (insert-order preserved)."""
         for kind, row in rows:
-            self.ingest_row(kind, row)
+            if kind is TripleKind.DATA:
+                self.ingest_data(row[0], row[1], row[2])
+            elif kind is TripleKind.TYPE:
+                self.ingest_type(row[0], row[2])
 
     # ------------------------------------------------------------------
     # durable state (the persistent-catalog warm-start path)
@@ -332,12 +335,18 @@ class IncrementalWeakSummarizer:
         self._class_set_ids = {classes: index for index, classes in enumerate(self.class_sets)}
 
     # ------------------------------------------------------------------
+    def prime(self) -> None:
+        """Run the two summarization passes over the store."""
+        for batch in self.store.scan_batches(TripleKind.DATA):
+            for subject, prop, obj in batch:
+                self.ingest_data(subject, prop, obj)
+        for batch in self.store.scan_batches(TripleKind.TYPE):
+            for subject, _prop, class_id in batch:
+                self.ingest_type(subject, class_id)
+
     def build(self) -> Summary:
-        """Run the two summarization passes over the store and decode."""
-        for row in self.store.scan_data():
-            self.ingest_data(row[0], row[1], row[2])
-        for row in self.store.scan_types():
-            self.ingest_type(row[0], row[2])
+        """:meth:`prime` over the store, then :meth:`snapshot`."""
+        self.prime()
         return self.snapshot()
 
     def snapshot(self) -> Summary:
@@ -377,9 +386,22 @@ class IncrementalWeakSummarizer:
                 class_term = self.store.decode_term(class_id)
                 summary_graph.add(Triple(uri_of(node), RDF_TYPE, class_term))
 
-        # the rd map leaves as it is held — resource ids and the position of
-        # each one's summary node — with no resource decoded.  Every node is
-        # resolved to its live root once, on a copy: the forest stays as is.
+        if any(self.class_set_users):
+            ntau_position = len(summary_nodes)
+            ntau_uri = namer.for_key(("incremental", "typed-only"), hint="Ntau")
+            summary_nodes.append(ntau_uri)
+            class_ids: Set[int] = set()
+            for classes in compress(self.class_sets, self.class_set_users):
+                class_ids |= classes
+            for class_id in class_ids:
+                summary_graph.add(Triple(ntau_uri, RDF_TYPE, self.store.decode_term(class_id)))
+        else:
+            ntau_position = -1
+
+        # the rd map leaves as it is held — a C-level copy, no resource
+        # decoded — beside what each of its codes stands for: a node's live
+        # root (resolved once, on a copy: the forest stays as is), the shared
+        # ``Nτ`` for every typed-only code, nothing for an unseen resource
         root_of = array("i", self.parent)
         for node in range(len(root_of)):
             root = node
@@ -387,30 +409,15 @@ class IncrementalWeakSummarizer:
                 root = root_of[root]
             while root_of[node] != root:
                 root_of[node], node = root, root_of[node]
-        node_position = list(map(position, root_of))
-        rd = self.rd
-        on_data_node = list(map((0).__le__, rd))
-        node_ids = array("i", compress(range(len(rd)), on_data_node))
-        block_indexes = array("i", map(node_position.__getitem__, compress(rd, on_data_node)))
-
-        typed_only = array("i", compress(range(len(rd)), map(_TYPED_ONLY.__ge__, rd)))
-        if typed_only:
-            ntau_position = len(summary_nodes)
-            ntau_uri = namer.for_key(("incremental", "typed-only"), hint="Ntau")
-            summary_nodes.append(ntau_uri)
-            class_ids: Set[int] = set()
-            for classes in compress(self.class_sets, self.class_set_users):
-                class_ids |= classes
-            node_ids.extend(typed_only)
-            block_indexes.extend([ntau_position] * len(typed_only))
-            for class_id in class_ids:
-                summary_graph.add(Triple(ntau_uri, RDF_TYPE, self.store.decode_term(class_id)))
-
-        return Summary.from_ids(
+        block_of_code = dict(enumerate(map(position, root_of)))
+        block_of_code[_UNSEEN] = -1
+        for index in range(len(self.class_sets)):
+            block_of_code[_TYPED_ONLY - index] = ntau_position
+        return Summary.from_codes(
             "weak",
             summary_graph,
-            node_ids,
-            block_indexes,
+            self.rd[:],
+            block_of_code,
             summary_nodes,
             self.store.dictionary.decode_table,
             source_name="store",
@@ -455,3 +462,267 @@ def _arrays_from_maps(state: Dict[str, object]) -> Dict[str, object]:
 def incremental_weak_summary(store: TripleStore) -> Summary:
     """Convenience wrapper around :class:`IncrementalWeakSummarizer`."""
     return IncrementalWeakSummarizer(store).build()
+
+
+class CliqueSummarizer:
+    """Maintains the property-clique state of a store's graph from row
+    deltas, and reads the strong (or weak) summary off it (Definition 7).
+
+    A node's *signature* is the first property it was seen as the object of
+    and the first it was seen as the subject of (``-1``: none yet); its
+    strong block is the pair of cliques those two belong to, so a clique
+    merge never relabels a node.  Signatures are interned: ``sig_of`` holds
+    one code per dictionary id (``0``: not a node, ``1``: typed only),
+    ``sig_in`` / ``sig_out`` what each code stands for.  Summary edges are
+    kept per signature with a support count — ``(is_data, sig_s, p, sig_o or
+    class) → rows`` — and mapped to blocks only at :meth:`snapshot`.
+
+    :meth:`ingest_rows` takes a batch the store already holds: it signs the
+    batch's endpoints and unions the cliques, re-keys the *earlier* rows of
+    every node whose signature moved (read off the store — a node moves at
+    most twice, and only while it still lacks a side), then counts the
+    batch's own rows.  :meth:`prime` is the same over one scan of the store.
+    The state is derived data: never checkpointed, never shipped.
+
+    *exclude* keeps the given nodes out of both clique computations — the
+    untyped relations of the typed summaries (Definitions 13 and 16).
+    """
+
+    def __init__(self, store: TripleStore, exclude: Optional[Set[int]] = None):
+        self.store = store
+        self.exclude = exclude
+        self.source_cliques = IntUnionFind()
+        self.target_cliques = IntUnionFind()
+        self.properties: Set[int] = set()
+        self.sig_of = array("i")
+        self.sig_in: List[int] = [-1, -1]
+        self.sig_out: List[int] = [-1, -1]
+        #: Nodes carrying each code (slot 0 only absorbs the decrements).
+        self.sig_users: List[int] = [0, 0]
+        self._codes: Dict[Tuple[int, int], int] = {(-1, -1): 1}
+        self.support: Counter = Counter()
+        #: Earlier rows the last :meth:`ingest_rows` batch re-keyed.
+        self.rekeyed_rows = 0
+
+    # ------------------------------------------------------------------
+    # phase one: signatures and cliques
+    # ------------------------------------------------------------------
+    def _move(
+        self, node: int, old: int, first_in: int, first_out: int, moved: Optional[Dict[int, int]]
+    ) -> None:
+        code = self._codes.get((first_in, first_out))
+        if code is None:
+            code = self._codes[(first_in, first_out)] = len(self.sig_in)
+            self.sig_in.append(first_in)
+            self.sig_out.append(first_out)
+            self.sig_users.append(0)
+        self.sig_of[node] = code
+        self.sig_users[code] += 1
+        self.sig_users[old] -= 1
+        if moved is not None:
+            moved.setdefault(node, old)
+
+    def _reserve(self, ids: Iterable[int]) -> None:
+        grow = max(ids, default=-1) + 1 - len(self.sig_of)
+        if grow > 0:
+            self.sig_of.frombytes(bytes(self.sig_of.itemsize * grow))
+
+    def sign_data(
+        self,
+        subjects: Sequence[int],
+        predicates: Sequence[int],
+        objects: Sequence[int],
+        moved: Optional[Dict[int, int]] = None,
+    ) -> None:
+        """Give every endpoint of the data rows its first properties and
+        union the properties each one relates (Definitions 5-6); *moved*
+        collects ``node → code before the call`` for whoever changed."""
+        self.properties.update(predicates)
+        self._reserve(subjects)
+        self._reserve(objects)
+        sig_of, sig_in, sig_out = self.sig_of, self.sig_in, self.sig_out
+        exclude, move = self.exclude, self._move
+        union_out, union_in = self.source_cliques.union, self.target_cliques.union
+        for subject, prop, obj in zip(subjects, predicates, objects):
+            if exclude is None or subject not in exclude:
+                code = sig_of[subject]
+                known = sig_out[code]
+                if known < 0:
+                    move(subject, code, sig_in[code], prop, moved)
+                elif known != prop:
+                    union_out(known, prop)
+            if exclude is None or obj not in exclude:
+                code = sig_of[obj]
+                known = sig_in[code]
+                if known < 0:
+                    move(obj, code, prop, sig_out[code], moved)
+                elif known != prop:
+                    union_in(known, prop)
+
+    def sign_typed(
+        self, subjects: Iterable[int], moved: Optional[Dict[int, int]] = None
+    ) -> None:
+        """Make a node of every type-row subject that is not one yet."""
+        subjects = set(subjects)
+        self._reserve(subjects)
+        for subject in subjects:
+            if not self.sig_of[subject]:
+                self._move(subject, 0, -1, -1, moved)
+
+    # ------------------------------------------------------------------
+    # phases two and three: support counts
+    # ------------------------------------------------------------------
+    def _count(self, kind: TripleKind, subjects, predicates, objects) -> None:
+        code_of = self.sig_of.__getitem__
+        data = kind is TripleKind.DATA  # (a bool hashes in C; an Enum member does not)
+        if data:
+            objects = map(code_of, objects)
+        self.support.update(zip(repeat(data), map(code_of, subjects), predicates, objects))
+
+    def _shift(self, old_key: tuple, new_key: tuple) -> None:
+        support = self.support
+        remaining = support[old_key] - 1
+        if remaining:
+            support[old_key] = remaining
+        else:
+            del support[old_key]
+        support[new_key] += 1
+        self.rekeyed_rows += 1
+
+    def _rekey(self, moved: Dict[int, int], batch: Set[Tuple[int, int, int]]) -> None:
+        """Move the support of every row stored *before* the batch that
+        touches a moved node from its old signature key to its new one."""
+        sig_of, select, shift = self.sig_of, self.store.select, self._shift
+        for node, old in moved.items():
+            if not old:
+                continue  # not a node before the batch: no earlier rows
+            new = sig_of[node]
+            for row in select(TripleKind.TYPE, subject=node):
+                if row not in batch:
+                    shift((False, old, row[1], row[2]), (False, new, row[1], row[2]))
+            for row in select(TripleKind.DATA, subject=node):
+                if row not in batch:
+                    other = sig_of[row[2]]
+                    shift(
+                        (True, old, row[1], moved.get(row[2], other)),
+                        (True, new, row[1], other),
+                    )
+            for row in select(TripleKind.DATA, obj=node):
+                # a moved subject re-keys the row from its own side
+                if row not in batch and row[0] not in moved:
+                    other = sig_of[row[0]]
+                    shift((True, other, row[1], old), (True, other, row[1], new))
+
+    # ------------------------------------------------------------------
+    def prime(self, batch_size: int = 65_536) -> None:
+        """Absorb every row of the store: one signing scan, one counting scan."""
+        scan = self.store.scan_columns
+        for subjects, predicates, objects in scan(TripleKind.DATA, batch_size):
+            self.sign_data(subjects, predicates, objects)
+        for subjects, _predicates, _objects in scan(TripleKind.TYPE, batch_size):
+            self.sign_typed(subjects)
+        for kind in (TripleKind.DATA, TripleKind.TYPE):
+            for subjects, predicates, objects in scan(kind, batch_size):
+                self._count(kind, subjects, predicates, objects)
+
+    def ingest_rows(self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]) -> None:
+        """Fold one batch of fresh ``(kind, row)`` pairs — already in the
+        store, none of them stored before — into the state.  Schema rows
+        carry no state: :meth:`snapshot` copies them from the store."""
+        data: List[EncodedTriple] = []
+        typed: List[EncodedTriple] = []
+        for kind, row in rows:
+            if kind is not TripleKind.SCHEMA:
+                (data if kind is TripleKind.DATA else typed).append(row)
+        moved: Dict[int, int] = {}
+        if data:
+            self.sign_data(*zip(*data), moved)
+        self.sign_typed([row[0] for row in typed], moved)
+        self.rekeyed_rows = 0
+        self._rekey(moved, {*data, *typed})
+        for kind, batch in ((TripleKind.DATA, data), (TripleKind.TYPE, typed)):
+            if batch:
+                self._count(kind, *zip(*batch))
+
+    def blocks(self, namer: SummaryNamer, weak: bool = False) -> Tuple[List[int], List[URI]]:
+        """``(block_of_code, block_uris)``: the block of every signature code
+        some node carries (``-1`` for the others) and each block's
+        ``N(TC, SC)`` name.  A strong block is one (target clique, source
+        clique) pair; a *weak* block is a component of pairs chained through
+        a shared clique.  Blocks are numbered — and named — in key order, so
+        the result depends on the rows absorbed, not on their arrival order."""
+        find_in, find_out = self.target_cliques.find, self.source_cliques.find
+        members_in: Dict[int, List[int]] = {}
+        members_out: Dict[int, List[int]] = {}
+        for prop in self.properties:
+            members_in.setdefault(find_in(prop), []).append(prop)
+            members_out.setdefault(find_out(prop), []).append(prop)
+        tokens = IntUnionFind()  # 2r + 1: the target clique rooted at r; 2r: the source one
+        pair_of: Dict[int, Tuple[int, int]] = {}
+        for code in range(1, len(self.sig_users)):
+            if self.sig_users[code] > 0:
+                first_in, first_out = self.sig_in[code], self.sig_out[code]
+                pair = pair_of[code] = (
+                    find_in(first_in) if first_in >= 0 else -1,
+                    find_out(first_out) if first_out >= 0 else -1,
+                )
+                if weak and min(pair) >= 0:
+                    tokens.union(2 * pair[0] + 1, 2 * pair[1])
+
+        def key(pair: Tuple[int, int]):
+            if not weak:
+                return pair
+            if pair[1] >= 0:
+                return tokens.find(2 * pair[1])
+            return tokens.find(2 * pair[0] + 1) if pair[0] >= 0 else -1
+
+        pairs_of_key: Dict[object, List[Tuple[int, int]]] = {}
+        for pair in set(pair_of.values()):
+            pairs_of_key.setdefault(key(pair), []).append(pair)
+        decode = self.store.dictionary.decode
+        index_of: Dict[object, int] = {}
+        block_uris: List[URI] = []
+        for block_key in sorted(pairs_of_key):
+            index_of[block_key] = len(block_uris)
+            pairs = pairs_of_key[block_key]
+            block_uris.append(
+                namer.representation(
+                    frozenset(decode(p) for pair in pairs for p in members_in.get(pair[0], ())),
+                    frozenset(decode(p) for pair in pairs for p in members_out.get(pair[1], ())),
+                )
+            )
+        block_of_code = [-1] * len(self.sig_users)
+        for code, pair in pair_of.items():
+            block_of_code[code] = index_of[key(pair)]
+        return block_of_code, block_uris
+
+    def snapshot(self, source_name: str = "store", kind: str = "strong") -> Summary:
+        """The strong (or ``"weak"``) summary of the rows absorbed so far, at
+        a cost proportional to the summary."""
+        block_of_code, block_uris = self.blocks(SummaryNamer(), weak=kind == "weak")
+        store = self.store
+        decode = store.dictionary.decode
+        graph = RDFGraph(name=f"{source_name}.{kind}" if source_name else kind)
+        for row in store.scan_schema():
+            graph.add(store.decode_triple(row))
+        for data, subject, prop, third in self.support:
+            graph.add(
+                Triple(
+                    block_uris[block_of_code[subject]],
+                    decode(prop),
+                    block_uris[block_of_code[third]] if data else decode(third),
+                )
+            )
+        return Summary.from_codes(
+            kind,
+            graph,
+            self.sig_of[:],
+            block_of_code,
+            block_uris,
+            store.dictionary.decode_table,
+            source_name=source_name,
+        )
+
+    def metrics(self) -> Dict[str, int]:
+        """Sizes of the maintained state (the statistics endpoint's view)."""
+        return {"nodes": sum(self.sig_users[1:]), "signature_edges": len(self.support)}

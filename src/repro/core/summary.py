@@ -16,7 +16,8 @@ The integer engines hand the provenance over as dictionary ids
 from __future__ import annotations
 
 from array import array
-from typing import Dict, Optional, Sequence, Set, Tuple
+from itertools import compress
+from typing import Dict, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from repro.model.dictionary import Dictionary
 from repro.model.graph import GraphStatistics, RDFGraph
@@ -115,6 +116,9 @@ class Summary:
         #: ``(node_ids, block_indexes, summary_nodes, decode_table)`` of an
         #: id-native summary (see :meth:`from_ids`); immutable once set
         self._encoded: Optional[Tuple[array, array, Sequence[Term], Sequence[Term]]] = None
+        #: ``(codes, block_of_code, summary_nodes, decode_table)`` the above
+        #: is derived from on first need (see :meth:`from_codes`)
+        self._codes: Optional[tuple] = None
 
     @classmethod
     def from_ids(
@@ -144,6 +148,49 @@ class Summary:
         summary._encoded = (node_ids, block_indexes, summary_nodes, decode_table)
         return summary
 
+    @classmethod
+    def from_codes(
+        cls,
+        kind: str,
+        graph: RDFGraph,
+        codes: array,
+        block_of_code: Union[Sequence[int], Mapping[int, int]],
+        summary_nodes: Sequence[Term],
+        decode_table: Sequence[Term],
+        source_name: str = "",
+    ) -> "Summary":
+        """An id-native summary whose node arrays are built only if asked for.
+
+        *codes* is a maintainer's dense per-node state, indexed by dictionary
+        id (the caller's private copy): input node ``n`` is represented by
+        ``summary_nodes[block_of_code[codes[n]]]``, or not a node of the graph
+        when that index is negative.  The guard only reads ``graph``; the
+        ``(node_ids, block_indexes)`` arrays of :meth:`from_ids` are derived
+        on first access to the provenance (a checkpoint, a ``representative_of``).
+        """
+        summary = cls(kind, graph, {}, None, source_name)
+        summary._representative_of = None
+        summary._codes = (codes, block_of_code, summary_nodes, decode_table)
+        return summary
+
+    def _ids(self) -> Optional[Tuple[array, array, Sequence[Term], Sequence[Term]]]:
+        """``_encoded``, derived from the codes on the first call.  Unlocked:
+        racing callers derive equal arrays, and ``_encoded`` is published
+        before ``_codes`` is dropped."""
+        pending = self._codes
+        if pending is not None:
+            codes, block_of_code, summary_nodes, decode_table = pending
+            blocks = array("i", map(block_of_code.__getitem__, codes))
+            placed = list(map((0).__le__, blocks))
+            self._encoded = (
+                array("i", compress(range(len(codes)), placed)),
+                array("i", compress(blocks, placed)),
+                summary_nodes,
+                decode_table,
+            )
+            self._codes = None
+        return self._encoded
+
     def __repr__(self):
         return (
             f"<Summary kind={self.kind!r} nodes={len(self.graph.nodes())} "
@@ -158,7 +205,7 @@ class Summary:
         with self._views_lock:
             if self._extents is None:
                 if self._representative_of is None:
-                    node_ids, block_indexes, summary_nodes, decode_table = self._encoded
+                    node_ids, block_indexes, summary_nodes, decode_table = self._ids()
                     self._representative_of = dict(
                         zip(
                             map(decode_table.__getitem__, node_ids),
@@ -196,8 +243,9 @@ class Summary:
         dictionary (no decoding); otherwise the ``Term`` map is encoded
         through :meth:`Dictionary.encode_existing`.
         """
-        if self._encoded is not None and self._encoded[3] is dictionary.decode_table:
-            return self._encoded[:3]
+        encoded = self._ids()
+        if encoded is not None and encoded[3] is dictionary.decode_table:
+            return encoded[:3]
         index_of: Dict[Term, int] = {}
         node_ids, block_indexes = array("i"), array("i")
         for input_node, summary_node in self.representative_of.items():

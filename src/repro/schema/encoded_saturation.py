@@ -263,10 +263,11 @@ class IncrementalSaturator:
         return self._type_id
 
     def _derive_data(
-        self, subject: int, prop: int, obj: int, out: List[Tuple[TripleKind, Tuple[int, int, int]]]
+        self, subject: int, prop: int, obj: int, rows: List[Tuple[TripleKind, Tuple[int, int, int]]]
     ) -> None:
-        """rdfs7 superproperty copies plus rdfs2/3 domain and range typings."""
-        rows: List[Tuple[TripleKind, Tuple[int, int, int]]] = []
+        """Append the rdfs7 superproperty copies and the rdfs2/3 domain and
+        range typings of one data row to *rows* (candidates: the caller
+        inserts them in one deduplicating batch)."""
         for super_property in self._super_properties.get(prop, ()):
             rows.append(
                 (self._kind_for_property(super_property), (subject, super_property, obj))
@@ -279,23 +280,17 @@ class IncrementalSaturator:
                 rows.append((TripleKind.TYPE, (subject, type_id, cls)))
             for cls in ranges or ():
                 rows.append((TripleKind.TYPE, (obj, type_id, cls)))
-        if rows:
-            self._record(self.target.insert_encoded_rows(rows), out)
 
     def _derive_type(
-        self, subject: int, cls: int, out: List[Tuple[TripleKind, Tuple[int, int, int]]]
+        self, subject: int, cls: int, rows: List[Tuple[TripleKind, Tuple[int, int, int]]]
     ) -> None:
-        """rdfs9 superclass typings (the closed domains/ranges already
-        include superclasses, so data-row typings never re-enter here)."""
+        """Append the rdfs9 superclass typings of one type row to *rows* (the
+        closed domains/ranges already include superclasses, so data-row
+        typings never re-enter here)."""
         super_classes = self._super_classes.get(cls)
-        if not super_classes:
-            return
-        type_id = self._type_identifier()
-        rows = [
-            (TripleKind.TYPE, (subject, type_id, super_class))
-            for super_class in super_classes
-        ]
-        self._record(self.target.insert_encoded_rows(rows), out)
+        if super_classes:
+            type_id = self._type_identifier()
+            rows.extend((TripleKind.TYPE, (subject, type_id, super_class)) for super_class in super_classes)
 
     # ------------------------------------------------------------------
     # schema deltas: re-close + targeted re-derivation
@@ -346,12 +341,14 @@ class IncrementalSaturator:
             | changed_keys(old_ranges, self._ranges)
         )
         affected_classes = changed_keys(old_super_classes, self._super_classes)
+        derived: List[Tuple[TripleKind, Tuple[int, int, int]]] = []
         for prop in sorted(affected_properties):
             for row in self.store.select(TripleKind.DATA, None, prop, None):
-                self._derive_data(row[0], row[1], row[2], out)
+                self._derive_data(row[0], row[1], row[2], derived)
         for cls in sorted(affected_classes):
             for row in self.store.select(TripleKind.TYPE, None, None, cls):
-                self._derive_type(row[0], cls, out)
+                self._derive_type(row[0], cls, derived)
+        self._record(self.target.insert_encoded_rows(derived), out)
 
     # ------------------------------------------------------------------
     # ingest API (mirrors IncrementalWeakSummarizer)
@@ -398,13 +395,17 @@ class IncrementalSaturator:
         inserted = self.target.insert_encoded_rows(instance_rows)
         fresh.extend(inserted)
         fresh_data = {row for kind, row in inserted if kind is TripleKind.DATA}
+        derived: List[Tuple[TripleKind, Tuple[int, int, int]]] = []
         for kind, row in instance_rows:
             if kind is TripleKind.DATA:
                 if row in fresh_data:
-                    self._derive_data(row[0], row[1], row[2], fresh)
+                    self._derive_data(row[0], row[1], row[2], derived)
             else:
                 self._type_id = row[1]
-                self._derive_type(row[0], row[2], fresh)
+                self._derive_type(row[0], row[2], derived)
+        # one deduplicating insert for the batch's derivations: the first
+        # occurrence of a row wins, as it did when each base row inserted its own
+        self._record(self.target.insert_encoded_rows(derived), fresh)
         return fresh
 
     # ------------------------------------------------------------------

@@ -13,9 +13,17 @@ and maintains, per graph:
   encoded row per added triple, so the weak summary every query is guarded
   by stays fresh under updates at the cost of the paper's Algorithms 1-3,
   never a re-summarization;
-* lazily built, version-invalidated caches of the other summary kinds
-  (rebuilt by the encoded engine on demand) and of the summary graphs'
-  saturations used by pruning.
+* once the strong summary has been asked for at a version no cache covers,
+  a live :class:`~repro.core.incremental.CliqueSummarizer` —
+  primed by one scan (the one graph-proportional ``summary_builds`` of a
+  serving process), then fed every batch, so a version bump costs the next
+  ``weak+strong`` reader two summary-sized snapshots; derived state, never
+  checkpointed or shipped;
+* lazily built, version-invalidated caches of the type-based and typed
+  kinds (rebuilt by the encoded engine on demand) and of the summary
+  graphs' saturations used by pruning.  A snapshot or rebuild whose graph
+  equals the previous version's hands that very graph object on, so the
+  caches keyed on it stay warm.
 
 Freshness is tracked by a per-entry version counter bumped on every
 :meth:`CatalogEntry.add_triples` batch: a cached artifact tagged with an
@@ -60,7 +68,7 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro import telemetry
 from repro.core.builders import normalize_kind
 from repro.core.encoded import encoded_summarize
-from repro.core.incremental import IncrementalWeakSummarizer
+from repro.core.incremental import CliqueSummarizer, IncrementalWeakSummarizer
 from repro.core.summary import Summary
 from repro.errors import DuplicateGraphError, PersistenceError, UnknownGraphError
 from repro.model.graph import RDFGraph
@@ -221,6 +229,10 @@ class CatalogEntry:
         #: hand by a cold ``register(graph=)``, installed by :meth:`restore`,
         #: otherwise one scan on first need (:meth:`_ensure_primed`).
         self._primed = False
+        #: The strong-summary maintainer, primed by the first strong build no
+        #: cached summary covers and fed every batch from then on;
+        #: guarded by self._init_lock
+        self._strong: Optional[CliqueSummarizer] = None
         #: Per-kind summary cache (kind → (version, summary));
         #: guarded by self._init_lock — stale reads must re-check inside.
         self._summaries: Dict[str, Tuple[int, Summary]] = {}
@@ -278,12 +290,7 @@ class CatalogEntry:
             if self._primed:
                 return
             self.build_counters["prime_scans"] += 1
-            for batch in self.store.scan_batches(TripleKind.DATA):
-                for subject, prop, obj in batch:
-                    self._maintainer.ingest_data(subject, prop, obj)
-            for batch in self.store.scan_batches(TripleKind.TYPE):
-                for subject, _prop, class_id in batch:
-                    self._maintainer.ingest_type(subject, class_id)
+            self._maintainer.prime()
             self._primed = True
 
     # ------------------------------------------------------------------
@@ -324,12 +331,13 @@ class CatalogEntry:
         """The one ingest routine: ``insert(rows, skip_existing=…)``, then
         everything derived from the rows it reports as inserted.
 
-        The weak summary takes the batch as a delta; both cardinality
-        profiles fold it in place (exact — the store's indexes tell a new
-        key from a known one), so planner estimates never lag an ingest and
+        The weak summary — and the strong one, once primed — takes the
+        batch as a delta; both cardinality profiles fold it in place (exact —
+        the store's indexes tell a new key from a known one), so planner
+        estimates never lag an ingest and
         planners, plan caches and evaluators survive it; a live ``G∞`` is
         pushed through the delta rules (:meth:`_maintain_saturated`), never
-        rebuilt.  Every other cached artifact (non-weak summaries, pruning
+        rebuilt.  Every other cached artifact (summary snapshots, pruning
         graphs) is invalidated by the version bump — to *version* when
         replaying — and rebuilt only when next requested.
 
@@ -360,6 +368,10 @@ class CatalogEntry:
                 if not fresh:
                     return 0
                 self._maintainer.ingest_rows(fresh)
+                if self._strong is not None:
+                    self._strong.ingest_rows(fresh)
+                    telemetry.counter("summary.strong.deltas").inc()
+                    telemetry.counter("summary.strong.rekeyed_rows").inc(self._strong.rekeyed_rows)
                 self.version = self.version + 1 if version is None else version
                 served = self._served.get(False)
                 if served is not None:
@@ -440,8 +452,9 @@ class CatalogEntry:
     def summary(self, kind: str = "weak") -> Summary:
         """The *kind* summary of the graph, served from cache when fresh.
 
-        The weak summary is decoded from the live incremental maps — cost
-        proportional to the summary, not the graph; the other kinds run the
+        The weak and strong summaries are decoded from their live
+        maintainers — cost proportional to the summary, not the graph, once
+        the strong one has paid its priming scan; the other kinds run the
         encoded engine over the store on first use after a change.
         """
         kind = normalize_kind(kind)
@@ -459,11 +472,28 @@ class CatalogEntry:
                 self.build_counters["weak_snapshots"] += 1
                 summary = self._maintainer.snapshot()
                 summary.source_name = self.name
+            elif kind == "strong":
+                if self._strong is None:
+                    self.build_counters["summary_builds"] += 1
+                    maintainer = CliqueSummarizer(self.store)
+                    maintainer.prime()
+                    self._strong = maintainer
+                summary = self._strong.snapshot(self.name)
             else:
                 self.build_counters["summary_builds"] += 1
                 summary = encoded_summarize(self.store, kind, source_name=self.name)
+            if cached is not None and cached[1].graph == summary.graph:
+                # same triples as at the stale version: keep the object, and
+                # with it the saturation and whatever else is cached per graph
+                summary.graph = cached[1].graph
+                telemetry.counter("summary.graph.reused").inc()
             self._summaries[kind] = (self.version, summary)
             return summary
+
+    def strong_metrics(self) -> Optional[Dict[str, int]]:
+        """Sizes of the strong maintainer's state (``None`` until primed)."""
+        with self._init_lock:
+            return None if self._strong is None else self._strong.metrics()
 
     def maintainer_state(self) -> Dict[str, object]:
         """The weak-summary maintainer's maps (see

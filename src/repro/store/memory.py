@@ -6,12 +6,15 @@ subjects, predicates, objects — plus *sorted posting runs* per ``(p, s)``
 and ``(p, o)`` composite key and per bare subject / object column.  A run
 is a pair of parallel arrays ``(keys, positions)`` sorted by
 ``(key, position)`` with an unsorted *pending tail* that absorbs
-incremental inserts; the tail is folded back into the sorted run whenever
-it outgrows :data:`TAIL_MERGE_LIMIT` (one timsort merge of two sorted
-sequences).  Selection shapes become binary-search range scans over the
-runs, ``scan_columns`` yields the column arrays in slices, and bulk loads
-defer all index building to the first indexed read — a warm start from a
-column-blob snapshot is three ``frombytes`` per table and nothing else.
+incremental inserts; the **writer** folds a tail back into its sorted run
+at the end of the batch that let it outgrow :data:`TAIL_MERGE_LIMIT` (one
+bisect per tail pair plus slice copies) — no read path assigns to a run.
+Selection shapes become binary-search range scans over the runs,
+``scan_columns`` yields the column arrays in slices, and bulk loads defer
+all index building to the first indexed read or insert — a warm start from
+a column-blob snapshot is three ``frombytes`` per table and nothing else.
+Inserts deduplicate by probing the row's ``(p, s)`` run: the store keeps no
+second copy of its rows to look them up in.
 
 A run also *is* the distinct set of its key column, so each one carries a
 ``distinct`` key count — set when the run is grouped, bumped by an append of
@@ -36,6 +39,7 @@ from itertools import groupby, islice
 from operator import itemgetter, ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
+from repro import telemetry
 from repro.errors import StoreClosedError
 from repro.model.dictionary import EncodedTriple
 from repro.model.triple import TripleKind
@@ -45,9 +49,9 @@ __all__ = ["MemoryStore", "TAIL_MERGE_LIMIT", "BULK_REBUILD_THRESHOLD"]
 
 _EMPTY = array("q")
 
-#: Pending-tail length beyond which a posting run folds the tail back into
-#: its sorted part on the next lookup.  Below it, lookups scan the tail
-#: linearly — bounded work that keeps single-row ingest O(1) amortized.
+#: Pending-tail length beyond which the writer folds a posting run's tail
+#: back into its sorted part when the batch is in.  Below it, lookups scan
+#: the tail linearly — bounded work that keeps single-row ingest O(1) amortized.
 TAIL_MERGE_LIMIT = 128
 
 #: An insert batch larger than this (and than half the resident rows)
@@ -62,8 +66,7 @@ class _Run:
     ``keys``/``positions`` are parallel arrays sorted by ``(key, position)``;
     ``tail_keys``/``tail_positions`` hold unmerged appends in arrival order.
     All tail positions exceed all merged positions (positions only grow),
-    so a merge is a stable two-run timsort and per-key position order stays
-    ascending.
+    so per-key position order stays ascending through a merge.
 
     ``distinct`` is the number of different keys in the run, tail included.
     """
@@ -106,20 +109,38 @@ class _Run:
         if self.value_cache:
             self.value_cache = {}
 
+    def merged(self) -> Tuple[array, array]:
+        """``(keys, positions)`` with the tail folded in — new arrays when
+        there is a tail, the run itself untouched (any reader may call it).
+
+        Every tail position exceeds every merged one, so a tail pair lands
+        right after its key's last merged entry: one ``bisect`` per tail
+        pair plus slice copies, no per-row tuple.
+        """
+        keys, positions = self.keys, self.positions
+        if not self.tail_keys:
+            return keys, positions
+        merged_keys, merged_positions = array("q"), array("q")
+        start = 0
+        for key, position in sorted(zip(self.tail_keys, self.tail_positions)):
+            cut = bisect_right(keys, key, start)
+            if cut > start:
+                merged_keys.extend(keys[start:cut])
+                merged_positions.extend(positions[start:cut])
+                start = cut
+            merged_keys.append(key)
+            merged_positions.append(position)
+        merged_keys.extend(keys[start:])
+        merged_positions.extend(positions[start:])
+        return merged_keys, merged_positions
+
     def merge(self) -> None:
-        """Fold the pending tail into the sorted run."""
+        """Fold the pending tail into the sorted run.  Writers only: a
+        reader assigning ``keys`` and then ``positions`` could hand another
+        reader a mismatched pair (see :meth:`_Table.append_batch`)."""
         if not self.tail_keys:
             return
-        pairs = sorted(zip(self.tail_keys, self.tail_positions))
-        if self.keys:
-            combined = list(zip(self.keys, self.positions))
-            combined.extend(pairs)
-            # two concatenated sorted runs: timsort merges them in ~n comparisons
-            combined.sort()
-        else:
-            combined = pairs
-        self.keys = array("q", map(itemgetter(0), combined))
-        self.positions = array("q", map(itemgetter(1), combined))
+        self.keys, self.positions = self.merged()
         del self.tail_keys[:]
         del self.tail_positions[:]
         self.tail_fresh.clear()
@@ -129,23 +150,19 @@ class _Run:
             self.value_cache = {}
 
     def positions_for(self, key: int) -> Sequence[int]:
-        """Row positions holding *key*, in ascending (insertion) order."""
-        if len(self.tail_keys) > TAIL_MERGE_LIMIT:
-            self.merge()
+        """Row positions holding *key*, in ascending (insertion) order.
+
+        Assigns nothing: the tail — at most :data:`TAIL_MERGE_LIMIT` long
+        once a batch is in — is scanned.
+        """
         keys = self.keys
         lo = bisect_left(keys, key)
-        hi = bisect_right(keys, key, lo)
-        matched = self.positions[lo:hi]
-        if self.tail_keys:
-            tail_positions = self.tail_positions
-            extra = [
-                tail_positions[index]
-                for index, tail_key in enumerate(self.tail_keys)
-                if tail_key == key
-            ]
-            if extra:
-                matched = array("q", matched) if not isinstance(matched, array) else matched
-                matched.extend(extra)
+        matched = self.positions[lo : bisect_right(keys, key, lo)]
+        tail_keys = self.tail_keys
+        if tail_keys and key in tail_keys:
+            matched.extend(
+                [position for tail_key, position in zip(tail_keys, self.tail_positions) if tail_key == key]
+            )
         return matched
 
     def __len__(self) -> int:
@@ -234,6 +251,19 @@ class _Table:
             by_predicate[predicate].append(position)
             s_run.append(subject, position)
             o_run.append(obj, position)
+        # the writer folds: whoever appends holds the table exclusively (the
+        # entry's write lock when served), so no reader ever sees a tail past
+        # the limit — or has to assign to a run to get rid of one
+        touched = set(p_col[start:])
+        folded = [
+            run
+            for run in (s_run, o_run, *map(ps_runs.get, touched), *map(po_runs.get, touched))
+            if len(run.tail_keys) > TAIL_MERGE_LIMIT
+        ]
+        for run in folded:
+            run.merge()
+        if folded:
+            telemetry.counter("store.tail.folds").inc(len(folded))
 
     def _drop_indexes(self) -> None:
         self.ps_runs = {}
@@ -247,9 +277,9 @@ class _Table:
         """Defer index building (the column-blob warm-load path)."""
         self._drop_indexes()
 
-    def subject_run(self) -> "_Run":
-        """The merged whole-table subject run, built *alone* when the full
-        index is still deferred.
+    def subject_run(self) -> Tuple[array, array]:
+        """The merged whole-table subject run as ``(keys, positions)``, built
+        *alone* when the full index is still deferred.
 
         Shard partitioning only consumes the subject run; paying the whole
         deferred build (four column sorts plus two predicate groupings)
@@ -258,12 +288,9 @@ class _Table:
         on the table, and :meth:`_ensure_indexed` adopts it instead of
         re-sorting when the remaining structures are eventually needed.
         """
-        if self._indexed:
-            self.s_run.merge()
-            return self.s_run
-        if len(self.s_run) != len(self.s_col):
+        if not self._indexed and len(self.s_run) != len(self.s_col):
             self.s_run = _Run(sorted(zip(self.s_col, range(len(self.s_col)))))
-        return self.s_run
+        return self.s_run.merged()
 
     def _ensure_indexed(self) -> None:
         if self._indexed:
@@ -424,14 +451,20 @@ class _Table:
         return list(zip(s_col, p_col, o_col))
 
     def sorted_run(self, predicate: int, by_object: bool) -> Optional[SortedRun]:
-        """The fully merged posting run of *predicate*, or ``None``."""
+        """The fully merged posting run of *predicate*, or ``None``.
+
+        A run whose tail is folded is viewed as it stands, with the
+        store-owned value cache; one with a pending tail (at most
+        :data:`TAIL_MERGE_LIMIT` rows) is merged into a *private* view with
+        its own cache — the run is left for the next writer to fold.
+        """
         self._ensure_indexed()
         runs = self.po_runs if by_object else self.ps_runs
         run = runs.get(predicate)
         if run is None:
             return None
-        run.merge()
-        return SortedRun(run.keys, run.positions, self._cells(), run.value_cache)
+        cache = {} if run.tail_keys else run.value_cache
+        return SortedRun(*run.merged(), self._cells(), cache)
 
     def count_rows(self, subject: Optional[int], predicate: Optional[int], obj: Optional[int]) -> int:
         """Rows matching the shape: a posting-range length wherever one run
@@ -442,6 +475,10 @@ class _Table:
         if subject is None or obj is None:
             return len(positions)
         return sum(1 for _row in self.select(subject, predicate, obj))
+
+    def holds(self, subject: int, predicate: int, obj: int) -> bool:
+        """Whether the row is stored: a probe of the ``(p, s)`` run."""
+        return next(self.select(subject, predicate, obj), None) is not None
 
     def cardinalities(self) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
         """``(distinct subjects, distinct objects, {property: (rows, distinct
@@ -477,67 +514,48 @@ class MemoryStore(TripleStore):
             TripleKind.TYPE: _Table(),
             TripleKind.SCHEMA: _Table(),
         }
-        #: Physical dedup set keyed ``(kind, (s, p, o))``; ``None`` after a
-        #: column-blob load — rebuilt lazily on the first insert so pure
-        #: readers never pay for it.
-        self._seen: Optional[Set[Tuple[TripleKind, Tuple[int, int, int]]]] = set()
         self._closed = False
 
     def _check_open(self) -> None:
         if self._closed:
             raise StoreClosedError("the store has been closed")
 
-    def _seen_set(self) -> Set[Tuple[TripleKind, Tuple[int, int, int]]]:
-        seen = self._seen
-        if seen is None:
-            seen = set()
-            for kind, table in self._tables.items():
-                for row in zip(table.s_col, table.p_col, table.o_col):
-                    seen.add((kind, row))
-            self._seen = seen
-        return seen
-
     def _insert_rows(self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]) -> None:
-        self._check_open()
-        self._insert_fresh(rows)
-
-    def _insert_fresh(
-        self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]
-    ) -> List[Tuple[TripleKind, EncodedTriple]]:
-        """Insert rows not already present; return the fresh subset."""
-        seen = self._seen_set()
-        buffers: Dict[TripleKind, List[Tuple[int, int, int]]] = {
-            kind: [] for kind in self._tables
-        }
-        fresh: List[Tuple[TripleKind, EncodedTriple]] = []
-        for kind, row in rows:
-            key = (kind, (row[0], row[1], row[2]))
-            if key in seen:
-                continue
-            seen.add(key)
-            buffers[kind].append(key[1])
-            fresh.append((kind, row))
-        for kind, buffer in buffers.items():
-            if buffer:
-                self._tables[kind].append_batch(buffer)
-        return fresh
+        self.insert_encoded_rows(rows)
 
     def insert_encoded_rows(
         self,
         rows: Iterable[Tuple[TripleKind, EncodedTriple]],
         skip_existing: bool = True,
     ) -> List[Tuple[TripleKind, EncodedTriple]]:
-        """Deduplicated encoded insert via the ``_seen`` set (no select probes).
+        """Deduplicated encoded insert; returns the rows **actually inserted**.
 
-        Whatever *skip_existing* says, the store deduplicates physically and
-        the return value is the rows **actually inserted** — consistent with
-        the SQLite store, which physically inserts (and therefore returns)
-        every row it was handed under the no-duplicates bulk contract.
-        Membership here is a single hash probe per row, which is what makes
-        this the hot path of incremental saturation.
+        Whatever *skip_existing* says, the store deduplicates physically —
+        consistent with the SQLite store, which physically inserts (and
+        therefore returns) every row it was handed under the no-duplicates
+        bulk contract.  A row is a duplicate when the batch already brought
+        it (a set of the *batch's* rows, dropped on return) or its table's
+        ``(p, s)`` run holds it: two bisects of the index queries are
+        answered from, not a second copy of the rows.  A table that was
+        empty when the batch arrived — the cold load — is not probed at all.
         """
         self._check_open()
-        return self._insert_fresh(rows)
+        tables = self._tables
+        probed = {kind: table for kind, table in tables.items() if len(table)}
+        batch: Set[Tuple[TripleKind, Tuple[int, int, int]]] = set()
+        buffers: Dict[TripleKind, List[Tuple[int, int, int]]] = {kind: [] for kind in tables}
+        fresh: List[Tuple[TripleKind, EncodedTriple]] = []
+        for kind, row in rows:
+            key = (kind, (row[0], row[1], row[2]))
+            if key in batch or (kind in probed and probed[kind].holds(*key[1])):
+                continue
+            batch.add(key)
+            buffers[kind].append(key[1])
+            fresh.append((kind, row))
+        for kind, buffer in buffers.items():
+            if buffer:
+                tables[kind].append_batch(buffer)
+        return fresh
 
     # ------------------------------------------------------------------
     # scans
@@ -666,9 +684,9 @@ class MemoryStore(TripleStore):
     ) -> int:
         """Adopt packed columns for an (empty) *kind* table; return the rows.
 
-        The warm-start path: three ``frombytes`` calls, **no** index build,
-        no dedup-set build — both are deferred to the first read / insert
-        that needs them.  Returns the number of rows loaded.
+        The warm-start path: three ``frombytes`` calls and **no** index
+        build — that is deferred to the first read or insert that needs
+        it.  Returns the number of rows loaded.
         """
         self._check_open()
         table = self._tables[kind]
@@ -685,7 +703,6 @@ class MemoryStore(TripleStore):
         if not (len(table.s_col) == len(table.p_col) == len(table.o_col)):
             raise ValueError("column blobs disagree on row count")
         table.mark_unindexed()
-        self._seen = None
         return len(table)
 
     def adopt_column_buffers(
@@ -742,7 +759,6 @@ class MemoryStore(TripleStore):
             raise ValueError("column buffers disagree on row count")
         table.s_col, table.p_col, table.o_col = views
         table.mark_unindexed()
-        self._seen = None
         return len(table)
 
     def column_memory(self) -> Dict[str, int]:
@@ -789,8 +805,7 @@ class MemoryStore(TripleStore):
         table = self._tables[kind]
         # only the subject run is consumed — don't force the full deferred
         # index build (predicate runs, object run) inside a pack
-        run = table.subject_run()
-        keys, positions = run.keys, run.positions
+        keys, positions = table.subject_run()
         p_col, o_col = table.p_col, table.o_col
         # two passes, both dominated by C-level copies: group the merged run
         # into per-shard subject/position arrays (array.extend of an array

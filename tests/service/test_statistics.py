@@ -136,7 +136,7 @@ class TestIncrementalEquivalence:
             expected = recount(store)
             assert statistics.as_dict() == expected
             assert CardinalityStatistics.from_store(store).as_dict() == expected
-            for kind, row in batch:  # reads are what folds a tail into its run
+            for kind, row in batch:  # (the insert folded whatever tail outgrew the limit)
                 assert store.count_rows(kind, subject=row[0], predicate=row[1]) >= 1
         store.close()
 

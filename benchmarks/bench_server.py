@@ -9,7 +9,7 @@ catalog (``GraphCatalog.open``):
   guarded query with **zero** re-summarization / re-scan, asserted via the
   entry's ``build_counters``;
 * **read throughput** — a mixed guarded workload is answered once
-  serially and once through the :class:`QueryExecutor` thread pool;
+  serially and once on ``--threads`` threads (``QueryExecutor.map_answers``);
   per-query answer sets must be identical, and the full run gates
   ``--threads``-way throughput at ``--min-scaling`` × the serial QPS.
   The parallel win comes from SQLite's C evaluation releasing the GIL, so
@@ -207,7 +207,8 @@ def run_benchmark(args) -> Dict[str, object]:
         report["strategy_differences"] = strategy_differences
 
         executor = QueryExecutor(service, max_workers=args.threads)
-        # one warm lap primes every worker thread's SQLite read connection
+        # one warm lap off the clock (each lap's threads are new, so every
+        # timed lap still opens its threads' SQLite read connections)
         executor.map_answers(GRAPH_NAME, queries[: args.threads], limit=args.limit)
         start = perf_counter()
         concurrent = executor.map_answers(GRAPH_NAME, queries, limit=args.limit)
@@ -1148,7 +1149,7 @@ def main(argv=None) -> int:
         default="sql",
         choices=list(STRATEGIES),
         help="serving join strategy; sql (whole-join pushdown, the default) "
-        "is what the thread pool scales on — its answers are cross-checked "
+        "is what threads scale on — its answers are cross-checked "
         "against the hash reference either way",
     )
     parser.add_argument(

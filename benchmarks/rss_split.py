@@ -12,7 +12,8 @@ process — role (read off each command line), ``VmHWM`` and its anonymous /
 file-backed / shared-memory parts — so a memory regression names the process
 it lives in.  ``--imports`` adds what an interpreter costs before it does
 anything: MB, ms and module count of a bare ``python3``, ``import repro``,
-the worker's import closure and the front end's, each in a fresh interpreter.
+the worker's import closure and the front end's — without and with the
+cluster coordinator — each in a fresh interpreter.
 
 ``--ingest N`` follows one server of the ``ingest_with_readers`` workload
 instead (``--workers 0`` unless given): current and peak RSS of every process
@@ -57,8 +58,13 @@ IMPORT_CLOSURES = [
     ("import repro", "import repro"),
     ("worker closure", "import repro.cluster.worker"),
     (
-        "serve closure",
-        "import repro.cli, repro.server.http, repro.cluster.coordinator",
+        "serve closure (--workers 0)",
+        "import repro.cli, repro.server.http; repro.cli.build_parser()",
+    ),
+    (
+        "serve closure (coordinator)",
+        "import repro.cli, repro.server.http, repro.cluster.coordinator; "
+        "repro.cli.build_parser()",
     ),
 ]
 

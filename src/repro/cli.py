@@ -178,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--port", type=int, default=8080, help="bind port (0 picks an ephemeral port)"
     )
     serve_parser.add_argument(
-        "--threads", type=int, default=8, help="query executor worker threads"
+        "--threads", type=int, default=8, help="queries, ingests and builds running at once"
     )
     serve_parser.add_argument(
         "--kind",

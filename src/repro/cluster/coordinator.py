@@ -67,8 +67,6 @@ import socket
 import subprocess
 import sys
 import threading
-from concurrent.futures import ThreadPoolExecutor
-from multiprocessing.connection import Connection
 from time import monotonic, perf_counter
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
@@ -89,7 +87,7 @@ from repro.queries.bgp import BGPQuery, Variable
 from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.service import QueryAnswer, ServiceStatistics
 from repro.store.base import shard_of
-from repro.utils.concurrency import named_lock
+from repro.utils.concurrency import map_on_threads, named_lock
 from repro.telemetry import BYTE_BUCKETS, Counter, QueryTrace, Span, maybe_span
 
 __all__ = ["ClusterCoordinator"]
@@ -161,7 +159,7 @@ class _WorkerHandle:
         self.respawns = 0
         self.process: Optional[subprocess.Popen] = None
         #: This generation's pipe; the receiver thread is its only closer.
-        self.connection: Optional[Connection] = None
+        self.connection: Optional[protocol.Connection] = None
         self.alive = False
         #: Serializes conn.send() calls (receiver thread handles recv).
         self.send_lock = named_lock(f"cluster.worker{index}.send_lock")
@@ -283,9 +281,6 @@ class ClusterCoordinator:
         self._workers = [_WorkerHandle(i, delta_queue_depth) for i in range(workers)]
         self._request_ids = itertools.count(1)
         self._round_robin = itertools.count()
-        self._pool = ThreadPoolExecutor(
-            max_workers=max(8, 2 * workers), thread_name_prefix="repro-scatter"
-        )
         #: Per graph: how many dictionary ids have been shipped (the next
         #: delta packs the tail from here).  Guarded by the entry write
         #: lock — listeners run inside it, serialized per graph.
@@ -376,7 +371,7 @@ class ClusterCoordinator:
                 stdin=subprocess.DEVNULL,
                 env=env,
             )
-            connection = Connection(sock.detach())
+            connection = protocol.Connection(sock.detach())
         handle.process = process
         handle.connection = connection
         handle.alive = True
@@ -477,7 +472,6 @@ class ClusterCoordinator:
                 except ClusterError:
                     pass
             handle.retire(timeout)
-        self._pool.shutdown(wait=True)
         # workers are gone (their mappings closed); now unlink every named
         # segment — after this, /dev/shm holds nothing of this coordinator
         if self._registry is not None:
@@ -822,7 +816,8 @@ class ClusterCoordinator:
         handles: Sequence[_WorkerHandle],
         update_marks: bool = True,
     ) -> None:
-        """Snapshot *entry* under its read lock and load it into *handles*.
+        """Snapshot *entry* under its read lock and load it into *handles*
+        — every one of them, whichever fail; the first failure is raised.
 
         In shared-memory mode multi-worker ships run in parallel: the
         payload is a descriptor, the per-worker cost is the worker-side
@@ -832,16 +827,12 @@ class ClusterCoordinator:
         snapshot = self._snapshot_graph(entry, handles, update_marks)
         if snapshot is None:
             return
-        if self.use_shm and len(handles) > 1:
-            futures = [
-                self._pool.submit(self._send_snapshot, handle, entry.name, snapshot)
-                for handle in handles
-            ]
-            for future in futures:
-                future.result()
-        else:
-            for handle in handles:
-                self._send_snapshot(handle, entry.name, snapshot)
+        map_on_threads(
+            lambda handle: self._send_snapshot(handle, entry.name, snapshot),
+            handles,
+            len(handles) if self.use_shm else 1,
+            "repro-ship",
+        )
         if update_marks:
             # an initial ship (start()); respawn re-ships are timed as one
             # "reship" by _ensure_alive around its whole graph loop
@@ -898,29 +889,11 @@ class ClusterCoordinator:
         for handle in self._workers:
             handle.ship_lock.acquire()
         try:
-            started = perf_counter()
-            snapshot = self._snapshot_graph(entry, self._workers)
-            if snapshot is not None:
-
-                def send(handle: _WorkerHandle) -> None:
-                    try:
-                        self._send_snapshot(handle, name, snapshot)
-                    except WorkerCrashedError:
-                        pass  # the respawn re-ship loop picks the graph up
-
-                if self.use_shm and len(self._workers) > 1:
-                    # descriptor sends are cheap; the real per-worker work
-                    # (attach + shard prime) runs in the worker processes,
-                    # so loading all K concurrently is a pure win
-                    futures = [
-                        self._pool.submit(send, handle) for handle in self._workers
-                    ]
-                    for future in futures:
-                        future.result()
-                else:
-                    for handle in self._workers:
-                        send(handle)
-                self._record_ship("ship", perf_counter() - started)
+            self._ship_graph(entry, self._workers)
+        except WorkerCrashedError:
+            # every other worker was still sent its load; the dead one's
+            # respawn re-ship loop picks the graph up
+            pass
         finally:
             for handle in reversed(self._workers):
                 handle.ship_lock.release()
@@ -1060,24 +1033,15 @@ class ClusterCoordinator:
     ) -> Tuple[List[dict], int]:
         """Run the query round trip on every handle (in parallel for a
         scatter); returns the per-handle payloads and total crash retries."""
-        if len(handles) == 1:
-            reply, retries = self._call_with_retry(
-                handles[0], protocol.OP_QUERY, payload, _REQUEST_TIMEOUT
-            )
-            return [reply], retries
-        futures = [
-            self._pool.submit(
-                self._call_with_retry, handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT
-            )
-            for handle in handles
-        ]
-        results: List[dict] = []
-        retries = 0
-        for future in futures:
-            reply, spent = future.result()
-            results.append(reply)
-            retries += spent
-        return results, retries
+        outcomes = map_on_threads(
+            lambda handle: self._call_with_retry(
+                handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT
+            ),
+            handles,
+            len(handles),
+            "repro-scatter",
+        )
+        return [reply for reply, _ in outcomes], sum(spent for _, spent in outcomes)
 
     def _gather(
         self,

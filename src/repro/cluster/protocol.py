@@ -25,7 +25,9 @@ objects are ever pickled across the boundary:
 
 Message framing
 ---------------
-Every request is ``(request_id, op, payload)`` and every reply
+A message is one pickle behind an 8-byte big-endian length, written to and
+read from the socket-pair descriptor directly (:class:`Connection` — no
+``multiprocessing``).  Every request is ``(request_id, op, payload)`` and every reply
 ``(request_id, status, payload)`` with ``status`` either ``"ok"`` or
 ``"error"`` (payload then ``(error_kind, message)``).  Replies are matched
 by id, not by order: a worker may answer a version-fenced query *after* a
@@ -36,6 +38,10 @@ FIFO round-trips.
 
 from __future__ import annotations
 
+import os
+import pickle
+import select
+import struct
 import sys
 from array import array
 from typing import Dict, List, Sequence, Tuple
@@ -52,6 +58,7 @@ from repro.model.triple import TripleKind
 from repro.store.base import shard_of
 
 __all__ = [
+    "Connection",
     "OP_LOAD",
     "OP_DELTA",
     "OP_QUERY",
@@ -98,6 +105,54 @@ TABLES_SHM = "shm"
 #: The byte order blobs are packed in; shipped alongside so a worker on a
 #: different-endian host (exotic, but cheap to guard) byteswaps on load.
 BYTEORDER = sys.byteorder
+
+
+_LENGTH = struct.Struct("!Q")
+
+
+class Connection:
+    """One end of a coordinator/worker pipe, owning the descriptor *fd*.  One
+    thread may send while another receives; two senders need a lock of their
+    own.  Only what the other end of the pair wrote is ever unpickled."""
+
+    def __init__(self, fd: int):
+        self._fd = fd
+
+    def fileno(self) -> int:
+        """The descriptor; ``-1`` once closed (every use of it then raises)."""
+        return self._fd
+
+    def send(self, message) -> None:
+        data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+        # a graph image on the pipe is tens of megabytes: its header goes
+        # ahead of it, not into a copy of it
+        header = _LENGTH.pack(len(data))
+        for part in [header + data] if len(data) < 65536 else [header, data]:
+            view = memoryview(part)
+            while view:
+                view = view[os.write(self._fd, view) :]
+
+    def _read(self, size: int) -> bytearray:
+        data = bytearray()
+        while len(data) < size:
+            chunk = os.read(self._fd, min(size - len(data), 1 << 20))
+            if not chunk:
+                raise EOFError("the other end of the pipe is closed")
+            data += chunk
+        return data
+
+    def recv(self):
+        (size,) = _LENGTH.unpack(self._read(_LENGTH.size))
+        return pickle.loads(self._read(size))
+
+    def poll(self, timeout: float) -> bool:
+        """Whether a message (or EOF) is readable within *timeout* seconds."""
+        return bool(select.select([self._fd], [], [], timeout)[0])
+
+    def close(self) -> None:
+        fd, self._fd = self._fd, -1
+        if fd >= 0:
+            os.close(fd)
 
 
 def table_column_bytes(store, kind: TripleKind) -> Tuple[int, bytes, bytes, bytes]:

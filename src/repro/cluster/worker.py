@@ -2,7 +2,7 @@
 
 A worker is ``python -m repro.cluster.worker <fd> <config>``: a
 single-threaded message loop over a
-:class:`multiprocessing.connection.Connection` on the socket-pair end its
+:class:`~repro.cluster.protocol.Connection` on the socket-pair end its
 coordinator passed it as *fd*, importing what answering a query needs —
 store, evaluator, guard — and nothing else of the package.  Per registered
 graph it keeps **two** worker-local stores sharing **one** dictionary
@@ -580,6 +580,5 @@ def worker_main(connection, config: Dict[str, object]) -> None:
 
 if __name__ == "__main__":
     import json
-    from multiprocessing.connection import Connection
 
-    worker_main(Connection(int(sys.argv[1])), json.loads(sys.argv[2]))
+    worker_main(protocol.Connection(int(sys.argv[1])), json.loads(sys.argv[2]))

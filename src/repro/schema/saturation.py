@@ -90,8 +90,8 @@ def saturate(graph: RDFGraph, schema: Optional[RDFSchema] = None, name: str = ""
 #: a ``weakref.finalize`` hook when the source graph is collected, so the
 #: cache never resurrects a stale id; the version check catches mutation.
 #: Guarded by ``_SATURATION_CACHE_LOCK``: the query service reaches this
-#: cache from every :class:`~repro.server.executor.QueryExecutor` worker
-#: thread (via ``pruning_graph(saturated=True)``), and an unguarded
+#: cache from every request thread the server's executor lets in at once
+#: (via ``pruning_graph(saturated=True)``), and an unguarded
 #: dict-mutation + finalize registration pair can drop entries or register
 #: duplicate finalizers under that concurrency.
 #: Re-entrant: the eviction hook runs from ``weakref.finalize`` callbacks,

@@ -1,5 +1,5 @@
 """The durable serving layer: persistent catalogs, a concurrent query
-executor, and the stdlib HTTP front end.
+executor, and the HTTP front end.
 
 ``repro.server`` turns the query service of :mod:`repro.service` into a
 restartable, concurrent daemon:
@@ -9,12 +9,13 @@ restartable, concurrent daemon:
   encoded triples, weak-summary maps, cardinality statistics and cached
   summaries survive restarts, so a reopened catalog answers its first
   guarded query with zero re-summarization and zero re-scan;
-* :mod:`repro.server.executor` — a bounded thread-pool
-  :class:`~repro.server.executor.QueryExecutor` running queries under each
+* :mod:`repro.server.executor` — the
+  :class:`~repro.server.executor.QueryExecutor` bounding how many queries,
+  ingests and builds run at once, each on its caller's thread, under each
   entry's shared lock (ingest takes the exclusive side);
-* :mod:`repro.server.http` — a :class:`ThreadingHTTPServer` JSON API
-  (``repro serve``) exposing query, ingest, statistics and summary
-  endpoints.
+* :mod:`repro.server.http` — a JSON API (``repro serve``) exposing query,
+  ingest, statistics and summary endpoints over the server's own HTTP/1.1
+  loop on :mod:`socketserver`.
 """
 
 from repro._lazy import lazy_exports
@@ -25,12 +26,11 @@ __all__ = [
     "QueryExecutor",
     "ServerApp",
     "make_server",
-    "serve",
     "start_background",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
     "executor": ("QueryExecutor",),
-    "http": ("ServerApp", "make_server", "serve", "start_background"),
+    "http": ("ServerApp", "make_server", "start_background"),
     "persistence": ("GraphSnapshot", "PersistentCatalog"),
 })

@@ -1,9 +1,14 @@
-"""The stdlib HTTP front end of the serving layer (``repro serve``).
+"""The HTTP front end of the serving layer (``repro serve``).
 
 A thin JSON API over one :class:`~repro.service.catalog.GraphCatalog`,
-served by :class:`http.server.ThreadingHTTPServer` (one handler thread per
-connection, actual query work bounded by the
-:class:`~repro.server.executor.QueryExecutor` pool).  Routes:
+served by the server's own HTTP/1.1 loop on :mod:`socketserver`: one thread
+per connection, on which each request is read, answered and written (how
+many do heavy work at once is the
+:class:`~repro.server.executor.QueryExecutor`'s bound).  The loop speaks
+what the API needs — ``GET`` / ``POST`` / ``DELETE``, ``Content-Length``
+bodies, keep-alive, ``Expect: 100-continue`` — and nothing here imports
+:mod:`http.server`, which costs a serving process ``http.client``, ``email``
+and ``ssl`` for no request that ever called them.  Routes:
 
 ========  =================================  =====================================
 method    path                               action
@@ -35,9 +40,11 @@ from __future__ import annotations
 
 import json
 import re
+import socketserver
+import sys
 import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from time import monotonic, perf_counter
+from http import HTTPStatus
+from time import gmtime, monotonic, perf_counter, strftime
 from typing import Dict, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
@@ -47,10 +54,8 @@ from repro.errors import (
     ClusterError,
     DuplicateGraphError,
     PersistenceError,
-    QueryError,
     ReproError,
     UnknownGraphError,
-    UnknownSummaryKindError,
 )
 from repro.io.ntriples import parse_ntriples, serialize_ntriples
 from repro.model.graph import RDFGraph
@@ -60,13 +65,26 @@ from repro.server.executor import QueryExecutor
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryAnswer, QueryService
 
-__all__ = ["ServerApp", "make_server", "serve", "start_background"]
+__all__ = ["ServerApp", "make_server", "start_background"]
 
 _GRAPH_ROUTE = re.compile(r"^/graphs/(?P<name>[^/]+)(?P<rest>/.*)?$")
 
 #: Largest accepted request body (64 MiB) — a guard against memory abuse,
 #: not a statement about sensible ingest batch sizes.
 _MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: The longest request or header line (414 / 431 past it) and the most
+#: header lines (431).
+_MAX_LINE_BYTES = 65536
+_MAX_HEADERS = 100
+
+#: Once a request's first byte has arrived, the longest one read of its head
+#: or body may stall before the answer is 408 and a close.  A keep-alive
+#: connection idling *between* requests is not timed.
+_READ_TIMEOUT_SECONDS = 30.0
+
+_REQUEST_LINE = re.compile(rb"([!-~]+) ([!-~]+) (HTTP/\d+\.\d+)\r?\n")
+_REASONS = {status.value: status.phrase for status in HTTPStatus}
 
 
 class _HTTPError(Exception):
@@ -78,7 +96,7 @@ class _HTTPError(Exception):
 
 
 class ServerApp:
-    """The server's state: catalog, guarded service, executor pool.
+    """The server's state: catalog, guarded service, executor.
 
     Parameters mirror ``repro serve``: the guard *kind* cascade and join
     *strategy* configure the single shared :class:`QueryService`;
@@ -112,6 +130,8 @@ class ServerApp:
             raise ValueError("max_body_bytes must be positive")
         self.max_body_bytes = max_body_bytes
         self.cluster = cluster
+        #: register / add_triples / drop: through the cluster when there is one
+        self._writer = catalog if cluster is None else cluster
         self.started_at = monotonic()
         # request-plane instruments, captured at construction so an app
         # built after telemetry.set_enabled(False) stays dark
@@ -143,14 +163,8 @@ class ServerApp:
         serve``: every request already past the socket finishes and
         responds before the executor, cluster and catalog go away.
         """
-        deadline = None if timeout is None else monotonic() + timeout
         with self._inflight_cv:
-            while self._inflight > 0:
-                remaining = None if deadline is None else deadline - monotonic()
-                if remaining is not None and remaining <= 0:
-                    return False
-                self._inflight_cv.wait(remaining)
-        return True
+            return self._inflight_cv.wait_for(lambda: self._inflight <= 0, timeout)
 
     # ------------------------------------------------------------------
     # route handlers (return (status, payload) pairs)
@@ -228,80 +242,56 @@ class ServerApp:
         if not isinstance(triples_text, str):
             raise _HTTPError(400, "'triples' must be an N-Triples string")
 
-        def build():
-            graph = (
-                parse_ntriples(triples_text, name=name) if triples_text else RDFGraph(name=name)
-            )
-            if self.cluster is not None:
-                # registers in the shared catalog AND ships shards to every
-                # cluster worker before the 201 goes out
-                return self.cluster.register(name, graph=graph), len(graph)
-            return self.catalog.register(name, graph=graph), len(graph)
-
-        # the pool bounds registration work like every other heavy path: N
-        # concurrent uploads never become N simultaneous graph-sized builds
-        entry, triple_count = self.executor.run(build)
-        return 201, {"name": name, "version": entry.version, "triples": triple_count}
+        graph = parse_ntriples(triples_text, name=name) if triples_text else RDFGraph(name=name)
+        # with a cluster: registers in the shared catalog AND ships shards to
+        # every worker before the 201 goes out
+        entry = self._writer.register(name, graph=graph)
+        return 201, {"name": name, "version": entry.version, "triples": len(graph)}
 
     def drop_graph(self, name: str) -> Tuple[int, Dict]:
-        if self.cluster is not None:
-            self.cluster.drop(name)
-        else:
-            self.catalog.drop(name)
+        self._writer.drop(name)
         return 200, {"dropped": name}
 
     def graph_statistics(self, name: str) -> Tuple[int, Dict]:
         entry = self.catalog.entry(name)
+        with entry.rwlock.read_locked():
+            if entry.closed:
+                raise UnknownGraphError(f"graph {name!r} was dropped")
+            return 200, {
+                "name": name,
+                "version": entry.version,
+                "store": entry.store.statistics().as_dict(),
+                "cardinality": entry.statistics_index().as_dict(),
+                "build_counters": dict(entry.build_counters),
+                # rows logged since the last checkpoint: what a reopen
+                # would replay (null for an in-memory catalog)
+                "log_tail_rows": self.catalog.log_tail_rows(name),
+                # G∞ maintenance costs (null until a saturated query or
+                # a warm start brought the saturated store into being)
+                "saturation": entry.saturation_metrics(),
+                # the strong maintainer's sizes (null until it is primed)
+                "strong_maintainer": entry.strong_metrics(),
+                "service": (
+                    self.cluster.statistics.as_dict()
+                    if self.cluster is not None
+                    else self.service.statistics.as_dict()
+                ),
+            }
 
-        def build():
-            with entry.rwlock.read_locked():
-                if entry.closed:
-                    raise UnknownGraphError(f"graph {name!r} was dropped")
-                return {
-                    "name": name,
-                    "version": entry.version,
-                    "store": entry.store.statistics().as_dict(),
-                    "cardinality": entry.statistics_index().as_dict(),
-                    "build_counters": dict(entry.build_counters),
-                    # rows logged since the last checkpoint: what a reopen
-                    # would replay (null for an in-memory catalog)
-                    "log_tail_rows": self.catalog.log_tail_rows(name),
-                    # G∞ maintenance costs (null until a saturated query or
-                    # a warm start brought the saturated store into being)
-                    "saturation": entry.saturation_metrics(),
-                    # the strong maintainer's sizes (null until it is primed)
-                    "strong_maintainer": entry.strong_metrics(),
-                    "service": (
-                        self.cluster.statistics.as_dict()
-                        if self.cluster is not None
-                        else self.service.statistics.as_dict()
-                    ),
-                }
-
-        # statistics_index() can cost the deferred index build on first use,
-        # and the class counts are one pass over the type table: pool-bounded
-        return 200, self.executor.run(build)
-
-    def graph_summary(self, name: str, kind: str, query_string: Dict) -> Tuple[int, Dict]:
+    def graph_summary(self, name: str, kind: str, query_string: Dict) -> Tuple[int, object]:
         entry = self.catalog.entry(name)
-
-        def build():
-            with entry.rwlock.read_locked():
-                if entry.closed:
-                    raise UnknownGraphError(f"graph {name!r} was dropped")
-                summary = entry.summary(kind)
-                rendering = (query_string.get("format") or [""])[0]
-                if rendering == "ntriples":
-                    return serialize_ntriples(summary.graph)
-                return {
-                    "name": name,
-                    "kind": summary.kind,
-                    "version": entry.version,
-                    "statistics": summary.statistics().as_dict(),
-                }
-
-        # summary() can run a graph-sized build for non-weak kinds: pool-bounded
-        return 200, self.executor.run(build)
+        with entry.rwlock.read_locked():
+            if entry.closed:
+                raise UnknownGraphError(f"graph {name!r} was dropped")
+            summary = entry.summary(kind)
+            if (query_string.get("format") or [""])[0] == "ntriples":
+                return 200, serialize_ntriples(summary.graph)
+            return 200, {
+                "name": name,
+                "kind": summary.kind,
+                "version": entry.version,
+                "statistics": summary.statistics().as_dict(),
+            }
 
     def query_graph(self, name: str, body: Dict) -> Tuple[int, Dict]:
         text = body.get("query")
@@ -319,21 +309,13 @@ class ServerApp:
         trace = bool(body.get("trace", False))
         if query.is_boolean() and limit is None:
             limit = 1
-        if self.cluster is not None:
-            # still pool-bounded: the executor caps how many scatter-gathers
-            # are in flight, whatever the number of open connections
-            answer = self.executor.run(
-                self.cluster.answer,
-                name,
-                query,
-                limit=limit,
-                saturated=saturated,
-                explain=explain,
-                trace=trace,
-            )
+        if self.cluster is None:
+            answer = self.executor.answer(name, query, limit, saturated, explain, trace)
         else:
-            answer = self.executor.answer(
-                name, query, limit=limit, saturated=saturated, explain=explain, trace=trace
+            # bounded too: the executor caps how many scatter-gathers are in
+            # flight, whatever the number of open connections
+            answer = self.executor.run(
+                self.cluster.answer, name, query, limit, saturated, explain, trace
             )
         return 200, self._render_answer(answer)
 
@@ -342,17 +324,9 @@ class ServerApp:
         if not isinstance(text, str):
             raise _HTTPError(400, "ingest needs an N-Triples string 'triples'")
 
-        def work():
-            # the parse runs pool-bounded too: N concurrent uploads must
-            # not become N simultaneous graph-sized parses on handler threads
-            graph = parse_ntriples(text, name=name)
-            if self.cluster is not None:
-                return self.cluster.add_triples(name, graph)
-            return self.catalog.add_triples(name, graph)
-
-        inserted = self.executor.run(work)
-        entry = self.catalog.entry(name)
-        return 200, {"name": name, "inserted": inserted, "version": entry.version}
+        inserted = self._writer.add_triples(name, parse_ntriples(text, name=name))
+        version = self.catalog.entry(name).version
+        return 200, {"name": name, "inserted": inserted, "version": version}
 
     # ------------------------------------------------------------------
     def _render_answer(self, answer: QueryAnswer) -> Dict:
@@ -406,8 +380,11 @@ class ServerApp:
             return self.cluster_status()
         if route == "/graphs" and method == "GET":
             return self.list_graphs()
+        # heavy routes run inside an executor slot (queries take theirs in
+        # query_graph): N uploads never become N graph-sized parses at once
+        bounded = self.executor.run
         if route == "/graphs" and method == "POST":
-            return self.register_graph(body or {})
+            return bounded(self.register_graph, body or {})
 
         match = _GRAPH_ROUTE.match(route)
         if match is None:
@@ -420,75 +397,115 @@ class ServerApp:
         if rest == "" and method == "DELETE":
             return self.drop_graph(name)
         if rest == "/statistics" and method == "GET":
-            return self.graph_statistics(name)
+            return bounded(self.graph_statistics, name)
         if rest.startswith("/summary/") and method == "GET":
-            return self.graph_summary(name, unquote(rest[len("/summary/") :]), query_string)
+            kind = unquote(rest[len("/summary/") :])
+            return bounded(self.graph_summary, name, kind, query_string)
         if rest == "/query" and method == "POST":
             return self.query_graph(name, body or {})
         if rest == "/triples" and method == "POST":
-            return self.ingest_triples(name, body or {})
+            return bounded(self.ingest_triples, name, body or {})
         raise _HTTPError(404, f"no such route: {method} {route}")
 
     def close(self) -> None:
-        """Shut down the pool and an attached cluster (the app adopts the
+        """Shut down the executor and an attached cluster (the app adopts the
         cluster it was handed; the catalog stays owned by the caller)."""
         self.executor.shutdown()
         if self.cluster is not None:
             self.cluster.close()
 
 
-class _Handler(BaseHTTPRequestHandler):
-    """Request handler bound to one :class:`ServerApp` (see make_server)."""
+class _Handler(socketserver.StreamRequestHandler):
+    """One connection's HTTP/1.1 loop, bound to one :class:`ServerApp` (see
+    make_server): each request is read, answered and written on this thread."""
 
     app: ServerApp  # injected by make_server
-    protocol_version = "HTTP/1.1"
-    server_version = "repro-serve"
     #: TCP_NODELAY on every accepted connection: responses are complete
     #: messages, never worth holding back for coalescing
     disable_nagle_algorithm = True
 
-    # ------------------------------------------------------------------
-    def log_message(self, format, *args):  # noqa: A002 - stdlib signature
-        if not self.app.quiet:
-            super().log_message(format, *args)
+    def handle(self) -> None:
+        self.close_connection = False
+        app = self.app
+        try:
+            # a connection may idle between requests for as long as its client
+            # likes: peek() waits for the next first byte (b"" at EOF) untimed
+            while not self.close_connection and self.rfile.peek(1):
+                self.requestline = ""  # logged as such when the line is refused
+                app.begin_request()
+                start = perf_counter()
+                try:
+                    self._respond(*self._answer())
+                finally:
+                    app._http_requests.inc()
+                    app._http_request_seconds.observe(perf_counter() - start)
+                    app.end_request()
+        except ConnectionError:
+            pass  # the client went away under a read or a write
 
-    def _body_length(self) -> int:
-        if self.headers.get("Transfer-Encoding"):
+    def _closing(self, status: int, message: str) -> _HTTPError:
+        """An error after which the bytes on the wire cannot be trusted to
+        start a request: its response carries ``Connection: close``."""
+        self.close_connection = True
+        return _HTTPError(status, message)
+
+    def _read_line(self, too_long: int) -> bytes:
+        line = self.rfile.readline(_MAX_LINE_BYTES + 1)
+        if len(line) > _MAX_LINE_BYTES:
+            raise self._closing(too_long, f"line longer than {_MAX_LINE_BYTES} bytes")
+        return line
+
+    def _read_head(self) -> None:
+        """Parse request line and headers into ``method``, ``path`` and
+        ``headers`` (names lower-cased, a repeated field comma-joined)."""
+        match = _REQUEST_LINE.fullmatch(self._read_line(414))
+        if match is None:
+            raise self._closing(400, "malformed request line")
+        self.method, self.path, version = (part.decode("latin-1") for part in match.groups())
+        self.requestline = f"{self.method} {self.path} {version}"
+        if not version.startswith("HTTP/1."):
+            raise self._closing(505, f"{version} is not spoken here")
+        if self.method not in ("GET", "POST", "DELETE"):
+            raise self._closing(501, f"unsupported method {self.method!r}")
+        self.headers = headers = {}
+        for _ in range(_MAX_HEADERS + 1):
+            line = self._read_line(431)
+            if line in (b"\r\n", b"\n"):
+                break
+            name, colon, value = line.decode("latin-1").partition(":")
+            if not colon or not name or name != name.strip():
+                raise self._closing(400, f"malformed header line {line!r}")
+            name, value = name.lower(), value.strip()
+            headers[name] = f"{headers[name]}, {value}" if name in headers else value
+        else:
+            raise self._closing(431, f"more than {_MAX_HEADERS} header lines")
+        connection = headers.get("connection", "").lower()
+        self.close_connection = connection == "close" or (
+            version == "HTTP/1.0" and connection != "keep-alive"
+        )
+
+    def _read_body(self) -> Optional[Dict]:
+        """The JSON body of a POST; what any other method sends is read and
+        dropped — left unread, it would be parsed as the next request."""
+        if "transfer-encoding" in self.headers:
             # we only frame bodies by Content-Length; leaving chunked bytes
             # unread would desynchronize the connection (request smuggling
             # behind a proxy), so refuse and close
-            self.close_connection = True
-            raise _HTTPError(501, "chunked request bodies are not supported")
-        try:
-            return int(self.headers.get("Content-Length") or 0)
-        except ValueError:
-            # we cannot know how many body bytes follow — the connection
-            # is unusable for further requests
-            self.close_connection = True
-            raise _HTTPError(400, "malformed Content-Length header")
-
-    def _drain_body(self) -> None:
-        """Read and discard a request body (methods that should not have one)."""
-        length = self._body_length()
-        while length > 0:
-            chunk = self.rfile.read(min(length, 65536))
-            if not chunk:
-                break
-            length -= len(chunk)
-
-    def _read_body(self) -> Optional[Dict]:
-        length = self._body_length()
-        if length <= 0:
-            return None
+            raise self._closing(501, "chunked request bodies are not supported")
+        declared = self.headers.get("content-length") or "0"
+        if not (declared.isascii() and declared.isdigit() and len(declared) < 19):
+            raise self._closing(400, "malformed Content-Length header")
+        length = int(declared)
         if length > self.app.max_body_bytes:
-            # refusing to read the body leaves it on the wire: close the
-            # connection instead of parsing those bytes as the next request
-            self.close_connection = True
-            raise _HTTPError(
-                413, f"request body exceeds {self.app.max_body_bytes} bytes"
-            )
+            raise self._closing(413, f"request body exceeds {self.app.max_body_bytes} bytes")
+        if not length:
+            return None
+        if self.headers.get("expect", "").lower() == "100-continue":
+            self.wfile.write(b"HTTP/1.1 100 Continue\r\n\r\n")
         raw = self.rfile.read(length)
-        if not raw:
+        if len(raw) < length:
+            raise self._closing(400, "the request body ended early")
+        if self.method != "POST":
             return None
         try:
             body = json.loads(raw.decode("utf-8"))
@@ -505,112 +522,77 @@ class _Handler(BaseHTTPRequestHandler):
         else:
             data = json.dumps(payload, sort_keys=True).encode("utf-8")
             content_type = "application/json"
-        # One write per response.  ``end_headers()`` then ``wfile.write()``
-        # put headers and body in two segments, and on a keep-alive
-        # connection the second waits for the client's delayed ACK of the
-        # first (40 ms on Linux) — twenty times the work of a guarded query.
+        # One write per response.  Headers and body in two segments would
+        # make the second wait, on a keep-alive connection, for the client's
+        # delayed ACK of the first (40 ms on Linux) — twenty times the work
+        # of a guarded query.
         head = [
-            f"{self.protocol_version} {status} {self.responses.get(status, ('',))[0]}",
-            f"Server: {self.version_string()}",
-            f"Date: {self.date_time_string()}",
+            f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
+            "Server: repro-serve",
+            f"Date: {strftime('%a, %d %b %Y %H:%M:%S GMT', gmtime())}",
             f"Content-Type: {content_type}",
             f"Content-Length: {len(data)}",
         ]
         if self.close_connection:
             head.append("Connection: close")
-        self.log_request(status)
+        if not self.app.quiet:
+            sys.stderr.write(
+                f"{self.client_address[0]} - - [{strftime('%d/%b/%Y %H:%M:%S')}] "
+                f'"{self.requestline}" {status} -\n'
+            )
         self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data)
 
-    def _handle(self, method: str) -> None:
-        self.app.begin_request()
-        start = perf_counter()
+    def _answer(self) -> Tuple[int, object]:
+        """Read one request and dispatch it: the status and payload of its
+        one response, whatever went wrong on the way."""
         try:
-            self._handle_inner(method)
-        finally:
-            self.app._http_requests.inc()
-            self.app._http_request_seconds.observe(perf_counter() - start)
-            self.app.end_request()
-
-    def _handle_inner(self, method: str) -> None:
-        try:
-            if method in ("POST", "PUT"):
+            self.connection.settimeout(_READ_TIMEOUT_SECONDS)
+            try:
+                self._read_head()
                 body = self._read_body()
-            else:
-                # drain any body a GET/DELETE smuggled in: unread bytes
-                # would desynchronize the keep-alive connection (the next
-                # request line would be parsed out of this body)
-                self._drain_body()
-                body = None
-            status, payload = self.app.dispatch(method, self.path, body)
+            except TimeoutError:
+                raise self._closing(408, "the request stalled")
+            finally:
+                self.connection.settimeout(None)
+            return self.app.dispatch(self.method, self.path, body)
         except _HTTPError as error:
-            self._respond(error.status, {"error": str(error)})
+            return error.status, {"error": str(error)}
         except UnknownGraphError as error:
-            self._respond(404, {"error": str(error)})
+            return 404, {"error": str(error)}
         except DuplicateGraphError as error:
-            self._respond(409, {"error": str(error)})
-        except (QueryError, UnknownSummaryKindError) as error:
-            self._respond(400, {"error": str(error)})
+            return 409, {"error": str(error)}
         except PersistenceError as error:
             # a durability failure is the server's fault, never the client's
-            self._respond(500, {"error": f"persistence failure: {error}"})
+            return 500, {"error": f"persistence failure: {error}"}
         except ClusterError as error:
             # the worker pool failed past its retry budget: the server is
             # degraded, not the request malformed — 503 invites a retry
-            self._respond(503, {"error": f"cluster failure: {error}"})
+            return 503, {"error": f"cluster failure: {error}"}
         except ReproError as error:
-            # parse errors on ingest bodies, malformed terms, store issues
-            self._respond(400, {"error": str(error)})
+            # malformed queries, terms and ingest bodies, unknown summary kinds
+            return 400, {"error": str(error)}
+        except ConnectionError:
+            raise  # nobody is left to answer: handle() ends the connection
         except Exception as error:  # noqa: BLE001 - last-resort 500
-            self._respond(500, {"error": f"internal error: {error}"})
-        else:
-            self._respond(status, payload)
-
-    def do_GET(self):  # noqa: N802 - stdlib naming
-        self._handle("GET")
-
-    def do_POST(self):  # noqa: N802
-        self._handle("POST")
-
-    def do_DELETE(self):  # noqa: N802
-        self._handle("DELETE")
+            return 500, {"error": f"internal error: {error}"}
 
 
-class _Server(ThreadingHTTPServer):
+class _Server(socketserver.ThreadingMixIn, socketserver.TCPServer):
+    allow_reuse_address = True
     daemon_threads = True
     #: listen backlog; the stdlib's 5 drops SYNs (a 1 s client retransmit)
     #: as soon as a few dozen clients connect at once
     request_queue_size = 128
 
 
-def make_server(app: ServerApp, host: str = "127.0.0.1", port: int = 0) -> ThreadingHTTPServer:
-    """A :class:`ThreadingHTTPServer` serving *app* (``port=0`` → ephemeral).
+def make_server(app: ServerApp, host: str = "127.0.0.1", port: int = 0) -> _Server:
+    """A threading TCP server speaking HTTP for *app* (``port=0`` → ephemeral).
 
     The caller owns the server: run ``serve_forever()`` (typically on a
     thread), and ``shutdown()`` + ``server_close()`` when done.
     """
-
     handler = type("BoundHandler", (_Handler,), {"app": app})
     return _Server((host, port), handler)
-
-
-def serve(
-    app: ServerApp,
-    host: str = "127.0.0.1",
-    port: int = 8080,
-    ready_callback=None,
-) -> None:
-    """Serve *app* until interrupted (the blocking CLI entry point)."""
-    server = make_server(app, host, port)
-    if ready_callback is not None:
-        ready_callback(server)
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        pass
-    finally:
-        server.server_close()
-        app.drain()
-        app.close()
 
 
 def start_background(app: ServerApp, host: str = "127.0.0.1", port: int = 0):

@@ -32,7 +32,6 @@ that a matching row, if any, costs at least one probe.
 
 from __future__ import annotations
 
-import threading
 from collections import OrderedDict
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 

@@ -25,7 +25,6 @@ straight to step 3 and is answered exactly, just without the shortcut.
 
 from __future__ import annotations
 
-import threading
 from time import perf_counter
 from typing import Dict, Optional, Sequence, Set, Tuple, Union
 

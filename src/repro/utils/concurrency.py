@@ -30,7 +30,7 @@ import os
 import threading
 from contextlib import contextmanager
 
-__all__ = ["ReadWriteLock", "named_lock", "set_tracker", "get_tracker"]
+__all__ = ["ReadWriteLock", "map_on_threads", "named_lock", "set_tracker", "get_tracker"]
 
 #: Active lock-order tracker installed by :mod:`repro.utils.lockcheck`,
 #: or ``None`` (the default — zero per-acquire overhead).
@@ -192,3 +192,37 @@ if os.environ.get("REPRO_LOCKCHECK", "").strip().lower() in {"1", "true", "yes",
     from repro.utils import lockcheck as _lockcheck_module
 
     _lockcheck_module.install()
+
+
+def map_on_threads(function, items, threads: int, name: str) -> list:
+    """``function(item)`` for each of *items* on up to *threads* threads at
+    once (the calling thread is one of them; the others are ``<name>-N``),
+    results in input order.  Every call runs to its end before the first
+    failure, in input order, is raised."""
+    outcomes = [None] * len(items)
+    errors = {}
+    # one iterator hands out the work: next() on it is a single C call, so
+    # no index is given to two threads
+    pending = iter(range(len(items)))
+
+    def work():
+        for index in pending:
+            try:
+                outcomes[index] = function(items[index])
+            except Exception as error:  # noqa: BLE001 - raised below
+                errors[index] = error
+
+    helpers = [
+        threading.Thread(target=work, name=f"{name}-{number}")
+        for number in range(1, min(threads, len(items)))
+    ]
+    for helper in helpers:
+        helper.start()
+    try:
+        work()
+    finally:
+        for helper in helpers:
+            helper.join()
+    if errors:
+        raise errors[min(errors)]
+    return outcomes

@@ -1,10 +1,14 @@
 """Concurrency tests: races between queries and ingest must stay correct."""
 
+import sys
 import threading
+import time
 
 import pytest
 
+from repro import telemetry
 from repro.core.builders import summarize
+from repro.errors import UnknownGraphError
 from repro.core.isomorphism import graphs_isomorphic
 from repro.model.namespaces import EX
 from repro.model.triple import Triple
@@ -200,3 +204,111 @@ class TestExecutorLifecycle:
     def test_invalid_worker_count_rejected(self, catalog):
         with pytest.raises(ValueError):
             QueryExecutor(QueryService(catalog), max_workers=0)
+
+
+class TestSlots:
+    """The executor is a bound, not a pool: work runs on its caller's
+    thread, and at most ``max_workers`` callers are inside at once."""
+
+    def test_answer_and_run_execute_on_the_calling_thread(self, catalog):
+        service = QueryService(catalog, kind="weak")
+        seen = []
+        answer = service.answer
+        service.answer = lambda *args, **kwargs: (
+            seen.append(threading.get_ident()),
+            answer(*args, **kwargs),
+        )[1]
+        with QueryExecutor(service, max_workers=2) as executor:
+            assert executor.answer("g", _query()).answers == answer("g", _query()).answers
+            assert executor.run(threading.get_ident) == threading.get_ident()
+        assert seen == [threading.get_ident()]
+
+    def test_no_more_than_max_workers_calls_inside_at_once(self, catalog):
+        """16 threads on 2 slots with a shortened switch interval: the count
+        of calls inside never passes 2, and nobody is left counted as waiting."""
+        service = QueryService(catalog, kind="weak")
+        lock = threading.Lock()
+        inside, peak = [0], [0]
+
+        def guarded(*_args, **_kwargs):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            time.sleep(0.0005)  # releases the GIL: lets the others try
+            with lock:
+                inside[0] -= 1
+
+        service.answer = guarded
+        executor = QueryExecutor(service, max_workers=2)
+        errors = []
+
+        def caller(number):
+            try:
+                for _ in range(20):
+                    if number % 2:
+                        executor.answer("g", _query())
+                    else:
+                        executor.run(guarded)
+            except Exception as error:  # noqa: BLE001
+                errors.append(error)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=caller, args=(n,)) for n in range(16)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not errors and not any(thread.is_alive() for thread in threads)
+        assert peak[0] == 2 and inside[0] == 0
+        assert not executor._waiting
+        executor.shutdown()
+
+    def test_queue_depth_is_the_number_of_threads_waiting_for_a_slot(self, catalog):
+        executor = QueryExecutor(QueryService(catalog, kind="weak"), max_workers=2)
+        depth = telemetry.gauge("executor.queue.depth")
+        release = threading.Event()
+        threads = [
+            threading.Thread(target=executor.run, args=(release.wait, 30)) for _ in range(5)
+        ]
+        try:
+            for thread in threads:
+                thread.start()
+            deadline = time.monotonic() + 10
+            while depth.value != 3 and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert depth.value == 3  # two hold the slots, three wait
+        finally:
+            release.set()
+            for thread in threads:
+                thread.join(timeout=30)
+        assert depth.value == 0
+        executor.shutdown()
+
+    def test_shutdown_waits_for_calls_in_flight_and_refuses_later_ones(self, catalog):
+        executor = QueryExecutor(QueryService(catalog, kind="weak"), max_workers=2)
+        started, release, finished = threading.Event(), threading.Event(), []
+
+        def slow():
+            started.set()
+            release.wait(30)
+            finished.append(True)
+
+        thread = threading.Thread(target=executor.run, args=(slow,))
+        thread.start()
+        assert started.wait(10)
+        threading.Timer(0.1, release.set).start()
+        executor.shutdown()
+        assert finished == [True]
+        thread.join(timeout=10)
+        with pytest.raises(RuntimeError):
+            executor.run(lambda: None)
+
+    def test_map_answers_raises_the_first_failure_in_input_order(self, catalog):
+        with QueryExecutor(QueryService(catalog, kind="weak"), max_workers=4) as executor:
+            with pytest.raises(UnknownGraphError):
+                executor.map_answers("no-such-graph", [_query()] * 6)
+            assert executor.map_answers("g", []) == []

@@ -101,6 +101,94 @@ def test_worker_closure_is_store_evaluator_guard_only():
     assert len(loaded) <= 100, sorted(loaded)
 
 
+#: Stdlib a serving process used to load and never call: ``http.server``
+#: (and through it ``http.client``, OpenSSL, ``email``), a thread pool's
+#: ``logging``, ``multiprocessing`` for a length-prefixed pickle.
+UNUSED_STDLIB = (
+    "http.server",
+    "http.client",
+    "email",
+    "ssl",
+    "_ssl",
+    "html",
+    "mimetypes",
+    "concurrent.futures",
+    "logging",
+    "multiprocessing",
+)
+
+
+def test_single_process_serve_closure_holds_no_stdlib_it_never_calls():
+    loaded = _loaded_by("import repro.cli, repro.server.http; repro.cli.build_parser()")
+    assert "repro.server.executor" in loaded and "socketserver" in loaded
+    assert not _within(loaded, *UNUSED_STDLIB)
+    # 109 beyond a bare interpreter when this was written; 160 with http.server
+    assert len(loaded) <= 118, sorted(loaded)
+
+
+def test_coordinator_closure_frames_its_pipes_itself():
+    loaded = _loaded_by("import repro.cli, repro.server.http, repro.cluster.coordinator")
+    assert not _within(loaded, "http.server", "http.client", "email", "ssl", "multiprocessing")
+
+
+#: A ``sitecustomize`` that makes any interpreter started with it on its path
+#: write the names in ``sys.modules`` to a file as it exits.
+_DUMP_MODULES_AT_EXIT = """
+import atexit, os, sys
+
+def _dump():
+    with open(os.environ["REPRO_TEST_MODULES_FILE"], "w") as out:
+        out.write("\\n".join(sorted(sys.modules)))
+
+atexit.register(_dump)
+"""
+
+
+def _modules_of_process(tmp_path, arguments, pass_fds=()):
+    """``sys.modules`` of a ``python <arguments>`` process at its exit — the
+    process itself, ``__main__`` and all, not an ``import`` of its module."""
+    (tmp_path / "sitecustomize.py").write_text(_DUMP_MODULES_AT_EXIT)
+    modules_file = tmp_path / "modules.txt"
+    # the closure pinned is the production one: no lockcheck in the child
+    env = {key: value for key, value in os.environ.items() if key != "REPRO_LOCKCHECK"}
+    env.update(
+        PYTHONPATH=f"{tmp_path}{os.pathsep}{SRC}", REPRO_TEST_MODULES_FILE=str(modules_file)
+    )
+    subprocess.run(
+        [sys.executable, *arguments],
+        env=env,
+        pass_fds=pass_fds,
+        stdin=subprocess.DEVNULL,
+        check=True,
+        timeout=60,
+    )
+    return set(modules_file.read_text().split())
+
+
+def test_the_process_a_worker_is_never_imports_multiprocessing(tmp_path):
+    """``python -m repro.cluster.worker <fd> <config>`` as the coordinator
+    starts it, on a pipe whose other end is already closed: it reads EOF and
+    exits, having imported everything a worker imports to get that far."""
+    import socket
+
+    bare = _modules_of_process(tmp_path, ["-c", "pass"])
+    ours, theirs = socket.socketpair()
+    with ours, theirs:
+        ours.close()
+        config = json.dumps({"shard_index": 0, "shard_count": 1})
+        worker = _modules_of_process(
+            tmp_path,
+            ["-m", "repro.cluster.worker", str(theirs.fileno()), config],
+            pass_fds=[theirs.fileno()],
+        )
+    loaded = worker - bare
+    assert "repro.cluster.protocol" in loaded and "repro.service.evaluator" in loaded
+    assert not _within(loaded, *UNUSED_STDLIB, "socket", "repro.cluster.coordinator")
+    # 98 beyond a bare interpreter when this was written; 126 with
+    # multiprocessing.connection
+    assert len(loaded) <= 106, sorted(loaded)
+
+
 def test_serve_closure_leaves_the_offline_tools_out():
     loaded = _loaded_by(
         "import repro.cli, repro.server.http, repro.cluster.coordinator; "

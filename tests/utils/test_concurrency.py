@@ -1,11 +1,11 @@
-"""Tests for the reader/writer lock behind the serving layer."""
+"""Tests for the reader/writer lock and the thread fan-out behind the serving layer."""
 
 import threading
 from time import sleep
 
 import pytest
 
-from repro.utils.concurrency import ReadWriteLock
+from repro.utils.concurrency import ReadWriteLock, map_on_threads
 
 
 class TestReadWriteLock:
@@ -173,3 +173,55 @@ class TestReadWriteLock:
         writer_thread.join(timeout=10)
         holder_thread.join(timeout=10)
         assert not holder_thread.is_alive()
+
+
+class TestMapOnThreads:
+    def test_results_keep_input_order_and_the_caller_takes_part(self):
+        seen = set()
+
+        def call(item):
+            seen.add(threading.current_thread().name)
+            sleep(0.002 * (5 - item))  # later items finish first
+            return item * item
+
+        assert map_on_threads(call, list(range(5)), 3, "mapper") == [0, 1, 4, 9, 16]
+        assert threading.current_thread().name in seen
+        assert seen - {threading.current_thread().name} <= {"mapper-1", "mapper-2"}
+        assert map_on_threads(call, [], 3, "mapper") == []
+
+    def test_one_item_runs_on_the_calling_thread_alone(self):
+        before = threading.active_count()
+        assert map_on_threads(lambda _item: threading.active_count(), ["x"], 8, "mapper") == [
+            before
+        ]
+
+    def test_never_more_than_the_given_number_at_once(self):
+        lock = threading.Lock()
+        inside, peak = [0], [0]
+
+        def call(_item):
+            with lock:
+                inside[0] += 1
+                peak[0] = max(peak[0], inside[0])
+            sleep(0.002)
+            with lock:
+                inside[0] -= 1
+
+        map_on_threads(call, list(range(24)), 3, "mapper")
+        assert peak[0] == 3 and inside[0] == 0
+
+    def test_every_call_runs_and_the_first_failure_in_input_order_is_raised(self):
+        ran = []
+
+        def call(item):
+            ran.append(item)
+            if item in (2, 4):
+                raise ValueError(item)
+            return item
+
+        for threads in (1, 3):
+            ran.clear()
+            with pytest.raises(ValueError) as raised:
+                map_on_threads(call, list(range(6)), threads, "mapper")
+            assert raised.value.args == (2,)
+            assert sorted(ran) == list(range(6))

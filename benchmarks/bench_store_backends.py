@@ -3,7 +3,7 @@
 The paper's prototype drives summarization through SQL queries against
 PostgreSQL; this reproduction offers an in-memory store and a SQLite-backed
 store behind the same interface.  The benchmark compares loading plus
-incremental weak summarization on both backends and checks that both produce
+store-driven weak summarization on both backends and checks that both produce
 the weak summary (isomorphic to the declarative quotient construction).
 """
 
@@ -12,7 +12,7 @@ from __future__ import annotations
 from conftest import print_series
 
 from repro.core.builders import weak_summary
-from repro.core.incremental import incremental_weak_summary
+from repro.core.encoded import encoded_summarize
 from repro.core.isomorphism import graphs_isomorphic
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
@@ -22,7 +22,7 @@ from repro.utils.timing import Stopwatch
 def _pipeline(graph, backend):
     with backend() as store:
         store.load_graph(graph)
-        return incremental_weak_summary(store)
+        return encoded_summarize(store, "weak")
 
 
 def test_memory_store_pipeline(bsbm_medium, benchmark):
@@ -44,7 +44,7 @@ def test_backend_comparison_report(bsbm_medium, benchmark):
             with backend() as store:
                 store.load_graph(bsbm_medium)
                 with Stopwatch() as summarize_watch:
-                    summary = incremental_weak_summary(store)
+                    summary = encoded_summarize(store, "weak")
             measured.append(
                 (label, len(bsbm_medium), load_watch.elapsed, summarize_watch.elapsed, len(summary.graph))
             )
@@ -53,7 +53,7 @@ def test_backend_comparison_report(bsbm_medium, benchmark):
     rows = benchmark.pedantic(measure, rounds=1, iterations=1)
 
     print_series(
-        "Store backends: load + incremental weak summarization",
+        "Store backends: load + store-driven weak summarization",
         ("backend", "input triples", "load (s)", "summarize (s)", "summary edges"),
         rows,
     )

@@ -774,16 +774,13 @@ class ClusterCoordinator:
 
     def _image_pieces(self, entry: CatalogEntry) -> Dict[str, object]:
         """What a graph image is laid out from, whichever source carries it
-        (caller holds the entry lock).  The full replica's weak-summary
-        maintainer state rides along so workers restore it instead of
-        re-scanning every row on load."""
+        (caller holds the entry lock)."""
         store = entry.store
         return {
             "term_chunks": protocol.pack_term_chunks(store.dictionary),
             "shard_tables": protocol.pack_all_shard_tables(store, self.worker_count),
             "full_tables": protocol.pack_full_tables(store),
             "byteorder": protocol.BYTEORDER,
-            "weak_state": entry.maintainer_state(),
         }
 
     def _pack_segment(self, entry: CatalogEntry, version: int) -> Tuple[str, dict]:

@@ -1,9 +1,10 @@
 """The graph image a worker loads, and the shared-memory plane that holds it.
 
 A graph ships to workers as one *image*: back to back, the pickled
-dictionary term chunks, the pickled weak-summary maintainer state of the
-full replica, and the raw int64 column blobs of each ship target (the
-full-replica tables and shard partitions).  :func:`layout_image` is the
+dictionary term chunks and the raw int64 column blobs of each ship target
+(the full-replica tables and shard partitions) — rows and terms only: what
+is derived from them (summaries, statistics) each worker builds on first
+need.  :func:`layout_image` is the
 pure layout step — blobs plus the *directory* of byte windows a worker
 needs to adopt them (:meth:`MemoryStore.adopt_column_buffers`, zero-copy).
 The image has two buffer *sources*, and the worker loads both through one
@@ -196,13 +197,11 @@ def layout_image(
     term_chunks: List[list],
     targets: Sequence[Tuple[object, Tables]],
     byteorder: str,
-    weak_state: Optional[dict] = None,
 ) -> Tuple[List[bytes], dict]:
     """Lay one graph image out: ``(blobs, directory)``, nothing copied.
 
-    The image is the concatenation of *blobs*.  The *directory* maps named
-    regions to ``(offset, length)`` byte windows (``terms``, and ``weak``
-    — the maintainer state, ``None`` when there is none) and each ship
+    The image is the concatenation of *blobs*.  The *directory* maps the
+    ``terms`` region to its ``(offset, length)`` byte window and each ship
     target (a shard index, or ``"full"``) to per-table ``(row_count,
     s_offset, p_offset, o_offset)`` entries.  A table's three columns lie
     back to back, so ``p_offset - s_offset == o_offset - p_offset ==
@@ -222,14 +221,8 @@ def layout_image(
         "version": version,
         "byteorder": byteorder,
         "terms": (0, offset),
-        "weak": None,
         "targets": {},
     }
-    if weak_state is not None:
-        weak_blob = pickle.dumps(weak_state, protocol=pickle.HIGHEST_PROTOCOL)
-        directory["weak"] = (offset, len(weak_blob))
-        blobs.append(weak_blob)
-        offset += len(weak_blob)
     for target, tables in targets:
         table_directory = {}
         for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
@@ -293,7 +286,6 @@ class SegmentRegistry:
         shard_tables: List[Tables],
         full_tables: Tables,
         byteorder: str,
-        weak_state: Optional[dict] = None,
     ) -> Tuple[str, dict]:
         """Pack one graph generation; unlink the graph's previous one.
 
@@ -305,9 +297,7 @@ class SegmentRegistry:
         generation = self._generations.get(graph_name, 0) + 1
         targets = [("full", full_tables)]
         targets.extend(enumerate(shard_tables))
-        blobs, directory = layout_image(
-            graph_name, version, term_chunks, targets, byteorder, weak_state
-        )
+        blobs, directory = layout_image(graph_name, version, term_chunks, targets, byteorder)
         directory["generation"] = generation
         name = _segment_name()
         owner = _create_owned(name, blobs)

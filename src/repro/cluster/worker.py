@@ -30,13 +30,13 @@ A load carries one graph *image* plus its directory (see
 (:mod:`repro.cluster.protocol`): a *shared-memory segment* the worker
 attaches by name, or a ``bytes`` image sent over the pipe.  Both go through
 the same routine (:meth:`_Worker._load_image`): the column regions are
-adopted zero-copy (:meth:`MemoryStore.adopt_column_buffers`), the shard
-store defers its weak-summary priming scan to its first guarded query, the
-full replica restores its maintainer from the packed state instead of
-scanning, the dictionary is hydrated lazily from the packed term chunks,
-and the load's delta log is replayed.  The only difference is who else
-holds the bytes: a segment is one physical copy per host, a pipe image is
-private to this worker.  The worker closes its mapping when the graph is
+adopted zero-copy (:meth:`MemoryStore.adopt_column_buffers`), shard store
+and full replica alike defer their summary maintainer's priming scan to
+their first guarded query, the dictionary is hydrated lazily from the
+packed term chunks, and the load's delta log is replayed.  The only
+difference is who else holds the bytes: a segment is one physical copy per
+host, a pipe image is private to this worker.  The worker closes its
+mapping when the graph is
 dropped or replaced — after closing the stores, which release their adopted
 views — and unlinks only *orphans*: the coordinator owns every segment for
 as long as it lives (see *Shutdown*).
@@ -78,7 +78,7 @@ from repro.errors import QueryError, ReproError, UnknownGraphError
 from repro.model.dictionary import Dictionary, EncodedTriple
 from repro.model.triple import TripleKind
 from repro.queries.parser import parse_query
-from repro.service.catalog import CatalogEntry, GraphCatalog
+from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryAnswer, QueryService
 from repro.store.memory import MemoryStore
 from repro.telemetry import QueryTrace
@@ -204,23 +204,10 @@ class _Worker:
             full_rows = self._adopt_tables(
                 full_store, buffer, directory["targets"]["full"], byteorder
             )
-            # an adopted store pays its (1/K-sized) weak-summary priming
-            # scan on its first guarded query, not here; the full replica
-            # skips its O(rows) scan outright — the coordinator packed its
-            # maintainer state into the image
+            # an adopted store pays its summary priming scan on its first
+            # guarded query, not here
             self.shard_catalog.register(name, store=shard_store)
-            weak = directory.get("weak")
-            if weak is not None:
-                offset, length = weak
-                entry = CatalogEntry.restore(
-                    name=name,
-                    store=full_store,
-                    version=version,
-                    maintainer_state=pickle.loads(buffer[offset : offset + length]),
-                )
-                self.full_catalog.adopt_entry(entry)
-            else:
-                self.full_catalog.register(name, store=full_store)
+            self.full_catalog.register(name, store=full_store)
         except BaseException:
             # leave no half-loaded graph: close every store we built
             # (releasing adopted views — close is idempotent, so stores

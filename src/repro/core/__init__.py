@@ -24,8 +24,6 @@ __all__ = [
     "saturated_clique",
     "NodePartition",
     "CliqueSummarizer",
-    "IncrementalWeakSummarizer",
-    "incremental_weak_summary",
     "canonical_signature",
     "graphs_isomorphic",
     "summaries_equivalent",
@@ -63,9 +61,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "PropertyCliques", "compute_cliques", "property_distance", "saturated_clique",
     ),
     "equivalence": ("NodePartition",),
-    "incremental": (
-        "CliqueSummarizer", "IncrementalWeakSummarizer", "incremental_weak_summary",
-    ),
+    "incremental": ("CliqueSummarizer",),
     "isomorphism": ("canonical_signature", "graphs_isomorphic", "summaries_equivalent"),
     "naming": ("SUMMARY_NS", "SummaryNamer"),
     "properties": (

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 from array import array
 from itertools import compress
-from typing import Dict, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, Optional, Sequence, Set, Tuple
 
 from repro.model.dictionary import Dictionary
 from repro.model.graph import GraphStatistics, RDFGraph
@@ -154,7 +154,7 @@ class Summary:
         kind: str,
         graph: RDFGraph,
         codes: array,
-        block_of_code: Union[Sequence[int], Mapping[int, int]],
+        block_of_code: Sequence[int],
         summary_nodes: Sequence[Term],
         decode_table: Sequence[Term],
         source_name: str = "",

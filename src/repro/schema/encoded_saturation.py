@@ -14,11 +14,12 @@ instance-level rules —
 * rdfs9 — ``x τ c`` and ``c ≺sc d``    entail ``x τ d``;
 
 — directly over the *encoded* rows of a :class:`~repro.store.base.TripleStore`,
-mirroring the ingest API of
-:class:`~repro.core.incremental.IncrementalWeakSummarizer`
-(:meth:`ingest_rows` / :meth:`snapshot` / :meth:`state_dict` /
-:meth:`load_state`) so :class:`~repro.service.catalog.CatalogEntry` can
-maintain it exactly like the weak-summary maps.
+fed the way :class:`~repro.core.incremental.CliqueSummarizer` is
+(:meth:`ingest_rows` per batch, :meth:`snapshot`), so
+:class:`~repro.service.catalog.CatalogEntry` maintains it in the same
+ingest routine.  Unlike the summary maintainer its state is checkpointed
+(:meth:`state_dict` / :meth:`load_state`): rebuilding it means re-applying
+the rules, not one scan.
 
 Delta algebra
 -------------
@@ -99,7 +100,7 @@ class IncrementalSaturator:
         The base store holding the explicit triples.  Rows handed to
         :meth:`ingest_rows` must already be inserted there (the output of
         :meth:`TripleStore.insert_triples` with ``skip_existing=True`` —
-        the same contract as the incremental weak summarizer), because a
+        the same contract as the summary maintainer), because a
         schema delta re-derives from the base store's tables.
     target:
         The store receiving ``G∞`` (a fresh :class:`MemoryStore` by
@@ -351,7 +352,7 @@ class IncrementalSaturator:
         self._record(self.target.insert_encoded_rows(derived), out)
 
     # ------------------------------------------------------------------
-    # ingest API (mirrors IncrementalWeakSummarizer)
+    # ingest API (mirrors CliqueSummarizer)
     # ------------------------------------------------------------------
     def ingest_row(self, kind: TripleKind, row: EncodedTriple) -> List[Tuple[TripleKind, EncodedTriple]]:
         """Apply one freshly inserted base row; see :meth:`ingest_rows`."""

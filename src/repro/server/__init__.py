@@ -6,9 +6,9 @@ restartable, concurrent daemon:
 
 * :mod:`repro.server.persistence` — the SQLite-backed catalog file behind
   :meth:`repro.service.catalog.GraphCatalog.open`: graphs, dictionaries,
-  encoded triples, weak-summary maps, cardinality statistics and cached
-  summaries survive restarts, so a reopened catalog answers its first
-  guarded query with zero re-summarization and zero re-scan;
+  encoded triples, the ``G∞`` state and cached summaries survive restarts,
+  so a reopened catalog answers its first guarded query with zero
+  re-summarization and zero re-scan;
 * :mod:`repro.server.executor` — the
   :class:`~repro.server.executor.QueryExecutor` bounding how many queries,
   ingests and builds run at once, each on its caller's thread, under each

@@ -269,8 +269,9 @@ class ServerApp:
                 # G∞ maintenance costs (null until a saturated query or
                 # a warm start brought the saturated store into being)
                 "saturation": entry.saturation_metrics(),
-                # the strong maintainer's sizes (null until it is primed)
-                "strong_maintainer": entry.strong_metrics(),
+                # the summary maintainer's sizes, weak and strong alike,
+                # under its published key (null until it is primed)
+                "strong_maintainer": entry.maintainer_metrics(),
                 "service": (
                     self.cluster.statistics.as_dict()
                     if self.cluster is not None

@@ -18,14 +18,14 @@ stores every fact once, packed, each blob through :mod:`zlib`:
 * the **encoded triples** in ``graph_columns`` — one row per table holding
   its three id columns as the narrowest native int array that fits (the
   ``width`` column records it), whatever backend serves the graph;
-* the **artifacts** in ``artifacts`` — the weak-summary maintainer state
-  (dense ``array('i')`` maps), the ``G∞`` saturator state with its
-  derived-row log, and every summary cached at checkpoint time, all tagged
-  with the checkpoint's entry version.  Maintainer and saturator payloads
-  are pickles of pure-integer structures.  Cardinality statistics are not
-  an artifact: every process reads them off the indexes of the rows it
-  loads (``statistics`` / ``saturation_statistics`` rows left by an older
-  build are ignored and disappear with the next checkpoint).  A summary payload holds
+* the **artifacts** in ``artifacts`` — the ``G∞`` saturator state with its
+  derived-row log (a pickle of pure-integer structures) and every summary
+  cached at checkpoint time, all tagged with the checkpoint's entry
+  version.  Derived state is not an artifact: every process reads the
+  cardinality statistics off the indexes of the rows it loads and primes
+  its summary maintainer on first need (``maintainer`` / ``statistics`` /
+  ``saturation_statistics`` rows left by an older build are ignored and
+  disappear with the next checkpoint).  A summary payload holds
   its node -> representative map as two packed ``array('i')`` over the
   graph's own dictionary ids and only the summary graph and the minted
   summary nodes as term tuples.  Summary artifacts are *expendable*: one
@@ -53,7 +53,7 @@ column blobs, rows in ``graph_triples``) open through a reader of their rows
 alone — no artifact of theirs is decoded, every one is rebuilt — and each
 graph is rewritten in this layout by its first durable write.  A blob that
 does not inflate or decode is a :class:`~repro.errors.PersistenceError`
-(dictionary, columns, maintainer, saturation) or a skipped
+(dictionary, columns, saturation) or a skipped
 summary, never a bare ``zlib`` / ``pickle`` traceback.
 
 The payloads use :mod:`pickle` (stdlib, compact, fast) over structures that
@@ -91,9 +91,11 @@ from repro.store.base import TripleStore
 __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
 
 #: Bump on any incompatible change to the tables or payloads.  Version 3 is
-#: the packed checkpoint + row log; files of versions 1 and 2 are read by
-#: their rows alone and rewritten graph by graph (see the module docstring).
-SCHEMA_VERSION = 3
+#: the packed checkpoint + row log, version 4 the same without a
+#: ``maintainer`` artifact (which a version-3 build refuses to open without);
+#: files of versions 1 and 2 are read by their rows alone and rewritten
+#: graph by graph (see the module docstring).
+SCHEMA_VERSION = 4
 
 #: The oldest schema this build still reads (older files are refused).
 MIN_SUPPORTED_SCHEMA_VERSION = 1
@@ -145,7 +147,7 @@ CREATE TABLE IF NOT EXISTS graph_columns (
 );
 CREATE TABLE IF NOT EXISTS artifacts (
     graph   TEXT NOT NULL,
-    name    TEXT NOT NULL,              -- maintainer | summary:<kind> | saturation
+    name    TEXT NOT NULL,              -- summary:<kind> | saturation
     version INTEGER NOT NULL,           -- the entry version checkpointed
     payload BLOB NOT NULL,              -- zlib(pickle(...))
     PRIMARY KEY (graph, name)
@@ -286,9 +288,6 @@ class GraphSnapshot(NamedTuple):
     version: int
     #: Holds the checkpoint's rows; :attr:`tail_rows` are not inserted yet.
     store: TripleStore
-    #: ``None`` for a graph read from a pre-3 layout: the caller rebuilds
-    #: every artifact from the store (which then holds *all* the rows).
-    maintainer_state: Optional[Dict[str, object]]
     summaries: Optional[Dict[str, Summary]] = None
     #: The incremental saturator's state (schema maps + derived-row log),
     #: when the graph's ``G∞`` cache was checkpointed — lets the restarted
@@ -298,6 +297,9 @@ class GraphSnapshot(NamedTuple):
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
     tail_rows: Sequence[Tuple[TripleKind, EncodedTriple]] = ()
+    #: Read from a pre-3 layout: the store holds *all* the rows, nothing else
+    #: came back, and the graph's first durable write must be a full rewrite.
+    legacy: bool = False
 
 
 class PersistentCatalog:
@@ -431,7 +433,6 @@ class PersistentCatalog:
     # ------------------------------------------------------------------
     def _artifact_rows(self, entry) -> Iterator[Tuple[str, bytes]]:
         """The artifact payloads of *entry* at its current version."""
-        yield "maintainer", _pack(entry.maintainer_state())
         saturation_state = entry.saturation_state()
         if saturation_state is not None:
             yield "saturation", _pack(saturation_state)
@@ -639,10 +640,11 @@ class PersistentCatalog:
             (_KIND_BY_VALUE[kind], EncodedTriple(s, p, o)) for kind, s, p, o in log_rows
         ]
         # one checkpoint replaces every artifact of the graph in one
-        # transaction, so they all carry the maintainer's version
-        artifacts: Dict[str, object] = {}
+        # transaction, so they all carry its version (with none there is
+        # nothing a wrong version could make look fresh)
+        saturation_state: Optional[Dict[str, object]] = None
         summaries: Dict[str, Summary] = {}
-        checkpoint_version = version
+        checkpoint_version = artifact_rows[0][1] if artifact_rows else version
         try:
             unpack_terms(term_rows, dictionary)
             for start, count, blob in chunk_rows:
@@ -675,7 +677,7 @@ class PersistentCatalog:
                 # no checkpointed state to replay onto: the rows are just rows
                 store._insert_rows(tail_rows)
                 tail_rows = []
-            for artifact_name, artifact_version, payload in artifact_rows:
+            for artifact_name, _version, payload in artifact_rows:
                 if artifact_name.startswith("summary:"):
                     # expendable: a payload that does not decode (a torn
                     # blob) is skipped — the entry rebuilds that summary on
@@ -687,17 +689,11 @@ class PersistentCatalog:
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
                     continue
-                if artifact_name in ("maintainer", "saturation"):
-                    # anything else is a row an older build left (its
-                    # pickled statistics profiles): never decoded
-                    artifacts[artifact_name] = _unpack(payload)
-                if artifact_name == "maintainer":
-                    checkpoint_version = artifact_version
-            if not legacy and not isinstance(artifacts.get("maintainer"), dict):
-                raise PersistenceError(
-                    f"graph {name!r} has no weak-summary maintainer state "
-                    f"— the catalog file is corrupt"
-                )
+                if artifact_name == "saturation":
+                    # anything else is a row an older build left (its weak
+                    # maintainer maps, pickled statistics profiles): never
+                    # decoded
+                    saturation_state = _unpack(payload)
         except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / array errors
             store.close()
             if isinstance(error, PersistenceError):
@@ -709,15 +705,13 @@ class PersistentCatalog:
         ensure_indexes = getattr(store, "ensure_summarization_indexes", None)
         if callable(ensure_indexes):
             ensure_indexes()
-        if legacy:
-            return GraphSnapshot(name, version, store, None, checkpoint_version=version)
         return GraphSnapshot(
             name=name,
             version=version,
             store=store,
-            maintainer_state=artifacts["maintainer"],
             summaries=summaries,
-            saturation_state=artifacts.get("saturation"),
+            saturation_state=saturation_state,
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
+            legacy=legacy,
         )

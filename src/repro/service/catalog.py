@@ -9,16 +9,12 @@ and maintains, per graph:
   :class:`~repro.service.evaluator.EncodedEvaluator` per join strategy,
   joined directly on the store's integer rows; created on first use, kept
   current in place by every ingest, alive exactly as long as the store;
-* a live :class:`~repro.core.incremental.IncrementalWeakSummarizer` fed one
-  encoded row per added triple, so the weak summary every query is guarded
-  by stays fresh under updates at the cost of the paper's Algorithms 1-3,
-  never a re-summarization;
-* once the strong summary has been asked for at a version no cache covers,
-  a live :class:`~repro.core.incremental.CliqueSummarizer` —
-  primed by one scan (the one graph-proportional ``summary_builds`` of a
-  serving process), then fed every batch, so a version bump costs the next
-  ``weak+strong`` reader two summary-sized snapshots; derived state, never
-  checkpointed or shipped;
+* once the weak or the strong summary has been asked for at a version no
+  cache covers, a live :class:`~repro.core.incremental.CliqueSummarizer` —
+  the one maintainer both are read off — primed by one scan (the one
+  ``prime_scans`` of a serving process), then fed every batch, so a version
+  bump costs the next ``weak+strong`` reader two summary-sized snapshots,
+  never a re-summarization; derived state, never checkpointed or shipped;
 * lazily built, version-invalidated caches of the type-based and typed
   kinds (rebuilt by the encoded engine on demand) and of the summary
   graphs' saturations used by pruning.  A snapshot or rebuild whose graph
@@ -49,13 +45,15 @@ Durability
 A catalog opened through :meth:`GraphCatalog.open` is backed by a
 :class:`repro.server.persistence.PersistentCatalog` — a checkpoint plus a
 row log.  Registrations and :meth:`GraphCatalog.checkpoint` write the
-checkpoint (rows, dictionary, weak-summary maps, ``G∞`` state, cached
-summaries); every ``add_triples`` batch is logged atomically, delta only.  A restarted process installs the checkpointed state and feeds the
-logged rows through the very routine an ingest runs
-(:meth:`CatalogEntry.replay`), so it warm-starts with **zero** re-scan or
-re-summarization — after a clean shutdown the ``build_counters`` of a warm
-entry stay at zero until something genuinely new is requested; after an
-unclean one the first guarded query pays one summary-sized weak snapshot.
+checkpoint (rows, dictionary, ``G∞`` state, cached summaries); every
+``add_triples`` batch is logged atomically, delta only.  A restarted process
+installs the checkpointed state and feeds the logged rows through the very
+routine an ingest runs (:meth:`CatalogEntry.replay`) — after a clean
+shutdown it warm-starts with **zero** re-scan or re-summarization and the
+``build_counters`` of a warm entry stay at zero until something genuinely
+new is requested; after an unclean one the replayed rows leave the
+checkpointed summaries stale and the first guarded query primes the
+maintainer (one ``prime_scans``), as it does after the first ingest.
 """
 
 from __future__ import annotations
@@ -68,9 +66,9 @@ from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 from repro import telemetry
 from repro.core.builders import normalize_kind
 from repro.core.encoded import encoded_summarize
-from repro.core.incremental import CliqueSummarizer, IncrementalWeakSummarizer
+from repro.core.incremental import CliqueSummarizer
 from repro.core.summary import Summary
-from repro.errors import DuplicateGraphError, PersistenceError, UnknownGraphError
+from repro.errors import DuplicateGraphError, UnknownGraphError
 from repro.model.graph import RDFGraph
 from repro.model.triple import Triple, TripleKind
 from repro.model.dictionary import EncodedTriple
@@ -199,11 +197,15 @@ class CatalogEntry:
         self.rwlock = ReadWriteLock()
         self._init_lock = threading.RLock()
         #: Counters of the expensive (graph-proportional) builds this entry
-        #: has performed.  A warm-started entry restored from a persistent
-        #: catalog keeps all of them at zero through its first queries —
-        #: the durability tests assert exactly that.
+        #: has performed, one rule each: ``prime_scans`` the maintainer's
+        #: single priming (weak and strong are snapshots of it ever after),
+        #: ``summary_builds`` the ``encoded_summarize`` runs of the other
+        #: three kinds, ``saturation_builds`` the ``G∞`` seedings.  A
+        #: warm-started entry restored from a persistent catalog keeps all
+        #: of them at zero through its first queries — the durability tests
+        #: assert exactly that.
         self.build_counters: BuildCounters = BuildCounters(
-            ("prime_scans", "summary_builds", "weak_snapshots", "saturation_builds")
+            ("prime_scans", "summary_builds", "saturation_builds")
         )
         # shared registry instruments (one histogram for all entries)
         self._write_wait_seconds = telemetry.histogram("lock.write_wait.seconds")
@@ -221,18 +223,13 @@ class CatalogEntry:
         self._delta_listeners: List[Callable[["CatalogEntry", List], None]] = []
         #: ``True`` after a write-through failure: the in-memory entry holds
         #: rows the catalog file does not.  The next durable write must be a
-        #: full rewrite — an incremental append would persist maintainer/
-        #: statistics state that references the lost rows.
+        #: full rewrite — an incremental append would log rows and
+        #: dictionary ids behind a gap.
         self._persist_dirty = False
-        self._maintainer = IncrementalWeakSummarizer(store)
-        #: Whether the maintainer has seen the store's rows: fed the rows in
-        #: hand by a cold ``register(graph=)``, installed by :meth:`restore`,
-        #: otherwise one scan on first need (:meth:`_ensure_primed`).
-        self._primed = False
-        #: The strong-summary maintainer, primed by the first strong build no
-        #: cached summary covers and fed every batch from then on;
+        #: The summary maintainer, primed by the first weak or strong build
+        #: no cached summary covers and fed every batch from then on;
         #: guarded by self._init_lock
-        self._strong: Optional[CliqueSummarizer] = None
+        self._maintainer: Optional[CliqueSummarizer] = None
         #: Per-kind summary cache (kind → (version, summary));
         #: guarded by self._init_lock — stale reads must re-check inside.
         self._summaries: Dict[str, Tuple[int, Summary]] = {}
@@ -254,17 +251,17 @@ class CatalogEntry:
         name: str,
         store: TripleStore,
         version: int,
-        maintainer_state: Dict[str, object],
         summaries: Optional[Dict[str, Summary]] = None,
         saturation_state: Optional[Dict[str, object]] = None,
     ) -> "CatalogEntry":
         """Warm-start an entry from persisted state (no priming scan).
 
-        The store arrives already loaded; the weak-summary maps and any
-        cached summaries are installed as-is at *version*, so the first
-        query costs exactly what a long-running process would have paid —
-        no re-scan, no re-summarization (the cardinality profile is never
-        persisted: it is read off the store's indexes).  A persisted
+        The store arrives already loaded; the cached summaries are installed
+        as-is at *version*, so the first query costs exactly what a
+        long-running process would have paid — no re-scan, no
+        re-summarization (derived state is never persisted: the cardinality
+        profile is read off the store's indexes, the summary maintainer
+        primed by the first read the cached summaries do not cover).  A persisted
         saturation state is kept *pending*: the first saturated access (or
         the first ingest) rehydrates the ``G∞`` store from the base rows
         plus the derived log, applying zero rules —
@@ -272,32 +269,16 @@ class CatalogEntry:
         """
         entry = cls(name, store)
         entry.version = version
-        entry._maintainer.load_state(maintainer_state)
-        entry._primed = True
         for kind, summary in (summaries or {}).items():
             entry._summaries[normalize_kind(kind)] = (version, summary)
         entry._saturation_pending = saturation_state
         return entry
 
-    def _ensure_primed(self) -> None:
-        """Feed the weak-summary maintainer every row already in the store,
-        once, before it is first used (summary snapshot, state export or
-        ingest) — so adopting a loaded store is O(1) and a cluster worker
-        acknowledges its shard without a scan."""
-        if self._primed:
-            return
-        with self._init_lock:
-            if self._primed:
-                return
-            self.build_counters["prime_scans"] += 1
-            self._maintainer.prime()
-            self._primed = True
-
     # ------------------------------------------------------------------
     # updates
     # ------------------------------------------------------------------
     def add_triples(self, triples: Iterable[Triple]) -> int:
-        """Encode and insert *triples*; maintain the weak summary online.
+        """Encode and insert *triples*; maintain what is derived from them.
 
         Triples already present are skipped (on every backend — the store
         filters against its rows), so re-adding data neither duplicates
@@ -331,8 +312,8 @@ class CatalogEntry:
         """The one ingest routine: ``insert(rows, skip_existing=…)``, then
         everything derived from the rows it reports as inserted.
 
-        The weak summary — and the strong one, once primed — takes the
-        batch as a delta; both cardinality profiles fold it in place (exact —
+        The summary maintainer, once primed, takes the batch as a delta;
+        both cardinality profiles fold it in place (exact —
         the store's indexes tell a new key from a known one), so planner
         estimates never lag an ingest and
         planners, plan caches and evaluators survive it; a live ``G∞`` is
@@ -356,22 +337,21 @@ class CatalogEntry:
                 # we raced a drop(): same report as the query-side race
                 raise UnknownGraphError(f"graph {self.name!r} was dropped")
             with self._init_lock:
-                # both read the store as it stands *before* the batch:
+                # reads the store as it stands *before* the batch:
                 # rehydrating a warm-start G∞ snapshot sweeps the base rows
                 # (rows inserted first would enter the saturated store as
-                # plain rows, silently skipping their delta derivations),
-                # and a priming scan would feed the batch a second time
+                # plain rows, silently skipping their delta derivations)
                 if self._saturation_pending is not None:
                     self._materialize_saturated()
-                self._ensure_primed()
                 fresh = insert(rows, skip_existing=skip_existing)
                 if not fresh:
                     return 0
-                self._maintainer.ingest_rows(fresh)
-                if self._strong is not None:
-                    self._strong.ingest_rows(fresh)
+                maintainer = self._maintainer
+                if maintainer is not None:
+                    maintainer.ingest_rows(fresh)
+                    # (published names: they count the one maintainer's batches)
                     telemetry.counter("summary.strong.deltas").inc()
-                    telemetry.counter("summary.strong.rekeyed_rows").inc(self._strong.rekeyed_rows)
+                    telemetry.counter("summary.strong.rekeyed_rows").inc(maintainer.rekeyed_rows)
                 self.version = self.version + 1 if version is None else version
                 served = self._served.get(False)
                 if served is not None:
@@ -452,10 +432,10 @@ class CatalogEntry:
     def summary(self, kind: str = "weak") -> Summary:
         """The *kind* summary of the graph, served from cache when fresh.
 
-        The weak and strong summaries are decoded from their live
-        maintainers — cost proportional to the summary, not the graph, once
-        the strong one has paid its priming scan; the other kinds run the
-        encoded engine over the store on first use after a change.
+        The weak and strong summaries are snapshots of the one live
+        maintainer — cost proportional to the summary, not the graph, once
+        it has paid its priming scan; the other kinds run the encoded
+        engine over the store on first use after a change.
         """
         kind = normalize_kind(kind)
         # Optimistic fast path: a stale read is benign because the hit is
@@ -467,18 +447,13 @@ class CatalogEntry:
             cached = self._summaries.get(kind)
             if cached is not None and cached[0] == self.version:
                 return cached[1]
-            if kind == "weak":
-                self._ensure_primed()
-                self.build_counters["weak_snapshots"] += 1
-                summary = self._maintainer.snapshot()
-                summary.source_name = self.name
-            elif kind == "strong":
-                if self._strong is None:
-                    self.build_counters["summary_builds"] += 1
+            if kind in ("weak", "strong"):
+                if self._maintainer is None:
+                    self.build_counters["prime_scans"] += 1
                     maintainer = CliqueSummarizer(self.store)
                     maintainer.prime()
-                    self._strong = maintainer
-                summary = self._strong.snapshot(self.name)
+                    self._maintainer = maintainer
+                summary = self._maintainer.snapshot(self.name, kind)
             else:
                 self.build_counters["summary_builds"] += 1
                 summary = encoded_summarize(self.store, kind, source_name=self.name)
@@ -490,18 +465,10 @@ class CatalogEntry:
             self._summaries[kind] = (self.version, summary)
             return summary
 
-    def strong_metrics(self) -> Optional[Dict[str, int]]:
-        """Sizes of the strong maintainer's state (``None`` until primed)."""
+    def maintainer_metrics(self) -> Optional[Dict[str, int]]:
+        """Sizes of the summary maintainer's state (``None`` until primed)."""
         with self._init_lock:
-            return None if self._strong is None else self._strong.metrics()
-
-    def maintainer_state(self) -> Dict[str, object]:
-        """The weak-summary maintainer's maps (see
-        :meth:`IncrementalWeakSummarizer.state_dict`): pure-integer
-        structures referencing live state — serialize before the entry is
-        mutated again (the persistence layer runs under the entry's lock)."""
-        self._ensure_primed()
-        return self._maintainer.state_dict()
+            return None if self._maintainer is None else self._maintainer.metrics()
 
     def cached_summaries(self) -> Dict[str, Summary]:
         """The summaries cached *at the current version* (no builds)."""
@@ -696,17 +663,17 @@ class GraphCatalog:
 
         Every graph persisted in the file is warm-started: its checkpointed
         rows and dictionary are bulk-restored into a fresh *store_factory*
-        backend, the weak-summary maps, ``G∞`` state and cached summaries
-        are installed directly, and the rows logged
-        since the checkpoint are replayed (:meth:`CatalogEntry.replay`) —
-        zero re-scans, zero re-summarization; with an empty log
-        ``entry.build_counters`` stay at zero.  Registrations checkpoint,
-        ``add_triples`` batches are logged atomically as they happen, and
+        backend, the ``G∞`` state and cached summaries are installed
+        directly, and the rows logged since the checkpoint are replayed
+        (:meth:`CatalogEntry.replay`); with an empty log nothing is
+        re-scanned or re-summarized and ``entry.build_counters`` stay at
+        zero.  Registrations checkpoint, ``add_triples`` batches are
+        logged atomically as they happen, and
         :meth:`checkpoint` folds the log back into a checkpoint.
 
         A graph still in a pre-3 file layout comes back by its rows alone:
-        its artifacts are rebuilt (one priming scan, then lazily) and its
-        first durable write rewrites it.
+        its artifacts are rebuilt lazily and its first durable write
+        rewrites it.
         """
         from repro.server.persistence import PersistentCatalog
 
@@ -718,29 +685,19 @@ class GraphCatalog:
         with catalog._lock:
             for name in persistence.graph_names():
                 snapshot = persistence.load_graph(name, store_factory)
-                if snapshot.maintainer_state is None:
-                    entry = CatalogEntry(name, snapshot.store)
-                    entry.version = snapshot.version
-                    entry._persist_dirty = True
-                else:
-                    try:
-                        entry = CatalogEntry.restore(
-                            name=snapshot.name,
-                            store=snapshot.store,
-                            version=snapshot.checkpoint_version,
-                            maintainer_state=snapshot.maintainer_state,
-                            summaries=snapshot.summaries,
-                            saturation_state=snapshot.saturation_state,
-                        )
-                    except ValueError as error:  # an incomplete maintainer state
-                        raise PersistenceError(
-                            f"graph {name!r} in catalog file {path!r} cannot be restored: {error}"
-                        )
-                    if snapshot.tail_rows:
-                        replay_start = perf_counter()
-                        entry.replay(snapshot.tail_rows, snapshot.version)
-                        replay_rows.inc(len(snapshot.tail_rows))
-                        replay_seconds.observe(perf_counter() - replay_start)
+                entry = CatalogEntry.restore(
+                    name=snapshot.name,
+                    store=snapshot.store,
+                    version=snapshot.checkpoint_version,
+                    summaries=snapshot.summaries,
+                    saturation_state=snapshot.saturation_state,
+                )
+                entry._persist_dirty = snapshot.legacy
+                if snapshot.tail_rows:
+                    replay_start = perf_counter()
+                    entry.replay(snapshot.tail_rows, snapshot.version)
+                    replay_rows.inc(len(snapshot.tail_rows))
+                    replay_seconds.observe(perf_counter() - replay_start)
                 entry._on_update = catalog._persist_update
                 catalog._entries[name] = entry
         return catalog
@@ -762,8 +719,8 @@ class GraphCatalog:
         Write-through already keeps every acknowledged row and dictionary
         id durable in the log; a checkpoint folds the log into the packed
         column snapshot and captures the maintained state as it stands —
-        weak-summary maps, ``G∞``, the summaries cached since — so the next
-        warm start replays nothing and rebuilds nothing.  An
+        ``G∞``, the summaries cached since — so the next warm start
+        replays nothing and rebuilds nothing.  An
         entry whose checkpointed rows are already current only has its
         artifacts replaced.
         """
@@ -776,9 +733,9 @@ class GraphCatalog:
             with entry.rwlock.read_locked():
                 if entry.closed:
                     continue  # raced a drop(); must not resurrect it durably
-                # make sure the weak summary (cheap: decoded from the live
-                # incremental maps) rides along, so the warm-started
-                # process does not rebuild it
+                # make sure the weak summary (a snapshot of the live
+                # maintainer; one priming scan if nothing primed it yet)
+                # rides along, so the warm-started process does not rebuild it
                 entry.summary("weak")
                 if entry._persist_dirty or not persistence.refresh_artifacts(entry):
                     persistence.save_graph(entry)
@@ -822,9 +779,9 @@ class GraphCatalog:
         Registering a name already in use raises
         :class:`~repro.errors.DuplicateGraphError` (a
         :class:`~repro.errors.CatalogError`) and leaves the existing entry
-        untouched — nothing is loaded, closed or replaced.  An adopted
-        store is not scanned here: its weak summary is primed on first need
-        (at once on a persistent catalog, which checkpoints it).
+        untouched — nothing is loaded, closed or replaced.  Nothing is
+        scanned here: the summary maintainer is primed on first need (at
+        once on a persistent catalog, which checkpoints the weak summary).
         """
         if (graph is None) == (store is None):
             raise ValueError("register() needs exactly one of graph= or store=")
@@ -846,10 +803,7 @@ class GraphCatalog:
                 store = self._store_factory()
             entry = CatalogEntry(name, store)
             if graph is not None:
-                # the rows just inserted are in hand, encoded — feed them
-                # instead of re-scanning the store on first need
-                entry._maintainer.ingest_rows(store.insert_triples(graph))
-                entry._primed = True
+                store.load_graph(graph)
             if self._persistence is not None:
                 entry._on_update = self._persist_update
                 # build what a warm start must not: the weak snapshot is
@@ -871,28 +825,6 @@ class GraphCatalog:
         finally:
             with self._lock:
                 self._registering.discard(name)
-
-    def adopt_entry(self, entry: CatalogEntry) -> CatalogEntry:
-        """Install an already-built *entry* under its own name.
-
-        The warm-handoff twin of :meth:`register` for callers that
-        constructed the entry themselves — typically via
-        :meth:`CatalogEntry.restore` with maintainer state shipped from
-        another process, so no priming scan runs here.  The catalog takes
-        ownership exactly as for a registered entry (:meth:`drop` and
-        :meth:`close` will close its store).  Raises
-        :class:`~repro.errors.DuplicateGraphError` if the name is taken.
-        """
-        with self._lock:
-            if entry.name in self._entries or entry.name in self._registering:
-                raise DuplicateGraphError(
-                    f"graph {entry.name!r} is already registered; drop() it "
-                    f"first to replace it (the existing entry is untouched)"
-                )
-            self._entries[entry.name] = entry
-        if self._persistence is not None:
-            entry._on_update = self._persist_update
-        return entry
 
     def entry(self, name: str) -> CatalogEntry:
         """The entry registered under *name*."""

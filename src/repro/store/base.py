@@ -281,8 +281,8 @@ class TripleStore(abc.ABC):
         """Encode *triples* in one batched pass, insert them, return the rows.
 
         The returned ``(kind, encoded_row)`` list (input order) lets callers
-        that maintain derived state — e.g. the incremental weak-summary
-        maintenance of :class:`repro.service.catalog.GraphCatalog` — consume
+        that maintain derived state — e.g. the summary maintainer and the
+        saturator of :class:`repro.service.catalog.CatalogEntry` — consume
         the freshly assigned ids without re-encoding.
 
         With ``skip_existing=False`` (the bulk-load default) callers are

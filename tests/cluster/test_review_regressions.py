@@ -42,7 +42,7 @@ def _triples(count, prefix="http://x"):
     ]
 
 
-def _load_payload(store, name="g", version=0, shards=1, weak_state=None, registry=None):
+def _load_payload(store, name="g", version=0, shards=1, registry=None):
     """An ``OP_LOAD`` for shard 0 the way the coordinator builds one: the
     image as bytes on the pipe, or — given a *registry* — packed into a
     shared-memory segment."""
@@ -51,7 +51,7 @@ def _load_payload(store, name="g", version=0, shards=1, weak_state=None, registr
     full_tables = protocol.pack_full_tables(store)
     if registry is not None:
         segment_name, directory = registry.pack(
-            name, version, term_chunks, shard_tables, full_tables, protocol.BYTEORDER, weak_state
+            name, version, term_chunks, shard_tables, full_tables, protocol.BYTEORDER
         )
         return name, version, (protocol.TABLES_SHM, segment_name, directory), []
     blobs, directory = shm.layout_image(
@@ -60,7 +60,6 @@ def _load_payload(store, name="g", version=0, shards=1, weak_state=None, registr
         term_chunks,
         [("full", full_tables), (0, shard_tables[0])],
         protocol.BYTEORDER,
-        weak_state,
     )
     return name, version, (protocol.TABLES_INLINE, b"".join(blobs), directory), []
 
@@ -137,18 +136,14 @@ def test_reship_load_answers_deferred_queries():
 
 def test_load_is_source_independent(image_registry):
     """Both image sources get the same ack and the same deferred work: the
-    columns are adopted (not copied), the shard primes on its first guarded
-    query, the full replica restores its maintainer without a scan, and the
-    dictionary waits for the first query."""
+    columns are adopted (not copied), neither store primes its summary
+    maintainer at load — each does exactly once, on its first guarded query
+    — and the dictionary waits for the first query."""
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(6))
     worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
     try:
-        reply = worker.handle_load(
-            _load_payload(
-                entry.store, weak_state=entry.maintainer_state(), registry=image_registry
-            )
-        )
+        reply = worker.handle_load(_load_payload(entry.store, registry=image_registry))
         assert set(reply) == {
             "name", "version", "mode", "shard_rows", "full_rows", "attach_seconds"
         }
@@ -159,6 +154,7 @@ def test_load_is_source_independent(image_registry):
         full_entry = worker.full_catalog.entry("g")
         assert "g" in worker._pending_terms and len(full_entry.store.dictionary) == 0
         assert shard_entry.build_counters["prime_scans"] == 0
+        assert full_entry.build_counters["prime_scans"] == 0
         # adopted either way, but only segment pages are shared between
         # workers — a pipe image's bytes are this worker's own
         memory = worker.handle_ping(())["column_memory"]
@@ -168,17 +164,18 @@ def test_load_is_source_independent(image_registry):
         else:
             assert memory == {"private_bytes": 0, "adopted_bytes": column_bytes}
         guarded = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # an RBGP: the guard runs
-        for target in (TARGET_SHARD, TARGET_FULL):
-            answer = worker.handle_query(_query_payload(0, target, guarded))
-            assert answer["prunable"] and len(answer["answers"]) == 6
+        for _again in range(2):
+            for target in (TARGET_SHARD, TARGET_FULL):
+                answer = worker.handle_query(_query_payload(0, target, guarded))
+                assert answer["prunable"] and len(answer["answers"]) == 6
         assert shard_entry.build_counters["prime_scans"] == 1
-        assert full_entry.build_counters["prime_scans"] == 0
+        assert full_entry.build_counters["prime_scans"] == 1
     finally:
         worker.close()
         catalog.close()
 
 
-@pytest.mark.parametrize("fault", ["full-row-count", "full-restore"])
+@pytest.mark.parametrize("fault", ["full-row-count", "full-register"])
 def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
     """A load that raises — before or after the shard entry was registered
     — leaves no catalog entry, mapping or pending state, so a correct
@@ -187,9 +184,7 @@ def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(4))
     worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
-    good = _load_payload(
-        entry.store, weak_state=entry.maintainer_state(), registry=image_registry
-    )
+    good = _load_payload(entry.store, registry=image_registry)
     try:
         if fault == "full-row-count":
             name, version, (mode, source, directory), deltas = good
@@ -201,10 +196,10 @@ def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
         else:
             bad = good
 
-            def refuse(**_kwargs):
-                raise ReproError("maintainer state refused")
+            def refuse(*_args, **_kwargs):
+                raise ReproError("full replica refused")
 
-            monkeypatch.setattr("repro.cluster.worker.CatalogEntry.restore", refuse)
+            monkeypatch.setattr(worker.full_catalog, "register", refuse)
         with pytest.raises(ReproError, match="row count mismatch|refused"):
             worker.handle_load(bad)
         monkeypatch.undo()

@@ -1,9 +1,12 @@
-"""Tests for the store-driven incremental weak summarizer (Algorithms 1-3)."""
+"""The store-driven summary maintainer against the quotient construction:
+the weak summary read off :class:`CliqueSummarizer` (Section 6)."""
+
+import random
 
 import pytest
 
 from repro.core.builders import weak_summary
-from repro.core.incremental import IncrementalWeakSummarizer, incremental_weak_summary
+from repro.core.incremental import CliqueSummarizer
 from repro.core.isomorphism import graphs_isomorphic
 from repro.core.properties import has_unique_data_properties
 from repro.store.memory import MemoryStore
@@ -16,6 +19,12 @@ def _store_with(graph, backend):
     return store
 
 
+def _weak(store):
+    maintainer = CliqueSummarizer(store)
+    maintainer.prime()
+    return maintainer.snapshot(kind="weak")
+
+
 @pytest.fixture(params=[MemoryStore, SQLiteStore], ids=["memory", "sqlite"])
 def backend(request):
     return request.param
@@ -24,38 +33,38 @@ def backend(request):
 class TestEquivalenceWithQuotientConstruction:
     def test_fig2(self, fig2, backend):
         with _store_with(fig2, backend) as store:
-            incremental = incremental_weak_summary(store)
+            incremental = _weak(store)
         declarative = weak_summary(fig2)
         assert graphs_isomorphic(incremental.graph, declarative.graph)
 
     def test_bsbm(self, bsbm_small, backend):
         with _store_with(bsbm_small, backend) as store:
-            incremental = incremental_weak_summary(store)
+            incremental = _weak(store)
         declarative = weak_summary(bsbm_small)
         assert len(incremental.graph) == len(declarative.graph)
         assert graphs_isomorphic(incremental.graph, declarative.graph)
 
     def test_bibliography(self, bibliography_small, backend):
         with _store_with(bibliography_small, backend) as store:
-            incremental = incremental_weak_summary(store)
+            incremental = _weak(store)
         declarative = weak_summary(bibliography_small)
         assert graphs_isomorphic(incremental.graph, declarative.graph)
 
     def test_book_graph_schema_copied(self, book_graph, backend):
         with _store_with(book_graph, backend) as store:
-            incremental = incremental_weak_summary(store)
+            incremental = _weak(store)
         assert incremental.graph.schema_triples == book_graph.schema_triples
 
 
 class TestAlgorithmInvariants:
     def test_unique_data_properties(self, bsbm_small):
         with _store_with(bsbm_small, MemoryStore) as store:
-            summary = incremental_weak_summary(store)
+            summary = _weak(store)
         assert has_unique_data_properties(summary)
 
     def test_every_data_node_represented(self, fig2):
         with _store_with(fig2, MemoryStore) as store:
-            summary = incremental_weak_summary(store)
+            summary = _weak(store)
         for node in fig2.data_nodes():
             assert summary.representative(node) is not None
 
@@ -63,44 +72,24 @@ class TestAlgorithmInvariants:
         from repro.datasets.sample import FIG2
 
         with _store_with(fig2, MemoryStore) as store:
-            summary = incremental_weak_summary(store)
+            summary = _weak(store)
         ntau = summary.representative(FIG2.r6)
         assert summary.graph.types_of(ntau) == {FIG2.Spec}
 
-    def test_merge_keeps_node_with_more_edges(self):
-        # white-box check of MERGEDATANODES' union-by-size behaviour
-        summarizer = IncrementalWeakSummarizer(MemoryStore())
-        big = summarizer._create_data_node(resource=1)
-        small = summarizer._create_data_node(resource=2)
-        summarizer.src_dps[big] = {10, 11}
-        summarizer.dp_src[10] = big
-        summarizer.dp_src[11] = big
-        summarizer.dtp[10] = (big, 10, small)
-        summarizer.dtp[11] = (big, 11, small)
-        summarizer.targ_dps[small] = {10, 11}
-        summarizer.dp_targ[10] = small
-        summarizer.dp_targ[11] = small
-        kept = summarizer._merge_data_nodes(big, small)
-        assert kept == big
-        # no member is relabelled: resource 2 follows the union-find link
-        assert summarizer._node_of(2) == big
-
     def test_idempotent_on_empty_store(self):
         with MemoryStore() as store:
-            summary = incremental_weak_summary(store)
+            summary = _weak(store)
         assert len(summary.graph) == 0
 
 
 class TestOnlineIngestion:
-    """ingest_data / ingest_type in arbitrary arrival order + snapshot."""
+    """``ingest_rows`` in arbitrary arrival order + ``snapshot``."""
 
     def _ingest_shuffled(self, graph, seed):
-        import random
-
         store = MemoryStore()
         rows = store.insert_triples(sorted(graph))
         random.Random(seed).shuffle(rows)
-        summarizer = IncrementalWeakSummarizer(store)
+        summarizer = CliqueSummarizer(store)
         summarizer.ingest_rows(rows)
         return summarizer
 
@@ -108,29 +97,31 @@ class TestOnlineIngestion:
         declarative = weak_summary(fig2)
         for seed in (0, 5, 9):
             summarizer = self._ingest_shuffled(fig2, seed)
-            assert graphs_isomorphic(summarizer.snapshot().graph, declarative.graph)
+            assert graphs_isomorphic(summarizer.snapshot(kind="weak").graph, declarative.graph)
 
     def test_types_before_data_promotes_resources(self, fig2):
-        # feed every type row first, then the data rows: resources first
-        # parked in the typed-only buffer must end on proper data nodes
+        # every type row is stored and fed first, the data rows in a later
+        # batch: resources that start out typed-only (sharing Nτ) must end
+        # on proper data nodes, their type edges re-keyed along
         store = MemoryStore()
-        rows = store.insert_triples(sorted(fig2))
-        types_first = [r for r in rows if r[0].name == "TYPE"] + [
-            r for r in rows if r[0].name != "TYPE"
-        ]
-        summarizer = IncrementalWeakSummarizer(store)
-        summarizer.ingest_rows(types_first)
+        summarizer = CliqueSummarizer(store)
+        ordered = sorted(fig2)
+        for batch in (
+            [t for t in ordered if t.is_type()],
+            [t for t in ordered if not t.is_type()],
+        ):
+            summarizer.ingest_rows(store.insert_triples(batch, skip_existing=True))
         declarative = weak_summary(fig2)
-        assert graphs_isomorphic(summarizer.snapshot().graph, declarative.graph)
+        assert graphs_isomorphic(summarizer.snapshot(kind="weak").graph, declarative.graph)
 
     def test_snapshot_does_not_mutate_state(self, bibliography_small):
         store = MemoryStore()
-        rows = store.insert_triples(sorted(bibliography_small))
-        summarizer = IncrementalWeakSummarizer(store)
-        half = len(rows) // 2
-        summarizer.ingest_rows(rows[:half])
-        first = summarizer.snapshot()
-        assert graphs_isomorphic(summarizer.snapshot().graph, first.graph)
-        summarizer.ingest_rows(rows[half:])
+        summarizer = CliqueSummarizer(store)
+        ordered = sorted(bibliography_small)
+        half = len(ordered) // 2
+        summarizer.ingest_rows(store.insert_triples(ordered[:half], skip_existing=True))
+        first = summarizer.snapshot(kind="weak")
+        assert set(summarizer.snapshot(kind="weak").graph) == set(first.graph)
+        summarizer.ingest_rows(store.insert_triples(ordered[half:], skip_existing=True))
         declarative = weak_summary(bibliography_small)
-        assert graphs_isomorphic(summarizer.snapshot().graph, declarative.graph)
+        assert graphs_isomorphic(summarizer.snapshot(kind="weak").graph, declarative.graph)

@@ -1,7 +1,7 @@
 """Integration tests across modules: file → store → summary → queries → export."""
 
 from repro.core.builders import summarize, weak_summary
-from repro.core.incremental import incremental_weak_summary
+from repro.core.encoded import encoded_summarize
 from repro.core.isomorphism import graphs_isomorphic
 from repro.core.properties import check_fixpoint, check_representativeness
 from repro.core.shortcuts import completeness_holds
@@ -37,7 +37,7 @@ class TestFileToSummaryPipeline:
         with SQLiteStore(path=str(database)) as store:
             store.load_graph(bibliography_small)
             store.persist_dictionary()
-            incremental = incremental_weak_summary(store)
+            incremental = encoded_summarize(store, "weak")
         declarative = weak_summary(bibliography_small)
         assert graphs_isomorphic(incremental.graph, declarative.graph)
 

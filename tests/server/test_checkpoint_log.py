@@ -46,7 +46,7 @@ from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
 from repro.store.memory import MemoryStore
 
-_BUILD_KEYS = ("prime_scans", "summary_builds", "saturation_builds")
+from oracles.term_partitions import term_summary
 
 
 def _sql(path, statement, parameters=()):
@@ -163,7 +163,6 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             live = pack_terms(reference.store.dictionary)
             assert restored == live[: len(restored)]
             assert live[len(restored) :] in ([], [("u", RDF_TYPE.value, None, None)])
-            assert entry.maintainer_state() == reference.maintainer_state()
             assert entry.statistics_index().as_dict() == recount(entry.store)
             assert entry.statistics_index() == reference.statistics_index()
             service = QueryService(reopened, kind="weak+strong")
@@ -181,8 +180,9 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             assert pack_terms(entry.store.dictionary) == pack_terms(reference.store.dictionary)
 
             counters = dict(entry.build_counters)
-            assert counters["prime_scans"] == 0
-            assert counters["weak_snapshots"] <= 1  # summary-sized, on the first guarded query
+            # one priming serves weak and strong, unless the checkpoint covers both
+            assert counters["prime_scans"] <= 1
+            assert counters["summary_builds"] == 0
             if saturated_at_checkpoint:
                 assert counters["saturation_builds"] == 0
             else:
@@ -325,16 +325,17 @@ def test_columns_are_stored_at_the_narrowest_width_that_fits(fig2, tmp_path):
         ("dictionary_chunks", "terms", "1"),
         ("graph_columns", "s", "kind = 'data'"),
         ("graph_columns", "o", "kind = 'type'"),
-        ("artifacts", "payload", "name = 'maintainer'"),
+        ("artifacts", "payload", "name = 'saturation'"),
     ],
 )
 def test_damaged_blobs_are_typed_errors(bsbm_small, tmp_path, table, column, where, damage):
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
-        catalog.register("g", graph=bsbm_small)
+        catalog.register("g", graph=bsbm_small).evaluator_for(saturated=True)
+        catalog.checkpoint()  # ... with the G∞ state that brought into being
     ((blob,),) = _sql(path, f"SELECT {column} FROM {table} WHERE {where}")
     _sql(path, f"UPDATE {table} SET {column} = ? WHERE {where}", (damage(blob),))
-    with pytest.raises(PersistenceError, match="unreadable|corrupt|cannot be restored"):
+    with pytest.raises(PersistenceError, match="unreadable|corrupt"):
         GraphCatalog.open(path)
 
 
@@ -441,10 +442,10 @@ def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, 
         answers = [service.answer("g", item.query) for item in workload]
         assert [set(answer.answers) for answer in answers] == expected
         assert any(answer.pruned for answer in answers)
-        # every artifact rebuilt from the rows, each once
-        assert {key: entry.build_counters[key] for key in _BUILD_KEYS} == {
+        # both summaries rebuilt from the rows, by the one priming scan
+        assert entry.build_counters == {
             "prime_scans": 1,
-            "summary_builds": 1,
+            "summary_builds": 0,
             "saturation_builds": 0,
         }
         # opened, not yet written: the old rows are still what the file holds
@@ -531,42 +532,15 @@ def test_the_tail_and_its_replay_are_visible_from_outside(fig2, tmp_path):
         assert memory.log_tail_rows("fig2") is None
 
 
-def _as_a_pre_array_build_wrote_it(state):
-    """A maintainer state in the shape builds before the array maps pickled:
-    ``rd`` a dict, ``dr`` its inverse as member sets, ``_typed_only`` a dict."""
-    parent = state["parent"]
-
-    def live(node):
-        while parent[node] != node:
-            node = parent[node]
-        return node
-
-    rd = {r: live(node) for r, node in enumerate(state["rd"]) if node >= 0}
-    dr = {}
-    for resource, node in rd.items():
-        dr.setdefault(node, set()).add(resource)
-    old = {key: state[key] for key in ("dp_src", "dp_targ", "src_dps", "targ_dps", "dcls", "dtp")}
-    old.update(
-        rd=rd,
-        dr=dr,
-        _typed_only={
-            r: set(state["class_sets"][-2 - code]) for r, code in enumerate(state["rd"]) if code <= -2
-        },
-        _next_node=len(parent),
-    )
-    return old
-
-
-def test_a_file_with_statistics_rows_and_a_dict_maintainer_opens_and_sheds_them(
-    bsbm_small, tmp_path
-):
-    """A schema-3 file from before statistics became derived state: its
-    ``statistics`` / ``saturation_statistics`` rows are never decoded, its
-    dict-shaped ``maintainer`` is converted once, and the next checkpoint
-    leaves neither behind."""
+def test_a_schema_3_file_opens_and_sheds_its_maintainer_row(bsbm_small, tmp_path):
+    """A file as the last schema-3 build left it — a ``maintainer`` artifact
+    beside the summaries, ``statistics`` / ``saturation_statistics`` rows
+    from before those became derived state: none of them is decoded, the
+    answers and prunings are the checkpointing process's own, nothing is
+    built, and the next checkpoint leaves no such row behind."""
     path = str(tmp_path / "catalog.db")
-    typed_only = Triple(EX.term("typed-only"), RDF_TYPE, EX.term("Lonely"))
-    graph = RDFGraph(list(bsbm_small) + [typed_only])
+    promoted = EX.term("typed-only")
+    graph = RDFGraph(list(bsbm_small) + [Triple(promoted, RDF_TYPE, EX.term("Lonely"))])
     workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
     saturated = parse_query(f"SELECT ?x WHERE {{ ?x <{RDF_TYPE.value}> <{EX.term('Lonely').value}> . }}")
     with GraphCatalog.open(path) as catalog:
@@ -576,18 +550,12 @@ def test_a_file_with_statistics_rows_and_a_dict_maintainer_opens_and_sheds_them(
         assert any(answer.pruned for answer in expected)
         service.answer("g", saturated, saturated=True)
         catalog.checkpoint()
-        representatives = dict(catalog.entry("g").summary("weak").representative_of)
+        shared = catalog.entry("g").summary("weak").representative(promoted)
 
-    ((payload,),) = _sql(path, "SELECT payload FROM artifacts WHERE name = 'maintainer'")
-    old_state = _as_a_pre_array_build_wrote_it(pickle.loads(zlib.decompress(payload)))
-    assert old_state["_typed_only"]
-    _sql(
-        path,
-        "UPDATE artifacts SET payload = ? WHERE name = 'maintainer'",
-        (zlib.compress(pickle.dumps(old_state, protocol=4)),),
-    )
-    for name in ("statistics", "saturation_statistics"):
-        _sql(path, "INSERT INTO artifacts VALUES ('g', ?, 1, ?)", (name, b"of another build"))
+    ((version,),) = _sql(path, "SELECT DISTINCT version FROM artifacts")
+    for name in ("maintainer", "statistics", "saturation_statistics"):
+        _sql(path, "INSERT INTO artifacts VALUES ('g', ?, ?, ?)", (name, version, b"of another build"))
+    _sql(path, "UPDATE catalog_meta SET value = '3' WHERE key = 'schema_version'")
 
     with GraphCatalog.open(path) as catalog:
         entry = catalog.entry("g")
@@ -597,19 +565,20 @@ def test_a_file_with_statistics_rows_and_a_dict_maintainer_opens_and_sheds_them(
             set(answer.answers) for answer in expected
         ]
         assert [answer.pruned for answer in answers] == [answer.pruned for answer in expected]
-        assert set(service.answer("g", saturated, saturated=True).answers) == {
-            (EX.term("typed-only"),)
-        }
+        assert set(service.answer("g", saturated, saturated=True).answers) == {(promoted,)}
         assert not any(entry.build_counters.values())
-        assert isinstance(entry.maintainer_state()["rd"], array)
-        # still maintained from there: same nodes, same names
-        promoted = EX.term("typed-only")
+        # maintained from there on: the typed-only node leaves the shared Nτ
         catalog.add_triples("g", [Triple(promoted, EX.term("p-new"), Literal("v"))])
-        after = entry.summary("weak").representative_of
-        assert all(after[node] == name for node, name in representatives.items() if node != promoted)
-        assert after[promoted] != representatives[promoted]  # off the shared Nτ node
+        for kind in ("weak", "strong"):
+            oracle = term_summary(entry.to_graph(), kind)
+            assert set(entry.summary(kind).graph) == set(oracle.graph)
+            assert entry.summary(kind).representative_of == oracle.representative_of
+        assert entry.summary("weak").representative(promoted) != shared
+        assert entry.build_counters["prime_scans"] == 1
         catalog.checkpoint()
 
-    assert _sql(path, "SELECT name FROM artifacts WHERE name LIKE '%statistics'") == []
-    ((payload,),) = _sql(path, "SELECT payload FROM artifacts WHERE name = 'maintainer'")
-    assert "dr" not in pickle.loads(zlib.decompress(payload))
+    assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [
+        (str(SCHEMA_VERSION),)
+    ]
+    names = {name for (name,) in _sql(path, "SELECT name FROM artifacts")}
+    assert names == {"saturation", "summary:weak", "summary:strong"}

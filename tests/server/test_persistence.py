@@ -116,7 +116,7 @@ class TestWarmStart:
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("fig2")
             restored = entry.summary("strong")
-            assert entry.build_counters["summary_builds"] == 0
+            assert _zero_counters(entry) == {}
             assert graphs_isomorphic(restored.graph, summarize(fig2, "strong").graph)
 
     def test_statistics_are_read_off_the_reloaded_rows(self, bsbm_small, tmp_path, recount):
@@ -141,7 +141,7 @@ class TestWarmStart:
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("g")
             warm = entry.summary("weak")
-            assert entry.build_counters["weak_snapshots"] == 0
+            assert _zero_counters(entry) == {}  # it came from the checkpoint
             assert graphs_isomorphic(warm.graph, summarize(bsbm_small, "weak").graph)
 
 
@@ -163,9 +163,9 @@ class TestKillAndReopen:
             assert fresh in set(entry.to_graph())
             warm = QueryService(reopened).answer("fig2", ingest_query).answers
             assert warm == live
-            # the logged row was replayed through the maintainer: no scan,
-            # one summary-sized snapshot of the maps it left
-            assert _zero_counters(entry) == {"weak_snapshots": 1}
+            # the replayed row left the checkpointed summary stale: the
+            # guard's first read primes the maintainer, once
+            assert _zero_counters(entry) == {"prime_scans": 1}
             assert reopened.log_tail_rows("fig2") == 1
 
     def test_incremental_maintainer_state_continues(self, fig2, tmp_path):
@@ -201,8 +201,8 @@ class TestWriteThroughFailure:
     def test_failed_write_through_propagates_and_heals(self, fig2, tmp_path, monkeypatch):
         """A lost checkpoint must surface to the caller, and the next
         successful update must rewrite the file completely — an incremental
-        append after a lost batch would persist maintainer state referencing
-        rows the file never received."""
+        append after a lost batch would log rows and dictionary ids behind
+        a gap."""
         from repro.server.persistence import PersistentCatalog
 
         path = _catalog_path(tmp_path)

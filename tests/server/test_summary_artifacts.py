@@ -17,9 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.encoded import ENCODED_KINDS, encoded_summarize
-from repro.core.incremental import IncrementalWeakSummarizer
 from repro.datasets.bsbm import generate_bsbm
-from repro.errors import PersistenceError
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
 from repro.model.terms import Literal
@@ -79,8 +77,6 @@ def _eager_maps(summary, dictionary):
 def _summaries_of(graph, store, kind):
     yield "encoded", encoded_summarize(store, kind, source_statistics=graph.statistics())
     yield "term", term_summary(graph, kind)
-    if kind == "weak":
-        yield "incremental", IncrementalWeakSummarizer(store).build()
 
 
 @settings(max_examples=30, deadline=None)
@@ -279,10 +275,10 @@ def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
             answers = [service.answer("g", item.query) for item in workload]
             assert [set(answer.answers) for answer in answers] == expected
         assert any(answer.pruned for answer in answers)
-        # each skipped summary is rebuilt once, on first use, and then cached
+        # both skipped summaries are rebuilt by the maintainer's one priming
+        # scan, on first use, and then cached
         assert {name: hits for name, hits in entry.build_counters.items() if hits} == {
-            "weak_snapshots": 1,
-            "summary_builds": 1,
+            "prime_scans": 1,
         }
         catalog.checkpoint()
 
@@ -327,29 +323,6 @@ def test_undecodable_summary_artifacts_are_skipped_and_counted(fig2, tmp_path, d
         assert entry.cached_summaries() == {}
         assert skipped.value == before + 2
         assert len(entry.summary("strong").graph) > 0
-
-
-def test_a_damaged_maintainer_artifact_stays_fatal_and_typed(fig2, tmp_path):
-    path = str(tmp_path / "catalog.db")
-    _cold_build(path, fig2)
-    intact = _artifact_payloads(path)["maintainer"]
-    for payload in (
-        _pack(["not", "a", "mapping"]),
-        _pack({"rd": {}}),  # a mapping, but not a full state
-        zlib.compress(b"\x80\x04garbage"),
-        b"\x80\x04garbage",  # not a zlib stream
-        intact[: len(intact) // 2],  # truncated
-        intact[:-8] + bytes(8),  # garbled
-    ):
-        connection = sqlite3.connect(path)
-        with connection:
-            connection.execute(
-                "UPDATE artifacts SET payload = ? WHERE graph = 'g' AND name = 'maintainer'",
-                (payload,),
-            )
-        connection.close()
-        with pytest.raises(PersistenceError):
-            GraphCatalog.open(path)
 
 
 def test_term_engine_summary_persists_through_the_dictionary(fig2, tmp_path):

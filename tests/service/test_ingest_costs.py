@@ -62,8 +62,8 @@ def test_a_warm_started_entry_builds_once_and_then_only_snapshots(bsbm_small, tm
         entry = catalog.entry("g")
         service = QueryService(catalog, kind="weak+strong")
         assert service.answer("g", _OFFER_JOIN).answers  # the checkpointed summaries serve
-        assert entry.build_counters["summary_builds"] == 0
-        assert entry.strong_metrics() is None  # ... so nothing was primed
+        assert not any(entry.build_counters.values())
+        assert entry.maintainer_metrics() is None  # ... so nothing was primed
         index_builds = entry.store.index_build_count()
         batches = [held[i : i + 50] for i in range(0, len(held), 50)]
         rekeyed_total = 0
@@ -72,16 +72,47 @@ def test_a_warm_started_entry_builds_once_and_then_only_snapshots(bsbm_small, tm
             assert service.answer("g", _OFFER_JOIN).answers
             # the first bump primes the maintainer — the one graph-proportional
             # build of the process — and every later one is a delta
-            assert entry.build_counters["summary_builds"] == 1
+            assert entry.build_counters == {"prime_scans": 1, "summary_builds": 0, "saturation_builds": 0}
             assert entry.store.index_build_count() == index_builds
             assert deltas.value - deltas_before == number - 1
-            rekeyed_total += entry._strong.rekeyed_rows
+            rekeyed_total += entry._maintainer.rekeyed_rows
         assert rekeyed.value - rekeyed_before == rekeyed_total
-        metrics = entry.strong_metrics()
+        metrics = entry.maintainer_metrics()
         assert metrics["nodes"] == len(entry.summary("strong").representative_of)
         assert metrics["signature_edges"] >= len(entry.summary("strong").graph.data_triples)
         status, payload = ServerApp(catalog, kind="weak+strong").graph_statistics("g")
         assert status == 200 and payload["strong_maintainer"] == metrics
+
+
+def test_registration_scans_nothing_and_the_first_guard_primes_once_for_both_kinds(bsbm_small):
+    base, held = _holdout(bsbm_small, 100)
+    with GraphCatalog() as catalog:
+        entry = catalog.register("g", graph=RDFGraph(base))
+        # the rows in hand are not fed to anything: no maintainer exists yet
+        assert not any(entry.build_counters.values()) and entry.maintainer_metrics() is None
+        service = QueryService(catalog, kind="weak+strong")
+        for batch in ([], held[:50], held[50:]):
+            catalog.add_triples("g", batch)
+            assert service.answer("g", _OFFER_JOIN).answers
+            for kind in ("weak", "strong", "typed_weak"):
+                entry.summary(kind)
+        # weak and strong came off one priming; only the third kind rebuilds
+        assert entry.build_counters == {"prime_scans": 1, "summary_builds": 3, "saturation_builds": 0}
+
+
+def test_a_cold_persistent_build_primes_at_registration_and_never_again(bsbm_small, tmp_path):
+    base, held = _holdout(bsbm_small, 100)
+    with GraphCatalog.open(str(tmp_path / "catalog.db")) as catalog:
+        entry = catalog.register("g", graph=RDFGraph(base))
+        # the weak summary is checkpointed with the rows: the one scan is paid here ...
+        assert entry.build_counters["prime_scans"] == 1
+        service = QueryService(catalog, kind="weak+strong")
+        for batch in (held[:50], held[50:]):
+            assert service.answer("g", _OFFER_JOIN).answers
+            catalog.add_triples("g", batch)
+        catalog.checkpoint()
+        # ... and serves the strong summary and every later version of both
+        assert entry.build_counters == {"prime_scans": 1, "summary_builds": 0, "saturation_builds": 0}
 
 
 def test_the_graph_object_survives_a_batch_that_changes_no_summary_edge(bsbm_small):

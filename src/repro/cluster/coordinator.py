@@ -35,26 +35,31 @@ cluster answer bit-identical to the in-process
 Writes
 ------
 Ingest runs on the coordinator's catalog (summaries, statistics,
-persistence — the usual write path) and a per-entry delta listener fans
-the freshly inserted rows plus the dictionary tail out to every worker
-through a **bounded** per-worker queue: a slow worker eventually blocks
-the listener — and therefore the ingesting client — which is the tier's
-backpressure.  Read-your-writes holds because a query carries the entry
-version its caller observed and workers defer under-versioned queries
-until the delta (already in their pipe or queue) lands.
+persistence — the usual write path) and a per-entry delta listener appends
+the freshly inserted rows plus the dictionary tail to the graph's **log**
+(:class:`_GraphLog`) — nothing else: it touches no pipe and waits for no
+worker.  A worker learns of a write the next time anything is sent to it:
+every contact goes through :meth:`ClusterCoordinator._request`, which,
+holding the slot's send lock, writes what that worker has not been sent
+yet (a load, or one catch-up delta) immediately ahead of the request.  A
+socket pair is FIFO and a worker single-threaded, so read-your-writes holds
+by *order*.  The log is bounded by the fold (``shm_fold_rows``): past it a
+new generation starts, and a worker that lags a fold takes a fresh image.
 
 Failure model
 -------------
 Worker death is detected by pipe EOF (receiver thread) and by the
-heartbeat thread's liveness sweep.  A dead worker is respawned and
-re-shipped from the live catalog, and the failed request retried — a
-crash mid-query costs latency, never an error and never a wrong answer
-(deltas dropped while dead are subsumed by the re-shipped snapshot;
-re-delivered deltas deduplicate idempotently).  ``close()`` drains the
-delta queues, asks each worker to finish its message in hand
-(``SIGTERM``-equivalent shutdown message), then waits for the processes.
-If the coordinator itself is killed, its workers see EOF, unlink the
-segments it can no longer unlink (see :mod:`repro.cluster.shm`) and exit.
+heartbeat thread's liveness sweep.  A dead worker is respawned with an
+empty cursor, so its first contact loads every graph (in shm mode: the
+unchanged segment descriptor plus the log), and the failed request is
+retried — a crash mid-query costs latency, never an error and never a
+wrong answer.  A load or catch-up the worker refuses marks that graph
+stale for that slot (loaded afresh on the next contact); it is never a
+reason to kill a worker.  ``close()`` asks each worker to finish its
+message in hand (``SIGTERM``-equivalent shutdown message), then waits for
+the processes.  If the coordinator itself is killed, its workers see EOF,
+unlink the segments it can no longer unlink (see :mod:`repro.cluster.shm`)
+and exit.
 """
 
 from __future__ import annotations
@@ -62,7 +67,6 @@ from __future__ import annotations
 import itertools
 import json
 import os
-import queue
 import socket
 import subprocess
 import sys
@@ -88,9 +92,12 @@ from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.service import QueryAnswer, ServiceStatistics
 from repro.store.base import shard_of
 from repro.utils.concurrency import map_on_threads, named_lock
-from repro.telemetry import BYTE_BUCKETS, Counter, QueryTrace, Span, maybe_span
+from repro.telemetry import BYTE_BUCKETS, QueryTrace, Span, maybe_span
 
 __all__ = ["ClusterCoordinator"]
+
+#: The graphs a request is sent behind (:meth:`ClusterCoordinator._request`).
+_Sync = Optional[Dict[str, Optional[tuple]]]
 
 
 #: Queries and loads get generous timeouts (a load ships whole graphs);
@@ -104,31 +111,38 @@ _SHUTDOWN_TIMEOUT = 10.0
 #: ``PYTHONPATH``, however the package reached the coordinator's ``sys.path``.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-#: Logged delta rows per graph beyond which the coordinator folds the
-#: delta log into a fresh segment generation (shared-memory mode).
+#: Logged delta rows per graph beyond which the log folds into a fresh
+#: generation (in shared-memory mode: a freshly packed segment).
 SEGMENT_FOLD_ROWS = 65_536
 
 
-class _SegmentState:
-    """One graph's live segment generation plus its replay log.
+class _GraphLog:
+    """What the workers are told about one graph: its live image generation
+    plus every ingest batch since that generation started.
 
-    ``deltas`` holds every ingest batch since the segment was packed, in
-    the exact ``OP_DELTA`` shape minus the graph name — a (re-)ship sends
-    the descriptor plus this log instead of repacking, which is what makes
-    respawn recovery O(deltas) instead of O(graph).  Guarded by the
-    coordinator's segment lock; appends additionally run inside the
-    entry's write lock (the delta listener), so the log is always
-    consistent with the shipped dictionary marks.
+    ``entries`` hold the batches in the shape ``OP_DELTA`` and the *deltas*
+    field of ``OP_LOAD`` carry — ``(version, (dict_start, packed_terms),
+    rows)`` — so a load sends the generation's segment descriptor plus this
+    log instead of repacking: respawn recovery is O(log), not O(graph).
+    ``image`` is that descriptor, ``(segment_name, directory)`` packed at
+    ``version``; in pipe mode it is ``None`` and a load ships the store as
+    it stands.  A worker that had been sent all of ``folded_from``, the
+    ``(generation, entries)`` the last fold left behind, is exactly at this
+    generation's start.  Generations are unique per coordinator, so a
+    cursor never outlives a drop.  Guarded by the coordinator's segment
+    lock; appends run inside the entry's write lock too (the listener), so
+    the log agrees with ``dict_mark``, the dictionary ids it covers.
     """
 
-    __slots__ = ("segment_name", "directory", "version", "deltas", "delta_rows")
-
-    def __init__(self, segment_name: str, directory: dict, version: int):
-        self.segment_name = segment_name
-        self.directory = directory
-        self.version = version
-        self.deltas: List[tuple] = []
-        self.delta_rows = 0
+    def __init__(self, entry: CatalogEntry, generation: int, image: Optional[tuple]):
+        self.entry = entry
+        self.generation = generation
+        self.image = image
+        self.version = entry.version
+        self.entries: List[tuple] = []
+        self.rows = 0
+        self.dict_mark = len(entry.store.dictionary)
+        self.folded_from: Optional[Tuple[int, int]] = None
 
 
 class _PendingReply:
@@ -146,14 +160,11 @@ class _PendingReply:
         self.payload = payload
         self.event.set()
 
-    def fail(self, message: str) -> None:
-        self.resolve("crashed", message)
-
 
 class _WorkerHandle:
     """Coordinator-side state of one worker slot (stable across respawns)."""
 
-    def __init__(self, index: int, delta_queue_depth: int):
+    def __init__(self, index: int):
         self.index = index
         self.generation = 0
         self.respawns = 0
@@ -161,28 +172,22 @@ class _WorkerHandle:
         #: This generation's pipe; the receiver thread is its only closer.
         self.connection: Optional[protocol.Connection] = None
         self.alive = False
-        #: Serializes conn.send() calls (receiver thread handles recv).
+        #: The one sender at a time: a request leaves back to back with the
+        #: catch-up it is sent behind (receiver thread handles recv).
         self.send_lock = named_lock(f"cluster.worker{index}.send_lock")
+        #: Per graph, what this worker has been sent: ``(log generation
+        #: loaded, log entries sent)``.  Written under the send lock;
+        #: ``status()`` reads it without, so that reporting never waits
+        #: behind a stopped worker's pipe.
+        self.cursors: Dict[str, Tuple[int, int]] = {}
         #: Outstanding requests by id, resolved by the receiver thread.
         #: guarded by self.pending_lock
         self.pending: Dict[int, _PendingReply] = {}
         self.pending_lock = named_lock(f"cluster.worker{index}.pending_lock")
-        #: Excludes delta sends from respawn windows: a delta must never
-        #: slip between a respawn's snapshot read and its load message.
-        self.ship_lock = named_lock(f"cluster.worker{index}.ship_lock")
-        #: Graphs an in-flight (re-)ship has *not yet snapshotted* for this
-        #: worker.  While a name is in here, ``_on_entry_delta`` drops the
-        #: graph's deltas for this worker instead of blocking on the
-        #: bounded queue — the upcoming snapshot (read-locked after any
-        #: in-flight write) subsumes them.  That drop is what breaks the
-        #: ingest → full queue → broadcaster → ship_lock → entry-lock
-        #: deadlock cycle.  Names are removed *inside* the snapshot's read
-        #: lock, so a delta is never dropped after its rows missed the
-        #: snapshot.
-        self.reship_pending: Set[str] = set()
-        self.delta_queue: "queue.Queue" = queue.Queue(maxsize=delta_queue_depth)
+        #: Makes a slot's respawn happen once however many requests found
+        #: the worker dead.  Nothing that takes it holds another lock.
+        self.respawn_lock = named_lock(f"cluster.worker{index}.respawn_lock")
         self.receiver: Optional[threading.Thread] = None
-        self.broadcaster: Optional[threading.Thread] = None
         self.last_ping: Optional[Dict[str, object]] = None
         self.last_ping_at: Optional[float] = None
         #: The worker's reply to its most recent ``OP_LOAD`` (attach mode,
@@ -193,7 +198,7 @@ class _WorkerHandle:
         with self.pending_lock:
             pending, self.pending = self.pending, {}
         for slot in pending.values():
-            slot.fail(message)
+            slot.resolve("crashed", message)
 
     def retire(self, timeout: float) -> None:
         """End this generation: reap its process, let its receiver close.
@@ -234,9 +239,6 @@ class ClusterCoordinator:
     kind / strategy:
         Worker-side guard cascade and join strategy (the same knobs as
         :class:`~repro.service.service.QueryService`).
-    delta_queue_depth:
-        Bound of each worker's ingest-delta queue; a full queue blocks the
-        ingesting caller (backpressure).
     heartbeat_seconds:
         Liveness sweep period; ``0`` disables the sweep (crash detection
         then rests on pipe EOF at request time).
@@ -246,13 +248,14 @@ class ClusterCoordinator:
         Where a worker's graph image comes from.  ``None`` (default) uses
         the shared-memory plane when the platform supports it: each graph
         generation is packed once into one named segment that every worker
-        attaches, and respawn recovery re-sends the descriptor plus the
-        logged deltas instead of repacking.  ``False`` (``serve
+        attaches, and a respawned worker is sent the descriptor plus the
+        graph's log instead of a repack.  ``False`` (``serve
         --no-shm``) sends each worker its image as bytes over the pipe —
         same layout, same worker-side load, K private copies.
     shm_fold_rows:
         Logged delta rows beyond which a graph's log folds into a fresh
-        segment generation (bounds both the log and re-attach replay work).
+        generation — in shm mode a freshly packed segment (bounds the log,
+        what a lagging worker is sent, and re-attach replay work).
     """
 
     def __init__(
@@ -261,7 +264,6 @@ class ClusterCoordinator:
         workers: int = 2,
         kind: str = "weak+strong",
         strategy: str = "hash",
-        delta_queue_depth: int = 64,
         heartbeat_seconds: float = 2.0,
         max_retries: int = 2,
         use_shm: Optional[bool] = None,
@@ -278,45 +280,41 @@ class ClusterCoordinator:
         self.heartbeat_seconds = heartbeat_seconds
         self.statistics = ServiceStatistics()
         self.started_at = monotonic()
-        self._workers = [_WorkerHandle(i, delta_queue_depth) for i in range(workers)]
+        self._workers = [_WorkerHandle(i) for i in range(workers)]
         self._request_ids = itertools.count(1)
         self._round_robin = itertools.count()
-        #: Per graph: how many dictionary ids have been shipped (the next
-        #: delta packs the tail from here).  Guarded by the entry write
-        #: lock — listeners run inside it, serialized per graph.
-        self._dict_marks: Dict[str, int] = {}
-        self._listened: Set[str] = set()
-        #: Shared-memory plane: one packed segment + delta log per graph.
+        self._generations = itertools.count(1)
+        #: Shared-memory plane: one packed segment per graph generation.
         self.use_shm = (
             shm.shm_available() if use_shm is None else bool(use_shm) and shm.shm_available()
         )
         self.shm_fold_rows = shm_fold_rows
         self._registry = shm.SegmentRegistry() if self.use_shm else None
-        #: Per-graph shm segment bookkeeping; guarded by self._segment_lock
-        self._segment_states: Dict[str, _SegmentState] = {}
+        #: The only way a worker learns of a write: one log per shipped
+        #: graph (either image source); guarded by self._segment_lock
+        self._logs: Dict[str, _GraphLog] = {}
         self._segment_lock = named_lock("cluster.segment_lock")
-        #: Ship latency accounting, read by the bench / status endpoint
-        #: through the :attr:`ship_metrics` property (which keeps the
-        #: historical dict shape).  The counts are per-coordinator children
-        #: of the process-wide ``cluster.*`` registry families.
+        #: Ship latency accounting of this coordinator, read by the bench /
+        #: status endpoint through the :attr:`ship_metrics` property; the
+        #: process-wide ``cluster.*`` registry families count beside it.
         self._metrics_lock = named_lock("cluster.metrics_lock")
-        self._ships = Counter("ships", parent=telemetry.counter("cluster.ships"))
-        self._reships = Counter("reships", parent=telemetry.counter("cluster.reships"))
-        self._ship_seconds_total = Counter("ship_seconds")
-        self._reship_seconds_total = Counter("reship_seconds")
-        self._last_ship_seconds = 0.0
-        self._last_reship_seconds = 0.0
+        self._ship_metrics: Dict[str, float] = {
+            "ships": 0, "ship_seconds_total": 0.0, "last_ship_seconds": 0.0,
+            "reships": 0, "reship_seconds_total": 0.0, "last_reship_seconds": 0.0,
+        }
+        self._ship_counters = {
+            kind: telemetry.counter(f"cluster.{kind}s") for kind in ("ship", "reship")
+        }
         self._ship_seconds_histogram = telemetry.histogram("cluster.ship.seconds")
         self._ship_bytes = telemetry.histogram("cluster.ship.bytes", BYTE_BUCKETS)
         self._retries_counter = telemetry.counter("cluster.retries")
         self._shards_pruned_counter = telemetry.counter("cluster.shards_pruned")
         self._respawns_counter = telemetry.counter("cluster.respawns")
-        #: Backpressure gauge: queued-but-unsent ingest deltas across the
-        #: worker pool, sampled at scrape time.
+        self._fold_failures = telemetry.counter("cluster.fold.failures")
+        #: Log entries not yet sent, summed over the worker pool and sampled
+        #: at scrape time (the name dates from the per-worker delta queues).
         self._queue_gauge = telemetry.gauge("cluster.delta.queue.depth")
-        self._queue_sampler = lambda: sum(
-            handle.delta_queue.qsize() for handle in self._workers
-        )
+        self._queue_sampler = lambda: sum(map(self._unsent, self._workers))
         self._queue_gauge.add_callback(self._queue_sampler)
         self._closed = False
         self._stop_event = threading.Event()
@@ -331,11 +329,8 @@ class ClusterCoordinator:
         """Spawn the workers and ship every registered graph."""
         for handle in self._workers:
             self._spawn(handle)
-            self._start_broadcaster(handle)
         for name in self.catalog.names():
-            entry = self.catalog.entry(name)
-            self._attach_listener(entry)
-            self._ship_graph(entry, self._workers)
+            self._ship(self.catalog.entry(name))
         if self.heartbeat_seconds > 0:
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop, name="repro-heartbeat", daemon=True
@@ -343,8 +338,8 @@ class ClusterCoordinator:
             self._heartbeat_thread.start()
 
     def _spawn(self, handle: _WorkerHandle) -> None:
-        """Start (or restart) the process behind *handle* (ship_lock held
-        by the caller for respawns; at start() nothing races)."""
+        """Start (or restart) the process behind *handle* (respawn_lock
+        held by the caller for respawns; at start() nothing races)."""
         config = {
             "shard_index": handle.index,
             "shard_count": self.worker_count,
@@ -373,17 +368,19 @@ class ClusterCoordinator:
             )
             connection = protocol.Connection(sock.detach())
         handle.process = process
-        handle.connection = connection
-        handle.alive = True
-        generation = handle.generation
-        receiver = threading.Thread(
+        with handle.send_lock:
+            # a new worker has been sent nothing: whoever writes to this
+            # pipe first loads what it needs, ahead of its own request
+            handle.connection = connection
+            handle.cursors = {}
+            handle.alive = True
+        handle.receiver = threading.Thread(
             target=self._receive_loop,
-            args=(handle, connection, generation),
+            args=(handle, connection, handle.generation),
             name=f"repro-recv-{handle.index}",
             daemon=True,
         )
-        handle.receiver = receiver
-        receiver.start()
+        handle.receiver.start()
 
     def _receive_loop(self, handle: _WorkerHandle, connection, generation: int) -> None:
         """Route worker replies to their waiting requesters; EOF = crash.
@@ -412,43 +409,10 @@ class ClusterCoordinator:
         # slot registered since (including the respawn's own re-ship
         # loads) belongs to the new generation's receiver.
 
-    def _start_broadcaster(self, handle: _WorkerHandle) -> None:
-        def run():
-            while True:
-                item = handle.delta_queue.get()
-                if item is None:
-                    return
-                # ship_lock keeps the send out of respawn windows: a delta
-                # sent between a respawn's snapshot and its load message
-                # would be refused (graph unknown) yet *missing* from the
-                # snapshot — the one interleaving that loses rows
-                with handle.ship_lock:
-                    try:
-                        self._request(handle, protocol.OP_DELTA, item, _REQUEST_TIMEOUT)
-                    except (WorkerCrashedError, UnknownGraphError):
-                        # dead worker, or a drop raced us: the rows are
-                        # already in the catalog store, so the respawn
-                        # re-ship (or the drop) subsumes this delta
-                        pass
-                    except ClusterError:
-                        # timeout or a worker-side fault: the worker may
-                        # have missed the delta for good.  Mark the slot
-                        # dead so the heartbeat sweep (or the next
-                        # request's retry path) respawns it and re-ships a
-                        # snapshot that includes these rows.
-                        handle.alive = False
-
-        thread = threading.Thread(
-            target=run, name=f"repro-delta-{handle.index}", daemon=True
-        )
-        handle.broadcaster = thread
-        thread.start()
-
     def close(self, timeout: float = _SHUTDOWN_TIMEOUT) -> None:
-        """Drain delta queues, drain and stop the workers, join everything.
+        """Drain and stop the workers, join everything.
 
-        Safe to call twice.  The order is the graceful SIGTERM path:
-        pending ingest deltas flush first (workers end consistent), each
+        Safe to call twice.  The order is the graceful SIGTERM path: each
         worker finishes the message in hand and acks the shutdown, then
         processes are waited for (terminated, then killed, only if they
         overstay) and their receivers close the pipes.
@@ -461,22 +425,16 @@ class ClusterCoordinator:
         if self._heartbeat_thread is not None:
             self._heartbeat_thread.join(timeout=timeout)
         for handle in self._workers:
-            handle.delta_queue.put(None)
-        for handle in self._workers:
-            if handle.broadcaster is not None:
-                handle.broadcaster.join(timeout=timeout)
-        for handle in self._workers:
-            if handle.alive:
-                try:
-                    self._request(handle, protocol.OP_SHUTDOWN, (), timeout)
-                except ClusterError:
-                    pass
+            try:
+                self._request(handle, protocol.OP_SHUTDOWN, (), timeout)
+            except ClusterError:  # a slot that is down, too
+                pass
             handle.retire(timeout)
         # workers are gone (their mappings closed); now unlink every named
         # segment — after this, /dev/shm holds nothing of this coordinator
-        if self._registry is not None:
-            with self._segment_lock:
-                self._segment_states.clear()
+        with self._segment_lock:
+            self._logs.clear()
+            if self._registry is not None:
                 self._registry.close()
 
     def __enter__(self) -> "ClusterCoordinator":
@@ -484,72 +442,142 @@ class ClusterCoordinator:
 
     def __exit__(self, exc_type, exc_value, traceback):
         self.close()
-        return False
 
     # ------------------------------------------------------------------
     # request plumbing
     # ------------------------------------------------------------------
     def _request(
-        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float
+        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = None
     ):
-        """One id-matched round trip to *handle*'s worker."""
-        if not handle.alive:
-            raise WorkerCrashedError(f"worker {handle.index} is down")
-        request_id = next(self._request_ids)
-        slot = _PendingReply()
-        with handle.pending_lock:
-            handle.pending[request_id] = slot
-        try:
+        """One id-matched round trip to *handle*'s worker — every contact
+        with a worker is this call, and it is the only writer of its pipe.
+
+        *sync* names the graphs the request depends on.  Holding the slot's
+        send lock, whatever the worker has not been sent of each — a load,
+        or one catch-up delta (:meth:`_catch_up`) — is written first and the
+        request right behind it, so it is answered from a replica that has
+        every batch logged before it was sent.  (The values of *sync* are
+        pipe-mode store snapshots: a caller that contacts several workers
+        passes them all the same dict and the store is packed once.)
+
+        A worker that refuses a load or a catch-up, or answers "unknown
+        graph", has no usable copy (it keeps none after a failure): the
+        graph's cursor is dropped and the request re-sent once, behind a
+        fresh load — if the graph still has a log.
+        """
+        sync = sync or {}
+        for retried in (False, True):
+            if not handle.alive:
+                raise WorkerCrashedError(f"worker {handle.index} is down")
+            sent: List[Tuple[Optional[str], str, int, _PendingReply]] = []
             try:
                 with handle.send_lock:
-                    handle.connection.send((request_id, op, payload))
-            except (OSError, ValueError, BrokenPipeError) as error:
-                handle.alive = False
-                raise WorkerCrashedError(
-                    f"worker {handle.index} send failed: {error}"
-                ) from error
-            if not slot.event.wait(timeout):
-                raise WorkerTimeoutError(
-                    f"worker {handle.index} did not answer {op!r} within {timeout}s"
-                )
-        finally:
-            with handle.pending_lock:
-                handle.pending.pop(request_id, None)
-        if slot.status == "ok":
-            return slot.payload
-        if slot.status == "crashed":
-            raise WorkerCrashedError(str(slot.payload))
-        error_kind, message = slot.payload
+                    outgoing = [(name, self._catch_up(handle, name, sync)) for name in sync]
+                    outgoing.append((None, (op, payload)))
+                    try:
+                        for name, message in outgoing:
+                            if message is None:
+                                continue  # the worker has all of that graph
+                            request_id = next(self._request_ids)
+                            slot = _PendingReply()
+                            with handle.pending_lock:
+                                handle.pending[request_id] = slot
+                            sent.append((name, message[0], request_id, slot))
+                            handle.connection.send((request_id, *message))
+                    except (OSError, ValueError) as error:
+                        handle.alive = False
+                        raise WorkerCrashedError(
+                            f"worker {handle.index} send failed: {error}"
+                        ) from error
+                reply = sent[-1][3]
+                if not reply.event.wait(timeout):
+                    raise WorkerTimeoutError(
+                        f"worker {handle.index} did not answer {op!r} within {timeout}s"
+                    )
+            finally:
+                with handle.pending_lock:
+                    for _name, _op, request_id, _slot in sent:
+                        handle.pending.pop(request_id, None)
+            if reply.status == "crashed":
+                raise WorkerCrashedError(str(reply.payload))
+            # replies arrive in the order sent, so each catch-up's is in
+            stale = []
+            for name, message_op, _request_id, slot in sent[:-1]:
+                if slot.status != "ok":
+                    stale.append(name)
+                elif message_op == protocol.OP_LOAD:
+                    handle.last_load = slot.payload
+            if reply.status != "ok" and reply.payload[0] == "unknown_graph":
+                stale.extend(sync)
+            if not stale:
+                break
+            with handle.send_lock:
+                for name in stale:
+                    handle.cursors.pop(name, None)
+        if reply.status == "ok":
+            return reply.payload
+        error_kind, message = reply.payload
         if error_kind == "unknown_graph":
             raise UnknownGraphError(message)
         if error_kind == "query":
             raise QueryError(message)
         raise ClusterError(f"worker {handle.index} {error_kind} error: {message}")
 
+    def _catch_up(
+        self, handle: _WorkerHandle, name: str, snapshots: _Sync
+    ) -> Optional[Tuple[str, tuple]]:
+        """The one message that brings *handle*'s worker up to date on graph
+        *name* — ``(OP_LOAD, payload)`` when it holds no copy of the live
+        generation, ``(OP_DELTA, payload)`` when it is behind on the log —
+        or ``None``.  Advances the cursor: the caller (holding the send
+        lock) writes the message next.
+        """
+        with self._segment_lock:
+            log = self._logs.get(name)
+            if log is None:
+                return None  # never shipped, or dropped: nothing to say
+            generation, entries_sent = handle.cursors.get(name, (None, 0))
+            if (generation, entries_sent) == log.folded_from:
+                generation, entries_sent = log.generation, 0
+            position = (log.generation, len(log.entries))
+            if generation == log.generation:
+                handle.cursors[name] = position
+                behind = log.entries[entries_sent:]
+                return (protocol.OP_DELTA, (name, behind)) if behind else None
+            if log.image is not None:
+                handle.cursors[name] = position
+                tables = (protocol.TABLES_SHM, *log.image)
+                return protocol.OP_LOAD, (name, log.version, tables, list(log.entries))
+        # pipe mode: the image is the store as it stands, the whole log in it
+        snapshot = snapshots.get(name) or self._snapshot_store(log)
+        if snapshot is None:
+            return None  # dropped meanwhile
+        snapshots[name] = snapshot
+        position, version, pieces = snapshot
+        shard = (handle.index, pieces["shard_tables"][handle.index])
+        blobs, directory = shm.layout_image(
+            name, version, pieces["term_chunks"], [("full", pieces["full_tables"]), shard],
+            pieces["byteorder"],
+        )
+        image = b"".join(blobs)
+        self._ship_bytes.observe(float(len(image)))
+        handle.cursors[name] = position
+        return protocol.OP_LOAD, (name, version, (protocol.TABLES_INLINE, image, directory), [])
+
     def _call_with_retry(
-        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float
+        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = None
     ) -> Tuple[object, int]:
         """A round trip that survives worker crashes; returns
         ``(reply, retries_spent)``.  Crashes trigger respawn + retry up to
-        the budget; timeouts do not (re-running the same wedging request
-        would wedge the fresh worker too).
-
-        Crash retries and behind-the-ship waits are budgeted *separately*:
-        a slow request can legitimately straddle two worker deaths (two
-        crash retries — the whole ``max_retries`` budget) *and* land on a
-        respawned worker before its re-ship does (an ``UnknownGraphError``
-        that just means "wait").  Charging the wait against the crash
-        budget made exactly that interleaving fail spuriously under the
-        crash-injection benchmark on slow hosts; each wait is already
-        bounded by the in-flight ship (we block on the ship lock), so it
-        gets its own equal budget instead.
+        the budget — the retry loads the fresh worker ahead of itself, like
+        any first contact; timeouts do not (re-running the same wedging
+        request would wedge the fresh worker too).
         """
         retries = 0
-        ship_waits = 0
         while True:
             generation = handle.generation
             try:
-                return self._request(handle, op, payload, timeout), retries + ship_waits
+                return self._request(handle, op, payload, timeout, sync), retries
             except WorkerCrashedError:
                 if self._closed or retries >= self.max_retries:
                     raise
@@ -557,45 +585,19 @@ class ClusterCoordinator:
                 try:
                     self._ensure_alive(handle, generation)
                 except WorkerCrashedError:
-                    # the respawned worker died under its own re-ship
-                    # (another injected kill).  The handle is marked dead;
-                    # loop — the next attempt raises immediately and the
-                    # budget check, not this helper, decides when to give
-                    # up.  (The heartbeat's _ensure_alive calls swallow
-                    # the same way.)
+                    # the respawned worker died under its own re-ship: the
+                    # handle is marked dead, the next attempt raises at once
+                    # and the budget check decides when to give up
                     continue
-            except UnknownGraphError:
-                # a respawned worker accepts requests the moment its pipe is
-                # up, which can be before the respawn's re-ship has landed.
-                # If the coordinator still knows the graph the worker is
-                # merely behind: wait out the in-flight (re-)ship and retry.
-                name = payload[0] if payload else None
-                if (
-                    self._closed
-                    or ship_waits >= self.max_retries
-                    or not isinstance(name, str)
-                    or name not in self.catalog.names()
-                ):
-                    raise
-                ship_waits += 1
-                with handle.ship_lock:
-                    pass
 
     def _ensure_alive(self, handle: _WorkerHandle, seen_generation: int) -> None:
         """Respawn *handle*'s worker unless someone already did."""
-        with handle.ship_lock:
+        with handle.respawn_lock:
             if handle.generation != seen_generation:
                 return  # a concurrent caller respawned; just retry
             process = handle.process
             if handle.alive and process is not None and process.poll() is None:
                 return
-            # From here until each graph's snapshot is taken, ingest drops
-            # that graph's deltas for this worker instead of blocking on
-            # its full queue (see _WorkerHandle.reship_pending): the
-            # snapshot subsumes them, and the drop keeps this re-ship from
-            # deadlocking against a writer stuck on the bounded queue
-            # whose broadcaster is parked on our ship_lock.
-            handle.reship_pending = set(self.catalog.names())
             if process is not None and process.poll() is None:
                 process.terminate()
             handle.retire(timeout=5.0)
@@ -603,23 +605,24 @@ class ClusterCoordinator:
             handle.generation += 1
             handle.respawns += 1
             self._respawns_counter.inc()
-            # Respawn must happen under the ship lock: the dead worker's
-            # slot may not receive a ship until the replacement is wired
-            # up, and deltas are fenced by reship_pending (dropped, not
-            # queued), so nothing can block against this spawn.
+            # The one spawn under a lock: this lock is what makes a dead
+            # slot respawn once, no writer ever takes it (the ingest
+            # listener only appends to a log), and its holders hold nothing
+            # else — so nothing can block against this spawn.
             self._spawn(handle)  # repro-lint: disable=no-blocking-under-lock
-            # re-ship every graph from the live catalog: the snapshot (or,
-            # in shm mode, the O(1) segment descriptor plus the delta log)
-            # subsumes any delta dropped while the worker was down
+            # re-ship: the new worker's first contact loads every graph (in
+            # shm mode the O(1) segment descriptor plus the log, never a
+            # repack) — whatever was written while the slot was down is there
             started = perf_counter()
-            for name in self.catalog.names():
-                try:
-                    entry = self.catalog.entry(name)
-                except UnknownGraphError:
-                    handle.reship_pending.discard(name)  # dropped meanwhile
-                    continue
-                self._ship_graph(entry, [handle], update_marks=False)
+            self._ping(handle, _REQUEST_TIMEOUT)
             self._record_ship("reship", perf_counter() - started)
+
+    def _ping(self, handle: _WorkerHandle, timeout: float, sync: _Sync = None) -> dict:
+        """A ping sent behind everything the worker has not been sent — of
+        the graphs in *sync*, by default of every graph."""
+        if sync is None:
+            sync = dict.fromkeys(self.catalog.names())
+        return self._request(handle, protocol.OP_PING, (), timeout, sync)
 
     def _heartbeat_loop(self) -> None:
         while not self._stop_event.wait(self.heartbeat_seconds):
@@ -633,144 +636,99 @@ class ClusterCoordinator:
                     except Exception:  # noqa: BLE001 - keep sweeping
                         continue
                 try:
-                    handle.last_ping = self._request(
-                        handle, protocol.OP_PING, (), _PING_TIMEOUT
-                    )
+                    # the ping catches an idle worker up on every log, so it
+                    # rarely lags a fold and its next query has little to apply
+                    handle.last_ping = self._ping(handle, _PING_TIMEOUT)
                     handle.last_ping_at = monotonic()
-                except WorkerTimeoutError:
-                    # busy, not dead: a single-threaded worker mid-join
-                    # answers late; only process death triggers respawn
-                    continue
                 except ClusterError:
+                    # a timeout is a busy worker, not a dead one (single-
+                    # threaded, mid-join, it answers late): only process
+                    # death triggers respawn
                     continue
 
     # ------------------------------------------------------------------
     # shipping
     # ------------------------------------------------------------------
-    def _attach_listener(self, entry: CatalogEntry) -> None:
-        if entry.name in self._listened:
-            return
-        self._listened.add(entry.name)
-        entry._delta_listeners.append(self._on_entry_delta)
+    def _ship(self, entry: CatalogEntry) -> None:
+        """Open *entry*'s log and load the graph into the workers — every
+        one of them, whichever fail; the first failure is raised.
+
+        In shared-memory mode the loads run in parallel: the payload is a
+        descriptor and the per-worker cost is the worker-side attach.
+        Pipe-mode loads go one by one and share one packing of the store.
+        """
+        started = perf_counter()
+        with entry.rwlock.read_locked():
+            # Under the read lock no batch is between its insert and its
+            # listener call, so the dictionary mark, the packed generation
+            # and the listener all start from the same store state.
+            with self._segment_lock:
+                if entry.closed or entry.name in self._logs:
+                    return
+                image = self._pack_segment(entry) if self.use_shm else None
+                self._logs[entry.name] = _GraphLog(entry, next(self._generations), image)
+            entry._delta_listeners.append(self._on_entry_delta)
+        sync: _Sync = {entry.name: None}
+        map_on_threads(
+            lambda handle: self._ping(handle, _REQUEST_TIMEOUT, sync),
+            self._workers,
+            self.worker_count if self.use_shm else 1,
+            "repro-ship",
+        )
+        self._record_ship("ship", perf_counter() - started)
 
     def _on_entry_delta(self, entry: CatalogEntry, rows: List) -> None:
-        """Entry write hook: fan the ingest delta out to every worker.
+        """Entry write hook: append the ingest batch to the graph's log.
 
         Runs inside the entry's write lock (serialized per graph), so the
-        dictionary mark advances consistently with the shipped tail.  The
-        bounded ``put`` is the backpressure point: with a full queue the
-        ingesting caller waits for the slowest worker.
+        dictionary mark advances consistently with the logged tail.  It
+        touches no pipe and waits for no worker — a slow, stopped or dead
+        worker never holds a writer up; what bounds the log is the fold.
         """
         if self._closed:
             return
-        name = entry.name
-        mark = self._dict_marks.get(name)
-        if mark is None:
-            return  # not shipped yet: the ship will include these rows
-        dictionary = entry.store.dictionary
-        packed_terms = protocol.pack_terms(dictionary, mark)
-        self._dict_marks[name] = mark + len(packed_terms)
-        wire_rows = [
-            (kind.value, row[0], row[1], row[2]) for kind, row in rows
-        ]
-        item = (name, entry.version, (mark, packed_terms), wire_rows)
-        if self.use_shm:
-            # append to the graph's replay log so a respawn re-attaches the
-            # unchanged segment and replays this batch instead of repacking;
-            # past the fold threshold the log collapses into a fresh
-            # generation (we hold the entry write lock, so the store is
-            # stable and the repack is consistent)
-            with self._segment_lock:
-                state = self._segment_states.get(name)
-                if state is not None:
-                    state.deltas.append((entry.version, (mark, packed_terms), wire_rows))
-                    state.delta_rows += len(wire_rows)
-                    if state.delta_rows >= self.shm_fold_rows:
-                        segment_name, directory = self._pack_segment(
-                            entry, entry.version
-                        )
-                        state.segment_name = segment_name
-                        state.directory = directory
-                        state.version = entry.version
-                        state.deltas = []
-                        state.delta_rows = 0
-        for handle in self._workers:
-            while not self._closed:
-                if name in handle.reship_pending:
-                    # An in-flight (re-)ship has yet to snapshot this graph
-                    # for this worker; that snapshot — read-locked only
-                    # after our write lock releases — subsumes the delta.
-                    # Dropping instead of blocking breaks the deadlock
-                    # cycle: ingest (entry write lock) → full delta queue →
-                    # broadcaster → ship_lock → re-ship waiting on our
-                    # entry's read lock.
-                    break
+        with self._segment_lock:
+            log = self._logs.get(entry.name)
+            if log is None:
+                return  # dropped under us
+            packed_terms = protocol.pack_terms(entry.store.dictionary, log.dict_mark)
+            wire_rows = [(kind.value, row[0], row[1], row[2]) for kind, row in rows]
+            log.entries.append((entry.version, (log.dict_mark, packed_terms), wire_rows))
+            log.dict_mark += len(packed_terms)
+            log.rows += len(wire_rows)
+            if log.rows < self.shm_fold_rows:
+                return
+            # Fold: the log collapses into a new generation.  We hold the
+            # entry write lock, so the store is stable and a repack is
+            # consistent.  Workers that have been sent the whole log carry
+            # on from ``folded_from``; the others take the new image.
+            if self.use_shm:
                 try:
-                    handle.delta_queue.put(item, timeout=0.2)
-                    break
-                except queue.Full:
-                    continue  # backpressure; re-check close/re-ship state
+                    image = self._pack_segment(entry)
+                except OSError:
+                    # no room for the segment: the batch is inserted, logged
+                    # and reaches every worker all the same — keep the old
+                    # generation and its long log, try again next batch
+                    self._fold_failures.inc()
+                    return
+                log.image = image
+            log.folded_from = (log.generation, len(log.entries))
+            log.generation = next(self._generations)
+            log.version = entry.version
+            log.entries = []
+            log.rows = 0
 
-    def _snapshot_graph(
-        self,
-        entry: CatalogEntry,
-        handles: Sequence[_WorkerHandle],
-        update_marks: bool = True,
-    ) -> Optional[tuple]:
-        """One shippable snapshot of *entry*, taken under its read lock:
-        ``(version, tables_for, deltas)``, or ``None`` if the entry was
-        already dropped.  ``tables_for(shard_index)`` is the ``OP_LOAD``
-        *tables* field for that worker.
-
-        Shared-memory mode packs the graph image into a named segment
-        **once** — a later snapshot of the same graph (a respawn re-ship)
-        reuses the live segment descriptor plus the accumulated delta log
-        with zero repacking.  Without shared memory the same image pieces
-        are laid out per worker (``full`` + its shard) and travel as bytes.
-        """
+    def _snapshot_store(self, log: _GraphLog) -> Optional[tuple]:
+        """What a pipe-mode load is laid out from, taken under the entry's
+        read lock: ``(log position, version, image pieces)`` — or ``None``
+        if the graph is gone."""
+        entry = log.entry
         with entry.rwlock.read_locked():
-            # End the delta-drop window while the read lock is held: no
-            # writer can run the delta listener until we release it, so
-            # every delta dropped during the window is made of rows the
-            # pack below will see.  Discarding after release would leave a
-            # gap in which a fresh write could drop rows this snapshot
-            # does not contain.
-            for handle in handles:
-                handle.reship_pending.discard(entry.name)
             if entry.closed:
                 return None
-            version = entry.version
-            if self.use_shm:
-                with self._segment_lock:
-                    state = self._segment_states.get(entry.name)
-                    if state is None:
-                        segment_name, directory = self._pack_segment(entry, version)
-                        state = _SegmentState(segment_name, directory, version)
-                        self._segment_states[entry.name] = state
-                        if update_marks:
-                            self._dict_marks[entry.name] = len(
-                                entry.store.dictionary
-                            )
-                    descriptor = (protocol.TABLES_SHM, state.segment_name, state.directory)
-                    return state.version, lambda _index: descriptor, list(state.deltas)
-            pieces = self._image_pieces(entry)
-            if update_marks:
-                self._dict_marks[entry.name] = len(entry.store.dictionary)
-        full_tables = pieces.pop("full_tables")
-        shard_tables = pieces.pop("shard_tables")
-
-        def pipe_image(index: int) -> tuple:
-            blobs, directory = shm.layout_image(
-                entry.name,
-                version,
-                targets=[("full", full_tables), (index, shard_tables[index])],
-                **pieces,
-            )
-            image = b"".join(blobs)
-            self._ship_bytes.observe(float(len(image)))
-            return protocol.TABLES_INLINE, image, directory
-
-        return version, pipe_image, []
+            with self._segment_lock:
+                position = (log.generation, len(log.entries))
+            return position, entry.version, self._image_pieces(entry)
 
     def _image_pieces(self, entry: CatalogEntry) -> Dict[str, object]:
         """What a graph image is laid out from, whichever source carries it
@@ -783,13 +741,13 @@ class ClusterCoordinator:
             "byteorder": protocol.BYTEORDER,
         }
 
-    def _pack_segment(self, entry: CatalogEntry, version: int) -> Tuple[str, dict]:
-        """Pack *entry* into a fresh segment generation.
+    def _pack_segment(self, entry: CatalogEntry) -> Tuple[str, dict]:
+        """Pack *entry* as it stands into a fresh segment; the descriptor.
 
         Caller holds the entry lock (read or write) and the segment lock.
         """
         segment_name, directory = self._registry.pack(
-            entry.name, version, **self._image_pieces(entry)
+            entry.name, entry.version, **self._image_pieces(entry)
         )
         for info in self._registry.info():
             if info["segment"] == segment_name:
@@ -797,68 +755,19 @@ class ClusterCoordinator:
                 break
         return segment_name, directory
 
-    def _send_snapshot(self, handle: _WorkerHandle, name: str, snapshot: tuple) -> None:
-        """Load *handle*'s slice of a packed snapshot into its worker."""
-        version, tables_for, deltas = snapshot
-        handle.last_load = self._request(
-            handle,
-            protocol.OP_LOAD,
-            (name, version, tables_for(handle.index), deltas),
-            _REQUEST_TIMEOUT,
-        )
-
-    def _ship_graph(
-        self,
-        entry: CatalogEntry,
-        handles: Sequence[_WorkerHandle],
-        update_marks: bool = True,
-    ) -> None:
-        """Snapshot *entry* under its read lock and load it into *handles*
-        — every one of them, whichever fail; the first failure is raised.
-
-        In shared-memory mode multi-worker ships run in parallel: the
-        payload is a descriptor, the per-worker cost is the worker-side
-        attach + shard priming, and those are independent processes.
-        """
-        started = perf_counter()
-        snapshot = self._snapshot_graph(entry, handles, update_marks)
-        if snapshot is None:
-            return
-        map_on_threads(
-            lambda handle: self._send_snapshot(handle, entry.name, snapshot),
-            handles,
-            len(handles) if self.use_shm else 1,
-            "repro-ship",
-        )
-        if update_marks:
-            # an initial ship (start()); respawn re-ships are timed as one
-            # "reship" by _ensure_alive around its whole graph loop
-            self._record_ship("ship", perf_counter() - started)
-
     def _record_ship(self, kind: str, seconds: float) -> None:
         with self._metrics_lock:
-            if kind == "reship":
-                self._reships.inc()
-                self._reship_seconds_total.inc(seconds)
-                self._last_reship_seconds = seconds
-            else:
-                self._ships.inc()
-                self._ship_seconds_total.inc(seconds)
-                self._last_ship_seconds = seconds
+            self._ship_metrics[f"{kind}s"] += 1
+            self._ship_metrics[f"{kind}_seconds_total"] += seconds
+            self._ship_metrics[f"last_{kind}_seconds"] = seconds
+        self._ship_counters[kind].inc()
         self._ship_seconds_histogram.observe(seconds)
 
     @property
     def ship_metrics(self) -> Dict[str, object]:
         """Ship latency accounting in the historical dict shape."""
         with self._metrics_lock:
-            return {
-                "ships": self._ships.int_value,
-                "ship_seconds_total": self._ship_seconds_total.value,
-                "last_ship_seconds": self._last_ship_seconds,
-                "reships": self._reships.int_value,
-                "reship_seconds_total": self._reship_seconds_total.value,
-                "last_reship_seconds": self._last_reship_seconds,
-            }
+            return dict(self._ship_metrics)
 
     # ------------------------------------------------------------------
     # writes (the coordinator is the tier's single writer)
@@ -871,45 +780,26 @@ class ClusterCoordinator:
     ) -> CatalogEntry:
         """Register a graph and ship its shards to every worker."""
         entry = self.catalog.register(name, graph=graph, store=store)
-        self._attach_listener(entry)
-        # One snapshot serves every worker (pack_all_shard_tables already
-        # partitions for all K shards — snapshotting per worker would redo
-        # that K times over).  Every ship_lock is held across snapshot +
-        # sends so no queued delta can reach a worker before its load (the
-        # worker would refuse it as unknown and the rows would be lost);
-        # the reship_pending marks let a concurrent ingest of the new
-        # graph drop its queued delta instead of deadlocking against the
-        # snapshot's read lock — the snapshot, taken once that write
-        # completes, subsumes it.
-        for handle in self._workers:
-            handle.reship_pending.add(name)
-        for handle in self._workers:
-            handle.ship_lock.acquire()
         try:
-            self._ship_graph(entry, self._workers)
+            self._ship(entry)
         except WorkerCrashedError:
             # every other worker was still sent its load; the dead one's
-            # respawn re-ship loop picks the graph up
+            # replacement loads the graph on its first contact
             pass
-        finally:
-            for handle in reversed(self._workers):
-                handle.ship_lock.release()
         return entry
 
     def add_triples(self, name: str, triples) -> int:
-        """Ingest through the catalog; the delta listener broadcasts."""
+        """Ingest through the catalog; the delta listener logs the batch."""
         return self.catalog.add_triples(name, triples)
 
     def drop(self, name: str) -> None:
         """Drop a graph everywhere (coordinator first, then the workers)."""
         self.catalog.drop(name)
-        self._dict_marks.pop(name, None)
-        self._listened.discard(name)
-        if self._registry is not None:
-            # unlink first: the name disappears immediately; worker
-            # mappings stay valid until their drop closes them
-            with self._segment_lock:
-                self._segment_states.pop(name, None)
+        with self._segment_lock:
+            self._logs.pop(name, None)
+            if self._registry is not None:
+                # unlink first: the name disappears immediately; worker
+                # mappings stay valid until their drop closes them
                 self._registry.unlink(name)
         for handle in self._workers:
             try:
@@ -952,7 +842,6 @@ class ClusterCoordinator:
         total_start = perf_counter()
         entry = self.catalog.entry(graph_name)
         with maybe_span(query_trace, "route") as route_span:
-            min_version = entry.version
             subject = None if saturated else self._common_subject(query)
             if subject is not None:
                 handles, single_shard = self._scatter_targets(entry, subject)
@@ -968,7 +857,6 @@ class ClusterCoordinator:
                 )
         payload = (
             graph_name,
-            min_version,
             query.to_sparql(),
             target,
             limit,
@@ -977,7 +865,19 @@ class ClusterCoordinator:
             query_trace.trace_id if query_trace is not None else None,
         )
         with maybe_span(query_trace, "scatter") as scatter_span:
-            results, retries = self._fan_out(handles, payload)
+            # in parallel for a scatter, each request behind what its worker
+            # has not been sent of the graph
+            sync: _Sync = {graph_name: None}
+            outcomes = map_on_threads(
+                lambda handle: self._call_with_retry(
+                    handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT, sync
+                ),
+                handles,
+                len(handles),
+                "repro-scatter",
+            )
+            results = [reply for reply, _ in outcomes]
+            retries = sum(spent for _, spent in outcomes)
         if query_trace is not None:
             # graft each worker's finished span tree under the scatter span,
             # wrapped so the tree names the worker that produced it
@@ -1024,21 +924,6 @@ class ClusterCoordinator:
             return [self._workers[next(self._round_robin) % self.worker_count]], None
         shard = shard_of(subject_id, self.worker_count)
         return [self._workers[shard]], shard
-
-    def _fan_out(
-        self, handles: Sequence[_WorkerHandle], payload: tuple
-    ) -> Tuple[List[dict], int]:
-        """Run the query round trip on every handle (in parallel for a
-        scatter); returns the per-handle payloads and total crash retries."""
-        outcomes = map_on_threads(
-            lambda handle: self._call_with_retry(
-                handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT
-            ),
-            handles,
-            len(handles),
-            "repro-scatter",
-        )
-        return [reply for reply, _ in outcomes], sum(spent for _, spent in outcomes)
 
     def _gather(
         self,
@@ -1112,6 +997,15 @@ class ClusterCoordinator:
     # ------------------------------------------------------------------
     # observability
     # ------------------------------------------------------------------
+    def _unsent(self, handle: _WorkerHandle) -> int:
+        """Log entries *handle*'s worker has not been sent yet."""
+        unsent = 0
+        with self._segment_lock:
+            for name, log in self._logs.items():
+                generation, entries_sent = handle.cursors.get(name, (None, 0))
+                unsent += len(log.entries) - (entries_sent if generation == log.generation else 0)
+        return unsent
+
     def status(self) -> Dict[str, object]:
         """Worker pool health for the HTTP ``/cluster`` endpoint."""
         workers = []
@@ -1126,7 +1020,7 @@ class ClusterCoordinator:
                     ),
                     "generation": handle.generation,
                     "respawns": handle.respawns,
-                    "queued_deltas": handle.delta_queue.qsize(),
+                    "queued_deltas": self._unsent(handle),
                     "last_ping": handle.last_ping,
                     "last_heartbeat_age_seconds": (
                         monotonic() - handle.last_ping_at
@@ -1137,14 +1031,13 @@ class ClusterCoordinator:
                 }
             )
         with self._segment_lock:
-            shm_info: Dict[str, object] = {"enabled": self.use_shm}
+            shm_info: Dict[str, object] = {
+                "enabled": self.use_shm,
+                "logged_delta_rows": sum(log.rows for log in self._logs.values()),
+            }
             if self._registry is not None:
                 shm_info["segments"] = self._registry.info()
                 shm_info["packs"] = self._registry.packs
-                shm_info["logged_delta_rows"] = sum(
-                    state.delta_rows for state in self._segment_states.values()
-                )
-        ship_metrics = self.ship_metrics
         return {
             "workers": workers,
             "worker_count": self.worker_count,
@@ -1154,7 +1047,7 @@ class ClusterCoordinator:
             "uptime_seconds": monotonic() - self.started_at,
             "service": self.statistics.as_dict(),
             "shm": shm_info,
-            "ship_metrics": ship_metrics,
+            "ship_metrics": self.ship_metrics,
         }
 
     def worker_metrics(self, timeout: float = 10.0) -> List[Optional[Dict[str, object]]]:
@@ -1163,11 +1056,12 @@ class ClusterCoordinator:
         Unlike the heartbeat's opportunistic ``last_ping``, this blocks for
         an answer — benchmarks read per-worker RSS and column-memory
         accounting from it right after a load or a crash-recovery pass.
+        Like the heartbeat's, the ping brings the worker up to date first.
         """
         replies: List[Optional[Dict[str, object]]] = []
         for handle in self._workers:
             try:
-                replies.append(self._request(handle, protocol.OP_PING, (), timeout))
+                replies.append(self._ping(handle, timeout))
             except ClusterError:
                 replies.append(None)
         return replies

@@ -29,11 +29,12 @@ A message is one pickle behind an 8-byte big-endian length, written to and
 read from the socket-pair descriptor directly (:class:`Connection` — no
 ``multiprocessing``).  Every request is ``(request_id, op, payload)`` and every reply
 ``(request_id, status, payload)`` with ``status`` either ``"ok"`` or
-``"error"`` (payload then ``(error_kind, message)``).  Replies are matched
-by id, not by order: a worker may answer a version-fenced query *after* a
-later delta message (see :mod:`repro.cluster.worker`), so the coordinator
-routes replies through a per-worker receiver thread instead of assuming
-FIFO round-trips.
+``"error"`` (payload then ``(error_kind, message)``).  A worker answers in
+the order it was sent to — read-your-writes rests on that: a write reaches
+it as a message sent ahead of the request that must see it — and replies
+are matched by id because several coordinator threads have requests
+outstanding on one pipe; a per-worker receiver thread routes each reply to
+its waiter.
 """
 
 from __future__ import annotations
@@ -82,12 +83,15 @@ __all__ = [
 #:
 #: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* names
 #: one of the two image sources below, and *deltas* is the (possibly empty)
-#: replay log of ``(version, (dict_start, packed_terms), rows)`` ingest
-#: batches that post-date the shipped snapshot — applied in order before
-#: the load is acknowledged, so a re-attach after a crash needs no repack.
+#: list of log entries — ``(version, (dict_start, packed_terms), rows)``
+#: ingest batches — that post-date the image, applied in order before the
+#: load is acknowledged, so a re-attach after a crash needs no repack.
+#: ``OP_DELTA`` carries the same kind of list: every entry of the graph's
+#: log the worker has not been sent yet, in one message.  ``OP_QUERY`` has
+#: no version to wait for: what it must see was sent ahead of it.
 OP_LOAD = "load"  # (name, version, tables, deltas)
-OP_DELTA = "delta"  # (name, version, (dict_start, packed_terms), rows)
-OP_QUERY = "query"  # (name, min_version, sparql, target, limit, saturated, explain, trace_id)
+OP_DELTA = "delta"  # (name, [(version, (dict_start, packed_terms), rows), ...])
+OP_QUERY = "query"  # (name, sparql, target, limit, saturated, explain, trace_id)
 OP_DROP = "drop"  # (name,)
 OP_PING = "ping"  # ()
 OP_SHUTDOWN = "shutdown"  # ()

@@ -41,14 +41,18 @@ dropped or replaced — after closing the stores, which release their adopted
 views — and unlinks only *orphans*: the coordinator owns every segment for
 as long as it lives (see *Shutdown*).
 
-Ordering and fencing
---------------------
-Messages are processed strictly in arrival order with one exception: a
-query carrying ``min_version`` newer than the graph's applied version is
-*deferred* (the coordinator observed an ingest whose delta is still in
-this worker's pipe) and replayed after each delta until the version
-catches up.  Replies therefore carry request ids and may leave out of
-order; the coordinator matches by id.
+Ordering
+--------
+Messages are processed — and answered — strictly in arrival order.  That
+is the whole read-your-writes mechanism: the coordinator writes what this
+worker has not been sent of a graph (a load, or one delta carrying the
+missing log entries) into the pipe immediately ahead of the request that
+depends on it.  Replies carry request ids because several coordinator
+threads have requests outstanding on one pipe, not because they reorder.
+A load or a delta that fails leaves **no** copy of its graph behind, so
+the next request for it answers "unknown graph" instead of reading a
+half-applied replica — which is how the coordinator learns to send a
+fresh image.
 
 Shutdown
 --------
@@ -100,13 +104,9 @@ TARGET_SHARD = "shard"
 TARGET_FULL = "full"
 
 
-class _WorkerGraph:
-    """One graph's worker-local state: applied version + the two entries."""
-
-    __slots__ = ("version",)
-
-    def __init__(self, version: int):
-        self.version = version
+def _encoded(rows) -> List[Tuple[TripleKind, EncodedTriple]]:
+    """Delta wire rows ``(kind_value, s, p, o)`` as the store's encoded rows."""
+    return [(TripleKind(kind_value), EncodedTriple(s, p, o)) for kind_value, s, p, o in rows]
 
 
 class _Worker:
@@ -122,7 +122,8 @@ class _Worker:
         strategy = config.get("strategy", "hash")
         self.shard_service = QueryService(self.shard_catalog, kind=kind, strategy=strategy)
         self.full_service = QueryService(self.full_catalog, kind=kind, strategy=strategy)
-        self.graphs: Dict[str, _WorkerGraph] = {}
+        #: Loaded graphs: name -> the version of the last batch applied.
+        self.graphs: Dict[str, int] = {}
         #: Attached shared-memory segments by graph name (closed, not
         #: unlinked, when the graph is dropped or replaced).
         self.segments: Dict[str, object] = {}
@@ -132,8 +133,6 @@ class _Worker:
         #: graph pays the O(terms) unpack.
         self._pending_terms: Dict[str, Tuple[Dictionary, bytes]] = {}
         self.draining = False
-        #: Deferred version-fenced queries: ``(request_id, payload)``.
-        self.deferred: List[Tuple[int, tuple]] = []
 
     # ------------------------------------------------------------------
     # message handlers
@@ -142,8 +141,7 @@ class _Worker:
         name, version, tables, deltas = payload
         started = perf_counter()
         if name in self.graphs:
-            # a respawn re-ship or a replace: drop the stale copy first,
-            # keeping deferred queries — the fresh copy answers them below
+            # a lagging copy replaced by the live generation: drop it first
             self._drop_local(name)
         mode, source, directory = tables
         if mode == protocol.TABLES_SHM:
@@ -156,15 +154,12 @@ class _Worker:
         else:
             raise ReproError(f"unknown table shipping mode {mode!r}")
         shard_rows, full_rows = self._load_image(name, version, buffer, directory, segment)
-        graph = self.graphs[name]
-        # replay the deltas that post-date the shipped snapshot (a re-attach
-        # after a crash: the segment is an older generation plus this log)
-        for delta_version, packed_terms, rows in deltas:
-            self._apply_delta(name, delta_version, packed_terms, rows)
-        self._flush_deferred()
+        # replay the log that post-dates the image (a segment is the
+        # generation as packed; the batches since travel with the load)
+        self._apply_log(name, deltas)
         return {
             "name": name,
-            "version": graph.version,
+            "version": self.graphs[name],
             "mode": mode,
             "shard_rows": shard_rows,
             "full_rows": full_rows,
@@ -225,7 +220,7 @@ class _Worker:
         if segment is not None:
             self.segments[name] = segment
         self._pending_terms[name] = (dictionary, terms_blob)
-        self.graphs[name] = _WorkerGraph(version)
+        self.graphs[name] = version
         return shard_rows, full_rows
 
     def _hydrate_terms(self, name: str) -> None:
@@ -269,61 +264,57 @@ class _Worker:
         return rows
 
     def handle_delta(self, payload: tuple) -> dict:
-        name, version, packed_terms, rows = payload
-        applied_full, applied_shard = self._apply_delta(name, version, packed_terms, rows)
-        self._flush_deferred()
+        name, entries = payload
+        applied_full, applied_shard = self._apply_log(name, entries)
         return {
             "name": name,
-            "version": self.graphs[name].version,
+            "version": self.graphs[name],
             "full": applied_full,
             "shard": applied_shard,
         }
 
-    def _apply_delta(
-        self, name: str, version: int, packed_terms: tuple, rows: list
-    ) -> Tuple[int, int]:
-        """Apply one ingest delta (live from the pipe, or replayed by a load)."""
-        dict_start, packed = packed_terms
-        graph = self.graphs.get(name)
-        if graph is None:
+    def _apply_log(self, name: str, entries: list) -> Tuple[int, int]:
+        """Apply log entries — ``(version, (dict_start, packed_terms),
+        rows)`` ingest batches, sent as a catch-up or replayed by a load —
+        in order: all of them, or the graph is dropped (a replica missing a
+        batch must not answer)."""
+        if name not in self.graphs:
             raise UnknownGraphError(f"worker never loaded graph {name!r}")
-        # the delta's dict-offset contract needs the full base dictionary
-        self._hydrate_terms(name)
-        full_entry = self.full_catalog.entry(name)
-        dictionary = full_entry.store.dictionary
-        # the delta packs dictionary ids [dict_start, dict_start+len); after
-        # a respawn the re-shipped snapshot may already cover a prefix (or
-        # all) of it — skip what we have, append only the genuine tail
-        current = len(dictionary)
-        if current < dict_start:
-            raise ReproError(
-                f"delta term gap for {name!r}: worker has {current} ids, "
-                f"delta starts at {dict_start}"
-            )
-        already = current - dict_start
-        if already < len(packed):
-            protocol.unpack_terms(packed[already:], dictionary)
-        encoded = [
-            (TripleKind(kind_value), EncodedTriple(s, p, o))
-            for kind_value, s, p, o in rows
-        ]
-        applied_full = full_entry.add_encoded_rows(encoded)
-        mine = protocol.shard_rows(rows, self.shard_index, self.shard_count)
-        applied_shard = self.shard_catalog.entry(name).add_encoded_rows(
-            [
-                (TripleKind(kind_value), EncodedTriple(s, p, o))
-                for kind_value, s, p, o in mine
-            ]
-        )
-        # versions only move forward: a respawn re-ship may race a delta
-        # that was already folded into the shipped snapshot
-        graph.version = max(graph.version, version)
+        applied_full = applied_shard = 0
+        try:
+            full_entry = self.full_catalog.entry(name)
+            shard_entry = self.shard_catalog.entry(name)
+            dictionary = full_entry.store.dictionary
+            for version, (dict_start, packed), rows in entries:
+                # an entry's dict-offset contract needs the full base
+                # dictionary (a load without a log still leaves it packed)
+                self._hydrate_terms(name)
+                # the entry packs dictionary ids [dict_start, dict_start+len);
+                # a pipe image is the store as it stood when loaded and may
+                # already cover a prefix (or all) of it — skip what we have,
+                # append only the genuine tail
+                current = len(dictionary)
+                if current < dict_start:
+                    raise ReproError(
+                        f"delta term gap for {name!r}: worker has {current} ids, "
+                        f"delta starts at {dict_start}"
+                    )
+                already = current - dict_start
+                if already < len(packed):
+                    protocol.unpack_terms(packed[already:], dictionary)
+                applied_full += full_entry.add_encoded_rows(_encoded(rows))
+                mine = protocol.shard_rows(rows, self.shard_index, self.shard_count)
+                applied_shard += shard_entry.add_encoded_rows(_encoded(mine))
+                self.graphs[name] = version
+        except BaseException:
+            self._drop_local(name)
+            raise
         return applied_full, applied_shard
 
     def _drop_local(self, name: str) -> None:
-        """Forget *name*'s stores, segment and version (deferred queries
-        untouched).  Stores close first — releasing any adopted column
-        views — so the segment mapping can close without BufferError."""
+        """Forget *name*'s stores, segment and version.  Stores close first
+        — releasing any adopted column views — so the segment mapping can
+        close without BufferError."""
         self.graphs.pop(name, None)
         self._pending_terms.pop(name, None)
         for catalog in (self.shard_catalog, self.full_catalog):
@@ -341,20 +332,10 @@ class _Worker:
     def handle_drop(self, payload: tuple) -> dict:
         (name,) = payload
         self._drop_local(name)
-        kept: List[Tuple[int, tuple]] = []
-        for request_id, query_payload in self.deferred:
-            if query_payload[0] == name:
-                # answer, never abandon: the graph is gone, so running the
-                # query now raises the prompt unknown-graph error instead
-                # of leaving the coordinator's waiter to time out
-                self._reply(request_id, self.handle_query, query_payload)
-            else:
-                kept.append((request_id, query_payload))
-        self.deferred = kept
         return {"name": name}
 
     def handle_query(self, payload: tuple) -> dict:
-        name, _min_version, text, target, limit, saturated, explain, trace_id = payload
+        name, text, target, limit, saturated, explain, trace_id = payload
         self._hydrate_terms(name)  # query terms encode through the dictionary
         service = self.shard_service if target == TARGET_SHARD else self.full_service
         query = parse_query(text, name="cluster")
@@ -371,8 +352,7 @@ class _Worker:
     def handle_ping(self, _payload: tuple) -> dict:
         return {
             "shard_index": self.shard_index,
-            "graphs": {name: graph.version for name, graph in self.graphs.items()},
-            "deferred": len(self.deferred),
+            "graphs": dict(self.graphs),
             "segments": len(self.segments),
             "rss_kb": self._rss_kb(),
             "column_memory": self._column_memory(),
@@ -436,27 +416,6 @@ class _Worker:
     # ------------------------------------------------------------------
     # the loop
     # ------------------------------------------------------------------
-    def _query_ready(self, payload: tuple) -> bool:
-        """A fenced query is ready once its graph reached ``min_version``.
-
-        Queries for unknown graphs are "ready" too — they must fail with
-        the unknown-graph error rather than defer forever.
-        """
-        name, min_version = payload[0], payload[1]
-        graph = self.graphs.get(name)
-        if graph is None:
-            return True
-        return graph.version >= min_version
-
-    def _flush_deferred(self) -> None:
-        still_deferred: List[Tuple[int, tuple]] = []
-        for request_id, payload in self.deferred:
-            if self._query_ready(payload):
-                self._reply(request_id, self.handle_query, payload)
-            else:
-                still_deferred.append((request_id, payload))
-        self.deferred = still_deferred
-
     def _reply(self, request_id: int, handler, payload: tuple) -> None:
         try:
             result = handler(payload)
@@ -484,6 +443,7 @@ class _Worker:
         handlers = {
             protocol.OP_LOAD: self.handle_load,
             protocol.OP_DELTA: self.handle_delta,
+            protocol.OP_QUERY: self.handle_query,
             protocol.OP_DROP: self.handle_drop,
             protocol.OP_PING: self.handle_ping,
         }
@@ -500,12 +460,6 @@ class _Worker:
             if op == protocol.OP_SHUTDOWN:
                 self._reply(request_id, lambda _payload: {"draining": True}, payload)
                 break
-            if op == protocol.OP_QUERY:
-                if self._query_ready(payload):
-                    self._reply(request_id, self.handle_query, payload)
-                else:
-                    self.deferred.append((request_id, payload))
-                continue
             handler = handlers.get(op)
             if handler is None:
                 self._reply(

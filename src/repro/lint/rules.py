@@ -3,7 +3,8 @@
 * ``guarded-by``            — PR 7-era races on shared state documented but
                               not enforced as lock-protected.
 * ``no-blocking-under-lock``— the PR 7 ingest-vs-respawn deadlock class:
-                              blocking pipe/queue traffic under a ship lock.
+                              blocking pipe/queue traffic under the lock
+                              that serializes a worker slot's respawn.
 * ``no-nested-rwlock``      — the non-reentrant ``ReadWriteLock`` contract:
                               nothing reachable under the lock may re-enter
                               ``QueryService.answer`` / ``add_triples``.
@@ -221,11 +222,11 @@ class NoBlockingUnderLockRule(Rule):
     name = "no-blocking-under-lock"
     description = (
         "no pipe send/recv, untimed Queue.put, untimed join() / wait() / "
-        "communicate(), or worker spawn inside a 'with <ship_lock>' body "
+        "communicate(), or worker spawn inside a 'with <respawn_lock>' body "
         "(the PR 7 deadlock class)"
     )
 
-    _LOCK_MARKER = "ship_lock"
+    _LOCK_MARKER = "respawn_lock"
 
     def check(self, ctx: FileContext) -> Iterable[Finding]:
         findings: List[Finding] = []
@@ -262,9 +263,9 @@ class NoBlockingUnderLockRule(Rule):
                         col=node.col_offset,
                         message=(
                             f"{reason} inside a 'with {self._LOCK_MARKER}' "
-                            "body can deadlock against the re-ship path "
-                            "(PR 7); move it outside the lock or use a "
-                            "timed variant"
+                            "body parks every request that found the slot "
+                            "dead (the PR 7 deadlock class); move it outside "
+                            "the lock or use a timed variant"
                         ),
                     )
                 )

@@ -18,7 +18,7 @@ Three instrument kinds, all thread-safe and deliberately tiny:
   private child counter, the registry owns the process-wide family, and
   one ``inc()`` feeds both.
 * :class:`Gauge` — a settable level, plus optional *callbacks* sampled at
-  collection time (executor queue depth, cluster delta-queue depth).  The
+  collection time (executor queue depth, cluster log entries unsent).  The
   reported value is the set value plus the sum of the live callbacks.
 * :class:`Histogram` — fixed upper-bound buckets with cumulative counts,
   ``sum`` and ``count`` (the Prometheus histogram model).  Bucket math is

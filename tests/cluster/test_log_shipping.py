@@ -1,0 +1,289 @@
+"""Log shipping: a worker learns of a write from the graph's log, sent
+ahead of its next request by the one sender of its pipe.
+
+Instead of one hand-picked interleaving per past bug, seeded schedules mix
+ingest, folds, worker kills, drop + register and the three routing paths,
+and check after every step that the cluster answers exactly what the
+in-process service answers on the same catalog — so a query issued right
+after an ingest sees it on the shard path and on the replica path, across a
+fold and across a respawn.  Plus the two faults the log closes: a fold that
+cannot pack, and a worker that stopped reading."""
+
+import errno
+import os
+import random
+import signal
+import threading
+import time
+
+import pytest
+
+from repro import telemetry
+from repro.cluster import ClusterCoordinator, shm
+from repro.model.namespaces import RDF_TYPE, RDFS_SUBCLASSOF
+from repro.model.terms import URI
+from repro.model.triple import Triple
+from repro.queries.parser import parse_query
+from repro.service.catalog import GraphCatalog
+from repro.service.service import QueryService
+
+FOLD_ROWS = 8
+STEPS = 14
+
+_MODES = [
+    pytest.param(
+        True,
+        id="shm",
+        marks=pytest.mark.skipif(
+            not shm.shm_available(), reason="named shared memory unavailable"
+        ),
+    ),
+    pytest.param(False, id="pipe"),
+]
+
+
+def _uri(kind, number):
+    return URI(f"http://log/{kind}{number}")
+
+
+def _batch(rng, size):
+    """*size* fresh-ish triples over a small vocabulary: data rows that
+    chain (objects are subjects too), type rows, and the odd schema row."""
+    triples = []
+    for _ in range(size):
+        roll = rng.random()
+        subject = _uri("n", rng.randrange(12))
+        if roll < 0.7:
+            triples.append(Triple(subject, _uri("p", rng.randrange(3)), _uri("n", rng.randrange(40))))
+        elif roll < 0.9:
+            triples.append(Triple(subject, RDF_TYPE, _uri("C", rng.randrange(4))))
+        else:
+            triples.append(
+                Triple(_uri("C", rng.randrange(4)), RDFS_SUBCLASSOF, _uri("C", rng.randrange(4, 6)))
+            )
+    return triples
+
+
+#: One probe per routing path: scattered to every shard, routed to the one
+#: shard that owns a constant subject, a chain on one worker's full replica,
+#: and saturated semantics (always the full replica).
+_PROBES = [
+    ("scatter", "SELECT ?s ?o WHERE { ?s <http://log/p0> ?o }", False),
+    ("scatter", "SELECT ?p ?o WHERE { <http://log/n3> ?p ?o }", False),
+    ("full", "SELECT ?a ?c WHERE { ?a <http://log/p0> ?b . ?b <http://log/p1> ?c }", False),
+    ("full", "SELECT ?s ?c WHERE { ?s <%s> ?c }" % RDF_TYPE.value, True),
+]
+
+
+def _own_segments():
+    prefix = f"{shm.SEGMENT_PREFIX}-{os.getpid()}-"
+    return [name for name in shm.list_segments() if name.startswith(prefix)]
+
+
+@pytest.mark.parametrize("use_shm", _MODES)
+@pytest.mark.parametrize("seed", range(20))
+def test_seeded_schedule_matches_the_in_process_service(seed, use_shm):
+    rng = random.Random(seed)
+    catalog = GraphCatalog()
+    catalog.register("g", graph=_batch(rng, 10))
+    service = QueryService(catalog)
+    coordinator = ClusterCoordinator(
+        catalog, workers=2, heartbeat_seconds=0, use_shm=use_shm, shm_fold_rows=FOLD_ROWS
+    )
+    packs = 1 if use_shm else 0  # the register at start()
+    logged = 0
+    try:
+        for step in range(STEPS):
+            op = rng.choice(["add", "add", "add", "fold", "kill", "reregister", "query"])
+            if op in ("add", "fold"):
+                size = FOLD_ROWS if op == "fold" else rng.randrange(1, 4)
+                logged += coordinator.add_triples("g", _batch(rng, size))
+                if logged >= FOLD_ROWS:
+                    logged = 0
+                    packs += use_shm
+            elif op == "kill":
+                victim = coordinator.status()["workers"][rng.randrange(2)]
+                if victim["alive"]:  # else: still down from an earlier kill
+                    os.kill(victim["pid"], signal.SIGKILL)
+            elif op == "reregister":
+                coordinator.drop("g")
+                coordinator.register("g", graph=_batch(rng, 10))
+                logged = 0
+                packs += use_shm
+            mode, text, saturated = rng.choice(_PROBES)
+            query = parse_query(text)
+            answer = coordinator.answer("g", query, saturated=saturated)
+            expected = service.answer("g", query, saturated=saturated)
+            context = (seed, step, op, text)
+            assert answer.answers == expected.answers, context
+            assert answer.cluster["mode"] == mode, context
+            status = coordinator.status()
+            # a pack happens at register and at a fold — never for a kill,
+            # a lagging worker or a respawn
+            assert status["shm"].get("packs", 0) == packs, context
+            assert status["shm"]["logged_delta_rows"] == logged, context
+            # the log is bounded by the fold, whoever has or has not read it
+            for worker in status["workers"]:
+                assert worker["queued_deltas"] <= FOLD_ROWS, context
+        # at rest every probe agrees, whichever worker lagged
+        for _mode, text, saturated in _PROBES * 2:
+            query = parse_query(text)
+            assert (
+                coordinator.answer("g", query, saturated=saturated).answers
+                == service.answer("g", query, saturated=saturated).answers
+            )
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert _own_segments() == []
+
+
+def test_thread_census():
+    """A started coordinator owns K receiver threads and at most one
+    heartbeat thread: no thread per worker sends deltas any more."""
+    before = set(threading.enumerate())
+    catalog = GraphCatalog()
+    catalog.register("g", graph=_batch(random.Random(0), 10))
+    coordinator = ClusterCoordinator(catalog, workers=3, heartbeat_seconds=30)
+    try:
+        coordinator.add_triples("g", _batch(random.Random(1), 5))
+        coordinator.answer("g", parse_query(_PROBES[0][1]))
+        names = sorted(thread.name for thread in set(threading.enumerate()) - before)
+        assert names == ["repro-heartbeat", "repro-recv-0", "repro-recv-1", "repro-recv-2"]
+        assert not any(
+            thread.name.startswith("repro-delta") for thread in threading.enumerate()
+        )
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert set(threading.enumerate()) - before == set()
+
+
+def test_queued_deltas_counts_log_entries_not_yet_sent():
+    """``queued_deltas`` and the ``cluster.delta.queue.depth`` gauge kept
+    their names: they report log entries a worker has not been sent."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=_batch(random.Random(0), 10))
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
+    gauge = telemetry.gauge("cluster.delta.queue.depth")
+    try:
+        base = gauge.value
+        for i in range(3):
+            coordinator.add_triples("g", [Triple(_uri("q", i), _uri("p", 0), _uri("q", i + 1))])
+        queued = [worker["queued_deltas"] for worker in coordinator.status()["workers"]]
+        assert queued == [3, 3]  # nobody was told: ingest touches no pipe
+        assert gauge.value - base == 6
+        owner = coordinator.answer("g", parse_query("SELECT ?o WHERE { <http://log/q0> ?p ?o }"))
+        (contacted,) = owner.cluster["workers"]
+        queued = [worker["queued_deltas"] for worker in coordinator.status()["workers"]]
+        assert queued[contacted] == 0 and queued[1 - contacted] == 3
+        coordinator.worker_metrics()  # a ping catches a worker up, too
+        assert [w["queued_deltas"] for w in coordinator.status()["workers"]] == [0, 0]
+        ping = coordinator.worker_metrics()[0]
+        assert "deferred" not in ping and ping["graphs"] == {"g": catalog.entry("g").version}
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert gauge.value == base
+
+
+@pytest.mark.skipif(not shm.shm_available(), reason="named shared memory unavailable")
+def test_failed_fold_keeps_the_batch_and_the_ingest(monkeypatch):
+    """``/dev/shm`` full at fold time: the batch is inserted and logged, so
+    the ingest succeeds, every worker still sees the rows (the old
+    generation and its over-threshold log survive), the failure is
+    counted, and the next batch folds."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=_batch(random.Random(0), 10))
+    service = QueryService(catalog)
+    coordinator = ClusterCoordinator(
+        catalog, workers=2, heartbeat_seconds=0, shm_fold_rows=4
+    )
+    failures = telemetry.counter("cluster.fold.failures")
+    try:
+        before = failures.value
+        real_pack = coordinator._registry.pack
+        calls = []
+
+        def full_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise OSError(errno.ENOSPC, "No space left on device")
+            return real_pack(*args, **kwargs)
+
+        monkeypatch.setattr(coordinator._registry, "pack", full_once)
+        rows = [Triple(_uri("f", i), _uri("p", 0), _uri("f", i + 1)) for i in range(5)]
+        assert coordinator.add_triples("g", rows) == 5  # durable: not a 500
+        assert failures.value == before + 1
+        status = coordinator.status()
+        assert status["shm"]["packs"] == 1 and status["shm"]["logged_delta_rows"] == 5
+        scatter = parse_query("SELECT ?s ?o WHERE { ?s <http://log/p0> ?o }")
+        chain = parse_query(
+            "SELECT ?a ?c WHERE { ?a <http://log/p0> ?b . ?b <http://log/p0> ?c }"
+        )
+        for _both_replicas in range(2):
+            for query in (scatter, chain):
+                answer = coordinator.answer("g", query)
+                assert answer.answers == service.answer("g", query).answers
+                assert any(row[0] == _uri("f", 0) for row in answer.answers)
+        # the next batch retries the fold, and this time it packs
+        assert coordinator.add_triples("g", [Triple(_uri("f", 9), _uri("p", 0), _uri("f", 0))]) == 1
+        status = coordinator.status()
+        assert len(calls) == 2 and status["shm"]["packs"] == 2
+        assert status["shm"]["logged_delta_rows"] == 0
+        assert coordinator.answer("g", scatter).answers == service.answer("g", scatter).answers
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert _own_segments() == []
+
+
+@pytest.mark.parametrize("use_shm", _MODES)
+def test_a_stopped_worker_stops_no_writer(use_shm):
+    """A worker that is alive but not reading used to park every writer on
+    its full delta queue — inside the entry's write lock, so checkpoints
+    and statistics hung with it.  Ingest only appends to the log."""
+    fold_rows = 64
+    catalog = GraphCatalog()
+    catalog.register("g", graph=_batch(random.Random(0), 10))
+    coordinator = ClusterCoordinator(
+        catalog, workers=2, heartbeat_seconds=0, use_shm=use_shm, shm_fold_rows=fold_rows
+    )
+    stopped = coordinator.status()["workers"][0]["pid"]
+    os.kill(stopped, signal.SIGSTOP)
+    try:
+        done = threading.Event()
+        slowest = []
+
+        def ingest():
+            worst = 0.0
+            for i in range(200):
+                started = time.monotonic()
+                coordinator.add_triples(
+                    "g", [Triple(_uri("w", i), URI("http://log/stopped"), _uri("w", i + 1))]
+                )
+                worst = max(worst, time.monotonic() - started)
+            slowest.append(worst)
+            done.set()
+
+        thread = threading.Thread(target=ingest, daemon=True)
+        thread.start()
+        assert done.wait(timeout=60), "ingest waits for a worker that is not reading"
+        assert slowest[0] < 5.0
+        # readers of the entry are not held up either
+        assert catalog.entry("g").statistics_index() is not None
+        status = coordinator.status()  # and reporting does not touch the pipe
+        assert status["shm"]["logged_delta_rows"] < fold_rows
+        assert all(worker["queued_deltas"] < fold_rows for worker in status["workers"])
+    finally:
+        os.kill(stopped, signal.SIGCONT)
+    try:
+        query = parse_query("SELECT ?s ?o WHERE { ?s <http://log/stopped> ?o }")
+        answer = coordinator.answer("g", query)
+        assert answer.cluster["workers"] == [0, 1]
+        assert len(answer.answers) == 200
+        assert coordinator.status()["workers"][0]["pid"] == stopped  # never killed for lagging
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert _own_segments() == []

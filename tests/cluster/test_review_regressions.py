@@ -1,6 +1,6 @@
-"""Regressions for the coordinator/worker failure-path review fixes:
-deferred queries must be answered (never abandoned) across drops and
-re-ships, registration snapshots once, sustained ingest during a
+"""Regressions for the coordinator/worker failure-path review fixes: a
+query racing a drop or sent behind a re-ship is answered promptly,
+registration snapshots once, sustained ingest during a
 respawn re-ship must never wedge the write path, and a graph image loads
 through one routine — same ack, same lazy state, same failure cleanup —
 whether its bytes come from a shared-memory segment or over the pipe."""
@@ -14,7 +14,7 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, protocol, shm
 from repro.cluster.worker import TARGET_FULL, TARGET_SHARD, _Worker
-from repro.errors import ReproError
+from repro.errors import ReproError, WorkerCrashedError
 from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
@@ -79,11 +79,10 @@ def image_registry(request):
 
 
 def _query_payload(
-    min_version, target=TARGET_FULL, text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"
+    target=TARGET_FULL, text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"
 ):
     return (
         "g",
-        min_version,
         text,
         target,
         None,
@@ -93,44 +92,99 @@ def _query_payload(
     )
 
 
-def test_drop_answers_deferred_queries_with_unknown_graph():
-    """A drop must reply to deferred version-fenced queries instead of
-    discarding them — the coordinator-side waiter would otherwise hang
-    for the full request timeout."""
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+class _ScriptedPipe(_PipeStub):
+    """A pipe stub whose other end already wrote *messages*: the worker's
+    own loop reads them in order, then sees EOF."""
+
+    def __init__(self, messages):
+        super().__init__()
+        self.messages = list(messages)
+
+    def poll(self, _timeout):
+        return True
+
+    def recv(self):
+        if not self.messages:
+            raise EOFError
+        return self.messages.pop(0)
+
+
+def test_query_racing_a_drop_gets_unknown_graph_promptly():
+    """A query that reaches the worker behind the drop of its graph is
+    answered at once with the unknown-graph error — nothing parks it, so
+    the coordinator-side waiter never sits out the request timeout."""
     store = MemoryStore()
     store.insert_triples(_triples(3))
-    worker.handle_load(_load_payload(store))
-    fenced = _query_payload(min_version=99)
-    assert not worker._query_ready(fenced)
-    worker.deferred.append((7, fenced))
-    worker.handle_drop(("g",))
-    assert worker.deferred == []
-    replies = {rid: (status, payload) for rid, status, payload in worker.connection.sent}
+    pipe = _ScriptedPipe(
+        [
+            (1, protocol.OP_LOAD, _load_payload(store)),
+            (2, protocol.OP_QUERY, _query_payload()),
+            (3, protocol.OP_DROP, ("g",)),
+            (7, protocol.OP_QUERY, _query_payload()),
+        ]
+    )
+    worker = _Worker(pipe, {"shard_index": 0, "shard_count": 1})
+    worker.run()
+    # answered strictly in arrival order: nothing is held back
+    assert [request_id for request_id, _, _ in pipe.sent] == [1, 2, 3, 7]
+    replies = {rid: (status, payload) for rid, status, payload in pipe.sent}
+    assert replies[2][0] == "ok" and len(replies[2][1]["answers"]) == 3
     status, payload = replies[7]
     assert status == "error"
     assert payload[0] == "unknown_graph"
     store.close()
 
 
-def test_reship_load_answers_deferred_queries():
-    """A re-ship/replace load keeps deferred queries and answers them from
-    the fresh copy once the version catches up."""
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy():
+    """A re-ship/replace load replaces the stale copy, and the query sent
+    right behind it — and behind a catch-up delta — sees every row."""
     store = MemoryStore()
     store.insert_triples(_triples(2))
-    worker.handle_load(_load_payload(store, version=0))
-    fenced = _query_payload(min_version=1)
-    assert not worker._query_ready(fenced)
-    worker.deferred.append((11, fenced))
-    # the snapshot a respawn would ship: one more row, version 1
-    store.insert_triples(_triples(3))
-    worker.handle_load(_load_payload(store, version=1))
-    assert worker.deferred == []
-    replies = {rid: (status, payload) for rid, status, payload in worker.connection.sent}
-    status, payload = replies[11]
-    assert status == "ok"
-    assert len(payload["answers"]) == 3
+    stale = _load_payload(store, version=0)
+    mark = len(store.dictionary)
+    fresh = store.insert_triples(_triples(3), skip_existing=True)
+    entry = (
+        1,
+        (mark, protocol.pack_terms(store.dictionary, mark)),
+        [(kind.value, row[0], row[1], row[2]) for kind, row in fresh],
+    )
+    reshipped = stale[:3] + ([entry],)  # the same image plus the log since
+    store.insert_triples(_triples(4))
+    pipe = _ScriptedPipe(
+        [
+            (1, protocol.OP_LOAD, stale),
+            (2, protocol.OP_LOAD, reshipped),
+            (11, protocol.OP_QUERY, _query_payload()),
+            (12, protocol.OP_LOAD, _load_payload(store, version=2)),
+            (13, protocol.OP_QUERY, _query_payload()),
+        ]
+    )
+    worker = _Worker(pipe, {"shard_index": 0, "shard_count": 1})
+    worker.run()
+    replies = {rid: (status, payload) for rid, status, payload in pipe.sent}
+    assert replies[2][1]["version"] == 1
+    assert replies[11][0] == "ok" and len(replies[11][1]["answers"]) == 3
+    assert replies[13][0] == "ok" and len(replies[13][1]["answers"]) == 4
+    store.close()
+
+
+def test_failed_catch_up_leaves_no_copy_to_answer_from():
+    """A delta the worker cannot apply (here: a gap in the dictionary ids)
+    drops the graph instead of leaving a replica that misses a batch: the
+    query behind it gets unknown-graph, and a fresh load recovers."""
+    store = MemoryStore()
+    store.insert_triples(_triples(2))
+    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    worker.handle_load(_load_payload(store))
+    gap = (1, (len(store.dictionary) + 5, []), [])
+    with pytest.raises(ReproError, match="term gap"):
+        worker.handle_delta(("g", [gap]))
+    assert worker.graphs == {} and worker.full_catalog.names() == []
+    worker._reply(9, worker.handle_query, _query_payload())
+    assert worker.connection.sent[-1][2][0] == "unknown_graph"
+    worker.handle_load(_load_payload(store))
+    assert len(worker.handle_query(_query_payload())["answers"]) == 2
+    worker.close()
     store.close()
 
 
@@ -166,7 +220,7 @@ def test_load_is_source_independent(image_registry):
         guarded = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # an RBGP: the guard runs
         for _again in range(2):
             for target in (TARGET_SHARD, TARGET_FULL):
-                answer = worker.handle_query(_query_payload(0, target, guarded))
+                answer = worker.handle_query(_query_payload(target, guarded))
                 assert answer["prunable"] and len(answer["answers"]) == 6
         assert shard_entry.build_counters["prime_scans"] == 1
         assert full_entry.build_counters["prime_scans"] == 1
@@ -207,7 +261,7 @@ def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
         assert worker._pending_terms == {}
         assert worker.shard_catalog.names() == [] and worker.full_catalog.names() == []
         worker.handle_load(good)
-        assert len(worker.handle_query(_query_payload(0))["answers"]) == 4
+        assert len(worker.handle_query(_query_payload())["answers"]) == 4
     finally:
         worker.close()
         catalog.close()
@@ -237,14 +291,12 @@ def test_register_snapshots_once(bsbm_small, monkeypatch):
 
 
 def test_ingest_during_respawn_reship_does_not_wedge(bsbm_small):
-    """Sustained ingest with a depth-1 delta queue while a worker is being
-    respawned and re-shipped: the write path must keep moving (the re-ship
-    snapshot subsumes dropped deltas) and no row may be lost."""
+    """Sustained ingest while a worker is being respawned and re-shipped:
+    the write path must keep moving (the respawned worker is sent the log)
+    and no row may be lost."""
     catalog = GraphCatalog()
     catalog.register("g", graph=bsbm_small)
-    coordinator = ClusterCoordinator(
-        catalog, workers=2, heartbeat_seconds=0.1, delta_queue_depth=1
-    )
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0.1)
     try:
         victim = coordinator.status()["workers"][0]["pid"]
         os.kill(victim, signal.SIGKILL)
@@ -281,7 +333,7 @@ def test_ingest_during_respawn_reship_does_not_wedge(bsbm_small):
             time.sleep(0.05)
         query = parse_query("SELECT ?s ?o WHERE { ?s <http://wedge/p> ?o }")
         answer = coordinator.answer("g", query)
-        assert len(answer.answers) == 30  # dropped deltas were subsumed
+        assert len(answer.answers) == 30  # every batch reached both workers
     finally:
         coordinator.close()
         catalog.close()
@@ -290,12 +342,10 @@ def test_ingest_during_respawn_reship_does_not_wedge(bsbm_small):
 @pytest.mark.parametrize("seed", [1])
 def test_concurrent_register_and_ingest_other_graph(bsbm_small, seed):
     """Registering a new graph while another graph ingests: neither path
-    may deadlock on the ship locks, and both end complete."""
+    may deadlock on the send locks, and both end complete."""
     catalog = GraphCatalog()
     catalog.register("base", graph=bsbm_small)
-    coordinator = ClusterCoordinator(
-        catalog, workers=2, heartbeat_seconds=0, delta_queue_depth=1
-    )
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
     try:
         done = threading.Event()
         failures = []
@@ -333,40 +383,39 @@ def test_concurrent_register_and_ingest_other_graph(bsbm_small, seed):
         catalog.close()
 
 
-def test_crash_retry_budget_separate_from_ship_waits(bsbm_small, monkeypatch):
-    """A slow request can straddle two worker deaths (two crash retries —
-    the whole budget) *and* reach a respawned worker before its re-ship
-    lands (an unknown-graph wait).  The wait must not be charged against
-    the crash budget, or exactly that interleaving fails spuriously."""
-    from repro.cluster.coordinator import UnknownGraphError, WorkerCrashedError
-
+def test_two_worker_deaths_under_one_request_fit_the_crash_budget(bsbm_small):
+    """A slow request can straddle two worker deaths — the whole
+    ``max_retries`` budget.  Each retry reaches a worker that has been sent
+    nothing and loads it ahead of itself, so there is no "graph not there
+    yet" answer to wait out and nothing else is charged to the budget."""
     catalog = GraphCatalog()
     catalog.register("g", graph=bsbm_small)
     coordinator = ClusterCoordinator(catalog, workers=1, heartbeat_seconds=0)
     try:
         assert coordinator.max_retries == 2
         handle = coordinator._workers[0]
-        script = [
-            WorkerCrashedError("worker 0 pipe closed"),
-            UnknownGraphError("g"),  # respawn raced the re-ship
-            WorkerCrashedError("worker 0 pipe closed"),
-        ]
+        query = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
+        expected = coordinator.answer("g", query).answers
         real_request = coordinator._request
+        kills = []
 
-        def scripted(h, op, payload, timeout):
-            if script:
-                raise script.pop(0)
-            return real_request(h, op, payload, timeout)
+        def dying(h, op, payload, timeout, sync=None):
+            if op == protocol.OP_QUERY and len(kills) < 2:
+                # the worker dies with the query in its pipe
+                kills.append(h.process.pid)
+                os.kill(h.process.pid, signal.SIGKILL)
+            return real_request(h, op, payload, timeout, sync)
 
-        monkeypatch.setattr(coordinator, "_request", scripted)
-        monkeypatch.setattr(
-            coordinator, "_ensure_alive", lambda handle, generation: None
-        )
-        reply, retries = coordinator._call_with_retry(
-            handle, protocol.OP_PING, ("g",), 30.0
-        )
-        assert retries == 3  # two crashes + one ship wait, all survived
-        assert not script
+        coordinator._request = dying
+        answer = coordinator.answer("g", query)
+        assert answer.answers == expected
+        assert answer.cluster["retries"] == 2 and len(set(kills)) == 2
+        assert handle.respawns == 2
+        # a third death under one request is over the budget
+        kills.clear()
+        coordinator.max_retries = 1
+        with pytest.raises(WorkerCrashedError):
+            coordinator.answer("g", query)
     finally:
         coordinator.close()
         catalog.close()
@@ -376,22 +425,19 @@ def test_crash_during_respawn_reship_is_retried(bsbm_small, monkeypatch):
     """A second kill can land while _ensure_alive is still re-shipping the
     first victim's replacement: the re-ship's own crash must feed back
     into the retry loop (budget-checked), not escape to the client."""
-    from repro.cluster.coordinator import WorkerCrashedError
-
     catalog = GraphCatalog()
     catalog.register("g", graph=bsbm_small)
     coordinator = ClusterCoordinator(catalog, workers=1, heartbeat_seconds=0)
     try:
-        handle = coordinator._workers[0]
         request_script = [WorkerCrashedError("worker 0 pipe closed")]
         ensure_script = [WorkerCrashedError("worker 0 send failed: died mid-reship")]
         real_request = coordinator._request
         real_ensure = coordinator._ensure_alive
 
-        def scripted_request(h, op, payload, timeout):
+        def scripted_request(h, op, payload, timeout, sync=None):
             if request_script:
                 raise request_script.pop(0)
-            return real_request(h, op, payload, timeout)
+            return real_request(h, op, payload, timeout, sync)
 
         def scripted_ensure(h, generation):
             if ensure_script:

@@ -479,7 +479,7 @@ def test_worker_attach_byteswaps_foreign_segments():
             TripleKind.TYPE
         ) + store.count(TripleKind.SCHEMA)
         answer = worker.handle_query(
-            ("g", 0, "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", TARGET_FULL,
+            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", TARGET_FULL,
              None, False, False, None)
         )
         native = MemoryStore()

@@ -221,7 +221,7 @@ def test_a_cluster_worker_maintains_it_from_delta_broadcasts(history):
             fresh = store.insert_triples(batch, skip_existing=True)
             packed = protocol.pack_terms(store.dictionary, mark)
             wire = [(kind.value, row[0], row[1], row[2]) for kind, row in fresh]
-            worker.handle_delta(("g", entry.version + 1, (mark, packed), wire))
+            worker.handle_delta(("g", [(entry.version + 1, (mark, packed), wire)]))
             mark += len(packed)
             for kind in _KINDS:
                 summary = _assert_is_the_batch_engine(replica, kind)

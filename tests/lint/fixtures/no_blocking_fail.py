@@ -1,11 +1,11 @@
-"""Failing corpus: blocking calls under a ship lock (the PR 7 class)."""
+"""Failing corpus: blocking calls under a respawn lock (the PR 7 class)."""
 
 
 class Coordinator:
-    def ship(self, handle, item):
-        with handle.ship_lock:
+    def respawn(self, handle, item):
+        with handle.respawn_lock:
             handle.connection.send(item)  # finding: pipe send under lock
-            handle.delta_queue.put(item)  # finding: untimed bounded put
+            handle.replies.put(item)  # finding: untimed bounded put
             handle.process.join()  # finding: untimed join
             handle.process.wait()  # finding: untimed Popen.wait
             handle.process.communicate(b"")  # finding: untimed communicate

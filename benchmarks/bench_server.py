@@ -48,7 +48,10 @@ at 1), in time proportional to the delta's derivations — gated at
 ``--min-saturation-speedup`` (default 10×) over the legacy rebuild path
 (decode + ``saturate()`` + re-encode), with the maintained store asserted
 *identical* to a from-scratch saturation and saturated answers asserted
-identical across a warm restart (zero saturated rebuilds on reopen).
+identical across a warm restart.  ``G∞`` is never checkpointed: the reopen
+builds nothing, its first saturated query builds ``G∞`` once (counted
+``saturation_builds == 1``), and that build's time is reported beside the
+cold one.
 
 Usage
 -----
@@ -397,26 +400,27 @@ def run_saturation_benchmark(args) -> Dict[str, object]:
             f"{'identical' if report['stores_identical'] else 'DIFFER'}"
         )
 
-        # warm restart: G∞ must come back without a single rule application
+        # warm restart: nothing of G∞ is in the file, so the reopen builds
+        # nothing and the first saturated query builds it, once
         catalog.checkpoint()
         catalog.close()
         catalog = GraphCatalog.open(catalog_path)
         entry = catalog.entry(GRAPH_NAME)
+        report["warm_saturation_builds_at_open"] = entry.build_counters["saturation_builds"]
         service = QueryService(catalog)
         warm_answers = [
             service.answer(GRAPH_NAME, query, saturated=True).answers for query in queries
         ]
         report["warm_answers_identical"] = warm_answers == after_answers
-        report["warm_saturation_rebuilds"] = {
-            name: hits
-            for name, hits in entry.build_counters.items()
-            if hits and name == "saturation_builds"
-        }
+        report["warm_saturation_builds"] = entry.build_counters["saturation_builds"]
+        report["warm_build_seconds"] = entry.saturation_metrics()["build_seconds"]
         catalog.close()
         print(
             f"warm restart: answers "
             f"{'identical' if report['warm_answers_identical'] else 'DIFFER'}, "
-            f"saturated rebuilds: {report['warm_saturation_rebuilds'] or 'none'}"
+            f"saturation builds {report['warm_saturation_builds_at_open']} at open, "
+            f"{report['warm_saturation_builds']} after the first saturated query "
+            f"({report['warm_build_seconds']:.3f}s; cold {report['build_seconds']:.3f}s)"
         )
     finally:
         shutil.rmtree(workdir, ignore_errors=True)
@@ -986,9 +990,11 @@ def evaluate_saturation_gates(args, report) -> List[str]:
         )
     if not report["warm_answers_identical"]:
         failures.append("saturated answers changed across the warm restart")
-    if report["warm_saturation_rebuilds"]:
+    if (report["warm_saturation_builds_at_open"], report["warm_saturation_builds"]) != (0, 1):
         failures.append(
-            f"warm restart rebuilt the saturated side: {report['warm_saturation_rebuilds']}"
+            f"expected 0 saturation builds at the warm open and 1 at its first saturated "
+            f"query, counted {report['warm_saturation_builds_at_open']} and "
+            f"{report['warm_saturation_builds']}"
         )
     if report["rebuild_seconds"] < 0.05:
         # too small to time the rebuild reliably — the correctness gates
@@ -1262,7 +1268,7 @@ def main(argv=None) -> int:
         pass_line = (
             f"\nPASS: G-inf maintained in place ({report['saturation_builds']} build, "
             f"{report['saturation_speedup']:.1f}x over the rebuild path), stores identical, "
-            f"warm restart rebuilt nothing"
+            f"warm restart built G-inf once, at its first saturated query"
         )
     else:
         report = run_benchmark(args)

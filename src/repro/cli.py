@@ -450,16 +450,10 @@ def _print_explain(answer, entry) -> None:
     else:
         print("  guard cascade : skipped (query not eligible or pruning disabled)")
     saturation = answer.saturation
-    if saturation is not None and saturation.get("live"):
-        builds = saturation["builds"]
-        # builds == 0 means the store was rehydrated from a warm-start
-        # snapshot (row inserts only) — build_seconds times that instead
-        origin = (
-            f"built {builds}x" if builds else "rehydrated (0 rules applied)"
-        )
+    if saturation is not None:
         print(
             f"  saturation    : G∞ store {saturation['store_rows']} rows "
-            f"({saturation['derived_rows']} derived), {origin} "
+            f"({saturation['derived_rows']} derived), built {saturation['builds']}x "
             f"in {saturation['build_seconds']*1000:.1f} ms, "
             f"{saturation['deltas']} delta(s), last delta "
             f"{saturation['last_delta_seconds']*1000:.2f} ms "

@@ -15,11 +15,11 @@ instance-level rules —
 
 — directly over the *encoded* rows of a :class:`~repro.store.base.TripleStore`,
 fed the way :class:`~repro.core.incremental.CliqueSummarizer` is
-(:meth:`ingest_rows` per batch, :meth:`snapshot`), so
+(:meth:`build` once, :meth:`ingest_rows` per batch, :meth:`snapshot`), so
 :class:`~repro.service.catalog.CatalogEntry` maintains it in the same
-ingest routine.  Unlike the summary maintainer its state is checkpointed
-(:meth:`state_dict` / :meth:`load_state`): rebuilding it means re-applying
-the rules, not one scan.
+ingest routine.  Like the summary maintainer it is derived state: never
+checkpointed or shipped — a restarted process builds it again on its first
+saturated query.
 
 Delta algebra
 -------------
@@ -46,15 +46,8 @@ once and the cost of a delta is proportional to its *derivations*, never
 to ``|G∞|``.  The target shares the base store's dictionary: no term is
 ever decoded or re-encoded on this path (``rdf:type`` is the single term
 the saturator may have to mint, for graphs whose explicit triples never
-used it).
-
-Durable state
--------------
-:meth:`state_dict` exposes pure-integer structures only (the same contract
-as the weak summarizer): the direct and closed schema maps, the derived-row
-log and two term ids.  The persistent catalog checkpoints them and a warm
-start calls :meth:`load_state` + :meth:`rehydrate` — rebuilding the target
-from the base rows plus the derived log with **zero** rule application.
+used it).  The target holds every base row once, so what was derived is
+the difference of the two stores' sizes (:meth:`derived_count`).
 """
 
 from __future__ import annotations
@@ -102,19 +95,16 @@ class IncrementalSaturator:
         :meth:`TripleStore.insert_triples` with ``skip_existing=True`` —
         the same contract as the summary maintainer), because a
         schema delta re-derives from the base store's tables.
-    target:
-        The store receiving ``G∞`` (a fresh :class:`MemoryStore` by
-        default).  It *shares* the base store's dictionary, so its rows
-        stay id-compatible with the base rows and evaluators over it
-        compile queries identically.
+
+    ``G∞`` is kept in :attr:`target`, a :class:`MemoryStore` that *shares*
+    the base store's dictionary, so its rows stay id-compatible with the
+    base rows and evaluators over it compile queries identically.
     """
 
-    def __init__(self, store: TripleStore, target: Optional[TripleStore] = None):
+    def __init__(self, store: TripleStore):
         self.store = store
-        if target is None:
-            target = MemoryStore()
-            target.dictionary = store.dictionary
-        self.target = target
+        self.target = MemoryStore()
+        self.target.dictionary = store.dictionary
         #: Direct (declared) constraint pairs, one ``id -> {id}`` map per
         #: relation, straight from the schema rows seen so far.
         self._direct: Dict[str, Dict[int, Set[int]]] = {
@@ -136,17 +126,11 @@ class IncrementalSaturator:
         #: rows after a direct row supplied its property id.
         self._schema_ids: Dict[str, int] = {}
         #: Derived cache of ``_schema_ids``' values for the per-derived-row
-        #: table-routing probe (rebuilt on registration, not persisted).
+        #: table-routing probe (rebuilt on registration).
         self._schema_id_set: frozenset = frozenset()
         #: ``rdf:type``'s id, adopted from type rows or minted on the first
         #: domain/range/subclass derivation of a graph without type triples.
         self._type_id: Optional[int] = None
-        #: Log of every row this saturator added to the target that is not
-        #: a base row: closure rows and rule derivations, as
-        #: ``(kind_value, s, p, o)`` plain tuples (insertion order).  This
-        #: plus the base store reconstructs the target without re-applying
-        #: a single rule — the warm-restart path of the catalog.
-        self._derived: List[Tuple[str, int, int, int]] = []
 
     # ------------------------------------------------------------------
     # schema bookkeeping
@@ -243,17 +227,7 @@ class IncrementalSaturator:
             for subject, objects in closed.items():
                 for obj in objects:
                     rows.append((TripleKind.SCHEMA, (subject, property_id, obj)))
-        self._record(self.target.insert_encoded_rows(rows), out)
-
-    def _record(
-        self,
-        fresh: List[Tuple[TripleKind, EncodedTriple]],
-        out: List[Tuple[TripleKind, EncodedTriple]],
-    ) -> None:
-        """Log freshly derived target rows (durable state + caller's delta)."""
-        for kind, row in fresh:
-            self._derived.append((kind.value, row[0], row[1], row[2]))
-        out.extend(fresh)
+        out.extend(self.target.insert_encoded_rows(rows))
 
     # ------------------------------------------------------------------
     # the instance-level rules (one-step, over the closed maps)
@@ -310,8 +284,6 @@ class IncrementalSaturator:
         affected properties / classes reaches every row a new constraint
         can retroactively entail from.
         """
-        # explicit schema rows are base rows (recoverable from the base
-        # store on rehydrate), so they reach *out* but not the derived log
         out.extend(
             self.target.insert_encoded_rows([(TripleKind.SCHEMA, row) for row in schema_rows])
         )
@@ -349,15 +321,11 @@ class IncrementalSaturator:
         for cls in sorted(affected_classes):
             for row in self.store.select(TripleKind.TYPE, None, None, cls):
                 self._derive_type(row[0], cls, derived)
-        self._record(self.target.insert_encoded_rows(derived), out)
+        out.extend(self.target.insert_encoded_rows(derived))
 
     # ------------------------------------------------------------------
     # ingest API (mirrors CliqueSummarizer)
     # ------------------------------------------------------------------
-    def ingest_row(self, kind: TripleKind, row: EncodedTriple) -> List[Tuple[TripleKind, EncodedTriple]]:
-        """Apply one freshly inserted base row; see :meth:`ingest_rows`."""
-        return self.ingest_rows([(kind, row)])
-
     def ingest_rows(
         self, rows: Iterable[Tuple[TripleKind, EncodedTriple]]
     ) -> List[Tuple[TripleKind, EncodedTriple]]:
@@ -406,7 +374,7 @@ class IncrementalSaturator:
                 self._derive_type(row[0], row[2], derived)
         # one deduplicating insert for the batch's derivations: the first
         # occurrence of a row wins, as it did when each base row inserted its own
-        self._record(self.target.insert_encoded_rows(derived), fresh)
+        fresh.extend(self.target.insert_encoded_rows(derived))
         return fresh
 
     # ------------------------------------------------------------------
@@ -414,7 +382,7 @@ class IncrementalSaturator:
         """Seed the target with the full saturation of the base store.
 
         One batched pass per table — the ``O(|G∞|)`` cost paid exactly
-        once per graph lifetime (the catalog counts these as
+        once per graph and process (the catalog counts these as
         ``saturation_builds``); afterwards every update goes through
         :meth:`ingest_rows`.  Returns the number of target rows.
         """
@@ -443,64 +411,7 @@ class IncrementalSaturator:
         """Decode the maintained ``G∞`` into a fresh :class:`RDFGraph`."""
         return self.target.to_graph(name=name or "saturated")
 
-    # ------------------------------------------------------------------
-    # durable state (the persistent-catalog warm-start path)
-    # ------------------------------------------------------------------
-    #: Everything beyond the two stores that determines the saturator.
-    #: Pure-integer structures only (dicts / sets / plain tuples), the
-    #: same serialization contract as the weak summarizer's maps.
-    _STATE_KEYS = (
-        "_direct",
-        "_super_classes",
-        "_super_properties",
-        "_domains",
-        "_ranges",
-        "_schema_ids",
-        "_type_id",
-        "_derived",
-    )
-
-    def state_dict(self) -> Dict[str, object]:
-        """The saturator's maps and derived-row log as one plain dict.
-
-        The returned dict *references* the live structures (no copy):
-        serialize before the saturator ingests anything further — the
-        persistence layer runs under the owning entry's lock.
-        """
-        return {key: getattr(self, key) for key in self._STATE_KEYS}
-
-    def load_state(self, state: Dict[str, object]) -> None:
-        """Adopt a :meth:`state_dict` (ownership transfers to the saturator).
-
-        The target is *not* rebuilt here — call :meth:`rehydrate` to fill
-        it from the base store and the derived log.
-        """
-        missing = [key for key in self._STATE_KEYS if key not in state]
-        if missing:
-            raise ValueError(f"incomplete saturator state: missing {missing}")
-        for key in self._STATE_KEYS:
-            setattr(self, key, state[key])
-        self._schema_id_set = frozenset(self._schema_ids.values())
-
-    def rehydrate(self) -> int:
-        """Rebuild the target from the base rows plus the derived log.
-
-        Pure row insertion — not a single rule is applied, which is what
-        keeps a warm-started catalog's ``saturation_builds`` counter at
-        zero.  Returns the number of target rows.
-        """
-        insert = self.target.insert_encoded_rows
-        for kind in (TripleKind.SCHEMA, TripleKind.DATA, TripleKind.TYPE):
-            for subjects, predicates, objects in self.store.scan_columns(kind):
-                insert([(kind, row) for row in zip(subjects, predicates, objects)])
-        insert(
-            [
-                (TripleKind(kind_value), (subject, predicate, obj))
-                for kind_value, subject, predicate, obj in self._derived
-            ]
-        )
-        return self.target.statistics().total_rows
-
     def derived_count(self) -> int:
-        """Rows of the target beyond the base rows (the derived log's length)."""
-        return len(self._derived)
+        """Rows of the target beyond the base rows: the target holds every
+        base row once, so this is the size of ``G∞`` minus ``G``."""
+        return len(self.target) - len(self.store)

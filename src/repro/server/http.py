@@ -266,8 +266,8 @@ class ServerApp:
                 # rows logged since the last checkpoint: what a reopen
                 # would replay (null for an in-memory catalog)
                 "log_tail_rows": self.catalog.log_tail_rows(name),
-                # G∞ maintenance costs (null until a saturated query or
-                # a warm start brought the saturated store into being)
+                # G∞ maintenance costs (null until a saturated query of
+                # this process built the saturated store)
                 "saturation": entry.saturation_metrics(),
                 # the summary maintainer's sizes, weak and strong alike,
                 # under its published key (null until it is primed)

@@ -18,18 +18,18 @@ stores every fact once, packed, each blob through :mod:`zlib`:
 * the **encoded triples** in ``graph_columns`` — one row per table holding
   its three id columns as the narrowest native int array that fits (the
   ``width`` column records it), whatever backend serves the graph;
-* the **artifacts** in ``artifacts`` — the ``G∞`` saturator state with its
-  derived-row log (a pickle of pure-integer structures) and every summary
-  cached at checkpoint time, all tagged with the checkpoint's entry
-  version.  Derived state is not an artifact: every process reads the
-  cardinality statistics off the indexes of the rows it loads and primes
-  its summary maintainer on first need (``maintainer`` / ``statistics`` /
-  ``saturation_statistics`` rows left by an older build are ignored and
-  disappear with the next checkpoint).  A summary payload holds
-  its node -> representative map as two packed ``array('i')`` over the
-  graph's own dictionary ids and only the summary graph and the minted
-  summary nodes as term tuples.  Summary artifacts are *expendable*: one
-  that does not decode is skipped, counted and rebuilt on first use.
+* the **artifacts** in ``artifacts`` — every summary cached at checkpoint
+  time, all tagged with the checkpoint's entry version.  Derived state is
+  not an artifact: every process reads the cardinality statistics off the
+  indexes of the rows it loads, primes its summary maintainer on first need
+  and builds ``G∞`` on its first saturated query (``maintainer`` /
+  ``statistics`` / ``saturation`` / ``saturation_statistics`` rows left by
+  an older build are ignored and disappear with the next checkpoint).  A
+  summary payload holds its node -> representative map as two packed
+  ``array('i')`` over the graph's own dictionary ids and only the summary
+  graph and the minted summary nodes as term tuples.  Summary artifacts are
+  *expendable*: one that does not decode is skipped, counted and rebuilt on
+  first use.
 
 The log is what :meth:`~PersistentCatalog.append_update` — the write-through
 hook of :meth:`CatalogEntry.add_triples` — writes, and it is delta-sized:
@@ -53,8 +53,8 @@ column blobs, rows in ``graph_triples``) open through a reader of their rows
 alone — no artifact of theirs is decoded, every one is rebuilt — and each
 graph is rewritten in this layout by its first durable write.  A blob that
 does not inflate or decode is a :class:`~repro.errors.PersistenceError`
-(dictionary, columns, saturation) or a skipped
-summary, never a bare ``zlib`` / ``pickle`` traceback.
+(dictionary, columns) or a skipped summary, never a bare ``zlib`` /
+``pickle`` traceback.
 
 The payloads use :mod:`pickle` (stdlib, compact, fast) over structures that
 contain no code and no Term objects.  Treat the catalog file like a database
@@ -110,6 +110,8 @@ _ZLIB_LEVEL = 1
 _COLUMN_TYPECODES = ("i", "q")
 _TYPECODE_BY_WIDTH = {array(code).itemsize: code for code in _COLUMN_TYPECODES}
 
+#: Copied into every new file verbatim, comments included (``sqlite_master``),
+#: so it stays as written: no build writes a ``saturation`` artifact any more.
 _SCHEMA_SQL = """
 CREATE TABLE IF NOT EXISTS catalog_meta (
     key   TEXT PRIMARY KEY,
@@ -289,10 +291,6 @@ class GraphSnapshot(NamedTuple):
     #: Holds the checkpoint's rows; :attr:`tail_rows` are not inserted yet.
     store: TripleStore
     summaries: Optional[Dict[str, Summary]] = None
-    #: The incremental saturator's state (schema maps + derived-row log),
-    #: when the graph's ``G∞`` cache was checkpointed — lets the restarted
-    #: entry rehydrate the saturated store without applying a single rule.
-    saturation_state: Optional[Dict[str, object]] = None
     #: The version everything above was checkpointed at, and the rows logged
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
@@ -433,9 +431,6 @@ class PersistentCatalog:
     # ------------------------------------------------------------------
     def _artifact_rows(self, entry) -> Iterator[Tuple[str, bytes]]:
         """The artifact payloads of *entry* at its current version."""
-        saturation_state = entry.saturation_state()
-        if saturation_state is not None:
-            yield "saturation", _pack(saturation_state)
         for kind, summary in entry.cached_summaries().items():
             yield f"summary:{kind}", _pack(_pack_summary(summary, entry.store.dictionary))
 
@@ -642,7 +637,6 @@ class PersistentCatalog:
         # one checkpoint replaces every artifact of the graph in one
         # transaction, so they all carry its version (with none there is
         # nothing a wrong version could make look fresh)
-        saturation_state: Optional[Dict[str, object]] = None
         summaries: Dict[str, Summary] = {}
         checkpoint_version = artifact_rows[0][1] if artifact_rows else version
         try:
@@ -678,6 +672,9 @@ class PersistentCatalog:
                 store._insert_rows(tail_rows)
                 tail_rows = []
             for artifact_name, _version, payload in artifact_rows:
+                # anything but a summary is a row an older build left (its
+                # weak maintainer maps, pickled statistics profiles, its
+                # G∞ state): never decoded
                 if artifact_name.startswith("summary:"):
                     # expendable: a payload that does not decode (a torn
                     # blob) is skipped — the entry rebuilds that summary on
@@ -688,19 +685,13 @@ class PersistentCatalog:
                         )
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
-                    continue
-                if artifact_name == "saturation":
-                    # anything else is a row an older build left (its weak
-                    # maintainer maps, pickled statistics profiles): never
-                    # decoded
-                    saturation_state = _unpack(payload)
         except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / array errors
             store.close()
             if isinstance(error, PersistenceError):
                 raise
             raise PersistenceError(
                 f"graph {name!r} in catalog file {self.path!r} is unreadable "
-                f"(dictionary, columns or artifacts): {error}"
+                f"(dictionary or columns): {error}"
             )
         ensure_indexes = getattr(store, "ensure_summarization_indexes", None)
         if callable(ensure_indexes):
@@ -710,7 +701,6 @@ class PersistentCatalog:
             version=version,
             store=store,
             summaries=summaries,
-            saturation_state=saturation_state,
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
             legacy=legacy,

@@ -9,6 +9,11 @@ and maintains, per graph:
   :class:`~repro.service.evaluator.EncodedEvaluator` per join strategy,
   joined directly on the store's integer rows; created on first use, kept
   current in place by every ingest, alive exactly as long as the store;
+* once a saturated query has asked for it, the maintained ``G∞`` — one
+  :class:`~repro.schema.encoded_saturation.IncrementalSaturator` built by
+  rule application (the one ``saturation_builds`` of a serving process),
+  then fed every batch; derived state like the summary maintainer below,
+  never checkpointed or shipped;
 * once the weak or the strong summary has been asked for at a version no
   cache covers, a live :class:`~repro.core.incremental.CliqueSummarizer` —
   the one maintainer both are read off — primed by one scan (the one
@@ -45,7 +50,7 @@ Durability
 A catalog opened through :meth:`GraphCatalog.open` is backed by a
 :class:`repro.server.persistence.PersistentCatalog` — a checkpoint plus a
 row log.  Registrations and :meth:`GraphCatalog.checkpoint` write the
-checkpoint (rows, dictionary, ``G∞`` state, cached summaries); every
+checkpoint (rows, dictionary, cached summaries); every
 ``add_triples`` batch is logged atomically, delta only.  A restarted process
 installs the checkpointed state and feeds the logged rows through the very
 routine an ingest runs (:meth:`CatalogEntry.replay`) — after a clean
@@ -54,6 +59,8 @@ shutdown it warm-starts with **zero** re-scan or re-summarization and the
 new is requested; after an unclean one the replayed rows leave the
 checkpointed summaries stale and the first guarded query primes the
 maintainer (one ``prime_scans``), as it does after the first ingest.
+After either, the first saturated query builds ``G∞`` (one
+``saturation_builds``).
 """
 
 from __future__ import annotations
@@ -201,9 +208,9 @@ class CatalogEntry:
         #: single priming (weak and strong are snapshots of it ever after),
         #: ``summary_builds`` the ``encoded_summarize`` runs of the other
         #: three kinds, ``saturation_builds`` the ``G∞`` seedings.  A
-        #: warm-started entry restored from a persistent catalog keeps all
-        #: of them at zero through its first queries — the durability tests
-        #: assert exactly that.
+        #: warm-started entry restored from a persistent catalog keeps the
+        #: first two at zero through its first queries, and the third until
+        #: its first saturated one — the durability tests assert exactly that.
         self.build_counters: BuildCounters = BuildCounters(
             ("prime_scans", "summary_builds", "saturation_builds")
         )
@@ -236,14 +243,9 @@ class CatalogEntry:
         #: The served stores of ``G`` (key ``False``) and ``G∞`` (``True``),
         #: each created on first use (:meth:`_served_store`).
         self._served: Dict[bool, _ServedStore] = {}
-        #: The maintained ``G∞`` — built on first saturated access (or
-        #: materialized from a warm-start snapshot) and then kept fresh *in
-        #: place* by every ingest; never version-invalidated.
+        #: The maintained ``G∞`` — built on first saturated access and then
+        #: kept fresh *in place* by every ingest; never version-invalidated.
         self._saturated: Optional[_SaturatedState] = None
-        #: Warm-start saturation state (a saturator ``state_dict``) not yet
-        #: materialized into a live target store; consumed by the first
-        #: saturated access *or* the first ingest, whichever comes first.
-        self._saturation_pending: Optional[Dict[str, object]] = None
 
     @classmethod
     def restore(
@@ -252,7 +254,6 @@ class CatalogEntry:
         store: TripleStore,
         version: int,
         summaries: Optional[Dict[str, Summary]] = None,
-        saturation_state: Optional[Dict[str, object]] = None,
     ) -> "CatalogEntry":
         """Warm-start an entry from persisted state (no priming scan).
 
@@ -261,17 +262,13 @@ class CatalogEntry:
         long-running process would have paid — no re-scan, no
         re-summarization (derived state is never persisted: the cardinality
         profile is read off the store's indexes, the summary maintainer
-        primed by the first read the cached summaries do not cover).  A persisted
-        saturation state is kept *pending*: the first saturated access (or
-        the first ingest) rehydrates the ``G∞`` store from the base rows
-        plus the derived log, applying zero rules —
-        ``build_counters["saturation_builds"]`` stays at zero.
+        primed by the first read the cached summaries do not cover, ``G∞``
+        built by the first saturated query).
         """
         entry = cls(name, store)
         entry.version = version
         for kind, summary in (summaries or {}).items():
             entry._summaries[normalize_kind(kind)] = (version, summary)
-        entry._saturation_pending = saturation_state
         return entry
 
     # ------------------------------------------------------------------
@@ -337,12 +334,6 @@ class CatalogEntry:
                 # we raced a drop(): same report as the query-side race
                 raise UnknownGraphError(f"graph {self.name!r} was dropped")
             with self._init_lock:
-                # reads the store as it stands *before* the batch:
-                # rehydrating a warm-start G∞ snapshot sweeps the base rows
-                # (rows inserted first would enter the saturated store as
-                # plain rows, silently skipping their delta derivations)
-                if self._saturation_pending is not None:
-                    self._materialize_saturated()
                 fresh = insert(rows, skip_existing=skip_existing)
                 if not fresh:
                     return 0
@@ -368,9 +359,7 @@ class CatalogEntry:
     def _maintain_saturated(self, rows: List[Tuple[TripleKind, EncodedTriple]]) -> None:
         """Fold an ingest batch into the maintained ``G∞`` (delta rules only).
 
-        Runs under the write lock + init lock of :meth:`_ingest` (which
-        materialized any pending warm-start state *before* the base
-        insert, so the saturated side never lags the base store).  The
+        Runs under the write lock + init lock of :meth:`_ingest`.  The
         delta is applied semi-naively and what it derived is folded into
         the ``G∞`` served store's profile.  No-op while ``G∞`` has never
         been requested.
@@ -515,14 +504,11 @@ class CatalogEntry:
     def _ensure_saturated(self) -> _SaturatedState:
         """The live saturated state (init lock held): seeded once by
         :meth:`IncrementalSaturator.build` (rule application over the whole
-        encoded store — counted in ``build_counters["saturation_builds"]``)
-        or rehydrated rule-free from a warm-start snapshot, then maintained
-        **in place** by every ingest delta."""
+        encoded store — counted in ``build_counters["saturation_builds"]``),
+        then maintained **in place** by every ingest delta."""
         state = self._saturated
         if state is not None:
             return state
-        if self._saturation_pending is not None:
-            return self._materialize_saturated()
         self.build_counters["saturation_builds"] += 1
         build_start = perf_counter()
         saturator = IncrementalSaturator(self.store)
@@ -532,67 +518,21 @@ class CatalogEntry:
         self._saturated = state
         return state
 
-    def _materialize_saturated(self) -> _SaturatedState:
-        """Rehydrate the warm-start saturation snapshot (zero rules applied)."""
-        saturator = IncrementalSaturator(self.store)
-        saturator.load_state(self._saturation_pending)
-        build_start = perf_counter()
-        saturator.rehydrate()
-        state = _SaturatedState(saturator)
-        state.metrics["build_seconds"] = perf_counter() - build_start
-        self._saturation_pending = None
-        self._saturated = state
-        return state
-
-    # ------------------------------------------------------------------
-    # saturation state exposure (persistence + metrics)
-    # ------------------------------------------------------------------
-    def saturation_state(self) -> Optional[Dict[str, object]]:
-        """The saturator's durable state at the current version, or ``None``.
-
-        Live state references the saturator's maps (serialize under the
-        entry's lock, before the next ingest); a not-yet-materialized
-        warm-start snapshot is returned as-is — it is only retained while
-        no ingest has happened, so it is always current.  Reads the
-        live/pending pair under the init lock: a concurrent reader may be
-        mid-materialization (which clears the pending state while
-        publishing the live one), and an unguarded read in that window
-        would see *neither* — a checkpoint would then silently drop the
-        durable ``G∞`` state.
-        """
-        with self._init_lock:
-            if self._saturated is not None:
-                return self._saturated.saturator.state_dict()
-            return self._saturation_pending
-
     def saturation_metrics(self) -> Optional[Dict[str, object]]:
-        """Maintenance metrics of the ``G∞`` cache (``None`` when unused).
+        """Maintenance metrics of the ``G∞`` cache (``None`` until built).
 
         Exposed by the query service's explain output and by the HTTP
         statistics endpoint: what the saturated side cost to build, how
-        many deltas it absorbed and what the last one took.  The
-        live/pending pair is read under the init lock (see
-        :meth:`saturation_state` for the materialization race).
+        many deltas it absorbed and what the last one took.
         """
-        with self._init_lock:
-            state = self._saturated
-            pending = self._saturation_pending
+        state = self._saturated
         if state is None:
-            if pending is None:
-                return None
-            return {
-                "live": False,
-                "pending": True,
-                "builds": self.build_counters["saturation_builds"],
-                "derived_rows": len(pending["_derived"]),
-            }
+            return None
         metrics = dict(state.metrics)
         metrics.update(
             {
-                "live": True,
-                "pending": False,
                 "builds": self.build_counters["saturation_builds"],
-                "store_rows": state.store.statistics().total_rows,
+                "store_rows": len(state.store),
                 "derived_rows": state.saturator.derived_count(),
             }
         )
@@ -663,8 +603,8 @@ class GraphCatalog:
 
         Every graph persisted in the file is warm-started: its checkpointed
         rows and dictionary are bulk-restored into a fresh *store_factory*
-        backend, the ``G∞`` state and cached summaries are installed
-        directly, and the rows logged since the checkpoint are replayed
+        backend, the cached summaries are installed directly, and the rows
+        logged since the checkpoint are replayed
         (:meth:`CatalogEntry.replay`); with an empty log nothing is
         re-scanned or re-summarized and ``entry.build_counters`` stay at
         zero.  Registrations checkpoint, ``add_triples`` batches are
@@ -690,7 +630,6 @@ class GraphCatalog:
                     store=snapshot.store,
                     version=snapshot.checkpoint_version,
                     summaries=snapshot.summaries,
-                    saturation_state=snapshot.saturation_state,
                 )
                 entry._persist_dirty = snapshot.legacy
                 if snapshot.tail_rows:
@@ -718,9 +657,8 @@ class GraphCatalog:
 
         Write-through already keeps every acknowledged row and dictionary
         id durable in the log; a checkpoint folds the log into the packed
-        column snapshot and captures the maintained state as it stands —
-        ``G∞``, the summaries cached since — so the next warm start
-        replays nothing and rebuilds nothing.  An
+        column snapshot and captures the summaries cached since, so the next
+        warm start replays nothing and re-summarizes nothing.  An
         entry whose checkpointed rows are already current only has its
         artifacts replaced.
         """

@@ -8,7 +8,6 @@ triples that retroactively derive from old data.
 
 from __future__ import annotations
 
-import pickle
 import random
 
 import pytest
@@ -245,79 +244,29 @@ class TestIncrementalEquivalence:
         assert statistics == CardinalityStatistics.from_store(saturator.target)
 
 
-class TestDurableState:
-    def test_state_round_trip_rehydrates_identically(self, lubm_small):
-        triples = sorted(lubm_small)
+class TestDerivedCount:
+    """``derived_count()`` is the size of ``G∞`` minus ``G``: the target holds
+    every base row once, so it equals the set difference of the two graphs."""
+
+    @staticmethod
+    def _difference(saturator):
+        return len(set(saturator.snapshot()) - set(saturator.store.to_graph()))
+
+    def test_after_a_build(self, lubm_small):
+        saturator = _build_over(lubm_small)
+        assert saturator.derived_count() == self._difference(saturator) > 0
+
+    def test_after_a_schema_row_batch(self):
         store = MemoryStore()
         saturator = IncrementalSaturator(store)
-        rows = store.insert_triples(triples[:-10], skip_existing=True)
-        saturator.ingest_rows(rows)
-
-        state = pickle.loads(pickle.dumps(saturator.state_dict()))
-        restored_store = MemoryStore()
-        restored_store.dictionary = store.dictionary
-        restored = IncrementalSaturator(restored_store)
-        # the base rows live in the (restored) base store, the derived log
-        # in the state: rehydration applies no rules
-        restored_store.insert_triples(triples[:-10], skip_existing=True)
-        restored.load_state(state)
-        restored.rehydrate()
-        assert set(restored.snapshot()) == set(saturator.snapshot())
-
-        # and further ingests continue exactly where the original left off
-        for source, target_store in ((saturator, store), (restored, restored_store)):
-            new_rows = target_store.insert_triples(triples[-10:], skip_existing=True)
-            source.ingest_rows(new_rows)
-        assert set(restored.snapshot()) == set(saturator.snapshot())
-        assert set(restored.snapshot()) == set(saturate(lubm_small))
-
-    def test_restored_saturator_keeps_special_property_routing(self):
-        # the table-routing id set is derived state: a restored saturator
-        # must still send rdfs7 copies over rdf:type to the TYPE table
-        store = MemoryStore()
-        saturator = IncrementalSaturator(store)
-        rows = store.insert_triples(
-            [Triple(EX.p, RDFS_SUBPROPERTYOF, RDF_TYPE), Triple(EX.x, EX.p, EX.C)],
-            skip_existing=True,
-        )
-        saturator.ingest_rows(rows)
-
-        restored_store = MemoryStore()
-        restored_store.dictionary = store.dictionary
-        restored_store.insert_triples(
-            [Triple(EX.p, RDFS_SUBPROPERTYOF, RDF_TYPE), Triple(EX.x, EX.p, EX.C)],
-            skip_existing=True,
-        )
-        restored = IncrementalSaturator(restored_store)
-        restored.load_state(pickle.loads(pickle.dumps(saturator.state_dict())))
-        restored.rehydrate()
-        new_rows = restored_store.insert_triples(
-            [Triple(EX.y, EX.p, EX.D)], skip_existing=True
-        )
-        restored.ingest_rows(new_rows)
-        type_rows = {
-            restored.target.decode_triple(row)
-            for row in restored.target.select(TripleKind.TYPE, None, None, None)
-        }
-        assert Triple(EX.y, RDF_TYPE, EX.D) in type_rows
-
-    def test_load_state_rejects_incomplete_state(self):
-        saturator = IncrementalSaturator(MemoryStore())
-        with pytest.raises(ValueError, match="incomplete saturator state"):
-            saturator.load_state({"_derived": []})
-
-    def test_derived_log_tracks_batches(self):
-        store = MemoryStore()
-        saturator = IncrementalSaturator(store)
-        rows = store.insert_triples(
-            [Triple(EX.p, RDFS_DOMAIN, EX.C), Triple(EX.a, EX.p, EX.b)],
-            skip_existing=True,
-        )
-        saturator.ingest_rows(rows)
-        mark = saturator.derived_count()
-        rows = store.insert_triples([Triple(EX.c, EX.p, EX.d)], skip_existing=True)
-        saturator.ingest_rows(rows)
-        appended = saturator.state_dict()["_derived"][mark:]
-        # exactly the new derivation (c τ C); the base row is not logged
-        assert len(appended) == saturator.derived_count() - mark == 1
-        assert [kind for kind, *_ in appended] == [TripleKind.TYPE.value]
+        batches = [
+            [Triple(EX.a, EX.p, EX.b), Triple(EX.c, EX.p, EX.d), Triple(EX.a, RDF_TYPE, EX.C)],
+            # schema rows only: closure rows plus retroactive derivations
+            [Triple(EX.p, RDFS_DOMAIN, EX.C), Triple(EX.C, RDFS_SUBCLASSOF, EX.D)],
+            # a base row that was derived before: no longer counted as derived
+            [Triple(EX.c, RDF_TYPE, EX.C)],
+        ]
+        for batch in batches:
+            saturator.ingest_rows(store.insert_triples(batch, skip_existing=True))
+            assert saturator.derived_count() == self._difference(saturator)
+        assert saturator.derived_count() == 3  # a τ D, c τ D and the closure row p ←d D

@@ -34,6 +34,8 @@ from repro.model.namespaces import (
 from repro.model.terms import Literal
 from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
+from repro.schema.encoded_saturation import IncrementalSaturator
+from repro.schema.saturation import saturate
 from repro.server.http import ServerApp
 from repro.server.persistence import (
     SCHEMA_VERSION,
@@ -134,10 +136,11 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
 ):
     """*batches* are ``(triples, saturated query before, after)``; the durable
     catalog checkpoints after batch *checkpoint_after* (never, if out of range)
-    and is abandoned — the file is copied as the last batch left it."""
+    and is abandoned — the file is copied as the last batch left it.  Whether
+    or not ``G∞`` was live at the checkpoint, the reopened process has none
+    until its first saturated query, which builds it once."""
     workdir = tmp_path_factory.mktemp("crash")
     path, image = str(workdir / "live.db"), str(workdir / "crashed.db")
-    saturated_at_checkpoint = False
     with GraphCatalog() as never, GraphCatalog.open(path) as durable:
         for catalog in (never, durable):
             catalog.register("g", graph=RDFGraph(base))
@@ -150,7 +153,6 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
                 assert _saturated_answers(durable) == _saturated_answers(never)
             if index == checkpoint_after:
                 durable.checkpoint()
-                saturated_at_checkpoint = durable.entry("g").saturation_state() is not None
             shutil.copyfile(path, image)  # the file as this acknowledged batch left it
 
         with GraphCatalog.open(image) as reopened:
@@ -172,6 +174,8 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
                 assert set(service.answer("g", query).answers) == expected
             for kind in ("weak", "strong"):
                 assert graphs_isomorphic(entry.summary(kind).graph, reference.summary(kind).graph)
+            assert entry.saturation_metrics() is None
+            assert entry.build_counters["saturation_builds"] == 0
             assert _saturated_answers(reopened) == _saturated_answers(never)
             maintained = entry.evaluator_for(saturated=True).store
             live_saturated = reference.evaluator_for(saturated=True).store
@@ -183,10 +187,7 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             # one priming serves weak and strong, unless the checkpoint covers both
             assert counters["prime_scans"] <= 1
             assert counters["summary_builds"] == 0
-            if saturated_at_checkpoint:
-                assert counters["saturation_builds"] == 0
-            else:
-                assert counters["saturation_builds"] == 1
+            assert counters["saturation_builds"] == 1
 
 
 def test_reopen_after_clean_checkpoint_replays_and_builds_nothing(bsbm_small, tmp_path):
@@ -325,18 +326,78 @@ def test_columns_are_stored_at_the_narrowest_width_that_fits(fig2, tmp_path):
         ("dictionary_chunks", "terms", "1"),
         ("graph_columns", "s", "kind = 'data'"),
         ("graph_columns", "o", "kind = 'type'"),
-        ("artifacts", "payload", "name = 'saturation'"),
     ],
 )
 def test_damaged_blobs_are_typed_errors(bsbm_small, tmp_path, table, column, where, damage):
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
-        catalog.register("g", graph=bsbm_small).evaluator_for(saturated=True)
-        catalog.checkpoint()  # ... with the G∞ state that brought into being
+        catalog.register("g", graph=bsbm_small)
     ((blob,),) = _sql(path, f"SELECT {column} FROM {table} WHERE {where}")
     _sql(path, f"UPDATE {table} SET {column} = ? WHERE {where}", (damage(blob),))
     with pytest.raises(PersistenceError, match="unreadable|corrupt"):
         GraphCatalog.open(path)
+
+
+def _older_saturation_payload(store):
+    """A ``saturation`` artifact as the schema-4 builds that checkpointed
+    ``G∞`` wrote it: the saturator's schema maps and derived-row log."""
+    saturator = IncrementalSaturator(store)
+    saturator.build()
+    base = {kind: set(rows) for kind, rows in _table_rows(store).items()}
+    state = {
+        key: getattr(saturator, key)
+        for key in ("_direct", "_super_classes", "_super_properties", "_domains", "_ranges")
+    }
+    state.update(
+        _schema_ids=saturator._schema_ids,
+        _type_id=saturator._type_id,
+        _derived=[
+            (kind.value, *row)
+            for kind, rows in _table_rows(saturator.target).items()
+            for row in rows
+            if row not in base[kind]
+        ],
+    )
+    return zlib.compress(pickle.dumps(state, protocol=4), 1)
+
+
+@pytest.mark.parametrize(
+    "damage",
+    [
+        lambda blob: blob,
+        lambda blob: blob[: len(blob) // 2],  # truncated
+        lambda blob: blob[:-6] + bytes(6),  # garbled: the checksum fails
+        lambda blob: b"",
+    ],
+    ids=["well-formed", "truncated", "garbled", "empty"],
+)
+def test_a_saturation_row_an_older_build_left_is_never_decoded(
+    bsbm_small, tmp_path, recount, damage
+):
+    """Everything ``G∞`` is can be recomputed from the rows, so no state of
+    it in the file — intact or torn — can keep the catalog from opening."""
+    path = str(tmp_path / "catalog.db")
+    query = parse_query(f"SELECT ?x ?c WHERE {{ ?x <{RDF_TYPE.value}> ?c . }}")
+    with GraphCatalog.open(path) as catalog:
+        entry = catalog.register("g", graph=bsbm_small)
+        payload = _older_saturation_payload(entry.store)
+    ((version,),) = _sql(path, "SELECT DISTINCT version FROM artifacts")
+    _sql(path, "INSERT INTO artifacts VALUES ('g', 'saturation', ?, ?)", (version, damage(payload)))
+
+    with GraphCatalog.open(path) as catalog:
+        entry = catalog.entry("g")
+        assert entry.saturation_metrics() is None
+        service = QueryService(catalog, kind="weak")
+        answers = service.answer("g", query, saturated=True).answers
+        assert service.answer("g", query, saturated=True).answers == answers
+        typings = {(t.subject, t.object) for t in saturate(entry.to_graph()) if t.predicate == RDF_TYPE}
+        assert answers == typings
+        assert entry.build_counters["saturation_builds"] == 1
+        maintained = entry.evaluator_for(saturated=True).store
+        assert set(maintained.to_graph()) == set(saturate(entry.to_graph()))
+        assert entry.evaluator_for(saturated=True).statistics().as_dict() == recount(maintained)
+        catalog.checkpoint()
+    assert _sql(path, "SELECT name FROM artifacts WHERE name = 'saturation'") == []
 
 
 def test_a_gap_between_term_chunks_is_a_typed_error(fig2, tmp_path):
@@ -566,7 +627,11 @@ def test_a_schema_3_file_opens_and_sheds_its_maintainer_row(bsbm_small, tmp_path
         ]
         assert [answer.pruned for answer in answers] == [answer.pruned for answer in expected]
         assert set(service.answer("g", saturated, saturated=True).answers) == {(promoted,)}
-        assert not any(entry.build_counters.values())
+        assert entry.build_counters == {
+            "prime_scans": 0,
+            "summary_builds": 0,
+            "saturation_builds": 1,
+        }
         # maintained from there on: the typed-only node leaves the shared Nτ
         catalog.add_triples("g", [Triple(promoted, EX.term("p-new"), Literal("v"))])
         for kind in ("weak", "strong"):
@@ -581,4 +646,4 @@ def test_a_schema_3_file_opens_and_sheds_its_maintainer_row(bsbm_small, tmp_path
         (str(SCHEMA_VERSION),)
     ]
     names = {name for (name,) in _sql(path, "SELECT name FROM artifacts")}
-    assert names == {"saturation", "summary:weak", "summary:strong"}
+    assert names == {"summary:weak", "summary:strong"}

@@ -391,13 +391,11 @@ class TestSaturationExposure:
             {"query": query, "saturated": True, "explain": True},
         )
         assert status == 200
-        assert answer["saturation"]["live"] is True
         assert answer["saturation"]["builds"] == 1
 
         status, payload = _call(base, "GET", "/graphs/fig2/statistics")
         assert status == 200
         saturation = payload["saturation"]
-        assert saturation["live"] is True
         assert saturation["store_rows"] >= payload["store"]["total_rows"]
 
         # an ingest updates G∞ in place and the delta shows up
@@ -412,47 +410,6 @@ class TestSaturationExposure:
         assert payload["saturation"]["deltas"] == 1
         assert payload["saturation"]["last_delta_rows"] == 1
         assert payload["build_counters"]["saturation_builds"] == 1
-
-    def test_a_warm_started_saturation_reports_pending_until_first_use(
-        self, book_graph, tmp_path
-    ):
-        """A checkpointed ``G∞`` comes back as a snapshot that nothing has
-        materialized yet: the statistics endpoint must say so (and must not
-        materialize it just to describe it)."""
-        path = str(tmp_path / "catalog.db")
-        with GraphCatalog.open(path) as catalog:
-            entry = catalog.register("g", graph=book_graph)
-            entry.evaluator_for(saturated=True)
-            derived = entry.saturation_metrics()["derived_rows"]
-            catalog.checkpoint()
-
-        catalog = GraphCatalog.open(path)
-        app = ServerApp(catalog, kind="weak")
-        try:
-            status, payload = app.dispatch("GET", "/graphs/g/statistics", None)
-            assert status == 200
-            assert derived > 0
-            assert payload["saturation"] == {
-                "live": False,
-                "pending": True,
-                "builds": 0,
-                "derived_rows": derived,
-            }
-            query = (
-                "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
-                "<http://example.org/Publication> . }"
-            )
-            status, _answer = app.dispatch(
-                "POST", "/graphs/g/query", {"query": query, "saturated": True}
-            )
-            assert status == 200
-            status, payload = app.dispatch("GET", "/graphs/g/statistics", None)
-            saturation = payload["saturation"]
-            assert saturation["live"] is True and saturation["pending"] is False
-            assert saturation["builds"] == 0 and saturation["derived_rows"] == derived
-        finally:
-            app.close()
-            catalog.close()
 
     def test_unsaturated_answers_carry_no_saturation_block(self, served):
         base, _catalog = served

@@ -1,5 +1,7 @@
 """Durability tests: the persistent catalog must warm-start with zero rebuilds."""
 
+import itertools
+import shutil
 import sqlite3
 
 import pytest
@@ -8,13 +10,15 @@ from repro.core.builders import summarize
 from repro.core.isomorphism import graphs_isomorphic
 from repro.errors import CatalogError, DuplicateGraphError, PersistenceError
 from repro.model.graph import RDFGraph
-from repro.model.namespaces import EX, RDF_TYPE
+from repro.model.namespaces import EX, RDF_TYPE, RDFS_DOMAIN, RDFS_SUBPROPERTYOF
 from repro.model.terms import BlankNode, Literal, URI
-from repro.model.triple import Triple
+from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
+from repro.schema.saturation import saturate
 from repro.server.persistence import PersistentCatalog
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
+from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
 
 
@@ -522,143 +526,125 @@ class TestColumnBlobWarmStart:
 
 
 class TestSaturationWarmStart:
-    """Warm restarts must keep G∞ — zero rule application on reopen."""
+    """``G∞`` is derived state: no reopen restores it, whatever the file
+    holds and however the process ended — the first saturated query of the
+    reopened process builds it once, and the build equals ``saturate()``."""
 
-    def _saturated_query(self):
-        return parse_query(
-            "SELECT ?x WHERE { ?x <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> "
-            "<http://example.org/Publication> . }"
-        )
+    QUERY = parse_query(
+        f"SELECT ?x WHERE {{ ?x <{RDF_TYPE.value}> <http://example.org/Publication> . }}"
+    )
 
-    def test_checkpointed_saturation_is_not_rebuilt(self, book_graph, tmp_path):
-        from repro.schema.saturation import saturate
+    @staticmethod
+    def _factory(backend, tmp_path):
+        if backend == "memory":
+            return MemoryStore
+        numbers = itertools.count()
+        return lambda: SQLiteStore(str(tmp_path / f"store-{next(numbers)}.db"))
 
-        path = _catalog_path(tmp_path)
-        query = self._saturated_query()
-        with GraphCatalog.open(path) as catalog:
-            catalog.register("g", graph=book_graph)
-            service = QueryService(catalog)
-            cold = service.answer("g", query, saturated=True)
-            assert catalog.entry("g").build_counters["saturation_builds"] == 1
-            catalog.checkpoint()
-        with GraphCatalog.open(path) as reopened:
-            entry = reopened.entry("g")
-            warm = QueryService(reopened).answer("g", query, saturated=True)
-            assert warm.answers == cold.answers
-            assert entry.build_counters["saturation_builds"] == 0
-            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
-            assert maintained == set(saturate(entry.to_graph()))
+    @staticmethod
+    def _assert_built_once_and_exact(entry, recount):
+        assert entry.build_counters["saturation_builds"] == 1
+        assert entry.saturation_metrics()["builds"] == 1
+        served = entry.evaluator_for(saturated=True)
+        assert set(served.store.to_graph()) == set(saturate(entry.to_graph()))
+        assert served.statistics().as_dict() == recount(served.store)
 
-    def test_saturation_seeded_after_the_checkpoint_is_rebuilt_once(
-        self, book_graph, tmp_path
+    @pytest.mark.parametrize("backend", ["memory", "sqlite"])
+    @pytest.mark.parametrize("saturated_at_checkpoint", [False, True], ids=["cold", "built"])
+    @pytest.mark.parametrize("tail", [False, True], ids=["no-tail", "tail"])
+    @pytest.mark.parametrize("crash", [False, True], ids=["clean", "crash"])
+    def test_a_reopen_builds_g_inf_on_the_first_saturated_query(
+        self, book_graph, tmp_path, recount, backend, saturated_at_checkpoint, tail, crash
     ):
-        # a G∞ seeded *between* checkpoints is a cache: the write-through
-        # logs rows only, so the reopened entry rebuilds it exactly once,
-        # on first saturated access, and it equals saturate(G)
-        from repro.model.namespaces import EX
-        from repro.model.triple import Triple
-        from repro.schema.saturation import saturate
-
-        path = _catalog_path(tmp_path)
-        query = self._saturated_query()
-        with GraphCatalog.open(path) as catalog:
+        path, image = _catalog_path(tmp_path), str(tmp_path / "crashed.db")
+        factory = self._factory(backend, tmp_path)
+        with GraphCatalog.open(path, store_factory=factory) as catalog:
             catalog.register("g", graph=book_graph)
-            QueryService(catalog).answer("g", query, saturated=True)
-            catalog.add_triples(
-                "g", [Triple(EX.doiX, EX.writtenBy, EX.someoneelse)]
-            )  # write-through logs the row; no artifact is touched
-        with GraphCatalog.open(path) as reopened:
+            if saturated_at_checkpoint:
+                QueryService(catalog).answer("g", self.QUERY, saturated=True)
+            catalog.checkpoint()
+            if tail:
+                catalog.add_triples("g", [Triple(EX.doiX, EX.writtenBy, EX.someoneelse)])
+            live = QueryService(catalog).answer("g", self.QUERY, saturated=True).answers
+            if crash:
+                shutil.copyfile(path, image)  # as the last logged batch left it
+                path = image
+            else:
+                catalog.checkpoint()  # what a graceful shutdown does
+        with GraphCatalog.open(path, store_factory=factory) as reopened:
             entry = reopened.entry("g")
+            assert reopened.log_tail_rows("g") == (1 if crash and tail else 0)
+            assert entry.saturation_metrics() is None
             assert entry.build_counters["saturation_builds"] == 0
-            QueryService(reopened).answer("g", query, saturated=True)
-            QueryService(reopened).answer("g", query, saturated=True)
-            assert entry.build_counters["saturation_builds"] == 1
-            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
-            assert maintained == set(saturate(entry.to_graph()))
+            service = QueryService(reopened)
+            assert service.answer("g", self.QUERY, saturated=True).answers == live
+            assert service.answer("g", self.QUERY, saturated=True).answers == live
+            self._assert_built_once_and_exact(entry, recount)
 
-    def test_checkpointed_saturation_plus_a_log_tail_applies_delta_rules_only(
+    def test_an_ingest_before_any_saturated_query_costs_no_saturation_work(
         self, book_graph, tmp_path, recount
     ):
-        from repro.model.namespaces import EX
-        from repro.model.triple import Triple
-        from repro.schema.saturation import saturate
+        from repro import telemetry
 
         path = _catalog_path(tmp_path)
-        query = self._saturated_query()
         with GraphCatalog.open(path) as catalog:
             catalog.register("g", graph=book_graph)
-            QueryService(catalog).answer("g", query, saturated=True)
+            QueryService(catalog).answer("g", self.QUERY, saturated=True)
             catalog.checkpoint()
             catalog.add_triples("g", [Triple(EX.doiX, EX.writtenBy, EX.someoneelse)])
-            live = QueryService(catalog).answer("g", query, saturated=True).answers
+        deltas = telemetry.counter("saturation.deltas")
+        before = deltas.value
+        with GraphCatalog.open(path) as reopened:  # replays one logged row
+            entry = reopened.entry("g")
+            reopened.add_triples("g", [Triple(EX.doiY, EX.writtenBy, EX.other)])
+            assert entry.saturation_metrics() is None and deltas.value == before
+            assert entry.build_counters["saturation_builds"] == 0
+            QueryService(reopened).answer("g", self.QUERY, saturated=True)
+            self._assert_built_once_and_exact(entry, recount)
+            reopened.add_triples("g", [Triple(EX.doiZ, EX.writtenBy, EX.other)])
+            assert entry.saturation_metrics()["deltas"] == 1 and deltas.value == before + 1
+            self._assert_built_once_and_exact(entry, recount)
+
+    @pytest.mark.parametrize(
+        "superproperty, kind",
+        [(RDF_TYPE, TripleKind.TYPE), (RDFS_DOMAIN, TripleKind.SCHEMA)],
+        ids=["type", "constraint"],
+    )
+    def test_special_superproperty_copies_land_in_their_table_after_a_restart(
+        self, tmp_path, recount, superproperty, kind
+    ):
+        # p ≺sp rdf:type (or a constraint property): the rdfs7 copy of a p-row
+        # is a type (or schema) row, before and after the restart alike
+        path = _catalog_path(tmp_path)
+        graph = RDFGraph(
+            [
+                Triple(EX.q, RDFS_DOMAIN, EX.D),
+                Triple(EX.p, RDFS_SUBPROPERTYOF, superproperty),
+                Triple(EX.x, EX.p, EX.C),
+            ]
+        )
+        with GraphCatalog.open(path) as catalog:
+            catalog.register("g", graph=graph).evaluator_for(saturated=True)
+            catalog.checkpoint()
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("g")
-            warm = QueryService(reopened).answer("g", query, saturated=True).answers
-            assert warm == live
-            assert entry.build_counters["saturation_builds"] == 0
-            maintained = entry.evaluator_for(saturated=True).store
-            assert set(maintained.to_graph()) == set(saturate(entry.to_graph()))
-            assert entry.evaluator_for(saturated=True).statistics().as_dict() == recount(maintained)
+            reopened.add_triples("g", [Triple(EX.y, EX.p, EX.E)])  # before the build
+            store = entry.evaluator_for(saturated=True).store
+            reopened.add_triples("g", [Triple(EX.z, EX.p, EX.F)])  # a delta after it
+            table = {store.decode_triple(row) for row in store.select(kind, None, None, None)}
+            for subject, cls in ((EX.x, EX.C), (EX.y, EX.E), (EX.z, EX.F)):
+                assert Triple(subject, superproperty, cls) in table
+            self._assert_built_once_and_exact(entry, recount)
 
-    def test_ingest_after_warm_start_keeps_maintaining(self, book_graph, tmp_path):
-        from repro.model.namespaces import EX, RDF_TYPE
-        from repro.model.triple import Triple
-        from repro.schema.saturation import saturate
-
-        path = _catalog_path(tmp_path)
-        query = self._saturated_query()
-        with GraphCatalog.open(path) as catalog:
-            catalog.register("g", graph=book_graph)
-            QueryService(catalog).answer("g", query, saturated=True)
-            catalog.checkpoint()
-        with GraphCatalog.open(path) as reopened:
-            entry = reopened.entry("g")
-            # ingest BEFORE any saturated access: the pending snapshot is
-            # materialized rule-free, then the delta applies semi-naively
-            new = Triple(EX.doiY, EX.writtenBy, EX.other)
-            reopened.add_triples("g", [new])
-            assert entry.build_counters["saturation_builds"] == 0
-            answer = QueryService(reopened).answer("g", query, saturated=True)
-            assert (EX.doiY,) in answer.answers or Triple(
-                EX.doiY, RDF_TYPE, EX.Publication
-            ) in saturate(entry.to_graph())
-            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
-            assert maintained == set(saturate(entry.to_graph()))
-        # and it survived durably: one more cycle, still zero rebuilds
-        with GraphCatalog.open(path) as again:
-            entry = again.entry("g")
-            maintained = set(entry.evaluator_for(saturated=True).store.to_graph())
-            assert entry.build_counters["saturation_builds"] == 0
-            assert maintained == set(saturate(entry.to_graph()))
-
-    def test_unsaturated_graph_carries_no_saturation_artifacts(self, fig2, tmp_path):
-        import sqlite3
-
+    @pytest.mark.parametrize("drop", [False, True])
+    def test_a_checkpoint_never_writes_g_inf(self, book_graph, tmp_path, drop):
         path = _catalog_path(tmp_path)
         with GraphCatalog.open(path) as catalog:
-            catalog.register("g", graph=fig2)
+            catalog.register("g", graph=book_graph).evaluator_for(saturated=True)
             catalog.checkpoint()
+            if drop:
+                catalog.drop("g")
         connection = sqlite3.connect(path)
-        artifact_names = {
-            row[0] for row in connection.execute("SELECT name FROM artifacts")
-        }
+        names = {row[0] for row in connection.execute("SELECT name FROM artifacts")}
         connection.close()
-        assert not {name for name in artifact_names if name.startswith("saturation")}
-
-    def test_drop_forgets_the_saturation_artifacts(self, book_graph, tmp_path):
-        import sqlite3
-
-        path = _catalog_path(tmp_path)
-        with GraphCatalog.open(path) as catalog:
-            catalog.register("g", graph=book_graph)
-            catalog.entry("g").evaluator_for(saturated=True)
-            catalog.checkpoint()
-            connection = sqlite3.connect(path)
-            names = {row[0] for row in connection.execute("SELECT name FROM artifacts")}
-            connection.close()
-            assert "saturation" in names
-            catalog.drop("g")
-        connection = sqlite3.connect(path)
-        remaining = connection.execute("SELECT COUNT(*) FROM artifacts").fetchone()[0]
-        connection.close()
-        assert remaining == 0
+        assert names == (set() if drop else {"summary:weak"})

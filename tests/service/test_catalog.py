@@ -304,7 +304,7 @@ class TestIncrementalUpdates:
             assert entry.saturation_metrics() is None
             entry.evaluator_for(saturated=True)
             metrics = entry.saturation_metrics()
-            assert metrics["live"] and metrics["builds"] == 1 and metrics["deltas"] == 0
+            assert metrics["builds"] == 1 and metrics["deltas"] == 0
             entry.add_triples(triples[-1:])
             metrics = entry.saturation_metrics()
             assert metrics["deltas"] == 1

@@ -14,14 +14,6 @@ results are compared, and every verdict is checked against the workload's
 generation-time ground truth — the run fails on any pruning error, i.e. a
 satisfiable query declared empty, the unsoundness Proposition 1 rules out.
 
-With ``--compare-strategies`` the benchmark instead A/B-tests the two
-Python-side join strategies of the encoded evaluator — the
-statistics-planned vectorized hash join (``strategy="hash"``) and the
-sorted-posting-run merge join (``strategy="merge"``) — on a
-family-labelled join workload (satisfiable chains/forks/long chains plus
-the structurally unsatisfiable shapes), reporting per-family wall time and
-verifying the answer sets are identical query by query.
-
 Usage
 -----
 ::
@@ -29,16 +21,11 @@ Usage
     PYTHONPATH=src python benchmarks/bench_query_service.py           # full run, 1x gate
     PYTHONPATH=src python benchmarks/bench_query_service.py --quick   # CI smoke run
     PYTHONPATH=src python benchmarks/bench_query_service.py --json out.json
-    PYTHONPATH=src python benchmarks/bench_query_service.py --compare-strategies
-    PYTHONPATH=src python benchmarks/bench_query_service.py --compare-strategies --quick
 
 The full guarded run exits non-zero when the guarded service is not at
 least ``--min-speedup`` (default 1.0 — a vectorized direct side is itself
 fast on unsatisfiable joins) times faster end-to-end, or when any verdict
-disagrees with full evaluation on the base graph.  The full strategy
-comparison exits non-zero when the merge join is slower than the hash join
-on the satisfiable join families (``--min-merge-ratio``, default 1.0), or
-on any answer-set difference.
+disagrees with full evaluation on the base graph.
 """
 
 from __future__ import annotations
@@ -46,96 +33,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from typing import Dict, List
+from typing import List
 
 from repro.analysis.harness import format_query_service_report, run_query_service_workload
 from repro.datasets.bsbm import generate_bsbm
 from repro.service.evaluator import STRATEGIES
-from repro.service.workload import run_strategy_comparison
-
-
-def format_strategy_report(report: Dict[str, object]) -> str:
-    """Render a :func:`run_strategy_comparison` report for the terminal."""
-    lines = [
-        f"graph {report['graph']}: {report['triples']} triples, "
-        f"{report['queries']} queries on the {report['backend']} backend "
-        f"(statistics built in {report['statistics_seconds']:.3f}s)",
-        f"  {'family':<18}{'queries':>8}{'hash':>10}{'merge':>10}"
-        f"{'mrg/hash':>9}{'diffs':>7}",
-    ]
-    families: Dict[str, Dict[str, object]] = report["families"]  # type: ignore[assignment]
-    for family in sorted(families):
-        row = families[family]
-        lines.append(
-            f"  {family:<18}{row['queries']:>8}"
-            f"{row['hash_seconds']:>10.4f}{row['merge_seconds']:>10.4f}"
-            f"{row['merge_vs_hash']:>8.2f}x"
-            f"{row['answer_differences']:>7}"
-        )
-    for label, key in (("satisfiable joins", "satisfiable_join"), ("overall", "overall")):
-        aggregate = report[key]
-        lines.append(
-            f"  {label:<18}{aggregate['queries']:>8}"
-            f"{aggregate['hash_seconds']:>10.4f}{aggregate['merge_seconds']:>10.4f}"
-            f"{aggregate['merge_vs_hash']:>8.2f}x"
-        )
-    lines.append(
-        f"  soundness        : {report['answer_differences']} answer-set differences "
-        f"({'OK' if report['sound'] else 'FAILED'})"
-    )
-    return "\n".join(lines)
-
-
-def run_compare_strategies(args) -> int:
-    scale = 200 if args.quick else args.scale
-    per_family = 3 if args.quick else args.per_family
-    graph = generate_bsbm(scale=scale, seed=args.seed)
-    print(
-        f"bsbm scale {scale}: {len(graph)} triples, strategy A/B on the "
-        f"{args.backend} backend ({per_family} queries per family)"
-    )
-    report = run_strategy_comparison(
-        graph,
-        per_family=per_family,
-        seed=args.seed,
-        backend=args.backend,
-        max_join_size=args.max_join_size,
-    )
-    print(format_strategy_report(report))
-
-    if args.json_output:
-        with open(args.json_output, "w", encoding="utf-8") as handle:
-            json.dump(report, handle, indent=2, sort_keys=True)
-        print(f"report written to {args.json_output}")
-
-    failures: List[str] = []
-    if not report["sound"]:
-        failures.append(f"{report['answer_differences']} answer-set differences between strategies")
-    if report["satisfiable_join"]["queries"] == 0:
-        failures.append(
-            "workload degenerated: no satisfiable join queries were generated — "
-            "the comparison (and its gate) would be vacuous"
-        )
-    merge_ratio = report["satisfiable_join"]["merge_vs_hash"]
-    if not args.quick and args.backend == "memory" and merge_ratio < args.min_merge_ratio:
-        failures.append(
-            f"merge-join is {merge_ratio:.2f}x the hash join on the satisfiable join "
-            f"families — below the {args.min_merge_ratio:.2f}x gate (merge must not "
-            f"lose to hash on sorted posting runs)"
-        )
-    if failures:
-        for failure in failures:
-            print(f"FAIL: {failure}", file=sys.stderr)
-        return 1
-    if args.quick:
-        print("\nPASS: hash-join and merge-join answers identical on every query")
-    else:
-        print(
-            f"\nPASS: merge join {merge_ratio:.2f}x the hash join on the satisfiable "
-            f"join families at {report['triples']} triples with zero answer-set "
-            f"differences (gate: {args.min_merge_ratio:.2f}x)"
-        )
-    return 0
 
 
 def main(argv=None) -> int:
@@ -144,38 +46,6 @@ def main(argv=None) -> int:
         "--quick",
         action="store_true",
         help="small input, soundness checks only (CI smoke mode; no speedup gate)",
-    )
-    parser.add_argument(
-        "--compare-strategies",
-        action="store_true",
-        help="A/B the hash-join vs merge-join strategies per query family "
-        "instead of the guarded-vs-direct comparison",
-    )
-    parser.add_argument(
-        "--backend",
-        default="memory",
-        choices=["memory", "sqlite"],
-        help="store backend for --compare-strategies",
-    )
-    parser.add_argument(
-        "--per-family",
-        type=int,
-        default=6,
-        help="queries per family for --compare-strategies",
-    )
-    parser.add_argument(
-        "--max-join-size",
-        type=int,
-        default=50_000,
-        help="largest satisfiable join (embeddings) sampled per family",
-    )
-    parser.add_argument(
-        "--min-merge-ratio",
-        type=float,
-        default=1.0,
-        help="required hash/merge wall-time ratio on the satisfiable join "
-        "families — merge must be at least this fraction as fast as hash "
-        "(full --compare-strategies run on the memory backend only)",
     )
     parser.add_argument(
         "--scale", type=int, default=3200, help="BSBM scale for the full run (3200 ≈ 110k triples)"
@@ -212,9 +82,6 @@ def main(argv=None) -> int:
     )
     parser.add_argument("--json", dest="json_output", help="write the report as JSON")
     args = parser.parse_args(argv)
-
-    if args.compare_strategies:
-        return run_compare_strategies(args)
 
     if args.unsat_fraction < 0.5:
         print("FAIL: the acceptance workload needs >= 50% unsatisfiable queries", file=sys.stderr)

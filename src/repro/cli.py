@@ -119,10 +119,8 @@ def build_parser() -> argparse.ArgumentParser:
         default="hash",
         choices=list(STRATEGIES),
         help="join strategy of base evaluation: the statistics-planned "
-        "vectorized hash join (default), "
-        "whole-join SQL pushdown (SQLite-backed stores; falls back to hash), "
-        "or sorted-run merge joins (columnar memory store; per-stage "
-        "fallback to hash)",
+        "vectorized hash join (default) or "
+        "whole-join SQL pushdown (SQLite-backed stores; falls back to hash)",
     )
     query_parser.add_argument(
         "--explain",
@@ -190,9 +188,9 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         choices=list(STRATEGIES),
         help="join strategy of base evaluation (default: sql for the sqlite "
-        "backend — whole-join pushdown, the strategy that scales across "
-        "threads — and hash for the memory backend; merge runs sorted-run "
-        "merge joins on the columnar memory store)",
+        "backend — whole-join pushdown, the fastest serial strategy there, "
+        "though not faster with more threads — and hash for the memory "
+        "backend)",
     )
     serve_parser.add_argument(
         "--backend",
@@ -475,10 +473,9 @@ def _print_explain(answer, entry) -> None:
         )
         produced = "-" if stage.produced is None else f"{stage.produced:,}"
         fetched = "-" if stage.fetched is None else f"{stage.fetched:,}"
-        algorithm = "" if stage.algorithm is None else f", join {stage.algorithm}"
         print(
             f"    {index}. {stage.description}"
-            f"  [est {estimated} rows, fetched {fetched}, actual {produced}{algorithm}]"
+            f"  [est {estimated} rows, fetched {fetched}, actual {produced}]"
         )
 
 

@@ -8,9 +8,12 @@ pays a hand-off to another thread and back.  Concurrency correctness does
 not live here; it lives in the per-entry reader/writer locks
 (:class:`~repro.service.catalog.CatalogEntry.rwlock`) and in the per-thread
 read connections of the SQLite store.  On CPython the GIL serializes the
-pure-Python join work; threads overlap only where it is released — above all
-SQLite's C evaluation on the file-backed backend, which is what
-``benchmarks/bench_server.py`` runs :meth:`QueryExecutor.map_answers` on.
+pure-Python join work, and releasing it in SQLite's C evaluation has not
+bought throughput either: ``benchmarks/bench_server.py --scale 800
+--threads 2`` (:meth:`QueryExecutor.map_answers`) on a 2-CPU VM answered
+at 0.69× the serial rate on ``sqlite``/``sql``, 0.67× on ``memory``/``hash``
+and 0.30× on ``sqlite``/``hash``.  The slots bound work; they do not
+multiply it.
 """
 
 from __future__ import annotations

@@ -2,11 +2,11 @@
 
 The paper's prototype answers queries where the data lives: dictionary-
 encoded integer triples in relational tables (Section 6).  This module
-brings BGP evaluation to that substrate with three interchangeable join
-strategies over the same compiled form — two of them (``hash``, ``merge``)
-stage algorithms of one executor, :meth:`EncodedEvaluator._pipeline`:
+brings BGP evaluation to that substrate with two interchangeable join
+strategies over the same compiled form:
 
-* ``strategy="hash"`` (default) — a *vectorized hash join*: the
+* ``strategy="hash"`` (default) — a *vectorized hash join*, the one
+  in-memory executor (:meth:`EncodedEvaluator._pipeline`): the
   :class:`~repro.service.planner.QueryPlanner` orders the patterns by
   estimated cardinality, and each pattern's candidate rows are fetched
   **once** with a batched :meth:`TripleStore.select_many` (posting lists in
@@ -16,14 +16,11 @@ stage algorithms of one executor, :meth:`EncodedEvaluator._pipeline`:
   binding.
 * ``strategy="sql"`` — whole-join pushdown: the compiled BGP becomes one
   ``SELECT DISTINCT`` over aliased table occurrences and the backend's C
-  engine runs the entire join (SQLite releases the GIL for its duration —
-  the strategy the concurrent server scales on).  Stores without a SQL
-  engine, and variable-property patterns, silently fall back to ``hash``;
-  answer sets are identical either way.
-* ``strategy="merge"`` — the ``hash`` pipeline, with eligible stages
-  answered straight out of the columnar store's sorted posting runs (one
-  probe of the run's key directory per binding) instead of a fetch + hash
-  build.
+  engine runs the entire join.  SQLite releases the GIL while it runs, yet
+  two server threads did not beat one: at ``bench_server.py --scale 800
+  --threads 2`` on a 2-CPU VM the 2-thread rate was 0.69× the serial one.
+  Stores without a SQL engine, and variable-property patterns, silently
+  fall back to ``hash``; answer sets are identical either way.
 
 A ``limit`` is a property of that one pipeline, as ``LIMIT`` is of the
 prototype's relational engine: the binding table is walked depth-first in
@@ -76,19 +73,14 @@ __all__ = [
 _ALL_TABLES = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 
 #: The join strategies the evaluator can run.  ``hash`` is the Python-side
-#: executor; ``sql`` compiles the whole BGP into one
-#: relational join statement and lets the backend's C engine run it (only
-#: stores advertising ``supports_sql_join`` — the SQLite backend — can;
-#: everything else silently falls back to ``hash``).  The ``sql`` strategy
-#: is what makes a multi-threaded server scale: the join holds no Python
-#: bytecode, so the GIL is released for its whole duration.  ``merge``
-#: runs the same planned pipeline as ``hash`` but answers eligible stages
-#: out of the store's sorted ``(p, s)`` / ``(p, o)`` posting runs
-#: (columnar memory store only) instead of
-#: fetching + hashing the relation; statistics pick merge or hash per
-#: stage, and ineligible stages fall back to the hash fetch, so answer
-#: sets are identical across all three strategies.
-STRATEGIES = ("hash", "sql", "merge")
+#: executor; ``sql`` compiles the whole BGP into one relational join
+#: statement and lets the backend's C engine run it (only stores
+#: advertising ``supports_sql_join`` — the SQLite backend — can; everything
+#: else silently falls back to ``hash``, so answer sets are identical).
+#: The pushed-down join releases the GIL, but that has not made a
+#: multi-threaded server scale: measured 2-thread over serial rate 0.69×
+#: (``sql``) and 0.30× (``hash``) on SQLite, 0.67× on memory.
+STRATEGIES = ("hash", "sql")
 
 
 class CompiledPattern:
@@ -253,19 +245,18 @@ def _pipelined_order(
 class EncodedEvaluator:
     """BGP evaluation over the encoded rows of one :class:`TripleStore`.
 
-    ``hash`` and ``merge`` evaluations run through one executor
-    (:meth:`_pipeline`); a ``limit`` bounds its walk and a trace records
-    it — neither selects a path.
+    ``hash`` evaluations run through one executor (:meth:`_pipeline`); a
+    ``limit`` bounds its walk and a trace records it — neither selects a
+    path.
 
     Parameters
     ----------
     store:
         The encoded triple store to evaluate against.
     strategy:
-        ``"hash"`` (planned, vectorized — the default), ``"sql"``
-        (whole-join pushdown where the backend supports it) or ``"merge"``
-        (sorted-run merge joins where the store exposes them).  Answer
-        sets are identical; only the access pattern differs.
+        ``"hash"`` (planned, vectorized — the default) or ``"sql"``
+        (whole-join pushdown where the backend supports it).  Answer sets
+        are identical; only the access pattern differs.
     planner:
         The :class:`QueryPlanner` to draw plans (and, through it, the
         cardinality profile) from — the serving layer hands every evaluator
@@ -290,10 +281,6 @@ class EncodedEvaluator:
         # the flag skips even the per-stage clock reads
         self._instrument_joins = telemetry.enabled()
         self._join_seconds = telemetry.histogram("join.stage.seconds")
-        self._join_stages = {
-            algorithm: telemetry.counter(f"join.stage.{algorithm}")
-            for algorithm in ("hash", "merge")
-        }
 
     # ------------------------------------------------------------------
     def statistics(self) -> CardinalityStatistics:
@@ -330,8 +317,7 @@ class EncodedEvaluator:
         slot to its tuple index); a stage fetches its pattern's candidate
         rows in one batched lookup per routed table — pushing the distinct
         values of one already-bound column into the store — and hash-joins
-        them in, keyed on all bound positions (under ``merge``, an eligible
-        stage reads a sorted posting run instead).
+        them in, keyed on all bound positions.
 
         The returned generator walks the table depth-first.  When
         *chunked* (the caller has a limit), a stage takes its input a chunk
@@ -391,26 +377,16 @@ class EncodedEvaluator:
                 if start + len(part) < len(rows):
                     pending.append((index, rows, start + len(part)))
                 stage_start = perf_counter() if instrument else 0.0
-                merged = None
-                if self.strategy == "merge" and not same_row_checks and len(join_on) == 1:
-                    merged = self._merge_stage(pattern, part, join_on[0])
-                if merged is not None:
-                    algorithm = "merge"
-                    joined, fetched_count, probes = merged
-                else:
-                    algorithm = "hash"
-                    fetched, probes = self._fetch_pattern(pattern, part, join_on)
-                    if same_row_checks:
-                        fetched = [
-                            row
-                            for row in fetched
-                            if all(row[left] == row[right] for left, right in same_row_checks)
-                        ]
-                    fetched_count = len(fetched)
-                    joined = _join_stage(part, fetched, join_on, fresh_columns)
+                fetched, probes = self._fetch_pattern(pattern, part, join_on)
+                if same_row_checks:
+                    fetched = [
+                        row
+                        for row in fetched
+                        if all(row[left] == row[right] for left, right in same_row_checks)
+                    ]
+                joined = _join_stage(part, fetched, join_on, fresh_columns)
                 if instrument:
                     self._join_seconds.observe(perf_counter() - stage_start)
-                    self._join_stages[algorithm].inc()
                 if trace is not None:
                     if len(trace.stages) == traced + index:  # the stage's first chunk
                         trace.add_stage(
@@ -419,76 +395,15 @@ class EncodedEvaluator:
                             cumulative_estimate=stage.cumulative,
                             fetched=0,
                             produced=0,
-                            algorithm=algorithm if self.strategy in ("hash", "merge") else None,
                         )
                     observed = trace.stages[traced + index]
-                    observed.fetched += fetched_count
+                    observed.fetched += len(fetched)
                     observed.produced += len(joined)
                     observed.probes += probes
                 if joined:
                     pending.append((index + 1, joined, 0))
 
         return walk(), slot_positions
-
-    def _merge_stage(
-        self,
-        pattern: CompiledPattern,
-        binding_rows: List[Tuple[int, ...]],
-        join: Tuple[int, int],
-    ) -> Optional[Tuple[List[Tuple[int, ...]], int, int]]:
-        """One merge-join stage over a sorted posting run, or ``None``.
-
-        Eligible when the pattern routes to exactly one table, carries a
-        constant predicate, and joins on exactly one bound subject *or*
-        object column for which the store exposes a sorted ``(p, s)`` /
-        ``(p, o)`` run.  The relation is never fetched or hashed per
-        query: matching rows are read straight out of the run slice and
-        its run-order companion column, located by one dict lookup into
-        the run's key group directory (:meth:`SortedRun.group_bounds`,
-        built once per run and amortized across queries).  Returns
-        ``(joined rows, rows read, probes)``;
-        ``None`` means the stage is ineligible (or statistics prefer
-        hash) and the caller runs the hash fetch instead.
-        """
-        join_column, join_position = join
-        if join_column == 1 or pattern.predicate < 0 or len(pattern.tables) != 1:
-            return None
-        kind = pattern.tables[0]
-        by_object = join_column == 2
-        run = self.store.sorted_run(kind, pattern.predicate, by_object=by_object)
-        if run is None:
-            return None
-        # a relation dwarfed by the binding table is cheaper to fetch once
-        # and hash than to binary-search per binding key
-        if len(run) * 4 < len(binding_rows):
-            return None
-
-        other_column = 0 if by_object else 2
-        other_spec = (pattern.subject, pattern.predicate, pattern.object)[other_column]
-        run_values = run.column_values(other_column)
-        constant = other_spec if other_spec >= 0 else None
-
-        out: List[Tuple[int, ...]] = []
-        extend = out.extend
-        fetched = 0
-
-        # amortized probe: the run's key group directory is built once and
-        # shared by every query, so each binding costs one dict get
-        bounds_of = run.group_bounds().get
-        for binding in binding_rows:
-            bounds = bounds_of(binding[join_position])
-            if bounds is None:
-                continue
-            lo, hi = bounds
-            fetched += hi - lo
-            if constant is not None:
-                # semi-join shape: the other column is pinned by a constant
-                multiplicity = run_values[lo:hi].count(constant)
-                if multiplicity:
-                    extend((binding,) * multiplicity)
-            else:
-                extend([binding + (value,) for value in run_values[lo:hi]])
-        return out, fetched, 1
 
     def _fetch_pattern(
         self,

@@ -299,7 +299,6 @@ class StageTrace:
         "fetched",
         "produced",
         "probes",
-        "algorithm",
     )
 
     def __init__(
@@ -310,7 +309,6 @@ class StageTrace:
         fetched: Optional[int],
         produced: Optional[int],
         probes: int,
-        algorithm: Optional[str] = None,
     ):
         self.description = description
         self.estimate = estimate
@@ -321,9 +319,6 @@ class StageTrace:
         #: Binding-table rows that left this stage.
         self.produced = produced
         self.probes = probes
-        #: The join algorithm this stage ran, on its first chunk ("hash" or
-        #: "merge"; None for strategies without per-stage algorithm choice).
-        self.algorithm = algorithm
 
     def as_dict(self) -> Dict[str, object]:
         return {
@@ -333,7 +328,6 @@ class StageTrace:
             "fetched_rows": self.fetched,
             "produced_rows": self.produced,
             "probes": self.probes,
-            "algorithm": self.algorithm,
         }
 
 
@@ -363,12 +357,9 @@ class ExecutionTrace:
         fetched: Optional[int] = None,
         produced: Optional[int] = None,
         probes: int = 0,
-        algorithm: Optional[str] = None,
     ) -> None:
         self.stages.append(
-            StageTrace(
-                description, estimate, cumulative_estimate, fetched, produced, probes, algorithm
-            )
+            StageTrace(description, estimate, cumulative_estimate, fetched, produced, probes)
         )
 
     def as_dict(self) -> Dict[str, object]:

@@ -93,7 +93,7 @@ class QueryAnswer:
         self.prunable = prunable
         self.guard_seconds = guard_seconds
         self.evaluation_seconds = evaluation_seconds
-        #: Join strategy of the base evaluation (``hash``, ``sql`` or ``merge``).
+        #: Join strategy of the base evaluation (``hash`` or ``sql``).
         self.strategy = strategy
         #: The guard kinds in the order actually checked (cheapest summary
         #: first); empty when the query was not prunable.
@@ -323,7 +323,7 @@ class QueryService:
         of compilation, not of the guard).
     strategy:
         Join strategy of base evaluation: ``"hash"`` (statistics-planned,
-        vectorized — the default), ``"sql"`` or ``"merge"`` — see
+        vectorized — the default) or ``"sql"`` — see
         :data:`~repro.service.evaluator.STRATEGIES` (checked where the
         evaluator is built, on the first query that reaches one).
     """

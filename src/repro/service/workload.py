@@ -42,10 +42,7 @@ from repro.queries.bgp import BGPQuery, TriplePattern, Variable
 from repro.queries.evaluation import iter_embeddings
 from repro.queries.generator import RBGPQueryGenerator
 from repro.service.catalog import GraphCatalog
-from repro.service.evaluator import EncodedEvaluator
 from repro.service.service import QueryAnswer, QueryService
-from repro.store.memory import MemoryStore
-from repro.store.sqlite import SQLiteStore
 
 __all__ = [
     "WorkloadQuery",
@@ -56,7 +53,6 @@ __all__ = [
     "generate_join_workload",
     "run_workload",
     "compare_guarded_vs_direct",
-    "run_strategy_comparison",
 ]
 
 #: Namespace used for dictionary-miss (absent-constant) queries.
@@ -67,7 +63,7 @@ _ABSENT_NS = Namespace("http://rdfsummary.example.org/absent/")
 def _gc_paused():
     """Pause the cyclic collector across a timed region.
 
-    Both comparison drivers allocate large transient binding structures;
+    The comparison driver allocates large transient binding structures;
     attributing a collection pause to whichever query happens to trigger
     it would swamp the per-query numbers.
     """
@@ -322,9 +318,9 @@ def generate_join_workload(
     seed: int = 0,
     max_join_size: int = 50_000,
 ) -> List[FamilyQuery]:
-    """A family-labelled join workload for strategy A/B comparison.
+    """A family-labelled join workload: large satisfiable multi-joins.
 
-    The *satisfiable* families are the join shapes where execution strategy
+    The *satisfiable* families are the join shapes where join execution
     matters most — every query enumerates a real, non-empty join:
 
     * ``sat_chain`` — ``?x p1 ?y . ?y p2 ?z`` with ``objects(p1)`` meeting
@@ -338,7 +334,7 @@ def generate_join_workload(
     joins — the largest binding tables a join stage has to build — come
     first.  The ``unsat_*`` families of
     :func:`_unsatisfiable_candidates` and a few dictionary misses ride along
-    so a comparison also covers the traffic the guard usually absorbs.
+    so the workload also covers the traffic the guard usually absorbs.
     """
     rng = random.Random(seed)
     subject_counts: Dict[URI, Counter] = {}
@@ -460,124 +456,6 @@ def generate_join_workload(
         )
         workload.append(FamilyQuery(query, "dictionary_miss", False))
     return workload
-
-
-def run_strategy_comparison(
-    graph: RDFGraph,
-    per_family: int = 6,
-    seed: int = 0,
-    backend: str = "memory",
-    max_join_size: int = 50_000,
-    answer_limit: Optional[int] = None,
-    repeat: int = 3,
-) -> Dict[str, object]:
-    """Time the hash-join and merge-join strategies against each other.
-
-    One store (``backend`` is ``"memory"`` or ``"sqlite"``) is loaded with
-    *graph*; every query of :func:`generate_join_workload` is evaluated by
-    a ``strategy="hash"`` and a ``strategy="merge"``
-    :class:`EncodedEvaluator` over that same store (on backends without
-    sorted posting runs the merge side degrades to the hash fetch per
-    stage), and the answer sets are compared exactly.  Each query is timed
-    ``repeat`` times per strategy and the best round counts, with the
-    cyclic garbage collector paused across the measured region — both join
-    strategies allocate large transient binding structures, and
-    attributing a collection pause to whichever query happens to trigger
-    it would swamp the per-family numbers.  The returned JSON-friendly
-    report aggregates wall time and answer differences per family, plus a
-    ``satisfiable_join`` aggregate over the ``sat_*`` families — the
-    traffic where join strategy, not pruning, is the whole story.  The
-    one-off statistics build is timed separately (``statistics_seconds``)
-    and excluded from per-query time, matching a serving layer that
-    profiles a store once at registration.
-    """
-    if repeat <= 0:
-        raise ValueError("repeat must be positive")
-    if backend == "memory":
-        store = MemoryStore()
-    elif backend == "sqlite":
-        store = SQLiteStore()
-    else:
-        raise ValueError(f"unknown backend {backend!r} (choose memory or sqlite)")
-    store.load_graph(graph)
-    workload = generate_join_workload(
-        graph, per_family=per_family, seed=seed, max_join_size=max_join_size
-    )
-
-    hashed = EncodedEvaluator(store, strategy="hash")
-    statistics_start = perf_counter()
-    hashed.statistics()
-    statistics_seconds = perf_counter() - statistics_start
-    # the merge side shares the hash side's profile and plan cache — the
-    # comparison is about the per-stage join algorithm, nothing else
-    merged = EncodedEvaluator(store, strategy="merge", planner=hashed.planner())
-
-    families: Dict[str, Dict[str, object]] = {}
-    differences = 0
-    try:
-        with _gc_paused():
-            for item in workload:
-                bucket = families.setdefault(
-                    item.family,
-                    {
-                        "queries": 0,
-                        "hash_seconds": 0.0,
-                        "merge_seconds": 0.0,
-                        "answer_differences": 0,
-                    },
-                )
-                hash_seconds = merge_seconds = float("inf")
-                hash_answers = merge_answers = None
-                for _round in range(repeat):
-                    start = perf_counter()
-                    hash_answers = hashed.evaluate(item.query, limit=answer_limit)
-                    hash_seconds = min(hash_seconds, perf_counter() - start)
-                    start = perf_counter()
-                    merge_answers = merged.evaluate(item.query, limit=answer_limit)
-                    merge_seconds = min(merge_seconds, perf_counter() - start)
-                bucket["queries"] += 1
-                bucket["hash_seconds"] += hash_seconds
-                bucket["merge_seconds"] += merge_seconds
-                if answer_limit is None:
-                    agree = hash_answers == merge_answers
-                else:
-                    # under a limit both sides may legally truncate
-                    # differently; emptiness must still agree exactly
-                    agree = bool(hash_answers) == bool(merge_answers)
-                if not agree:
-                    bucket["answer_differences"] += 1
-                    differences += 1
-    finally:
-        store.close()
-
-    def merge_vs_hash(row: Dict[str, object]) -> float:
-        return row["hash_seconds"] / row["merge_seconds"] if row["merge_seconds"] > 0 else float("inf")
-
-    def aggregate(names: Sequence[str]) -> Dict[str, object]:
-        rows = [families[name] for name in names if name in families]
-        totals = {
-            "queries": sum(row["queries"] for row in rows),
-            "hash_seconds": sum(row["hash_seconds"] for row in rows),
-            "merge_seconds": sum(row["merge_seconds"] for row in rows),
-        }
-        totals["merge_vs_hash"] = merge_vs_hash(totals)
-        return totals
-
-    for bucket in families.values():
-        bucket["merge_vs_hash"] = merge_vs_hash(bucket)
-    satisfiable_families = sorted(name for name in families if name.startswith("sat"))
-    return {
-        "graph": graph.name or "graph",
-        "triples": len(graph),
-        "backend": backend,
-        "queries": len(workload),
-        "statistics_seconds": statistics_seconds,
-        "families": families,
-        "satisfiable_join": aggregate(satisfiable_families),
-        "overall": aggregate(sorted(families)),
-        "answer_differences": differences,
-        "sound": differences == 0,
-    }
 
 
 class WorkloadReport:

@@ -22,7 +22,7 @@ from repro.model.graph import RDFGraph
 from repro.model.terms import Term
 from repro.model.triple import Triple, TripleKind
 
-__all__ = ["TripleStore", "StoreStatistics", "SortedRun", "ColumnView", "shard_of"]
+__all__ = ["TripleStore", "StoreStatistics", "ColumnView", "shard_of"]
 
 
 def shard_of(subject_id: int, shard_count: int) -> int:
@@ -135,90 +135,6 @@ class ColumnView:
         self.base.release()
         self.base = memoryview(b"").cast("q")
         self.base_length = 0
-
-
-class SortedRun:
-    """A read-only view of one fully merged posting run.
-
-    ``keys`` and ``positions`` are parallel integer sequences sorted by
-    ``(key, position)``: ``keys`` holds the indexed column's values (the
-    subject for a ``(p, s)`` run, the object for a ``(p, o)`` run) and
-    ``positions`` the corresponding row positions.  ``columns`` is the
-    owning table's ``(s, p, o)`` column triple, so a consumer can resolve
-    a matched position to the row's other endpoints without materializing
-    row tuples.
-
-    ``value_cache`` holds derived run-order structures — column values
-    permuted into run order (keyed by column index) and the key group
-    directory of :meth:`group_bounds`, the probe primitive of the
-    merge-join executor — so they are paid for once per run, not once per
-    query.  The cache dict belongs to the store, which invalidates it (by
-    replacement, keeping old :class:`SortedRun` snapshots self-consistent)
-    whenever the run changes.
-    """
-
-    __slots__ = ("keys", "positions", "columns", "value_cache")
-
-    #: value_cache key of the :meth:`group_bounds` directory (column values
-    #: use their non-negative column index).
-    _BOUNDS_KEY = -1
-
-    def __init__(
-        self,
-        keys: Sequence[int],
-        positions: Sequence[int],
-        columns: Tuple[Sequence[int], Sequence[int], Sequence[int]],
-        value_cache: Dict[int, object],
-    ):
-        self.keys = keys
-        self.positions = positions
-        self.columns = columns
-        self.value_cache = value_cache
-
-    def __len__(self) -> int:
-        return len(self.keys)
-
-    def column_values(self, column: int) -> Sequence[int]:
-        """The *column* values aligned with ``keys`` (run order).
-
-        Materialized through ``positions`` on first use and cached in the
-        store-owned ``value_cache``, so repeated merge joins over the same
-        run slice values without per-row indirection.
-        """
-        values = self.value_cache.get(column)
-        if values is None:
-            source = self.columns[column]
-            values = self.value_cache[column] = array(
-                "q", (source[position] for position in self.positions)
-            )
-        return values
-
-    def group_bounds(self) -> Dict[int, Tuple[int, int]]:
-        """Key ``->`` half-open ``(start, stop)`` slice of the run.
-
-        The directory of the run's key groups: one dict probe replaces two
-        binary searches of ``keys``, which is what makes the merge-join
-        executor's probe loop competitive when the binding table carries
-        thousands of distinct keys.  Built in one pass over the sorted
-        keys and cached in the store-owned ``value_cache``, so every later
-        query over the run joins against it for free.
-        """
-        bounds = self.value_cache.get(self._BOUNDS_KEY)
-        if bounds is not None:
-            return bounds
-        bounds = {}
-        previous = None
-        start = 0
-        for index, key in enumerate(self.keys):
-            if key != previous:
-                if previous is not None:
-                    bounds[previous] = (start, index)
-                previous = key
-                start = index
-        if previous is not None:
-            bounds[previous] = (start, len(self.keys))
-        self.value_cache[self._BOUNDS_KEY] = bounds  # published complete
-        return bounds
 
 
 class StoreStatistics:
@@ -402,18 +318,6 @@ class TripleStore(abc.ABC):
                 array("q", columns[1]),
                 array("q", columns[2]),
             )
-
-    def sorted_run(
-        self, kind: TripleKind, predicate: int, by_object: bool = False
-    ) -> Optional["SortedRun"]:
-        """The merged ``(p, s)`` (or ``(p, o)``) posting run of *predicate*.
-
-        Returns ``None`` when the backend keeps no sorted runs (the SQLite
-        store) or the *kind* table never saw the predicate — callers such
-        as the merge-join executor fall back to hash joining.  The memory
-        backend returns a :class:`SortedRun` over its posting arrays.
-        """
-        return None
 
     def partition_column_bytes(
         self, kind: TripleKind, shard_count: int

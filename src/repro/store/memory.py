@@ -43,7 +43,7 @@ from repro import telemetry
 from repro.errors import StoreClosedError
 from repro.model.dictionary import EncodedTriple
 from repro.model.triple import TripleKind
-from repro.store.base import ColumnView, SortedRun, TripleStore, shard_of
+from repro.store.base import ColumnView, TripleStore, shard_of
 
 __all__ = ["MemoryStore", "TAIL_MERGE_LIMIT", "BULK_REBUILD_THRESHOLD"]
 
@@ -76,7 +76,6 @@ class _Run:
         "positions",
         "tail_keys",
         "tail_positions",
-        "value_cache",
         "distinct",
         "tail_fresh",
     )
@@ -88,10 +87,6 @@ class _Run:
         self.positions = array("q", map(itemgetter(1), pairs))
         self.tail_keys = array("q")
         self.tail_positions = array("q")
-        #: Run-derived structures memoized by :class:`SortedRun` (run-order
-        #: column values, key group directory); dropped whenever the run's
-        #: (keys, positions) change.
-        self.value_cache: Dict[int, object] = {}
         # sorted keys: one more than the places where neighbours differ
         self.distinct = sum(map(ne, keys, islice(keys, 1, None))) + 1 if keys else 0
         #: The keys only the tail holds — what lets an append tell a new key
@@ -106,8 +101,6 @@ class _Run:
             self.distinct += 1
         self.tail_keys.append(key)
         self.tail_positions.append(position)
-        if self.value_cache:
-            self.value_cache = {}
 
     def merged(self) -> Tuple[array, array]:
         """``(keys, positions)`` with the tail folded in — new arrays when
@@ -144,10 +137,6 @@ class _Run:
         del self.tail_keys[:]
         del self.tail_positions[:]
         self.tail_fresh.clear()
-        # a fresh dict, not .clear(): SortedRun views of the pre-merge
-        # arrays keep their own (still aligned) cached values
-        if self.value_cache:
-            self.value_cache = {}
 
     def positions_for(self, key: int) -> Sequence[int]:
         """Row positions holding *key*, in ascending (insertion) order.
@@ -450,22 +439,6 @@ class _Table:
             return [(s_col[position], predicate, o_col[position]) for position in positions]
         return list(zip(s_col, p_col, o_col))
 
-    def sorted_run(self, predicate: int, by_object: bool) -> Optional[SortedRun]:
-        """The fully merged posting run of *predicate*, or ``None``.
-
-        A run whose tail is folded is viewed as it stands, with the
-        store-owned value cache; one with a pending tail (at most
-        :data:`TAIL_MERGE_LIMIT` rows) is merged into a *private* view with
-        its own cache — the run is left for the next writer to fold.
-        """
-        self._ensure_indexed()
-        runs = self.po_runs if by_object else self.ps_runs
-        run = runs.get(predicate)
-        if run is None:
-            return None
-        cache = {} if run.tail_keys else run.value_cache
-        return SortedRun(*run.merged(), self._cells(), cache)
-
     def count_rows(self, subject: Optional[int], predicate: Optional[int], obj: Optional[int]) -> int:
         """Rows matching the shape: a posting-range length wherever one run
         covers it, i.e. unless subject *and* object are both bound."""
@@ -624,12 +597,6 @@ class MemoryStore(TripleStore):
     ) -> List[Tuple[int, int, int]]:
         self._check_open()
         return self._tables[kind].select_many(subjects, predicate, objects)
-
-    def sorted_run(
-        self, kind: TripleKind, predicate: int, by_object: bool = False
-    ) -> Optional[SortedRun]:
-        self._check_open()
-        return self._tables[kind].sorted_run(predicate, by_object)
 
     def count(self, kind: TripleKind) -> int:
         self._check_open()
@@ -795,9 +762,8 @@ class MemoryStore(TripleStore):
         :func:`~repro.store.base.shard_of` in one sweep, so every shard's
         columns come out **sorted by subject** with per-subject rows in
         insertion order.  A worker adopting such a blob therefore starts
-        from subject-clustered columns — its own deferred index build
-        sorts near-sorted input, and merge-join strategies see long
-        subject runs from the first query.
+        from subject-clustered columns, and its own deferred index build
+        sorts near-sorted input.
         """
         self._check_open()
         if shard_count <= 0:

@@ -279,7 +279,7 @@ class TestIncrementalUpdates:
             sys.setswitchinterval(1e-6)
             try:
                 threads = [
-                    threading.Thread(target=first_use, args=(("hash", "merge")[index % 2],))
+                    threading.Thread(target=first_use, args=(("hash", "sql")[index % 2],))
                     for index in range(8)
                 ]
                 for thread in threads:

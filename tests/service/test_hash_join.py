@@ -21,7 +21,7 @@ from repro.queries.bgp import BGPQuery, TriplePattern, Variable
 from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload
 from repro.service import evaluator as evaluator_module
-from repro.service.evaluator import EncodedEvaluator
+from repro.service.evaluator import STRATEGIES, EncodedEvaluator
 from repro.service.planner import ExecutionTrace
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
@@ -64,21 +64,74 @@ def _repeated_variable_case():
     return graph, (loop, chained)
 
 
+def _chain_graph():
+    """Papers with an author and a venue; authors with an affiliation."""
+    triples = []
+    for index in range(6):
+        author = EX[f"a{index % 3}"]
+        paper = EX[f"r{index}"]
+        triples.append(Triple(paper, EX.author, author))
+        triples.append(Triple(paper, EX.venue, EX[f"v{index % 2}"]))
+        triples.append(Triple(author, EX.affiliation, EX[f"u{index % 2}"]))
+    return RDFGraph(triples)
+
+
+class TestStrategies:
+    def test_strategies_are_hash_and_sql(self):
+        assert STRATEGIES == ("hash", "sql")
+
+    @pytest.mark.parametrize("name", ["zigzag", "nested", "merge"])
+    def test_unknown_strategy_rejected(self, name):
+        """``nested`` and ``merge`` were strategies once; what is left of
+        ``nested`` is an order the one pipeline may walk under a limit."""
+        with MemoryStore() as store:
+            with pytest.raises(ValueError):
+                EncodedEvaluator(store, strategy=name)
+
+    @pytest.mark.parametrize("strategy", STRATEGIES)
+    def test_stage_traces_name_no_algorithm(self, backend, strategy):
+        """One in-memory stage algorithm: a stage is described by its
+        pattern (or pushed-down statement) and its numbers, nothing else."""
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        query = BGPQuery(
+            [TriplePattern(x, EX.author, y), TriplePattern(y, EX.affiliation, z)],
+            head=(x, z),
+        )
+        with backend() as store:
+            store.load_graph(_chain_graph())
+            trace = EncodedEvaluator(store, strategy=strategy).explain(query)
+        pushed_down = strategy == "sql" and backend is SQLiteStore
+        assert len(trace.stages) == (1 if pushed_down else 2)
+        assert trace.total_probes == len(trace.stages)
+        for stage in trace.stages:
+            assert not hasattr(stage, "algorithm")
+            assert "algorithm" not in stage.as_dict()
+
+
 class TestOracleEquivalence:
+    """``hash`` answers == the oracle's on every shape and backend."""
+
+    strategy = "hash"
+
+    def _evaluator(self, graph, backend):
+        store = backend()
+        store.load_graph(graph)
+        return EncodedEvaluator(store, strategy=self.strategy)
+
     def test_generated_workloads_shuffled(self, fig2, bibliography_small, backend):
         for graph, seed in ((fig2, 3), (bibliography_small, 5)):
-            hashed = _hashed(graph, backend)
+            evaluator = self._evaluator(graph, backend)
             for query in generate_rbgp_workload(graph, count=8, size=2, seed=seed):
                 expected = evaluate(graph, query)
                 for variant in _shuffles(query, seed):
-                    assert hashed.evaluate(variant) == expected
+                    assert evaluator.evaluate(variant) == expected
 
     def test_three_pattern_joins(self, bsbm_small, backend):
-        hashed = _hashed(bsbm_small, backend)
+        evaluator = self._evaluator(bsbm_small, backend)
         for query in generate_rbgp_workload(bsbm_small, count=6, size=3, seed=11):
             expected = evaluate(bsbm_small, query)
             for variant in _shuffles(query, 11):
-                assert hashed.evaluate(variant) == expected
+                assert evaluator.evaluate(variant) == expected
 
     def test_variable_predicate_join(self, book_graph, backend):
         x, p, y, z = Variable("x"), Variable("p"), Variable("y"), Variable("z")
@@ -86,16 +139,56 @@ class TestOracleEquivalence:
             [TriplePattern(x, p, y), TriplePattern(y, p, z)],
             head=(x, z),
         )
-        hashed = _hashed(book_graph, backend)
+        evaluator = self._evaluator(book_graph, backend)
         expected = evaluate(book_graph, query)
-        assert hashed.evaluate(query) == expected
+        assert evaluator.evaluate(query) == expected
 
     def test_repeated_variable_in_pattern(self, backend):
         graph, queries = _repeated_variable_case()
-        hashed = _hashed(graph, backend)
+        evaluator = self._evaluator(graph, backend)
         for query in queries:
             expected = evaluate(graph, query)
-            assert hashed.evaluate(query) == expected
+            assert evaluator.evaluate(query) == expected
+
+    def test_join_after_a_self_loop_pattern(self, backend):
+        graph = RDFGraph(
+            [Triple(EX.a, EX.p, EX.a), Triple(EX.a, EX.p, EX.b), Triple(EX.b, EX.q, EX.a)]
+        )
+        x, y = Variable("x"), Variable("y")
+        query = BGPQuery([TriplePattern(x, EX.q, y), TriplePattern(y, EX.p, y)], head=(x, y))
+        assert self._evaluator(graph, backend).evaluate(query) == evaluate(graph, query)
+
+    def test_chain_fork_and_constant_shapes(self, backend):
+        graph = _chain_graph()
+        x, y, z = Variable("x"), Variable("y"), Variable("z")
+        queries = [
+            # chain: join on the object of the first pattern
+            BGPQuery(
+                [TriplePattern(x, EX.author, y), TriplePattern(y, EX.affiliation, z)],
+                head=(x, z),
+            ),
+            # fork: two patterns share the subject
+            BGPQuery(
+                [TriplePattern(x, EX.author, y), TriplePattern(x, EX.venue, z)],
+                head=(y, z),
+            ),
+            # semi-join: the non-key column is pinned by a constant
+            BGPQuery(
+                [TriplePattern(x, EX.author, y), TriplePattern(x, EX.venue, EX.v0)],
+                head=(x, y),
+            ),
+            # object-object join
+            BGPQuery(
+                [TriplePattern(x, EX.author, z), TriplePattern(y, EX.author, z)],
+                head=(x, y),
+            ),
+        ]
+        evaluator = self._evaluator(graph, backend)
+        for query in queries:
+            expected = evaluate(graph, query)
+            assert evaluator.evaluate(query) == expected
+            limited = evaluator.evaluate(query, limit=2)
+            assert limited <= expected and len(limited) == min(2, len(expected))
 
     def test_cartesian_product_patterns(self, backend):
         graph = RDFGraph(
@@ -105,18 +198,18 @@ class TestOracleEquivalence:
         query = BGPQuery(
             [TriplePattern(x, EX.p, y), TriplePattern(w, EX.q, z)], head=(x, w)
         )
-        hashed = _hashed(graph, backend)
-        assert hashed.evaluate(query) == evaluate(graph, query)
+        evaluator = self._evaluator(graph, backend)
+        assert evaluator.evaluate(query) == evaluate(graph, query)
 
     def test_boolean_and_limit_semantics(self, bibliography_small, backend):
-        hashed = _hashed(bibliography_small, backend)
+        evaluator = self._evaluator(bibliography_small, backend)
         for query in generate_rbgp_workload(bibliography_small, count=4, size=2, seed=9):
             ask = BGPQuery(query.patterns, head=(), name="ask")
-            full = hashed.evaluate(query)
+            full = evaluator.evaluate(query)
             assert full == evaluate(bibliography_small, query)
-            assert hashed.evaluate(ask) == evaluate(bibliography_small, ask)
-            assert hashed.has_answers(query) == bool(full)
-            limited = hashed.evaluate(query, limit=2)
+            assert evaluator.evaluate(ask) == evaluate(bibliography_small, ask)
+            assert evaluator.has_answers(query) == bool(full)
+            limited = evaluator.evaluate(query, limit=2)
             assert limited <= full
             assert len(limited) == min(2, len(full))
 
@@ -124,16 +217,16 @@ class TestOracleEquivalence:
         """Zero-variable (ground) queries must answer, not crash (regression:
         `max()` over an empty slot-position list)."""
         graph = RDFGraph([Triple(EX.a, EX.p, EX.b), Triple(EX.b, EX.q, EX.c)])
-        hashed = _hashed(graph, backend)
+        evaluator = self._evaluator(graph, backend)
         present = BGPQuery([TriplePattern(EX.a, EX.p, EX.b)])
         ground_join = BGPQuery(
             [TriplePattern(EX.a, EX.p, EX.b), TriplePattern(EX.b, EX.q, EX.c)]
         )
         absent = BGPQuery([TriplePattern(EX.a, EX.q, EX.b)])
         for query, expected in ((present, {()}), (ground_join, {()}), (absent, set())):
-            assert hashed.evaluate(query) == expected
-            assert hashed.evaluate(query, limit=1) == expected
-            assert hashed.has_answers(query) == bool(expected)
+            assert evaluator.evaluate(query) == expected
+            assert evaluator.evaluate(query, limit=1) == expected
+            assert evaluator.has_answers(query) == bool(expected)
 
     def test_unsatisfiable_joins_are_empty(self, backend):
         graph = RDFGraph(
@@ -143,8 +236,15 @@ class TestOracleEquivalence:
         query = BGPQuery(
             [TriplePattern(x, EX.p, y), TriplePattern(y, EX.q, z)], head=(x,)
         )
-        hashed = _hashed(graph, backend)
-        assert hashed.evaluate(query) == set()
+        evaluator = self._evaluator(graph, backend)
+        assert evaluator.evaluate(query) == set()
+
+
+class TestPushdownEquivalence(TestOracleEquivalence):
+    """The same shapes under ``sql``: one pushed-down join on SQLite; on
+    the memory backend, or for a pattern spanning tables, the pipeline."""
+
+    strategy = "sql"
 
 
 class _ProbeCountingStore(MemoryStore):
@@ -301,7 +401,7 @@ class TestLimitBoundedRuns:
             for graph, queries in cases
         ]
 
-    @pytest.mark.parametrize("strategy", ["hash", "merge"])
+    @pytest.mark.parametrize("strategy", STRATEGIES)
     @pytest.mark.parametrize("most_bound_first", [False, True], ids=["planned", "most-bound"])
     @pytest.mark.parametrize("first_chunk", [1, evaluator_module._FIRST_CHUNK])
     def test_exactly_the_limit_whatever_the_order_chunking_or_trace(
@@ -329,7 +429,7 @@ class TestLimitBoundedRuns:
         query = generate_rbgp_workload(bibliography_small, count=1, size=2, seed=9)[0]
         store = backend()
         store.load_graph(bibliography_small)
-        for strategy in ("hash", "merge", "sql"):
+        for strategy in STRATEGIES:
             evaluator = EncodedEvaluator(store, strategy=strategy)
             assert evaluator.evaluate(query)
             for trace in (None, ExecutionTrace()):
@@ -378,12 +478,12 @@ class TestServiceIntegration:
         with GraphCatalog() as catalog:
             catalog.register("g", graph=bsbm_small)
             hashed = QueryService(catalog, kind="weak", strategy="hash")
-            merged = QueryService(catalog, kind="weak", strategy="merge")
+            pushed = QueryService(catalog, kind="weak", strategy="sql")
             for query in generate_rbgp_workload(bsbm_small, count=8, size=2, seed=2):
                 a = hashed.answer("g", query)
-                b = merged.answer("g", query)
+                b = pushed.answer("g", query)
                 assert a.answers == b.answers == evaluate(bsbm_small, query)
-                assert a.strategy == "hash" and b.strategy == "merge"
+                assert a.strategy == "hash" and b.strategy == "sql"
 
     def test_guard_order_and_attribution_exposed(self, bsbm_small):
         from repro.service.catalog import GraphCatalog
@@ -412,9 +512,9 @@ class TestServiceIntegration:
 
         with GraphCatalog() as catalog:
             entry = catalog.register("b", graph=book_graph)
-            merge_ev = entry.evaluator_for("merge", saturated=True)
-            assert merge_ev.strategy == "merge"
-            assert entry.evaluator_for("merge", saturated=True) is merge_ev
+            sql_ev = entry.evaluator_for("sql", saturated=True)
+            assert sql_ev.strategy == "sql"
+            assert entry.evaluator_for("sql", saturated=True) is sql_ev
             assert entry.evaluator_for("hash", saturated=True).strategy == "hash"
             with pytest.raises(ValueError):
                 entry.evaluator_for("nested", saturated=True)
@@ -426,14 +526,14 @@ class TestServiceIntegration:
                 [TriplePattern(x, RDF_TYPE, URI("http://example.org/Publication"))],
                 head=(x,),
             )
-            a = QueryService(catalog, kind="weak", strategy="merge").answer(
+            a = QueryService(catalog, kind="weak", strategy="sql").answer(
                 "b", query, saturated=True
             )
             b = QueryService(catalog, kind="weak", strategy="hash").answer(
                 "b", query, saturated=True
             )
             assert a.answers == b.answers and a.answers
-            assert a.strategy == "merge" and b.strategy == "hash"
+            assert a.strategy == "sql" and b.strategy == "hash"
 
     def test_guard_ordering_never_builds_uncached_summaries(self, bsbm_small):
         """Re-ordering the cascade must keep PR 2's lazy escalation: a

@@ -200,7 +200,7 @@ def test_every_tail_is_within_the_limit_once_a_batch_is_in():
     assert store.count_rows(TripleKind.DATA, subject=subject) == len(range(3, 400, 7))
 
 
-def test_sorted_run_merges_a_pending_tail_into_a_private_view():
+def test_merged_folds_a_pending_tail_into_a_private_copy():
     store = MemoryStore()
     store.insert_triples([Triple(EX.term(f"s{i}"), EX.p, EX.term("o")) for i in range(10)])
     predicate = store.dictionary.encode_existing(EX.p)
@@ -209,14 +209,14 @@ def test_sorted_run_merges_a_pending_tail_into_a_private_view():
     store.insert_triples([Triple(EX.term("s3"), EX.p, EX.term("other"))])
     keys, tail = run.keys, run.tail_keys
     assert len(tail) == 1
-    view = store.sorted_run(TripleKind.DATA, predicate)
-    assert len(view) == 11 and list(view.keys) == sorted(view.keys)
-    assert view.value_cache is not run.value_cache
+    view_keys, view_positions = run.merged()
+    assert len(view_keys) == 11 and list(view_keys) == sorted(view_keys)
+    assert view_keys is not keys
     assert run.keys is keys and run.tail_keys is tail and len(tail) == 1  # untouched
     run.merge()  # what the next large enough batch does
-    folded = store.sorted_run(TripleKind.DATA, predicate)
-    assert folded.keys is run.keys and folded.value_cache is run.value_cache
-    assert list(folded.keys) == list(view.keys) and list(folded.positions) == list(view.positions)
+    folded_keys, folded_positions = run.merged()
+    assert folded_keys is run.keys and folded_positions is run.positions  # no copy
+    assert list(folded_keys) == list(view_keys) and list(folded_positions) == list(view_positions)
 
 
 def test_two_readers_of_one_run_never_see_a_torn_pair():

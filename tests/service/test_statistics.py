@@ -249,7 +249,7 @@ class TestCatalogRefresh:
             assert misses == 1
 
             entry.add_triples([Triple(EX.c, EX.p, EX.a)])  # 7 rows -> 8: a version bump
-            assert entry.evaluator_for("merge", saturated=saturated).planner() is planner
+            assert entry.evaluator_for("sql", saturated=saturated).planner() is planner
             assert planner.statistics == CardinalityStatistics.from_store(evaluator.store)
             registry_before = registry_hits.value
             assert len(service.answer("g", query, saturated=saturated).answers) == 4

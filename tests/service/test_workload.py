@@ -114,7 +114,7 @@ class TestDrivers:
             assert report.sound
 
 
-class TestJoinWorkloadAndStrategyComparison:
+class TestJoinWorkload:
     def test_families_are_labelled_and_truthful(self, bsbm_small):
         from repro.queries.evaluation import evaluate
         from repro.service.workload import generate_join_workload
@@ -147,37 +147,3 @@ class TestJoinWorkloadAndStrategyComparison:
             if item.family == "sat_chain":
                 count = sum(1 for _ in iter_embeddings(bsbm_small, item.query))
                 assert 1 <= count <= cap
-
-    def test_run_strategy_comparison_reports_and_is_sound(self, bsbm_small):
-        from repro.service.workload import run_strategy_comparison
-
-        report = run_strategy_comparison(bsbm_small, per_family=2, seed=1, repeat=1)
-        assert report["sound"] is True
-        assert report["answer_differences"] == 0
-        assert report["satisfiable_join"]["queries"] >= 2
-        assert set(report["families"]) >= {"sat_chain", "sat_fork"}
-        for row in report["families"].values():
-            assert row["answer_differences"] == 0
-
-    def test_run_strategy_comparison_times_both_strategies(self, bsbm_small):
-        from repro.service.workload import run_strategy_comparison
-
-        report = run_strategy_comparison(bsbm_small, per_family=2, seed=1, repeat=1)
-        for bucket in [
-            report["overall"],
-            report["satisfiable_join"],
-            *report["families"].values(),
-        ]:
-            assert bucket["merge_seconds"] > 0
-            assert bucket["merge_vs_hash"] > 0
-            assert bucket["hash_seconds"] > 0
-            assert "nested_seconds" not in bucket and "speedup" not in bucket
-
-    def test_run_strategy_comparison_sqlite_backend(self, bsbm_small):
-        from repro.service.workload import run_strategy_comparison
-
-        report = run_strategy_comparison(
-            bsbm_small, per_family=1, seed=2, backend="sqlite", repeat=1
-        )
-        assert report["sound"] is True
-        assert report["backend"] == "sqlite"

@@ -73,12 +73,19 @@ class TestAdoption:
             row for batch in copied.scan_batches(TripleKind.DATA) for row in batch
         ]
         assert got == want
-        # index behaviour is identical: sorted runs agree on every predicate
+        # index behaviour is identical: posting runs agree on every predicate
+        fast, slow = adopted._tables[TripleKind.DATA], copied._tables[TripleKind.DATA]
+        fast._ensure_indexed()
+        slow._ensure_indexed()
         for predicate in {row[1] for row in rows}:
-            fast = adopted.sorted_run(TripleKind.DATA, predicate, by_object=False)
-            slow = copied.sorted_run(TripleKind.DATA, predicate, by_object=False)
-            assert list(fast.column_values(0)) == list(slow.column_values(0))
-            assert list(fast.column_values(2)) == list(slow.column_values(2))
+            for runs in ("ps_runs", "po_runs"):
+                fast_keys, fast_positions = getattr(fast, runs)[predicate].merged()
+                slow_keys, slow_positions = getattr(slow, runs)[predicate].merged()
+                assert list(fast_keys) == list(slow_keys)
+                assert list(fast_positions) == list(slow_positions)
+                assert [fast.o_col[p] for p in fast_positions] == [
+                    slow.o_col[p] for p in slow_positions
+                ]
         assert sorted(adopted.select_many(TripleKind.DATA, subjects=[3], predicate=1)) == sorted(
             copied.select_many(TripleKind.DATA, subjects=[3], predicate=1)
         )

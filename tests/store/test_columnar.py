@@ -1,11 +1,10 @@
-"""Columnar data-plane tests: column scans, sorted runs, cross-backend contract."""
+"""Columnar data-plane tests: column scans, index builds, cross-backend contract."""
 
 import pytest
 
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind
-from repro.store.base import SortedRun
 from repro.store.memory import MemoryStore
 from oracles.reference_store import DictReferenceStore
 from repro.store.sqlite import SQLiteStore
@@ -60,79 +59,55 @@ class TestScanColumns:
             list(store.scan_columns(TripleKind.DATA, batch_size=0))
 
 
-class TestSortedRun:
-    def test_memory_run_is_sorted_and_complete(self):
+def _posting_run(store, predicate, by_object=False):
+    """The memory store's ``(p, s)`` (or ``(p, o)``) run of *predicate*,
+    tail folded in, as ``(key, other endpoint)`` pairs in run order."""
+    table = store._tables[TripleKind.DATA]
+    table._ensure_indexed()
+    keys, positions = (table.po_runs if by_object else table.ps_runs)[predicate].merged()
+    other = table.s_col if by_object else table.o_col
+    return [(key, other[position]) for key, position in zip(keys, positions)]
+
+
+class TestPostingRuns:
+    def test_subject_run_is_sorted_and_complete(self):
         with MemoryStore() as store:
             store.load_graph(_sample_graph())
             author = store.dictionary.encode_existing(EX.author)
-            run = store.sorted_run(TripleKind.DATA, author)
-            assert run is not None
-            assert list(run.keys) == sorted(run.keys)
+            pairs = _posting_run(store, author)
+            assert [key for key, _ in pairs] == sorted(key for key, _ in pairs)
             expected = sorted(
                 (row[0], row[2]) for row in store.select(TripleKind.DATA, predicate=author)
             )
-            assert sorted(zip(run.keys, run.column_values(2))) == expected
+            assert sorted(pairs) == expected
 
-    def test_by_object_run_keys_on_object(self):
+    def test_object_run_keys_on_object(self):
         with MemoryStore() as store:
             store.load_graph(_sample_graph())
             author = store.dictionary.encode_existing(EX.author)
-            run = store.sorted_run(TripleKind.DATA, author, by_object=True)
+            pairs = _posting_run(store, author, by_object=True)
             objects = sorted(row[2] for row in store.select(TripleKind.DATA, predicate=author))
-            assert list(run.keys) == objects
+            assert [key for key, _ in pairs] == objects
 
-    def test_unknown_predicate_returns_none(self):
-        with MemoryStore() as store:
-            store.load_graph(_sample_graph())
-            assert store.sorted_run(TripleKind.DATA, 10_000) is None
+    def test_unknown_predicate_selects_nothing(self, store):
+        store.load_graph(_sample_graph())
+        assert list(store.select(TripleKind.DATA, predicate=10_000)) == []
+        assert list(store.select_many(TripleKind.DATA, subjects=[0, 1], predicate=10_000)) == []
 
-    def test_sqlite_keeps_no_runs(self):
-        with SQLiteStore() as store:
-            store.load_graph(_sample_graph())
-            author = store.dictionary.encode_existing(EX.author)
-            assert store.sorted_run(TripleKind.DATA, author) is None
-
-    def test_group_bounds_covers_every_key(self):
+    def test_an_insert_reaches_both_runs(self):
         with MemoryStore() as store:
             store.load_graph(_sample_graph())
             author = store.dictionary.encode_existing(EX.author)
-            r1 = store.dictionary.encode_existing(EX.r1)
-            run = store.sorted_run(TripleKind.DATA, author)
-            bounds = run.group_bounds()
-            assert set(bounds) == set(run.keys)
-            keys = list(run.keys)
-            for key, (start, stop) in bounds.items():
-                assert (start, stop) == (keys.index(key), len(keys) - keys[::-1].index(key))
-            start, stop = bounds[r1]
-            assert stop - start == 2
-
-    def test_caches_survive_repeat_lookups(self):
-        with MemoryStore() as store:
-            store.load_graph(_sample_graph())
-            author = store.dictionary.encode_existing(EX.author)
-            run = store.sorted_run(TripleKind.DATA, author)
-            assert run.column_values(2) is run.column_values(2)
-            assert run.group_bounds() is run.group_bounds()
-
-    def test_update_invalidates_run_caches(self):
-        with MemoryStore() as store:
-            store.load_graph(_sample_graph())
-            author = store.dictionary.encode_existing(EX.author)
-            before = store.sorted_run(TripleKind.DATA, author)
-            before_pairs = set(zip(before.keys, before.column_values(2)))
-            count = store.load_triples([Triple(EX.r3, EX.author, EX.a2)])
-            assert count == 1
+            before = set(_posting_run(store, author))
+            before_dual = set(_posting_run(store, author, by_object=True))
+            assert store.load_triples([Triple(EX.r3, EX.author, EX.a2)]) == 1
             r3 = store.dictionary.encode_existing(EX.r3)
             a2 = store.dictionary.encode_existing(EX.a2)
-            after = store.sorted_run(TripleKind.DATA, author)
-            after_pairs = set(zip(after.keys, after.column_values(2)))
-            assert after_pairs == before_pairs | {(r3, a2)}
-            assert r3 in after.group_bounds()
-
-    def test_base_default_run_is_none(self):
-        with SQLiteStore() as store:
-            store.load_graph(_sample_graph())
-            assert store.sorted_run(TripleKind.TYPE, 0, by_object=True) is None
+            assert set(_posting_run(store, author)) == before | {(r3, a2)}
+            assert set(_posting_run(store, author, by_object=True)) == before_dual | {(a2, r3)}
+            assert list(store.select(TripleKind.DATA, subject=r3, predicate=author)) == [
+                (r3, author, a2)
+            ]
 
 
 class TestIndexBuildObservability:

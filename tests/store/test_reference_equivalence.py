@@ -93,6 +93,18 @@ def test_select_many_agrees_with_oracle(batches, subjects, objects, predicate):
             assert sorted(got) == sorted(expected), kwargs
 
 
+def _run_pairs(store, kind, predicate, by_object):
+    """The ``(p, s)`` — or ``(p, o)`` — posting run of *predicate*, tail
+    folded in, as ``(key, other endpoint)`` pairs; checked sorted by
+    ``(key, position)`` on the way."""
+    table = store._tables[kind]
+    table._ensure_indexed()
+    keys, positions = (table.po_runs if by_object else table.ps_runs)[predicate].merged()
+    assert list(zip(keys, positions)) == sorted(zip(keys, positions))
+    other = table.s_col if by_object else table.o_col
+    return [(key, other[position]) for key, position in zip(keys, positions)]
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(batches=batches)
 def test_sorted_runs_enumerate_exactly_the_selected_rows(batches):
@@ -102,13 +114,8 @@ def test_sorted_runs_enumerate_exactly_the_selected_rows(batches):
             oracle.insert_encoded_rows(batch, skip_existing=True)
             for kind in (TripleKind.DATA, TripleKind.TYPE):
                 for predicate in oracle.distinct_properties(kind):
-                    run = columnar.sorted_run(kind, predicate)
-                    expected = sorted(
-                        (row[0], row[2]) for row in oracle.select(kind, predicate=predicate)
-                    )
-                    assert sorted(zip(run.keys, run.column_values(2))) == expected
-                    dual = columnar.sorted_run(kind, predicate, by_object=True)
-                    expected_dual = sorted(
-                        (row[2], row[0]) for row in oracle.select(kind, predicate=predicate)
-                    )
-                    assert sorted(zip(dual.keys, dual.column_values(0))) == expected_dual
+                    rows = list(oracle.select(kind, predicate=predicate))
+                    expected = sorted((row[0], row[2]) for row in rows)
+                    assert sorted(_run_pairs(columnar, kind, predicate, False)) == expected
+                    expected_dual = sorted((row[2], row[0]) for row in rows)
+                    assert sorted(_run_pairs(columnar, kind, predicate, True)) == expected_dual

@@ -181,10 +181,19 @@ class TestQueryStrategyAndExplain:
         [
             ["query", "g.nt", "--query", "ASK { ?x ?p ?y }", "--strategy", "nested"],
             ["serve", "--strategy", "nested"],
+            ["query", "g.nt", "--query", "ASK { ?x ?p ?y }", "--strategy", "merge"],
+            ["serve", "--strategy", "merge"],
             ["summarize", "g.nt", "--engine", "term"],
             ["sweep", "--engine", "term"],
         ],
-        ids=["query-nested", "serve-nested", "summarize-engine", "sweep-engine"],
+        ids=[
+            "query-nested",
+            "serve-nested",
+            "query-merge",
+            "serve-merge",
+            "summarize-engine",
+            "sweep-engine",
+        ],
     )
     def test_removed_options_are_argparse_errors(self, argv):
         """One join engine, one summarization engine: the options that
@@ -211,14 +220,14 @@ class TestQueryStrategyAndExplain:
                 args = build_parser().parse_args(argv + ["--strategy", strategy])
                 assert args.strategy == strategy
 
-    def test_merge_strategy_answers(self, fig2_file, capsys):
+    def test_sql_strategy_answers(self, fig2_file, capsys):
         assert (
             main(
                 [
                     "query",
                     str(fig2_file),
                     "--strategy",
-                    "merge",
+                    "sql",
                     "--query",
                     "PREFIX f: <http://example.org/fig2/> SELECT ?x WHERE { ?x f:author ?a }",
                 ]
@@ -226,33 +235,6 @@ class TestQueryStrategyAndExplain:
             == 0
         )
         assert "answer(s)" in capsys.readouterr().out
-
-    def test_merge_explain_reports_per_stage_algorithm(self, fig2_file, capsys):
-        assert (
-            main(
-                [
-                    "query",
-                    str(fig2_file),
-                    "--strategy",
-                    "merge",
-                    "--explain",
-                    "--query",
-                    "PREFIX f: <http://example.org/fig2/> "
-                    "SELECT ?x ?a WHERE { ?x f:author ?a . ?x a f:Book }",
-                ]
-            )
-            == 0
-        )
-        output = capsys.readouterr().out
-        assert "explain (strategy: merge)" in output
-        assert "join merge" in output
-
-    def test_workload_mode_accepts_merge(self, fig2_file, capsys):
-        assert (
-            main(["query", str(fig2_file), "--workload", "6", "--strategy", "merge"])
-            == 0
-        )
-        assert "speedup" in capsys.readouterr().out
 
     def test_explain_prints_plan_and_guard_cascade(self, fig2_file, capsys):
         assert (
@@ -273,6 +255,7 @@ class TestQueryStrategyAndExplain:
         assert "guard cascade" in output
         assert "plan" in output
         assert "est" in output and "actual" in output
+        assert ", join" not in output  # one stage algorithm: nothing to name
 
     def test_explain_on_pruned_query(self, fig2_file, capsys):
         assert (
@@ -294,7 +277,7 @@ class TestQueryStrategyAndExplain:
     def test_workload_mode_accepts_strategy(self, fig2_file, capsys):
         assert (
             main(
-                ["query", str(fig2_file), "--workload", "6", "--strategy", "merge"]
+                ["query", str(fig2_file), "--workload", "6", "--strategy", "sql"]
             )
             == 0
         )

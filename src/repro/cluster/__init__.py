@@ -3,7 +3,7 @@
 ``repro.cluster`` scales the serving layer across CPU cores: a
 :class:`~repro.cluster.coordinator.ClusterCoordinator` hash-partitions each
 registered graph's encoded rows by subject id into K shards, packs shards
-and full replicas as raw int64 column blobs into one named shared-memory
+and full replicas as raw 4-byte id column blobs into one named shared-memory
 segment per graph (zero Terms pickled) that every worker process attaches
 zero-copy — under ``--no-shm`` the same image reaches each worker as bytes
 over its pipe and loads through the same routine — and

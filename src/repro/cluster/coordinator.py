@@ -6,7 +6,7 @@ tier) and a pool of K worker processes — each a plain ``python -m
 repro.cluster.worker`` child on one end of a socket pair, so the process
 tree is the front end and its K workers, nothing else.  Each registered
 graph is hash-partitioned by subject id (:func:`~repro.store.base.shard_of`)
-and shipped to the workers as one image of raw int64 column blobs plus
+and shipped to the workers as one image of raw 4-byte id column blobs plus
 structurally packed dictionary terms — see :mod:`repro.cluster.shm` for
 the image layout, :mod:`repro.cluster.protocol` for the wire format and
 :mod:`repro.cluster.worker` for the receiving side.

@@ -5,9 +5,10 @@ primitives — ``bytes``, ``str``, ``int``, ``None``, and tuples/lists/dicts
 thereof.  No :class:`~repro.model.terms.Term`, no query objects, no store
 objects are ever pickled across the boundary:
 
-* **rows** travel as the packed int64 column blobs of the columnar data
-  plane (:meth:`MemoryStore.column_bytes` format — ``array('q')`` in
-  native byte order), extracted per shard by
+* **rows** travel as the packed id column blobs of the columnar data
+  plane (:meth:`TripleStore.column_bytes` format — 4-byte
+  :data:`~repro.model.dictionary.ID_TYPECODE` ids in native byte order, the bytes
+  the checkpoint also stores), extracted per shard by
   :meth:`TripleStore.partition_column_bytes` and laid out into one graph
   *image* (:func:`repro.cluster.shm.layout_image`) that reaches a worker
   through a shared-memory segment or as ``bytes`` on the pipe;
@@ -44,7 +45,6 @@ import pickle
 import select
 import struct
 import sys
-from array import array
 from typing import Dict, List, Sequence, Tuple
 
 from repro.errors import ClusterError
@@ -76,7 +76,6 @@ __all__ = [
     "pack_full_tables",
     "pack_all_shard_tables",
     "shard_rows",
-    "table_column_bytes",
 ]
 
 #: Request opcodes (coordinator → worker).
@@ -159,31 +158,9 @@ class Connection:
             os.close(fd)
 
 
-def table_column_bytes(store, kind: TripleKind) -> Tuple[int, bytes, bytes, bytes]:
-    """``(row_count, s_bytes, p_bytes, o_bytes)`` of one table, any backend.
-
-    Columnar stores hand over their arrays directly (``column_bytes``);
-    for everything else the columns are accumulated from
-    :meth:`~repro.store.base.TripleStore.scan_columns` — one extra copy,
-    same blob format.
-    """
-    column_bytes = getattr(store, "column_bytes", None)
-    if column_bytes is not None:
-        return column_bytes(kind)
-    s_col, p_col, o_col = array("q"), array("q"), array("q")
-    for s_batch, p_batch, o_batch in store.scan_columns(kind):
-        s_col.extend(s_batch)
-        p_col.extend(p_batch)
-        o_col.extend(o_batch)
-    return len(s_col), s_col.tobytes(), p_col.tobytes(), o_col.tobytes()
-
-
 def pack_full_tables(store) -> Dict[str, Tuple[int, bytes, bytes, bytes]]:
     """All three tables of *store* as packed blobs, keyed by kind value."""
-    return {
-        kind.value: table_column_bytes(store, kind)
-        for kind in (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
-    }
+    return {kind.value: store.column_bytes(kind) for kind in TripleKind}
 
 
 def pack_all_shard_tables(
@@ -203,7 +180,7 @@ def pack_all_shard_tables(
         raise ClusterError("shard_count must be positive")
     data_parts = store.partition_column_bytes(TripleKind.DATA, shard_count)
     type_parts = store.partition_column_bytes(TripleKind.TYPE, shard_count)
-    schema = table_column_bytes(store, TripleKind.SCHEMA)
+    schema = store.column_bytes(TripleKind.SCHEMA)
     return [
         {
             TripleKind.DATA.value: data_parts[index],

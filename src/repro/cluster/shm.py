@@ -1,7 +1,7 @@
 """The graph image a worker loads, and the shared-memory plane that holds it.
 
 A graph ships to workers as one *image*: back to back, the pickled
-dictionary term chunks and the raw int64 column blobs of each ship target
+dictionary term chunks and the raw id column blobs of each ship target
 (the full-replica tables and shard partitions) — rows and terms only: what
 is derived from them (summaries, statistics) each worker builds on first
 need.  :func:`layout_image` is the
@@ -205,7 +205,9 @@ def layout_image(
     target (a shard index, or ``"full"``) to per-table ``(row_count,
     s_offset, p_offset, o_offset)`` entries.  A table's three columns lie
     back to back, so ``p_offset - s_offset == o_offset - p_offset ==
-    8 * row_count`` — the worker checks that before adopting.  The
+    ID_BYTES * row_count`` (4-byte ids, :data:`repro.store.base.ID_BYTES`:
+    the bytes of :meth:`~repro.store.base.TripleStore.column_bytes`, which
+    the checkpoint stores too) — the worker checks that before adopting.  The
     directory travels on the pipe, never inside the image, so a load
     needs no parsing pass.
     """

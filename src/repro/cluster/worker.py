@@ -84,6 +84,7 @@ from repro.model.triple import TripleKind
 from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryAnswer, QueryService
+from repro.store.base import ID_BYTES
 from repro.store.memory import MemoryStore
 from repro.telemetry import QueryTrace
 
@@ -241,7 +242,7 @@ class _Worker:
     ) -> int:
         rows = 0
         for kind_value, (count, s_offset, p_offset, o_offset) in tables.items():
-            nbytes = count * 8
+            nbytes = count * ID_BYTES
             # layout_image lays a table's columns back to back: a row count
             # that disagrees with the column windows, or a window off the
             # end of the image, is a corrupt directory — never adopt it

@@ -20,6 +20,7 @@ objects themselves never do: their memoized hashes are salted per process.
 
 from __future__ import annotations
 
+from array import array
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import DictionaryError, UnknownTermError
@@ -31,6 +32,8 @@ from repro.model.triple import Triple
 __all__ = [
     "Dictionary",
     "EncodedTriple",
+    "ID_LIMIT",
+    "ID_TYPECODE",
     "EncodedGraphView",
     "PackedTerm",
     "TERM_CHUNK",
@@ -49,6 +52,14 @@ PackedTerm = Tuple[str, str, Optional[str], Optional[str]]
 #: Terms per packed chunk: a multi-million-entry dictionary leaves as a
 #: sequence of bounded slices instead of one giant list in a single pickle.
 TERM_CHUNK = 65_536
+
+#: The one id layout: every id column, posting run and row position of the
+#: memory store, the cluster's graph image and the checkpoint's columns is an
+#: ``array`` of this typecode — a 4-byte signed int in native byte order.
+ID_TYPECODE = "i"
+#: One past the largest id a :class:`Dictionary` mints: one more would tear
+#: the column it is appended to.  No batch may cross it.
+ID_LIMIT = 1 << (8 * array(ID_TYPECODE).itemsize - 1)
 
 
 class EncodedTriple(NamedTuple):
@@ -84,7 +95,17 @@ class Dictionary:
         new_id = len(self._id_to_term)
         self._term_to_id[term] = new_id
         self._id_to_term.append(term)
+        self._check_limit(new_id)
         return new_id
+
+    def _check_limit(self, start: int) -> None:
+        """Forget the batch that minted ids ``[start, len)`` and raise
+        :class:`DictionaryError` if it crossed :data:`ID_LIMIT`."""
+        if len(self._id_to_term) > ID_LIMIT:
+            for term in self._id_to_term[start:]:
+                del self._term_to_id[term]
+            del self._id_to_term[start:]
+            raise DictionaryError(f"the dictionary is full: no id past {ID_LIMIT - 1}")
 
     def extend(self, terms: Iterable[Term]) -> int:
         """Append *terms* as the next dense ids, in order; return the new size.
@@ -98,6 +119,7 @@ class Dictionary:
         """
         term_to_id = self._term_to_id
         id_to_term = self._id_to_term
+        start = len(id_to_term)
         for term in terms:
             expected = len(id_to_term)
             if term_to_id.setdefault(term, expected) != expected:
@@ -105,6 +127,7 @@ class Dictionary:
                     f"dictionary divergence: term {term!r} already had an id below {expected}"
                 )
             id_to_term.append(term)
+        self._check_limit(start)
         return len(id_to_term)
 
     def encode_existing(self, term: Term) -> int:
@@ -158,6 +181,7 @@ class Dictionary:
         term_to_id = self._term_to_id
         id_to_term = self._id_to_term
         append = id_to_term.append
+        start = len(id_to_term)
         rows: List[EncodedTriple] = []
         for triple in triples:
             subject = triple.subject
@@ -179,6 +203,7 @@ class Dictionary:
                 term_to_id[obj] = object_id
                 append(obj)
             rows.append(EncodedTriple(subject_id, predicate_id, object_id))
+        self._check_limit(start)
         return rows
 
     def decode_triple(self, encoded: EncodedTriple) -> Triple:

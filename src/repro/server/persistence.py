@@ -16,8 +16,10 @@ stores every fact once, packed, each blob through :mod:`zlib`:
   their memoized hashes are salted per process, and a hash smuggled across
   processes would corrupt every dict they key;
 * the **encoded triples** in ``graph_columns`` — one row per table holding
-  its three id columns as the narrowest native int array that fits (the
-  ``width`` column records it), whatever backend serves the graph;
+  its three id columns as :meth:`TripleStore.column_bytes` packs them —
+  4-byte ids in the writer's byte order, the bytes a cluster worker maps —
+  whatever backend serves the graph (``width`` 4; an older build's width-8
+  column is narrowed on read and rewritten by the next durable write);
 * the **artifacts** in ``artifacts`` — every summary cached at checkpoint
   time, all tagged with the checkpoint's entry version.  Derived state is
   not an artifact: every process reads the cardinality statistics off the
@@ -86,7 +88,7 @@ from repro.model.dictionary import (
 )
 from repro.model.graph import GraphStatistics, RDFGraph
 from repro.model.triple import Triple, TripleKind
-from repro.store.base import TripleStore
+from repro.store.base import ID_BYTES, ID_TYPECODE, TripleStore
 
 __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
 
@@ -102,13 +104,10 @@ MIN_SUPPORTED_SCHEMA_VERSION = 1
 
 _PICKLE_PROTOCOL = 4
 
-#: The packed layout's constants, all of them: every blob goes through zlib
-#: at this (fast) level, and a table's id columns are stored as the first of
-#: these array typecodes that holds its largest id.  Dictionary chunking is
+#: Every blob goes through zlib at this (fast) level.  The id columns are
+#: :data:`~repro.model.dictionary.ID_TYPECODE`; dictionary chunking is
 #: :data:`repro.model.dictionary.TERM_CHUNK`.
 _ZLIB_LEVEL = 1
-_COLUMN_TYPECODES = ("i", "q")
-_TYPECODE_BY_WIDTH = {array(code).itemsize: code for code in _COLUMN_TYPECODES}
 
 #: Copied into every new file verbatim, comments included (``sqlite_master``),
 #: so it stays as written: no build writes a ``saturation`` artifact any more.
@@ -175,45 +174,18 @@ def _unpack(blob: bytes) -> object:
     return pickle.loads(zlib.decompress(blob))
 
 
-def _table_columns(store: TripleStore, kind: TripleKind) -> Tuple["array", "array", "array"]:
-    """The *kind* table of any backend as three parallel ``array('q')``."""
-    columns = (array("q"), array("q"), array("q"))
-    for batch in store.scan_columns(kind):
-        for column, part in zip(columns, batch):
-            column.extend(part)
-    return columns
-
-
-def _low_lanes(wide: "array", width: int) -> memoryview:
-    """The low *width* bytes of every id of an ``array('q')``, as a strided
-    view over its memory: narrowing reads it and widening writes it with one
-    C-level copy, never an ``int`` object per id."""
-    lanes = memoryview(wide).cast("B").cast(_TYPECODE_BY_WIDTH[width])
-    step = 8 // width
-    return lanes[(0 if sys.byteorder == "little" else step - 1) :: step]
-
-
-def _pack_columns(columns: Sequence["array"]) -> Tuple[int, List[bytes]]:
-    """``(width, [s, p, o] blobs)``: the narrowest typecode that fits, zlib'd."""
-    top = max((max(column) for column in columns if column), default=0)
-    width = next(width for width in _TYPECODE_BY_WIDTH if top >> (8 * width - 1) == 0)
-    blobs = [
-        zlib.compress(_low_lanes(column, width).tobytes(), _ZLIB_LEVEL) for column in columns
-    ]
-    return width, blobs
-
-
-def _unpack_column(data: bytes, width: int, byteorder: str) -> "array":
-    """One column's packed (non-negative) ids back as a native-order ``array('q')``."""
-    column = array(_TYPECODE_BY_WIDTH[width])
-    column.frombytes(data)
+def _narrowed(wide: bytes, byteorder: str) -> bytes:
+    """A width-8 column an older build wrote, as native 4-byte id bytes; an
+    id that does not fit is a :class:`~repro.errors.PersistenceError`."""
+    column = array("q", wide)
     if byteorder != sys.byteorder:
         column.byteswap()
-    if width == 8:
-        return column
-    wide = array("q", bytes(8 * len(column)))
-    _low_lanes(wide, width)[:] = memoryview(column)
-    return wide
+    try:
+        return array(ID_TYPECODE, column).tobytes()
+    except OverflowError:
+        raise PersistenceError(
+            f"an id column holds {max(column)}, past the {ID_BYTES}-byte id range"
+        ) from None
 
 
 def _pack_summary(summary: Summary, dictionary: Dictionary) -> Dict[str, object]:
@@ -295,9 +267,9 @@ class GraphSnapshot(NamedTuple):
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
     tail_rows: Sequence[Tuple[TripleKind, EncodedTriple]] = ()
-    #: Read from a pre-3 layout: the store holds *all* the rows, nothing else
-    #: came back, and the graph's first durable write must be a full rewrite.
-    legacy: bool = False
+    #: Read from a pre-3 file or from columns not at width 4 in this byte
+    #: order: the graph's first durable write must be a full rewrite.
+    rewrite: bool = False
 
 
 class PersistentCatalog:
@@ -485,13 +457,13 @@ class PersistentCatalog:
                     )
                     self._write_term_chunks(connection, entry.name, dictionary, 0)
                     for kind in TripleKind:
-                        columns = _table_columns(entry.store, kind)
-                        width, blobs = _pack_columns(columns)
+                        count, *columns = entry.store.column_bytes(kind)
+                        blobs = [zlib.compress(column, _ZLIB_LEVEL) for column in columns]
                         connection.execute(
                             "INSERT INTO graph_columns "
                             "(graph, kind, rows, byteorder, width, s, p, o) "
                             "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                            (entry.name, kind.value, len(columns[0]), sys.byteorder, width, *blobs),
+                            (entry.name, kind.value, count, sys.byteorder, ID_BYTES, *blobs),
                         )
                     self._replace_artifacts(connection, entry)
             except sqlite3.Error as error:
@@ -648,20 +620,14 @@ class PersistentCatalog:
                         f"dictionary of graph {name!r} is not dense at id {start} "
                         f"— the catalog file is corrupt"
                     )
-            adopts_blobs = getattr(store, "supports_column_snapshot", False)
             for kind_value, count, byteorder, width, *blobs in column_rows:
-                kind = _KIND_BY_VALUE[kind_value]
-                columns = [
-                    _unpack_column(blob if legacy else zlib.decompress(blob), width, byteorder)
-                    for blob in blobs
-                ]
-                if adopts_blobs:
-                    # three frombytes calls per table, no per-row work and
-                    # no index / dedup-set build (both stay deferred)
-                    loaded = store.load_column_bytes(kind, *(c.tobytes() for c in columns))
-                else:
-                    loaded = len(columns[0])
-                    store._insert_rows([(kind, EncodedTriple(*row)) for row in zip(*columns)])
+                if not legacy:
+                    blobs = [zlib.decompress(blob) for blob in blobs]
+                if width != ID_BYTES:
+                    blobs = [_narrowed(blob, byteorder) for blob in blobs]
+                    byteorder = sys.byteorder
+                # a memory store adopts the columns, its index build deferred
+                loaded = store.load_column_bytes(_KIND_BY_VALUE[kind_value], *blobs, byteorder=byteorder)
                 if loaded != count:
                     raise PersistenceError(
                         f"column snapshot of graph {name!r} ({kind_value}) holds {loaded} "
@@ -703,5 +669,5 @@ class PersistentCatalog:
             summaries=summaries,
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
-            legacy=legacy,
+            rewrite=legacy or any(row[2:4] != (sys.byteorder, ID_BYTES) for row in column_rows),
         )

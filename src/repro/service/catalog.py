@@ -611,9 +611,9 @@ class GraphCatalog:
         logged atomically as they happen, and
         :meth:`checkpoint` folds the log back into a checkpoint.
 
-        A graph still in a pre-3 file layout comes back by its rows alone:
-        its artifacts are rebuilt lazily and its first durable write
-        rewrites it.
+        A graph still in a pre-3 file layout comes back by its rows alone
+        and its artifacts are rebuilt lazily; its first durable write
+        rewrites it, as it does columns not at width 4 in this byte order.
         """
         from repro.server.persistence import PersistentCatalog
 
@@ -631,7 +631,7 @@ class GraphCatalog:
                     version=snapshot.checkpoint_version,
                     summaries=snapshot.summaries,
                 )
-                entry._persist_dirty = snapshot.legacy
+                entry._persist_dirty = snapshot.rewrite
                 if snapshot.tail_rows:
                     replay_start = perf_counter()
                     entry.replay(snapshot.tail_rows, snapshot.version)

@@ -14,15 +14,19 @@ summarization algorithms can run against any backend:
 from __future__ import annotations
 
 import abc
+import sys
 from array import array
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
-from repro.model.dictionary import Dictionary, EncodedTriple
+from repro.model.dictionary import ID_TYPECODE, Dictionary, EncodedTriple
 from repro.model.graph import RDFGraph
 from repro.model.terms import Term
 from repro.model.triple import Triple, TripleKind
 
-__all__ = ["TripleStore", "StoreStatistics", "ColumnView", "shard_of"]
+__all__ = ["TripleStore", "StoreStatistics", "ColumnView", "ID_TYPECODE", "ID_BYTES", "shard_of"]
+
+#: Bytes per id of the one id layout, :data:`repro.model.dictionary.ID_TYPECODE`.
+ID_BYTES = array(ID_TYPECODE).itemsize
 
 
 def shard_of(subject_id: int, shard_count: int) -> int:
@@ -39,15 +43,15 @@ def shard_of(subject_id: int, shard_count: int) -> int:
 
 
 class ColumnView:
-    """One int64 column backed by a borrowed buffer plus a private tail.
+    """One id column backed by a borrowed buffer plus a private tail.
 
     The zero-copy half of the shared-memory data plane: ``base`` is a
-    ``memoryview`` cast to ``'q'`` over an *externally owned* buffer (a
-    slice of a mapped :mod:`repro.cluster.shm` segment) and is never
-    copied, while ``tail`` is an ordinary ``array('q')`` absorbing every
-    append — exactly the sorted-run/pending-tail split the columnar store
-    already uses, lifted to the storage level.  The view quacks like the
-    ``array('q')`` column it replaces for every read path of
+    ``memoryview`` cast to :data:`ID_TYPECODE` over an *externally owned*
+    buffer (a slice of a mapped :mod:`repro.cluster.shm` segment) and is
+    never copied, while ``tail`` is an ordinary ``array`` of the same
+    typecode absorbing every append — exactly the sorted-run/pending-tail
+    split the columnar store already uses, lifted to the storage level.  The
+    view quacks like the ``array`` column it replaces for every read path of
     :class:`repro.store.memory.MemoryStore` (integer indexing, slicing,
     iteration, ``tobytes``) and funnels all growth into the tail, so
     deltas stay process-private while the bulk of the graph stays one
@@ -61,11 +65,11 @@ class ColumnView:
     __slots__ = ("base", "base_length", "tail")
 
     def __init__(self, base: memoryview):
-        if base.itemsize != 8:
-            base = base.cast("q")
+        if base.format != ID_TYPECODE:
+            base = base.cast(ID_TYPECODE)
         self.base = base
         self.base_length = len(base)
-        self.tail = array("q")
+        self.tail = array(ID_TYPECODE)
 
     def __len__(self) -> int:
         return self.base_length + len(self.tail)
@@ -74,7 +78,7 @@ class ColumnView:
         if isinstance(index, slice):
             start, stop, step = index.indices(len(self))
             if step == 1:
-                out = array("q")
+                out = array(ID_TYPECODE)
                 base_stop = min(stop, self.base_length)
                 if start < base_stop:
                     out.frombytes(self.base[start:base_stop].tobytes())
@@ -83,7 +87,7 @@ class ColumnView:
                 if tail_stop > tail_start:
                     out.extend(self.tail[tail_start:tail_stop])
                 return out
-            return array("q", (self[i] for i in range(start, stop, step)))
+            return array(ID_TYPECODE, (self[i] for i in range(start, stop, step)))
         if index < 0:
             index += len(self)
         if 0 <= index < self.base_length:
@@ -118,12 +122,12 @@ class ColumnView:
     @property
     def base_nbytes(self) -> int:
         """Bytes of the borrowed (shared) buffer region."""
-        return self.base_length * 8
+        return self.base_length * ID_BYTES
 
     @property
     def tail_nbytes(self) -> int:
         """Bytes of the process-private tail."""
-        return len(self.tail) * 8
+        return len(self.tail) * ID_BYTES
 
     def release(self) -> None:
         """Drop the borrowed buffer (the view keeps only its tail).
@@ -133,7 +137,7 @@ class ColumnView:
         rather than fault on a dead mapping.
         """
         self.base.release()
-        self.base = memoryview(b"").cast("q")
+        self.base = memoryview(b"").cast(ID_TYPECODE)
         self.base_length = 0
 
 
@@ -312,12 +316,7 @@ class TripleStore(abc.ABC):
         for batch in self.scan_batches(kind, batch_size):
             if not batch:
                 continue
-            columns = tuple(zip(*batch))
-            yield (
-                array("q", columns[0]),
-                array("q", columns[1]),
-                array("q", columns[2]),
-            )
+            yield tuple(array(ID_TYPECODE, column) for column in zip(*batch))
 
     def partition_column_bytes(
         self, kind: TripleKind, shard_count: int
@@ -326,8 +325,7 @@ class TripleStore(abc.ABC):
         *shard_count* packed column blobs.
 
         Returns one ``(row_count, s_bytes, p_bytes, o_bytes)`` tuple per
-        shard — the same blob format as the columnar snapshot path
-        (``array('q')`` int64 columns in native byte order) — with every
+        shard — the :meth:`column_bytes` format — with every
         row routed to shard :func:`shard_of` ``(subject, shard_count)``.
         The shards are an exact partition of the table: disjoint, and
         their union is the full row multiset.  Callers must not rely on
@@ -340,7 +338,7 @@ class TripleStore(abc.ABC):
         """
         if shard_count <= 0:
             raise ValueError("shard_count must be positive")
-        shards = [(array("q"), array("q"), array("q")) for _ in range(shard_count)]
+        shards = [[array(ID_TYPECODE) for _column in "spo"] for _shard in range(shard_count)]
         for s_batch, p_batch, o_batch in self.scan_columns(kind):
             for subject, predicate, obj in zip(s_batch, p_batch, o_batch):
                 columns = shards[shard_of(subject, shard_count)]
@@ -351,6 +349,48 @@ class TripleStore(abc.ABC):
             (len(s_col), s_col.tobytes(), p_col.tobytes(), o_col.tobytes())
             for s_col, p_col, o_col in shards
         ]
+
+    def column_bytes(self, kind: TripleKind) -> Tuple[int, bytes, bytes, bytes]:
+        """``(row_count, s_bytes, p_bytes, o_bytes)``: the *kind* table as
+        three packed :data:`ID_TYPECODE` columns in native byte order.
+
+        The one packer: the cluster's graph image lays these bytes out and
+        the checkpoint stores them through ``zlib``.  This default gathers
+        :meth:`scan_columns`; the memory store hands over its arrays.
+        """
+        columns = [array(ID_TYPECODE) for _column in "spo"]
+        for batch in self.scan_columns(kind):
+            for column, part in zip(columns, batch):
+                column.extend(part)
+        return (len(columns[0]), *(column.tobytes() for column in columns))
+
+    def load_column_bytes(
+        self,
+        kind: TripleKind,
+        s_bytes: bytes,
+        p_bytes: bytes,
+        o_bytes: bytes,
+        byteorder: str = sys.byteorder,
+    ) -> int:
+        """Load :meth:`column_bytes` blobs into the *kind* table; return the
+        rows: one ``frombytes`` per column (a ``byteswap`` when *byteorder*
+        is not this host's), then :meth:`_load_columns`."""
+        columns = []
+        for blob in (s_bytes, p_bytes, o_bytes):
+            column = array(ID_TYPECODE)
+            column.frombytes(blob)
+            if byteorder != sys.byteorder:
+                column.byteswap()
+            columns.append(column)
+        return self._load_columns(kind, *columns)
+
+    def _load_columns(self, kind: TripleKind, s_col, p_col, o_col) -> int:
+        """Take three id columns as rows of the *kind* table; this default
+        inserts them row by row (the memory store adopts the columns)."""
+        if not len(s_col) == len(p_col) == len(o_col):
+            raise ValueError("columns disagree on row count")
+        self._insert_rows([(kind, EncodedTriple(*row)) for row in zip(s_col, p_col, o_col)])
+        return len(s_col)
 
     def __len__(self) -> int:
         """Total rows across the three tables."""

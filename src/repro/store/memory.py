@@ -1,10 +1,11 @@
 """In-memory encoded triple store over contiguous columnar arrays.
 
 This is the default backend, refactored from dicts-of-tuples to a columnar
-core: each table (data, type, schema) holds three ``array('q')`` columns —
-subjects, predicates, objects — plus *sorted posting runs* per ``(p, s)``
-and ``(p, o)`` composite key and per bare subject / object column.  A run
-is a pair of parallel arrays ``(keys, positions)`` sorted by
+core: each table (data, type, schema) holds three id columns — subjects,
+predicates, objects, ``array`` of :data:`~repro.model.dictionary.ID_TYPECODE`
+(4 bytes per id) — plus *sorted posting runs* per ``(p, s)`` and ``(p, o)``
+composite key and per bare subject / object column, at the same width.  A
+run is a pair of parallel arrays ``(keys, positions)`` sorted by
 ``(key, position)`` with an unsorted *pending tail* that absorbs
 incremental inserts; the **writer** folds a tail back into its sorted run
 at the end of the batch that let it outgrow :data:`TAIL_MERGE_LIMIT` (one
@@ -27,7 +28,9 @@ Because row positions grow monotonically and every pending position is
 larger than every merged one, a run sorted by ``(key, position)`` yields
 positions in ascending — i.e. insertion — order for any single key, which
 preserves the deterministic iteration order the evaluator and the
-order-robustness tests rely on.
+order-robustness tests rely on.  The same fact builds a run: a stable sort
+of ascending positions by their key *is* ``(key, position)`` order, so no
+per-row tuple is ever made (:func:`_sort_by`).
 """
 
 from __future__ import annotations
@@ -35,19 +38,19 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import groupby, islice
-from operator import itemgetter, ne
+from itertools import islice
+from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro import telemetry
 from repro.errors import StoreClosedError
 from repro.model.dictionary import EncodedTriple
 from repro.model.triple import TripleKind
-from repro.store.base import ColumnView, TripleStore, shard_of
+from repro.store.base import ID_BYTES, ID_TYPECODE, ColumnView, TripleStore, shard_of
 
 __all__ = ["MemoryStore", "TAIL_MERGE_LIMIT", "BULK_REBUILD_THRESHOLD"]
 
-_EMPTY = array("q")
+_EMPTY = array(ID_TYPECODE)
 
 #: Pending-tail length beyond which the writer folds a posting run's tail
 #: back into its sorted part when the batch is in.  Below it, lookups scan
@@ -80,13 +83,12 @@ class _Run:
         "tail_fresh",
     )
 
-    def __init__(self, pairs: Iterable[Tuple[int, int]] = ()):
-        """A run over ``(key, position)`` *pairs* already in run order."""
-        pairs = pairs if isinstance(pairs, list) else list(pairs)
-        self.keys = keys = array("q", map(itemgetter(0), pairs))
-        self.positions = array("q", map(itemgetter(1), pairs))
-        self.tail_keys = array("q")
-        self.tail_positions = array("q")
+    def __init__(self, keys: Optional[array] = None, positions: Optional[array] = None):
+        """A run adopting parallel *keys* / *positions* arrays in run order."""
+        self.keys = keys = array(ID_TYPECODE) if keys is None else keys
+        self.positions = array(ID_TYPECODE) if positions is None else positions
+        self.tail_keys = array(ID_TYPECODE)
+        self.tail_positions = array(ID_TYPECODE)
         # sorted keys: one more than the places where neighbours differ
         self.distinct = sum(map(ne, keys, islice(keys, 1, None))) + 1 if keys else 0
         #: The keys only the tail holds — what lets an append tell a new key
@@ -113,7 +115,7 @@ class _Run:
         keys, positions = self.keys, self.positions
         if not self.tail_keys:
             return keys, positions
-        merged_keys, merged_positions = array("q"), array("q")
+        merged_keys, merged_positions = array(ID_TYPECODE), array(ID_TYPECODE)
         start = 0
         for key, position in sorted(zip(self.tail_keys, self.tail_positions)):
             cut = bisect_right(keys, key, start)
@@ -158,6 +160,28 @@ class _Run:
         return len(self.keys) + len(self.tail_keys)
 
 
+def _sort_by(column: Sequence[int], positions: Iterable[int]) -> Tuple[array, array]:
+    """``(keys, positions)`` of ascending *positions* sorted by *column*.
+
+    A stable sort of the positions by their key is ``(key, position)``
+    order — the positions ascend already — so the build holds one int per
+    row, never a ``(key, position)`` tuple.
+    """
+    order = array(ID_TYPECODE, sorted(positions, key=column.__getitem__))
+    return array(ID_TYPECODE, map(column.__getitem__, order)), order
+
+
+def _groups(keys: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
+    """``(key, start, stop)`` for each run of equal *keys* (sorted): one
+    bisect per distinct key, not a step per row."""
+    start, total = 0, len(keys)
+    while start < total:
+        key = keys[start]
+        stop = bisect_right(keys, key, start)
+        yield key, start, stop
+        start = stop
+
+
 class _Table:
     """One encoded triple table: three columns plus posting runs.
 
@@ -185,9 +209,9 @@ class _Table:
     )
 
     def __init__(self):
-        self.s_col = array("q")
-        self.p_col = array("q")
-        self.o_col = array("q")
+        self.s_col = array(ID_TYPECODE)
+        self.p_col = array(ID_TYPECODE)
+        self.o_col = array(ID_TYPECODE)
         self.ps_runs: Dict[int, _Run] = {}
         self.po_runs: Dict[int, _Run] = {}
         self.s_run = _Run()
@@ -234,7 +258,7 @@ class _Table:
             if run is None:
                 run = ps_runs[predicate] = _Run()
                 po_runs[predicate] = _Run()
-                by_predicate[predicate] = array("q")
+                by_predicate[predicate] = array(ID_TYPECODE)
             run.append(subject, position)
             po_runs[predicate].append(obj, position)
             by_predicate[predicate].append(position)
@@ -255,6 +279,8 @@ class _Table:
             telemetry.counter("store.tail.folds").inc(len(folded))
 
     def _drop_indexes(self) -> None:
+        """Defer index building to the first read or insert that needs it
+        (bulk loads, and column loads on warm start)."""
         self.ps_runs = {}
         self.po_runs = {}
         self.s_run = _Run()
@@ -262,46 +288,42 @@ class _Table:
         self.by_predicate = {}
         self._indexed = False
 
-    def mark_unindexed(self) -> None:
-        """Defer index building (the column-blob warm-load path)."""
-        self._drop_indexes()
-
     def subject_run(self) -> Tuple[array, array]:
         """The merged whole-table subject run as ``(keys, positions)``, built
         *alone* when the full index is still deferred.
 
         Shard partitioning only consumes the subject run; paying the whole
-        deferred build (four column sorts plus two predicate groupings)
+        deferred build (the object run and every per-predicate run too)
         inside a pack would triple the coordinator's ship latency for
         structures the pack never reads.  The single sort done here is kept
         on the table, and :meth:`_ensure_indexed` adopts it instead of
         re-sorting when the remaining structures are eventually needed.
         """
         if not self._indexed and len(self.s_run) != len(self.s_col):
-            self.s_run = _Run(sorted(zip(self.s_col, range(len(self.s_col)))))
+            self.s_run = _Run(*_sort_by(self._cells()[0], range(len(self.s_col))))
         return self.s_run.merged()
 
     def _ensure_indexed(self) -> None:
         if self._indexed:
             return
         n = len(self.s_col)
-        s_col, p_col, o_col = self.s_col, self.p_col, self.o_col
-        positions = range(n)
+        s_col, p_col, o_col = self._cells()
 
         if len(self.s_run) != n:  # else prebuilt by subject_run()
-            self.s_run = _Run(sorted(zip(s_col, positions)))
-        self.o_run = _Run(sorted(zip(o_col, positions)))
+            self.s_run = _Run(*_sort_by(s_col, range(n)))
+        self.o_run = _Run(*_sort_by(o_col, range(n)))
 
-        first = itemgetter(0)
-        rest = itemgetter(1, 2)
+        # one stable sort groups the positions by predicate, each group in
+        # ascending (insertion) order: the group is by_predicate, and the
+        # two runs of the predicate are sorts of it
+        predicates, grouped = _sort_by(p_col, range(n))
         ps_runs: Dict[int, _Run] = {}
-        by_predicate: Dict[int, array] = {}
-        for predicate, group in groupby(sorted(zip(p_col, s_col, positions)), key=first):
-            ps_runs[predicate] = run = _Run(map(rest, group))
-            by_predicate[predicate] = array("q", sorted(run.positions))
         po_runs: Dict[int, _Run] = {}
-        for predicate, group in groupby(sorted(zip(p_col, o_col, positions)), key=first):
-            po_runs[predicate] = _Run(map(rest, group))
+        by_predicate: Dict[int, array] = {}
+        for predicate, start, stop in _groups(predicates):
+            by_predicate[predicate] = positions = grouped[start:stop]
+            ps_runs[predicate] = _Run(*_sort_by(s_col, positions))
+            po_runs[predicate] = _Run(*_sort_by(o_col, positions))
         self.ps_runs = ps_runs
         self.po_runs = po_runs
         self.by_predicate = by_predicate
@@ -476,10 +498,6 @@ class _Table:
 class MemoryStore(TripleStore):
     """Pure in-memory :class:`TripleStore` backend (columnar)."""
 
-    #: Advertises :meth:`column_bytes` / :meth:`load_column_bytes` to the
-    #: persistence layer's packed-blob snapshot path.
-    supports_column_snapshot = True
-
     def __init__(self):
         super().__init__()
         self._tables: Dict[TripleKind, _Table] = {
@@ -631,45 +649,23 @@ class MemoryStore(TripleStore):
     # column-blob snapshots (the persistence layer's zero-copy path)
     # ------------------------------------------------------------------
     def column_bytes(self, kind: TripleKind) -> Tuple[int, bytes, bytes, bytes]:
-        """``(row_count, s_bytes, p_bytes, o_bytes)`` — the packed columns."""
+        """``(row_count, s_bytes, p_bytes, o_bytes)`` — the columns' own bytes."""
         self._check_open()
         table = self._tables[kind]
-        return (
-            len(table.s_col),
-            table.s_col.tobytes(),
-            table.p_col.tobytes(),
-            table.o_col.tobytes(),
-        )
+        return len(table), table.s_col.tobytes(), table.p_col.tobytes(), table.o_col.tobytes()
 
-    def load_column_bytes(
-        self,
-        kind: TripleKind,
-        s_bytes: bytes,
-        p_bytes: bytes,
-        o_bytes: bytes,
-        byteorder: str = sys.byteorder,
-    ) -> int:
-        """Adopt packed columns for an (empty) *kind* table; return the rows.
-
-        The warm-start path: three ``frombytes`` calls and **no** index
-        build — that is deferred to the first read or insert that needs
-        it.  Returns the number of rows loaded.
-        """
+    def _load_columns(self, kind: TripleKind, s_col, p_col, o_col) -> int:
+        """Adopt the columns — arrays, or views over borrowed buffers — as
+        the (empty) *kind* table's.  The warm-start path: **no** index build
+        — that is deferred to the first read or insert that needs it."""
         self._check_open()
         table = self._tables[kind]
         if len(table):
             raise ValueError(f"{kind.name} table is not empty")
-        for column, blob in (
-            (table.s_col, s_bytes),
-            (table.p_col, p_bytes),
-            (table.o_col, o_bytes),
-        ):
-            column.frombytes(blob)
-            if byteorder != sys.byteorder:
-                column.byteswap()
-        if not (len(table.s_col) == len(table.p_col) == len(table.o_col)):
-            raise ValueError("column blobs disagree on row count")
-        table.mark_unindexed()
+        if not len(s_col) == len(p_col) == len(o_col):
+            raise ValueError("columns disagree on row count")
+        table.s_col, table.p_col, table.o_col = s_col, p_col, o_col
+        table._drop_indexes()
         return len(table)
 
     def adopt_column_buffers(
@@ -680,12 +676,12 @@ class MemoryStore(TripleStore):
         o_buffer,
         byteorder: str = sys.byteorder,
     ) -> int:
-        """Adopt externally owned int64 column buffers for an empty table.
+        """Adopt externally owned id column buffers for an empty table.
 
         The zero-copy twin of :meth:`load_column_bytes`: instead of copying
-        the blobs into private ``array('q')`` columns, the table's base
-        columns become :class:`~repro.store.base.ColumnView` objects —
-        ``memoryview.cast('q')`` windows over buffers someone else owns
+        the blobs into private ``array`` columns, the table's base columns
+        become :class:`~repro.store.base.ColumnView` objects —
+        ``memoryview.cast`` windows over buffers someone else owns
         (a shared-memory segment), with private tails absorbing every later
         insert.  Zero bytes copied, zero index built (deferred exactly like
         the blob path); posting runs, sorted runs and scans behave
@@ -706,33 +702,24 @@ class MemoryStore(TripleStore):
                 bytes(o_buffer),
                 byteorder=byteorder,
             )
-        table = self._tables[kind]
-        if len(table):
-            raise ValueError(f"{kind.name} table is not empty")
         views = []
         try:
             for buffer in (s_buffer, p_buffer, o_buffer):
                 view = memoryview(buffer)
-                if view.nbytes % 8:
-                    raise ValueError("column buffer is not a whole number of int64s")
+                if view.nbytes % ID_BYTES:
+                    raise ValueError(f"column buffer is not a whole number of {ID_BYTES}-byte ids")
                 views.append(ColumnView(view))
+            return self._load_columns(kind, *views)
         except BaseException:
             for view in views:
                 view.release()
             raise
-        if not (len(views[0]) == len(views[1]) == len(views[2])):
-            for view in views:
-                view.release()
-            raise ValueError("column buffers disagree on row count")
-        table.s_col, table.p_col, table.o_col = views
-        table.mark_unindexed()
-        return len(table)
 
     def column_memory(self) -> Dict[str, int]:
         """Deterministic column-byte accounting: private vs adopted.
 
         ``private_bytes`` counts process-owned column storage (plain
-        ``array('q')`` columns plus the tails of adopted views);
+        ``array`` columns plus the tails of adopted views);
         ``adopted_bytes`` counts borrowed base buffers (shared segments —
         one physical copy per host however many stores adopt them).  This
         is what the cluster bench gates sub-linear replica memory on: raw
@@ -772,27 +759,22 @@ class MemoryStore(TripleStore):
         # only the subject run is consumed — don't force the full deferred
         # index build (predicate runs, object run) inside a pack
         keys, positions = table.subject_run()
-        p_col, o_col = table.p_col, table.o_col
+        _s_col, p_col, o_col = table._cells()
         # two passes, both dominated by C-level copies: group the merged run
         # into per-shard subject/position arrays (array.extend of an array
         # slice is a memcpy — one Python step per *distinct subject*, not
         # per row), then gather the p/o columns through each shard's
         # position array in one map() sweep per column
-        shard_subjects = [array("q") for _ in range(shard_count)]
-        shard_positions = [array("q") for _ in range(shard_count)]
-        total = len(keys)
-        index = 0
-        while index < total:
-            subject = keys[index]
-            stop = bisect_right(keys, subject, index)
+        shard_subjects = [array(ID_TYPECODE) for _ in range(shard_count)]
+        shard_positions = [array(ID_TYPECODE) for _ in range(shard_count)]
+        for subject, start, stop in _groups(keys):
             shard = shard_of(subject, shard_count)
-            shard_subjects[shard].extend(keys[index:stop])
-            shard_positions[shard].extend(positions[index:stop])
-            index = stop
+            shard_subjects[shard].extend(keys[start:stop])
+            shard_positions[shard].extend(positions[start:stop])
         parts: List[Tuple[int, bytes, bytes, bytes]] = []
         for subjects, gather in zip(shard_subjects, shard_positions):
-            p_out = array("q", map(p_col.__getitem__, gather))
-            o_out = array("q", map(o_col.__getitem__, gather))
+            p_out = array(ID_TYPECODE, map(p_col.__getitem__, gather))
+            o_out = array(ID_TYPECODE, map(o_col.__getitem__, gather))
             parts.append(
                 (len(subjects), subjects.tobytes(), p_out.tobytes(), o_out.tobytes())
             )

@@ -212,7 +212,7 @@ def test_load_is_source_independent(image_registry):
         # adopted either way, but only segment pages are shared between
         # workers — a pipe image's bytes are this worker's own
         memory = worker.handle_ping(())["column_memory"]
-        column_bytes = 2 * 6 * 3 * 8
+        column_bytes = 2 * 6 * 12  # two stores, six rows, three 4-byte ids a row
         if image_registry is None:
             assert memory == {"private_bytes": column_bytes, "adopted_bytes": 0}
         else:

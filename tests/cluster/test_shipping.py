@@ -9,13 +9,13 @@ from repro.errors import DictionaryError
 from repro.model.dictionary import Dictionary
 from repro.model.terms import BlankNode, Literal, URI
 from repro.model.triple import TripleKind
-from repro.store.base import shard_of
+from repro.store.base import ID_TYPECODE, shard_of
 from repro.store.memory import MemoryStore
 from oracles.reference_store import DictReferenceStore
 
 
 def _unpack(blob):
-    column = array("q")
+    column = array(ID_TYPECODE)
     column.frombytes(blob)
     return list(column)
 

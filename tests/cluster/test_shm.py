@@ -19,6 +19,7 @@ from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
+from repro.store.base import ID_BYTES, ID_TYPECODE
 from repro.store.memory import MemoryStore
 
 pytestmark = pytest.mark.skipif(
@@ -65,7 +66,7 @@ class TestRegistry:
                 assert len(target.dictionary) == len(store.dictionary)
                 tables = directory["targets"]["full"]
                 count, s_off, p_off, o_off = tables[TripleKind.DATA.value]
-                nbytes = count * 8
+                nbytes = count * ID_BYTES
                 target.adopt_column_buffers(
                     TripleKind.DATA,
                     buffer[s_off : s_off + nbytes],
@@ -452,7 +453,7 @@ def test_worker_attach_byteswaps_foreign_segments():
         for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
             out = [count]
             for blob in (s_bytes, p_bytes, o_bytes):
-                column = array("q")
+                column = array(ID_TYPECODE)
                 column.frombytes(blob)
                 column.byteswap()
                 out.append(column.tobytes())

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.errors import UnknownTermError
+from repro.errors import DictionaryError, UnknownTermError
+from repro.model import dictionary as dictionary_module
 from repro.model.dictionary import Dictionary, EncodedGraphView, EncodedTriple
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
@@ -98,3 +99,46 @@ class TestEncodedGraphView:
         view = EncodedGraphView(self._graph())
         assert view.data_rows == sorted(view.data_rows)
         assert all(isinstance(row, EncodedTriple) for row in view.data_rows)
+
+
+class TestIdLimit:
+    """Ids live in 4-byte columns: a batch that would mint an id past
+    ``ID_LIMIT`` is refused whole, its terms forgotten again."""
+
+    @pytest.fixture
+    def full_at_four(self, monkeypatch):
+        monkeypatch.setattr(dictionary_module, "ID_LIMIT", 4)
+        dictionary = Dictionary()
+        dictionary.extend([EX.term("t0"), EX.term("t1")])
+        return dictionary
+
+    def test_encode(self, full_at_four):
+        dictionary = full_at_four
+        assert [dictionary.encode(EX.term(f"t{i}")) for i in range(4)] == [0, 1, 2, 3]
+        with pytest.raises(DictionaryError, match="full"):
+            dictionary.encode(EX.term("t4"))
+        assert len(dictionary) == 4 and EX.term("t4") not in dictionary
+        assert dictionary.encode(EX.term("t3")) == 3  # known terms still encode
+
+    def test_encode_triples_rolls_the_batch_back(self, full_at_four):
+        dictionary = full_at_four
+        crossing = [
+            Triple(EX.term("t0"), EX.term("n0"), EX.term("t1")),
+            Triple(EX.term("t1"), EX.term("n1"), EX.term("n2")),
+        ]
+        with pytest.raises(DictionaryError, match="full"):
+            dictionary.encode_triples(crossing)
+        assert len(dictionary) == 2
+        assert not any(EX.term(f"n{i}") in dictionary for i in range(3))
+        assert dictionary.encode_triples(crossing[:1]) == [EncodedTriple(0, 2, 1)]
+        assert dictionary.encode_triples([Triple(EX.term("n0"), EX.term("n0"), EX.term("x"))]) == [
+            EncodedTriple(2, 2, 3)
+        ]
+
+    def test_extend_rolls_the_batch_back(self, full_at_four):
+        dictionary = full_at_four
+        with pytest.raises(DictionaryError, match="full"):
+            dictionary.extend([EX.term("n0"), EX.term("n1"), EX.term("n2")])
+        assert len(dictionary) == 2 and EX.term("n0") not in dictionary
+        assert dictionary.extend([EX.term("n0"), EX.term("n1")]) == 4
+        assert dictionary.decode(3) == EX.term("n1")

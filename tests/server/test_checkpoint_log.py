@@ -37,15 +37,11 @@ from repro.queries.parser import parse_query
 from repro.schema.encoded_saturation import IncrementalSaturator
 from repro.schema.saturation import saturate
 from repro.server.http import ServerApp
-from repro.server.persistence import (
-    SCHEMA_VERSION,
-    PersistentCatalog,
-    _pack_columns,
-    _unpack_column,
-)
+from repro.server.persistence import _SCHEMA_SQL, SCHEMA_VERSION, PersistentCatalog
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
+from repro.store.base import ID_BYTES
 from repro.store.memory import MemoryStore
 
 from oracles.term_partitions import term_summary
@@ -281,34 +277,23 @@ def test_a_failed_append_forgets_its_counts_and_heals_by_full_rewrite(fig2, tmp_
 # ----------------------------------------------------------------------
 # packed layout
 # ----------------------------------------------------------------------
-def test_columns_are_stored_at_the_narrowest_width_that_fits(fig2, tmp_path):
+def test_columns_are_always_stored_as_the_stores_4_byte_ids(fig2, tmp_path):
+    """The checkpoint is ``zlib`` of ``column_bytes`` — the very bytes a
+    cluster image lays out — at width 4 whatever the ids, and a reopened
+    memory store hands the same bytes back."""
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
         entry = catalog.register("g", graph=fig2)
-        original = {kind: entry.store.column_bytes(kind) for kind in TripleKind}
-    for kind_value, count, width, blob in _sql(
-        path, "SELECT kind, rows, width, s FROM graph_columns"
-    ):
-        assert width == 4 and len(zlib.decompress(blob)) == 4 * count, kind_value
+        original = {kind.value: entry.store.column_bytes(kind) for kind in TripleKind}
+    rows = _sql(path, "SELECT kind, rows, width, byteorder, s, p, o FROM graph_columns")
+    assert len(rows) == len(TripleKind)
+    for kind_value, count, width, byteorder, *blobs in rows:
+        assert width == ID_BYTES == 4 and byteorder == sys.byteorder, kind_value
+        assert (count, *map(zlib.decompress, blobs)) == original[kind_value]
+        assert all(len(zlib.decompress(blob)) == 4 * count for blob in blobs)
     with GraphCatalog.open(path) as reopened:
         restored = reopened.entry("g").store
-        assert {kind: restored.column_bytes(kind) for kind in TripleKind} == original
-
-    # an id past 2**31 widens the table that holds it (one width per graph_columns row)
-    for top, expected in ((0, 4), ((1 << 31) - 1, 4), (1 << 31, 8), (1 << 62, 8)):
-        columns = [array("q", [1, 2, 3]), array("q", [4, top, 5]), array("q")]
-        width, blobs = _pack_columns(columns)
-        assert width == expected
-        foreign_order = "big" if sys.byteorder == "little" else "little"
-        for order in (sys.byteorder, foreign_order):
-            unpacked = []
-            for blob in blobs:
-                packed = array("i" if width == 4 else "q")
-                packed.frombytes(zlib.decompress(blob))
-                if order != sys.byteorder:
-                    packed.byteswap()
-                unpacked.append(_unpack_column(packed.tobytes(), width, order))
-            assert unpacked == columns and all(column.typecode == "q" for column in unpacked)
+        assert {kind.value: restored.column_bytes(kind) for kind in TripleKind} == original
 
 
 @pytest.mark.parametrize(
@@ -442,37 +427,68 @@ CREATE INDEX idx_saturation_rows_graph ON saturation_rows(graph);
 """
 
 
-def _write_old_file(path, graph, schema, tail=7):
+#: The byte order of a machine other than this one.
+_FOREIGN = "big" if sys.byteorder == "little" else "little"
+
+
+def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteorder, width=8):
     """A file as a schema-*schema* build left it: version 5, the last *tail*
-    data rows appended behind the snapshot, artifacts nobody should decode."""
+    data rows appended behind the snapshot, artifacts nobody should decode.
+    Schema 2 stores raw 8-byte id columns; schema 4 is the packed layout of
+    a build that stored them at *width* (8: ``zlib`` of int64s).  The
+    columns are written in *byteorder*, and a *top* id replaces the first
+    data row's object in them."""
     with MemoryStore() as store:
         store.load_graph(graph)
         tables = _table_rows(store)
         terms = pack_terms(store.dictionary)
     connection = sqlite3.connect(path)
     with connection:
-        ddl = _SCHEMA_2_SQL
-        if schema == 1:
-            columns_ddl = ddl.index("CREATE TABLE graph_columns")
-            ddl = ddl[:columns_ddl] + ddl[ddl.index("CREATE TABLE artifacts") :]
-        connection.executescript(ddl)
+        if schema == 4:
+            connection.executescript(_SCHEMA_SQL)
+            connection.execute(
+                "INSERT INTO dictionary_chunks VALUES ('g', 0, ?, ?)",
+                (len(terms), zlib.compress(pickle.dumps(terms, protocol=4))),
+            )
+        else:
+            ddl = _SCHEMA_2_SQL
+            if schema == 1:
+                columns_ddl = ddl.index("CREATE TABLE graph_columns")
+                ddl = ddl[:columns_ddl] + ddl[ddl.index("CREATE TABLE artifacts") :]
+            connection.executescript(ddl)
+            connection.executemany(
+                "INSERT INTO dictionary_terms VALUES ('g', ?, ?, ?, ?, ?)",
+                [(identifier, *term) for identifier, term in enumerate(terms)],
+            )
+            connection.execute("INSERT INTO saturation_rows VALUES ('g', 'type', 1, 2, 3)")
         connection.execute("INSERT INTO catalog_meta VALUES ('schema_version', ?)", (str(schema),))
         connection.execute("INSERT INTO graphs VALUES ('g', 5)")
-        connection.executemany(
-            "INSERT INTO dictionary_terms VALUES ('g', ?, ?, ?, ?, ?)",
-            [(identifier, *term) for identifier, term in enumerate(terms)],
-        )
         logged = [(kind, row) for kind, rows in tables.items() for row in rows]
-        if schema == 2:
+        if schema >= 2:
             cut = len(tables[TripleKind.DATA]) - tail
             logged = [(TripleKind.DATA, row) for row in tables[TripleKind.DATA][cut:]]
             tables[TripleKind.DATA] = tables[TripleKind.DATA][:cut]
+            typecode = {8: "q", 4: "i"}[width]
             for kind, rows in tables.items():
-                blobs = [array("q", column).tobytes() for column in zip(*rows)] or [b"", b"", b""]
-                connection.execute(
-                    "INSERT INTO graph_columns VALUES ('g', ?, ?, ?, ?, ?, ?)",
-                    (kind.value, len(rows), sys.byteorder, *blobs),
-                )
+                columns = [array(typecode, column) for column in zip(*rows)]
+                columns = columns or [array(typecode) for _column in "spo"]
+                if top is not None and kind is TripleKind.DATA:
+                    columns[2][0] = top
+                if byteorder != sys.byteorder:
+                    for column in columns:
+                        column.byteswap()
+                blobs = [column.tobytes() for column in columns]
+                if schema == 4:
+                    connection.execute(
+                        "INSERT INTO graph_columns (graph, kind, rows, byteorder, width, s, p, o) "
+                        "VALUES ('g', ?, ?, ?, ?, ?, ?, ?)",
+                        (kind.value, len(rows), byteorder, width, *map(zlib.compress, blobs)),
+                    )
+                else:
+                    connection.execute(
+                        "INSERT INTO graph_columns VALUES ('g', ?, ?, ?, ?, ?, ?)",
+                        (kind.value, len(rows), byteorder, *blobs),
+                    )
         connection.executemany(
             "INSERT INTO graph_triples VALUES ('g', ?, ?, ?, ?)",
             [(kind.value, *row) for kind, row in logged],
@@ -482,12 +498,14 @@ def _write_old_file(path, graph, schema, tail=7):
                 "INSERT INTO artifacts VALUES ('g', ?, 5, ?)",
                 (name, pickle.dumps({"layout": "of another build"}, protocol=4)),
             )
-        connection.execute("INSERT INTO saturation_rows VALUES ('g', 'type', 1, 2, 3)")
     connection.close()
 
 
-@pytest.mark.parametrize("schema", [1, 2])
+@pytest.mark.parametrize("schema", [1, 2, 4])
 def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, schema):
+    """Schemas 1 and 2 open by their rows alone; a schema-4 file whose
+    columns an older build stored at width 8 is narrowed on read.  Either
+    way the first checkpoint rewrites the graph at width 4."""
     path = str(tmp_path / "old.db")
     _write_old_file(path, bsbm_small, schema)
     workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
@@ -510,14 +528,18 @@ def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, 
             "saturation_builds": 0,
         }
         # opened, not yet written: the old rows are still what the file holds
-        assert _sql(path, "SELECT COUNT(*) FROM dictionary_chunks") == [(0,)]
+        if schema == 4:
+            assert _sql(path, "SELECT DISTINCT width FROM graph_columns") == [(8,)]
+        else:
+            assert _sql(path, "SELECT COUNT(*) FROM dictionary_chunks") == [(0,)]
         catalog.checkpoint()
         assert catalog.log_tail_rows("g") == 0
 
     assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [
         (str(SCHEMA_VERSION),)
     ]
-    for table in ("graph_triples", "dictionary_terms", "saturation_rows"):
+    legacy_tables = ("dictionary_terms", "saturation_rows") if schema < 4 else ()
+    for table in ("graph_triples",) + legacy_tables:
         assert _sql(path, f"SELECT COUNT(*) FROM {table}") == [(0,)], table
     assert _sql(path, "SELECT DISTINCT width FROM graph_columns") == [(4,)]
     assert _sql(path, "SELECT COUNT(*) FROM dictionary_chunks") == [(1,)]
@@ -526,6 +548,44 @@ def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, 
         service = QueryService(catalog, kind="weak+strong", strategy="hash")
         assert [set(service.answer("g", item.query).answers) for item in workload] == expected
         assert not any(entry.build_counters.values())
+
+
+@pytest.mark.parametrize("schema", [2, 4])
+def test_an_old_wide_id_that_does_not_fit_is_a_typed_error(fig2, tmp_path, schema):
+    path = str(tmp_path / "old.db")
+    _write_old_file(path, fig2, schema, tail=2, top=1 << 31)
+    with pytest.raises(PersistenceError, match="past the 4-byte id range"):
+        GraphCatalog.open(path)
+    # the largest id that fits narrows like any other (here: to a dangling id)
+    _write_old_file(str(tmp_path / "fits.db"), fig2, schema, tail=2, top=(1 << 31) - 1)
+    with GraphCatalog.open(str(tmp_path / "fits.db")) as catalog:
+        table = catalog.entry("g").store._tables[TripleKind.DATA]
+        assert table.o_col[0] == (1 << 31) - 1
+
+
+@pytest.mark.parametrize("schema, width", [(2, 8), (4, 8), (4, 4)])
+def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(
+    fig2, tmp_path, schema, width
+):
+    """Raw schema-2 columns, a width-8 and a width-4 checkpoint, each written
+    by a machine of the other byte order, reopen to the very column bytes
+    of the graph — and with no row logged, the next checkpoint still
+    rewrites them at width 4 in this machine's order."""
+    path = str(tmp_path / "foreign.db")
+    _write_old_file(path, fig2, schema, tail=0, byteorder=_FOREIGN, width=width)
+    with MemoryStore() as store:
+        store.load_graph(fig2)
+        original = {kind.value: store.column_bytes(kind) for kind in TripleKind}
+    with GraphCatalog.open(path) as catalog:
+        restored = catalog.entry("g").store
+        assert {kind.value: restored.column_bytes(kind) for kind in TripleKind} == original
+        catalog.checkpoint()
+    rows = _sql(path, "SELECT kind, rows, width, byteorder, s, p, o FROM graph_columns")
+    assert {(width, byteorder) for _kind, _rows, width, byteorder, *_blobs in rows} == {
+        (ID_BYTES, sys.byteorder)
+    }
+    for kind_value, count, _width, _byteorder, *blobs in rows:
+        assert (count, *map(zlib.decompress, blobs)) == original[kind_value]
 
 
 def test_an_older_file_is_rewritten_by_its_first_ingest(fig2, tmp_path):

@@ -1,12 +1,16 @@
 """Tests for the HTTP front end (JSON API over ThreadingHTTPServer)."""
 
 import json
+import sqlite3
 import urllib.error
 import urllib.request
 
 import pytest
 
 from repro.io.ntriples import serialize_ntriples
+from repro.model import dictionary as dictionary_module
+from repro.model.dictionary import pack_terms
+from repro.model.triple import TripleKind
 from repro.service.catalog import GraphCatalog
 from repro.server.http import ServerApp, start_background
 
@@ -419,3 +423,49 @@ class TestSaturationExposure:
         )
         assert status == 200
         assert "saturation" not in answer
+
+
+def test_an_ingest_past_the_id_limit_is_refused_whole(fig2, tmp_path, monkeypatch):
+    """A batch whose new terms would take an id past the 4-byte range is a
+    400, and the store, the dictionary and the durable row log are left
+    exactly as they were — a batch that fits still goes through."""
+    path = str(tmp_path / "catalog.db")
+    with GraphCatalog.open(path) as catalog:
+        entry = catalog.register("fig2", graph=fig2)
+        monkeypatch.setattr(dictionary_module, "ID_LIMIT", len(entry.store.dictionary) + 3)
+        app = ServerApp(catalog, kind="weak")
+        server, _thread = start_background(app)
+        base = f"http://127.0.0.1:{server.server_address[1]}"
+
+        def state():
+            connection = sqlite3.connect(path)
+            try:
+                logged = connection.execute("SELECT kind, s, p, o FROM graph_triples").fetchall()
+            finally:
+                connection.close()
+            tables = {
+                kind: [row for batch in entry.store.scan_batches(kind) for row in batch]
+                for kind in TripleKind
+            }
+            return entry.version, tables, pack_terms(entry.store.dictionary), logged
+
+        def post(text):
+            return _call(base, "POST", "/graphs/fig2/triples", {"triples": text})
+
+        try:
+            fits = "<http://l.example/a> <http://l.example/p> <http://l.example/b> .\n"
+            assert post(fits)[0] == 200  # three new terms: the dictionary is full now
+            before = state()
+            status, payload = post(
+                "<http://l.example/a> <http://l.example/p> <http://l.example/a> .\n"
+                "<http://l.example/b> <http://l.example/p> <http://l.example/c> .\n"
+            )
+            assert status == 400 and "dictionary is full" in payload["error"]
+            assert state() == before
+            assert catalog.log_tail_rows("fig2") == 1
+            known = "<http://l.example/b> <http://l.example/p> <http://l.example/a> .\n"
+            assert post(known) == (200, {"name": "fig2", "inserted": 1, "version": before[0] + 1})
+        finally:
+            server.shutdown()
+            server.server_close()
+            app.close()

@@ -9,6 +9,7 @@ rebuilt (or even assigned to) by a reader.
 import gc
 import sys
 import threading
+from array import array
 
 from repro import telemetry
 from repro.model.graph import RDFGraph
@@ -19,6 +20,7 @@ from repro.server.http import ServerApp
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 from repro.store import memory
+from repro.store.base import ID_TYPECODE
 from repro.store.memory import TAIL_MERGE_LIMIT, MemoryStore, _Run
 
 _OFFER_JOIN = parse_query(
@@ -226,7 +228,7 @@ def test_two_readers_of_one_run_never_see_a_torn_pair():
     reader assigns nothing now, whatever the tail's length."""
     rows, tail = 20_000, TAIL_MERGE_LIMIT + 20
     probes = [7, 501, 1999]
-    pairs = sorted((position % 2000, position) for position in range(rows))
+    keys_in, positions_in = zip(*sorted((position % 2000, position) for position in range(rows)))
     expected = {
         key: [p for p in range(rows) if p % 2000 == key]
         + [rows + offset for offset in range(tail) if probes[offset % 3] == key]
@@ -236,7 +238,7 @@ def test_two_readers_of_one_run_never_see_a_torn_pair():
     sys.setswitchinterval(1e-6)
     try:
         for _trial in range(300):
-            run = _Run(pairs)
+            run = _Run(array(ID_TYPECODE, keys_in), array(ID_TYPECODE, positions_in))
             for offset in range(tail):
                 run.append(probes[offset % 3], rows + offset)
             keys = run.keys

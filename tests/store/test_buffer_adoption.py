@@ -9,7 +9,7 @@ from array import array
 import pytest
 
 from repro.model.triple import TripleKind
-from repro.store.base import ColumnView
+from repro.store.base import ID_BYTES, ID_TYPECODE, ColumnView
 from repro.store.memory import MemoryStore
 
 
@@ -17,10 +17,10 @@ FOREIGN = "big" if sys.byteorder == "little" else "little"
 
 
 def _columns(rows):
-    """rows -> (s_bytes, p_bytes, o_bytes) native int64 blobs."""
+    """rows -> (s_bytes, p_bytes, o_bytes) native 4-byte id blobs."""
     blobs = []
     for index in range(3):
-        column = array("q", (row[index] for row in rows))
+        column = array(ID_TYPECODE, (row[index] for row in rows))
         blobs.append(column.tobytes())
     return tuple(blobs)
 
@@ -39,17 +39,18 @@ def _adopted(rows, kind=TripleKind.DATA):
 
 class TestColumnView:
     def test_sequence_protocol(self):
-        base = array("q", range(10)).tobytes()
+        base = array(ID_TYPECODE, range(10)).tobytes()
         view = ColumnView(memoryview(base))
         view.extend([100, 101])
         assert len(view) == 12
         assert view[0] == 0 and view[9] == 9 and view[10] == 100
         assert view[-1] == 101 and view[-3] == 9
         assert list(view) == list(range(10)) + [100, 101]
-        assert view[2:12:3] == array("q", [2, 5, 8, 101])
-        assert view[8:11] == array("q", [8, 9, 100])
-        assert view.tobytes() == array("q", list(range(10)) + [100, 101]).tobytes()
-        assert view.base_nbytes == 80 and view.tail_nbytes == 16
+        assert view[2:12:3] == array(ID_TYPECODE, [2, 5, 8, 101])
+        assert view[8:11] == array(ID_TYPECODE, [8, 9, 100])
+        assert view.tobytes() == array(ID_TYPECODE, list(range(10)) + [100, 101]).tobytes()
+        assert ID_BYTES == 4
+        assert view.base_nbytes == 40 and view.tail_nbytes == 8
         view.release()
         assert len(view) == 2  # only the private tail survives a release
 
@@ -100,7 +101,7 @@ class TestAdoption:
         store = MemoryStore()
         store.adopt_column_buffers(TripleKind.DATA, shared, p_bytes, o_bytes)
         before = [batch for batch in store.scan_batches(TripleKind.DATA)][0][0]
-        shared[0:8] = array("q", [999]).tobytes()
+        shared[0:ID_BYTES] = array(ID_TYPECODE, [999]).tobytes()
         after = [batch for batch in store.scan_batches(TripleKind.DATA)][0][0]
         assert before[0] == rows[0][0] and after[0] == 999
         store.close()
@@ -143,12 +144,12 @@ class TestAdoption:
         rows = _rows(100)
         store = _adopted(rows)
         memory = store.column_memory()
-        assert memory["adopted_bytes"] == 100 * 8 * 3
+        assert memory["adopted_bytes"] == 100 * 12  # three 4-byte ids per row
         assert memory["private_bytes"] == 0
         plain = MemoryStore()
         plain.load_column_bytes(TripleKind.DATA, *_columns(rows))
         assert plain.column_memory() == {
-            "private_bytes": 100 * 8 * 3,
+            "private_bytes": 100 * 12,
             "adopted_bytes": 0,
         }
         store.close()
@@ -158,7 +159,7 @@ class TestAdoption:
         s_bytes, p_bytes, o_bytes = _columns(_rows(4))
         store = MemoryStore()
         with pytest.raises(ValueError):
-            store.adopt_column_buffers(TripleKind.DATA, s_bytes[:-8], p_bytes, o_bytes)
+            store.adopt_column_buffers(TripleKind.DATA, s_bytes[:-ID_BYTES], p_bytes, o_bytes)
         with pytest.raises(ValueError):
             store.adopt_column_buffers(TripleKind.DATA, s_bytes[:-1], p_bytes, o_bytes)
         # failed adoptions leave the table empty and usable
@@ -179,7 +180,7 @@ class TestByteswapFallback:
     def _foreign_columns(self, rows):
         blobs = []
         for index in range(3):
-            column = array("q", (row[index] for row in rows))
+            column = array(ID_TYPECODE, (row[index] for row in rows))
             column.byteswap()
             blobs.append(column.tobytes())
         return tuple(blobs)

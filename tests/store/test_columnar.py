@@ -273,8 +273,10 @@ class TestColumnBlobs:
             other = "big" if sys.byteorder == "little" else "little"
             from array import array
 
+            from repro.store.base import ID_TYPECODE
+
             def swapped(blob):
-                values = array("q")
+                values = array(ID_TYPECODE)
                 values.frombytes(blob)
                 values.byteswap()
                 return values.tobytes()

@@ -8,10 +8,13 @@ row order included, since deterministic insertion-order iteration is part
 of the store contract the summarizers rely on.
 """
 
+from array import array
+
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.model.triple import TripleKind
+from repro.store.base import ID_TYPECODE, ColumnView
 from repro.store.memory import MemoryStore
 from oracles.reference_store import DictReferenceStore
 
@@ -119,3 +122,57 @@ def test_sorted_runs_enumerate_exactly_the_selected_rows(batches):
                     assert sorted(_run_pairs(columnar, kind, predicate, False)) == expected
                     expected_dual = sorted((row[2], row[0]) for row in rows)
                     assert sorted(_run_pairs(columnar, kind, predicate, True)) == expected_dual
+
+
+def _assert_run(run, pairs):
+    """*run* is exactly its definition over ``(key, position)`` *pairs*."""
+    assert run.keys.typecode == run.positions.typecode == ID_TYPECODE
+    assert list(zip(run.keys, run.positions)) == sorted(pairs)
+    assert run.distinct == len({key for key, _position in pairs})
+    assert len(run.tail_keys) == 0
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(
+    rows=st.one_of(
+        st.lists(st.tuples(ids, ids, ids), max_size=60),
+        # one predicate: its runs are the whole-table runs
+        st.lists(st.tuples(ids, st.just(3), ids), max_size=60),
+    ),
+    adopt=st.booleans(),
+    prebuild_subjects=st.booleans(),
+)
+def test_deferred_index_build_is_its_definition(rows, adopt, prebuild_subjects):
+    """The deferred build sorts positions, never ``(key, position)``
+    tuples: every run it leaves must still equal ``sorted(zip(keys,
+    positions))``, with ``distinct`` the key count and ``by_predicate``
+    ascending — over copied or adopted (``ColumnView``) columns, and when
+    ``subject_run()`` built the subject run first."""
+    n = len(rows)
+    s_col, p_col, o_col = (list(column) for column in zip(*rows)) if rows else ([], [], [])
+    blobs = [array(ID_TYPECODE, column).tobytes() for column in (s_col, p_col, o_col)]
+    with MemoryStore() as store:
+        load = store.adopt_column_buffers if adopt else store.load_column_bytes
+        assert load(TripleKind.DATA, *blobs) == n
+        table = store._tables[TripleKind.DATA]
+        assert (type(table.s_col) is ColumnView) == adopt
+        prebuilt = None
+        if prebuild_subjects:
+            keys, positions = table.subject_run()
+            assert list(zip(keys, positions)) == sorted(zip(s_col, range(n)))
+            prebuilt = table.s_run
+        table._ensure_indexed()
+        assert table.index_builds == 1
+        if prebuilt is not None:
+            assert table.s_run is prebuilt  # adopted, not sorted again
+        _assert_run(table.s_run, list(zip(s_col, range(n))))
+        _assert_run(table.o_run, list(zip(o_col, range(n))))
+        assert set(table.by_predicate) == set(table.ps_runs) == set(table.po_runs) == set(p_col)
+        for predicate, positions in table.by_predicate.items():
+            mine = [position for position in range(n) if p_col[position] == predicate]
+            assert positions.typecode == ID_TYPECODE and list(positions) == mine
+            _assert_run(table.ps_runs[predicate], [(s_col[i], i) for i in mine])
+            _assert_run(table.po_runs[predicate], [(o_col[i], i) for i in mine])
+        subjects, objects, by_property = store.cardinalities(TripleKind.DATA)
+        assert (subjects, objects) == (len(set(s_col)), len(set(o_col)))
+        assert sum(count for count, _s, _o in by_property.values()) == n

@@ -751,100 +751,75 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
         )
 
         # ------------------------------------------------------------------
-        # shipping plane: the graph image attached from a shared-memory
-        # segment vs sent over the pipe, and the per-worker memory
-        # footprint of each source
+        # shipping plane: the graph packed once into a segment every worker
+        # attaches, the re-ship after a kill, and the column memory the
+        # workers hold privately vs adopt from the segment
         # ------------------------------------------------------------------
         ship_workers = max(worker_counts)
-        shipping: Dict[str, object] = {
-            "workers": ship_workers,
-            "shm_available": shm.shm_available(),
-        }
-        for mode, use_shm in (("shm", True), ("pipe", False)):
-            if use_shm and not shm.shm_available():
-                continue
-            # a private empty catalog: the workers spawn and drain a ping
-            # first, so the measured ship excludes interpreter start-up
-            ship_catalog = GraphCatalog()
-            coordinator = ClusterCoordinator(
-                ship_catalog,
-                workers=ship_workers,
-                kind=args.kind,
-                strategy=strategy,
-                heartbeat_seconds=0.2,
-                use_shm=use_shm,
-            )
-            try:
-                coordinator.worker_metrics()  # barrier: every main loop is up
-                coordinator.register(GRAPH_NAME, graph=graph)
-                ship_seconds = coordinator.ship_metrics["ship_seconds_total"]
-                # parity in this shipping mode, query by query
-                mode_diffs = 0
-                for query, expected in zip(queries, reference):
-                    answer = coordinator.answer(GRAPH_NAME, query, limit=None)
-                    if answer.answers != expected:
-                        mode_diffs += 1
-                # re-ship: SIGKILL one worker, let the heartbeat respawn it
-                victim = coordinator.status()["workers"][0]["pid"]
-                os.kill(victim, signal.SIGKILL)
-                deadline = perf_counter() + 60.0
-                while perf_counter() < deadline:
-                    status = coordinator.status()
-                    if (
-                        status["ship_metrics"]["reships"] >= 1
-                        and all(w["alive"] for w in status["workers"])
-                    ):
-                        break
-                    sleep(0.05)
+        # a private empty catalog: the workers spawn and drain a ping
+        # first, so the measured ship excludes interpreter start-up
+        ship_catalog = GraphCatalog()
+        coordinator = ClusterCoordinator(
+            ship_catalog,
+            workers=ship_workers,
+            kind=args.kind,
+            strategy=strategy,
+            heartbeat_seconds=0.2,
+        )
+        try:
+            coordinator.worker_metrics()  # barrier: every main loop is up
+            coordinator.register(GRAPH_NAME, graph=graph)
+            ship_seconds = coordinator.ship_metrics["ship_seconds_total"]
+            ship_diffs = 0
+            for query, expected in zip(queries, reference):
+                answer = coordinator.answer(GRAPH_NAME, query, limit=None)
+                if answer.answers != expected:
+                    ship_diffs += 1
+            # re-ship: SIGKILL one worker, let the heartbeat respawn it
+            victim = coordinator.status()["workers"][0]["pid"]
+            os.kill(victim, signal.SIGKILL)
+            deadline = perf_counter() + 60.0
+            while perf_counter() < deadline:
                 status = coordinator.status()
-                worker_metrics = coordinator.worker_metrics()
-                loads = [w["last_load"] for w in status["workers"]]
-                private = sum(
-                    (m or {}).get("column_memory", {}).get("private_bytes", 0)
-                    for m in worker_metrics
-                )
-                adopted = sum(
-                    (m or {}).get("column_memory", {}).get("adopted_bytes", 0)
-                    for m in worker_metrics
-                )
-                shipping[mode] = {
-                    "ship_seconds": ship_seconds,
-                    "reship_seconds": status["ship_metrics"]["reship_seconds_total"],
-                    "answer_differences": mode_diffs,
-                    "aggregate_private_bytes": private,
-                    "aggregate_adopted_bytes": adopted,
-                    "worker_rss_kb": [(m or {}).get("rss_kb") for m in worker_metrics],
-                    "attach_seconds": [
-                        (load or {}).get("attach_seconds") for load in loads
-                    ],
-                    "segments": status["shm"].get("segments", []),
-                    "packs": status["shm"].get("packs", 0),
-                }
-                print(
-                    f"  {mode} shipping x{ship_workers} workers: ship {ship_seconds:.3f}s, "
-                    f"re-ship {shipping[mode]['reship_seconds']:.3f}s, "
-                    f"{private / 1e6:.1f} MB private / {adopted / 1e6:.1f} MB adopted columns, "
-                    f"{mode_diffs} answer-set differences"
-                )
-            finally:
-                coordinator.close()
-                ship_catalog.close()
-        if "shm" in shipping and "pipe" in shipping:
-            pipe_info, shm_info = shipping["pipe"], shipping["shm"]
-            shipping["ship_speedup"] = (
-                pipe_info["ship_seconds"] / shm_info["ship_seconds"]
-                if shm_info["ship_seconds"]
-                else float("inf")
+                if (
+                    status["ship_metrics"]["reships"] >= 1
+                    and all(w["alive"] for w in status["workers"])
+                ):
+                    break
+                sleep(0.05)
+            status = coordinator.status()
+            worker_metrics = coordinator.worker_metrics()
+            private = sum(
+                (m or {}).get("column_memory", {}).get("private_bytes", 0)
+                for m in worker_metrics
             )
-            shipping["reship_speedup"] = (
-                pipe_info["reship_seconds"] / shm_info["reship_seconds"]
-                if shm_info["reship_seconds"]
-                else float("inf")
+            adopted = sum(
+                (m or {}).get("column_memory", {}).get("adopted_bytes", 0)
+                for m in worker_metrics
             )
+            shipping = {
+                "workers": ship_workers,
+                "ship_seconds": ship_seconds,
+                "reship_seconds": status["ship_metrics"]["reship_seconds_total"],
+                "answer_differences": ship_diffs,
+                "aggregate_private_bytes": private,
+                "aggregate_adopted_bytes": adopted,
+                "worker_rss_kb": [(m or {}).get("rss_kb") for m in worker_metrics],
+                "attach_seconds": [
+                    (w["last_load"] or {}).get("attach_seconds") for w in status["workers"]
+                ],
+                "segments": status["shm"]["segments"],
+                "packs": status["shm"]["packs"],
+            }
             print(
-                f"shipping: shm {shipping['ship_speedup']:.2f}x faster than pipe blobs "
-                f"(re-ship {shipping['reship_speedup']:.2f}x)"
+                f"  shipping x{ship_workers} workers: ship {ship_seconds:.3f}s, "
+                f"re-ship {shipping['reship_seconds']:.3f}s, "
+                f"{private / 1e6:.1f} MB private / {adopted / 1e6:.1f} MB adopted columns, "
+                f"{ship_diffs} answer-set differences"
             )
+        finally:
+            coordinator.close()
+            ship_catalog.close()
         report["shipping"] = shipping
 
         # ------------------------------------------------------------------
@@ -901,7 +876,7 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
                 thread.join(timeout=120)
             status = coordinator.status()
             respawns = sum(worker["respawns"] for worker in status["workers"])
-            crash_packs = status["shm"].get("packs", 0)
+            crash_packs = status["shm"]["packs"]
         finally:
             coordinator.close()
         report.update(
@@ -910,10 +885,10 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
                 "crash_respawns": respawns,
                 "crash_failed_requests": len(errors),
                 "crash_answer_differences": crash_diffs,
-                # with shm enabled, respawn recovery must re-attach, never
-                # repack: one pack at register, zero after any kill
+                # respawn recovery must re-attach, never repack: one pack
+                # at register, zero after any kill
                 "crash_packs": crash_packs,
-                "crash_repacked": status["shm"]["enabled"] and crash_packs != 1,
+                "crash_repacked": crash_packs != 1,
                 # every coordinator is closed by now: a clean run leaves
                 # nothing named in /dev/shm
                 "leaked_segments": shm.list_segments(),
@@ -1042,43 +1017,18 @@ def evaluate_cluster_gates(args, report) -> List[str]:
             f"crash injection repacked the segment plane: {report['crash_packs']} "
             f"pack(s) for an unchanged generation (re-ship must re-attach)"
         )
-    shipping = report.get("shipping", {})
-    if "shm" in shipping and "pipe" in shipping:
-        if shipping["shm"]["answer_differences"] or shipping["pipe"]["answer_differences"]:
-            failures.append(
-                f"shipping-mode parity broke: "
-                f"{shipping['shm']['answer_differences']} shm / "
-                f"{shipping['pipe']['answer_differences']} pipe answer-set "
-                f"differences vs serial"
-            )
-        # one replica per host: adopted segment pages are shared, so the
-        # private column bytes across K shm workers must be well below the
-        # per-worker copies the pipe mode makes (deterministic accounting,
-        # not RSS — shared pages charge every attached process)
-        if (
-            shipping["shm"]["aggregate_private_bytes"]
-            >= shipping["pipe"]["aggregate_private_bytes"] / 2
-        ):
-            failures.append(
-                f"shm worker memory is not sub-linear in worker count: "
-                f"{shipping['shm']['aggregate_private_bytes']} private bytes vs "
-                f"{shipping['pipe']['aggregate_private_bytes']} for pipe blobs"
-            )
-        if args.quick:
-            pass  # ship timings at smoke scale are noise, recorded only
-        elif shipping["ship_speedup"] < args.min_ship_speedup:
-            failures.append(
-                f"shm ship is only {shipping['ship_speedup']:.2f}x faster than "
-                f"pipe blobs at {shipping['workers']} workers "
-                f"(gate: {args.min_ship_speedup:.1f}x)"
-            )
-    elif shipping.get("shm_available"):
-        failures.append("shipping comparison did not run in both modes")
-    else:
-        print(
-            "SKIPPED: the shm-vs-pipe shipping gates need named shared memory, "
-            "unavailable on this host",
-            file=sys.stderr,
+    if report["shipping"]["answer_differences"]:
+        failures.append(
+            f"{report['shipping']['answer_differences']} answer-set differences "
+            f"between the freshly shipped cluster and the serial reference"
+        )
+    # the shipping section ingests nothing: every column byte a worker holds
+    # must be a view over the one segment, none a private copy
+    if report["shipping"]["aggregate_private_bytes"] or not report["shipping"]["aggregate_adopted_bytes"]:
+        failures.append(
+            f"workers do not share the segment: "
+            f"{report['shipping']['aggregate_private_bytes']} private vs "
+            f"{report['shipping']['aggregate_adopted_bytes']} adopted column bytes"
         )
     if not report["crash_recovered"]:
         failures.append(
@@ -1166,13 +1116,6 @@ def main(argv=None) -> int:
         "with notice when the host has fewer CPUs than peak workers)",
     )
     parser.add_argument(
-        "--min-ship-speedup",
-        type=float,
-        default=3.0,
-        help="required pipe-blob/shm (re-)ship time ratio in --cluster mode "
-        "(full runs only; recorded without gating under --quick)",
-    )
-    parser.add_argument(
         "--telemetry",
         action="store_true",
         help="run the telemetry plane benchmark instead of the serving "
@@ -1221,17 +1164,11 @@ def main(argv=None) -> int:
     if args.cluster:
         report = run_cluster_benchmark(args)
         failures = evaluate_cluster_gates(args, report)
-        shipping = report.get("shipping", {})
-        ship_note = (
-            f", shm ship {shipping['ship_speedup']:.2f}x pipe blobs"
-            if "ship_speedup" in shipping
-            else ""
-        )
         pass_line = (
             f"\nPASS: cluster answers identical to serial at every worker count, "
             f"crash injection recovered ({report['crash_respawns']} respawn(s), zero "
             f"failed requests, zero leaked segments), peak scaling "
-            f"{report['cluster_scaling']:.2f}x{ship_note}"
+            f"{report['cluster_scaling']:.2f}x"
         )
     elif args.telemetry:
         report = run_telemetry_benchmark(args)

@@ -210,13 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         "(scatter-gather serving via repro.cluster; 0 = in-process)",
     )
     serve_parser.add_argument(
-        "--no-shm",
-        action="store_true",
-        help="send each cluster worker its graph image as bytes over the pipe "
-        "instead of attaching workers to a shared-memory segment (the default "
-        "when --workers > 0 and the platform supports named shared memory)",
-    )
-    serve_parser.add_argument(
         "--max-body-mb",
         type=int,
         default=64,
@@ -564,7 +557,6 @@ def _command_serve(args: argparse.Namespace) -> int:
             workers=args.workers,
             kind=args.kind,
             strategy=worker_strategy,
-            use_shm=not args.no_shm,
         )
     app = ServerApp(
         catalog,
@@ -581,8 +573,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     names = ", ".join(catalog.names()) or "none"
     tier = ""
     if cluster:
-        shipping = "shared-memory" if cluster.use_shm else "pipe-blob"
-        tier = f", cluster: {args.workers} worker process(es), {shipping} shipping"
+        tier = f", cluster: {args.workers} worker process(es), shared-memory shipping"
     print(
         f"serving {len(catalog)} graph(s) [{names}] on http://{host}:{port} "
         f"(catalog: {args.catalog or 'in-memory'}, guard: {args.kind}, "

@@ -6,10 +6,14 @@ tier) and a pool of K worker processes — each a plain ``python -m
 repro.cluster.worker`` child on one end of a socket pair, so the process
 tree is the front end and its K workers, nothing else.  Each registered
 graph is hash-partitioned by subject id (:func:`~repro.store.base.shard_of`)
-and shipped to the workers as one image of raw 4-byte id column blobs plus
-structurally packed dictionary terms — see :mod:`repro.cluster.shm` for
-the image layout, :mod:`repro.cluster.protocol` for the wire format and
-:mod:`repro.cluster.worker` for the receiving side.
+and packed once into a named segment — one image of raw 4-byte id column
+blobs plus structurally packed dictionary terms — that every worker
+attaches: see :mod:`repro.cluster.shm` for the image layout,
+:mod:`repro.cluster.protocol` for the wire format and
+:mod:`repro.cluster.worker` for the receiving side.  Every dictionary id is
+assigned here, never on a worker: ``rdf:type``, which a worker's ``G∞``
+derives even for a graph without type triples, is minted before the first
+pack.
 
 Query routing
 -------------
@@ -44,18 +48,21 @@ holding the slot's send lock, writes what that worker has not been sent
 yet (a load, or one catch-up delta) immediately ahead of the request.  A
 socket pair is FIFO and a worker single-threaded, so read-your-writes holds
 by *order*.  The log is bounded by the fold (``shm_fold_rows``): past it a
-new generation starts, and a worker that lags a fold takes a fresh image.
+new generation's segment is packed, and a worker that lags a fold attaches
+it.
 
 Failure model
 -------------
 Worker death is detected by pipe EOF (receiver thread) and by the
 heartbeat thread's liveness sweep.  A dead worker is respawned with an
-empty cursor, so its first contact loads every graph (in shm mode: the
-unchanged segment descriptor plus the log), and the failed request is
+empty cursor, so its first contact loads every graph (the unchanged
+segment descriptor plus the log), and the failed request is
 retried — a crash mid-query costs latency, never an error and never a
 wrong answer.  A load or catch-up the worker refuses marks that graph
 stale for that slot (loaded afresh on the next contact); it is never a
-reason to kill a worker.  ``close()`` asks each worker to finish its
+reason to kill a worker.  A segment that cannot be packed (no room) is a
+:class:`~repro.errors.SegmentError`: a registration that hits it is undone.
+``close()`` asks each worker to finish its
 message in hand (``SIGTERM``-equivalent shutdown message), then waits for
 the processes.  If the coordinator itself is killed, its workers see EOF,
 unlink the segments it can no longer unlink (see :mod:`repro.cluster.shm`)
@@ -80,12 +87,14 @@ from repro.cluster.worker import TARGET_FULL, TARGET_SHARD
 from repro.errors import (
     ClusterError,
     QueryError,
+    SegmentError,
     UnknownGraphError,
     UnknownTermError,
     WorkerCrashedError,
     WorkerTimeoutError,
 )
 from repro.model.graph import RDFGraph
+from repro.model.namespaces import RDF_TYPE
 from repro.model.terms import Term
 from repro.queries.bgp import BGPQuery, Variable
 from repro.service.catalog import CatalogEntry, GraphCatalog
@@ -97,8 +106,7 @@ from repro.telemetry import BYTE_BUCKETS, QueryTrace, Span, maybe_span
 __all__ = ["ClusterCoordinator"]
 
 #: The graphs a request is sent behind (:meth:`ClusterCoordinator._request`).
-_Sync = Optional[Dict[str, Optional[tuple]]]
-
+_Sync = Sequence[str]
 
 #: Queries and loads get generous timeouts (a load ships whole graphs);
 #: heartbeat pings stay short — a busy single-threaded worker not
@@ -111,8 +119,8 @@ _SHUTDOWN_TIMEOUT = 10.0
 #: ``PYTHONPATH``, however the package reached the coordinator's ``sys.path``.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
 
-#: Logged delta rows per graph beyond which the log folds into a fresh
-#: generation (in shared-memory mode: a freshly packed segment).
+#: Logged delta rows per graph beyond which the log folds into a freshly
+#: packed segment.
 SEGMENT_FOLD_ROWS = 65_536
 
 
@@ -125,8 +133,7 @@ class _GraphLog:
     rows)`` — so a load sends the generation's segment descriptor plus this
     log instead of repacking: respawn recovery is O(log), not O(graph).
     ``image`` is that descriptor, ``(segment_name, directory)`` packed at
-    ``version``; in pipe mode it is ``None`` and a load ships the store as
-    it stands.  A worker that had been sent all of ``folded_from``, the
+    ``version``.  A worker that had been sent all of ``folded_from``, the
     ``(generation, entries)`` the last fold left behind, is exactly at this
     generation's start.  Generations are unique per coordinator, so a
     cursor never outlives a drop.  Guarded by the coordinator's segment
@@ -134,8 +141,7 @@ class _GraphLog:
     the log agrees with ``dict_mark``, the dictionary ids it covers.
     """
 
-    def __init__(self, entry: CatalogEntry, generation: int, image: Optional[tuple]):
-        self.entry = entry
+    def __init__(self, entry: CatalogEntry, generation: int, image: Tuple[str, dict]):
         self.generation = generation
         self.image = image
         self.version = entry.version
@@ -244,18 +250,10 @@ class ClusterCoordinator:
         then rests on pipe EOF at request time).
     max_retries:
         Crash-retry budget per request (respawn + retry).
-    use_shm:
-        Where a worker's graph image comes from.  ``None`` (default) uses
-        the shared-memory plane when the platform supports it: each graph
-        generation is packed once into one named segment that every worker
-        attaches, and a respawned worker is sent the descriptor plus the
-        graph's log instead of a repack.  ``False`` (``serve
-        --no-shm``) sends each worker its image as bytes over the pipe —
-        same layout, same worker-side load, K private copies.
     shm_fold_rows:
-        Logged delta rows beyond which a graph's log folds into a fresh
-        generation — in shm mode a freshly packed segment (bounds the log,
-        what a lagging worker is sent, and re-attach replay work).
+        Logged delta rows beyond which a graph's log folds into a freshly
+        packed segment (bounds the log, what a lagging worker is sent, and
+        re-attach replay work).
     """
 
     def __init__(
@@ -266,7 +264,6 @@ class ClusterCoordinator:
         strategy: str = "hash",
         heartbeat_seconds: float = 2.0,
         max_retries: int = 2,
-        use_shm: Optional[bool] = None,
         shm_fold_rows: int = SEGMENT_FOLD_ROWS,
         start: bool = True,
     ):
@@ -284,14 +281,11 @@ class ClusterCoordinator:
         self._request_ids = itertools.count(1)
         self._round_robin = itertools.count()
         self._generations = itertools.count(1)
-        #: Shared-memory plane: one packed segment per graph generation.
-        self.use_shm = (
-            shm.shm_available() if use_shm is None else bool(use_shm) and shm.shm_available()
-        )
         self.shm_fold_rows = shm_fold_rows
-        self._registry = shm.SegmentRegistry() if self.use_shm else None
+        #: One packed segment per graph generation.
+        self._registry = shm.SegmentRegistry()
         #: The only way a worker learns of a write: one log per shipped
-        #: graph (either image source); guarded by self._segment_lock
+        #: graph; guarded by self._segment_lock
         self._logs: Dict[str, _GraphLog] = {}
         self._segment_lock = named_lock("cluster.segment_lock")
         #: Ship latency accounting of this coordinator, read by the bench /
@@ -326,11 +320,17 @@ class ClusterCoordinator:
     # lifecycle
     # ------------------------------------------------------------------
     def start(self) -> None:
-        """Spawn the workers and ship every registered graph."""
+        """Spawn the workers and ship every registered graph.  A graph that
+        cannot be packed raises :class:`~repro.errors.SegmentError` — it
+        stays in the catalog, and no worker outlives the failed start."""
         for handle in self._workers:
             self._spawn(handle)
-        for name in self.catalog.names():
-            self._ship(self.catalog.entry(name))
+        try:
+            for name in self.catalog.names():
+                self._ship(self.catalog.entry(name))
+        except BaseException:
+            self.close()
+            raise
         if self.heartbeat_seconds > 0:
             self._heartbeat_thread = threading.Thread(
                 target=self._heartbeat_loop, name="repro-heartbeat", daemon=True
@@ -434,8 +434,7 @@ class ClusterCoordinator:
         # segment — after this, /dev/shm holds nothing of this coordinator
         with self._segment_lock:
             self._logs.clear()
-            if self._registry is not None:
-                self._registry.close()
+            self._registry.close()
 
     def __enter__(self) -> "ClusterCoordinator":
         return self
@@ -447,7 +446,7 @@ class ClusterCoordinator:
     # request plumbing
     # ------------------------------------------------------------------
     def _request(
-        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = None
+        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = ()
     ):
         """One id-matched round trip to *handle*'s worker — every contact
         with a worker is this call, and it is the only writer of its pipe.
@@ -456,23 +455,20 @@ class ClusterCoordinator:
         send lock, whatever the worker has not been sent of each — a load,
         or one catch-up delta (:meth:`_catch_up`) — is written first and the
         request right behind it, so it is answered from a replica that has
-        every batch logged before it was sent.  (The values of *sync* are
-        pipe-mode store snapshots: a caller that contacts several workers
-        passes them all the same dict and the store is packed once.)
+        every batch logged before it was sent.
 
         A worker that refuses a load or a catch-up, or answers "unknown
         graph", has no usable copy (it keeps none after a failure): the
         graph's cursor is dropped and the request re-sent once, behind a
         fresh load — if the graph still has a log.
         """
-        sync = sync or {}
         for retried in (False, True):
             if not handle.alive:
                 raise WorkerCrashedError(f"worker {handle.index} is down")
             sent: List[Tuple[Optional[str], str, int, _PendingReply]] = []
             try:
                 with handle.send_lock:
-                    outgoing = [(name, self._catch_up(handle, name, sync)) for name in sync]
+                    outgoing = [(name, self._catch_up(handle, name)) for name in sync]
                     outgoing.append((None, (op, payload)))
                     try:
                         for name, message in outgoing:
@@ -523,9 +519,7 @@ class ClusterCoordinator:
             raise QueryError(message)
         raise ClusterError(f"worker {handle.index} {error_kind} error: {message}")
 
-    def _catch_up(
-        self, handle: _WorkerHandle, name: str, snapshots: _Sync
-    ) -> Optional[Tuple[str, tuple]]:
+    def _catch_up(self, handle: _WorkerHandle, name: str) -> Optional[Tuple[str, tuple]]:
         """The one message that brings *handle*'s worker up to date on graph
         *name* — ``(OP_LOAD, payload)`` when it holds no copy of the live
         generation, ``(OP_DELTA, payload)`` when it is behind on the log —
@@ -539,33 +533,14 @@ class ClusterCoordinator:
             generation, entries_sent = handle.cursors.get(name, (None, 0))
             if (generation, entries_sent) == log.folded_from:
                 generation, entries_sent = log.generation, 0
-            position = (log.generation, len(log.entries))
+            handle.cursors[name] = (log.generation, len(log.entries))
             if generation == log.generation:
-                handle.cursors[name] = position
                 behind = log.entries[entries_sent:]
                 return (protocol.OP_DELTA, (name, behind)) if behind else None
-            if log.image is not None:
-                handle.cursors[name] = position
-                tables = (protocol.TABLES_SHM, *log.image)
-                return protocol.OP_LOAD, (name, log.version, tables, list(log.entries))
-        # pipe mode: the image is the store as it stands, the whole log in it
-        snapshot = snapshots.get(name) or self._snapshot_store(log)
-        if snapshot is None:
-            return None  # dropped meanwhile
-        snapshots[name] = snapshot
-        position, version, pieces = snapshot
-        shard = (handle.index, pieces["shard_tables"][handle.index])
-        blobs, directory = shm.layout_image(
-            name, version, pieces["term_chunks"], [("full", pieces["full_tables"]), shard],
-            pieces["byteorder"],
-        )
-        image = b"".join(blobs)
-        self._ship_bytes.observe(float(len(image)))
-        handle.cursors[name] = position
-        return protocol.OP_LOAD, (name, version, (protocol.TABLES_INLINE, image, directory), [])
+            return protocol.OP_LOAD, (name, log.version, log.image, list(log.entries))
 
     def _call_with_retry(
-        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = None
+        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = ()
     ) -> Tuple[object, int]:
         """A round trip that survives worker crashes; returns
         ``(reply, retries_spent)``.  Crashes trigger respawn + retry up to
@@ -610,18 +585,18 @@ class ClusterCoordinator:
             # listener only appends to a log), and its holders hold nothing
             # else — so nothing can block against this spawn.
             self._spawn(handle)  # repro-lint: disable=no-blocking-under-lock
-            # re-ship: the new worker's first contact loads every graph (in
-            # shm mode the O(1) segment descriptor plus the log, never a
-            # repack) — whatever was written while the slot was down is there
+            # re-ship: the new worker's first contact loads every graph (the
+            # O(1) segment descriptor plus the log, never a repack) —
+            # whatever was written while the slot was down is there
             started = perf_counter()
             self._ping(handle, _REQUEST_TIMEOUT)
             self._record_ship("reship", perf_counter() - started)
 
-    def _ping(self, handle: _WorkerHandle, timeout: float, sync: _Sync = None) -> dict:
+    def _ping(self, handle: _WorkerHandle, timeout: float, sync: Optional[_Sync] = None) -> dict:
         """A ping sent behind everything the worker has not been sent — of
         the graphs in *sync*, by default of every graph."""
         if sync is None:
-            sync = dict.fromkeys(self.catalog.names())
+            sync = self.catalog.names()
         return self._request(handle, protocol.OP_PING, (), timeout, sync)
 
     def _heartbeat_loop(self) -> None:
@@ -650,29 +625,29 @@ class ClusterCoordinator:
     # shipping
     # ------------------------------------------------------------------
     def _ship(self, entry: CatalogEntry) -> None:
-        """Open *entry*'s log and load the graph into the workers — every
-        one of them, whichever fail; the first failure is raised.
-
-        In shared-memory mode the loads run in parallel: the payload is a
-        descriptor and the per-worker cost is the worker-side attach.
-        Pipe-mode loads go one by one and share one packing of the store.
+        """Pack *entry*'s first segment, open its log and load the graph
+        into the workers in parallel — every one of them, whichever fail;
+        the first failure is raised.  The payload is a descriptor: the
+        per-worker cost is the worker-side attach.
         """
         started = perf_counter()
-        with entry.rwlock.read_locked():
-            # Under the read lock no batch is between its insert and its
+        with entry.rwlock.write_locked():
+            # Under the write lock no batch is between its insert and its
             # listener call, so the dictionary mark, the packed generation
             # and the listener all start from the same store state.
             with self._segment_lock:
                 if entry.closed or entry.name in self._logs:
                     return
-                image = self._pack_segment(entry) if self.use_shm else None
+                # a worker's G∞ derives rdf:type rows even for a graph without
+                # type triples: its id is assigned here, so no worker mints one
+                entry.store.dictionary.encode(RDF_TYPE)
+                image = self._pack_segment(entry)
                 self._logs[entry.name] = _GraphLog(entry, next(self._generations), image)
             entry._delta_listeners.append(self._on_entry_delta)
-        sync: _Sync = {entry.name: None}
         map_on_threads(
-            lambda handle: self._ping(handle, _REQUEST_TIMEOUT, sync),
+            lambda handle: self._ping(handle, _REQUEST_TIMEOUT, [entry.name]),
             self._workers,
-            self.worker_count if self.use_shm else 1,
+            self.worker_count,
             "repro-ship",
         )
         self._record_ship("ship", perf_counter() - started)
@@ -702,57 +677,38 @@ class ClusterCoordinator:
             # entry write lock, so the store is stable and a repack is
             # consistent.  Workers that have been sent the whole log carry
             # on from ``folded_from``; the others take the new image.
-            if self.use_shm:
-                try:
-                    image = self._pack_segment(entry)
-                except OSError:
-                    # no room for the segment: the batch is inserted, logged
-                    # and reaches every worker all the same — keep the old
-                    # generation and its long log, try again next batch
-                    self._fold_failures.inc()
-                    return
-                log.image = image
+            try:
+                log.image = self._pack_segment(entry)
+            except SegmentError:
+                # no room for the segment: the batch is inserted, logged
+                # and reaches every worker all the same — keep the old
+                # generation and its long log, try again next batch
+                self._fold_failures.inc()
+                return
             log.folded_from = (log.generation, len(log.entries))
             log.generation = next(self._generations)
             log.version = entry.version
             log.entries = []
             log.rows = 0
 
-    def _snapshot_store(self, log: _GraphLog) -> Optional[tuple]:
-        """What a pipe-mode load is laid out from, taken under the entry's
-        read lock: ``(log position, version, image pieces)`` — or ``None``
-        if the graph is gone."""
-        entry = log.entry
-        with entry.rwlock.read_locked():
-            if entry.closed:
-                return None
-            with self._segment_lock:
-                position = (log.generation, len(log.entries))
-            return position, entry.version, self._image_pieces(entry)
-
-    def _image_pieces(self, entry: CatalogEntry) -> Dict[str, object]:
-        """What a graph image is laid out from, whichever source carries it
-        (caller holds the entry lock)."""
-        store = entry.store
-        return {
-            "term_chunks": protocol.pack_term_chunks(store.dictionary),
-            "shard_tables": protocol.pack_all_shard_tables(store, self.worker_count),
-            "full_tables": protocol.pack_full_tables(store),
-            "byteorder": protocol.BYTEORDER,
-        }
-
     def _pack_segment(self, entry: CatalogEntry) -> Tuple[str, dict]:
         """Pack *entry* as it stands into a fresh segment; the descriptor.
 
-        Caller holds the entry lock (read or write) and the segment lock.
+        Caller holds the entry's write lock and the segment lock.
         """
-        segment_name, directory = self._registry.pack(
-            entry.name, entry.version, **self._image_pieces(entry)
-        )
-        for info in self._registry.info():
-            if info["segment"] == segment_name:
-                self._ship_bytes.observe(float(info["bytes"]))
-                break
+        store = entry.store
+        try:
+            segment_name, directory, nbytes = self._registry.pack(
+                entry.name,
+                entry.version,
+                protocol.pack_term_chunks(store.dictionary),
+                protocol.pack_all_shard_tables(store, self.worker_count),
+                protocol.pack_full_tables(store),
+                protocol.BYTEORDER,
+            )
+        except OSError as error:
+            raise SegmentError(f"no segment for graph {entry.name!r}: {error}") from error
+        self._ship_bytes.observe(float(nbytes))
         return segment_name, directory
 
     def _record_ship(self, kind: str, seconds: float) -> None:
@@ -778,7 +734,9 @@ class ClusterCoordinator:
         graph: Optional[RDFGraph] = None,
         store=None,
     ) -> CatalogEntry:
-        """Register a graph and ship its shards to every worker."""
+        """Register a graph and ship its shards to every worker — or, when
+        its segment cannot be packed, raise :class:`SegmentError` with the
+        graph unregistered again."""
         entry = self.catalog.register(name, graph=graph, store=store)
         try:
             self._ship(entry)
@@ -786,6 +744,9 @@ class ClusterCoordinator:
             # every other worker was still sent its load; the dead one's
             # replacement loads the graph on its first contact
             pass
+        except SegmentError:
+            self.catalog.drop(name)
+            raise
         return entry
 
     def add_triples(self, name: str, triples) -> int:
@@ -797,10 +758,9 @@ class ClusterCoordinator:
         self.catalog.drop(name)
         with self._segment_lock:
             self._logs.pop(name, None)
-            if self._registry is not None:
-                # unlink first: the name disappears immediately; worker
-                # mappings stay valid until their drop closes them
-                self._registry.unlink(name)
+            # unlink first: the name disappears immediately; worker
+            # mappings stay valid until their drop closes them
+            self._registry.unlink(name)
         for handle in self._workers:
             try:
                 self._request(handle, protocol.OP_DROP, (name,), _REQUEST_TIMEOUT)
@@ -867,10 +827,9 @@ class ClusterCoordinator:
         with maybe_span(query_trace, "scatter") as scatter_span:
             # in parallel for a scatter, each request behind what its worker
             # has not been sent of the graph
-            sync: _Sync = {graph_name: None}
             outcomes = map_on_threads(
                 lambda handle: self._call_with_retry(
-                    handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT, sync
+                    handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT, [graph_name]
                 ),
                 handles,
                 len(handles),
@@ -1031,13 +990,11 @@ class ClusterCoordinator:
                 }
             )
         with self._segment_lock:
-            shm_info: Dict[str, object] = {
-                "enabled": self.use_shm,
+            shm_info = {
                 "logged_delta_rows": sum(log.rows for log in self._logs.values()),
+                "segments": self._registry.info(),
+                "packs": self._registry.packs,
             }
-            if self._registry is not None:
-                shm_info["segments"] = self._registry.info()
-                shm_info["packs"] = self._registry.packs
         return {
             "workers": workers,
             "worker_count": self.worker_count,

@@ -10,8 +10,8 @@ objects are ever pickled across the boundary:
   :data:`~repro.model.dictionary.ID_TYPECODE` ids in native byte order, the bytes
   the checkpoint also stores), extracted per shard by
   :meth:`TripleStore.partition_column_bytes` and laid out into one graph
-  *image* (:func:`repro.cluster.shm.layout_image`) that reaches a worker
-  through a shared-memory segment or as ``bytes`` on the pipe;
+  *image* (:func:`repro.cluster.shm.layout_image`) in a named segment that
+  every worker attaches — the pipe carries its name, never its bytes;
 * **terms** travel through the one term codec of
   :mod:`repro.model.dictionary` (re-exported here) — the structural
   ``(kind, value, datatype, language)`` tuples the persistent catalog's
@@ -66,8 +66,6 @@ __all__ = [
     "OP_DROP",
     "OP_PING",
     "OP_SHUTDOWN",
-    "TABLES_INLINE",
-    "TABLES_SHM",
     "TERM_CHUNK",
     "pack_terms",
     "pack_term_chunks",
@@ -80,30 +78,22 @@ __all__ = [
 
 #: Request opcodes (coordinator → worker).
 #:
-#: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* names
-#: one of the two image sources below, and *deltas* is the (possibly empty)
-#: list of log entries — ``(version, (dict_start, packed_terms), rows)``
-#: ingest batches — that post-date the image, applied in order before the
-#: load is acknowledged, so a re-attach after a crash needs no repack.
+#: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* is
+#: ``(segment_name, directory)`` — the generation's segment and where each
+#: target lies in it (see :func:`repro.cluster.shm.layout_image`) — and
+#: *deltas* is the (possibly empty) list of log entries — ``(version,
+#: (dict_start, packed_terms), rows)`` ingest batches — that post-date the
+#: image, applied in order before the load is acknowledged, so a re-attach
+#: after a crash needs no repack.
 #: ``OP_DELTA`` carries the same kind of list: every entry of the graph's
 #: log the worker has not been sent yet, in one message.  ``OP_QUERY`` has
 #: no version to wait for: what it must see was sent ahead of it.
-OP_LOAD = "load"  # (name, version, tables, deltas)
+OP_LOAD = "load"  # (name, version, (segment_name, directory), deltas)
 OP_DELTA = "delta"  # (name, [(version, (dict_start, packed_terms), rows), ...])
 OP_QUERY = "query"  # (name, sparql, target, limit, saturated, explain, trace_id)
 OP_DROP = "drop"  # (name,)
 OP_PING = "ping"  # ()
 OP_SHUTDOWN = "shutdown"  # ()
-
-#: ``OP_LOAD`` *tables* is ``(source, image, directory)``: the graph image
-#: itself as ``bytes`` on the pipe — ``("inline", image, directory)``, the
-#: targets ``"full"`` and this worker's shard — or the name of the
-#: shared-memory segment holding it — ``("shm", segment_name, directory)``,
-#: every target.  Same directory format either way (see
-#: :func:`repro.cluster.shm.layout_image`); the worker loads both through
-#: one routine.
-TABLES_INLINE = "inline"
-TABLES_SHM = "shm"
 
 #: The byte order blobs are packed in; shipped alongside so a worker on a
 #: different-endian host (exotic, but cheap to guard) byteswaps on load.
@@ -127,8 +117,8 @@ class Connection:
 
     def send(self, message) -> None:
         data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-        # a graph image on the pipe is tens of megabytes: its header goes
-        # ahead of it, not into a copy of it
+        # a large answer set or a long log entry runs to megabytes: its
+        # header goes ahead of it, not into a copy of it
         header = _LENGTH.pack(len(data))
         for part in [header + data] if len(data) < 65536 else [header, data]:
             view = memoryview(part)

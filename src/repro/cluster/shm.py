@@ -7,17 +7,10 @@ is derived from them (summaries, statistics) each worker builds on first
 need.  :func:`layout_image` is the
 pure layout step — blobs plus the *directory* of byte windows a worker
 needs to adopt them (:meth:`MemoryStore.adopt_column_buffers`, zero-copy).
-The image has two buffer *sources*, and the worker loads both through one
-routine:
-
-* **shared memory** (the default): one registered graph generation becomes
-  **one** named POSIX segment holding every target.  The coordinator packs
-  it once (:meth:`SegmentRegistry.pack`); every worker *attaches* instead
-  of receiving bytes over its pipe — K workers, one physical copy of the
-  graph per host;
-* **the pipe** (``--no-shm``, or no ``/dev/shm``): the coordinator joins
-  the blobs of ``full`` + one worker's shard into a ``bytes`` image per
-  worker and sends it with its directory.
+One registered graph generation becomes **one** named segment holding
+every target: the coordinator packs it once (:meth:`SegmentRegistry.pack`)
+and every worker *attaches* it instead of receiving bytes over its pipe —
+K workers, one physical copy of the graph per host.
 
 Lifecycle and hygiene
 ---------------------
@@ -38,23 +31,20 @@ that died whole left behind.  No helper process waits around to do it.
 
 A segment is a file in ``/dev/shm`` (where POSIX shared memory lives on
 Linux), created, mapped and unlinked with ``open`` / ``mmap`` / ``unlink``;
-on a platform without that directory :func:`shm_available` is false and
-the pipe carries the image.
+where that directory is missing or takes no locked file it is a file in
+the temporary directory, handled the same way.  A ``/dev/shm`` that works
+but is too small for a graph is no reason to move: that pack fails with
+:class:`~repro.errors.SegmentError`.
 """
 
 from __future__ import annotations
 
+import fcntl
 import mmap
 import os
 import pickle
+import tempfile
 from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple
-
-from repro.errors import ClusterError
-
-try:  # POSIX-only; without it there is no owner lock and no shm plane
-    import fcntl
-except ImportError:  # pragma: no cover
-    fcntl = None
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -63,7 +53,6 @@ __all__ = [
     "is_orphan",
     "layout_image",
     "list_segments",
-    "shm_available",
     "unlink_orphans",
 ]
 
@@ -71,42 +60,47 @@ __all__ = [
 #: run left nothing behind with one ``/dev/shm`` listing.
 SEGMENT_PREFIX = "repro-shm"
 
-_SHM_ROOT = "/dev/shm"
 
-_availability: Optional[bool] = None
+def _segment_name() -> str:
+    # pid + random suffix: unique across coordinators on one host, short
+    # enough for every platform's shm name limit
+    return f"{SEGMENT_PREFIX}-{os.getpid()}-{os.urandom(4).hex()}"
+
+
+def _root(preferred: str) -> str:
+    """*preferred* if a segment can be created, owner-locked and unlinked
+    there, else the temporary directory.
+
+    The probe writes no byte, so its verdict does not depend on how full
+    *preferred* is: every process on the host — the coordinator and each
+    worker it spawns — picks the same directory.
+    """
+    path = os.path.join(preferred, "." + _segment_name())
+    try:
+        fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o600)
+        try:
+            fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        finally:
+            os.close(fd)
+            os.unlink(path)
+    except OSError:  # missing, read-only, or no flock there
+        return tempfile.gettempdir()
+    return preferred
+
+
+#: Where segments live: POSIX shared memory where the platform mounts a
+#: usable one, else the temporary directory — the same files, calls and
+#: lifecycle.  Probed once per process; not configurable.
+_SHM_ROOT = _root("/dev/shm")
 
 
 def _path(name: str) -> str:
     return os.path.join(_SHM_ROOT, name)
 
 
-def shm_available() -> bool:
-    """Whether named shared memory actually works here (probed once)."""
-    global _availability
-    if _availability is None:
-        _availability = False
-        if fcntl is not None:
-            name = _segment_name()
-            try:
-                _create_owned(name, [b"probe"]).close()
-                os.unlink(_path(name))
-                _availability = True
-            except OSError:  # no /dev/shm, not writable, no flock: no shm here
-                pass
-    return _availability
-
-
 def list_segments() -> List[str]:
-    """Named segments of this plane currently visible in ``/dev/shm``."""
-    if not os.path.isdir(_SHM_ROOT):
-        return []
+    """Named segments of this plane currently visible in its directory."""
     return sorted(name for name in os.listdir(_SHM_ROOT) if name.startswith(SEGMENT_PREFIX))
-
-
-def _segment_name() -> str:
-    # pid + random suffix: unique across coordinators on one host, short
-    # enough for every platform's shm name limit
-    return f"{SEGMENT_PREFIX}-{os.getpid()}-{os.urandom(4).hex()}"
 
 
 def _create_owned(name: str, blobs: Iterable[bytes]) -> BinaryIO:
@@ -258,10 +252,10 @@ class SegmentRegistry:
     ``pack()`` lays a graph generation out (:func:`layout_image`, every
     shard plus the full replica) and writes it into one fresh segment; it
     returns ``(segment_name, directory)`` — the descriptor a worker needs
-    to attach and adopt.  The registry never maps a segment itself: the
+    to attach and adopt — and the segment's size.  The registry never maps a segment itself: the
     image's pages belong to the workers that read them.
 
-    Constructing a registry first unlinks every orphan in ``/dev/shm``
+    Constructing a registry first unlinks every orphan of the plane
     (:func:`unlink_orphans`) — what a coordinator that was killed together
     with its workers left behind; a live registry's segments are locked and
     stay.
@@ -271,8 +265,6 @@ class SegmentRegistry:
     """
 
     def __init__(self):
-        if not shm_available():
-            raise ClusterError("shared memory is unavailable on this platform")
         unlink_orphans()
         self._segments: Dict[str, _Segment] = {}
         self._generations: Dict[str, int] = {}
@@ -288,8 +280,9 @@ class SegmentRegistry:
         shard_tables: List[Tables],
         full_tables: Tables,
         byteorder: str,
-    ) -> Tuple[str, dict]:
+    ) -> Tuple[str, dict, int]:
         """Pack one graph generation; unlink the graph's previous one.
+        Returns the descriptor and the segment's size in bytes.
 
         The previous generation's *name* disappears immediately (workers
         already attached keep their mappings — POSIX keeps unlinked
@@ -304,12 +297,11 @@ class SegmentRegistry:
         name = _segment_name()
         owner = _create_owned(name, blobs)
         self.unlink(graph_name)
-        self._segments[graph_name] = _Segment(
-            name, owner, directory, generation, sum(len(blob) for blob in blobs)
-        )
+        nbytes = sum(len(blob) for blob in blobs)
+        self._segments[graph_name] = _Segment(name, owner, directory, generation, nbytes)
         self._generations[graph_name] = generation
         self.packs += 1
-        return name, directory
+        return name, directory, nbytes
 
     def descriptor(self, graph_name: str) -> Optional[Tuple[str, dict]]:
         """The live ``(segment_name, directory)`` of *graph_name*, if any."""

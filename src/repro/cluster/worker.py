@@ -25,18 +25,16 @@ summaries, cardinality statistics, planners and guard cascades are exactly
 the serving machinery of the single-process tier, pointed at smaller
 tables.
 
-A load carries one graph *image* plus its directory (see
-:func:`repro.cluster.shm.layout_image`), from one of two buffer sources
-(:mod:`repro.cluster.protocol`): a *shared-memory segment* the worker
-attaches by name, or a ``bytes`` image sent over the pipe.  Both go through
-the same routine (:meth:`_Worker._load_image`): the column regions are
-adopted zero-copy (:meth:`MemoryStore.adopt_column_buffers`), shard store
-and full replica alike defer their summary maintainer's priming scan to
-their first guarded query, the dictionary is hydrated lazily from the
-packed term chunks, and the load's delta log is replayed.  The only
-difference is who else holds the bytes: a segment is one physical copy per
-host, a pipe image is private to this worker.  The worker closes its
-mapping when the graph is
+A load names the graph generation's *segment* and carries its directory
+(see :func:`repro.cluster.shm.layout_image`): the worker attaches the
+segment and adopts its column regions zero-copy
+(:meth:`MemoryStore.adopt_column_buffers`) — one physical copy per host,
+however many workers.  Shard store and full replica alike defer their
+summary maintainer's priming scan to their first guarded query, the
+dictionary is hydrated lazily from the packed term chunks, and the load's
+delta log is replayed.  A worker never assigns a dictionary id: every id
+comes from the coordinator, so a log entry must start exactly where the
+worker's dictionary ends.  The worker closes its mapping when the graph is
 dropped or replaced — after closing the stores, which release their adopted
 views — and unlinks only *orphans*: the coordinator owns every segment for
 as long as it lives (see *Shutdown*).
@@ -78,7 +76,7 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.cluster import protocol, shm
-from repro.errors import QueryError, ReproError, UnknownGraphError
+from repro.errors import DictionaryError, QueryError, ReproError, UnknownGraphError
 from repro.model.dictionary import Dictionary, EncodedTriple
 from repro.model.triple import TripleKind
 from repro.queries.parser import parse_query
@@ -125,8 +123,8 @@ class _Worker:
         self.full_service = QueryService(self.full_catalog, kind=kind, strategy=strategy)
         #: Loaded graphs: name -> the version of the last batch applied.
         self.graphs: Dict[str, int] = {}
-        #: Attached shared-memory segments by graph name (closed, not
-        #: unlinked, when the graph is dropped or replaced).
+        #: Attached segments by graph name (closed, not unlinked, when the
+        #: graph is dropped or replaced).
         self.segments: Dict[str, object] = {}
         #: Graphs whose dictionary still awaits hydration from the packed
         #: term blob: ``name -> (dictionary, pickled term chunks)``.  A
@@ -139,46 +137,31 @@ class _Worker:
     # message handlers
     # ------------------------------------------------------------------
     def handle_load(self, payload: tuple) -> dict:
-        name, version, tables, deltas = payload
+        name, version, (segment_name, directory), deltas = payload
         started = perf_counter()
         if name in self.graphs:
             # a lagging copy replaced by the live generation: drop it first
             self._drop_local(name)
-        mode, source, directory = tables
-        if mode == protocol.TABLES_SHM:
-            segment = shm.attach(source)
-            buffer = segment.buf
-        elif mode == protocol.TABLES_INLINE:
-            # the adopted column views keep the bytes object alive
-            segment = None
-            buffer = memoryview(source)
-        else:
-            raise ReproError(f"unknown table shipping mode {mode!r}")
-        shard_rows, full_rows = self._load_image(name, version, buffer, directory, segment)
+        shard_rows, full_rows = self._load_image(name, version, segment_name, directory)
         # replay the log that post-dates the image (a segment is the
         # generation as packed; the batches since travel with the load)
         self._apply_log(name, deltas)
         return {
             "name": name,
             "version": self.graphs[name],
-            "mode": mode,
             "shard_rows": shard_rows,
             "full_rows": full_rows,
             "attach_seconds": perf_counter() - started,
         }
 
     def _load_image(
-        self, name: str, version: int, buffer, directory: dict, segment
+        self, name: str, version: int, segment_name: str, directory: dict
     ) -> Tuple[int, int]:
-        """Adopt one graph image's column regions zero-copy.
-
-        *buffer* is the image's bytes — a segment's mapping or a
-        ``memoryview`` of a pipe-shipped ``bytes`` — and *segment* the
-        handle that keeps a mapping alive (``None`` for a pipe image: the
-        adopted views reference the bytes object themselves).  Either the
-        graph is fully loaded when this returns, or nothing of it is left
-        behind.
-        """
+        """Attach segment *segment_name* and adopt its column regions
+        zero-copy.  Either the graph is fully loaded when this returns, or
+        nothing of it is left behind — its mapping included."""
+        segment = self.segments[name] = shm.attach(segment_name)
+        buffer = segment.buf
         stores: List[MemoryStore] = []
         try:
             byteorder = directory["byteorder"]
@@ -208,18 +191,11 @@ class _Worker:
             # leave no half-loaded graph: close every store we built
             # (releasing adopted views — close is idempotent, so stores
             # the catalogs already own close again harmlessly), then drop
-            # catalog state, then the mapping
+            # catalog state and the mapping
             for store in stores:
                 store.close()
             self._drop_local(name)
-            if segment is not None:
-                try:
-                    segment.close()
-                except BufferError:  # pragma: no cover - a stray live view
-                    pass
             raise
-        if segment is not None:
-            self.segments[name] = segment
         self._pending_terms[name] = (dictionary, terms_blob)
         self.graphs[name] = version
         return shard_rows, full_rows
@@ -290,19 +266,15 @@ class _Worker:
                 # an entry's dict-offset contract needs the full base
                 # dictionary (a load without a log still leaves it packed)
                 self._hydrate_terms(name)
-                # the entry packs dictionary ids [dict_start, dict_start+len);
-                # a pipe image is the store as it stood when loaded and may
-                # already cover a prefix (or all) of it — skip what we have,
-                # append only the genuine tail
-                current = len(dictionary)
-                if current < dict_start:
-                    raise ReproError(
-                        f"delta term gap for {name!r}: worker has {current} ids, "
-                        f"delta starts at {dict_start}"
+                # the entry packs dictionary ids [dict_start, dict_start+len)
+                # and the image is its generation's start: the worker's ids
+                # must end exactly where the entry's begin
+                if len(dictionary) != dict_start:
+                    raise DictionaryError(
+                        f"delta term offset mismatch for {name!r}: worker has "
+                        f"{len(dictionary)} ids, delta starts at {dict_start}"
                     )
-                already = current - dict_start
-                if already < len(packed):
-                    protocol.unpack_terms(packed[already:], dictionary)
+                protocol.unpack_terms(packed, dictionary)
                 applied_full += full_entry.add_encoded_rows(_encoded(rows))
                 mine = protocol.shard_rows(rows, self.shard_index, self.shard_count)
                 applied_shard += shard_entry.add_encoded_rows(_encoded(mine))
@@ -364,34 +336,21 @@ class _Worker:
         """Peak RSS of this worker in KiB (``None`` off POSIX).
 
         Informational only: shared segment pages count against every
-        worker that touched them, so memory *gates* read the deterministic
-        :meth:`MemoryStore.column_memory` accounting instead.
+        worker that touched them, so replica memory is read off the
+        deterministic :meth:`MemoryStore.column_memory` accounting instead.
         """
         if resource is None:
             return None
         return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 
     def _column_memory(self) -> Dict[str, int]:
-        """Private vs shared column bytes across every store of this worker.
-
-        Only views over an attached segment count as ``adopted_bytes``
-        (shared — one physical copy per host).  A pipe-shipped image is
-        adopted the same way, but its bytes are this worker's own.
-        """
+        """Private vs shared column bytes across every store of this worker
+        (views over a segment are ``adopted_bytes``: one copy per host)."""
         totals = {"private_bytes": 0, "adopted_bytes": 0}
         for catalog in (self.shard_catalog, self.full_catalog):
             for name in catalog.names():
-                try:
-                    store = catalog.entry(name).store
-                except UnknownGraphError:  # pragma: no cover - race-free loop
-                    continue
-                column_memory = getattr(store, "column_memory", None)
-                if column_memory is None:
-                    continue
-                memory = column_memory()
-                totals["private_bytes"] += memory["private_bytes"]
-                shared = "adopted_bytes" if name in self.segments else "private_bytes"
-                totals[shared] += memory["adopted_bytes"]
+                for key, nbytes in catalog.entry(name).store.column_memory().items():
+                    totals[key] += nbytes
         return totals
 
     def _encode_answer(self, answer: QueryAnswer) -> dict:

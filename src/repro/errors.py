@@ -119,3 +119,8 @@ class WorkerTimeoutError(ClusterError):
     timeout (the process is alive but unresponsive — e.g. wedged in a
     pathological join).  Unlike a crash this is *not* auto-retried: the
     same request would wedge the respawned worker again."""
+
+
+class SegmentError(ClusterError):
+    """Raised when a graph generation cannot be packed into its segment
+    (``/dev/shm`` full, say): a registration that hits it is undone."""

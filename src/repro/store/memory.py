@@ -721,10 +721,10 @@ class MemoryStore(TripleStore):
         ``private_bytes`` counts process-owned column storage (plain
         ``array`` columns plus the tails of adopted views);
         ``adopted_bytes`` counts borrowed base buffers (shared segments —
-        one physical copy per host however many stores adopt them).  This
-        is what the cluster bench gates sub-linear replica memory on: raw
-        RSS attributes every touched shared page to every process and
-        would hide exactly the sharing being measured.
+        one physical copy per host however many stores adopt them).  The
+        cluster reports replica memory from this, not from RSS: RSS
+        attributes every touched shared page to every process and would
+        hide exactly the sharing being measured.
         """
         self._check_open()
         private = 0

@@ -11,18 +11,21 @@ from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 
 
-@pytest.fixture(scope="module", params=[True, False], ids=["shm", "pipe"])
-def cluster_pair(request, bsbm_small):
-    """A 3-worker cluster and a serial reference service over the same data,
-    once per image source (shared-memory segment, bytes over the pipe)."""
+@pytest.fixture(scope="module", params=[2, 3], ids=["k2", "k3"])
+def shards(request):
+    """Shard count K: every shard layout must answer the same."""
+    return request.param
+
+
+@pytest.fixture(scope="module")
+def cluster_pair(shards, bsbm_small):
+    """A K-worker cluster and a serial reference service over the same data."""
     catalog = GraphCatalog()
     catalog.register("bsbm", graph=bsbm_small)
     serial_catalog = GraphCatalog()
     serial_catalog.register("bsbm", graph=bsbm_small)
     service = QueryService(serial_catalog)
-    coordinator = ClusterCoordinator(
-        catalog, workers=3, heartbeat_seconds=0, use_shm=request.param
-    )
+    coordinator = ClusterCoordinator(catalog, workers=shards, heartbeat_seconds=0)
     yield coordinator, service, serial_catalog
     coordinator.close()
     catalog.close()
@@ -49,7 +52,7 @@ def test_workload_parity(cluster_pair, bsbm_small):
     assert scattered > 0
 
 
-def test_star_query_scatters(cluster_pair, bsbm_small):
+def test_star_query_scatters(cluster_pair, shards, bsbm_small):
     coordinator, service, _ = cluster_pair
     triple = _sample_triple(bsbm_small)
     query = parse_query(
@@ -59,7 +62,7 @@ def test_star_query_scatters(cluster_pair, bsbm_small):
     clustered = coordinator.answer("bsbm", query)
     assert clustered.answers == serial.answers
     assert clustered.cluster["mode"] == "scatter"
-    assert len(clustered.cluster["workers"]) == 3
+    assert len(clustered.cluster["workers"]) == shards
 
 
 def test_chain_query_routes_to_full_replica(cluster_pair, bsbm_small):
@@ -170,25 +173,22 @@ def test_register_and_drop_at_runtime(cluster_pair, fig2):
         coordinator.answer("fig2", query)
 
 
-def test_status_reports_workers(cluster_pair):
+def test_status_reports_workers(cluster_pair, shards):
     coordinator, _, _ = cluster_pair
     status = coordinator.status()
-    assert status["worker_count"] == 3
-    assert len(status["workers"]) == 3
+    assert status["worker_count"] == shards
+    assert len(status["workers"]) == shards
     for worker in status["workers"]:
         assert worker["alive"]
     assert "bsbm" in status["graphs"]
     assert status["service"]["queries"] > 0
 
 
-def test_load_ack_is_the_same_for_both_image_sources(cluster_pair):
+def test_load_ack_reports_rows_and_attach_time(cluster_pair):
     coordinator, _, _ = cluster_pair
     for worker in coordinator.status()["workers"]:
         ack = worker["last_load"]
-        assert ack["mode"] == ("shm" if coordinator.use_shm else "inline")
-        assert set(ack) == {
-            "name", "version", "mode", "shard_rows", "full_rows", "attach_seconds"
-        }
+        assert set(ack) == {"name", "version", "shard_rows", "full_rows", "attach_seconds"}
         assert ack["full_rows"] >= ack["shard_rows"] and ack["full_rows"] > 0
 
 

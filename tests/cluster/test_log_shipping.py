@@ -6,13 +6,14 @@ ingest, folds, worker kills, drop + register and the three routing paths,
 and check after every step that the cluster answers exactly what the
 in-process service answers on the same catalog — so a query issued right
 after an ingest sees it on the shard path and on the replica path, across a
-fold and across a respawn.  Plus the two faults the log closes: a fold that
-cannot pack, and a worker that stopped reading."""
+fold and across a respawn.  Plus the faults around it: a fold or a
+registration that cannot pack, and a worker that stopped reading."""
 
 import errno
 import os
 import random
 import signal
+import sqlite3
 import threading
 import time
 
@@ -20,26 +21,17 @@ import pytest
 
 from repro import telemetry
 from repro.cluster import ClusterCoordinator, shm
+from repro.errors import SegmentError, UnknownGraphError
 from repro.model.namespaces import RDF_TYPE, RDFS_SUBCLASSOF
 from repro.model.terms import URI
 from repro.model.triple import Triple
 from repro.queries.parser import parse_query
+from repro.server.http import ServerApp
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 
 FOLD_ROWS = 8
 STEPS = 14
-
-_MODES = [
-    pytest.param(
-        True,
-        id="shm",
-        marks=pytest.mark.skipif(
-            not shm.shm_available(), reason="named shared memory unavailable"
-        ),
-    ),
-    pytest.param(False, id="pipe"),
-]
 
 
 def _uri(kind, number):
@@ -80,17 +72,17 @@ def _own_segments():
     return [name for name in shm.list_segments() if name.startswith(prefix)]
 
 
-@pytest.mark.parametrize("use_shm", _MODES)
+@pytest.mark.parametrize("workers", [2, 3], ids=["k2", "k3"])
 @pytest.mark.parametrize("seed", range(20))
-def test_seeded_schedule_matches_the_in_process_service(seed, use_shm):
+def test_seeded_schedule_matches_the_in_process_service(seed, workers):
     rng = random.Random(seed)
     catalog = GraphCatalog()
     catalog.register("g", graph=_batch(rng, 10))
     service = QueryService(catalog)
     coordinator = ClusterCoordinator(
-        catalog, workers=2, heartbeat_seconds=0, use_shm=use_shm, shm_fold_rows=FOLD_ROWS
+        catalog, workers=workers, heartbeat_seconds=0, shm_fold_rows=FOLD_ROWS
     )
-    packs = 1 if use_shm else 0  # the register at start()
+    packs = 1  # the register at start()
     logged = 0
     try:
         for step in range(STEPS):
@@ -100,27 +92,27 @@ def test_seeded_schedule_matches_the_in_process_service(seed, use_shm):
                 logged += coordinator.add_triples("g", _batch(rng, size))
                 if logged >= FOLD_ROWS:
                     logged = 0
-                    packs += use_shm
+                    packs += 1
             elif op == "kill":
-                victim = coordinator.status()["workers"][rng.randrange(2)]
+                victim = coordinator.status()["workers"][rng.randrange(workers)]
                 if victim["alive"]:  # else: still down from an earlier kill
                     os.kill(victim["pid"], signal.SIGKILL)
             elif op == "reregister":
                 coordinator.drop("g")
                 coordinator.register("g", graph=_batch(rng, 10))
                 logged = 0
-                packs += use_shm
+                packs += 1
             mode, text, saturated = rng.choice(_PROBES)
             query = parse_query(text)
             answer = coordinator.answer("g", query, saturated=saturated)
             expected = service.answer("g", query, saturated=saturated)
-            context = (seed, step, op, text)
+            context = (seed, workers, step, op, text)
             assert answer.answers == expected.answers, context
             assert answer.cluster["mode"] == mode, context
             status = coordinator.status()
             # a pack happens at register and at a fold — never for a kill,
             # a lagging worker or a respawn
-            assert status["shm"].get("packs", 0) == packs, context
+            assert status["shm"]["packs"] == packs, context
             assert status["shm"]["logged_delta_rows"] == logged, context
             # the log is bounded by the fold, whoever has or has not read it
             for worker in status["workers"]:
@@ -187,7 +179,6 @@ def test_queued_deltas_counts_log_entries_not_yet_sent():
     assert gauge.value == base
 
 
-@pytest.mark.skipif(not shm.shm_available(), reason="named shared memory unavailable")
 def test_failed_fold_keeps_the_batch_and_the_ingest(monkeypatch):
     """``/dev/shm`` full at fold time: the batch is inserted and logged, so
     the ingest succeeds, every worker still sees the rows (the old
@@ -238,8 +229,63 @@ def test_failed_fold_keeps_the_batch_and_the_ingest(monkeypatch):
     assert _own_segments() == []
 
 
-@pytest.mark.parametrize("use_shm", _MODES)
-def test_a_stopped_worker_stops_no_writer(use_shm):
+def test_no_room_at_registration_is_all_or_nothing(tmp_path, monkeypatch):
+    """``/dev/shm`` full when a graph registers: the POST is a typed cluster
+    error (a 503, never a bare ``OSError``), the graph is neither listed nor
+    persisted, and the same POST succeeds once there is room again."""
+    path = str(tmp_path / "catalog.db")
+    catalog = GraphCatalog.open(path)
+    app = ServerApp(catalog, cluster=ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0))
+    body = {"name": "g", "triples": "<http://log/n0> <http://log/p0> <http://log/n1> .\n"}
+    probe = {"query": "SELECT ?o WHERE { <http://log/n0> <http://log/p0> ?o }"}
+    try:
+
+        def full(*_args, **_kwargs):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(app.cluster._registry, "pack", full)
+        with pytest.raises(SegmentError, match="No space left"):
+            app.dispatch("POST", "/graphs", body)
+        assert app.dispatch("GET", "/graphs", None) == (200, {"graphs": []})
+        with sqlite3.connect(path) as connection:
+            assert connection.execute("SELECT name FROM graphs").fetchall() == []
+        with pytest.raises(UnknownGraphError):
+            app.dispatch("POST", "/graphs/g/query", probe)
+        monkeypatch.undo()
+        assert app.dispatch("POST", "/graphs", body)[0] == 201
+        status, answer = app.dispatch("POST", "/graphs/g/query", probe)
+        assert status == 200 and answer["answers"] == [["<http://log/n1>"]]
+    finally:
+        app.close()
+        catalog.close()
+    assert _own_segments() == []
+
+
+def test_no_room_at_a_warm_start_keeps_the_durable_graph(monkeypatch):
+    """A warm-started graph that cannot be packed fails ``start()`` with
+    the same typed error; the graph is durable, so it stays in the catalog,
+    and no worker outlives the failed start."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=_batch(random.Random(0), 10))
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0, start=False)
+
+    def full(*_args, **_kwargs):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(coordinator._registry, "pack", full)
+    try:
+        with pytest.raises(SegmentError, match="No space left"):
+            coordinator.start()
+        assert catalog.names() == ["g"]
+        assert all(handle.process.poll() is not None for handle in coordinator._workers)
+    finally:
+        coordinator.close()
+        catalog.close()
+    assert _own_segments() == []
+
+
+@pytest.mark.parametrize("workers", [2, 3], ids=["k2", "k3"])
+def test_a_stopped_worker_stops_no_writer(workers):
     """A worker that is alive but not reading used to park every writer on
     its full delta queue — inside the entry's write lock, so checkpoints
     and statistics hung with it.  Ingest only appends to the log."""
@@ -247,7 +293,7 @@ def test_a_stopped_worker_stops_no_writer(use_shm):
     catalog = GraphCatalog()
     catalog.register("g", graph=_batch(random.Random(0), 10))
     coordinator = ClusterCoordinator(
-        catalog, workers=2, heartbeat_seconds=0, use_shm=use_shm, shm_fold_rows=fold_rows
+        catalog, workers=workers, heartbeat_seconds=0, shm_fold_rows=fold_rows
     )
     stopped = coordinator.status()["workers"][0]["pid"]
     os.kill(stopped, signal.SIGSTOP)
@@ -280,7 +326,7 @@ def test_a_stopped_worker_stops_no_writer(use_shm):
     try:
         query = parse_query("SELECT ?s ?o WHERE { ?s <http://log/stopped> ?o }")
         answer = coordinator.answer("g", query)
-        assert answer.cluster["workers"] == [0, 1]
+        assert answer.cluster["workers"] == list(range(workers))
         assert len(answer.answers) == 200
         assert coordinator.status()["workers"][0]["pid"] == stopped  # never killed for lagging
     finally:

@@ -1,9 +1,9 @@
 """Regressions for the coordinator/worker failure-path review fixes: a
 query racing a drop or sent behind a re-ship is answered promptly,
 registration snapshots once, sustained ingest during a
-respawn re-ship must never wedge the write path, and a graph image loads
-through one routine — same ack, same lazy state, same failure cleanup —
-whether its bytes come from a shared-memory segment or over the pipe."""
+respawn re-ship must never wedge the write path, a segment load adopts
+its columns and defers the rest, a failed load cleans up after itself, and
+no worker ever assigns a dictionary id."""
 
 import os
 import signal
@@ -14,11 +14,13 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, protocol, shm
 from repro.cluster.worker import TARGET_FULL, TARGET_SHARD, _Worker
-from repro.errors import ReproError, WorkerCrashedError
+from repro.errors import DictionaryError, ReproError, WorkerCrashedError
+from repro.model.namespaces import RDF_TYPE, RDFS_DOMAIN
 from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
+from repro.service.service import QueryService
 from repro.store.memory import MemoryStore
 
 
@@ -42,36 +44,22 @@ def _triples(count, prefix="http://x"):
     ]
 
 
-def _load_payload(store, name="g", version=0, shards=1, registry=None):
+def _load_payload(registry, store, name="g", version=0, shards=1):
     """An ``OP_LOAD`` for shard 0 the way the coordinator builds one: the
-    image as bytes on the pipe, or — given a *registry* — packed into a
-    shared-memory segment."""
-    term_chunks = protocol.pack_term_chunks(store.dictionary)
-    shard_tables = protocol.pack_all_shard_tables(store, shards)
-    full_tables = protocol.pack_full_tables(store)
-    if registry is not None:
-        segment_name, directory = registry.pack(
-            name, version, term_chunks, shard_tables, full_tables, protocol.BYTEORDER
-        )
-        return name, version, (protocol.TABLES_SHM, segment_name, directory), []
-    blobs, directory = shm.layout_image(
+    store packed into a segment of *registry*, plus an empty log."""
+    segment_name, directory, _ = registry.pack(
         name,
         version,
-        term_chunks,
-        [("full", full_tables), (0, shard_tables[0])],
+        protocol.pack_term_chunks(store.dictionary),
+        protocol.pack_all_shard_tables(store, shards),
+        protocol.pack_full_tables(store),
         protocol.BYTEORDER,
     )
-    return name, version, (protocol.TABLES_INLINE, b"".join(blobs), directory), []
+    return name, version, (segment_name, directory), []
 
 
-@pytest.fixture(params=["pipe", "shm"])
-def image_registry(request):
-    """``None`` for a pipe-shipped image, a segment registry for shm."""
-    if request.param == "pipe":
-        yield None
-        return
-    if not shm.shm_available():
-        pytest.skip("named shared memory unavailable")
+@pytest.fixture
+def registry():
     registry = shm.SegmentRegistry()
     yield registry
     registry.close()
@@ -109,7 +97,7 @@ class _ScriptedPipe(_PipeStub):
         return self.messages.pop(0)
 
 
-def test_query_racing_a_drop_gets_unknown_graph_promptly():
+def test_query_racing_a_drop_gets_unknown_graph_promptly(registry):
     """A query that reaches the worker behind the drop of its graph is
     answered at once with the unknown-graph error — nothing parks it, so
     the coordinator-side waiter never sits out the request timeout."""
@@ -117,7 +105,7 @@ def test_query_racing_a_drop_gets_unknown_graph_promptly():
     store.insert_triples(_triples(3))
     pipe = _ScriptedPipe(
         [
-            (1, protocol.OP_LOAD, _load_payload(store)),
+            (1, protocol.OP_LOAD, _load_payload(registry, store)),
             (2, protocol.OP_QUERY, _query_payload()),
             (3, protocol.OP_DROP, ("g",)),
             (7, protocol.OP_QUERY, _query_payload()),
@@ -135,12 +123,12 @@ def test_query_racing_a_drop_gets_unknown_graph_promptly():
     store.close()
 
 
-def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy():
+def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy(registry):
     """A re-ship/replace load replaces the stale copy, and the query sent
     right behind it — and behind a catch-up delta — sees every row."""
     store = MemoryStore()
     store.insert_triples(_triples(2))
-    stale = _load_payload(store, version=0)
+    stale = _load_payload(registry, store, version=0)
     mark = len(store.dictionary)
     fresh = store.insert_triples(_triples(3), skip_existing=True)
     entry = (
@@ -150,17 +138,19 @@ def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy():
     )
     reshipped = stale[:3] + ([entry],)  # the same image plus the log since
     store.insert_triples(_triples(4))
+    later = shm.SegmentRegistry()  # the next generation, its stale one still named
     pipe = _ScriptedPipe(
         [
             (1, protocol.OP_LOAD, stale),
             (2, protocol.OP_LOAD, reshipped),
             (11, protocol.OP_QUERY, _query_payload()),
-            (12, protocol.OP_LOAD, _load_payload(store, version=2)),
+            (12, protocol.OP_LOAD, _load_payload(later, store, version=2)),
             (13, protocol.OP_QUERY, _query_payload()),
         ]
     )
     worker = _Worker(pipe, {"shard_index": 0, "shard_count": 1})
     worker.run()
+    later.close()
     replies = {rid: (status, payload) for rid, status, payload in pipe.sent}
     assert replies[2][1]["version"] == 1
     assert replies[11][0] == "ok" and len(replies[11][1]["answers"]) == 3
@@ -168,55 +158,50 @@ def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy():
     store.close()
 
 
-def test_failed_catch_up_leaves_no_copy_to_answer_from():
-    """A delta the worker cannot apply (here: a gap in the dictionary ids)
-    drops the graph instead of leaving a replica that misses a batch: the
-    query behind it gets unknown-graph, and a fresh load recovers."""
+@pytest.mark.parametrize("offset", [5, -1], ids=["gap", "overlap"])
+def test_failed_catch_up_leaves_no_copy_to_answer_from(registry, offset):
+    """A delta the worker cannot apply (its terms do not start where the
+    worker's dictionary ends) drops the graph instead of leaving a replica
+    that misses a batch or mis-keys a term: the query behind it gets
+    unknown-graph, and a fresh load recovers."""
     store = MemoryStore()
     store.insert_triples(_triples(2))
     worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
-    worker.handle_load(_load_payload(store))
-    gap = (1, (len(store.dictionary) + 5, []), [])
-    with pytest.raises(ReproError, match="term gap"):
-        worker.handle_delta(("g", [gap]))
+    worker.handle_load(_load_payload(registry, store))
+    mismatch = (1, (len(store.dictionary) + offset, []), [])
+    with pytest.raises(DictionaryError, match="term offset mismatch"):
+        worker.handle_delta(("g", [mismatch]))
     assert worker.graphs == {} and worker.full_catalog.names() == []
     worker._reply(9, worker.handle_query, _query_payload())
     assert worker.connection.sent[-1][2][0] == "unknown_graph"
-    worker.handle_load(_load_payload(store))
+    worker.handle_load(_load_payload(registry, store))
     assert len(worker.handle_query(_query_payload())["answers"]) == 2
     worker.close()
     store.close()
 
 
-def test_load_is_source_independent(image_registry):
-    """Both image sources get the same ack and the same deferred work: the
-    columns are adopted (not copied), neither store primes its summary
-    maintainer at load — each does exactly once, on its first guarded query
-    — and the dictionary waits for the first query."""
+def test_load_adopts_the_segment_and_defers_the_rest(registry):
+    """A load acks at once: the columns are adopted (not copied), neither
+    store primes its summary maintainer at load — each does exactly once,
+    on its first guarded query — and the dictionary waits for the first
+    query."""
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(6))
     worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
     try:
-        reply = worker.handle_load(_load_payload(entry.store, registry=image_registry))
-        assert set(reply) == {
-            "name", "version", "mode", "shard_rows", "full_rows", "attach_seconds"
-        }
-        assert reply["mode"] == ("inline" if image_registry is None else "shm")
+        reply = worker.handle_load(_load_payload(registry, entry.store))
+        assert set(reply) == {"name", "version", "shard_rows", "full_rows", "attach_seconds"}
         assert reply["shard_rows"] == reply["full_rows"] == 6
-        assert len(worker.segments) == (0 if image_registry is None else 1)
+        assert len(worker.segments) == 1
         shard_entry = worker.shard_catalog.entry("g")
         full_entry = worker.full_catalog.entry("g")
         assert "g" in worker._pending_terms and len(full_entry.store.dictionary) == 0
         assert shard_entry.build_counters["prime_scans"] == 0
         assert full_entry.build_counters["prime_scans"] == 0
-        # adopted either way, but only segment pages are shared between
-        # workers — a pipe image's bytes are this worker's own
+        # segment pages are shared between workers: nothing private
         memory = worker.handle_ping(())["column_memory"]
         column_bytes = 2 * 6 * 12  # two stores, six rows, three 4-byte ids a row
-        if image_registry is None:
-            assert memory == {"private_bytes": column_bytes, "adopted_bytes": 0}
-        else:
-            assert memory == {"private_bytes": 0, "adopted_bytes": column_bytes}
+        assert memory == {"private_bytes": 0, "adopted_bytes": column_bytes}
         guarded = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # an RBGP: the guard runs
         for _again in range(2):
             for target in (TARGET_SHARD, TARGET_FULL):
@@ -230,7 +215,7 @@ def test_load_is_source_independent(image_registry):
 
 
 @pytest.mark.parametrize("fault", ["full-row-count", "full-register"])
-def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
+def test_failed_load_leaves_nothing_behind(registry, fault, monkeypatch):
     """A load that raises — before or after the shard entry was registered
     — leaves no catalog entry, mapping or pending state, so a correct
     re-ship of the same name succeeds (the old pipe loader left the shard
@@ -238,15 +223,15 @@ def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(4))
     worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
-    good = _load_payload(entry.store, registry=image_registry)
+    good = _load_payload(registry, entry.store)
     try:
         if fault == "full-row-count":
-            name, version, (mode, source, directory), deltas = good
+            name, version, (segment_name, directory), deltas = good
             data = TripleKind.DATA.value
             count, *offsets = directory["targets"]["full"][data]
             full = {**directory["targets"]["full"], data: (count + 1, *offsets)}
             corrupt = {**directory, "targets": {**directory["targets"], "full": full}}
-            bad = (name, version, (mode, source, corrupt), deltas)
+            bad = (name, version, (segment_name, corrupt), deltas)
         else:
             bad = good
 
@@ -265,6 +250,49 @@ def test_failed_load_leaves_nothing_behind(image_registry, fault, monkeypatch):
     finally:
         worker.close()
         catalog.close()
+
+
+def test_a_saturated_query_mints_no_id_on_a_worker():
+    """A graph with a domain constraint but no type triple: a worker's
+    ``G∞`` derives ``rdf:type`` rows, so ``rdf:type`` needs an id.  Were it
+    minted on the worker, the next logged batch's terms would land one id
+    off there — a constant-subject probe would miss the ingested row, and
+    ``G∞`` rows would decode with a wrong predicate at the coordinator."""
+    triples = [
+        Triple(URI("http://x/a"), URI("http://x/p"), URI("http://x/b")),
+        Triple(URI("http://x/p"), RDFS_DOMAIN, URI("http://x/C")),
+    ]
+    serial_catalog = GraphCatalog()
+    serial_catalog.register("g", graph=triples)
+    service = QueryService(serial_catalog)
+    catalog = GraphCatalog()
+    catalog.register("g", graph=triples)
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
+    typed = parse_query("SELECT ?s ?o WHERE { ?s <%s> ?o }" % RDF_TYPE.value)
+    probes = [
+        (parse_query("SELECT ?o WHERE { <http://x/x> <http://x/q> ?o }"), False),
+        (parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }"), False),
+        (parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }"), True),
+        (typed, True),
+    ]
+    try:
+        for _each_replica in range(2):
+            assert coordinator.answer("g", typed, saturated=True).answers == {
+                (URI("http://x/a"), URI("http://x/C"))
+            }
+        ingested = [Triple(URI("http://x/x"), URI("http://x/q"), URI("http://x/y"))]
+        coordinator.add_triples("g", ingested)
+        serial_catalog.add_triples("g", ingested)
+        for _each_replica in range(2):
+            for query, saturated in probes:
+                answer = coordinator.answer("g", query, saturated=saturated)
+                expected = service.answer("g", query, saturated=saturated)
+                assert answer.answers == expected.answers, (query.to_sparql(), saturated)
+        assert (URI("http://x/y"),) in coordinator.answer("g", probes[0][0]).answers
+    finally:
+        coordinator.close()
+        catalog.close()
+        serial_catalog.close()
 
 
 def test_register_snapshots_once(bsbm_small, monkeypatch):
@@ -399,7 +427,7 @@ def test_two_worker_deaths_under_one_request_fit_the_crash_budget(bsbm_small):
         real_request = coordinator._request
         kills = []
 
-        def dying(h, op, payload, timeout, sync=None):
+        def dying(h, op, payload, timeout, sync=()):
             if op == protocol.OP_QUERY and len(kills) < 2:
                 # the worker dies with the query in its pipe
                 kills.append(h.process.pid)
@@ -434,7 +462,7 @@ def test_crash_during_respawn_reship_is_retried(bsbm_small, monkeypatch):
         real_request = coordinator._request
         real_ensure = coordinator._ensure_alive
 
-        def scripted_request(h, op, payload, timeout, sync=None):
+        def scripted_request(h, op, payload, timeout, sync=()):
             if request_script:
                 raise request_script.pop(0)
             return real_request(h, op, payload, timeout, sync)

@@ -12,7 +12,6 @@ import sys
 import textwrap
 import time
 
-import pytest
 
 from repro.cluster import ClusterCoordinator, protocol, shm
 from repro.model.terms import URI
@@ -21,10 +20,6 @@ from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
 from repro.store.base import ID_BYTES, ID_TYPECODE
 from repro.store.memory import MemoryStore
-
-pytestmark = pytest.mark.skipif(
-    not shm.shm_available(), reason="named shared memory unavailable"
-)
 
 
 def _store(count=64):
@@ -37,7 +32,8 @@ def _store(count=64):
 
 
 def _pack(registry, store, name="g", version=0, shards=2):
-    return registry.pack(
+    """The ``(segment_name, directory)`` descriptor of a fresh pack."""
+    segment_name, directory, nbytes = registry.pack(
         name,
         version,
         protocol.pack_term_chunks(store.dictionary),
@@ -45,6 +41,8 @@ def _pack(registry, store, name="g", version=0, shards=2):
         protocol.pack_full_tables(store),
         protocol.BYTEORDER,
     )
+    assert nbytes == os.path.getsize(os.path.join(shm._SHM_ROOT, segment_name))
+    return segment_name, directory
 
 
 class TestRegistry:
@@ -182,7 +180,6 @@ def test_worker_crash_injection_no_repack_no_leak(bsbm_small):
     catalog.register("g", graph=bsbm_small)
     coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0.2)
     try:
-        assert coordinator.use_shm
         packs_before = coordinator.status()["shm"]["packs"]
         assert packs_before == 1
         victim = coordinator.status()["workers"][0]["pid"]
@@ -251,13 +248,12 @@ def _eventually(condition, timeout=10.0):
     return condition()
 
 
-@pytest.mark.parametrize("use_shm", [True, False], ids=["shm", "pipe"])
-def test_sigkilled_coordinator_is_cleaned_up_by_its_workers(tmp_path, use_shm):
+def test_sigkilled_coordinator_is_cleaned_up_by_its_workers(tmp_path):
     """Nothing outlives a coordinator that dies by SIGKILL: its workers see
     EOF, unlink the segments nobody owns any more, and exit."""
     process, started = _run_until_first_line(
         tmp_path,
-        f"""
+        """
         import json, time
         from repro.cluster import ClusterCoordinator
         from repro.datasets.sample import figure2_graph
@@ -265,14 +261,12 @@ def test_sigkilled_coordinator_is_cleaned_up_by_its_workers(tmp_path, use_shm):
 
         catalog = GraphCatalog()
         catalog.register("g", graph=figure2_graph())
-        coordinator = ClusterCoordinator(
-            catalog, workers=2, heartbeat_seconds=0, use_shm={use_shm}
-        )
+        coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
         status = coordinator.status()
-        print(json.dumps({{
+        print(json.dumps({
             "workers": [worker["pid"] for worker in status["workers"]],
-            "segments": [s["segment"] for s in status["shm"].get("segments", [])],
-        }}), flush=True)
+            "segments": [s["segment"] for s in status["shm"]["segments"]],
+        }), flush=True)
         time.sleep(120)
         """,
     )
@@ -280,7 +274,7 @@ def test_sigkilled_coordinator_is_cleaned_up_by_its_workers(tmp_path, use_shm):
         prefix = f"{shm.SEGMENT_PREFIX}-{process.pid}-"
         assert len(started["workers"]) == 2
         assert not any(_ended(pid) for pid in started["workers"])
-        assert len(started["segments"]) == (1 if use_shm else 0)
+        assert len(started["segments"]) == 1
         assert all(name.startswith(prefix) for name in started["segments"])
         assert set(started["segments"]) <= set(shm.list_segments())
     finally:
@@ -316,7 +310,7 @@ def test_sigkilled_registry_leaves_an_orphan_the_next_registry_sweeps(tmp_path):
                 for i in range(64)
             )
             registry = shm.SegmentRegistry()
-            name, _ = registry.pack(
+            name, _, _ = registry.pack(
                 "g", 0,
                 protocol.pack_term_chunks(store.dictionary),
                 protocol.pack_all_shard_tables(store, 2),
@@ -376,7 +370,6 @@ def test_closed_pipe_under_a_live_coordinator_unlinks_nothing(bsbm_small):
         assert coordinator.answer("g", query).answers  # respawns worker 0
         after = coordinator.status()
         assert after["workers"][0]["pid"] != retired
-        assert after["workers"][0]["last_load"]["mode"] == "shm"
         assert [s["segment"] for s in after["shm"]["segments"]] == [segment]
         assert after["shm"]["packs"] == before["shm"]["packs"] == 1
     finally:
@@ -418,9 +411,7 @@ def test_worker_losing_its_pipe_under_a_reply_still_looks_for_orphans(monkeypatc
     worker = worker_module._Worker(_PipeThatBreaks(), {"shard_index": 0, "shard_count": 1})
     try:
         segment_name, directory = _pack(registry, store, shards=1)
-        worker._reply(
-            1, worker.handle_load, ("g", 0, (protocol.TABLES_SHM, segment_name, directory), [])
-        )
+        worker._reply(1, worker.handle_load, ("g", 0, (segment_name, directory), []))
         assert worker.connection.sent[0][1] == "ok"
         looked_at = []
         unlink_orphans = shm.unlink_orphans
@@ -464,7 +455,7 @@ def test_worker_attach_byteswaps_foreign_segments():
     registry = shm.SegmentRegistry()
     worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
     try:
-        segment_name, directory = registry.pack(
+        segment_name, directory, _ = registry.pack(
             "g",
             0,
             protocol.pack_term_chunks(store.dictionary),
@@ -472,10 +463,7 @@ def test_worker_attach_byteswaps_foreign_segments():
             swap(protocol.pack_full_tables(store)),
             foreign,
         )
-        reply = worker.handle_load(
-            ("g", 0, (protocol.TABLES_SHM, segment_name, directory), [])
-        )
-        assert reply["mode"] == "shm"
+        reply = worker.handle_load(("g", 0, (segment_name, directory), []))
         assert reply["full_rows"] == store.count(TripleKind.DATA) + store.count(
             TripleKind.TYPE
         ) + store.count(TripleKind.SCHEMA)
@@ -500,3 +488,49 @@ def test_worker_attach_byteswaps_foreign_segments():
         registry.close()
         store.close()
     assert shm.list_segments() == []
+
+
+def test_a_plane_outside_dev_shm_runs_the_whole_lifecycle(tmp_path, monkeypatch):
+    """Where ``/dev/shm`` is missing the segments are files in the temporary
+    directory: the same pack, attach, query and drop, and nothing left."""
+    from repro.cluster.worker import TARGET_FULL, _Worker
+
+    monkeypatch.setattr(shm, "_SHM_ROOT", str(tmp_path))
+    store = _store(24)
+    registry = shm.SegmentRegistry()
+    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    try:
+        segment_name, directory = _pack(registry, store, shards=1)
+        assert os.listdir(tmp_path) == [segment_name] == shm.list_segments()
+        worker.handle_load(("g", 0, (segment_name, directory), []))
+        answer = worker.handle_query(
+            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", TARGET_FULL,
+             None, False, False, None)
+        )
+        assert len(answer["answers"]) == 8
+        worker.handle_drop(("g",))
+        registry.unlink("g")
+        assert worker.segments == {} and shm.list_segments() == []
+    finally:
+        worker.close()
+        registry.close()
+        store.close()
+    assert os.listdir(tmp_path) == []
+
+
+def test_a_directory_that_fails_the_probe_falls_back_to_the_temporary_one(tmp_path, monkeypatch):
+    """The plane's directory is probed by creating, locking and unlinking a
+    segment: a directory where any step fails gives way to the temporary
+    directory, and the probe leaves nothing behind either way."""
+    import fcntl
+    import tempfile
+
+    assert shm._root(str(tmp_path)) == str(tmp_path)
+    assert shm._root(str(tmp_path / "missing")) == tempfile.gettempdir()
+
+    def no_flock(_fd, _operation):
+        raise OSError("no locks on this file system")
+
+    monkeypatch.setattr(fcntl, "flock", no_flock)
+    assert shm._root(str(tmp_path)) == tempfile.gettempdir()
+    assert os.listdir(tmp_path) == []

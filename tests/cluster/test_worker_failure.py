@@ -17,16 +17,16 @@ from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 
 
-@pytest.fixture(params=[True, False], ids=["shm", "pipe"])
+@pytest.fixture(params=[2, 3], ids=["k2", "k3"])
 def crash_cluster(request, bsbm_small):
+    """A cluster with K workers that the tests kill; every request must
+    still match the serial service, whatever the shard count."""
     catalog = GraphCatalog()
     catalog.register("g", graph=bsbm_small)
     serial_catalog = GraphCatalog()
     serial_catalog.register("g", graph=bsbm_small)
     service = QueryService(serial_catalog)
-    coordinator = ClusterCoordinator(
-        catalog, workers=2, heartbeat_seconds=0.2, use_shm=request.param
-    )
+    coordinator = ClusterCoordinator(catalog, workers=request.param, heartbeat_seconds=0.2)
     yield coordinator, service, serial_catalog
     coordinator.close()
     catalog.close()

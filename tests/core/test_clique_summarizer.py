@@ -187,6 +187,9 @@ class _PipeStub:
     def send(self, message):
         self.sent.append(message)
 
+    def close(self):
+        pass
+
 
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @_with_seeds()
@@ -199,36 +202,40 @@ def test_a_cluster_worker_maintains_it_from_delta_broadcasts(history):
     with GraphCatalog() as front:
         entry = front.register("g", graph=RDFGraph(history[0]))
         store = entry.store
-        blobs, directory = shm.layout_image(
+        registry = shm.SegmentRegistry()
+        segment_name, directory, _ = registry.pack(
             "g",
             entry.version,
             protocol.pack_term_chunks(store.dictionary),
-            [("full", protocol.pack_full_tables(store)), (0, protocol.pack_all_shard_tables(store, 1)[0])],
+            protocol.pack_all_shard_tables(store, 1),
+            protocol.pack_full_tables(store),
             protocol.BYTEORDER,
         )
-        assert set(directory) == {"graph", "version", "byteorder", "terms", "targets"}
+        assert set(directory) == {"graph", "version", "byteorder", "terms", "targets", "generation"}
         worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
-        worker.handle_load(
-            ("g", entry.version, (protocol.TABLES_INLINE, b"".join(blobs), directory), [])
-        )
-        replica = worker.full_catalog.entry("g")
-        worker._hydrate_terms("g")
-        assert replica.build_counters["prime_scans"] == 0  # not at load
-        for kind in _KINDS:
-            _assert_is_the_batch_engine(replica, kind)
-        mark = len(store.dictionary)
-        for batch in history[1:]:
-            fresh = store.insert_triples(batch, skip_existing=True)
-            packed = protocol.pack_terms(store.dictionary, mark)
-            wire = [(kind.value, row[0], row[1], row[2]) for kind, row in fresh]
-            worker.handle_delta(("g", [(entry.version + 1, (mark, packed), wire)]))
-            mark += len(packed)
+        try:
+            worker.handle_load(("g", entry.version, (segment_name, directory), []))
+            replica = worker.full_catalog.entry("g")
+            worker._hydrate_terms("g")
+            assert replica.build_counters["prime_scans"] == 0  # not at load
             for kind in _KINDS:
-                summary = _assert_is_the_batch_engine(replica, kind)
-                assert set(summary.graph) == set(term_summary(store.to_graph(), kind).graph)
-        assert replica.build_counters["prime_scans"] == 1
-        assert replica.build_counters["summary_builds"] == 0
-        worker.handle_drop(("g",))
+                _assert_is_the_batch_engine(replica, kind)
+            mark = len(store.dictionary)
+            for batch in history[1:]:
+                fresh = store.insert_triples(batch, skip_existing=True)
+                packed = protocol.pack_terms(store.dictionary, mark)
+                wire = [(kind.value, row[0], row[1], row[2]) for kind, row in fresh]
+                worker.handle_delta(("g", [(entry.version + 1, (mark, packed), wire)]))
+                mark += len(packed)
+                for kind in _KINDS:
+                    summary = _assert_is_the_batch_engine(replica, kind)
+                    assert set(summary.graph) == set(term_summary(store.to_graph(), kind).graph)
+            assert replica.build_counters["prime_scans"] == 1
+            assert replica.build_counters["summary_builds"] == 0
+            worker.handle_drop(("g",))
+        finally:
+            worker.close()
+            registry.close()
 
 
 # ----------------------------------------------------------------------

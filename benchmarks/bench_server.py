@@ -20,7 +20,7 @@ catalog (``GraphCatalog.open``):
   summary / healthz / ingest), restarted once more (a warm-restart cycle),
   and must return byte-identical answers across the restart.
 
-``--cluster`` switches to the **sharded serving tier benchmark**: the same
+``--cluster`` switches to the **replicated serving tier benchmark**: the same
 BSBM graph is served by :class:`repro.cluster.ClusterCoordinator` pools of
 growing worker counts.  Every clustered answer is checked bit-identical
 against the serial :class:`QueryService` reference (hard gate), a worker is
@@ -657,12 +657,12 @@ def run_telemetry_benchmark(args) -> Dict[str, object]:
 
 
 def run_cluster_benchmark(args) -> Dict[str, object]:
-    """Sharded serving tier: scaling curve, answer parity, crash recovery."""
+    """Replicated serving tier: scaling curve, answer parity, crash recovery."""
     scale = 200 if args.quick else args.scale
     count = 16 if args.quick else args.count
     laps = 2 if args.quick else 4
     worker_counts = sorted({int(part) for part in args.cluster_workers.split(",")})
-    # cluster workers hold shard/replica state in MemoryStores, where the
+    # cluster workers hold their replicas in MemoryStores, where the
     # sql strategy has no backing table — same clamp the serve CLI applies
     strategy = args.strategy if args.strategy != "sql" else "hash"
     report: Dict[str, object] = {
@@ -704,7 +704,6 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
     # ----------------------------------------------------------------------
     curve: List[Dict[str, object]] = []
     differences = 0
-    scattered = 0
     try:
         for workers in worker_counts:
             coordinator = ClusterCoordinator(
@@ -715,14 +714,13 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
                 heartbeat_seconds=0,
             )
             try:
-                # warm lap: primes shard summaries, verifies bit-identical
-                # answers against the serial reference, query by query
+                # warm lap: primes each worker's summaries, verifies
+                # bit-identical answers against the serial reference, query
+                # by query
                 for query, expected in zip(queries, reference):
                     answer = coordinator.answer(GRAPH_NAME, query, limit=None)
                     if answer.answers != expected:
                         differences += 1
-                    if answer.cluster and answer.cluster["mode"] == "scatter":
-                        scattered += 1
 
                 timed = queries * laps
                 start = perf_counter()
@@ -741,7 +739,6 @@ def run_cluster_benchmark(args) -> Dict[str, object]:
                 coordinator.close()
         report["scaling_curve"] = curve
         report["answer_differences"] = differences
-        report["scattered_queries_per_lap"] = scattered // max(1, len(worker_counts))
         baseline = curve[0]["qps"]
         peak = curve[-1]["qps"]
         report["cluster_scaling"] = peak / baseline if baseline else float("inf")
@@ -1100,7 +1097,7 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--cluster",
         action="store_true",
-        help="run the sharded serving tier benchmark instead of the serving "
+        help="run the replicated serving tier benchmark instead of the serving "
         "benchmark (scaling curve, answer parity, crash injection)",
     )
     parser.add_argument(

@@ -206,8 +206,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--workers",
         type=int,
         default=0,
-        help="shard the catalog across this many worker processes "
-        "(scatter-gather serving via repro.cluster; 0 = in-process)",
+        help="serve queries from this many worker processes, each holding a "
+        "full replica of every graph (repro.cluster; 0 = in-process)",
     )
     serve_parser.add_argument(
         "--max-body-mb",
@@ -548,7 +548,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     if args.workers > 0:
         from repro.cluster import ClusterCoordinator
 
-        # workers serve their shipped shards from columnar memory stores
+        # workers serve their shipped replicas from columnar memory stores
         # whatever the coordinator's backend, so the sqlite-only "sql"
         # strategy falls back to hash inside the worker processes
         worker_strategy = args.strategy if args.strategy != "sql" else "hash"

@@ -1,15 +1,14 @@
-"""The scatter-gather coordinator of the sharded serving tier.
+"""The coordinator of the replicated serving tier.
 
 One :class:`ClusterCoordinator` owns the authoritative
 :class:`~repro.service.catalog.GraphCatalog` (the single writer of the
 tier) and a pool of K worker processes — each a plain ``python -m
 repro.cluster.worker`` child on one end of a socket pair, so the process
 tree is the front end and its K workers, nothing else.  Each registered
-graph is hash-partitioned by subject id (:func:`~repro.store.base.shard_of`)
-and packed once into a named segment — one image of raw 4-byte id column
-blobs plus structurally packed dictionary terms — that every worker
-attaches: see :mod:`repro.cluster.shm` for the image layout,
-:mod:`repro.cluster.protocol` for the wire format and
+graph is packed once into a named segment — one image of raw 4-byte id
+column blobs plus structurally packed dictionary terms — that every worker
+attaches as its full replica of the graph: see :mod:`repro.cluster.shm` for
+the image layout, :mod:`repro.cluster.protocol` for the wire format and
 :mod:`repro.cluster.worker` for the receiving side.  Every dictionary id is
 assigned here, never on a worker: ``rdf:type``, which a worker's ``G∞``
 derives even for a graph without type triples, is minted before the first
@@ -17,24 +16,11 @@ pack.
 
 Query routing
 -------------
-A query is **shard-safe** when every triple pattern shares one subject
-term (one variable, or one constant) and explicit-triple semantics are
-requested.  Subject-hash partitioning makes every candidate row group of
-such a query live in exactly one shard (schema rows, the only
-non-subject-keyed patterns, are broadcast to all shards), so the
-coordinator *scatters* it to all K workers — each runs its shard-local
-weak/strong guard cascade first, so refuted shards never run the join —
-and unions the disjoint partial bindings.  A constant-subject query
-short-circuits to the single owning shard.
-
-Everything else — chain joins (an object variable re-used in subject
-position crosses shards), multi-subject bodies, and all
-``saturated=True`` queries (rdfs3 derives type rows keyed by a data row's
-*object*, so shard-local saturation is not a partition of ``G∞``) — is
-routed round-robin to one worker's **full replica**.  Either way the
-answer ids decode through the coordinator's dictionary, which keeps every
-cluster answer bit-identical to the in-process
-:meth:`~repro.service.service.QueryService.answer`.
+Every query goes round-robin to one worker, which answers it on its full
+replica behind the summaries of the *whole* graph — the guard of
+Proposition 1, exactly as in process.  The answer ids decode through the
+coordinator's dictionary, which keeps every cluster answer bit-identical to
+the in-process :meth:`~repro.service.service.QueryService.answer`.
 
 Writes
 ------
@@ -79,27 +65,24 @@ import subprocess
 import sys
 import threading
 from time import monotonic, perf_counter
-from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 from repro import telemetry
 from repro.cluster import protocol, shm
-from repro.cluster.worker import TARGET_FULL, TARGET_SHARD
 from repro.errors import (
     ClusterError,
     QueryError,
     SegmentError,
     UnknownGraphError,
-    UnknownTermError,
     WorkerCrashedError,
     WorkerTimeoutError,
 )
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import RDF_TYPE
-from repro.model.terms import Term
-from repro.queries.bgp import BGPQuery, Variable
+from repro.queries.bgp import BGPQuery
 from repro.service.catalog import CatalogEntry, GraphCatalog
+from repro.service.planner import ExecutionTrace
 from repro.service.service import QueryAnswer, ServiceStatistics
-from repro.store.base import shard_of
 from repro.utils.concurrency import map_on_threads, named_lock
 from repro.telemetry import BYTE_BUCKETS, QueryTrace, Span, maybe_span
 
@@ -232,7 +215,7 @@ class _WorkerHandle:
 
 
 class ClusterCoordinator:
-    """K spawned workers behind one writer catalog; scatter-gather reads.
+    """K spawned workers behind one writer catalog; each read on one replica.
 
     Parameters
     ----------
@@ -241,7 +224,7 @@ class ClusterCoordinator:
         coordinator is its single writer; route all ingest through
         :meth:`add_triples` / :meth:`register` / :meth:`drop`.
     workers:
-        Shard count K — one process per shard.
+        Worker count K — one process per full replica.
     kind / strategy:
         Worker-side guard cascade and join strategy (the same knobs as
         :class:`~repro.service.service.QueryService`).
@@ -302,7 +285,6 @@ class ClusterCoordinator:
         self._ship_seconds_histogram = telemetry.histogram("cluster.ship.seconds")
         self._ship_bytes = telemetry.histogram("cluster.ship.bytes", BYTE_BUCKETS)
         self._retries_counter = telemetry.counter("cluster.retries")
-        self._shards_pruned_counter = telemetry.counter("cluster.shards_pruned")
         self._respawns_counter = telemetry.counter("cluster.respawns")
         self._fold_failures = telemetry.counter("cluster.fold.failures")
         #: Log entries not yet sent, summed over the worker pool and sampled
@@ -341,8 +323,6 @@ class ClusterCoordinator:
         """Start (or restart) the process behind *handle* (respawn_lock
         held by the caller for respawns; at start() nothing races)."""
         config = {
-            "shard_index": handle.index,
-            "shard_count": self.worker_count,
             "kind": self.kind,
             "strategy": self.strategy,
             "telemetry": telemetry.enabled(),
@@ -702,7 +682,6 @@ class ClusterCoordinator:
                 entry.name,
                 entry.version,
                 protocol.pack_term_chunks(store.dictionary),
-                protocol.pack_all_shard_tables(store, self.worker_count),
                 protocol.pack_full_tables(store),
                 protocol.BYTEORDER,
             )
@@ -734,7 +713,7 @@ class ClusterCoordinator:
         graph: Optional[RDFGraph] = None,
         store=None,
     ) -> CatalogEntry:
-        """Register a graph and ship its shards to every worker — or, when
+        """Register a graph and ship it to every worker — or, when
         its segment cannot be packed, raise :class:`SegmentError` with the
         graph unregistered again."""
         entry = self.catalog.register(name, graph=graph, store=store)
@@ -768,16 +747,8 @@ class ClusterCoordinator:
                 pass
 
     # ------------------------------------------------------------------
-    # reads: scatter-gather
+    # reads: one worker's replica per query
     # ------------------------------------------------------------------
-    @staticmethod
-    def _common_subject(query: BGPQuery):
-        """The single subject term shared by every pattern, else ``None``."""
-        subjects = {pattern.subject for pattern in query.patterns}
-        if len(subjects) == 1:
-            return next(iter(subjects))
-        return None
-
     def answer(
         self,
         graph_name: str,
@@ -787,13 +758,14 @@ class ClusterCoordinator:
         explain: bool = False,
         trace: Union[bool, QueryTrace] = False,
     ) -> QueryAnswer:
-        """Answer *query* across the worker pool; same contract (and same
-        answer sets) as :meth:`QueryService.answer`.
+        """Answer *query* on the full replica of the next worker in
+        round-robin order; same contract (and same answer sets) as
+        :meth:`QueryService.answer`.
 
-        With ``trace=True`` the trace id rides to every contacted worker
-        inside the query frame and each worker's guard/evaluate span tree
-        is grafted back under this coordinator's ``route``/``scatter``/
-        ``gather`` spans — one tree for the whole scatter-gather."""
+        With ``trace=True`` the trace id rides to the worker inside the
+        query frame and its guard/evaluate span tree is grafted back under
+        this coordinator's ``route``/``scatter``/``gather`` spans — one tree
+        for the whole round trip."""
         if self._closed:
             raise ClusterError("the cluster coordinator is closed")
         query_trace: Optional[QueryTrace] = None
@@ -802,66 +774,36 @@ class ClusterCoordinator:
         total_start = perf_counter()
         entry = self.catalog.entry(graph_name)
         with maybe_span(query_trace, "route") as route_span:
-            subject = None if saturated else self._common_subject(query)
-            if subject is not None:
-                handles, single_shard = self._scatter_targets(entry, subject)
-                target = TARGET_SHARD
-            else:
-                handles = [self._workers[next(self._round_robin) % self.worker_count]]
-                single_shard = None
-                target = TARGET_FULL
+            handle = self._workers[next(self._round_robin) % self.worker_count]
             if route_span is not None:
-                route_span.attributes.update(
-                    mode="scatter" if target == TARGET_SHARD else "full",
-                    workers=[handle.index for handle in handles],
-                )
+                route_span.attributes.update(mode="full", workers=[handle.index])
         payload = (
             graph_name,
             query.to_sparql(),
-            target,
             limit,
             saturated,
             explain,
             query_trace.trace_id if query_trace is not None else None,
         )
         with maybe_span(query_trace, "scatter") as scatter_span:
-            # in parallel for a scatter, each request behind what its worker
-            # has not been sent of the graph
-            outcomes = map_on_threads(
-                lambda handle: self._call_with_retry(
-                    handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT, [graph_name]
-                ),
-                handles,
-                len(handles),
-                "repro-scatter",
+            # sent behind whatever the worker has not been sent of the graph
+            result, retries = self._call_with_retry(
+                handle, protocol.OP_QUERY, payload, _REQUEST_TIMEOUT, [graph_name]
             )
-            results = [reply for reply, _ in outcomes]
-            retries = sum(spent for _, spent in outcomes)
-        if query_trace is not None:
-            # graft each worker's finished span tree under the scatter span,
-            # wrapped so the tree names the worker that produced it
-            for handle, result in zip(handles, results):
-                worker_tree = result.get("query_trace")
-                if worker_tree:
-                    subtree = Span.from_dict(worker_tree)
-                    query_trace.graft(
-                        Span(
-                            f"worker-{handle.index}",
-                            seconds=subtree.seconds,
-                            children=[subtree],
-                        ),
-                        under=scatter_span,
-                    )
+        if query_trace is not None and result["query_trace"]:
+            # graft the worker's finished span tree, wrapped so the tree
+            # names the worker that produced it
+            subtree = Span.from_dict(result["query_trace"])
+            query_trace.graft(
+                Span(f"worker-{handle.index}", seconds=subtree.seconds, children=[subtree]),
+                under=scatter_span,
+            )
         with maybe_span(query_trace, "gather") as gather_span:
-            answer = self._gather(
-                query, graph_name, target, handles, results, limit, retries,
-                single_shard, entry, explain,
-            )
+            answer = self._decode(query, graph_name, entry, handle.index, result, retries)
             if gather_span is not None:
                 gather_span.attributes["answers"] = len(answer.answers)
         if retries:
             self._retries_counter.inc(retries)
-        self._shards_pruned_counter.inc(answer.cluster["shards_pruned"])
         if query_trace is not None:
             query_trace.annotate(graph=graph_name, cluster=True)
             query_trace.finish(perf_counter() - total_start)
@@ -869,88 +811,44 @@ class ClusterCoordinator:
         self.statistics.record(answer)
         return answer
 
-    def _scatter_targets(
-        self, entry: CatalogEntry, subject
-    ) -> Tuple[List[_WorkerHandle], Optional[int]]:
-        """All workers for a variable subject; the owning shard for a
-        constant one (a dictionary miss keeps one worker in the loop so
-        the instant-empty answer flows through the uniform path)."""
-        if isinstance(subject, Variable):
-            return list(self._workers), None
-        try:
-            subject_id = entry.store.dictionary.encode_existing(subject)
-        except UnknownTermError:
-            return [self._workers[next(self._round_robin) % self.worker_count]], None
-        shard = shard_of(subject_id, self.worker_count)
-        return [self._workers[shard]], shard
-
-    def _gather(
-        self,
+    @staticmethod
+    def _decode(
         query: BGPQuery,
         graph_name: str,
-        target: str,
-        handles: Sequence[_WorkerHandle],
-        results: List[dict],
-        limit: Optional[int],
-        retries: int,
-        single_shard: Optional[int],
         entry: CatalogEntry,
-        explain: bool,
+        worker: int,
+        result: dict,
+        retries: int,
     ) -> QueryAnswer:
+        """Worker *worker*'s reply as the answer the in-process service
+        gives: id rows decoded through the coordinator's dictionary, the
+        plan rebuilt from its dict."""
         decode_table = entry.store.dictionary.decode_table
-        id_rows: Set[Tuple[int, ...]] = set()
-        for result in results:
-            id_rows.update(tuple(row) for row in result["answers"])
-        if limit is not None and len(id_rows) > limit:
-            # the serial contract: *some* size-limit subset of the answers
-            id_rows = set(itertools.islice(id_rows, limit))
-        answers: Set[Tuple[Term, ...]] = {
-            tuple(decode_table[identifier] for identifier in row) for row in id_rows
-        }
-        pruned = all(result["pruned"] for result in results)
-        pruned_by = None
-        if pruned:
-            pruned_by = next(
-                (r["pruned_by"] for r in results if r["pruned_by"] is not None), None
-            )
-        shards_pruned = sum(1 for result in results if result["pruned"])
-        cluster_meta: Dict[str, object] = {
-            "mode": "scatter" if target == TARGET_SHARD else "full",
-            "workers": [handle.index for handle in handles],
-            "shards_pruned": shards_pruned,
-            "retries": retries,
-        }
-        if single_shard is not None:
-            cluster_meta["routed_shard"] = single_shard
-        if explain:
-            cluster_meta["per_worker"] = [
-                {
-                    "worker": handle.index,
-                    "pruned": result["pruned"],
-                    "pruned_by": result["pruned_by"],
-                    "answers": len(result["answers"]),
-                    "guard_seconds": result["guard_seconds"],
-                    "evaluation_seconds": result["evaluation_seconds"],
-                    "trace": result["trace"],
-                }
-                for handle, result in zip(handles, results)
-            ]
-        first = results[0]
+        plan = result["trace"]
         return QueryAnswer(
             query=query,
             graph_name=graph_name,
-            kind=first["kind"],
-            answers=answers,
-            pruned=pruned,
-            prunable=first["prunable"],
-            guard_seconds=max(result["guard_seconds"] for result in results),
-            evaluation_seconds=max(result["evaluation_seconds"] for result in results),
-            strategy=first["strategy"],
-            guard_order=tuple(first["guard_order"]),
-            pruned_by=pruned_by,
-            trace=None,
-            saturation=first.get("saturation"),
-            cluster=cluster_meta,
+            kind=result["kind"],
+            answers={
+                tuple(decode_table[identifier] for identifier in row)
+                for row in result["answers"]
+            },
+            pruned=result["pruned"],
+            prunable=result["prunable"],
+            guard_seconds=result["guard_seconds"],
+            evaluation_seconds=result["evaluation_seconds"],
+            strategy=result["strategy"],
+            guard_order=tuple(result["guard_order"]),
+            pruned_by=result["pruned_by"],
+            trace=ExecutionTrace.from_dict(plan) if plan is not None else None,
+            saturation=result["saturation"],
+            # "mode" and "shards_pruned" keep the names the benchmark reads
+            cluster={
+                "mode": "full",
+                "workers": [worker],
+                "shards_pruned": int(result["pruned"]),
+                "retries": retries,
+            },
         )
 
     # ------------------------------------------------------------------

@@ -1,4 +1,4 @@
-"""Wire protocol of the sharded serving tier.
+"""Wire protocol of the replicated serving tier.
 
 Everything that crosses the coordinator/worker pipe is built from
 primitives — ``bytes``, ``str``, ``int``, ``None``, and tuples/lists/dicts
@@ -8,10 +8,9 @@ objects are ever pickled across the boundary:
 * **rows** travel as the packed id column blobs of the columnar data
   plane (:meth:`TripleStore.column_bytes` format — 4-byte
   :data:`~repro.model.dictionary.ID_TYPECODE` ids in native byte order, the bytes
-  the checkpoint also stores), extracted per shard by
-  :meth:`TripleStore.partition_column_bytes` and laid out into one graph
-  *image* (:func:`repro.cluster.shm.layout_image`) in a named segment that
-  every worker attaches — the pipe carries its name, never its bytes;
+  the checkpoint also stores), laid out into one graph *image*
+  (:func:`repro.cluster.shm.layout_image`) in a named segment that every
+  worker attaches — the pipe carries its name, never its bytes;
 * **terms** travel through the one term codec of
   :mod:`repro.model.dictionary` (re-exported here) — the structural
   ``(kind, value, datatype, language)`` tuples the persistent catalog's
@@ -45,9 +44,8 @@ import pickle
 import select
 import struct
 import sys
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, Tuple
 
-from repro.errors import ClusterError
 from repro.model.dictionary import (
     TERM_CHUNK,
     pack_term_chunks,
@@ -56,7 +54,6 @@ from repro.model.dictionary import (
     unpack_terms,
 )
 from repro.model.triple import TripleKind
-from repro.store.base import shard_of
 
 __all__ = [
     "Connection",
@@ -72,15 +69,13 @@ __all__ = [
     "unpack_terms",
     "unpack_term_chunks",
     "pack_full_tables",
-    "pack_all_shard_tables",
-    "shard_rows",
 ]
 
 #: Request opcodes (coordinator → worker).
 #:
 #: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* is
 #: ``(segment_name, directory)`` — the generation's segment and where each
-#: target lies in it (see :func:`repro.cluster.shm.layout_image`) — and
+#: table lies in it (see :func:`repro.cluster.shm.layout_image`) — and
 #: *deltas* is the (possibly empty) list of log entries — ``(version,
 #: (dict_start, packed_terms), rows)`` ingest batches — that post-date the
 #: image, applied in order before the load is acknowledged, so a re-attach
@@ -90,7 +85,7 @@ __all__ = [
 #: no version to wait for: what it must see was sent ahead of it.
 OP_LOAD = "load"  # (name, version, (segment_name, directory), deltas)
 OP_DELTA = "delta"  # (name, [(version, (dict_start, packed_terms), rows), ...])
-OP_QUERY = "query"  # (name, sparql, target, limit, saturated, explain, trace_id)
+OP_QUERY = "query"  # (name, sparql, limit, saturated, explain, trace_id)
 OP_DROP = "drop"  # (name,)
 OP_PING = "ping"  # ()
 OP_SHUTDOWN = "shutdown"  # ()
@@ -152,47 +147,3 @@ def pack_full_tables(store) -> Dict[str, Tuple[int, bytes, bytes, bytes]]:
     """All three tables of *store* as packed blobs, keyed by kind value."""
     return {kind.value: store.column_bytes(kind) for kind in TripleKind}
 
-
-def pack_all_shard_tables(
-    store, shard_count: int
-) -> List[Dict[str, Tuple[int, bytes, bytes, bytes]]]:
-    """Every shard's tables as packed blobs, one extraction pass per kind.
-
-    The sharding rule of the tier: DATA and TYPE rows are partitioned by
-    :func:`~repro.store.base.shard_of` on the subject id — disjoint across
-    shards — while SCHEMA rows are **broadcast** whole to every shard.
-    Schema triples are the non-subject-keyed patterns of query evaluation
-    (class/property hierarchies joined from any pattern), tiny by the
-    paper's own measurements, and replicating them is what keeps
-    shard-local evaluation of subject-keyed queries exact.
-    """
-    if shard_count <= 0:
-        raise ClusterError("shard_count must be positive")
-    data_parts = store.partition_column_bytes(TripleKind.DATA, shard_count)
-    type_parts = store.partition_column_bytes(TripleKind.TYPE, shard_count)
-    schema = store.column_bytes(TripleKind.SCHEMA)
-    return [
-        {
-            TripleKind.DATA.value: data_parts[index],
-            TripleKind.TYPE.value: type_parts[index],
-            TripleKind.SCHEMA.value: schema,
-        }
-        for index in range(shard_count)
-    ]
-
-
-def shard_rows(
-    rows: Sequence[Tuple[str, int, int, int]], shard_index: int, shard_count: int
-) -> List[Tuple[str, int, int, int]]:
-    """The subset of delta *rows* shard *shard_index* must apply.
-
-    Mirrors :func:`pack_all_shard_tables` at the row level: DATA/TYPE rows by
-    subject hash, SCHEMA rows always.  ``rows`` are
-    ``(kind_value, s, p, o)`` tuples — the delta wire format.
-    """
-    schema_value = TripleKind.SCHEMA.value
-    return [
-        row
-        for row in rows
-        if row[0] == schema_value or shard_of(row[1], shard_count) == shard_index
-    ]

@@ -1,14 +1,13 @@
 """The graph image a worker loads, and the shared-memory plane that holds it.
 
 A graph ships to workers as one *image*: back to back, the pickled
-dictionary term chunks and the raw id column blobs of each ship target
-(the full-replica tables and shard partitions) — rows and terms only: what
-is derived from them (summaries, statistics) each worker builds on first
-need.  :func:`layout_image` is the
+dictionary term chunks and the raw id column blobs of its three tables —
+rows and terms only: what is derived from them (summaries, statistics)
+each worker builds on first need.  :func:`layout_image` is the
 pure layout step — blobs plus the *directory* of byte windows a worker
 needs to adopt them (:meth:`MemoryStore.adopt_column_buffers`, zero-copy).
-One registered graph generation becomes **one** named segment holding
-every target: the coordinator packs it once (:meth:`SegmentRegistry.pack`)
+One registered graph generation becomes **one** named segment: the
+coordinator packs it once (:meth:`SegmentRegistry.pack`)
 and every worker *attaches* it instead of receiving bytes over its pipe —
 K workers, one physical copy of the graph per host.
 
@@ -44,7 +43,7 @@ import mmap
 import os
 import pickle
 import tempfile
-from typing import BinaryIO, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
     "SEGMENT_PREFIX",
@@ -181,7 +180,7 @@ def attach(name: str) -> _Attached:
     return _Attached(name)
 
 
-#: One ship target's tables: ``kind value -> (rows, s, p, o column bytes)``.
+#: A graph's tables: ``kind value -> (rows, s, p, o column bytes)``.
 Tables = Dict[str, Tuple[int, bytes, bytes, bytes]]
 
 
@@ -189,16 +188,15 @@ def layout_image(
     graph_name: str,
     version: int,
     term_chunks: List[list],
-    targets: Sequence[Tuple[object, Tables]],
+    tables: Tables,
     byteorder: str,
 ) -> Tuple[List[bytes], dict]:
     """Lay one graph image out: ``(blobs, directory)``, nothing copied.
 
     The image is the concatenation of *blobs*.  The *directory* maps the
-    ``terms`` region to its ``(offset, length)`` byte window and each ship
-    target (a shard index, or ``"full"``) to per-table ``(row_count,
-    s_offset, p_offset, o_offset)`` entries.  A table's three columns lie
-    back to back, so ``p_offset - s_offset == o_offset - p_offset ==
+    ``terms`` region to its ``(offset, length)`` byte window and ``tables``
+    to per-table ``(row_count, s_offset, p_offset, o_offset)`` entries.  A
+    table's three columns lie back to back, so ``p_offset - s_offset == o_offset - p_offset ==
     ID_BYTES * row_count`` (4-byte ids, :data:`repro.store.base.ID_BYTES`:
     the bytes of :meth:`~repro.store.base.TripleStore.column_bytes`, which
     the checkpoint stores too) — the worker checks that before adopting.  The
@@ -217,18 +215,15 @@ def layout_image(
         "version": version,
         "byteorder": byteorder,
         "terms": (0, offset),
-        "targets": {},
+        "tables": {},
     }
-    for target, tables in targets:
-        table_directory = {}
-        for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
-            entry = [count]
-            for blob in (s_bytes, p_bytes, o_bytes):
-                entry.append(offset)
-                blobs.append(blob)
-                offset += len(blob)
-            table_directory[kind_value] = tuple(entry)
-        directory["targets"][target] = table_directory
+    for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
+        entry = [count]
+        for blob in (s_bytes, p_bytes, o_bytes):
+            entry.append(offset)
+            blobs.append(blob)
+            offset += len(blob)
+        directory["tables"][kind_value] = tuple(entry)
     return blobs, directory
 
 
@@ -249,10 +244,10 @@ class _Segment:
 class SegmentRegistry:
     """Coordinator-side owner of every live graph segment.
 
-    ``pack()`` lays a graph generation out (:func:`layout_image`, every
-    shard plus the full replica) and writes it into one fresh segment; it
-    returns ``(segment_name, directory)`` — the descriptor a worker needs
-    to attach and adopt — and the segment's size.  The registry never maps a segment itself: the
+    ``pack()`` lays a graph generation out (:func:`layout_image`) and
+    writes it into one fresh segment; it returns ``(segment_name,
+    directory)`` — the descriptor a worker needs to attach and adopt — and
+    the segment's size.  The registry never maps a segment itself: the
     image's pages belong to the workers that read them.
 
     Constructing a registry first unlinks every orphan of the plane
@@ -277,8 +272,7 @@ class SegmentRegistry:
         graph_name: str,
         version: int,
         term_chunks: List[list],
-        shard_tables: List[Tables],
-        full_tables: Tables,
+        tables: Tables,
         byteorder: str,
     ) -> Tuple[str, dict, int]:
         """Pack one graph generation; unlink the graph's previous one.
@@ -290,9 +284,7 @@ class SegmentRegistry:
         owns at most one named segment.
         """
         generation = self._generations.get(graph_name, 0) + 1
-        targets = [("full", full_tables)]
-        targets.extend(enumerate(shard_tables))
-        blobs, directory = layout_image(graph_name, version, term_chunks, targets, byteorder)
+        blobs, directory = layout_image(graph_name, version, term_chunks, tables, byteorder)
         directory["generation"] = generation
         name = _segment_name()
         owner = _create_owned(name, blobs)

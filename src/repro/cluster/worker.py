@@ -1,41 +1,30 @@
-"""The cluster worker process: one shard, one full replica, one pipe.
+"""The cluster worker process: one full replica per graph, one pipe.
 
 A worker is ``python -m repro.cluster.worker <fd> <config>``: a
 single-threaded message loop over a
 :class:`~repro.cluster.protocol.Connection` on the socket-pair end its
 coordinator passed it as *fd*, importing what answering a query needs —
 store, evaluator, guard — and nothing else of the package.  Per registered
-graph it keeps **two** worker-local stores sharing **one** dictionary
-(rebuilt id-for-id from the coordinator's packed term columns):
-
-* the *shard* store — its :func:`~repro.store.base.shard_of` slice of the
-  DATA/TYPE tables plus the broadcast SCHEMA table.  Queries whose
-  patterns all share one subject term are exact on this partition, and the
-  shard's own weak/strong summaries guard them: a refuted shard never runs
-  the join;
-* the *full* store — a complete replica, answering everything
-  subject-hash partitioning cannot make shard-local (chain joins,
-  saturated semantics — rdfs3 derives type rows keyed by the *object* of a
-  data row, so shard-local saturation is not a partition of ``G∞``).
-
-Both sit behind ordinary :class:`~repro.service.catalog.CatalogEntry`
-objects in two worker-local catalogs fronted by
-:class:`~repro.service.service.QueryService` instances — the per-shard
-summaries, cardinality statistics, planners and guard cascades are exactly
-the serving machinery of the single-process tier, pointed at smaller
-tables.
+graph it keeps **one** worker-local store, a complete replica whose
+dictionary is rebuilt id-for-id from the coordinator's packed term columns.
+It sits behind an ordinary :class:`~repro.service.catalog.CatalogEntry` in
+a worker-local catalog fronted by a
+:class:`~repro.service.service.QueryService` — the summaries, cardinality
+statistics, planner and guard cascade are exactly the serving machinery of
+the single-process tier, so a query is guarded by the summaries of the
+whole graph.
 
 A load names the graph generation's *segment* and carries its directory
 (see :func:`repro.cluster.shm.layout_image`): the worker attaches the
 segment and adopts its column regions zero-copy
 (:meth:`MemoryStore.adopt_column_buffers`) — one physical copy per host,
-however many workers.  Shard store and full replica alike defer their
-summary maintainer's priming scan to their first guarded query, the
+however many workers.  The replica defers its summary maintainer's
+priming scan to its first guarded query, the
 dictionary is hydrated lazily from the packed term chunks, and the load's
 delta log is replayed.  A worker never assigns a dictionary id: every id
 comes from the coordinator, so a log entry must start exactly where the
 worker's dictionary ends.  The worker closes its mapping when the graph is
-dropped or replaced — after closing the stores, which release their adopted
+dropped or replaced — after closing the store, which releases its adopted
 views — and unlinks only *orphans*: the coordinator owns every segment for
 as long as it lives (see *Shutdown*).
 
@@ -91,16 +80,12 @@ try:  # POSIX-only; the RSS probe degrades gracefully elsewhere
 except ImportError:  # pragma: no cover
     resource = None
 
-__all__ = ["worker_main", "TARGET_SHARD", "TARGET_FULL"]
+__all__ = ["worker_main"]
 
 #: How long a worker whose pipe reached EOF keeps testing its segments for
 #: a released owner lock: a dying coordinator's pipe ends and lock fds close
 #: in one pass of the kernel's exit path, but the pipe may go first.
 _ORPHAN_GRACE_SECONDS = 1.0
-
-#: Query routing targets (the ``target`` field of a query message).
-TARGET_SHARD = "shard"
-TARGET_FULL = "full"
 
 
 def _encoded(rows) -> List[Tuple[TripleKind, EncodedTriple]]:
@@ -113,14 +98,12 @@ class _Worker:
 
     def __init__(self, connection, config: Dict[str, object]):
         self.connection = connection
-        self.shard_index: int = config["shard_index"]
-        self.shard_count: int = config["shard_count"]
-        self.shard_catalog = GraphCatalog()
-        self.full_catalog = GraphCatalog()
-        kind = config.get("kind", "weak+strong")
-        strategy = config.get("strategy", "hash")
-        self.shard_service = QueryService(self.shard_catalog, kind=kind, strategy=strategy)
-        self.full_service = QueryService(self.full_catalog, kind=kind, strategy=strategy)
+        self.catalog = GraphCatalog()
+        self.service = QueryService(
+            self.catalog,
+            kind=config.get("kind", "weak+strong"),
+            strategy=config.get("strategy", "hash"),
+        )
         #: Loaded graphs: name -> the version of the last batch applied.
         self.graphs: Dict[str, int] = {}
         #: Attached segments by graph name (closed, not unlinked, when the
@@ -142,27 +125,25 @@ class _Worker:
         if name in self.graphs:
             # a lagging copy replaced by the live generation: drop it first
             self._drop_local(name)
-        shard_rows, full_rows = self._load_image(name, version, segment_name, directory)
+        rows = self._load_image(name, version, segment_name, directory)
         # replay the log that post-dates the image (a segment is the
         # generation as packed; the batches since travel with the load)
         self._apply_log(name, deltas)
         return {
             "name": name,
             "version": self.graphs[name],
-            "shard_rows": shard_rows,
-            "full_rows": full_rows,
+            "rows": rows,
             "attach_seconds": perf_counter() - started,
         }
 
-    def _load_image(
-        self, name: str, version: int, segment_name: str, directory: dict
-    ) -> Tuple[int, int]:
+    def _load_image(self, name: str, version: int, segment_name: str, directory: dict) -> int:
         """Attach segment *segment_name* and adopt its column regions
-        zero-copy.  Either the graph is fully loaded when this returns, or
-        nothing of it is left behind — its mapping included."""
+        zero-copy; the replica's row count.  Either the graph is fully
+        loaded when this returns, or nothing of it is left behind — its
+        mapping included."""
         segment = self.segments[name] = shm.attach(segment_name)
         buffer = segment.buf
-        stores: List[MemoryStore] = []
+        store = MemoryStore()
         try:
             byteorder = directory["byteorder"]
             offset, length = directory["terms"]
@@ -171,39 +152,26 @@ class _Worker:
             # stays O(1) in the graph size
             dictionary = Dictionary()
             terms_blob = bytes(buffer[offset : offset + length])
-            shard_store = MemoryStore()
-            stores.append(shard_store)
-            shard_store.dictionary = dictionary
-            shard_rows = self._adopt_tables(
-                shard_store, buffer, directory["targets"][self.shard_index], byteorder
-            )
-            full_store = MemoryStore()
-            stores.append(full_store)
-            full_store.dictionary = dictionary
-            full_rows = self._adopt_tables(
-                full_store, buffer, directory["targets"]["full"], byteorder
-            )
+            store.dictionary = dictionary
+            rows = self._adopt_tables(store, buffer, directory["tables"], byteorder)
             # an adopted store pays its summary priming scan on its first
             # guarded query, not here
-            self.shard_catalog.register(name, store=shard_store)
-            self.full_catalog.register(name, store=full_store)
+            self.catalog.register(name, store=store)
         except BaseException:
-            # leave no half-loaded graph: close every store we built
-            # (releasing adopted views — close is idempotent, so stores
-            # the catalogs already own close again harmlessly), then drop
-            # catalog state and the mapping
-            for store in stores:
-                store.close()
+            # leave no half-loaded graph: close the store (releasing adopted
+            # views — close is idempotent, so a store the catalog already
+            # owns closes again harmlessly), then drop catalog state and the
+            # mapping
+            store.close()
             self._drop_local(name)
             raise
         self._pending_terms[name] = (dictionary, terms_blob)
         self.graphs[name] = version
-        return shard_rows, full_rows
+        return rows
 
     def _hydrate_terms(self, name: str) -> None:
         """Rebuild *name*'s dictionary from its deferred term blob (no-op
-        once hydrated).  Both stores share the dictionary object, so one
-        unpack serves the shard and the full replica alike."""
+        once hydrated)."""
         pending = self._pending_terms.pop(name, None)
         if pending is None:
             return
@@ -242,26 +210,20 @@ class _Worker:
 
     def handle_delta(self, payload: tuple) -> dict:
         name, entries = payload
-        applied_full, applied_shard = self._apply_log(name, entries)
-        return {
-            "name": name,
-            "version": self.graphs[name],
-            "full": applied_full,
-            "shard": applied_shard,
-        }
+        applied = self._apply_log(name, entries)
+        return {"name": name, "version": self.graphs[name], "rows": applied}
 
-    def _apply_log(self, name: str, entries: list) -> Tuple[int, int]:
+    def _apply_log(self, name: str, entries: list) -> int:
         """Apply log entries — ``(version, (dict_start, packed_terms),
         rows)`` ingest batches, sent as a catch-up or replayed by a load —
         in order: all of them, or the graph is dropped (a replica missing a
         batch must not answer)."""
         if name not in self.graphs:
             raise UnknownGraphError(f"worker never loaded graph {name!r}")
-        applied_full = applied_shard = 0
+        applied = 0
         try:
-            full_entry = self.full_catalog.entry(name)
-            shard_entry = self.shard_catalog.entry(name)
-            dictionary = full_entry.store.dictionary
+            entry = self.catalog.entry(name)
+            dictionary = entry.store.dictionary
             for version, (dict_start, packed), rows in entries:
                 # an entry's dict-offset contract needs the full base
                 # dictionary (a load without a log still leaves it packed)
@@ -275,26 +237,23 @@ class _Worker:
                         f"{len(dictionary)} ids, delta starts at {dict_start}"
                     )
                 protocol.unpack_terms(packed, dictionary)
-                applied_full += full_entry.add_encoded_rows(_encoded(rows))
-                mine = protocol.shard_rows(rows, self.shard_index, self.shard_count)
-                applied_shard += shard_entry.add_encoded_rows(_encoded(mine))
+                applied += entry.add_encoded_rows(_encoded(rows))
                 self.graphs[name] = version
         except BaseException:
             self._drop_local(name)
             raise
-        return applied_full, applied_shard
+        return applied
 
     def _drop_local(self, name: str) -> None:
-        """Forget *name*'s stores, segment and version.  Stores close first
-        — releasing any adopted column views — so the segment mapping can
-        close without BufferError."""
+        """Forget *name*'s store, segment and version.  The store closes
+        first — releasing any adopted column views — so the segment mapping
+        can close without BufferError."""
         self.graphs.pop(name, None)
         self._pending_terms.pop(name, None)
-        for catalog in (self.shard_catalog, self.full_catalog):
-            try:
-                catalog.drop(name)
-            except UnknownGraphError:
-                pass
+        try:
+            self.catalog.drop(name)
+        except UnknownGraphError:
+            pass
         segment = self.segments.pop(name, None)
         if segment is not None:
             try:
@@ -308,11 +267,10 @@ class _Worker:
         return {"name": name}
 
     def handle_query(self, payload: tuple) -> dict:
-        name, text, target, limit, saturated, explain, trace_id = payload
+        name, text, limit, saturated, explain, trace_id = payload
         self._hydrate_terms(name)  # query terms encode through the dictionary
-        service = self.shard_service if target == TARGET_SHARD else self.full_service
         query = parse_query(text, name="cluster")
-        answer = service.answer(
+        answer = self.service.answer(
             name,
             query,
             limit=limit,
@@ -324,7 +282,6 @@ class _Worker:
 
     def handle_ping(self, _payload: tuple) -> dict:
         return {
-            "shard_index": self.shard_index,
             "graphs": dict(self.graphs),
             "segments": len(self.segments),
             "rss_kb": self._rss_kb(),
@@ -347,14 +304,13 @@ class _Worker:
         """Private vs shared column bytes across every store of this worker
         (views over a segment are ``adopted_bytes``: one copy per host)."""
         totals = {"private_bytes": 0, "adopted_bytes": 0}
-        for catalog in (self.shard_catalog, self.full_catalog):
-            for name in catalog.names():
-                for key, nbytes in catalog.entry(name).store.column_memory().items():
-                    totals[key] += nbytes
+        for name in self.catalog.names():
+            for key, nbytes in self.catalog.entry(name).store.column_memory().items():
+                totals[key] += nbytes
         return totals
 
     def _encode_answer(self, answer: QueryAnswer) -> dict:
-        dictionary = self.full_catalog.entry(answer.graph_name).store.dictionary
+        dictionary = self.catalog.entry(answer.graph_name).store.dictionary
         encode = dictionary.encode_existing
         return {
             "answers": [[encode(term) for term in row] for row in answer.answers],
@@ -446,10 +402,9 @@ class _Worker:
             sleep(0.05)
 
     def close(self) -> None:
-        # catalogs first (stores release their adopted views), then the
+        # the catalog first (stores release their adopted views), then the
         # segment mappings; unlinking is not part of an orderly close
-        self.shard_catalog.close()
-        self.full_catalog.close()
+        self.catalog.close()
         for segment in self.segments.values():
             try:
                 segment.close()

@@ -102,7 +102,7 @@ class PersistenceError(CatalogError):
 
 
 class ClusterError(ServiceError):
-    """Raised for failures of the sharded multi-process serving tier
+    """Raised for failures of the replicated multi-process serving tier
     (:mod:`repro.cluster`): protocol violations, worker-side faults that
     survive the coordinator's retry budget, shutdown failures."""
 

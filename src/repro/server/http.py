@@ -243,8 +243,8 @@ class ServerApp:
             raise _HTTPError(400, "'triples' must be an N-Triples string")
 
         graph = parse_ntriples(triples_text, name=name) if triples_text else RDFGraph(name=name)
-        # with a cluster: registers in the shared catalog AND ships shards to
-        # every worker before the 201 goes out
+        # with a cluster: registers in the shared catalog AND ships the graph
+        # to every worker before the 201 goes out
         entry = self._writer.register(name, graph=graph)
         return 201, {"name": name, "version": entry.version, "triples": len(graph)}
 
@@ -305,16 +305,18 @@ class ServerApp:
             isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0
         ):
             raise _HTTPError(400, "'limit' must be a positive integer or null")
-        saturated = bool(body.get("saturated", False))
-        explain = bool(body.get("explain", False))
-        trace = bool(body.get("trace", False))
+        flags = [body.get(key, False) for key in ("saturated", "explain", "trace")]
+        # "saturated": "false" is truthy: anything but a JSON boolean is a 400
+        if not all(isinstance(flag, bool) for flag in flags):
+            raise _HTTPError(400, "'saturated', 'explain' and 'trace' must be true or false")
+        saturated, explain, trace = flags
         if query.is_boolean() and limit is None:
             limit = 1
         if self.cluster is None:
             answer = self.executor.answer(name, query, limit, saturated, explain, trace)
         else:
-            # bounded too: the executor caps how many scatter-gathers are in
-            # flight, whatever the number of open connections
+            # bounded too: the executor caps how many cluster round trips are
+            # in flight, whatever the number of open connections
             answer = self.executor.run(
                 self.cluster.answer, name, query, limit, saturated, explain, trace
             )

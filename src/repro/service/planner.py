@@ -369,3 +369,21 @@ class ExecutionTrace:
             "total_probes": self.total_probes,
             "stages": [stage.as_dict() for stage in self.stages],
         }
+
+    @classmethod
+    def from_dict(cls, payload: Dict[str, object]) -> "ExecutionTrace":
+        """The inverse of :meth:`as_dict` (a cluster worker's plan, rebuilt
+        on the coordinator)."""
+        trace = cls()
+        trace.strategy = payload["strategy"]
+        trace.plan_cached = payload["plan_cached"]
+        for stage in payload["stages"]:
+            trace.add_stage(
+                stage["pattern"],
+                stage["estimated_rows"],
+                stage["estimated_cumulative"],
+                stage["fetched_rows"],
+                stage["produced_rows"],
+                stage["probes"],
+            )
+        return trace

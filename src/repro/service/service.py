@@ -108,9 +108,9 @@ class QueryAnswer:
         #: ``saturated=True`` answer only; see
         #: :meth:`CatalogEntry.saturation_metrics`).
         self.saturation = saturation
-        #: Scatter-gather execution metadata attached by the cluster
-        #: coordinator (``None`` for in-process answers): routing mode,
-        #: worker/shard attribution, retry count.  Purely observational —
+        #: Routing metadata attached by the cluster coordinator (``None``
+        #: for in-process answers): the worker that answered, whether its
+        #: guard pruned, retry count.  Purely observational —
         #: the answer set is what it would be in-process.
         self.cluster = cluster
         #: The telemetry span tree of this query (``trace=True`` only): a

@@ -23,23 +23,10 @@ from repro.model.graph import RDFGraph
 from repro.model.terms import Term
 from repro.model.triple import Triple, TripleKind
 
-__all__ = ["TripleStore", "StoreStatistics", "ColumnView", "ID_TYPECODE", "ID_BYTES", "shard_of"]
+__all__ = ["TripleStore", "StoreStatistics", "ColumnView", "ID_TYPECODE", "ID_BYTES"]
 
 #: Bytes per id of the one id layout, :data:`repro.model.dictionary.ID_TYPECODE`.
 ID_BYTES = array(ID_TYPECODE).itemsize
-
-
-def shard_of(subject_id: int, shard_count: int) -> int:
-    """The shard owning *subject_id* under subject-hash partitioning.
-
-    Dictionary ids are dense and assigned in first-seen order, so a plain
-    modulo spreads subjects uniformly without a mixing step.  This is THE
-    placement function of the cluster tier: :meth:`TripleStore.partition_column_bytes`
-    routes rows with it, and the scatter-gather coordinator relies on every
-    store having used exactly this function when it routes a
-    constant-subject query to a single shard.
-    """
-    return subject_id % shard_count
 
 
 class ColumnView:
@@ -317,38 +304,6 @@ class TripleStore(abc.ABC):
             if not batch:
                 continue
             yield tuple(array(ID_TYPECODE, column) for column in zip(*batch))
-
-    def partition_column_bytes(
-        self, kind: TripleKind, shard_count: int
-    ) -> List[Tuple[int, bytes, bytes, bytes]]:
-        """Subject-hash shard extraction: the *kind* table split into
-        *shard_count* packed column blobs.
-
-        Returns one ``(row_count, s_bytes, p_bytes, o_bytes)`` tuple per
-        shard — the :meth:`column_bytes` format — with every
-        row routed to shard :func:`shard_of` ``(subject, shard_count)``.
-        The shards are an exact partition of the table: disjoint, and
-        their union is the full row multiset.  Callers must not rely on
-        row order within a shard (backends differ; the memory store emits
-        subject-clustered rows).
-
-        This default walks :meth:`scan_columns`, so every backend —
-        including SQLite — can feed the cluster tier; columnar backends
-        override it with an index-driven extraction.
-        """
-        if shard_count <= 0:
-            raise ValueError("shard_count must be positive")
-        shards = [[array(ID_TYPECODE) for _column in "spo"] for _shard in range(shard_count)]
-        for s_batch, p_batch, o_batch in self.scan_columns(kind):
-            for subject, predicate, obj in zip(s_batch, p_batch, o_batch):
-                columns = shards[shard_of(subject, shard_count)]
-                columns[0].append(subject)
-                columns[1].append(predicate)
-                columns[2].append(obj)
-        return [
-            (len(s_col), s_col.tobytes(), p_col.tobytes(), o_col.tobytes())
-            for s_col, p_col, o_col in shards
-        ]
 
     def column_bytes(self, kind: TripleKind) -> Tuple[int, bytes, bytes, bytes]:
         """``(row_count, s_bytes, p_bytes, o_bytes)``: the *kind* table as

@@ -46,7 +46,7 @@ from repro import telemetry
 from repro.errors import StoreClosedError
 from repro.model.dictionary import EncodedTriple
 from repro.model.triple import TripleKind
-from repro.store.base import ID_BYTES, ID_TYPECODE, ColumnView, TripleStore, shard_of
+from repro.store.base import ID_BYTES, ID_TYPECODE, ColumnView, TripleStore
 
 __all__ = ["MemoryStore", "TAIL_MERGE_LIMIT", "BULK_REBUILD_THRESHOLD"]
 
@@ -288,29 +288,13 @@ class _Table:
         self.by_predicate = {}
         self._indexed = False
 
-    def subject_run(self) -> Tuple[array, array]:
-        """The merged whole-table subject run as ``(keys, positions)``, built
-        *alone* when the full index is still deferred.
-
-        Shard partitioning only consumes the subject run; paying the whole
-        deferred build (the object run and every per-predicate run too)
-        inside a pack would triple the coordinator's ship latency for
-        structures the pack never reads.  The single sort done here is kept
-        on the table, and :meth:`_ensure_indexed` adopts it instead of
-        re-sorting when the remaining structures are eventually needed.
-        """
-        if not self._indexed and len(self.s_run) != len(self.s_col):
-            self.s_run = _Run(*_sort_by(self._cells()[0], range(len(self.s_col))))
-        return self.s_run.merged()
-
     def _ensure_indexed(self) -> None:
         if self._indexed:
             return
         n = len(self.s_col)
         s_col, p_col, o_col = self._cells()
 
-        if len(self.s_run) != n:  # else prebuilt by subject_run()
-            self.s_run = _Run(*_sort_by(s_col, range(n)))
+        self.s_run = _Run(*_sort_by(s_col, range(n)))
         self.o_run = _Run(*_sort_by(o_col, range(n)))
 
         # one stable sort groups the positions by predicate, each group in
@@ -737,48 +721,6 @@ class MemoryStore(TripleStore):
                 else:
                     private += len(column) * column.itemsize
         return {"private_bytes": private, "adopted_bytes": adopted}
-
-    def partition_column_bytes(
-        self, kind: TripleKind, shard_count: int
-    ) -> List[Tuple[int, bytes, bytes, bytes]]:
-        """Shard extraction off the merged subject run (subject-clustered).
-
-        Instead of re-routing row by row in table order (the base-class
-        fallback), this walks the table's whole-table subject run after a
-        full merge: each group of equal subjects is appended to its shard
-        :func:`~repro.store.base.shard_of` in one sweep, so every shard's
-        columns come out **sorted by subject** with per-subject rows in
-        insertion order.  A worker adopting such a blob therefore starts
-        from subject-clustered columns, and its own deferred index build
-        sorts near-sorted input.
-        """
-        self._check_open()
-        if shard_count <= 0:
-            raise ValueError("shard_count must be positive")
-        table = self._tables[kind]
-        # only the subject run is consumed — don't force the full deferred
-        # index build (predicate runs, object run) inside a pack
-        keys, positions = table.subject_run()
-        _s_col, p_col, o_col = table._cells()
-        # two passes, both dominated by C-level copies: group the merged run
-        # into per-shard subject/position arrays (array.extend of an array
-        # slice is a memcpy — one Python step per *distinct subject*, not
-        # per row), then gather the p/o columns through each shard's
-        # position array in one map() sweep per column
-        shard_subjects = [array(ID_TYPECODE) for _ in range(shard_count)]
-        shard_positions = [array(ID_TYPECODE) for _ in range(shard_count)]
-        for subject, start, stop in _groups(keys):
-            shard = shard_of(subject, shard_count)
-            shard_subjects[shard].extend(keys[start:stop])
-            shard_positions[shard].extend(positions[start:stop])
-        parts: List[Tuple[int, bytes, bytes, bytes]] = []
-        for subjects, gather in zip(shard_subjects, shard_positions):
-            p_out = array(ID_TYPECODE, map(p_col.__getitem__, gather))
-            o_out = array(ID_TYPECODE, map(o_col.__getitem__, gather))
-            parts.append(
-                (len(subjects), subjects.tobytes(), p_out.tobytes(), o_out.tobytes())
-            )
-        return parts
 
     def index_build_count(self) -> int:
         """Total full index builds across the three tables (observability)."""

@@ -3,9 +3,9 @@
 A :class:`QueryTrace` owns a *trace id* and a tree of :class:`Span`
 objects.  The service layer opens spans around the guard cascade and the
 join pipeline; the cluster coordinator opens spans around routing and
-decode/union, ships the trace id to each worker inside the existing
-``OP_QUERY`` payload, and grafts the span tree each worker sends back
-under its own root — so one scatter-gather query yields **one** tree:
+decode, ships the trace id to the worker inside the existing ``OP_QUERY``
+payload, and grafts the span tree the worker sends back under its own
+root — so one cluster query yields **one** tree:
 
 .. code-block:: text
 
@@ -16,9 +16,7 @@ under its own root — so one scatter-gather query yields **one** tree:
        │  └─ query
        │     ├─ guard
        │     └─ evaluate
-       ├─ worker-1
-       │  └─ query ...
-       └─ gather            (decode + union)
+       └─ gather            (decode)
 
 Spans serialize to plain dicts (:meth:`Span.as_dict` /
 :meth:`Span.from_dict`) so they cross the coordinator/worker pipe with the

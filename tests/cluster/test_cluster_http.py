@@ -97,8 +97,20 @@ def test_query_parity_over_http(cluster_server, bsbm_small):
         )
         payload = _post(base + "/graphs/g/query", {"query": query.to_sparql(), "limit": None})
         assert sorted(payload["answers"]) == expected
-        assert "cluster" in payload  # scatter/full attribution rides along
-        assert payload["cluster"]["mode"] in ("scatter", "full")
+        assert payload["cluster"]["mode"] == "full"  # routing attribution rides along
+        assert len(payload["cluster"]["workers"]) == 1
+
+
+def test_non_boolean_flag_is_400_on_a_cluster(cluster_server):
+    """The flag check runs before routing: a cluster-backed server refuses
+    ``"saturated": "false"`` like the in-process one, instead of answering
+    over ``G∞``."""
+    base, _, _ = cluster_server
+    with pytest.raises(urllib.error.HTTPError) as excinfo:
+        _post(base + "/graphs/g/query", {"query": "ASK { ?s ?p ?o }", "saturated": "false"})
+    assert excinfo.value.code == 400
+    payload = _post(base + "/graphs/g/query", {"query": "ASK { ?s ?p ?o }", "saturated": False})
+    assert payload["boolean"] is True
 
 
 def test_ingest_then_query_over_http(cluster_server):
@@ -130,3 +142,50 @@ def test_register_and_drop_over_http(cluster_server, fig2):
     with pytest.raises(urllib.error.HTTPError) as excinfo:
         _post(base + "/graphs/fig2http/query", {"query": "ASK WHERE { ?s ?p ?o }"})
     assert excinfo.value.code == 404
+
+
+def test_explain_on_a_cluster_is_the_in_process_explain(bsbm_small):
+    """The one worker's plan is the answer's plan: the same requests in
+    process and on two workers give the same response keys (bar
+    ``cluster``) and the same stages, probes and produced rows — the plan
+    used to be buried in ``cluster.per_worker[i].trace``."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=bsbm_small)
+    serial_catalog = GraphCatalog()
+    serial_catalog.register("g", graph=bsbm_small)
+    local = ServerApp(serial_catalog)
+    clustered = ServerApp(
+        catalog, cluster=ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
+    )
+    predicate = next(iter(bsbm_small)).predicate.value
+    texts = [
+        "SELECT ?s ?o WHERE { ?s <%s> ?o . ?s ?p ?x }" % predicate,
+        "SELECT ?a ?c WHERE { ?a <%s> ?b . ?b ?q ?c }" % predicate,
+        "SELECT ?s WHERE { ?s <http://nowhere/p> ?o . ?s <http://nowhere/q> ?x }",
+    ]
+
+    def stages(payload):
+        return [
+            (stage["pattern"], stage["probes"], stage["produced_rows"])
+            for stage in payload["trace"]["stages"]
+        ]
+
+    try:
+        for text in texts:
+            for saturated in (False, True):
+                body = {"query": text, "explain": True, "saturated": saturated, "limit": None}
+                status, expected = local.dispatch("POST", "/graphs/g/query", body)
+                assert status == 200
+                for _each_worker in range(2):
+                    status, payload = clustered.dispatch("POST", "/graphs/g/query", body)
+                    assert status == 200
+                    context = (text, saturated)
+                    assert set(payload) - {"cluster"} == set(expected), context
+                    assert payload["answers"] == expected["answers"], context
+                    if "trace" in expected:
+                        assert stages(payload) == stages(expected), context
+    finally:
+        clustered.close()
+        local.close()
+        catalog.close()
+        serial_catalog.close()

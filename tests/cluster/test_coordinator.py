@@ -1,4 +1,5 @@
-"""Scatter-gather answering: bit-identical to the in-process service."""
+"""Cluster answering: bit-identical to the in-process service, each query
+on one worker's full replica, round-robin over the K workers."""
 
 import pytest
 
@@ -12,20 +13,20 @@ from repro.service.service import QueryService
 
 
 @pytest.fixture(scope="module", params=[2, 3], ids=["k2", "k3"])
-def shards(request):
-    """Shard count K: every shard layout must answer the same."""
+def workers(request):
+    """Worker count K: every pool size must answer the same."""
     return request.param
 
 
 @pytest.fixture(scope="module")
-def cluster_pair(shards, bsbm_small):
+def cluster_pair(workers, bsbm_small):
     """A K-worker cluster and a serial reference service over the same data."""
     catalog = GraphCatalog()
     catalog.register("bsbm", graph=bsbm_small)
     serial_catalog = GraphCatalog()
     serial_catalog.register("bsbm", graph=bsbm_small)
     service = QueryService(serial_catalog)
-    coordinator = ClusterCoordinator(catalog, workers=shards, heartbeat_seconds=0)
+    coordinator = ClusterCoordinator(catalog, workers=workers, heartbeat_seconds=0)
     yield coordinator, service, serial_catalog
     coordinator.close()
     catalog.close()
@@ -41,18 +42,37 @@ def _sample_triple(graph):
 def test_workload_parity(cluster_pair, bsbm_small):
     coordinator, service, _ = cluster_pair
     queries = generate_rbgp_workload(bsbm_small, count=25, seed=13)
-    scattered = 0
     for query in queries:
         serial = service.answer("bsbm", query)
         clustered = coordinator.answer("bsbm", query)
         assert clustered.answers == serial.answers, query.to_sparql()
-        if clustered.cluster["mode"] == "scatter":
-            scattered += 1
-    # the workload must actually exercise the scatter path
-    assert scattered > 0
+        # the worker guards with the summaries of the whole graph
+        assert clustered.pruned == serial.pruned, query.to_sparql()
+        assert clustered.cluster["mode"] == "full"
+        assert len(clustered.cluster["workers"]) == 1
 
 
-def test_star_query_scatters(cluster_pair, shards, bsbm_small):
+def test_queries_go_round_robin_over_the_workers(cluster_pair, workers, bsbm_small):
+    """One worker per query, whatever its shape: a star, a chain, a
+    constant subject and a saturated query take their turn like any other."""
+    coordinator, _, _ = cluster_pair
+    triple = _sample_triple(bsbm_small)
+    shapes = [
+        ("SELECT ?s ?o WHERE { ?s <%s> ?o . ?s ?p ?x }" % triple.predicate.value, False),
+        ("SELECT ?a ?c WHERE { ?a ?p ?b . ?b ?q ?c }", False),
+        ("SELECT ?p ?o WHERE { <%s> ?p ?o }" % triple.subject.value, False),
+        ("SELECT ?s ?o WHERE { ?s <%s> ?o }" % triple.predicate.value, True),
+    ]
+    contacted = []
+    for _round in range(workers):
+        for text, saturated in shapes:
+            answer = coordinator.answer("bsbm", parse_query(text), limit=5, saturated=saturated)
+            contacted.extend(answer.cluster["workers"])
+    first = contacted[0]
+    assert contacted == [(first + step) % workers for step in range(workers * len(shapes))]
+
+
+def test_star_query_parity(cluster_pair, bsbm_small):
     coordinator, service, _ = cluster_pair
     triple = _sample_triple(bsbm_small)
     query = parse_query(
@@ -61,8 +81,6 @@ def test_star_query_scatters(cluster_pair, shards, bsbm_small):
     serial = service.answer("bsbm", query)
     clustered = coordinator.answer("bsbm", query)
     assert clustered.answers == serial.answers
-    assert clustered.cluster["mode"] == "scatter"
-    assert len(clustered.cluster["workers"]) == shards
 
 
 def test_chain_query_routes_to_full_replica(cluster_pair, bsbm_small):
@@ -75,7 +93,7 @@ def test_chain_query_routes_to_full_replica(cluster_pair, bsbm_small):
     assert len(clustered.cluster["workers"]) == 1
 
 
-def test_constant_subject_routes_to_owning_shard(cluster_pair, bsbm_small):
+def test_constant_subject_query_parity(cluster_pair, bsbm_small):
     coordinator, service, _ = cluster_pair
     triple = _sample_triple(bsbm_small)
     query = parse_query(
@@ -85,9 +103,6 @@ def test_constant_subject_routes_to_owning_shard(cluster_pair, bsbm_small):
     clustered = coordinator.answer("bsbm", query)
     assert clustered.answers == serial.answers
     assert clustered.answers  # the subject exists: answers must be non-empty
-    assert clustered.cluster["mode"] == "scatter"
-    assert "routed_shard" in clustered.cluster
-    assert len(clustered.cluster["workers"]) == 1
 
 
 def test_unknown_constant_subject_is_empty(cluster_pair):
@@ -118,12 +133,36 @@ def test_pruned_query_reports_pruning(cluster_pair):
     serial = service.answer("bsbm", query)
     clustered = coordinator.answer("bsbm", query)
     assert clustered.answers == serial.answers == set()
-    if serial.pruned:
-        # every shard guard must refute what the global guard refutes
-        assert clustered.pruned
-        assert clustered.cluster["shards_pruned"] == len(
-            clustered.cluster["workers"]
-        )
+    # the worker's guard is the in-process guard, on the same summaries
+    assert (clustered.pruned, clustered.pruned_by) == (serial.pruned, serial.pruned_by)
+    assert clustered.cluster["shards_pruned"] == int(serial.pruned)
+
+
+def test_answered_query_reports_no_pruning(cluster_pair, bsbm_small):
+    coordinator, _, _ = cluster_pair
+    triple = _sample_triple(bsbm_small)
+    query = parse_query("SELECT ?s WHERE { ?s <%s> ?o }" % triple.predicate.value)
+    clustered = coordinator.answer("bsbm", query)
+    assert clustered.answers and not clustered.pruned
+    assert clustered.cluster["shards_pruned"] == 0
+
+
+def test_explain_plan_is_the_in_process_plan(cluster_pair, bsbm_small):
+    """The one worker's plan comes back as the answer's own ``trace``,
+    stage for stage what the in-process service observes."""
+    coordinator, service, _ = cluster_pair
+    triple = _sample_triple(bsbm_small)
+    query = parse_query(
+        "SELECT ?s ?o WHERE { ?s <%s> ?o . ?s ?p ?x }" % triple.predicate.value
+    )
+    serial = service.answer("bsbm", query, limit=None, explain=True)
+    for _each_worker in range(coordinator.worker_count):
+        clustered = coordinator.answer("bsbm", query, limit=None, explain=True)
+        assert clustered.trace is not None
+        assert clustered.trace.strategy == serial.trace.strategy
+        assert [stage.as_dict() for stage in clustered.trace.stages] == [
+            stage.as_dict() for stage in serial.trace.stages
+        ]
 
 
 def test_saturated_parity_uses_full_replica(cluster_pair, bsbm_small):
@@ -160,6 +199,27 @@ def test_read_your_writes(cluster_pair):
     assert len(clustered.answers) == 2
 
 
+def test_writes_reach_every_replica(cluster_pair, workers):
+    """Each query reads one replica, so a write must reach all K: K
+    consecutive queries visit every worker and each sees the new rows."""
+    coordinator, service, serial_catalog = cluster_pair
+    triples = [
+        Triple(URI("http://every/s"), URI("http://every/p"), URI("http://every/o%d" % i))
+        for i in range(3)
+    ]
+    assert coordinator.add_triples("bsbm", triples) == 3
+    serial_catalog.add_triples("bsbm", triples)
+    query = parse_query("SELECT ?o WHERE { <http://every/s> <http://every/p> ?o }")
+    expected = service.answer("bsbm", query).answers
+    assert len(expected) == 3
+    contacted = set()
+    for _each_worker in range(workers):
+        clustered = coordinator.answer("bsbm", query)
+        assert clustered.answers == expected
+        contacted.update(clustered.cluster["workers"])
+    assert contacted == set(range(workers))
+
+
 def test_register_and_drop_at_runtime(cluster_pair, fig2):
     coordinator, _, _ = cluster_pair
     coordinator.register("fig2", graph=fig2)
@@ -173,11 +233,11 @@ def test_register_and_drop_at_runtime(cluster_pair, fig2):
         coordinator.answer("fig2", query)
 
 
-def test_status_reports_workers(cluster_pair, shards):
+def test_status_reports_workers(cluster_pair, workers):
     coordinator, _, _ = cluster_pair
     status = coordinator.status()
-    assert status["worker_count"] == shards
-    assert len(status["workers"]) == shards
+    assert status["worker_count"] == workers
+    assert len(status["workers"]) == workers
     for worker in status["workers"]:
         assert worker["alive"]
     assert "bsbm" in status["graphs"]
@@ -188,8 +248,8 @@ def test_load_ack_reports_rows_and_attach_time(cluster_pair):
     coordinator, _, _ = cluster_pair
     for worker in coordinator.status()["workers"]:
         ack = worker["last_load"]
-        assert set(ack) == {"name", "version", "shard_rows", "full_rows", "attach_seconds"}
-        assert ack["full_rows"] >= ack["shard_rows"] and ack["full_rows"] > 0
+        assert set(ack) == {"name", "version", "rows", "attach_seconds"}
+        assert ack["rows"] > 0
 
 
 def test_statistics_record_cluster_answers(cluster_pair):

@@ -2,11 +2,11 @@
 ahead of its next request by the one sender of its pipe.
 
 Instead of one hand-picked interleaving per past bug, seeded schedules mix
-ingest, folds, worker kills, drop + register and the three routing paths,
-and check after every step that the cluster answers exactly what the
-in-process service answers on the same catalog — so a query issued right
-after an ingest sees it on the shard path and on the replica path, across a
-fold and across a respawn.  Plus the faults around it: a fold or a
+ingest, folds, worker kills, drop + register and four query shapes, and
+check after every step that the cluster answers exactly what the
+in-process service answers on the same catalog, from the worker the
+round-robin names — so a query issued right after an ingest sees it on
+whichever replica it lands, across a fold and across a respawn.  Plus the faults around it: a fold or a
 registration that cannot pack, and a worker that stopped reading."""
 
 import errno
@@ -56,14 +56,13 @@ def _batch(rng, size):
     return triples
 
 
-#: One probe per routing path: scattered to every shard, routed to the one
-#: shard that owns a constant subject, a chain on one worker's full replica,
-#: and saturated semantics (always the full replica).
+#: One probe per query shape: a star on a variable subject, a constant
+#: subject, a chain, and saturated semantics.
 _PROBES = [
-    ("scatter", "SELECT ?s ?o WHERE { ?s <http://log/p0> ?o }", False),
-    ("scatter", "SELECT ?p ?o WHERE { <http://log/n3> ?p ?o }", False),
-    ("full", "SELECT ?a ?c WHERE { ?a <http://log/p0> ?b . ?b <http://log/p1> ?c }", False),
-    ("full", "SELECT ?s ?c WHERE { ?s <%s> ?c }" % RDF_TYPE.value, True),
+    ("SELECT ?s ?o WHERE { ?s <http://log/p0> ?o }", False),
+    ("SELECT ?p ?o WHERE { <http://log/n3> ?p ?o }", False),
+    ("SELECT ?a ?c WHERE { ?a <http://log/p0> ?b . ?b <http://log/p1> ?c }", False),
+    ("SELECT ?s ?c WHERE { ?s <%s> ?c }" % RDF_TYPE.value, True),
 ]
 
 
@@ -84,6 +83,7 @@ def test_seeded_schedule_matches_the_in_process_service(seed, workers):
     )
     packs = 1  # the register at start()
     logged = 0
+    queries = 0  # the round-robin position: each query goes to the next worker
     try:
         for step in range(STEPS):
             op = rng.choice(["add", "add", "add", "fold", "kill", "reregister", "query"])
@@ -102,13 +102,14 @@ def test_seeded_schedule_matches_the_in_process_service(seed, workers):
                 coordinator.register("g", graph=_batch(rng, 10))
                 logged = 0
                 packs += 1
-            mode, text, saturated = rng.choice(_PROBES)
+            text, saturated = rng.choice(_PROBES)
             query = parse_query(text)
             answer = coordinator.answer("g", query, saturated=saturated)
             expected = service.answer("g", query, saturated=saturated)
             context = (seed, workers, step, op, text)
             assert answer.answers == expected.answers, context
-            assert answer.cluster["mode"] == mode, context
+            assert answer.cluster["workers"] == [queries % workers], context
+            queries += 1
             status = coordinator.status()
             # a pack happens at register and at a fold — never for a kill,
             # a lagging worker or a respawn
@@ -118,7 +119,7 @@ def test_seeded_schedule_matches_the_in_process_service(seed, workers):
             for worker in status["workers"]:
                 assert worker["queued_deltas"] <= FOLD_ROWS, context
         # at rest every probe agrees, whichever worker lagged
-        for _mode, text, saturated in _PROBES * 2:
+        for text, saturated in _PROBES * workers:
             query = parse_query(text)
             assert (
                 coordinator.answer("g", query, saturated=saturated).answers
@@ -139,7 +140,7 @@ def test_thread_census():
     coordinator = ClusterCoordinator(catalog, workers=3, heartbeat_seconds=30)
     try:
         coordinator.add_triples("g", _batch(random.Random(1), 5))
-        coordinator.answer("g", parse_query(_PROBES[0][1]))
+        coordinator.answer("g", parse_query(_PROBES[0][0]))
         names = sorted(thread.name for thread in set(threading.enumerate()) - before)
         assert names == ["repro-heartbeat", "repro-recv-0", "repro-recv-1", "repro-recv-2"]
         assert not any(
@@ -208,12 +209,12 @@ def test_failed_fold_keeps_the_batch_and_the_ingest(monkeypatch):
         assert failures.value == before + 1
         status = coordinator.status()
         assert status["shm"]["packs"] == 1 and status["shm"]["logged_delta_rows"] == 5
-        scatter = parse_query("SELECT ?s ?o WHERE { ?s <http://log/p0> ?o }")
+        star = parse_query("SELECT ?s ?o WHERE { ?s <http://log/p0> ?o }")
         chain = parse_query(
             "SELECT ?a ?c WHERE { ?a <http://log/p0> ?b . ?b <http://log/p0> ?c }"
         )
-        for _both_replicas in range(2):
-            for query in (scatter, chain):
+        for query in (star, chain):
+            for _each_replica in range(2):
                 answer = coordinator.answer("g", query)
                 assert answer.answers == service.answer("g", query).answers
                 assert any(row[0] == _uri("f", 0) for row in answer.answers)
@@ -222,7 +223,7 @@ def test_failed_fold_keeps_the_batch_and_the_ingest(monkeypatch):
         status = coordinator.status()
         assert len(calls) == 2 and status["shm"]["packs"] == 2
         assert status["shm"]["logged_delta_rows"] == 0
-        assert coordinator.answer("g", scatter).answers == service.answer("g", scatter).answers
+        assert coordinator.answer("g", star).answers == service.answer("g", star).answers
     finally:
         coordinator.close()
         catalog.close()
@@ -325,9 +326,10 @@ def test_a_stopped_worker_stops_no_writer(workers):
         os.kill(stopped, signal.SIGCONT)
     try:
         query = parse_query("SELECT ?s ?o WHERE { ?s <http://log/stopped> ?o }")
-        answer = coordinator.answer("g", query)
-        assert answer.cluster["workers"] == list(range(workers))
-        assert len(answer.answers) == 200
+        # round-robin from worker 0, the stopped one: every replica answers
+        answers = [coordinator.answer("g", query) for _ in range(workers)]
+        assert [answer.cluster["workers"] for answer in answers] == [[i] for i in range(workers)]
+        assert all(len(answer.answers) == 200 for answer in answers)
         assert coordinator.status()["workers"][0]["pid"] == stopped  # never killed for lagging
     finally:
         coordinator.close()

@@ -13,7 +13,7 @@ import time
 import pytest
 
 from repro.cluster import ClusterCoordinator, protocol, shm
-from repro.cluster.worker import TARGET_FULL, TARGET_SHARD, _Worker
+from repro.cluster.worker import _Worker
 from repro.errors import DictionaryError, ReproError, WorkerCrashedError
 from repro.model.namespaces import RDF_TYPE, RDFS_DOMAIN
 from repro.model.terms import URI
@@ -44,14 +44,13 @@ def _triples(count, prefix="http://x"):
     ]
 
 
-def _load_payload(registry, store, name="g", version=0, shards=1):
-    """An ``OP_LOAD`` for shard 0 the way the coordinator builds one: the
-    store packed into a segment of *registry*, plus an empty log."""
+def _load_payload(registry, store, name="g", version=0):
+    """An ``OP_LOAD`` the way the coordinator builds one: the store packed
+    into a segment of *registry*, plus an empty log."""
     segment_name, directory, _ = registry.pack(
         name,
         version,
         protocol.pack_term_chunks(store.dictionary),
-        protocol.pack_all_shard_tables(store, shards),
         protocol.pack_full_tables(store),
         protocol.BYTEORDER,
     )
@@ -66,13 +65,10 @@ def registry():
     assert shm.list_segments() == []
 
 
-def _query_payload(
-    target=TARGET_FULL, text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"
-):
+def _query_payload(text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"):
     return (
         "g",
         text,
-        target,
         None,
         False,
         False,
@@ -111,7 +107,7 @@ def test_query_racing_a_drop_gets_unknown_graph_promptly(registry):
             (7, protocol.OP_QUERY, _query_payload()),
         ]
     )
-    worker = _Worker(pipe, {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(pipe, {})
     worker.run()
     # answered strictly in arrival order: nothing is held back
     assert [request_id for request_id, _, _ in pipe.sent] == [1, 2, 3, 7]
@@ -148,7 +144,7 @@ def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy(registry):
             (13, protocol.OP_QUERY, _query_payload()),
         ]
     )
-    worker = _Worker(pipe, {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(pipe, {})
     worker.run()
     later.close()
     replies = {rid: (status, payload) for rid, status, payload in pipe.sent}
@@ -166,12 +162,12 @@ def test_failed_catch_up_leaves_no_copy_to_answer_from(registry, offset):
     unknown-graph, and a fresh load recovers."""
     store = MemoryStore()
     store.insert_triples(_triples(2))
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(_PipeStub(), {})
     worker.handle_load(_load_payload(registry, store))
     mismatch = (1, (len(store.dictionary) + offset, []), [])
     with pytest.raises(DictionaryError, match="term offset mismatch"):
         worker.handle_delta(("g", [mismatch]))
-    assert worker.graphs == {} and worker.full_catalog.names() == []
+    assert worker.graphs == {} and worker.catalog.names() == []
     worker._reply(9, worker.handle_query, _query_payload())
     assert worker.connection.sent[-1][2][0] == "unknown_graph"
     worker.handle_load(_load_payload(registry, store))
@@ -181,56 +177,50 @@ def test_failed_catch_up_leaves_no_copy_to_answer_from(registry, offset):
 
 
 def test_load_adopts_the_segment_and_defers_the_rest(registry):
-    """A load acks at once: the columns are adopted (not copied), neither
-    store primes its summary maintainer at load — each does exactly once,
-    on its first guarded query — and the dictionary waits for the first
-    query."""
+    """A load acks at once: the columns are adopted (not copied), the
+    replica does not prime its summary maintainer at load — it does exactly
+    once, on its first guarded query — and the dictionary waits for the
+    first query."""
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(6))
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(_PipeStub(), {})
     try:
         reply = worker.handle_load(_load_payload(registry, entry.store))
-        assert set(reply) == {"name", "version", "shard_rows", "full_rows", "attach_seconds"}
-        assert reply["shard_rows"] == reply["full_rows"] == 6
+        assert set(reply) == {"name", "version", "rows", "attach_seconds"}
+        assert reply["rows"] == 6
         assert len(worker.segments) == 1
-        shard_entry = worker.shard_catalog.entry("g")
-        full_entry = worker.full_catalog.entry("g")
-        assert "g" in worker._pending_terms and len(full_entry.store.dictionary) == 0
-        assert shard_entry.build_counters["prime_scans"] == 0
-        assert full_entry.build_counters["prime_scans"] == 0
+        replica = worker.catalog.entry("g")
+        assert "g" in worker._pending_terms and len(replica.store.dictionary) == 0
+        assert replica.build_counters["prime_scans"] == 0
         # segment pages are shared between workers: nothing private
         memory = worker.handle_ping(())["column_memory"]
-        column_bytes = 2 * 6 * 12  # two stores, six rows, three 4-byte ids a row
+        column_bytes = 6 * 12  # six rows, three 4-byte ids a row
         assert memory == {"private_bytes": 0, "adopted_bytes": column_bytes}
         guarded = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # an RBGP: the guard runs
         for _again in range(2):
-            for target in (TARGET_SHARD, TARGET_FULL):
-                answer = worker.handle_query(_query_payload(target, guarded))
-                assert answer["prunable"] and len(answer["answers"]) == 6
-        assert shard_entry.build_counters["prime_scans"] == 1
-        assert full_entry.build_counters["prime_scans"] == 1
+            answer = worker.handle_query(_query_payload(guarded))
+            assert answer["prunable"] and len(answer["answers"]) == 6
+        assert replica.build_counters["prime_scans"] == 1
     finally:
         worker.close()
         catalog.close()
 
 
-@pytest.mark.parametrize("fault", ["full-row-count", "full-register"])
+@pytest.mark.parametrize("fault", ["row-count", "register"])
 def test_failed_load_leaves_nothing_behind(registry, fault, monkeypatch):
-    """A load that raises — before or after the shard entry was registered
-    — leaves no catalog entry, mapping or pending state, so a correct
-    re-ship of the same name succeeds (the old pipe loader left the shard
-    entry registered and every re-ship died on DuplicateGraphError)."""
+    """A load that raises — on a corrupt directory, or when the replica is
+    registered — leaves no catalog entry, mapping or pending state, so a
+    correct re-ship of the same name succeeds."""
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(4))
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(_PipeStub(), {})
     good = _load_payload(registry, entry.store)
     try:
-        if fault == "full-row-count":
+        if fault == "row-count":
             name, version, (segment_name, directory), deltas = good
             data = TripleKind.DATA.value
-            count, *offsets = directory["targets"]["full"][data]
-            full = {**directory["targets"]["full"], data: (count + 1, *offsets)}
-            corrupt = {**directory, "targets": {**directory["targets"], "full": full}}
+            count, *offsets = directory["tables"][data]
+            corrupt = {**directory, "tables": {**directory["tables"], data: (count + 1, *offsets)}}
             bad = (name, version, (segment_name, corrupt), deltas)
         else:
             bad = good
@@ -238,13 +228,13 @@ def test_failed_load_leaves_nothing_behind(registry, fault, monkeypatch):
             def refuse(*_args, **_kwargs):
                 raise ReproError("full replica refused")
 
-            monkeypatch.setattr(worker.full_catalog, "register", refuse)
+            monkeypatch.setattr(worker.catalog, "register", refuse)
         with pytest.raises(ReproError, match="row count mismatch|refused"):
             worker.handle_load(bad)
         monkeypatch.undo()
         assert worker.graphs == {} and worker.segments == {}
         assert worker._pending_terms == {}
-        assert worker.shard_catalog.names() == [] and worker.full_catalog.names() == []
+        assert worker.catalog.names() == []
         worker.handle_load(good)
         assert len(worker.handle_query(_query_payload())["answers"]) == 4
     finally:
@@ -296,21 +286,21 @@ def test_a_saturated_query_mints_no_id_on_a_worker():
 
 
 def test_register_snapshots_once(bsbm_small, monkeypatch):
-    """register() must pack the shard tables once for all K workers, not
-    re-partition the whole store per worker."""
+    """register() must pack the graph's tables once for all K workers, not
+    once per worker."""
     calls = []
-    real = protocol.pack_all_shard_tables
+    real = protocol.pack_full_tables
 
-    def counting(store, shard_count):
-        calls.append(shard_count)
-        return real(store, shard_count)
+    def counting(store):
+        calls.append(store)
+        return real(store)
 
-    monkeypatch.setattr(protocol, "pack_all_shard_tables", counting)
+    monkeypatch.setattr(protocol, "pack_full_tables", counting)
     catalog = GraphCatalog()
     coordinator = ClusterCoordinator(catalog, workers=3, heartbeat_seconds=0)
     try:
         coordinator.register("bsbm", graph=bsbm_small)
-        assert calls == [3]
+        assert len(calls) == 1
         query = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
         assert coordinator.answer("bsbm", query).answers
     finally:
@@ -360,8 +350,8 @@ def test_ingest_during_respawn_reship_does_not_wedge(bsbm_small):
                 break
             time.sleep(0.05)
         query = parse_query("SELECT ?s ?o WHERE { ?s <http://wedge/p> ?o }")
-        answer = coordinator.answer("g", query)
-        assert len(answer.answers) == 30  # every batch reached both workers
+        for _each_worker in range(2):  # every batch reached both workers
+            assert len(coordinator.answer("g", query).answers) == 30
     finally:
         coordinator.close()
         catalog.close()

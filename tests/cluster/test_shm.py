@@ -31,13 +31,12 @@ def _store(count=64):
     return store
 
 
-def _pack(registry, store, name="g", version=0, shards=2):
+def _pack(registry, store, name="g", version=0):
     """The ``(segment_name, directory)`` descriptor of a fresh pack."""
     segment_name, directory, nbytes = registry.pack(
         name,
         version,
         protocol.pack_term_chunks(store.dictionary),
-        protocol.pack_all_shard_tables(store, shards),
         protocol.pack_full_tables(store),
         protocol.BYTEORDER,
     )
@@ -62,7 +61,7 @@ class TestRegistry:
                 chunks = pickle.loads(bytes(buffer[offset : offset + length]))
                 protocol.unpack_term_chunks(chunks, target.dictionary)
                 assert len(target.dictionary) == len(store.dictionary)
-                tables = directory["targets"]["full"]
+                tables = directory["tables"]
                 count, s_off, p_off, o_off = tables[TripleKind.DATA.value]
                 nbytes = count * ID_BYTES
                 target.adopt_column_buffers(
@@ -74,13 +73,6 @@ class TestRegistry:
                 whole = {r for b in store.scan_batches(TripleKind.DATA) for r in b}
                 got = {r for b in target.scan_batches(TripleKind.DATA) for r in b}
                 assert got == whole
-                # shard targets partition the same rows
-                shard_rows = []
-                for index in (0, 1):
-                    entry = directory["targets"][index].get(TripleKind.DATA.value)
-                    if entry:
-                        shard_rows.append(entry[0])
-                assert sum(shard_rows) == len(whole)
                 target.close()
             finally:
                 segment.close()
@@ -313,7 +305,6 @@ def test_sigkilled_registry_leaves_an_orphan_the_next_registry_sweeps(tmp_path):
             name, _, _ = registry.pack(
                 "g", 0,
                 protocol.pack_term_chunks(store.dictionary),
-                protocol.pack_all_shard_tables(store, 2),
                 protocol.pack_full_tables(store),
                 protocol.BYTEORDER,
             )
@@ -408,9 +399,9 @@ def test_worker_losing_its_pipe_under_a_reply_still_looks_for_orphans(monkeypatc
 
     store = _store(16)
     registry = shm.SegmentRegistry()
-    worker = worker_module._Worker(_PipeThatBreaks(), {"shard_index": 0, "shard_count": 1})
+    worker = worker_module._Worker(_PipeThatBreaks(), {})
     try:
-        segment_name, directory = _pack(registry, store, shards=1)
+        segment_name, directory = _pack(registry, store)
         worker._reply(1, worker.handle_load, ("g", 0, (segment_name, directory), []))
         assert worker.connection.sent[0][1] == "ok"
         looked_at = []
@@ -435,7 +426,7 @@ def test_worker_attach_byteswaps_foreign_segments():
     answers identically."""
     from array import array
 
-    from repro.cluster.worker import TARGET_FULL, _Worker
+    from repro.cluster.worker import _Worker
 
     foreign = "big" if sys.byteorder == "little" else "little"
 
@@ -453,23 +444,21 @@ def test_worker_attach_byteswaps_foreign_segments():
 
     store = _store(48)
     registry = shm.SegmentRegistry()
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(_PipeStub(), {})
     try:
         segment_name, directory, _ = registry.pack(
             "g",
             0,
             protocol.pack_term_chunks(store.dictionary),
-            [swap(tables) for tables in protocol.pack_all_shard_tables(store, 1)],
             swap(protocol.pack_full_tables(store)),
             foreign,
         )
         reply = worker.handle_load(("g", 0, (segment_name, directory), []))
-        assert reply["full_rows"] == store.count(TripleKind.DATA) + store.count(
+        assert reply["rows"] == store.count(TripleKind.DATA) + store.count(
             TripleKind.TYPE
         ) + store.count(TripleKind.SCHEMA)
         answer = worker.handle_query(
-            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", TARGET_FULL,
-             None, False, False, None)
+            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", None, False, False, None)
         )
         native = MemoryStore()
         native.insert_triples(
@@ -493,19 +482,18 @@ def test_worker_attach_byteswaps_foreign_segments():
 def test_a_plane_outside_dev_shm_runs_the_whole_lifecycle(tmp_path, monkeypatch):
     """Where ``/dev/shm`` is missing the segments are files in the temporary
     directory: the same pack, attach, query and drop, and nothing left."""
-    from repro.cluster.worker import TARGET_FULL, _Worker
+    from repro.cluster.worker import _Worker
 
     monkeypatch.setattr(shm, "_SHM_ROOT", str(tmp_path))
     store = _store(24)
     registry = shm.SegmentRegistry()
-    worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+    worker = _Worker(_PipeStub(), {})
     try:
-        segment_name, directory = _pack(registry, store, shards=1)
+        segment_name, directory = _pack(registry, store)
         assert os.listdir(tmp_path) == [segment_name] == shm.list_segments()
         worker.handle_load(("g", 0, (segment_name, directory), []))
         answer = worker.handle_query(
-            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", TARGET_FULL,
-             None, False, False, None)
+            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", None, False, False, None)
         )
         assert len(answer["answers"]) == 8
         worker.handle_drop(("g",))

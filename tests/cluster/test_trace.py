@@ -1,7 +1,7 @@
 """Trace propagation across the coordinator→worker pipe.
 
-One traced scatter-gather query must come back as a *single* span tree:
-the coordinator's route/scatter/gather spans with each contacted worker's
+One traced cluster query must come back as a *single* span tree: the
+coordinator's route/scatter/gather spans with the one contacted worker's
 guard/evaluate subtree grafted under ``worker-<index>`` — structurally the
 same guard/evaluate pair the serial service produces.
 """
@@ -29,7 +29,7 @@ def traced_pair(bsbm_small):
     serial_catalog.close()
 
 
-def _scatter_query(graph):
+def _star_query(graph):
     triple = next(iter(graph))
     return parse_query(
         "SELECT ?s ?o WHERE { ?s <%s> ?o . ?s ?p ?x }" % triple.predicate.value
@@ -38,17 +38,17 @@ def _scatter_query(graph):
 
 def test_untraced_query_has_no_span_tree(traced_pair, bsbm_small):
     coordinator, _service = traced_pair
-    answer = coordinator.answer("bsbm", _scatter_query(bsbm_small))
+    answer = coordinator.answer("bsbm", _star_query(bsbm_small))
     assert answer.query_trace is None
 
 
 def test_cluster_trace_is_one_tree(traced_pair, bsbm_small):
     coordinator, _service = traced_pair
-    query = _scatter_query(bsbm_small)
+    query = _star_query(bsbm_small)
     answer = coordinator.answer("bsbm", query, trace=True)
     trace = answer.query_trace
     assert trace is not None and trace.trace_id
-    assert answer.cluster["mode"] == "scatter"
+    (worker,) = answer.cluster["workers"]
 
     root = trace.root
     assert root.name == "query"
@@ -56,17 +56,16 @@ def test_cluster_trace_is_one_tree(traced_pair, bsbm_small):
     assert stages == ["route", "scatter", "gather"]
 
     scatter = root.find("scatter")
-    worker_spans = [child for child in scatter.children if child.name.startswith("worker-")]
-    # every contacted worker contributed exactly one grafted subtree
-    assert len(worker_spans) == len(answer.cluster["workers"]) == 2
-    for span in worker_spans:
-        (worker_query,) = span.children
-        assert worker_query.name == "query"
-        assert worker_query.find("guard") is not None
-        assert worker_query.find("evaluate") is not None
+    # the one contacted worker contributed exactly one grafted subtree
+    (span,) = scatter.children
+    assert span.name == f"worker-{worker}"
+    (worker_query,) = span.children
+    assert worker_query.name == "query"
+    assert worker_query.find("guard") is not None
+    assert worker_query.find("evaluate") is not None
 
     route = root.find("route")
-    assert route.attributes["mode"] == "scatter"
+    assert route.attributes == {"mode": "full", "workers": [worker]}
     gather = root.find("gather")
     assert gather.attributes["answers"] == len(answer.answers)
     assert root.seconds > 0
@@ -76,17 +75,18 @@ def test_caller_supplied_trace_id_propagates(traced_pair, bsbm_small):
     coordinator, _service = traced_pair
     supplied = QueryTrace(trace_id="feedfacefeedface")
     answer = coordinator.answer(
-        "bsbm", _scatter_query(bsbm_small), trace=supplied
+        "bsbm", _star_query(bsbm_small), trace=supplied
     )
     assert answer.query_trace is supplied
     assert answer.query_trace.trace_id == "feedfacefeedface"
-    # the workers only build a subtree when the id crossed the pipe
-    assert answer.query_trace.root.find("worker-0") is not None
+    # the worker only builds a subtree when the id crossed the pipe
+    (worker,) = answer.cluster["workers"]
+    assert answer.query_trace.root.find(f"worker-{worker}") is not None
 
 
 def test_worker_subtrees_match_the_serial_shape(traced_pair, bsbm_small):
     coordinator, service = traced_pair
-    query = _scatter_query(bsbm_small)
+    query = _star_query(bsbm_small)
     serial = service.answer("bsbm", query, trace=True)
     clustered = coordinator.answer("bsbm", query, trace=True)
     assert clustered.answers == serial.answers
@@ -101,7 +101,7 @@ def test_worker_subtrees_match_the_serial_shape(traced_pair, bsbm_small):
         assert [child.name for child in worker_query.children] == serial_stages
 
 
-def test_routed_single_shard_query_still_traces(traced_pair, bsbm_small):
+def test_constant_subject_query_still_traces(traced_pair, bsbm_small):
     coordinator, _service = traced_pair
     triple = next(iter(bsbm_small))
     query = parse_query("SELECT ?p ?o WHERE { <%s> ?p ?o }" % triple.subject.value)
@@ -117,4 +117,18 @@ def test_routed_single_shard_query_still_traces(traced_pair, bsbm_small):
         span for span in trace.root.find("scatter").children
         if span.name.startswith("worker-")
     ]
-    assert len(worker_spans) == len(answer.cluster["workers"])
+    assert len(worker_spans) == len(answer.cluster["workers"]) == 1
+
+
+def test_consecutive_traces_name_the_round_robin_worker(traced_pair, bsbm_small):
+    """Each traced query grafts the subtree of the worker it went to, and
+    consecutive queries go to the workers in turn."""
+    coordinator, _service = traced_pair
+    query = _star_query(bsbm_small)
+    grafted = []
+    for _each_query in range(2 * coordinator.worker_count):
+        trace = coordinator.answer("bsbm", query, trace=True).query_trace
+        (span,) = trace.root.find("scatter").children
+        grafted.append(int(span.name[len("worker-"):]))
+    first = grafted[0]
+    assert grafted == [(first + step) % coordinator.worker_count for step in range(len(grafted))]

@@ -207,15 +207,14 @@ def test_a_cluster_worker_maintains_it_from_delta_broadcasts(history):
             "g",
             entry.version,
             protocol.pack_term_chunks(store.dictionary),
-            protocol.pack_all_shard_tables(store, 1),
             protocol.pack_full_tables(store),
             protocol.BYTEORDER,
         )
-        assert set(directory) == {"graph", "version", "byteorder", "terms", "targets", "generation"}
-        worker = _Worker(_PipeStub(), {"shard_index": 0, "shard_count": 1})
+        assert set(directory) == {"graph", "version", "byteorder", "terms", "tables", "generation"}
+        worker = _Worker(_PipeStub(), {})
         try:
             worker.handle_load(("g", entry.version, (segment_name, directory), []))
-            replica = worker.full_catalog.entry("g")
+            replica = worker.catalog.entry("g")
             worker._hydrate_terms("g")
             assert replica.build_counters["prime_scans"] == 0  # not at load
             for kind in _KINDS:

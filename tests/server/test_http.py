@@ -7,7 +7,7 @@ import urllib.request
 
 import pytest
 
-from repro.io.ntriples import serialize_ntriples
+from repro.io.ntriples import parse_ntriples, serialize_ntriples
 from repro.model import dictionary as dictionary_module
 from repro.model.dictionary import pack_terms
 from repro.model.triple import TripleKind
@@ -149,6 +149,54 @@ class TestQuery:
                 {"query": "ASK { ?s ?p ?o }", "limit": bad_limit},
             )
             assert status == 400, bad_limit
+
+    @pytest.mark.parametrize("flag", ["saturated", "explain", "trace"])
+    def test_non_boolean_flag_400(self, served, flag):
+        """``"saturated": "false"`` is a truthy string: read as ``bool()``
+        it answered over ``G∞``.  A flag that is not a JSON boolean is a 400."""
+        base, _catalog = served
+        for bad_value in ("false", "no", 0, 1, None, []):
+            status, payload = _call(
+                base,
+                "POST",
+                "/graphs/fig2/query",
+                {"query": "ASK { ?s ?p ?o }", flag: bad_value},
+            )
+            assert status == 400 and flag in payload["error"], bad_value
+        for good_value in (False, True):
+            status, _payload = _call(
+                base,
+                "POST",
+                "/graphs/fig2/query",
+                {"query": "ASK { ?s ?p ?o }", flag: good_value},
+            )
+            assert status == 200, good_value
+
+    def test_saturated_string_never_reaches_g_infinity(self, served):
+        """The graph entails ``<a> rdf:type <C>`` only through the domain
+        rule: the explicit graph has no answer, ``G∞`` has one, and the
+        string ``"false"`` is neither."""
+        base, catalog = served
+        catalog.register(
+            "domain",
+            graph=parse_ntriples(
+                "<http://ex/a> <http://ex/p> <http://ex/b> .\n"
+                "<http://ex/p> <http://www.w3.org/2000/01/rdf-schema#domain> <http://ex/C> .\n"
+            ),
+        )
+        query = "SELECT ?s ?c WHERE { ?s <http://www.w3.org/1999/02/22-rdf-syntax-ns#type> ?c }"
+        answers = {}
+        for saturated in (False, True):
+            status, payload = _call(
+                base, "POST", "/graphs/domain/query", {"query": query, "saturated": saturated}
+            )
+            assert status == 200, saturated
+            answers[saturated] = payload["answers"]
+        assert answers[False] == [] and len(answers[True]) == 1
+        status, payload = _call(
+            base, "POST", "/graphs/domain/query", {"query": query, "saturated": "false"}
+        )
+        assert status == 400 and "answers" not in payload
 
 
 class TestIngestAndMaintenance:

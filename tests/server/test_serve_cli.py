@@ -106,7 +106,7 @@ def test_serve_round_trip_with_warm_restart(tmp_path, fig2, backend):
 
 
 def test_serve_cluster_round_trip_with_sigterm_drain(tmp_path, fig2):
-    """``--workers 2``: queries scatter across worker processes, and a
+    """``--workers 2``: queries run on worker processes, and a
     SIGTERM drains the whole tier (HTTP, executor, cluster workers) to a
     clean exit 0."""
     data_file = tmp_path / "fig2.nt"
@@ -129,7 +129,8 @@ def test_serve_cluster_round_trip_with_sigterm_drain(tmp_path, fig2):
             port, "SELECT ?x ?y WHERE { ?x <http://example.org/fig2/editor> ?y . }"
         )
         assert answer["answer_count"] > 0
-        assert answer["cluster"]["mode"] in ("scatter", "full")
+        assert answer["cluster"]["mode"] == "full"
+        assert len(answer["cluster"]["workers"]) == 1
         with urllib.request.urlopen(
             f"http://127.0.0.1:{port}/cluster", timeout=30
         ) as response:

@@ -70,7 +70,7 @@ def _posting_run(store, predicate, by_object=False):
 
 
 class TestPostingRuns:
-    def test_subject_run_is_sorted_and_complete(self):
+    def test_ps_run_is_sorted_and_complete(self):
         with MemoryStore() as store:
             store.load_graph(_sample_graph())
             author = store.dictionary.encode_existing(EX.author)

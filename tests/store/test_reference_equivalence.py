@@ -140,14 +140,12 @@ def _assert_run(run, pairs):
         st.lists(st.tuples(ids, st.just(3), ids), max_size=60),
     ),
     adopt=st.booleans(),
-    prebuild_subjects=st.booleans(),
 )
-def test_deferred_index_build_is_its_definition(rows, adopt, prebuild_subjects):
+def test_deferred_index_build_is_its_definition(rows, adopt):
     """The deferred build sorts positions, never ``(key, position)``
     tuples: every run it leaves must still equal ``sorted(zip(keys,
     positions))``, with ``distinct`` the key count and ``by_predicate``
-    ascending — over copied or adopted (``ColumnView``) columns, and when
-    ``subject_run()`` built the subject run first."""
+    ascending — over copied or adopted (``ColumnView``) columns."""
     n = len(rows)
     s_col, p_col, o_col = (list(column) for column in zip(*rows)) if rows else ([], [], [])
     blobs = [array(ID_TYPECODE, column).tobytes() for column in (s_col, p_col, o_col)]
@@ -156,15 +154,8 @@ def test_deferred_index_build_is_its_definition(rows, adopt, prebuild_subjects):
         assert load(TripleKind.DATA, *blobs) == n
         table = store._tables[TripleKind.DATA]
         assert (type(table.s_col) is ColumnView) == adopt
-        prebuilt = None
-        if prebuild_subjects:
-            keys, positions = table.subject_run()
-            assert list(zip(keys, positions)) == sorted(zip(s_col, range(n)))
-            prebuilt = table.s_run
         table._ensure_indexed()
         assert table.index_builds == 1
-        if prebuilt is not None:
-            assert table.s_run is prebuilt  # adopted, not sorted again
         _assert_run(table.s_run, list(zip(s_col, range(n))))
         _assert_run(table.o_run, list(zip(o_col, range(n))))
         assert set(table.by_predicate) == set(table.ps_runs) == set(table.po_runs) == set(p_col)

@@ -175,7 +175,7 @@ def test_the_process_a_worker_is_never_imports_multiprocessing(tmp_path):
     ours, theirs = socket.socketpair()
     with ours, theirs:
         ours.close()
-        config = json.dumps({"shard_index": 0, "shard_count": 1})
+        config = json.dumps({})
         worker = _modules_of_process(
             tmp_path,
             ["-m", "repro.cluster.worker", str(theirs.fileno()), config],

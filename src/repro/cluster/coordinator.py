@@ -2,34 +2,38 @@
 
 One :class:`ClusterCoordinator` owns the authoritative
 :class:`~repro.service.catalog.GraphCatalog` (the single writer of the
-tier) and a pool of K worker processes — each a plain ``python -m
-repro.cluster.worker`` child on one end of a socket pair, so the process
-tree is the front end and its K workers, nothing else.  Each registered
-graph is packed once into a named segment — one image of raw 4-byte id
-column blobs plus structurally packed dictionary terms — that every worker
-attaches as its full replica of the graph: see :mod:`repro.cluster.shm` for
-the image layout, :mod:`repro.cluster.protocol` for the wire format and
-:mod:`repro.cluster.worker` for the receiving side.  Every dictionary id is
-assigned here, never on a worker: ``rdf:type``, which a worker's ``G∞``
-derives even for a graph without type triples, is minted before the first
-pack.
+tier), the tier's one :class:`~repro.service.service.QueryService` and a
+pool of K worker processes — each a plain ``python -m repro.cluster.worker``
+child on one end of a socket pair, so the process tree is the front end and
+its K workers, nothing else.  Each registered graph is packed once into a
+named segment — one image of raw 4-byte id column blobs, no term — that
+every worker attaches as its full replica of the graph: see
+:mod:`repro.cluster.shm` for the image layout, :mod:`repro.cluster.protocol`
+for the wire format and :mod:`repro.cluster.worker` for the receiving side.
+Every dictionary id is assigned here, never on a worker: ``rdf:type``,
+which a worker's ``G∞`` derives even for a graph without type triples, is
+minted before the first pack.
 
 Query routing
 -------------
-Every query goes round-robin to one worker, which answers it on its full
-replica behind the summaries of the *whole* graph — the guard of
-Proposition 1, exactly as in process.  The answer ids decode through the
-coordinator's dictionary, which keeps every cluster answer bit-identical to
-the in-process :meth:`~repro.service.service.QueryService.answer`.
+The service answers every query here: it parses nothing twice, compiles
+against this dictionary and runs the guard cascade of Proposition 1 on the
+summaries of the whole graph, under the entry's read lock.  A pruned query
+and a dictionary miss are answered on the spot — no pipe message.  Only
+then, the lock released, is the *evaluation* of the compiled id query
+handed to the next worker in round-robin order (:meth:`_evaluate`, the
+service's ``remote`` step); its head id rows decode once, through this
+dictionary, which keeps every cluster answer bit-identical to the
+in-process :meth:`~repro.service.service.QueryService.answer`.
 
 Writes
 ------
 Ingest runs on the coordinator's catalog (summaries, statistics,
 persistence — the usual write path) and a per-entry delta listener appends
-the freshly inserted rows plus the dictionary tail to the graph's **log**
-(:class:`_GraphLog`) — nothing else: it touches no pipe and waits for no
-worker.  A worker learns of a write the next time anything is sent to it:
-every contact goes through :meth:`ClusterCoordinator._request`, which,
+the freshly inserted id rows — plus the vocabulary map, when the batch
+minted a vocabulary id — to the graph's **log** (:class:`_GraphLog`) —
+nothing else: it touches no pipe and waits for no worker.  A worker learns
+of a write the next time anything is sent to it: every contact goes through :meth:`ClusterCoordinator._request`, which,
 holding the slot's send lock, writes what that worker has not been sent
 yet (a load, or one catch-up delta) immediately ahead of the request.  A
 socket pair is FIFO and a worker single-threaded, so read-your-writes holds
@@ -80,9 +84,11 @@ from repro.errors import (
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import RDF_TYPE
 from repro.queries.bgp import BGPQuery
+from repro.schema.encoded_saturation import vocabulary_ids
 from repro.service.catalog import CatalogEntry, GraphCatalog
+from repro.service.evaluator import CompiledQuery
 from repro.service.planner import ExecutionTrace
-from repro.service.service import QueryAnswer, ServiceStatistics
+from repro.service.service import QueryAnswer, QueryService
 from repro.utils.concurrency import map_on_threads, named_lock
 from repro.telemetry import BYTE_BUCKETS, QueryTrace, Span, maybe_span
 
@@ -112,16 +118,17 @@ class _GraphLog:
     plus every ingest batch since that generation started.
 
     ``entries`` hold the batches in the shape ``OP_DELTA`` and the *deltas*
-    field of ``OP_LOAD`` carry — ``(version, (dict_start, packed_terms),
-    rows)`` — so a load sends the generation's segment descriptor plus this
-    log instead of repacking: respawn recovery is O(log), not O(graph).
+    field of ``OP_LOAD`` carry — ``(version, vocabulary or None, rows)`` —
+    so a load sends the generation's segment descriptor plus this log
+    instead of repacking: respawn recovery is O(log), not O(graph).
     ``image`` is that descriptor, ``(segment_name, directory)`` packed at
     ``version``.  A worker that had been sent all of ``folded_from``, the
     ``(generation, entries)`` the last fold left behind, is exactly at this
     generation's start.  Generations are unique per coordinator, so a
-    cursor never outlives a drop.  Guarded by the coordinator's segment
-    lock; appends run inside the entry's write lock too (the listener), so
-    the log agrees with ``dict_mark``, the dictionary ids it covers.
+    cursor never outlives a drop.  ``vocabulary`` is the graph's vocabulary
+    map as last logged: a load carries it, and an entry carries it again
+    only when its batch changed it.  Guarded by the coordinator's segment
+    lock; appends run inside the entry's write lock too (the listener).
     """
 
     def __init__(self, entry: CatalogEntry, generation: int, image: Tuple[str, dict]):
@@ -130,8 +137,14 @@ class _GraphLog:
         self.version = entry.version
         self.entries: List[tuple] = []
         self.rows = 0
-        self.dict_mark = len(entry.store.dictionary)
+        self.vocabulary = vocabulary_ids(entry.store.dictionary)
         self.folded_from: Optional[Tuple[int, int]] = None
+
+
+def _routing(workers: List[int], pruned: bool, retries: int) -> Dict[str, object]:
+    """An answer's :attr:`~QueryAnswer.cluster` record — ``mode`` (always
+    ``"full"``) and ``shards_pruned`` keep the names the benchmark reads."""
+    return {"mode": "full", "workers": workers, "shards_pruned": int(pruned), "retries": retries}
 
 
 class _PendingReply:
@@ -226,7 +239,8 @@ class ClusterCoordinator:
     workers:
         Worker count K — one process per full replica.
     kind / strategy:
-        Worker-side guard cascade and join strategy (the same knobs as
+        The guard cascade of the tier's one :attr:`service` and the join
+        strategy its workers evaluate with (the same knobs as
         :class:`~repro.service.service.QueryService`).
     heartbeat_seconds:
         Liveness sweep period; ``0`` disables the sweep (crash detection
@@ -258,7 +272,9 @@ class ClusterCoordinator:
         self.strategy = strategy
         self.max_retries = max_retries
         self.heartbeat_seconds = heartbeat_seconds
-        self.statistics = ServiceStatistics()
+        #: The tier's one query service: parse, guard and compile run here;
+        #: its evaluation step is a round trip to a worker (:meth:`_evaluate`).
+        self.service = QueryService(catalog, kind=kind, strategy=strategy, remote=self._evaluate)
         self.started_at = monotonic()
         self._workers = [_WorkerHandle(i) for i in range(workers)]
         self._request_ids = itertools.count(1)
@@ -285,6 +301,10 @@ class ClusterCoordinator:
         self._ship_seconds_histogram = telemetry.histogram("cluster.ship.seconds")
         self._ship_bytes = telemetry.histogram("cluster.ship.bytes", BYTE_BUCKETS)
         self._retries_counter = telemetry.counter("cluster.retries")
+        #: Messages written to worker pipes, by opcode (catch-ups included).
+        self._message_counters = {
+            op: telemetry.counter(f"cluster.messages.{op}") for op in protocol.OPS
+        }
         self._respawns_counter = telemetry.counter("cluster.respawns")
         self._fold_failures = telemetry.counter("cluster.fold.failures")
         #: Log entries not yet sent, summed over the worker pool and sampled
@@ -322,11 +342,7 @@ class ClusterCoordinator:
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start (or restart) the process behind *handle* (respawn_lock
         held by the caller for respawns; at start() nothing races)."""
-        config = {
-            "kind": self.kind,
-            "strategy": self.strategy,
-            "telemetry": telemetry.enabled(),
-        }
+        config = {"strategy": self.strategy, "telemetry": telemetry.enabled()}
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
@@ -460,6 +476,7 @@ class ClusterCoordinator:
                                 handle.pending[request_id] = slot
                             sent.append((name, message[0], request_id, slot))
                             handle.connection.send((request_id, *message))
+                            self._message_counters[message[0]].inc()
                     except (OSError, ValueError) as error:
                         handle.alive = False
                         raise WorkerCrashedError(
@@ -517,7 +534,9 @@ class ClusterCoordinator:
             if generation == log.generation:
                 behind = log.entries[entries_sent:]
                 return (protocol.OP_DELTA, (name, behind)) if behind else None
-            return protocol.OP_LOAD, (name, log.version, log.image, list(log.entries))
+            return protocol.OP_LOAD, (
+                name, log.version, log.image, dict(log.vocabulary), list(log.entries)
+            )
 
     def _call_with_retry(
         self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = ()
@@ -636,7 +655,7 @@ class ClusterCoordinator:
         """Entry write hook: append the ingest batch to the graph's log.
 
         Runs inside the entry's write lock (serialized per graph), so the
-        dictionary mark advances consistently with the logged tail.  It
+        logged vocabulary advances consistently with the logged rows.  It
         touches no pipe and waits for no worker — a slow, stopped or dead
         worker never holds a writer up; what bounds the log is the fold.
         """
@@ -646,10 +665,13 @@ class ClusterCoordinator:
             log = self._logs.get(entry.name)
             if log is None:
                 return  # dropped under us
-            packed_terms = protocol.pack_terms(entry.store.dictionary, log.dict_mark)
+            vocabulary = vocabulary_ids(entry.store.dictionary)
+            if vocabulary == log.vocabulary:
+                vocabulary = None  # the workers know every id the rows use
+            else:
+                log.vocabulary = vocabulary
             wire_rows = [(kind.value, row[0], row[1], row[2]) for kind, row in rows]
-            log.entries.append((entry.version, (log.dict_mark, packed_terms), wire_rows))
-            log.dict_mark += len(packed_terms)
+            log.entries.append((entry.version, vocabulary, wire_rows))
             log.rows += len(wire_rows)
             if log.rows < self.shm_fold_rows:
                 return
@@ -679,11 +701,7 @@ class ClusterCoordinator:
         store = entry.store
         try:
             segment_name, directory, nbytes = self._registry.pack(
-                entry.name,
-                entry.version,
-                protocol.pack_term_chunks(store.dictionary),
-                protocol.pack_full_tables(store),
-                protocol.BYTEORDER,
+                entry.name, entry.version, protocol.pack_full_tables(store), protocol.BYTEORDER
             )
         except OSError as error:
             raise SegmentError(f"no segment for graph {entry.name!r}: {error}") from error
@@ -747,7 +765,7 @@ class ClusterCoordinator:
                 pass
 
     # ------------------------------------------------------------------
-    # reads: one worker's replica per query
+    # reads: guarded here, evaluated on one worker's replica
     # ------------------------------------------------------------------
     def answer(
         self,
@@ -758,32 +776,45 @@ class ClusterCoordinator:
         explain: bool = False,
         trace: Union[bool, QueryTrace] = False,
     ) -> QueryAnswer:
-        """Answer *query* on the full replica of the next worker in
-        round-robin order; same contract (and same answer sets) as
-        :meth:`QueryService.answer`.
-
-        With ``trace=True`` the trace id rides to the worker inside the
-        query frame and its guard/evaluate span tree is grafted back under
-        this coordinator's ``route``/``scatter``/``gather`` spans — one tree
-        for the whole round trip."""
+        """:meth:`QueryService.answer` of the tier's one :attr:`service`;
+        an answer no worker evaluated (pruned, or a dictionary miss) still
+        gets its :attr:`~QueryAnswer.cluster` routing record."""
         if self._closed:
             raise ClusterError("the cluster coordinator is closed")
-        query_trace: Optional[QueryTrace] = None
-        if trace:
-            query_trace = trace if isinstance(trace, QueryTrace) else QueryTrace()
-        total_start = perf_counter()
-        entry = self.catalog.entry(graph_name)
+        answer = self.service.answer(graph_name, query, limit, saturated, explain, trace)
+        if answer.cluster is None:
+            answer.cluster = _routing([], answer.pruned, 0)
+        return answer
+
+    def _evaluate(
+        self,
+        graph_name: str,
+        compiled: CompiledQuery,
+        limit: Optional[int],
+        saturated: bool,
+        trace: Optional[ExecutionTrace],
+        query_trace: Optional[QueryTrace],
+    ) -> Tuple[list, Optional[dict], Optional[dict]]:
+        """The service's evaluation step: *compiled* on the full replica of
+        the next worker in round-robin order — ``(head id rows, G∞ metrics,
+        routing record)``.  A dictionary miss is empty on every replica and
+        sends nothing.
+
+        A *query_trace*'s id rides to the worker inside the query frame and
+        its evaluate span tree is grafted back under this coordinator's
+        ``route``/``scatter``/``gather`` spans — one tree for the whole
+        round trip."""
+        if compiled.trivially_empty:
+            if trace is not None:
+                trace.strategy = self.strategy
+            return [], None, None
         with maybe_span(query_trace, "route") as route_span:
             handle = self._workers[next(self._round_robin) % self.worker_count]
             if route_span is not None:
                 route_span.attributes.update(mode="full", workers=[handle.index])
-        payload = (
-            graph_name,
-            query.to_sparql(),
-            limit,
-            saturated,
-            explain,
-            query_trace.trace_id if query_trace is not None else None,
+        trace_id = query_trace.trace_id if query_trace is not None else None
+        payload = protocol.query_payload(
+            graph_name, compiled, limit, saturated, trace is not None, trace_id
         )
         with maybe_span(query_trace, "scatter") as scatter_span:
             # sent behind whatever the worker has not been sent of the graph
@@ -799,57 +830,19 @@ class ClusterCoordinator:
                 under=scatter_span,
             )
         with maybe_span(query_trace, "gather") as gather_span:
-            answer = self._decode(query, graph_name, entry, handle.index, result, retries)
+            if trace is not None:
+                # the worker's plan, stage by stage: the service names the
+                # stages through this dictionary
+                trace.strategy, trace.plan_cached, stages = result["plan"]
+                for pattern_index, *counts in stages:
+                    trace.add_stage(None, *counts, pattern_index=pattern_index)
             if gather_span is not None:
-                gather_span.attributes["answers"] = len(answer.answers)
+                gather_span.attributes["answers"] = len(result["rows"])
         if retries:
             self._retries_counter.inc(retries)
         if query_trace is not None:
-            query_trace.annotate(graph=graph_name, cluster=True)
-            query_trace.finish(perf_counter() - total_start)
-            answer.query_trace = query_trace
-        self.statistics.record(answer)
-        return answer
-
-    @staticmethod
-    def _decode(
-        query: BGPQuery,
-        graph_name: str,
-        entry: CatalogEntry,
-        worker: int,
-        result: dict,
-        retries: int,
-    ) -> QueryAnswer:
-        """Worker *worker*'s reply as the answer the in-process service
-        gives: id rows decoded through the coordinator's dictionary, the
-        plan rebuilt from its dict."""
-        decode_table = entry.store.dictionary.decode_table
-        plan = result["trace"]
-        return QueryAnswer(
-            query=query,
-            graph_name=graph_name,
-            kind=result["kind"],
-            answers={
-                tuple(decode_table[identifier] for identifier in row)
-                for row in result["answers"]
-            },
-            pruned=result["pruned"],
-            prunable=result["prunable"],
-            guard_seconds=result["guard_seconds"],
-            evaluation_seconds=result["evaluation_seconds"],
-            strategy=result["strategy"],
-            guard_order=tuple(result["guard_order"]),
-            pruned_by=result["pruned_by"],
-            trace=ExecutionTrace.from_dict(plan) if plan is not None else None,
-            saturation=result["saturation"],
-            # "mode" and "shards_pruned" keep the names the benchmark reads
-            cluster={
-                "mode": "full",
-                "workers": [worker],
-                "shards_pruned": int(result["pruned"]),
-                "retries": retries,
-            },
-        )
+            query_trace.annotate(cluster=True)
+        return result["rows"], result["saturation"], _routing([handle.index], False, retries)
 
     # ------------------------------------------------------------------
     # observability
@@ -900,7 +893,7 @@ class ClusterCoordinator:
             "strategy": self.strategy,
             "graphs": self.catalog.names(),
             "uptime_seconds": monotonic() - self.started_at,
-            "service": self.statistics.as_dict(),
+            "service": self.service.statistics.as_dict(),
             "shm": shm_info,
             "ship_metrics": self.ship_metrics,
         }

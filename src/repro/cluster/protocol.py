@@ -1,27 +1,27 @@
 """Wire protocol of the replicated serving tier.
 
 Everything that crosses the coordinator/worker pipe is built from
-primitives — ``bytes``, ``str``, ``int``, ``None``, and tuples/lists/dicts
-thereof.  No :class:`~repro.model.terms.Term`, no query objects, no store
-objects are ever pickled across the boundary:
+primitives — ``bytes``, ``str``, ``int``, ``float``, ``None``, and
+tuples/lists/dicts thereof.  No :class:`~repro.model.terms.Term` crosses it
+at all, and no query or store object is ever pickled across the boundary:
 
 * **rows** travel as the packed id column blobs of the columnar data
   plane (:meth:`TripleStore.column_bytes` format — 4-byte
   :data:`~repro.model.dictionary.ID_TYPECODE` ids in native byte order, the bytes
   the checkpoint also stores), laid out into one graph *image*
   (:func:`repro.cluster.shm.layout_image`) in a named segment that every
-  worker attaches — the pipe carries its name, never its bytes;
-* **terms** travel through the one term codec of
-  :mod:`repro.model.dictionary` (re-exported here) — the structural
-  ``(kind, value, datatype, language)`` tuples the persistent catalog's
-  term chunks also hold; a worker reconstructs its dictionary id-for-id,
-  and a term landing on an unexpected id is a
-  :class:`~repro.errors.DictionaryError`, never a silent mis-key;
-* **queries** travel as SPARQL text (:meth:`BGPQuery.to_sparql` round-trips
-  through :func:`~repro.queries.parser.parse_query`);
-* **answers** travel as integer-id tuples, decoded against the
+  worker attaches — the pipe carries its name, never its bytes; an ingest
+  batch travels as ``(kind_value, s, p, o)`` id rows;
+* **queries** travel compiled (:func:`query_payload`): the coordinator
+  parses, guards and compiles them against its own dictionary and sends a
+  worker only the *evaluation* of the id query;
+* **answers** travel as head id tuples, decoded once against the
   coordinator's dictionary — which is why cluster answers are bit-identical
-  to in-process ones.
+  to in-process ones;
+* the **vocabulary** a worker's ``G∞`` rules read — the ids of ``rdf:type``
+  and the RDFS constraint properties
+  (:func:`~repro.schema.encoded_saturation.vocabulary_ids`) — travels with
+  a load, and with any log entry whose batch minted one of them.
 
 Message framing
 ---------------
@@ -46,13 +46,6 @@ import struct
 import sys
 from typing import Dict, Tuple
 
-from repro.model.dictionary import (
-    TERM_CHUNK,
-    pack_term_chunks,
-    pack_terms,
-    unpack_term_chunks,
-    unpack_terms,
-)
 from repro.model.triple import TripleKind
 
 __all__ = [
@@ -63,32 +56,32 @@ __all__ = [
     "OP_DROP",
     "OP_PING",
     "OP_SHUTDOWN",
-    "TERM_CHUNK",
-    "pack_terms",
-    "pack_term_chunks",
-    "unpack_terms",
-    "unpack_term_chunks",
     "pack_full_tables",
+    "query_payload",
 ]
 
 #: Request opcodes (coordinator → worker).
 #:
-#: ``OP_LOAD`` carries ``(name, version, tables, deltas)``: *tables* is
-#: ``(segment_name, directory)`` — the generation's segment and where each
-#: table lies in it (see :func:`repro.cluster.shm.layout_image`) — and
-#: *deltas* is the (possibly empty) list of log entries — ``(version,
-#: (dict_start, packed_terms), rows)`` ingest batches — that post-date the
-#: image, applied in order before the load is acknowledged, so a re-attach
-#: after a crash needs no repack.
+#: ``OP_LOAD`` carries ``(name, version, tables, vocabulary, deltas)``:
+#: *tables* is ``(segment_name, directory)`` — the generation's segment and
+#: where each table lies in it (see :func:`repro.cluster.shm.layout_image`)
+#: — *vocabulary* the graph's vocabulary map, and *deltas* the (possibly
+#: empty) list of log entries — ``(version, vocabulary or None, rows)``
+#: ingest batches — that post-date the image, applied in order before the
+#: load is acknowledged, so a re-attach after a crash needs no repack.
 #: ``OP_DELTA`` carries the same kind of list: every entry of the graph's
 #: log the worker has not been sent yet, in one message.  ``OP_QUERY`` has
-#: no version to wait for: what it must see was sent ahead of it.
-OP_LOAD = "load"  # (name, version, (segment_name, directory), deltas)
-OP_DELTA = "delta"  # (name, [(version, (dict_start, packed_terms), rows), ...])
-OP_QUERY = "query"  # (name, sparql, limit, saturated, explain, trace_id)
+#: no version to wait for: what it must see was sent ahead of it.  Its
+#: reply holds the head id rows and, as asked, the plan's per-stage counts,
+#: the worker's span subtree and its ``G∞`` metrics.
+OP_LOAD = "load"  # (name, version, (segment_name, directory), vocabulary, deltas)
+OP_DELTA = "delta"  # (name, [(version, vocabulary or None, rows), ...])
+OP_QUERY = "query"  # (name, [(s, p, o, table kind values), ...], head_slots,
+#                     variable_count, limit, saturated, explain, trace_id)
 OP_DROP = "drop"  # (name,)
 OP_PING = "ping"  # ()
 OP_SHUTDOWN = "shutdown"  # ()
+OPS = (OP_LOAD, OP_DELTA, OP_QUERY, OP_DROP, OP_PING, OP_SHUTDOWN)
 
 #: The byte order blobs are packed in; shipped alongside so a worker on a
 #: different-endian host (exotic, but cheap to guard) byteswaps on load.
@@ -141,6 +134,19 @@ class Connection:
         fd, self._fd = self._fd, -1
         if fd >= 0:
             os.close(fd)
+
+
+def query_payload(graph_name: str, compiled, limit, saturated: bool, explain: bool, trace_id):
+    """The ``OP_QUERY`` payload evaluating *compiled* (a
+    :class:`~repro.service.evaluator.CompiledQuery`) on graph *graph_name*."""
+    patterns = [
+        (pattern.subject, pattern.predicate, pattern.object, [kind.value for kind in pattern.tables])
+        for pattern in compiled.patterns
+    ]
+    return (
+        graph_name, patterns, compiled.head_slots, compiled.variable_count,
+        limit, saturated, explain, trace_id,
+    )  # fmt: skip
 
 
 def pack_full_tables(store) -> Dict[str, Tuple[int, bytes, bytes, bytes]]:

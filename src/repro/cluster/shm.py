@@ -1,11 +1,12 @@
 """The graph image a worker loads, and the shared-memory plane that holds it.
 
-A graph ships to workers as one *image*: back to back, the pickled
-dictionary term chunks and the raw id column blobs of its three tables —
-rows and terms only: what is derived from them (summaries, statistics)
-each worker builds on first need.  :func:`layout_image` is the
-pure layout step — blobs plus the *directory* of byte windows a worker
-needs to adopt them (:meth:`MemoryStore.adopt_column_buffers`, zero-copy).
+A graph ships to workers as one *image*: the raw id column blobs of its
+three tables, back to back — integers only: no term, because a worker
+evaluates compiled id queries and never decodes, and nothing derived from
+the rows (statistics), which a worker builds on first need.
+:func:`layout_image` is the pure layout step — blobs plus the *directory*
+of byte windows a worker needs to adopt them
+(:meth:`MemoryStore.adopt_column_buffers`, zero-copy).
 One registered graph generation becomes **one** named segment: the
 coordinator packs it once (:meth:`SegmentRegistry.pack`)
 and every worker *attaches* it instead of receiving bytes over its pipe —
@@ -41,7 +42,6 @@ from __future__ import annotations
 import fcntl
 import mmap
 import os
-import pickle
 import tempfile
 from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
@@ -162,13 +162,16 @@ class _Attached:
 
     def __init__(self, name: str):
         with open(_path(name), "rb") as file:
-            self._mmap = mmap.mmap(file.fileno(), 0, access=mmap.ACCESS_READ)
+            # an empty graph's image is empty, and no empty file maps
+            size = os.fstat(file.fileno()).st_size
+            self._mmap = mmap.mmap(file.fileno(), size, access=mmap.ACCESS_READ) if size else b""
         self.name = name
         self.buf = memoryview(self._mmap)
 
     def close(self) -> None:
         self.buf.release()
-        self._mmap.close()
+        if self._mmap:
+            self._mmap.close()
 
 
 def attach(name: str) -> _Attached:
@@ -187,34 +190,27 @@ Tables = Dict[str, Tuple[int, bytes, bytes, bytes]]
 def layout_image(
     graph_name: str,
     version: int,
-    term_chunks: List[list],
     tables: Tables,
     byteorder: str,
 ) -> Tuple[List[bytes], dict]:
     """Lay one graph image out: ``(blobs, directory)``, nothing copied.
 
-    The image is the concatenation of *blobs*.  The *directory* maps the
-    ``terms`` region to its ``(offset, length)`` byte window and ``tables``
-    to per-table ``(row_count, s_offset, p_offset, o_offset)`` entries.  A
-    table's three columns lie back to back, so ``p_offset - s_offset == o_offset - p_offset ==
-    ID_BYTES * row_count`` (4-byte ids, :data:`repro.store.base.ID_BYTES`:
-    the bytes of :meth:`~repro.store.base.TripleStore.column_bytes`, which
-    the checkpoint stores too) — the worker checks that before adopting.  The
-    directory travels on the pipe, never inside the image, so a load
-    needs no parsing pass.
+    The image is the concatenation of *blobs*.  The *directory* maps
+    ``tables`` to per-table ``(row_count, s_offset, p_offset, o_offset)``
+    entries.  A table's three columns lie back to back, so ``p_offset -
+    s_offset == o_offset - p_offset == ID_BYTES * row_count`` (4-byte ids,
+    :data:`repro.store.base.ID_BYTES`: the bytes of
+    :meth:`~repro.store.base.TripleStore.column_bytes`, which the checkpoint
+    stores too) — the worker checks that before adopting.  The directory
+    travels on the pipe, never inside the image, so a load needs no parsing
+    pass.
     """
-    # term_chunks is protocol.pack_term_chunks output — plain value
-    # tuples, no Term objects (their hashes are process-salted).
-    terms_blob = pickle.dumps(  # repro-lint: disable=no-pickled-terms
-        term_chunks, protocol=pickle.HIGHEST_PROTOCOL
-    )
-    blobs: List[bytes] = [terms_blob]
-    offset = len(terms_blob)
+    blobs: List[bytes] = []
+    offset = 0
     directory: dict = {
         "graph": graph_name,
         "version": version,
         "byteorder": byteorder,
-        "terms": (0, offset),
         "tables": {},
     }
     for kind_value, (count, s_bytes, p_bytes, o_bytes) in tables.items():
@@ -271,7 +267,6 @@ class SegmentRegistry:
         self,
         graph_name: str,
         version: int,
-        term_chunks: List[list],
         tables: Tables,
         byteorder: str,
     ) -> Tuple[str, dict, int]:
@@ -284,7 +279,7 @@ class SegmentRegistry:
         owns at most one named segment.
         """
         generation = self._generations.get(graph_name, 0) + 1
-        blobs, directory = layout_image(graph_name, version, term_chunks, tables, byteorder)
+        blobs, directory = layout_image(graph_name, version, tables, byteorder)
         directory["generation"] = generation
         name = _segment_name()
         owner = _create_owned(name, blobs)

@@ -3,30 +3,25 @@
 A worker is ``python -m repro.cluster.worker <fd> <config>``: a
 single-threaded message loop over a
 :class:`~repro.cluster.protocol.Connection` on the socket-pair end its
-coordinator passed it as *fd*, importing what answering a query needs —
-store, evaluator, guard — and nothing else of the package.  Per registered
-graph it keeps **one** worker-local store, a complete replica whose
-dictionary is rebuilt id-for-id from the coordinator's packed term columns.
-It sits behind an ordinary :class:`~repro.service.catalog.CatalogEntry` in
-a worker-local catalog fronted by a
-:class:`~repro.service.service.QueryService` — the summaries, cardinality
-statistics, planner and guard cascade are exactly the serving machinery of
-the single-process tier, so a query is guarded by the summaries of the
-whole graph.
+coordinator passed it as *fd*, importing what evaluating a compiled query
+needs — store, statistics, planner, evaluator — and nothing else of the
+package.  Per registered graph it keeps **one** worker-local store, a
+complete replica of the graph's integer rows behind an ordinary
+:class:`~repro.service.catalog.CatalogEntry`, whose ingest routine folds
+every batch into the store, its statistics and, once built, ``G∞``.  A
+worker holds integers only: it never parses, guards, decodes or builds a
+summary — the coordinator does — and plans the compiled id queries it is
+sent with its own statistics (its posting runs are already here).
 
 A load names the graph generation's *segment* and carries its directory
-(see :func:`repro.cluster.shm.layout_image`): the worker attaches the
-segment and adopts its column regions zero-copy
-(:meth:`MemoryStore.adopt_column_buffers`) — one physical copy per host,
-however many workers.  The replica defers its summary maintainer's
-priming scan to its first guarded query, the
-dictionary is hydrated lazily from the packed term chunks, and the load's
-delta log is replayed.  A worker never assigns a dictionary id: every id
-comes from the coordinator, so a log entry must start exactly where the
-worker's dictionary ends.  The worker closes its mapping when the graph is
-dropped or replaced — after closing the store, which releases its adopted
-views — and unlinks only *orphans*: the coordinator owns every segment for
-as long as it lives (see *Shutdown*).
+(see :func:`repro.cluster.shm.layout_image`) and the graph's vocabulary
+map: the worker attaches the segment and adopts its column regions
+zero-copy (:meth:`MemoryStore.adopt_column_buffers`) — one physical copy
+per host, however many workers — and the load's delta log is replayed.
+The worker closes its mapping when the graph is dropped or replaced —
+after closing the store, which releases its adopted views — and unlinks
+only *orphans*: the coordinator owns every segment for as long as it lives
+(see *Shutdown*).
 
 Ordering
 --------
@@ -57,7 +52,6 @@ of a living coordinator: the replacement worker re-attaches that very name.
 
 from __future__ import annotations
 
-import pickle
 import signal
 import sys
 from time import monotonic, perf_counter, sleep
@@ -65,15 +59,15 @@ from typing import Dict, List, Optional, Tuple
 
 from repro import telemetry
 from repro.cluster import protocol, shm
-from repro.errors import DictionaryError, QueryError, ReproError, UnknownGraphError
-from repro.model.dictionary import Dictionary, EncodedTriple
+from repro.errors import QueryError, ReproError, UnknownGraphError
+from repro.model.dictionary import EncodedTriple
 from repro.model.triple import TripleKind
-from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
-from repro.service.service import QueryAnswer, QueryService
+from repro.service.evaluator import CompiledPattern, CompiledQuery
+from repro.service.planner import ExecutionTrace
 from repro.store.base import ID_BYTES
 from repro.store.memory import MemoryStore
-from repro.telemetry import QueryTrace
+from repro.telemetry import QueryTrace, maybe_span
 
 try:  # POSIX-only; the RSS probe degrades gracefully elsewhere
     import resource
@@ -99,33 +93,24 @@ class _Worker:
     def __init__(self, connection, config: Dict[str, object]):
         self.connection = connection
         self.catalog = GraphCatalog()
-        self.service = QueryService(
-            self.catalog,
-            kind=config.get("kind", "weak+strong"),
-            strategy=config.get("strategy", "hash"),
-        )
+        self.strategy = config.get("strategy", "hash")
         #: Loaded graphs: name -> the version of the last batch applied.
         self.graphs: Dict[str, int] = {}
         #: Attached segments by graph name (closed, not unlinked, when the
         #: graph is dropped or replaced).
         self.segments: Dict[str, object] = {}
-        #: Graphs whose dictionary still awaits hydration from the packed
-        #: term blob: ``name -> (dictionary, pickled term chunks)``.  A
-        #: load acknowledges in O(1) and the first delta or query of the
-        #: graph pays the O(terms) unpack.
-        self._pending_terms: Dict[str, Tuple[Dictionary, bytes]] = {}
         self.draining = False
 
     # ------------------------------------------------------------------
     # message handlers
     # ------------------------------------------------------------------
     def handle_load(self, payload: tuple) -> dict:
-        name, version, (segment_name, directory), deltas = payload
+        name, version, (segment_name, directory), vocabulary, deltas = payload
         started = perf_counter()
         if name in self.graphs:
             # a lagging copy replaced by the live generation: drop it first
             self._drop_local(name)
-        rows = self._load_image(name, version, segment_name, directory)
+        rows = self._load_image(name, version, segment_name, directory, vocabulary)
         # replay the log that post-dates the image (a segment is the
         # generation as packed; the batches since travel with the load)
         self._apply_log(name, deltas)
@@ -136,27 +121,18 @@ class _Worker:
             "attach_seconds": perf_counter() - started,
         }
 
-    def _load_image(self, name: str, version: int, segment_name: str, directory: dict) -> int:
+    def _load_image(
+        self, name: str, version: int, segment_name: str, directory: dict, vocabulary: dict
+    ) -> int:
         """Attach segment *segment_name* and adopt its column regions
         zero-copy; the replica's row count.  Either the graph is fully
         loaded when this returns, or nothing of it is left behind — its
         mapping included."""
         segment = self.segments[name] = shm.attach(segment_name)
-        buffer = segment.buf
         store = MemoryStore()
         try:
-            byteorder = directory["byteorder"]
-            offset, length = directory["terms"]
-            # a plain memcpy of the pickled blob; the O(terms) dictionary
-            # rebuild is deferred (see _pending_terms) so the load ack
-            # stays O(1) in the graph size
-            dictionary = Dictionary()
-            terms_blob = bytes(buffer[offset : offset + length])
-            store.dictionary = dictionary
-            rows = self._adopt_tables(store, buffer, directory["tables"], byteorder)
-            # an adopted store pays its summary priming scan on its first
-            # guarded query, not here
-            self.catalog.register(name, store=store)
+            rows = self._adopt_tables(store, segment.buf, directory["tables"], directory["byteorder"])
+            self.catalog.register(name, store=store).vocabulary.update(vocabulary)
         except BaseException:
             # leave no half-loaded graph: close the store (releasing adopted
             # views — close is idempotent, so a store the catalog already
@@ -165,21 +141,8 @@ class _Worker:
             store.close()
             self._drop_local(name)
             raise
-        self._pending_terms[name] = (dictionary, terms_blob)
         self.graphs[name] = version
         return rows
-
-    def _hydrate_terms(self, name: str) -> None:
-        """Rebuild *name*'s dictionary from its deferred term blob (no-op
-        once hydrated)."""
-        pending = self._pending_terms.pop(name, None)
-        if pending is None:
-            return
-        dictionary, terms_blob = pending
-        # terms_blob holds protocol.pack_term_chunks output — plain value
-        # tuples, no Term objects (their hashes are process-salted).
-        chunks = pickle.loads(terms_blob)  # repro-lint: disable=no-pickled-terms
-        protocol.unpack_term_chunks(chunks, dictionary)
 
     def _adopt_tables(
         self, store: MemoryStore, buffer, tables: Dict[str, tuple], byteorder: str
@@ -214,29 +177,18 @@ class _Worker:
         return {"name": name, "version": self.graphs[name], "rows": applied}
 
     def _apply_log(self, name: str, entries: list) -> int:
-        """Apply log entries — ``(version, (dict_start, packed_terms),
-        rows)`` ingest batches, sent as a catch-up or replayed by a load —
-        in order: all of them, or the graph is dropped (a replica missing a
+        """Apply log entries — ``(version, vocabulary or None, rows)``
+        ingest batches, sent as a catch-up or replayed by a load — in
+        order: all of them, or the graph is dropped (a replica missing a
         batch must not answer)."""
         if name not in self.graphs:
             raise UnknownGraphError(f"worker never loaded graph {name!r}")
         applied = 0
         try:
             entry = self.catalog.entry(name)
-            dictionary = entry.store.dictionary
-            for version, (dict_start, packed), rows in entries:
-                # an entry's dict-offset contract needs the full base
-                # dictionary (a load without a log still leaves it packed)
-                self._hydrate_terms(name)
-                # the entry packs dictionary ids [dict_start, dict_start+len)
-                # and the image is its generation's start: the worker's ids
-                # must end exactly where the entry's begin
-                if len(dictionary) != dict_start:
-                    raise DictionaryError(
-                        f"delta term offset mismatch for {name!r}: worker has "
-                        f"{len(dictionary)} ids, delta starts at {dict_start}"
-                    )
-                protocol.unpack_terms(packed, dictionary)
+            for version, vocabulary, rows in entries:
+                if vocabulary:  # the batch minted a vocabulary id: known before its rows
+                    entry.vocabulary.update(vocabulary)
                 applied += entry.add_encoded_rows(_encoded(rows))
                 self.graphs[name] = version
         except BaseException:
@@ -249,7 +201,6 @@ class _Worker:
         first — releasing any adopted column views — so the segment mapping
         can close without BufferError."""
         self.graphs.pop(name, None)
-        self._pending_terms.pop(name, None)
         try:
             self.catalog.drop(name)
         except UnknownGraphError:
@@ -267,18 +218,46 @@ class _Worker:
         return {"name": name}
 
     def handle_query(self, payload: tuple) -> dict:
-        name, text, limit, saturated, explain, trace_id = payload
-        self._hydrate_terms(name)  # query terms encode through the dictionary
-        query = parse_query(text, name="cluster")
-        answer = self.service.answer(
-            name,
-            query,
-            limit=limit,
-            saturated=saturated,
-            explain=explain,
-            trace=QueryTrace(trace_id) if trace_id else False,
+        """Evaluate one compiled id query on the replica: its head id rows,
+        plus — as asked — the plan's per-stage counts, the span subtree and
+        the ``G∞`` metrics."""
+        name, patterns, head_slots, variable_count, limit, saturated, explain, trace_id = payload
+        entry = self.catalog.entry(name)
+        compiled = CompiledQuery(
+            None,
+            [
+                CompiledPattern(s, p, o, tuple(map(TripleKind, tables)))
+                for s, p, o, tables in patterns
+            ],
+            tuple(head_slots),
+            variable_count,
         )
-        return self._encode_answer(answer)
+        query_trace = QueryTrace(trace_id) if trace_id else None
+        trace = ExecutionTrace() if explain else None
+        evaluator = entry.evaluator_for(self.strategy, saturated=saturated)
+        started = perf_counter()
+        with maybe_span(query_trace, "evaluate", strategy=self.strategy) as evaluate_span:
+            rows = evaluator.evaluate_ids(compiled, limit, trace)
+            if evaluate_span is not None:
+                evaluate_span.attributes["answers"] = len(rows)
+        if query_trace is not None:
+            query_trace.annotate(graph=name)
+            query_trace.finish(perf_counter() - started)
+        plan = None
+        if trace is not None:
+            # stages by pattern index: the coordinator names them
+            stages = [
+                (stage.pattern_index, stage.estimate, stage.cumulative_estimate,
+                 stage.fetched, stage.produced, stage.probes)
+                for stage in trace.stages
+            ]  # fmt: skip
+            plan = (trace.strategy, trace.plan_cached, stages)
+        return {
+            "rows": rows,
+            "plan": plan,
+            "query_trace": query_trace.as_dict() if query_trace is not None else None,
+            "saturation": entry.saturation_metrics() if saturated and explain else None,
+        }
 
     def handle_ping(self, _payload: tuple) -> dict:
         return {
@@ -308,26 +287,6 @@ class _Worker:
             for key, nbytes in self.catalog.entry(name).store.column_memory().items():
                 totals[key] += nbytes
         return totals
-
-    def _encode_answer(self, answer: QueryAnswer) -> dict:
-        dictionary = self.catalog.entry(answer.graph_name).store.dictionary
-        encode = dictionary.encode_existing
-        return {
-            "answers": [[encode(term) for term in row] for row in answer.answers],
-            "pruned": answer.pruned,
-            "prunable": answer.prunable,
-            "pruned_by": answer.pruned_by,
-            "guard_order": list(answer.guard_order),
-            "kind": answer.kind,
-            "strategy": answer.strategy,
-            "guard_seconds": answer.guard_seconds,
-            "evaluation_seconds": answer.evaluation_seconds,
-            "trace": answer.trace.as_dict() if answer.trace is not None else None,
-            "saturation": answer.saturation,
-            "query_trace": (
-                answer.query_trace.as_dict() if answer.query_trace is not None else None
-            ),
-        }
 
     # ------------------------------------------------------------------
     # the loop
@@ -422,8 +381,9 @@ def worker_main(connection, config: Dict[str, object]) -> None:
     # the coordinator owns interactive signals; SIGTERM means "drain after
     # the message in hand" (the graceful half of the failure model)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # inherit the coordinator's telemetry mode before any service (and its
-    # instrument handles) is built — a worker is a fresh interpreter
+    # inherit the coordinator's telemetry mode before any catalog or
+    # evaluator (and their instrument handles) is built — a worker is a
+    # fresh interpreter
     telemetry.set_enabled(bool(config.get("telemetry", True)))
     worker = _Worker(connection, config)
 

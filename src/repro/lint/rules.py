@@ -10,8 +10,8 @@
                               ``QueryService.answer`` / ``add_triples``.
 * ``no-pickled-terms``      — PR 4/8: ``Term`` hashes are process-salted, so
                               pickling them across processes corrupts
-                              dictionaries; cluster code must use the
-                              ``repro.cluster.protocol`` pack paths.
+                              dictionaries; cluster code ships no term at
+                              all (ids only).
 * ``wall-clock-duration``   — ``time()`` deltas jump under NTP; durations
                               must come from ``perf_counter``/``monotonic``.
 * ``telemetry-instrument-in-hot-loop`` — ``telemetry.counter(...)`` is a
@@ -545,8 +545,8 @@ class NoNestedRwlockRule(Rule):
 class NoPickledTermsRule(Rule):
     name = "no-pickled-terms"
     description = (
-        "cluster code must ship terms through repro.cluster.protocol pack "
-        "paths, never pickle Term objects (their hashes are process-salted)"
+        "cluster code ships ids, never pickled Term objects (their hashes "
+        "are process-salted)"
     )
 
     _TERMISH = re.compile(r"(?i)\bterm")
@@ -578,8 +578,8 @@ class NoPickledTermsRule(Rule):
                             message=(
                                 f"pickle.{func.attr}({text!r}) looks like it "
                                 "moves terms; Term hashes are process-salted, "
-                                "so terms must cross process boundaries via "
-                                "the repro.cluster.protocol pack paths"
+                                "so the cluster's pipes and images carry ids "
+                                "only, decoded by the coordinator"
                             ),
                         )
                     )

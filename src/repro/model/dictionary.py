@@ -14,7 +14,7 @@ The **term codec** lives here too (:func:`pack_term` / :func:`unpack_term`
 and their id-range forms :func:`pack_terms` / :func:`unpack_terms`): the one
 structural ``(kind, value, datatype, language)`` rendering of a term that
 leaves the process — in the persistent catalog's term chunks and summary
-artifacts, in the cluster's shm/pipe ship and in its delta broadcast.  Term
+artifacts (the cluster ships no term: a worker holds integers only).  Term
 objects themselves never do: their memoized hashes are salted per process.
 """
 
@@ -42,7 +42,6 @@ __all__ = [
     "pack_term_chunks",
     "unpack_term",
     "unpack_terms",
-    "unpack_term_chunks",
 ]
 
 #: One term as plain values: ``(kind, value, datatype, language)`` with kind
@@ -110,8 +109,8 @@ class Dictionary:
     def extend(self, terms: Iterable[Term]) -> int:
         """Append *terms* as the next dense ids, in order; return the new size.
 
-        The bulk path of every receiver of packed terms (a catalog file's
-        chunks, a cluster ship, a delta).  A term already present would
+        The bulk path of a receiver of packed terms (a catalog file's
+        chunks).  A term already present would
         land on an id other than the next one — the sender's and the
         receiver's id streams diverged — and raises
         :class:`DictionaryError` rather than silently mis-keying every
@@ -283,13 +282,6 @@ def unpack_terms(packed: Iterable[PackedTerm], dictionary: Dictionary) -> int:
     land on an unexpected id raises :class:`DictionaryError`.
     """
     return dictionary.extend(map(unpack_term, packed))
-
-
-def unpack_term_chunks(chunks: Iterable[Iterable[PackedTerm]], dictionary: Dictionary) -> int:
-    """Append every chunk of :func:`pack_term_chunks` output, in order."""
-    for chunk in chunks:
-        unpack_terms(chunk, dictionary)
-    return len(dictionary)
 
 
 class EncodedGraphView:

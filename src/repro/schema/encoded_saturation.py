@@ -43,18 +43,22 @@ reduces to three cases per freshly inserted row:
 Every insertion into the saturated target store is deduplicated
 (``skip_existing`` semantics), so each derived row is materialized exactly
 once and the cost of a delta is proportional to its *derivations*, never
-to ``|G∞|``.  The target shares the base store's dictionary: no term is
-ever decoded or re-encoded on this path (``rdf:type`` is the single term
-the saturator may have to mint, for graphs whose explicit triples never
-used it).  The target holds every base row once, so what was derived is
-the difference of the two stores' sizes (:meth:`derived_count`).
+to ``|G∞|``.  The rules never decode a term: they read the ids of
+``rdf:type`` and the four constraint properties off a small *vocabulary*
+map (:func:`vocabulary_ids`) their owner keeps current — which is how a
+cluster worker, whose store holds no term, maintains ``G∞`` too.
+``rdf:type`` is the single term the saturator may have to mint, for a graph
+whose explicit triples never used it (in process: a cluster coordinator
+mints it before a graph ships).  The target holds every base row once, so
+what was derived is the difference of the two stores' sizes
+(:meth:`derived_count`).
 """
 
 from __future__ import annotations
 
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-from repro.model.dictionary import EncodedTriple
+from repro.model.dictionary import Dictionary, EncodedTriple
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import (
     RDF_TYPE,
@@ -68,20 +72,33 @@ from repro.schema.rdfs import _transitive_closure
 from repro.store.base import TripleStore
 from repro.store.memory import MemoryStore
 
-__all__ = ["IncrementalSaturator"]
+__all__ = ["IncrementalSaturator", "vocabulary_ids"]
 
 #: The four constraint relations, keyed by the names used in the state dict.
 _SUBCLASS = "subclass"
 _SUBPROPERTY = "subproperty"
 _DOMAIN = "domain"
 _RANGE = "range"
+_TYPE = "type"
 
-_RELATION_OF_TERM = {
+#: The terms the rules read by id, under their names in a vocabulary map.
+_VOCABULARY = {
+    RDF_TYPE: _TYPE,
     RDFS_SUBCLASSOF: _SUBCLASS,
     RDFS_SUBPROPERTYOF: _SUBPROPERTY,
     RDFS_DOMAIN: _DOMAIN,
     RDFS_RANGE: _RANGE,
 }
+
+
+def vocabulary_ids(dictionary: Dictionary) -> Dict[str, int]:
+    """The vocabulary map of *dictionary*: ``name -> id`` of ``rdf:type``
+    and of each RDFS constraint property it holds."""
+    return {
+        name: dictionary.encode_existing(term)
+        for term, name in _VOCABULARY.items()
+        if term in dictionary
+    }
 
 
 class IncrementalSaturator:
@@ -96,13 +113,22 @@ class IncrementalSaturator:
         the same contract as the summary maintainer), because a
         schema delta re-derives from the base store's tables.
 
+    vocabulary:
+        The vocabulary map (:func:`vocabulary_ids`) to read and keep — the
+        caller's object, not a copy.  Every :meth:`build` and
+        :meth:`ingest_rows` first adds what the store's dictionary holds, so
+        in process it follows the dictionary; a store without terms (a
+        cluster worker's) needs its owner to put an id there before the
+        batch that first uses it.
+
     ``G∞`` is kept in :attr:`target`, a :class:`MemoryStore` that *shares*
     the base store's dictionary, so its rows stay id-compatible with the
     base rows and evaluators over it compile queries identically.
     """
 
-    def __init__(self, store: TripleStore):
+    def __init__(self, store: TripleStore, vocabulary: Optional[Dict[str, int]] = None):
         self.store = store
+        self.vocabulary = {} if vocabulary is None else vocabulary
         self.target = MemoryStore()
         self.target.dictionary = store.dictionary
         #: Direct (declared) constraint pairs, one ``id -> {id}`` map per
@@ -121,40 +147,26 @@ class IncrementalSaturator:
         self._super_properties: Dict[int, Set[int]] = {}
         self._domains: Dict[int, Set[int]] = {}
         self._ranges: Dict[int, Set[int]] = {}
-        #: Constraint-property term ids, adopted from the schema rows
-        #: (``relation name -> id``); a relation only ever produces closure
-        #: rows after a direct row supplied its property id.
-        self._schema_ids: Dict[str, int] = {}
-        #: Derived cache of ``_schema_ids``' values for the per-derived-row
-        #: table-routing probe (rebuilt on registration).
-        self._schema_id_set: frozenset = frozenset()
-        #: ``rdf:type``'s id, adopted from type rows or minted on the first
-        #: domain/range/subclass derivation of a graph without type triples.
-        self._type_id: Optional[int] = None
+        #: The constraint relation of each constraint-property id (the
+        #: vocabulary inverted, ``rdf:type`` aside; see :meth:`_refresh`).
+        self._relation_of: Dict[int, str] = {}
 
     # ------------------------------------------------------------------
     # schema bookkeeping
     # ------------------------------------------------------------------
+    def _refresh(self) -> None:
+        """Take in the vocabulary ids the store's dictionary holds."""
+        self.vocabulary.update(vocabulary_ids(self.store.dictionary))
+        self._relation_of = {
+            identifier: name for name, identifier in self.vocabulary.items() if name != _TYPE
+        }
+
     def _register_schema_row(self, row: Tuple[int, int, int]) -> bool:
         """Fold one schema row into the direct maps; ``True`` when new."""
         subject, predicate, obj = row[0], row[1], row[2]
-        term = self.store.dictionary.decode(predicate)
-        relation = _RELATION_OF_TERM.get(term)
+        relation = self._relation_of.get(predicate)
         if relation is None:  # not one of the four constraints: inert
             return False
-        self._schema_ids[relation] = predicate
-        if relation == _SUBPROPERTY:
-            # a special property (rdf:type, or one of the four constraint
-            # properties) can itself appear as a superproperty — adopt its
-            # id now so rdfs7 copies route to the right target table
-            object_term = self.store.dictionary.decode(obj)
-            if object_term == RDF_TYPE:
-                self._type_id = obj
-            else:
-                object_relation = _RELATION_OF_TERM.get(object_term)
-                if object_relation is not None:
-                    self._schema_ids[object_relation] = obj
-        self._schema_id_set = frozenset(self._schema_ids.values())
         targets = self._direct[relation].setdefault(subject, set())
         if obj in targets:
             return False
@@ -169,9 +181,9 @@ class IncrementalSaturator:
         constraint property lands where the evaluator's table routing will
         look for it.
         """
-        if property_id == self._type_id:
+        if property_id == self.vocabulary.get(_TYPE):
             return TripleKind.TYPE
-        if property_id in self._schema_id_set:
+        if property_id in self._relation_of:
             return TripleKind.SCHEMA
         return TripleKind.DATA
 
@@ -221,7 +233,7 @@ class IncrementalSaturator:
             (_DOMAIN, self._domains),
             (_RANGE, self._ranges),
         ):
-            property_id = self._schema_ids.get(relation)
+            property_id = self.vocabulary.get(relation)
             if property_id is None:
                 continue
             for subject, objects in closed.items():
@@ -233,9 +245,10 @@ class IncrementalSaturator:
     # the instance-level rules (one-step, over the closed maps)
     # ------------------------------------------------------------------
     def _type_identifier(self) -> int:
-        if self._type_id is None:
-            self._type_id = self.store.dictionary.encode(RDF_TYPE)
-        return self._type_id
+        type_id = self.vocabulary.get(_TYPE)
+        if type_id is None:
+            type_id = self.vocabulary[_TYPE] = self.store.dictionary.encode(RDF_TYPE)
+        return type_id
 
     def _derive_data(
         self, subject: int, prop: int, obj: int, rows: List[Tuple[TripleKind, Tuple[int, int, int]]]
@@ -341,6 +354,7 @@ class IncrementalSaturator:
         the already-extended closure; the re-derivation pass covers the
         rest, and deduplication makes the overlap free.
         """
+        self._refresh()
         fresh: List[Tuple[TripleKind, Tuple[int, int, int]]] = []
         instance_rows: List[Tuple[TripleKind, Tuple[int, int, int]]] = []
         schema_rows: List[Tuple[int, int, int]] = []
@@ -370,7 +384,6 @@ class IncrementalSaturator:
                 if row in fresh_data:
                     self._derive_data(row[0], row[1], row[2], derived)
             else:
-                self._type_id = row[1]
                 self._derive_type(row[0], row[2], derived)
         # one deduplicating insert for the batch's derivations: the first
         # occurrence of a row wins, as it did when each base row inserted its own
@@ -386,6 +399,7 @@ class IncrementalSaturator:
         ``saturation_builds``); afterwards every update goes through
         :meth:`ingest_rows`.  Returns the number of target rows.
         """
+        self._refresh()
         sink: List[Tuple[TripleKind, Tuple[int, int, int]]] = []
         schema_rows = [
             (row[0], row[1], row[2]) for row in self.store.scan_schema()

@@ -105,9 +105,9 @@ class ServerApp:
     *max_body_bytes* is the request-size ceiling behind the 413 response
     (deployments ingesting big N-Triples batches raise it, public-facing
     ones lower it).  With a *cluster*
-    (:class:`~repro.cluster.coordinator.ClusterCoordinator`) attached,
-    queries, ingest, registration and drops route through the worker pool
-    instead of the in-process service — same answers, multi-core QPS.
+    (:class:`~repro.cluster.coordinator.ClusterCoordinator`) attached, its
+    one service answers — guarded and compiled here, evaluated on a worker —
+    and ingest, registration and drops route through it: same answers.
     """
 
     def __init__(
@@ -122,7 +122,11 @@ class ServerApp:
         cluster=None,
     ):
         self.catalog = catalog
-        self.service = QueryService(catalog, kind=kind, strategy=strategy)
+        self.service = (
+            QueryService(catalog, kind=kind, strategy=strategy)
+            if cluster is None
+            else cluster.service
+        )
         self.executor = QueryExecutor(self.service, max_workers=max_workers)
         self.default_limit = default_limit
         self.quiet = quiet
@@ -272,11 +276,7 @@ class ServerApp:
                 # the summary maintainer's sizes, weak and strong alike,
                 # under its published key (null until it is primed)
                 "strong_maintainer": entry.maintainer_metrics(),
-                "service": (
-                    self.cluster.statistics.as_dict()
-                    if self.cluster is not None
-                    else self.service.statistics.as_dict()
-                ),
+                "service": self.service.statistics.as_dict(),
             }
 
     def graph_summary(self, name: str, kind: str, query_string: Dict) -> Tuple[int, object]:
@@ -312,14 +312,7 @@ class ServerApp:
         saturated, explain, trace = flags
         if query.is_boolean() and limit is None:
             limit = 1
-        if self.cluster is None:
-            answer = self.executor.answer(name, query, limit, saturated, explain, trace)
-        else:
-            # bounded too: the executor caps how many cluster round trips are
-            # in flight, whatever the number of open connections
-            answer = self.executor.run(
-                self.cluster.answer, name, query, limit, saturated, explain, trace
-            )
+        answer = self.executor.answer(name, query, limit, saturated, explain, trace)
         return 200, self._render_answer(answer)
 
     def ingest_triples(self, name: str, body: Dict) -> Tuple[int, Dict]:

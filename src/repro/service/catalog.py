@@ -246,6 +246,11 @@ class CatalogEntry:
         #: The maintained ``G∞`` — built on first saturated access and then
         #: kept fresh *in place* by every ingest; never version-invalidated.
         self._saturated: Optional[_SaturatedState] = None
+        #: ``rdf:type`` and the RDFS constraint properties by id — what the
+        #: ``G∞`` rules read instead of terms (see
+        #: :func:`~repro.schema.encoded_saturation.vocabulary_ids`); filled
+        #: by the coordinator on a cluster worker, whose store holds no term.
+        self.vocabulary: Dict[str, int] = {}
 
     @classmethod
     def restore(
@@ -511,7 +516,7 @@ class CatalogEntry:
             return state
         self.build_counters["saturation_builds"] += 1
         build_start = perf_counter()
-        saturator = IncrementalSaturator(self.store)
+        saturator = IncrementalSaturator(self.store, self.vocabulary)
         saturator.build()
         state = _SaturatedState(saturator)
         state.metrics["build_seconds"] = perf_counter() - build_start

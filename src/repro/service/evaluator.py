@@ -67,6 +67,8 @@ __all__ = [
     "CompiledQuery",
     "EncodedEvaluator",
     "compile_query",
+    "decode_rows",
+    "describe_stages",
     "STRATEGIES",
 ]
 
@@ -297,9 +299,6 @@ class EncodedEvaluator:
         """Compile *query* against this store's dictionary."""
         return compile_query(query, self.store.dictionary)
 
-    def _compiled(self, query) -> CompiledQuery:
-        return query if isinstance(query, CompiledQuery) else self.compile(query)
-
     # ------------------------------------------------------------------
     # the one executor (planned, vectorized, chunked under a limit)
     # ------------------------------------------------------------------
@@ -390,11 +389,12 @@ class EncodedEvaluator:
                 if trace is not None:
                     if len(trace.stages) == traced + index:  # the stage's first chunk
                         trace.add_stage(
-                            _describe_pattern(pattern, compiled, self.store.dictionary),
+                            None,
                             estimate=stage.estimate,
                             cumulative_estimate=stage.cumulative,
                             fetched=0,
                             produced=0,
+                            pattern_index=stage.pattern_index,
                         )
                     observed = trace.stages[traced + index]
                     observed.fetched += len(fetched)
@@ -535,22 +535,6 @@ class EncodedEvaluator:
             sql += f" LIMIT {int(limit)}"
         return sql, parameters
 
-    def _evaluate_sql(
-        self,
-        compiled: CompiledQuery,
-        limit: Optional[int],
-        trace: Optional[ExecutionTrace],
-    ) -> Optional[Set[Tuple[Term, ...]]]:
-        """Answer via one pushed-down join, or ``None`` to use the hash path."""
-        statement = self._compile_sql_join(compiled, limit)
-        if statement is None:
-            return None
-        sql, parameters = statement
-        rows = self.store.execute_join(sql, parameters)
-        if trace is not None:
-            trace.add_stage(sql, produced=len(rows), probes=1)
-        return self._decoded(rows, len(compiled.head_slots))
-
     # ------------------------------------------------------------------
     def explain(self, query, limit: Optional[int] = None) -> ExecutionTrace:
         """Evaluate *query* and return the captured execution trace."""
@@ -571,15 +555,39 @@ class EncodedEvaluator:
         most that many of them — the first the run produces.  A *trace*
         records the run; it never changes it.
         """
-        compiled = self._compiled(query)
+        compiled = query if isinstance(query, CompiledQuery) else self.compile(query)
+        rows = self.evaluate_ids(compiled, limit, trace)
+        dictionary = self.store.dictionary
+        if trace is not None:
+            describe_stages(trace, compiled, dictionary)
+        return decode_rows(rows, len(compiled.head_slots), dictionary)
+
+    def evaluate_ids(
+        self,
+        compiled: CompiledQuery,
+        limit: Optional[int] = None,
+        trace: Optional[ExecutionTrace] = None,
+    ) -> List[Tuple[int, ...]]:
+        """The distinct head id tuples of *compiled*, in first-produced
+        order — at most *limit* of them.
+
+        The whole evaluation, on integers alone: it reads no dictionary, so
+        it runs wherever the rows are (a cluster worker holds no terms).
+        The stages a *trace* records name their pattern by index;
+        :func:`describe_stages` renders them where the dictionary is.
+        """
         if trace is not None:
             trace.strategy = self.strategy
         if compiled.trivially_empty or (limit is not None and limit < 1):
-            return set()  # (at most *limit* rows: none)
+            return []  # (at most *limit* rows: none)
         if self.strategy == "sql":
-            pushed_down = self._evaluate_sql(compiled, limit, trace)
-            if pushed_down is not None:
-                return pushed_down
+            statement = self._compile_sql_join(compiled, limit)
+            if statement is not None:
+                sql, parameters = statement
+                rows = self.store.execute_join(sql, parameters)
+                if trace is not None:
+                    trace.add_stage(sql, produced=len(rows), probes=1)
+                return rows
             # no SQL engine (or a multi-table pattern): the pipeline below
         plan = self.planner().plan(compiled, trace)
         stages = plan.stages
@@ -594,25 +602,14 @@ class EncodedEvaluator:
         # fold each chunk's distinct integer head tuples into the running
         # answer, in first-produced order, and stop the walk at the limit:
         # only the rows kept are ever decoded, each exactly once
-        head = [slot_positions[slot] for slot in compiled.head_slots]
-        project = _projection(head)
+        project = _projection([slot_positions[slot] for slot in compiled.head_slots])
         kept: Dict[Tuple[int, ...], None] = {}
         with closing(walk):
             for rows in walk:
                 kept.update(dict.fromkeys(map(project, rows)))
                 if limit is not None and len(kept) >= limit:
                     break
-        return self._decoded(list(islice(kept, limit)), len(head))
-
-    def _decoded(self, rows: List[Sequence[int]], width: int) -> Set[Tuple[Term, ...]]:
-        """The distinct id tuples *rows* as ``Term`` tuples of *width* columns."""
-        if not width:  # a boolean query: the empty tuple, when anything matched
-            return {()} if rows else set()
-        # decoded flat and regrouped, at C speed; the ids came out of the
-        # store, so they index the decode table directly: no per-id bounds
-        # check or method dispatch
-        terms = map(self.store.dictionary.decode_table.__getitem__, chain.from_iterable(rows))
-        return set(zip(*[terms] * width))
+        return list(islice(kept, limit))
 
     def has_answers(self, query) -> bool:
         """``True`` when the query has at least one embedding on the store.
@@ -719,10 +716,23 @@ def _join_stage(
     return out
 
 
-def _describe_pattern(
-    pattern: CompiledPattern, compiled: CompiledQuery, dictionary: Dictionary
-) -> str:
-    """Human-readable ``?s <p> ?o`` rendering of a compiled pattern."""
+def decode_rows(
+    rows: List[Sequence[int]], width: int, dictionary: Dictionary
+) -> Set[Tuple[Term, ...]]:
+    """The distinct id tuples *rows* as ``Term`` tuples of *width* columns."""
+    if not width:  # a boolean query: the empty tuple, when anything matched
+        return {()} if rows else set()
+    # decoded flat and regrouped, at C speed; the ids came out of a store
+    # this dictionary encoded, so they index the decode table directly: no
+    # per-id bounds check or method dispatch
+    terms = map(dictionary.decode_table.__getitem__, chain.from_iterable(rows))
+    return set(zip(*[terms] * width))
+
+
+def describe_stages(trace: ExecutionTrace, compiled: CompiledQuery, dictionary: Dictionary) -> None:
+    """Name each stage of *trace* a run recorded by pattern index —
+    ``?s <p> ?o``, rendered through the *dictionary* that *compiled* was
+    compiled against, on whichever side of a process boundary holds it."""
 
     def render(spec: int) -> str:
         if spec < 0:
@@ -734,4 +744,9 @@ def _describe_pattern(
         except Exception:
             return f"#{spec}"
 
-    return f"{render(pattern.subject)} {render(pattern.predicate)} {render(pattern.object)}"
+    for stage in trace.stages:
+        if stage.description is None:
+            pattern = compiled.patterns[stage.pattern_index]
+            stage.description = " ".join(
+                map(render, (pattern.subject, pattern.predicate, pattern.object))
+            )

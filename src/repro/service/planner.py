@@ -294,6 +294,7 @@ class StageTrace:
 
     __slots__ = (
         "description",
+        "pattern_index",
         "estimate",
         "cumulative_estimate",
         "fetched",
@@ -303,14 +304,19 @@ class StageTrace:
 
     def __init__(
         self,
-        description: str,
+        description: Optional[str],
         estimate: Optional[float],
         cumulative_estimate: Optional[float],
         fetched: Optional[int],
         produced: Optional[int],
         probes: int,
+        pattern_index: Optional[int] = None,
     ):
+        #: ``?s <p> ?o`` — ``None`` until the stage, recorded by
+        #: *pattern_index* on integers alone, is rendered against a
+        #: dictionary (:func:`repro.service.evaluator.describe_stages`).
         self.description = description
+        self.pattern_index = pattern_index
         self.estimate = estimate
         self.cumulative_estimate = cumulative_estimate
         #: Rows fetched from the store for this stage (None for a
@@ -351,15 +357,18 @@ class ExecutionTrace:
 
     def add_stage(
         self,
-        description: str,
+        description: Optional[str],
         estimate: Optional[float] = None,
         cumulative_estimate: Optional[float] = None,
         fetched: Optional[int] = None,
         produced: Optional[int] = None,
         probes: int = 0,
+        pattern_index: Optional[int] = None,
     ) -> None:
         self.stages.append(
-            StageTrace(description, estimate, cumulative_estimate, fetched, produced, probes)
+            StageTrace(
+                description, estimate, cumulative_estimate, fetched, produced, probes, pattern_index
+            )
         )
 
     def as_dict(self) -> Dict[str, object]:
@@ -369,21 +378,3 @@ class ExecutionTrace:
             "total_probes": self.total_probes,
             "stages": [stage.as_dict() for stage in self.stages],
         }
-
-    @classmethod
-    def from_dict(cls, payload: Dict[str, object]) -> "ExecutionTrace":
-        """The inverse of :meth:`as_dict` (a cluster worker's plan, rebuilt
-        on the coordinator)."""
-        trace = cls()
-        trace.strategy = payload["strategy"]
-        trace.plan_cached = payload["plan_cached"]
-        for stage in payload["stages"]:
-            trace.add_stage(
-                stage["pattern"],
-                stage["estimated_rows"],
-                stage["estimated_cumulative"],
-                stage["fetched_rows"],
-                stage["produced_rows"],
-                stage["probes"],
-            )
-        return trace

@@ -21,12 +21,17 @@ argument applies: RBGP queries (Definition 3) without schema-property
 patterns, on the well-behaved graphs the paper assumes.  Everything else —
 constants in node positions, variable properties, schema lookups — skips
 straight to step 3 and is answered exactly, just without the shortcut.
+
+Step 3 runs on integers: the query compiles against the entry's dictionary,
+the evaluator returns head id tuples, and the service decodes them once.
+That step is the service's one seam (``remote``): the cluster coordinator's
+service hands it to a worker, whose replica holds no term at all.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
 
 from repro import telemetry
 from repro.core.builders import normalize_kind
@@ -37,6 +42,7 @@ from repro.model.terms import Term
 from repro.queries.bgp import BGPQuery
 from repro.queries.evaluation import has_answers
 from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import CompiledQuery, compile_query, decode_rows, describe_stages
 from repro.service.planner import ExecutionTrace
 from repro.telemetry import Counter, QueryTrace, maybe_span
 
@@ -103,15 +109,16 @@ class QueryAnswer:
         self.pruned_by = pruned_by
         #: Execution trace of the base evaluation (``explain=True`` only).
         self.trace = trace
-        #: Maintenance metrics of the graph's ``G∞`` serving cache — build
-        #: and per-ingest delta latencies (``explain=True`` on a
-        #: ``saturated=True`` answer only; see
+        #: Maintenance metrics of the ``G∞`` serving cache that evaluated
+        #: the query — build and per-ingest delta latencies (``explain=True``
+        #: on an evaluated ``saturated=True`` answer only; see
         #: :meth:`CatalogEntry.saturation_metrics`).
         self.saturation = saturation
-        #: Routing metadata attached by the cluster coordinator (``None``
-        #: for in-process answers): the worker that answered, whether its
-        #: guard pruned, retry count.  Purely observational —
-        #: the answer set is what it would be in-process.
+        #: Routing metadata of the cluster worker that evaluated the query
+        #: — which one, retry count — and ``None`` when no worker did (in
+        #: process, or pruned or a dictionary miss on the front end).
+        #: Purely observational — the answer set is what it would be
+        #: in-process.
         self.cluster = cluster
         #: The telemetry span tree of this query (``trace=True`` only): a
         #: :class:`~repro.telemetry.QueryTrace` whose id crossed every
@@ -326,6 +333,14 @@ class QueryService:
         vectorized — the default) or ``"sql"`` — see
         :data:`~repro.service.evaluator.STRATEGIES` (checked where the
         evaluator is built, on the first query that reaches one).
+    remote:
+        The evaluation step, when it runs in another process: called as
+        ``remote(graph_name, compiled, limit, saturated, execution_trace,
+        query_trace)`` once the read lock is released, it returns the head
+        id rows, the ``G∞`` metrics (``saturated`` with ``explain`` only)
+        and the routing metadata of :attr:`QueryAnswer.cluster`.  The
+        cluster coordinator passes its round trip to a worker.  ``None``
+        (the default) evaluates on the entry's own store.
     """
 
     def __init__(
@@ -334,6 +349,7 @@ class QueryService:
         kind: Union[str, Sequence[str]] = "weak",
         prune: bool = True,
         strategy: str = "hash",
+        remote: Optional[Callable] = None,
     ):
         self.catalog = catalog
         if isinstance(kind, str):
@@ -346,6 +362,7 @@ class QueryService:
         self.kind = "+".join(self.kinds)
         self.prune = prune
         self.strategy = strategy
+        self.remote = remote
         self.statistics = ServiceStatistics()
         self._read_wait_seconds = telemetry.histogram("lock.read_wait.seconds")
 
@@ -399,23 +416,28 @@ class QueryService:
         ``explain=True`` the returned answer carries the base evaluation's
         :class:`ExecutionTrace` (plan, estimated vs. actual cardinalities,
         probes) alongside the guard decisions.  With ``trace=True`` (or an
-        existing :class:`~repro.telemetry.QueryTrace` to record into — how
-        a cluster worker continues the coordinator's trace id) the answer
-        carries a telemetry span tree timing the guard cascade and the
-        base evaluation.
+        existing :class:`~repro.telemetry.QueryTrace` to record into) the
+        answer carries a telemetry span tree timing the guard cascade and
+        the base evaluation.
         """
         entry = self.catalog.entry(graph_name)
         query_trace: Optional[QueryTrace] = None
         if trace:
             query_trace = trace if isinstance(trace, QueryTrace) else QueryTrace()
+        execution_trace: Optional[ExecutionTrace] = ExecutionTrace() if explain else None
+        answers: Set[Tuple[Term, ...]] = set()
+        saturation: Optional[Dict[str, object]] = None
+        cluster: Optional[Dict[str, object]] = None
+        # the query as compiled for the remote evaluation step
+        handoff: Optional[CompiledQuery] = None
 
-        # the whole guard-plus-evaluation span holds the entry's shared
-        # (read) lock: concurrent queries overlap freely, while an ingest
-        # (the exclusive side) can never interleave with a running join or
-        # leave the guard checking a summary newer than the store it
-        # protects.  The lock is non-reentrant — nothing below may call
-        # back into answer() or add_triples().  The acquisition itself is
-        # timed separately: it measures queueing behind an ingest, not
+        # the guard, the compilation and an in-process evaluation hold the
+        # entry's shared (read) lock: concurrent queries overlap freely,
+        # while an ingest (the exclusive side) can never interleave with a
+        # running join or leave the guard checking a summary newer than the
+        # store it protects.  The lock is non-reentrant — nothing below may
+        # call back into answer() or add_triples().  The acquisition itself
+        # is timed separately: it measures queueing behind an ingest, not
         # query work.
         wait_start = perf_counter()
         entry.rwlock.acquire_read()
@@ -449,24 +471,40 @@ class QueryService:
                     )
             guard_seconds = perf_counter() - guard_start
 
-            answers: Set[Tuple[Term, ...]] = set()
-            evaluation_seconds = 0.0
-            execution_trace: Optional[ExecutionTrace] = ExecutionTrace() if explain else None
-            if not pruned:
+            evaluation_start = perf_counter()
+            if not pruned and self.remote is not None:
+                # compiled against this dictionary, evaluated elsewhere
+                handoff = compile_query(query, entry.store.dictionary)
+            elif not pruned:
                 evaluator = entry.evaluator_for(self.strategy, saturated=saturated)
                 evaluation_start = perf_counter()
                 with maybe_span(
                     query_trace, "evaluate", strategy=self.strategy
                 ) as evaluate_span:
-                    answers = evaluator.evaluate(query, limit=limit, trace=execution_trace)
+                    # (compiled after evaluator_for: building G∞ may mint
+                    # rdf:type, which the query may name)
+                    compiled = evaluator.compile(query)
+                    answers = evaluator.evaluate(compiled, limit=limit, trace=execution_trace)
                     if evaluate_span is not None:
                         evaluate_span.attributes["answers"] = len(answers)
-                evaluation_seconds = perf_counter() - evaluation_start
-            # the G∞ maintenance costs behind this answer (still under the
-            # read lock: an ingest cannot change the metrics mid-gather)
-            saturation = entry.saturation_metrics() if saturated and explain else None
+                if saturated and explain and not compiled.trivially_empty:
+                    # the G∞ maintenance costs behind this answer (still
+                    # under the read lock: an ingest cannot change them
+                    # mid-gather)
+                    saturation = entry.saturation_metrics()
         finally:
             entry.rwlock.release_read()
+
+        if handoff is not None:
+            # the lock is released first: a round trip never holds a writer up
+            rows, saturation, cluster = self.remote(
+                graph_name, handoff, limit, saturated, execution_trace, query_trace
+            )
+            dictionary = entry.store.dictionary
+            if execution_trace is not None:
+                describe_stages(execution_trace, handoff, dictionary)
+            answers = decode_rows(rows, len(handoff.head_slots), dictionary)
+        evaluation_seconds = 0.0 if pruned else perf_counter() - evaluation_start
 
         if query_trace is not None:
             query_trace.annotate(graph=graph_name, kind=self.kind)
@@ -485,11 +523,8 @@ class QueryService:
             pruned_by=pruned_by,
             trace=execution_trace,
             saturation=saturation,
+            cluster=cluster,
             query_trace=query_trace,
         )
         self.statistics.record(result)
         return result
-
-    def has_answers(self, graph_name: str, query: BGPQuery, saturated: bool = False) -> bool:
-        """Boolean form of :meth:`answer` (stops at the first embedding)."""
-        return not self.answer(graph_name, query, limit=1, saturated=saturated).empty

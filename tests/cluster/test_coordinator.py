@@ -3,6 +3,7 @@ on one worker's full replica, round-robin over the K workers."""
 
 import pytest
 
+from repro import telemetry
 from repro.cluster import ClusterCoordinator
 from repro.model.terms import URI
 from repro.model.triple import Triple
@@ -254,7 +255,47 @@ def test_load_ack_reports_rows_and_attach_time(cluster_pair):
 
 def test_statistics_record_cluster_answers(cluster_pair):
     coordinator, _, _ = cluster_pair
-    before = coordinator.statistics.queries
+    before = coordinator.service.statistics.queries
     query = parse_query("ASK WHERE { ?s ?p ?o }")
     coordinator.answer("bsbm", query)
-    assert coordinator.statistics.queries == before + 1
+    assert coordinator.service.statistics.queries == before + 1
+
+
+def _messages():
+    """Messages written to worker pipes so far, by opcode (process-wide)."""
+    return {
+        op: telemetry.counter(f"cluster.messages.{op}").int_value
+        for op in ("load", "delta", "query", "drop", "ping", "shutdown")
+    }
+
+
+def test_a_query_the_front_end_answers_sends_no_message(cluster_pair):
+    """A guard-pruned query and a dictionary miss are answered on the
+    coordinator: not one message crosses a pipe."""
+    coordinator, service, _ = cluster_pair
+    pruned = parse_query(
+        "SELECT ?s WHERE { ?s <http://nowhere/p> ?o . ?s <http://nowhere/q> ?x }"
+    )
+    missing = parse_query("SELECT ?o WHERE { <http://nowhere/s> ?p ?o }")  # not an RBGP
+    before = _messages()
+    assert coordinator.answer("bsbm", pruned).pruned
+    answer = coordinator.answer("bsbm", missing)
+    assert not answer.pruned and not answer.prunable and answer.answers == set()
+    assert answer.cluster["workers"] == []
+    assert _messages() == before
+
+
+def test_an_answered_query_sends_one_query_message(cluster_pair, workers, bsbm_small):
+    coordinator, _, _ = cluster_pair
+    triple = _sample_triple(bsbm_small)
+    query = parse_query("SELECT ?s WHERE { ?s <%s> ?o }" % triple.predicate.value)
+    for _each_worker in range(workers):  # every worker up to date
+        coordinator.answer("bsbm", query)
+    before = _messages()
+    assert coordinator.answer("bsbm", query).answers
+    after = _messages()
+    assert after["query"] == before["query"] + 1
+    assert {op: after[op] - before[op] for op in after if op != "query"} == dict.fromkeys(
+        ("load", "delta", "drop", "ping", "shutdown"), 0
+    )
+

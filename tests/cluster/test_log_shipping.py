@@ -83,7 +83,7 @@ def test_seeded_schedule_matches_the_in_process_service(seed, workers):
     )
     packs = 1  # the register at start()
     logged = 0
-    queries = 0  # the round-robin position: each query goes to the next worker
+    queries = 0  # the round-robin position: each evaluated query goes to the next worker
     try:
         for step in range(STEPS):
             op = rng.choice(["add", "add", "add", "fold", "kill", "reregister", "query"])
@@ -108,8 +108,11 @@ def test_seeded_schedule_matches_the_in_process_service(seed, workers):
             expected = service.answer("g", query, saturated=saturated)
             context = (seed, workers, step, op, text)
             assert answer.answers == expected.answers, context
-            assert answer.cluster["workers"] == [queries % workers], context
-            queries += 1
+            if answer.cluster["workers"]:
+                assert answer.cluster["workers"] == [queries % workers], context
+                queries += 1
+            else:  # pruned, or a dictionary miss: the front end answered alone
+                assert not expected.answers, context
             status = coordinator.status()
             # a pack happens at register and at a fold — never for a kill,
             # a lagging worker or a respawn

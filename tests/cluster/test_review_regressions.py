@@ -2,8 +2,8 @@
 query racing a drop or sent behind a re-ship is answered promptly,
 registration snapshots once, sustained ingest during a
 respawn re-ship must never wedge the write path, a segment load adopts
-its columns and defers the rest, a failed load cleans up after itself, and
-no worker ever assigns a dictionary id."""
+its columns and holds no term, a failed load or catch-up cleans up after
+itself, and no worker ever assigns a dictionary id."""
 
 import os
 import signal
@@ -14,12 +14,14 @@ import pytest
 
 from repro.cluster import ClusterCoordinator, protocol, shm
 from repro.cluster.worker import _Worker
-from repro.errors import DictionaryError, ReproError, WorkerCrashedError
+from repro.errors import ReproError, WorkerCrashedError
 from repro.model.namespaces import RDF_TYPE, RDFS_DOMAIN
 from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
+from repro.schema.encoded_saturation import vocabulary_ids
 from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import compile_query
 from repro.service.service import QueryService
 from repro.store.memory import MemoryStore
 
@@ -48,13 +50,9 @@ def _load_payload(registry, store, name="g", version=0):
     """An ``OP_LOAD`` the way the coordinator builds one: the store packed
     into a segment of *registry*, plus an empty log."""
     segment_name, directory, _ = registry.pack(
-        name,
-        version,
-        protocol.pack_term_chunks(store.dictionary),
-        protocol.pack_full_tables(store),
-        protocol.BYTEORDER,
+        name, version, protocol.pack_full_tables(store), protocol.BYTEORDER
     )
-    return name, version, (segment_name, directory), []
+    return name, version, (segment_name, directory), vocabulary_ids(store.dictionary), []
 
 
 @pytest.fixture
@@ -65,15 +63,11 @@ def registry():
     assert shm.list_segments() == []
 
 
-def _query_payload(text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"):
-    return (
-        "g",
-        text,
-        None,
-        False,
-        False,
-        None,
-    )
+def _query_payload(store, text="SELECT ?o WHERE { <http://x/s> <http://x/p> ?o }"):
+    """An ``OP_QUERY``: *text* compiled against the coordinator-side
+    *store*'s dictionary."""
+    compiled = compile_query(parse_query(text), store.dictionary)
+    return protocol.query_payload("g", compiled, None, False, False, None)
 
 
 class _ScriptedPipe(_PipeStub):
@@ -102,9 +96,9 @@ def test_query_racing_a_drop_gets_unknown_graph_promptly(registry):
     pipe = _ScriptedPipe(
         [
             (1, protocol.OP_LOAD, _load_payload(registry, store)),
-            (2, protocol.OP_QUERY, _query_payload()),
+            (2, protocol.OP_QUERY, _query_payload(store)),
             (3, protocol.OP_DROP, ("g",)),
-            (7, protocol.OP_QUERY, _query_payload()),
+            (7, protocol.OP_QUERY, _query_payload(store)),
         ]
     )
     worker = _Worker(pipe, {})
@@ -112,7 +106,7 @@ def test_query_racing_a_drop_gets_unknown_graph_promptly(registry):
     # answered strictly in arrival order: nothing is held back
     assert [request_id for request_id, _, _ in pipe.sent] == [1, 2, 3, 7]
     replies = {rid: (status, payload) for rid, status, payload in pipe.sent}
-    assert replies[2][0] == "ok" and len(replies[2][1]["answers"]) == 3
+    assert replies[2][0] == "ok" and len(replies[2][1]["rows"]) == 3
     status, payload = replies[7]
     assert status == "error"
     assert payload[0] == "unknown_graph"
@@ -125,23 +119,18 @@ def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy(registry):
     store = MemoryStore()
     store.insert_triples(_triples(2))
     stale = _load_payload(registry, store, version=0)
-    mark = len(store.dictionary)
     fresh = store.insert_triples(_triples(3), skip_existing=True)
-    entry = (
-        1,
-        (mark, protocol.pack_terms(store.dictionary, mark)),
-        [(kind.value, row[0], row[1], row[2]) for kind, row in fresh],
-    )
-    reshipped = stale[:3] + ([entry],)  # the same image plus the log since
+    entry = (1, None, [(kind.value, row[0], row[1], row[2]) for kind, row in fresh])
+    reshipped = stale[:4] + ([entry],)  # the same image plus the log since
     store.insert_triples(_triples(4))
     later = shm.SegmentRegistry()  # the next generation, its stale one still named
     pipe = _ScriptedPipe(
         [
             (1, protocol.OP_LOAD, stale),
             (2, protocol.OP_LOAD, reshipped),
-            (11, protocol.OP_QUERY, _query_payload()),
+            (11, protocol.OP_QUERY, _query_payload(store)),
             (12, protocol.OP_LOAD, _load_payload(later, store, version=2)),
-            (13, protocol.OP_QUERY, _query_payload()),
+            (13, protocol.OP_QUERY, _query_payload(store)),
         ]
     )
     worker = _Worker(pipe, {})
@@ -149,38 +138,36 @@ def test_query_sent_behind_a_reship_is_answered_from_the_fresh_copy(registry):
     later.close()
     replies = {rid: (status, payload) for rid, status, payload in pipe.sent}
     assert replies[2][1]["version"] == 1
-    assert replies[11][0] == "ok" and len(replies[11][1]["answers"]) == 3
-    assert replies[13][0] == "ok" and len(replies[13][1]["answers"]) == 4
+    assert replies[11][0] == "ok" and len(replies[11][1]["rows"]) == 3
+    assert replies[13][0] == "ok" and len(replies[13][1]["rows"]) == 4
     store.close()
 
 
-@pytest.mark.parametrize("offset", [5, -1], ids=["gap", "overlap"])
-def test_failed_catch_up_leaves_no_copy_to_answer_from(registry, offset):
-    """A delta the worker cannot apply (its terms do not start where the
-    worker's dictionary ends) drops the graph instead of leaving a replica
-    that misses a batch or mis-keys a term: the query behind it gets
-    unknown-graph, and a fresh load recovers."""
+def test_failed_catch_up_leaves_no_copy_to_answer_from(registry):
+    """A delta the worker cannot apply (a row for a table that does not
+    exist) drops the graph instead of leaving a replica that misses a
+    batch: the query behind it gets unknown-graph, and a fresh load
+    recovers."""
     store = MemoryStore()
     store.insert_triples(_triples(2))
     worker = _Worker(_PipeStub(), {})
     worker.handle_load(_load_payload(registry, store))
-    mismatch = (1, (len(store.dictionary) + offset, []), [])
-    with pytest.raises(DictionaryError, match="term offset mismatch"):
-        worker.handle_delta(("g", [mismatch]))
+    corrupt = (1, None, [("no-such-table", 0, 1, 2)])
+    with pytest.raises(ValueError, match="no-such-table"):
+        worker.handle_delta(("g", [corrupt]))
     assert worker.graphs == {} and worker.catalog.names() == []
-    worker._reply(9, worker.handle_query, _query_payload())
+    worker._reply(9, worker.handle_query, _query_payload(store))
     assert worker.connection.sent[-1][2][0] == "unknown_graph"
     worker.handle_load(_load_payload(registry, store))
-    assert len(worker.handle_query(_query_payload())["answers"]) == 2
+    assert len(worker.handle_query(_query_payload(store))["rows"]) == 2
     worker.close()
     store.close()
 
 
-def test_load_adopts_the_segment_and_defers_the_rest(registry):
-    """A load acks at once: the columns are adopted (not copied), the
-    replica does not prime its summary maintainer at load — it does exactly
-    once, on its first guarded query — and the dictionary waits for the
-    first query."""
+def test_load_adopts_the_segment_and_holds_no_term(registry):
+    """A load acks at once: the columns are adopted (not copied), and the
+    replica holds integers only — its dictionary stays empty and it never
+    primes a summary maintainer, whatever it evaluates."""
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(6))
     worker = _Worker(_PipeStub(), {})
@@ -190,17 +177,16 @@ def test_load_adopts_the_segment_and_defers_the_rest(registry):
         assert reply["rows"] == 6
         assert len(worker.segments) == 1
         replica = worker.catalog.entry("g")
-        assert "g" in worker._pending_terms and len(replica.store.dictionary) == 0
-        assert replica.build_counters["prime_scans"] == 0
         # segment pages are shared between workers: nothing private
         memory = worker.handle_ping(())["column_memory"]
         column_bytes = 6 * 12  # six rows, three 4-byte ids a row
         assert memory == {"private_bytes": 0, "adopted_bytes": column_bytes}
-        guarded = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # an RBGP: the guard runs
+        rbgp = "SELECT ?s ?o WHERE { ?s <http://x/p> ?o }"  # guarded, on the coordinator
         for _again in range(2):
-            answer = worker.handle_query(_query_payload(guarded))
-            assert answer["prunable"] and len(answer["answers"]) == 6
-        assert replica.build_counters["prime_scans"] == 1
+            answer = worker.handle_query(_query_payload(entry.store, rbgp))
+            assert len(answer["rows"]) == 6
+        assert len(replica.store.dictionary) == 0
+        assert replica.build_counters["prime_scans"] == 0
     finally:
         worker.close()
         catalog.close()
@@ -209,19 +195,19 @@ def test_load_adopts_the_segment_and_defers_the_rest(registry):
 @pytest.mark.parametrize("fault", ["row-count", "register"])
 def test_failed_load_leaves_nothing_behind(registry, fault, monkeypatch):
     """A load that raises — on a corrupt directory, or when the replica is
-    registered — leaves no catalog entry, mapping or pending state, so a
-    correct re-ship of the same name succeeds."""
+    registered — leaves no catalog entry or mapping, so a correct re-ship
+    of the same name succeeds."""
     catalog = GraphCatalog()
     entry = catalog.register("g", graph=_triples(4))
     worker = _Worker(_PipeStub(), {})
     good = _load_payload(registry, entry.store)
     try:
         if fault == "row-count":
-            name, version, (segment_name, directory), deltas = good
+            name, version, (segment_name, directory), vocabulary, deltas = good
             data = TripleKind.DATA.value
             count, *offsets = directory["tables"][data]
             corrupt = {**directory, "tables": {**directory["tables"], data: (count + 1, *offsets)}}
-            bad = (name, version, (segment_name, corrupt), deltas)
+            bad = (name, version, (segment_name, corrupt), vocabulary, deltas)
         else:
             bad = good
 
@@ -233,10 +219,9 @@ def test_failed_load_leaves_nothing_behind(registry, fault, monkeypatch):
             worker.handle_load(bad)
         monkeypatch.undo()
         assert worker.graphs == {} and worker.segments == {}
-        assert worker._pending_terms == {}
         assert worker.catalog.names() == []
         worker.handle_load(good)
-        assert len(worker.handle_query(_query_payload())["answers"]) == 4
+        assert len(worker.handle_query(_query_payload(entry.store))["rows"]) == 4
     finally:
         worker.close()
         catalog.close()
@@ -244,10 +229,10 @@ def test_failed_load_leaves_nothing_behind(registry, fault, monkeypatch):
 
 def test_a_saturated_query_mints_no_id_on_a_worker():
     """A graph with a domain constraint but no type triple: a worker's
-    ``G∞`` derives ``rdf:type`` rows, so ``rdf:type`` needs an id.  Were it
-    minted on the worker, the next logged batch's terms would land one id
-    off there — a constant-subject probe would miss the ingested row, and
-    ``G∞`` rows would decode with a wrong predicate at the coordinator."""
+    ``G∞`` derives ``rdf:type`` rows, so ``rdf:type`` needs an id.  A
+    worker holds no dictionary to mint one in: the coordinator mints it
+    before the first pack and sends it in the vocabulary map, so ``G∞``
+    rows decode with the right predicate at the coordinator."""
     triples = [
         Triple(URI("http://x/a"), URI("http://x/p"), URI("http://x/b")),
         Triple(URI("http://x/p"), RDFS_DOMAIN, URI("http://x/C")),
@@ -279,6 +264,45 @@ def test_a_saturated_query_mints_no_id_on_a_worker():
                 expected = service.answer("g", query, saturated=saturated)
                 assert answer.answers == expected.answers, (query.to_sparql(), saturated)
         assert (URI("http://x/y"),) in coordinator.answer("g", probes[0][0]).answers
+    finally:
+        coordinator.close()
+        catalog.close()
+        serial_catalog.close()
+
+
+@pytest.mark.parametrize("fold_rows", [1 << 16, 1], ids=["logged", "folded"])
+def test_a_constraint_property_first_used_in_a_later_batch(fold_rows):
+    """``rdfs:domain`` gets its id in an ingest batch, after the image
+    shipped: its id reaches the workers in that batch's log entry (or, past
+    a fold, in the load), ahead of the rows — so each worker's ``G∞`` types
+    the subjects exactly as the in-process one does."""
+    triples = [
+        Triple(URI("http://v/a"), URI("http://v/p"), URI("http://v/b")),
+        Triple(URI("http://v/c"), RDF_TYPE, URI("http://v/C")),
+    ]
+    later = [
+        Triple(URI("http://v/p"), RDFS_DOMAIN, URI("http://v/D")),
+        Triple(URI("http://v/d"), URI("http://v/p"), URI("http://v/e")),
+    ]
+    serial_catalog = GraphCatalog()
+    serial_catalog.register("g", graph=triples)
+    service = QueryService(serial_catalog)
+    catalog = GraphCatalog()
+    catalog.register("g", graph=triples)
+    coordinator = ClusterCoordinator(
+        catalog, workers=2, heartbeat_seconds=0, shm_fold_rows=fold_rows
+    )
+    typed = parse_query("SELECT ?s ?o WHERE { ?s <%s> ?o }" % RDF_TYPE.value)
+    try:
+        for _each_replica in range(2):  # G∞ built on both before the batch
+            assert len(coordinator.answer("g", typed, saturated=True).answers) == 1
+        coordinator.add_triples("g", later)
+        serial_catalog.add_triples("g", later)
+        expected = service.answer("g", typed, saturated=True).answers
+        assert (URI("http://v/a"), URI("http://v/D")) in expected
+        for _each_replica in range(2):
+            answer = coordinator.answer("g", typed, saturated=True)
+            assert answer.cluster["workers"] and answer.answers == expected
     finally:
         coordinator.close()
         catalog.close()

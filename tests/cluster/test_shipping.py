@@ -1,63 +1,18 @@
-"""Table packing and the wire protocol: pure in-process tests."""
+"""Table packing and the wire protocol: pure in-process tests.  What
+crosses the pipe is integers: id columns, id rows, compiled id queries and
+head id tuples — never a term."""
 
 import pytest
 
-from repro.cluster import protocol
-from repro.errors import DictionaryError
-from repro.model.dictionary import Dictionary
-from repro.model.terms import BlankNode, Literal, URI
-from repro.model.triple import TripleKind
+from repro.cluster import ClusterCoordinator, protocol
+from repro.model.namespaces import RDF_TYPE, RDFS_DOMAIN
+from repro.model.terms import URI
+from repro.model.triple import Triple, TripleKind
+from repro.queries.parser import parse_query
+from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import compile_query
 from repro.store.memory import MemoryStore
 from oracles.reference_store import DictReferenceStore
-
-
-# the term codec lives next to Dictionary (repro.model.dictionary) and is
-# shared with the persistent catalog; the cluster reaches it through protocol
-def test_pack_unpack_terms_round_trip():
-    source = Dictionary()
-    terms = [
-        URI("http://example.org/a"),
-        BlankNode("b0"),
-        Literal("plain"),
-        Literal("12", datatype=URI("http://www.w3.org/2001/XMLSchema#integer")),
-        Literal("chat", language="en"),
-        URI("http://example.org/b"),
-    ]
-    for term in terms:
-        source.encode(term)
-    packed = protocol.pack_terms(source)
-    target = Dictionary()
-    assert protocol.unpack_terms(packed, target) == len(source)
-    for term in terms:
-        assert target.encode_existing(term) == source.encode_existing(term)
-
-
-def test_pack_terms_tail_only():
-    source = Dictionary()
-    source.encode(URI("http://example.org/a"))
-    mark = len(source)
-    source.encode(URI("http://example.org/b"))
-    source.encode(Literal("x"))
-    tail = protocol.pack_terms(source, mark)
-    assert len(tail) == 2
-    target = Dictionary()
-    target.encode(URI("http://example.org/a"))
-    protocol.unpack_terms(tail, target)
-    assert target.encode_existing(Literal("x")) == source.encode_existing(Literal("x"))
-
-
-def test_unpack_terms_detects_divergence():
-    """A term that would land on the wrong id is an error, not a mis-key."""
-    packed = [("u", "http://example.org/a", None, None)]
-    target = Dictionary()
-    target.encode(URI("http://example.org/a"))  # already present: id 0 != 1
-    with pytest.raises(DictionaryError):
-        protocol.unpack_terms(packed, target)
-
-
-def test_unpack_terms_rejects_unknown_kind():
-    with pytest.raises(DictionaryError):
-        protocol.unpack_terms([("z", "x", None, None)], Dictionary())
 
 
 @pytest.mark.parametrize("store_cls", [MemoryStore, DictReferenceStore])
@@ -77,39 +32,57 @@ def test_load_column_bytes_round_trip(bsbm_small, store_cls):
     store.close()
 
 
-def test_pack_term_chunks_round_trip():
-    """Dictionary shipment is sliced into bounded chunks that reassemble,
-    in order, into the exact same id assignment."""
-    source = Dictionary()
-    for i in range(150):
-        source.encode(URI(f"http://example.org/term/{i}"))
-    chunks = protocol.pack_term_chunks(source, chunk=64)
-    assert [len(chunk) for chunk in chunks] == [64, 64, 22]
-    target = Dictionary()
-    assert protocol.unpack_term_chunks(chunks, target) == len(source)
-    for i in (0, 63, 64, 149):
-        term = URI(f"http://example.org/term/{i}")
-        assert target.encode_existing(term) == source.encode_existing(term)
+def _primitives(value):
+    """Whether *value* is built from the pipe's primitives only."""
+    if value is None or isinstance(value, (bool, int, float, str, bytes)):
+        return True
+    if isinstance(value, (tuple, list)):
+        return all(map(_primitives, value))
+    if isinstance(value, dict):
+        return all(_primitives(key) and _primitives(item) for key, item in value.items())
+    return False
 
 
-def test_pack_term_chunks_tail_only():
-    """Delta shipment keeps the offset-tagged contract: chunks packed from
-    a dictionary mark splice onto a target already holding the prefix."""
-    source = Dictionary()
-    source.encode(URI("http://example.org/a"))
-    mark = len(source)
-    for i in range(5):
-        source.encode(URI(f"http://example.org/tail/{i}"))
-    chunks = protocol.pack_term_chunks(source, start=mark, chunk=2)
-    assert [len(chunk) for chunk in chunks] == [2, 2, 1]
-    target = Dictionary()
-    target.encode(URI("http://example.org/a"))
-    protocol.unpack_term_chunks(chunks, target)
-    probe = URI("http://example.org/tail/4")
-    assert target.encode_existing(probe) == source.encode_existing(probe)
+def test_a_query_travels_as_integers(fig2):
+    store = MemoryStore()
+    store.load_graph(fig2)
+    query = parse_query("SELECT ?x ?y WHERE { ?x <http://example.org/fig2/editor> ?y . }")
+    payload = protocol.query_payload("g", compile_query(query, store.dictionary), 5, False, True, None)
+    assert _primitives(payload)
+    name, patterns, head_slots, variable_count, *_flags = payload
+    assert (name, head_slots, variable_count) == ("g", (0, 1), 2)
+    ((subject, predicate, obj, tables),) = patterns
+    assert (subject, obj, tables) == (-1, -2, [TripleKind.DATA.value])
+    assert predicate == store.dictionary.encode_existing(URI("http://example.org/fig2/editor"))
+    store.close()
 
 
-def test_pack_term_chunks_empty_and_bad_size():
-    assert protocol.pack_term_chunks(Dictionary()) == []
-    with pytest.raises(DictionaryError):
-        protocol.pack_term_chunks(Dictionary(), chunk=0)
+def test_the_image_and_the_log_carry_no_term():
+    """A load is a segment of id columns plus the vocabulary ids; a logged
+    batch is id rows, plus the vocabulary ids only when it minted one."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=[Triple(URI("http://t/a"), URI("http://t/p"), URI("http://t/b"))])
+    coordinator = ClusterCoordinator(catalog, workers=1, heartbeat_seconds=0)
+    try:
+        coordinator.add_triples("g", [Triple(URI("http://t/c"), URI("http://t/p"), URI("http://t/d"))])
+        # the batch mints rdfs:domain
+        coordinator.add_triples("g", [Triple(URI("http://t/p"), RDFS_DOMAIN, URI("http://t/C"))])
+        dictionary = catalog.entry("g").store.dictionary
+        handle = coordinator._workers[0]
+        op, delta = coordinator._catch_up(handle, "g")
+        assert op == protocol.OP_DELTA and _primitives(delta)
+        (_v1, plain, _rows), (_v2, minted, _schema_rows) = delta[1]
+        assert plain is None
+        assert minted == {
+            "type": dictionary.encode_existing(RDF_TYPE),  # minted before the first pack
+            "domain": dictionary.encode_existing(RDFS_DOMAIN),
+        }
+        handle.cursors.clear()  # as after a respawn: the next contact loads
+        op, load = coordinator._catch_up(handle, "g")
+        assert op == protocol.OP_LOAD and _primitives(load)
+        _name, _version, (segment_name, directory), vocabulary, entries = load
+        assert vocabulary == minted and len(entries) == 2
+        assert set(directory) == {"graph", "version", "byteorder", "tables", "generation"}
+    finally:
+        coordinator.close()
+        catalog.close()

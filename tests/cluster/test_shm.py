@@ -18,6 +18,7 @@ from repro.model.terms import URI
 from repro.model.triple import Triple, TripleKind
 from repro.queries.parser import parse_query
 from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import compile_query
 from repro.store.base import ID_BYTES, ID_TYPECODE
 from repro.store.memory import MemoryStore
 
@@ -34,14 +35,17 @@ def _store(count=64):
 def _pack(registry, store, name="g", version=0):
     """The ``(segment_name, directory)`` descriptor of a fresh pack."""
     segment_name, directory, nbytes = registry.pack(
-        name,
-        version,
-        protocol.pack_term_chunks(store.dictionary),
-        protocol.pack_full_tables(store),
-        protocol.BYTEORDER,
+        name, version, protocol.pack_full_tables(store), protocol.BYTEORDER
     )
     assert nbytes == os.path.getsize(os.path.join(shm._SHM_ROOT, segment_name))
     return segment_name, directory
+
+
+def _query(store, text):
+    """An ``OP_QUERY`` payload: *text* compiled against *store*'s
+    dictionary, as the coordinator compiles it against its own."""
+    compiled = compile_query(parse_query(text), store.dictionary)
+    return protocol.query_payload("g", compiled, None, False, False, None)
 
 
 class TestRegistry:
@@ -51,16 +55,13 @@ class TestRegistry:
         try:
             segment_name, directory = _pack(registry, store)
             assert directory["byteorder"] == protocol.BYTEORDER
+            # the image is the id columns and nothing else: no term
+            assert set(directory) == {"graph", "version", "byteorder", "tables", "generation"}
             segment = shm.attach(segment_name)
             try:
                 buffer = segment.buf
+                assert len(buffer) == 3 * ID_BYTES * len(store)
                 target = MemoryStore()
-                offset, length = directory["terms"]
-                import pickle
-
-                chunks = pickle.loads(bytes(buffer[offset : offset + length]))
-                protocol.unpack_term_chunks(chunks, target.dictionary)
-                assert len(target.dictionary) == len(store.dictionary)
                 tables = directory["tables"]
                 count, s_off, p_off, o_off = tables[TripleKind.DATA.value]
                 nbytes = count * ID_BYTES
@@ -122,8 +123,9 @@ class TestRegistry:
         segment = shm.attach(segment_name)
         registry.unlink("g")
         assert shm.list_segments() == []  # name gone...
-        offset, length = directory["terms"]
-        assert len(bytes(segment.buf[offset : offset + length])) == length  # ...data not
+        count, s_offset, _p, _o = directory["tables"][TripleKind.DATA.value]
+        length = count * ID_BYTES
+        assert len(bytes(segment.buf[s_offset : s_offset + length])) == length > 0  # ...data not
         segment.close()
         registry.close()
         store.close()
@@ -303,10 +305,7 @@ def test_sigkilled_registry_leaves_an_orphan_the_next_registry_sweeps(tmp_path):
             )
             registry = shm.SegmentRegistry()
             name, _, _ = registry.pack(
-                "g", 0,
-                protocol.pack_term_chunks(store.dictionary),
-                protocol.pack_full_tables(store),
-                protocol.BYTEORDER,
+                "g", 0, protocol.pack_full_tables(store), protocol.BYTEORDER
             )
             print(json.dumps(name), flush=True)
             os.kill(os.getpid(), signal.SIGKILL)
@@ -402,7 +401,7 @@ def test_worker_losing_its_pipe_under_a_reply_still_looks_for_orphans(monkeypatc
     worker = worker_module._Worker(_PipeThatBreaks(), {})
     try:
         segment_name, directory = _pack(registry, store)
-        worker._reply(1, worker.handle_load, ("g", 0, (segment_name, directory), []))
+        worker._reply(1, worker.handle_load, ("g", 0, (segment_name, directory), {}, []))
         assert worker.connection.sent[0][1] == "ok"
         looked_at = []
         unlink_orphans = shm.unlink_orphans
@@ -447,19 +446,13 @@ def test_worker_attach_byteswaps_foreign_segments():
     worker = _Worker(_PipeStub(), {})
     try:
         segment_name, directory, _ = registry.pack(
-            "g",
-            0,
-            protocol.pack_term_chunks(store.dictionary),
-            swap(protocol.pack_full_tables(store)),
-            foreign,
+            "g", 0, swap(protocol.pack_full_tables(store)), foreign
         )
-        reply = worker.handle_load(("g", 0, (segment_name, directory), []))
+        reply = worker.handle_load(("g", 0, (segment_name, directory), {}, []))
         assert reply["rows"] == store.count(TripleKind.DATA) + store.count(
             TripleKind.TYPE
         ) + store.count(TripleKind.SCHEMA)
-        answer = worker.handle_query(
-            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", None, False, False, None)
-        )
+        answer = worker.handle_query(_query(store, "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }"))
         native = MemoryStore()
         native.insert_triples(
             Triple(URI(f"http://x/s{i % 9}"), URI(f"http://x/p{i % 3}"),
@@ -467,7 +460,7 @@ def test_worker_attach_byteswaps_foreign_segments():
             for i in range(48)
         )
         expected = len(native.select_many(TripleKind.DATA, predicate=native.dictionary.encode_existing(URI("http://x/p0"))))
-        assert len(answer["answers"]) == expected > 0
+        assert len(answer["rows"]) == expected > 0
         # byteswapped columns are private copies, nothing adopted
         memory = worker.handle_ping(())["column_memory"]
         assert memory["adopted_bytes"] == 0 and memory["private_bytes"] > 0
@@ -477,6 +470,26 @@ def test_worker_attach_byteswaps_foreign_segments():
         registry.close()
         store.close()
     assert shm.list_segments() == []
+
+
+def test_an_empty_graph_ships_an_empty_image():
+    """The image is the id columns alone, so an empty graph's is empty — and
+    an empty file cannot be mapped: it still attaches, and the replica
+    takes the graph's first batch like any other."""
+    catalog = GraphCatalog()
+    catalog.register("e", graph=[])
+    coordinator = ClusterCoordinator(catalog, workers=1, heartbeat_seconds=0)
+    try:
+        (segment,) = coordinator.status()["shm"]["segments"]
+        assert segment["bytes"] == 0
+        query = parse_query("SELECT ?s WHERE { ?s ?p ?o }")
+        assert coordinator.answer("e", query).answers == set()
+        coordinator.add_triples("e", [Triple(URI("http://x/a"), URI("http://x/p"), URI("http://x/b"))])
+        answer = coordinator.answer("e", query)
+        assert answer.cluster["workers"] == [0] and answer.answers == {(URI("http://x/a"),)}
+    finally:
+        coordinator.close()
+        catalog.close()
 
 
 def test_a_plane_outside_dev_shm_runs_the_whole_lifecycle(tmp_path, monkeypatch):
@@ -491,11 +504,9 @@ def test_a_plane_outside_dev_shm_runs_the_whole_lifecycle(tmp_path, monkeypatch)
     try:
         segment_name, directory = _pack(registry, store)
         assert os.listdir(tmp_path) == [segment_name] == shm.list_segments()
-        worker.handle_load(("g", 0, (segment_name, directory), []))
-        answer = worker.handle_query(
-            ("g", "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }", None, False, False, None)
-        )
-        assert len(answer["answers"]) == 8
+        worker.handle_load(("g", 0, (segment_name, directory), {}, []))
+        answer = worker.handle_query(_query(store, "SELECT ?s ?o WHERE { ?s <http://x/p0> ?o }"))
+        assert len(answer["rows"]) == 8
         worker.handle_drop(("g",))
         registry.unlink("g")
         assert worker.segments == {} and shm.list_segments() == []

@@ -1,9 +1,10 @@
 """Trace propagation across the coordinator→worker pipe.
 
 One traced cluster query must come back as a *single* span tree: the
-coordinator's route/scatter/gather spans with the one contacted worker's
-guard/evaluate subtree grafted under ``worker-<index>`` — structurally the
-same guard/evaluate pair the serial service produces.
+coordinator's guard and route/scatter/gather spans with the one contacted
+worker's evaluate subtree grafted under ``worker-<index>`` — together the
+same guard/evaluate pair the serial service produces.  A pruned query's
+tree is the guard alone: nothing crossed the pipe.
 """
 
 import pytest
@@ -53,7 +54,7 @@ def test_cluster_trace_is_one_tree(traced_pair, bsbm_small):
     root = trace.root
     assert root.name == "query"
     stages = [child.name for child in root.children]
-    assert stages == ["route", "scatter", "gather"]
+    assert stages == ["guard", "route", "scatter", "gather"]
 
     scatter = root.find("scatter")
     # the one contacted worker contributed exactly one grafted subtree
@@ -61,7 +62,8 @@ def test_cluster_trace_is_one_tree(traced_pair, bsbm_small):
     assert span.name == f"worker-{worker}"
     (worker_query,) = span.children
     assert worker_query.name == "query"
-    assert worker_query.find("guard") is not None
+    # the guard ran on the coordinator: the worker only evaluated
+    assert worker_query.find("guard") is None
     assert worker_query.find("evaluate") is not None
 
     route = root.find("route")
@@ -93,12 +95,34 @@ def test_worker_subtrees_match_the_serial_shape(traced_pair, bsbm_small):
 
     serial_stages = [child.name for child in serial.query_trace.root.children]
     assert serial_stages == ["guard", "evaluate"]
-    scatter = clustered.query_trace.root.find("scatter")
-    for span in scatter.children:
-        if not span.name.startswith("worker-"):
-            continue
-        (worker_query,) = span.children
-        assert [child.name for child in worker_query.children] == serial_stages
+    root = clustered.query_trace.root
+    (span,) = root.find("scatter").children
+    (worker_query,) = span.children
+    # the coordinator's guard, then the worker's evaluate: the serial pair
+    assert [root.children[0].name] + [
+        child.name for child in worker_query.children
+    ] == serial_stages
+
+
+def test_pruned_query_traces_the_guard_alone(traced_pair):
+    coordinator, _service = traced_pair
+    query = parse_query(
+        "SELECT ?s WHERE { ?s <http://nowhere/p> ?o . ?s <http://nowhere/q> ?x }"
+    )
+    answer = coordinator.answer("bsbm", query, trace=True)
+    assert answer.pruned and answer.cluster["workers"] == []
+    assert [child.name for child in answer.query_trace.root.children] == ["guard"]
+
+
+def test_evaluation_seconds_include_the_round_trip(traced_pair, bsbm_small):
+    """The front end times the remote evaluation on its own clock: an
+    answered query's ``evaluation_seconds`` covers its ``scatter`` span —
+    the pipe round trip and the worker's queueing included."""
+    coordinator, _service = traced_pair
+    answer = coordinator.answer("bsbm", _star_query(bsbm_small), trace=True)
+    assert not answer.pruned and answer.cluster["workers"]
+    scatter = answer.query_trace.root.find("scatter")
+    assert answer.evaluation_seconds >= scatter.seconds > 0
 
 
 def test_constant_subject_query_still_traces(traced_pair, bsbm_small):
@@ -109,6 +133,7 @@ def test_constant_subject_query_still_traces(traced_pair, bsbm_small):
     trace = answer.query_trace
     assert trace is not None
     assert [child.name for child in trace.root.children] == [
+        "guard",
         "route",
         "scatter",
         "gather",

@@ -8,7 +8,8 @@ oracle.  Generated insertion histories
 drive it through every state a node can be in (typed only, one side missing,
 both sides), through clique merges, duplicate rows and batches that change
 nothing, on both backends, through a kill-and-reopen (the state is never
-checkpointed: it is primed again) and on a cluster worker fed deltas.
+checkpointed: it is primed again) and over a cluster replica's adopted
+columns fed id deltas.
 """
 
 import shutil
@@ -194,38 +195,31 @@ class _PipeStub:
 @settings(max_examples=25, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @_with_seeds()
 @given(history=_history)
-def test_a_cluster_worker_maintains_it_from_delta_broadcasts(history):
+def test_a_replica_over_adopted_columns_maintains_it_from_id_deltas(history):
     """The front end ships the graph as it stands after the first batch and
-    broadcasts the rest as deltas; the worker's replica primes its own
-    maintainer (the image is rows and terms, nothing derived) and folds
-    every delta in."""
+    logs the rest as id rows; a worker's replica adopts the segment's
+    columns and folds every batch in.  A worker holds no term, so the test
+    lends the replica the front end's dictionary: the maintainer over
+    adopted columns plus applied rows is then the batch engine."""
     with GraphCatalog() as front:
         entry = front.register("g", graph=RDFGraph(history[0]))
         store = entry.store
         registry = shm.SegmentRegistry()
         segment_name, directory, _ = registry.pack(
-            "g",
-            entry.version,
-            protocol.pack_term_chunks(store.dictionary),
-            protocol.pack_full_tables(store),
-            protocol.BYTEORDER,
+            "g", entry.version, protocol.pack_full_tables(store), protocol.BYTEORDER
         )
-        assert set(directory) == {"graph", "version", "byteorder", "terms", "tables", "generation"}
         worker = _Worker(_PipeStub(), {})
         try:
-            worker.handle_load(("g", entry.version, (segment_name, directory), []))
+            worker.handle_load(("g", entry.version, (segment_name, directory), {}, []))
             replica = worker.catalog.entry("g")
-            worker._hydrate_terms("g")
-            assert replica.build_counters["prime_scans"] == 0  # not at load
+            assert len(replica.store.dictionary) == 0
+            replica.store.dictionary = store.dictionary  # terms for the oracle only
             for kind in _KINDS:
                 _assert_is_the_batch_engine(replica, kind)
-            mark = len(store.dictionary)
             for batch in history[1:]:
                 fresh = store.insert_triples(batch, skip_existing=True)
-                packed = protocol.pack_terms(store.dictionary, mark)
                 wire = [(kind.value, row[0], row[1], row[2]) for kind, row in fresh]
-                worker.handle_delta(("g", [(entry.version + 1, (mark, packed), wire)]))
-                mark += len(packed)
+                worker.handle_delta(("g", [(entry.version + 1, None, wire)]))
                 for kind in _KINDS:
                     summary = _assert_is_the_batch_engine(replica, kind)
                     assert set(summary.graph) == set(term_summary(store.to_graph(), kind).graph)

@@ -4,10 +4,17 @@ import pytest
 
 from repro.errors import DictionaryError, UnknownTermError
 from repro.model import dictionary as dictionary_module
-from repro.model.dictionary import Dictionary, EncodedGraphView, EncodedTriple
+from repro.model.dictionary import (
+    Dictionary,
+    EncodedGraphView,
+    EncodedTriple,
+    pack_term_chunks,
+    pack_terms,
+    unpack_terms,
+)
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
-from repro.model.terms import Literal
+from repro.model.terms import URI, BlankNode, Literal
 from repro.model.triple import Triple
 
 
@@ -142,3 +149,87 @@ class TestIdLimit:
         assert len(dictionary) == 2 and EX.term("n0") not in dictionary
         assert dictionary.extend([EX.term("n0"), EX.term("n1")]) == 4
         assert dictionary.decode(3) == EX.term("n1")
+
+
+class TestTermCodec:
+    """The structural term codec of the catalog file's term chunks: a
+    receiver re-encodes the packed terms in order and gets identical ids."""
+
+    def test_pack_unpack_terms_round_trip(self):
+        source = Dictionary()
+        terms = [
+            URI("http://example.org/a"),
+            BlankNode("b0"),
+            Literal("plain"),
+            Literal("12", datatype=URI("http://www.w3.org/2001/XMLSchema#integer")),
+            Literal("chat", language="en"),
+            URI("http://example.org/b"),
+        ]
+        for term in terms:
+            source.encode(term)
+        target = Dictionary()
+        assert unpack_terms(pack_terms(source), target) == len(source)
+        for term in terms:
+            assert target.encode_existing(term) == source.encode_existing(term)
+
+    def test_pack_terms_tail_only(self):
+        source = Dictionary()
+        source.encode(URI("http://example.org/a"))
+        mark = len(source)
+        source.encode(URI("http://example.org/b"))
+        source.encode(Literal("x"))
+        tail = pack_terms(source, mark)
+        assert len(tail) == 2
+        target = Dictionary()
+        target.encode(URI("http://example.org/a"))
+        unpack_terms(tail, target)
+        assert target.encode_existing(Literal("x")) == source.encode_existing(Literal("x"))
+
+    def test_unpack_terms_detects_divergence(self):
+        """A term that would land on the wrong id is an error, not a mis-key."""
+        target = Dictionary()
+        target.encode(URI("http://example.org/a"))  # already present: id 0 != 1
+        with pytest.raises(DictionaryError):
+            unpack_terms([("u", "http://example.org/a", None, None)], target)
+
+    def test_unpack_terms_rejects_unknown_kind(self):
+        with pytest.raises(DictionaryError):
+            unpack_terms([("z", "x", None, None)], Dictionary())
+
+    def test_pack_term_chunks_round_trip(self):
+        """The chunks reassemble, in order, into the exact same id
+        assignment, and none exceeds the chunk size."""
+        source = Dictionary()
+        for i in range(150):
+            source.encode(URI(f"http://example.org/term/{i}"))
+        chunks = pack_term_chunks(source, chunk=64)
+        assert [len(chunk) for chunk in chunks] == [64, 64, 22]
+        target = Dictionary()
+        for chunk in chunks:
+            unpack_terms(chunk, target)
+        assert len(target) == len(source)
+        for i in (0, 63, 64, 149):
+            term = URI(f"http://example.org/term/{i}")
+            assert target.encode_existing(term) == source.encode_existing(term)
+
+    def test_pack_term_chunks_tail_only(self):
+        """Chunks packed from a dictionary mark splice onto a target already
+        holding the prefix."""
+        source = Dictionary()
+        source.encode(URI("http://example.org/a"))
+        mark = len(source)
+        for i in range(5):
+            source.encode(URI(f"http://example.org/tail/{i}"))
+        chunks = pack_term_chunks(source, start=mark, chunk=2)
+        assert [len(chunk) for chunk in chunks] == [2, 2, 1]
+        target = Dictionary()
+        target.encode(URI("http://example.org/a"))
+        for chunk in chunks:
+            unpack_terms(chunk, target)
+        probe = URI("http://example.org/tail/4")
+        assert target.encode_existing(probe) == source.encode_existing(probe)
+
+    def test_pack_term_chunks_empty_and_bad_size(self):
+        assert pack_term_chunks(Dictionary()) == []
+        with pytest.raises(DictionaryError):
+            pack_term_chunks(Dictionary(), chunk=0)

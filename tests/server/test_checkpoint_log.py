@@ -334,8 +334,8 @@ def _older_saturation_payload(store):
         for key in ("_direct", "_super_classes", "_super_properties", "_domains", "_ranges")
     }
     state.update(
-        _schema_ids=saturator._schema_ids,
-        _type_id=saturator._type_id,
+        _schema_ids={k: v for k, v in saturator.vocabulary.items() if k != "type"},
+        _type_id=saturator.vocabulary.get("type"),
         _derived=[
             (kind.value, *row)
             for kind, rows in _table_rows(saturator.target).items()

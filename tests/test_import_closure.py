@@ -45,9 +45,11 @@ def _loaded_by(statement):
         "import sys, json; before = set(sys.modules); "
         f"{statement}; print(json.dumps(sorted(set(sys.modules) - before)))"
     )
+    # the closure pinned is the production one: no lockcheck in the child
+    env = {key: value for key, value in os.environ.items() if key != "REPRO_LOCKCHECK"}
     result = subprocess.run(
         [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=SRC),
+        env=dict(env, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
         check=True,
@@ -70,11 +72,18 @@ def test_import_repro_loads_no_submodule():
     assert _within(loaded, "repro") == ["repro", "repro._lazy"]
 
 
-def test_worker_closure_is_store_evaluator_guard_only():
+#: What only the coordinator runs: parsing, the guard's query evaluation on
+#: a summary, and the service around them.  A worker evaluates compiled id
+#: queries and loads none of it.
+COORDINATOR_ONLY = ("repro.queries.parser", "repro.queries.evaluation", "repro.service.service")
+
+
+def test_worker_closure_is_store_and_evaluator_only():
     loaded = _loaded_by("import repro.cluster.worker")
     assert "repro.service.evaluator" in loaded and "repro.store.memory" in loaded
     assert not _within(
         loaded,
+        *COORDINATOR_ONLY,
         "repro.cluster.coordinator",
         "repro.core.bisimulation",
         "repro.core.cliques",
@@ -97,8 +106,9 @@ def test_worker_closure_is_store_evaluator_guard_only():
         "multiprocessing.shared_memory",
         "multiprocessing.resource_tracker",
     )
-    # 88 beyond a bare interpreter when this was written; 168 before the diet
-    assert len(loaded) <= 100, sorted(loaded)
+    # 51 on Python 3.11 when this was written; 54 with the parser, the
+    # guard's query evaluation and the service; 168 before the diet
+    assert len(loaded) <= 60, sorted(loaded)
 
 
 #: Stdlib a serving process used to load and never call: ``http.server``
@@ -183,10 +193,13 @@ def test_the_process_a_worker_is_never_imports_multiprocessing(tmp_path):
         )
     loaded = worker - bare
     assert "repro.cluster.protocol" in loaded and "repro.service.evaluator" in loaded
-    assert not _within(loaded, *UNUSED_STDLIB, "socket", "repro.cluster.coordinator")
-    # 98 beyond a bare interpreter when this was written; 126 with
-    # multiprocessing.connection
-    assert len(loaded) <= 106, sorted(loaded)
+    assert not _within(
+        loaded, *UNUSED_STDLIB, *COORDINATOR_ONLY, "socket", "repro.cluster.coordinator"
+    )
+    # 57 beyond a bare interpreter on Python 3.11 when this was written; 60
+    # with the parser, the guard's query evaluation and the service; 126
+    # with multiprocessing.connection
+    assert len(loaded) <= 66, sorted(loaded)
 
 
 def test_serve_closure_leaves_the_offline_tools_out():

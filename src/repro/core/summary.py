@@ -10,16 +10,17 @@ property checks and exploration use-cases, the object also carries the
   input nodes it represents (the paper's ``dr`` map).
 
 The integer engines hand the provenance over as dictionary ids
-(:meth:`Summary.from_ids`); both maps are then decoded lazily, once.
+(:meth:`Summary.from_ids`); both maps are then decoded lazily, once.  The
+provenance lives only in memory: a catalog checkpoint stores a summary's
+``graph`` alone (what the guard reads), and a warm-started process builds a
+``Summary`` — provenance included — only when one is asked for.
 """
 
 from __future__ import annotations
 
 from array import array
-from itertools import compress
 from typing import Dict, Optional, Sequence, Set, Tuple
 
-from repro.model.dictionary import Dictionary
 from repro.model.graph import GraphStatistics, RDFGraph
 from repro.model.terms import Literal, Term
 from repro.utils.concurrency import named_lock
@@ -81,7 +82,8 @@ class Summary:
     plus the short list of minted summary nodes.  ``representative_of`` and
     ``extents`` are then views materialised once, on first access; the
     serving path (guard, HTTP summary route, cluster) only reads ``graph``
-    and never pays for them.
+    and never pays for them.  Only a summarizer makes one: a catalog
+    checkpoint keeps the ``graph`` alone, never the provenance.
 
     Parameters
     ----------
@@ -116,8 +118,8 @@ class Summary:
         #: ``(node_ids, block_indexes, summary_nodes, decode_table)`` of an
         #: id-native summary (see :meth:`from_ids`); immutable once set
         self._encoded: Optional[Tuple[array, array, Sequence[Term], Sequence[Term]]] = None
-        #: ``(codes, block_of_code, summary_nodes, decode_table)`` the above
-        #: is derived from on first need (see :meth:`from_codes`)
+        #: ``(codes, block_of_code, summary_nodes, decode_table)`` of a
+        #: maintainer's snapshot (see :meth:`from_codes`); immutable once set
         self._codes: Optional[tuple] = None
 
     @classmethod
@@ -159,37 +161,30 @@ class Summary:
         decode_table: Sequence[Term],
         source_name: str = "",
     ) -> "Summary":
-        """An id-native summary whose node arrays are built only if asked for.
+        """An id-native summary over a maintainer's dense per-node state.
 
-        *codes* is a maintainer's dense per-node state, indexed by dictionary
-        id (the caller's private copy): input node ``n`` is represented by
+        *codes* is indexed by dictionary id (the caller's private copy):
+        input node ``n`` is represented by
         ``summary_nodes[block_of_code[codes[n]]]``, or not a node of the graph
         when that index is negative.  The guard only reads ``graph``; the
-        ``(node_ids, block_indexes)`` arrays of :meth:`from_ids` are derived
-        on first access to the provenance (a checkpoint, a ``representative_of``).
+        codes are decoded on first access to the provenance
+        (``representative_of``, ``extents``).
         """
         summary = cls(kind, graph, {}, None, source_name)
         summary._representative_of = None
         summary._codes = (codes, block_of_code, summary_nodes, decode_table)
         return summary
 
-    def _ids(self) -> Optional[Tuple[array, array, Sequence[Term], Sequence[Term]]]:
-        """``_encoded``, derived from the codes on the first call.  Unlocked:
-        racing callers derive equal arrays, and ``_encoded`` is published
-        before ``_codes`` is dropped."""
-        pending = self._codes
-        if pending is not None:
-            codes, block_of_code, summary_nodes, decode_table = pending
-            blocks = array("i", map(block_of_code.__getitem__, codes))
-            placed = list(map((0).__le__, blocks))
-            self._encoded = (
-                array("i", compress(range(len(codes)), placed)),
-                array("i", compress(blocks, placed)),
-                summary_nodes,
-                decode_table,
-            )
-            self._codes = None
-        return self._encoded
+    def _decoded(self) -> Dict[Term, Term]:
+        """The id-native provenance (of :meth:`from_ids` or
+        :meth:`from_codes`) as the ``Term`` map ``representative_of``."""
+        if self._codes is not None:
+            codes, block_of_code, summary_nodes, decode_table = self._codes
+            pairs = ((node, block_of_code[code]) for node, code in enumerate(codes))
+        else:
+            node_ids, block_indexes, summary_nodes, decode_table = self._encoded
+            pairs = zip(node_ids, block_indexes)
+        return {decode_table[node]: summary_nodes[block] for node, block in pairs if block >= 0}
 
     def __repr__(self):
         return (
@@ -205,13 +200,7 @@ class Summary:
         with self._views_lock:
             if self._extents is None:
                 if self._representative_of is None:
-                    node_ids, block_indexes, summary_nodes, decode_table = self._ids()
-                    self._representative_of = dict(
-                        zip(
-                            map(decode_table.__getitem__, node_ids),
-                            map(summary_nodes.__getitem__, block_indexes),
-                        )
-                    )
+                    self._representative_of = self._decoded()
                 extents: Dict[Term, Set[Term]] = {}
                 for input_node, summary_node in self._representative_of.items():
                     extents.setdefault(summary_node, set()).add(input_node)
@@ -233,25 +222,6 @@ class Summary:
         """``True`` once ``representative_of`` / ``extents`` were decoded."""
         with self._views_lock:
             return self._extents is not None
-
-    def encoded_representatives(
-        self, dictionary: Dictionary
-    ) -> Tuple[array, array, Sequence[Term]]:
-        """``(node_ids, block_indexes, summary_nodes)`` over *dictionary*.
-
-        The held arrays when the summary is id-native over that very
-        dictionary (no decoding); otherwise the ``Term`` map is encoded
-        through :meth:`Dictionary.encode_existing`.
-        """
-        encoded = self._ids()
-        if encoded is not None and encoded[3] is dictionary.decode_table:
-            return encoded[:3]
-        index_of: Dict[Term, int] = {}
-        node_ids, block_indexes = array("i"), array("i")
-        for input_node, summary_node in self.representative_of.items():
-            node_ids.append(dictionary.encode_existing(input_node))
-            block_indexes.append(index_of.setdefault(summary_node, len(index_of)))
-        return node_ids, block_indexes, list(index_of)
 
     def representative(self, input_node: Term) -> Optional[Term]:
         """The summary node representing *input_node* (``None`` when unknown)."""

@@ -20,18 +20,19 @@ stores every fact once, packed, each blob through :mod:`zlib`:
   4-byte ids in the writer's byte order, the bytes a cluster worker maps —
   whatever backend serves the graph (``width`` 4; an older build's width-8
   column is narrowed on read and rewritten by the next durable write);
-* the **artifacts** in ``artifacts`` — every summary cached at checkpoint
-  time, all tagged with the checkpoint's entry version.  Derived state is
-  not an artifact: every process reads the cardinality statistics off the
-  indexes of the rows it loads, primes its summary maintainer on first need
-  and builds ``G∞`` on its first saturated query (``maintainer`` /
-  ``statistics`` / ``saturation`` / ``saturation_statistics`` rows left by
-  an older build are ignored and disappear with the next checkpoint).  A
-  summary payload holds its node -> representative map as two packed
-  ``array('i')`` over the graph's own dictionary ids and only the summary
-  graph and the minted summary nodes as term tuples.  Summary artifacts are
-  *expendable*: one that does not decode is skipped, counted and rebuilt on
-  first use.
+* the **artifacts** in ``artifacts`` — the pruning graph of every summary
+  kind cached at checkpoint time, as packed term triples, all tagged with
+  the checkpoint's entry version: exactly what a warm start's guard reads.
+  The node -> representative provenance is not stored: it is derived state,
+  like the cardinality statistics every process reads off the indexes of
+  the rows it loads, the summary maintainer it primes on first need (a
+  ``summary()`` call, never a guard) and ``G∞`` it builds on its first
+  saturated query (``maintainer`` / ``statistics`` / ``saturation`` /
+  ``saturation_statistics`` rows left by an older build are ignored and
+  disappear with the next checkpoint; a summary payload of an older layout
+  has its graph read and its provenance fields ignored).  Summary artifacts
+  are *expendable*: one that does not decode is skipped, counted and
+  rebuilt on first use.
 
 The log is what :meth:`~PersistentCatalog.append_update` — the write-through
 hook of :meth:`CatalogEntry.add_triples` — writes, and it is delta-sized:
@@ -76,7 +77,6 @@ from time import perf_counter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
-from repro.core.summary import Summary
 from repro.errors import PersistenceError
 from repro.model.dictionary import (
     Dictionary,
@@ -86,7 +86,7 @@ from repro.model.dictionary import (
     unpack_term,
     unpack_terms,
 )
-from repro.model.graph import GraphStatistics, RDFGraph
+from repro.model.graph import RDFGraph
 from repro.model.triple import Triple, TripleKind
 from repro.store.base import ID_BYTES, ID_TYPECODE, TripleStore
 
@@ -188,70 +188,28 @@ def _narrowed(wide: bytes, byteorder: str) -> bytes:
         ) from None
 
 
-def _pack_summary(summary: Summary, dictionary: Dictionary) -> Dict[str, object]:
-    """A summary as plain tuples, strings and two packed int arrays.
-
-    The node -> representative map is stored over *dictionary*'s ids: input
-    node ``node_ids[i]`` is represented by ``summary_nodes[block_indexes[i]]``
-    (8 bytes per represented node; no input node's text is repeated here).
-    Only the summary graph and the minted summary nodes — dozens for
-    weak/strong — travel as packed term tuples.
-    """
-    node_ids, block_indexes, summary_nodes = summary.encoded_representatives(dictionary)
-    return {
-        "kind": summary.kind,
-        "source_name": summary.source_name,
-        "graph_name": summary.graph.name,
-        "triples": [
-            (pack_term(t.subject), pack_term(t.predicate), pack_term(t.object))
-            for t in summary.graph
-        ],
-        "node_ids": node_ids,
-        "block_indexes": block_indexes,
-        "summary_nodes": [pack_term(node) for node in summary_nodes],
-        "source_statistics": (
-            summary.source_statistics.as_dict()
-            if summary.source_statistics is not None
-            else None
-        ),
-    }
+def _pack_summary(graph: RDFGraph) -> Dict[str, object]:
+    """A pruning graph as packed term tuples, sorted so that equal graphs
+    give equal bytes whatever the process's hash seed."""
+    triples = [
+        (pack_term(t.subject), pack_term(t.predicate), pack_term(t.object)) for t in graph
+    ]
+    return {"graph_name": graph.name, "triples": sorted(triples, key=str)}
 
 
-def _unpack_summary(payload: Dict[str, object], dictionary: Dictionary) -> Summary:
-    """Rebuild a summary over *dictionary* without decoding one input node.
+def _unpack_summary(payload: Dict[str, object]) -> RDFGraph:
+    """The pruning graph of a ``summary:<kind>`` payload of any layout.
 
-    Raises (``KeyError`` / ``TypeError`` / ``ValueError``) on any payload
-    that is not a well-formed :func:`_pack_summary` result — the caller
-    treats summary artifacts as expendable.
+    Only ``triples`` and ``graph_name`` are read: the provenance an older
+    build stored beside them (id arrays, a ``representative_of`` list) is
+    ignored.  Raises (``KeyError`` / ``TypeError`` / ``ValueError`` /
+    :class:`~repro.errors.DictionaryError`) on a payload that holds no
+    well-formed graph — the caller treats summary artifacts as expendable.
     """
     graph = RDFGraph(name=payload.get("graph_name", ""))
     for subject, predicate, obj in payload["triples"]:
         graph.add(Triple(unpack_term(subject), unpack_term(predicate), unpack_term(obj)))
-    node_ids, block_indexes = payload["node_ids"], payload["block_indexes"]
-    summary_nodes = [unpack_term(columns) for columns in payload["summary_nodes"]]
-    for packed in (node_ids, block_indexes):
-        if not isinstance(packed, array) or packed.typecode != "i":
-            raise TypeError(f"representative map is not a packed int array: {type(packed)}")
-    if node_ids and not (
-        0 <= min(node_ids)
-        and max(node_ids) < len(dictionary)
-        and 0 <= min(block_indexes)
-        and max(block_indexes) < len(summary_nodes)
-    ):
-        raise ValueError("representative map points outside the dictionary or node table")
-    source_statistics = payload.get("source_statistics")
-    return Summary.from_ids(
-        payload["kind"],
-        graph,
-        node_ids,
-        block_indexes,
-        summary_nodes,
-        dictionary.decode_table,
-        source_statistics=(
-            GraphStatistics(**source_statistics) if source_statistics is not None else None
-        ),
-        source_name=payload.get("source_name", ""),
-    )
+    return graph
 
 
 class GraphSnapshot(NamedTuple):
@@ -262,7 +220,8 @@ class GraphSnapshot(NamedTuple):
     version: int
     #: Holds the checkpoint's rows; :attr:`tail_rows` are not inserted yet.
     store: TripleStore
-    summaries: Optional[Dict[str, Summary]] = None
+    #: The pruning graph of every summary kind cached at the checkpoint.
+    pruning_graphs: Optional[Dict[str, RDFGraph]] = None
     #: The version everything above was checkpointed at, and the rows logged
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
@@ -403,8 +362,8 @@ class PersistentCatalog:
     # ------------------------------------------------------------------
     def _artifact_rows(self, entry) -> Iterator[Tuple[str, bytes]]:
         """The artifact payloads of *entry* at its current version."""
-        for kind, summary in entry.cached_summaries().items():
-            yield f"summary:{kind}", _pack(_pack_summary(summary, entry.store.dictionary))
+        for kind, graph in entry.cached_pruning_graphs().items():
+            yield f"summary:{kind}", _pack(_pack_summary(graph))
 
     def _replace_artifacts(self, connection: sqlite3.Connection, entry) -> None:
         connection.execute("DELETE FROM artifacts WHERE graph = ?", (entry.name,))
@@ -609,7 +568,7 @@ class PersistentCatalog:
         # one checkpoint replaces every artifact of the graph in one
         # transaction, so they all carry its version (with none there is
         # nothing a wrong version could make look fresh)
-        summaries: Dict[str, Summary] = {}
+        pruning_graphs: Dict[str, RDFGraph] = {}
         checkpoint_version = artifact_rows[0][1] if artifact_rows else version
         try:
             unpack_terms(term_rows, dictionary)
@@ -646,8 +605,8 @@ class PersistentCatalog:
                     # blob) is skipped — the entry rebuilds that summary on
                     # first use and the next checkpoint rewrites the artifact
                     try:
-                        summaries[artifact_name.split(":", 1)[1]] = _unpack_summary(
-                            _unpack(payload), dictionary
+                        pruning_graphs[artifact_name.split(":", 1)[1]] = _unpack_summary(
+                            _unpack(payload)
                         )
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
@@ -666,7 +625,7 @@ class PersistentCatalog:
             name=name,
             version=version,
             store=store,
-            summaries=summaries,
+            pruning_graphs=pruning_graphs,
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
             rewrite=legacy or any(row[2:4] != (sys.byteorder, ID_BYTES) for row in column_rows),

@@ -23,8 +23,9 @@ and maintains, per graph:
 * lazily built, version-invalidated caches of the type-based and typed
   kinds (rebuilt by the encoded engine on demand) and of the summary
   graphs' saturations used by pruning.  A snapshot or rebuild whose graph
-  equals the previous version's hands that very graph object on, so the
-  caches keyed on it stay warm.
+  equals the cached one (of the previous version, or restored from a
+  checkpoint) hands that very graph object on, so the caches keyed on it
+  stay warm.
 
 Freshness is tracked by a per-entry version counter bumped on every
 :meth:`CatalogEntry.add_triples` batch: a cached artifact tagged with an
@@ -50,17 +51,19 @@ Durability
 A catalog opened through :meth:`GraphCatalog.open` is backed by a
 :class:`repro.server.persistence.PersistentCatalog` — a checkpoint plus a
 row log.  Registrations and :meth:`GraphCatalog.checkpoint` write the
-checkpoint (rows, dictionary, cached summaries); every
+checkpoint (rows, dictionary, the cached summaries' pruning graphs); every
 ``add_triples`` batch is logged atomically, delta only.  A restarted process
 installs the checkpointed state and feeds the logged rows through the very
 routine an ingest runs (:meth:`CatalogEntry.replay`) — after a clean
-shutdown it warm-starts with **zero** re-scan or re-summarization and the
+shutdown it warm-starts with **zero** re-scan or re-summarization: the
+guard and the next checkpoint read the restored graphs, and the
 ``build_counters`` of a warm entry stay at zero until something genuinely
-new is requested; after an unclean one the replayed rows leave the
-checkpointed summaries stale and the first guarded query primes the
-maintainer (one ``prime_scans``), as it does after the first ingest.
-After either, the first saturated query builds ``G∞`` (one
-``saturation_builds``).
+new is requested — a ``Summary`` (its provenance is not checkpointed, so
+the first :meth:`CatalogEntry.summary` call primes the maintainer, as the
+first ingest does).  After an unclean shutdown the replayed rows leave the
+restored graphs stale and the first guarded query primes the maintainer
+(one ``prime_scans``).  After either, the first saturated query builds
+``G∞`` (one ``saturation_builds``).
 """
 
 from __future__ import annotations
@@ -237,9 +240,10 @@ class CatalogEntry:
         #: no cached summary covers and fed every batch from then on;
         #: guarded by self._init_lock
         self._maintainer: Optional[CliqueSummarizer] = None
-        #: Per-kind summary cache (kind → (version, summary));
+        #: Per-kind summary cache (kind → (version, pruning graph, summary)),
+        #: the summary ``None`` for a graph restored from a checkpoint;
         #: guarded by self._init_lock — stale reads must re-check inside.
-        self._summaries: Dict[str, Tuple[int, Summary]] = {}
+        self._summaries: Dict[str, Tuple[int, RDFGraph, Optional[Summary]]] = {}
         #: The served stores of ``G`` (key ``False``) and ``G∞`` (``True``),
         #: each created on first use (:meth:`_served_store`).
         self._served: Dict[bool, _ServedStore] = {}
@@ -258,22 +262,23 @@ class CatalogEntry:
         name: str,
         store: TripleStore,
         version: int,
-        summaries: Optional[Dict[str, Summary]] = None,
+        pruning_graphs: Optional[Dict[str, RDFGraph]] = None,
     ) -> "CatalogEntry":
         """Warm-start an entry from persisted state (no priming scan).
 
-        The store arrives already loaded; the cached summaries are installed
-        as-is at *version*, so the first query costs exactly what a
-        long-running process would have paid — no re-scan, no
-        re-summarization (derived state is never persisted: the cardinality
-        profile is read off the store's indexes, the summary maintainer
-        primed by the first read the cached summaries do not cover, ``G∞``
-        built by the first saturated query).
+        The store arrives already loaded; the checkpointed pruning graphs
+        are installed as-is at *version*, so the first guarded query costs
+        exactly what a long-running process would have paid — no re-scan,
+        no re-summarization (derived state is never persisted: the
+        cardinality profile is read off the store's indexes, the summary
+        maintainer primed by the first :meth:`summary` call or by the first
+        guard the restored graphs do not cover, ``G∞`` built by the first
+        saturated query).
         """
         entry = cls(name, store)
         entry.version = version
-        for kind, summary in (summaries or {}).items():
-            entry._summaries[normalize_kind(kind)] = (version, summary)
+        for kind, graph in (pruning_graphs or {}).items():
+            entry._summaries[normalize_kind(kind)] = (version, graph, None)
         return entry
 
     # ------------------------------------------------------------------
@@ -429,18 +434,21 @@ class CatalogEntry:
         The weak and strong summaries are snapshots of the one live
         maintainer — cost proportional to the summary, not the graph, once
         it has paid its priming scan; the other kinds run the encoded
-        engine over the store on first use after a change.
+        engine over the store on first use after a change.  A graph
+        restored from a checkpoint carries no provenance, so the first call
+        after a warm start builds the summary (the guard never asks here:
+        :meth:`pruning_graph` serves the restored graph).
         """
         kind = normalize_kind(kind)
         # Optimistic fast path: a stale read is benign because the hit is
         # version-checked and the miss re-reads under the lock below.
         cached = self._summaries.get(kind)  # repro-lint: disable=guarded-by
-        if cached is not None and cached[0] == self.version:
-            return cached[1]
+        if cached is not None and cached[0] == self.version and cached[2] is not None:
+            return cached[2]
         with self._init_lock:
             cached = self._summaries.get(kind)
-            if cached is not None and cached[0] == self.version:
-                return cached[1]
+            if cached is not None and cached[0] == self.version and cached[2] is not None:
+                return cached[2]
             if kind in ("weak", "strong"):
                 if self._maintainer is None:
                     self.build_counters["prime_scans"] += 1
@@ -451,12 +459,13 @@ class CatalogEntry:
             else:
                 self.build_counters["summary_builds"] += 1
                 summary = encoded_summarize(self.store, kind, source_name=self.name)
-            if cached is not None and cached[1].graph == summary.graph:
-                # same triples as at the stale version: keep the object, and
-                # with it the saturation and whatever else is cached per graph
-                summary.graph = cached[1].graph
+            if cached is not None and cached[1] == summary.graph:
+                # same triples as the cached (stale or restored) graph: keep
+                # the object, and with it the saturation and whatever else
+                # is cached per graph
+                summary.graph = cached[1]
                 telemetry.counter("summary.graph.reused").inc()
-            self._summaries[kind] = (self.version, summary)
+            self._summaries[kind] = (self.version, summary.graph, summary)
             return summary
 
     def maintainer_metrics(self) -> Optional[Dict[str, int]]:
@@ -464,8 +473,20 @@ class CatalogEntry:
         with self._init_lock:
             return None if self._maintainer is None else self._maintainer.metrics()
 
-    def cached_summaries(self) -> Dict[str, Summary]:
-        """The summaries cached *at the current version* (no builds)."""
+    def _fresh_graph(self, kind: str) -> Optional[RDFGraph]:
+        """The pruning graph of *kind* iff it is cached at the current version.
+
+        Lock-free: a stale read is benign — a hit is version-checked, a
+        miss goes to :meth:`summary`, which re-reads under the lock, and
+        the guard's cost probe at worst treats a just-built graph as
+        unbuilt (an ordering heuristic miss, never an incorrect answer).
+        """
+        cached = self._summaries.get(normalize_kind(kind))  # repro-lint: disable=guarded-by
+        return cached[1] if cached is not None and cached[0] == self.version else None
+
+    def cached_pruning_graphs(self) -> Dict[str, RDFGraph]:
+        """The pruning graphs cached *at the current version* (no builds) —
+        what a checkpoint stores."""
         with self._init_lock:
             return {
                 kind: cached[1]
@@ -474,7 +495,7 @@ class CatalogEntry:
             }
 
     def cached_pruning_size(self, kind: str) -> Optional[int]:
-        """Edge count of the *kind* summary graph **iff** it is cached at
+        """Edge count of the *kind* pruning graph **iff** it is cached at
         the current version — never triggers a build.
 
         The query service uses this to order a guard cascade by cost
@@ -482,25 +503,22 @@ class CatalogEntry:
         construction is exactly the cost the lazy cascade is designed to
         avoid paying until every cheaper guard has failed to prune.
         """
-        # Lock-free cost probe: worst case a stale read makes the cascade
-        # treat a just-built summary as unbuilt — an ordering heuristic
-        # miss, never an incorrect answer.
-        cached = self._summaries.get(  # repro-lint: disable=guarded-by
-            normalize_kind(kind)
-        )
-        if cached is None or cached[0] != self.version:
-            return None
-        return len(cached[1].graph)
+        graph = self._fresh_graph(kind)
+        return None if graph is None else len(graph)
 
     def pruning_graph(self, kind: str = "weak", saturated: bool = False) -> RDFGraph:
         """The summary graph queries are checked against before evaluation.
 
-        With ``saturated=True`` this is ``(H_G)∞`` (what Proposition 1
-        quantifies over); the saturation is cached per summary object via
-        :func:`saturate_cached`, and the summary object itself is cached per
+        Served from cache when fresh — a graph restored from a checkpoint
+        included — and otherwise taken from :meth:`summary`.  With
+        ``saturated=True`` this is ``(H_G)∞`` (what Proposition 1
+        quantifies over); the saturation is cached per graph object via
+        :func:`saturate_cached`, and the graph itself is cached per
         version, so repeated queries between updates saturate nothing.
         """
-        graph = self.summary(kind).graph
+        graph = self._fresh_graph(kind)
+        if graph is None:
+            graph = self.summary(kind).graph
         return saturate_cached(graph) if saturated else graph
 
     # ------------------------------------------------------------------
@@ -608,7 +626,7 @@ class GraphCatalog:
 
         Every graph persisted in the file is warm-started: its checkpointed
         rows and dictionary are bulk-restored into a fresh *store_factory*
-        backend, the cached summaries are installed directly, and the rows
+        backend, the pruning graphs are installed directly, and the rows
         logged since the checkpoint are replayed
         (:meth:`CatalogEntry.replay`); with an empty log nothing is
         re-scanned or re-summarized and ``entry.build_counters`` stay at
@@ -634,7 +652,7 @@ class GraphCatalog:
                     name=snapshot.name,
                     store=snapshot.store,
                     version=snapshot.checkpoint_version,
-                    summaries=snapshot.summaries,
+                    pruning_graphs=snapshot.pruning_graphs,
                 )
                 entry._persist_dirty = snapshot.rewrite
                 if snapshot.tail_rows:
@@ -662,10 +680,12 @@ class GraphCatalog:
 
         Write-through already keeps every acknowledged row and dictionary
         id durable in the log; a checkpoint folds the log into the packed
-        column snapshot and captures the summaries cached since, so the next
-        warm start replays nothing and re-summarizes nothing.  An
+        column snapshot and captures the pruning graphs cached since, so the
+        next warm start replays nothing and re-summarizes nothing.  An
         entry whose checkpointed rows are already current only has its
-        artifacts replaced.
+        artifacts replaced.  A checkpoint reads pruning graphs, never a
+        ``Summary``: one of a session that only answered queries primes
+        nothing.
         """
         persistence = self._persistence  # one read: close() may detach it
         if persistence is None:
@@ -676,10 +696,10 @@ class GraphCatalog:
             with entry.rwlock.read_locked():
                 if entry.closed:
                     continue  # raced a drop(); must not resurrect it durably
-                # make sure the weak summary (a snapshot of the live
-                # maintainer; one priming scan if nothing primed it yet)
-                # rides along, so the warm-started process does not rebuild it
-                entry.summary("weak")
+                # make sure the weak pruning graph (restored, or a snapshot
+                # of the live maintainer; one priming scan if neither is
+                # current) rides along, so the warm start does not rebuild it
+                entry.pruning_graph("weak")
                 if entry._persist_dirty or not persistence.refresh_artifacts(entry):
                     persistence.save_graph(entry)
                     entry._persist_dirty = False  # full rewrite heals any divergence
@@ -699,7 +719,7 @@ class GraphCatalog:
             return
         try:
             if entry._persist_dirty:
-                entry.summary("weak")
+                entry.pruning_graph("weak")
                 persistence.save_graph(entry)
             else:
                 persistence.append_update(entry, rows)
@@ -749,9 +769,9 @@ class GraphCatalog:
                 store.load_graph(graph)
             if self._persistence is not None:
                 entry._on_update = self._persist_update
-                # build what a warm start must not: the weak snapshot is
-                # checkpointed alongside the rows
-                entry.summary("weak")
+                # build what a warm start must not: the weak pruning graph
+                # is checkpointed alongside the rows
+                entry.pruning_graph("weak")
                 self._persistence.save_graph(entry)
             with self._lock:
                 self._entries[name] = entry

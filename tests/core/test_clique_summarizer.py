@@ -272,7 +272,7 @@ def test_snapshot_arrays_are_private_copies_decoded_on_demand():
     assert summary._encoded is None and not summary.views_materialised
     maintainer.ingest_rows(_rows(store, [_t(1, 1, 2)]))  # moves n1 and n2 afterwards
     assert summary.representative_of == term_summary(RDFGraph([_t(0, 0, 1), _typed(2)]), "strong").representative_of
-    assert summary._codes is None and summary._encoded is not None
+    assert summary.views_materialised
 
 
 def test_batch_weak_is_read_off_the_same_clique_state(bsbm_small):

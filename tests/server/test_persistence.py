@@ -18,6 +18,7 @@ from repro.schema.saturation import saturate
 from repro.server.persistence import PersistentCatalog
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
+from repro.service.workload import generate_mixed_workload
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
 
@@ -46,6 +47,16 @@ def ingest_query():
 
 def _zero_counters(entry):
     return {name: hits for name, hits in entry.build_counters.items() if hits}
+
+
+def _artifact_rows(path):
+    connection = sqlite3.connect(path)
+    try:
+        return connection.execute(
+            "SELECT graph, name, version, payload FROM artifacts ORDER BY graph, name"
+        ).fetchall()
+    finally:
+        connection.close()
 
 
 class TestRoundTrip:
@@ -119,9 +130,35 @@ class TestWarmStart:
             catalog.checkpoint()
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("fig2")
-            restored = entry.summary("strong")
+            restored = entry.pruning_graph("strong")
             assert _zero_counters(entry) == {}
-            assert graphs_isomorphic(restored.graph, summarize(fig2, "strong").graph)
+            assert graphs_isomorphic(restored, summarize(fig2, "strong").graph)
+
+    def test_a_read_only_life_never_primes(self, bsbm_small, tmp_path):
+        """Guarded queries and the shutdown checkpoint of a warm-started
+        session read the restored graphs; only a ``Summary`` primes."""
+        path = _catalog_path(tmp_path)
+        with GraphCatalog.open(path) as catalog:
+            catalog.register("g", graph=bsbm_small).summary("strong")
+            catalog.checkpoint()
+        checkpointed = _artifact_rows(path)
+        workload = generate_mixed_workload(bsbm_small, count=30, seed=4)
+        with GraphCatalog.open(path) as reopened:
+            entry = reopened.entry("g")
+            service = QueryService(reopened, kind="weak+strong")
+            assert any(service.answer("g", item.query).pruned for item in workload)
+            reopened.checkpoint()
+            assert _zero_counters(entry) == {}
+        assert _artifact_rows(path) == checkpointed
+        with GraphCatalog.open(path) as reopened:
+            entry = reopened.entry("g")
+            restored = entry.pruning_graph("strong")
+            summary = entry.summary("strong")
+            assert set(summary.representative_of) == bsbm_small.data_nodes()
+            # equal triples: the restored object (and its saturation) is kept
+            assert summary.graph is restored
+            entry.summary("weak")
+            assert _zero_counters(entry) == {"prime_scans": 1}
 
     def test_statistics_are_read_off_the_reloaded_rows(self, bsbm_small, tmp_path, recount):
         path = _catalog_path(tmp_path)
@@ -144,9 +181,9 @@ class TestWarmStart:
             catalog.register("g", graph=bsbm_small)
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("g")
-            warm = entry.summary("weak")
+            warm = entry.pruning_graph("weak")
             assert _zero_counters(entry) == {}  # it came from the checkpoint
-            assert graphs_isomorphic(warm.graph, summarize(bsbm_small, "weak").graph)
+            assert graphs_isomorphic(warm, summarize(bsbm_small, "weak").graph)
 
 
 class TestKillAndReopen:

@@ -1,10 +1,12 @@
-"""The id-native summary holder and its packed ``summary:<kind>`` artifact.
+"""The id-native summary holder and its ``summary:<kind>`` artifact.
 
-A summary's node -> representative map travels from the summarizers to the
-catalog file as dictionary ids; the ``Term`` maps are views decoded once, on
-demand.  These tests pin that the views mean what the eager maps meant, that
-the artifact carries no input node's text, that a payload in the older
-term-tuple layout is skipped and rebuilt, and that serving never decodes the map.
+A summary's node -> representative map travels from the summarizers as
+dictionary ids; the ``Term`` maps are views decoded once, on demand.  The
+catalog file stores a summary's graph alone — what the guard reads — so the
+artifact is summary-sized and carries no input node's text.  These tests pin
+that the views mean what the eager maps meant, that the artifact round-trips
+the graph, that payloads of older layouts (which carried the map) warm-start
+without priming and are rewritten, and that serving never builds a summary.
 """
 
 import pickle
@@ -12,11 +14,13 @@ import sqlite3
 import sys
 import threading
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.encoded import ENCODED_KINDS, encoded_summarize
+from repro.core.incremental import CliqueSummarizer
 from repro.datasets.bsbm import generate_bsbm
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
@@ -61,13 +65,29 @@ _graphs = st.builds(
 )
 
 
+def _id_pairs(summary):
+    """``(input node id, summary node)`` of an id-native summary, read off
+    the arrays it holds; ``None`` for a ``Term``-dict summary."""
+    if summary._codes is not None:
+        codes, block_of_code, summary_nodes, _table = summary._codes
+        return [
+            (node, summary_nodes[block_of_code[code]])
+            for node, code in enumerate(codes)
+            if block_of_code[code] >= 0
+        ]
+    if summary._encoded is not None:
+        node_ids, block_indexes, summary_nodes, _table = summary._encoded
+        return [(node, summary_nodes[block]) for node, block in zip(node_ids, block_indexes)]
+    return None
+
+
 def _eager_maps(summary, dictionary):
     """The two maps built the way ``Summary.__init__`` used to: one loop."""
-    node_ids, block_indexes, summary_nodes = summary.encoded_representatives(dictionary)
-    representative_of = {
-        dictionary.decode(node): summary_nodes[block]
-        for node, block in zip(node_ids, block_indexes)
-    }
+    pairs = _id_pairs(summary)
+    if pairs is None:
+        representative_of = dict(summary.representative_of)
+    else:
+        representative_of = {dictionary.decode(node): block for node, block in pairs}
     extents = {}
     for input_node, summary_node in representative_of.items():
         extents.setdefault(summary_node, set()).add(input_node)
@@ -77,6 +97,10 @@ def _eager_maps(summary, dictionary):
 def _summaries_of(graph, store, kind):
     yield "encoded", encoded_summarize(store, kind, source_statistics=graph.statistics())
     yield "term", term_summary(graph, kind)
+    if kind in ("weak", "strong"):
+        maintainer = CliqueSummarizer(store)
+        maintainer.prime()
+        yield "maintainer", maintainer.snapshot("g", kind)
 
 
 @settings(max_examples=30, deadline=None)
@@ -86,24 +110,23 @@ def test_pack_unpack_round_trips_every_kind_and_engine(graph, kind):
         store.load_graph(graph)
         dictionary = store.dictionary
         for engine, summary in _summaries_of(graph, store, kind):
+            payload = pickle.loads(pickle.dumps(_pack_summary(summary.graph), protocol=4))
+            assert set(payload) == {"graph_name", "triples"}
+            restored = _unpack_summary(payload)
+            assert restored == summary.graph and restored.name == summary.graph.name, engine
             eager_representatives, eager_extents = _eager_maps(summary, dictionary)
-            payload = pickle.loads(pickle.dumps(_pack_summary(summary, dictionary), protocol=4))
-            restored = _unpack_summary(payload, dictionary)
-            assert not restored.views_materialised, engine
-            for candidate in (summary, restored):
-                assert candidate.kind == kind
-                assert set(candidate.graph) == set(summary.graph), engine
-                assert candidate.representative_of == eager_representatives, engine
-                assert candidate.extents == eager_extents, engine
-                for node, members in eager_extents.items():
-                    assert candidate.extent(node) == members
-                assert candidate.literal_only_nodes() == {
-                    node
-                    for node, members in eager_extents.items()
-                    if all(isinstance(member, Literal) for member in members)
-                }
+            assert not summary.views_materialised or engine == "term", engine
+            assert summary.kind == kind
+            assert summary.representative_of == eager_representatives, engine
+            assert summary.extents == eager_extents, engine
+            for node, members in eager_extents.items():
+                assert summary.extent(node) == members
+            assert summary.literal_only_nodes() == {
+                node
+                for node, members in eager_extents.items()
+                if all(isinstance(member, Literal) for member in members)
+            }
             assert set(eager_representatives) == graph.data_nodes(), engine
-            assert (restored.source_statistics is None) == (summary.source_statistics is None)
 
 
 def test_racing_first_access_sees_one_mapping(bsbm_small):
@@ -172,25 +195,31 @@ def bsbm_medium():
     return generate_bsbm(scale=120, seed=3)
 
 
-def test_summary_artifacts_fit_the_byte_budget_and_hold_no_node_text(bsbm_medium, tmp_path):
-    path = str(tmp_path / "catalog.db")
-    _cold_build(path, bsbm_medium)
-    payloads = _artifact_payloads(path)
-    node_texts = {
-        pack_term(node)[1].encode("utf-8") for node in bsbm_medium.data_nodes()
-    }
-    assert len(node_texts) > 1000
+def test_summary_artifacts_are_summary_sized_and_hold_no_node_text(bsbm_medium, tmp_path):
+    sizes, node_counts = {}, {}
+    for scale, graph in ((120, bsbm_medium), (480, generate_bsbm(scale=480, seed=3))):
+        path = str(tmp_path / f"catalog-{scale}.db")
+        _cold_build(path, graph)
+        payloads = _artifact_payloads(path)
+        node_counts[scale] = len(graph.data_nodes())
+        node_texts = {pack_term(node)[1].encode("utf-8") for node in graph.data_nodes()}
+        for kind in GUARD_KINDS:
+            blob = payloads[f"summary:{kind}"]
+            sizes[scale, kind] = len(blob)
+            payload = _unpack(blob)
+            assert set(payload) == {"graph_name", "triples"}
+            assert not any(isinstance(value, array) for value in payload.values())
+            inflated = zlib.decompress(blob)  # what the blob says
+            # long lexical forms only: a two-character literal can occur in
+            # any byte string by accident
+            leaked = [text for text in node_texts if len(text) >= 12 and text in inflated]
+            assert not leaked, leaked[:3]
+    assert node_counts[480] > 3 * node_counts[120] > 3000
     for kind in GUARD_KINDS:
-        assert len(payloads[f"summary:{kind}"]) <= 12 * len(bsbm_medium.data_nodes()) + 16 * 1024
-        payload = zlib.decompress(payloads[f"summary:{kind}"])  # what the blob says, inflated
-        assert len(payload) <= 12 * len(bsbm_medium.data_nodes()) + 16 * 1024
-        # long lexical forms only: a two-character literal can occur in any
-        # byte string by accident
-        leaked = [text for text in node_texts if len(text) >= 12 and text in payload]
-        assert not leaked, leaked[:3]
+        assert sizes[480, kind] < 1.5 * sizes[120, kind], (kind, sizes)
 
 
-def test_warm_start_serves_guarded_queries_without_decoding_the_map(bsbm_medium, tmp_path):
+def test_warm_start_guards_from_the_restored_graphs(bsbm_medium, tmp_path):
     path = str(tmp_path / "catalog.db")
     _cold_build(path, bsbm_medium)
     workload = generate_mixed_workload(bsbm_medium, count=50, seed=5)
@@ -198,6 +227,7 @@ def test_warm_start_serves_guarded_queries_without_decoding_the_map(bsbm_medium,
         oracle_catalog.register("g", graph=bsbm_medium)
         oracle = QueryService(oracle_catalog, strategy="hash", prune=False)
         expected = [set(oracle.answer("g", item.query).answers) for item in workload]
+        fresh = {kind: oracle_catalog.summary("g", kind).graph for kind in GUARD_KINDS}
     with GraphCatalog.open(path) as catalog:
         service = QueryService(catalog, kind="weak+strong", strategy="hash")
         answers = [service.answer("g", item.query) for item in workload]
@@ -205,14 +235,33 @@ def test_warm_start_serves_guarded_queries_without_decoding_the_map(bsbm_medium,
         assert any(answer.pruned for answer in answers)
         entry = catalog.entry("g")
         assert not any(entry.build_counters.values()), dict(entry.build_counters)
-        cached = entry.cached_summaries()
-        assert set(cached) == set(GUARD_KINDS)
-        assert not any(summary.views_materialised for summary in cached.values())
-        # and the views are there the moment someone asks
-        assert set(cached["strong"].representative_of) == bsbm_medium.data_nodes()
+        assert entry.cached_pruning_graphs() == fresh
 
 
-def _old_layout_payload(summary):
+def _id_array_payload(summary, dictionary):
+    """The ``summary:<kind>`` layout that stored the map as two packed
+    ``array('i')`` over the graph's dictionary ids beside the graph."""
+    index_of = {}
+    node_ids, block_indexes = array("i"), array("i")
+    for node, representative in summary.representative_of.items():
+        node_ids.append(dictionary.encode_existing(node))
+        block_indexes.append(index_of.setdefault(representative, len(index_of)))
+    return {
+        "kind": summary.kind,
+        "source_name": summary.source_name,
+        "graph_name": summary.graph.name,
+        "triples": [
+            (pack_term(t.subject), pack_term(t.predicate), pack_term(t.object))
+            for t in summary.graph
+        ],
+        "node_ids": node_ids,
+        "block_indexes": block_indexes,
+        "summary_nodes": [pack_term(node) for node in index_of],
+        "source_statistics": None,
+    }
+
+
+def _old_layout_payload(summary, _dictionary):
     """The term-tuple ``summary:<kind>`` layout written before the id arrays."""
     return {
         "kind": summary.kind,
@@ -250,14 +299,16 @@ def _rewrite_summary_artifacts(path, payload_of):
     return names
 
 
-def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
+@pytest.mark.parametrize("layout", [_id_array_payload, _old_layout_payload])
+def test_older_payload_layouts_warm_start_and_are_rewritten(bsbm_small, tmp_path, layout):
     path = str(tmp_path / "catalog.db")
     _cold_build(path, bsbm_small)
     with GraphCatalog() as scratch:
         entry = scratch.register("g", graph=bsbm_small)
+        summaries = {kind: entry.summary(kind) for kind in GUARD_KINDS}
         old = {
-            kind: _pack(_old_layout_payload(entry.summary(kind)))
-            for kind in GUARD_KINDS
+            kind: _pack(layout(summary, entry.store.dictionary))
+            for kind, summary in summaries.items()
         }
         workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
         oracle = QueryService(scratch, strategy="hash", prune=False)
@@ -269,27 +320,24 @@ def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
 
     with GraphCatalog.open(path) as catalog:
         entry = catalog.entry("g")
-        assert entry.cached_summaries() == {}  # both artifacts skipped, nothing raised
-        service = QueryService(catalog, kind="weak+strong", strategy="hash")
-        for _round in range(2):
-            answers = [service.answer("g", item.query) for item in workload]
-            assert [set(answer.answers) for answer in answers] == expected
-        assert any(answer.pruned for answer in answers)
-        # both skipped summaries are rebuilt by the maintainer's one priming
-        # scan, on first use, and then cached
-        assert {name: hits for name, hits in entry.build_counters.items() if hits} == {
-            "prime_scans": 1,
+        assert entry.cached_pruning_graphs() == {
+            kind: summary.graph for kind, summary in summaries.items()
         }
+        service = QueryService(catalog, kind="weak+strong", strategy="hash")
+        answers = [service.answer("g", item.query) for item in workload]
+        assert [set(answer.answers) for answer in answers] == expected
+        assert any(answer.pruned for answer in answers)
         catalog.checkpoint()
+        assert not any(entry.build_counters.values()), dict(entry.build_counters)
 
     payloads = _artifact_payloads(path)
     for kind in GUARD_KINDS:
         written = _unpack(payloads[f"summary:{kind}"])
-        assert "representative_of" not in written
-        assert written["node_ids"].typecode == "i"
+        assert set(written) == {"graph_name", "triples"}
+        assert _unpack_summary(written) == summaries[kind].graph
     with GraphCatalog.open(path) as catalog:
         entry = catalog.entry("g")
-        assert set(entry.cached_summaries()) == set(GUARD_KINDS)
+        assert set(entry.cached_pruning_graphs()) == set(GUARD_KINDS)
         assert not any(entry.build_counters.values())
 
 
@@ -302,11 +350,11 @@ def test_old_layout_file_opens_answers_and_is_rewritten(bsbm_small, tmp_path):
         lambda payload: pickle.dumps(_unpack(payload), protocol=4),  # not compressed at all
         lambda payload: _pack(["not", "a", "mapping"]),  # wrong shape
         lambda payload: _pack(
-            dict(_unpack(payload), block_indexes=_unpack(payload)["block_indexes"][:-1])
-        ),  # arrays of different lengths
+            dict(_unpack(payload), triples=[(pack_term(EX.s), pack_term(EX.p))])
+        ),  # a triple of two terms
         lambda payload: _pack(
-            dict(_unpack(payload), summary_nodes=[])
-        ),  # block indexes past the node table
+            dict(_unpack(payload), triples=[("s", "p", "o")])
+        ),  # a triple whose terms are not packed terms
     ],
 )
 def test_undecodable_summary_artifacts_are_skipped_and_counted(fig2, tmp_path, damage):
@@ -320,25 +368,26 @@ def test_undecodable_summary_artifacts_are_skipped_and_counted(fig2, tmp_path, d
     before = skipped.value
     with GraphCatalog.open(path) as catalog:
         entry = catalog.entry("g")
-        assert entry.cached_summaries() == {}
+        assert entry.cached_pruning_graphs() == {}
         assert skipped.value == before + 2
-        assert len(entry.summary("strong").graph) > 0
+        assert len(entry.pruning_graph("strong")) > 0
+        assert dict(entry.build_counters)["prime_scans"] == 1
 
 
-def test_term_engine_summary_persists_through_the_dictionary(fig2, tmp_path):
-    """A ``Term``-dict summary installed on an entry is encoded when written."""
+def test_every_cached_kind_is_restored_as_its_graph(fig2, tmp_path):
+    """The typed and type-based kinds ride along like weak and strong."""
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
         entry = catalog.register("g", graph=fig2)
-        oracle_summary = term_summary(fig2, "typed_weak")
-        with entry._init_lock:
-            entry._summaries["typed_weak"] = (entry.version, oracle_summary)
+        built = {kind: entry.summary(kind).graph for kind in ENCODED_KINDS}
         catalog.checkpoint()
     with GraphCatalog.open(path) as catalog:
-        restored = catalog.entry("g").cached_summaries()["typed_weak"]
-        assert not restored.views_materialised
-        assert restored.representative_of == oracle_summary.representative_of
-        assert restored.extents == oracle_summary.extents
+        entry = catalog.entry("g")
+        assert entry.cached_pruning_graphs() == built
+        for kind in ENCODED_KINDS:
+            assert entry.cached_pruning_size(kind) == len(built[kind])
+            assert entry.pruning_graph(kind) == built[kind]
+        assert not any(entry.build_counters.values())
 
 
 def test_cold_build_checkpoint_does_not_rewrite_the_rows(bsbm_small, tmp_path, monkeypatch):

@@ -468,7 +468,7 @@ def _print_explain(answer, entry) -> None:
         fetched = "-" if stage.fetched is None else f"{stage.fetched:,}"
         print(
             f"    {index}. {stage.description}"
-            f"  [est {estimated} rows, fetched {fetched}, actual {produced}]"
+            f"  [{stage.access}: est {estimated} rows, fetched {fetched}, actual {produced}]"
         )
 
 

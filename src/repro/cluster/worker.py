@@ -248,7 +248,7 @@ class _Worker:
             # stages by pattern index: the coordinator names them
             stages = [
                 (stage.pattern_index, stage.estimate, stage.cumulative_estimate,
-                 stage.fetched, stage.produced, stage.probes)
+                 stage.fetched, stage.produced, stage.probes, stage.access)
                 for stage in trace.stages
             ]  # fmt: skip
             plan = (trace.strategy, trace.plan_cached, stages)

@@ -2,18 +2,18 @@
 
 The paper's prototype answers queries where the data lives: dictionary-
 encoded integer triples in relational tables (Section 6).  This module
-brings BGP evaluation to that substrate with two interchangeable join
-strategies over the same compiled form:
+brings BGP evaluation to that substrate with two join strategies over the
+same compiled form:
 
-* ``strategy="hash"`` (default) — a *vectorized hash join*, the one
-  in-memory executor (:meth:`EncodedEvaluator._pipeline`): the
+* ``strategy="hash"`` (default) — the one in-memory executor
+  (:meth:`EncodedEvaluator._pipeline`): the
   :class:`~repro.service.planner.QueryPlanner` orders the patterns by
-  estimated cardinality, and each pattern's candidate rows are fetched
-  **once** with a batched :meth:`TripleStore.select_many` (posting lists in
-  the memory store, chunked SQL ``IN (...)`` on SQLite), then hash-joined
-  against the integer binding table.  Without a limit the executor issues
-  O(patterns) store lookups per query — never one probe per intermediate
-  binding.
+  estimated cardinality, and each stage reads the store by an access path
+  chosen per chunk of the integer binding table — a ``scan`` of the first
+  pattern's posting range, a ``probe`` of a posting run per binding, or a
+  ``hash`` join of one batched :meth:`TripleStore.select_many` fetch.  A
+  stage whose new variables nothing reads again checks that a match
+  ``exists`` (a semi-join) instead of copying its binding once per match.
 * ``strategy="sql"`` — whole-join pushdown: the compiled BGP becomes one
   ``SELECT DISTINCT`` over aliased table occurrences and the backend's C
   engine runs the entire join.  SQLite releases the GIL while it runs, yet
@@ -74,14 +74,12 @@ __all__ = [
 
 _ALL_TABLES = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 
-#: The join strategies the evaluator can run.  ``hash`` is the Python-side
-#: executor; ``sql`` compiles the whole BGP into one relational join
-#: statement and lets the backend's C engine run it (only stores
-#: advertising ``supports_sql_join`` — the SQLite backend — can; everything
-#: else silently falls back to ``hash``, so answer sets are identical).
-#: The pushed-down join releases the GIL, but that has not made a
-#: multi-threaded server scale: measured 2-thread over serial rate 0.69×
-#: (``sql``) and 0.30× (``hash``) on SQLite, 0.67× on memory.
+#: The join strategies the evaluator can run: ``hash``, the Python-side
+#: executor, and ``sql``, the whole BGP as one relational join run by the C
+#: engine of a store advertising ``supports_sql_join`` (the SQLite backend;
+#: any other falls back to ``hash``).  The pushed-down join releases the GIL,
+#: yet 2 threads ran at 0.69× (``sql``) and 0.30× (``hash``) the serial rate
+#: on SQLite, 0.67× on memory.
 STRATEGIES = ("hash", "sql")
 
 
@@ -247,9 +245,10 @@ def _pipelined_order(
 class EncodedEvaluator:
     """BGP evaluation over the encoded rows of one :class:`TripleStore`.
 
-    ``hash`` evaluations run through one executor (:meth:`_pipeline`); a
-    ``limit`` bounds its walk and a trace records it — neither selects a
-    path.
+    ``hash`` evaluations run through one executor (:meth:`_pipeline`) whose
+    stages pick their access path — scan, probe, hash or exists — from the
+    query and the data; a ``limit`` bounds its walk and a trace records
+    it, and neither selects a path.
 
     Parameters
     ----------
@@ -313,10 +312,21 @@ class EncodedEvaluator:
 
         The binding table is a list of plain integer tuples that grow one
         newly bound slot at a time (the returned ``slot_positions`` maps a
-        slot to its tuple index); a stage fetches its pattern's candidate
-        rows in one batched lookup per routed table — pushing the distinct
-        values of one already-bound column into the store — and hash-joins
-        them in, keyed on all bound positions.
+        slot to its tuple index).  Each chunk of a stage reads the store by
+        one access path, chosen from the query and the data alone:
+
+        * ``scan`` — the first stage: the positions of its matching rows
+          (:meth:`_scan`) are its input table;
+        * ``probe`` — a constant-property stage joined on its subject or
+          object, on the memory store, when the chunk's distinct values are
+          few against the relation (:func:`_few_values`): each binding is
+          looked up in the posting run (:func:`_probe`);
+        * ``hash`` — otherwise, one batched fetch per routed table
+          (:meth:`_fetch_pattern`) hash-joined in (:func:`_join_stage`).
+
+        A later stage none of whose fresh slots the head or a later pattern
+        reads binds none of them: an ``exists`` stage keeps each binding
+        once when a match exists, where the join would copy it per match.
 
         The returned generator walks the table depth-first.  When
         *chunked* (the caller has a limit), a stage takes its input a chunk
@@ -325,20 +335,27 @@ class EncodedEvaluator:
         stages before it takes the next, and yields what leaves the last
         stage — so a consumer that has its ``limit`` closes the walk and
         the fan-out it did not read was never joined.  Otherwise a stage
-        takes its whole input at once: the blocking join, one batched
-        fetch per pattern.  Each chunk through a stage is observed once by
-        the join-stage telemetry and added to the stage's line of *trace*.
+        takes its whole input at once: the blocking join.  Rows leave in
+        one order either way, by binding and then by row position.  Each
+        chunk through a stage is observed by the join-stage telemetry and
+        added to the stage's line of *trace*.
         """
         patterns = compiled.patterns
+        last_read: Dict[int, int] = {}  # slot → the last stage to read it
+        for index, stage in enumerate(stages):
+            last_read.update(dict.fromkeys(patterns[stage.pattern_index].slots(), index))
+        last_read.update(dict.fromkeys(compiled.head_slots, len(stages)))  # the head: after all
+        posting_run = getattr(self.store, "posting_run", None)
         slot_positions: List[int] = [-1] * compiled.variable_count
         next_position = 0  # positions are assigned densely, in stage order
         layout = []  # per stage, fixed by the order alone
-        for stage in stages:
+        for index, stage in enumerate(stages):
             pattern = patterns[stage.pattern_index]
+            specs = (pattern.subject, pattern.predicate, pattern.object)
             join_on: List[Tuple[int, int]] = []  # (row column, binding position)
             fresh: Dict[int, int] = {}  # slot → row column of its first occurrence
             same_row_checks: List[Tuple[int, int]] = []  # (column, column) equal-value
-            for column, spec in enumerate((pattern.subject, pattern.predicate, pattern.object)):
+            for column, spec in enumerate(specs):
                 if spec >= 0:
                     continue
                 slot = -spec - 1
@@ -349,7 +366,13 @@ class EncodedEvaluator:
                     same_row_checks.append((fresh[slot], column))
                 else:
                     fresh[slot] = column
-            layout.append((stage, pattern, join_on, list(fresh.values()), same_row_checks))
+            if index and all(last_read[slot] == index for slot in fresh):
+                fresh = {}  # an exists stage: its dead slots take no position
+            probe = None  # (join column, binding position, other column's constant or -1)
+            if index and posting_run and pattern.predicate >= 0 and len(join_on) == 1:
+                column, position = join_on[0]  # the subject or the object
+                probe = (column, position, max(specs[2 - column], -1))
+            layout.append((stage, pattern, join_on, list(fresh.values()), same_row_checks, probe))
             for slot in fresh:
                 slot_positions[slot] = next_position
                 next_position += 1
@@ -359,16 +382,18 @@ class EncodedEvaluator:
         traced = len(trace.stages) if trace is not None else 0
 
         def walk() -> Iterator[List[Tuple[int, ...]]]:
+            statistics = self.statistics()
+            positions, table, scan_probes = self._scan(layout[0][1])  # (s, p, o) columns
             # depth-first: (stage, its input table, rows of it already taken),
             # the deepest unfinished table on top — and no table outlives
             # its last chunk, so the blocking join holds one at a time
-            pending: List[Tuple[int, List[Tuple[int, ...]], int]] = [(0, [()], 0)]
+            pending: List[Tuple[int, Sequence, int]] = [(0, positions, 0)]
             while pending:
                 index, rows, start = pending.pop()
                 if index == len(layout):
                     yield rows
                     continue
-                stage, pattern, join_on, fresh_columns, same_row_checks = layout[index]
+                stage, pattern, join_on, fresh_columns, checks, probe = layout[index]
                 part = rows
                 if chunked:
                     part = rows[start : start + sizes[index]]
@@ -376,34 +401,56 @@ class EncodedEvaluator:
                 if start + len(part) < len(rows):
                     pending.append((index, rows, start + len(part)))
                 stage_start = perf_counter() if instrument else 0.0
-                fetched, probes = self._fetch_pattern(pattern, part, join_on)
-                if same_row_checks:
-                    fetched = [
-                        row
-                        for row in fetched
-                        if all(row[left] == row[right] for left, right in same_row_checks)
-                    ]
-                joined = _join_stage(part, fetched, join_on, fresh_columns)
+                access = "hash" if fresh_columns else "exists"  # unless it scans or probes
+                if not index:  # the scan: cells of the chunk's rows, read column by column
+                    access, fetched, probes = "scan", len(part), 0 if start else scan_probes
+                    if checks:  # a repeated variable's cells agree
+                        same = lambda i: all(table[a][i] == table[b][i] for a, b in checks)
+                        part = list(filter(same, part))
+                    cells = [table[column] for column in fresh_columns]
+                    joined = list(zip(*[[cell[i] for i in part] for cell in cells]))
+                    joined = joined or [()] * len(part)  # (no fresh column: one () per row)
+                elif probe and _few_values(
+                    part, probe[1], statistics.predicate_rows(pattern.tables[0], pattern.predicate)
+                ):
+                    column, position, constant = probe
+                    run, other = posting_run(pattern.tables[0], pattern.predicate, column)
+                    joined, fetched = _probe(part, run, other, position, constant, fresh_columns)
+                    access, probes = "probe" if fresh_columns else access, len(part)
+                else:
+                    candidates, probes = self._fetch_pattern(pattern, part, join_on)
+                    if checks:
+                        candidates = [r for r in candidates if all(r[a] == r[b] for a, b in checks)]
+                    fetched = len(candidates)
+                    joined = _join_stage(part, candidates, join_on, fresh_columns)
                 if instrument:
                     self._join_seconds.observe(perf_counter() - stage_start)
                 if trace is not None:
                     if len(trace.stages) == traced + index:  # the stage's first chunk
-                        trace.add_stage(
-                            None,
-                            estimate=stage.estimate,
-                            cumulative_estimate=stage.cumulative,
-                            fetched=0,
-                            produced=0,
-                            pattern_index=stage.pattern_index,
-                        )
+                        estimates = (stage.estimate, stage.cumulative)
+                        trace.add_stage(None, *estimates, 0, 0, 0, access, stage.pattern_index)
                     observed = trace.stages[traced + index]
-                    observed.fetched += len(fetched)
+                    if access not in observed.access.split("+"):
+                        observed.access += "+" + access
+                    observed.fetched += fetched
                     observed.produced += len(joined)
                     observed.probes += probes
                 if joined:
                     pending.append((index + 1, joined, 0))
 
         return walk(), slot_positions
+
+    def _scan(self, pattern: CompiledPattern) -> Tuple[Sequence[int], Sequence[Sequence[int]], int]:
+        """The first stage's input: ``(row positions, the (s, p, o) columns
+        they index, store lookups)`` — a one-table pattern's posting range
+        where the store serves one, else :meth:`_fetch_pattern` as columns."""
+        postings = getattr(self.store, "postings", None)
+        if postings is not None and len(pattern.tables) == 1:
+            specs = (pattern.subject, pattern.predicate, pattern.object)
+            bound = [spec if spec >= 0 else None for spec in specs]
+            return (*postings(pattern.tables[0], *bound), 1)
+        rows, probes = self._fetch_pattern(pattern, [()], [])
+        return range(len(rows)), tuple(zip(*rows)) or ((), (), ()), probes
 
     def _fetch_pattern(
         self,
@@ -413,64 +460,31 @@ class EncodedEvaluator:
     ) -> Tuple[List, int]:
         """Fetch a pattern's candidate rows in one batched lookup per table.
 
-        The distinct values of the bound subject/object columns (*join_on*:
-        row column, binding position) are pushed
-        into :meth:`TripleStore.select_many` (sorted, for deterministic
-        backend iteration); a bound *predicate* variable is not pushed down
-        — the fetch spans the pattern's tables unconstrained on ``p`` and
-        the hash join filters on the predicate column instead, keeping the
-        probe count at one per table even for variable-property joins.
+        :meth:`TripleStore.select_many` gets the constants, and the sorted
+        distinct values of a bound subject/object column (*join_on*: row
+        column, binding position) where they are few against the table's
+        relation (:func:`_few_values`); otherwise the relation is fetched
+        and the hash join discards the misses.  A bound *predicate* is not
+        pushed down: the join filters on it, one lookup per table.
         """
-        s_spec, p_spec, o_spec = pattern.subject, pattern.predicate, pattern.object
-        predicate = p_spec if p_spec >= 0 else None
-
-        subject_values: Optional[Set[int]] = None
-        object_values: Optional[Set[int]] = None
-        for column, position in join_on:
-            if column == 0:
-                subject_values = {binding[position] for binding in binding_rows}
-            elif column == 2:
-                object_values = {binding[position] for binding in binding_rows}
-        subjects_const: Optional[Sequence[int]] = (s_spec,) if s_spec >= 0 else None
-        objects_const: Optional[Sequence[int]] = (o_spec,) if o_spec >= 0 else None
-
         statistics = self.statistics()
-        subjects_sorted: Optional[List[int]] = None
-        objects_sorted: Optional[List[int]] = None
+        predicate = pattern.predicate if pattern.predicate >= 0 else None
         rows: List = []
-        probes = 0
-        select_many = self.store.select_many
         for kind in pattern.tables:
-            probes += 1
-            # semi-join pushdown is only worth it when the bound-value set
-            # is small relative to the pattern's relation: pushing 20k ids
-            # against a 25k-row property costs more per-id probes (or SQL
-            # `IN` chunks) than fetching the relation once and letting the
-            # hash join discard the misses.  Constants are always pushed —
-            # the join cannot filter them.  Pushed values are sorted (once,
-            # lazily) for deterministic backend iteration.
             if predicate is not None:
                 relation_rows = statistics.predicate_rows(kind, predicate)
             else:
                 relation_rows = statistics.table_rows(kind)
-            kind_subjects = subjects_const
-            if subject_values is not None and len(subject_values) * 3 <= relation_rows:
-                if subjects_sorted is None:
-                    subjects_sorted = sorted(subject_values)
-                kind_subjects = subjects_sorted
-            kind_objects = objects_const
-            if object_values is not None and len(object_values) * 3 <= relation_rows:
-                if objects_sorted is None:
-                    objects_sorted = sorted(object_values)
-                kind_objects = objects_sorted
-            fetched = select_many(
-                kind, subjects=kind_subjects, predicate=predicate, objects=kind_objects
-            )
+            pushed = [(spec,) if spec >= 0 else None for spec in (pattern.subject, pattern.object)]
+            for column, position in join_on:
+                if column != 1 and _few_values(binding_rows, position, relation_rows):
+                    pushed[column // 2] = sorted({binding[position] for binding in binding_rows})
+            fetched = self.store.select_many(kind, pushed[0], predicate, pushed[1])
             if isinstance(fetched, list) and not rows:
                 rows = fetched
             else:
                 rows.extend(fetched)
-        return rows, probes
+        return rows, len(pattern.tables)
 
     # ------------------------------------------------------------------
     # sql strategy (whole-join pushdown into the backend's C engine)
@@ -586,7 +600,7 @@ class EncodedEvaluator:
                 sql, parameters = statement
                 rows = self.store.execute_join(sql, parameters)
                 if trace is not None:
-                    trace.add_stage(sql, produced=len(rows), probes=1)
+                    trace.add_stage(sql, produced=len(rows), probes=1, access="sql")
                 return rows
             # no SQL engine (or a multi-table pattern): the pipeline below
         plan = self.planner().plan(compiled, trace)
@@ -647,73 +661,77 @@ def _projection(columns: Sequence[int]) -> Callable[[Sequence[int]], Tuple[int, 
     return itemgetter(slice(first, first + len(columns)))
 
 
+def _few_values(binding_rows: Sequence[Tuple[int, ...]], position: int, relation_rows: int) -> bool:
+    """Whether *binding_rows* hold few distinct values at *position*
+    against a relation of *relation_rows* (``3·|values| ≤ rows``): few
+    enough to look them up rather than read the relation whole."""
+    few = len(binding_rows) * 3 <= relation_rows  # (then its distinct values are, too)
+    return few or len({binding[position] for binding in binding_rows}) * 3 <= relation_rows
+
+
+def _probe(
+    binding_rows: List[Tuple[int, ...]],
+    run,
+    other: Sequence[int],
+    position: int,
+    constant: int,
+    fresh_columns: List[int],
+) -> Tuple[List[Tuple[int, ...]], int]:
+    """A probe chunk: ``(bindings kept, posting positions read)``.
+
+    Each distinct value at *position* is looked up in the posting *run*
+    once (``None``: the property has no row).  With a fresh column a
+    binding is extended by the *other* column's cell of every match, in
+    row order as the hash join emits them; without, it is kept once when a
+    match's other cell is *constant* (any, when ``-1``).
+    """
+    out: List[Tuple[int, ...]] = []
+    read = 0
+    found: Dict[int, List[Tuple[int, ...]]] = {}  # value → what a binding gains
+    positions_for = run.positions_for if run is not None else lambda _value: ()
+    for binding in binding_rows:
+        value = binding[position]
+        tails = found.get(value)
+        if tails is None:
+            positions = positions_for(value)
+            read += len(positions)
+            if fresh_columns:
+                tails = [(other[match],) for match in positions]
+            else:
+                hit = positions and (constant < 0 or constant in map(other.__getitem__, positions))
+                tails = [()] if hit else []
+            found[value] = tails
+        out.extend([binding + tail for tail in tails])
+    return out, read
+
+
 def _join_stage(
     binding_rows: List[Tuple[int, ...]],
     fetched: List,
     join_on: List[Tuple[int, int]],
     fresh_columns: List[int],
 ) -> List[Tuple[int, ...]]:
-    """One hash-join stage: extend every binding with its matching rows.
-
-    *join_on* pairs a fetched-row column with the binding-tuple position it
-    must equal; *fresh_columns* are the row columns appended (in slot
-    order) to each surviving binding.  The common shapes — one join column,
-    zero to two fresh columns — run as straight-line loops, so per-output-
-    row work is a single small-tuple concatenation; every other shape
-    takes the general loop at the end.
-    """
-    if binding_rows == [()]:
-        # nothing bound yet (the first stage): the rows' fresh columns
-        return list(map(_projection(fresh_columns), fetched))
-    out: List[Tuple[int, ...]] = []
-    append = out.append
-    if not join_on and len(fresh_columns) == 2:
-        # no shared variable: cartesian extension (the planner keeps
-        # such stages first or tiny)
-        left, right = fresh_columns
-        for binding in binding_rows:
-            for row in fetched:
-                append(binding + (row[left], row[right]))
-        return out
-
+    """One hash-join stage: extend every binding with the *fresh_columns*
+    of each fetched row that matches it on *join_on* (row column, binding
+    position; none: every row matches) — or, with no fresh column (an
+    exists stage), keep it once when a row matches."""
+    columns, positions = [c for c, _p in join_on], [p for _c, p in join_on]
+    row_key = itemgetter(*columns) if columns else _projection(columns)  # (one column: no tuple)
+    binding_key = itemgetter(*positions) if positions else _projection(positions)
+    if not fresh_columns:
+        keys = set(map(row_key, fetched))
+        return [binding for binding in binding_rows if binding_key(binding) in keys]
     buckets: Dict = {}
-    setdefault = buckets.setdefault
     get = buckets.get
-    if len(join_on) == 1:
-        join_column, join_position = join_on[0]
+    if len(join_on) == len(fresh_columns) == 1:  # the dominant shape, straight-line
+        (join_column, join_position), (fresh_column,) = join_on[0], fresh_columns
         for row in fetched:
-            setdefault(row[join_column], []).append(row)
-        if len(fresh_columns) == 1:
-            (fresh_column,) = fresh_columns
-            for binding in binding_rows:
-                bucket = get(binding[join_position])
-                if bucket is not None:
-                    for row in bucket:
-                        append(binding + (row[fresh_column],))
-        elif len(fresh_columns) == 2:
-            left, right = fresh_columns
-            for binding in binding_rows:
-                bucket = get(binding[join_position])
-                if bucket is not None:
-                    for row in bucket:
-                        append(binding + (row[left], row[right]))
-        else:
-            for binding in binding_rows:
-                bucket = get(binding[join_position])
-                if bucket is not None:
-                    for _row in bucket:
-                        append(binding)
-        return out
-
-    # any number of join columns (none: every row matches every binding)
+            buckets.setdefault(row[join_column], []).append(row[fresh_column])
+        return [b + (value,) for b in binding_rows for value in get(b[join_position], ())]
     for row in fetched:
-        setdefault(tuple(row[column] for column, _position in join_on), []).append(row)
-    for binding in binding_rows:
-        bucket = get(tuple(binding[position] for _column, position in join_on))
-        if bucket is not None:
-            for row in bucket:
-                append(binding + tuple(row[column] for column in fresh_columns))
-    return out
+        buckets.setdefault(row_key(row), []).append(row)
+    extension = _projection(fresh_columns)
+    return [b + extension(row) for b in binding_rows for row in get(binding_key(b), ())]
 
 
 def decode_rows(

@@ -290,6 +290,12 @@ class StageTrace:
     and ``probes`` accumulate over the chunks that reached the stage, so
     they describe the work that was done — which the estimates, made for
     the whole join, then overshoot.
+
+    ``access`` is the path the stage read the store by (``scan`` /
+    ``probe`` / ``hash`` / ``exists``, or ``sql`` pushed down), chunks that
+    took different ones joined by ``+``.  ``fetched`` counts the rows a
+    fetch returned or the positions a scan or probe read, ``probes`` store
+    lookups or, where a chunk probed a run, the bindings probed.
     """
 
     __slots__ = (
@@ -300,6 +306,7 @@ class StageTrace:
         "fetched",
         "produced",
         "probes",
+        "access",
     )
 
     def __init__(
@@ -310,6 +317,7 @@ class StageTrace:
         fetched: Optional[int],
         produced: Optional[int],
         probes: int,
+        access: Optional[str] = None,
         pattern_index: Optional[int] = None,
     ):
         #: ``?s <p> ?o`` — ``None`` until the stage, recorded by
@@ -325,10 +333,12 @@ class StageTrace:
         #: Binding-table rows that left this stage.
         self.produced = produced
         self.probes = probes
+        self.access = access
 
     def as_dict(self) -> Dict[str, object]:
         return {
             "pattern": self.description,
+            "access": self.access,
             "estimated_rows": self.estimate,
             "estimated_cumulative": self.cumulative_estimate,
             "fetched_rows": self.fetched,
@@ -363,12 +373,14 @@ class ExecutionTrace:
         fetched: Optional[int] = None,
         produced: Optional[int] = None,
         probes: int = 0,
+        access: Optional[str] = None,
         pattern_index: Optional[int] = None,
     ) -> None:
         self.stages.append(
             StageTrace(
-                description, estimate, cumulative_estimate, fetched, produced, probes, pattern_index
-            )
+                description, estimate, cumulative_estimate, fetched, produced, probes,
+                access, pattern_index,
+            )  # fmt: skip
         )
 
     def as_dict(self) -> Dict[str, object]:

@@ -382,12 +382,11 @@ class TripleStore(abc.ABC):
         whose subject is in *subjects* and object is in *objects* (each an
         optional id collection).
 
-        This is the vectorized probe of the hash-join executor: one call per
-        (pattern, table) replaces one :meth:`select` per intermediate
-        binding — posting lists in the memory store, chunked ``IN (...)``
-        statements in SQLite.  A stored row comes back once however often
-        its id repeats in *subjects* / *objects*.  Rows are ``(s, p, o)``
-        integer triples; callers must not rely on their order.
+        The batched fetch of the evaluator's hash path: one call per
+        (pattern, table), not one :meth:`select` per binding.  A stored row
+        comes back once however often its id repeats in *subjects* /
+        *objects*.  Rows are ``(s, p, o)`` integer triples; callers must
+        not rely on their order.
         """
 
     @abc.abstractmethod

@@ -10,10 +10,12 @@ run is a pair of parallel arrays ``(keys, positions)`` sorted by
 incremental inserts; the **writer** folds a tail back into its sorted run
 at the end of the batch that let it outgrow :data:`TAIL_MERGE_LIMIT` (one
 bisect per tail pair plus slice copies) — no read path assigns to a run.
-Selection shapes become binary-search range scans over the runs,
-``scan_columns`` yields the column arrays in slices, and bulk loads defer
-all index building to the first indexed read or insert — a warm start from
-a column-blob snapshot is three ``frombytes`` per table and nothing else.
+Selection shapes become binary-search range scans over the runs, which
+the evaluator's join stages read in place (:meth:`MemoryStore.postings`,
+:meth:`MemoryStore.posting_run`); ``scan_columns`` yields the column arrays
+in slices, and bulk loads defer all index building to the first indexed
+read or insert — a warm start from a column-blob snapshot is three
+``frombytes`` per table and nothing else.
 Inserts deduplicate by probing the row's ``(p, s)`` run: the store keeps no
 second copy of its rows to look them up in.
 
@@ -365,99 +367,27 @@ class _Table:
             return self.o_run.positions_for(obj)
         return None
 
-    def select(
-        self,
-        subject: Optional[int],
-        predicate: Optional[int],
-        obj: Optional[int],
-    ) -> Iterator[EncodedTriple]:
-        candidate_positions = self._candidate_positions(subject, predicate, obj)
-        s_col, p_col, o_col = self._cells()
-        if candidate_positions is None:
-            candidate_positions = range(len(s_col))
-        for position in candidate_positions:
-            row_subject = s_col[position]
-            if subject is not None and row_subject != subject:
-                continue
-            row_predicate = p_col[position]
-            if predicate is not None and row_predicate != predicate:
-                continue
-            row_object = o_col[position]
-            if obj is not None and row_object != obj:
-                continue
-            yield EncodedTriple(row_subject, row_predicate, row_object)
-
-    def select_many(
-        self,
-        subjects: Optional[Iterable[int]],
-        predicate: Optional[int],
-        objects: Optional[Iterable[int]],
-    ) -> List[Tuple[int, int, int]]:
-        """Batched selection over the posting runs (see the store method).
-
-        Repeated ids in *subjects* / *objects* are deduplicated (insertion
-        order preserved) so multiset key lists cannot yield duplicate rows.
-        """
-        self._ensure_indexed()
-        s_col, p_col, o_col = self._cells()
-        out: List[Tuple[int, int, int]] = []
-        if subjects is not None:
-            object_set = None if objects is None else set(objects)
-            if predicate is not None:
-                run = self.ps_runs.get(predicate)
-                if run is None:
-                    return out
-                for subject in dict.fromkeys(subjects):
-                    for position in run.positions_for(subject):
-                        obj = o_col[position]
-                        if object_set is None or obj in object_set:
-                            out.append((subject, predicate, obj))
-            else:
-                s_run = self.s_run
-                for subject in dict.fromkeys(subjects):
-                    for position in s_run.positions_for(subject):
-                        obj = o_col[position]
-                        if object_set is None or obj in object_set:
-                            out.append((subject, p_col[position], obj))
-            return out
-        if objects is not None:
-            if predicate is not None:
-                run = self.po_runs.get(predicate)
-                if run is None:
-                    return out
-                for obj in dict.fromkeys(objects):
-                    out.extend(
-                        (s_col[position], predicate, obj)
-                        for position in run.positions_for(obj)
-                    )
-            else:
-                o_run = self.o_run
-                for obj in dict.fromkeys(objects):
-                    out.extend(
-                        (s_col[position], p_col[position], obj)
-                        for position in o_run.positions_for(obj)
-                    )
-            return out
-        if predicate is not None:
-            positions = self.by_predicate.get(predicate)
-            if positions is None:
-                return out
-            return [(s_col[position], predicate, o_col[position]) for position in positions]
-        return list(zip(s_col, p_col, o_col))
-
-    def count_rows(self, subject: Optional[int], predicate: Optional[int], obj: Optional[int]) -> int:
-        """Rows matching the shape: a posting-range length wherever one run
-        covers it, i.e. unless subject *and* object are both bound."""
+    def matching_positions(
+        self, subject: Optional[int], predicate: Optional[int], obj: Optional[int]
+    ) -> Sequence[int]:
+        """Positions of the rows matching the id pattern, ascending for any
+        one posting key: the most selective run's range, filtered only where
+        no one run covers the shape — subject *and* object bound."""
         positions = self._candidate_positions(subject, predicate, obj)
         if positions is None:
-            return len(self)
+            return range(len(self))
         if subject is None or obj is None:
-            return len(positions)
-        return sum(1 for _row in self.select(subject, predicate, obj))
+            return positions
+        s_col, _p_col, o_col = self._cells()
+        return [
+            position
+            for position in positions
+            if s_col[position] == subject and o_col[position] == obj
+        ]
 
     def holds(self, subject: int, predicate: int, obj: int) -> bool:
         """Whether the row is stored: a probe of the ``(p, s)`` run."""
-        return next(self.select(subject, predicate, obj), None) is not None
+        return bool(self.matching_positions(subject, predicate, obj))
 
     def cardinalities(self) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
         """``(distinct subjects, distinct objects, {property: (rows, distinct
@@ -587,8 +517,8 @@ class MemoryStore(TripleStore):
         predicate: Optional[int] = None,
         obj: Optional[int] = None,
     ) -> Iterator[EncodedTriple]:
-        self._check_open()
-        return self._tables[kind].select(subject, predicate, obj)
+        positions, (s_col, p_col, o_col) = self._postings(kind, subject, predicate, obj)
+        return (EncodedTriple(s_col[i], p_col[i], o_col[i]) for i in positions)
 
     def select_many(
         self,
@@ -597,8 +527,47 @@ class MemoryStore(TripleStore):
         predicate: Optional[int] = None,
         objects: Optional[Iterable[int]] = None,
     ) -> List[Tuple[int, int, int]]:
+        """One :meth:`postings` range per distinct subject (the objects then
+        filter) or per distinct object, or one for the predicate alone: a
+        repeated id cannot yield a row twice."""
+        object_set = None if subjects is None or objects is None else set(objects)
+        if subjects is not None:
+            shapes = [(subject, None) for subject in dict.fromkeys(subjects)]
+        else:
+            shapes = [(None, obj) for obj in dict.fromkeys((None,) if objects is None else objects)]
+        out: List[Tuple[int, int, int]] = []
+        for subject, obj in shapes:
+            positions, (s_col, p_col, o_col) = self._postings(kind, subject, predicate, obj)
+            rows = [(s_col[i], p_col[i], o_col[i]) for i in positions]
+            out.extend(rows if object_set is None else [r for r in rows if r[2] in object_set])
+        return out
+
+    def postings(
+        self,
+        kind: TripleKind,
+        subject: Optional[int] = None,
+        predicate: Optional[int] = None,
+        obj: Optional[int] = None,
+    ) -> Tuple[Sequence[int], Tuple[Sequence[int], Sequence[int], Sequence[int]]]:
+        """``(positions, (s, p, o) columns)``: the *kind* table's rows that
+        match the id pattern, as positions into its columns — the join's
+        streamed scan, which reads cells and builds no row tuple."""
         self._check_open()
-        return self._tables[kind].select_many(subjects, predicate, objects)
+        table = self._tables[kind]
+        return table.matching_positions(subject, predicate, obj), table._cells()
+
+    _postings = postings  # the store's own reads: a subclass's postings() sees the join's
+
+    def posting_run(
+        self, kind: TripleKind, predicate: int, column: int
+    ) -> Tuple[Optional[_Run], Sequence[int]]:
+        """``(run, other column)``: the ``(p, s)`` (*column* 0) or ``(p, o)``
+        (2) run of *predicate*, ``None`` if absent, that a probe stage reads."""
+        self._check_open()
+        table = self._tables[kind]
+        table._ensure_indexed()
+        runs = table.ps_runs if column == 0 else table.po_runs
+        return runs.get(predicate), table._cells()[2 - column]
 
     def count(self, kind: TripleKind) -> int:
         self._check_open()
@@ -611,8 +580,9 @@ class MemoryStore(TripleStore):
         predicate: Optional[int] = None,
         obj: Optional[int] = None,
     ) -> int:
-        self._check_open()
-        return self._tables[kind].count_rows(subject, predicate, obj)
+        """A posting-range length wherever one run covers the shape, i.e.
+        unless subject *and* object are both bound."""
+        return len(self._postings(kind, subject, predicate, obj)[0])
 
     #: :meth:`cardinalities` is a live O(properties) read of the posting runs
     #: — the runs count their own distinct keys as rows are appended — so a

@@ -147,8 +147,8 @@ def test_register_and_drop_over_http(cluster_server, fig2):
 def test_explain_on_a_cluster_is_the_in_process_explain(bsbm_small):
     """The one worker's plan is the answer's plan: the same requests in
     process and on two workers give the same response keys (bar
-    ``cluster``) and the same stages, probes and produced rows — the plan
-    used to be buried in ``cluster.per_worker[i].trace``."""
+    ``cluster``) and the same stages, access paths, probes and produced
+    rows — the plan used to be buried in ``cluster.per_worker[i].trace``."""
     catalog = GraphCatalog()
     catalog.register("g", graph=bsbm_small)
     serial_catalog = GraphCatalog()
@@ -166,7 +166,7 @@ def test_explain_on_a_cluster_is_the_in_process_explain(bsbm_small):
 
     def stages(payload):
         return [
-            (stage["pattern"], stage["probes"], stage["produced_rows"])
+            (stage["pattern"], stage["access"], stage["probes"], stage["produced_rows"])
             for stage in payload["trace"]["stages"]
         ]
 

@@ -10,13 +10,16 @@ size the limit allows.
 """
 
 import random
+from collections import Counter
+from unittest.mock import patch
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.datasets.sample import book_example_graph, figure2_graph
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
-from repro.model.triple import Triple
+from repro.model.triple import Triple, TripleKind
 from repro.queries.bgp import BGPQuery, TriplePattern, Variable
 from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload
@@ -90,8 +93,9 @@ class TestStrategies:
 
     @pytest.mark.parametrize("strategy", STRATEGIES)
     def test_stage_traces_name_no_algorithm(self, backend, strategy):
-        """One in-memory stage algorithm: a stage is described by its
-        pattern (or pushed-down statement) and its numbers, nothing else."""
+        """One executor with several access paths: a stage is described by
+        its pattern (or pushed-down statement), the path it read the store
+        by, and its numbers — there is no join-algorithm field."""
         x, y, z = Variable("x"), Variable("y"), Variable("z")
         query = BGPQuery(
             [TriplePattern(x, EX.author, y), TriplePattern(y, EX.affiliation, z)],
@@ -101,9 +105,13 @@ class TestStrategies:
             store.load_graph(_chain_graph())
             trace = EncodedEvaluator(store, strategy=strategy).explain(query)
         pushed_down = strategy == "sql" and backend is SQLiteStore
-        assert len(trace.stages) == (1 if pushed_down else 2)
+        # a six-row relation is read whole rather than probed 3+ times
+        assert [stage.access for stage in trace.stages] == (
+            ["sql"] if pushed_down else ["scan", "hash"]
+        )
         assert trace.total_probes == len(trace.stages)
         for stage in trace.stages:
+            assert stage.as_dict()["access"] == stage.access
             assert not hasattr(stage, "algorithm")
             assert "algorithm" not in stage.as_dict()
 
@@ -248,28 +256,36 @@ class TestPushdownEquivalence(TestOracleEquivalence):
 
 
 class _ProbeCountingStore(MemoryStore):
-    """A memory store that counts every select/select_many call."""
+    """A memory store that counts every lookup a join stage makes of it:
+    ``select`` / ``select_many`` (the fetch), ``postings`` (the streamed
+    scan) and ``posting_run`` (one per probe chunk)."""
 
     def __init__(self):
         super().__init__()
-        self.select_calls = 0
-        self.select_many_calls = 0
+        self.calls = Counter()
 
     def select(self, kind, subject=None, predicate=None, obj=None):
-        self.select_calls += 1
+        self.calls["select"] += 1
         return super().select(kind, subject, predicate, obj)
 
     def select_many(self, kind, subjects=None, predicate=None, objects=None):
-        self.select_many_calls += 1
+        self.calls["select_many"] += 1
         return super().select_many(kind, subjects, predicate, objects)
+
+    def postings(self, kind, subject=None, predicate=None, obj=None):
+        self.calls["postings"] += 1
+        return super().postings(kind, subject, predicate, obj)
+
+    def posting_run(self, kind, predicate, column):
+        self.calls["posting_run"] += 1
+        return super().posting_run(kind, predicate, column)
 
     @property
     def probes(self):
-        return self.select_calls + self.select_many_calls
+        return sum(self.calls.values())
 
     def reset(self):
-        self.select_calls = 0
-        self.select_many_calls = 0
+        self.calls.clear()
 
 
 class TestProbeComplexity:
@@ -336,8 +352,9 @@ class TestProbeComplexity:
         assert again.plan_cached is True
 
     def test_a_traced_run_still_honours_the_limit(self):
-        """The trace records what ran — the limit-bounded run, which stops
-        part-way through the last stage — not a full join run for its sake."""
+        """The trace records what ran — the limit-bounded run, which streams
+        one chunk of the first stage's posting range and stops part-way
+        through the last stage — not a full join run for its sake."""
         store, query = self._chain_fixture()
         evaluator = EncodedEvaluator(store, strategy="hash")
         full = evaluator.evaluate(query)
@@ -346,9 +363,14 @@ class TestProbeComplexity:
         trace = ExecutionTrace()
         limited = evaluator.evaluate(query, limit=7, trace=trace)
         assert len(limited) == 7 and limited <= full
-        first, last = trace.stages
-        assert (first.fetched, first.produced) == (40, 40)
-        assert 7 <= last.produced < 40
+        # (access, positions or rows read, bindings kept, lookups): the scan
+        # read the first chunk of 16 of its 40 positions; 16 bindings are
+        # too many against the 40-row relation to probe, so it is fetched
+        # whole and hash-joined
+        assert [
+            (stage.access, stage.fetched, stage.produced, stage.probes) for stage in trace.stages
+        ] == [("scan", 16, 16, 1), ("hash", 40, 16, 1)]
+        assert store.calls == {"postings": 1, "select_many": 1}
         assert trace.total_probes == store.probes
 
 
@@ -363,19 +385,25 @@ class TestLimitBoundedRuns:
         evaluator = EncodedEvaluator(store, strategy="hash")
         unlimited = ExecutionTrace()
         full = evaluator.evaluate(query, trace=unlimited)
-        assert unlimited.stages[-1].produced == 5_100
+        assert [(stage.access, stage.produced) for stage in unlimited.stages] == [
+            ("scan", 5_100),
+            ("hash", 5_100),
+        ]
 
         calls = []
         for trace in (None, ExecutionTrace()):
             store.reset()
             limited = evaluator.evaluate(query, limit=3, trace=trace)
             assert len(limited) == 3 and limited <= full
-            calls.append((store.select_calls, store.select_many_calls))
+            calls.append(dict(store.calls))
         untraced, traced = calls
-        assert untraced == traced
-        # one batched fetch per chunk-stage, nowhere near one per binding
-        assert sum(traced) == trace.total_probes < 10
-        assert trace.stages[-1].produced * 100 < unlimited.stages[-1].produced
+        assert untraced == traced == {"postings": 1, "posting_run": 1}
+        # one chunk of 16 positions scanned, its 16 bindings probed (one
+        # posting position each), and the walk stopped: nowhere near the
+        # 5,100 of the blocking join
+        assert [
+            (stage.access, stage.fetched, stage.produced, stage.probes) for stage in trace.stages
+        ] == [("scan", 16, 16, 1), ("probe", 16, 16, 16)]
 
     @pytest.fixture(scope="class")
     def oracle_cases(self, bibliography_small, bsbm_small):
@@ -468,6 +496,173 @@ class TestPipelinedExecutor:
                 assert evaluator.evaluate(query, limit=10**9) == expected
                 ask = BGPQuery(query.patterns, head=())
                 assert evaluator.evaluate(ask, limit=1) == ({()} if expected else set())
+
+
+_NODES = [EX.term(f"n{index}") for index in range(6)]
+_PROPERTIES = [EX.term(f"p{index}") for index in range(3)]
+_CLASSES = [EX.term(f"C{index}") for index in range(2)]
+_VARIABLES = [Variable(name) for name in "xyzw"]
+
+
+def _position(constants):
+    return st.one_of(st.sampled_from(_VARIABLES), st.sampled_from(constants))
+
+
+_generated_graphs = st.lists(
+    st.one_of(
+        st.builds(
+            Triple, st.sampled_from(_NODES), st.sampled_from(_PROPERTIES), st.sampled_from(_NODES)
+        ),
+        st.builds(Triple, st.sampled_from(_NODES), st.just(RDF_TYPE), st.sampled_from(_CLASSES)),
+    ),
+    min_size=1,
+    max_size=40,
+).map(RDFGraph)
+
+
+@st.composite
+def _generated_queries(draw):
+    """BGPs of one to four patterns over four variables: repeated variables,
+    variable predicates, constant subjects / objects, and any head —
+    boolean ones included."""
+    patterns = draw(
+        st.lists(
+            st.builds(
+                TriplePattern,
+                _position(_NODES),
+                st.one_of(st.sampled_from([*_PROPERTIES, RDF_TYPE]), st.sampled_from(_VARIABLES)),
+                _position(_NODES + _CLASSES),
+            ),
+            min_size=1,
+            max_size=4,
+        )
+    )
+    variables = sorted({v for pattern in patterns for v in pattern.variables()}, key=str)
+    head = draw(st.lists(st.sampled_from(variables), unique=True)) if variables else []
+    return BGPQuery(patterns, head=head)
+
+
+def _store_in_state(graph, state, split):
+    """*graph* in a memory store: bulk-loaded (``bulk``), or its first
+    *split* triples adopted as columns — copied arrays (``tails``) or
+    ``ColumnView``s over borrowed buffers (``adopted``) — indexed, and the
+    rest inserted three at a time, which leaves unmerged run tails."""
+    store = MemoryStore()
+    if state == "bulk":
+        store.load_graph(graph)
+        return store
+    triples = list(graph)
+    base = MemoryStore()
+    base.load_graph(RDFGraph(triples[:split]))
+    store.dictionary = base.dictionary
+    load = store.load_column_bytes if state == "tails" else store.adopt_column_buffers
+    for kind in TripleKind:
+        _rows, *blobs = base.column_bytes(kind)
+        load(kind, *blobs)
+        store.count_rows(kind)  # index what was adopted: inserts now go to tails
+    for start in range(split, len(triples), 3):
+        store.insert_triples(triples[start : start + 3])
+    return store
+
+
+class TestAccessPathsAgainstTheOracle:
+    """Scan, probe, hash and exists stages, whichever each chunk takes,
+    answer what the ``Term``-level oracle answers: the full answer equal to
+    it, a limit-k answer a subset of it of size min(k, |full|) and, in the
+    planner's order, the first k rows of the full run — on sorted runs,
+    unmerged run tails and adopted columns alike."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        graph=_generated_graphs,
+        query=_generated_queries(),
+        state=st.sampled_from(["bulk", "tails", "adopted"]),
+        split=st.integers(0, 40),
+        first_chunk=st.sampled_from([1, evaluator_module._FIRST_CHUNK]),
+        most_bound_first=st.booleans(),
+    )
+    def test_limited_and_unlimited_walks(
+        self, graph, query, state, split, first_chunk, most_bound_first
+    ):
+        expected = evaluate(graph, query)
+        store = _store_in_state(graph, state, min(split, len(graph)))
+        evaluator = EncodedEvaluator(store)
+        compiled = evaluator.compile(query)
+        with patch.object(evaluator_module, "_FIRST_CHUNK", first_chunk), patch.object(
+            evaluator_module, "_prefer_pipelined", lambda plan, limit: most_bound_first
+        ):
+            assert evaluator.evaluate(query) == expected
+            in_order = evaluator.evaluate_ids(compiled)
+            for limit in (1, 2, 5):
+                limited = evaluator.evaluate(query, limit=limit)
+                assert limited <= expected
+                assert len(limited) == min(limit, len(expected))
+                assert evaluator.evaluate(query, limit=limit, trace=ExecutionTrace()) == limited
+                if not most_bound_first:
+                    # in the planner's order, whatever the chunks and the
+                    # paths they took, rows come first-produced in one order
+                    assert evaluator.evaluate_ids(compiled, limit) == in_order[:limit]
+
+
+class TestExistenceStages:
+    """A stage none of whose fresh variables is read again keeps each
+    binding once, when a match exists; the others extend it."""
+
+    def _fan_out(self):
+        """Ten papers, each with one venue and five authors."""
+        triples = []
+        for index in range(10):
+            paper = EX.term(f"r{index}")
+            triples.append(Triple(paper, EX.venue, EX.term(f"v{index % 2}")))
+            triples.extend(Triple(paper, EX.author, EX.term(f"a{k}")) for k in range(5))
+        return RDFGraph(triples)
+
+    def _stages(self, query, limit=None):
+        """``(answers, [(access, produced) per stage])`` of one traced run."""
+        graph = self._fan_out()
+        store = MemoryStore()
+        store.load_graph(graph)
+        trace = ExecutionTrace()
+        answers = EncodedEvaluator(store).evaluate(query, limit=limit, trace=trace)
+        expected = evaluate(graph, query)
+        assert answers <= expected and len(answers) == min(limit or len(expected), len(expected))
+        return answers, [(stage.access, stage.produced) for stage in trace.stages]
+
+    def test_a_dead_fresh_variable_keeps_each_binding_once(self):
+        x, y, a = Variable("x"), Variable("y"), Variable("a")
+        query = BGPQuery([TriplePattern(x, EX.venue, y), TriplePattern(x, EX.author, a)], head=(x, y))
+        answers, stages = self._stages(query)
+        assert len(answers) == 10
+        # not the 50 (paper, author) rows the join would have produced
+        assert stages == [("scan", 10), ("exists", 10)]
+        # read by the head, the author is joined in: ten bindings are few
+        # against the fifty author rows, so each is probed
+        wide = BGPQuery(query.patterns, head=(x, a))
+        assert self._stages(wide)[1] == [("scan", 10), ("probe", 50)]
+
+    def test_a_constant_or_a_boolean_head_makes_an_exists_stage(self):
+        x, y, a = Variable("x"), Variable("y"), Variable("a")
+        by_constant = BGPQuery(
+            [TriplePattern(x, EX.venue, y), TriplePattern(x, EX.author, EX.term("a3"))], head=(x,)
+        )
+        assert self._stages(by_constant) == (
+            {(EX.term(f"r{index}"),) for index in range(10)},
+            [("scan", 10), ("exists", 10)],
+        )
+        ask = BGPQuery([TriplePattern(x, EX.venue, y), TriplePattern(x, EX.author, a)])
+        assert self._stages(ask, limit=1) == ({()}, [("scan", 10), ("exists", 10)])
+
+    def test_a_small_chunk_probes_the_posting_run(self):
+        """Under a limit the first chunk (one venue's binding) is probed in
+        the author run, not fetched and hashed."""
+        x, a = Variable("x"), Variable("a")
+        query = BGPQuery(
+            [TriplePattern(x, EX.venue, EX.term("v0")), TriplePattern(x, EX.author, a)],
+            head=(x, a),
+        )
+        answers, stages = self._stages(query, limit=3)
+        assert len(answers) == 3
+        assert stages == [("scan", 5), ("probe", 25)]
 
 
 class TestServiceIntegration:

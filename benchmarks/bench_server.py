@@ -11,10 +11,13 @@ catalog (``GraphCatalog.open``):
 * **read throughput** — a mixed guarded workload is answered once
   serially and once on ``--threads`` threads (``QueryExecutor.map_answers``);
   per-query answer sets must be identical, and the concurrent/serial QPS
-  ratio is reported, not gated.  Threads have not beaten one so far, GIL
-  release in SQLite's C evaluation notwithstanding: at ``--scale 800
-  --threads 2`` on a 2-CPU VM the ratio was 0.69× on ``sqlite``/``sql``,
-  0.67× on ``memory``/``hash`` and 0.30× on ``sqlite``/``hash``;
+  ratio is reported, not gated.  Both laps run warm: an untimed serial
+  pass goes first, so the timed serial lap pays no plan-cache miss or
+  first-use build the concurrent lap never sees.  Threads have not beaten
+  one so far, GIL release in SQLite's C evaluation notwithstanding: at
+  ``--scale 800 --count 200 --threads 2`` on a 2-CPU VM the median ratio
+  was 0.77× on ``sqlite``/``sql``, 0.67× on ``memory``/``hash`` and 0.32×
+  on ``sqlite``/``hash``;
 * **HTTP smoke** — the real HTTP front end (:mod:`repro.server.http`) is
   started on the warm catalog, queried over HTTP (query / statistics /
   summary / healthz / ingest), restarted once more (a warm-restart cycle),
@@ -188,6 +191,11 @@ def run_benchmark(args) -> Dict[str, object]:
         # serial vs concurrent read throughput (same workload, same limits)
         # ------------------------------------------------------------------
         queries = [item.query for item in workload]
+        # one serial lap off the clock: the first pass over the workload pays
+        # its plan-cache misses and first-use builds, which would otherwise
+        # land on the timed serial lap and never on the concurrent one
+        for query in queries:
+            service.answer(GRAPH_NAME, query, limit=args.limit)
         start = perf_counter()
         serial_answers = [
             service.answer(GRAPH_NAME, query, limit=args.limit).answers for query in queries

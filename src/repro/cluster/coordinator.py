@@ -33,9 +33,10 @@ persistence — the usual write path) and a per-entry delta listener appends
 the freshly inserted id rows — plus the vocabulary map, when the batch
 minted a vocabulary id — to the graph's **log** (:class:`_GraphLog`) —
 nothing else: it touches no pipe and waits for no worker.  A worker learns
-of a write the next time anything is sent to it: every contact goes through :meth:`ClusterCoordinator._request`, which,
-holding the slot's send lock, writes what that worker has not been sent
-yet (a load, or one catch-up delta) immediately ahead of the request.  A
+of a write the next time anything is sent to it: every contact goes
+through :meth:`ClusterCoordinator._request`, which, holding the slot's
+lock, writes what that worker has not been sent yet (a load, or one
+catch-up delta) immediately ahead of the request.  A
 socket pair is FIFO and a worker single-threaded, so read-your-writes holds
 by *order*.  The log is bounded by the fold (``shm_fold_rows``): past it a
 new generation's segment is packed, and a worker that lags a fold attaches
@@ -43,8 +44,8 @@ it.
 
 Failure model
 -------------
-Worker death is detected by pipe EOF (receiver thread) and by the
-heartbeat thread's liveness sweep.  A dead worker is respawned with an
+Worker death is detected by pipe EOF (at the round trip that reads it) and
+by the heartbeat thread's liveness sweep.  A dead worker is respawned with an
 empty cursor, so its first contact loads every graph (the unchanged
 segment descriptor plus the log), and the failed request is
 retried — a crash mid-query costs latency, never an error and never a
@@ -147,22 +148,6 @@ def _routing(workers: List[int], pruned: bool, retries: int) -> Dict[str, object
     return {"mode": "full", "workers": workers, "shards_pruned": int(pruned), "retries": retries}
 
 
-class _PendingReply:
-    """One outstanding request: the event its waiter parks on."""
-
-    __slots__ = ("event", "status", "payload")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.status: Optional[str] = None
-        self.payload = None
-
-    def resolve(self, status: str, payload) -> None:
-        self.status = status
-        self.payload = payload
-        self.event.set()
-
-
 class _WorkerHandle:
     """Coordinator-side state of one worker slot (stable across respawns)."""
 
@@ -171,45 +156,45 @@ class _WorkerHandle:
         self.generation = 0
         self.respawns = 0
         self.process: Optional[subprocess.Popen] = None
-        #: This generation's pipe; the receiver thread is its only closer.
+        #: This generation's pipe, ``None`` once it is closed: only the
+        #: holder of ``lock`` uses it, so whoever finds it broken closes it.
         self.connection: Optional[protocol.Connection] = None
-        self.alive = False
-        #: The one sender at a time: a request leaves back to back with the
-        #: catch-up it is sent behind (receiver thread handles recv).
-        self.send_lock = named_lock(f"cluster.worker{index}.send_lock")
+        #: One round trip at a time: held from the first catch-up written to
+        #: the last reply read (:meth:`ClusterCoordinator._request`).
+        self.lock = named_lock(f"cluster.worker{index}.lock")
         #: Per graph, what this worker has been sent: ``(log generation
-        #: loaded, log entries sent)``.  Written under the send lock;
+        #: loaded, log entries sent)``.  Written under the slot's lock;
         #: ``status()`` reads it without, so that reporting never waits
         #: behind a stopped worker's pipe.
         self.cursors: Dict[str, Tuple[int, int]] = {}
-        #: Outstanding requests by id, resolved by the receiver thread.
-        #: guarded by self.pending_lock
-        self.pending: Dict[int, _PendingReply] = {}
-        self.pending_lock = named_lock(f"cluster.worker{index}.pending_lock")
         #: Makes a slot's respawn happen once however many requests found
-        #: the worker dead.  Nothing that takes it holds another lock.
+        #: the worker dead.  Its holder takes no lock but the slot's own.
         self.respawn_lock = named_lock(f"cluster.worker{index}.respawn_lock")
-        self.receiver: Optional[threading.Thread] = None
         self.last_ping: Optional[Dict[str, object]] = None
         self.last_ping_at: Optional[float] = None
         #: The worker's reply to its most recent ``OP_LOAD`` (attach mode,
         #: row counts, attach seconds) — surfaced by ``status()``.
         self.last_load: Optional[Dict[str, object]] = None
 
-    def fail_pending(self, message: str) -> None:
-        with self.pending_lock:
-            pending, self.pending = self.pending, {}
-        for slot in pending.values():
-            slot.resolve("crashed", message)
+    def alive(self) -> bool:
+        """Whether this generation's pipe is open and its process running."""
+        process = self.process
+        return self.connection is not None and process is not None and process.poll() is None
+
+    def disconnect(self) -> None:
+        """Close this generation's pipe (the slot's lock held)."""
+        connection, self.connection = self.connection, None
+        if connection is not None:
+            connection.close()
 
     def retire(self, timeout: float) -> None:
-        """End this generation: reap its process, let its receiver close.
+        """End this generation: reap its process, close its pipe.
 
         A process still running gets *timeout* seconds to exit on its own,
         as long again after ``SIGTERM``, then ``SIGKILL`` — and is always
         waited for, so no zombie and no unreaped ``Popen`` stays behind.
-        Its death is the receiver's EOF; closing ``connection`` from here
-        would pull the handle out from under a ``recv()`` in progress.
+        Its death is the EOF a round trip in progress reads, so the slot's
+        lock is free promptly for the close.
         """
         process = self.process
         if process is not None:
@@ -222,9 +207,8 @@ class _WorkerHandle:
                 except subprocess.TimeoutExpired:
                     process.kill()
                     process.wait()
-        self.alive = False
-        if self.receiver is not None:
-            self.receiver.join(timeout=timeout)
+        with self.lock:
+            self.disconnect()
 
 
 class ClusterCoordinator:
@@ -364,46 +348,11 @@ class ClusterCoordinator:
             )
             connection = protocol.Connection(sock.detach())
         handle.process = process
-        with handle.send_lock:
+        with handle.lock:
             # a new worker has been sent nothing: whoever writes to this
             # pipe first loads what it needs, ahead of its own request
             handle.connection = connection
             handle.cursors = {}
-            handle.alive = True
-        handle.receiver = threading.Thread(
-            target=self._receive_loop,
-            args=(handle, connection, handle.generation),
-            name=f"repro-recv-{handle.index}",
-            daemon=True,
-        )
-        handle.receiver.start()
-
-    def _receive_loop(self, handle: _WorkerHandle, connection, generation: int) -> None:
-        """Route worker replies to their waiting requesters; EOF = crash.
-
-        This thread is the only closer of *connection*, under the send lock
-        so that no sender is mid-write on the descriptor it gives back."""
-        try:
-            while True:
-                try:
-                    message = connection.recv()
-                except (EOFError, OSError):
-                    break
-                request_id, status, payload = message
-                with handle.pending_lock:
-                    slot = handle.pending.pop(request_id, None)
-                if slot is not None:
-                    slot.resolve(status, payload)
-        finally:
-            with handle.send_lock:
-                connection.close()
-        if handle.generation == generation:
-            handle.alive = False
-            handle.fail_pending(f"worker {handle.index} pipe closed")
-        # A stale generation's receiver must leave pending alone: the
-        # respawn already failed the old generation's requests, and every
-        # slot registered since (including the respawn's own re-ship
-        # loads) belongs to the new generation's receiver.
 
     def close(self, timeout: float = _SHUTDOWN_TIMEOUT) -> None:
         """Drain and stop the workers, join everything.
@@ -411,7 +360,7 @@ class ClusterCoordinator:
         Safe to call twice.  The order is the graceful SIGTERM path: each
         worker finishes the message in hand and acks the shutdown, then
         processes are waited for (terminated, then killed, only if they
-        overstay) and their receivers close the pipes.
+        overstay) and their pipes closed.
         """
         if self._closed:
             return
@@ -442,85 +391,104 @@ class ClusterCoordinator:
     # request plumbing
     # ------------------------------------------------------------------
     def _request(
-        self, handle: _WorkerHandle, op: str, payload: tuple, timeout: float, sync: _Sync = ()
+        self,
+        handle: _WorkerHandle,
+        op: str,
+        payload: tuple,
+        timeout: float,
+        sync: _Sync = (),
+        blocking: bool = True,
     ):
-        """One id-matched round trip to *handle*'s worker — every contact
-        with a worker is this call, and it is the only writer of its pipe.
+        """One round trip to *handle*'s worker — every contact with a worker
+        is this call, and the thread that makes it does all of it.
 
-        *sync* names the graphs the request depends on.  Holding the slot's
-        send lock, whatever the worker has not been sent of each — a load,
-        or one catch-up delta (:meth:`_catch_up`) — is written first and the
-        request right behind it, so it is answered from a replica that has
-        every batch logged before it was sent.
+        Holding the slot's lock from the first message written to the last
+        reply read, it writes whatever the worker has not been sent of each
+        graph in *sync* — a load, or one catch-up delta (:meth:`_catch_up`)
+        — and the request right behind it, then reads the replies in
+        order, so the request is answered from a replica that has every
+        batch logged before it was sent.  The lock is waited for within
+        *timeout* — unless not *blocking*: a busy slot then raises
+        :class:`WorkerTimeoutError` at once.
 
         A worker that refuses a load or a catch-up, or answers "unknown
         graph", has no usable copy (it keeps none after a failure): the
         graph's cursor is dropped and the request re-sent once, behind a
         fresh load — if the graph still has a log.
         """
-        for retried in (False, True):
-            if not handle.alive:
-                raise WorkerCrashedError(f"worker {handle.index} is down")
-            sent: List[Tuple[Optional[str], str, int, _PendingReply]] = []
-            try:
-                with handle.send_lock:
-                    outgoing = [(name, self._catch_up(handle, name)) for name in sync]
-                    outgoing.append((None, (op, payload)))
-                    try:
-                        for name, message in outgoing:
-                            if message is None:
-                                continue  # the worker has all of that graph
-                            request_id = next(self._request_ids)
-                            slot = _PendingReply()
-                            with handle.pending_lock:
-                                handle.pending[request_id] = slot
-                            sent.append((name, message[0], request_id, slot))
-                            handle.connection.send((request_id, *message))
-                            self._message_counters[message[0]].inc()
-                    except (OSError, ValueError) as error:
-                        handle.alive = False
-                        raise WorkerCrashedError(
-                            f"worker {handle.index} send failed: {error}"
-                        ) from error
-                reply = sent[-1][3]
-                if not reply.event.wait(timeout):
-                    raise WorkerTimeoutError(
-                        f"worker {handle.index} did not answer {op!r} within {timeout}s"
-                    )
-            finally:
-                with handle.pending_lock:
-                    for _name, _op, request_id, _slot in sent:
-                        handle.pending.pop(request_id, None)
-            if reply.status == "crashed":
-                raise WorkerCrashedError(str(reply.payload))
-            # replies arrive in the order sent, so each catch-up's is in
-            stale = []
-            for name, message_op, _request_id, slot in sent[:-1]:
-                if slot.status != "ok":
-                    stale.append(name)
-                elif message_op == protocol.OP_LOAD:
-                    handle.last_load = slot.payload
-            if reply.status != "ok" and reply.payload[0] == "unknown_graph":
-                stale.extend(sync)
-            if not stale:
-                break
-            with handle.send_lock:
+        deadline = monotonic() + timeout
+        if not (handle.lock.acquire(timeout=timeout) if blocking else handle.lock.acquire(False)):
+            raise WorkerTimeoutError(f"worker {handle.index} is busy")
+        try:
+            for _retried in (False, True):
+                outgoing = [(name, self._catch_up(handle, name)) for name in sync]
+                outgoing = [item for item in outgoing if item[1] is not None]
+                outgoing.append((None, (op, payload)))
+                replies = self._exchange(handle, [message for _, message in outgoing], deadline)
+                stale = []
+                for (name, (message_op, _)), (status, reply) in zip(outgoing[:-1], replies):
+                    if status != "ok":
+                        stale.append(name)
+                    elif message_op == protocol.OP_LOAD:
+                        handle.last_load = reply
+                status, reply = replies[-1]
+                if status != "ok" and reply[0] == "unknown_graph":
+                    stale.extend(sync)
+                if not stale:
+                    break
                 for name in stale:
                     handle.cursors.pop(name, None)
-        if reply.status == "ok":
-            return reply.payload
-        error_kind, message = reply.payload
+        finally:
+            handle.lock.release()
+        if status == "ok":
+            return reply
+        error_kind, message = reply
         if error_kind == "unknown_graph":
             raise UnknownGraphError(message)
         if error_kind == "query":
             raise QueryError(message)
         raise ClusterError(f"worker {handle.index} {error_kind} error: {message}")
 
+    def _exchange(self, handle: _WorkerHandle, messages: list, deadline: float) -> list:
+        """Write *messages* back to back and read the ``(status, payload)``
+        reply to each, in order — the slot's lock held.
+
+        A reply whose id is older than the one awaited is the late answer of
+        a request that timed out: it is read past.  A timeout leaves the
+        pipe whole; a failed send or receive closes it on the spot and
+        raises :class:`WorkerCrashedError`.
+        """
+        connection = handle.connection
+        if connection is None:
+            raise WorkerCrashedError(f"worker {handle.index} is down")
+        try:
+            request_ids = []
+            for message in messages:
+                request_ids.append(next(self._request_ids))
+                connection.send((request_ids[-1], *message))
+                self._message_counters[message[0]].inc()
+            replies = []
+            for request_id in request_ids:
+                reply_id = None
+                while reply_id != request_id:
+                    if not connection.poll(max(0.0, deadline - monotonic())):
+                        raise WorkerTimeoutError(
+                            f"worker {handle.index} did not answer {messages[-1][0]!r} in time"
+                        )
+                    reply_id, status, payload = connection.recv()
+                replies.append((status, payload))
+            return replies
+        except WorkerTimeoutError:
+            raise
+        except Exception as error:  # EOF, a broken pipe, a garbled frame
+            handle.disconnect()
+            raise WorkerCrashedError(f"worker {handle.index} pipe failed: {error!r}") from error
+
     def _catch_up(self, handle: _WorkerHandle, name: str) -> Optional[Tuple[str, tuple]]:
         """The one message that brings *handle*'s worker up to date on graph
         *name* — ``(OP_LOAD, payload)`` when it holds no copy of the live
         generation, ``(OP_DELTA, payload)`` when it is behind on the log —
-        or ``None``.  Advances the cursor: the caller (holding the send
+        or ``None``.  Advances the cursor: the caller (holding the slot's
         lock) writes the message next.
         """
         with self._segment_lock:
@@ -569,13 +537,12 @@ class ClusterCoordinator:
         with handle.respawn_lock:
             if handle.generation != seen_generation:
                 return  # a concurrent caller respawned; just retry
-            process = handle.process
-            if handle.alive and process is not None and process.poll() is None:
+            if handle.alive():
                 return
+            process = handle.process
             if process is not None and process.poll() is None:
                 process.terminate()
             handle.retire(timeout=5.0)
-            handle.fail_pending(f"worker {handle.index} respawning")
             handle.generation += 1
             handle.respawns += 1
             self._respawns_counter.inc()
@@ -600,25 +567,29 @@ class ClusterCoordinator:
 
     def _heartbeat_loop(self) -> None:
         while not self._stop_event.wait(self.heartbeat_seconds):
-            for handle in self._workers:
-                if self._closed:
-                    return
-                process = handle.process
-                if not handle.alive or process is None or process.poll() is not None:
-                    try:
-                        self._ensure_alive(handle, handle.generation)
-                    except Exception:  # noqa: BLE001 - keep sweeping
-                        continue
+            self._sweep()
+
+    def _sweep(self) -> None:
+        """One heartbeat: respawn each dead slot, ping each free one."""
+        for handle in self._workers:
+            if self._closed:
+                return
+            if not handle.alive():
                 try:
-                    # the ping catches an idle worker up on every log, so it
-                    # rarely lags a fold and its next query has little to apply
-                    handle.last_ping = self._ping(handle, _PING_TIMEOUT)
-                    handle.last_ping_at = monotonic()
-                except ClusterError:
-                    # a timeout is a busy worker, not a dead one (single-
-                    # threaded, mid-join, it answers late): only process
-                    # death triggers respawn
+                    self._ensure_alive(handle, handle.generation)
+                except Exception:  # noqa: BLE001 - keep sweeping
                     continue
+            try:
+                # the ping catches an idle worker up on every log, so it
+                # rarely lags a fold and its next query has little to apply
+                handle.last_ping = self._request(
+                    handle, protocol.OP_PING, (), _PING_TIMEOUT, self.catalog.names(), blocking=False
+                )
+                handle.last_ping_at = monotonic()
+            except ClusterError:
+                # a busy slot or a late pong is a busy worker, not a dead one
+                # (single-threaded, mid-join): only process death respawns
+                continue
 
     # ------------------------------------------------------------------
     # shipping
@@ -865,9 +836,7 @@ class ClusterCoordinator:
                 {
                     "index": handle.index,
                     "pid": process.pid if process is not None else None,
-                    "alive": bool(
-                        handle.alive and process is not None and process.poll() is None
-                    ),
+                    "alive": handle.alive(),
                     "generation": handle.generation,
                     "respawns": handle.respawns,
                     "queued_deltas": self._unsent(handle),

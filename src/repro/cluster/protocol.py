@@ -31,10 +31,10 @@ read from the socket-pair descriptor directly (:class:`Connection` — no
 ``(request_id, status, payload)`` with ``status`` either ``"ok"`` or
 ``"error"`` (payload then ``(error_kind, message)``).  A worker answers in
 the order it was sent to — read-your-writes rests on that: a write reaches
-it as a message sent ahead of the request that must see it — and replies
-are matched by id because several coordinator threads have requests
-outstanding on one pipe; a per-worker receiver thread routes each reply to
-its waiter.
+it as a message sent ahead of the request that must see it.  One round
+trip at a time uses a pipe, and the thread that sent a request reads its
+reply; the ids let it read past the late reply of a request that timed
+out.
 """
 
 from __future__ import annotations
@@ -93,8 +93,8 @@ _LENGTH = struct.Struct("!Q")
 
 class Connection:
     """One end of a coordinator/worker pipe, owning the descriptor *fd*.  One
-    thread may send while another receives; two senders need a lock of their
-    own.  Only what the other end of the pair wrote is ever unpickled."""
+    thread at a time uses it.  Only what the other end of the pair wrote is
+    ever unpickled."""
 
     def __init__(self, fd: int):
         self._fd = fd
@@ -128,7 +128,9 @@ class Connection:
 
     def poll(self, timeout: float) -> bool:
         """Whether a message (or EOF) is readable within *timeout* seconds."""
-        return bool(select.select([self._fd], [], [], timeout)[0])
+        poller = select.poll()  # not select(): a descriptor may be ≥ FD_SETSIZE
+        poller.register(self._fd, select.POLLIN)
+        return bool(poller.poll(timeout * 1000))
 
     def close(self) -> None:
         fd, self._fd = self._fd, -1

@@ -29,8 +29,9 @@ Messages are processed — and answered — strictly in arrival order.  That
 is the whole read-your-writes mechanism: the coordinator writes what this
 worker has not been sent of a graph (a load, or one delta carrying the
 missing log entries) into the pipe immediately ahead of the request that
-depends on it.  Replies carry request ids because several coordinator
-threads have requests outstanding on one pipe, not because they reorder.
+depends on it.  Replies carry request ids so that the coordinator, which
+reads each reply on the thread that sent the request, can read past the
+late reply of a request that timed out — never because they reorder.
 A load or a delta that fails leaves **no** copy of its graph behind, so
 the next request for it answers "unknown graph" instead of reading a
 half-applied replica — which is how the coordinator learns to send a

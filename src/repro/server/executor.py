@@ -10,10 +10,10 @@ not live here; it lives in the per-entry reader/writer locks
 read connections of the SQLite store.  On CPython the GIL serializes the
 pure-Python join work, and releasing it in SQLite's C evaluation has not
 bought throughput either: ``benchmarks/bench_server.py --scale 800
---threads 2`` (:meth:`QueryExecutor.map_answers`) on a 2-CPU VM answered
-at 0.69× the serial rate on ``sqlite``/``sql``, 0.67× on ``memory``/``hash``
-and 0.30× on ``sqlite``/``hash``.  The slots bound work; they do not
-multiply it.
+--count 200 --threads 2`` (:meth:`QueryExecutor.map_answers`, both laps
+warm) on a 2-CPU VM answered at 0.77× the serial rate on ``sqlite``/``sql``,
+0.67× on ``memory``/``hash`` and 0.32× on ``sqlite``/``hash`` (medians).
+The slots bound work; they do not multiply it.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ same compiled form:
   ``SELECT DISTINCT`` over aliased table occurrences and the backend's C
   engine runs the entire join.  SQLite releases the GIL while it runs, yet
   two server threads did not beat one: at ``bench_server.py --scale 800
-  --threads 2`` on a 2-CPU VM the 2-thread rate was 0.69× the serial one.
+  --count 200 --threads 2`` on a 2-CPU VM, 2 threads ran at 0.77× serial.
   Stores without a SQL engine, and variable-property patterns, silently
   fall back to ``hash``; answer sets are identical either way.
 
@@ -78,8 +78,8 @@ _ALL_TABLES = (TripleKind.DATA, TripleKind.TYPE, TripleKind.SCHEMA)
 #: executor, and ``sql``, the whole BGP as one relational join run by the C
 #: engine of a store advertising ``supports_sql_join`` (the SQLite backend;
 #: any other falls back to ``hash``).  The pushed-down join releases the GIL,
-#: yet 2 threads ran at 0.69× (``sql``) and 0.30× (``hash``) the serial rate
-#: on SQLite, 0.67× on memory.
+#: yet 2 threads ran at 0.77× (``sql``) and 0.32× (``hash``) the serial rate
+#: on SQLite, 0.67× on memory (medians of warm ``bench_server.py`` laps).
 STRATEGIES = ("hash", "sql")
 
 

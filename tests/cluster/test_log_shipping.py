@@ -135,24 +135,25 @@ def test_seeded_schedule_matches_the_in_process_service(seed, workers):
 
 
 def test_thread_census():
-    """A started coordinator owns K receiver threads and at most one
-    heartbeat thread: no thread per worker sends deltas any more."""
+    """A started coordinator owns one heartbeat thread and nothing else, and
+    none without a heartbeat: no thread per worker sends deltas or routes
+    replies any more."""
     before = set(threading.enumerate())
-    catalog = GraphCatalog()
-    catalog.register("g", graph=_batch(random.Random(0), 10))
-    coordinator = ClusterCoordinator(catalog, workers=3, heartbeat_seconds=30)
-    try:
-        coordinator.add_triples("g", _batch(random.Random(1), 5))
-        coordinator.answer("g", parse_query(_PROBES[0][0]))
-        names = sorted(thread.name for thread in set(threading.enumerate()) - before)
-        assert names == ["repro-heartbeat", "repro-recv-0", "repro-recv-1", "repro-recv-2"]
-        assert not any(
-            thread.name.startswith("repro-delta") for thread in threading.enumerate()
+    for heartbeat_seconds, expected in ((30, ["repro-heartbeat"]), (0, [])):
+        catalog = GraphCatalog()
+        catalog.register("g", graph=_batch(random.Random(0), 10))
+        coordinator = ClusterCoordinator(
+            catalog, workers=3, heartbeat_seconds=heartbeat_seconds
         )
-    finally:
-        coordinator.close()
-        catalog.close()
-    assert set(threading.enumerate()) - before == set()
+        try:
+            coordinator.add_triples("g", _batch(random.Random(1), 5))
+            coordinator.answer("g", parse_query(_PROBES[0][0]))
+            names = sorted(thread.name for thread in set(threading.enumerate()) - before)
+            assert names == expected
+        finally:
+            coordinator.close()
+            catalog.close()
+        assert set(threading.enumerate()) - before == set()
 
 
 def test_queued_deltas_counts_log_entries_not_yet_sent():

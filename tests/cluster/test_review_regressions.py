@@ -441,12 +441,12 @@ def test_two_worker_deaths_under_one_request_fit_the_crash_budget(bsbm_small):
         real_request = coordinator._request
         kills = []
 
-        def dying(h, op, payload, timeout, sync=()):
+        def dying(h, op, payload, timeout, sync=(), blocking=True):
             if op == protocol.OP_QUERY and len(kills) < 2:
                 # the worker dies with the query in its pipe
                 kills.append(h.process.pid)
                 os.kill(h.process.pid, signal.SIGKILL)
-            return real_request(h, op, payload, timeout, sync)
+            return real_request(h, op, payload, timeout, sync, blocking)
 
         coordinator._request = dying
         answer = coordinator.answer("g", query)
@@ -476,10 +476,10 @@ def test_crash_during_respawn_reship_is_retried(bsbm_small, monkeypatch):
         real_request = coordinator._request
         real_ensure = coordinator._ensure_alive
 
-        def scripted_request(h, op, payload, timeout, sync=()):
+        def scripted_request(h, op, payload, timeout, sync=(), blocking=True):
             if request_script:
                 raise request_script.pop(0)
-            return real_request(h, op, payload, timeout, sync)
+            return real_request(h, op, payload, timeout, sync, blocking)
 
         def scripted_ensure(h, generation):
             if ensure_script:

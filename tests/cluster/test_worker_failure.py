@@ -8,7 +8,8 @@ import time
 
 import pytest
 
-from repro.cluster import ClusterCoordinator
+from repro.cluster import ClusterCoordinator, protocol
+from repro.errors import WorkerTimeoutError
 from repro.model.terms import URI
 from repro.model.triple import Triple
 from repro.queries.generator import generate_rbgp_workload
@@ -193,6 +194,63 @@ def test_barrier_synchronized_ingest_vs_queries(crash_cluster):
     assert service.answer("g", query).answers == final_terms
 
 
+def test_a_late_reply_is_read_past_by_the_next_round_trip(bsbm_small):
+    """A request that timed out leaves its reply in the pipe: the next round
+    trip on that slot reads past it to its own reply (a ping's reply taken
+    for a query's would have no rows), and a timeout respawns nothing."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=bsbm_small)
+    coordinator = ClusterCoordinator(catalog, workers=1, heartbeat_seconds=0)
+    try:
+        handle = coordinator._workers[0]
+        query = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
+        expected = coordinator.answer("g", query).answers
+        os.kill(handle.process.pid, signal.SIGSTOP)
+        try:
+            with pytest.raises(WorkerTimeoutError):
+                coordinator._request(handle, protocol.OP_PING, (), 0.2)
+        finally:
+            os.kill(handle.process.pid, signal.SIGCONT)
+        assert handle.connection.poll(10.0)  # the late reply has arrived
+        assert coordinator.answer("g", query).answers == expected
+        assert handle.respawns == 0
+    finally:
+        coordinator.close()
+        catalog.close()
+
+
+def test_a_heartbeat_passes_over_a_busy_slot(bsbm_small):
+    """The heartbeat pings only a free slot: one held by a round trip is a
+    busy worker, neither waited for nor respawned."""
+    catalog = GraphCatalog()
+    catalog.register("g", graph=bsbm_small)
+    coordinator = ClusterCoordinator(catalog, workers=3, heartbeat_seconds=0)
+    busy, *free = coordinator._workers
+    held, done = threading.Event(), threading.Event()
+
+    def round_trip():  # what a query on another thread does to the slot
+        with busy.lock:
+            held.set()
+            done.wait(30)
+
+    holder = threading.Thread(target=round_trip)
+    holder.start()
+    try:
+        assert held.wait(10)
+        started = time.monotonic()
+        coordinator._sweep()
+        assert time.monotonic() - started < 1.0  # the ping timeout
+        done.set()
+        holder.join()
+        assert busy.respawns == 0 and busy.last_ping is None
+        assert all(handle.last_ping is not None for handle in free)
+        assert all(worker["alive"] for worker in coordinator.status()["workers"])
+    finally:
+        done.set()
+        coordinator.close()
+        catalog.close()
+
+
 def _open_fds():
     return set(os.listdir("/proc/self/fd"))
 
@@ -203,10 +261,10 @@ def _open_fds():
     "error::ResourceWarning",
 )
 def test_thirty_respawn_rounds_then_close_leave_nothing_behind(fig2):
-    """Retiring a generation never pulls the connection out from under its
-    receiver (it used to die with ``TypeError`` about one run in ten), and
-    neither a respawn nor ``close()`` leaks a descriptor, a zombie or an
-    unwaited ``Popen``."""
+    """Retiring a generation never pulls the connection out from under a
+    round trip in progress (a reader used to die with ``TypeError`` about
+    one run in ten), and neither a respawn nor ``close()`` leaks a
+    descriptor, a zombie or an unwaited ``Popen``."""
     import gc
 
     query = parse_query("SELECT ?s ?o WHERE { ?s ?p ?o }")
@@ -225,8 +283,8 @@ def test_thirty_respawn_rounds_then_close_leave_nothing_behind(fig2):
                 os.kill(handle.process.pid, signal.SIGKILL)
             else:
                 # the other way a generation ends: the coordinator gives up
-                # on a worker that is still running (a delta it never acked)
-                handle.alive = False
+                # on a worker that is still running (a reply it could not read)
+                handle.disconnect()
             for _each_worker in range(2):  # round-robin: one reaches the victim
                 assert coordinator.answer("g", query).answers == expected
             assert handle.respawns == round_index // 2 + 1

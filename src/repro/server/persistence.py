@@ -7,7 +7,7 @@ a **checkpoint** and a **row log**.
 
 The checkpoint (:meth:`~PersistentCatalog.save_graph`, or
 :meth:`~PersistentCatalog.refresh_artifacts` when only the artifacts moved)
-stores every fact once, packed, each blob through :mod:`zlib`:
+stores every fact once, packed, each blob through :mod:`zlib` at level 6:
 
 * the **dictionary** in ``dictionary_chunks`` — id-ordered chunks of the
   term codec's ``(kind, value, datatype, language)`` tuples
@@ -18,8 +18,9 @@ stores every fact once, packed, each blob through :mod:`zlib`:
 * the **encoded triples** in ``graph_columns`` — one row per table holding
   its three id columns as :meth:`TripleStore.column_bytes` packs them —
   4-byte ids in the writer's byte order, the bytes a cluster worker maps —
-  whatever backend serves the graph (``width`` 4; an older build's width-8
-  column is narrowed on read and rewritten by the next durable write);
+  whatever backend serves the graph, stored as byte planes (byte 0 of every
+  id, then byte 1, ...; ``width`` 4); an older build's row-major or width-8
+  column is read as it is and rewritten by the next durable write;
 * the **artifacts** in ``artifacts`` — the pruning graph of every summary
   kind cached at checkpoint time, as packed term triples, all tagged with
   the checkpoint's entry version: exactly what a warm start's guard reads.
@@ -73,6 +74,7 @@ import sys
 import threading
 import zlib
 from array import array
+from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
@@ -94,20 +96,20 @@ __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
 
 #: Bump on any incompatible change to the tables or payloads.  Version 3 is
 #: the packed checkpoint + row log, version 4 the same without a
-#: ``maintainer`` artifact (which a version-3 build refuses to open without);
-#: files of versions 1 and 2 are read by their rows alone and rewritten
-#: graph by graph (see the module docstring).
-SCHEMA_VERSION = 4
+#: ``maintainer`` artifact (which a version-3 build refuses to open without),
+#: version 5 the id columns as byte planes; files of versions 1 and 2 are read
+#: by their rows alone and rewritten graph by graph (see the module docstring).
+SCHEMA_VERSION = 5
 
 #: The oldest schema this build still reads (older files are refused).
 MIN_SUPPORTED_SCHEMA_VERSION = 1
 
 _PICKLE_PROTOCOL = 4
 
-#: Every blob goes through zlib at this (fast) level.  The id columns are
+#: Every blob goes through zlib at this level.  The id columns are
 #: :data:`~repro.model.dictionary.ID_TYPECODE`; dictionary chunking is
 #: :data:`repro.model.dictionary.TERM_CHUNK`.
-_ZLIB_LEVEL = 1
+_ZLIB_LEVEL = 6
 
 #: Copied into every new file verbatim, comments included (``sqlite_master``),
 #: so it stays as written: no build writes a ``saturation`` artifact any more.
@@ -136,14 +138,15 @@ CREATE TABLE IF NOT EXISTS graph_triples (
 );
 CREATE INDEX IF NOT EXISTS idx_graph_triples_graph ON graph_triples(graph);
 CREATE TABLE IF NOT EXISTS graph_columns (
-    graph     TEXT NOT NULL,            -- the checkpoint's rows: one zlib'd
-    kind      TEXT NOT NULL,            --   packed int array per column
+    graph     TEXT NOT NULL,            -- the checkpoint's rows: per column
+    kind      TEXT NOT NULL,            --   zlib of its packed ids, by layout
     rows      INTEGER NOT NULL,
     byteorder TEXT NOT NULL,            -- 'little' | 'big' (the writer's native)
     s BLOB NOT NULL,
     p BLOB NOT NULL,
     o BLOB NOT NULL,
     width INTEGER NOT NULL DEFAULT 8,   -- bytes per id in s / p / o
+    layout TEXT NOT NULL DEFAULT 'rows', -- 'planes' | 'rows'
     PRIMARY KEY (graph, kind)
 );
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -172,6 +175,23 @@ def _pack(value: object) -> bytes:
 
 def _unpack(blob: bytes) -> object:
     return pickle.loads(zlib.decompress(blob))
+
+
+def _pack_column(column: bytes) -> bytes:
+    """A :meth:`TripleStore.column_bytes` column as its byte planes — byte 0
+    of every id, then byte 1, ... (layout ``'planes'``) — through zlib."""
+    return zlib.compress(b"".join(column[b::ID_BYTES] for b in range(ID_BYTES)), _ZLIB_LEVEL)
+
+
+def _unpack_column(blob: bytes, rows: int) -> bytearray:
+    """The id bytes of a *rows*-row column :func:`_pack_column` packed."""
+    planes = zlib.decompress(blob)
+    if len(planes) != ID_BYTES * rows:
+        raise ValueError(f"a {rows}-row column of byte planes inflates to {len(planes)} bytes")
+    column = bytearray(len(planes))
+    for plane in range(ID_BYTES):
+        column[plane::ID_BYTES] = planes[plane * rows : (plane + 1) * rows]
+    return column
 
 
 def _narrowed(wide: bytes, byteorder: str) -> bytes:
@@ -226,8 +246,8 @@ class GraphSnapshot(NamedTuple):
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
     tail_rows: Sequence[Tuple[TripleKind, EncodedTriple]] = ()
-    #: Read from a pre-3 file or from columns not at width 4 in this byte
-    #: order: the graph's first durable write must be a full rewrite.
+    #: Read from a pre-3 file or from columns not as 4-byte id planes in this
+    #: byte order: the graph's first durable write must be a full rewrite.
     rewrite: bool = False
 
 
@@ -299,11 +319,10 @@ class PersistentCatalog:
             # and its graphs stay readable (by the legacy reader) until each
             # one's first durable write repacks it
             connection.executescript(_SCHEMA_SQL)
-            table_info = connection.execute("PRAGMA table_info(graph_columns)")
-            if "width" not in {row[1] for row in table_info}:  # a schema-2 table
-                connection.execute(
-                    "ALTER TABLE graph_columns ADD COLUMN width INTEGER NOT NULL DEFAULT 8"
-                )
+            present = {row[1] for row in connection.execute("PRAGMA table_info(graph_columns)")}
+            for column in ("width INTEGER NOT NULL DEFAULT 8", "layout TEXT NOT NULL DEFAULT 'rows'"):
+                if column.split()[0] not in present:  # a schema-2 (width) / -4 (layout) table
+                    connection.execute(f"ALTER TABLE graph_columns ADD COLUMN {column}")
             self._legacy_tables = tuple(
                 table for table in _LEGACY_TABLES if table in existing_tables
             )
@@ -312,13 +331,11 @@ class PersistentCatalog:
                 (str(SCHEMA_VERSION),),
             )
             connection.commit()
-        except PersistenceError:
+        except (PersistenceError, sqlite3.Error) as error:
             connection.close()
             self._connection = None
-            raise
-        except sqlite3.Error as error:
-            connection.close()
-            self._connection = None
+            if isinstance(error, PersistenceError):
+                raise
             raise PersistenceError(f"{self.path!r} is not a catalog file: {error}")
 
     # ------------------------------------------------------------------
@@ -360,18 +377,14 @@ class PersistentCatalog:
     # ------------------------------------------------------------------
     # writing
     # ------------------------------------------------------------------
-    def _artifact_rows(self, entry) -> Iterator[Tuple[str, bytes]]:
-        """The artifact payloads of *entry* at its current version."""
-        for kind, graph in entry.cached_pruning_graphs().items():
-            yield f"summary:{kind}", _pack(_pack_summary(graph))
-
     def _replace_artifacts(self, connection: sqlite3.Connection, entry) -> None:
+        """The artifact payloads of *entry* at its current version."""
         connection.execute("DELETE FROM artifacts WHERE graph = ?", (entry.name,))
         connection.executemany(
             "INSERT INTO artifacts (graph, name, version, payload) VALUES (?, ?, ?, ?)",
             [
-                (entry.name, name, entry.version, payload)
-                for name, payload in self._artifact_rows(entry)
+                (entry.name, f"summary:{kind}", entry.version, _pack(_pack_summary(graph)))
+                for kind, graph in entry.cached_pruning_graphs().items()
             ],
         )
 
@@ -397,40 +410,50 @@ class PersistentCatalog:
         for table in _GRAPH_TABLES + self._legacy_tables:
             connection.execute(f"DELETE FROM {table} WHERE graph = ?", (name,))
 
+    @contextmanager
+    def _transaction(
+        self, name: str, action: str, counter: Optional[telemetry.Counter] = None
+    ) -> Iterator[sqlite3.Connection]:
+        """One transaction on the file, under the lock.  A failed one
+        forgets *name*'s counts and raises ``PersistenceError("<action>
+        '<name>' failed: <error>")``; a *counter* counts a committed one and
+        the write histogram times it."""
+        write_start = perf_counter()
+        with self._lock:
+            connection = self._conn()
+            try:
+                with connection:  # rolled back on error
+                    yield connection
+            except sqlite3.Error as error:
+                self._durable.pop(name, None)
+                raise PersistenceError(f"{action} {name!r} failed: {error}")
+        if counter is not None:
+            counter.inc()
+            self._write_seconds.observe(perf_counter() - write_start)
+
     def save_graph(self, entry) -> None:
         """Checkpoint *entry* completely, in one transaction (empties its log).
 
         Callers must hold the entry's lock (either side for a quiescent
         entry, the read side is enough — nothing here mutates the entry).
         """
-        write_start = perf_counter()
-        with self._lock:
-            connection = self._conn()
-            dictionary = entry.store.dictionary
-            try:
-                with connection:  # one transaction, rolled back on error
-                    self._delete_rows(connection, entry.name)
-                    connection.execute(
-                        "INSERT INTO graphs (name, version) VALUES (?, ?)",
-                        (entry.name, entry.version),
-                    )
-                    self._write_term_chunks(connection, entry.name, dictionary, 0)
-                    for kind in TripleKind:
-                        count, *columns = entry.store.column_bytes(kind)
-                        blobs = [zlib.compress(column, _ZLIB_LEVEL) for column in columns]
-                        connection.execute(
-                            "INSERT INTO graph_columns "
-                            "(graph, kind, rows, byteorder, width, s, p, o) "
-                            "VALUES (?, ?, ?, ?, ?, ?, ?, ?)",
-                            (entry.name, kind.value, count, sys.byteorder, ID_BYTES, *blobs),
-                        )
-                    self._replace_artifacts(connection, entry)
-            except sqlite3.Error as error:
-                self._durable.pop(entry.name, None)
-                raise PersistenceError(f"checkpoint of graph {entry.name!r} failed: {error}")
-            self._remember(entry.name, len(dictionary), 0)
-        self._checkpoints.inc()
-        self._write_seconds.observe(perf_counter() - write_start)
+        name, dictionary = entry.name, entry.store.dictionary
+        with self._transaction(name, "checkpoint of graph", self._checkpoints) as connection:
+            self._delete_rows(connection, name)
+            connection.execute(
+                "INSERT INTO graphs (name, version) VALUES (?, ?)", (name, entry.version)
+            )
+            self._write_term_chunks(connection, name, dictionary, 0)
+            for kind in TripleKind:
+                count, *columns = entry.store.column_bytes(kind)
+                connection.execute(
+                    "INSERT INTO graph_columns "
+                    "(graph, kind, rows, byteorder, width, layout, s, p, o) "
+                    "VALUES (?, ?, ?, ?, ?, 'planes', ?, ?, ?)",
+                    (name, kind.value, count, sys.byteorder, ID_BYTES, *map(_pack_column, columns)),
+                )
+            self._replace_artifacts(connection, entry)
+            self._remember(name, len(dictionary), 0)
 
     def refresh_artifacts(self, entry) -> bool:
         """Replace *entry*'s artifacts and version; leave its rows alone.
@@ -444,22 +467,14 @@ class PersistentCatalog:
         :meth:`save_graph`.  Same locking contract as :meth:`save_graph`; a
         ``_persist_dirty`` entry must not come here.
         """
-        write_start = perf_counter()
         with self._lock:
-            connection = self._conn()
             if self._durable.get(entry.name) != (len(entry.store.dictionary), 0):
                 return False
-            try:
-                with connection:
-                    connection.execute(
-                        "UPDATE graphs SET version = ? WHERE name = ?",
-                        (entry.version, entry.name),
-                    )
-                    self._replace_artifacts(connection, entry)
-            except sqlite3.Error as error:
-                raise PersistenceError(f"checkpoint of graph {entry.name!r} failed: {error}")
-        self._checkpoints.inc()
-        self._write_seconds.observe(perf_counter() - write_start)
+            with self._transaction(entry.name, "checkpoint of graph", self._checkpoints) as connection:
+                connection.execute(
+                    "UPDATE graphs SET version = ? WHERE name = ?", (entry.version, entry.name)
+                )
+                self._replace_artifacts(connection, entry)
         return True
 
     def append_update(self, entry, rows: List[Tuple[TripleKind, EncodedTriple]]) -> None:
@@ -472,49 +487,35 @@ class PersistentCatalog:
         and a reopen reproduces the live state by replaying the logged rows
         onto it.
         """
-        write_start = perf_counter()
-        with self._lock:
-            connection = self._conn()
-            name, dictionary = entry.name, entry.store.dictionary
-            try:
-                with connection:
-                    terms, tail = self._durable.get(name) or (
-                        connection.execute(
-                            "SELECT COALESCE(SUM(count), 0) FROM dictionary_chunks "
-                            "WHERE graph = ?",
-                            (name,),
-                        ).fetchone()[0],
-                        connection.execute(
-                            "SELECT COUNT(*) FROM graph_triples WHERE graph = ?", (name,)
-                        ).fetchone()[0],
-                    )
-                    self._write_term_chunks(connection, name, dictionary, terms)
-                    connection.executemany(
-                        "INSERT INTO graph_triples (graph, kind, s, p, o) VALUES (?, ?, ?, ?, ?)",
-                        [(name, kind.value, row[0], row[1], row[2]) for kind, row in rows],
-                    )
-                    connection.execute(
-                        "INSERT OR REPLACE INTO graphs (name, version) VALUES (?, ?)",
-                        (name, entry.version),
-                    )
-            except sqlite3.Error as error:
-                self._durable.pop(name, None)
-                raise PersistenceError(f"append to the log of {name!r} failed: {error}")
+        name, dictionary = entry.name, entry.store.dictionary
+        with self._transaction(name, "append to the log of", self._appends) as connection:
+            terms, tail = self._durable.get(name) or (
+                connection.execute(
+                    "SELECT COALESCE(SUM(count), 0) FROM dictionary_chunks WHERE graph = ?",
+                    (name,),
+                ).fetchone()[0],
+                connection.execute(
+                    "SELECT COUNT(*) FROM graph_triples WHERE graph = ?", (name,)
+                ).fetchone()[0],
+            )
+            self._write_term_chunks(connection, name, dictionary, terms)
+            connection.executemany(
+                "INSERT INTO graph_triples (graph, kind, s, p, o) VALUES (?, ?, ?, ?, ?)",
+                [(name, kind.value, row[0], row[1], row[2]) for kind, row in rows],
+            )
+            connection.execute(
+                "INSERT OR REPLACE INTO graphs (name, version) VALUES (?, ?)",
+                (name, entry.version),
+            )
             self._remember(name, len(dictionary), tail + len(rows))
-        self._appends.inc()
-        self._write_seconds.observe(perf_counter() - write_start)
 
     def delete_graph(self, name: str) -> None:
         """Forget *name* durably (no-op when it was never persisted)."""
         with self._lock:
             self._durable.pop(name, None)
             telemetry.REGISTRY.unregister(f"persistence.tail.rows.{name}")
-            connection = self._conn()
-            try:
-                with connection:
-                    self._delete_rows(connection, name)
-            except sqlite3.Error as error:
-                raise PersistenceError(f"dropping graph {name!r} failed: {error}")
+            with self._transaction(name, "dropping graph") as connection:
+                self._delete_rows(connection, name)
 
     # ------------------------------------------------------------------
     # loading
@@ -525,38 +526,33 @@ class PersistentCatalog:
         """One graph's checkpointed state plus the rows logged since."""
         with self._lock:
             connection = self._conn()
-            graph_row = connection.execute(
-                "SELECT version FROM graphs WHERE name = ?", (name,)
-            ).fetchone()
-            if graph_row is None:
+
+            def select(statement: str) -> List[tuple]:
+                return connection.execute(statement, (name,)).fetchall()
+
+            graph_rows = select("SELECT version FROM graphs WHERE name = ?")
+            if not graph_rows:
                 raise PersistenceError(f"graph {name!r} is not in catalog file {self.path!r}")
-            version = int(graph_row[0])
-            chunk_rows = connection.execute(
-                "SELECT start, count, terms FROM dictionary_chunks WHERE graph = ? ORDER BY start",
-                (name,),
-            ).fetchall()
-            column_rows = connection.execute(
-                "SELECT kind, rows, byteorder, width, s, p, o FROM graph_columns WHERE graph = ?",
-                (name,),
-            ).fetchall()
-            log_rows = connection.execute(
-                "SELECT kind, s, p, o FROM graph_triples WHERE graph = ? ORDER BY rowid",
-                (name,),
-            ).fetchall()
+            version = int(graph_rows[0][0])
+            chunk_rows = select(
+                "SELECT start, count, terms FROM dictionary_chunks WHERE graph = ? ORDER BY start"
+            )
+            column_rows = select(
+                "SELECT kind, rows, byteorder, width, layout, s, p, o FROM graph_columns "
+                "WHERE graph = ?"
+            )
+            log_rows = select("SELECT kind, s, p, o FROM graph_triples WHERE graph = ? ORDER BY rowid")
             # a graph without a chunk row in a file born before schema 3 is
             # still in that file's layout: read its rows, nothing else
             legacy = not chunk_rows and "dictionary_terms" in self._legacy_tables
             term_rows, artifact_rows = [], []
             if legacy:
-                term_rows = connection.execute(
+                term_rows = select(
                     "SELECT kind, value, datatype, language FROM dictionary_terms "
-                    "WHERE graph = ? ORDER BY id",
-                    (name,),
-                ).fetchall()
+                    "WHERE graph = ? ORDER BY id"
+                )
             else:
-                artifact_rows = connection.execute(
-                    "SELECT name, version, payload FROM artifacts WHERE graph = ?", (name,)
-                ).fetchall()
+                artifact_rows = select("SELECT name, version, payload FROM artifacts WHERE graph = ?")
                 self._remember(name, sum(row[1] for row in chunk_rows), len(log_rows))
 
         dictionary = Dictionary()
@@ -579,8 +575,10 @@ class PersistentCatalog:
                         f"dictionary of graph {name!r} is not dense at id {start} "
                         f"— the catalog file is corrupt"
                     )
-            for kind_value, count, byteorder, width, *blobs in column_rows:
-                if not legacy:
+            for kind_value, count, byteorder, width, layout, *blobs in column_rows:
+                if layout == "planes":
+                    blobs = [_unpack_column(blob, count) for blob in blobs]
+                elif not legacy:
                     blobs = [zlib.decompress(blob) for blob in blobs]
                 if width != ID_BYTES:
                     blobs = [_narrowed(blob, byteorder) for blob in blobs]
@@ -628,5 +626,6 @@ class PersistentCatalog:
             pruning_graphs=pruning_graphs,
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
-            rewrite=legacy or any(row[2:4] != (sys.byteorder, ID_BYTES) for row in column_rows),
+            rewrite=legacy
+            or any(row[2:5] != (sys.byteorder, ID_BYTES, "planes") for row in column_rows),
         )

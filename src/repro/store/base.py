@@ -310,7 +310,7 @@ class TripleStore(abc.ABC):
         three packed :data:`ID_TYPECODE` columns in native byte order.
 
         The one packer: the cluster's graph image lays these bytes out and
-        the checkpoint stores them through ``zlib``.  This default gathers
+        the checkpoint stores their byte planes through ``zlib``.  This default gathers
         :meth:`scan_columns`; the memory store hands over its arrays.
         """
         columns = [array(ID_TYPECODE) for _column in "spo"]

@@ -37,7 +37,7 @@ from repro.queries.parser import parse_query
 from repro.schema.encoded_saturation import IncrementalSaturator
 from repro.schema.saturation import saturate
 from repro.server.http import ServerApp
-from repro.server.persistence import _SCHEMA_SQL, SCHEMA_VERSION, PersistentCatalog
+from repro.server.persistence import SCHEMA_VERSION, PersistentCatalog, _unpack_column
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
@@ -277,20 +277,29 @@ def test_a_failed_append_forgets_its_counts_and_heals_by_full_rewrite(fig2, tmp_
 # ----------------------------------------------------------------------
 # packed layout
 # ----------------------------------------------------------------------
+def _planes(column):
+    """*column*'s 4-byte ids as byte planes: byte 0 of every id, then byte 1, ..."""
+    return b"".join(column[plane::4] for plane in range(4))
+
+
 def test_columns_are_always_stored_as_the_stores_4_byte_ids(fig2, tmp_path):
-    """The checkpoint is ``zlib`` of ``column_bytes`` — the very bytes a
-    cluster image lays out — at width 4 whatever the ids, and a reopened
-    memory store hands the same bytes back."""
+    """The checkpoint is ``zlib`` of the byte planes of ``column_bytes`` — the
+    very bytes a cluster image lays out — at width 4 whatever the ids, the
+    column codec gives those bytes back, and so does a reopened memory
+    store."""
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
         entry = catalog.register("g", graph=fig2)
         original = {kind.value: entry.store.column_bytes(kind) for kind in TripleKind}
-    rows = _sql(path, "SELECT kind, rows, width, byteorder, s, p, o FROM graph_columns")
+    rows = _sql(path, "SELECT kind, rows, width, byteorder, layout, s, p, o FROM graph_columns")
     assert len(rows) == len(TripleKind)
-    for kind_value, count, width, byteorder, *blobs in rows:
+    for kind_value, count, width, byteorder, layout, *blobs in rows:
         assert width == ID_BYTES == 4 and byteorder == sys.byteorder, kind_value
-        assert (count, *map(zlib.decompress, blobs)) == original[kind_value]
-        assert all(len(zlib.decompress(blob)) == 4 * count for blob in blobs)
+        assert layout == "planes", kind_value
+        assert (count, *(_unpack_column(blob, count) for blob in blobs)) == original[kind_value]
+        assert [zlib.decompress(blob) for blob in blobs] == [
+            _planes(column) for column in original[kind_value][1:]
+        ]
     with GraphCatalog.open(path) as reopened:
         restored = reopened.entry("g").store
         assert {kind.value: restored.column_bytes(kind) for kind in TripleKind} == original
@@ -302,6 +311,8 @@ def test_columns_are_always_stored_as_the_stores_4_byte_ids(fig2, tmp_path):
         lambda blob: blob[: len(blob) // 2],  # truncated
         lambda blob: blob[:-6] + bytes(6),  # garbled: the checksum fails
         lambda blob: zlib.compress(zlib.decompress(blob)[:-3]),  # inflates to a torn payload
+        lambda blob: zlib.compress(zlib.decompress(blob)[:-1]),  # not a whole number of ids
+        lambda blob: zlib.compress(zlib.decompress(blob)[:-4]),  # one id short of `rows`
         lambda blob: b"",
     ],
 )
@@ -321,6 +332,34 @@ def test_damaged_blobs_are_typed_errors(bsbm_small, tmp_path, table, column, whe
     _sql(path, f"UPDATE {table} SET {column} = ? WHERE {where}", (damage(blob),))
     with pytest.raises(PersistenceError, match="unreadable|corrupt"):
         GraphCatalog.open(path)
+
+
+@pytest.mark.parametrize("delta", [-1, 1])
+@pytest.mark.parametrize("kind", ["data", "type"])
+def test_a_row_count_the_planes_disagree_with_is_a_typed_error(bsbm_small, tmp_path, kind, delta):
+    """Byte planes are cut at ``rows``: a count that disagrees with the blob
+    would re-interleave the wrong bytes into ids, so it is refused."""
+    path = str(tmp_path / "catalog.db")
+    with GraphCatalog.open(path) as catalog:
+        catalog.register("g", graph=bsbm_small)
+    _sql(path, "UPDATE graph_columns SET rows = rows + ? WHERE kind = ?", (delta, kind))
+    with pytest.raises(PersistenceError, match="unreadable|corrupt"):
+        GraphCatalog.open(path)
+
+
+def test_a_new_file_is_stamped_schema_5_and_a_newer_one_is_refused_untouched(fig2, tmp_path):
+    path = str(tmp_path / "catalog.db")
+    with GraphCatalog.open(path) as catalog:
+        catalog.register("g", graph=fig2)
+    assert SCHEMA_VERSION == 5
+    assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [("5",)]
+    _sql(path, "UPDATE catalog_meta SET value = '6' WHERE key = 'schema_version'")
+    with open(path, "rb") as handle:
+        before = handle.read()
+    with pytest.raises(PersistenceError, match="schema version 6"):
+        GraphCatalog.open(path)
+    with open(path, "rb") as handle:
+        assert handle.read() == before
 
 
 def _older_saturation_payload(store):
@@ -398,6 +437,51 @@ def test_a_gap_between_term_chunks_is_a_typed_error(fig2, tmp_path):
 # ----------------------------------------------------------------------
 # files of the older schemas
 # ----------------------------------------------------------------------
+#: The DDL schema 4 shipped with, comments and all: id columns row-major.
+_SCHEMA_4_SQL = """
+CREATE TABLE IF NOT EXISTS catalog_meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS graphs (
+    name    TEXT PRIMARY KEY,
+    version INTEGER NOT NULL            -- the entry version of the last durable write
+);
+CREATE TABLE IF NOT EXISTS dictionary_chunks (
+    graph TEXT NOT NULL,                -- the checkpoint's chunks, then one
+    start INTEGER NOT NULL,             --   small chunk per logged batch;
+    count INTEGER NOT NULL,             --   ids [start, start + count)
+    terms BLOB NOT NULL,                -- zlib(pickle([(kind, value, datatype, language)]))
+    PRIMARY KEY (graph, start)
+);
+CREATE TABLE IF NOT EXISTS graph_triples (
+    graph TEXT NOT NULL,                -- the row log: rows inserted since the
+    kind  TEXT NOT NULL,                --   checkpoint, in insertion order
+    s INTEGER NOT NULL,                 --   (kind is TripleKind.value)
+    p INTEGER NOT NULL,
+    o INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_graph_triples_graph ON graph_triples(graph);
+CREATE TABLE IF NOT EXISTS graph_columns (
+    graph     TEXT NOT NULL,            -- the checkpoint's rows: one zlib'd
+    kind      TEXT NOT NULL,            --   packed int array per column
+    rows      INTEGER NOT NULL,
+    byteorder TEXT NOT NULL,            -- 'little' | 'big' (the writer's native)
+    s BLOB NOT NULL,
+    p BLOB NOT NULL,
+    o BLOB NOT NULL,
+    width INTEGER NOT NULL DEFAULT 8,   -- bytes per id in s / p / o
+    PRIMARY KEY (graph, kind)
+);
+CREATE TABLE IF NOT EXISTS artifacts (
+    graph   TEXT NOT NULL,
+    name    TEXT NOT NULL,              -- summary:<kind> | saturation
+    version INTEGER NOT NULL,           -- the entry version checkpointed
+    payload BLOB NOT NULL,              -- zlib(pickle(...))
+    PRIMARY KEY (graph, name)
+);
+"""
+
 #: The DDL schema 2 shipped with (schema 1: the same without graph_columns).
 _SCHEMA_2_SQL = """
 CREATE TABLE catalog_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -432,12 +516,13 @@ _FOREIGN = "big" if sys.byteorder == "little" else "little"
 
 
 def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteorder, width=8):
-    """A file as a schema-*schema* build left it: version 5, the last *tail*
-    data rows appended behind the snapshot, artifacts nobody should decode.
-    Schema 2 stores raw 8-byte id columns; schema 4 is the packed layout of
-    a build that stored them at *width* (8: ``zlib`` of int64s).  The
-    columns are written in *byteorder*, and a *top* id replaces the first
-    data row's object in them."""
+    """A file as a schema-*schema* build left it: entry version 5, the last
+    *tail* data rows appended behind the snapshot, artifacts nobody should
+    decode.  Schema 2 stores raw 8-byte id columns; schema 4 is the packed
+    layout of a build that stored them row-major at *width* (8: ``zlib`` of
+    int64s), under the DDL that schema shipped.  The columns are written in
+    *byteorder*, and a *top* id replaces the first data row's object in
+    them."""
     with MemoryStore() as store:
         store.load_graph(graph)
         tables = _table_rows(store)
@@ -445,7 +530,7 @@ def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteord
     connection = sqlite3.connect(path)
     with connection:
         if schema == 4:
-            connection.executescript(_SCHEMA_SQL)
+            connection.executescript(_SCHEMA_4_SQL)
             connection.execute(
                 "INSERT INTO dictionary_chunks VALUES ('g', 0, ?, ?)",
                 (len(terms), zlib.compress(pickle.dumps(terms, protocol=4))),
@@ -505,7 +590,7 @@ def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteord
 def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, schema):
     """Schemas 1 and 2 open by their rows alone; a schema-4 file whose
     columns an older build stored at width 8 is narrowed on read.  Either
-    way the first checkpoint rewrites the graph at width 4."""
+    way the first checkpoint rewrites the graph as planes of width 4."""
     path = str(tmp_path / "old.db")
     _write_old_file(path, bsbm_small, schema)
     workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
@@ -541,7 +626,7 @@ def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, 
     legacy_tables = ("dictionary_terms", "saturation_rows") if schema < 4 else ()
     for table in ("graph_triples",) + legacy_tables:
         assert _sql(path, f"SELECT COUNT(*) FROM {table}") == [(0,)], table
-    assert _sql(path, "SELECT DISTINCT width FROM graph_columns") == [(4,)]
+    assert _sql(path, "SELECT DISTINCT width, layout FROM graph_columns") == [(4, "planes")]
     assert _sql(path, "SELECT COUNT(*) FROM dictionary_chunks") == [(1,)]
     with GraphCatalog.open(path) as catalog:
         entry = catalog.entry("g")
@@ -567,10 +652,10 @@ def test_an_old_wide_id_that_does_not_fit_is_a_typed_error(fig2, tmp_path, schem
 def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(
     fig2, tmp_path, schema, width
 ):
-    """Raw schema-2 columns, a width-8 and a width-4 checkpoint, each written
-    by a machine of the other byte order, reopen to the very column bytes
-    of the graph — and with no row logged, the next checkpoint still
-    rewrites them at width 4 in this machine's order."""
+    """Raw schema-2 columns, a width-8 and a width-4 row-major checkpoint,
+    each written by a machine of the other byte order, reopen to the very
+    column bytes of the graph — and with no row logged, the next checkpoint
+    still rewrites them as width-4 planes in this machine's order."""
     path = str(tmp_path / "foreign.db")
     _write_old_file(path, fig2, schema, tail=0, byteorder=_FOREIGN, width=width)
     with MemoryStore() as store:
@@ -580,12 +665,50 @@ def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(
         restored = catalog.entry("g").store
         assert {kind.value: restored.column_bytes(kind) for kind in TripleKind} == original
         catalog.checkpoint()
-    rows = _sql(path, "SELECT kind, rows, width, byteorder, s, p, o FROM graph_columns")
-    assert {(width, byteorder) for _kind, _rows, width, byteorder, *_blobs in rows} == {
-        (ID_BYTES, sys.byteorder)
-    }
-    for kind_value, count, _width, _byteorder, *blobs in rows:
-        assert (count, *map(zlib.decompress, blobs)) == original[kind_value]
+    rows = _sql(path, "SELECT kind, rows, width, byteorder, layout, s, p, o FROM graph_columns")
+    assert {tuple(row[2:5]) for row in rows} == {(ID_BYTES, sys.byteorder, "planes")}
+    for kind_value, count, _width, _byteorder, _layout, *blobs in rows:
+        assert (count, *(_unpack_column(blob, count) for blob in blobs)) == original[kind_value]
+
+
+def test_a_row_major_schema_4_file_warm_starts_and_its_first_ingest_writes_planes(
+    bsbm_small, tmp_path
+):
+    """A file as the last schema-4 build left it — 4-byte ids row-major, a
+    logged tail — warm-starts to the column bytes, dictionary and answers
+    (in first-produced order) of the graph; its first ingest rewrites it
+    as planes, and the rewritten file reopens to the same state."""
+    path = str(tmp_path / "old.db")
+    _write_old_file(path, bsbm_small, 4, tail=7, width=4)
+    workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
+    fresh = [Triple(EX.term("planes/a"), EX.term("planes/p"), Literal("planes"))]
+
+    def state(catalog):
+        entry = catalog.entry("g")
+        service = QueryService(catalog, kind="weak+strong", strategy="hash")
+        return (
+            {kind: entry.store.column_bytes(kind) for kind in TripleKind},
+            pack_terms(entry.store.dictionary),
+            [service.answer("g", item.query).answers for item in workload],
+        )
+
+    with GraphCatalog() as scratch:
+        scratch.register("g", graph=bsbm_small)
+        expected = state(scratch)
+        scratch.add_triples("g", fresh)
+        expected_after = state(scratch)
+    with GraphCatalog.open(path) as catalog:
+        assert catalog.log_tail_rows("g") == 7
+        assert state(catalog) == expected
+        assert _sql(path, "SELECT DISTINCT width, layout FROM graph_columns") == [(4, "rows")]
+        catalog.add_triples("g", fresh)  # the write-through is a full rewrite
+        assert catalog.log_tail_rows("g") == 0
+        assert _sql(path, "SELECT DISTINCT width, layout FROM graph_columns") == [(4, "planes")]
+        assert _sql(path, "SELECT COUNT(*) FROM graph_triples") == [(0,)]
+        assert state(catalog) == expected_after
+    with GraphCatalog.open(path) as reopened:
+        assert reopened.log_tail_rows("g") == 0
+        assert state(reopened) == expected_after
 
 
 def test_an_older_file_is_rewritten_by_its_first_ingest(fig2, tmp_path):

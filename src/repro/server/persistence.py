@@ -19,8 +19,7 @@ stores every fact once, packed, each blob through :mod:`zlib` at level 6:
   its three id columns as :meth:`TripleStore.column_bytes` packs them —
   4-byte ids in the writer's byte order, the bytes a cluster worker maps —
   whatever backend serves the graph, stored as byte planes (byte 0 of every
-  id, then byte 1, ...; ``width`` 4); an older build's row-major or width-8
-  column is read as it is and rewritten by the next durable write;
+  id, then byte 1, ...; ``width`` 4);
 * the **artifacts** in ``artifacts`` — the pruning graph of every summary
   kind cached at checkpoint time, as packed term triples, all tagged with
   the checkpoint's entry version: exactly what a warm start's guard reads.
@@ -28,12 +27,9 @@ stores every fact once, packed, each blob through :mod:`zlib` at level 6:
   like the cardinality statistics every process reads off the indexes of
   the rows it loads, the summary maintainer it primes on first need (a
   ``summary()`` call, never a guard) and ``G∞`` it builds on its first
-  saturated query (``maintainer`` / ``statistics`` / ``saturation`` /
-  ``saturation_statistics`` rows left by an older build are ignored and
-  disappear with the next checkpoint; a summary payload of an older layout
-  has its graph read and its provenance fields ignored).  Summary artifacts
-  are *expendable*: one that does not decode is skipped, counted and
-  rebuilt on first use.
+  saturated query (a row of any other name is never decoded and disappears
+  with the next checkpoint).  Summary artifacts are *expendable*: one that
+  does not decode is skipped, counted and rebuilt on first use.
 
 The log is what :meth:`~PersistentCatalog.append_update` — the write-through
 hook of :meth:`CatalogEntry.add_triples` — writes, and it is delta-sized:
@@ -50,12 +46,10 @@ Durability discipline
 Every graph-level write is **one SQLite transaction**: a reader (or a crash)
 sees the previous state or the new one, never a torn mix, and an
 acknowledged ingest batch is durable the moment its append commits.  The
-schema carries a version (``schema_version`` in ``catalog_meta``); a file
-from a newer build raises :class:`~repro.errors.PersistenceError` untouched.
-Files of schema 1 and 2 (per-term ``dictionary_terms`` rows, raw 8-byte
-column blobs, rows in ``graph_triples``) open through a reader of their rows
-alone — no artifact of theirs is decoded, every one is rebuilt — and each
-graph is rewritten in this layout by its first durable write.  A blob that
+schema carries a version (``schema_version`` in ``catalog_meta``), and a
+file of any other version raises :class:`~repro.errors.PersistenceError`
+untouched — so does one stamped with this version whose rows an older build
+left in its own layout; the error names the upgrade.  A blob that
 does not inflate or decode is a :class:`~repro.errors.PersistenceError`
 (dictionary, columns) or a skipped summary, never a bare ``zlib`` /
 ``pickle`` traceback.
@@ -73,7 +67,6 @@ import sqlite3
 import sys
 import threading
 import zlib
-from array import array
 from contextlib import contextmanager
 from time import perf_counter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
@@ -90,19 +83,21 @@ from repro.model.dictionary import (
 )
 from repro.model.graph import RDFGraph
 from repro.model.triple import Triple, TripleKind
-from repro.store.base import ID_BYTES, ID_TYPECODE, TripleStore
+from repro.store.base import ID_BYTES, TripleStore
 
 __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
 
-#: Bump on any incompatible change to the tables or payloads.  Version 3 is
-#: the packed checkpoint + row log, version 4 the same without a
-#: ``maintainer`` artifact (which a version-3 build refuses to open without),
-#: version 5 the id columns as byte planes; files of versions 1 and 2 are read
-#: by their rows alone and rewritten graph by graph (see the module docstring).
+#: Bump on any incompatible change to the tables or payloads.  Version 5 is
+#: the packed checkpoint + row log with the id columns as byte planes.
 SCHEMA_VERSION = 5
 
-#: The oldest schema this build still reads (older files are refused).
-MIN_SUPPORTED_SCHEMA_VERSION = 1
+#: How a file of an older schema or layout becomes readable here: the last
+#: build that read every older layout rewrites each graph on checkpoint.
+_UPGRADE = (
+    "open it once with a build at or before commit acca3ad and checkpoint it "
+    "(GraphCatalog.open(path).checkpoint(), or run `repro serve --catalog FILE` "
+    "and stop it), which rewrites every graph in this layout"
+)
 
 _PICKLE_PROTOCOL = 4
 
@@ -160,8 +155,6 @@ CREATE TABLE IF NOT EXISTS artifacts (
 
 #: Per-graph tables cleared wholesale on rewrite / delete.
 _GRAPH_TABLES = ("dictionary_chunks", "graph_triples", "graph_columns", "artifacts")
-#: Tables only files born before schema 3 carry; cleared alongside.
-_LEGACY_TABLES = ("dictionary_terms", "saturation_rows")
 
 _KIND_BY_VALUE = {kind.value: kind for kind in TripleKind}
 
@@ -192,20 +185,6 @@ def _unpack_column(blob: bytes, rows: int) -> bytearray:
     for plane in range(ID_BYTES):
         column[plane::ID_BYTES] = planes[plane * rows : (plane + 1) * rows]
     return column
-
-
-def _narrowed(wide: bytes, byteorder: str) -> bytes:
-    """A width-8 column an older build wrote, as native 4-byte id bytes; an
-    id that does not fit is a :class:`~repro.errors.PersistenceError`."""
-    column = array("q", wide)
-    if byteorder != sys.byteorder:
-        column.byteswap()
-    try:
-        return array(ID_TYPECODE, column).tobytes()
-    except OverflowError:
-        raise PersistenceError(
-            f"an id column holds {max(column)}, past the {ID_BYTES}-byte id range"
-        ) from None
 
 
 def _pack_summary(graph: RDFGraph) -> Dict[str, object]:
@@ -246,8 +225,8 @@ class GraphSnapshot(NamedTuple):
     #: since, in insertion order — the caller replays them.
     checkpoint_version: int = 0
     tail_rows: Sequence[Tuple[TripleKind, EncodedTriple]] = ()
-    #: Read from a pre-3 file or from columns not as 4-byte id planes in this
-    #: byte order: the graph's first durable write must be a full rewrite.
+    #: Read from columns in the other byte order: the graph's first durable
+    #: write must be a full rewrite.
     rewrite: bool = False
 
 
@@ -299,33 +278,35 @@ class PersistentCatalog:
                     f"{self.path!r} is an SQLite database but not a catalog file "
                     f"(no catalog_meta table; found: {', '.join(sorted(existing_tables))})"
                 )
-            # check the version BEFORE applying any DDL: a file written by
-            # a different schema must be refused untouched, not first
+            # check the version and layout BEFORE applying any DDL: a file
+            # written in another one must be refused untouched, not first
             # mutated with this build's tables and then rejected
-            stored = None
             if "catalog_meta" in existing_tables:
                 stored = connection.execute(
                     "SELECT value FROM catalog_meta WHERE key = 'schema_version'"
                 ).fetchone()
-                if stored is not None and not (
-                    MIN_SUPPORTED_SCHEMA_VERSION <= int(stored[0]) <= SCHEMA_VERSION
-                ):
+                if stored is not None and stored[0] != str(SCHEMA_VERSION):
                     raise PersistenceError(
-                        f"catalog file {self.path!r} has schema version {stored[0]}, "
-                        f"this build reads versions "
-                        f"{MIN_SUPPORTED_SCHEMA_VERSION}..{SCHEMA_VERSION}"
+                        f"catalog file {self.path!r} has schema version {stored[0]}, this "
+                        f"build reads version {SCHEMA_VERSION} only (a file of 1..4: {_UPGRADE})"
                     )
-            # the DDL is purely additive, so an older file is stamped here
-            # and its graphs stay readable (by the legacy reader) until each
-            # one's first durable write repacks it
+            # a build that still read older files stamped them with this
+            # version on open and left each graph in its old rows (width 8,
+            # row-major, or per-term) until that graph's first durable write
+            if (
+                "graph_columns" in existing_tables
+                and connection.execute(
+                    "SELECT 1 FROM graph_columns WHERE width != ? OR layout != 'planes'",
+                    (ID_BYTES,),
+                ).fetchone()
+            ) or (
+                "dictionary_terms" in existing_tables
+                and connection.execute("SELECT 1 FROM dictionary_terms").fetchone()
+            ):
+                raise PersistenceError(
+                    f"catalog file {self.path!r} holds a graph in an older layout: {_UPGRADE}"
+                )
             connection.executescript(_SCHEMA_SQL)
-            present = {row[1] for row in connection.execute("PRAGMA table_info(graph_columns)")}
-            for column in ("width INTEGER NOT NULL DEFAULT 8", "layout TEXT NOT NULL DEFAULT 'rows'"):
-                if column.split()[0] not in present:  # a schema-2 (width) / -4 (layout) table
-                    connection.execute(f"ALTER TABLE graph_columns ADD COLUMN {column}")
-            self._legacy_tables = tuple(
-                table for table in _LEGACY_TABLES if table in existing_tables
-            )
             connection.execute(
                 "INSERT OR REPLACE INTO catalog_meta (key, value) VALUES ('schema_version', ?)",
                 (str(SCHEMA_VERSION),),
@@ -407,7 +388,7 @@ class PersistentCatalog:
 
     def _delete_rows(self, connection: sqlite3.Connection, name: str) -> None:
         connection.execute("DELETE FROM graphs WHERE name = ?", (name,))
-        for table in _GRAPH_TABLES + self._legacy_tables:
+        for table in _GRAPH_TABLES:
             connection.execute(f"DELETE FROM {table} WHERE graph = ?", (name,))
 
     @contextmanager
@@ -538,36 +519,24 @@ class PersistentCatalog:
                 "SELECT start, count, terms FROM dictionary_chunks WHERE graph = ? ORDER BY start"
             )
             column_rows = select(
-                "SELECT kind, rows, byteorder, width, layout, s, p, o FROM graph_columns "
-                "WHERE graph = ?"
+                "SELECT kind, rows, byteorder, s, p, o FROM graph_columns WHERE graph = ?"
             )
             log_rows = select("SELECT kind, s, p, o FROM graph_triples WHERE graph = ? ORDER BY rowid")
-            # a graph without a chunk row in a file born before schema 3 is
-            # still in that file's layout: read its rows, nothing else
-            legacy = not chunk_rows and "dictionary_terms" in self._legacy_tables
-            term_rows, artifact_rows = [], []
-            if legacy:
-                term_rows = select(
-                    "SELECT kind, value, datatype, language FROM dictionary_terms "
-                    "WHERE graph = ? ORDER BY id"
-                )
-            else:
-                artifact_rows = select("SELECT name, version, payload FROM artifacts WHERE graph = ?")
-                self._remember(name, sum(row[1] for row in chunk_rows), len(log_rows))
+            artifact_rows = select("SELECT name, version, payload FROM artifacts WHERE graph = ?")
+            self._remember(name, sum(row[1] for row in chunk_rows), len(log_rows))
 
         dictionary = Dictionary()
         store = store_factory()
         store.dictionary = dictionary
-        tail_rows = [
-            (_KIND_BY_VALUE[kind], EncodedTriple(s, p, o)) for kind, s, p, o in log_rows
-        ]
         # one checkpoint replaces every artifact of the graph in one
         # transaction, so they all carry its version (with none there is
         # nothing a wrong version could make look fresh)
         pruning_graphs: Dict[str, RDFGraph] = {}
         checkpoint_version = artifact_rows[0][1] if artifact_rows else version
         try:
-            unpack_terms(term_rows, dictionary)
+            tail_rows = [
+                (_KIND_BY_VALUE[kind], EncodedTriple(s, p, o)) for kind, s, p, o in log_rows
+            ]
             for start, count, blob in chunk_rows:
                 dense = start == len(dictionary)
                 if not dense or unpack_terms(_unpack(blob), dictionary) != start + count:
@@ -575,29 +544,19 @@ class PersistentCatalog:
                         f"dictionary of graph {name!r} is not dense at id {start} "
                         f"— the catalog file is corrupt"
                     )
-            for kind_value, count, byteorder, width, layout, *blobs in column_rows:
-                if layout == "planes":
-                    blobs = [_unpack_column(blob, count) for blob in blobs]
-                elif not legacy:
-                    blobs = [zlib.decompress(blob) for blob in blobs]
-                if width != ID_BYTES:
-                    blobs = [_narrowed(blob, byteorder) for blob in blobs]
-                    byteorder = sys.byteorder
+            for kind_value, count, byteorder, *blobs in column_rows:
                 # a memory store adopts the columns, its index build deferred
-                loaded = store.load_column_bytes(_KIND_BY_VALUE[kind_value], *blobs, byteorder=byteorder)
+                loaded = store.load_column_bytes(
+                    _KIND_BY_VALUE[kind_value],
+                    *(_unpack_column(blob, count) for blob in blobs),
+                    byteorder=byteorder,
+                )
                 if loaded != count:
                     raise PersistenceError(
                         f"column snapshot of graph {name!r} ({kind_value}) holds {loaded} "
                         f"rows, expected {count} — the catalog file is corrupt"
                     )
-            if legacy and tail_rows:
-                # no checkpointed state to replay onto: the rows are just rows
-                store._insert_rows(tail_rows)
-                tail_rows = []
             for artifact_name, _version, payload in artifact_rows:
-                # anything but a summary is a row an older build left (its
-                # weak maintainer maps, pickled statistics profiles, its
-                # G∞ state): never decoded
                 if artifact_name.startswith("summary:"):
                     # expendable: a payload that does not decode (a torn
                     # blob) is skipped — the entry rebuilds that summary on
@@ -608,13 +567,13 @@ class PersistentCatalog:
                         )
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
-        except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / array errors
+        except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / log kind errors
             store.close()
             if isinstance(error, PersistenceError):
                 raise
             raise PersistenceError(
                 f"graph {name!r} in catalog file {self.path!r} is unreadable "
-                f"(dictionary or columns): {error}"
+                f"(dictionary, columns or log): {error}"
             )
         ensure_indexes = getattr(store, "ensure_summarization_indexes", None)
         if callable(ensure_indexes):
@@ -626,6 +585,5 @@ class PersistentCatalog:
             pruning_graphs=pruning_graphs,
             checkpoint_version=checkpoint_version,
             tail_rows=tail_rows,
-            rewrite=legacy
-            or any(row[2:5] != (sys.byteorder, ID_BYTES, "planes") for row in column_rows),
+            rewrite=any(row[2] != sys.byteorder for row in column_rows),
         )

@@ -634,9 +634,9 @@ class GraphCatalog:
         logged atomically as they happen, and
         :meth:`checkpoint` folds the log back into a checkpoint.
 
-        A graph still in a pre-3 file layout comes back by its rows alone
-        and its artifacts are rebuilt lazily; its first durable write
-        rewrites it, as it does columns not at width 4 in this byte order.
+        A file of an older schema or layout is refused untouched with a
+        :class:`~repro.errors.PersistenceError` naming the upgrade; columns
+        in the other byte order are rewritten by the first durable write.
         """
         from repro.server.persistence import PersistentCatalog
 

@@ -3,9 +3,9 @@
 A reopened catalog is its checkpoint refined by the rows logged since.  These
 tests pin that the refinement reproduces the never-restarted state exactly
 (a generated crash-recovery differential), that the append path is delta-sized
-and forces no build, that files of the older schemas open by their rows alone
-and are rewritten, that damaged blobs surface typed, and that the length of
-the un-checkpointed tail is visible from outside.
+and forces no build, that files of the older schemas and layouts are refused
+untouched, that damaged blobs surface typed, and that the length of the
+un-checkpointed tail is visible from outside.
 """
 
 import pickle
@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro import telemetry
 from repro.core.isomorphism import graphs_isomorphic
-from repro.errors import PersistenceError
+from repro.errors import PersistenceError, StoreClosedError
 from repro.model.dictionary import Dictionary, pack_terms
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import (
@@ -37,14 +37,16 @@ from repro.queries.parser import parse_query
 from repro.schema.encoded_saturation import IncrementalSaturator
 from repro.schema.saturation import saturate
 from repro.server.http import ServerApp
-from repro.server.persistence import SCHEMA_VERSION, PersistentCatalog, _unpack_column
+from repro.server.persistence import (
+    _SCHEMA_SQL,
+    SCHEMA_VERSION,
+    PersistentCatalog,
+    _unpack_column,
+)
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
-from repro.service.workload import generate_mixed_workload
 from repro.store.base import ID_BYTES
 from repro.store.memory import MemoryStore
-
-from oracles.term_partitions import term_summary
 
 
 def _sql(path, statement, parameters=()):
@@ -434,6 +436,26 @@ def test_a_gap_between_term_chunks_is_a_typed_error(fig2, tmp_path):
         GraphCatalog.open(path)
 
 
+def test_a_log_row_of_unknown_kind_is_a_typed_error_and_closes_its_store(fig2, tmp_path):
+    path = str(tmp_path / "catalog.db")
+    with GraphCatalog.open(path) as catalog:
+        catalog.register("g", graph=fig2)
+        catalog.add_triples("g", [Triple(EX.term("log/a"), EX.term("log/p"), EX.term("log/b"))])
+    _sql(path, "UPDATE graph_triples SET kind = 'bogus'")
+    stores = []
+
+    def store_factory():
+        stores.append(MemoryStore())
+        return stores[-1]
+
+    with PersistentCatalog(path) as persistence:
+        with pytest.raises(PersistenceError, match="unreadable .*'bogus'"):
+            persistence.load_graph("g", store_factory)
+    (store,) = stores
+    with pytest.raises(StoreClosedError):
+        store.count(TripleKind.DATA)
+
+
 # ----------------------------------------------------------------------
 # files of the older schemas
 # ----------------------------------------------------------------------
@@ -515,21 +537,20 @@ CREATE INDEX idx_saturation_rows_graph ON saturation_rows(graph);
 _FOREIGN = "big" if sys.byteorder == "little" else "little"
 
 
-def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteorder, width=8):
+def _write_old_file(path, graph, schema, tail=7, byteorder=sys.byteorder, width=8):
     """A file as a schema-*schema* build left it: entry version 5, the last
     *tail* data rows appended behind the snapshot, artifacts nobody should
-    decode.  Schema 2 stores raw 8-byte id columns; schema 4 is the packed
-    layout of a build that stored them row-major at *width* (8: ``zlib`` of
-    int64s), under the DDL that schema shipped.  The columns are written in
-    *byteorder*, and a *top* id replaces the first data row's object in
-    them."""
+    decode.  Schema 2 stores raw 8-byte id columns; schemas 3 and 4 are the
+    packed layout of a build that stored them row-major at *width* (8:
+    ``zlib`` of int64s), under the DDL schema 4 shipped.  The columns are
+    written in *byteorder*."""
     with MemoryStore() as store:
         store.load_graph(graph)
         tables = _table_rows(store)
         terms = pack_terms(store.dictionary)
     connection = sqlite3.connect(path)
     with connection:
-        if schema == 4:
+        if schema >= 3:
             connection.executescript(_SCHEMA_4_SQL)
             connection.execute(
                 "INSERT INTO dictionary_chunks VALUES ('g', 0, ?, ?)",
@@ -557,13 +578,11 @@ def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteord
             for kind, rows in tables.items():
                 columns = [array(typecode, column) for column in zip(*rows)]
                 columns = columns or [array(typecode) for _column in "spo"]
-                if top is not None and kind is TripleKind.DATA:
-                    columns[2][0] = top
                 if byteorder != sys.byteorder:
                     for column in columns:
                         column.byteswap()
                 blobs = [column.tobytes() for column in columns]
-                if schema == 4:
+                if schema >= 3:
                     connection.execute(
                         "INSERT INTO graph_columns (graph, kind, rows, byteorder, width, s, p, o) "
                         "VALUES ('g', ?, ?, ?, ?, ?, ?, ?)",
@@ -586,81 +605,79 @@ def _write_old_file(path, graph, schema, tail=7, top=None, byteorder=sys.byteord
     connection.close()
 
 
-@pytest.mark.parametrize("schema", [1, 2, 4])
-def test_an_older_file_opens_by_its_rows_and_is_rewritten(bsbm_small, tmp_path, schema):
-    """Schemas 1 and 2 open by their rows alone; a schema-4 file whose
-    columns an older build stored at width 8 is narrowed on read.  Either
-    way the first checkpoint rewrites the graph as planes of width 4."""
+def _stamp_schema_5(path):
+    """Open *path* as the last build that still read the older layouts did:
+    this schema's DDL, the additive ``width`` / ``layout`` columns and the
+    version stamp, every row left in its old layout until the graph's first
+    durable write."""
+    connection = sqlite3.connect(path)
+    with connection:
+        connection.executescript(_SCHEMA_SQL)
+        present = {row[1] for row in connection.execute("PRAGMA table_info(graph_columns)")}
+        for column in ("width INTEGER NOT NULL DEFAULT 8", "layout TEXT NOT NULL DEFAULT 'rows'"):
+            if column.split()[0] not in present:
+                connection.execute(f"ALTER TABLE graph_columns ADD COLUMN {column}")
+        connection.execute("INSERT OR REPLACE INTO catalog_meta VALUES ('schema_version', '5')")
+    connection.close()
+
+
+def _file_bytes(path):
+    with open(path, "rb") as handle:
+        return handle.read()
+
+
+@pytest.mark.parametrize("schema", [1, 2, 3, 4])
+def test_an_older_file_is_refused_untouched(fig2, tmp_path, schema):
+    """A file of an older schema is refused before anything is written to
+    it, and the error names the upgrade: the last build that reads it."""
     path = str(tmp_path / "old.db")
-    _write_old_file(path, bsbm_small, schema)
-    workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
-    with GraphCatalog() as scratch:
-        scratch.register("g", graph=bsbm_small)
-        oracle = QueryService(scratch, strategy="hash", prune=False)
-        expected = [set(oracle.answer("g", item.query).answers) for item in workload]
-
-    with GraphCatalog.open(path) as catalog:
-        entry = catalog.entry("g")
-        assert entry.version == 5 and set(entry.to_graph()) == set(bsbm_small)
-        service = QueryService(catalog, kind="weak+strong", strategy="hash")
-        answers = [service.answer("g", item.query) for item in workload]
-        assert [set(answer.answers) for answer in answers] == expected
-        assert any(answer.pruned for answer in answers)
-        # both summaries rebuilt from the rows, by the one priming scan
-        assert entry.build_counters == {
-            "prime_scans": 1,
-            "summary_builds": 0,
-            "saturation_builds": 0,
-        }
-        # opened, not yet written: the old rows are still what the file holds
-        if schema == 4:
-            assert _sql(path, "SELECT DISTINCT width FROM graph_columns") == [(8,)]
-        else:
-            assert _sql(path, "SELECT COUNT(*) FROM dictionary_chunks") == [(0,)]
-        catalog.checkpoint()
-        assert catalog.log_tail_rows("g") == 0
-
-    assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [
-        (str(SCHEMA_VERSION),)
-    ]
-    legacy_tables = ("dictionary_terms", "saturation_rows") if schema < 4 else ()
-    for table in ("graph_triples",) + legacy_tables:
-        assert _sql(path, f"SELECT COUNT(*) FROM {table}") == [(0,)], table
-    assert _sql(path, "SELECT DISTINCT width, layout FROM graph_columns") == [(4, "planes")]
-    assert _sql(path, "SELECT COUNT(*) FROM dictionary_chunks") == [(1,)]
-    with GraphCatalog.open(path) as catalog:
-        entry = catalog.entry("g")
-        service = QueryService(catalog, kind="weak+strong", strategy="hash")
-        assert [set(service.answer("g", item.query).answers) for item in workload] == expected
-        assert not any(entry.build_counters.values())
-
-
-@pytest.mark.parametrize("schema", [2, 4])
-def test_an_old_wide_id_that_does_not_fit_is_a_typed_error(fig2, tmp_path, schema):
-    path = str(tmp_path / "old.db")
-    _write_old_file(path, fig2, schema, tail=2, top=1 << 31)
-    with pytest.raises(PersistenceError, match="past the 4-byte id range"):
+    _write_old_file(path, fig2, schema, tail=2)
+    before = _file_bytes(path)
+    with pytest.raises(PersistenceError, match=f"schema version {schema}, .*acca3ad"):
         GraphCatalog.open(path)
-    # the largest id that fits narrows like any other (here: to a dangling id)
-    _write_old_file(str(tmp_path / "fits.db"), fig2, schema, tail=2, top=(1 << 31) - 1)
-    with GraphCatalog.open(str(tmp_path / "fits.db")) as catalog:
-        table = catalog.entry("g").store._tables[TripleKind.DATA]
-        assert table.o_col[0] == (1 << 31) - 1
+    assert _file_bytes(path) == before
 
 
-@pytest.mark.parametrize("schema, width", [(2, 8), (4, 8), (4, 4)])
-def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(
+@pytest.mark.parametrize(
+    "schema, width",
+    [(1, 8), (2, 8), (4, 8), (4, 4)],
+    ids=["dictionary-terms", "raw-width-8", "width-8", "row-major"],
+)
+def test_a_file_stamped_5_over_an_older_layout_is_refused_untouched(
     fig2, tmp_path, schema, width
 ):
-    """Raw schema-2 columns, a width-8 and a width-4 row-major checkpoint,
-    each written by a machine of the other byte order, reopen to the very
+    """A schema-5 stamp does not prove a schema-5 layout: the last build that
+    read older files stamped them on open and left each graph per-term,
+    raw, at width 8 or row-major until its first durable write.  Such a file
+    is refused untouched, naming the upgrade."""
+    path = str(tmp_path / "stamped.db")
+    _write_old_file(path, fig2, schema, tail=2, width=width)
+    _stamp_schema_5(path)
+    before = _file_bytes(path)
+    with pytest.raises(PersistenceError, match="older layout: .*acca3ad"):
+        GraphCatalog.open(path)
+    assert _file_bytes(path) == before
+
+
+def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(fig2, tmp_path):
+    """Byte planes a machine of the other byte order wrote reopen to the very
     column bytes of the graph — and with no row logged, the next checkpoint
-    still rewrites them as width-4 planes in this machine's order."""
+    still rewrites them as planes in this machine's order."""
     path = str(tmp_path / "foreign.db")
-    _write_old_file(path, fig2, schema, tail=0, byteorder=_FOREIGN, width=width)
-    with MemoryStore() as store:
-        store.load_graph(fig2)
-        original = {kind.value: store.column_bytes(kind) for kind in TripleKind}
+    with GraphCatalog.open(path) as catalog:
+        entry = catalog.register("g", graph=fig2)
+        original = {kind.value: entry.store.column_bytes(kind) for kind in TripleKind}
+    for kind_value, (count, *columns) in original.items():
+        swapped = []
+        for column in columns:
+            ids = array("I", column)
+            ids.byteswap()
+            swapped.append(zlib.compress(_planes(ids.tobytes())))
+        _sql(
+            path,
+            "UPDATE graph_columns SET byteorder = ?, s = ?, p = ?, o = ? WHERE kind = ?",
+            (_FOREIGN, *swapped, kind_value),
+        )
     with GraphCatalog.open(path) as catalog:
         restored = catalog.entry("g").store
         assert {kind.value: restored.column_bytes(kind) for kind in TripleKind} == original
@@ -669,62 +686,6 @@ def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(
     assert {tuple(row[2:5]) for row in rows} == {(ID_BYTES, sys.byteorder, "planes")}
     for kind_value, count, _width, _byteorder, _layout, *blobs in rows:
         assert (count, *(_unpack_column(blob, count) for blob in blobs)) == original[kind_value]
-
-
-def test_a_row_major_schema_4_file_warm_starts_and_its_first_ingest_writes_planes(
-    bsbm_small, tmp_path
-):
-    """A file as the last schema-4 build left it — 4-byte ids row-major, a
-    logged tail — warm-starts to the column bytes, dictionary and answers
-    (in first-produced order) of the graph; its first ingest rewrites it
-    as planes, and the rewritten file reopens to the same state."""
-    path = str(tmp_path / "old.db")
-    _write_old_file(path, bsbm_small, 4, tail=7, width=4)
-    workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
-    fresh = [Triple(EX.term("planes/a"), EX.term("planes/p"), Literal("planes"))]
-
-    def state(catalog):
-        entry = catalog.entry("g")
-        service = QueryService(catalog, kind="weak+strong", strategy="hash")
-        return (
-            {kind: entry.store.column_bytes(kind) for kind in TripleKind},
-            pack_terms(entry.store.dictionary),
-            [service.answer("g", item.query).answers for item in workload],
-        )
-
-    with GraphCatalog() as scratch:
-        scratch.register("g", graph=bsbm_small)
-        expected = state(scratch)
-        scratch.add_triples("g", fresh)
-        expected_after = state(scratch)
-    with GraphCatalog.open(path) as catalog:
-        assert catalog.log_tail_rows("g") == 7
-        assert state(catalog) == expected
-        assert _sql(path, "SELECT DISTINCT width, layout FROM graph_columns") == [(4, "rows")]
-        catalog.add_triples("g", fresh)  # the write-through is a full rewrite
-        assert catalog.log_tail_rows("g") == 0
-        assert _sql(path, "SELECT DISTINCT width, layout FROM graph_columns") == [(4, "planes")]
-        assert _sql(path, "SELECT COUNT(*) FROM graph_triples") == [(0,)]
-        assert state(catalog) == expected_after
-    with GraphCatalog.open(path) as reopened:
-        assert reopened.log_tail_rows("g") == 0
-        assert state(reopened) == expected_after
-
-
-def test_an_older_file_is_rewritten_by_its_first_ingest(fig2, tmp_path):
-    path = str(tmp_path / "old.db")
-    _write_old_file(path, fig2, 2, tail=2)
-    fresh = Triple(EX.term("up/a"), EX.term("up/p"), EX.term("up/b"))
-    with GraphCatalog.open(path) as catalog:
-        catalog.add_triples("g", [fresh])  # the write-through is a full rewrite
-        assert catalog.log_tail_rows("g") == 0
-        assert _sql(path, "SELECT COUNT(*) FROM dictionary_terms") == [(0,)]
-        catalog.add_triples("g", [Triple(EX.term("up/c"), EX.term("up/p"), EX.term("up/b"))])
-        assert catalog.log_tail_rows("g") == 1  # and from then on the log
-    with GraphCatalog.open(path) as reopened:
-        entry = reopened.entry("g")
-        assert entry.version == 7 and len(entry.to_graph()) == len(fig2) + 2
-        assert entry.build_counters["prime_scans"] == 0
 
 
 # ----------------------------------------------------------------------
@@ -774,59 +735,3 @@ def test_the_tail_and_its_replay_are_visible_from_outside(fig2, tmp_path):
     with GraphCatalog() as memory:
         memory.register("fig2", graph=fig2)
         assert memory.log_tail_rows("fig2") is None
-
-
-def test_a_schema_3_file_opens_and_sheds_its_maintainer_row(bsbm_small, tmp_path):
-    """A file as the last schema-3 build left it — a ``maintainer`` artifact
-    beside the summaries, ``statistics`` / ``saturation_statistics`` rows
-    from before those became derived state: none of them is decoded, the
-    answers and prunings are the checkpointing process's own, nothing is
-    built, and the next checkpoint leaves no such row behind."""
-    path = str(tmp_path / "catalog.db")
-    promoted = EX.term("typed-only")
-    graph = RDFGraph(list(bsbm_small) + [Triple(promoted, RDF_TYPE, EX.term("Lonely"))])
-    workload = generate_mixed_workload(bsbm_small, count=30, seed=2)
-    saturated = parse_query(f"SELECT ?x WHERE {{ ?x <{RDF_TYPE.value}> <{EX.term('Lonely').value}> . }}")
-    with GraphCatalog.open(path) as catalog:
-        catalog.register("g", graph=graph)
-        service = QueryService(catalog, kind="weak+strong", strategy="hash")
-        expected = [service.answer("g", item.query) for item in workload]
-        assert any(answer.pruned for answer in expected)
-        service.answer("g", saturated, saturated=True)
-        catalog.checkpoint()
-        shared = catalog.entry("g").summary("weak").representative(promoted)
-
-    ((version,),) = _sql(path, "SELECT DISTINCT version FROM artifacts")
-    for name in ("maintainer", "statistics", "saturation_statistics"):
-        _sql(path, "INSERT INTO artifacts VALUES ('g', ?, ?, ?)", (name, version, b"of another build"))
-    _sql(path, "UPDATE catalog_meta SET value = '3' WHERE key = 'schema_version'")
-
-    with GraphCatalog.open(path) as catalog:
-        entry = catalog.entry("g")
-        service = QueryService(catalog, kind="weak+strong", strategy="hash")
-        answers = [service.answer("g", item.query) for item in workload]
-        assert [set(answer.answers) for answer in answers] == [
-            set(answer.answers) for answer in expected
-        ]
-        assert [answer.pruned for answer in answers] == [answer.pruned for answer in expected]
-        assert set(service.answer("g", saturated, saturated=True).answers) == {(promoted,)}
-        assert entry.build_counters == {
-            "prime_scans": 0,
-            "summary_builds": 0,
-            "saturation_builds": 1,
-        }
-        # maintained from there on: the typed-only node leaves the shared Nτ
-        catalog.add_triples("g", [Triple(promoted, EX.term("p-new"), Literal("v"))])
-        for kind in ("weak", "strong"):
-            oracle = term_summary(entry.to_graph(), kind)
-            assert set(entry.summary(kind).graph) == set(oracle.graph)
-            assert entry.summary(kind).representative_of == oracle.representative_of
-        assert entry.summary("weak").representative(promoted) != shared
-        assert entry.build_counters["prime_scans"] == 1
-        catalog.checkpoint()
-
-    assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [
-        (str(SCHEMA_VERSION),)
-    ]
-    names = {name for (name,) in _sql(path, "SELECT name FROM artifacts")}
-    assert names == {"summary:weak", "summary:strong"}

@@ -379,19 +379,34 @@ class TestCatalogMaintenance:
         with pytest.raises(PersistenceError):
             GraphCatalog.open(path)
 
-    def test_version_mismatch_refuses_before_touching_the_file(self, tmp_path):
-        """A future-schema catalog must be rejected *untouched* — not first
-        mutated with this build's tables and then declared unreadable."""
-        import sqlite3
-
+    @pytest.mark.parametrize("stored", ["999", "five"])
+    def test_version_mismatch_refuses_before_touching_the_file(self, tmp_path, monkeypatch, stored):
+        """A catalog of another schema — a future one, or a version that is
+        not a number at all — must be rejected *untouched*, its connection
+        closed: not first mutated with this build's tables and then declared
+        unreadable."""
         path = str(tmp_path / "future.db")
         connection = sqlite3.connect(path)
         connection.execute("CREATE TABLE catalog_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL)")
-        connection.execute("INSERT INTO catalog_meta VALUES ('schema_version', '999')")
+        connection.execute("INSERT INTO catalog_meta VALUES ('schema_version', ?)", (stored,))
         connection.commit()
         connection.close()
-        with pytest.raises(PersistenceError, match="schema version 999"):
+        with open(path, "rb") as handle:
+            before = handle.read()
+        opened, connect = [], sqlite3.connect
+
+        def recording_connect(*args, **kwargs):
+            opened.append(connect(*args, **kwargs))
+            return opened[-1]
+
+        monkeypatch.setattr(sqlite3, "connect", recording_connect)
+        with pytest.raises(PersistenceError, match=f"schema version {stored},"):
             PersistentCatalog(path)
+        monkeypatch.undo()
+        with pytest.raises(sqlite3.ProgrammingError, match="closed"):
+            opened[0].execute("SELECT 1")
+        with open(path, "rb") as handle:
+            assert handle.read() == before
         connection = sqlite3.connect(path)
         tables = {
             row[0]

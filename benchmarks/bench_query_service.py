@@ -60,8 +60,8 @@ def main(argv=None) -> int:
     )
     parser.add_argument(
         "--kind",
-        default="weak+strong",
-        help="summary kind(s) used by the guard ('+'-joined cascade allowed)",
+        default="strong",
+        help="summary kind the guard checks",
     )
     parser.add_argument(
         "--strategy",

@@ -96,7 +96,7 @@ def run_query_service_workload(
     graph: RDFGraph,
     count: int = 60,
     unsatisfiable_fraction: float = 0.5,
-    kind: str = "weak+strong",
+    kind: str = "strong",
     seed: int = 0,
     size: int = 2,
     answer_limit: Optional[int] = 100,

@@ -111,8 +111,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     query_parser.add_argument(
         "--kind",
-        default="weak+strong",
-        help="guard summary kind(s); '+'-joined names cascade, e.g. weak+strong",
+        default="strong",
+        help="summary kind the guard checks (default: strong)",
     )
     query_parser.add_argument(
         "--strategy",
@@ -126,7 +126,7 @@ def build_parser() -> argparse.ArgumentParser:
         "--explain",
         action="store_true",
         help="print the chosen plan (pattern order, estimated vs actual "
-        "cardinalities, probes) and the guard cascade order",
+        "cardinalities, probes) and the guard's verdict",
     )
     query_parser.add_argument(
         "--trace",
@@ -180,8 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     serve_parser.add_argument(
         "--kind",
-        default="weak+strong",
-        help="guard summary kind(s); '+'-joined names cascade, e.g. weak+strong",
+        default="strong",
+        help="summary kind the guard checks (default: strong)",
     )
     serve_parser.add_argument(
         "--strategy",
@@ -393,7 +393,7 @@ def _command_query(args: argparse.Namespace) -> int:
         )
         if answer.pruned:
             print(
-                f"pruned by the {answer.pruned_by or args.kind} summary in "
+                f"pruned by the {answer.kind} summary in "
                 f"{answer.guard_seconds*1000:.2f} ms (no answers on the graph)"
             )
         elif query.is_boolean():
@@ -413,33 +413,27 @@ def _command_query(args: argparse.Namespace) -> int:
             if len(answer.answers) > 20:
                 print(f"  ... and {len(answer.answers) - 20} more")
         if args.explain:
-            _print_explain(answer, entry)
+            _print_explain(answer, entry, args.saturated)
         if args.trace and answer.query_trace is not None:
             print()
             print(answer.query_trace.render())
     return 0
 
 
-def _print_explain(answer, entry) -> None:
-    """Render the guard cascade and the executed plan of one answer."""
-
-    def guard_size(kind: str) -> str:
-        # report only what the cascade actually materialized — forcing a
-        # summary build just to print its size would undo the lazy
-        # escalation the ordering exists for
-        size = entry.cached_pruning_size(kind)
-        return f"{kind} ({size} edges)" if size is not None else f"{kind} (not built)"
-
+def _print_explain(answer, entry, saturated: bool) -> None:
+    """Render the guard's verdict and the executed plan of one answer."""
     print(f"\nexplain (strategy: {answer.strategy})")
-    if answer.guard_order:
-        sized = ", ".join(guard_size(kind) for kind in answer.guard_order)
-        print(f"  guard cascade : {sized}")
-        if answer.pruned_by is not None:
-            print(f"  pruned by     : {answer.pruned_by} summary (base evaluation skipped)")
-        else:
-            print("  guard verdict : not prunable by the cascade, evaluated on the base store")
+    if answer.prunable:
+        # the graph the guard just checked: cached, nothing is built here
+        edges = len(entry.pruning_graph(answer.kind, saturated=saturated))
+        verdict = (
+            "pruned (base evaluation skipped)"
+            if answer.pruned
+            else "not pruned, evaluated on the base store"
+        )
+        print(f"  guard         : {answer.kind} summary, {edges} edges: {verdict}")
     else:
-        print("  guard cascade : skipped (query not eligible or pruning disabled)")
+        print("  guard         : skipped (query not eligible or pruning disabled)")
     saturation = answer.saturation
     if saturation is not None:
         print(
@@ -576,7 +570,7 @@ def _command_serve(args: argparse.Namespace) -> int:
         tier = f", cluster: {args.workers} worker process(es), shared-memory shipping"
     print(
         f"serving {len(catalog)} graph(s) [{names}] on http://{host}:{port} "
-        f"(catalog: {args.catalog or 'in-memory'}, guard: {args.kind}, "
+        f"(catalog: {args.catalog or 'in-memory'}, guard: {app.service.kind}, "
         f"strategy: {args.strategy}, workers: {args.threads}{tier})",
         flush=True,
     )

@@ -17,8 +17,8 @@ minted before the first pack.
 Query routing
 -------------
 The service answers every query here: it parses nothing twice, compiles
-against this dictionary and runs the guard cascade of Proposition 1 on the
-summaries of the whole graph, under the entry's read lock.  A pruned query
+against this dictionary and runs the guard of Proposition 1 on the summary
+of the whole graph, under the entry's read lock.  A pruned query
 and a dictionary miss are answered on the spot — no pipe message.  Only
 then, the lock released, is the *evaluation* of the compiled id query
 handed to the next worker in round-robin order (:meth:`_evaluate`, the
@@ -223,7 +223,7 @@ class ClusterCoordinator:
     workers:
         Worker count K — one process per full replica.
     kind / strategy:
-        The guard cascade of the tier's one :attr:`service` and the join
+        The guard summary kind of the tier's one :attr:`service` and the join
         strategy its workers evaluate with (the same knobs as
         :class:`~repro.service.service.QueryService`).
     heartbeat_seconds:
@@ -241,7 +241,7 @@ class ClusterCoordinator:
         self,
         catalog: GraphCatalog,
         workers: int = 2,
-        kind: str = "weak+strong",
+        kind: str = "strong",
         strategy: str = "hash",
         heartbeat_seconds: float = 2.0,
         max_retries: int = 2,
@@ -252,7 +252,6 @@ class ClusterCoordinator:
             raise ValueError("a cluster needs at least one worker")
         self.catalog = catalog
         self.worker_count = workers
-        self.kind = kind
         self.strategy = strategy
         self.max_retries = max_retries
         self.heartbeat_seconds = heartbeat_seconds
@@ -858,7 +857,7 @@ class ClusterCoordinator:
         return {
             "workers": workers,
             "worker_count": self.worker_count,
-            "kind": self.kind,
+            "kind": self.service.kind,
             "strategy": self.strategy,
             "graphs": self.catalog.names(),
             "uptime_seconds": monotonic() - self.started_at,

@@ -98,7 +98,7 @@ class _HTTPError(Exception):
 class ServerApp:
     """The server's state: catalog, guarded service, executor.
 
-    Parameters mirror ``repro serve``: the guard *kind* cascade and join
+    Parameters mirror ``repro serve``: the guard summary *kind* and join
     *strategy* configure the single shared :class:`QueryService`;
     *max_workers* bounds concurrent query/ingest execution; *default_limit*
     caps answers per query unless the request asks for fewer;
@@ -113,7 +113,7 @@ class ServerApp:
     def __init__(
         self,
         catalog: GraphCatalog,
-        kind: str = "weak+strong",
+        kind: str = "strong",
         strategy: str = "hash",
         max_workers: int = 8,
         default_limit: Optional[int] = 1000,
@@ -338,8 +338,6 @@ class ServerApp:
             "boolean": answer.query.is_boolean(),
             "pruned": answer.pruned,
             "prunable": answer.prunable,
-            "pruned_by": answer.pruned_by,
-            "guard_order": list(answer.guard_order),
             "kind": answer.kind,
             "strategy": answer.strategy,
             "guard_seconds": answer.guard_seconds,

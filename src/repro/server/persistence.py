@@ -29,7 +29,8 @@ stores every fact once, packed, each blob through :mod:`zlib` at level 6:
   ``summary()`` call, never a guard) and ``G∞`` it builds on its first
   saturated query (a row of any other name is never decoded and disappears
   with the next checkpoint).  Summary artifacts are *expendable*: one that
-  does not decode is skipped, counted and rebuilt on first use.
+  does not decode, or names no summary kind, is skipped, counted and
+  rebuilt on first use.
 
 The log is what :meth:`~PersistentCatalog.append_update` — the write-through
 hook of :meth:`CatalogEntry.add_triples` — writes, and it is delta-sized:
@@ -72,6 +73,7 @@ from time import perf_counter
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro import telemetry
+from repro.core.builders import normalize_kind
 from repro.errors import PersistenceError
 from repro.model.dictionary import (
     Dictionary,
@@ -559,12 +561,12 @@ class PersistentCatalog:
             for artifact_name, _version, payload in artifact_rows:
                 if artifact_name.startswith("summary:"):
                     # expendable: a payload that does not decode (a torn
-                    # blob) is skipped — the entry rebuilds that summary on
-                    # first use and the next checkpoint rewrites the artifact
+                    # blob) or names no summary kind is skipped — the entry
+                    # rebuilds that summary on first use and the next
+                    # checkpoint rewrites the artifact
                     try:
-                        pruning_graphs[artifact_name.split(":", 1)[1]] = _unpack_summary(
-                            _unpack(payload)
-                        )
+                        kind = normalize_kind(artifact_name.split(":", 1)[1])
+                        pruning_graphs[kind] = _unpack_summary(_unpack(payload))
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
         except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / log kind errors

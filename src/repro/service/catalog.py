@@ -18,7 +18,7 @@ and maintains, per graph:
   cache covers, a live :class:`~repro.core.incremental.CliqueSummarizer` —
   the one maintainer both are read off — primed by one scan (the one
   ``prime_scans`` of a serving process), then fed every batch, so a version
-  bump costs the next ``weak+strong`` reader two summary-sized snapshots,
+  bump costs the next ``strong`` reader one summary-sized snapshot,
   never a re-summarization; derived state, never checkpointed or shipped;
 * lazily built, version-invalidated caches of the type-based and typed
   kinds (rebuilt by the encoded engine on demand) and of the summary
@@ -278,7 +278,7 @@ class CatalogEntry:
         entry = cls(name, store)
         entry.version = version
         for kind, graph in (pruning_graphs or {}).items():
-            entry._summaries[normalize_kind(kind)] = (version, graph, None)
+            entry._summaries[kind] = (version, graph, None)
         return entry
 
     # ------------------------------------------------------------------
@@ -473,17 +473,6 @@ class CatalogEntry:
         with self._init_lock:
             return None if self._maintainer is None else self._maintainer.metrics()
 
-    def _fresh_graph(self, kind: str) -> Optional[RDFGraph]:
-        """The pruning graph of *kind* iff it is cached at the current version.
-
-        Lock-free: a stale read is benign — a hit is version-checked, a
-        miss goes to :meth:`summary`, which re-reads under the lock, and
-        the guard's cost probe at worst treats a just-built graph as
-        unbuilt (an ordering heuristic miss, never an incorrect answer).
-        """
-        cached = self._summaries.get(normalize_kind(kind))  # repro-lint: disable=guarded-by
-        return cached[1] if cached is not None and cached[0] == self.version else None
-
     def cached_pruning_graphs(self) -> Dict[str, RDFGraph]:
         """The pruning graphs cached *at the current version* (no builds) —
         what a checkpoint stores."""
@@ -493,18 +482,6 @@ class CatalogEntry:
                 for kind, cached in self._summaries.items()
                 if cached[0] == self.version
             }
-
-    def cached_pruning_size(self, kind: str) -> Optional[int]:
-        """Edge count of the *kind* pruning graph **iff** it is cached at
-        the current version — never triggers a build.
-
-        The query service uses this to order a guard cascade by cost
-        without forcing summaries into existence: an unbuilt summary's
-        construction is exactly the cost the lazy cascade is designed to
-        avoid paying until every cheaper guard has failed to prune.
-        """
-        graph = self._fresh_graph(kind)
-        return None if graph is None else len(graph)
 
     def pruning_graph(self, kind: str = "weak", saturated: bool = False) -> RDFGraph:
         """The summary graph queries are checked against before evaluation.
@@ -516,9 +493,11 @@ class CatalogEntry:
         :func:`saturate_cached`, and the graph itself is cached per
         version, so repeated queries between updates saturate nothing.
         """
-        graph = self._fresh_graph(kind)
-        if graph is None:
-            graph = self.summary(kind).graph
+        # lock-free: a stale read is benign — a hit is version-checked, and
+        # a miss goes to summary(), which re-reads under the lock
+        cached = self._summaries.get(normalize_kind(kind))  # repro-lint: disable=guarded-by
+        fresh = cached is not None and cached[0] == self.version
+        graph = cached[1] if fresh else self.summary(kind).graph
         return saturate_cached(graph) if saturated else graph
 
     # ------------------------------------------------------------------
@@ -696,10 +675,11 @@ class GraphCatalog:
             with entry.rwlock.read_locked():
                 if entry.closed:
                     continue  # raced a drop(); must not resurrect it durably
-                # make sure the weak pruning graph (restored, or a snapshot
-                # of the live maintainer; one priming scan if neither is
-                # current) rides along, so the warm start does not rebuild it
-                entry.pruning_graph("weak")
+                # make sure the guard's strong pruning graph (restored, or a
+                # snapshot of the live maintainer; one priming scan if
+                # neither is current) rides along, so the warm start does
+                # not rebuild it
+                entry.pruning_graph("strong")
                 if entry._persist_dirty or not persistence.refresh_artifacts(entry):
                     persistence.save_graph(entry)
                     entry._persist_dirty = False  # full rewrite heals any divergence
@@ -719,7 +699,7 @@ class GraphCatalog:
             return
         try:
             if entry._persist_dirty:
-                entry.pruning_graph("weak")
+                entry.pruning_graph("strong")
                 persistence.save_graph(entry)
             else:
                 persistence.append_update(entry, rows)
@@ -744,7 +724,7 @@ class GraphCatalog:
         :class:`~repro.errors.CatalogError`) and leaves the existing entry
         untouched — nothing is loaded, closed or replaced.  Nothing is
         scanned here: the summary maintainer is primed on first need (at
-        once on a persistent catalog, which checkpoints the weak summary).
+        once on a persistent catalog, which checkpoints the strong summary).
         """
         if (graph is None) == (store is None):
             raise ValueError("register() needs exactly one of graph= or store=")
@@ -769,9 +749,9 @@ class GraphCatalog:
                 store.load_graph(graph)
             if self._persistence is not None:
                 entry._on_update = self._persist_update
-                # build what a warm start must not: the weak pruning graph
-                # is checkpointed alongside the rows
-                entry.pruning_graph("weak")
+                # build what a warm start must not: the guard's strong
+                # pruning graph is checkpointed alongside the rows
+                entry.pruning_graph("strong")
                 self._persistence.save_graph(entry)
             with self._lock:
                 self._entries[name] = entry

@@ -31,7 +31,7 @@ service hands it to a worker, whose replica holds no term at all.
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Set, Tuple, Union
 
 from repro import telemetry
 from repro.core.builders import normalize_kind
@@ -62,8 +62,6 @@ class QueryAnswer:
         "guard_seconds",
         "evaluation_seconds",
         "strategy",
-        "guard_order",
-        "pruned_by",
         "trace",
         "saturation",
         "cluster",
@@ -81,8 +79,6 @@ class QueryAnswer:
         guard_seconds: float,
         evaluation_seconds: float,
         strategy: str = "hash",
-        guard_order: Tuple[str, ...] = (),
-        pruned_by: Optional[str] = None,
         trace: Optional[ExecutionTrace] = None,
         saturation: Optional[Dict[str, object]] = None,
         cluster: Optional[Dict[str, object]] = None,
@@ -101,12 +97,6 @@ class QueryAnswer:
         self.evaluation_seconds = evaluation_seconds
         #: Join strategy of the base evaluation (``hash`` or ``sql``).
         self.strategy = strategy
-        #: The guard kinds in the order actually checked (cheapest summary
-        #: first); empty when the query was not prunable.
-        self.guard_order = guard_order
-        #: The guard kind whose summary rejected the query, when pruned by
-        #: the cascade (``None`` otherwise).
-        self.pruned_by = pruned_by
         #: Execution trace of the base evaluation (``explain=True`` only).
         self.trace = trace
         #: Maintenance metrics of the ``G∞`` serving cache that evaluated
@@ -163,8 +153,6 @@ class ServiceStatistics:
         "_unprunable",
         "_guard_seconds",
         "_evaluation_seconds",
-        "pruned_by_kind",
-        "_pruned_by_counters",
         "_guard_histogram",
         "_evaluation_histogram",
         "_total_histogram",
@@ -184,11 +172,6 @@ class ServiceStatistics:
         # the registry-side second totals live in the histograms' sums
         self._guard_seconds = Counter("guard_seconds")
         self._evaluation_seconds = Counter("evaluation_seconds")
-        #: Pruning attribution: guard kind → queries it rejected.
-        #: guarded by self._lock
-        self.pruned_by_kind: Dict[str, int] = {}
-        #: Lazily-created per-kind registry children; guarded by self._lock
-        self._pruned_by_counters: Dict[str, Counter] = {}
         self._guard_histogram = telemetry.histogram("query.guard.seconds")
         self._evaluation_histogram = telemetry.histogram("query.evaluation.seconds")
         self._total_histogram = telemetry.histogram("query.total.seconds")
@@ -200,17 +183,6 @@ class ServiceStatistics:
             self._queries.inc()
             if answer.pruned:
                 self._pruned.inc()
-                if answer.pruned_by is not None:
-                    self.pruned_by_kind[answer.pruned_by] = (
-                        self.pruned_by_kind.get(answer.pruned_by, 0) + 1
-                    )
-                    by_kind = self._pruned_by_counters.get(answer.pruned_by)
-                    if by_kind is None:
-                        by_kind = telemetry.counter(
-                            f"query.guard.pruned.{answer.pruned_by}"
-                        )
-                        self._pruned_by_counters[answer.pruned_by] = by_kind
-                    by_kind.inc()
             else:
                 self._evaluated.inc()
             if not answer.prunable:
@@ -274,8 +246,6 @@ class ServiceStatistics:
         return self.pruned / queries if queries else 0.0
 
     def as_dict(self) -> Dict[str, object]:
-        with self._lock:
-            pruned_by_kind = dict(self.pruned_by_kind)
         return {
             "queries": self.queries,
             "pruned": self.pruned,
@@ -284,7 +254,6 @@ class ServiceStatistics:
             "pruning_rate": self.pruning_rate,
             "guard_seconds": self.guard_seconds,
             "evaluation_seconds": self.evaluation_seconds,
-            "pruned_by_kind": pruned_by_kind,
         }
 
     def __repr__(self):
@@ -317,13 +286,12 @@ class QueryService:
     catalog:
         The :class:`GraphCatalog` holding the registered graphs.
     kind:
-        Summary kind(s) used for the guard: one of the five names, a
-        ``"+"``-joined cascade such as ``"weak+strong"``, or a sequence of
-        names.  A cascade checks the summaries in order and prunes on the
-        first rejection — each kind is a sound over-approximation on its
-        own, so any rejection proves emptiness, and a sharper (larger)
-        summary behind a coarser (smaller) one catches joins the coarser
-        one over-merges while keeping the common case one tiny check.
+        The summary the guard checks: one of the five names.  The default,
+        ``strong``, refutes whatever ``weak`` does: the strong partition
+        refines the weak one, so the block map ``H_strong → H_weak`` is a
+        homomorphism fixing every class and property, and an RBGP query
+        embedding in ``H_strong`` (or its saturation) embeds in ``H_weak``
+        (or its saturation) too.
     prune:
         ``False`` disables the summary guard entirely — every query runs
         base evaluation.  The dictionary-miss fast path stays on (it is part
@@ -346,56 +314,20 @@ class QueryService:
     def __init__(
         self,
         catalog: GraphCatalog,
-        kind: Union[str, Sequence[str]] = "weak",
+        kind: str = "strong",
         prune: bool = True,
         strategy: str = "hash",
         remote: Optional[Callable] = None,
     ):
         self.catalog = catalog
-        if isinstance(kind, str):
-            parts = [part.strip() for part in kind.split("+") if part.strip()]
-        else:
-            parts = list(kind)
-        self.kinds: Tuple[str, ...] = tuple(normalize_kind(part) for part in parts)
-        if not self.kinds:
-            raise ValueError("the guard needs at least one summary kind")
-        self.kind = "+".join(self.kinds)
+        # the frozen bench/ still spells the guard "weak+strong", the old
+        # cascade whose weak step strong subsumes (ROADMAP item 9 drops it)
+        self.kind = normalize_kind("strong" if kind == "weak+strong" else kind)
         self.prune = prune
         self.strategy = strategy
         self.remote = remote
         self.statistics = ServiceStatistics()
         self._read_wait_seconds = telemetry.histogram("lock.read_wait.seconds")
-
-    # ------------------------------------------------------------------
-    def _guard_cascade(self, entry) -> Tuple[str, ...]:
-        """The guard kinds in checking order for one query.
-
-        Cheapest-first, **without building anything**: kinds whose summary
-        is already cached at the current version sort by summary size (a
-        summary a tenth the size answers the common rejected case ten
-        times cheaper); the weak summary counts as cheap even when not yet
-        snapshotted (it is maintained incrementally — cost proportional to
-        the summary, never the graph); every other unbuilt kind keeps its
-        declared position *after* the cached ones, so an expensive summary
-        is only constructed when every cheaper guard failed to prune —
-        the lazy escalation a cascade exists for.  Every kind alone is a
-        sound rejector, so order never affects verdicts, only cost.  For
-        saturated guards the plain summary sizes serve as the cost proxy
-        (a saturation grows each summary by roughly the same factor).
-        """
-        if len(self.kinds) == 1:
-            return self.kinds
-
-        def cost_key(indexed: Tuple[int, str]) -> Tuple[int, int, int]:
-            index, guard_kind = indexed
-            size = entry.cached_pruning_size(guard_kind)
-            if size is not None:
-                return (0, size, index)
-            if guard_kind == "weak":
-                return (0, 0, index)
-            return (1, 0, index)
-
-        return tuple(kind for _i, kind in sorted(enumerate(self.kinds), key=cost_key))
 
     # ------------------------------------------------------------------
     def answer(
@@ -417,8 +349,8 @@ class QueryService:
         :class:`ExecutionTrace` (plan, estimated vs. actual cardinalities,
         probes) alongside the guard decisions.  With ``trace=True`` (or an
         existing :class:`~repro.telemetry.QueryTrace` to record into) the
-        answer carries a telemetry span tree timing the guard cascade and
-        the base evaluation.
+        answer carries a telemetry span tree timing the guard and the base
+        evaluation.
         """
         entry = self.catalog.entry(graph_name)
         query_trace: Optional[QueryTrace] = None
@@ -450,25 +382,12 @@ class QueryService:
             prunable = self.prune and _guard_applies(query)
 
             guard_start = perf_counter()
-            pruned = False
-            pruned_by: Optional[str] = None
-            guard_order: Tuple[str, ...] = ()
             with maybe_span(query_trace, "guard") as guard_span:
-                if prunable:
-                    guard_order = self._guard_cascade(entry)
-                    for guard_kind in guard_order:
-                        pruning_graph = entry.pruning_graph(guard_kind, saturated=saturated)
-                        if not has_answers(pruning_graph, query):
-                            pruned = True
-                            pruned_by = guard_kind
-                            break
+                pruned = prunable and not has_answers(
+                    entry.pruning_graph(self.kind, saturated=saturated), query
+                )
                 if guard_span is not None:
-                    guard_span.attributes.update(
-                        prunable=prunable,
-                        pruned=pruned,
-                        order=list(guard_order),
-                        pruned_by=pruned_by,
-                    )
+                    guard_span.attributes.update(prunable=prunable, pruned=pruned)
             guard_seconds = perf_counter() - guard_start
 
             evaluation_start = perf_counter()
@@ -519,8 +438,6 @@ class QueryService:
             guard_seconds=guard_seconds,
             evaluation_seconds=evaluation_seconds,
             strategy=self.strategy,
-            guard_order=guard_order,
-            pruned_by=pruned_by,
             trace=execution_trace,
             saturation=saturation,
             cluster=cluster,

@@ -1,10 +1,10 @@
 """Store-level cardinality statistics behind the query planner.
 
 The paper's prototype keeps the encoded graph in three relational tables;
-any cost-based decision about a query over those tables — join order, guard
-cascade order — needs the table shapes: how many rows each table holds, how
-many of them carry each property, and how many *distinct* subjects/objects
-each property touches (the classic selectivity denominators).  This module
+any cost-based decision about a query over those tables — the join order —
+needs the table shapes: how many rows each table holds, how many of them
+carry each property, and how many *distinct* subjects/objects each property
+touches (the classic selectivity denominators).  This module
 holds exactly that, one profile per store:
 
 * per-table row counts and distinct subject / object counts;

@@ -569,7 +569,7 @@ def compare_guarded_vs_direct(
     catalog: GraphCatalog,
     graph_name: str,
     workload: Sequence[WorkloadQuery],
-    kind: str = "weak",
+    kind: str = "strong",
     answer_limit: Optional[int] = None,
     strategy: str = "hash",
 ) -> ComparisonReport:
@@ -590,8 +590,7 @@ def compare_guarded_vs_direct(
     # warm-up: build the summaries and the cardinality statistics before
     # timing, as a server would at registration — neither side should be
     # charged for one-off profile builds
-    for guard_kind in service.kinds:
-        entry.pruning_graph(guard_kind)
+    entry.pruning_graph(service.kind)
     entry.statistics_index()
 
     with _gc_paused():

@@ -1,7 +1,7 @@
 """Per-query tracing: one tree of timed spans per query, across processes.
 
 A :class:`QueryTrace` owns a *trace id* and a tree of :class:`Span`
-objects.  The service layer opens spans around the guard cascade and the
+objects.  The service layer opens spans around the summary guard and the
 join pipeline; the cluster coordinator opens spans around routing and
 decode, ships the trace id to the worker inside the existing ``OP_QUERY``
 payload, and grafts the span tree the worker sends back under its own

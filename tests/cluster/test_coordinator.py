@@ -135,7 +135,7 @@ def test_pruned_query_reports_pruning(cluster_pair):
     clustered = coordinator.answer("bsbm", query)
     assert clustered.answers == serial.answers == set()
     # the worker's guard is the in-process guard, on the same summaries
-    assert (clustered.pruned, clustered.pruned_by) == (serial.pruned, serial.pruned_by)
+    assert (clustered.pruned, clustered.kind) == (serial.pruned, serial.kind)
     assert clustered.cluster["shards_pruned"] == int(serial.pruned)
 
 
@@ -243,6 +243,13 @@ def test_status_reports_workers(cluster_pair, workers):
         assert worker["alive"]
     assert "bsbm" in status["graphs"]
     assert status["service"]["queries"] > 0
+    # the guard the service runs, not the constructor's spelling of it
+    assert status["kind"] == coordinator.service.kind == "strong"
+    legacy = ClusterCoordinator(GraphCatalog(), workers=1, kind="weak+strong", start=False)
+    try:
+        assert legacy.status()["kind"] == "strong"
+    finally:
+        legacy.close()
 
 
 def test_load_ack_reports_rows_and_attach_time(cluster_pair):

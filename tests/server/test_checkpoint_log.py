@@ -198,7 +198,7 @@ def test_reopen_after_clean_checkpoint_replays_and_builds_nothing(bsbm_small, tm
     before = rows.value
     with GraphCatalog.open(path) as reopened:
         assert rows.value == before and reopened.log_tail_rows("g") == 0
-        QueryService(reopened, kind="weak").answer("g", _QUERIES[0])
+        QueryService(reopened).answer("g", _QUERIES[0])
         assert not any(reopened.entry("g").build_counters.values())
 
 

@@ -111,7 +111,9 @@ class TestQuery:
         )
         assert status == 200
         assert payload["answers"] == [] and payload["pruned"]
-        assert payload["pruned_by"] == "weak"
+        assert payload["kind"] == "weak"
+        # one guard: no cascade order, no per-kind attribution
+        assert "pruned_by" not in payload and "guard_order" not in payload
 
     def test_explain_carries_a_trace(self, served):
         base, _catalog = served
@@ -404,7 +406,7 @@ class TestPersistentRestart:
 
         catalog = GraphCatalog.open(path)
         catalog.register("fig2", graph=fig2)
-        app = ServerApp(catalog, kind="weak")
+        app = ServerApp(catalog)
         server, _thread = start_background(app)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         _status, before = _call(base, "POST", "/graphs/fig2/query", query)
@@ -414,7 +416,7 @@ class TestPersistentRestart:
         catalog.close()
 
         catalog = GraphCatalog.open(path)
-        app = ServerApp(catalog, kind="weak")
+        app = ServerApp(catalog)
         server, _thread = start_background(app)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         _status, after = _call(base, "POST", "/graphs/fig2/query", query)

@@ -114,11 +114,11 @@ class TestWarmStart:
         path = _catalog_path(tmp_path)
         with GraphCatalog.open(path) as catalog:
             catalog.register("g", graph=bsbm_small)
-            service = QueryService(catalog, kind="weak")
+            service = QueryService(catalog)
             cold = service.answer("g", bsbm_query)
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("g")
-            warm = QueryService(reopened, kind="weak").answer("g", bsbm_query)
+            warm = QueryService(reopened).answer("g", bsbm_query)
             assert warm.answers == cold.answers
             assert _zero_counters(entry) == {}
 
@@ -181,9 +181,10 @@ class TestWarmStart:
             catalog.register("g", graph=bsbm_small)
         with GraphCatalog.open(path) as reopened:
             entry = reopened.entry("g")
-            warm = entry.pruning_graph("weak")
+            kind = QueryService(reopened).kind  # the default guard's summary
+            warm = entry.pruning_graph(kind)
             assert _zero_counters(entry) == {}  # it came from the checkpoint
-            assert graphs_isomorphic(warm, summarize(bsbm_small, "weak").graph)
+            assert graphs_isomorphic(warm, summarize(bsbm_small, kind).graph)
 
 
 class TestKillAndReopen:
@@ -699,4 +700,4 @@ class TestSaturationWarmStart:
         connection = sqlite3.connect(path)
         names = {row[0] for row in connection.execute("SELECT name FROM artifacts")}
         connection.close()
-        assert names == (set() if drop else {"summary:weak"})
+        assert names == (set() if drop else {"summary:strong"})

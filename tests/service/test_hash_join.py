@@ -680,27 +680,6 @@ class TestServiceIntegration:
                 assert a.answers == b.answers == evaluate(bsbm_small, query)
                 assert a.strategy == "hash" and b.strategy == "sql"
 
-    def test_guard_order_and_attribution_exposed(self, bsbm_small):
-        from repro.service.catalog import GraphCatalog
-        from repro.service.service import QueryService
-
-        with GraphCatalog() as catalog:
-            entry = catalog.register("g", graph=bsbm_small)
-            service = QueryService(catalog, kind="strong+weak")
-            x, y = Variable("x"), Variable("y")
-            absent = BGPQuery(
-                [TriplePattern(x, EX.term("not-in-bsbm"), y)], head=(x,)
-            )
-            answer = service.answer("g", absent)
-            assert answer.pruned
-            assert answer.pruned_by == answer.guard_order[0]
-            # cheapest (smallest) summary first, whatever the declared order
-            sizes = [
-                len(entry.pruning_graph(kind)) for kind in answer.guard_order
-            ]
-            assert sizes == sorted(sizes)
-            assert service.statistics.pruned_by_kind[answer.pruned_by] >= 1
-
     def test_saturated_path_honours_the_strategy(self, book_graph):
         from repro.service.catalog import GraphCatalog
         from repro.service.service import QueryService
@@ -729,25 +708,6 @@ class TestServiceIntegration:
             )
             assert a.answers == b.answers and a.answers
             assert a.strategy == "sql" and b.strategy == "hash"
-
-    def test_guard_ordering_never_builds_uncached_summaries(self, bsbm_small):
-        """Re-ordering the cascade must keep PR 2's lazy escalation: a
-        query the weak summary prunes must not force a strong-summary
-        build just to sort the guards."""
-        from repro.service.catalog import GraphCatalog
-        from repro.service.service import QueryService
-
-        with GraphCatalog() as catalog:
-            entry = catalog.register("g", graph=bsbm_small)
-            service = QueryService(catalog, kind="weak+strong")
-            x, y = Variable("x"), Variable("y")
-            absent = BGPQuery([TriplePattern(x, EX.term("not-in-bsbm"), y)], head=(x,))
-            answer = service.answer("g", absent)
-            assert answer.pruned and answer.pruned_by == "weak"
-            assert answer.guard_order == ("weak", "strong")
-            # the strong summary was never needed, so it was never built
-            assert entry.cached_pruning_size("strong") is None
-            assert entry.cached_pruning_size("weak") is not None
 
     def test_explain_carries_trace_through_service(self, bsbm_small):
         from repro.service.catalog import GraphCatalog

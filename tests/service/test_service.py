@@ -3,6 +3,7 @@
 import pytest
 
 from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
+from repro.errors import UnknownSummaryKindError
 from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload
 from repro.queries.parser import parse_query
@@ -88,15 +89,46 @@ class TestAnswerPipeline:
             assert stats["pruned"] == 1
             assert stats["evaluated"] == 1
 
+    def test_a_prunable_query_checks_one_summary_once(self, bibliography_small, monkeypatch):
+        import repro.service.service as service_module
+
+        checked = []
+        real = service_module.has_answers
+
+        def counting(graph, query):
+            checked.append(graph)
+            return real(graph, query)
+
+        # the guard looks the check up as a module global when it runs
+        monkeypatch.setattr(service_module, "has_answers", counting)
+        with GraphCatalog() as catalog:
+            entry = catalog.register("bib", graph=bibliography_small)
+            service = QueryService(catalog)
+            for text in ("ASK { ?x b:writtenBy ?y }", "ASK { ?x b:cites ?y }"):
+                query = parse_query("PREFIX b: <http://bib.example.org/> " + text)
+                for saturated in (False, True):
+                    del checked[:]
+                    service.answer("bib", query, saturated=saturated)
+                    guard = entry.pruning_graph("strong", saturated=saturated)
+                    assert len(checked) == 1 and checked[0] is guard
+            del checked[:]
+            service.answer("bib", parse_query("ASK { ?x ?p ?y }"))  # not an RBGP
+            assert checked == []
+
     def test_cascade_kind_spec(self, bibliography_small):
         with GraphCatalog() as catalog:
             catalog.register("bib", graph=bibliography_small)
+            # the old cascade spelling is one guard, the strong summary
             service = QueryService(catalog, kind="weak+strong")
-            assert service.kinds == ("weak", "strong")
+            assert service.kind == "strong"
             query = parse_query(
                 "PREFIX b: <http://bib.example.org/> ASK { ?x b:cites ?y }"
             )
-            assert service.answer("bib", query).empty
+            answer = service.answer("bib", query)
+            assert answer.empty and answer.pruned and answer.kind == "strong"
+            for spec in ("strong+weak", "type+weak"):
+                with pytest.raises(UnknownSummaryKindError):
+                    QueryService(catalog, kind=spec)
 
     def test_saturated_answers_are_certain_answers(self, book_graph):
         from repro.queries.evaluation import evaluate_saturated

@@ -1,5 +1,7 @@
 """Tests for the command-line interface."""
 
+import re
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -252,7 +254,9 @@ class TestQueryStrategyAndExplain:
         )
         output = capsys.readouterr().out
         assert "explain (strategy: hash)" in output
-        assert "guard cascade" in output
+        # one guard line: the summary kind, its edge count and the verdict
+        assert re.search(r"guard +: strong summary, \d+ edges: not pruned", output)
+        assert "cascade" not in output
         assert "plan" in output
         assert "est" in output and "actual" in output
         assert ", join" not in output  # one stage algorithm: nothing to name

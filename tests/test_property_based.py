@@ -31,7 +31,10 @@ from repro.model.namespaces import (
 )
 from repro.model.terms import Literal, URI
 from repro.model.triple import Triple
+from repro.queries.bgp import BGPQuery, TriplePattern, Variable
+from repro.queries.evaluation import has_answers
 from repro.schema.saturation import saturate
+from repro.service.catalog import GraphCatalog
 from repro.utils.unionfind import UnionFind
 
 from oracles.term_partitions import strong_partition, weak_partition
@@ -146,6 +149,51 @@ def test_summary_fixpoint(graph, kind):
 def test_summary_never_larger_than_graph(graph):
     for kind in ("weak", "strong"):
         assert len(summarize(graph, kind).graph) <= len(graph)
+
+
+# ----------------------------------------------------------------------
+# the guard lemma: whatever the weak summary refutes, the strong one does
+# ----------------------------------------------------------------------
+_VARIABLES = [Variable(f"x{i}") for i in range(3)]
+_rbgp_pattern = st.one_of(
+    st.builds(
+        TriplePattern,
+        st.sampled_from(_VARIABLES),
+        st.sampled_from(_PROPERTIES),
+        st.sampled_from(_VARIABLES),
+    ),
+    st.builds(
+        TriplePattern, st.sampled_from(_VARIABLES), st.just(RDF_TYPE), st.sampled_from(_CLASSES)
+    ),
+)
+_rbgp_queries = st.lists(_rbgp_pattern, min_size=1, max_size=3).map(BGPQuery)
+
+
+@settings(max_examples=60, deadline=None)
+@given(graphs(), st.lists(_rbgp_queries, min_size=1, max_size=6), st.data())
+def test_weak_refutation_implies_strong_refutation(graph, queries, data):
+    """``H_strong → H_weak`` is a homomorphism fixing every class and
+    property, so an RBGP query embedding in the strong summary (or its
+    saturation) embeds in the weak one: the strong guard alone prunes
+    whatever the old ``weak+strong`` cascade did — at registration and
+    after an ingest, plain and saturated."""
+    triples = sorted(graph, key=str)
+    split = data.draw(st.integers(0, len(triples)), label="registered prefix")
+    with GraphCatalog() as catalog:
+        entry = catalog.register("g", graph=RDFGraph(triples[:split]))
+        for ingest in (False, True):
+            if ingest:
+                catalog.add_triples("g", triples[split:])
+            for saturated in (False, True):
+                weak = entry.pruning_graph("weak", saturated=saturated)
+                strong = entry.pruning_graph("strong", saturated=saturated)
+                for query in queries:
+                    assert query.is_rbgp()
+                    assert has_answers(weak, query) or not has_answers(strong, query), (
+                        query,
+                        ingest,
+                        saturated,
+                    )
 
 
 # ----------------------------------------------------------------------

@@ -34,15 +34,13 @@ scaling curve is recorded (and written to the ``--json`` artifact).  The
 vs one worker) needs real cores: it is skipped with a notice on hosts with
 fewer CPUs than workers.
 
-``--telemetry`` switches to the **telemetry plane benchmark**: the same
-workload is answered by two freshly built stacks, one with the metrics
-registry enabled and one with telemetry disabled (no-op instruments), with
-laps interleaved; the enabled/disabled QPS ratio gates the instrumentation
-overhead (default ≤ 3%, relaxed to 10% under ``--quick`` where timings are
-noise).  The enabled stack is then served over HTTP: the ``/metrics``
-scrape must parse as Prometheus text and agree with the work done, a
-query with ``"trace": true`` must return a span tree, and an induced slow
-query must land in ``/debug/slow``.
+``--telemetry`` switches to the **telemetry plane check**: the workload is
+answered once by a freshly built stack, and the registry's
+``query.count`` must advance by exactly one per query.  The stack is then
+served over HTTP: the ``/metrics`` scrape must parse as Prometheus text
+(no metric typed twice) and agree with the work done, a query with
+``"trace": true`` must return a span tree, and an induced slow query must
+land in ``/debug/slow``.
 
 ``--saturated`` switches to the **incremental saturation benchmark**: a
 graph is registered and its maintained ``G∞`` store built once, then a
@@ -457,6 +455,8 @@ def parse_prometheus(text: str) -> Dict[str, object]:
             parts = line.split()
             if len(parts) != 4 or parts[3] not in ("counter", "gauge", "histogram"):
                 raise ValueError(f"malformed TYPE line: {line!r}")
+            if parts[2] in types:
+                raise ValueError(f"metric typed twice: {parts[2]!r}")
             types[parts[2]] = parts[3]
             continue
         if line.startswith("#"):
@@ -514,17 +514,10 @@ def _check_scrape(scrape: Dict[str, object], queries_run: int) -> List[str]:
 
 
 def run_telemetry_benchmark(args) -> Dict[str, object]:
-    """Telemetry plane: overhead gate, scrape parseability, slow-log capture."""
+    """Telemetry plane: one count per query, scrape parseability, slow-log capture."""
     scale = 200 if args.quick else args.scale
     count = 16 if args.quick else args.count
-    reps = 3
-    report: Dict[str, object] = {
-        "mode": "telemetry",
-        "scale": scale,
-        "queries": count,
-        "reps": reps,
-        "quick": args.quick,
-    }
+    report: Dict[str, object] = {"mode": "telemetry", "scale": scale, "quick": args.quick}
     graph = generate_bsbm(scale=scale, seed=args.seed)
     report["triples"] = len(graph)
     workload = generate_mixed_workload(
@@ -534,60 +527,25 @@ def run_telemetry_benchmark(args) -> Dict[str, object]:
         seed=args.seed,
         answer_limit=args.limit,
     )
-    queries = [item.query for item in workload]
+    report["queries"] = len(workload)
     print(
-        f"bsbm scale {scale}: {len(graph)} triples, {count} queries x {reps} "
-        f"interleaved laps per mode (memory store, hash joins)"
+        f"bsbm scale {scale}: {len(graph)} triples, {len(workload)} queries "
+        f"(memory store, hash joins)"
     )
 
-    # two stacks, built under their own enablement (instruments — real or
-    # no-op — are captured at construction time)
     telemetry.REGISTRY.clear()
     telemetry.SLOW_LOG.clear()
-    telemetry.set_enabled(False)
-    catalog_off = GraphCatalog()
-    catalog_off.register(GRAPH_NAME, graph=graph)
-    service_off = QueryService(catalog_off, kind=args.kind, strategy="hash")
-    report["disabled_registry_entries"] = len(telemetry.REGISTRY)
-
-    telemetry.set_enabled(True)
-    catalog_on = GraphCatalog()
-    catalog_on.register(GRAPH_NAME, graph=graph)
-    service_on = QueryService(catalog_on, kind=args.kind, strategy="hash")
-
-    def lap(service) -> float:
-        start = perf_counter()
-        for query in queries:
-            service.answer(GRAPH_NAME, query, limit=args.limit)
-        return perf_counter() - start
-
+    catalog = GraphCatalog()
+    catalog.register(GRAPH_NAME, graph=graph)
+    service = QueryService(catalog, kind=args.kind, strategy="hash")
+    query_count = telemetry.counter("query.count")
     try:
-        # one warm lap each primes summaries and plan caches off the clock
-        lap(service_on)
-        lap(service_off)
-        on_laps: List[float] = []
-        off_laps: List[float] = []
-        for _ in range(reps):
-            on_laps.append(lap(service_on))
-            off_laps.append(lap(service_off))
-        enabled_qps = count / min(on_laps)
-        disabled_qps = count / min(off_laps)
-        overhead = min(on_laps) / min(off_laps) - 1.0
-        queries_on = service_on.statistics.queries
-        report.update(
-            {
-                "enabled_qps": enabled_qps,
-                "disabled_qps": disabled_qps,
-                "overhead_fraction": overhead,
-                "enabled_queries_recorded": queries_on,
-            }
-        )
-        print(
-            f"overhead: enabled {enabled_qps:.1f} qps vs disabled "
-            f"{disabled_qps:.1f} qps ({overhead*100:+.2f}%), "
-            f"{report['disabled_registry_entries']} registry entries created "
-            f"by the disabled stack"
-        )
+        before = query_count.value
+        for item in workload:
+            service.answer(GRAPH_NAME, item.query, limit=args.limit)
+        queries_run = int(query_count.value - before)
+        report["queries_recorded"] = queries_run
+        print(f"registry: query.count advanced by {queries_run} over {len(workload)} queries")
 
         # ------------------------------------------------------------------
         # HTTP: scrape, span tree, induced slow query
@@ -595,7 +553,7 @@ def run_telemetry_benchmark(args) -> Dict[str, object]:
         probe = next(
             (item.query for item in workload if item.satisfiable), workload[0].query
         )
-        app = ServerApp(catalog_on, kind=args.kind, strategy="hash", max_workers=4)
+        app = ServerApp(catalog, kind=args.kind, strategy="hash", max_workers=4)
         server, _thread = start_background(app)
         base = f"http://127.0.0.1:{server.server_address[1]}"
         old_threshold = telemetry.SLOW_LOG.threshold_seconds
@@ -638,7 +596,7 @@ def run_telemetry_benchmark(args) -> Dict[str, object]:
                 print(f"scrape written to {args.scrape_output}")
             try:
                 scrape = parse_prometheus(scrape_text)
-                report["scrape_errors"] = _check_scrape(scrape, queries_on)
+                report["scrape_errors"] = _check_scrape(scrape, queries_run)
                 report["scrape_series"] = len(scrape["samples"])
                 report["scrape_metrics"] = len(scrape["types"])
             except ValueError as error:
@@ -658,8 +616,7 @@ def run_telemetry_benchmark(args) -> Dict[str, object]:
             server.server_close()
             app.close()
     finally:
-        catalog_on.close()
-        catalog_off.close()
+        catalog.close()
     return report
 
 
@@ -982,10 +939,10 @@ def evaluate_saturation_gates(args, report) -> List[str]:
 
 def evaluate_telemetry_gates(args, report) -> List[str]:
     failures: List[str] = []
-    if report["disabled_registry_entries"]:
+    if report["queries_recorded"] != report["queries"]:
         failures.append(
-            f"the disabled stack registered {report['disabled_registry_entries']} "
-            f"metric(s) (no-op instruments must leave the registry empty)"
+            f"query.count advanced by {report['queries_recorded']} over "
+            f"{report['queries']} queries (each answer counts once)"
         )
     if not report["trace_tree_ok"]:
         failures.append("the traced HTTP query returned no usable span tree")
@@ -993,14 +950,6 @@ def evaluate_telemetry_gates(args, report) -> List[str]:
         failures.append("the induced slow query did not land in /debug/slow")
     for problem in report["scrape_errors"]:
         failures.append(f"/metrics scrape: {problem}")
-    # timing gate: interleaved best-of-laps keeps scheduler noise down, but
-    # smoke-scale runs still jitter — the quick bound is deliberately loose
-    max_overhead = 0.10 if args.quick else args.max_telemetry_overhead
-    if report["overhead_fraction"] > max_overhead:
-        failures.append(
-            f"telemetry overhead is {report['overhead_fraction']*100:.2f}% "
-            f"(gate: {max_overhead*100:.0f}%)"
-        )
     return failures
 
 
@@ -1122,15 +1071,8 @@ def main(argv=None) -> int:
     parser.add_argument(
         "--telemetry",
         action="store_true",
-        help="run the telemetry plane benchmark instead of the serving "
-        "benchmark (instrumentation overhead, /metrics scrape, slow-query log)",
-    )
-    parser.add_argument(
-        "--max-telemetry-overhead",
-        type=float,
-        default=0.03,
-        help="largest tolerated enabled/disabled slowdown fraction in "
-        "--telemetry mode (relaxed to 0.10 under --quick)",
+        help="run the telemetry plane check instead of the serving "
+        "benchmark (one count per query, /metrics scrape, slow-query log)",
     )
     parser.add_argument(
         "--scrape-out",
@@ -1178,10 +1120,9 @@ def main(argv=None) -> int:
         report = run_telemetry_benchmark(args)
         failures = evaluate_telemetry_gates(args, report)
         pass_line = (
-            f"\nPASS: telemetry overhead {report['overhead_fraction']*100:+.2f}% "
-            f"({report['enabled_qps']:.1f} vs {report['disabled_qps']:.1f} qps), "
+            f"\nPASS: {report['queries_recorded']} queries counted once each, "
             f"scrape parsed ({report['scrape_metrics']} metrics), span tree ok, "
-            f"slow query captured, disabled mode registered nothing"
+            f"slow query captured"
         )
     elif args.saturated:
         report = run_saturation_benchmark(args)

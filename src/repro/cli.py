@@ -50,7 +50,7 @@ def _load_graph(path: str) -> RDFGraph:
 
 def _answer_limit(text: str) -> int:
     """``--limit``'s type: the HTTP API's rule, enforced at the parser."""
-    if not text.isdecimal() or int(text) < 1:
+    if not text.isdecimal() or not 1 <= int(text) <= sys.maxsize:
         raise argparse.ArgumentTypeError("'limit' must be a positive integer")
     return int(text)
 
@@ -225,12 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="SECONDS",
         help="queries slower than this land in the slow-query log "
         "(GET /debug/slow; default 0.25)",
-    )
-    serve_parser.add_argument(
-        "--no-telemetry",
-        action="store_true",
-        help="disable the metrics registry, tracing and the slow-query log "
-        "(instruments become no-ops; /metrics serves an empty exposition)",
     )
 
     lint_parser = subparsers.add_parser(
@@ -500,10 +494,6 @@ def _command_serve(args: argparse.Namespace) -> int:
     from repro.server.http import ServerApp, make_server
     from repro.service.catalog import GraphCatalog
 
-    # telemetry enablement must precede every construction below: services
-    # capture their instruments (or the no-op singletons) when built
-    if args.no_telemetry:
-        telemetry.set_enabled(False)
     if args.slow_query_threshold is not None:
         if args.slow_query_threshold <= 0:
             print("error: --slow-query-threshold must be positive", file=sys.stderr)

@@ -325,7 +325,7 @@ class ClusterCoordinator:
     def _spawn(self, handle: _WorkerHandle) -> None:
         """Start (or restart) the process behind *handle* (respawn_lock
         held by the caller for respawns; at start() nothing races)."""
-        config = {"strategy": self.strategy, "telemetry": telemetry.enabled()}
+        config = {"strategy": self.strategy}
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             filter(None, (_PACKAGE_ROOT, env.get("PYTHONPATH")))
@@ -861,7 +861,6 @@ class ClusterCoordinator:
             "strategy": self.strategy,
             "graphs": self.catalog.names(),
             "uptime_seconds": monotonic() - self.started_at,
-            "service": self.service.statistics.as_dict(),
             "shm": shm_info,
             "ship_metrics": self.ship_metrics,
         }

@@ -1,9 +1,9 @@
 """The cluster worker process: one full replica per graph, one pipe.
 
-A worker is ``python -m repro.cluster.worker <fd> <config>``: a
-single-threaded message loop over a
-:class:`~repro.cluster.protocol.Connection` on the socket-pair end its
-coordinator passed it as *fd*, importing what evaluating a compiled query
+A worker is ``python -m repro.cluster.worker <fd> <config>`` (*config* a
+JSON object naming the join ``strategy``): a single-threaded message loop
+over a :class:`~repro.cluster.protocol.Connection` on the socket-pair end
+its coordinator passed it as *fd*, importing what evaluating a compiled query
 needs — store, statistics, planner, evaluator — and nothing else of the
 package.  Per registered graph it keeps **one** worker-local store, a
 complete replica of the graph's integer rows behind an ordinary
@@ -58,7 +58,6 @@ import sys
 from time import monotonic, perf_counter, sleep
 from typing import Dict, List, Optional, Tuple
 
-from repro import telemetry
 from repro.cluster import protocol, shm
 from repro.errors import QueryError, ReproError, UnknownGraphError
 from repro.model.dictionary import EncodedTriple
@@ -382,10 +381,6 @@ def worker_main(connection, config: Dict[str, object]) -> None:
     # the coordinator owns interactive signals; SIGTERM means "drain after
     # the message in hand" (the graceful half of the failure model)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    # inherit the coordinator's telemetry mode before any catalog or
-    # evaluator (and their instrument handles) is built — a worker is a
-    # fresh interpreter
-    telemetry.set_enabled(bool(config.get("telemetry", True)))
     worker = _Worker(connection, config)
 
     def _drain(_signum, _frame):

@@ -137,8 +137,6 @@ class ServerApp:
         #: register / add_triples / drop: through the cluster when there is one
         self._writer = catalog if cluster is None else cluster
         self.started_at = monotonic()
-        # request-plane instruments, captured at construction so an app
-        # built after telemetry.set_enabled(False) stays dark
         self._http_requests = telemetry.counter("http.requests")
         self._http_request_seconds = telemetry.histogram("http.request.seconds")
         #: In-flight request accounting behind :meth:`drain`: a graceful
@@ -276,7 +274,6 @@ class ServerApp:
                 # the summary maintainer's sizes, weak and strong alike,
                 # under its published key (null until it is primed)
                 "strong_maintainer": entry.maintainer_metrics(),
-                "service": self.service.statistics.as_dict(),
             }
 
     def graph_summary(self, name: str, kind: str, query_string: Dict) -> Tuple[int, object]:
@@ -302,7 +299,7 @@ class ServerApp:
         limit = body.get("limit", self.default_limit)
         # bool is an int subclass: "limit": true must be a 400, not limit=1
         if limit is not None and (
-            isinstance(limit, bool) or not isinstance(limit, int) or limit <= 0
+            isinstance(limit, bool) or not isinstance(limit, int) or not 0 < limit <= sys.maxsize
         ):
             raise _HTTPError(400, "'limit' must be a positive integer or null")
         flags = [body.get(key, False) for key in ("saturated", "explain", "trace")]

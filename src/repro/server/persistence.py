@@ -320,6 +320,7 @@ class PersistentCatalog:
             if isinstance(error, PersistenceError):
                 raise
             raise PersistenceError(f"{self.path!r} is not a catalog file: {error}")
+        telemetry.gauge("persistence.tail.rows").add_callback(self._tail_total)
 
     # ------------------------------------------------------------------
     def _conn(self) -> sqlite3.Connection:
@@ -328,6 +329,7 @@ class PersistentCatalog:
         return self._connection
 
     def close(self) -> None:
+        telemetry.gauge("persistence.tail.rows").remove_callback(self._tail_total)
         with self._lock:
             if self._connection is not None:
                 self._connection.close()
@@ -353,9 +355,13 @@ class PersistentCatalog:
         durable = self._durable.get(name)
         return durable[1] if durable is not None else None
 
+    def _tail_total(self) -> int:
+        """The ``persistence.tail.rows`` sample: :meth:`tail_rows` summed
+        over the graphs (lock-free, as :meth:`tail_rows` is)."""
+        return sum(tail for _terms, tail in list(self._durable.values()))
+
     def _remember(self, name: str, terms: int, tail: int) -> None:
         self._durable[name] = (terms, tail)
-        telemetry.gauge(f"persistence.tail.rows.{name}").set(tail)
 
     # ------------------------------------------------------------------
     # writing
@@ -496,7 +502,6 @@ class PersistentCatalog:
         """Forget *name* durably (no-op when it was never persisted)."""
         with self._lock:
             self._durable.pop(name, None)
-            telemetry.REGISTRY.unregister(f"persistence.tail.rows.{name}")
             with self._transaction(name, "dropping graph") as connection:
                 self._delete_rows(connection, name)
 

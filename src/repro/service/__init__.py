@@ -21,7 +21,6 @@ __all__ = [
     "ExecutionTrace",
     "QueryAnswer",
     "QueryService",
-    "ServiceStatistics",
     "ComparisonReport",
     "WorkloadQuery",
     "WorkloadReport",
@@ -34,7 +33,7 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "catalog": ("CatalogEntry", "GraphCatalog"),
     "evaluator": ("STRATEGIES", "CompiledQuery", "EncodedEvaluator", "compile_query"),
     "planner": ("ExecutionTrace", "QueryPlan", "QueryPlanner"),
-    "service": ("QueryAnswer", "QueryService", "ServiceStatistics"),
+    "service": ("QueryAnswer", "QueryService"),
     "statistics": ("CardinalityStatistics", "PredicateStatistics"),
     "workload": (
         "ComparisonReport", "WorkloadQuery", "WorkloadReport",

@@ -69,9 +69,8 @@ restored graphs stale and the first guarded query primes the maintainer
 from __future__ import annotations
 
 import threading
-from collections.abc import MutableMapping
 from time import perf_counter
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import telemetry
 from repro.core.builders import normalize_kind
@@ -92,52 +91,6 @@ from repro.store.memory import MemoryStore
 from repro.utils.concurrency import ReadWriteLock
 
 __all__ = ["CatalogEntry", "GraphCatalog"]
-
-
-class BuildCounters(MutableMapping):
-    """Per-entry build counters that double as ``catalog.build.*`` metrics.
-
-    Behaves exactly like the plain dict it replaces — item access,
-    ``counters[key] += 1``, iteration, ``dict(...)``, equality — while
-    forwarding every increment to the process-wide
-    ``catalog.build.<key>`` registry counter, so one bump keeps the
-    per-entry view (the durability tests assert a warm-started entry stays
-    all-zero) and the fleet-wide totals in step.
-    """
-
-    __slots__ = ("_values",)
-
-    def __init__(self, keys: Iterable[str]):
-        self._values: Dict[str, int] = {key: 0 for key in keys}
-
-    def __getitem__(self, key: str) -> int:
-        return self._values[key]
-
-    def __setitem__(self, key: str, value: int) -> None:
-        delta = value - self._values.get(key, 0)
-        self._values[key] = value
-        if delta > 0:
-            telemetry.counter(f"catalog.build.{key}").inc(delta)
-
-    def __delitem__(self, key: str) -> None:
-        del self._values[key]
-
-    def __iter__(self) -> Iterator[str]:
-        return iter(self._values)
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, BuildCounters):
-            return self._values == other._values
-        return self._values == other
-
-    def __ne__(self, other: object) -> bool:
-        return not self.__eq__(other)
-
-    def __repr__(self):
-        return f"BuildCounters({self._values})"
 
 
 class _ServedStore:
@@ -214,8 +167,10 @@ class CatalogEntry:
         #: warm-started entry restored from a persistent catalog keeps the
         #: first two at zero through its first queries, and the third until
         #: its first saturated one — the durability tests assert exactly that.
-        self.build_counters: BuildCounters = BuildCounters(
-            ("prime_scans", "summary_builds", "saturation_builds")
+        #: Each bump also advances the registry's ``catalog.build.<key>``
+        #: (:meth:`_count_build`).
+        self.build_counters: Dict[str, int] = dict.fromkeys(
+            ("prime_scans", "summary_builds", "saturation_builds"), 0
         )
         # shared registry instruments (one histogram for all entries)
         self._write_wait_seconds = telemetry.histogram("lock.write_wait.seconds")
@@ -428,6 +383,11 @@ class CatalogEntry:
     # ------------------------------------------------------------------
     # summaries and pruning graphs
     # ------------------------------------------------------------------
+    def _count_build(self, key: str) -> None:
+        """One more *key* build, in this entry and in the registry."""
+        self.build_counters[key] += 1
+        telemetry.counter(f"catalog.build.{key}").inc()
+
     def summary(self, kind: str = "weak") -> Summary:
         """The *kind* summary of the graph, served from cache when fresh.
 
@@ -451,13 +411,13 @@ class CatalogEntry:
                 return cached[2]
             if kind in ("weak", "strong"):
                 if self._maintainer is None:
-                    self.build_counters["prime_scans"] += 1
+                    self._count_build("prime_scans")
                     maintainer = CliqueSummarizer(self.store)
                     maintainer.prime()
                     self._maintainer = maintainer
                 summary = self._maintainer.snapshot(self.name, kind)
             else:
-                self.build_counters["summary_builds"] += 1
+                self._count_build("summary_builds")
                 summary = encoded_summarize(self.store, kind, source_name=self.name)
             if cached is not None and cached[1] == summary.graph:
                 # same triples as the cached (stale or restored) graph: keep
@@ -511,7 +471,7 @@ class CatalogEntry:
         state = self._saturated
         if state is not None:
             return state
-        self.build_counters["saturation_builds"] += 1
+        self._count_build("saturation_builds")
         build_start = perf_counter()
         saturator = IncrementalSaturator(self.store, self.vocabulary)
         saturator.build()

@@ -278,9 +278,6 @@ class EncodedEvaluator:
         self.store = store
         self.strategy = strategy
         self._planner = planner
-        # join-stage telemetry, captured once: when the plane is disabled
-        # the flag skips even the per-stage clock reads
-        self._instrument_joins = telemetry.enabled()
         self._join_seconds = telemetry.histogram("join.stage.seconds")
 
     # ------------------------------------------------------------------
@@ -378,7 +375,6 @@ class EncodedEvaluator:
                 next_position += 1
 
         sizes = [_FIRST_CHUNK] * len(layout)  # the next chunk of each stage
-        instrument = self._instrument_joins
         traced = len(trace.stages) if trace is not None else 0
 
         def walk() -> Iterator[List[Tuple[int, ...]]]:
@@ -400,7 +396,7 @@ class EncodedEvaluator:
                     sizes[index] *= _CHUNK_GROWTH
                 if start + len(part) < len(rows):
                     pending.append((index, rows, start + len(part)))
-                stage_start = perf_counter() if instrument else 0.0
+                stage_start = perf_counter()
                 access = "hash" if fresh_columns else "exists"  # unless it scans or probes
                 if not index:  # the scan: cells of the chunk's rows, read column by column
                     access, fetched, probes = "scan", len(part), 0 if start else scan_probes
@@ -423,8 +419,7 @@ class EncodedEvaluator:
                         candidates = [r for r in candidates if all(r[a] == r[b] for a, b in checks)]
                     fetched = len(candidates)
                     joined = _join_stage(part, candidates, join_on, fresh_columns)
-                if instrument:
-                    self._join_seconds.observe(perf_counter() - stage_start)
+                self._join_seconds.observe(perf_counter() - stage_start)
                 if trace is not None:
                     if len(trace.stages) == traced + index:  # the stage's first chunk
                         estimates = (stage.estimate, stage.cumulative)

@@ -38,7 +38,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 from repro import telemetry
 from repro.model.triple import TripleKind
 from repro.service.statistics import CardinalityStatistics
-from repro.telemetry import Counter
 from repro.utils.concurrency import named_lock
 
 __all__ = [
@@ -119,11 +118,11 @@ class QueryPlanner:
     answering adversarially diverse query shapes re-plans cold shapes
     instead of leaking one cached plan per shape ever seen.  A re-planned
     evicted shape counts as an ordinary miss (and the eviction itself is
-    tallied in ``cache_evictions``), as does a shape re-costed because the
-    store outgrew its plan (``_REPLAN_GROWTH``), so the hit/miss
-    counters stay exact arrival statistics whatever the cap.  The cache is
-    guarded by a lock — one planner is shared by every executor thread of
-    a catalog entry.
+    tallied in the registry's ``planner.cache.evictions``), as does a shape
+    re-costed because the store outgrew its plan (``_REPLAN_GROWTH``), so
+    ``planner.cache.hits`` / ``.misses`` stay exact arrival statistics
+    whatever the cap.  The cache is guarded by a lock — one planner is
+    shared by every executor thread of a catalog entry.
     """
 
     def __init__(
@@ -139,29 +138,9 @@ class QueryPlanner:
         #: guarded by self._cache_lock
         self._plans: "OrderedDict[Tuple, Tuple[int, QueryPlan]]" = OrderedDict()
         self._cache_lock = named_lock("planner.cache_lock")
-        # per-planner children of the process-wide ``planner.cache.*``
-        # registry family: the instance counts stay exact (tests and
-        # benchmarks assert them on fresh planners) while the same inc()
-        # advances the shared metric
-        self._cache_hits = Counter("hits", parent=telemetry.counter("planner.cache.hits"))
-        self._cache_misses = Counter(
-            "misses", parent=telemetry.counter("planner.cache.misses")
-        )
-        self._cache_evictions = Counter(
-            "evictions", parent=telemetry.counter("planner.cache.evictions")
-        )
-
-    @property
-    def cache_hits(self) -> int:
-        return self._cache_hits.int_value
-
-    @property
-    def cache_misses(self) -> int:
-        return self._cache_misses.int_value
-
-    @property
-    def cache_evictions(self) -> int:
-        return self._cache_evictions.int_value
+        self._cache_hits = telemetry.counter("planner.cache.hits")
+        self._cache_misses = telemetry.counter("planner.cache.misses")
+        self._cache_evictions = telemetry.counter("planner.cache.evictions")
 
     @property
     def cached_plan_count(self) -> int:
@@ -275,11 +254,7 @@ class QueryPlanner:
         return QueryPlan(stages, shape)
 
     def __repr__(self):
-        return (
-            f"QueryPlanner(plans={self.cached_plan_count}/{self.plan_cache_cap}, "
-            f"hits={self.cache_hits}, misses={self.cache_misses}, "
-            f"evictions={self.cache_evictions})"
-        )
+        return f"QueryPlanner(plans={self.cached_plan_count}/{self.plan_cache_cap})"
 
 
 class StageTrace:

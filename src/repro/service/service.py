@@ -37,16 +37,15 @@ from repro import telemetry
 from repro.core.builders import normalize_kind
 from repro.errors import UnknownGraphError
 from repro.model.namespaces import is_schema_property
-from repro.utils.concurrency import named_lock
 from repro.model.terms import Term
 from repro.queries.bgp import BGPQuery
 from repro.queries.evaluation import has_answers
 from repro.service.catalog import GraphCatalog
 from repro.service.evaluator import CompiledQuery, compile_query, decode_rows, describe_stages
 from repro.service.planner import ExecutionTrace
-from repro.telemetry import Counter, QueryTrace, maybe_span
+from repro.telemetry import QueryTrace, maybe_span
 
-__all__ = ["QueryAnswer", "QueryService", "ServiceStatistics"]
+__all__ = ["QueryAnswer", "QueryService"]
 
 
 class QueryAnswer:
@@ -129,140 +128,6 @@ class QueryAnswer:
         return f"<QueryAnswer {self.query.name or 'query'!s} on {self.graph_name!r}: {state}>"
 
 
-class ServiceStatistics:
-    """Running counters of a :class:`QueryService` (per-query pruning/timing).
-
-    Updates are lock-protected: the concurrent executor records answers
-    from many threads, and unsynchronized ``+=`` on attributes loses
-    increments even under the GIL.
-
-    Each count is a private telemetry :class:`~repro.telemetry.Counter`
-    whose parent is the process-wide registry family (``query.count``,
-    ``query.guard.pruned``, …): the per-instance view stays exact — the
-    ``/graphs/<name>/statistics`` payload and the tests read it — while the
-    same ``inc()`` advances the shared metric, so there is no parallel
-    bookkeeping to drift.  :meth:`record` also feeds the registry latency
-    histograms and, when the answer crossed the threshold, the process
-    slow-query log.
-    """
-
-    __slots__ = (
-        "_queries",
-        "_pruned",
-        "_evaluated",
-        "_unprunable",
-        "_guard_seconds",
-        "_evaluation_seconds",
-        "_guard_histogram",
-        "_evaluation_histogram",
-        "_total_histogram",
-        "_slow_log",
-        "_lock",
-    )
-
-    def __init__(self):
-        self._queries = Counter("queries", parent=telemetry.counter("query.count"))
-        self._pruned = Counter("pruned", parent=telemetry.counter("query.guard.pruned"))
-        self._evaluated = Counter(
-            "evaluated", parent=telemetry.counter("query.evaluated")
-        )
-        self._unprunable = Counter(
-            "unprunable", parent=telemetry.counter("query.unprunable")
-        )
-        # the registry-side second totals live in the histograms' sums
-        self._guard_seconds = Counter("guard_seconds")
-        self._evaluation_seconds = Counter("evaluation_seconds")
-        self._guard_histogram = telemetry.histogram("query.guard.seconds")
-        self._evaluation_histogram = telemetry.histogram("query.evaluation.seconds")
-        self._total_histogram = telemetry.histogram("query.total.seconds")
-        self._slow_log = telemetry.SLOW_LOG if telemetry.enabled() else None
-        self._lock = named_lock("service.statistics_lock")
-
-    def record(self, answer: QueryAnswer) -> None:
-        with self._lock:
-            self._queries.inc()
-            if answer.pruned:
-                self._pruned.inc()
-            else:
-                self._evaluated.inc()
-            if not answer.prunable:
-                self._unprunable.inc()
-            self._guard_seconds.inc(answer.guard_seconds)
-            self._evaluation_seconds.inc(answer.evaluation_seconds)
-        self._guard_histogram.observe(answer.guard_seconds)
-        self._evaluation_histogram.observe(answer.evaluation_seconds)
-        self._total_histogram.observe(answer.total_seconds)
-        slow_log = self._slow_log
-        if slow_log is not None and answer.total_seconds >= slow_log.threshold_seconds:
-            slow_log.record(
-                total_seconds=answer.total_seconds,
-                graph=answer.graph_name,
-                query=str(answer.query.name or "query"),
-                sparql=answer.query.to_sparql(),
-                guard_seconds=answer.guard_seconds,
-                evaluation_seconds=answer.evaluation_seconds,
-                pruned=answer.pruned,
-                strategy=answer.strategy,
-                answer_count=len(answer.answers),
-                trace_id=(
-                    answer.query_trace.trace_id
-                    if answer.query_trace is not None
-                    else None
-                ),
-            )
-
-    # ------------------------------------------------------------------
-    # the public counts: thin integer/float views over the counters, so
-    # existing callers (tests, /graphs statistics, benchmarks) see the
-    # exact per-instance numbers they always did
-    @property
-    def queries(self) -> int:
-        return self._queries.int_value
-
-    @property
-    def pruned(self) -> int:
-        return self._pruned.int_value
-
-    @property
-    def evaluated(self) -> int:
-        return self._evaluated.int_value
-
-    @property
-    def unprunable(self) -> int:
-        return self._unprunable.int_value
-
-    @property
-    def guard_seconds(self) -> float:
-        return self._guard_seconds.value
-
-    @property
-    def evaluation_seconds(self) -> float:
-        return self._evaluation_seconds.value
-
-    @property
-    def pruning_rate(self) -> float:
-        """Fraction of queries the guard answered without base evaluation."""
-        queries = self.queries
-        return self.pruned / queries if queries else 0.0
-
-    def as_dict(self) -> Dict[str, object]:
-        return {
-            "queries": self.queries,
-            "pruned": self.pruned,
-            "evaluated": self.evaluated,
-            "unprunable": self.unprunable,
-            "pruning_rate": self.pruning_rate,
-            "guard_seconds": self.guard_seconds,
-            "evaluation_seconds": self.evaluation_seconds,
-        }
-
-    def __repr__(self):
-        return (
-            f"ServiceStatistics(queries={self.queries}, pruned={self.pruned}, "
-            f"evaluated={self.evaluated})"
-        )
-
-
 def _guard_applies(query: BGPQuery) -> bool:
     """Whether the summary guard is sound for *query*.
 
@@ -326,8 +191,14 @@ class QueryService:
         self.prune = prune
         self.strategy = strategy
         self.remote = remote
-        self.statistics = ServiceStatistics()
         self._read_wait_seconds = telemetry.histogram("lock.read_wait.seconds")
+        self._queries = telemetry.counter("query.count")
+        self._pruned = telemetry.counter("query.guard.pruned")
+        self._evaluated = telemetry.counter("query.evaluated")
+        self._unprunable = telemetry.counter("query.unprunable")
+        self._guard_seconds = telemetry.histogram("query.guard.seconds")
+        self._evaluation_seconds = telemetry.histogram("query.evaluation.seconds")
+        self._total_seconds = telemetry.histogram("query.total.seconds")
 
     # ------------------------------------------------------------------
     def answer(
@@ -443,5 +314,30 @@ class QueryService:
             cluster=cluster,
             query_trace=query_trace,
         )
-        self.statistics.record(result)
+        self._record(result)
         return result
+
+    def _record(self, answer: QueryAnswer) -> None:
+        """Count *answer* in the registry and, when it crossed the
+        threshold, in the process slow-query log."""
+        self._queries.inc()
+        (self._pruned if answer.pruned else self._evaluated).inc()
+        if not answer.prunable:
+            self._unprunable.inc()
+        self._guard_seconds.observe(answer.guard_seconds)
+        self._evaluation_seconds.observe(answer.evaluation_seconds)
+        self._total_seconds.observe(answer.total_seconds)
+        slow_log = telemetry.SLOW_LOG
+        if answer.total_seconds >= slow_log.threshold_seconds:
+            slow_log.record(
+                total_seconds=answer.total_seconds,
+                graph=answer.graph_name,
+                query=str(answer.query.name or "query"),
+                sparql=answer.query.to_sparql(),
+                guard_seconds=answer.guard_seconds,
+                evaluation_seconds=answer.evaluation_seconds,
+                pruned=answer.pruned,
+                strategy=answer.strategy,
+                answer_count=len(answer.answers),
+                trace_id=None if answer.query_trace is None else answer.query_trace.trace_id,
+            )

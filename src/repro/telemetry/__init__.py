@@ -12,27 +12,21 @@ Three pieces, one import surface:
   dumped on shutdown.
 
 The module-level accessors — :func:`counter`, :func:`gauge`,
-:func:`histogram` — hand out shared no-op instruments when telemetry is
-disabled (:func:`set_enabled` / ``REPRO_TELEMETRY=0``), so the hot paths
-stay near-free and the default registry stays empty in disabled mode.
+:func:`histogram` — hand out the default registry's instruments; the plane
+has no off switch, and each count is kept once, in that registry.
 """
 
 from repro.telemetry.registry import (
     BYTE_BUCKETS,
     DEFAULT_LATENCY_BUCKETS,
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
     REGISTRY,
     Counter,
     Gauge,
     Histogram,
     MetricsRegistry,
     counter,
-    enabled,
     gauge,
     histogram,
-    set_enabled,
 )
 from repro.telemetry.slowlog import (
     DEFAULT_CAPACITY,
@@ -49,9 +43,6 @@ __all__ = [
     "DEFAULT_CAPACITY",
     "DEFAULT_LATENCY_BUCKETS",
     "DEFAULT_THRESHOLD_SECONDS",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "REGISTRY",
     "SLOW_LOG",
     "Counter",
@@ -62,10 +53,8 @@ __all__ = [
     "SlowQueryLog",
     "Span",
     "counter",
-    "enabled",
     "gauge",
     "histogram",
     "maybe_span",
     "new_trace_id",
-    "set_enabled",
 ]

@@ -3,20 +3,15 @@
 Every serving layer registers its instruments here under hierarchical
 dotted names (``query.guard.pruned``, ``join.stage.seconds``,
 ``cluster.ship.bytes``) and the HTTP front end exposes one snapshot of all
-of them — as JSON (:meth:`MetricsRegistry.as_dict`) and as the Prometheus
-text exposition format (:meth:`MetricsRegistry.render_prometheus`, behind
-``GET /metrics``).
+of them in the Prometheus text exposition format
+(:meth:`MetricsRegistry.render_prometheus`, behind ``GET /metrics``).
 
 Three instrument kinds, all thread-safe and deliberately tiny:
 
 * :class:`Counter` — monotone, float-valued (so it can accumulate seconds
-  as well as events).  A counter may carry a *parent*: incrementing the
-  child increments the parent too.  That is how the pre-existing per-object
-  bookkeeping (:class:`~repro.service.service.ServiceStatistics`, the
-  planner's LRU counters, :class:`CatalogEntry.build_counters`) folds into
-  the registry without losing its per-instance views — the instance owns a
-  private child counter, the registry owns the process-wide family, and
-  one ``inc()`` feeds both.
+  as well as events).  Each count lives in exactly one registry counter:
+  the layer that observes the event increments it, and whoever wants the
+  number reads it there (a test reads the delta around its calls).
 * :class:`Gauge` — a settable level, plus optional *callbacks* sampled at
   collection time (executor queue depth, cluster log entries unsent).  The
   reported value is the set value plus the sum of the live callbacks.
@@ -24,43 +19,29 @@ Three instrument kinds, all thread-safe and deliberately tiny:
   ``sum`` and ``count`` (the Prometheus histogram model).  Bucket math is
   a single ``bisect`` per observation.
 
-Disabled mode
--------------
-``set_enabled(False)`` (or ``REPRO_TELEMETRY=0`` in the environment) makes
-the module-level accessors (:func:`counter`, :func:`gauge`,
-:func:`histogram`) hand out shared **no-op** instruments instead of
-registering anything: the default registry stays empty and the hot paths
-pay one attribute read plus one no-op call.  The flag is read when an
-instrument is handed out, so flip it before building the services you want
-dark (the CLI does this from ``serve --no-telemetry`` before anything
-else starts).
+The plane has one mode: the module-level accessors (:func:`counter`,
+:func:`gauge`, :func:`histogram`) always hand out the registry's instrument.
 """
 
 from __future__ import annotations
 
 import math
-import os
 import re
 import threading
 from bisect import bisect_left
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Sequence, Tuple
 
 __all__ = [
     "Counter",
     "Gauge",
     "Histogram",
     "MetricsRegistry",
-    "NULL_COUNTER",
-    "NULL_GAUGE",
-    "NULL_HISTOGRAM",
     "DEFAULT_LATENCY_BUCKETS",
     "BYTE_BUCKETS",
     "REGISTRY",
     "counter",
     "gauge",
     "histogram",
-    "enabled",
-    "set_enabled",
 ]
 
 #: Upper bucket bounds (seconds) of a latency histogram: 100 µs to 10 s in
@@ -91,28 +72,20 @@ BYTE_BUCKETS: Tuple[float, ...] = tuple(1024.0 * 4**exponent for exponent in ran
 
 
 class Counter:
-    """A monotone, thread-safe, float-valued counter.
+    """A monotone, thread-safe, float-valued counter."""
 
-    ``parent`` chains increments upward: a per-instance child counter
-    (e.g. one service's query count) feeds the registry's process-wide
-    family with the same ``inc()`` call — no parallel bookkeeping.
-    """
+    __slots__ = ("name", "_value", "_lock")
 
-    __slots__ = ("name", "_value", "_lock", "parent")
-
-    def __init__(self, name: str = "", parent: Optional["Counter"] = None):
+    def __init__(self, name: str = ""):
         self.name = name
         self._value = 0.0
         self._lock = threading.Lock()
-        self.parent = parent
 
     def inc(self, amount: float = 1.0) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease (inc({amount}))")
         with self._lock:
             self._value += amount
-        if self.parent is not None:
-            self.parent.inc(amount)
 
     @property
     def value(self) -> float:
@@ -242,45 +215,6 @@ class Histogram:
         return f"Histogram({self.name!r}, count={self.count})"
 
 
-class _NullCounter(Counter):
-    """The disabled-mode counter: accepts every call, records nothing."""
-
-    __slots__ = ()
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        return None
-
-
-class _NullGauge(Gauge):
-    __slots__ = ()
-
-    def set(self, value: float) -> None:  # noqa: ARG002
-        return None
-
-    def inc(self, amount: float = 1.0) -> None:  # noqa: ARG002
-        return None
-
-    def add_callback(self, callback) -> None:  # noqa: ARG002
-        return None
-
-    def remove_callback(self, callback) -> None:  # noqa: ARG002
-        return None
-
-
-class _NullHistogram(Histogram):
-    __slots__ = ()
-
-    def observe(self, value: float) -> None:  # noqa: ARG002
-        return None
-
-
-#: Shared no-op instruments handed out while telemetry is disabled — one
-#: object each, so disabled mode allocates nothing per call site.
-NULL_COUNTER = _NullCounter("null")
-NULL_GAUGE = _NullGauge("null")
-NULL_HISTOGRAM = _NullHistogram("null")
-
-
 _PROM_INVALID = re.compile(r"[^a-zA-Z0-9_]")
 
 
@@ -302,9 +236,9 @@ class MetricsRegistry:
 
     ``counter`` / ``gauge`` / ``histogram`` return the existing instrument
     when the name is already registered (and raise on a kind mismatch), so
-    call sites can fetch by name without coordinating.  Collection —
-    :meth:`as_dict` and :meth:`render_prometheus` — walks a snapshot of
-    the map; instruments update concurrently under their own locks.
+    call sites can fetch by name without coordinating.  Collection
+    (:meth:`render_prometheus`) walks a snapshot of the map; instruments
+    update concurrently under their own locks.
     """
 
     def __init__(self):
@@ -317,9 +251,7 @@ class MetricsRegistry:
         with self._lock:
             existing = self._metrics.get(name)
             if existing is not None:
-                if not isinstance(existing, kind) or isinstance(
-                    existing, tuple(k for k in (Counter, Gauge, Histogram) if k is not kind)
-                ):
+                if not isinstance(existing, kind):
                     raise TypeError(
                         f"metric {name!r} is a {type(existing).__name__}, "
                         f"not a {kind.__name__}"
@@ -341,10 +273,6 @@ class MetricsRegistry:
         return self._get_or_create(name, Histogram, lambda: Histogram(name, buckets))
 
     # ------------------------------------------------------------------
-    def get(self, name: str):
-        with self._lock:
-            return self._metrics.get(name)
-
     def names(self) -> List[str]:
         with self._lock:
             return sorted(self._metrics)
@@ -357,10 +285,6 @@ class MetricsRegistry:
         with self._lock:
             return name in self._metrics
 
-    def unregister(self, name: str) -> None:
-        with self._lock:
-            self._metrics.pop(name, None)
-
     def clear(self) -> None:
         with self._lock:
             self._metrics.clear()
@@ -372,27 +296,6 @@ class MetricsRegistry:
     # ------------------------------------------------------------------
     # exposition
     # ------------------------------------------------------------------
-    def as_dict(self) -> Dict[str, object]:
-        """A JSON-serializable snapshot of every registered instrument."""
-        payload: Dict[str, object] = {}
-        for name, metric in self._snapshot():
-            if isinstance(metric, Histogram):
-                snapshot = metric.snapshot()
-                payload[name] = {
-                    "type": "histogram",
-                    "count": snapshot["count"],
-                    "sum": snapshot["sum"],
-                    "buckets": [
-                        {"le": bound, "count": count}
-                        for bound, count in snapshot["buckets"]
-                    ],
-                }
-            elif isinstance(metric, Gauge):
-                payload[name] = {"type": "gauge", "value": metric.value}
-            else:
-                payload[name] = {"type": "counter", "value": metric.value}
-        return payload
-
     def render_prometheus(self) -> str:
         """The Prometheus text exposition format (``GET /metrics``).
 
@@ -426,41 +329,15 @@ class MetricsRegistry:
 #: The process-wide default registry every layer registers into.
 REGISTRY = MetricsRegistry()
 
-_enabled = os.environ.get("REPRO_TELEMETRY", "1").strip().lower() not in (
-    "0",
-    "false",
-    "off",
-    "no",
-)
-
-
-def enabled() -> bool:
-    """Whether telemetry instruments are live in this process."""
-    return _enabled
-
-
-def set_enabled(flag: bool) -> None:
-    """Turn the telemetry plane on or off for instruments handed out
-    *after* this call (live handles keep their mode — flip before building
-    the services you want dark)."""
-    global _enabled
-    _enabled = bool(flag)
-
 
 def counter(name: str) -> Counter:
-    """The registry counter *name*, or the shared no-op when disabled."""
-    if not _enabled:
-        return NULL_COUNTER
+    """The default registry's counter *name*."""
     return REGISTRY.counter(name)
 
 
 def gauge(name: str) -> Gauge:
-    if not _enabled:
-        return NULL_GAUGE
     return REGISTRY.gauge(name)
 
 
 def histogram(name: str, buckets: Sequence[float] = DEFAULT_LATENCY_BUCKETS) -> Histogram:
-    if not _enabled:
-        return NULL_HISTOGRAM
     return REGISTRY.histogram(name, buckets)

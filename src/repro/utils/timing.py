@@ -3,11 +3,9 @@
 from __future__ import annotations
 
 import time
-from typing import Callable, Dict, List, Optional, Tuple, TypeVar
+from typing import Optional
 
-__all__ = ["Stopwatch", "TimingLog", "time_call"]
-
-T = TypeVar("T")
+__all__ = ["Stopwatch"]
 
 
 class Stopwatch:
@@ -44,47 +42,3 @@ class Stopwatch:
         if self._start is None:
             return 0.0
         return time.perf_counter() - self._start
-
-
-class TimingLog:
-    """Accumulates named timing measurements for reporting.
-
-    Each record is a ``(label, seconds)`` pair; ``summary()`` aggregates them
-    by label (count, total, mean).
-    """
-
-    def __init__(self):
-        self._records: List[Tuple[str, float]] = []
-
-    def record(self, label: str, seconds: float) -> None:
-        """Append a measurement."""
-        self._records.append((label, seconds))
-
-    def measure(self, label: str, callable_: Callable[[], T]) -> T:
-        """Call *callable_*, record its duration under *label*, return its result."""
-        with Stopwatch() as watch:
-            result = callable_()
-        self.record(label, watch.elapsed)
-        return result
-
-    def records(self) -> List[Tuple[str, float]]:
-        """Return a copy of the raw measurements."""
-        return list(self._records)
-
-    def summary(self) -> Dict[str, Dict[str, float]]:
-        """Aggregate measurements per label."""
-        aggregated: Dict[str, Dict[str, float]] = {}
-        for label, seconds in self._records:
-            entry = aggregated.setdefault(label, {"count": 0, "total": 0.0})
-            entry["count"] += 1
-            entry["total"] += seconds
-        for entry in aggregated.values():
-            entry["mean"] = entry["total"] / entry["count"]
-        return aggregated
-
-
-def time_call(callable_: Callable[[], T]) -> Tuple[T, float]:
-    """Call *callable_* and return ``(result, elapsed_seconds)``."""
-    with Stopwatch() as watch:
-        result = callable_()
-    return result, watch.elapsed

@@ -242,7 +242,7 @@ def test_status_reports_workers(cluster_pair, workers):
     for worker in status["workers"]:
         assert worker["alive"]
     assert "bsbm" in status["graphs"]
-    assert status["service"]["queries"] > 0
+    assert "service" not in status  # the query counts live in the registry (/metrics)
     # the guard the service runs, not the constructor's spelling of it
     assert status["kind"] == coordinator.service.kind == "strong"
     legacy = ClusterCoordinator(GraphCatalog(), workers=1, kind="weak+strong", start=False)
@@ -262,10 +262,11 @@ def test_load_ack_reports_rows_and_attach_time(cluster_pair):
 
 def test_statistics_record_cluster_answers(cluster_pair):
     coordinator, _, _ = cluster_pair
-    before = coordinator.service.statistics.queries
+    queries = telemetry.counter("query.count")
+    before = queries.value
     query = parse_query("ASK WHERE { ?s ?p ?o }")
     coordinator.answer("bsbm", query)
-    assert coordinator.service.statistics.queries == before + 1
+    assert queries.value == before + 1
 
 
 def _messages():

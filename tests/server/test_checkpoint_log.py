@@ -691,6 +691,14 @@ def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(fig2
 # ----------------------------------------------------------------------
 # observability
 # ----------------------------------------------------------------------
+def _tail_gauge(app):
+    """``repro_persistence_tail_rows`` as the scrape shows it."""
+    _status, text = app.metrics()
+    prefix = "repro_persistence_tail_rows "
+    (line,) = [line for line in text.splitlines() if line.startswith(prefix)]
+    return int(line.split()[1])
+
+
 def test_the_tail_and_its_replay_are_visible_from_outside(fig2, tmp_path):
     path = str(tmp_path / "catalog.db")
     replayed = telemetry.counter("persistence.replay.rows")
@@ -698,14 +706,14 @@ def test_the_tail_and_its_replay_are_visible_from_outside(fig2, tmp_path):
     batch = "".join(
         f"<http://t.example/s{i}> <http://t.example/p> <http://t.example/o> .\n" for i in range(3)
     )
+    # the one gauge sums every open catalog's tail: count from what is
+    # already there
+    elsewhere = telemetry.gauge("persistence.tail.rows").value
 
     def tail_of(app):
         status, payload = app.dispatch("GET", "/graphs/fig2/statistics", None)
         assert status == 200
-        _status, text = app.metrics()
-        gauge = "repro_persistence_tail_rows_fig2 "
-        (line,) = [line for line in text.splitlines() if line.startswith(gauge)]
-        assert int(line.split()[1]) == payload["log_tail_rows"]
+        assert _tail_gauge(app) == elsewhere + payload["log_tail_rows"]
         return payload["log_tail_rows"]
 
     with GraphCatalog.open(path) as catalog:
@@ -731,7 +739,46 @@ def test_the_tail_and_its_replay_are_visible_from_outside(fig2, tmp_path):
         finally:
             app.close()
         catalog.drop("fig2")
-        assert "persistence.tail.rows.fig2" not in telemetry.REGISTRY
+        assert telemetry.gauge("persistence.tail.rows").value == elsewhere
     with GraphCatalog() as memory:
         memory.register("fig2", graph=fig2)
         assert memory.log_tail_rows("fig2") is None
+
+
+def test_graphs_whose_names_sanitize_alike_share_one_tail_series(fig2, tmp_path):
+    """``x-1``, ``x.1`` and ``x_1`` all render as ``x_1`` in a metric name:
+    the tail is one catalog-wide gauge, so no series repeats."""
+    names = ("x-1", "x.1", "x_1")
+    elsewhere = telemetry.gauge("persistence.tail.rows").value
+    with GraphCatalog.open(str(tmp_path / "catalog.db")) as catalog:
+        app = ServerApp(catalog, kind="weak")
+        try:
+            for count, name in enumerate(names, start=1):
+                catalog.register(name, graph=fig2)
+                batch = "".join(
+                    f"<http://t.example/{name}/{i}> <http://t.example/p> <http://t.example/o> .\n"
+                    for i in range(count)
+                )
+                assert app.dispatch("POST", f"/graphs/{name}/triples", {"triples": batch})[0] == 200
+            _status, text = app.metrics()
+            types = [line for line in text.splitlines() if line.startswith("# TYPE ")]
+            assert len(types) == len(set(types))
+            assert "# TYPE repro_persistence_tail_rows gauge" in types
+            assert _tail_gauge(app) == elsewhere + 1 + 2 + 3
+        finally:
+            app.close()
+
+
+def test_a_closed_catalog_drops_out_of_the_tail_gauge(fig2, tmp_path):
+    gauge = telemetry.gauge("persistence.tail.rows")
+    elsewhere = gauge.value
+    catalog = GraphCatalog.open(str(tmp_path / "catalog.db"))
+    try:
+        catalog.register("g", graph=fig2)
+        link = Triple(EX.term("gauge/a"), EX.term("gauge/p"), EX.term("gauge/b"))
+        assert catalog.add_triples("g", [link]) == 1
+        tail = catalog.log_tail_rows("g")
+        assert tail > 0 and gauge.value == elsewhere + tail
+    finally:
+        catalog.close()
+    assert gauge.value == elsewhere

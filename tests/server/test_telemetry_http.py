@@ -49,6 +49,27 @@ def served(fig2):
 QUERY = {"query": "SELECT ?s WHERE { ?s ?p ?o }"}
 
 
+def test_queries_to_one_graph_leave_another_graphs_statistics_alone(fig2):
+    """``/graphs/<g>/statistics`` is per-graph state: three queries to ``a``
+    move the process-wide ``/metrics`` count by three and leave the payload
+    of ``b``, never queried, as it was."""
+    queries = telemetry.counter("query.count")
+    with GraphCatalog() as catalog:
+        catalog.register("a", graph=fig2)
+        catalog.register("b", graph=fig2)
+        app = ServerApp(catalog, kind="weak")
+        try:
+            status, before = app.dispatch("GET", "/graphs/b/statistics", None)
+            assert status == 200
+            count = queries.value
+            for _ in range(3):
+                assert app.dispatch("POST", "/graphs/a/query", QUERY)[0] == 200
+            assert queries.value == count + 3
+            assert app.dispatch("GET", "/graphs/b/statistics", None) == (200, before)
+        finally:
+            app.close()
+
+
 def test_healthz_reports_version_and_uptime(served):
     status, payload = _call(served, "GET", "/healthz")
     assert status == 200

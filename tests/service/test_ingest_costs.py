@@ -117,6 +117,22 @@ def test_a_cold_persistent_build_primes_at_registration_and_never_again(bsbm_sma
         assert entry.build_counters == {"prime_scans": 1, "summary_builds": 0, "saturation_builds": 0}
 
 
+def test_each_build_counts_once_in_the_entry_and_once_in_the_registry(fig2):
+    """The per-graph build counts and the process-wide ``catalog.build.*``
+    series advance together, one per build."""
+    keys = ("prime_scans", "summary_builds", "saturation_builds")
+    registry = [telemetry.counter(f"catalog.build.{key}") for key in keys]
+    before = [counter.value for counter in registry]
+    with GraphCatalog() as catalog:
+        entry = catalog.register("g", graph=fig2)
+        for kind in ("weak", "strong", "typed_weak", "weak"):
+            entry.summary(kind)
+        for _ in range(2):
+            entry.evaluator_for("sql", saturated=True)
+        assert entry.build_counters == {"prime_scans": 1, "summary_builds": 1, "saturation_builds": 1}
+    assert [counter.value - base for counter, base in zip(registry, before)] == [1, 1, 1]
+
+
 def test_the_graph_object_survives_a_batch_that_changes_no_summary_edge(bsbm_small):
     reused = telemetry.counter("summary.graph.reused")
     with GraphCatalog() as catalog:

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind
@@ -23,6 +24,17 @@ def _skewed_store():
     store = MemoryStore()
     store.load_graph(RDFGraph(triples))
     return store
+
+
+@pytest.fixture
+def cache_traffic():
+    """``() -> (hits, misses, evictions)``: the registry's
+    ``planner.cache.*`` counts since the test began."""
+    counters = [
+        telemetry.counter(f"planner.cache.{name}") for name in ("hits", "misses", "evictions")
+    ]
+    start = [counter.value for counter in counters]
+    return lambda: tuple(int(counter.value - base) for counter, base in zip(counters, start))
 
 
 @pytest.fixture
@@ -110,15 +122,15 @@ class TestOrdering:
 
 
 class TestPlanCache:
-    def test_repeated_shape_hits_the_cache(self, planner_and_store):
+    def test_repeated_shape_hits_the_cache(self, planner_and_store, cache_traffic):
         planner, store = planner_and_store
         x, y = Variable("x"), Variable("y")
         query = BGPQuery([TriplePattern(x, EX.p, y)], head=(x,))
         first = planner.plan(compile_query(query, store.dictionary))
-        assert planner.cache_misses == 1 and planner.cache_hits == 0
+        assert cache_traffic()[:2] == (0, 1)
         second = planner.plan(compile_query(query, store.dictionary))
         assert second is first
-        assert planner.cache_hits == 1
+        assert cache_traffic()[:2] == (1, 1)
 
     def test_each_trace_keeps_its_own_outcome(self, planner_and_store):
         """The hit/miss of a ``plan`` call is recorded on the trace handed
@@ -139,7 +151,7 @@ class TestPlanCache:
         )
         assert not hasattr(planner, "last_was_hit")
 
-    def test_a_shape_is_recosted_once_the_store_has_doubled(self, planner_and_store):
+    def test_a_shape_is_recosted_once_the_store_has_doubled(self, planner_and_store, cache_traffic):
         """Plans outlive ingests (the estimates read the live profile) until
         the store holds twice the rows the plan was costed on."""
         planner, store = planner_and_store
@@ -157,22 +169,22 @@ class TestPlanCache:
 
         grow(rows - 1, "a")  # one row short of double
         assert planner.plan(compiled) is first
-        assert (planner.cache_hits, planner.cache_misses) == (1, 1)
+        assert cache_traffic()[:2] == (1, 1)
         grow(1, "b")  # doubled
         recosted = planner.plan(compiled)
         assert recosted is not first
         assert recosted.stages[0].estimate == pytest.approx(9.0 + rows)
-        assert (planner.cache_hits, planner.cache_misses) == (1, 2)
+        assert cache_traffic()[:2] == (1, 2)
         assert planner.plan(compiled) is recosted  # and cached again, at the new size
 
-    def test_different_constants_are_different_shapes(self, planner_and_store):
+    def test_different_constants_are_different_shapes(self, planner_and_store, cache_traffic):
         planner, store = planner_and_store
         x, y = Variable("x"), Variable("y")
         planner.plan(compile_query(BGPQuery([TriplePattern(x, EX.p, y)], head=(x,)), store.dictionary))
         planner.plan(compile_query(BGPQuery([TriplePattern(x, EX.q, y)], head=(x,)), store.dictionary))
-        assert planner.cache_misses == 2
+        assert cache_traffic()[:2] == (0, 2)
 
-    def test_limit_bounded_evaluation_plans_exactly_once(self, planner_and_store):
+    def test_limit_bounded_evaluation_plans_exactly_once(self, planner_and_store, cache_traffic):
         """The limit path must not double-count planner cache traffic
         (regression: _prefer_pipelined planned the shape a second time)."""
         from repro.service.evaluator import EncodedEvaluator
@@ -182,9 +194,9 @@ class TestPlanCache:
         x, y = Variable("x"), Variable("y")
         query = BGPQuery([TriplePattern(x, EX.p, y)], head=(x,))
         evaluator.evaluate(query, limit=2)
-        assert (planner.cache_hits, planner.cache_misses) == (0, 1)
+        assert cache_traffic()[:2] == (0, 1)
         evaluator.evaluate(query, limit=2)
-        assert (planner.cache_hits, planner.cache_misses) == (1, 1)
+        assert cache_traffic()[:2] == (1, 1)
 
     def test_shape_ignores_variable_names(self, planner_and_store):
         planner, store = planner_and_store
@@ -209,7 +221,7 @@ class TestPlanCacheBound:
             BGPQuery([TriplePattern(x, EX.p, constant)], head=(x,)), store.dictionary
         )
 
-    def test_cap_is_enforced(self, planner_and_store):
+    def test_cap_is_enforced(self, planner_and_store, cache_traffic):
         _planner, store = planner_and_store
         planner = QueryPlanner(
             CardinalityStatistics.from_store(store), plan_cache_cap=4
@@ -217,22 +229,20 @@ class TestPlanCacheBound:
         for index in range(10):
             planner.plan(self._shape(store, index))
         assert planner.cached_plan_count == 4
-        assert planner.cache_evictions == 6
-        assert planner.cache_misses == 10
+        assert cache_traffic() == (0, 10, 6)
 
-    def test_evicted_shape_replans_as_a_miss(self, planner_and_store):
+    def test_evicted_shape_replans_as_a_miss(self, planner_and_store, cache_traffic):
         _planner, store = planner_and_store
         planner = QueryPlanner(CardinalityStatistics.from_store(store), plan_cache_cap=2)
         first = self._shape(store, 0)
         planner.plan(first)
         planner.plan(self._shape(store, 1))
         planner.plan(self._shape(store, 2))  # evicts shape 0
-        assert planner.cache_evictions == 1
+        assert cache_traffic()[2] == 1
         planner.plan(first)
-        assert planner.cache_misses == 4
-        assert planner.cache_hits == 0
+        assert cache_traffic()[:2] == (0, 4)
 
-    def test_recent_use_protects_against_eviction(self, planner_and_store):
+    def test_recent_use_protects_against_eviction(self, planner_and_store, cache_traffic):
         _planner, store = planner_and_store
         planner = QueryPlanner(CardinalityStatistics.from_store(store), plan_cache_cap=2)
         first = self._shape(store, 0)
@@ -241,10 +251,11 @@ class TestPlanCacheBound:
         planner.plan(first)  # touch: shape 1 is now the oldest
         planner.plan(self._shape(store, 2))  # evicts shape 1, not shape 0
         planner.plan(first)
-        assert planner.cache_hits == 2  # both re-uses of shape 0 hit
-        assert planner.cache_evictions == 1
+        hits, _misses, evictions = cache_traffic()
+        assert hits == 2  # both re-uses of shape 0 hit
+        assert evictions == 1
 
-    def test_hits_plus_misses_count_every_arrival(self, planner_and_store):
+    def test_hits_plus_misses_count_every_arrival(self, planner_and_store, cache_traffic):
         _planner, store = planner_and_store
         planner = QueryPlanner(CardinalityStatistics.from_store(store), plan_cache_cap=3)
         arrivals = 0
@@ -252,7 +263,8 @@ class TestPlanCacheBound:
             for index in range(5):
                 planner.plan(self._shape(store, index))
                 arrivals += 1
-        assert planner.cache_hits + planner.cache_misses == arrivals
+        hits, misses, _evictions = cache_traffic()
+        assert hits + misses == arrivals
 
     def test_invalid_cap_rejected(self, planner_and_store):
         _planner, store = planner_and_store

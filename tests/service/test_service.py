@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import telemetry
 from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
 from repro.errors import UnknownSummaryKindError
 from repro.queries.evaluation import evaluate
@@ -82,12 +83,15 @@ class TestAnswerPipeline:
             unsatisfiable = parse_query(
                 "PREFIX b: <http://bib.example.org/> ASK { ?x b:cites ?y }"
             )
+            counters = [
+                telemetry.counter(name)
+                for name in ("query.count", "query.guard.pruned", "query.evaluated")
+            ]
+            before = [counter.value for counter in counters]
             service.answer("bib", satisfiable)
             service.answer("bib", unsatisfiable)
-            stats = service.statistics.as_dict()
-            assert stats["queries"] == 2
-            assert stats["pruned"] == 1
-            assert stats["evaluated"] == 1
+            # (queries, pruned, evaluated), counted once, in the registry
+            assert [counter.value - base for counter, base in zip(counters, before)] == [2, 1, 1]
 
     def test_a_prunable_query_checks_one_summary_once(self, bibliography_small, monkeypatch):
         import repro.service.service as service_module

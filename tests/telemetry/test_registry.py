@@ -1,4 +1,4 @@
-"""The metrics registry: instruments, bucket math, disabled-mode identity."""
+"""The metrics registry: instruments, bucket math, exposition."""
 
 import threading
 
@@ -7,24 +7,8 @@ import pytest
 from repro import telemetry
 from repro.service.catalog import GraphCatalog
 from repro.service.service import QueryService
-from repro.telemetry import (
-    NULL_COUNTER,
-    NULL_GAUGE,
-    NULL_HISTOGRAM,
-    Counter,
-    Gauge,
-    Histogram,
-    MetricsRegistry,
-)
-
-
-@pytest.fixture
-def restore_enabled():
-    """Whatever a test does to the global flag, the session leaves enabled."""
-    previous = telemetry.enabled()
-    telemetry.set_enabled(True)
-    yield
-    telemetry.set_enabled(previous)
+from repro.telemetry import Counter, Gauge, Histogram, MetricsRegistry
+from repro.telemetry import registry as registry_module
 
 
 class TestCounter:
@@ -41,22 +25,11 @@ class TestCounter:
             counter.inc(-1)
         assert counter.value == 0.0
 
-    def test_parent_chaining(self):
-        parent = Counter("family")
-        first = Counter("a", parent=parent)
-        second = Counter("b", parent=parent)
-        first.inc(3)
-        second.inc(4)
-        assert first.value == 3
-        assert second.value == 4
-        assert parent.value == 7
-
     def test_concurrent_increments_under_barrier(self):
         """N threads released together must lose no increments."""
         threads = 8
         per_thread = 2000
-        parent = Counter("family")
-        counter = Counter("child", parent=parent)
+        counter = Counter("events")
         barrier = threading.Barrier(threads)
 
         def worker():
@@ -70,7 +43,6 @@ class TestCounter:
         for thread in pool:
             thread.join()
         assert counter.int_value == threads * per_thread
-        assert parent.int_value == threads * per_thread
 
 
 class TestGauge:
@@ -176,18 +148,6 @@ class TestRegistry:
         with pytest.raises(TypeError):
             registry.histogram("name")
 
-    def test_as_dict_shapes(self):
-        registry = MetricsRegistry()
-        registry.counter("c").inc(2)
-        registry.gauge("g").set(1.5)
-        registry.histogram("h", buckets=(1.0,)).observe(0.5)
-        payload = registry.as_dict()
-        assert payload["c"] == {"type": "counter", "value": 2.0}
-        assert payload["g"] == {"type": "gauge", "value": 1.5}
-        assert payload["h"]["type"] == "histogram"
-        assert payload["h"]["count"] == 1
-        assert payload["h"]["buckets"] == [{"le": 1.0, "count": 1}]
-
     def test_prometheus_rendering(self):
         registry = MetricsRegistry()
         registry.counter("query.guard.pruned").inc(3)
@@ -207,40 +167,23 @@ class TestRegistry:
         assert "repro_join_stage_seconds_count 1" in lines
         assert text.endswith("\n")
 
+    def test_accessors_hand_out_the_default_registrys_instruments(self, monkeypatch):
+        """Each accessor call returns the registry's one live instrument by
+        name: there is no stand-in that records nothing."""
+        registry = MetricsRegistry()
+        monkeypatch.setattr(registry_module, "REGISTRY", registry)
+        telemetry.counter("c").inc(2)
+        telemetry.gauge("g").set(1.5)
+        telemetry.histogram("h", buckets=(1.0,)).observe(0.5)
+        assert telemetry.counter("c") is registry.counter("c")
+        assert telemetry.gauge("g") is registry.gauge("g")
+        assert telemetry.histogram("h") is registry.histogram("h", buckets=(1.0,))
+        assert registry.counter("c").value == 2
+        assert registry.gauge("g").value == 1.5
+        assert registry.histogram("h", buckets=(1.0,)).count == 1
+        assert sorted(registry.names()) == ["c", "g", "h"]
 
-class TestDisabledMode:
-    def test_accessors_hand_out_shared_null_instruments(self, restore_enabled):
-        telemetry.set_enabled(False)
-        assert telemetry.counter("anything") is NULL_COUNTER
-        assert telemetry.gauge("anything") is NULL_GAUGE
-        assert telemetry.histogram("anything") is NULL_HISTOGRAM
-
-    def test_null_instruments_record_nothing(self):
-        NULL_COUNTER.inc(5)
-        NULL_GAUGE.set(5)
-        NULL_GAUGE.inc(5)
-        NULL_GAUGE.add_callback(lambda: 99)
-        NULL_HISTOGRAM.observe(5)
-        assert NULL_COUNTER.value == 0
-        assert NULL_GAUGE.value == 0
-        assert NULL_HISTOGRAM.count == 0
-
-    def test_disabled_stack_creates_zero_registry_entries(
-        self, restore_enabled, fig2
-    ):
-        """A service built while disabled must not touch the registry."""
-        before = set(telemetry.REGISTRY.names())
-        telemetry.set_enabled(False)
-        with GraphCatalog() as catalog:
-            catalog.register("fig2", graph=fig2)
-            service = QueryService(catalog)
-            from repro.queries.parser import parse_query
-
-            answer = service.answer("fig2", parse_query("SELECT ?s WHERE { ?s ?p ?o }"))
-            assert answer.answers
-        assert set(telemetry.REGISTRY.names()) == before
-
-    def test_enabled_stack_registers_query_metrics(self, restore_enabled, fig2):
+    def test_enabled_stack_registers_query_metrics(self, fig2):
         with GraphCatalog() as catalog:
             catalog.register("fig2", graph=fig2)
             QueryService(catalog)

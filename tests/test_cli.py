@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import re
+import sys
 
 import pytest
 
@@ -187,6 +188,7 @@ class TestQueryStrategyAndExplain:
             ["serve", "--strategy", "merge"],
             ["summarize", "g.nt", "--engine", "term"],
             ["sweep", "--engine", "term"],
+            ["serve", "--no-telemetry"],
         ],
         ids=[
             "query-nested",
@@ -195,24 +197,31 @@ class TestQueryStrategyAndExplain:
             "serve-merge",
             "summarize-engine",
             "sweep-engine",
+            "serve-no-telemetry",
         ],
     )
     def test_removed_options_are_argparse_errors(self, argv):
-        """One join engine, one summarization engine: the options that
-        chose between two are gone, so argparse exits 2 on them."""
+        """One join engine, one summarization engine, one telemetry mode:
+        the options that chose between two are gone, so argparse exits 2
+        on them."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(argv)
         assert exit_info.value.code == 2
 
     @pytest.mark.parametrize("command", [["query", "g.nt", "--query", "q"], ["serve"]])
-    @pytest.mark.parametrize("limit", ["0", "-3", "many"])
+    @pytest.mark.parametrize(
+        "limit", ["0", "-3", "many", str(sys.maxsize + 1), "99999999999999999999"]
+    )
     def test_limit_below_one_is_an_argparse_error(self, command, limit, capsys):
-        """The HTTP API answers 400 to such a limit; the parser says the same."""
+        """The HTTP API answers 400 to a limit below one or above
+        ``sys.maxsize``; the parser says the same."""
         with pytest.raises(SystemExit) as exit_info:
             build_parser().parse_args(command + ["--limit", limit])
         assert exit_info.value.code == 2
         assert "--limit" in capsys.readouterr().err
         assert build_parser().parse_args(command + ["--limit", "1"]).limit == 1
+        maximum = build_parser().parse_args(command + ["--limit", str(sys.maxsize)])
+        assert maximum.limit == sys.maxsize
 
     def test_every_evaluator_strategy_is_a_cli_choice(self):
         from repro.service.evaluator import STRATEGIES

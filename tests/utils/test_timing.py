@@ -1,6 +1,6 @@
 """Tests for the timing helpers."""
 
-from repro.utils.timing import Stopwatch, TimingLog, time_call
+from repro.utils.timing import Stopwatch
 
 
 class TestStopwatch:
@@ -19,33 +19,3 @@ class TestStopwatch:
         watch.restart()
         assert watch.elapsed == 0.0
         assert watch.lap() >= 0.0
-
-
-class TestTimingLog:
-    def test_measure_returns_result(self):
-        log = TimingLog()
-        assert log.measure("work", lambda: 42) == 42
-        assert len(log.records()) == 1
-
-    def test_summary_aggregates_by_label(self):
-        log = TimingLog()
-        log.record("a", 1.0)
-        log.record("a", 3.0)
-        log.record("b", 2.0)
-        summary = log.summary()
-        assert summary["a"]["count"] == 2
-        assert summary["a"]["total"] == 4.0
-        assert summary["a"]["mean"] == 2.0
-        assert summary["b"]["count"] == 1
-
-    def test_records_returns_copy(self):
-        log = TimingLog()
-        log.record("a", 1.0)
-        log.records().append(("b", 2.0))
-        assert len(log.records()) == 1
-
-
-def test_time_call():
-    result, elapsed = time_call(lambda: "ok")
-    assert result == "ok"
-    assert elapsed >= 0.0

@@ -3,15 +3,17 @@
 A worker is ``python -m repro.cluster.worker <fd> <config>`` (*config* a
 JSON object naming the join ``strategy``): a single-threaded message loop
 over a :class:`~repro.cluster.protocol.Connection` on the socket-pair end
-its coordinator passed it as *fd*, importing what evaluating a compiled query
-needs — store, statistics, planner, evaluator — and nothing else of the
-package.  Per registered graph it keeps **one** worker-local store, a
-complete replica of the graph's integer rows behind an ordinary
-:class:`~repro.service.catalog.CatalogEntry`, whose ingest routine folds
-every batch into the store, its statistics and, once built, ``G∞``.  A
-worker holds integers only: it never parses, guards, decodes or builds a
-summary — the coordinator does — and plans the compiled id queries it is
-sent with its own statistics (its posting runs are already here).
+its coordinator passed it as *fd*.  It imports the store, statistics, planner
+and evaluator, and through :mod:`repro.service.catalog` the summarizers and
+saturators too (``repro.core.{builders,encoded,incremental,summary}``,
+``repro.schema.{encoded_saturation,rdfs,saturation}``: 40 ``repro`` modules),
+but no parser, server, SQLite or HTTP code.  Per registered graph it keeps
+**one** worker-local store, a complete replica of the graph's integer rows
+behind an ordinary :class:`~repro.service.catalog.CatalogEntry`, whose ingest
+routine folds every batch into the store, its statistics and, once built,
+``G∞``.  A worker holds integers only: it never parses, guards, decodes or
+builds a summary — the coordinator does — and plans the compiled id queries
+it is sent with its own statistics (its posting runs are already here).
 
 A load names the graph generation's *segment* and carries its directory
 (see :func:`repro.cluster.shm.layout_image`) and the graph's vocabulary

@@ -32,7 +32,7 @@ __all__ = [
     "term_sort_key",
     "Triple",
     "TripleKind",
-    "classify_triple",
+    "classify_property",
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
@@ -47,5 +47,5 @@ __getattr__, __dir__ = lazy_exports(globals(), {
         "URI", "BlankNode", "Literal", "Term", "is_blank", "is_literal", "is_uri",
         "term_sort_key",
     ),
-    "triple": ("Triple", "TripleKind", "classify_triple"),
+    "triple": ("Triple", "TripleKind", "classify_property"),
 })

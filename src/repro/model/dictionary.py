@@ -21,12 +21,13 @@ objects themselves never do: their memoized hashes are salted per process.
 from __future__ import annotations
 
 from array import array
+from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
 
 from repro.errors import DictionaryError, UnknownTermError
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import RDF_TYPE, SCHEMA_PROPERTIES
-from repro.model.terms import BlankNode, Literal, Term, URI
+from repro.model.terms import BlankNode, Literal, Term, URI, term_sort_key
 from repro.model.triple import Triple
 
 __all__ = [
@@ -72,8 +73,10 @@ class EncodedTriple(NamedTuple):
 class Dictionary:
     """A bidirectional term ↔ integer-id dictionary.
 
-    Identifiers are assigned densely, starting at 0, in first-seen order,
-    which keeps encoded structures compact and reproducible.
+    Identifiers are assigned densely, starting at 0.  :meth:`encode` mints
+    the next id; :meth:`encode_triples` numbers a batch's new terms in
+    :func:`~repro.model.terms.term_sort_key` order, so a batch gets the same
+    ids whatever order (or hash seed) it was iterated in.
     """
 
     def __init__(self):
@@ -172,16 +175,17 @@ class Dictionary:
     def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         """Encode an iterable of triples in one batched pass.
 
-        This is the bulk-load path of the stores: the per-call overhead of
-        :meth:`encode_triple` (three bound-method dispatches per triple) is
-        replaced by direct dict probes on locals, which measurably cuts the
-        dictionary-encoding share of store loading.
+        This is the bulk-load path of the stores: direct dict probes on
+        locals instead of three bound-method dispatches per triple.  The ids
+        ``[start, len)`` the batch minted are then renumbered in
+        :func:`~repro.model.terms.term_sort_key` order — one remap over the
+        id columns — so the batch is numbered as a set, not as a sequence.
         """
         term_to_id = self._term_to_id
         id_to_term = self._id_to_term
         append = id_to_term.append
         start = len(id_to_term)
-        rows: List[EncodedTriple] = []
+        rows: List[Tuple[int, int, int]] = []
         for triple in triples:
             subject = triple.subject
             subject_id = term_to_id.get(subject)
@@ -201,9 +205,18 @@ class Dictionary:
                 object_id = len(id_to_term)
                 term_to_id[obj] = object_id
                 append(obj)
-            rows.append(EncodedTriple(subject_id, predicate_id, object_id))
+            rows.append((subject_id, predicate_id, object_id))
         self._check_limit(start)
-        return rows
+        if len(id_to_term) - start > 1:
+            minted = id_to_term[start:]
+            order = sorted(range(len(minted)), key=list(map(term_sort_key, minted)).__getitem__)
+            new_ids = range(start, len(id_to_term))
+            id_to_term[start:] = map(minted.__getitem__, order)
+            term_to_id.update(zip(id_to_term[start:], new_ids))
+            remap = dict(zip(map(start.__add__, order), new_ids)).get
+            rows = zip(*(map(remap, column, column) for column in zip(*rows)))
+        # tuple.__new__ names the rows at C speed; EncodedTriple() is a Python call
+        return list(map(tuple.__new__, repeat(EncodedTriple), rows))
 
     def decode_triple(self, encoded: EncodedTriple) -> Triple:
         """Decode an :class:`EncodedTriple` back into a :class:`Triple`."""

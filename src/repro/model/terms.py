@@ -103,6 +103,8 @@ class Literal:
             lexical = str(lexical)
         if datatype is not None and language is not None:
             raise MalformedTripleError("a literal cannot have both a datatype and a language tag")
+        if language == "":
+            raise MalformedTripleError("a language tag cannot be empty")
         if datatype is not None and not isinstance(datatype, URI):
             datatype = URI(str(datatype))
         self.lexical = lexical

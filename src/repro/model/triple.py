@@ -9,7 +9,8 @@ The paper's triple-based representation (Section 2.1) partitions a graph
 * ``D_G`` — *data* triples, everything else.
 
 :class:`Triple` is the single triple value object; :class:`TripleKind` names
-the component a triple belongs to; :func:`classify_triple` computes it.
+the component a triple belongs to; :func:`classify_property` computes it
+from the property alone.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from repro.errors import MalformedTripleError
 from repro.model.namespaces import is_schema_property, is_type_property
 from repro.model.terms import BlankNode, Literal, Term, URI, term_sort_key
 
-__all__ = ["Triple", "TripleKind", "classify_triple"]
+__all__ = ["Triple", "TripleKind", "classify_property"]
 
 
 class TripleKind(enum.Enum):
@@ -93,7 +94,7 @@ class Triple:
     @property
     def kind(self) -> TripleKind:
         """The component (data / type / schema) this triple belongs to."""
-        return classify_triple(self)
+        return classify_property(self.predicate)
 
     def is_data(self) -> bool:
         """``True`` when the triple belongs to the data component ``D_G``."""
@@ -116,10 +117,11 @@ class Triple:
         return (self.subject, self.predicate, self.object)
 
 
-def classify_triple(triple: Triple) -> TripleKind:
-    """Classify *triple* into data / type / schema (Section 2.1)."""
-    if is_schema_property(triple.predicate):
+def classify_property(predicate: Term) -> TripleKind:
+    """The component (data / type / schema, Section 2.1) of a triple whose
+    property is *predicate*: the property alone decides it."""
+    if is_schema_property(predicate):
         return TripleKind.SCHEMA
-    if is_type_property(triple.predicate):
+    if is_type_property(predicate):
         return TripleKind.TYPE
     return TripleKind.DATA

@@ -176,7 +176,7 @@ class IncrementalSaturator:
     def _kind_for_property(self, property_id: int) -> TripleKind:
         """The target table a row with this property id belongs to.
 
-        Mirrors :func:`~repro.model.triple.classify_triple` at the id
+        Mirrors :func:`~repro.model.triple.classify_property` at the id
         level, so a derived row whose (super)property is ``rdf:type`` or a
         constraint property lands where the evaluator's table routing will
         look for it.

@@ -54,9 +54,8 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tupl
 from repro import telemetry
 from repro.errors import UnknownTermError
 from repro.model.dictionary import Dictionary
-from repro.model.namespaces import is_schema_property, is_type_property
 from repro.model.terms import Term
-from repro.model.triple import TripleKind
+from repro.model.triple import TripleKind, classify_property
 from repro.queries.bgp import BGPQuery, Variable
 from repro.service.planner import ExecutionTrace, PatternEstimate, QueryPlan, QueryPlanner
 from repro.service.statistics import CardinalityStatistics
@@ -166,11 +165,7 @@ def _tables_for(predicate) -> Tuple[TripleKind, ...]:
     """The store tables a pattern with this property term can match."""
     if isinstance(predicate, Variable):
         return _ALL_TABLES
-    if is_type_property(predicate):
-        return (TripleKind.TYPE,)
-    if is_schema_property(predicate):
-        return (TripleKind.SCHEMA,)
-    return (TripleKind.DATA,)
+    return (classify_property(predicate),)
 
 
 def compile_query(query: BGPQuery, dictionary: Dictionary) -> CompiledQuery:

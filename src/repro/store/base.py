@@ -16,12 +16,13 @@ from __future__ import annotations
 import abc
 import sys
 from array import array
+from operator import itemgetter
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from repro.model.dictionary import ID_TYPECODE, Dictionary, EncodedTriple
 from repro.model.graph import RDFGraph
 from repro.model.terms import Term
-from repro.model.triple import Triple, TripleKind
+from repro.model.triple import Triple, TripleKind, classify_property
 
 __all__ = ["TripleStore", "StoreStatistics", "ColumnView", "ID_TYPECODE", "ID_BYTES"]
 
@@ -187,8 +188,11 @@ class TripleStore(abc.ABC):
     ) -> List[Tuple[TripleKind, EncodedTriple]]:
         """Encode *triples* in one batched pass, insert them, return the rows.
 
-        The returned ``(kind, encoded_row)`` list (input order) lets callers
-        that maintain derived state — e.g. the summary maintainer and the
+        A batch is a set: its new terms are numbered in term order
+        (:meth:`~repro.model.dictionary.Dictionary.encode_triples`) and its
+        rows stored in ``(p, o, s)`` order, whatever order they came in.  The
+        returned ``(kind, encoded_row)`` list (stored order) lets callers that
+        maintain derived state — e.g. the summary maintainer and the
         saturator of :class:`repro.service.catalog.CatalogEntry` — consume
         the freshly assigned ids without re-encoding.
 
@@ -200,12 +204,14 @@ class TripleStore(abc.ABC):
         ``select`` probe per triple) and returns only the rows actually
         inserted — the contract incremental updaters need.
         """
-        triple_list = triples if isinstance(triples, (list, tuple)) else list(triples)
-        encoded = self.dictionary.encode_triples(triple_list)
-        rows: List[Tuple[TripleKind, EncodedTriple]] = [
-            (triple.kind, row) for triple, row in zip(triple_list, encoded)
-        ]
-        return self.insert_encoded_rows(rows, skip_existing=skip_existing)
+        rows = self.dictionary.encode_triples(triples)
+        rows.sort(key=itemgetter(1, 2, 0))
+        predicates = list(map(itemgetter(1), rows))
+        decode = self.dictionary.decode_table
+        kind_of = {p: classify_property(decode[p]) for p in set(predicates)}
+        return self.insert_encoded_rows(
+            list(zip(map(kind_of.__getitem__, predicates), rows)), skip_existing=skip_existing
+        )
 
     def insert_encoded_rows(
         self,
@@ -222,26 +228,14 @@ class TripleStore(abc.ABC):
         repeat) rows already present, and in-batch duplicates, are
         filtered; the ids must come from this store's dictionary.
         """
-        rows = rows if isinstance(rows, list) else list(rows)
+        rows = list(rows)
         if skip_existing:
-            by_kind: Dict[TripleKind, List[EncodedTriple]] = {}
-            for kind, row in rows:
-                by_kind.setdefault(kind, []).append(row)
+            rows = list(dict.fromkeys(rows))
             existing = {
-                kind: self._existing_rows(kind, kind_rows)
-                for kind, kind_rows in by_kind.items()
+                kind: self._existing_rows(kind, [row for row_kind, row in rows if row_kind is kind])
+                for kind in {kind for kind, _row in rows}
             }
-            fresh: List[Tuple[TripleKind, EncodedTriple]] = []
-            batch_seen = set()
-            for kind, row in rows:
-                key = (kind, row[0], row[1], row[2])
-                if key in batch_seen:
-                    continue
-                if (row[0], row[1], row[2]) in existing[kind]:
-                    continue
-                batch_seen.add(key)
-                fresh.append((kind, row))
-            rows = fresh
+            rows = [(kind, row) for kind, row in rows if row not in existing[kind]]
         self._insert_rows(rows)
         return rows
 

@@ -232,16 +232,10 @@ class _Table:
     # ------------------------------------------------------------------
     def append_batch(self, rows: Sequence[Tuple[int, int, int]]) -> None:
         start = len(self.s_col)
-        if len(rows) == 1:
-            subject, predicate, obj = rows[0]
-            self.s_col.append(subject)
-            self.p_col.append(predicate)
-            self.o_col.append(obj)
-        else:
-            subjects, predicates, objects = zip(*rows)
-            self.s_col.extend(subjects)
-            self.p_col.extend(predicates)
-            self.o_col.extend(objects)
+        subjects, predicates, objects = zip(*rows)
+        self.s_col.extend(subjects)
+        self.p_col.extend(predicates)
+        self.o_col.extend(objects)
         if not self._indexed:
             return
         if len(rows) > BULK_REBUILD_THRESHOLD and len(rows) * 2 >= start:
@@ -439,27 +433,23 @@ class MemoryStore(TripleStore):
         consistent with the SQLite store, which physically inserts (and
         therefore returns) every row it was handed under the no-duplicates
         bulk contract.  A row is a duplicate when the batch already brought
-        it (a set of the *batch's* rows, dropped on return) or its table's
+        it (``dict.fromkeys`` keeps its first copy, in order) or its table's
         ``(p, s)`` run holds it: two bisects of the index queries are
         answered from, not a second copy of the rows.  A table that was
         empty when the batch arrived — the cold load — is not probed at all.
+        Rows are appended in the order given: a replayed batch keeps its
+        logged order.
         """
         self._check_open()
         tables = self._tables
-        probed = {kind: table for kind, table in tables.items() if len(table)}
-        batch: Set[Tuple[TripleKind, Tuple[int, int, int]]] = set()
-        buffers: Dict[TripleKind, List[Tuple[int, int, int]]] = {kind: [] for kind in tables}
-        fresh: List[Tuple[TripleKind, EncodedTriple]] = []
-        for kind, row in rows:
-            key = (kind, (row[0], row[1], row[2]))
-            if key in batch or (kind in probed and probed[kind].holds(*key[1])):
-                continue
-            batch.add(key)
-            buffers[kind].append(key[1])
-            fresh.append((kind, row))
-        for kind, buffer in buffers.items():
+        fresh = list(dict.fromkeys(rows))
+        probed = {kind: table.holds for kind, table in tables.items() if len(table)}
+        if probed:
+            fresh = [(kind, row) for kind, row in fresh if kind not in probed or not probed[kind](*row)]
+        for kind, table in tables.items():
+            buffer = [row for row_kind, row in fresh if row_kind is kind]
             if buffer:
-                tables[kind].append_batch(buffer)
+                table.append_batch(buffer)
         return fresh
 
     # ------------------------------------------------------------------

@@ -64,6 +64,12 @@ class TestLiteral:
         with pytest.raises(MalformedTripleError):
             Literal("x", datatype=XSD.term("string"), language="en")
 
+    def test_empty_language_tag_is_malformed(self):
+        # it would be unequal to the plain literal yet share its sort key,
+        # so no order over terms could tell the two apart
+        with pytest.raises(MalformedTripleError):
+            Literal("a", language="")
+
     def test_non_string_lexical_coerced(self):
         assert Literal(1932).lexical == "1932"
 
@@ -118,6 +124,15 @@ class TestPredicates:
         ordered = sorted(terms, key=term_sort_key)
         assert isinstance(ordered[0], URI)
         assert isinstance(ordered[-1], Literal)
+        # total over distinct terms: no two share a key
+        alike = [
+            URI("http://a"),
+            BlankNode("http://a"),
+            Literal("http://a"),
+            Literal("http://a", language="en"),
+            Literal("http://a", datatype=XSD.term("string")),
+        ]
+        assert len({term_sort_key(term) for term in alike}) == len(set(alike)) == 5
 
     def test_sort_key_rejects_non_terms(self):
         with pytest.raises(TypeError):

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import MalformedTripleError
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_DOMAIN, RDFS_SUBCLASSOF
 from repro.model.terms import BlankNode, Literal, URI
-from repro.model.triple import Triple, TripleKind, classify_triple
+from repro.model.triple import Triple, TripleKind, classify_property
 
 
 class TestConstruction:
@@ -61,7 +61,7 @@ class TestClassification:
 
     def test_classify_function_matches_property(self):
         triple = Triple(EX.s, RDF_TYPE, EX.Book)
-        assert classify_triple(triple) is triple.kind
+        assert classify_property(triple.predicate) is triple.kind
 
 
 class TestValueSemantics:

@@ -1,11 +1,15 @@
 """Durability tests: the persistent catalog must warm-start with zero rebuilds."""
 
 import itertools
+import os
 import shutil
 import sqlite3
+import subprocess
+import sys
 
 import pytest
 
+import repro
 from repro.core.builders import summarize
 from repro.core.isomorphism import graphs_isomorphic
 from repro.errors import CatalogError, DuplicateGraphError, PersistenceError
@@ -21,6 +25,9 @@ from repro.service.service import QueryService
 from repro.service.workload import generate_mixed_workload
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
+
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
 
 def _catalog_path(tmp_path):
@@ -524,6 +531,38 @@ class TestColumnBlobWarmStart:
             restored = {kind: entry.store.column_bytes(kind) for kind in TripleKind}
             assert restored == original
             assert entry.store.index_build_count() == 0  # blobs never index
+
+    def test_the_checkpoint_is_the_same_under_every_hash_seed(self, tmp_path):
+        """A batch is numbered and stored as a set, so hash-ordered iteration
+        of the graph reaches neither the dictionary nor the columns."""
+        code = (
+            "import sys\n"
+            "from repro.datasets.bsbm import generate_bsbm\n"
+            "from repro.service.catalog import GraphCatalog\n"
+            "with GraphCatalog.open(sys.argv[1]) as catalog:\n"
+            "    catalog.register('g', graph=generate_bsbm(scale=20, seed=7))\n"
+            "    catalog.checkpoint()\n"
+        )
+        paths = [str(tmp_path / f"seed{seed}.db") for seed in (0, 1)]
+        for seed, path in enumerate(paths):
+            subprocess.run(
+                [sys.executable, "-c", code, path],
+                env=dict(os.environ, PYTHONPATH=SRC, PYTHONHASHSEED=str(seed)),
+                check=True,
+                timeout=120,
+            )
+        connections = [sqlite3.connect(path) for path in paths]
+        try:
+            for table in ("graph_columns", "dictionary_chunks", "artifacts"):
+                first, second = (
+                    connection.execute(f"SELECT * FROM {table} ORDER BY 1, 2").fetchall()
+                    for connection in connections
+                )
+                assert first, table
+                assert first == second, table
+        finally:
+            for connection in connections:
+                connection.close()
 
     def test_checkpoint_writes_blobs_not_rows(self, fig2, tmp_path):
         import sqlite3

@@ -188,7 +188,7 @@ def test_insert_returns_exactly_the_rows_inserted():
     # a load into empty tables probes nothing, and still drops in-batch repeats
     loaded = store.insert_triples([a, a, typed, typed])
     assert [store.decode_triple(row) for _kind, row in loaded] == [a, typed]
-    # stored rows, duplicates inside the batch, fresh rows — in input order
+    # stored rows, duplicates inside the batch, fresh rows — in stored (p, o, s) order
     fresh = store.insert_triples([a, b, typed, b, c, c], skip_existing=True)
     assert [store.decode_triple(row) for _kind, row in fresh] == [b, c]
     assert store.count(TripleKind.DATA) == 3 and store.count(TripleKind.TYPE) == 1

@@ -1,11 +1,13 @@
 """Tests for the MemoryStore and SQLiteStore backends (shared contract)."""
 
+from operator import itemgetter
+
 import pytest
 
 from repro.errors import StoreClosedError, StoreError
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
-from repro.model.terms import Literal
+from repro.model.terms import Literal, term_sort_key
 from repro.model.triple import Triple, TripleKind
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
@@ -143,16 +145,19 @@ class TestLifecycle:
 class TestBatchedInsertion:
     """insert_triples: the batched encode+insert path shared by the catalog."""
 
-    def test_returns_rows_in_input_order(self, fig2):
-        from repro.model.triple import TripleKind
-
+    def test_returns_rows_in_stored_order(self, fig2):
         triples = sorted(fig2)
         store = MemoryStore()
         rows = store.insert_triples(triples)
         assert len(rows) == len(triples)
-        for triple, (kind, row) in zip(triples, rows):
-            assert kind is triple.kind
-            assert store.decode_triple(row) == triple
+        encoded = [row for _kind, row in rows]
+        assert encoded == sorted(encoded, key=itemgetter(1, 2, 0))
+        assert {store.decode_triple(row) for row in encoded} == set(triples)
+        for kind, row in rows:
+            assert kind is store.decode_triple(row).kind
+        for kind in TripleKind:
+            stored = [tuple(row) for batch in store.scan_batches(kind) for row in batch]
+            assert stored == [tuple(row) for row_kind, row in rows if row_kind is kind]
 
     def test_load_graph_delegates_to_batch_path(self, fig2):
         direct = MemoryStore()
@@ -169,7 +174,10 @@ class TestBatchedInsertion:
         rows_single = [one.encode_triple(triple) for triple in triples]
         many = Dictionary()
         rows_batch = many.encode_triples(triples)
-        assert rows_single == rows_batch
+        assert list(map(one.decode_triple, rows_single)) == list(map(many.decode_triple, rows_batch))
+        # a batch numbers its new terms in term order, not first-seen order
+        assert many.decode_table == sorted(many.decode_table, key=term_sort_key)
+        assert one.decode_table != many.decode_table
 
     def test_incremental_inserts_share_dictionary_ids(self, fig2):
         triples = sorted(fig2)

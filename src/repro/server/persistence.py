@@ -9,17 +9,16 @@ The checkpoint (:meth:`~PersistentCatalog.save_graph`, or
 :meth:`~PersistentCatalog.refresh_artifacts` when only the artifacts moved)
 stores every fact once, packed, each blob through :mod:`zlib` at level 6:
 
-* the **dictionary** in ``dictionary_chunks`` — id-ordered chunks of the
-  term codec's ``(kind, value, datatype, language)`` tuples
-  (:func:`repro.model.dictionary.pack_terms`), one row per chunk, re-minted
-  through the term constructors on load.  Term objects are never pickled:
+* the **dictionary** in ``dictionary_chunks`` — id-ordered, front-coded
+  chunks (:data:`repro.model.dictionary.TermChunk`), one row per chunk,
+  re-minted through the term constructors on load.  Term objects are never pickled:
   their memoized hashes are salted per process, and a hash smuggled across
   processes would corrupt every dict they key;
 * the **encoded triples** in ``graph_columns`` — one row per table holding
   its three id columns as :meth:`TripleStore.column_bytes` packs them —
   4-byte ids in the writer's byte order, the bytes a cluster worker maps —
   whatever backend serves the graph, stored as byte planes (byte 0 of every
-  id, then byte 1, ...; ``width`` 4);
+  id, then byte 1, ...);
 * the **artifacts** in ``artifacts`` — the pruning graph of every summary
   kind cached at checkpoint time, as packed term triples, all tagged with
   the checkpoint's entry version: exactly what a warm start's guard reads.
@@ -49,11 +48,9 @@ sees the previous state or the new one, never a torn mix, and an
 acknowledged ingest batch is durable the moment its append commits.  The
 schema carries a version (``schema_version`` in ``catalog_meta``), and a
 file of any other version raises :class:`~repro.errors.PersistenceError`
-untouched — so does one stamped with this version whose rows an older build
-left in its own layout; the error names the upgrade.  A blob that
-does not inflate or decode is a :class:`~repro.errors.PersistenceError`
-(dictionary, columns) or a skipped summary, never a bare ``zlib`` /
-``pickle`` traceback.
+untouched, naming the route to this one.  A blob that does not inflate or
+decode is a :class:`~repro.errors.PersistenceError` (dictionary, columns)
+or a skipped summary, never a bare ``zlib`` / ``pickle`` traceback.
 
 The payloads use :mod:`pickle` (stdlib, compact, fast) over structures that
 contain no code and no Term objects.  Treat the catalog file like a database
@@ -89,17 +86,9 @@ from repro.store.base import ID_BYTES, TripleStore
 
 __all__ = ["GraphSnapshot", "PersistentCatalog", "SCHEMA_VERSION"]
 
-#: Bump on any incompatible change to the tables or payloads.  Version 5 is
-#: the packed checkpoint + row log with the id columns as byte planes.
-SCHEMA_VERSION = 5
-
-#: How a file of an older schema or layout becomes readable here: the last
-#: build that read every older layout rewrites each graph on checkpoint.
-_UPGRADE = (
-    "open it once with a build at or before commit acca3ad and checkpoint it "
-    "(GraphCatalog.open(path).checkpoint(), or run `repro serve --catalog FILE` "
-    "and stop it), which rewrites every graph in this layout"
-)
+#: Bump on any incompatible change to the tables or payloads.  Version 6: the
+#: packed checkpoint + row log, byte-plane id columns, front-coded term chunks.
+SCHEMA_VERSION = 6
 
 _PICKLE_PROTOCOL = 4
 
@@ -123,7 +112,7 @@ CREATE TABLE IF NOT EXISTS dictionary_chunks (
     graph TEXT NOT NULL,                -- the checkpoint's chunks, then one
     start INTEGER NOT NULL,             --   small chunk per logged batch;
     count INTEGER NOT NULL,             --   ids [start, start + count)
-    terms BLOB NOT NULL,                -- zlib(pickle([(kind, value, datatype, language)]))
+    terms BLOB NOT NULL,                -- zlib(pickle(TermChunk))
     PRIMARY KEY (graph, start)
 );
 CREATE TABLE IF NOT EXISTS graph_triples (
@@ -136,14 +125,12 @@ CREATE TABLE IF NOT EXISTS graph_triples (
 CREATE INDEX IF NOT EXISTS idx_graph_triples_graph ON graph_triples(graph);
 CREATE TABLE IF NOT EXISTS graph_columns (
     graph     TEXT NOT NULL,            -- the checkpoint's rows: per column
-    kind      TEXT NOT NULL,            --   zlib of its packed ids, by layout
+    kind      TEXT NOT NULL,            --   zlib of its 4-byte ids' planes
     rows      INTEGER NOT NULL,
     byteorder TEXT NOT NULL,            -- 'little' | 'big' (the writer's native)
     s BLOB NOT NULL,
     p BLOB NOT NULL,
     o BLOB NOT NULL,
-    width INTEGER NOT NULL DEFAULT 8,   -- bytes per id in s / p / o
-    layout TEXT NOT NULL DEFAULT 'rows', -- 'planes' | 'rows'
     PRIMARY KEY (graph, kind)
 );
 CREATE TABLE IF NOT EXISTS artifacts (
@@ -174,7 +161,7 @@ def _unpack(blob: bytes) -> object:
 
 def _pack_column(column: bytes) -> bytes:
     """A :meth:`TripleStore.column_bytes` column as its byte planes — byte 0
-    of every id, then byte 1, ... (layout ``'planes'``) — through zlib."""
+    of every id, then byte 1, ... — through zlib."""
     return zlib.compress(b"".join(column[b::ID_BYTES] for b in range(ID_BYTES)), _ZLIB_LEVEL)
 
 
@@ -199,14 +186,10 @@ def _pack_summary(graph: RDFGraph) -> Dict[str, object]:
 
 
 def _unpack_summary(payload: Dict[str, object]) -> RDFGraph:
-    """The pruning graph of a ``summary:<kind>`` payload of any layout.
-
-    Only ``triples`` and ``graph_name`` are read: the provenance an older
-    build stored beside them (id arrays, a ``representative_of`` list) is
-    ignored.  Raises (``KeyError`` / ``TypeError`` / ``ValueError`` /
+    """The pruning graph of a ``summary:<kind>`` payload.  Raises
+    (``KeyError`` / ``TypeError`` / ``ValueError`` /
     :class:`~repro.errors.DictionaryError`) on a payload that holds no
-    well-formed graph — the caller treats summary artifacts as expendable.
-    """
+    well-formed graph — the caller treats summary artifacts as expendable."""
     graph = RDFGraph(name=payload.get("graph_name", ""))
     for subject, predicate, obj in payload["triples"]:
         graph.add(Triple(unpack_term(subject), unpack_term(predicate), unpack_term(obj)))
@@ -280,34 +263,21 @@ class PersistentCatalog:
                     f"{self.path!r} is an SQLite database but not a catalog file "
                     f"(no catalog_meta table; found: {', '.join(sorted(existing_tables))})"
                 )
-            # check the version and layout BEFORE applying any DDL: a file
-            # written in another one must be refused untouched, not first
-            # mutated with this build's tables and then rejected
+            # check the version BEFORE any DDL: a file of another one must be
+            # refused untouched, not first given this build's tables, then rejected
             if "catalog_meta" in existing_tables:
                 stored = connection.execute(
                     "SELECT value FROM catalog_meta WHERE key = 'schema_version'"
                 ).fetchone()
                 if stored is not None and stored[0] != str(SCHEMA_VERSION):
-                    raise PersistenceError(
-                        f"catalog file {self.path!r} has schema version {stored[0]}, this "
-                        f"build reads version {SCHEMA_VERSION} only (a file of 1..4: {_UPGRADE})"
+                    raise PersistenceError(  # the route: export with a build that reads it
+                        f"catalog file {self.path!r} has schema version {stored[0]}, this build "
+                        f"reads version {SCHEMA_VERSION} only: export each graph as N-Triples "
+                        "with a build that reads it (schema 5: at or before commit 7362db4; "
+                        "1..4: at or before acca3ad) — repro.io.ntriples.dump_ntriples("
+                        "GraphCatalog.open(FILE).entry(NAME).to_graph(), NAME.nt) — then run "
+                        "`repro serve --catalog NEW --load NAME=NAME.nt`"
                     )
-            # a build that still read older files stamped them with this
-            # version on open and left each graph in its old rows (width 8,
-            # row-major, or per-term) until that graph's first durable write
-            if (
-                "graph_columns" in existing_tables
-                and connection.execute(
-                    "SELECT 1 FROM graph_columns WHERE width != ? OR layout != 'planes'",
-                    (ID_BYTES,),
-                ).fetchone()
-            ) or (
-                "dictionary_terms" in existing_tables
-                and connection.execute("SELECT 1 FROM dictionary_terms").fetchone()
-            ):
-                raise PersistenceError(
-                    f"catalog file {self.path!r} holds a graph in an older layout: {_UPGRADE}"
-                )
             connection.executescript(_SCHEMA_SQL)
             connection.execute(
                 "INSERT OR REPLACE INTO catalog_meta (key, value) VALUES ('schema_version', ?)",
@@ -388,8 +358,8 @@ class PersistentCatalog:
             )
         rows = []
         for chunk in pack_term_chunks(dictionary, start):
-            rows.append((name, start, len(chunk), _pack(chunk)))
-            start += len(chunk)
+            rows.append((name, start, len(chunk[0]), _pack(chunk)))  # one kind per term
+            start += len(chunk[0])
         connection.executemany(
             "INSERT INTO dictionary_chunks (graph, start, count, terms) VALUES (?, ?, ?, ?)", rows
         )
@@ -436,10 +406,9 @@ class PersistentCatalog:
             for kind in TripleKind:
                 count, *columns = entry.store.column_bytes(kind)
                 connection.execute(
-                    "INSERT INTO graph_columns "
-                    "(graph, kind, rows, byteorder, width, layout, s, p, o) "
-                    "VALUES (?, ?, ?, ?, ?, 'planes', ?, ?, ?)",
-                    (name, kind.value, count, sys.byteorder, ID_BYTES, *map(_pack_column, columns)),
+                    "INSERT INTO graph_columns (graph, kind, rows, byteorder, s, p, o) "
+                    "VALUES (?, ?, ?, ?, ?, ?, ?)",
+                    (name, kind.value, count, sys.byteorder, *map(_pack_column, columns)),
                 )
             self._replace_artifacts(connection, entry)
             self._remember(name, len(dictionary), 0)
@@ -530,7 +499,6 @@ class PersistentCatalog:
             )
             log_rows = select("SELECT kind, s, p, o FROM graph_triples WHERE graph = ? ORDER BY rowid")
             artifact_rows = select("SELECT name, version, payload FROM artifacts WHERE graph = ?")
-            self._remember(name, sum(row[1] for row in chunk_rows), len(log_rows))
 
         dictionary = Dictionary()
         store = store_factory()
@@ -547,10 +515,7 @@ class PersistentCatalog:
             for start, count, blob in chunk_rows:
                 dense = start == len(dictionary)
                 if not dense or unpack_terms(_unpack(blob), dictionary) != start + count:
-                    raise PersistenceError(
-                        f"dictionary of graph {name!r} is not dense at id {start} "
-                        f"— the catalog file is corrupt"
-                    )
+                    raise PersistenceError(f"the dictionary is not dense at id {start}")
             for kind_value, count, byteorder, *blobs in column_rows:
                 # a memory store adopts the columns, its index build deferred
                 loaded = store.load_column_bytes(
@@ -560,8 +525,7 @@ class PersistentCatalog:
                 )
                 if loaded != count:
                     raise PersistenceError(
-                        f"column snapshot of graph {name!r} ({kind_value}) holds {loaded} "
-                        f"rows, expected {count} — the catalog file is corrupt"
+                        f"the {kind_value} columns hold {loaded} rows, expected {count}"
                     )
             for artifact_name, _version, payload in artifact_rows:
                 if artifact_name.startswith("summary:"):
@@ -574,17 +538,17 @@ class PersistentCatalog:
                         pruning_graphs[kind] = _unpack_summary(_unpack(payload))
                     except Exception:  # noqa: BLE001 - any undecodable payload
                         self._artifacts_skipped.inc()
-        except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / log kind errors
+            ensure_indexes = getattr(store, "ensure_summarization_indexes", None)
+            if callable(ensure_indexes):
+                ensure_indexes()
+        except Exception as error:  # noqa: BLE001 - zlib / pickle / codec / log kind / index errors
             store.close()
-            if isinstance(error, PersistenceError):
-                raise
             raise PersistenceError(
                 f"graph {name!r} in catalog file {self.path!r} is unreadable "
                 f"(dictionary, columns or log): {error}"
             )
-        ensure_indexes = getattr(store, "ensure_summarization_indexes", None)
-        if callable(ensure_indexes):
-            ensure_indexes()
+        # counted only once decoded: a refused graph must not feed the gauge
+        self._remember(name, len(dictionary), len(tail_rows))
         return GraphSnapshot(
             name=name,
             version=version,

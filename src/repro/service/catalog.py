@@ -573,9 +573,11 @@ class GraphCatalog:
         logged atomically as they happen, and
         :meth:`checkpoint` folds the log back into a checkpoint.
 
-        A file of an older schema or layout is refused untouched with a
-        :class:`~repro.errors.PersistenceError` naming the upgrade; columns
-        in the other byte order are rewritten by the first durable write.
+        A file of another schema is refused untouched with a
+        :class:`~repro.errors.PersistenceError` naming the route to this
+        one; columns in the other byte order are rewritten by the first
+        durable write.  A graph that fails to load, restore or replay closes
+        the file and every store restored before it, then raises.
         """
         from repro.server.persistence import PersistentCatalog
 
@@ -584,10 +586,11 @@ class GraphCatalog:
         catalog._persistence = persistence
         replay_rows = telemetry.counter("persistence.replay.rows")
         replay_seconds = telemetry.histogram("persistence.replay.seconds")
-        with catalog._lock:
+        snapshot = None
+        try:
             for name in persistence.graph_names():
                 snapshot = persistence.load_graph(name, store_factory)
-                entry = CatalogEntry.restore(
+                catalog._entries[name] = entry = CatalogEntry.restore(
                     name=snapshot.name,
                     store=snapshot.store,
                     version=snapshot.checkpoint_version,
@@ -600,7 +603,11 @@ class GraphCatalog:
                     replay_rows.inc(len(snapshot.tail_rows))
                     replay_seconds.observe(perf_counter() - replay_start)
                 entry._on_update = catalog._persist_update
-                catalog._entries[name] = entry
+        except BaseException:
+            if snapshot is not None:
+                snapshot.store.close()  # a no-op once an entry adopted it
+            catalog.close()
+            raise
         return catalog
 
     @property

@@ -1,13 +1,19 @@
-"""Tests for dictionary encoding and the encoded graph view."""
+"""Tests for dictionary encoding, the encoded graph view and the term codecs."""
+
+import pickle
+import zlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import DictionaryError, UnknownTermError
+from repro.datasets.bsbm import generate_bsbm
+from repro.errors import DictionaryError, PersistenceError, UnknownTermError
 from repro.model import dictionary as dictionary_module
 from repro.model.dictionary import (
     Dictionary,
     EncodedGraphView,
     EncodedTriple,
+    pack_term,
     pack_term_chunks,
     pack_terms,
     unpack_terms,
@@ -179,7 +185,7 @@ class TestTermCodec:
         source.encode(URI("http://example.org/b"))
         source.encode(Literal("x"))
         tail = pack_terms(source, mark)
-        assert len(tail) == 2
+        assert tail == ("ul", bytes([0, 0]), ["http://example.org/b", "x"], [(None, None)])
         target = Dictionary()
         target.encode(URI("http://example.org/a"))
         unpack_terms(tail, target)
@@ -190,11 +196,23 @@ class TestTermCodec:
         target = Dictionary()
         target.encode(URI("http://example.org/a"))  # already present: id 0 != 1
         with pytest.raises(DictionaryError):
-            unpack_terms([("u", "http://example.org/a", None, None)], target)
+            unpack_terms(("u", b"\0", ["http://example.org/a"], []), target)
 
     def test_unpack_terms_rejects_unknown_kind(self):
-        with pytest.raises(DictionaryError):
-            unpack_terms([("z", "x", None, None)], Dictionary())
+        with pytest.raises(PersistenceError, match="unreadable"):
+            unpack_terms(("z", b"\0", ["x"], []), Dictionary())
+
+    def test_a_shared_prefix_is_capped_at_255(self):
+        """Values sharing 300 characters store 255 of them as shared and the
+        rest in the suffix."""
+        stem = "http://example.org/" + "p" * 281
+        source = Dictionary()
+        source.extend([URI(stem + "a"), URI(stem + "b")])
+        chunk = pack_terms(source)
+        assert chunk[1] == bytes([0, 255]) and chunk[2][1] == stem[255:] + "b"
+        target = Dictionary()
+        unpack_terms(chunk, target)
+        assert target.decode_table == source.decode_table
 
     def test_pack_term_chunks_round_trip(self):
         """The chunks reassemble, in order, into the exact same id
@@ -203,7 +221,7 @@ class TestTermCodec:
         for i in range(150):
             source.encode(URI(f"http://example.org/term/{i}"))
         chunks = pack_term_chunks(source, chunk=64)
-        assert [len(chunk) for chunk in chunks] == [64, 64, 22]
+        assert [len(chunk[0]) for chunk in chunks] == [64, 64, 22]
         target = Dictionary()
         for chunk in chunks:
             unpack_terms(chunk, target)
@@ -221,7 +239,7 @@ class TestTermCodec:
         for i in range(5):
             source.encode(URI(f"http://example.org/tail/{i}"))
         chunks = pack_term_chunks(source, start=mark, chunk=2)
-        assert [len(chunk) for chunk in chunks] == [2, 2, 1]
+        assert [len(chunk[0]) for chunk in chunks] == [2, 2, 1]
         target = Dictionary()
         target.encode(URI("http://example.org/a"))
         for chunk in chunks:
@@ -233,3 +251,99 @@ class TestTermCodec:
         assert pack_term_chunks(Dictionary()) == []
         with pytest.raises(DictionaryError):
             pack_term_chunks(Dictionary(), chunk=0)
+
+    def test_a_front_coded_chunk_of_a_bsbm_graph_is_smaller_than_its_term_tuples(self):
+        """Ids minted in term order put shared prefixes side by side: the
+        chunk, through the catalog file's pickle + zlib, is smaller than the
+        same terms as ``pack_term`` tuples."""
+        dictionary = Dictionary()
+        dictionary.encode_triples(generate_bsbm(scale=40, seed=7))
+
+        def packed_size(value):
+            return len(zlib.compress(pickle.dumps(value, protocol=4), 6))
+
+        tuples = packed_size([pack_term(term) for term in dictionary.decode_table])
+        assert packed_size(pack_terms(dictionary)) < tuples
+
+
+#: Stems that neighbouring values share, one longer than a shared length's cap.
+_STEMS = ["", "http://example.org/", "http://example.org/" + "s" * 250, "x" * 300]
+#: Suffix characters: newlines, NULs, accents and non-BMP characters included.
+_CHARS = st.one_of(
+    st.sampled_from("ab/\n\0é\U0001f600"), st.characters(exclude_categories=("Cs",))
+)
+_VALUES = st.builds(str.__add__, st.sampled_from(_STEMS), st.text(_CHARS, max_size=6))
+_NAMES = _VALUES.filter(bool)
+_TERMS = st.one_of(
+    st.builds(URI, _NAMES),
+    st.builds(BlankNode, _NAMES),
+    st.builds(Literal, _VALUES),
+    st.builds(lambda value, datatype: Literal(value, datatype=URI(datatype)), _VALUES, _NAMES),
+    st.builds(
+        lambda value, language: Literal(value, language=language),
+        _VALUES,
+        st.sampled_from(["en", "fr-CA"]),
+    ),
+)
+
+
+def _dictionary_of(terms):
+    dictionary = Dictionary()
+    for term in terms:
+        dictionary.encode(term)
+    return dictionary
+
+
+class TestTermChunkProperties:
+    """Generated round trips and damage for the front-coded term chunk."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(terms=st.lists(_TERMS, max_size=30), cut=st.integers(0, 30), size=st.integers(1, 7))
+    def test_chunks_of_any_tail_reproduce_the_ids_exactly(self, terms, cut, size):
+        source = _dictionary_of(terms)
+        mark = min(cut, len(source))
+        target = Dictionary()
+        target.extend(source.decode_table[:mark])
+        for chunk in pack_term_chunks(source, start=mark, chunk=size):
+            unpack_terms(pickle.loads(pickle.dumps(chunk, protocol=4)), target)
+        assert len(target) == len(source)
+        for restored, original in zip(target.decode_table, source.decode_table):
+            assert type(restored) is type(original) and restored == original
+        for term, identifier in source.items():
+            assert target.encode_existing(term) == identifier
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        terms=st.lists(_TERMS, min_size=1, max_size=12),
+        damage=st.sampled_from(
+            ["kinds", "shared", "suffixes", "typed", "past-value", "past-start"]
+        ),
+        at=st.integers(0, 11),
+    )
+    def test_a_malformed_chunk_is_unreadable_and_appends_nothing(self, terms, damage, at):
+        kinds, shared, suffixes, typed = pack_terms(_dictionary_of(terms))
+        at %= len(kinds)
+        if damage == "kinds":
+            kinds = kinds[:at] + kinds[at + 1 :]
+        elif damage == "shared":
+            shared = shared + b"\0"
+        elif damage == "suffixes":
+            suffixes = suffixes[:at] + suffixes[at + 1 :]
+        elif damage == "typed":
+            typed = typed[1:] if typed else [(None, None)]
+        else:
+            values, value = [], ""
+            for length, suffix in zip(shared, suffixes):
+                value = value[:length] + suffix
+                values.append(value)
+            # a shared length one past the previous value (or past the
+            # chunk's start, where a byte cannot hold one past that value)
+            if damage == "past-start" or len(values[at - 1]) >= 255:
+                at = 0
+            longer = len(values[at - 1]) + 1 if at else 1
+            shared = shared[:at] + bytes([longer]) + shared[at + 1 :]
+        target = Dictionary()
+        target.encode(URI("http://example.org/kept"))
+        with pytest.raises(PersistenceError, match="unreadable"):
+            unpack_terms((kinds, shared, suffixes, typed), target)
+        assert len(target) == 1

@@ -8,6 +8,7 @@ untouched, that damaged blobs surface typed, and that the length of the
 un-checkpointed tail is visible from outside.
 """
 
+import os
 import pickle
 import shutil
 import sqlite3
@@ -21,7 +22,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import telemetry
 from repro.core.isomorphism import graphs_isomorphic
 from repro.errors import PersistenceError, StoreClosedError
-from repro.model.dictionary import Dictionary, pack_terms
+from repro.model.dictionary import Dictionary, pack_term, pack_terms
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import (
     EX,
@@ -38,12 +39,11 @@ from repro.schema.encoded_saturation import IncrementalSaturator
 from repro.schema.saturation import saturate
 from repro.server.http import ServerApp
 from repro.server.persistence import (
-    _SCHEMA_SQL,
     SCHEMA_VERSION,
     PersistentCatalog,
     _unpack_column,
 )
-from repro.service.catalog import GraphCatalog
+from repro.service.catalog import CatalogEntry, GraphCatalog
 from repro.service.service import QueryService
 from repro.store.base import ID_BYTES
 from repro.store.memory import MemoryStore
@@ -159,10 +159,10 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             assert _table_rows(entry.store) == _table_rows(reference.store)
             # id for id — but for an ``rdf:type`` a saturated *query* minted after
             # the last logged batch: no row refers to it, and G∞ mints it again
-            restored = pack_terms(entry.store.dictionary)
-            live = pack_terms(reference.store.dictionary)
+            restored = entry.store.dictionary.decode_table
+            live = reference.store.dictionary.decode_table
             assert restored == live[: len(restored)]
-            assert live[len(restored) :] in ([], [("u", RDF_TYPE.value, None, None)])
+            assert live[len(restored) :] in ([], [RDF_TYPE])
             assert entry.statistics_index().as_dict() == recount(entry.store)
             assert entry.statistics_index() == reference.statistics_index()
             service = QueryService(reopened, kind="weak+strong")
@@ -293,11 +293,10 @@ def test_columns_are_always_stored_as_the_stores_4_byte_ids(fig2, tmp_path):
     with GraphCatalog.open(path) as catalog:
         entry = catalog.register("g", graph=fig2)
         original = {kind.value: entry.store.column_bytes(kind) for kind in TripleKind}
-    rows = _sql(path, "SELECT kind, rows, width, byteorder, layout, s, p, o FROM graph_columns")
-    assert len(rows) == len(TripleKind)
-    for kind_value, count, width, byteorder, layout, *blobs in rows:
-        assert width == ID_BYTES == 4 and byteorder == sys.byteorder, kind_value
-        assert layout == "planes", kind_value
+    rows = _sql(path, "SELECT kind, rows, byteorder, s, p, o FROM graph_columns")
+    assert len(rows) == len(TripleKind) and ID_BYTES == 4
+    for kind_value, count, byteorder, *blobs in rows:
+        assert byteorder == sys.byteorder, kind_value
         assert (count, *(_unpack_column(blob, count) for blob in blobs)) == original[kind_value]
         assert [zlib.decompress(blob) for blob in blobs] == [
             _planes(column) for column in original[kind_value][1:]
@@ -349,16 +348,16 @@ def test_a_row_count_the_planes_disagree_with_is_a_typed_error(bsbm_small, tmp_p
         GraphCatalog.open(path)
 
 
-def test_a_new_file_is_stamped_schema_5_and_a_newer_one_is_refused_untouched(fig2, tmp_path):
+def test_a_new_file_is_stamped_schema_6_and_a_newer_one_is_refused_untouched(fig2, tmp_path):
     path = str(tmp_path / "catalog.db")
     with GraphCatalog.open(path) as catalog:
         catalog.register("g", graph=fig2)
-    assert SCHEMA_VERSION == 5
-    assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [("5",)]
-    _sql(path, "UPDATE catalog_meta SET value = '6' WHERE key = 'schema_version'")
+    assert SCHEMA_VERSION == 6
+    assert _sql(path, "SELECT value FROM catalog_meta WHERE key = 'schema_version'") == [("6",)]
+    _sql(path, "UPDATE catalog_meta SET value = '7' WHERE key = 'schema_version'")
     with open(path, "rb") as handle:
         before = handle.read()
-    with pytest.raises(PersistenceError, match="schema version 6"):
+    with pytest.raises(PersistenceError, match="schema version 7"):
         GraphCatalog.open(path)
     with open(path, "rb") as handle:
         assert handle.read() == before
@@ -504,6 +503,52 @@ CREATE TABLE IF NOT EXISTS artifacts (
 );
 """
 
+#: The DDL schema 5 shipped with: term tuples, id columns as planes by layout.
+_SCHEMA_5_SQL = """
+CREATE TABLE IF NOT EXISTS catalog_meta (
+    key   TEXT PRIMARY KEY,
+    value TEXT NOT NULL
+);
+CREATE TABLE IF NOT EXISTS graphs (
+    name    TEXT PRIMARY KEY,
+    version INTEGER NOT NULL            -- the entry version of the last durable write
+);
+CREATE TABLE IF NOT EXISTS dictionary_chunks (
+    graph TEXT NOT NULL,                -- the checkpoint's chunks, then one
+    start INTEGER NOT NULL,             --   small chunk per logged batch;
+    count INTEGER NOT NULL,             --   ids [start, start + count)
+    terms BLOB NOT NULL,                -- zlib(pickle([(kind, value, datatype, language)]))
+    PRIMARY KEY (graph, start)
+);
+CREATE TABLE IF NOT EXISTS graph_triples (
+    graph TEXT NOT NULL,                -- the row log: rows inserted since the
+    kind  TEXT NOT NULL,                --   checkpoint, in insertion order
+    s INTEGER NOT NULL,                 --   (kind is TripleKind.value)
+    p INTEGER NOT NULL,
+    o INTEGER NOT NULL
+);
+CREATE INDEX IF NOT EXISTS idx_graph_triples_graph ON graph_triples(graph);
+CREATE TABLE IF NOT EXISTS graph_columns (
+    graph     TEXT NOT NULL,            -- the checkpoint's rows: per column
+    kind      TEXT NOT NULL,            --   zlib of its packed ids, by layout
+    rows      INTEGER NOT NULL,
+    byteorder TEXT NOT NULL,            -- 'little' | 'big' (the writer's native)
+    s BLOB NOT NULL,
+    p BLOB NOT NULL,
+    o BLOB NOT NULL,
+    width INTEGER NOT NULL DEFAULT 8,   -- bytes per id in s / p / o
+    layout TEXT NOT NULL DEFAULT 'rows', -- 'planes' | 'rows'
+    PRIMARY KEY (graph, kind)
+);
+CREATE TABLE IF NOT EXISTS artifacts (
+    graph   TEXT NOT NULL,
+    name    TEXT NOT NULL,              -- summary:<kind> | saturation
+    version INTEGER NOT NULL,           -- the entry version checkpointed
+    payload BLOB NOT NULL,              -- zlib(pickle(...))
+    PRIMARY KEY (graph, name)
+);
+"""
+
 #: The DDL schema 2 shipped with (schema 1: the same without graph_columns).
 _SCHEMA_2_SQL = """
 CREATE TABLE catalog_meta (key TEXT PRIMARY KEY, value TEXT NOT NULL);
@@ -542,16 +587,17 @@ def _write_old_file(path, graph, schema, tail=7, byteorder=sys.byteorder, width=
     *tail* data rows appended behind the snapshot, artifacts nobody should
     decode.  Schema 2 stores raw 8-byte id columns; schemas 3 and 4 are the
     packed layout of a build that stored them row-major at *width* (8:
-    ``zlib`` of int64s), under the DDL schema 4 shipped.  The columns are
-    written in *byteorder*."""
+    ``zlib`` of int64s), under the DDL schema 4 shipped; schema 5 stores
+    them as byte planes at width 4 under its own.  Every schema stores term
+    tuples.  The columns are written in *byteorder*."""
     with MemoryStore() as store:
         store.load_graph(graph)
         tables = _table_rows(store)
-        terms = pack_terms(store.dictionary)
+        terms = [pack_term(term) for term in store.dictionary.decode_table]
     connection = sqlite3.connect(path)
     with connection:
         if schema >= 3:
-            connection.executescript(_SCHEMA_4_SQL)
+            connection.executescript(_SCHEMA_5_SQL if schema == 5 else _SCHEMA_4_SQL)
             connection.execute(
                 "INSERT INTO dictionary_chunks VALUES ('g', 0, ?, ?)",
                 (len(terms), zlib.compress(pickle.dumps(terms, protocol=4))),
@@ -582,6 +628,8 @@ def _write_old_file(path, graph, schema, tail=7, byteorder=sys.byteorder, width=
                     for column in columns:
                         column.byteswap()
                 blobs = [column.tobytes() for column in columns]
+                if schema == 5:
+                    blobs = [_planes(blob) for blob in blobs]
                 if schema >= 3:
                     connection.execute(
                         "INSERT INTO graph_columns (graph, kind, rows, byteorder, width, s, p, o) "
@@ -593,6 +641,8 @@ def _write_old_file(path, graph, schema, tail=7, byteorder=sys.byteorder, width=
                         "INSERT INTO graph_columns VALUES ('g', ?, ?, ?, ?, ?, ?)",
                         (kind.value, len(rows), byteorder, *blobs),
                     )
+        if schema == 5:
+            connection.execute("UPDATE graph_columns SET layout = 'planes'")
         connection.executemany(
             "INSERT INTO graph_triples VALUES ('g', ?, ?, ?, ?)",
             [(kind.value, *row) for kind, row in logged],
@@ -607,12 +657,12 @@ def _write_old_file(path, graph, schema, tail=7, byteorder=sys.byteorder, width=
 
 def _stamp_schema_5(path):
     """Open *path* as the last build that still read the older layouts did:
-    this schema's DDL, the additive ``width`` / ``layout`` columns and the
+    schema 5's DDL, the additive ``width`` / ``layout`` columns and the
     version stamp, every row left in its old layout until the graph's first
     durable write."""
     connection = sqlite3.connect(path)
     with connection:
-        connection.executescript(_SCHEMA_SQL)
+        connection.executescript(_SCHEMA_5_SQL)
         present = {row[1] for row in connection.execute("PRAGMA table_info(graph_columns)")}
         for column in ("width INTEGER NOT NULL DEFAULT 8", "layout TEXT NOT NULL DEFAULT 'rows'"):
             if column.split()[0] not in present:
@@ -640,21 +690,24 @@ def test_an_older_file_is_refused_untouched(fig2, tmp_path, schema):
 
 @pytest.mark.parametrize(
     "schema, width",
-    [(1, 8), (2, 8), (4, 8), (4, 4)],
-    ids=["dictionary-terms", "raw-width-8", "width-8", "row-major"],
+    [(5, 4), (1, 8), (2, 8), (4, 8), (4, 4)],
+    ids=["planes", "dictionary-terms", "raw-width-8", "width-8", "row-major"],
 )
-def test_a_file_stamped_5_over_an_older_layout_is_refused_untouched(
+def test_a_schema_5_file_is_refused_untouched_naming_the_export_route(
     fig2, tmp_path, schema, width
 ):
-    """A schema-5 stamp does not prove a schema-5 layout: the last build that
-    read older files stamped them on open and left each graph per-term,
-    raw, at width 8 or row-major until its first durable write.  Such a file
-    is refused untouched, naming the upgrade."""
-    path = str(tmp_path / "stamped.db")
+    """A schema-5 file (term tuples) — in its own layout, or stamped 5 over
+    per-term, raw, width-8 or row-major rows by the last build that read
+    those — is refused untouched, and the error names the route: export
+    each graph as N-Triples with a build that reads it, load them anew."""
+    path = str(tmp_path / "v5.db")
     _write_old_file(path, fig2, schema, tail=2, width=width)
-    _stamp_schema_5(path)
+    if schema < 5:
+        _stamp_schema_5(path)
     before = _file_bytes(path)
-    with pytest.raises(PersistenceError, match="older layout: .*acca3ad"):
+    with pytest.raises(
+        PersistenceError, match=r"schema version 5, .*7362db4.*acca3ad.*--load NAME=NAME\.nt"
+    ):
         GraphCatalog.open(path)
     assert _file_bytes(path) == before
 
@@ -682,9 +735,9 @@ def test_columns_in_the_other_byte_order_read_back_and_are_rewritten_native(fig2
         restored = catalog.entry("g").store
         assert {kind.value: restored.column_bytes(kind) for kind in TripleKind} == original
         catalog.checkpoint()
-    rows = _sql(path, "SELECT kind, rows, width, byteorder, layout, s, p, o FROM graph_columns")
-    assert {tuple(row[2:5]) for row in rows} == {(ID_BYTES, sys.byteorder, "planes")}
-    for kind_value, count, _width, _byteorder, _layout, *blobs in rows:
+    rows = _sql(path, "SELECT kind, rows, byteorder, s, p, o FROM graph_columns")
+    assert {row[2] for row in rows} == {sys.byteorder}
+    for kind_value, count, _byteorder, *blobs in rows:
         assert (count, *(_unpack_column(blob, count) for blob in blobs)) == original[kind_value]
 
 
@@ -782,3 +835,73 @@ def test_a_closed_catalog_drops_out_of_the_tail_gauge(fig2, tmp_path):
     finally:
         catalog.close()
     assert gauge.value == elsewhere
+
+
+def _descriptors_on(path):
+    """This process's open file descriptors on *path* (Linux ``/proc``)."""
+    target = os.path.realpath(path)
+    return [
+        fd
+        for fd in os.listdir("/proc/self/fd")
+        if os.path.realpath(os.path.join("/proc/self/fd", fd)) == target
+    ]
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="needs /proc/self/fd")
+def test_a_failed_open_closes_the_file_and_leaves_the_tail_gauge_as_it_was(bsbm_small, tmp_path):
+    """A graph that does not decode refuses the open — and takes nothing with
+    it: no connection left on the file, no callback left on the gauge, and
+    its logged tail never counted."""
+    path = str(tmp_path / "catalog.db")
+    with GraphCatalog.open(path) as catalog:
+        catalog.register("g", graph=bsbm_small)
+        catalog.add_triples("g", [Triple(EX.term("leak/a"), EX.term("leak/p"), EX.term("leak/b"))])
+    ((blob,),) = _sql(path, "SELECT s FROM graph_columns WHERE kind = 'data'")
+    _sql(path, "UPDATE graph_columns SET s = ? WHERE kind = 'data'", (blob[: len(blob) // 2],))
+    gauge = telemetry.gauge("persistence.tail.rows")
+    value, callbacks = gauge.value, list(gauge._callbacks)
+    for _attempt in range(3):
+        with pytest.raises(PersistenceError, match="unreadable"):
+            GraphCatalog.open(path)
+    assert _descriptors_on(path) == []
+    assert gauge.value == value and gauge._callbacks == callbacks
+
+
+@pytest.mark.parametrize("failing", ["replay", "indexes"])
+def test_a_failed_replay_closes_every_store_restored_before_it(
+    fig2, tmp_path, monkeypatch, failing
+):
+    """Graph ``b`` fails after ``a`` is restored — in its replay, or in the
+    index build of its freshly loaded store: both stores end up closed."""
+    path = str(tmp_path / "catalog.db")
+    with GraphCatalog.open(path) as catalog:
+        for name in ("a", "b"):
+            catalog.register(name, graph=fig2)
+            link = Triple(EX.term("replay/a"), EX.term("replay/p"), EX.term(name))
+            catalog.add_triples(name, [link])
+    stores = []
+
+    def failing_indexes():
+        raise sqlite3.OperationalError("database or disk is full")
+
+    def store_factory():
+        stores.append(MemoryStore())
+        if failing == "indexes" and len(stores) == 2:
+            stores[-1].ensure_summarization_indexes = failing_indexes
+        return stores[-1]
+
+    replay = CatalogEntry.replay
+
+    def failing_replay(entry, rows, version):
+        if failing == "replay" and entry.name == "b":
+            raise RuntimeError("replay failed")
+        return replay(entry, rows, version)
+
+    monkeypatch.setattr(CatalogEntry, "replay", failing_replay)
+    raised = RuntimeError if failing == "replay" else PersistenceError
+    with pytest.raises(raised, match="replay failed|disk is full"):
+        GraphCatalog.open(path, store_factory=store_factory)
+    assert len(stores) == 2
+    for store in stores:
+        with pytest.raises(StoreClosedError):
+            store.count(TripleKind.DATA)

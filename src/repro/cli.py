@@ -326,7 +326,6 @@ def _command_sweep(args: argparse.Namespace) -> int:
 
 
 def _command_query(args: argparse.Namespace) -> int:
-    from repro.model.terms import term_sort_key
     from repro.queries.parser import parse_query
     from repro.service.catalog import GraphCatalog
     from repro.service.service import QueryService
@@ -398,12 +397,9 @@ def _command_query(args: argparse.Namespace) -> int:
                 f"{len(answer.answers)} answer(s) in {answer.total_seconds*1000:.2f} ms "
                 f"(guard: {answer.guard_seconds*1000:.2f} ms)"
             )
-            rows = sorted(
-                answer.answers,
-                key=lambda row: tuple(term_sort_key(term) for term in row),
-            )
-            for row in rows[:20]:
-                print("  " + "\t".join(term.n3() for term in row))
+            table = answer.answers.dictionary.decode_table
+            for row in answer.answers.dictionary.sort_rows(answer.answers.rows)[:20]:
+                print("  " + "\t".join(table[cell].n3() for cell in row))
             if len(answer.answers) > 20:
                 print(f"  ... and {len(answer.answers) - 20} more")
         if args.explain:
@@ -561,7 +557,7 @@ def _command_serve(args: argparse.Namespace) -> int:
     print(
         f"serving {len(catalog)} graph(s) [{names}] on http://{host}:{port} "
         f"(catalog: {args.catalog or 'in-memory'}, guard: {app.service.kind}, "
-        f"strategy: {args.strategy}, workers: {args.threads}{tier})",
+        f"strategy: {args.strategy}, threads: {args.threads}{tier})",
         flush=True,
     )
     # a SIGTERM (docker stop, kill) should run the same graceful path as

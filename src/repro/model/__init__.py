@@ -4,7 +4,6 @@ from repro._lazy import lazy_exports
 
 __all__ = [
     "Dictionary",
-    "EncodedGraphView",
     "EncodedTriple",
     "GraphStatistics",
     "RDFGraph",
@@ -36,7 +35,7 @@ __all__ = [
 ]
 
 __getattr__, __dir__ = lazy_exports(globals(), {
-    "dictionary": ("Dictionary", "EncodedGraphView", "EncodedTriple"),
+    "dictionary": ("Dictionary", "EncodedTriple"),
     "graph": ("GraphStatistics", "RDFGraph"),
     "namespaces": (
         "EX", "OWL", "RDF", "RDF_TYPE", "RDFS", "RDFS_DOMAIN", "RDFS_RANGE",

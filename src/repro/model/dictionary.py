@@ -6,9 +6,9 @@ summarization on integers, decoding only at the end.  This module provides
 the equivalent component: a bidirectional mapping between
 :class:`~repro.model.terms.Term` objects and dense non-negative integers.
 
-Encoded graphs are represented by :class:`EncodedTriple` tuples, and
-:class:`EncodedGraphView` offers the split of encoded triples into data /
-type / schema tables used by the algorithms of Section 6.2.
+Encoded graphs are represented by :class:`EncodedTriple` tuples; answers
+stay id rows, ordered by the dictionary's term-order rank
+(:meth:`Dictionary.sort_rows`).
 
 The **term codecs** live here too: :func:`pack_term` / :func:`unpack_term`,
 one term as ``(kind, value, datatype, language)`` (the persistent catalog's
@@ -20,13 +20,13 @@ hashes are salted per process.
 
 from __future__ import annotations
 
+import threading
 from array import array
+from bisect import bisect_right
 from itertools import repeat
-from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 from repro.errors import DictionaryError, MalformedTripleError, PersistenceError, UnknownTermError
-from repro.model.graph import RDFGraph
-from repro.model.namespaces import RDF_TYPE, SCHEMA_PROPERTIES
 from repro.model.terms import BlankNode, Literal, Term, URI, term_sort_key
 from repro.model.triple import Triple
 
@@ -35,7 +35,6 @@ __all__ = [
     "EncodedTriple",
     "ID_LIMIT",
     "ID_TYPECODE",
-    "EncodedGraphView",
     "PackedTerm",
     "TERM_CHUNK",
     "TermChunk",
@@ -88,6 +87,12 @@ class Dictionary:
     def __init__(self):
         self._term_to_id: Dict[Term, int] = {}
         self._id_to_term: List[Term] = []
+        #: Ids below it are final (a batch settles them once numbered).
+        self._settled = 0
+        #: The settled ids in term order and ``rank[id]``, each id's position
+        #: in it; guarded by self._rank_lock
+        self._order, self._rank = array(ID_TYPECODE), array(ID_TYPECODE)
+        self._rank_lock = threading.Lock()
 
     def __len__(self) -> int:
         return len(self._id_to_term)
@@ -103,17 +108,18 @@ class Dictionary:
         new_id = len(self._id_to_term)
         self._term_to_id[term] = new_id
         self._id_to_term.append(term)
-        self._check_limit(new_id)
+        self._settle(new_id)
         return new_id
 
-    def _check_limit(self, start: int) -> None:
-        """Forget the batch that minted ids ``[start, len)`` and raise
-        :class:`DictionaryError` if it crossed :data:`ID_LIMIT`."""
+    def _settle(self, start: int) -> None:
+        """Settle the ids ``[start, len)`` a batch minted, or forget them and
+        raise :class:`DictionaryError` if they crossed :data:`ID_LIMIT`."""
         if len(self._id_to_term) > ID_LIMIT:
             for term in self._id_to_term[start:]:
                 del self._term_to_id[term]
             del self._id_to_term[start:]
             raise DictionaryError(f"the dictionary is full: no id past {ID_LIMIT - 1}")
+        self._settled = len(self._id_to_term)
 
     def extend(self, terms: Iterable[Term]) -> int:
         """Append *terms* as the next dense ids, in order; return the new size.
@@ -135,7 +141,7 @@ class Dictionary:
                     f"dictionary divergence: term {term!r} already had an id below {expected}"
                 )
             id_to_term.append(term)
-        self._check_limit(start)
+        self._settle(start)
         return len(id_to_term)
 
     def encode_existing(self, term: Term) -> int:
@@ -163,20 +169,6 @@ class Dictionary:
         alias — callers hold store-produced ids, which are non-negative).
         """
         return self._id_to_term
-
-    def try_decode(self, identifier: int) -> Optional[Term]:
-        """Return the term with id *identifier*, or ``None`` when unknown."""
-        if 0 <= identifier < len(self._id_to_term):
-            return self._id_to_term[identifier]
-        return None
-
-    def encode_triple(self, triple: Triple) -> EncodedTriple:
-        """Encode the three terms of *triple*."""
-        return EncodedTriple(
-            self.encode(triple.subject),
-            self.encode(triple.predicate),
-            self.encode(triple.object),
-        )
 
     def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         """Encode an iterable of triples in one batched pass.
@@ -212,7 +204,6 @@ class Dictionary:
                 term_to_id[obj] = object_id
                 append(obj)
             rows.append((subject_id, predicate_id, object_id))
-        self._check_limit(start)
         if len(id_to_term) - start > 1:
             minted = id_to_term[start:]
             order = sorted(range(len(minted)), key=list(map(term_sort_key, minted)).__getitem__)
@@ -221,8 +212,37 @@ class Dictionary:
             term_to_id.update(zip(id_to_term[start:], new_ids))
             remap = dict(zip(map(start.__add__, order), new_ids)).get
             rows = zip(*(map(remap, column, column) for column in zip(*rows)))
+        self._settle(start)
         # tuple.__new__ names the rows at C speed; EncodedTriple() is a Python call
         return list(map(tuple.__new__, repeat(EncodedTriple), rows))
+
+    def sort_rows(self, rows: Iterable[Sequence[int]]) -> List[Sequence[int]]:
+        """*rows* of settled ids as their terms sort by ``term_sort_key``,
+        column by column, on the ids' rank.  The term order and the rank are
+        kept in place, brought up to date once per batch that minted ids: a
+        batch's new ids ascend in term order, so each costs one bisection
+        (O(log n) keys) and one insertion, and the rank one pass.  Rows of
+        fewer cells than 1/16 of the terms sort by their terms' keys: cheaper
+        than the rank's 8 bytes per term and its pass per batch."""
+        rows, table = list(rows), self._id_to_term
+        if len(rows) < 2 or len(rows) * len(rows[0]) * 16 < len(table):
+            return sorted(rows, key=lambda row: tuple(term_sort_key(table[c]) for c in row))
+        with self._rank_lock:
+            order, rank, settled = self._order, self._rank, self._settled
+            if len(rank) < settled:
+                low, previous = 0, ()
+                for identifier in range(len(rank), settled):
+                    term_key = term_sort_key(table[identifier])
+                    low = low if previous <= term_key else 0  # (a run ended)
+                    low = bisect_right(order, term_key, low, key=lambda i: term_sort_key(table[i]))
+                    order.insert(low, identifier)
+                    low, previous = low + 1, term_key
+                rank.frombytes(bytes(rank.itemsize * (settled - len(rank))))
+                for position, identifier in enumerate(order):
+                    rank[identifier] = position
+            for column in reversed(range(len(rows[0]))):
+                rows.sort(key=lambda row, column=column: rank[row[column]])
+        return rows
 
     def decode_triple(self, encoded: EncodedTriple) -> Triple:
         """Decode an :class:`EncodedTriple` back into a :class:`Triple`."""
@@ -325,54 +345,3 @@ def unpack_terms(chunk: TermChunk, dictionary: Dictionary) -> int:
         raise PersistenceError(f"a term chunk is unreadable: {error}")
     return dictionary.extend(terms)
 
-
-class EncodedGraphView:
-    """Integer-encoded view of a graph, split into the three triple tables.
-
-    This mirrors the storage layout of the paper's prototype: one encoded
-    *data* table, one encoded *type* table and one encoded *schema* table,
-    plus the dictionary.
-
-    Parameters
-    ----------
-    graph:
-        The graph to encode.
-    dictionary:
-        Optional pre-populated dictionary to reuse (ids are shared).
-    """
-
-    def __init__(self, graph: RDFGraph, dictionary: Optional[Dictionary] = None):
-        self.dictionary = dictionary if dictionary is not None else Dictionary()
-        self.data_rows: List[EncodedTriple] = []
-        self.type_rows: List[EncodedTriple] = []
-        self.schema_rows: List[EncodedTriple] = []
-        self.type_property_id = self.dictionary.encode(RDF_TYPE)
-        self.schema_property_ids = frozenset(
-            self.dictionary.encode(p) for p in sorted(SCHEMA_PROPERTIES)
-        )
-        for triple in graph:
-            encoded = self.dictionary.encode_triple(triple)
-            if triple.is_schema():
-                self.schema_rows.append(encoded)
-            elif triple.is_type():
-                self.type_rows.append(encoded)
-            else:
-                self.data_rows.append(encoded)
-        # deterministic order for reproducible summarization traces
-        self.data_rows.sort()
-        self.type_rows.sort()
-        self.schema_rows.sort()
-
-    def __len__(self) -> int:
-        return len(self.data_rows) + len(self.type_rows) + len(self.schema_rows)
-
-    def all_rows(self) -> Iterator[EncodedTriple]:
-        """Iterate over every encoded triple (data, then type, then schema)."""
-        yield from self.data_rows
-        yield from self.type_rows
-        yield from self.schema_rows
-
-    def decode_rows(self, rows: Iterable[EncodedTriple]) -> Iterator[Triple]:
-        """Decode an iterable of encoded triples back to :class:`Triple`."""
-        for row in rows:
-            yield self.dictionary.decode_triple(row)

@@ -44,8 +44,11 @@ import socketserver
 import sys
 import threading
 from http import HTTPStatus
+from itertools import chain
+from json.encoder import encode_basestring_ascii
+from operator import methodcaller
 from time import gmtime, monotonic, perf_counter, strftime
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 import repro
@@ -59,10 +62,10 @@ from repro.errors import (
 )
 from repro.io.ntriples import parse_ntriples, serialize_ntriples
 from repro.model.graph import RDFGraph
-from repro.model.terms import term_sort_key
 from repro.queries.parser import parse_query
 from repro.server.executor import QueryExecutor
 from repro.service.catalog import GraphCatalog
+from repro.service.evaluator import AnswerRows
 from repro.service.service import QueryAnswer, QueryService
 
 __all__ = ["ServerApp", "make_server", "start_background"]
@@ -323,14 +326,11 @@ class ServerApp:
 
     # ------------------------------------------------------------------
     def _render_answer(self, answer: QueryAnswer) -> Dict:
-        rows = sorted(
-            answer.answers, key=lambda row: tuple(term_sort_key(term) for term in row)
-        )
         payload = {
             "graph": answer.graph_name,
             "query": answer.query.name or None,
             "head": [variable.name for variable in answer.query.head],
-            "answers": [[term.n3() for term in row] for row in rows],
+            "answers": answer.answers,
             "answer_count": len(answer.answers),
             "boolean": answer.query.is_boolean(),
             "pruned": answer.pruned,
@@ -357,6 +357,13 @@ class ServerApp:
         *payload* is a JSON-serializable object, or a plain string for
         text responses (the N-Triples summary rendering).
         """
+        status, payload = self.route(method, path, body)
+        if isinstance(payload, dict) and isinstance(payload.get("answers"), AnswerRows):
+            payload["answers"] = _n3_rows(payload["answers"])
+        return status, payload
+
+    def route(self, method: str, path: str, body: Optional[Dict]) -> Tuple[int, object]:
+        """:meth:`dispatch` with an answer's rows left ids, for the socket."""
         parsed = urlparse(path)
         route = parsed.path.rstrip("/") or "/"
         query_string = parse_qs(parsed.query)
@@ -424,11 +431,11 @@ class _Handler(socketserver.StreamRequestHandler):
             while not self.close_connection and self.rfile.peek(1):
                 self.requestline = ""  # logged as such when the line is refused
                 app.begin_request()
+                app._http_requests.inc()  # (before its response can be read)
                 start = perf_counter()
                 try:
                     self._respond(*self._answer())
                 finally:
-                    app._http_requests.inc()
                     app._http_request_seconds.observe(perf_counter() - start)
                     app.end_request()
         except ConnectionError:
@@ -508,21 +515,21 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _respond(self, status: int, payload: object) -> None:
         if isinstance(payload, str):
-            data = payload.encode("utf-8")
+            body, length = [payload], len(payload.encode("utf-8"))
             content_type = "text/plain; charset=utf-8"
         else:
-            data = json.dumps(payload, sort_keys=True).encode("utf-8")
-            content_type = "application/json"
-        # One write per response.  Headers and body in two segments would
-        # make the second wait, on a keep-alive connection, for the client's
-        # delayed ACK of the first (40 ms on Linux) — twenty times the work
-        # of a guarded query.
+            body = _json_body(payload)  # ASCII: one byte per character
+            length, content_type = sum(map(len, body)), "application/json"
+        # One write per response, head and body encoded as one buffer.  Two
+        # segments would make the second wait, on a keep-alive connection,
+        # for the client's delayed ACK of the first (40 ms on Linux) — twenty
+        # times the work of a guarded query.
         head = [
             f"HTTP/1.1 {status} {_REASONS.get(status, '')}",
             "Server: repro-serve",
             f"Date: {strftime('%a, %d %b %Y %H:%M:%S GMT', gmtime())}",
             f"Content-Type: {content_type}",
-            f"Content-Length: {len(data)}",
+            f"Content-Length: {length}",
         ]
         if self.close_connection:
             head.append("Connection: close")
@@ -531,7 +538,9 @@ class _Handler(socketserver.StreamRequestHandler):
                 f"{self.client_address[0]} - - [{strftime('%d/%b/%Y %H:%M:%S')}] "
                 f'"{self.requestline}" {status} -\n'
             )
-        self.wfile.write("\r\n".join(head).encode("latin-1") + b"\r\n\r\n" + data)
+        response = "".join(["\r\n".join(head), "\r\n\r\n", *body])
+        del body  # (the pieces go before the bytes are made: two copies at most)
+        self.wfile.write(response.encode("utf-8"))
 
     def _answer(self) -> Tuple[int, object]:
         """Read one request and dispatch it: the status and payload of its
@@ -545,7 +554,7 @@ class _Handler(socketserver.StreamRequestHandler):
                 raise self._closing(408, "the request stalled")
             finally:
                 self.connection.settimeout(None)
-            return self.app.dispatch(self.method, self.path, body)
+            return self.app.route(self.method, self.path, body)
         except _HTTPError as error:
             return error.status, {"error": str(error)}
         except UnknownGraphError as error:
@@ -566,6 +575,32 @@ class _Handler(socketserver.StreamRequestHandler):
             raise  # nobody is left to answer: handle() ends the connection
         except Exception as error:  # noqa: BLE001 - last-resort 500
             return 500, {"error": f"internal error: {error}"}
+
+
+def _n3_rows(answers: AnswerRows) -> List[List[str]]:
+    """The rows in term order, as N-Triples terms rendered once per id."""
+    if not answers.width:
+        return [[] for _row in answers.rows]
+    rows, table = answers.dictionary.sort_rows(answers.rows), answers.dictionary.decode_table
+    ids = set(chain.from_iterable(rows))
+    n3 = dict(zip(ids, map(methodcaller("n3"), map(table.__getitem__, ids))))
+    cells = map(n3.__getitem__, chain.from_iterable(rows))
+    return list(map(list, zip(*[cells] * answers.width)))
+
+
+def _json_body(payload: Dict) -> List[str]:
+    """``json.dumps(payload, sort_keys=True)`` as pieces of text, byte for
+    byte, the answers written from their ids with the C quoting it uses."""
+    answers = payload.get("answers")
+    if not isinstance(answers, AnswerRows):
+        return [json.dumps(payload, sort_keys=True)]
+    table, quote = answers.dictionary.decode_table, encode_basestring_ascii
+    rows = answers.dictionary.sort_rows(answers.rows)
+    rows = ", ".join(["[" + ", ".join([quote(table[c].n3()) for c in row]) + "]" for row in rows])
+    # only the integer "answer_count" sorts before "answers": the first match is the key
+    text = json.dumps({**payload, "answers": []}, sort_keys=True)
+    before, _, after = text.partition('"answers": []')
+    return [before, '"answers": [', rows, "]", after]
 
 
 class _Server(socketserver.ThreadingMixIn, socketserver.TCPServer):

@@ -45,6 +45,7 @@ general BGP, excluded from RBGP) chain all three tables.
 
 from __future__ import annotations
 
+from collections.abc import Set as AbstractSet
 from contextlib import closing
 from itertools import chain, islice
 from operator import itemgetter
@@ -62,11 +63,11 @@ from repro.service.statistics import CardinalityStatistics
 from repro.store.base import TripleStore
 
 __all__ = [
+    "AnswerRows",
     "CompiledPattern",
     "CompiledQuery",
     "EncodedEvaluator",
     "compile_query",
-    "decode_rows",
     "describe_stages",
     "STRATEGIES",
 ]
@@ -540,19 +541,13 @@ class EncodedEvaluator:
         return sql, parameters
 
     # ------------------------------------------------------------------
-    def explain(self, query, limit: Optional[int] = None) -> ExecutionTrace:
-        """Evaluate *query* and return the captured execution trace."""
-        trace = ExecutionTrace()
-        self.evaluate(query, limit=limit, trace=trace)
-        return trace
-
     def evaluate(
         self,
         query,
         limit: Optional[int] = None,
         trace: Optional[ExecutionTrace] = None,
-    ) -> Set[Tuple[Term, ...]]:
-        """Distinct decoded answer tuples (head projections of embeddings).
+    ) -> "AnswerRows":
+        """Distinct answer tuples (head projections of embeddings), an :class:`AnswerRows`.
 
         Matches the semantics of :func:`repro.queries.evaluation.evaluate`:
         a boolean query answers ``{()}`` or ``set()``.  With a *limit*, at
@@ -564,7 +559,7 @@ class EncodedEvaluator:
         dictionary = self.store.dictionary
         if trace is not None:
             describe_stages(trace, compiled, dictionary)
-        return decode_rows(rows, len(compiled.head_slots), dictionary)
+        return AnswerRows(rows, len(compiled.head_slots), dictionary)
 
     def evaluate_ids(
         self,
@@ -605,7 +600,7 @@ class EncodedEvaluator:
         walk, slot_positions = self._pipeline(compiled, stages, limit is not None, trace)
         # fold each chunk's distinct integer head tuples into the running
         # answer, in first-produced order, and stop the walk at the limit:
-        # only the rows kept are ever decoded, each exactly once
+        # only the rows kept are ever rendered or decoded
         project = _projection([slot_positions[slot] for slot in compiled.head_slots])
         kept: Dict[Tuple[int, ...], None] = {}
         with closing(walk):
@@ -614,17 +609,6 @@ class EncodedEvaluator:
                 if limit is not None and len(kept) >= limit:
                     break
         return list(islice(kept, limit))
-
-    def has_answers(self, query) -> bool:
-        """``True`` when the query has at least one embedding on the store.
-
-        A ``limit=1`` evaluation: the walk stops at its first embedding.
-        """
-        return bool(self.evaluate(query, limit=1))
-
-    def count_answers(self, query) -> int:
-        """Number of distinct answer tuples on the store."""
-        return len(self.evaluate(query))
 
 
 def _prefer_pipelined(plan: "QueryPlan", limit: int) -> bool:
@@ -724,17 +708,31 @@ def _join_stage(
     return [b + extension(row) for b in binding_rows for row in get(binding_key(b), ())]
 
 
-def decode_rows(
-    rows: List[Sequence[int]], width: int, dictionary: Dictionary
-) -> Set[Tuple[Term, ...]]:
-    """The distinct id tuples *rows* as ``Term`` tuples of *width* columns."""
-    if not width:  # a boolean query: the empty tuple, when anything matched
-        return {()} if rows else set()
-    # decoded flat and regrouped, at C speed; the ids came out of a store
-    # this dictionary encoded, so they index the decode table directly: no
-    # per-id bounds check or method dispatch
-    terms = map(dictionary.decode_table.__getitem__, chain.from_iterable(rows))
-    return set(zip(*[terms] * width))
+class AnswerRows(AbstractSet):
+    """Distinct head id rows (``rows``, first-produced order) seen as the set of
+    ``Term`` tuples they decode to through ``dictionary``, on first use."""
+
+    __slots__ = ("rows", "width", "dictionary", "_terms")
+
+    def __init__(self, rows: List[Sequence[int]], width: int, dictionary: Dictionary):
+        # a boolean query: the empty tuple when anything matched (``SELECT 1`` too)
+        self.rows = rows if width else [()] * bool(rows)
+        self.width, self.dictionary, self._terms = width, dictionary, None
+
+    def terms(self) -> Set[Tuple[Term, ...]]:
+        if self._terms is None:  # decoded flat and regrouped, at C speed
+            cells = map(self.dictionary.decode_table.__getitem__, chain.from_iterable(self.rows))
+            self._terms = set(zip(*[cells] * self.width)) if self.width else set(self.rows)
+        return self._terms
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    def __iter__(self) -> Iterator[Tuple[Term, ...]]:
+        return iter(self.terms())
+
+    def __contains__(self, row) -> bool:
+        return row in self.terms()
 
 
 def describe_stages(trace: ExecutionTrace, compiled: CompiledQuery, dictionary: Dictionary) -> None:

@@ -23,25 +23,25 @@ constants in node positions, variable properties, schema lookups — skips
 straight to step 3 and is answered exactly, just without the shortcut.
 
 Step 3 runs on integers: the query compiles against the entry's dictionary,
-the evaluator returns head id tuples, and the service decodes them once.
-That step is the service's one seam (``remote``): the cluster coordinator's
-service hands it to a worker, whose replica holds no term at all.
+the evaluator returns head id tuples, and the answer keeps them (an
+:class:`~repro.service.evaluator.AnswerRows` view).  That step is the
+service's one seam (``remote``): the cluster coordinator's service hands it
+to a worker, whose replica holds no term at all.
 """
 
 from __future__ import annotations
 
 from time import perf_counter
-from typing import Callable, Dict, Optional, Set, Tuple, Union
+from typing import Callable, Dict, Optional, Union
 
 from repro import telemetry
 from repro.core.builders import normalize_kind
 from repro.errors import UnknownGraphError
 from repro.model.namespaces import is_schema_property
-from repro.model.terms import Term
 from repro.queries.bgp import BGPQuery
 from repro.queries.evaluation import has_answers
 from repro.service.catalog import GraphCatalog
-from repro.service.evaluator import CompiledQuery, compile_query, decode_rows, describe_stages
+from repro.service.evaluator import AnswerRows, CompiledQuery, compile_query, describe_stages
 from repro.service.planner import ExecutionTrace
 from repro.telemetry import QueryTrace, maybe_span
 
@@ -72,7 +72,7 @@ class QueryAnswer:
         query: BGPQuery,
         graph_name: str,
         kind: str,
-        answers: Set[Tuple[Term, ...]],
+        answers: AnswerRows,
         pruned: bool,
         prunable: bool,
         guard_seconds: float,
@@ -86,6 +86,7 @@ class QueryAnswer:
         self.query = query
         self.graph_name = graph_name
         self.kind = kind
+        #: The head id rows and their dictionary, decoded only when read as terms.
         self.answers = answers
         #: ``True`` when the summary (or dictionary) guard proved the query
         #: empty and base evaluation was skipped.
@@ -140,7 +141,6 @@ def _guard_applies(query: BGPQuery) -> bool:
     if not query.is_rbgp():
         return False
     return all(not is_schema_property(pattern.predicate) for pattern in query.patterns)
-
 
 
 class QueryService:
@@ -228,7 +228,7 @@ class QueryService:
         if trace:
             query_trace = trace if isinstance(trace, QueryTrace) else QueryTrace()
         execution_trace: Optional[ExecutionTrace] = ExecutionTrace() if explain else None
-        answers: Set[Tuple[Term, ...]] = set()
+        answers = AnswerRows([], len(query.head), entry.store.dictionary)
         saturation: Optional[Dict[str, object]] = None
         cluster: Optional[Dict[str, object]] = None
         # the query as compiled for the remote evaluation step
@@ -290,10 +290,9 @@ class QueryService:
             rows, saturation, cluster = self.remote(
                 graph_name, handoff, limit, saturated, execution_trace, query_trace
             )
-            dictionary = entry.store.dictionary
             if execution_trace is not None:
-                describe_stages(execution_trace, handoff, dictionary)
-            answers = decode_rows(rows, len(handoff.head_slots), dictionary)
+                describe_stages(execution_trace, handoff, entry.store.dictionary)
+            answers = AnswerRows(rows, len(handoff.head_slots), entry.store.dictionary)
         evaluation_seconds = 0.0 if pruned else perf_counter() - evaluation_start
 
         if query_trace is not None:

@@ -1,4 +1,4 @@
-"""Tests for dictionary encoding, the encoded graph view and the term codecs."""
+"""Tests for dictionary encoding, the term-order rank and the term codecs."""
 
 import pickle
 import zlib
@@ -11,7 +11,6 @@ from repro.errors import DictionaryError, PersistenceError, UnknownTermError
 from repro.model import dictionary as dictionary_module
 from repro.model.dictionary import (
     Dictionary,
-    EncodedGraphView,
     EncodedTriple,
     pack_term,
     pack_term_chunks,
@@ -20,7 +19,7 @@ from repro.model.dictionary import (
 )
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
-from repro.model.terms import URI, BlankNode, Literal
+from repro.model.terms import URI, BlankNode, Literal, term_sort_key
 from repro.model.triple import Triple
 
 
@@ -47,9 +46,6 @@ class TestDictionary:
         with pytest.raises(UnknownTermError):
             Dictionary().decode(5)
 
-    def test_try_decode_unknown_returns_none(self):
-        assert Dictionary().try_decode(3) is None
-
     def test_encode_existing_raises_on_unknown(self):
         with pytest.raises(UnknownTermError):
             Dictionary().encode_existing(EX.a)
@@ -63,7 +59,7 @@ class TestDictionary:
     def test_triple_roundtrip(self):
         dictionary = Dictionary()
         triple = Triple(EX.s, EX.p, Literal("x"))
-        assert dictionary.decode_triple(dictionary.encode_triple(triple)) == triple
+        assert dictionary.decode_triple(dictionary.encode_triples([triple])[0]) == triple
 
     def test_items_ordered_by_id(self):
         dictionary = Dictionary()
@@ -72,46 +68,6 @@ class TestDictionary:
         items = list(dictionary.items())
         assert items[0] == (EX.a, 0)
         assert items[1] == (EX.b, 1)
-
-
-class TestEncodedGraphView:
-    def _graph(self):
-        return RDFGraph(
-            [
-                Triple(EX.r1, EX.author, EX.a1),
-                Triple(EX.r1, RDF_TYPE, EX.Book),
-                Triple(EX.Book, RDFS_SUBCLASSOF, EX.Publication),
-            ]
-        )
-
-    def test_rows_split_by_component(self):
-        view = EncodedGraphView(self._graph())
-        assert len(view.data_rows) == 1
-        assert len(view.type_rows) == 1
-        assert len(view.schema_rows) == 1
-        assert len(view) == 3
-
-    def test_all_rows_roundtrip_through_dictionary(self):
-        graph = self._graph()
-        view = EncodedGraphView(graph)
-        decoded = set(view.decode_rows(view.all_rows()))
-        assert decoded == set(graph)
-
-    def test_type_property_id_matches_dictionary(self):
-        view = EncodedGraphView(self._graph())
-        assert view.dictionary.decode(view.type_property_id) == RDF_TYPE
-
-    def test_shared_dictionary_reused(self):
-        shared = Dictionary()
-        shared.encode(EX.r1)
-        view = EncodedGraphView(self._graph(), dictionary=shared)
-        assert view.dictionary is shared
-        assert shared.encode(EX.r1) == 0
-
-    def test_rows_are_sorted_for_determinism(self):
-        view = EncodedGraphView(self._graph())
-        assert view.data_rows == sorted(view.data_rows)
-        assert all(isinstance(row, EncodedTriple) for row in view.data_rows)
 
 
 class TestIdLimit:
@@ -347,3 +303,82 @@ class TestTermChunkProperties:
         with pytest.raises(PersistenceError, match="unreadable"):
             unpack_terms((kinds, shared, suffixes, typed), target)
         assert len(target) == 1
+
+
+class TestSortRows:
+    """``sort_rows`` orders id rows as their decoded terms sort by
+    ``term_sort_key``, from a rank extended once per batch that minted ids."""
+
+    @staticmethod
+    def _term_sorted(dictionary, rows):
+        table = dictionary.decode_table
+        return sorted(rows, key=lambda row: tuple(term_sort_key(table[cell]) for cell in row))
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        batches=st.lists(
+            st.tuples(st.sampled_from(["batch", "encode", "extend"]), st.lists(_TERMS, max_size=10)),
+            min_size=1,
+            max_size=6,
+        ),
+        width=st.integers(0, 3),
+        data=st.data(),
+    )
+    def test_the_order_is_term_order_after_every_kind_of_mint(self, batches, width, data):
+        dictionary = Dictionary()
+        dictionary.encode(EX.s)
+        for mint, terms in batches:
+            if mint == "batch":
+                dictionary.encode_triples([Triple(EX.s, EX.p, term) for term in terms])
+            elif mint == "encode":
+                for term in terms:
+                    dictionary.encode(term)
+            else:
+                dictionary.extend(dict.fromkeys(t for t in terms if t not in dictionary))
+            if data.draw(st.booleans()):  # renders between some mints, not all
+                cell = st.integers(0, len(dictionary) - 1)
+                rows = data.draw(st.lists(st.tuples(*[cell] * width), unique=True, max_size=40))
+                assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
+
+    def test_the_rank_is_extended_once_per_minting_batch(self, monkeypatch):
+        dictionary = Dictionary()
+        dictionary.encode_triples(generate_bsbm(scale=5, seed=1))
+        rows = [(identifier,) for identifier in reversed(range(len(dictionary)))]
+        keys = []
+        monkeypatch.setattr(
+            dictionary_module, "term_sort_key", lambda term: keys.append(term) or term_sort_key(term)
+        )
+        # an answer of few cells sorts by its terms' keys, building nothing
+        assert dictionary.sort_rows(rows[:3]) == self._term_sorted(dictionary, rows[:3])
+        assert len(keys) == 3
+        keys.clear()
+        # one batch is one ascending run: one key per term, no bisection
+        assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
+        assert len(keys) == len(dictionary)
+        keys.clear()
+        dictionary.sort_rows(rows)
+        assert keys == []  # kept, not rebuilt per call
+        dictionary.encode(EX.term("a lone mint"))
+        rows.append((len(dictionary) - 1,))
+        assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
+        assert 0 < len(keys) <= 2 + len(dictionary).bit_length()
+
+    def test_a_batch_still_being_numbered_is_not_ranked(self, monkeypatch):
+        dictionary = Dictionary()
+        dictionary.encode_triples([Triple(EX.m, EX.p, EX.n)])
+        old = [(0,), (1,), (2,)]
+        dictionary.sort_rows(old)
+        during = []
+
+        def key(term):
+            if not during:  # a render on another thread, mid-batch
+                during.append(None)
+                during[0] = dictionary.sort_rows(old)
+            return term_sort_key(term)
+
+        monkeypatch.setattr(dictionary_module, "term_sort_key", key)
+        batch = [Triple(EX.z, EX.p, EX.y), Triple(EX.x, EX.p, EX.a)]  # first seen: not term order
+        dictionary.encode_triples(batch)
+        assert during == [self._term_sorted(dictionary, old)]
+        rows = [(identifier,) for identifier in range(len(dictionary))]
+        assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)

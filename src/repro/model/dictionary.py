@@ -170,6 +170,20 @@ class Dictionary:
         """
         return self._id_to_term
 
+    def try_decode(self, identifier: int) -> Optional[Term]:
+        """Return the term with id *identifier*, or ``None`` when unknown."""
+        if 0 <= identifier < len(self._id_to_term):
+            return self._id_to_term[identifier]
+        return None
+
+    def encode_triple(self, triple: Triple) -> EncodedTriple:
+        """Encode the three terms of *triple*."""
+        return EncodedTriple(
+            self.encode(triple.subject),
+            self.encode(triple.predicate),
+            self.encode(triple.object),
+        )
+
     def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         """Encode an iterable of triples in one batched pass.
 
@@ -221,22 +235,27 @@ class Dictionary:
         column by column, on the ids' rank.  The term order and the rank are
         kept in place, brought up to date once per batch that minted ids: a
         batch's new ids ascend in term order, so each costs one bisection
-        (O(log n) keys) and one insertion, and the rank one pass.  Rows of
-        fewer cells than 1/16 of the terms sort by their terms' keys: cheaper
-        than the rank's 8 bytes per term and its pass per batch."""
+        (O(log n) keys), each run of them one merge and the rank one pass.
+        An answer whose key tuples (72 bytes a cell) would weigh less than
+        the rank (8 bytes a term) sorts by its terms' keys instead."""
         rows, table = list(rows), self._id_to_term
-        if len(rows) < 2 or len(rows) * len(rows[0]) * 16 < len(table):
+        if len(rows) < 2 or len(rows) * len(rows[0]) * 9 < len(table):
             return sorted(rows, key=lambda row: tuple(term_sort_key(table[c]) for c in row))
         with self._rank_lock:
             order, rank, settled = self._order, self._rank, self._settled
             if len(rank) < settled:
-                low, previous = 0, ()
+                start, positions, previous = len(rank), array(ID_TYPECODE), ()
                 for identifier in range(len(rank), settled):
                     term_key = term_sort_key(table[identifier])
-                    low = low if previous <= term_key else 0  # (a run ended)
-                    low = bisect_right(order, term_key, low, key=lambda i: term_sort_key(table[i]))
-                    order.insert(low, identifier)
-                    low, previous = low + 1, term_key
+                    if term_key < previous:  # a run ended
+                        _merge_run(order, start, positions)
+                        start, positions = identifier, array(ID_TYPECODE)
+                    low = positions[-1] if positions else 0
+                    positions.append(
+                        bisect_right(order, term_key, low, key=lambda i: term_sort_key(table[i]))
+                    )
+                    previous = term_key
+                _merge_run(order, start, positions)
                 rank.frombytes(bytes(rank.itemsize * (settled - len(rank))))
                 for position, identifier in enumerate(order):
                     rank[identifier] = position
@@ -256,6 +275,19 @@ class Dictionary:
         """Iterate over ``(term, id)`` pairs in id order."""
         for identifier, term in enumerate(self._id_to_term):
             yield term, identifier
+
+
+def _merge_run(order: array, start: int, positions: array) -> None:
+    """Insert the ascending run of ids ``start, start + 1, …`` into *order*,
+    each before the entries from its position on, from the back: every
+    entry moves once."""
+    end = len(order)
+    order.extend(range(start, start + len(positions)))
+    for index in reversed(range(len(positions))):
+        position = positions[index]
+        order[position + index + 1 : end + index + 1] = order[position:end]
+        order[position + index] = start + index
+        end = position
 
 
 def pack_term(term: Term) -> PackedTerm:

@@ -48,7 +48,7 @@ from itertools import chain
 from json.encoder import encode_basestring_ascii
 from operator import methodcaller
 from time import gmtime, monotonic, perf_counter, strftime
-from typing import Dict, List, Optional, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
 
 import repro
@@ -62,6 +62,7 @@ from repro.errors import (
 )
 from repro.io.ntriples import parse_ntriples, serialize_ntriples
 from repro.model.graph import RDFGraph
+from repro.model.terms import Term
 from repro.queries.parser import parse_query
 from repro.server.executor import QueryExecutor
 from repro.service.catalog import GraphCatalog
@@ -359,7 +360,8 @@ class ServerApp:
         """
         status, payload = self.route(method, path, body)
         if isinstance(payload, dict) and isinstance(payload.get("answers"), AnswerRows):
-            payload["answers"] = _n3_rows(payload["answers"])
+            cells = _cells(payload["answers"], methodcaller("n3"), once_per_id=True)
+            payload["answers"] = list(map(list, cells))
         return status, payload
 
     def route(self, method: str, path: str, body: Optional[Dict]) -> Tuple[int, object]:
@@ -515,11 +517,11 @@ class _Handler(socketserver.StreamRequestHandler):
 
     def _respond(self, status: int, payload: object) -> None:
         if isinstance(payload, str):
-            body, length = [payload], len(payload.encode("utf-8"))
+            body, data = [], payload.encode("utf-8")
             content_type = "text/plain; charset=utf-8"
         else:
-            body = _json_body(payload)  # ASCII: one byte per character
-            length, content_type = sum(map(len, body)), "application/json"
+            body, data = _json_body(payload), b""  # ASCII: one byte per character
+            content_type = "application/json"
         # One write per response, head and body encoded as one buffer.  Two
         # segments would make the second wait, on a keep-alive connection,
         # for the client's delayed ACK of the first (40 ms on Linux) — twenty
@@ -529,7 +531,7 @@ class _Handler(socketserver.StreamRequestHandler):
             "Server: repro-serve",
             f"Date: {strftime('%a, %d %b %Y %H:%M:%S GMT', gmtime())}",
             f"Content-Type: {content_type}",
-            f"Content-Length: {length}",
+            f"Content-Length: {sum(map(len, body)) + len(data)}",
         ]
         if self.close_connection:
             head.append("Connection: close")
@@ -540,7 +542,7 @@ class _Handler(socketserver.StreamRequestHandler):
             )
         response = "".join(["\r\n".join(head), "\r\n\r\n", *body])
         del body  # (the pieces go before the bytes are made: two copies at most)
-        self.wfile.write(response.encode("utf-8"))
+        self.wfile.write(response.encode("utf-8") + data)
 
     def _answer(self) -> Tuple[int, object]:
         """Read one request and dispatch it: the status and payload of its
@@ -577,15 +579,23 @@ class _Handler(socketserver.StreamRequestHandler):
             return 500, {"error": f"internal error: {error}"}
 
 
-def _n3_rows(answers: AnswerRows) -> List[List[str]]:
-    """The rows in term order, as N-Triples terms rendered once per id."""
-    if not answers.width:
-        return [[] for _row in answers.rows]
+def _cells(
+    answers: AnswerRows, render: Callable[[Term], str], once_per_id: bool
+) -> Iterator[Tuple[str, ...]]:
+    """The rows in term order, each the tuple of its cells' terms as *render*
+    writes them, regrouped at C speed.  *render* runs once per distinct id
+    when the caller keeps every cell (repeats then share one string), else
+    once per cell: cells consumed row by row never outlive their row."""
     rows, table = answers.dictionary.sort_rows(answers.rows), answers.dictionary.decode_table
-    ids = set(chain.from_iterable(rows))
-    n3 = dict(zip(ids, map(methodcaller("n3"), map(table.__getitem__, ids))))
-    cells = map(n3.__getitem__, chain.from_iterable(rows))
-    return list(map(list, zip(*[cells] * answers.width)))
+    if not answers.width:  # a boolean answer: () when anything matched
+        return iter(rows)
+    if once_per_id:
+        ids = set(chain.from_iterable(rows))
+        text = dict(zip(ids, map(render, map(table.__getitem__, ids))))
+        cells = map(text.__getitem__, chain.from_iterable(rows))
+    else:
+        cells = map(render, map(table.__getitem__, chain.from_iterable(rows)))
+    return zip(*[cells] * answers.width)
 
 
 def _json_body(payload: Dict) -> List[str]:
@@ -594,9 +604,8 @@ def _json_body(payload: Dict) -> List[str]:
     answers = payload.get("answers")
     if not isinstance(answers, AnswerRows):
         return [json.dumps(payload, sort_keys=True)]
-    table, quote = answers.dictionary.decode_table, encode_basestring_ascii
-    rows = answers.dictionary.sort_rows(answers.rows)
-    rows = ", ".join(["[" + ", ".join([quote(table[c].n3()) for c in row]) + "]" for row in rows])
+    rows = _cells(answers, lambda term: encode_basestring_ascii(term.n3()), once_per_id=False)
+    rows = ", ".join(["[" + ", ".join(row) + "]" for row in rows])
     # only the integer "answer_count" sorts before "answers": the first match is the key
     text = json.dumps({**payload, "answers": []}, sort_keys=True)
     before, _, after = text.partition('"answers": []')

@@ -541,6 +541,12 @@ class EncodedEvaluator:
         return sql, parameters
 
     # ------------------------------------------------------------------
+    def explain(self, query, limit: Optional[int] = None) -> ExecutionTrace:
+        """Evaluate *query* and return the captured execution trace."""
+        trace = ExecutionTrace()
+        self.evaluate(query, limit=limit, trace=trace)
+        return trace
+
     def evaluate(
         self,
         query,
@@ -609,6 +615,17 @@ class EncodedEvaluator:
                 if limit is not None and len(kept) >= limit:
                     break
         return list(islice(kept, limit))
+
+    def has_answers(self, query) -> bool:
+        """``True`` when the query has at least one embedding on the store.
+
+        A ``limit=1`` evaluation: the walk stops at its first embedding.
+        """
+        return bool(self.evaluate(query, limit=1))
+
+    def count_answers(self, query) -> int:
+        """Number of distinct answer tuples on the store."""
+        return len(self.evaluate(query))
 
 
 def _prefer_pipelined(plan: "QueryPlan", limit: int) -> bool:

@@ -2,6 +2,7 @@
 
 import pickle
 import zlib
+from array import array
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,8 +18,7 @@ from repro.model.dictionary import (
     pack_terms,
     unpack_terms,
 )
-from repro.model.graph import RDFGraph
-from repro.model.namespaces import EX, RDF_TYPE, RDFS_SUBCLASSOF
+from repro.model.namespaces import EX
 from repro.model.terms import URI, BlankNode, Literal, term_sort_key
 from repro.model.triple import Triple
 
@@ -46,6 +46,9 @@ class TestDictionary:
         with pytest.raises(UnknownTermError):
             Dictionary().decode(5)
 
+    def test_try_decode_unknown_returns_none(self):
+        assert Dictionary().try_decode(3) is None
+
     def test_encode_existing_raises_on_unknown(self):
         with pytest.raises(UnknownTermError):
             Dictionary().encode_existing(EX.a)
@@ -59,7 +62,7 @@ class TestDictionary:
     def test_triple_roundtrip(self):
         dictionary = Dictionary()
         triple = Triple(EX.s, EX.p, Literal("x"))
-        assert dictionary.decode_triple(dictionary.encode_triples([triple])[0]) == triple
+        assert dictionary.decode_triple(dictionary.encode_triple(triple)) == triple
 
     def test_items_ordered_by_id(self):
         dictionary = Dictionary()
@@ -362,6 +365,23 @@ class TestSortRows:
         rows.append((len(dictionary) - 1,))
         assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
         assert 0 < len(keys) <= 2 + len(dictionary).bit_length()
+
+    def test_runs_merge_from_the_back_into_the_term_order(self):
+        order = array("i", [10, 20, 30, 40])
+        dictionary_module._merge_run(order, 1, array("i", [0, 2, 2, 4]))
+        assert list(order) == [1, 10, 20, 2, 3, 30, 40, 4]
+
+    def test_several_runs_pending_at_one_render(self):
+        dictionary = Dictionary()
+        dictionary.encode_triples([Triple(EX.term(f"m{n}"), EX.p, EX.o) for n in range(0, 40, 4)])
+        rows = [(identifier,) for identifier in range(len(dictionary))]
+        assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
+        # descending lone mints, then an ascending batch: three runs at once
+        for name in ("m9", "m5", "m1"):
+            dictionary.encode(EX.term(name))
+        dictionary.encode_triples([Triple(EX.term(f"m{n}"), EX.p, EX.o) for n in (3, 7, 99)])
+        rows = [(identifier,) for identifier in range(len(dictionary))]
+        assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
 
     def test_a_batch_still_being_numbered_is_not_ranked(self, monkeypatch):
         dictionary = Dictionary()

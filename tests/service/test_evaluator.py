@@ -9,7 +9,6 @@ from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload
 from repro.queries.parser import parse_query
 from repro.service.evaluator import EncodedEvaluator, compile_query
-from repro.service.planner import ExecutionTrace
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
 
@@ -42,7 +41,7 @@ class TestCompilation:
         assert compiled.trivially_empty
         assert compiled.unsatisfiable_term == URI("http://nowhere/p")
         assert evaluator.evaluate(compiled) == set()
-        assert not evaluator.evaluate(query, limit=1)
+        assert not evaluator.has_answers(query)
 
     def test_variable_slots_are_shared_across_patterns(self, fig2):
         evaluator = _evaluator_for(fig2, MemoryStore)
@@ -173,8 +172,7 @@ class TestSQLPushdownStrategy:
     def test_trace_records_the_statement(self, fig2):
         evaluator = self._sql_evaluator(fig2)
         query = parse_query("SELECT ?x WHERE { ?x <http://example.org/fig2/editor> ?y . }")
-        trace = ExecutionTrace()
-        evaluator.evaluate(query, trace=trace)
+        trace = evaluator.explain(query)
         assert trace.strategy == "sql"
         assert trace.stages and "SELECT DISTINCT" in trace.stages[0].description
 
@@ -191,7 +189,7 @@ class TestLimitsAndBooleans:
             "PREFIX f: <http://example.org/fig2/> ASK { ?x f:author ?a }"
         )
         assert evaluator.evaluate(query) == {()}
-        assert evaluator.evaluate(query, limit=1)
+        assert evaluator.has_answers(query)
 
     def test_limit_truncates(self, bibliography_small, backend):
         evaluator = _evaluator_for(bibliography_small, backend)
@@ -221,4 +219,4 @@ class TestLimitsAndBooleans:
         query = parse_query(
             "PREFIX f: <http://example.org/fig2/> SELECT ?x WHERE { ?x f:author ?a }"
         )
-        assert len(evaluator.evaluate(query)) == len(evaluate(fig2, query))
+        assert evaluator.count_answers(query) == len(evaluate(fig2, query))

@@ -103,8 +103,7 @@ class TestStrategies:
         )
         with backend() as store:
             store.load_graph(_chain_graph())
-            trace = ExecutionTrace()
-            EncodedEvaluator(store, strategy=strategy).evaluate(query, trace=trace)
+            trace = EncodedEvaluator(store, strategy=strategy).explain(query)
         pushed_down = strategy == "sql" and backend is SQLiteStore
         # a six-row relation is read whole rather than probed 3+ times
         assert [stage.access for stage in trace.stages] == (
@@ -217,7 +216,7 @@ class TestOracleEquivalence:
             full = evaluator.evaluate(query)
             assert full == evaluate(bibliography_small, query)
             assert evaluator.evaluate(ask) == evaluate(bibliography_small, ask)
-            assert bool(evaluator.evaluate(query, limit=1)) == bool(full)
+            assert evaluator.has_answers(query) == bool(full)
             limited = evaluator.evaluate(query, limit=2)
             assert limited <= full
             assert len(limited) == min(2, len(full))
@@ -235,7 +234,7 @@ class TestOracleEquivalence:
         for query, expected in ((present, {()}), (ground_join, {()}), (absent, set())):
             assert evaluator.evaluate(query) == expected
             assert evaluator.evaluate(query, limit=1) == expected
-            assert bool(evaluator.evaluate(query, limit=1)) == bool(expected)
+            assert evaluator.has_answers(query) == bool(expected)
 
     def test_unsatisfiable_joins_are_empty(self, backend):
         graph = RDFGraph(
@@ -343,15 +342,13 @@ class TestProbeComplexity:
     def test_trace_reports_probes_and_cardinalities(self):
         store, query = self._chain_fixture()
         evaluator = EncodedEvaluator(store, strategy="hash")
-        trace = ExecutionTrace()
-        evaluator.evaluate(query, trace=trace)
+        trace = evaluator.explain(query)
         assert trace.strategy == "hash"
         assert trace.plan_cached is False
         assert trace.total_probes == 2
         assert [stage.produced for stage in trace.stages] == [40, 40]
         assert all(stage.estimate is not None for stage in trace.stages)
-        again = ExecutionTrace()
-        evaluator.evaluate(query, trace=again)
+        again = evaluator.explain(query)
         assert again.plan_cached is True
 
     def test_a_traced_run_still_honours_the_limit(self):

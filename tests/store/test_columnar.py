@@ -141,7 +141,7 @@ class TestCrossBackendContract:
         ids = {}
         rows = []
         for triple in graph:
-            (encoded,) = store.dictionary.encode_triples([triple])
+            encoded = store.dictionary.encode_triple(triple)
             kind = (
                 TripleKind.SCHEMA
                 if triple.is_schema()

@@ -171,7 +171,7 @@ class TestBatchedInsertion:
 
         triples = sorted(fig2)
         one = Dictionary()
-        rows_single = [one.encode_triples([triple])[0] for triple in triples]
+        rows_single = [one.encode_triple(triple) for triple in triples]
         many = Dictionary()
         rows_batch = many.encode_triples(triples)
         assert list(map(one.decode_triple, rows_single)) == list(map(many.decode_triple, rows_batch))

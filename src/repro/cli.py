@@ -397,9 +397,9 @@ def _command_query(args: argparse.Namespace) -> int:
                 f"{len(answer.answers)} answer(s) in {answer.total_seconds*1000:.2f} ms "
                 f"(guard: {answer.guard_seconds*1000:.2f} ms)"
             )
-            table = answer.answers.dictionary.decode_table
+            texts = answer.answers.dictionary.texts
             for row in answer.answers.dictionary.sort_rows(answer.answers.rows)[:20]:
-                print("  " + "\t".join(table[cell].n3() for cell in row))
+                print("  " + "\t".join(map(texts.__getitem__, row)))
             if len(answer.answers) > 20:
                 print(f"  ... and {len(answer.answers) - 20} more")
         if args.explain:

@@ -1,4 +1,4 @@
-"""Dataset generators: the paper's figures, BSBM, LUBM, bibliography, random."""
+"""Dataset generators: the paper's figures, BSBM, LUBM, bibliography."""
 
 from repro._lazy import lazy_exports
 
@@ -13,8 +13,6 @@ __all__ = [
     "LUBM",
     "LUBMGenerator",
     "generate_lubm",
-    "RandomGraphConfig",
-    "generate_random_graph",
     "FIG2",
     "book_example_graph",
     "figure2_graph",
@@ -27,7 +25,6 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "bibliography": ("BIB", "BibliographyGenerator", "generate_bibliography"),
     "bsbm": ("BSBM", "BSBMGenerator", "generate_bsbm", "graph_for_target_triples"),
     "lubm": ("LUBM", "LUBMGenerator", "generate_lubm"),
-    "random_graph": ("RandomGraphConfig", "generate_random_graph"),
     "sample": (
         "FIG2", "book_example_graph", "figure2_graph", "strong_completeness_graph",
         "typed_weak_counterexample_graph", "weak_completeness_graph",

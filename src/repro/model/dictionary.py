@@ -3,8 +3,11 @@
 The paper's prototype (Section 6) encodes every resource of the input graph
 into an integer through a PostgreSQL ``dictionary`` table and performs all
 summarization on integers, decoding only at the end.  This module provides
-the equivalent component: a bidirectional mapping between
-:class:`~repro.model.terms.Term` objects and dense non-negative integers.
+the equivalent component: a bidirectional mapping between RDF terms and
+dense non-negative integers that, like that table, holds each term once as
+a string — its N-Triples text, the wire form of the API.  A
+:class:`~repro.model.terms.Term` is minted from the text only when a caller
+decodes an id; a renderer reads the text itself (:attr:`Dictionary.texts`).
 
 Encoded graphs are represented by :class:`EncodedTriple` tuples; answers
 stay id rows, ordered by the dictionary's term-order rank
@@ -13,21 +16,22 @@ stay id rows, ordered by the dictionary's term-order rank
 The **term codecs** live here too: :func:`pack_term` / :func:`unpack_term`,
 one term as ``(kind, value, datatype, language)`` (the persistent catalog's
 summary artifacts), and :func:`pack_terms` / :func:`unpack_terms`, an id range
-as one front-coded :data:`TermChunk` (its dictionary chunks).  The cluster
-ships no term, and Term objects never leave the process: their memoized
-hashes are salted per process.
+as one front-coded :data:`TermChunk` (its dictionary chunks), read off and
+written back as texts.  The cluster ships no term.
 """
 
 from __future__ import annotations
 
+import re
 import threading
 from array import array
 from bisect import bisect_right
+from collections.abc import Sequence as SequenceABC
 from itertools import repeat
 from typing import Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
-from repro.errors import DictionaryError, MalformedTripleError, PersistenceError, UnknownTermError
-from repro.model.terms import BlankNode, Literal, Term, URI, term_sort_key
+from repro.errors import DictionaryError, PersistenceError, UnknownTermError
+from repro.model.terms import BlankNode, Literal, Term, URI, literal_n3, term_sort_key
 from repro.model.triple import Triple
 
 __all__ = [
@@ -41,6 +45,7 @@ __all__ = [
     "pack_term",
     "pack_terms",
     "pack_term_chunks",
+    "text_sort_key",
     "unpack_term",
     "unpack_terms",
 ]
@@ -66,6 +71,43 @@ ID_TYPECODE = "i"
 #: the column it is appended to.  No batch may cross it.
 ID_LIMIT = 1 << (8 * array(ID_TYPECODE).itemsize - 1)
 
+#: A literal's text: the escaped lexical up to the first unescaped quote,
+#: then ``@language``, ``^^<datatype>`` or nothing.
+_LITERAL = re.compile(r'"([^"\\]*(?:\\.[^"\\]*)*)"(?:@(.+)|\^\^<(.+)>)?\Z', re.S)
+
+
+def text_sort_key(text: str) -> Tuple[int, str, str, str]:
+    """:func:`~repro.model.terms.term_sort_key` of the term whose N-Triples
+    text is *text*, read off the text: a slice for an IRI or a blank node,
+    one unescape for a literal."""
+    if text[0] == "<":
+        return (0, text[1:-1], "", "")
+    if text[0] == "_":
+        return (1, text[2:], "", "")
+    lexical, language, datatype = _LITERAL.match(text).groups()
+    return (2, _unescaped(lexical), datatype or "", language or "")
+
+
+def _term_of_text(text: str) -> Term:
+    """Mint the term whose N-Triples text is *text*."""
+    if text[0] == "<":
+        return URI(text[1:-1])
+    if text[0] == "_":
+        return BlankNode(text[2:])
+    lexical, language, datatype = _LITERAL.match(text).groups()
+    return Literal(_unescaped(lexical), URI(datatype) if datatype else None, language)
+
+
+def _unescaped(lexical: str) -> str:
+    """*lexical* with the escapes of :func:`~repro.model.terms.literal_n3`
+    undone by the N-Triples decoder, imported on first need: a cluster
+    worker, which decodes nothing, imports no parser."""
+    if "\\" not in lexical:
+        return lexical
+    from repro.io.ntriples import _unescape
+
+    return _unescape(lexical)
+
 
 class EncodedTriple(NamedTuple):
     """An integer-encoded triple ``(subject_id, predicate_id, object_id)``."""
@@ -76,7 +118,7 @@ class EncodedTriple(NamedTuple):
 
 
 class Dictionary:
-    """A bidirectional term ↔ integer-id dictionary.
+    """A bidirectional term ↔ integer-id dictionary of N-Triples texts.
 
     Identifiers are assigned densely, starting at 0.  :meth:`encode` mints
     the next id; :meth:`encode_triples` numbers a batch's new terms in
@@ -85,8 +127,8 @@ class Dictionary:
     """
 
     def __init__(self):
-        self._term_to_id: Dict[Term, int] = {}
-        self._id_to_term: List[Term] = []
+        self._ids: Dict[str, int] = {}
+        self._texts: List[str] = []
         #: Ids below it are final (a batch settles them once numbered).
         self._settled = 0
         #: The settled ids in term order and ``rank[id]``, each id's position
@@ -95,85 +137,86 @@ class Dictionary:
         self._rank_lock = threading.Lock()
 
     def __len__(self) -> int:
-        return len(self._id_to_term)
+        return len(self._texts)
 
     def __contains__(self, term: Term) -> bool:
-        return term in self._term_to_id
+        return term.n3() in self._ids
 
     def encode(self, term: Term) -> int:
         """Return the id of *term*, assigning a fresh one when unseen."""
-        existing = self._term_to_id.get(term)
+        text = term.n3()
+        existing = self._ids.get(text)
         if existing is not None:
             return existing
-        new_id = len(self._id_to_term)
-        self._term_to_id[term] = new_id
-        self._id_to_term.append(term)
+        new_id = len(self._texts)
+        self._ids[text] = new_id
+        self._texts.append(text)
         self._settle(new_id)
         return new_id
 
-    def _settle(self, start: int) -> None:
+    def _settle(self, start: int, error: Optional[str] = None) -> None:
         """Settle the ids ``[start, len)`` a batch minted, or forget them and
-        raise :class:`DictionaryError` if they crossed :data:`ID_LIMIT`."""
-        if len(self._id_to_term) > ID_LIMIT:
-            for term in self._id_to_term[start:]:
-                del self._term_to_id[term]
-            del self._id_to_term[start:]
-            raise DictionaryError(f"the dictionary is full: no id past {ID_LIMIT - 1}")
-        self._settled = len(self._id_to_term)
+        raise :class:`DictionaryError` — with *error*, or if they crossed
+        :data:`ID_LIMIT`."""
+        if error is None and len(self._texts) > ID_LIMIT:
+            error = f"the dictionary is full: no id past {ID_LIMIT - 1}"
+        if error is not None:
+            for text in self._texts[start:]:
+                del self._ids[text]
+            del self._texts[start:]
+            raise DictionaryError(error)
+        self._settled = len(self._texts)
 
-    def extend(self, terms: Iterable[Term]) -> int:
-        """Append *terms* as the next dense ids, in order; return the new size.
+    def extend(self, texts: Iterable[str]) -> int:
+        """Append the terms of N-Triples *texts* as the next dense ids, in
+        order; return the new size.
 
         The bulk path of a receiver of packed terms (a catalog file's
-        chunks).  A term already present would
-        land on an id other than the next one — the sender's and the
-        receiver's id streams diverged — and raises
-        :class:`DictionaryError` rather than silently mis-keying every
-        later row.
+        chunks).  A term already present would land on an id other than the
+        next one — the sender's and the receiver's id streams diverged — and
+        raises :class:`DictionaryError`, with every term of the call
+        forgotten again, rather than silently mis-keying every later row.
         """
-        term_to_id = self._term_to_id
-        id_to_term = self._id_to_term
-        start = len(id_to_term)
-        for term in terms:
-            expected = len(id_to_term)
-            if term_to_id.setdefault(term, expected) != expected:
-                raise DictionaryError(
-                    f"dictionary divergence: term {term!r} already had an id below {expected}"
-                )
-            id_to_term.append(term)
+        ids, table = self._ids, self._texts
+        start = len(table)
+        for text in texts:
+            expected = len(table)
+            if ids.setdefault(text, expected) != expected:
+                self._settle(start, f"dictionary divergence: {text} has an id below {expected}")
+            table.append(text)
         self._settle(start)
-        return len(id_to_term)
+        return len(table)
 
     def encode_existing(self, term: Term) -> int:
         """Return the id of *term*; raise :class:`UnknownTermError` if unseen."""
-        existing = self._term_to_id.get(term)
+        existing = self._ids.get(term.n3())
         if existing is None:
             raise UnknownTermError(f"term not in dictionary: {term!r}")
         return existing
 
     def decode(self, identifier: int) -> Term:
-        """Return the term with id *identifier*."""
-        if not 0 <= identifier < len(self._id_to_term):
+        """Mint the term with id *identifier*."""
+        if not 0 <= identifier < len(self._texts):
             raise UnknownTermError(f"unknown term id: {identifier}")
-        return self._id_to_term[identifier]
+        return _term_of_text(self._texts[identifier])
 
     @property
-    def decode_table(self) -> List[Term]:
-        """The id-indexed term list, for bulk decoding of known-valid ids.
+    def texts(self) -> List[str]:
+        """The id-indexed N-Triples texts, what a renderer writes.  Treat as
+        read-only; the list grows in place as ids are minted."""
+        return self._texts
 
-        Treat as read-only: indexing it directly skips the per-call bounds
-        check and method dispatch of :meth:`decode`, which matters when a
-        query projection decodes hundreds of thousands of ids.  Ids not
-        produced by this dictionary raise a plain :class:`IndexError`
-        instead of :class:`UnknownTermError` (negative ids would silently
-        alias — callers hold store-produced ids, which are non-negative).
-        """
-        return self._id_to_term
+    @property
+    def decode_table(self) -> "TermTable":
+        """The id-indexed terms, minted on access, for bulk decoding of
+        store-produced ids: no bounds check (an unknown id is a plain
+        :class:`IndexError`, a negative one aliases) and no method dispatch."""
+        return TermTable(self._texts)
 
     def try_decode(self, identifier: int) -> Optional[Term]:
         """Return the term with id *identifier*, or ``None`` when unknown."""
-        if 0 <= identifier < len(self._id_to_term):
-            return self._id_to_term[identifier]
+        if 0 <= identifier < len(self._texts):
+            return _term_of_text(self._texts[identifier])
         return None
 
     def encode_triple(self, triple: Triple) -> EncodedTriple:
@@ -187,48 +230,33 @@ class Dictionary:
     def encode_triples(self, triples: Iterable[Triple]) -> List[EncodedTriple]:
         """Encode an iterable of triples in one batched pass.
 
-        This is the bulk-load path of the stores: direct dict probes on
-        locals instead of three bound-method dispatches per triple.  The ids
-        ``[start, len)`` the batch minted are then renumbered in
+        This is the bulk-load path of the stores.  The batch's terms are
+        numbered first in a batch-local ``Term`` → index dict, dropped on
+        return; each distinct term is then rendered once and looked up by its
+        text, and the batch's new terms get the ids ``[start, len)`` in
         :func:`~repro.model.terms.term_sort_key` order — one remap over the
         id columns — so the batch is numbered as a set, not as a sequence.
         """
-        term_to_id = self._term_to_id
-        id_to_term = self._id_to_term
-        append = id_to_term.append
-        start = len(id_to_term)
-        rows: List[Tuple[int, int, int]] = []
-        for triple in triples:
-            subject = triple.subject
-            subject_id = term_to_id.get(subject)
-            if subject_id is None:
-                subject_id = len(id_to_term)
-                term_to_id[subject] = subject_id
-                append(subject)
-            predicate = triple.predicate
-            predicate_id = term_to_id.get(predicate)
-            if predicate_id is None:
-                predicate_id = len(id_to_term)
-                term_to_id[predicate] = predicate_id
-                append(predicate)
-            obj = triple.object
-            object_id = term_to_id.get(obj)
-            if object_id is None:
-                object_id = len(id_to_term)
-                term_to_id[obj] = object_id
-                append(obj)
-            rows.append((subject_id, predicate_id, object_id))
-        if len(id_to_term) - start > 1:
-            minted = id_to_term[start:]
-            order = sorted(range(len(minted)), key=list(map(term_sort_key, minted)).__getitem__)
-            new_ids = range(start, len(id_to_term))
-            id_to_term[start:] = map(minted.__getitem__, order)
-            term_to_id.update(zip(id_to_term[start:], new_ids))
-            remap = dict(zip(map(start.__add__, order), new_ids)).get
-            rows = zip(*(map(remap, column, column) for column in zip(*rows)))
+        local: Dict[Term, int] = {}
+        index, size = local.setdefault, local.__len__
+        rows = [
+            (index(t.subject, size()), index(t.predicate, size()), index(t.object, size()))
+            for t in triples
+        ]
+        terms = list(local)
+        texts = [term.n3() for term in terms]
+        ids = list(map(self._ids.get, texts))
+        fresh = [position for position, known in enumerate(ids) if known is None]
+        fresh.sort(key=lambda position: term_sort_key(terms[position]))
+        start = len(self._texts)
+        for new_id, position in enumerate(fresh, start):
+            ids[position] = new_id
+        self._texts.extend(map(texts.__getitem__, fresh))
+        self._ids.update(zip(self._texts[start:], range(start, len(self._texts))))
         self._settle(start)
+        columns = [map(ids.__getitem__, column) for column in zip(*rows)]
         # tuple.__new__ names the rows at C speed; EncodedTriple() is a Python call
-        return list(map(tuple.__new__, repeat(EncodedTriple), rows))
+        return list(map(tuple.__new__, repeat(EncodedTriple), zip(*columns)))
 
     def sort_rows(self, rows: Iterable[Sequence[int]]) -> List[Sequence[int]]:
         """*rows* of settled ids as their terms sort by ``term_sort_key``,
@@ -237,22 +265,23 @@ class Dictionary:
         batch's new ids ascend in term order, so each costs one bisection
         (O(log n) keys), each run of them one merge and the rank one pass.
         An answer whose key tuples (72 bytes a cell) would weigh less than
-        the rank (8 bytes a term) sorts by its terms' keys instead."""
-        rows, table = list(rows), self._id_to_term
-        if len(rows) < 2 or len(rows) * len(rows[0]) * 9 < len(table):
-            return sorted(rows, key=lambda row: tuple(term_sort_key(table[c]) for c in row))
+        the rank (8 bytes a term) sorts by its terms' keys instead.  Every
+        key is read off a text (:func:`text_sort_key`); no term is minted."""
+        rows, texts = list(rows), self._texts
+        if len(rows) < 2 or len(rows) * len(rows[0]) * 9 < len(texts):
+            return sorted(rows, key=lambda row: tuple(text_sort_key(texts[c]) for c in row))
         with self._rank_lock:
             order, rank, settled = self._order, self._rank, self._settled
             if len(rank) < settled:
                 start, positions, previous = len(rank), array(ID_TYPECODE), ()
                 for identifier in range(len(rank), settled):
-                    term_key = term_sort_key(table[identifier])
+                    term_key = text_sort_key(texts[identifier])
                     if term_key < previous:  # a run ended
                         _merge_run(order, start, positions)
                         start, positions = identifier, array(ID_TYPECODE)
                     low = positions[-1] if positions else 0
                     positions.append(
-                        bisect_right(order, term_key, low, key=lambda i: term_sort_key(table[i]))
+                        bisect_right(order, term_key, low, key=lambda i: text_sort_key(texts[i]))
                     )
                     previous = term_key
                 _merge_run(order, start, positions)
@@ -273,8 +302,24 @@ class Dictionary:
 
     def items(self) -> Iterator[Tuple[Term, int]]:
         """Iterate over ``(term, id)`` pairs in id order."""
-        for identifier, term in enumerate(self._id_to_term):
-            yield term, identifier
+        for identifier, text in enumerate(self._texts):
+            yield _term_of_text(text), identifier
+
+
+class TermTable(SequenceABC):
+    """A dictionary's terms by id (:attr:`Dictionary.decode_table`), each
+    minted from its text when read; it sees ids minted after it was made."""
+
+    __slots__ = ("_texts",)
+
+    def __init__(self, texts: List[str]):
+        self._texts = texts
+
+    def __len__(self) -> int:
+        return len(self._texts)
+
+    def __getitem__(self, identifier: int) -> Term:
+        return _term_of_text(self._texts[identifier])
 
 
 def _merge_run(order: array, start: int, positions: array) -> None:
@@ -316,14 +361,15 @@ def unpack_term(packed: PackedTerm) -> Term:
 
 def pack_terms(dictionary: Dictionary, start: int = 0, stop: Optional[int] = None) -> TermChunk:
     """The dictionary's id range ``[start, stop)`` as one :data:`TermChunk`
-    in id order — the receiving side re-encodes it in sequence and gets
-    identical ids."""
+    in id order, read off the texts — the receiving side re-encodes it in
+    sequence and gets identical ids."""
     kinds, shared, suffixes, typed, previous = [], bytearray(), [], [], ""
-    for term in dictionary.decode_table[start:stop]:
-        kind, value, datatype, language = pack_term(term)
-        kinds.append(kind)
-        if kind == "l":
-            typed.append((datatype, language))
+    datatypes: Dict[str, str] = {}
+    for text in dictionary.texts[start:stop]:
+        kind, value, datatype, language = text_sort_key(text)
+        kinds.append("ubl"[kind])
+        if kind == 2:  # one string per datatype, which the pickle then shares
+            typed.append((datatypes.setdefault(datatype, datatype) or None, language or None))
         common, length = min(len(previous), len(value), 255), 0
         while length + 8 <= common and previous[length : length + 8] == value[length : length + 8]:
             length += 8  # a slice compare per 8 characters: half the time of 8 index compares
@@ -359,21 +405,29 @@ def pack_term_chunks(
 def unpack_terms(chunk: TermChunk, dictionary: Dictionary) -> int:
     """Append the terms of a :func:`pack_terms` *chunk* to *dictionary* in
     order, ids assigned densely (:meth:`Dictionary.extend`: a term that would
-    land on an unexpected id raises :class:`DictionaryError`); return the new
-    size.  A chunk whose columns disagree in length, or that names a shared
-    prefix longer than the previous value or an unknown kind, is a
-    :class:`~repro.errors.PersistenceError` and appends nothing."""
+    land on an unexpected id raises :class:`DictionaryError` and appends
+    nothing); return the new size.  The texts are built from the columns,
+    minting no term.  A chunk whose columns disagree in length, or that names
+    a shared prefix longer than the previous value or a term no constructor
+    accepts, is a :class:`~repro.errors.PersistenceError` and appends nothing."""
     try:
         kinds, shared, suffixes, typed = chunk
         if not len(kinds) == len(shared) == len(suffixes) or len(typed) != kinds.count("l"):
             raise ValueError("its columns disagree in length")
-        typed, terms, value = iter(typed), [], ""
+        typed, texts, value = iter(typed), [], ""
         for kind, length, suffix in zip(kinds, shared, suffixes):
             if length > len(value):
                 raise ValueError(f"a {length}-character prefix of {value!r}")
             value = value[:length] + suffix
-            terms.append(unpack_term((kind, value) + (next(typed) if kind == "l" else (None, None))))
-    except (DictionaryError, TypeError, ValueError, MalformedTripleError) as error:
+            if kind == "l":
+                datatype, language = next(typed)
+                if language == "" or datatype and language:
+                    raise ValueError(f"a literal typed {datatype!r} tagged {language!r}")
+                texts.append(literal_n3(value, datatype or None, language))
+            elif kind in ("u", "b") and value:
+                texts.append(f"<{value}>" if kind == "u" else "_:" + value)
+            else:
+                raise ValueError(f"a term of kind {kind!r} and value {value!r}")
+    except (TypeError, ValueError) as error:
         raise PersistenceError(f"a term chunk is unreadable: {error}")
-    return dictionary.extend(terms)
-
+    return dictionary.extend(texts)

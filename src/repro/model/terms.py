@@ -28,6 +28,7 @@ __all__ = [
     "is_uri",
     "is_literal",
     "is_blank",
+    "literal_n3",
     "term_sort_key",
 ]
 
@@ -147,19 +148,8 @@ class Literal:
 
     def n3(self) -> str:
         """Render in N-Triples syntax with escaping."""
-        escaped = (
-            self.lexical.replace("\\", "\\\\")
-            .replace('"', '\\"')
-            .replace("\n", "\\n")
-            .replace("\r", "\\r")
-            .replace("\t", "\\t")
-        )
-        rendered = f'"{escaped}"'
-        if self.language is not None:
-            return f"{rendered}@{self.language}"
-        if self.datatype is not None:
-            return f"{rendered}^^{self.datatype.n3()}"
-        return rendered
+        datatype = self.datatype.value if self.datatype is not None else None
+        return literal_n3(self.lexical, datatype, self.language)
 
 
 class BlankNode:
@@ -235,3 +225,21 @@ def term_sort_key(term: Term):
         datatype = term.datatype.value if term.datatype else ""
         return (2, term.lexical, datatype, term.language or "")
     raise TypeError(f"not an RDF term: {term!r}")
+
+
+def literal_n3(lexical: str, datatype: "str | None", language: "str | None") -> str:
+    """The N-Triples text of a literal: *lexical* escaped and quoted, then
+    ``@language`` or else ``^^<datatype>`` (the IRI's value)."""
+    escaped = (
+        lexical.replace("\\", "\\\\")
+        .replace('"', '\\"')
+        .replace("\n", "\\n")
+        .replace("\r", "\\r")
+        .replace("\t", "\\t")
+    )
+    if language is not None:
+        return f'"{escaped}"@{language}'
+    if datatype is not None:
+        return f'"{escaped}"^^<{datatype}>'
+    return f'"{escaped}"'
+

@@ -46,7 +46,6 @@ import threading
 from http import HTTPStatus
 from itertools import chain
 from json.encoder import encode_basestring_ascii
-from operator import methodcaller
 from time import gmtime, monotonic, perf_counter, strftime
 from typing import Callable, Dict, Iterator, List, Optional, Tuple
 from urllib.parse import parse_qs, unquote, urlparse
@@ -62,7 +61,6 @@ from repro.errors import (
 )
 from repro.io.ntriples import parse_ntriples, serialize_ntriples
 from repro.model.graph import RDFGraph
-from repro.model.terms import Term
 from repro.queries.parser import parse_query
 from repro.server.executor import QueryExecutor
 from repro.service.catalog import GraphCatalog
@@ -360,8 +358,7 @@ class ServerApp:
         """
         status, payload = self.route(method, path, body)
         if isinstance(payload, dict) and isinstance(payload.get("answers"), AnswerRows):
-            cells = _cells(payload["answers"], methodcaller("n3"), once_per_id=True)
-            payload["answers"] = list(map(list, cells))
+            payload["answers"] = list(map(list, _cells(payload["answers"])))
         return status, payload
 
     def route(self, method: str, path: str, body: Optional[Dict]) -> Tuple[int, object]:
@@ -580,22 +577,16 @@ class _Handler(socketserver.StreamRequestHandler):
 
 
 def _cells(
-    answers: AnswerRows, render: Callable[[Term], str], once_per_id: bool
+    answers: AnswerRows, render: Optional[Callable[[str], str]] = None
 ) -> Iterator[Tuple[str, ...]]:
-    """The rows in term order, each the tuple of its cells' terms as *render*
-    writes them, regrouped at C speed.  *render* runs once per distinct id
-    when the caller keeps every cell (repeats then share one string), else
-    once per cell: cells consumed row by row never outlive their row."""
-    rows, table = answers.dictionary.sort_rows(answers.rows), answers.dictionary.decode_table
+    """The rows in term order, each the tuple of its cells' N-Triples texts
+    — the dictionary's own strings, or as *render* rewrites them — regrouped
+    at C speed."""
+    rows, texts = answers.dictionary.sort_rows(answers.rows), answers.dictionary.texts
     if not answers.width:  # a boolean answer: () when anything matched
         return iter(rows)
-    if once_per_id:
-        ids = set(chain.from_iterable(rows))
-        text = dict(zip(ids, map(render, map(table.__getitem__, ids))))
-        cells = map(text.__getitem__, chain.from_iterable(rows))
-    else:
-        cells = map(render, map(table.__getitem__, chain.from_iterable(rows)))
-    return zip(*[cells] * answers.width)
+    cells = map(texts.__getitem__, chain.from_iterable(rows))
+    return zip(*[map(render, cells) if render else cells] * answers.width)
 
 
 def _json_body(payload: Dict) -> List[str]:
@@ -604,7 +595,7 @@ def _json_body(payload: Dict) -> List[str]:
     answers = payload.get("answers")
     if not isinstance(answers, AnswerRows):
         return [json.dumps(payload, sort_keys=True)]
-    rows = _cells(answers, lambda term: encode_basestring_ascii(term.n3()), once_per_id=False)
+    rows = _cells(answers, encode_basestring_ascii)
     rows = ", ".join(["[" + ", ".join(row) + "]" for row in rows])
     # only the integer "answer_count" sorts before "answers": the first match is the key
     text = json.dumps({**payload, "answers": []}, sort_keys=True)

@@ -11,7 +11,7 @@ stores every fact once, packed, each blob through :mod:`zlib` at level 6:
 
 * the **dictionary** in ``dictionary_chunks`` — id-ordered, front-coded
   chunks (:data:`repro.model.dictionary.TermChunk`), one row per chunk,
-  re-minted through the term constructors on load.  Term objects are never pickled:
+  read back as the N-Triples texts the dictionary keeps.  Term objects are never pickled:
   their memoized hashes are salted per process, and a hash smuggled across
   processes would corrupt every dict they key;
 * the **encoded triples** in ``graph_columns`` — one row per table holding

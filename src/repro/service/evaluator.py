@@ -763,7 +763,7 @@ def describe_stages(trace: ExecutionTrace, compiled: CompiledQuery, dictionary: 
             name = compiled.slot_names[slot] if slot < len(compiled.slot_names) else str(slot)
             return f"?{name}"
         try:
-            return dictionary.decode(spec).n3()
+            return dictionary.texts[spec]
         except Exception:
             return f"#{spec}"
 

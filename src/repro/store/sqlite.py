@@ -480,7 +480,7 @@ class SQLiteStore(TripleStore):
         with self._lock:
             connection = self._conn()
             connection.execute("DELETE FROM dictionary")
-            rows = [(identifier, term.n3()) for term, identifier in self.dictionary.items()]
+            rows = list(enumerate(self.dictionary.texts))
             connection.executemany("INSERT INTO dictionary (id, value) VALUES (?, ?)", rows)
             connection.commit()
             return len(rows)

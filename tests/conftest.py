@@ -7,7 +7,7 @@ import pytest
 from repro.datasets.bibliography import generate_bibliography
 from repro.datasets.bsbm import generate_bsbm
 from repro.datasets.lubm import generate_lubm
-from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
+from oracles.random_graph import RandomGraphConfig, generate_random_graph
 from repro.datasets.sample import (
     book_example_graph,
     figure2_graph,

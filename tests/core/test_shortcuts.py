@@ -6,7 +6,7 @@ from repro.core.shortcuts import (
     direct_summary_of_saturation,
     shortcut_summary,
 )
-from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
+from oracles.random_graph import RandomGraphConfig, generate_random_graph
 from repro.schema.saturation import saturate
 
 

@@ -5,7 +5,7 @@ import pytest
 from repro.datasets.bibliography import BIB, generate_bibliography
 from repro.datasets.bsbm import BSBM, BSBMGenerator, generate_bsbm, graph_for_target_triples
 from repro.datasets.lubm import LUBM, generate_lubm
-from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
+from oracles.random_graph import RandomGraphConfig, generate_random_graph
 
 
 class TestBSBM:

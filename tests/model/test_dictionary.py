@@ -21,6 +21,7 @@ from repro.model.dictionary import (
 from repro.model.namespaces import EX
 from repro.model.terms import URI, BlankNode, Literal, term_sort_key
 from repro.model.triple import Triple
+from repro.service.catalog import GraphCatalog
 
 
 class TestDictionary:
@@ -73,6 +74,27 @@ class TestDictionary:
         assert items[1] == (EX.b, 1)
 
 
+class TestExtend:
+    """``extend`` appends a receiver's texts in order, or nothing at all."""
+
+    def test_a_divergent_extend_appends_nothing(self):
+        dictionary = Dictionary()
+        dictionary.encode(EX.a)
+        with pytest.raises(DictionaryError, match="divergence"):
+            dictionary.extend([EX.b.n3(), EX.c.n3(), EX.a.n3()])
+        assert len(dictionary) == 1 and EX.b not in dictionary and EX.c not in dictionary
+        assert dictionary._settled == 1
+        assert dictionary.extend([EX.b.n3(), EX.c.n3()]) == 3
+        assert dictionary.decode(2) == EX.c
+
+    def test_a_divergent_chunk_appends_nothing(self):
+        source = _dictionary_of([EX.b, EX.c, EX.a])
+        target = _dictionary_of([EX.a])
+        with pytest.raises(DictionaryError, match="divergence"):
+            unpack_terms(pack_terms(source), target)
+        assert target.texts == [EX.a.n3()]
+
+
 class TestIdLimit:
     """Ids live in 4-byte columns: a batch that would mint an id past
     ``ID_LIMIT`` is refused whole, its terms forgotten again."""
@@ -81,7 +103,7 @@ class TestIdLimit:
     def full_at_four(self, monkeypatch):
         monkeypatch.setattr(dictionary_module, "ID_LIMIT", 4)
         dictionary = Dictionary()
-        dictionary.extend([EX.term("t0"), EX.term("t1")])
+        dictionary.extend([EX.term("t0").n3(), EX.term("t1").n3()])
         return dictionary
 
     def test_encode(self, full_at_four):
@@ -110,9 +132,9 @@ class TestIdLimit:
     def test_extend_rolls_the_batch_back(self, full_at_four):
         dictionary = full_at_four
         with pytest.raises(DictionaryError, match="full"):
-            dictionary.extend([EX.term("n0"), EX.term("n1"), EX.term("n2")])
+            dictionary.extend([EX.term("n0").n3(), EX.term("n1").n3(), EX.term("n2").n3()])
         assert len(dictionary) == 2 and EX.term("n0") not in dictionary
-        assert dictionary.extend([EX.term("n0"), EX.term("n1")]) == 4
+        assert dictionary.extend([EX.term("n0").n3(), EX.term("n1").n3()]) == 4
         assert dictionary.decode(3) == EX.term("n1")
 
 
@@ -166,12 +188,12 @@ class TestTermCodec:
         rest in the suffix."""
         stem = "http://example.org/" + "p" * 281
         source = Dictionary()
-        source.extend([URI(stem + "a"), URI(stem + "b")])
+        source.extend([URI(stem + "a").n3(), URI(stem + "b").n3()])
         chunk = pack_terms(source)
         assert chunk[1] == bytes([0, 255]) and chunk[2][1] == stem[255:] + "b"
         target = Dictionary()
         unpack_terms(chunk, target)
-        assert target.decode_table == source.decode_table
+        assert list(target.decode_table) == list(source.decode_table)
 
     def test_pack_term_chunks_round_trip(self):
         """The chunks reassemble, in order, into the exact same id
@@ -262,7 +284,7 @@ class TestTermChunkProperties:
         source = _dictionary_of(terms)
         mark = min(cut, len(source))
         target = Dictionary()
-        target.extend(source.decode_table[:mark])
+        target.extend(source.texts[:mark])
         for chunk in pack_term_chunks(source, start=mark, chunk=size):
             unpack_terms(pickle.loads(pickle.dumps(chunk, protocol=4)), target)
         assert len(target) == len(source)
@@ -337,7 +359,7 @@ class TestSortRows:
                 for term in terms:
                     dictionary.encode(term)
             else:
-                dictionary.extend(dict.fromkeys(t for t in terms if t not in dictionary))
+                dictionary.extend(dict.fromkeys(t.n3() for t in terms if t not in dictionary))
             if data.draw(st.booleans()):  # renders between some mints, not all
                 cell = st.integers(0, len(dictionary) - 1)
                 rows = data.draw(st.lists(st.tuples(*[cell] * width), unique=True, max_size=40))
@@ -347,9 +369,9 @@ class TestSortRows:
         dictionary = Dictionary()
         dictionary.encode_triples(generate_bsbm(scale=5, seed=1))
         rows = [(identifier,) for identifier in reversed(range(len(dictionary)))]
-        keys = []
+        keys, text_sort_key = [], dictionary_module.text_sort_key
         monkeypatch.setattr(
-            dictionary_module, "term_sort_key", lambda term: keys.append(term) or term_sort_key(term)
+            dictionary_module, "text_sort_key", lambda text: keys.append(text) or text_sort_key(text)
         )
         # an answer of few cells sorts by its terms' keys, building nothing
         assert dictionary.sort_rows(rows[:3]) == self._term_sorted(dictionary, rows[:3])
@@ -402,3 +424,55 @@ class TestSortRows:
         assert during == [self._term_sorted(dictionary, old)]
         rows = [(identifier,) for identifier in range(len(dictionary))]
         assert dictionary.sort_rows(rows) == self._term_sorted(dictionary, rows)
+
+
+#: Characters the text form has to survive: quotes, backslashes, the escapes
+#: ``Literal.n3`` writes (LF, CR, TAB) and the ones it leaves raw (``\b``,
+#: ``\f``), the delimiters of the other parts, and non-ASCII.
+_AWKWARD = st.text(
+    st.one_of(
+        st.sampled_from(' >"\\\n\r\t\b\f<@^_:é\U0001f600'),
+        st.characters(exclude_categories=("Cs",)),
+    ),
+    max_size=8,
+)
+_TEXT_TERMS = st.one_of(
+    st.builds(URI, _AWKWARD.filter(bool)),
+    st.builds(BlankNode, _AWKWARD.filter(bool)),
+    st.builds(Literal, _AWKWARD),
+    st.builds(lambda v, tag: Literal(v, language=tag), _AWKWARD, _AWKWARD.filter(bool)),
+    st.builds(lambda v, iri: Literal(v, datatype=URI(iri)), _AWKWARD, _AWKWARD.filter(bool)),
+)
+
+
+class TestTextForm:
+    """The dictionary keeps each term as its N-Triples text: decoding mints
+    the same term, the text's sort key is the term's, and the chunk codec
+    reads the texts off and writes them back unchanged."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(terms=st.lists(_TEXT_TERMS, max_size=12), size=st.integers(1, 5))
+    def test_any_term_survives_the_text_form(self, terms, size):
+        dictionary = Dictionary()
+        for term in terms:
+            identifier = dictionary.encode(term)
+            text = dictionary.texts[identifier]
+            decoded = dictionary.decode(identifier)
+            assert type(decoded) is type(term) and decoded == term
+            assert text == term.n3()
+            assert dictionary_module.text_sort_key(text) == term_sort_key(term)
+        target = Dictionary()
+        for chunk in pack_term_chunks(dictionary, chunk=size):
+            unpack_terms(pickle.loads(pickle.dumps(chunk, protocol=4)), target)
+        assert target.texts == dictionary.texts
+
+    def test_a_warm_started_dictionary_keeps_only_strings(self, tmp_path):
+        path = str(tmp_path / "catalog.db")
+        with GraphCatalog.open(path) as catalog:
+            catalog.register("g", graph=generate_bsbm(scale=5, seed=3))
+        with GraphCatalog.open(path) as reopened:
+            dictionary = reopened.entry("g").store.dictionary
+            assert len(dictionary) > 100
+            assert all(type(text) is str for text in dictionary.texts)
+            assert all(type(text) is str for text in dictionary._ids)
+            assert all(type(identifier) is int for identifier in dictionary._ids.values())

@@ -159,8 +159,8 @@ def test_a_crashed_catalog_reopens_as_if_never_restarted(
             assert _table_rows(entry.store) == _table_rows(reference.store)
             # id for id — but for an ``rdf:type`` a saturated *query* minted after
             # the last logged batch: no row refers to it, and G∞ mints it again
-            restored = entry.store.dictionary.decode_table
-            live = reference.store.dictionary.decode_table
+            restored = list(entry.store.dictionary.decode_table)
+            live = list(reference.store.dictionary.decode_table)
             assert restored == live[: len(restored)]
             assert live[len(restored) :] in ([], [RDF_TYPE])
             assert entry.statistics_index().as_dict() == recount(entry.store)

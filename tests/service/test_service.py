@@ -3,7 +3,7 @@
 import pytest
 
 from repro import telemetry
-from repro.datasets.random_graph import RandomGraphConfig, generate_random_graph
+from oracles.random_graph import RandomGraphConfig, generate_random_graph
 from repro.errors import UnknownSummaryKindError
 from repro.queries.evaluation import evaluate
 from repro.queries.generator import generate_rbgp_workload

@@ -176,8 +176,8 @@ class TestBatchedInsertion:
         rows_batch = many.encode_triples(triples)
         assert list(map(one.decode_triple, rows_single)) == list(map(many.decode_triple, rows_batch))
         # a batch numbers its new terms in term order, not first-seen order
-        assert many.decode_table == sorted(many.decode_table, key=term_sort_key)
-        assert one.decode_table != many.decode_table
+        assert list(many.decode_table) == sorted(many.decode_table, key=term_sort_key)
+        assert list(one.decode_table) != list(many.decode_table)
 
     def test_incremental_inserts_share_dictionary_ids(self, fig2):
         triples = sorted(fig2)

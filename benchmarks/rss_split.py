@@ -12,8 +12,9 @@ process — role (read off each command line), ``VmHWM`` and its anonymous /
 file-backed / shared-memory parts — so a memory regression names the process
 it lives in.  ``--imports`` adds what an interpreter costs before it does
 anything: MB, ms and module count of a bare ``python3``, ``import repro``,
-the worker's import closure and the front end's — without and with the
-cluster coordinator — each in a fresh interpreter.
+the worker's import closure — in ``python3 -c`` and in an interpreter started
+as a worker is (``worker_command``: no ``site``) — and the front end's,
+without and with the cluster coordinator, each in a fresh interpreter.
 
 ``--ingest N`` follows one server of the ``ingest_with_readers`` workload
 instead (``--workers 0`` unless given): current and peak RSS of every process
@@ -39,6 +40,7 @@ sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
 from inputs import build_inputs  # noqa: E402
+from repro.cluster.coordinator import worker_command  # noqa: E402
 from loadgen import Connection  # noqa: E402
 from serverproc import (  # noqa: E402
     ServerProcess,
@@ -52,19 +54,29 @@ from serverproc import (  # noqa: E402
 
 FRONT_END, WORKER = "front end", "worker"
 
-#: ``--imports``: what is measured, and the statement that loads it.
+
+def python3(*arguments: str) -> list:
+    """``python3 <arguments>``, with ``site`` (where ``worker_command`` has none)."""
+    return [sys.executable, *arguments]
+
+
+#: ``--imports``: what is measured, the statement that loads it and the
+#: argv that starts its interpreter around ``-c <probe>``.
 IMPORT_CLOSURES = [
-    ("bare python3", "pass"),
-    ("import repro", "import repro"),
-    ("worker closure", "import repro.cluster.worker"),
+    ("bare python3", "pass", python3),
+    ("import repro", "import repro", python3),
+    ("worker closure", "import repro.cluster.worker", python3),
+    ("worker as spawned", "import repro.cluster.worker", worker_command),
     (
         "serve closure (--workers 0)",
         "import repro.cli, repro.server.http; repro.cli.build_parser()",
+        python3,
     ),
     (
         "serve closure (coordinator)",
         "import repro.cli, repro.server.http, repro.cluster.coordinator; "
         "repro.cli.build_parser()",
+        python3,
     ),
 ]
 
@@ -110,9 +122,9 @@ def measure_imports() -> list:
     """MB / ms / module count of each :data:`IMPORT_CLOSURES` entry."""
     env = dict(os.environ, PYTHONPATH=os.path.join(ROOT, "src"))
     rows = []
-    for label, statement in IMPORT_CLOSURES:
+    for label, statement, command in IMPORT_CLOSURES:
         output = subprocess.run(
-            [sys.executable, "-c", _IMPORT_PROBE.format(statement=statement)],
+            command("-c", _IMPORT_PROBE.format(statement=statement)),
             env=env, capture_output=True, text=True, check=True,
         ).stdout  # fmt: skip
         peak_kb, seconds, modules = output.split()

@@ -3,11 +3,12 @@
 One :class:`ClusterCoordinator` owns the authoritative
 :class:`~repro.service.catalog.GraphCatalog` (the single writer of the
 tier), the tier's one :class:`~repro.service.service.QueryService` and a
-pool of K worker processes — each a plain ``python -m repro.cluster.worker``
-child on one end of a socket pair, so the process tree is the front end and
-its K workers, nothing else.  Each registered graph is packed once into a
-named segment — one image of raw 4-byte id column blobs, no term — that
-every worker attaches as its full replica of the graph: see
+pool of K worker processes — each a plain ``python -S -m
+repro.cluster.worker`` child (:func:`worker_command`) on one end of a
+socket pair, so the process tree is the front end and its K workers,
+nothing else.  Each registered graph is packed once into a named segment —
+one image of raw 4-byte id column blobs, no term — that every worker
+attaches as its full replica of the graph: see
 :mod:`repro.cluster.shm` for the image layout, :mod:`repro.cluster.protocol`
 for the wire format and :mod:`repro.cluster.worker` for the receiving side.
 Every dictionary id is assigned here, never on a worker: ``rdf:type``,
@@ -93,7 +94,7 @@ from repro.service.service import QueryAnswer, QueryService
 from repro.utils.concurrency import map_on_threads, named_lock
 from repro.telemetry import BYTE_BUCKETS, QueryTrace, Span, maybe_span
 
-__all__ = ["ClusterCoordinator"]
+__all__ = ["ClusterCoordinator", "worker_command"]
 
 #: The graphs a request is sent behind (:meth:`ClusterCoordinator._request`).
 _Sync = Sequence[str]
@@ -108,6 +109,16 @@ _SHUTDOWN_TIMEOUT = 10.0
 #: The directory holding this ``repro`` package: first on a worker's
 #: ``PYTHONPATH``, however the package reached the coordinator's ``sys.path``.
 _PACKAGE_ROOT = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))
+
+
+def worker_command(*arguments: str) -> List[str]:
+    """The argv of a worker interpreter, *arguments* last: this interpreter
+    and its flags plus ``-S``.  A worker needs nothing from site-packages (it
+    finds ``repro`` through ``_PACKAGE_ROOT`` on its ``PYTHONPATH``), so it
+    skips ``site`` and whatever its ``.pth`` files import, in each of K
+    processes."""
+    return [sys.executable, *subprocess._args_from_interpreter_flags(), "-S", *arguments]
+
 
 #: Logged delta rows per graph beyond which the log folds into a freshly
 #: packed segment.
@@ -339,8 +350,9 @@ class ClusterCoordinator:
         sock, child_sock = socket.socketpair()
         with sock, child_sock:
             process = subprocess.Popen(
-                [sys.executable, *subprocess._args_from_interpreter_flags()]
-                + ["-m", "repro.cluster.worker", str(child_sock.fileno()), json.dumps(config)],
+                worker_command(
+                    "-m", "repro.cluster.worker", str(child_sock.fileno()), json.dumps(config)
+                ),
                 pass_fds=[child_sock.fileno()],
                 stdin=subprocess.DEVNULL,
                 env=env,

@@ -42,7 +42,6 @@ from __future__ import annotations
 import fcntl
 import mmap
 import os
-import tempfile
 from typing import BinaryIO, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -83,6 +82,8 @@ def _root(preferred: str) -> str:
             os.close(fd)
             os.unlink(path)
     except OSError:  # missing, read-only, or no flock there
+        import tempfile  # with shutil, bz2, lzma and random: only on this branch
+
         return tempfile.gettempdir()
     return preferred
 

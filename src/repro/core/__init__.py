@@ -30,11 +30,9 @@ __all__ = [
     "SUMMARY_NS",
     "SummaryNamer",
     "RepresentativenessReport",
-    "check_accuracy_witness",
     "check_fixpoint",
     "check_representativeness",
     "has_unique_data_properties",
-    "summary_homomorphism_holds",
     "build_quotient_summary",
     "ShortcutComparison",
     "completeness_holds",
@@ -65,9 +63,8 @@ __getattr__, __dir__ = lazy_exports(globals(), {
     "isomorphism": ("canonical_signature", "graphs_isomorphic", "summaries_equivalent"),
     "naming": ("SUMMARY_NS", "SummaryNamer"),
     "properties": (
-        "RepresentativenessReport", "check_accuracy_witness", "check_fixpoint",
-        "check_representativeness", "has_unique_data_properties",
-        "summary_homomorphism_holds",
+        "RepresentativenessReport", "check_fixpoint", "check_representativeness",
+        "has_unique_data_properties",
     ),
     "quotient": ("build_quotient_summary",),
     "shortcuts": (

@@ -70,25 +70,24 @@ from __future__ import annotations
 
 import threading
 from time import perf_counter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, Iterable, List, Optional, Tuple
 
 from repro import telemetry
-from repro.core.builders import normalize_kind
-from repro.core.encoded import encoded_summarize
-from repro.core.incremental import CliqueSummarizer
-from repro.core.summary import Summary
 from repro.errors import DuplicateGraphError, UnknownGraphError
 from repro.model.graph import RDFGraph
 from repro.model.triple import Triple, TripleKind
 from repro.model.dictionary import EncodedTriple
-from repro.schema.encoded_saturation import IncrementalSaturator
-from repro.schema.saturation import saturate_cached
 from repro.service.evaluator import EncodedEvaluator
 from repro.service.planner import QueryPlanner
 from repro.service.statistics import CardinalityStatistics
 from repro.store.base import TripleStore
 from repro.store.memory import MemoryStore
 from repro.utils.concurrency import ReadWriteLock
+
+if TYPE_CHECKING:  # a cluster worker builds no summary and loads none of these
+    from repro.core.incremental import CliqueSummarizer
+    from repro.core.summary import Summary
+    from repro.schema.encoded_saturation import IncrementalSaturator
 
 __all__ = ["CatalogEntry", "GraphCatalog"]
 
@@ -399,6 +398,8 @@ class CatalogEntry:
         after a warm start builds the summary (the guard never asks here:
         :meth:`pruning_graph` serves the restored graph).
         """
+        from repro.core.builders import normalize_kind
+
         kind = normalize_kind(kind)
         # Optimistic fast path: a stale read is benign because the hit is
         # version-checked and the miss re-reads under the lock below.
@@ -411,12 +412,16 @@ class CatalogEntry:
                 return cached[2]
             if kind in ("weak", "strong"):
                 if self._maintainer is None:
+                    from repro.core.incremental import CliqueSummarizer
+
                     self._count_build("prime_scans")
                     maintainer = CliqueSummarizer(self.store)
                     maintainer.prime()
                     self._maintainer = maintainer
                 summary = self._maintainer.snapshot(self.name, kind)
             else:
+                from repro.core.encoded import encoded_summarize
+
                 self._count_build("summary_builds")
                 summary = encoded_summarize(self.store, kind, source_name=self.name)
             if cached is not None and cached[1] == summary.graph:
@@ -453,6 +458,9 @@ class CatalogEntry:
         :func:`saturate_cached`, and the graph itself is cached per
         version, so repeated queries between updates saturate nothing.
         """
+        from repro.core.builders import normalize_kind
+        from repro.schema.saturation import saturate_cached
+
         # lock-free: a stale read is benign — a hit is version-checked, and
         # a miss goes to summary(), which re-reads under the lock
         cached = self._summaries.get(normalize_kind(kind))  # repro-lint: disable=guarded-by
@@ -471,6 +479,8 @@ class CatalogEntry:
         state = self._saturated
         if state is not None:
             return state
+        from repro.schema.encoded_saturation import IncrementalSaturator
+
         self._count_build("saturation_builds")
         build_start = perf_counter()
         saturator = IncrementalSaturator(self.store, self.vocabulary)

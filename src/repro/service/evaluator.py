@@ -737,8 +737,10 @@ class AnswerRows(AbstractSet):
         self.width, self.dictionary, self._terms = width, dictionary, None
 
     def terms(self) -> Set[Tuple[Term, ...]]:
-        if self._terms is None:  # decoded flat and regrouped, at C speed
-            cells = map(self.dictionary.decode_table.__getitem__, chain.from_iterable(self.rows))
+        if self._terms is None:  # each distinct id minted once, regrouped at C speed
+            ids = set(chain.from_iterable(self.rows))
+            term_of = dict(zip(ids, map(self.dictionary.decode_table.__getitem__, ids)))
+            cells = map(term_of.__getitem__, chain.from_iterable(self.rows))
             self._terms = set(zip(*[cells] * self.width)) if self.width else set(self.rows)
         return self._terms
 

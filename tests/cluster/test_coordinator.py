@@ -5,6 +5,7 @@ import pytest
 
 from repro import telemetry
 from repro.cluster import ClusterCoordinator
+from repro.model.namespaces import RDF_TYPE, RDFS_SUBCLASSOF
 from repro.model.terms import URI
 from repro.model.triple import Triple
 from repro.queries.generator import generate_rbgp_workload
@@ -174,6 +175,33 @@ def test_saturated_parity_uses_full_replica(cluster_pair, bsbm_small):
         clustered = coordinator.answer("bsbm", query, saturated=True)
         assert clustered.answers == serial.answers
         assert clustered.cluster["mode"] == "full"
+
+
+def test_a_worker_answers_saturated_queries_before_and_after_an_ingest():
+    """A worker builds its ``G∞`` at the first saturated query sent to it
+    (it loads the saturator there, not at start) and folds every later
+    ingest into it: each answer, on each worker, is the in-process one."""
+    student, person = URI("http://s/Student"), URI("http://s/Person")
+    triples = [Triple(URI("http://s/a"), RDF_TYPE, student), Triple(student, RDFS_SUBCLASSOF, person)]
+    serial_catalog, catalog = GraphCatalog(), GraphCatalog()
+    serial_catalog.register("g", graph=triples)
+    catalog.register("g", graph=triples)
+    service = QueryService(serial_catalog)
+    coordinator = ClusterCoordinator(catalog, workers=2, heartbeat_seconds=0)
+    query = parse_query("SELECT ?x WHERE { ?x <%s> <%s> }" % (RDF_TYPE.value, person.value))
+    try:
+        for expected_rows, batch in ((1, []), (2, [Triple(URI("http://s/b"), RDF_TYPE, student)])):
+            coordinator.add_triples("g", batch)
+            serial_catalog.add_triples("g", batch)
+            for worker in range(2):
+                answer = coordinator.answer("g", query, saturated=True)
+                assert answer.cluster["workers"] == [worker]
+                assert answer.answers == service.answer("g", query, saturated=True).answers
+                assert len(answer.answers) == expected_rows
+    finally:
+        coordinator.close()
+        catalog.close()
+        serial_catalog.close()
 
 
 def test_limit_returns_answer_subset(cluster_pair):

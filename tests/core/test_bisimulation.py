@@ -9,11 +9,12 @@ from repro.core.bisimulation import (
     full_bisimulation_partition,
 )
 from repro.core.builders import weak_summary
-from repro.core.properties import summary_homomorphism_holds
 from repro.datasets.sample import FIG2
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple
+
+from oracles.summary_checks import summary_homomorphism_holds
 
 
 class TestPartitions:

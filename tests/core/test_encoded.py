@@ -13,7 +13,7 @@ import pytest
 from repro.core.builders import SUMMARY_KINDS, summarize
 from repro.core.encoded import EncodedSummaryEngine, encoded_summarize
 from repro.core.isomorphism import graphs_isomorphic
-from repro.core.properties import has_unique_data_properties, summary_homomorphism_holds
+from repro.core.properties import has_unique_data_properties
 from repro.errors import UnknownSummaryKindError
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
@@ -22,6 +22,7 @@ from repro.model.triple import Triple, TripleKind
 from repro.store.memory import MemoryStore
 from repro.store.sqlite import SQLiteStore
 
+from oracles.summary_checks import summary_homomorphism_holds
 from oracles.term_partitions import term_summary
 
 ALL_KINDS = sorted(SUMMARY_KINDS)

@@ -2,14 +2,14 @@
 
 from repro.core.builders import summarize, weak_summary
 from repro.core.properties import (
-    check_accuracy_witness,
     check_fixpoint,
     check_representativeness,
     has_unique_data_properties,
-    summary_homomorphism_holds,
 )
 from repro.queries.generator import generate_rbgp_workload
 from repro.schema.saturation import saturate
+
+from oracles.summary_checks import check_accuracy_witness, summary_homomorphism_holds
 
 ALL_KINDS = ("weak", "strong", "type", "typed_weak", "typed_strong")
 

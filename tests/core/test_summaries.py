@@ -14,11 +14,12 @@ from repro.core.builders import (
     typed_weak_summary,
     weak_summary,
 )
-from repro.core.properties import summary_homomorphism_holds
 from repro.datasets.sample import FIG2
 from repro.errors import UnknownSummaryKindError
 from repro.model.namespaces import RDF_TYPE
 from repro.model.terms import Literal
+
+from oracles.summary_checks import summary_homomorphism_holds
 
 
 class TestWeakSummaryFigure4:

@@ -68,6 +68,18 @@ class TestEquivalenceWithTermEvaluator:
         )
         assert evaluator.evaluate(query) == evaluate(fig2, query)
 
+    def test_decoded_answer_holds_one_term_object_per_distinct_id(self, bibliography_small):
+        """Decoding mints each distinct id of the rows once: a term that
+        fills many cells is one object in all of them."""
+        evaluator = _evaluator_for(bibliography_small, MemoryStore)
+        query = parse_query("SELECT ?s ?p ?o WHERE { ?s ?p ?o }")
+        answers = evaluator.evaluate(query)
+        ids = {identifier for row in answers.rows for identifier in row}
+        cells = [cell for row in answers for cell in row]
+        assert len(cells) > len(ids)  # some id fills more than one cell
+        assert len({id(cell) for cell in cells}) == len(ids)
+        assert answers == evaluate(bibliography_small, query)
+
     def test_literal_constant(self, book_graph, backend):
         literal = sorted(book_graph.literals())[0]
         variable = Variable("x")

@@ -2,8 +2,10 @@
 
 ``repro serve --workers K`` is K+1 interpreters, so every module a worker
 imports and never uses is paid for K times.  These tests pin the closures
-(each measured in a fresh interpreter), the lazy package exports that keep
-them small, and the digest that replaced ``hashlib`` in node naming.
+(each measured in a fresh interpreter; a worker's in one started by
+:func:`repro.cluster.coordinator.worker_command`, as the coordinator starts
+it), the lazy package exports that keep them small, and the digest that
+replaced ``hashlib`` in node naming.
 """
 
 import hashlib
@@ -19,6 +21,7 @@ import sys
 import pytest
 
 import repro
+from repro.cluster.coordinator import worker_command
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(repro.__file__)))
 
@@ -39,8 +42,9 @@ LAZY_PACKAGES = [
 ]
 
 
-def _loaded_by(statement):
-    """Modules *statement* adds to a fresh interpreter's ``sys.modules``."""
+def _loaded_by(statement, command=lambda *arguments: [sys.executable, *arguments]):
+    """Modules *statement* adds to the ``sys.modules`` of a fresh interpreter,
+    started with the argv *command* builds around ``-c <code>``."""
     code = (
         "import sys, json; before = set(sys.modules); "
         f"{statement}; print(json.dumps(sorted(set(sys.modules) - before)))"
@@ -48,7 +52,7 @@ def _loaded_by(statement):
     # the closure pinned is the production one: no lockcheck in the child
     env = {key: value for key, value in os.environ.items() if key != "REPRO_LOCKCHECK"}
     result = subprocess.run(
-        [sys.executable, "-c", code],
+        command("-c", code),
         env=dict(env, PYTHONPATH=SRC),
         capture_output=True,
         text=True,
@@ -78,12 +82,20 @@ def test_import_repro_loads_no_submodule():
 COORDINATOR_ONLY = ("repro.queries.parser", "repro.queries.evaluation", "repro.service.service")
 
 
+#: What a worker interpreter loaded before the summary-free catalog and the
+#: lazy ``tempfile`` of the segment plane: the summarizers and saturators,
+#: and ``tempfile`` with the stdlib it pulls in.
+SUMMARY_AND_TEMPFILE = ("repro.core", "repro.schema", "tempfile", "shutil", "bz2", "lzma", "random")
+
+
 def test_worker_closure_is_store_and_evaluator_only():
-    loaded = _loaded_by("import repro.cluster.worker")
+    loaded = _loaded_by("import repro.cluster.worker", worker_command)
     assert "repro.service.evaluator" in loaded and "repro.store.memory" in loaded
+    assert len(_within(loaded, "repro")) == 29, _within(loaded, "repro")
     assert not _within(
         loaded,
         *COORDINATOR_ONLY,
+        *SUMMARY_AND_TEMPFILE,
         "repro.cluster.coordinator",
         "repro.core.bisimulation",
         "repro.core.cliques",
@@ -106,9 +118,13 @@ def test_worker_closure_is_store_and_evaluator_only():
         "multiprocessing.shared_memory",
         "multiprocessing.resource_tracker",
     )
-    # 51 on Python 3.11 when this was written; 54 with the parser, the
-    # guard's query evaluation and the service; 168 before the diet
-    assert len(loaded) <= 60, sorted(loaded)
+    assert not _from_site_packages(loaded)
+    # beyond a bare ``-S`` interpreter, which loads 23 modules where one with
+    # ``site`` loads about 100: 81 on Python 3.11 when this was written.
+    # Beyond a bare interpreter with ``site`` it was 51, then 54 with the
+    # parser, the guard's query evaluation and the service; 168 before the
+    # diet
+    assert len(loaded) <= 85, sorted(loaded)
 
 
 #: Stdlib a serving process used to load and never call: ``http.server``
@@ -141,65 +157,74 @@ def test_coordinator_closure_frames_its_pipes_itself():
     assert not _within(loaded, "http.server", "http.client", "email", "ssl", "multiprocessing")
 
 
-#: A ``sitecustomize`` that makes any interpreter started with it on its path
-#: write the names in ``sys.modules`` to a file as it exits.
-_DUMP_MODULES_AT_EXIT = """
-import atexit, os, sys
+def _from_site_packages(modules):
+    """The top-level packages of *modules*, ``repro`` and ``__main__`` aside,
+    that this interpreter finds in a site-packages directory."""
+    import site
 
-def _dump():
-    with open(os.environ["REPRO_TEST_MODULES_FILE"], "w") as out:
-        out.write("\\n".join(sorted(sys.modules)))
+    roots = tuple(site.getsitepackages() + [site.getusersitepackages()])
+    found = []
+    for name in sorted({module.partition(".")[0] for module in modules} - {"repro", "__main__"}):
+        spec = importlib.util.find_spec(name)
+        if spec is not None and (spec.origin or "").startswith(roots):
+            found.append(name)
+    return found
 
-atexit.register(_dump)
-"""
 
-
-def _modules_of_process(tmp_path, arguments, pass_fds=()):
-    """``sys.modules`` of a ``python <arguments>`` process at its exit — the
-    process itself, ``__main__`` and all, not an ``import`` of its module."""
-    (tmp_path / "sitecustomize.py").write_text(_DUMP_MODULES_AT_EXIT)
-    modules_file = tmp_path / "modules.txt"
+def _modules_of_process(module=None, arguments=(), pass_fds=()):
+    """``sys.modules`` at exit of a ``worker_command("-m", module, *arguments)``
+    process — the process itself, ``__main__`` and all, not an ``import`` of
+    its module — or, with no *module*, of a bare one.  ``-S`` runs no
+    ``sitecustomize``, so the names are printed by an ``atexit`` hook that
+    ``-c`` registers before it runs *module* as ``-m`` would."""
+    code = "import atexit, sys; atexit.register(lambda: print(*sorted(sys.modules)))"
+    if module is not None:
+        code += f"; import runpy; runpy._run_module_as_main({module!r})"
     # the closure pinned is the production one: no lockcheck in the child
     env = {key: value for key, value in os.environ.items() if key != "REPRO_LOCKCHECK"}
-    env.update(
-        PYTHONPATH=f"{tmp_path}{os.pathsep}{SRC}", REPRO_TEST_MODULES_FILE=str(modules_file)
-    )
-    subprocess.run(
-        [sys.executable, *arguments],
-        env=env,
+    result = subprocess.run(
+        worker_command("-c", code, *arguments),
+        env=dict(env, PYTHONPATH=SRC),
         pass_fds=pass_fds,
         stdin=subprocess.DEVNULL,
+        capture_output=True,
+        text=True,
         check=True,
         timeout=60,
     )
-    return set(modules_file.read_text().split())
+    return set(result.stdout.split())
 
 
-def test_the_process_a_worker_is_never_imports_multiprocessing(tmp_path):
-    """``python -m repro.cluster.worker <fd> <config>`` as the coordinator
+def test_the_process_a_worker_is_never_imports_multiprocessing():
+    """``python -S -m repro.cluster.worker <fd> <config>`` as the coordinator
     starts it, on a pipe whose other end is already closed: it reads EOF and
     exits, having imported everything a worker imports to get that far."""
     import socket
 
-    bare = _modules_of_process(tmp_path, ["-c", "pass"])
+    bare = _modules_of_process()
     ours, theirs = socket.socketpair()
     with ours, theirs:
         ours.close()
-        config = json.dumps({})
         worker = _modules_of_process(
-            tmp_path,
-            ["-m", "repro.cluster.worker", str(theirs.fileno()), config],
-            pass_fds=[theirs.fileno()],
+            "repro.cluster.worker", [str(theirs.fileno()), json.dumps({})], [theirs.fileno()]
         )
+    assert "site" not in worker and not _from_site_packages(worker)
     loaded = worker - bare
     assert "repro.cluster.protocol" in loaded and "repro.service.evaluator" in loaded
     assert not _within(
-        loaded, *UNUSED_STDLIB, *COORDINATOR_ONLY, "socket", "repro.cluster.coordinator"
+        loaded,
+        *UNUSED_STDLIB,
+        *COORDINATOR_ONLY,
+        *SUMMARY_AND_TEMPFILE,
+        "socket",
+        "repro.cluster.coordinator",
     )
-    # 57 beyond a bare interpreter on Python 3.11 when this was written; 60
-    # with the parser, the guard's query evaluation and the service; 126
-    # with multiprocessing.connection
-    assert len(loaded) <= 66, sorted(loaded)
+    # 89 beyond a bare ``-S`` interpreter (24 modules, where one with
+    # ``site`` holds about 100) on Python 3.11 when this was written, 113 in
+    # all.  Started with ``site``, a worker loaded 57 modules beyond a bare
+    # interpreter with it, 60 with the parser, the guard's query evaluation
+    # and the service, 126 with multiprocessing.connection
+    assert len(loaded) <= 93, sorted(loaded)
 
 
 def test_serve_closure_leaves_the_offline_tools_out():

@@ -13,11 +13,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.builders import strong_summary, summarize, weak_summary
 from repro.core.cliques import compute_cliques
-from repro.core.properties import (
-    check_fixpoint,
-    has_unique_data_properties,
-    summary_homomorphism_holds,
-)
+from repro.core.properties import check_fixpoint, has_unique_data_properties
 from repro.core.shortcuts import completeness_holds
 from repro.io.ntriples import parse_ntriples, serialize_ntriples
 from repro.model.graph import RDFGraph
@@ -37,6 +33,7 @@ from repro.schema.saturation import saturate
 from repro.service.catalog import GraphCatalog
 from repro.utils.unionfind import UnionFind
 
+from oracles.summary_checks import summary_homomorphism_holds
 from oracles.term_partitions import strong_partition, weak_partition
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,14 @@
 #!/usr/bin/env python3
 """Where ``peak_rss_mb`` of ``serve --workers K`` sits, process by process.
 
-    python3 benchmarks/rss_split.py [--workers 2] [--seed 0] [--imports]
+    python3 benchmarks/rss_split.py [--workers 2] [--seed 0] [--workload W] [--imports]
     python3 benchmarks/rss_split.py --ingest 20 [--seed 0]
 
 The repo benchmark (``bench/run.py``) reports one number — Σ ``VmHWM`` over
 the server's process tree.  This script builds the same catalog, starts the
 same server through the benchmark's own ``ServerProcess``, sends every query
-of the ``mixed_cluster_k2`` workload once, and prints that sum split by
+of a workload once (``--workload``, ``mixed_cluster_k2`` unless given; the
+``mixed_*`` workloads send the same queries), and prints that sum split by
 process — role (read off each command line), ``VmHWM`` and its anonymous /
 file-backed / shared-memory parts — so a memory regression names the process
 it lives in.  ``--imports`` adds what an interpreter costs before it does
@@ -39,7 +40,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 
-from inputs import build_inputs  # noqa: E402
+from inputs import WORKLOADS, build_inputs  # noqa: E402
 from repro.cluster.coordinator import worker_command  # noqa: E402
 from loadgen import Connection  # noqa: E402
 from serverproc import (  # noqa: E402
@@ -198,6 +199,10 @@ def main(argv=None) -> int:
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument(
+        "--workload", choices=WORKLOADS, default="mixed_cluster_k2",
+        help="whose queries to send once (--ingest follows ingest_with_readers)",
+    )
+    parser.add_argument(
         "--imports", action="store_true", help="also measure the import closures"
     )
     parser.add_argument(
@@ -209,7 +214,7 @@ def main(argv=None) -> int:
     if args.workers is None:
         args.workers = 2
     adopt_orphans()
-    inputs = build_inputs("mixed_cluster_k2", args.seed)
+    inputs = build_inputs(args.workload, args.seed)
     workdir = make_workdir()
     try:
         path = os.path.join(workdir, "catalog.db")
@@ -233,6 +238,7 @@ def main(argv=None) -> int:
     finally:
         remove_workdir(workdir)
     report = {
+        "workload": args.workload,
         "workers": args.workers,
         "queries": len(inputs.queries),
         "failed": failed,
@@ -241,7 +247,7 @@ def main(argv=None) -> int:
         "processes": processes,
     }
     columns = ["vm_hwm_mb", "rss_anon_mb", "rss_file_mb", "rss_shmem_mb"]
-    print(f"serve --workers {args.workers}: peak_rss_mb {report['peak_rss_mb']} "
+    print(f"serve --workers {args.workers}, {args.workload}: peak_rss_mb {report['peak_rss_mb']} "
           f"(failed {failed}, leaked segments {forced['segments']})\n")  # fmt: skip
     print(_table(["role", "pid"] + columns,
                  [[p["role"], p["pid"]] + [p.get(c, "-") for c in columns] for p in processes]))  # fmt: skip

@@ -73,18 +73,22 @@ def _order_patterns(patterns: Sequence[TriplePattern]) -> List[TriplePattern]:
     return ordered
 
 
+def _extend(
+    graph: RDFGraph, ordered: Sequence[TriplePattern], index: int, bindings: Bindings
+) -> Iterator[Bindings]:
+    """Every extension of *bindings* through ``ordered[index:]`` — a module
+    function, not a closure: a nested generator that refers to itself is a
+    reference cycle per call that only the cyclic collector frees."""
+    if index == len(ordered):
+        yield bindings
+        return
+    for extended in _match_pattern(graph, ordered[index], bindings):
+        yield from _extend(graph, ordered, index + 1, extended)
+
+
 def iter_embeddings(graph: RDFGraph, query: BGPQuery) -> Iterator[Bindings]:
     """Yield every embedding of the query body into *graph*."""
-    ordered = _order_patterns(query.patterns)
-
-    def recurse(index: int, bindings: Bindings) -> Iterator[Bindings]:
-        if index == len(ordered):
-            yield bindings
-            return
-        for extended in _match_pattern(graph, ordered[index], bindings):
-            yield from recurse(index + 1, extended)
-
-    yield from recurse(0, {})
+    return _extend(graph, _order_patterns(query.patterns), 0, {})
 
 
 def evaluate(graph: RDFGraph, query: BGPQuery, limit: Optional[int] = None) -> Set[Tuple[Term, ...]]:

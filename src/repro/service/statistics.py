@@ -14,9 +14,12 @@ holds exactly that, one profile per store:
 A profile is **integers only** — O(properties) of them, whatever the row
 count — and gets its exactness from the store's own indexes, never from a
 private copy of the ids.  :meth:`CardinalityStatistics.from_store` reads
-:meth:`TripleStore.cardinalities <repro.store.base.TripleStore.cardinalities>`
-(for the memory store an O(1) read per property off the posting runs, no
-scan); :meth:`CardinalityStatistics.ingest_rows` — fed the ``(kind, row)``
+:meth:`TripleStore.property_cardinalities
+<repro.store.base.TripleStore.property_cardinalities>` (for the memory store
+an O(1) read per property off its posting runs, or its keys counted once
+while the runs are unbuilt); the table-wide distinct counts, which only a
+predicate-unbound pattern needs, are read on first ask.
+:meth:`CardinalityStatistics.ingest_rows` — fed the ``(kind, row)``
 batches :meth:`TripleStore.insert_triples` returns, after the insert — either
 re-reads those counts, when the store keeps them live
 (``counts_distinct_keys``), or decides "was this ``(p, s)`` / ``(p, o)`` /
@@ -83,13 +86,14 @@ class CardinalityStatistics:
     :meth:`ingest_rows` and :meth:`class_count` look things up.
     """
 
-    __slots__ = ("_store", "_rows", "_subjects", "_objects", "_predicates")
+    __slots__ = ("_store", "_rows", "_keys", "_predicates")
 
     def __init__(self, store: TripleStore):
         self._store = store
         self._rows: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
-        self._subjects: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
-        self._objects: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
+        #: ``(distinct subjects, distinct objects)`` per table, ``None``
+        #: until first asked (only predicate-unbound patterns need them).
+        self._keys: Dict[TripleKind, Optional[Tuple[int, int]]] = {kind: (0, 0) for kind in _ALL_KINDS}
         self._predicates: Dict[TripleKind, Dict[int, PredicateStatistics]] = {
             kind: {} for kind in _ALL_KINDS
         }
@@ -106,9 +110,8 @@ class CardinalityStatistics:
         return statistics
 
     def _read_table(self, kind: TripleKind) -> None:
-        subjects, objects, by_property = self._store.cardinalities(kind)
-        self._subjects[kind] = subjects
-        self._objects[kind] = objects
+        by_property = self._store.property_cardinalities(kind)
+        self._keys[kind] = None
         self._predicates[kind] = {
             predicate: PredicateStatistics(*counts) for predicate, counts in by_property.items()
         }
@@ -151,12 +154,14 @@ class CardinalityStatistics:
         for (predicate, obj), rows in Counter((row[1], row[2]) for row in batch).items():
             if count_rows(kind, predicate=predicate, obj=obj) == rows:
                 predicates[predicate].distinct_objects += 1
-        for subject, rows in Counter(row[0] for row in batch).items():
-            if count_rows(kind, subject=subject) == rows:
-                self._subjects[kind] += 1
-        for obj, rows in Counter(row[2] for row in batch).items():
-            if count_rows(kind, obj=obj) == rows:
-                self._objects[kind] += 1
+        keys = self._keys[kind]
+        if keys is not None:  # (else counted in full when first asked)
+            subjects = Counter(row[0] for row in batch).items()
+            objects = Counter(row[2] for row in batch).items()
+            self._keys[kind] = (
+                keys[0] + sum(count_rows(kind, subject=key) == rows for key, rows in subjects),
+                keys[1] + sum(count_rows(kind, obj=key) == rows for key, rows in objects),
+            )
 
     # ------------------------------------------------------------------
     # lookups (the planner's vocabulary)
@@ -180,17 +185,23 @@ class CardinalityStatistics:
     def distinct_predicates(self, kind: TripleKind) -> int:
         return len(self._predicates[kind])
 
+    def _table_keys(self, kind: TripleKind) -> Tuple[int, int]:
+        keys = self._keys[kind]
+        if keys is None:
+            keys = self._keys[kind] = self._store.distinct_keys(kind)
+        return keys
+
     def distinct_subjects(self, kind: TripleKind, predicate: Optional[int] = None) -> int:
         """Distinct subject ids, per property or per table."""
         if predicate is None:
-            return self._subjects[kind]
+            return self._table_keys(kind)[0]
         entry = self._predicates[kind].get(predicate)
         return entry.distinct_subjects if entry is not None else 0
 
     def distinct_objects(self, kind: TripleKind, predicate: Optional[int] = None) -> int:
         """Distinct object ids, per property or per table."""
         if predicate is None:
-            return self._objects[kind]
+            return self._table_keys(kind)[1]
         entry = self._predicates[kind].get(predicate)
         return entry.distinct_objects if entry is not None else 0
 
@@ -212,8 +223,8 @@ class CardinalityStatistics:
         for kind in _ALL_KINDS:
             tables[kind.name.lower()] = {
                 "rows": self._rows[kind],
-                "distinct_subjects": self._subjects[kind],
-                "distinct_objects": self._objects[kind],
+                "distinct_subjects": self.distinct_subjects(kind),
+                "distinct_objects": self.distinct_objects(kind),
                 "predicates": {
                     str(predicate): entry.as_dict()
                     for predicate, entry in sorted(self._predicates[kind].items())
@@ -232,8 +243,7 @@ class CardinalityStatistics:
             return NotImplemented
         return (
             self._rows == other._rows
-            and self._subjects == other._subjects
-            and self._objects == other._objects
+            and all(self._table_keys(kind) == other._table_keys(kind) for kind in _ALL_KINDS)
             and self._predicates == other._predicates
             and self.class_counts() == other.class_counts()
         )

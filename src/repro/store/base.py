@@ -163,10 +163,10 @@ class StoreStatistics:
 class TripleStore(abc.ABC):
     """Abstract encoded triple store with data / type / schema tables."""
 
-    #: ``True`` when :meth:`cardinalities` is a live O(properties) read that
-    #: already reflects every insert (the backend counts distinct keys as it
-    #: indexes); otherwise a statistics profile keeps its own counters exact
-    #: with :meth:`count_rows` probes.
+    #: ``True`` when :meth:`property_cardinalities` is a live O(properties)
+    #: read that already reflects every insert (the backend counts distinct
+    #: keys as it indexes); otherwise a statistics profile keeps its own
+    #: counters exact with :meth:`count_rows` probes.
     counts_distinct_keys = False
 
     def __init__(self):
@@ -405,22 +405,17 @@ class TripleStore(abc.ABC):
         """
         return sum(1 for _row in self.select(kind, subject, predicate, obj))
 
-    def cardinalities(
-        self, kind: TripleKind
-    ) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
-        """The shape of the *kind* table: ``(distinct subjects, distinct
-        objects, {property: (rows, distinct subjects, distinct objects)})``.
+    def property_cardinalities(self, kind: TripleKind) -> Dict[int, Tuple[int, int, int]]:
+        """The shape of the *kind* table's properties: ``{property: (rows,
+        distinct subjects, distinct objects)}`` — all the planner needs for
+        a pattern whose property is bound.
 
         This default counts in one :meth:`scan_columns` pass over transient
         id sets; the memory store reads the numbers off its posting runs and
         the SQLite store asks its engine.
         """
-        subjects: set = set()
-        objects: set = set()
         by_property: Dict[int, list] = {}
         for s_batch, p_batch, o_batch in self.scan_columns(kind):
-            subjects.update(s_batch)
-            objects.update(o_batch)
             for subject, predicate, obj in zip(s_batch, p_batch, o_batch):
                 entry = by_property.get(predicate)
                 if entry is None:
@@ -428,14 +423,21 @@ class TripleStore(abc.ABC):
                 entry[0] += 1
                 entry[1].add(subject)
                 entry[2].add(obj)
-        return (
-            len(subjects),
-            len(objects),
-            {
-                predicate: (rows, len(property_subjects), len(property_objects))
-                for predicate, (rows, property_subjects, property_objects) in by_property.items()
-            },
-        )
+        return {
+            predicate: (rows, len(property_subjects), len(property_objects))
+            for predicate, (rows, property_subjects, property_objects) in by_property.items()
+        }
+
+    def distinct_keys(self, kind: TripleKind) -> Tuple[int, int]:
+        """``(distinct subjects, distinct objects)`` of the *kind* table —
+        what a pattern with an unbound property is estimated by.  This
+        default counts in one :meth:`scan_columns` pass."""
+        subjects: set = set()
+        objects: set = set()
+        for s_batch, _p_batch, o_batch in self.scan_columns(kind):
+            subjects.update(s_batch)
+            objects.update(o_batch)
+        return len(subjects), len(objects)
 
     @abc.abstractmethod
     def distinct_properties(self, kind: TripleKind) -> List[int]:

@@ -13,25 +13,29 @@ bisect per tail pair plus slice copies) — no read path assigns to a run.
 Selection shapes become binary-search range scans over the runs, which
 the evaluator's join stages read in place (:meth:`MemoryStore.postings`,
 :meth:`MemoryStore.posting_run`); ``scan_columns`` yields the column arrays
-in slices, and bulk loads defer all index building to the first indexed
-read or insert — a warm start from a column-blob snapshot is three
-``frombytes`` per table and nothing else.
+in slices.  Every index is built on demand — a warm start from a
+column-blob snapshot is three ``frombytes`` per table and nothing else: a
+table's first read groups its positions by property, a property's first
+read or append builds its two runs, and only a predicate-unbound read
+builds the whole-table runs.  Concurrent readers may add an index, never
+change one, and publish a property's two runs in one assignment.
 Inserts deduplicate by probing the row's ``(p, s)`` run: the store keeps no
 second copy of its rows to look them up in.
 
 A run also *is* the distinct set of its key column, so each one carries a
-``distinct`` key count — set when the run is grouped, bumped by an append of
+``distinct`` key count — set when the run is built, bumped by an append of
 a key it has not seen — and the table shapes the query planner needs
-(:meth:`MemoryStore.cardinalities`) are O(1) reads per property of the very
-index queries are answered from: nobody keeps a second copy of the ids to
-count them.
+(:meth:`MemoryStore.property_cardinalities`) are O(1) reads per property of
+the very index queries are answered from; a property nobody has read yet
+has its keys counted once instead.  Nobody keeps a second copy of the ids
+to count them.
 
 Because row positions grow monotonically and every pending position is
 larger than every merged one, a run sorted by ``(key, position)`` yields
 positions in ascending — i.e. insertion — order for any single key, which
 preserves the deterministic iteration order the evaluator and the
-order-robustness tests rely on.  The same fact builds a run: a stable sort
-of ascending positions by their key *is* ``(key, position)`` order, so no
+order-robustness tests rely on.  The same fact builds a run: ascending
+positions stably ordered by their key *are* ``(key, position)`` order, so no
 per-row tuple is ever made (:func:`_sort_by`).
 """
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import islice
+from itertools import accumulate, islice
 from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -60,8 +64,8 @@ _EMPTY = array(ID_TYPECODE)
 TAIL_MERGE_LIMIT = 128
 
 #: An insert batch larger than this (and than half the resident rows)
-#: drops the table's indexes and rebuilds them lazily in one grouped pass
-#: instead of appending row by row — the deferred-index bulk-load path.
+#: drops the table's indexes, to be rebuilt as reads need them, instead of
+#: appending row by row — the bulk-load path.
 BULK_REBUILD_THRESHOLD = 4096
 
 
@@ -162,14 +166,30 @@ class _Run:
         return len(self.keys) + len(self.tail_keys)
 
 
-def _sort_by(column: Sequence[int], positions: Iterable[int]) -> Tuple[array, array]:
+def _sort_by(column: Sequence[int], positions: Sequence[int]) -> Tuple[array, array]:
     """``(keys, positions)`` of ascending *positions* sorted by *column*.
 
-    A stable sort of the positions by their key is ``(key, position)``
-    order — the positions ascend already — so the build holds one int per
-    row, never a ``(key, position)`` tuple.
+    Ascending positions placed in key order are ``(key, position)`` order,
+    so where the ids are dense a stable counting pass does it holding one
+    counter per id and no object per row (a run built while a server is at
+    its peak then adds little more than itself); sparse ids fall back to a
+    stable sort of the positions by their key.  Neither makes a ``(key,
+    position)`` tuple.
     """
-    order = array(ID_TYPECODE, sorted(positions, key=column.__getitem__))
+    keys = array(ID_TYPECODE, map(column.__getitem__, positions))
+    top = max(keys, default=0) + 1
+    if top > 8 * len(keys):
+        order = array(ID_TYPECODE, sorted(positions, key=column.__getitem__))
+        return array(ID_TYPECODE, map(column.__getitem__, order)), order
+    starts = array(ID_TYPECODE, bytes(ID_BYTES * (top + 1)))
+    for key in keys:
+        starts[key + 1] += 1
+    starts = array(ID_TYPECODE, accumulate(starts))
+    order = array(ID_TYPECODE, bytes(ID_BYTES * len(keys)))
+    for position, key in zip(positions, keys):
+        slot = starts[key]
+        starts[key] = slot + 1
+        order[slot] = position
     return array(ID_TYPECODE, map(column.__getitem__, order)), order
 
 
@@ -185,43 +205,38 @@ def _groups(keys: Sequence[int]) -> Iterator[Tuple[int, int, int]]:
 
 
 class _Table:
-    """One encoded triple table: three columns plus posting runs.
+    """One encoded triple table: three columns plus posting indexes, each
+    built on the first read that needs it (and dropped by bulk loads):
 
-    Index structures (built lazily after bulk loads):
-
-    * ``ps_runs[p]`` — run keyed by subject over the rows of property *p*;
-    * ``po_runs[p]`` — the object-keyed dual;
-    * ``s_run`` / ``o_run`` — whole-table runs keyed by subject / object
-      (serve the predicate-unbound shapes without per-node dicts);
     * ``by_predicate[p]`` — row positions of property *p* in insertion
-      order (the full-property fetch of the hash join).
+      order (the full-property fetch of the hash join); ``None`` until the
+      table's first read groups every position by property in one sort;
+    * ``runs[p]`` — ``(ps, po)``, the runs keyed by subject / by object over
+      the rows of *p*, built on the property's first read or append;
+    * ``whole`` — ``(s_run, o_run)``, runs keyed by subject / object over
+      every row, built on the first predicate-unbound read of a table of
+      more than one property (a one-property table serves those reads from
+      that property's runs);
+    * ``counts[p]`` — distinct subjects / objects of a property whose runs
+      are unbuilt, counted once for the statistics.
+
+    Readers run concurrently: a reader may add an index, never change one,
+    and publishes each pair of runs in one assignment, so no reader sees
+    half a pair.  A writer holds the table exclusively.
     """
 
-    __slots__ = (
-        "s_col",
-        "p_col",
-        "o_col",
-        "ps_runs",
-        "po_runs",
-        "s_run",
-        "o_run",
-        "by_predicate",
-        "_indexed",
-        "index_builds",
-    )
+    __slots__ = ("s_col", "p_col", "o_col", "by_predicate", "runs", "whole", "counts", "index_builds")
 
     def __init__(self):
         self.s_col = array(ID_TYPECODE)
         self.p_col = array(ID_TYPECODE)
         self.o_col = array(ID_TYPECODE)
-        self.ps_runs: Dict[int, _Run] = {}
-        self.po_runs: Dict[int, _Run] = {}
-        self.s_run = _Run()
-        self.o_run = _Run()
-        self.by_predicate: Dict[int, array] = {}
-        self._indexed = True  # an empty table is trivially indexed
-        #: Number of full (deferred) index builds — observability for the
-        #: zero-rebuild warm-start guarantee.
+        self.by_predicate: Optional[Dict[int, array]] = {}  # an empty table is grouped
+        self.runs: Dict[int, Tuple[_Run, _Run]] = {}
+        self.whole: Optional[Tuple[_Run, _Run]] = None
+        self.counts: Dict[int, Tuple[int, int]] = {}
+        #: Table-wide index passes — the grouping by property and the
+        #: whole-table runs — for the zero-rebuild warm-start guarantee.
         self.index_builds = 0
 
     def __len__(self) -> int:
@@ -236,37 +251,36 @@ class _Table:
         self.s_col.extend(subjects)
         self.p_col.extend(predicates)
         self.o_col.extend(objects)
-        if not self._indexed:
+        by_predicate = self.by_predicate
+        if by_predicate is None:
             return
         if len(rows) > BULK_REBUILD_THRESHOLD and len(rows) * 2 >= start:
             # bulk load: cheaper to regroup everything once, lazily
             self._drop_indexes()
             return
-        s_col, p_col, o_col = self.s_col, self.p_col, self.o_col
-        ps_runs, po_runs = self.ps_runs, self.po_runs
-        s_run, o_run = self.s_run, self.o_run
-        by_predicate = self.by_predicate
-        for position in range(start, len(s_col)):
-            subject = s_col[position]
-            predicate = p_col[position]
-            obj = o_col[position]
-            run = ps_runs.get(predicate)
-            if run is None:
-                run = ps_runs[predicate] = _Run()
-                po_runs[predicate] = _Run()
+        runs, whole = self.runs, self.whole
+        touched = set(predicates)
+        for predicate in touched:
+            # the runs hold every earlier row before the batch's, so the
+            # appends below keep their distinct counts exact (the dedup
+            # probe has built them already, unless the property is new)
+            if predicate not in by_predicate:
                 by_predicate[predicate] = array(ID_TYPECODE)
-            run.append(subject, position)
-            po_runs[predicate].append(obj, position)
+            self.property_runs(predicate)
+        for position, (subject, predicate, obj) in enumerate(rows, start):
+            ps_run, po_run = runs[predicate]
+            ps_run.append(subject, position)
+            po_run.append(obj, position)
             by_predicate[predicate].append(position)
-            s_run.append(subject, position)
-            o_run.append(obj, position)
+            if whole is not None:
+                whole[0].append(subject, position)
+                whole[1].append(obj, position)
         # the writer folds: whoever appends holds the table exclusively (the
         # entry's write lock when served), so no reader ever sees a tail past
         # the limit — or has to assign to a run to get rid of one
-        touched = set(p_col[start:])
         folded = [
             run
-            for run in (s_run, o_run, *map(ps_runs.get, touched), *map(po_runs.get, touched))
+            for run in (*(whole or ()), *(run for predicate in touched for run in runs[predicate]))
             if len(run.tail_keys) > TAIL_MERGE_LIMIT
         ]
         for run in folded:
@@ -277,38 +291,55 @@ class _Table:
     def _drop_indexes(self) -> None:
         """Defer index building to the first read or insert that needs it
         (bulk loads, and column loads on warm start)."""
-        self.ps_runs = {}
-        self.po_runs = {}
-        self.s_run = _Run()
-        self.o_run = _Run()
-        self.by_predicate = {}
-        self._indexed = False
+        self.by_predicate = None
+        self.runs = {}
+        self.whole = None
+        self.counts = {}
 
-    def _ensure_indexed(self) -> None:
-        if self._indexed:
-            return
-        n = len(self.s_col)
-        s_col, p_col, o_col = self._cells()
+    # ------------------------------------------------------------------
+    # indexes, built on first need
+    # ------------------------------------------------------------------
+    def grouped(self) -> Dict[int, array]:
+        """``by_predicate``: the positions stably ordered by property on the
+        table's first read, each group in ascending (insertion) order."""
+        by_predicate = self.by_predicate
+        if by_predicate is None:
+            predicates, positions = _sort_by(self._cells()[1], range(len(self)))
+            by_predicate = {key: positions[start:stop] for key, start, stop in _groups(predicates)}
+            self.by_predicate = by_predicate
+            self.index_builds += 1
+        return by_predicate
 
-        self.s_run = _Run(*_sort_by(s_col, range(n)))
-        self.o_run = _Run(*_sort_by(o_col, range(n)))
+    def property_runs(self, predicate: int) -> Optional[Tuple[_Run, _Run]]:
+        """``(ps, po)`` runs of *predicate*, sorts of its ``by_predicate``
+        group built on first need; ``None`` when no row has the property."""
+        pair = self.runs.get(predicate)
+        if pair is None:
+            positions = self.grouped().get(predicate)
+            if positions is None:
+                return None
+            s_col, _p_col, o_col = self._cells()
+            built = (_Run(*_sort_by(s_col, positions)), _Run(*_sort_by(o_col, positions)))
+            # a concurrent reader may have built the same pair: keep the first
+            pair = self.runs.setdefault(predicate, built)
+            telemetry.counter("store.runs.built").inc()
+        return pair
 
-        # one stable sort groups the positions by predicate, each group in
-        # ascending (insertion) order: the group is by_predicate, and the
-        # two runs of the predicate are sorts of it
-        predicates, grouped = _sort_by(p_col, range(n))
-        ps_runs: Dict[int, _Run] = {}
-        po_runs: Dict[int, _Run] = {}
-        by_predicate: Dict[int, array] = {}
-        for predicate, start, stop in _groups(predicates):
-            by_predicate[predicate] = positions = grouped[start:stop]
-            ps_runs[predicate] = _Run(*_sort_by(s_col, positions))
-            po_runs[predicate] = _Run(*_sort_by(o_col, positions))
-        self.ps_runs = ps_runs
-        self.po_runs = po_runs
-        self.by_predicate = by_predicate
-        self._indexed = True
-        self.index_builds += 1
+    def whole_runs(self) -> Tuple[_Run, _Run]:
+        """``(s_run, o_run)`` for the predicate-unbound reads: a one-property
+        table's runs of that property, else whole-table runs built on first
+        need."""
+        whole = self.whole
+        if whole is None:
+            by_predicate = self.grouped()
+            if len(by_predicate) == 1:
+                return self.property_runs(next(iter(by_predicate)))
+            s_col, _p_col, o_col = self._cells()
+            everything = range(len(self))
+            whole = self.whole = (_Run(*_sort_by(s_col, everything)), _Run(*_sort_by(o_col, everything)))
+            self.index_builds += 1
+            telemetry.counter("store.runs.built").inc()
+        return whole
 
     # ------------------------------------------------------------------
     # reads
@@ -338,28 +369,27 @@ class _Table:
         scan).  Composite shapes hit the per-predicate runs directly; the
         ``(s, o)`` shape picks the shorter of the two whole-table ranges.
         """
-        self._ensure_indexed()
         if predicate is not None:
-            if subject is not None:
-                run = self.ps_runs.get(predicate)
-                return _EMPTY if run is None else run.positions_for(subject)
-            if obj is not None:
-                run = self.po_runs.get(predicate)
-                return _EMPTY if run is None else run.positions_for(obj)
-            return self.by_predicate.get(predicate, _EMPTY)
+            if subject is None and obj is None:
+                return self.grouped().get(predicate, _EMPTY)
+            pair = self.property_runs(predicate)
+            if pair is None:
+                return _EMPTY
+            return pair[0].positions_for(subject) if subject is not None else pair[1].positions_for(obj)
+        if subject is None and obj is None:
+            return None
+        s_run, o_run = self.whole_runs()
         if subject is not None:
             if obj is not None:
-                subject_positions = self.s_run.positions_for(subject)
-                object_positions = self.o_run.positions_for(obj)
+                subject_positions = s_run.positions_for(subject)
+                object_positions = o_run.positions_for(obj)
                 return (
                     subject_positions
                     if len(subject_positions) <= len(object_positions)
                     else object_positions
                 )
-            return self.s_run.positions_for(subject)
-        if obj is not None:
-            return self.o_run.positions_for(obj)
-        return None
+            return s_run.positions_for(subject)
+        return o_run.positions_for(obj)
 
     def matching_positions(
         self, subject: Optional[int], predicate: Optional[int], obj: Optional[int]
@@ -383,19 +413,35 @@ class _Table:
         """Whether the row is stored: a probe of the ``(p, s)`` run."""
         return bool(self.matching_positions(subject, predicate, obj))
 
-    def cardinalities(self) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
-        """``(distinct subjects, distinct objects, {property: (rows, distinct
-        subjects, distinct objects)})``, read off the runs' ``distinct``."""
-        self._ensure_indexed()
-        ps_runs, po_runs = self.ps_runs, self.po_runs
-        return (
-            self.s_run.distinct,
-            self.o_run.distinct,
-            {
-                predicate: (len(positions), ps_runs[predicate].distinct, po_runs[predicate].distinct)
-                for predicate, positions in self.by_predicate.items()
-            },
-        )
+    def property_cardinalities(self) -> Dict[int, Tuple[int, int, int]]:
+        """``{property: (rows, distinct subjects, distinct objects)}``: read
+        off a property's runs, or — runs unbuilt — counted once into
+        ``counts`` (a property's first append builds its runs first)."""
+        runs, counts = self.runs, self.counts
+        s_col, _p_col, o_col = self._cells()
+        shapes = {}
+        for predicate, positions in self.grouped().items():
+            pair = runs.get(predicate)
+            if pair is not None:
+                shapes[predicate] = (len(positions), pair[0].distinct, pair[1].distinct)
+                continue
+            distinct = counts.get(predicate)
+            if distinct is None:
+                distinct = counts[predicate] = (
+                    len(set(map(s_col.__getitem__, positions))),
+                    len(set(map(o_col.__getitem__, positions))),
+                )
+            shapes[predicate] = (len(positions), *distinct)
+        return shapes
+
+    def distinct_keys(self) -> Tuple[int, int]:
+        """``(distinct subjects, distinct objects)``: the whole-table runs'
+        counts once built, a count over the columns until then."""
+        if self.whole is None:
+            s_col, _p_col, o_col = self._cells()
+            return len(set(s_col)), len(set(o_col))
+        s_run, o_run = self.whole
+        return s_run.distinct, o_run.distinct
 
     def distinct_properties(self) -> List[int]:
         # derived from the raw column: no index build forced by a scan-only
@@ -555,9 +601,9 @@ class MemoryStore(TripleStore):
         (2) run of *predicate*, ``None`` if absent, that a probe stage reads."""
         self._check_open()
         table = self._tables[kind]
-        table._ensure_indexed()
-        runs = table.ps_runs if column == 0 else table.po_runs
-        return runs.get(predicate), table._cells()[2 - column]
+        pair = table.property_runs(predicate)
+        run = None if pair is None else pair[0 if column == 0 else 1]
+        return run, table._cells()[2 - column]
 
     def count(self, kind: TripleKind) -> int:
         self._check_open()
@@ -574,16 +620,19 @@ class MemoryStore(TripleStore):
         unless subject *and* object are both bound."""
         return len(self._postings(kind, subject, predicate, obj)[0])
 
-    #: :meth:`cardinalities` is a live O(properties) read of the posting runs
-    #: — the runs count their own distinct keys as rows are appended — so a
-    #: statistics profile re-reads it after an ingest instead of probing.
+    #: :meth:`property_cardinalities` is a live O(properties) read of the
+    #: posting runs — the runs count their own distinct keys as rows are
+    #: appended — so a statistics profile re-reads it after an ingest
+    #: instead of probing.
     counts_distinct_keys = True
 
-    def cardinalities(
-        self, kind: TripleKind
-    ) -> Tuple[int, int, Dict[int, Tuple[int, int, int]]]:
+    def property_cardinalities(self, kind: TripleKind) -> Dict[int, Tuple[int, int, int]]:
         self._check_open()
-        return self._tables[kind].cardinalities()
+        return self._tables[kind].property_cardinalities()
+
+    def distinct_keys(self, kind: TripleKind) -> Tuple[int, int]:
+        self._check_open()
+        return self._tables[kind].distinct_keys()
 
     def distinct_properties(self, kind: TripleKind) -> List[int]:
         self._check_open()
@@ -683,7 +732,11 @@ class MemoryStore(TripleStore):
         return {"private_bytes": private, "adopted_bytes": adopted}
 
     def index_build_count(self) -> int:
-        """Total full index builds across the three tables (observability)."""
+        """Table-wide index passes across the three tables (observability):
+        a table's grouping by property on its first read, and its
+        whole-table runs on its first predicate-unbound read.  A property's
+        own runs are not counted here but in the ``store.runs.built``
+        registry counter, which also counts each whole-table build."""
         self._check_open()
         return sum(table.index_builds for table in self._tables.values())
 

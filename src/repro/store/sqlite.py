@@ -397,15 +397,17 @@ class SQLiteStore(TripleStore):
         rows = self._execute_read(f"SELECT COUNT(*) FROM {_TABLE_FOR_KIND[kind]}{where}", parameters)
         return int(rows[0][0])
 
-    def cardinalities(self, kind: TripleKind):
-        table = _TABLE_FOR_KIND[kind]
+    def distinct_keys(self, kind: TripleKind):
         ((subjects, objects),) = self._execute_read(
-            f"SELECT COUNT(DISTINCT s), COUNT(DISTINCT o) FROM {table}"
+            f"SELECT COUNT(DISTINCT s), COUNT(DISTINCT o) FROM {_TABLE_FOR_KIND[kind]}"
         )
+        return subjects, objects
+
+    def property_cardinalities(self, kind: TripleKind):
         grouped = self._execute_read(
-            f"SELECT p, COUNT(*), COUNT(DISTINCT s), COUNT(DISTINCT o) FROM {table} GROUP BY p"
+            f"SELECT p, COUNT(*), COUNT(DISTINCT s), COUNT(DISTINCT o) FROM {_TABLE_FOR_KIND[kind]} GROUP BY p"
         )
-        return subjects, objects, {row[0]: tuple(row[1:]) for row in grouped}
+        return {row[0]: tuple(row[1:]) for row in grouped}
 
     def distinct_properties(self, kind: TripleKind) -> List[int]:
         rows = self._execute_read(

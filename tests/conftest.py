@@ -8,13 +8,8 @@ from repro.datasets.bibliography import generate_bibliography
 from repro.datasets.bsbm import generate_bsbm
 from repro.datasets.lubm import generate_lubm
 from oracles.random_graph import RandomGraphConfig, generate_random_graph
-from repro.datasets.sample import (
-    book_example_graph,
-    figure2_graph,
-    strong_completeness_graph,
-    typed_weak_counterexample_graph,
-    weak_completeness_graph,
-)
+from oracles.sample_graphs import book_example_graph, strong_completeness_graph, weak_completeness_graph
+from repro.datasets.sample import figure2_graph, typed_weak_counterexample_graph
 
 
 @pytest.fixture

@@ -1,13 +1,7 @@
 """Tests for the paper's example graphs."""
 
-from repro.datasets.sample import (
-    FIG2,
-    book_example_graph,
-    figure2_graph,
-    strong_completeness_graph,
-    typed_weak_counterexample_graph,
-    weak_completeness_graph,
-)
+from oracles.sample_graphs import book_example_graph, strong_completeness_graph, weak_completeness_graph
+from repro.datasets.sample import FIG2, figure2_graph, typed_weak_counterexample_graph
 from repro.model.namespaces import EX
 
 

@@ -108,3 +108,29 @@ class TestJoinOrdering:
         # every offer references a product and a vendor, so all offers match
         offers = {t.subject for t in bsbm_small.triples(predicate=BSBM.offeredProduct)}
         assert {a[0] for a in answers} == offers
+
+
+def test_has_answers_leaves_nothing_for_the_cyclic_collector(fig2):
+    """A guard check frees everything it made by reference counting: no
+    self-referencing closure survives the call for ``gc`` to find."""
+    import gc
+
+    from repro import summarize
+
+    summary = summarize(fig2, "weak").graph
+    satisfiable = BGPQuery(
+        [
+            TriplePattern(_var("x"), FIG2.author, _var("a")),
+            TriplePattern(_var("x"), FIG2.title, _var("t")),
+        ],
+        head=[_var("x")],
+    )
+    refuted = BGPQuery([TriplePattern(_var("x"), FIG2.reviewed, FIG2.title)], head=[_var("x")])
+    gc.collect()
+    gc.disable()
+    try:
+        assert has_answers(summary, satisfiable)
+        assert not has_answers(summary, refuted)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()

@@ -16,7 +16,8 @@ from unittest.mock import patch
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.datasets.sample import book_example_graph, figure2_graph
+from oracles.sample_graphs import book_example_graph
+from repro.datasets.sample import figure2_graph
 from repro.model.graph import RDFGraph
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind

@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from repro import telemetry
 from repro.model.dictionary import EncodedTriple
 from repro.model.namespaces import EX, RDF_TYPE
 from repro.model.triple import Triple, TripleKind
@@ -102,7 +103,10 @@ _BATCHES = st.lists(st.lists(_ROW, max_size=10), min_size=1, max_size=6)
 
 class TestIncrementalEquivalence:
     """A profile kept by ``ingest_rows`` reads exactly like a brute-force
-    recount of the rows — whatever the backend's indexes went through."""
+    recount of the rows — whatever the backend's indexes went through, and
+    whichever of the memory store's runs the reads happened to build.
+    Profiling builds no run: it reads a property's runs where they are
+    built and counts its keys where they are not."""
 
     @pytest.mark.parametrize(
         "backend, load, tail_merge_limit, bulk_rebuild_threshold",
@@ -119,23 +123,30 @@ class TestIncrementalEquivalence:
     @settings(
         max_examples=30, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
     )
-    @given(base=st.lists(_ROW, max_size=12), batches=_BATCHES)
+    @given(base=st.lists(_ROW, max_size=12), batches=_BATCHES, unbound=st.booleans())
     def test_ingest_rows_matches_a_recount(
-        self, monkeypatch, recount, backend, load, tail_merge_limit, bulk_rebuild_threshold, base, batches
+        self, monkeypatch, recount, backend, load, tail_merge_limit, bulk_rebuild_threshold, base, batches, unbound
     ):
         if tail_merge_limit is not None:
             monkeypatch.setattr(memory, "TAIL_MERGE_LIMIT", tail_merge_limit)
         if bulk_rebuild_threshold is not None:
             monkeypatch.setattr(memory, "BULK_REBUILD_THRESHOLD", bulk_rebuild_threshold)
+        runs_built = telemetry.counter("store.runs.built")
         store = load(backend, base)
+        built = runs_built.value
         statistics = CardinalityStatistics.from_store(store)
         assert statistics.as_dict() == recount(store)
+        assert runs_built.value == built
         for batch in batches:
             # (duplicates of what is there, and within the batch, are part of the input)
             statistics.ingest_rows(store.insert_encoded_rows(batch))
+            if unbound:  # whole-table runs, from the first such read on
+                store.count_rows(TripleKind.DATA, subject=0)
+            built = runs_built.value
             expected = recount(store)
             assert statistics.as_dict() == expected
             assert CardinalityStatistics.from_store(store).as_dict() == expected
+            assert runs_built.value == built
             for kind, row in batch:  # (the insert folded whatever tail outgrew the limit)
                 assert store.count_rows(kind, subject=row[0], predicate=row[1]) >= 1
         store.close()

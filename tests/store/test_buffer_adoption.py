@@ -74,14 +74,16 @@ class TestAdoption:
             row for batch in copied.scan_batches(TripleKind.DATA) for row in batch
         ]
         assert got == want
-        # index behaviour is identical: posting runs agree on every predicate
+        # index behaviour is identical: the runs each builds on first read
+        # agree on every predicate, and so do the whole-table runs
         fast, slow = adopted._tables[TripleKind.DATA], copied._tables[TripleKind.DATA]
-        fast._ensure_indexed()
-        slow._ensure_indexed()
-        for predicate in {row[1] for row in rows}:
-            for runs in ("ps_runs", "po_runs"):
-                fast_keys, fast_positions = getattr(fast, runs)[predicate].merged()
-                slow_keys, slow_positions = getattr(slow, runs)[predicate].merged()
+        assert fast.runs == slow.runs == {} and fast.whole is slow.whole is None
+        pairs = [(fast.whole_runs(), slow.whole_runs())]
+        pairs += [(fast.property_runs(p), slow.property_runs(p)) for p in {row[1] for row in rows}]
+        for fast_pair, slow_pair in pairs:
+            for fast_run, slow_run in zip(fast_pair, slow_pair):
+                fast_keys, fast_positions = fast_run.merged()
+                slow_keys, slow_positions = slow_run.merged()
                 assert list(fast_keys) == list(slow_keys)
                 assert list(fast_positions) == list(slow_positions)
                 assert [fast.o_col[p] for p in fast_positions] == [

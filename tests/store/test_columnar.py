@@ -63,8 +63,7 @@ def _posting_run(store, predicate, by_object=False):
     """The memory store's ``(p, s)`` (or ``(p, o)``) run of *predicate*,
     tail folded in, as ``(key, other endpoint)`` pairs in run order."""
     table = store._tables[TripleKind.DATA]
-    table._ensure_indexed()
-    keys, positions = (table.po_runs if by_object else table.ps_runs)[predicate].merged()
+    keys, positions = table.property_runs(predicate)[1 if by_object else 0].merged()
     other = table.s_col if by_object else table.o_col
     return [(key, other[position]) for key, position in zip(keys, positions)]
 

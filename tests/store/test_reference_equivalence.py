@@ -101,8 +101,7 @@ def _run_pairs(store, kind, predicate, by_object):
     folded in, as ``(key, other endpoint)`` pairs; checked sorted by
     ``(key, position)`` on the way."""
     table = store._tables[kind]
-    table._ensure_indexed()
-    keys, positions = (table.po_runs if by_object else table.ps_runs)[predicate].merged()
+    keys, positions = table.property_runs(predicate)[1 if by_object else 0].merged()
     assert list(zip(keys, positions)) == sorted(zip(keys, positions))
     other = table.s_col if by_object else table.o_col
     return [(key, other[position]) for key, position in zip(keys, positions)]
@@ -136,16 +135,18 @@ def _assert_run(run, pairs):
 @given(
     rows=st.one_of(
         st.lists(st.tuples(ids, ids, ids), max_size=60),
-        # one predicate: its runs are the whole-table runs
+        # one predicate: its runs serve the predicate-unbound reads
         st.lists(st.tuples(ids, st.just(3), ids), max_size=60),
     ),
     adopt=st.booleans(),
 )
 def test_deferred_index_build_is_its_definition(rows, adopt):
-    """The deferred build sorts positions, never ``(key, position)``
-    tuples: every run it leaves must still equal ``sorted(zip(keys,
-    positions))``, with ``distinct`` the key count and ``by_predicate``
-    ascending — over copied or adopted (``ColumnView``) columns."""
+    """Each index is built on its first need and sorts positions, never
+    ``(key, position)`` tuples: every run must still equal
+    ``sorted(zip(keys, positions))``, with ``distinct`` the key count and
+    ``by_predicate`` ascending — over copied or adopted (``ColumnView``)
+    columns.  A property read builds that property's runs alone; the
+    whole-table runs wait for a predicate-unbound read."""
     n = len(rows)
     s_col, p_col, o_col = (list(column) for column in zip(*rows)) if rows else ([], [], [])
     blobs = [array(ID_TYPECODE, column).tobytes() for column in (s_col, p_col, o_col)]
@@ -154,16 +155,32 @@ def test_deferred_index_build_is_its_definition(rows, adopt):
         assert load(TripleKind.DATA, *blobs) == n
         table = store._tables[TripleKind.DATA]
         assert (type(table.s_col) is ColumnView) == adopt
-        table._ensure_indexed()
-        assert table.index_builds == 1
-        _assert_run(table.s_run, list(zip(s_col, range(n))))
-        _assert_run(table.o_run, list(zip(o_col, range(n))))
-        assert set(table.by_predicate) == set(table.ps_runs) == set(table.po_runs) == set(p_col)
+        assert table.by_predicate is None and table.runs == {} and table.whole is None
+        # the statistics count the keys of unbuilt properties, building no run
+        subjects, objects = store.distinct_keys(TripleKind.DATA)
+        by_property = store.property_cardinalities(TripleKind.DATA)
+        assert (subjects, objects) == (len(set(s_col)), len(set(o_col)))
+        assert by_property == {
+            p: (p_col.count(p), len({s for s, q in zip(s_col, p_col) if q == p}),
+                len({o for o, q in zip(o_col, p_col) if q == p}))
+            for p in set(p_col)
+        }
+        assert table.index_builds == 1 and table.runs == {} and table.whole is None
+        assert set(table.by_predicate) == set(p_col)
         for predicate, positions in table.by_predicate.items():
             mine = [position for position in range(n) if p_col[position] == predicate]
             assert positions.typecode == ID_TYPECODE and list(positions) == mine
-            _assert_run(table.ps_runs[predicate], [(s_col[i], i) for i in mine])
-            _assert_run(table.po_runs[predicate], [(o_col[i], i) for i in mine])
-        subjects, objects, by_property = store.cardinalities(TripleKind.DATA)
-        assert (subjects, objects) == (len(set(s_col)), len(set(o_col)))
-        assert sum(count for count, _s, _o in by_property.values()) == n
+            ps_run, po_run = table.property_runs(predicate)
+            assert set(table.runs) <= set(p_col) and predicate in table.runs
+            _assert_run(ps_run, [(s_col[i], i) for i in mine])
+            _assert_run(po_run, [(o_col[i], i) for i in mine])
+        assert table.index_builds == 1 and table.whole is None
+        s_run, o_run = table.whole_runs()
+        _assert_run(s_run, list(zip(s_col, range(n))))
+        _assert_run(o_run, list(zip(o_col, range(n))))
+        if len(set(p_col)) == 1:
+            assert (s_run, o_run) == table.runs[p_col[0]] and table.whole is None
+        else:
+            assert table.index_builds == 2 and table.whole == (s_run, o_run)
+        assert store.distinct_keys(TripleKind.DATA) == (subjects, objects)
+        assert store.property_cardinalities(TripleKind.DATA) == by_property

@@ -54,7 +54,7 @@ class TestOtherCommands:
         assert "typed_strong" in output
 
     def test_saturate(self, tmp_path, capsys):
-        from repro.datasets.sample import book_example_graph
+        from oracles.sample_graphs import book_example_graph
 
         source = tmp_path / "book.nt"
         dump_ntriples(book_example_graph(), source)

@@ -165,10 +165,25 @@ class CliqueSummarizer:
         support[new_key] += 1
         self.rekeyed_rows += 1
 
+    def _members(self) -> Tuple[Dict[int, List[int]], Dict[int, List[int]]]:
+        """``(target, source)``: the properties of each clique, by root."""
+        find_in, find_out = self.target_cliques.find, self.source_cliques.find
+        members_in: Dict[int, List[int]] = {}
+        members_out: Dict[int, List[int]] = {}
+        for prop in self.properties:
+            members_in.setdefault(find_in(prop), []).append(prop)
+            members_out.setdefault(find_out(prop), []).append(prop)
+        return members_in, members_out
+
     def _rekey(self, moved: Dict[int, int], batch: Set[Tuple[int, int, int]]) -> None:
         """Move the support of every row stored *before* the batch that
-        touches a moved node from its old signature key to its new one."""
-        sig_of, select, shift = self.sig_of, self.store.select, self._shift
+        touches a moved node from its old signature key to its new one.  Its
+        data rows carry properties of the cliques its old signature names:
+        they are read through those properties' runs, not a whole-table one."""
+        sig_of, sig_in, sig_out = self.sig_of, self.sig_in, self.sig_out
+        select, shift = self.store.select, self._shift
+        members_in, members_out = self._members()
+        find_in, find_out = self.target_cliques.find, self.source_cliques.find
         for node, old in moved.items():
             if not old:
                 continue  # not a node before the batch: no earlier rows
@@ -176,18 +191,21 @@ class CliqueSummarizer:
             for row in select(TripleKind.TYPE, subject=node):
                 if row not in batch:
                     shift((False, old, row[1], row[2]), (False, new, row[1], row[2]))
-            for row in select(TripleKind.DATA, subject=node):
-                if row not in batch:
-                    other = sig_of[row[2]]
-                    shift(
-                        (True, old, row[1], moved.get(row[2], other)),
-                        (True, new, row[1], other),
-                    )
-            for row in select(TripleKind.DATA, obj=node):
-                # a moved subject re-keys the row from its own side
-                if row not in batch and row[0] not in moved:
-                    other = sig_of[row[0]]
-                    shift((True, other, row[1], old), (True, other, row[1], new))
+            first_out, first_in = sig_out[old], sig_in[old]
+            for prop in members_out[find_out(first_out)] if first_out >= 0 else ():
+                for row in select(TripleKind.DATA, subject=node, predicate=prop):
+                    if row not in batch:
+                        other = sig_of[row[2]]
+                        shift(
+                            (True, old, row[1], moved.get(row[2], other)),
+                            (True, new, row[1], other),
+                        )
+            for prop in members_in[find_in(first_in)] if first_in >= 0 else ():
+                for row in select(TripleKind.DATA, predicate=prop, obj=node):
+                    # a moved subject re-keys the row from its own side
+                    if row not in batch and row[0] not in moved:
+                        other = sig_of[row[0]]
+                        shift((True, other, row[1], old), (True, other, row[1], new))
 
     # ------------------------------------------------------------------
     def prime(self, batch_size: int = 65_536) -> None:
@@ -228,11 +246,7 @@ class CliqueSummarizer:
         a shared clique.  Blocks are numbered — and named — in key order, so
         the result depends on the rows absorbed, not on their arrival order."""
         find_in, find_out = self.target_cliques.find, self.source_cliques.find
-        members_in: Dict[int, List[int]] = {}
-        members_out: Dict[int, List[int]] = {}
-        for prop in self.properties:
-            members_in.setdefault(find_in(prop), []).append(prop)
-            members_out.setdefault(find_out(prop), []).append(prop)
+        members_in, members_out = self._members()
         tokens = IntUnionFind()  # 2r + 1: the target clique rooted at r; 2r: the source one
         pair_of: Dict[int, Tuple[int, int]] = {}
         for code in range(1, len(self.sig_users)):

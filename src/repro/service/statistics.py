@@ -17,8 +17,10 @@ private copy of the ids.  :meth:`CardinalityStatistics.from_store` reads
 :meth:`TripleStore.property_cardinalities
 <repro.store.base.TripleStore.property_cardinalities>` (for the memory store
 an O(1) read per property off its posting runs, or its keys counted once
-while the runs are unbuilt); the table-wide distinct counts, which only a
-predicate-unbound pattern needs, are read on first ask.
+while the runs are unbuilt).  The table-wide distinct counts, which only a
+predicate-unbound pattern needs, are the memory store's whole-table runs'
+own counts, read live (the runs are built on the first ask); other stores
+count them with :meth:`from_store`.
 :meth:`CardinalityStatistics.ingest_rows` — fed the ``(kind, row)``
 batches :meth:`TripleStore.insert_triples` returns, after the insert — either
 re-reads those counts, when the store keeps them live
@@ -91,9 +93,9 @@ class CardinalityStatistics:
     def __init__(self, store: TripleStore):
         self._store = store
         self._rows: Dict[TripleKind, int] = {kind: 0 for kind in _ALL_KINDS}
-        #: ``(distinct subjects, distinct objects)`` per table, ``None``
-        #: until first asked (only predicate-unbound patterns need them).
-        self._keys: Dict[TripleKind, Optional[Tuple[int, int]]] = {kind: (0, 0) for kind in _ALL_KINDS}
+        #: ``(distinct subjects, distinct objects)`` per table, kept here
+        #: only for a store that does not count them live.
+        self._keys: Dict[TripleKind, Tuple[int, int]] = {kind: (0, 0) for kind in _ALL_KINDS}
         self._predicates: Dict[TripleKind, Dict[int, PredicateStatistics]] = {
             kind: {} for kind in _ALL_KINDS
         }
@@ -110,8 +112,10 @@ class CardinalityStatistics:
         return statistics
 
     def _read_table(self, kind: TripleKind) -> None:
-        by_property = self._store.property_cardinalities(kind)
-        self._keys[kind] = None
+        store = self._store
+        by_property = store.property_cardinalities(kind)
+        if not store.counts_distinct_keys:
+            self._keys[kind] = store.distinct_keys(kind)
         self._predicates[kind] = {
             predicate: PredicateStatistics(*counts) for predicate, counts in by_property.items()
         }
@@ -154,14 +158,13 @@ class CardinalityStatistics:
         for (predicate, obj), rows in Counter((row[1], row[2]) for row in batch).items():
             if count_rows(kind, predicate=predicate, obj=obj) == rows:
                 predicates[predicate].distinct_objects += 1
+        subjects = Counter(row[0] for row in batch).items()
+        objects = Counter(row[2] for row in batch).items()
         keys = self._keys[kind]
-        if keys is not None:  # (else counted in full when first asked)
-            subjects = Counter(row[0] for row in batch).items()
-            objects = Counter(row[2] for row in batch).items()
-            self._keys[kind] = (
-                keys[0] + sum(count_rows(kind, subject=key) == rows for key, rows in subjects),
-                keys[1] + sum(count_rows(kind, obj=key) == rows for key, rows in objects),
-            )
+        self._keys[kind] = (
+            keys[0] + sum(count_rows(kind, subject=key) == rows for key, rows in subjects),
+            keys[1] + sum(count_rows(kind, obj=key) == rows for key, rows in objects),
+        )
 
     # ------------------------------------------------------------------
     # lookups (the planner's vocabulary)
@@ -186,10 +189,9 @@ class CardinalityStatistics:
         return len(self._predicates[kind])
 
     def _table_keys(self, kind: TripleKind) -> Tuple[int, int]:
-        keys = self._keys[kind]
-        if keys is None:
-            keys = self._keys[kind] = self._store.distinct_keys(kind)
-        return keys
+        if self._store.counts_distinct_keys:
+            return self._store.distinct_keys(kind)
+        return self._keys[kind]
 
     def distinct_subjects(self, kind: TripleKind, predicate: Optional[int] = None) -> int:
         """Distinct subject ids, per property or per table."""

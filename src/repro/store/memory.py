@@ -44,7 +44,7 @@ from __future__ import annotations
 import sys
 from array import array
 from bisect import bisect_left, bisect_right
-from itertools import accumulate, islice
+from itertools import islice
 from operator import ne
 from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -166,30 +166,14 @@ class _Run:
         return len(self.keys) + len(self.tail_keys)
 
 
-def _sort_by(column: Sequence[int], positions: Sequence[int]) -> Tuple[array, array]:
+def _sort_by(column: Sequence[int], positions: Iterable[int]) -> Tuple[array, array]:
     """``(keys, positions)`` of ascending *positions* sorted by *column*.
 
-    Ascending positions placed in key order are ``(key, position)`` order,
-    so where the ids are dense a stable counting pass does it holding one
-    counter per id and no object per row (a run built while a server is at
-    its peak then adds little more than itself); sparse ids fall back to a
-    stable sort of the positions by their key.  Neither makes a ``(key,
-    position)`` tuple.
+    A stable sort of the positions by their key is ``(key, position)``
+    order — the positions ascend already — so the build holds one int per
+    row, never a ``(key, position)`` tuple.
     """
-    keys = array(ID_TYPECODE, map(column.__getitem__, positions))
-    top = max(keys, default=0) + 1
-    if top > 8 * len(keys):
-        order = array(ID_TYPECODE, sorted(positions, key=column.__getitem__))
-        return array(ID_TYPECODE, map(column.__getitem__, order)), order
-    starts = array(ID_TYPECODE, bytes(ID_BYTES * (top + 1)))
-    for key in keys:
-        starts[key + 1] += 1
-    starts = array(ID_TYPECODE, accumulate(starts))
-    order = array(ID_TYPECODE, bytes(ID_BYTES * len(keys)))
-    for position, key in zip(positions, keys):
-        slot = starts[key]
-        starts[key] = slot + 1
-        order[slot] = position
+    order = array(ID_TYPECODE, sorted(positions, key=column.__getitem__))
     return array(ID_TYPECODE, map(column.__getitem__, order)), order
 
 
@@ -435,12 +419,10 @@ class _Table:
         return shapes
 
     def distinct_keys(self) -> Tuple[int, int]:
-        """``(distinct subjects, distinct objects)``: the whole-table runs'
-        counts once built, a count over the columns until then."""
-        if self.whole is None:
-            s_col, _p_col, o_col = self._cells()
-            return len(set(s_col)), len(set(o_col))
-        s_run, o_run = self.whole
+        """``(distinct subjects, distinct objects)``: the counts of the runs
+        that serve predicate-unbound reads — built on first ask, and kept
+        exact by every append after it."""
+        s_run, o_run = self.whole_runs()
         return s_run.distinct, o_run.distinct
 
     def distinct_properties(self) -> List[int]:

@@ -160,8 +160,8 @@ def test_lazy_indexes_read_like_eager_ones(recount, how, base, tail, steps):
     data=st.data(),
 )
 def test_sort_by_is_a_stable_sort_of_positions_by_key(column, data):
-    """Dense ids take the counting pass, sparse ones the sort: both give
-    ``sorted(zip(keys, positions))`` for any ascending subset of positions."""
+    """Dense ids or sparse, the runs are ``sorted(zip(keys, positions))``
+    for any ascending subset of positions."""
     positions = sorted(data.draw(st.sets(st.integers(0, max(len(column) - 1, 0)))) if column else [])
     keys, order = _sort_by(array(ID_TYPECODE, column), array(ID_TYPECODE, positions))
     assert keys.typecode == order.typecode == ID_TYPECODE
@@ -191,6 +191,38 @@ def test_a_read_builds_only_what_it_needs():
         assert store.count_rows(TripleKind.TYPE, obj=5) == 2
         assert set(types.runs) == {9} and types.whole is None
         assert (store.index_build_count(), built.value - before) == (3, 3)
+
+
+def test_table_wide_counts_are_built_once_and_read_live_after_ingests():
+    """The first ask for a table's distinct subjects / objects builds the
+    runs that count them; an ingest appends to those runs, so no later ask
+    builds, or passes over the columns, again."""
+    built = telemetry.counter("store.runs.built")
+    rows = [(s, p, (s * p) % 11) for s in range(40) for p in (1, 2, 3)]
+    with MemoryStore() as store:
+        store.load_column_bytes(
+            TripleKind.DATA, *(array(ID_TYPECODE, column).tobytes() for column in zip(*rows))
+        )
+        store.load_column_bytes(
+            TripleKind.TYPE, *(array(ID_TYPECODE, column).tobytes() for column in ([1, 2], [9, 9], [5, 5]))
+        )
+        statistics = CardinalityStatistics.from_store(store)
+        assert statistics.distinct_subjects(TripleKind.DATA) == 40
+        assert statistics.distinct_objects(TripleKind.TYPE) == 1
+        store.count_rows(TripleKind.DATA, subject=0, predicate=1)  # the runs the ingests append to
+        builds, runs = store.index_build_count(), built.value
+        for batch in range(3):
+            fresh = [(TripleKind.DATA, (100 + batch, 1, 50 + batch)), (TripleKind.DATA, (0, 1, 60 + batch))]
+            statistics.ingest_rows(store.insert_encoded_rows(fresh + [(TripleKind.TYPE, (100 + batch, 9, 5))]))
+            with patch.object(memory._Table, "_cells", side_effect=AssertionError("a pass over the columns")):
+                counts = {
+                    kind: (statistics.distinct_subjects(kind), statistics.distinct_objects(kind))
+                    for kind in (TripleKind.DATA, TripleKind.TYPE)
+                }
+            for kind, table in ((kind, store._tables[kind]) for kind in counts):
+                assert counts[kind] == (len(set(table.s_col)), len(set(table.o_col)))
+            assert (store.index_build_count(), built.value) == (builds, runs)
+        assert store._tables[TripleKind.TYPE].whole is None  # its one property's runs count
 
 
 def test_concurrent_first_reads_of_one_property_see_whole_pairs():
